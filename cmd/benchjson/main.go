@@ -33,11 +33,8 @@
 // from runtime/metrics (/sync/mutex/wait/total:seconds) — nanoseconds
 // all goroutines spent blocked on contended mutexes per operation, which
 // makes lock contention visible even on low-core CI runners where ns/op
-// cannot parallelize. ConcurrentInitiate also runs a sched=unsharded
-// control row (schedule.Tuning{Shards: 1}) so the per-band shard split
-// of the schedule manager is measured against the single-lock calendar
-// on identical workloads. -cpuprofile and -mutexprofile write pprof
-// profiles covering the whole grid for deeper digs (see CONTRIBUTING.md).
+// cannot parallelize. -cpuprofile and -mutexprofile write pprof profiles
+// covering the whole grid for deeper digs (see CONTRIBUTING.md).
 package main
 
 import (
@@ -65,7 +62,6 @@ import (
 	"openwf/internal/evalgen"
 	"openwf/internal/model"
 	"openwf/internal/proto"
-	"openwf/internal/schedule"
 	"openwf/internal/service"
 	"openwf/internal/spec"
 )
@@ -88,7 +84,7 @@ type result struct {
 	// MutexWaitNs is the nanoseconds all goroutines spent blocked on
 	// contended mutexes per operation over the row's timed region,
 	// sampled from runtime/metrics (/sync/mutex/wait/total:seconds).
-	// Reported by the concurrency grids; the column where lock sharding
+	// Reported by the concurrency grids; the column where lock contention
 	// shows up even when a low-core runner cannot show wall-time scaling.
 	MutexWaitNs float64 `json:"mutex_wait_ns_per_op,omitempty"`
 }
@@ -534,33 +530,22 @@ func main() {
 	// bar — ≥2x aggregate throughput at 4 in-flight — reads directly as
 	// serial/inflight=4 ns/op ≥ 2 × concurrent/inflight=4 ns/op.
 	// The grid sweeps GOMAXPROCS (PR 10): the same batch of sessions at
-	// every -cpu point, plus a sched=unsharded control row (the
-	// single-lock calendar, schedule.Tuning{Shards: 1}) at the contended
-	// inflight=4 point — the mutex-wait column reads the shard split
-	// directly as sharded vs unsharded on identical workloads.
+	// every -cpu point.
 	for _, cpu := range cpus {
 		for _, row := range []struct {
-			inflight  int
-			serial    bool
-			unsharded bool
+			inflight int
+			serial   bool
 		}{
-			{1, false, false}, {2, false, false}, {4, true, false},
-			{4, false, false}, {4, false, true}, {8, false, false},
+			{1, false}, {2, false}, {4, true}, {4, false}, {8, false},
 		} {
 			cpu, row := cpu, row
 			mode := "concurrent"
 			if row.serial {
 				mode = "serial"
 			}
-			sched := ""
-			tune := schedule.Tuning{}
-			if row.unsharded {
-				sched = "/sched=unsharded"
-				tune = schedule.Tuning{Shards: 1}
-			}
-			runAt(fmt.Sprintf("ConcurrentInitiate/hosts=5/inflight=%d/mode=%s%s/cpu=%d", row.inflight, mode, sched, cpu), cpu, func(b *testing.B) {
+			runAt(fmt.Sprintf("ConcurrentInitiate/hosts=5/inflight=%d/mode=%s/cpu=%d", row.inflight, mode, cpu), cpu, func(b *testing.B) {
 				b.ReportAllocs()
-				comm, hostAddrs, pool, err := evalgen.ConcurrentInitiateSetupTuned(5, 32, tune)
+				comm, hostAddrs, pool, err := evalgen.ConcurrentInitiateSetup(5, 32)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -698,8 +683,7 @@ func main() {
 	// The full host sweep runs at GOMAXPROCS=1 for comparability with the
 	// PR 9 rows; the multi-core -cpu points rerun the hosts=300 pair,
 	// where the PR 9 profile showed the network's global send lock was
-	// the simulator (the inmem fast path now touches only its link
-	// shard, so the mutex-wait column is the regression guard).
+	// the simulator (the mutex-wait column is the regression guard).
 	for _, cpu := range cpus {
 		hostGrid := []int{300}
 		if cpu == 1 {

@@ -65,9 +65,6 @@ type Options struct {
 	// HostWorkers bounds each host's inbound-envelope worker pool (the
 	// per-workflow session dispatcher; default host.DefaultWorkers).
 	HostWorkers int
-	// Schedule tunes every host's calendar lock sharding (zero value:
-	// defaults; schedule.Tuning{Shards: 1} is the unsharded control).
-	Schedule schedule.Tuning
 	// Trace, when non-nil, records every message every host sends or
 	// receives (one shared recorder across the community).
 	Trace trace.Recorder
@@ -145,7 +142,6 @@ func New(opts Options, specs ...HostSpec) (*Community, error) {
 			Clock:     clk,
 			Mobility:  mobility,
 			Prefs:     hs.Prefs,
-			Schedule:  opts.Schedule,
 			BidWindow: opts.BidWindow,
 			Workers:   opts.HostWorkers,
 			Engine:    engCfg,

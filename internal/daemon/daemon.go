@@ -1,16 +1,15 @@
 // Package daemon turns the one-shot middleware into a long-lived
-// workflow server: a host process that starts (or serves) a community,
-// accepts a continuous stream of problem specifications, and initiates
-// each one through a bounded, admission-controlled backlog
-// (internal/backlog) worked by a fixed pool of concurrent allocation
-// sessions. It is the serving layer the ROADMAP's "daemon mode" item
-// calls for — the coordination middleware of the paper becomes one block
-// inside a system with explicit queueing, lifecycle, and resource
-// management around it.
+// workflow server: a host process that starts a community, accepts a
+// continuous stream of problem specifications, and initiates each one
+// through a bounded, admission-controlled backlog (internal/backlog)
+// worked by a fixed pool of concurrent allocation sessions. It is the
+// serving layer the ROADMAP's "daemon mode" item calls for — the
+// coordination middleware of the paper becomes one block inside a system
+// with explicit queueing, lifecycle, and resource management around it.
 //
-// Lifecycle: New serves an existing community; Start builds one and owns
-// it. Drain stops admission and finishes everything already accepted
-// (the SIGTERM path); Close aborts in-flight work and tears down.
+// Lifecycle: Start builds a community and owns it. Drain stops admission
+// and finishes everything already accepted (the SIGTERM path); Close
+// aborts in-flight work and tears down.
 //
 // Every server carries a metrics.Registry (exposed over HTTP by
 // cmd/openwfd) with the serving signals the ISSUE names: accepted /
@@ -109,7 +108,6 @@ type Server struct {
 	clk       clock.Clock
 	reg       *metrics.Registry
 	q         *backlog.Queue[*job]
-	owns      bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -128,12 +126,11 @@ type Server struct {
 	hWait      *metrics.Histogram
 }
 
-// Start builds a community from opts and specs and serves it: the
-// daemon-owned path (Close tears the community down). It chains
-// repair/replan observer hooks into the engine configuration before any
-// host exists, so openwf_repairs_total and openwf_replans_total count
-// from the first workflow — New on a pre-built community cannot
-// retrofit those hooks and leaves both counters at zero.
+// Start builds a community from opts and specs and serves it; Close tears
+// the community down. The engine observers are fixed at host creation, so
+// Start chains the repair/replan hooks into the engine configuration
+// before any host exists: openwf_repairs_total and openwf_replans_total
+// count from the first workflow.
 func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...community.HostSpec) (*Server, error) {
 	reg := cfg.Registry
 	if reg == nil {
@@ -167,7 +164,7 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	if err != nil {
 		return nil, err
 	}
-	srv, err := newServer(comm, initiator, cfg, repairs, replans, true)
+	srv, err := newServer(comm, initiator, cfg, repairs, replans)
 	if err != nil {
 		_ = comm.Close()
 		return nil, err
@@ -175,24 +172,7 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	return srv, nil
 }
 
-// New serves an existing community (the caller keeps ownership; Close
-// leaves it running). The engine observers are fixed at host creation,
-// so the repair/replan counters stay zero on this path — use Start for
-// full metric coverage.
-func New(comm *community.Community, initiator proto.Addr, cfg Config) (*Server, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	cfg.Registry = reg
-	repairs := reg.Counter("openwf_repairs_total",
-		"Mid-execution plan repairs completed (zero: hooks require daemon.Start).")
-	replans := reg.Counter("openwf_replans_total",
-		"Allocation replans (zero: hooks require daemon.Start).")
-	return newServer(comm, initiator, cfg, repairs, replans, false)
-}
-
-func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repairs, replans *metrics.Counter, owns bool) (*Server, error) {
+func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repairs, replans *metrics.Counter) (*Server, error) {
 	h, ok := comm.Host(initiator)
 	if !ok {
 		return nil, fmt.Errorf("daemon: no host %q in community", initiator)
@@ -211,7 +191,6 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repa
 		clk:       comm.Clock(),
 		reg:       cfg.Registry,
 		q:         backlog.New[*job](cfg.Backlog),
-		owns:      owns,
 		ctx:       ctx,
 		cancel:    cancel,
 		mRepairs:  repairs,
@@ -394,9 +373,8 @@ func (s *Server) beginDrain() {
 
 // Close shuts the server down immediately: admission stops, in-flight
 // Initiates abort via context cancellation (counted as aborted), queued
-// requests fail with context.Canceled, and — when the server owns its
-// community (Start) — the community closes too. Safe after Drain, and
-// idempotent.
+// requests fail with context.Canceled, and the community closes. Safe
+// after Drain, and idempotent.
 func (s *Server) Close() error {
 	s.beginDrain()
 	s.cancel()
@@ -416,10 +394,7 @@ func (s *Server) Close() error {
 			j.done(&Result{Err: context.Canceled, Class: class})
 		}
 	}
-	if s.owns {
-		return s.comm.Close()
-	}
-	return nil
+	return s.comm.Close()
 }
 
 // Snapshot is a point-in-time read of the serving counters, for harness

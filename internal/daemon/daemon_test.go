@@ -239,37 +239,9 @@ func TestCloseAbortsQueued(t *testing.T) {
 	}
 }
 
-func TestNewServesExistingCommunity(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	comm, err := community.New(community.Options{Engine: testEngineConfig()}, chainSpecs(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.Close()
-	srv, err := daemon.New(comm, "init", daemon.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := srv.Do(context.Background(), chainRequest())
-	if err != nil || res.Err != nil {
-		t.Fatalf("Do = %v / %v", err, res.Err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// New does not own the community: it must still serve directly.
-	if _, err := comm.Initiate(context.Background(), "init", chainRequest().Spec); err != nil {
-		t.Errorf("community closed by non-owning server: %v", err)
-	}
-}
-
 func TestUnknownInitiatorRejected(t *testing.T) {
-	comm, err := community.New(community.Options{Engine: testEngineConfig()}, chainSpecs(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.Close()
-	if _, err := daemon.New(comm, "ghost", daemon.Config{}); err == nil {
+	testutil.CheckGoroutines(t)
+	if _, err := daemon.Start(community.Options{Engine: testEngineConfig()}, "ghost", daemon.Config{}, chainSpecs(t)...); err == nil {
 		t.Fatal("unknown initiator accepted")
 	}
 }

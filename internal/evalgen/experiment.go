@@ -9,7 +9,6 @@ import (
 	"openwf/internal/community"
 	"openwf/internal/engine"
 	"openwf/internal/proto"
-	"openwf/internal/schedule"
 	"openwf/internal/service"
 	"openwf/internal/spec"
 	"openwf/internal/stats"
@@ -39,9 +38,6 @@ type ExperimentConfig struct {
 	DisableMarshal bool
 	// Engine overrides the per-host engine configuration.
 	Engine *engine.Config
-	// Schedule tunes every host's calendar lock sharding
-	// (schedule.Tuning{Shards: 1} is the unsharded control).
-	Schedule schedule.Tuning
 }
 
 // EvalEngineConfig is the engine configuration used by the evaluation
@@ -163,7 +159,6 @@ func BuildCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*commun
 		Seed:           cfg.Seed,
 		DisableMarshal: cfg.DisableMarshal,
 		Engine:         &engCfg,
-		Schedule:       cfg.Schedule,
 	}, specs...)
 	if err != nil {
 		return nil, nil, err
@@ -210,7 +205,6 @@ func BuildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand
 		Seed:           cfg.Seed,
 		DisableMarshal: cfg.DisableMarshal,
 		Engine:         &engCfg,
-		Schedule:       cfg.Schedule,
 	}, specs...)
 	if err != nil {
 		return nil, nil, err
@@ -228,14 +222,6 @@ func BuildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand
 // pre-sampled length-6 specifications. ok is false when the scenario
 // has no path of length 6.
 func ConcurrentInitiateSetup(hosts, poolSize int) (*community.Community, []proto.Addr, []spec.Spec, error) {
-	return ConcurrentInitiateSetupTuned(hosts, poolSize, schedule.Tuning{})
-}
-
-// ConcurrentInitiateSetupTuned is ConcurrentInitiateSetup with explicit
-// schedule shard tuning, so the contention benchmarks can run the same
-// workload against the sharded calendar and the Shards: 1 unsharded
-// control.
-func ConcurrentInitiateSetupTuned(hosts, poolSize int, tune schedule.Tuning) (*community.Community, []proto.Addr, []spec.Spec, error) {
 	engCfg := EvalEngineConfig()
 	engCfg.ParallelQuery = true
 	engCfg.WindowRetries = 8
@@ -249,7 +235,6 @@ func ConcurrentInitiateSetupTuned(hosts, poolSize int, tune schedule.Tuning) (*c
 		Tasks: 100, Hosts: hosts, Seed: 1,
 		LinkModel: Wireless80211g(),
 		Engine:    &engCfg,
-		Schedule:  tune,
 	}, rng)
 	if err != nil {
 		return nil, nil, nil, err

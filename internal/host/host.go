@@ -41,9 +41,6 @@ type Config struct {
 	Mobility space.Mobility
 	// Prefs expresses scheduling willingness.
 	Prefs schedule.Preferences
-	// Schedule tunes the calendar's lock sharding (zero value: defaults;
-	// schedule.Tuning{Shards: 1} degenerates to a single lock).
-	Schedule schedule.Tuning
 	// BidWindow is the deadline the host gives auction managers
 	// (default auction.DefaultBidWindow).
 	BidWindow time.Duration
@@ -148,7 +145,7 @@ func New(cfg Config) (*Host, error) {
 		pending:   make(map[uint64]chan proto.Envelope),
 	}
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
-	h.Schedule = schedule.NewManagerTuned(clk, cfg.Mobility, cfg.Prefs, cfg.Schedule)
+	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, cfg.BidWindow)
 	if cfg.CommitLease != 0 {
 		h.Participant.SetCommitLease(cfg.CommitLease)

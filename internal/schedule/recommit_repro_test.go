@@ -4,20 +4,73 @@ import (
 	"testing"
 	"time"
 
-	"openwf/internal/clock"
+	"openwf/internal/proto"
 )
 
-func TestRecommitStaleBandRecord(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		m := NewManagerTuned(clock.NewSim(t0), nil, Preferences{}, Tuning{Shards: shards, BandWidth: time.Minute})
-		if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(time.Hour+2*time.Minute)), time.Time{}); err != nil {
+// TestMovedKeyFreesOldInterval is the regression for the stale-record bug
+// of the sharded calendar (ROADMAP P0 after PR 10): a key whose record is
+// replaced or dropped and then re-booked into a different window must
+// leave its old interval free. Each row moves key wf/a from the old
+// window to the new one by a different path.
+func TestMovedKeyFreesOldInterval(t *testing.T) {
+	oldWin := meta("a", t0.Add(time.Hour), t0.Add(time.Hour+2*time.Minute))
+	newWin := meta("a", t0.Add(2*time.Hour), t0.Add(2*time.Hour+2*time.Minute))
+	deadline := t0.Add(time.Minute)
+	commit := func(t *testing.T, m *Manager, md proto.TaskMeta) {
+		t.Helper()
+		if _, err := m.Commit("wf", md, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Commit("wf", meta("a", t0.Add(2*time.Hour), t0.Add(2*time.Hour+2*time.Minute)), time.Time{}); err != nil {
-			t.Fatalf("shards=%d re-commit: %v", shards, err)
+	}
+	hold := func(t *testing.T, m *Manager, md proto.TaskMeta) {
+		t.Helper()
+		if _, err := m.Hold("wf", md, deadline); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := m.CanCommit(meta("b", t0.Add(time.Hour), t0.Add(time.Hour+time.Minute))); err != nil {
-			t.Errorf("shards=%d: old slot still busy after re-commit: %v", shards, err)
-		}
+	}
+	rows := []struct {
+		name string
+		move func(t *testing.T, m *Manager)
+		// newBusy says whether the move books the new window (a HoldBatch
+		// refresh keeps the original reservation and books nothing).
+		newBusy bool
+	}{
+		{"re-Commit of a live key", func(t *testing.T, m *Manager) {
+			commit(t, m, oldWin)
+			commit(t, m, newWin)
+		}, true},
+		{"Release then re-Hold", func(t *testing.T, m *Manager) {
+			hold(t, m, oldWin)
+			m.Release("wf", "a")
+			hold(t, m, newWin)
+		}, true},
+		{"HoldBatch refresh of a held key", func(t *testing.T, m *Manager) {
+			hold(t, m, oldWin)
+			res := m.HoldBatch("wf", []proto.TaskMeta{newWin}, deadline.Add(time.Minute))
+			if res[0].Err != nil || !res[0].Commitment.Start.Equal(oldWin.Start) {
+				t.Fatalf("refresh = %+v, want the original hold", res[0])
+			}
+			m.Release("wf", "a")
+		}, false},
+		{"Remove then re-Commit", func(t *testing.T, m *Manager) {
+			commit(t, m, oldWin)
+			if !m.Remove("wf", "a") {
+				t.Fatal("Remove found no commitment")
+			}
+			commit(t, m, newWin)
+		}, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m, _ := newManager(Preferences{}, nil)
+			row.move(t, m)
+			if _, err := m.CanCommit(meta("b", oldWin.Start, oldWin.End)); err != nil {
+				t.Errorf("old interval still busy: %v", err)
+			}
+			_, err := m.CanCommit(meta("b", newWin.Start, newWin.End))
+			if busy := err != nil; busy != row.newBusy {
+				t.Errorf("new interval busy = %v (%v), want %v", busy, err, row.newBusy)
+			}
+		})
 	}
 }

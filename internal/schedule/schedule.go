@@ -21,34 +21,15 @@
 //     overlaps several busy intervals, the reported blocker is the one
 //     with the lowest hold sequence (the first winner), so identical
 //     interleavings produce identical errors.
-//   - Readers never block writers of other time regions: the calendar
-//     is sharded (see below), so lookups and reservations contend only
-//     when they touch the same slice of the timeline.
 //
-// # Sharding
+// # Concurrency
 //
-// The calendar is split two ways so concurrent sessions stop serializing
-// on one lock (DESIGN.md §14):
-//
-//   - Band shards partition the timeline: every busy interval
-//     [TravelStart, End) is registered in the shard of each time band it
-//     touches (band = start quantized to Tuning.BandWidth, band mod
-//     Tuning.Shards selects the shard). Two intervals can only overlap
-//     if they share a band, so a conflict scan locks exactly the shards
-//     the candidate interval spans — sessions bidding into different
-//     window bands proceed in parallel.
-//   - Key shards partition the (workflow, task) namespace for the
-//     bookkeeping that is keyed rather than timed: duplicate-hold
-//     checks, refreshes, conversions, releases, and lease state.
-//
-// Every operation acquires key shards before band shards, and shards of
-// each kind in ascending index order, so multi-shard operations
-// (HoldBatch, expiry sweeps, Clear) are deadlock-free by construction.
-// The arbitration sequence is a single atomic counter, so first-hold-wins
-// ordering and deterministic conflict attribution survive sharding: a
-// serial sequence of operations produces byte-identical results whatever
-// the shard count (the cross-shard property test pins a sharded manager
-// against a Tuning{Shards: 1} oracle).
+// One participant's calendar is a handful of commitments, so the whole
+// of it sits behind one sync.RWMutex: two maps keyed by (workflow, task),
+// one of holds and one of commitments, and a conflict check that scans
+// both. Every operation is atomic against every other, and a record is
+// either in a map or gone. DESIGN.md §14 records the sharded calendar
+// that was tried in its place, measured, and removed.
 package schedule
 
 import (
@@ -56,7 +37,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openwf/internal/clock"
@@ -92,15 +72,11 @@ type key struct {
 }
 
 // record is one busy interval on the calendar — a firm-bid hold or a
-// commitment. The interval fields (c, seq, mask) are immutable after the
-// record is published to its band shards; the lifecycle fields (expiry,
-// lease) are guarded by the key shard that owns the record's key.
+// commitment. Records are guarded by Manager.mu.
 type record struct {
 	c Commitment
 	// seq is the arbitration sequence (lower = earlier = wins conflicts).
 	seq uint64
-	// mask is the set of band shards the busy interval is registered in.
-	mask uint64
 	// expiry is the hold deadline (holds only).
 	expiry time.Time
 	// lease is the commitment's lease expiry; zero means the commitment
@@ -119,62 +95,6 @@ type Preferences struct {
 	MaxCommitments int
 }
 
-// DefaultBandWidth is the default time-band quantum for the calendar
-// shards: on the order of a task window, so sessions retrying into
-// postponed window bands land on different shards.
-const DefaultBandWidth = time.Minute
-
-// DefaultShards is the default shard count (bands and keys alike).
-const DefaultShards = 16
-
-// maxShards bounds the shard count so a band-shard set fits one uint64
-// bitmask (lock sets and registration masks stay allocation-free).
-const maxShards = 64
-
-// Tuning configures the calendar's sharding. The zero value selects the
-// defaults; Shards: 1 degenerates to a single lock (the unsharded
-// oracle used by differential tests and benchmark control rows).
-type Tuning struct {
-	// BandWidth is the time-band quantum busy intervals are bucketed by.
-	BandWidth time.Duration
-	// Shards is the number of band shards and key shards (rounded up to
-	// a power of two, capped at 64).
-	Shards int
-}
-
-func (t Tuning) normalized() Tuning {
-	if t.BandWidth <= 0 {
-		t.BandWidth = DefaultBandWidth
-	}
-	if t.Shards <= 0 {
-		t.Shards = DefaultShards
-	}
-	if t.Shards > maxShards {
-		t.Shards = maxShards
-	}
-	n := 1
-	for n < t.Shards {
-		n <<= 1
-	}
-	t.Shards = n
-	return t
-}
-
-// keyShard owns the keyed bookkeeping for a slice of the (workflow, task)
-// namespace.
-type keyShard struct {
-	mu      sync.RWMutex
-	holds   map[key]*record
-	commits map[key]*record
-}
-
-// bandShard owns the busy intervals registered in a slice of the
-// timeline's bands.
-type bandShard struct {
-	mu      sync.RWMutex
-	entries map[key]*record
-}
-
 // Manager tracks one host's calendar and position. It is safe for
 // concurrent use by any number of allocation sessions.
 type Manager struct {
@@ -182,60 +102,29 @@ type Manager struct {
 	mobility space.Mobility
 	prefs    Preferences
 
-	bandWidth time.Duration
-	nshards   int
-	allMask   uint64
-
-	// seq is the arbitration counter; atomic so first-hold-wins survives
-	// sharding without a global lock.
-	seq atomic.Uint64
-	// busy counts holds plus commitments; MaxCommitments reserves
-	// against it with a CAS so the cap is never exceeded even when
-	// requests run on disjoint shards.
-	busy atomic.Int64
-
-	keys  []keyShard
-	bands []bandShard
+	mu      sync.RWMutex
+	holds   map[key]*record
+	commits map[key]*record
+	// seq is the arbitration counter: the last sequence handed out.
+	seq uint64
 }
 
-// NewManager returns a schedule manager with default sharding for a host
-// with the given mobility model and preferences. A nil mobility means a
-// static host at the origin.
+// NewManager returns a schedule manager for a host with the given mobility
+// model and preferences. A nil mobility means a static host at the origin.
 func NewManager(clk clock.Clock, mobility space.Mobility, prefs Preferences) *Manager {
-	return NewManagerTuned(clk, mobility, prefs, Tuning{})
-}
-
-// NewManagerTuned is NewManager with explicit shard tuning.
-func NewManagerTuned(clk clock.Clock, mobility space.Mobility, prefs Preferences, tune Tuning) *Manager {
 	if clk == nil {
 		clk = clock.New()
 	}
 	if mobility == nil {
 		mobility = space.Static{}
 	}
-	tune = tune.normalized()
-	m := &Manager{
-		clk:       clk,
-		mobility:  mobility,
-		prefs:     prefs,
-		bandWidth: tune.BandWidth,
-		nshards:   tune.Shards,
-		keys:      make([]keyShard, tune.Shards),
-		bands:     make([]bandShard, tune.Shards),
+	return &Manager{
+		clk:      clk,
+		mobility: mobility,
+		prefs:    prefs,
+		holds:    make(map[key]*record),
+		commits:  make(map[key]*record),
 	}
-	if tune.Shards == maxShards {
-		m.allMask = ^uint64(0)
-	} else {
-		m.allMask = (uint64(1) << tune.Shards) - 1
-	}
-	for i := range m.keys {
-		m.keys[i].holds = make(map[key]*record)
-		m.keys[i].commits = make(map[key]*record)
-	}
-	for i := range m.bands {
-		m.bands[i].entries = make(map[key]*record)
-	}
-	return m
 }
 
 // Mobility returns the host's mobility model.
@@ -244,159 +133,14 @@ func (m *Manager) Mobility() space.Mobility { return m.mobility }
 // Position returns the host's current position.
 func (m *Manager) Position() space.Point { return m.mobility.Position(m.clk.Now()) }
 
-// --- shard selection ---
-
-// keyIndex hashes a key to its key shard (FNV-1a, allocation-free).
-func (m *Manager) keyIndex(k key) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.workflow); i++ {
-		h ^= uint64(k.workflow[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator so ("ab","c") and ("a","bc") differ
-	h *= prime64
-	for i := 0; i < len(k.task); i++ {
-		h ^= uint64(k.task[i])
-		h *= prime64
-	}
-	return int(h & uint64(m.nshards-1))
-}
-
-// bandOf quantizes an instant to its time band (floor division, so the
-// mapping is consistent on both sides of the epoch).
-func (m *Manager) bandOf(t time.Time) int64 {
-	ns := t.UnixNano()
-	w := int64(m.bandWidth)
-	b := ns / w
-	if ns%w != 0 && ns < 0 {
-		b--
-	}
-	return b
-}
-
-// bandMask returns the set of band shards a busy interval [start, end)
-// touches. An interval spanning at least nshards bands covers every
-// shard.
-func (m *Manager) bandMask(start, end time.Time) uint64 {
-	lo := m.bandOf(start)
-	hi := m.bandOf(end.Add(-time.Nanosecond))
-	if hi < lo {
-		hi = lo
-	}
-	if hi-lo+1 >= int64(m.nshards) {
-		return m.allMask
-	}
-	var mask uint64
-	for b := lo; b <= hi; b++ {
-		mask |= uint64(1) << (uint64(b) & uint64(m.nshards-1))
-	}
-	return mask
-}
-
-// lockBands write-locks the band shards in mask in ascending order.
-func (m *Manager) lockBands(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.bands[i].mu.Lock()
-		}
-		mask >>= 1
-	}
-}
-
-func (m *Manager) unlockBands(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.bands[i].mu.Unlock()
-		}
-		mask >>= 1
-	}
-}
-
-// rlockBands read-locks the band shards in mask in ascending order.
-func (m *Manager) rlockBands(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.bands[i].mu.RLock()
-		}
-		mask >>= 1
-	}
-}
-
-func (m *Manager) runlockBands(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.bands[i].mu.RUnlock()
-		}
-		mask >>= 1
-	}
-}
-
-// registerBands publishes a record to the band shards in its mask.
-// Callers hold every shard in the mask.
-func (m *Manager) registerBands(k key, r *record) {
-	mask := r.mask
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.bands[i].entries[k] = r
-		}
-		mask >>= 1
-	}
-}
-
-// dropBands acquires the record's band shards and unregisters it. Callers
-// hold the record's key shard (key locks always precede band locks).
-func (m *Manager) dropBands(k key, r *record) {
-	m.lockBands(r.mask)
-	mask := r.mask
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			delete(m.bands[i].entries, k)
-		}
-		mask >>= 1
-	}
-	m.unlockBands(r.mask)
-}
-
-// --- capacity ---
-
-// reserveCapacity claims one calendar slot against MaxCommitments with a
-// CAS, so the cap is exact even across disjoint shards. The reservation
-// must be returned with releaseCapacity if no record is inserted.
-func (m *Manager) reserveCapacity() error {
-	max := int64(m.prefs.MaxCommitments)
-	if max <= 0 {
-		m.busy.Add(1)
-		return nil
-	}
-	for {
-		cur := m.busy.Load()
-		if cur >= max {
-			return fmt.Errorf("at commitment capacity (%d)", max)
-		}
-		if m.busy.CompareAndSwap(cur, cur+1) {
-			return nil
-		}
-	}
-}
-
-func (m *Manager) releaseCapacity() { m.busy.Add(-1) }
-
-// --- planning ---
-
 // CanCommit evaluates whether the host could commit to the task described
 // by meta (§3.2 conditions 2–5: time available, travel feasible, inputs/
 // outputs deliverable, willing). On success it returns the planned
 // commitment (with its travel block). It does not reserve anything.
 func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
-	lockMask := m.planMask(meta)
-	m.rlockBands(lockMask)
-	c, _, err := m.planUnder(meta, lockMask, false)
-	m.runlockBands(lockMask)
-	return c, err
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.plan(meta)
 }
 
 // ErrSlotBusy is wrapped in errors returned when a requested slot
@@ -405,44 +149,17 @@ func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
 // later session must bid elsewhere or retry with a different window.
 var ErrSlotBusy = errors.New("schedule: slot busy")
 
-// planMask returns the band shards a plan for meta must hold: the
-// candidate window's own span, or every shard when the meta is located —
-// travel planning scans the whole calendar for the host's origin and may
-// extend the busy interval into earlier bands.
-func (m *Manager) planMask(meta proto.TaskMeta) uint64 {
-	if meta.HasLocation || !meta.End.After(meta.Start) {
-		return m.allMask
-	}
-	return m.bandMask(meta.Start, meta.End)
-}
-
-// planUnder evaluates §3.2 for one meta. Callers hold every band shard in
-// lockMask, which must cover the busy interval of any feasible plan
-// (planMask guarantees it). With reserve set, a successful plan retains a
-// capacity reservation that the caller must either convert into an
-// inserted record or return with releaseCapacity; reserved reports
-// whether the reservation was taken (failed plans always return it).
-func (m *Manager) planUnder(meta proto.TaskMeta, lockMask uint64, reserve bool) (Commitment, bool, error) {
+// plan evaluates §3.2 for one meta against the calendar as it stands.
+// Callers hold m.mu (read or write).
+func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 	if m.prefs.Willing != nil && !m.prefs.Willing(meta) {
-		return Commitment{}, false, fmt.Errorf("unwilling to perform %q", meta.Task)
+		return Commitment{}, fmt.Errorf("unwilling to perform %q", meta.Task)
 	}
-	reserved := false
-	if reserve {
-		if err := m.reserveCapacity(); err != nil {
-			return Commitment{}, false, err
-		}
-		reserved = true
-	} else if max := int64(m.prefs.MaxCommitments); max > 0 && m.busy.Load() >= max {
-		return Commitment{}, false, fmt.Errorf("at commitment capacity (%d)", m.prefs.MaxCommitments)
-	}
-	fail := func(err error) (Commitment, bool, error) {
-		if reserved {
-			m.releaseCapacity()
-		}
-		return Commitment{}, false, err
+	if max := m.prefs.MaxCommitments; max > 0 && len(m.holds)+len(m.commits) >= max {
+		return Commitment{}, fmt.Errorf("at commitment capacity (%d)", max)
 	}
 	if !meta.End.After(meta.Start) {
-		return fail(fmt.Errorf("task %q has an empty execution window", meta.Task))
+		return Commitment{}, fmt.Errorf("task %q has an empty execution window", meta.Task)
 	}
 
 	c := Commitment{
@@ -457,78 +174,64 @@ func (m *Manager) planUnder(meta proto.TaskMeta, lockMask uint64, reserve bool) 
 	}
 
 	if meta.HasLocation {
-		from, depart := m.originUnder(lockMask, meta.Start)
+		from, depart := m.origin(meta.Start)
 		travel := space.TravelTime(from, meta.Location, m.mobility.Speed())
 		if travel == time.Duration(1<<63-1) { // immobile and not already there
 			if !space.Near(from, meta.Location, 1e-9) {
-				return fail(fmt.Errorf("cannot travel to %v for %q", meta.Location, meta.Task))
+				return Commitment{}, fmt.Errorf("cannot travel to %v for %q", meta.Location, meta.Task)
 			}
 			travel = 0
 		}
 		c.TravelStart = meta.Start.Add(-travel)
 		if c.TravelStart.Before(depart) {
-			return fail(fmt.Errorf(
+			return Commitment{}, fmt.Errorf(
 				"cannot reach %v by %v for %q (need to leave at %v, free at %v)",
-				meta.Location, meta.Start, meta.Task, c.TravelStart, depart))
+				meta.Location, meta.Start, meta.Task, c.TravelStart, depart)
 		}
 		if c.TravelStart.Before(m.clk.Now()) {
-			return fail(fmt.Errorf("too late to travel for %q", meta.Task))
+			return Commitment{}, fmt.Errorf("too late to travel for %q", meta.Task)
 		}
 	} else if meta.Start.Before(m.clk.Now()) {
-		return fail(fmt.Errorf("execution window for %q already started", meta.Task))
+		return Commitment{}, fmt.Errorf("execution window for %q already started", meta.Task)
 	}
 
 	// The busy interval is [TravelStart, End); it must not overlap any
-	// existing commitment or hold. Two intervals can only overlap if they
-	// share a time band, so scanning the candidate's own band shards sees
-	// every possible blocker. When several overlap, report the earliest
-	// winner (lowest sequence) so arbitration is deterministic.
+	// existing commitment or hold. When it overlaps several, report the
+	// earliest winner (lowest sequence) so arbitration is deterministic.
 	var blocker *record
-	scanMask := m.bandMask(c.TravelStart, c.End)
-	for i, mask := 0, scanMask; mask != 0; i++ {
-		if mask&1 != 0 {
-			for _, r := range m.bands[i].entries {
-				if !overlaps(c.TravelStart, c.End, r.c.TravelStart, r.c.End) {
-					continue
-				}
-				if blocker == nil || r.seq < blocker.seq {
-					blocker = r
-				}
+	for _, recs := range [2]map[key]*record{m.holds, m.commits} {
+		for _, r := range recs {
+			if overlaps(c.TravelStart, c.End, r.c.TravelStart, r.c.End) &&
+				(blocker == nil || r.seq < blocker.seq) {
+				blocker = r
 			}
 		}
-		mask >>= 1
 	}
 	if blocker != nil {
-		return fail(fmt.Errorf(
+		return Commitment{}, fmt.Errorf(
 			"%w: task %q conflicts with %q of workflow %q (%v–%v)",
 			ErrSlotBusy, meta.Task, blocker.c.Task, blocker.c.Workflow,
-			blocker.c.TravelStart, blocker.c.End))
+			blocker.c.TravelStart, blocker.c.End)
 	}
-	return c, reserved, nil
+	return c, nil
 }
 
-// originUnder determines where the host will be (and from when it is
-// free to leave) just before a window starting at t: the location of its
-// latest commitment ending at or before t, or its current position.
-// Callers hold every band shard in lockMask (the whole calendar for
-// located plans). A record registered in several shards is visited more
-// than once; the latest-ending fold is idempotent.
-func (m *Manager) originUnder(lockMask uint64, t time.Time) (space.Point, time.Time) {
-	origin := m.mobility.Position(m.clk.Now())
+// origin determines where the host will be (and from when it is free to
+// leave) just before a window starting at t: the location of its latest
+// commitment ending at or before t, or its current position. Callers hold
+// m.mu.
+func (m *Manager) origin(t time.Time) (space.Point, time.Time) {
+	from := m.mobility.Position(m.clk.Now())
 	free := m.clk.Now()
-	for i, mask := 0, lockMask; mask != 0; i++ {
-		if mask&1 != 0 {
-			for _, r := range m.bands[i].entries {
-				c := r.c
-				if !c.End.After(t) && c.End.After(free) && c.HasLocation {
-					origin = c.Location
-					free = c.End
-				}
+	for _, recs := range [2]map[key]*record{m.holds, m.commits} {
+		for _, r := range recs {
+			if c := &r.c; !c.End.After(t) && c.End.After(free) && c.HasLocation {
+				from = c.Location
+				free = c.End
 			}
 		}
-		mask >>= 1
 	}
-	return origin, free
+	return from, free
 }
 
 func overlaps(aStart, aEnd, bStart, bEnd time.Time) bool {
@@ -547,35 +250,28 @@ var ErrAlreadyHeld = errors.New("schedule: already holding this task")
 // overlapping later Hold fails with ErrSlotBusy (first-hold-wins).
 func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
 	k := key{workflow, meta.Task}
-	ks := &m.keys[m.keyIndex(k)]
-	lockMask := m.planMask(meta)
-	ks.mu.Lock()
-	m.lockBands(lockMask)
-	c, err := m.holdUnder(ks, k, workflow, meta, deadline, lockMask)
-	m.unlockBands(lockMask)
-	ks.mu.Unlock()
-	return c, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hold(k, meta, deadline)
 }
 
-// holdUnder is the single reservation body shared by Hold and HoldBatch,
-// so the per-task and batched protocols stay equivalent by construction.
-// Callers hold the key shard ks (owning k) and every band shard in
-// lockMask.
-func (m *Manager) holdUnder(ks *keyShard, k key, workflow string, meta proto.TaskMeta, deadline time.Time, lockMask uint64) (Commitment, error) {
-	if _, dup := ks.holds[k]; dup {
-		return Commitment{}, fmt.Errorf("%w: %q in workflow %q", ErrAlreadyHeld, meta.Task, workflow)
+// hold is the single reservation body shared by Hold and HoldBatch, so
+// the per-task and batched protocols stay equivalent by construction.
+// Callers hold m.mu.
+func (m *Manager) hold(k key, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
+	if _, dup := m.holds[k]; dup {
+		return Commitment{}, fmt.Errorf("%w: %q in workflow %q", ErrAlreadyHeld, meta.Task, k.workflow)
 	}
-	if _, dup := ks.commits[k]; dup {
-		return Commitment{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, workflow)
+	if _, dup := m.commits[k]; dup {
+		return Commitment{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, k.workflow)
 	}
-	c, _, err := m.planUnder(meta, lockMask, true)
+	c, err := m.plan(meta)
 	if err != nil {
 		return Commitment{}, err
 	}
-	c.Workflow = workflow
-	r := &record{c: c, seq: m.seq.Add(1), mask: m.bandMask(c.TravelStart, c.End), expiry: deadline}
-	ks.holds[k] = r
-	m.registerBands(k, r)
+	c.Workflow = k.workflow
+	m.seq++
+	m.holds[k] = &record{c: c, seq: m.seq, expiry: deadline}
 	return c, nil
 }
 
@@ -597,48 +293,25 @@ type HoldResult struct {
 // rest of the batch proceeds, so a partially-infeasible batch yields
 // partial declines, never leaked holds.
 //
-// The batch acquires every key and band shard it can touch up front, in
-// sorted order (keys before bands, ascending within each kind), which is
-// what makes a participant's answer to a CallForBidsBatch atomic: no
-// competing session can interleave a reservation between two tasks of
-// the same batch, and no lock-order cycle can arise against other
-// multi-shard operations.
+// Taking the lock once for the whole batch is what makes a participant's
+// answer to a CallForBidsBatch atomic: no competing session can
+// interleave a reservation between two tasks of the same batch.
 func (m *Manager) HoldBatch(workflow string, metas []proto.TaskMeta, deadline time.Time) []HoldResult {
-	var keyMask, bandMask uint64
-	for _, meta := range metas {
-		keyMask |= uint64(1) << uint64(m.keyIndex(key{workflow, meta.Task}))
-		bandMask |= m.planMask(meta)
-	}
-	for i, mask := 0, keyMask; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.keys[i].mu.Lock()
-		}
-		mask >>= 1
-	}
-	m.lockBands(bandMask)
-
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]HoldResult, len(metas))
 	for i, meta := range metas {
 		k := key{workflow, meta.Task}
-		ks := &m.keys[m.keyIndex(k)]
 		// Refresh-on-existing-hold replaces the per-task path's
 		// Hold → ErrAlreadyHeld → RefreshHold round, keeping the
 		// original arbitration sequence.
-		if r, dup := ks.holds[k]; dup {
+		if r, dup := m.holds[k]; dup {
 			r.expiry = deadline
 			out[i] = HoldResult{Commitment: r.c}
 			continue
 		}
-		c, err := m.holdUnder(ks, k, workflow, meta, deadline, bandMask)
+		c, err := m.hold(k, meta, deadline)
 		out[i] = HoldResult{Commitment: c, Err: err}
-	}
-
-	m.unlockBands(bandMask)
-	for i, mask := 0, keyMask; mask != 0; i++ {
-		if mask&1 != 0 {
-			m.keys[i].mu.Unlock()
-		}
-		mask >>= 1
 	}
 	return out
 }
@@ -649,10 +322,9 @@ func (m *Manager) HoldBatch(workflow string, metas []proto.TaskMeta, deadline ti
 // no hold exists.
 func (m *Manager) RefreshHold(workflow string, task model.TaskID, deadline time.Time) (Commitment, error) {
 	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	r, ok := ks.holds[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.holds[k]
 	if !ok {
 		return Commitment{}, fmt.Errorf("no hold for %q in workflow %q", task, workflow)
 	}
@@ -674,24 +346,20 @@ var ErrNoHold = errors.New("schedule: no live hold")
 // but direct scheduling (tests, pre-planned calendars) keeps it.
 func (m *Manager) Commit(workflow string, meta proto.TaskMeta, lease time.Time) (Commitment, error) {
 	k := key{workflow, meta.Task}
-	ks := &m.keys[m.keyIndex(k)]
-	lockMask := m.planMask(meta)
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if r, ok := ks.holds[k]; ok {
-		return m.convertHold(ks, k, r, lease), nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r, ok := m.holds[k]; ok {
+		return m.convert(k, r, lease), nil
 	}
-	m.lockBands(lockMask)
-	c, _, err := m.planUnder(meta, lockMask, true)
+	c, err := m.plan(meta)
 	if err != nil {
-		m.unlockBands(lockMask)
 		return Commitment{}, err
 	}
 	c.Workflow = workflow
-	r := &record{c: c, seq: m.seq.Add(1), mask: m.bandMask(c.TravelStart, c.End), lease: lease}
-	ks.commits[k] = r
-	m.registerBands(k, r)
-	m.unlockBands(lockMask)
+	m.seq++
+	// Re-committing a live key replaces its record: the old interval
+	// leaves the calendar with the map entry.
+	m.commits[k] = &record{c: c, seq: m.seq, lease: lease}
 	return c, nil
 }
 
@@ -703,24 +371,23 @@ func (m *Manager) Commit(workflow string, meta proto.TaskMeta, lease time.Time) 
 // award).
 func (m *Manager) CommitHeld(workflow string, task model.TaskID, lease time.Time) (Commitment, error) {
 	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	r, ok := ks.holds[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.holds[k]
 	if !ok {
 		return Commitment{}, fmt.Errorf("%w for %q in workflow %q (bid window expired before the award)", ErrNoHold, task, workflow)
 	}
-	return m.convertHold(ks, k, r, lease), nil
+	return m.convert(k, r, lease), nil
 }
 
-// convertHold converts one live hold into a commitment with the given
-// lease. The record keeps its band registrations (the busy interval is
-// unchanged) and its arbitration sequence. Callers hold ks.mu.
-func (m *Manager) convertHold(ks *keyShard, k key, r *record, lease time.Time) Commitment {
-	delete(ks.holds, k)
+// convert turns one live hold into a commitment with the given lease. The
+// record keeps its busy interval and its arbitration sequence. Callers
+// hold m.mu.
+func (m *Manager) convert(k key, r *record, lease time.Time) Commitment {
+	delete(m.holds, k)
 	r.expiry = time.Time{}
 	r.lease = lease
-	ks.commits[k] = r
+	m.commits[k] = r
 	return r.c
 }
 
@@ -731,10 +398,9 @@ func (m *Manager) convertHold(ks *keyShard, k key, r *record, lease time.Time) C
 // which tells the refresher that this executor no longer backs the task.
 func (m *Manager) RefreshCommitLease(workflow string, task model.TaskID, lease time.Time) error {
 	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	r, ok := ks.commits[k]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.commits[k]
 	if !ok {
 		return fmt.Errorf("no commitment for %q in workflow %q", task, workflow)
 	}
@@ -747,62 +413,50 @@ func (m *Manager) RefreshCommitLease(workflow string, task model.TaskID, lease t
 // release dependent state (execution runs, buffered labels). Lease-less
 // commitments never expire. This is the sweep that returns a dead
 // initiator's slots to the pool: when nobody refreshes the lease, the
-// calendar heals by itself. Key shards are swept in ascending order and
-// each record's band shards are acquired in ascending order.
+// calendar heals by itself.
 func (m *Manager) ExpireCommitments(now time.Time) []Commitment {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []Commitment
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.Lock()
-		for k, r := range ks.commits {
-			if !r.lease.IsZero() && now.After(r.lease) {
-				out = append(out, r.c)
-				delete(ks.commits, k)
-				m.dropBands(k, r)
-				m.releaseCapacity()
-			}
+	for k, r := range m.commits {
+		if !r.lease.IsZero() && now.After(r.lease) {
+			out = append(out, r.c)
+			delete(m.commits, k)
 		}
-		ks.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].Task < out[j].Task
-	})
+	sortByStart(out)
 	return out
+}
+
+// sortByStart orders commitments by start time, then task.
+func sortByStart(cs []Commitment) {
+	sort.Slice(cs, func(i, j int) bool {
+		if !cs[i].Start.Equal(cs[j].Start) {
+			return cs[i].Start.Before(cs[j].Start)
+		}
+		return cs[i].Task < cs[j].Task
+	})
 }
 
 // NextLeaseExpiry returns the earliest commitment lease expiry, if any
 // commitment carries a lease (the host uses it to arm its sweep timer).
 func (m *Manager) NextLeaseExpiry() (time.Time, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var min time.Time
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.RLock()
-		for _, r := range ks.commits {
-			if !r.lease.IsZero() && (min.IsZero() || r.lease.Before(min)) {
-				min = r.lease
-			}
+	for _, r := range m.commits {
+		if !r.lease.IsZero() && (min.IsZero() || r.lease.Before(min)) {
+			min = r.lease
 		}
-		ks.mu.RUnlock()
 	}
 	return min, !min.IsZero()
 }
 
 // Release drops a hold without committing (the auction was lost).
 func (m *Manager) Release(workflow string, task model.TaskID) {
-	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	r, ok := ks.holds[k]
-	if !ok {
-		return
-	}
-	delete(ks.holds, k)
-	m.dropBands(k, r)
-	m.releaseCapacity()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.holds, key{workflow, task})
 }
 
 // ReleaseWorkflow drops every hold of one workflow (session teardown,
@@ -810,41 +464,29 @@ func (m *Manager) Release(workflow string, task model.TaskID) {
 // were released. Commitments are untouched; they are revoked per task by
 // Remove on compensation.
 func (m *Manager) ReleaseWorkflow(workflow string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.Lock()
-		for k, r := range ks.holds {
-			if k.workflow == workflow {
-				delete(ks.holds, k)
-				m.dropBands(k, r)
-				m.releaseCapacity()
-				n++
-			}
+	for k := range m.holds {
+		if k.workflow == workflow {
+			delete(m.holds, k)
+			n++
 		}
-		ks.mu.Unlock()
 	}
 	return n
 }
 
 // ExpireHolds releases every hold whose deadline has passed and returns
-// how many were released. Key shards are swept in ascending order and
-// each record's band shards are acquired in ascending order, so the
-// sweep can never deadlock against in-flight reservations.
+// how many were released.
 func (m *Manager) ExpireHolds(now time.Time) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.Lock()
-		for k, r := range ks.holds {
-			if now.After(r.expiry) {
-				delete(ks.holds, k)
-				m.dropBands(k, r)
-				m.releaseCapacity()
-				n++
-			}
+	for k, r := range m.holds {
+		if now.After(r.expiry) {
+			delete(m.holds, k)
+			n++
 		}
-		ks.mu.Unlock()
 	}
 	return n
 }
@@ -852,27 +494,19 @@ func (m *Manager) ExpireHolds(now time.Time) int {
 // Remove cancels a commitment (compensation during replanning). It
 // reports whether the commitment existed.
 func (m *Manager) Remove(workflow string, task model.TaskID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	r, ok := ks.commits[k]
-	if !ok {
-		return false
-	}
-	delete(ks.commits, k)
-	m.dropBands(k, r)
-	m.releaseCapacity()
-	return true
+	_, ok := m.commits[k]
+	delete(m.commits, k)
+	return ok
 }
 
 // Get returns the commitment for a task, if any.
 func (m *Manager) Get(workflow string, task model.TaskID) (Commitment, bool) {
-	k := key{workflow, task}
-	ks := &m.keys[m.keyIndex(k)]
-	ks.mu.RLock()
-	defer ks.mu.RUnlock()
-	if r, ok := ks.commits[k]; ok {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if r, ok := m.commits[key{workflow, task}]; ok {
 		return r.c, true
 	}
 	return Commitment{}, false
@@ -880,48 +514,32 @@ func (m *Manager) Get(workflow string, task model.TaskID) (Commitment, bool) {
 
 // Commitments returns all commitments ordered by start time (then task).
 func (m *Manager) Commitments() []Commitment {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var out []Commitment
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.RLock()
-		for _, r := range ks.commits {
-			out = append(out, r.c)
-		}
-		ks.mu.RUnlock()
+	for _, r := range m.commits {
+		out = append(out, r.c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].Task < out[j].Task
-	})
+	sortByStart(out)
 	return out
 }
 
 // Holds returns the number of outstanding firm-bid reservations.
 func (m *Manager) Holds() int {
-	n := 0
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.RLock()
-		n += len(ks.holds)
-		ks.mu.RUnlock()
-	}
-	return n
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.holds)
 }
 
 // HeldTasks returns the (workflow, task) pairs currently reserved,
 // ordered by arbitration sequence (first winner first). Diagnostic: the
 // stress harness uses it to attribute leaked holds.
 func (m *Manager) HeldTasks() []Commitment {
-	var hs []*record
-	for i := range m.keys {
-		ks := &m.keys[i]
-		ks.mu.RLock()
-		for _, r := range ks.holds {
-			hs = append(hs, r)
-		}
-		ks.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	hs := make([]*record, 0, len(m.holds))
+	for _, r := range m.holds {
+		hs = append(hs, r)
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].seq < hs[j].seq })
 	out := make([]Commitment, len(hs))
@@ -932,23 +550,9 @@ func (m *Manager) HeldTasks() []Commitment {
 }
 
 // Clear removes every commitment and hold (used between evaluation runs).
-// Every shard is acquired in the global order (keys ascending, then
-// bands ascending) so Clear is atomic against all other operations.
 func (m *Manager) Clear() {
-	for i := range m.keys {
-		m.keys[i].mu.Lock()
-	}
-	m.lockBands(m.allMask)
-	for i := range m.keys {
-		m.keys[i].holds = make(map[key]*record)
-		m.keys[i].commits = make(map[key]*record)
-	}
-	for i := range m.bands {
-		m.bands[i].entries = make(map[key]*record)
-	}
-	m.busy.Store(0)
-	m.unlockBands(m.allMask)
-	for i := len(m.keys) - 1; i >= 0; i-- {
-		m.keys[i].mu.Unlock()
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.holds)
+	clear(m.commits)
 }

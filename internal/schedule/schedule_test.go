@@ -12,6 +12,7 @@ import (
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/space"
+	"openwf/internal/testutil"
 )
 
 var t0 = time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC)
@@ -663,4 +664,37 @@ func TestHoldBatchMatchesSequentialHolds(t *testing.T) {
 	if batched.Holds() != sequential.Holds() {
 		t.Fatalf("holds: batch %d vs sequential %d", batched.Holds(), sequential.Holds())
 	}
+}
+
+// TestScheduleFastPathAllocBounds pins the hot read and write paths of
+// the calendar: a feasibility check scans the maps without allocating,
+// and a hold costs its one record.
+func TestScheduleFastPathAllocBounds(t *testing.T) {
+	start, end := t0.Add(time.Hour), t0.Add(time.Hour+10*time.Minute)
+	md := meta("hot", start, end)
+
+	t.Run("CanCommit", func(t *testing.T) {
+		m, _ := newManager(Preferences{}, nil)
+		if _, err := m.Commit("wf-bg", meta("bg", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		testutil.AllocBound(t, 0, func() {
+			if _, err := m.CanCommit(md); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("HoldRelease", func(t *testing.T) {
+		m, _ := newManager(Preferences{}, nil)
+		deadline := t0.Add(time.Hour)
+		// Steady state: one record allocation per hold; the maps reuse
+		// their buckets across the release/re-hold cycle.
+		testutil.AllocBound(t, 1, func() {
+			if _, err := m.Hold("wf", md, deadline); err != nil {
+				t.Fatal(err)
+			}
+			m.Release("wf", model.TaskID("hot"))
+		})
+	})
 }

@@ -26,20 +26,18 @@ func (n *Network) Crash(addr proto.Addr) {
 	}
 	n.crashed[addr] = true
 	n.crashEpoch[addr]++
-	n.publishLocked()
-	ep := n.endpoints[addr]
-	n.mu.Unlock()
-	if ep == nil {
-		return
-	}
 	// Mark the inbox dark and purge it: messages queued but not yet
-	// handled are lost with the host, and a send racing this crash on a
-	// stale snapshot is refused by the mailbox itself (push and purge
-	// serialize on its lock). Frames still waiting in link delay lines
-	// drop at delivery time (link.pump re-checks the crash state).
-	for _, d := range ep.box.setDark(true) {
-		n.dropped.Add(envelopeCount(d.env))
-		n.framesDropped.Add(1)
+	// handled are lost with the host, and a send that routed to this inbox
+	// just before the crash is refused by the mailbox itself (push and
+	// purge serialize on its lock). Frames still waiting in link delay
+	// lines drop at delivery time (link.pump re-checks the crash state).
+	var purged []delivery
+	if ep := n.endpoints[addr]; ep != nil {
+		purged = ep.box.setDark(true)
+	}
+	n.mu.Unlock()
+	for _, d := range purged {
+		n.lost(d.env)
 	}
 }
 
@@ -49,17 +47,14 @@ func (n *Network) Crash(addr proto.Addr) {
 // reasons flushes again once the host is both reachable and alive.
 func (n *Network) Restart(addr proto.Addr) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	delete(n.crashed, addr)
-	n.publishLocked()
-	ep := n.endpoints[addr]
-	if ep != nil {
+	if ep := n.endpoints[addr]; ep != nil {
 		// Lift the inbox's dark flag before flushing stored traffic, or
 		// the flush would bounce off the mailbox's own crash guard.
 		ep.box.setDark(false)
 	}
-	flush := n.collectFlushableLocked()
-	n.mu.Unlock()
-	n.deliverStored(flush)
+	n.flushStoredLocked()
 }
 
 // Crashed reports whether a host is currently dark.
@@ -75,14 +70,9 @@ func (n *Network) Crashed(addr proto.Addr) bool {
 // and never delivers partially. p ≤ 0 removes the override. Draws come
 // from the link's own deterministically seeded random source.
 func (n *Network) SetLinkLoss(from, to proto.Addr, p float64) {
-	ls := n.linkFor(from, to)
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if p <= 0 {
-		ls.loss = 0
-		return
-	}
-	ls.loss = p
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.linkLocked(linkKey{from, to}).loss = max(p, 0)
 }
 
 // FaultKind names one scripted fault.

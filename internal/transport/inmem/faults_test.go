@@ -2,6 +2,10 @@ package inmem
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,6 +199,113 @@ func TestScheduleFaultsFiresOnVirtualClock(t *testing.T) {
 		if fired[i] != wantFired[i] {
 			t.Fatalf("fired = %v, want %v", fired, wantFired)
 		}
+	}
+}
+
+// TestCrashRacingSenders: several senders hammer one recipient while it is
+// crashed and restarted in a loop. This is the guarantee the mailbox dark
+// flag exists for — a sender decides under the network lock but pushes
+// after releasing it, so a frame routed just before a Crash arrives at the
+// inbox just after the purge.
+//
+// Every envelope carries the phase it was sent in, odd while the recipient
+// is known crashed; the phase flips only with every in-flight Send drained,
+// so an odd envelope was routed entirely between Crash returning and
+// Restart being called and must never reach the handler. Each round stalls
+// the recipient's pump in its handler before the crash, so a frame that
+// slipped past the purge would still be sitting in the inbox when the
+// round looks: the inbox must stay empty while the host is dark, Delivered
+// may move only by the one frame the pump had already popped, and at
+// quiescence every accepted envelope is accounted for.
+func TestCrashRacingSenders(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	var (
+		phase   atomic.Uint64
+		sending sync.RWMutex // held shared across each stamp-and-Send
+		gate    sync.RWMutex // held exclusively to stall b's pump in its handler
+	)
+	flip := func() {
+		sending.Lock()
+		phase.Add(1)
+		sending.Unlock()
+	}
+	b, err := n.Endpoint("b", func(env proto.Envelope) {
+		gate.RLock()
+		defer gate.RUnlock()
+		if env.ReqID%2 == 1 {
+			t.Errorf("handler got an envelope sent in crash phase %d", env.ReqID)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox := b.(*endpoint).box
+	queued := func() int {
+		inbox.mu.Lock()
+		defer inbox.mu.Unlock()
+		return len(inbox.items)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		// One sender per link, so no frame is ever coalesced and each Send
+		// has made its delivery decision by the time it returns.
+		ep, err := n.Endpoint(proto.Addr(fmt.Sprintf("a%d", i)), func(proto.Envelope) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sending.RLock()
+				err := ep.Send(context.Background(), "b", proto.Envelope{ReqID: phase.Load(), Body: proto.Decline{Task: "t"}})
+				sending.RUnlock()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched() // on one CPU a hot loop would hold each round for a preemption quantum
+			}
+		}()
+	}
+	// progress returns once the senders have pushed 100 more envelopes.
+	progress := func() {
+		for m := n.Messages() + 100; n.Messages() < m; {
+			runtime.Gosched()
+		}
+	}
+	for round := 0; round < 50; round++ {
+		progress()
+		gate.Lock()
+		progress() // the inbox fills behind the stalled pump
+		n.Crash("b")
+		flip()
+		before := n.Delivered()
+		progress()
+		stray, late := queued(), n.Delivered()-before
+		gate.Unlock()
+		if stray != 0 || late > 1 {
+			t.Errorf("round %d: while b was crashed its inbox held %d frames and Delivered moved by %d", round, stray, late)
+			break // the senders must be stopped before the test may end
+		}
+		flip()
+		n.Restart("b")
+	}
+	close(stop)
+	wg.Wait()
+	n.Restart("b")
+	for deadline := time.Now().Add(time.Second); n.Delivered()+n.Dropped() != n.Messages(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("Messages = %d, Delivered + Dropped = %d + %d", n.Messages(), n.Delivered(), n.Dropped())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

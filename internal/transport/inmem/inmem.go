@@ -6,25 +6,24 @@
 // community partitions. Delivery is FIFO per directed link, and each
 // endpoint processes messages sequentially, like a single device.
 //
-// # Concurrency structure
+// # Concurrency
 //
-// The send path is link-local so concurrent senders scale with cores
-// (DESIGN.md §14): all per-directed-link state — the write coalescer,
-// the delay line, the loss override, and a deterministically seeded
-// random source — lives in a sharded map keyed by (from, to), and the
-// network-wide facts a send must consult (who is attached, partitions,
-// crash state) are published as an immutable copy-on-write snapshot
-// behind an atomic pointer. The common send therefore touches only its
-// link shard plus one atomic load. The global mutex remains the slow
-// path: fault injection, store-and-forward buffering, endpoint attach/
-// detach, and Close mutate the authoritative state under it and then
-// swap in a fresh snapshot.
+// One mutex, Network.mu, guards everything the delivery decision reads:
+// the endpoint, partition and crash tables, the store-and-forward buffer,
+// and the per-directed-link state (loss override, seeded random source,
+// delay line). A send encodes its frame outside the lock, decides under
+// it, and pushes to the recipient's mailbox after releasing it; the
+// mailbox's dark flag is what keeps a push that lost that race to a Crash
+// out of the crashed host's inbox. DESIGN.md §14 records the sharded,
+// copy-on-write send path that was tried in its place, measured, and
+// removed.
 package inmem
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -38,8 +37,8 @@ import (
 // LinkModel computes the behavior of one message on a directed link:
 // the delivery latency and whether the medium drops the message. size is
 // the encoded message size in bytes (0 when marshaling is disabled). The
-// model is called with its link's lock held (links draw from independent
-// per-link random sources); it must not block.
+// model is called with the network's lock held and its link's own random
+// source; it must not block.
 type LinkModel func(from, to proto.Addr, size int, rng *rand.Rand) (latency time.Duration, drop bool)
 
 // FixedLatency returns a LinkModel with constant latency and no loss.
@@ -114,23 +113,10 @@ func WithStoreAndForward(enabled bool) Option {
 	return func(n *Network) { n.storeAndForward = enabled }
 }
 
-// linkShardCount is the number of link shards (power of two; bounds
-// cross-link lock contention, not link count).
-const linkShardCount = 64
-
-// linkShard owns the per-directed-link state for a slice of the link
-// keyspace.
-type linkShard struct {
-	mu    sync.Mutex
-	links map[linkKey]*linkState
-}
-
 // linkState is everything one directed link needs on the send path. The
-// coalescer has its own internal lock; mu guards the rest.
+// coalescer has its own internal lock; Network.mu guards the rest.
 type linkState struct {
 	outbox transport.Coalescer
-
-	mu sync.Mutex
 	// rng is this link's private random source (jitter, loss draws),
 	// derived deterministically from the network seed and the link key.
 	rng *rand.Rand
@@ -139,28 +125,6 @@ type linkState struct {
 	// line is the link's delay line, created on the first latency-bearing
 	// delivery.
 	line *link
-}
-
-// netSnapshot is the immutable network-wide state the send fast path
-// consults: one atomic load answers "is the network up, is either end
-// crashed, is the recipient attached and reachable". Mutators rebuild
-// and swap it under the global lock (publishLocked); readers must treat
-// every map as read-only.
-type netSnapshot struct {
-	closed     bool
-	endpoints  map[proto.Addr]*endpoint
-	partition  map[proto.Addr]int
-	crashed    map[proto.Addr]bool
-	crashEpoch map[proto.Addr]uint64
-}
-
-func (s *netSnapshot) reachable(from, to proto.Addr) bool {
-	if s.partition == nil || from == to {
-		return true
-	}
-	gf, okf := s.partition[from]
-	gt, okt := s.partition[to]
-	return okf && okt && gf == gt
 }
 
 // Network is a simulated broadcast domain connecting endpoints. Create
@@ -172,15 +136,11 @@ type Network struct {
 	seed            int64
 	storeAndForward bool
 
-	// snap is the copy-on-write fast-path view; see netSnapshot.
-	snap atomic.Pointer[netSnapshot]
-	// linkShards hold all per-directed-link state; see linkShard.
-	linkShards [linkShardCount]linkShard
-
-	// mu guards the authoritative slow-path state below. Every mutation
-	// ends with publishLocked so the fast path observes it.
+	// mu guards the tables below; see the package comment.
 	mu        sync.Mutex
 	endpoints map[proto.Addr]*endpoint
+	// links holds the per-directed-link state, created on first use.
+	links     map[linkKey]*linkState
 	partition map[proto.Addr]int
 	// crashed marks hosts that are dark (see Crash/Restart in faults.go);
 	// crashEpoch counts each host's crashes so frames in flight across a
@@ -239,102 +199,44 @@ func NewNetwork(opts ...Option) *Network {
 		marshal:   true,
 		seed:      1,
 		endpoints: make(map[proto.Addr]*endpoint),
+		links:     make(map[linkKey]*linkState),
 		stored:    make(map[linkKey][]delivery),
 		done:      make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(n)
 	}
-	for i := range n.linkShards {
-		n.linkShards[i].links = make(map[linkKey]*linkState)
-	}
-	n.snap.Store(&netSnapshot{})
-	n.publishLocked() // no lock needed yet: the network is unshared
 	return n
 }
 
-// publishLocked rebuilds the fast-path snapshot from the authoritative
-// state. Callers hold n.mu (except NewNetwork, before the network is
-// shared). Faults and attach/detach are rare next to sends, so copying
-// the maps on every mutation is the cheap side of the trade.
-func (n *Network) publishLocked() {
-	s := &netSnapshot{closed: n.closed}
-	if len(n.endpoints) > 0 {
-		s.endpoints = make(map[proto.Addr]*endpoint, len(n.endpoints))
-		for a, ep := range n.endpoints {
-			s.endpoints[a] = ep
-		}
-	}
-	if len(n.partition) > 0 {
-		s.partition = make(map[proto.Addr]int, len(n.partition))
-		for a, g := range n.partition {
-			s.partition[a] = g
-		}
-	}
-	if len(n.crashed) > 0 {
-		s.crashed = make(map[proto.Addr]bool, len(n.crashed))
-		for a, c := range n.crashed {
-			s.crashed[a] = c
-		}
-	}
-	if len(n.crashEpoch) > 0 {
-		s.crashEpoch = make(map[proto.Addr]uint64, len(n.crashEpoch))
-		for a, e := range n.crashEpoch {
-			s.crashEpoch[a] = e
-		}
-	}
-	n.snap.Store(s)
-}
-
-// linkFor returns (creating on first use) the per-link state for a
-// directed link: one short shard-lock acquisition on the send path.
-func (n *Network) linkFor(from, to proto.Addr) *linkState {
-	k := linkKey{from, to}
-	sh := &n.linkShards[linkShardIndex(k)]
-	sh.mu.Lock()
-	ls, ok := sh.links[k]
+// linkLocked returns (creating on first use) the state of a directed link.
+func (n *Network) linkLocked(k linkKey) *linkState {
+	ls, ok := n.links[k]
 	if !ok {
 		ls = &linkState{rng: rand.New(rand.NewSource(linkSeed(n.seed, k)))}
-		sh.links[k] = ls
+		n.links[k] = ls
 	}
-	sh.mu.Unlock()
 	return ls
 }
 
 // outboxFor returns the write-side coalescer for a directed link (the
 // state machine itself is transport.Coalescer, shared with tcpnet).
 func (n *Network) outboxFor(from, to proto.Addr) *transport.Coalescer {
-	return &n.linkFor(from, to).outbox
-}
-
-// linkShardIndex hashes a link key to its shard (FNV-1a).
-func linkShardIndex(k linkKey) int {
-	return int(linkHash(k) & (linkShardCount - 1))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return &n.linkLocked(linkKey{from, to}).outbox
 }
 
 // linkSeed derives a link's private random seed from the network seed:
-// deterministic per (seed, from, to), independent across links.
+// deterministic per (seed, from, to), independent across links (FNV-1a
+// of the two addresses, 0xff between them so ("ab","c") and ("a","bc")
+// differ).
 func linkSeed(seed int64, k linkKey) int64 {
-	return seed ^ int64(linkHash(k))
-}
-
-func linkHash(k linkKey) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.from); i++ {
-		h ^= uint64(k.from[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator
-	h *= prime64
-	for i := 0; i < len(k.to); i++ {
-		h ^= uint64(k.to[i])
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(k.from))
+	h.Write([]byte{0xff})
+	h.Write([]byte(k.to))
+	return seed ^ int64(h.Sum64())
 }
 
 // Endpoint attaches a host to the network. The handler is invoked
@@ -353,11 +255,9 @@ func (n *Network) Endpoint(addr proto.Addr, handler transport.Handler) (transpor
 	}
 	ep := &endpoint{net: n, addr: addr, handler: handler, box: newMailbox()}
 	n.endpoints[addr] = ep
-	n.publishLocked()
 	go ep.pump()
 	// A late joiner may have store-and-forward traffic waiting.
-	flush := n.collectFlushableLocked()
-	n.deliverStored(flush)
+	n.flushStoredLocked()
 	return ep, nil
 }
 
@@ -368,6 +268,7 @@ func (n *Network) Endpoint(addr proto.Addr, handler transport.Handler) (transpor
 // reachable are flushed in order.
 func (n *Network) SetPartition(groups ...[]proto.Addr) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if len(groups) == 0 {
 		n.partition = nil
 	} else {
@@ -378,45 +279,23 @@ func (n *Network) SetPartition(groups ...[]proto.Addr) {
 			}
 		}
 	}
-	n.publishLocked()
-	flush := n.collectFlushableLocked()
-	n.mu.Unlock()
-	n.deliverStored(flush)
+	n.flushStoredLocked()
 }
 
-// storedDelivery pairs a buffered message with its resolved target.
-type storedDelivery struct {
-	target *endpoint
-	d      delivery
-}
-
-// collectFlushableLocked removes and returns every stored message whose
-// recipient is now reachable.
-func (n *Network) collectFlushableLocked() []storedDelivery {
-	if !n.storeAndForward || len(n.stored) == 0 {
-		return nil
-	}
-	var out []storedDelivery
-	for key, msgs := range n.stored {
-		target, ok := n.endpoints[key.to]
-		if !ok || !n.reachableLocked(key.from, key.to) || n.crashed[key.to] {
+// flushStoredLocked delivers, in arrival order, every stored message
+// whose recipient is now attached, reachable and alive.
+func (n *Network) flushStoredLocked() {
+	for k, msgs := range n.stored {
+		target, ok := n.endpoints[k.to]
+		if !ok || !n.reachableLocked(k.from, k.to) || n.crashed[k.to] {
 			continue
 		}
 		for _, d := range msgs {
-			out = append(out, storedDelivery{target: target, d: d})
+			if !target.box.push(d) {
+				n.lost(d.env)
+			}
 		}
-		delete(n.stored, key)
-	}
-	return out
-}
-
-// deliverStored hands flushed messages to their targets.
-func (n *Network) deliverStored(flush []storedDelivery) {
-	for _, sd := range flush {
-		if !sd.target.box.push(sd.d) {
-			n.dropped.Add(envelopeCount(sd.d.env))
-			n.framesDropped.Add(1)
-		}
+		delete(n.stored, k)
 	}
 }
 
@@ -467,26 +346,18 @@ func (n *Network) Close() error {
 	}
 	n.closed = true
 	close(n.done)
-	n.publishLocked()
-	eps := make([]*endpoint, 0, len(n.endpoints))
+	boxes := make([]*mailbox, 0, len(n.endpoints)+len(n.links))
 	for _, ep := range n.endpoints {
-		eps = append(eps, ep)
+		boxes = append(boxes, ep.box)
+	}
+	for _, ls := range n.links {
+		if ls.line != nil {
+			boxes = append(boxes, ls.line.box)
+		}
 	}
 	n.mu.Unlock()
-	for _, ep := range eps {
-		ep.closeLocal()
-	}
-	for i := range n.linkShards {
-		sh := &n.linkShards[i]
-		sh.mu.Lock()
-		for _, ls := range sh.links {
-			ls.mu.Lock()
-			if ls.line != nil {
-				ls.line.box.close()
-			}
-			ls.mu.Unlock()
-		}
-		sh.mu.Unlock()
+	for _, box := range boxes {
+		box.close()
 	}
 	return nil
 }
@@ -507,8 +378,8 @@ func (n *Network) send(ctx context.Context, from *endpoint, to proto.Addr, env p
 	}
 	env.From = from.addr
 	env.To = to
-	ls := n.linkFor(from.addr, to)
-	writer, dropped := ls.outbox.Admit(env)
+	ob := n.outboxFor(from.addr, to)
+	writer, dropped := ob.Admit(env)
 	if dropped {
 		// Queue at capacity behind a stalled link: silent loss, like the
 		// wireless medium (counted on both sides of the Sent =
@@ -520,8 +391,8 @@ func (n *Network) send(ctx context.Context, from *endpoint, to proto.Addr, env p
 	if !writer {
 		return nil
 	}
-	err := n.transmit(from, to, env, ls)
-	n.drainOutbox(from, to, &ls.outbox)
+	err := n.transmit(from, to, env)
+	n.drainOutbox(from, to, ob)
 	return err
 }
 
@@ -529,9 +400,8 @@ func (n *Network) send(ctx context.Context, from *endpoint, to proto.Addr, env p
 // transmitting, one EnvelopeBatch frame per flush, until the queue is
 // empty. ob must be the coalescer of the from→to link.
 func (n *Network) drainOutbox(from *endpoint, to proto.Addr, ob *transport.Coalescer) {
-	ls := n.linkFor(from.addr, to)
 	ob.Drain(from.addr, to, func(env proto.Envelope) error {
-		return n.transmit(from, to, env, ls)
+		return n.transmit(from, to, env)
 	})
 }
 
@@ -545,13 +415,18 @@ func envelopeCount(env proto.Envelope) int64 {
 	return 1
 }
 
+// lost accounts one frame that will never reach a handler.
+func (n *Network) lost(env proto.Envelope) {
+	n.dropped.Add(envelopeCount(env))
+	n.framesDropped.Add(1)
+}
+
 // transmit implements the delivery decision for one frame (a single
-// envelope or a coalesced batch). The common case reads only the
-// atomic snapshot and the link's own state; the global lock is taken
-// only when the snapshot says the recipient is missing or unreachable
-// (the store-and-forward / late-joiner slow path, which must consult
-// authoritative state so no flush is missed).
-func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope, ls *linkState) error {
+// envelope or a coalesced batch): encode outside the lock, decide under
+// it — crash state, reachability, loss draw, latency model — and hand
+// the frame to the recipient's inbox or the link's delay line after
+// releasing it.
+func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) error {
 	count := envelopeCount(env)
 	callCount := int64(0)
 	if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
@@ -578,15 +453,23 @@ func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope, ls
 		encPool.Put(buf)
 	}
 
-	snap := n.snap.Load()
-	if snap.closed {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
 		return fmt.Errorf("inmem: network closed")
 	}
-	if snap.crashed[from.addr] {
+	if n.crashed[from.addr] {
 		// A crashed host cannot transmit: the failure is loud on the
 		// sender's side (its own Call fails) rather than silent loss.
+		n.mu.Unlock()
 		return fmt.Errorf("inmem: host %q crashed", from.addr)
 	}
+	d := delivery{env: env, payload: payload}
+	box, held := n.routeLocked(from.addr, to, &d, size)
+	n.mu.Unlock()
+
+	// Counted outside the lock, but before the push, so Delivered never
+	// runs ahead of Sent.
 	n.sent.Add(count)
 	n.frames.Add(1)
 	if count > 1 {
@@ -594,102 +477,54 @@ func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope, ls
 	}
 	n.calls.Add(callCount)
 	n.bytes.Add(int64(size))
+	if !held && (box == nil || !box.push(d)) {
+		n.lost(env)
+	}
+	return nil
+}
 
-	if snap.crashed[to] {
+// routeLocked makes the delivery decision for one accepted frame. It
+// returns the mailbox to push d to — the recipient's inbox, or the link's
+// delay line when the model charges latency — after stamping d with its
+// due time and the recipient's crash epoch. A nil mailbox means the frame
+// is lost, unless held reports that store-and-forward buffered it.
+func (n *Network) routeLocked(from, to proto.Addr, d *delivery, size int) (box *mailbox, held bool) {
+	if n.crashed[to] {
 		// Dark recipient: the frame is lost, never stored — a crash is
 		// loss, unlike a partition.
-		n.dropped.Add(count)
-		n.framesDropped.Add(1)
-		return nil
+		return nil, false
 	}
-	target, ok := snap.endpoints[to]
-	epoch := snap.crashEpoch[to]
-	if !ok || !snap.reachable(from.addr, to) {
-		target, epoch, ok = n.resolveSlow(from.addr, to, env, payload, count)
-		if !ok {
-			return nil // stored or dropped; already accounted
+	k := linkKey{from, to}
+	target, ok := n.endpoints[to]
+	if !ok || !n.reachableLocked(from, to) {
+		if !n.storeAndForward {
+			return nil, false // silent loss, like a wireless medium
 		}
+		d.due = n.clock.Now()
+		n.stored[k] = append(n.stored[k], *d)
+		return nil, true
 	}
-	return n.deliver(target, to, env, payload, size, count, epoch, ls)
-}
-
-// resolveSlow re-checks a recipient the snapshot called missing or
-// unreachable against the authoritative state: an endpoint attaching (or
-// a partition healing) concurrently with the send must not lose the
-// message to a stale snapshot, and store-and-forward buffering must
-// append under the same lock the flush runs under, or a buffered message
-// could miss its flush forever. Returns ok=false when the message was
-// consumed here (stored or counted dropped).
-func (n *Network) resolveSlow(from, to proto.Addr, env proto.Envelope, payload []byte, count int64) (*endpoint, uint64, bool) {
-	n.mu.Lock()
-	if n.crashed[to] {
-		n.mu.Unlock()
-		n.dropped.Add(count)
-		n.framesDropped.Add(1)
-		return nil, 0, false
-	}
-	if target, ok := n.endpoints[to]; ok && n.reachableLocked(from, to) {
-		epoch := n.crashEpoch[to]
-		n.mu.Unlock()
-		return target, epoch, true
-	}
-	if n.storeAndForward {
-		key := linkKey{from, to}
-		n.stored[key] = append(n.stored[key], delivery{
-			env: env, payload: payload, due: n.clock.Now(),
-		})
-		n.mu.Unlock()
-		return nil, 0, false
-	}
-	n.mu.Unlock()
-	n.dropped.Add(count)
-	n.framesDropped.Add(1)
-	return nil, 0, false // silent loss, like a wireless medium
-}
-
-// deliver runs the link-local half of a transmit: loss draw, latency
-// model, and hand-off to the recipient's inbox or the link's delay line.
-// Only the link's own lock is held.
-func (n *Network) deliver(target *endpoint, to proto.Addr, env proto.Envelope, payload []byte, size int, count int64, epoch uint64, ls *linkState) error {
-	ls.mu.Lock()
+	ls := n.linkLocked(k)
 	if ls.loss > 0 && ls.rng.Float64() < ls.loss {
-		ls.mu.Unlock()
-		n.dropped.Add(count)
-		n.framesDropped.Add(1)
-		return nil
+		return nil, false
 	}
 	var latency time.Duration
 	if n.model != nil {
 		var drop bool
-		latency, drop = n.model(env.From, to, size, ls.rng)
-		if drop {
-			ls.mu.Unlock()
-			n.dropped.Add(count)
-			n.framesDropped.Add(1)
-			return nil
+		if latency, drop = n.model(from, to, size, ls.rng); drop {
+			return nil, false
 		}
 	}
-	d := delivery{env: env, payload: payload, due: n.clock.Now().Add(latency), epoch: epoch}
+	d.due = n.clock.Now().Add(latency)
+	d.epoch = n.crashEpoch[to]
 	if latency <= 0 {
-		ls.mu.Unlock()
-		if !target.box.push(d) {
-			n.dropped.Add(count)
-			n.framesDropped.Add(1)
-		}
-		return nil
+		return target.box, false
 	}
-	l := ls.line
-	if l == nil {
-		l = &link{net: n, target: target, box: newMailbox()}
-		ls.line = l
-		go l.pump()
+	if ls.line == nil {
+		ls.line = &link{net: n, target: target, box: newMailbox()}
+		go ls.line.pump()
 	}
-	ls.mu.Unlock()
-	if !l.box.push(d) {
-		n.dropped.Add(count)
-		n.framesDropped.Add(1)
-	}
-	return nil
+	return ls.line.box, false
 }
 
 func (n *Network) reachableLocked(from, to proto.Addr) bool {
@@ -728,13 +563,12 @@ func (l *link) pump() {
 		// Re-check at delivery time: a frame is lost if its recipient is
 		// dark now, or crashed at any point since the frame was sent (the
 		// epoch moved) — a restart never resurrects in-flight traffic.
-		// The inbox's own dark flag backstops this check: a push racing a
-		// crash is refused by the mailbox itself (see Crash).
-		snap := l.net.snap.Load()
-		dark := snap.crashed[l.target.addr] || snap.crashEpoch[l.target.addr] != d.epoch
+		n, to := l.net, l.target.addr
+		n.mu.Lock()
+		dark := n.crashed[to] || n.crashEpoch[to] != d.epoch
+		n.mu.Unlock()
 		if dark || !l.target.box.push(d) {
-			l.net.dropped.Add(envelopeCount(d.env))
-			l.net.framesDropped.Add(1)
+			n.lost(d.env)
 		}
 	}
 }
@@ -770,13 +604,10 @@ func (e *endpoint) Send(ctx context.Context, to proto.Addr, env proto.Envelope) 
 func (e *endpoint) Close() error {
 	e.net.mu.Lock()
 	delete(e.net.endpoints, e.addr)
-	e.net.publishLocked()
 	e.net.mu.Unlock()
-	e.closeLocal()
+	e.box.close()
 	return nil
 }
-
-func (e *endpoint) closeLocal() { e.box.close() }
 
 // pump delivers queued messages to the handler, one at a time. Coalesced
 // frames are split here: the handler sees only plain envelopes, in the
@@ -792,8 +623,7 @@ func (e *endpoint) pump() {
 		if e.net.marshal {
 			decoded, err := proto.Decode(d.payload)
 			if err != nil {
-				e.net.dropped.Add(envelopeCount(d.env))
-				e.net.framesDropped.Add(1)
+				e.net.lost(d.env)
 				continue
 			}
 			env = decoded
@@ -812,9 +642,10 @@ func (e *endpoint) pump() {
 
 // mailbox is an unbounded FIFO queue; push never blocks, pop blocks until
 // an item arrives or the mailbox closes. A dark mailbox (its host has
-// crashed) refuses pushes until Restart lifts the flag: push and crash
-// purge serialize on the mailbox's own lock, so no frame can slip into a
-// crashed host's inbox behind a stale snapshot.
+// crashed) refuses pushes until Restart lifts the flag: a sender decides
+// under Network.mu but pushes after releasing it, and push and crash purge
+// serialize on the mailbox's own lock, so a frame routed just before a
+// Crash cannot slip into the crashed host's inbox after it.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
