@@ -315,8 +315,8 @@ func BenchmarkConstructionAlgorithm(b *testing.B) {
 // one initiator host on the modeled 802.11g medium (PR 4). The path is
 // latency-dominated, so the concurrent rows should approach the
 // inflight=1 batch time while serial grows linearly in K; ns/op is per
-// batch of K Initiates. The full serial-vs-concurrent grid lives in
-// cmd/benchjson (BENCH_PR4.json).
+// batch of K Initiates. The CPU-bound view of the same contention is
+// openwfbench's sim_contended workload.
 func BenchmarkConcurrentInitiate(b *testing.B) {
 	for _, row := range []struct {
 		inflight int
@@ -365,8 +365,8 @@ func BenchmarkConcurrentInitiate(b *testing.B) {
 // broadcast (PR 9): one Initiate over a community where only 5 fixed
 // providers are relevant and every other member is junk. The
 // roundtrips/op metric is the story: indexed rows stay flat as the
-// community grows, broadcast rows grow O(hosts). The full grid
-// (100/300/1000 hosts) runs in cmd/benchjson (BENCH_PR9.json).
+// community grows, broadcast rows grow O(hosts). openwfbench's tcp_wide
+// workload carries index routing on real sockets.
 func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
 		for _, mode := range []string{"indexed", "broadcast"} {

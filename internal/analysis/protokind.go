@@ -12,7 +12,7 @@ import (
 // at any one of them fails silently (an undecodable frame, a
 // differential test that never draws the new body, …):
 //
-//  1. the kind tag constant block (kindFragmentQuery, kindBid, …) —
+//  1. the kind tag constant block (kindFragmentQuery, kindAward, …) —
 //     every body type T needs a constant named kindT, and every kindT
 //     constant needs its type;
 //  2. the encoder's body type switch ((*encoder).body);

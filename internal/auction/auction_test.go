@@ -59,8 +59,8 @@ func TestAuctioneerManyTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(a.Start()); got != len(ms)*n {
-		t.Fatalf("Start emitted %d messages, want %d", got, len(ms)*n)
+	if got := len(a.StartBatched()); got != len(ms) {
+		t.Fatalf("StartBatched emitted %d messages, want %d", got, len(ms))
 	}
 
 	now := t0
@@ -116,17 +116,17 @@ func TestStartEmitsPairwiseCFBs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := a.Start()
-	if len(out) != 6 {
-		t.Fatalf("Start emitted %d messages, want 6", len(out))
+	out := a.StartBatched()
+	if len(out) != 3 {
+		t.Fatalf("StartBatched emitted %d messages, want 3", len(out))
 	}
-	// Grouped by member: first two to h1, etc.
-	if out[0].To != "h1" || out[1].To != "h1" || out[2].To != "h2" {
-		t.Errorf("grouping wrong: %v %v %v", out[0].To, out[1].To, out[2].To)
-	}
-	for _, o := range out {
-		if _, ok := o.Body.(proto.CallForBids); !ok {
-			t.Errorf("body = %T", o.Body)
+	// Pairwise: one call per member, each soliciting both tasks.
+	for i, o := range out {
+		if want := proto.Addr(fmt.Sprintf("h%d", i+1)); o.To != want {
+			t.Errorf("message %d goes to %q, want %q", i, o.To, want)
+		}
+		if b, ok := o.Body.(proto.CallForBidsBatch); !ok || len(b.Metas) != 2 {
+			t.Errorf("body = %#v, want a call for bids on both tasks", o.Body)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestDecideWhenAllResponded(t *testing.T) {
 	if ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), now); len(ds) != 0 {
 		t.Fatalf("decided before all responded: %v", ds)
 	}
-	ds := a.HandleDecline("h2", proto.Decline{Task: "t"}, now)
+	ds := a.HandleDecline("h2", "t", now)
 	if len(ds) != 1 || ds[0].Winner != "h1" {
 		t.Fatalf("decisions = %+v", ds)
 	}
@@ -187,8 +187,8 @@ func TestSelectionTieBreaksOnAddress(t *testing.T) {
 func TestAllDeclinedFails(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
 	now := t0
-	a.HandleDecline("h1", proto.Decline{Task: "t"}, now)
-	ds := a.HandleDecline("h2", proto.Decline{Task: "t"}, now)
+	a.HandleDecline("h1", "t", now)
+	ds := a.HandleDecline("h2", "t", now)
 	if len(ds) != 1 || !ds[0].Failed() {
 		t.Fatalf("decisions = %+v, want failed", ds)
 	}
@@ -246,7 +246,7 @@ func TestDeadlineUpdateForcesEarlierDecision(t *testing.T) {
 func TestLateBidIgnoredAfterDecision(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
 	a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Minute)), t0)
-	a.HandleDecline("h2", proto.Decline{Task: "t"}, t0)
+	a.HandleDecline("h2", "t", t0)
 	if ds := a.HandleBid("h2", bid("t", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
 		t.Errorf("late bid produced decisions: %v", ds)
 	}
@@ -260,7 +260,7 @@ func TestUnknownTaskMessagesIgnored(t *testing.T) {
 	if ds := a.HandleBid("h1", bid("zz", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
 		t.Errorf("bid for unknown task decided: %v", ds)
 	}
-	if ds := a.HandleDecline("h1", proto.Decline{Task: "zz"}, t0); len(ds) != 0 {
+	if ds := a.HandleDecline("h1", "zz", t0); len(ds) != 0 {
 		t.Errorf("decline for unknown task decided: %v", ds)
 	}
 }
@@ -271,7 +271,7 @@ func TestMultiTaskIndependence(t *testing.T) {
 	dl := t0.Add(time.Minute)
 	a.HandleBid("h1", bid("t1", 1, 0.5, dl), now)
 	a.HandleBid("h2", bid("t1", 2, 0.5, dl), now) // decides t1 → h1
-	a.HandleDecline("h1", proto.Decline{Task: "t2"}, now)
+	a.HandleDecline("h1", "t2", now)
 	a.HandleBid("h2", bid("t2", 2, 0.5, dl), now) // decides t2 → h2
 	if !a.Done() {
 		t.Fatal("not done")
@@ -296,6 +296,33 @@ func participant(prefs schedule.Preferences, regs ...service.Registration) (*Par
 	return NewParticipant(sim, services, sched, 30*time.Second), sim, sched
 }
 
+// bidOne solicits one task with a one-meta call for bids and returns the
+// firm bid, or ok=false when the participant declined the task.
+func bidOne(t *testing.T, p *Participant, wf string, m proto.TaskMeta) (b proto.Bid, ok bool) {
+	t.Helper()
+	reply := p.HandleCallForBidsBatch(wf, proto.CallForBidsBatch{Metas: []proto.TaskMeta{m}})
+	switch {
+	case len(reply.Bids) == 1 && len(reply.Declines) == 0 && reply.Bids[0].Task == m.Task:
+		return reply.Bids[0], true
+	case len(reply.Bids) == 0 && len(reply.Declines) == 1 && reply.Declines[0] == m.Task:
+		return proto.Bid{}, false
+	}
+	t.Fatalf("reply = %+v, want exactly one answer for %q", reply, m.Task)
+	return proto.Bid{}, false
+}
+
+// heldBy counts the firm bids one workflow's session has outstanding: the
+// calendar's holds are the participant's only record of them.
+func heldBy(sched *schedule.Manager, wf string) int {
+	n := 0
+	for _, c := range sched.HeldTasks() {
+		if c.Workflow == wf {
+			n++
+		}
+	}
+	return n
+}
+
 func sreg(task string, spec float64) service.Registration {
 	return service.Registration{Descriptor: service.Descriptor{
 		Task: model.TaskID(task), Specialization: spec,
@@ -304,10 +331,9 @@ func sreg(task string, spec float64) service.Registration {
 
 func TestParticipantBidsWhenCapable(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.7), sreg("u", 0.2))
-	resp := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	b, ok := resp.(proto.Bid)
+	b, ok := bidOne(t, p, "wf", meta("t"))
 	if !ok {
-		t.Fatalf("response = %T, want Bid", resp)
+		t.Fatal("declined, want a bid")
 	}
 	if b.ServicesOffered != 2 || b.Specialization != 0.7 {
 		t.Errorf("bid = %+v", b)
@@ -322,9 +348,8 @@ func TestParticipantBidsWhenCapable(t *testing.T) {
 
 func TestParticipantDeclinesWithoutService(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{})
-	resp := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	if _, ok := resp.(proto.Decline); !ok {
-		t.Fatalf("response = %T, want Decline", resp)
+	if b, ok := bidOne(t, p, "wf", meta("t")); ok {
+		t.Fatalf("response = %+v, want a decline", b)
 	}
 	if sched.Holds() != 0 {
 		t.Error("decline left a hold")
@@ -335,23 +360,20 @@ func TestParticipantDeclinesWhenUnwilling(t *testing.T) {
 	p, _, _ := participant(schedule.Preferences{
 		Willing: func(proto.TaskMeta) bool { return false },
 	}, sreg("t", 0.5))
-	resp := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	if _, ok := resp.(proto.Decline); !ok {
-		t.Fatalf("response = %T, want Decline", resp)
+	if b, ok := bidOne(t, p, "wf", meta("t")); ok {
+		t.Fatalf("response = %+v, want a decline", b)
 	}
 }
 
 func TestParticipantRebidRefreshesDeadline(t *testing.T) {
 	p, sim, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
-	first := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	if _, ok := first.(proto.Bid); !ok {
-		t.Fatalf("first response = %T", first)
+	if _, ok := bidOne(t, p, "wf", meta("t")); !ok {
+		t.Fatal("first call declined")
 	}
 	sim.Advance(10 * time.Second)
-	second := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	b, ok := second.(proto.Bid)
+	b, ok := bidOne(t, p, "wf", meta("t"))
 	if !ok {
-		t.Fatalf("second response = %T, want refreshed Bid", second)
+		t.Fatal("second call declined, want a refreshed bid")
 	}
 	if !b.Deadline.Equal(t0.Add(40 * time.Second)) {
 		t.Errorf("refreshed deadline = %v", b.Deadline)
@@ -363,7 +385,7 @@ func TestParticipantRebidRefreshesDeadline(t *testing.T) {
 
 func TestParticipantAwardCommits(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
-	p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
+	bidOne(t, p, "wf", meta("t"))
 	c, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if !ack.OK {
 		t.Fatalf("award refused: %s", ack.Reason)
@@ -387,13 +409,34 @@ func TestParticipantAwardWithoutServiceRefused(t *testing.T) {
 	}
 }
 
+// TestParticipantRefusedAwardReleasesHold: the service is withdrawn
+// between bid and award. The auctioneer sends no Cancel after a refusal,
+// so the refusal itself must free the slot — a rival session's bid on the
+// same window succeeds at once, not after the bid window lapses.
+func TestParticipantRefusedAwardReleasesHold(t *testing.T) {
+	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5), sreg("u", 0.5))
+	if _, ok := bidOne(t, p, "wf", meta("t")); !ok {
+		t.Fatal("bid declined")
+	}
+	p.services.Unregister("t")
+	if _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")}); ack.OK {
+		t.Fatal("award accepted for a withdrawn service")
+	}
+	if sched.Holds() != 0 {
+		t.Fatalf("refused award left holds: %+v", sched.HeldTasks())
+	}
+	if _, err := sched.Hold("rival", meta("u"), t0.Add(time.Minute)); err != nil {
+		t.Fatalf("rival workflow's hold on the same window: %v", err)
+	}
+}
+
 func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 	// The hold expired before the award arrived: the slot already
 	// returned to the pool, so the stale award is refused even though
 	// the slot happens to still be free — never a silent commitment the
 	// auctioneer cannot account for.
 	p, sim, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
-	p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
+	bidOne(t, p, "wf", meta("t"))
 	sim.Advance(time.Minute)
 	if n := p.ExpireHolds(); n != 1 {
 		t.Fatalf("ExpireHolds = %d", n)
@@ -416,7 +459,10 @@ func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 func TestParticipantAwardConflictRefused(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5), sreg("u", 0.5))
 	// Another workflow already took the slot.
-	if _, err := sched.Commit("other", meta("u"), time.Time{}); err != nil {
+	if _, err := sched.Hold("other", meta("u"), t0.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.CommitHeld("other", "u", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	_, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
@@ -427,7 +473,7 @@ func TestParticipantAwardConflictRefused(t *testing.T) {
 
 func TestParticipantCancel(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
-	p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
+	bidOne(t, p, "wf", meta("t"))
 	if _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")}); !ack.OK {
 		t.Fatal("award refused")
 	}
@@ -446,9 +492,8 @@ func TestParticipantLocatedServiceImposesLocation(t *testing.T) {
 	})
 	// Static host at origin cannot travel: the located service makes
 	// the commitment infeasible → decline.
-	resp := p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	if _, ok := resp.(proto.Decline); !ok {
-		t.Fatalf("response = %T, want Decline (immobile host, remote service)", resp)
+	if b, ok := bidOne(t, p, "wf", meta("t")); ok {
+		t.Fatalf("response = %+v, want a decline (immobile host, remote service)", b)
 	}
 }
 
@@ -475,57 +520,44 @@ func metaAt(task string, start, end time.Time) proto.TaskMeta {
 // other's.
 func TestParticipantSessionsAreIsolated(t *testing.T) {
 	p, sim, sched := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5))
-	if _, ok := p.HandleCallForBids("wf-1", proto.CallForBids{
-		Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour)),
-	}).(proto.Bid); !ok {
+	if _, ok := bidOne(t, p, "wf-1", metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))); !ok {
 		t.Fatal("wf-1 bid refused")
 	}
-	if _, ok := p.HandleCallForBids("wf-2", proto.CallForBids{
-		Meta: metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)),
-	}).(proto.Bid); !ok {
+	if _, ok := bidOne(t, p, "wf-2", metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour))); !ok {
 		t.Fatal("wf-2 bid refused")
 	}
-	if got := p.Sessions(); len(got) != 2 || got[0] != "wf-1" || got[1] != "wf-2" {
-		t.Fatalf("Sessions = %v", got)
-	}
-	if p.SessionBids("wf-1") != 1 || p.SessionBids("wf-2") != 1 {
-		t.Fatalf("session bids = %d/%d", p.SessionBids("wf-1"), p.SessionBids("wf-2"))
+	if heldBy(sched, "wf-1") != 1 || heldBy(sched, "wf-2") != 1 || sched.Holds() != 2 {
+		t.Fatalf("session bids = %d/%d of %d holds", heldBy(sched, "wf-1"), heldBy(sched, "wf-2"), sched.Holds())
 	}
 	// Cancel wf-1's task: wf-2 untouched.
 	p.HandleCancel("wf-1", proto.Cancel{Task: "a"})
-	if p.SessionBids("wf-1") != 0 || p.SessionBids("wf-2") != 1 || sched.Holds() != 1 {
+	if heldBy(sched, "wf-1") != 0 || heldBy(sched, "wf-2") != 1 || sched.Holds() != 1 {
 		t.Fatalf("after cancel: wf-1=%d wf-2=%d holds=%d",
-			p.SessionBids("wf-1"), p.SessionBids("wf-2"), sched.Holds())
+			heldBy(sched, "wf-1"), heldBy(sched, "wf-2"), sched.Holds())
 	}
-	// Expire past every deadline: wf-2's bookkeeping drains with the
-	// schedule manager's holds.
+	// Expire past every deadline: wf-2's bid drains too.
 	sim.Advance(time.Minute)
 	if n := p.ExpireHolds(); n != 1 {
 		t.Fatalf("ExpireHolds released %d, want 1", n)
 	}
-	if len(p.Sessions()) != 0 || sched.Holds() != 0 {
-		t.Fatalf("sessions = %v, holds = %d after expiry", p.Sessions(), sched.Holds())
+	if sched.Holds() != 0 {
+		t.Fatalf("held = %+v after expiry", sched.HeldTasks())
 	}
 }
 
 // TestParticipantSecondSessionCleanDecline: when an earlier session
-// holds the slot, a later session's call for bids gets a Decline and no
+// holds the slot, a later session's call for bids gets a decline and no
 // session state — first-hold-wins surfaces as a clean refusal.
 func TestParticipantSecondSessionCleanDecline(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5))
-	if _, ok := p.HandleCallForBids("wf-1", proto.CallForBids{
-		Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour)),
-	}).(proto.Bid); !ok {
+	if _, ok := bidOne(t, p, "wf-1", metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))); !ok {
 		t.Fatal("wf-1 bid refused")
 	}
-	resp := p.HandleCallForBids("wf-2", proto.CallForBids{
-		Meta: metaAt("b", t0.Add(90*time.Minute), t0.Add(3*time.Hour)),
-	})
-	if _, ok := resp.(proto.Decline); !ok {
-		t.Fatalf("overlapping second session got %T, want Decline", resp)
+	if b, ok := bidOne(t, p, "wf-2", metaAt("b", t0.Add(90*time.Minute), t0.Add(3*time.Hour))); ok {
+		t.Fatalf("overlapping second session got %+v, want a decline", b)
 	}
-	if p.SessionBids("wf-2") != 0 {
-		t.Errorf("declined session tracks %d bids", p.SessionBids("wf-2"))
+	if heldBy(sched, "wf-2") != 0 {
+		t.Errorf("declined session holds %d bids", heldBy(sched, "wf-2"))
 	}
 	if sched.Holds() != 1 {
 		t.Errorf("holds = %d, want the first session's only", sched.Holds())
@@ -535,20 +567,20 @@ func TestParticipantSecondSessionCleanDecline(t *testing.T) {
 // TestParticipantAwardPrunesSession: a converted award leaves the
 // session only when other bids remain outstanding.
 func TestParticipantAwardPrunesSession(t *testing.T) {
-	p, _, _ := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5))
-	p.HandleCallForBids("wf", proto.CallForBids{Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))})
-	p.HandleCallForBids("wf", proto.CallForBids{Meta: metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour))})
+	p, _, sched := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5))
+	bidOne(t, p, "wf", metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour)))
+	bidOne(t, p, "wf", metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)))
 	if _, ack := p.HandleAward("wf", proto.Award{Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))}); !ack.OK {
 		t.Fatalf("award refused: %+v", ack)
 	}
-	if p.SessionBids("wf") != 1 {
-		t.Fatalf("SessionBids = %d after one award, want 1", p.SessionBids("wf"))
+	if heldBy(sched, "wf") != 1 {
+		t.Fatalf("session holds %d bids after one award, want 1", heldBy(sched, "wf"))
 	}
 	if n := p.ReleaseSession("wf"); n != 1 {
 		t.Fatalf("ReleaseSession released %d holds, want 1", n)
 	}
-	if len(p.Sessions()) != 0 {
-		t.Fatalf("Sessions = %v after release", p.Sessions())
+	if sched.Holds() != 0 {
+		t.Fatalf("held = %+v after release", sched.HeldTasks())
 	}
 }
 
@@ -609,7 +641,7 @@ func TestHandleBidBatchMatchesPerTask(t *testing.T) {
 			a.HandleBid(from, b, t0)
 		}
 		for _, task := range batch.Declines {
-			a.HandleDecline(from, proto.Decline{Task: task}, t0)
+			a.HandleDecline(from, task, t0)
 		}
 	})
 	if len(batched) != len(perTask) || len(batched) != 2 {
@@ -628,8 +660,8 @@ func TestHandleBidBatchMatchesPerTask(t *testing.T) {
 func TestParticipantBatchedCallMixedCapability(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("a", 0.7), sreg("b", 0.4))
 	// Session wf-1 already owns b's window.
-	if resp := p.HandleCallForBids("wf-1", proto.CallForBids{Meta: metaAt("b", t0.Add(time.Hour), t0.Add(2*time.Hour))}); resp.(proto.Bid).Task != "b" {
-		t.Fatalf("setup bid failed: %+v", resp)
+	if _, ok := bidOne(t, p, "wf-1", metaAt("b", t0.Add(time.Hour), t0.Add(2*time.Hour))); !ok {
+		t.Fatal("setup bid declined")
 	}
 	reply := p.HandleCallForBidsBatch("wf-2", proto.CallForBidsBatch{Metas: []proto.TaskMeta{
 		metaAt("a", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), // capable, free window
@@ -648,14 +680,15 @@ func TestParticipantBatchedCallMixedCapability(t *testing.T) {
 	if sched.Holds() != 2 { // wf-1's b + wf-2's a
 		t.Errorf("holds = %d, want 2", sched.Holds())
 	}
-	if p.SessionBids("wf-2") != 1 {
-		t.Errorf("wf-2 tracks %d bids, want 1", p.SessionBids("wf-2"))
+	if heldBy(sched, "wf-2") != 1 {
+		t.Errorf("wf-2 holds %d bids, want 1", heldBy(sched, "wf-2"))
 	}
 }
 
 // TestParticipantBatchedCallMatchesPerTask: for the same solicitation,
 // the batched reply carries exactly the bids and declines the per-task
-// path would produce, with the same schedule state afterwards.
+// sequence of one-task calls would produce, with the same schedule state
+// afterwards.
 func TestParticipantBatchedCallMatchesPerTask(t *testing.T) {
 	metas := []proto.TaskMeta{
 		metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour)),
@@ -670,11 +703,10 @@ func TestParticipantBatchedCallMatchesPerTask(t *testing.T) {
 	var bids []proto.Bid
 	var declines []model.TaskID
 	for _, m := range metas {
-		switch r := pt.HandleCallForBids("wf", proto.CallForBids{Meta: m}).(type) {
-		case proto.Bid:
-			bids = append(bids, r)
-		case proto.Decline:
-			declines = append(declines, r.Task)
+		if b, ok := bidOne(t, pt, "wf", m); ok {
+			bids = append(bids, b)
+		} else {
+			declines = append(declines, m.Task)
 		}
 	}
 	if len(reply.Bids) != len(bids) || len(reply.Declines) != len(declines) {

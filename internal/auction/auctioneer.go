@@ -94,26 +94,11 @@ func NewAuctioneer(members []proto.Addr, metas []proto.TaskMeta) (*Auctioneer, e
 	return a, nil
 }
 
-// Start returns the call-for-bids messages to send: one per (member, task)
-// pair, grouped by member so the engine can communicate pairwise with each
-// participant (the paper's linear-in-hosts communication pattern).
-func (a *Auctioneer) Start() []Outbound {
-	taskIDs := a.sortedTaskIDs()
-	out := make([]Outbound, 0, len(a.members)*len(taskIDs))
-	for _, m := range a.members {
-		for _, id := range taskIDs {
-			out = append(out, Outbound{To: m, Body: proto.CallForBids{Meta: a.tasks[id].meta}})
-		}
-	}
-	return out
-}
-
-// StartBatched returns the batched calls for bids: exactly one
+// StartBatched returns the calls for bids to send: exactly one
 // CallForBidsBatch per member, carrying every task's metadata in sorted
-// task order. It collapses Start's member×task round count to one round
-// trip per member — the batched protocol of DESIGN.md §9 and the
-// engine's only allocation path (the per-task sweep survives as a
-// protocol primitive: participants still answer lone CallForBids).
+// task order, so the engine communicates pairwise with each participant
+// (the paper's linear-in-hosts communication pattern) in one round trip
+// per member (DESIGN.md §9).
 func (a *Auctioneer) StartBatched() []Outbound {
 	taskIDs := a.sortedTaskIDs()
 	metas := make([]proto.TaskMeta, 0, len(taskIDs))
@@ -137,7 +122,7 @@ func (a *Auctioneer) HandleBidBatch(from proto.Addr, batch proto.BidBatch, now t
 		out = append(out, a.HandleBid(from, bid, now)...)
 	}
 	for _, task := range batch.Declines {
-		out = append(out, a.HandleDecline(from, proto.Decline{Task: task}, now)...)
+		out = append(out, a.HandleDecline(from, task, now)...)
 	}
 	return out
 }
@@ -179,10 +164,10 @@ func (a *Auctioneer) HandleBid(from proto.Addr, bid proto.Bid, now time.Time) []
 	return a.maybeFinalize(ta, now)
 }
 
-// HandleDecline processes an explicit decline. It returns any decisions
-// that became final.
-func (a *Auctioneer) HandleDecline(from proto.Addr, d proto.Decline, now time.Time) []Decision {
-	ta, ok := a.tasks[d.Task]
+// HandleDecline processes an explicit decline of one task. It returns any
+// decisions that became final.
+func (a *Auctioneer) HandleDecline(from proto.Addr, task model.TaskID, now time.Time) []Decision {
+	ta, ok := a.tasks[task]
 	if !ok || ta.decided {
 		return nil
 	}

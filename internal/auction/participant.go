@@ -1,27 +1,13 @@
 package auction
 
 import (
-	"errors"
-	"sort"
-	"sync"
 	"time"
 
 	"openwf/internal/clock"
-	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/schedule"
 	"openwf/internal/service"
 )
-
-// bidSession tracks one workflow's auction from the participant's side:
-// the tasks this host currently holds firm bids for and each bid's
-// deadline. State is keyed by workflow so N concurrent allocation
-// sessions on the soliciting side map to N independent bid sessions
-// here — expiring or canceling one session's bids never touches
-// another's.
-type bidSession struct {
-	deadlines map[model.TaskID]time.Time
-}
 
 // Participant is the Auction Participation Manager of the execution
 // subsystem (§4.2): it encapsulates the interactions and state tracking a
@@ -31,9 +17,11 @@ type bidSession struct {
 // bid and reserves the schedule slot until the bid's deadline.
 //
 // A participant serves every allocation session of the community at
-// once; it is safe for concurrent use. Slot conflicts between sessions
-// are arbitrated by the schedule manager (first-hold-wins); the losing
-// call for bids is answered with a clean Decline.
+// once; it is safe for concurrent use. It keeps no bid bookkeeping of its
+// own: a firm bid is exactly a hold in the schedule manager's calendar,
+// keyed by (workflow, task) and expiring at the bid's deadline. Slot
+// conflicts between sessions are arbitrated there (first-hold-wins); the
+// losing call for bids gets a clean per-task decline.
 type Participant struct {
 	clk      clock.Clock
 	services *service.Manager
@@ -46,9 +34,6 @@ type Participant struct {
 	// refresh from the initiator (DefaultCommitLease when unset; ≤ 0 via
 	// SetCommitLease disables leasing — commitments never expire).
 	commitLease time.Duration
-
-	mu       sync.Mutex
-	sessions map[string]*bidSession
 }
 
 // DefaultBidWindow is the deadline participants give auction managers when
@@ -74,7 +59,6 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 	return &Participant{
 		clk: clk, services: services, sched: sched, bidWindow: bidWindow,
 		commitLease: DefaultCommitLease,
-		sessions:    make(map[string]*bidSession),
 	}
 }
 
@@ -93,81 +77,12 @@ func (p *Participant) leaseExpiry(now time.Time) time.Time {
 	return now.Add(p.commitLease)
 }
 
-// trackBid records a firm bid in the workflow's session.
-func (p *Participant) trackBid(workflow string, task model.TaskID, deadline time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.sessions[workflow]
-	if !ok {
-		s = &bidSession{deadlines: make(map[model.TaskID]time.Time)}
-		p.sessions[workflow] = s
-	}
-	s.deadlines[task] = deadline
-}
-
-// untrackBid removes a bid from the workflow's session (award converted
-// it, the auction was lost, or the session was canceled), pruning empty
-// sessions.
-func (p *Participant) untrackBid(workflow string, task model.TaskID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.sessions[workflow]
-	if !ok {
-		return
-	}
-	delete(s.deadlines, task)
-	if len(s.deadlines) == 0 {
-		delete(p.sessions, workflow)
-	}
-}
-
-// HandleCallForBids evaluates a call for bids and returns the reply body:
-// a firm Bid when the host can commit, a Decline otherwise. A bid reserves
-// the schedule slot (including travel time) until the bid's deadline.
-func (p *Participant) HandleCallForBids(workflow string, cfb proto.CallForBids) proto.Body {
-	meta := cfb.Meta
-	desc, ok := p.services.CanPerform(meta.Task)
-	if !ok {
-		return proto.Decline{Task: meta.Task}
-	}
-	// A service pinned to a location imposes it on the commitment when
-	// the task itself does not require one.
-	if !meta.HasLocation && desc.HasLocation {
-		meta.Location = desc.Location
-		meta.HasLocation = true
-	}
-	deadline := p.clk.Now().Add(p.bidWindow)
-	if _, err := p.sched.Hold(workflow, meta, deadline); err != nil {
-		// A repeated solicitation for a task we already reserved (the
-		// engine replanning) refreshes the firm bid's deadline.
-		if errors.Is(err, schedule.ErrAlreadyHeld) {
-			if _, rerr := p.sched.RefreshHold(workflow, meta.Task, deadline); rerr == nil {
-				p.trackBid(workflow, meta.Task, deadline)
-				return proto.Bid{
-					Task:            meta.Task,
-					ServicesOffered: p.services.Count(),
-					Specialization:  desc.Specialization,
-					Deadline:        deadline,
-				}
-			}
-		}
-		// The slot belongs to an earlier session (schedule.ErrSlotBusy)
-		// or is otherwise uncommittable: a clean decline, never a stale
-		// reservation.
-		return proto.Decline{Task: meta.Task}
-	}
-	p.trackBid(workflow, meta.Task, deadline)
-	return proto.Bid{
-		Task:            meta.Task,
-		ServicesOffered: p.services.Count(),
-		Specialization:  desc.Specialization,
-		Deadline:        deadline,
-	}
-}
-
-// HandleCallForBidsBatch answers a batched call for bids: one reply
-// carrying a firm Bid for every task this host can commit to and a
-// per-task decline for the rest. All schedule reservations are taken
+// HandleCallForBidsBatch answers a call for bids: one reply carrying a
+// firm Bid for every task this host can commit to and a per-task decline
+// for the rest. A bid reserves the schedule slot (including travel time)
+// until the bid's deadline; a repeated solicitation for a task already
+// reserved (the engine replanning) refreshes that deadline. All schedule
+// reservations are taken
 // atomically under one schedule-manager lock acquisition (HoldBatch), so
 // a competing session cannot interleave between two tasks of the batch;
 // infeasible tasks decline individually without disturbing the rest. The
@@ -182,6 +97,8 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 			reply.Declines = append(reply.Declines, meta.Task)
 			continue
 		}
+		// A service pinned to a location imposes it on the commitment when
+		// the task itself does not require one.
 		if !meta.HasLocation && desc.HasLocation {
 			meta.Location = desc.Location
 			meta.HasLocation = true
@@ -197,10 +114,12 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 	count := p.services.Count()
 	for i, res := range results {
 		if res.Err != nil {
+			// The slot belongs to an earlier session (schedule.ErrSlotBusy)
+			// or is otherwise uncommittable: a clean decline, never a stale
+			// reservation.
 			reply.Declines = append(reply.Declines, capable[i].Task)
 			continue
 		}
-		p.trackBid(workflow, capable[i].Task, deadline)
 		reply.Bids = append(reply.Bids, proto.Bid{
 			Task:            capable[i].Task,
 			ServicesOffered: count,
@@ -218,10 +137,13 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 // slot is still free: under leases the slot already returned to the
 // pool and may back a rival session's fresh hold, so a stale award must
 // never silently commit. The refusal (AwardAck.OK=false) cancels the
-// award back to the auctioneer, which replans the task.
+// award back to the auctioneer, which replans the task. Every refusal
+// leaves the slot free: the auctioneer sends no Cancel after one, so a
+// hold kept here would block rival sessions until the bid window lapsed.
 func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.Commitment, proto.AwardAck) {
 	meta := award.Meta
 	if _, ok := p.services.CanPerform(meta.Task); !ok {
+		p.sched.Release(workflow, meta.Task)
 		return schedule.Commitment{}, proto.AwardAck{
 			Task: meta.Task, OK: false, Reason: "service no longer offered",
 		}
@@ -232,7 +154,6 @@ func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.
 			Task: meta.Task, OK: false, Reason: err.Error(),
 		}
 	}
-	p.untrackBid(workflow, meta.Task)
 	return c, proto.AwardAck{Task: meta.Task, OK: true}
 }
 
@@ -263,80 +184,17 @@ func (p *Participant) SweepLeases() []schedule.Commitment {
 func (p *Participant) HandleCancel(workflow string, c proto.Cancel) {
 	p.sched.Release(workflow, c.Task)
 	p.sched.Remove(workflow, c.Task)
-	p.untrackBid(workflow, c.Task)
 }
 
-// ExpireHolds releases reservations whose deadlines have passed; hosts
-// call it periodically (or on a timer at each deadline). Session
-// bookkeeping is pruned in step with the schedule manager.
-func (p *Participant) ExpireHolds() int {
-	now := p.clk.Now()
-	n := p.sched.ExpireHolds(now)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for wf, s := range p.sessions {
-		for task, deadline := range s.deadlines {
-			if now.After(deadline) {
-				delete(s.deadlines, task)
-			}
-		}
-		if len(s.deadlines) == 0 {
-			delete(p.sessions, wf)
-		}
-	}
-	return n
-}
-
-// ReleaseHold drops the reservation for one task (the host observed the
-// award going elsewhere).
-func (p *Participant) ReleaseHold(workflow string, task model.TaskID) {
-	p.sched.Release(workflow, task)
-	p.untrackBid(workflow, task)
-}
+// ExpireHolds releases reservations whose deadlines have passed and
+// returns how many; hosts call it on a timer at each bid deadline.
+func (p *Participant) ExpireHolds() int { return p.sched.ExpireHolds(p.clk.Now()) }
 
 // ReleaseSession drops every reservation of one workflow's bid session
 // (the session's auction ended without this host winning anything, or
 // the session was torn down wholesale). It returns how many schedule
 // holds were released.
-func (p *Participant) ReleaseSession(workflow string) int {
-	n := p.sched.ReleaseWorkflow(workflow)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.sessions, workflow)
-	return n
-}
-
-// ResetSessions wipes every workflow's bid bookkeeping (crash
-// simulation: a restarted participant remembers no firm bids). The
-// schedule manager's holds are cleared separately (schedule.Clear).
-func (p *Participant) ResetSessions() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sessions = make(map[string]*bidSession)
-}
-
-// Sessions returns the workflow IDs with outstanding firm bids, sorted.
-func (p *Participant) Sessions() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.sessions))
-	for wf := range p.sessions {
-		out = append(out, wf)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SessionBids returns how many firm bids one workflow's session holds.
-func (p *Participant) SessionBids(workflow string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.sessions[workflow]
-	if !ok {
-		return 0
-	}
-	return len(s.deadlines)
-}
+func (p *Participant) ReleaseSession(workflow string) int { return p.sched.ReleaseWorkflow(workflow) }
 
 // BidWindow returns the configured bid window.
 func (p *Participant) BidWindow() time.Duration { return p.bidWindow }

@@ -307,7 +307,6 @@ func runChaos(t *testing.T, l chaosLayout) {
 var solicitationKinds = map[string]bool{
 	"fragment-query":      true,
 	"feasibility-query":   true,
-	"call-for-bids":       true,
 	"call-for-bids-batch": true,
 }
 

@@ -398,7 +398,7 @@ func (s *Server) Close() error {
 }
 
 // Snapshot is a point-in-time read of the serving counters, for harness
-// assertions and BENCH_PR7.json without parsing the exposition text.
+// assertions without parsing the exposition text.
 type Snapshot struct {
 	Accepted  int64
 	Rejected  int64

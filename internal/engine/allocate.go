@@ -62,18 +62,18 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 		// keeps a dead commitment blocking its schedule window: decision-
 		// time awards go out during the sweep, so a mid-sweep error always
 		// has something to release.
-		sess.compensate(plan)
+		m.cancelAwards(sess.wfID, plan.Allocations)
 		return nil, nil, err
 	}
 	return plan, failed, nil
 }
 
-// runAuction solicits bids for metas from members (one batched
-// CallForBids per member, answered by one BidBatch — one round trip per
-// member instead of member×task), awards each decision the moment the
-// auctioneer makes it, and records confirmed winners in alloc. It returns
-// the tasks that ended unallocated — decided failed, award refused or
-// undeliverable, or never decided at all.
+// runAuction solicits bids for metas from members (one CallForBidsBatch
+// per member, answered by one BidBatch — one round trip per member),
+// awards each decision the moment the auctioneer makes it, and records
+// confirmed winners in alloc. It returns the tasks that ended unallocated
+// — decided failed, award refused or undeliverable, or never decided at
+// all.
 //
 // Awarding (and canceling losers) at decision time releases contended
 // schedule slots a full round earlier than a collect-then-award shape:
@@ -81,8 +81,8 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 // the sweep blocks every other workflow racing for that window.
 //
 // On error the awards already recorded in alloc are NOT compensated —
-// the caller owns cleanup (allocate compensates the failed plan; repair
-// aborts the execution, compensating everything unfinished).
+// the caller owns cleanup (allocate cancels the failed plan's awards;
+// repair aborts the execution, canceling everything unfinished).
 func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
 	auc, err := auction.NewAuctioneer(members, metas)
 	if err != nil {
@@ -117,7 +117,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 			// reached the winner, which would then hold a dead
 			// commitment blocking its schedule window while the task is
 			// replanned elsewhere — send a best-effort Cancel. Unlike
-			// compensate, ctx is still live here, so the send stays
+			// cancelAwards, ctx is still live here, so the send stays
 			// cancelable and cannot hang on the very peer that just
 			// failed to answer.
 			_ = m.net.Send(ctx, d.Winner, wfID, proto.Cancel{Task: d.Task})
@@ -155,18 +155,11 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 			}
 			continue // member unreachable: it simply does not bid
 		}
-		var ds []auction.Decision
-		switch b := reply.(type) {
-		case proto.BidBatch:
-			ds = auc.HandleBidBatch(out.To, b, clk.Now())
-		case proto.Bid:
-			ds = auc.HandleBid(out.To, b, clk.Now())
-		case proto.Decline:
-			ds = auc.HandleDecline(out.To, b, clk.Now())
-		default:
+		bids, ok := reply.(proto.BidBatch)
+		if !ok {
 			return nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
 		}
-		if err := awardAll(ds); err != nil {
+		if err := awardAll(auc.HandleBidBatch(out.To, bids, clk.Now())); err != nil {
 			return nil, err
 		}
 	}
@@ -234,18 +227,20 @@ func (m *Manager) taskMetasFor(w *model.Workflow, ids []model.TaskID, postpone t
 	return metas
 }
 
-// compensate cancels every award of a failed allocation attempt so the
-// winners release their commitments before replanning. It runs under a
-// fresh context: compensation must go out even when the initiating
-// request was canceled. Compensation names only this session's workflow
-// ID, so a replan here can never revoke another session's commitments.
-func (sess *allocSession) compensate(plan *Plan) {
-	ids := make([]model.TaskID, 0, len(plan.Allocations))
-	for t := range plan.Allocations {
+// cancelAwards compensates auction wins that will not be used — a failed
+// allocation attempt about to be retried or replanned, a repair that did
+// not hold together, an aborted execution — so the winners release their
+// commitments. It runs under a fresh context (compensation must go out
+// even when the initiating request was canceled), in sorted order for
+// reproducibility. A Cancel names only wfID, so it can never revoke
+// another session's commitments.
+func (m *Manager) cancelAwards(wfID string, alloc map[model.TaskID]proto.Addr) {
+	ids := make([]model.TaskID, 0, len(alloc))
+	for t := range alloc {
 		ids = append(ids, t)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, t := range ids {
-		_ = sess.m.net.Send(context.Background(), plan.Allocations[t], sess.wfID, proto.Cancel{Task: t}) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
+		_ = m.net.Send(context.Background(), alloc[t], wfID, proto.Cancel{Task: t}) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
 	}
 }

@@ -411,20 +411,16 @@ func (m *Manager) queryConcurrency(members int) int {
 	return bound
 }
 
-// queryAll sends one query to every member and gathers the replies —
-// pairwise in turn by default, or concurrently with ParallelQuery.
-// Parallel mode bounds in-flight Calls by the host's worker count (a
-// 64-member community does not spawn 64 goroutines; workers adopt the
-// next member as each call completes). Unreachable members are skipped;
-// their knowledge and capabilities are simply unavailable to this
-// construction. Context cancellation aborts the round and is returned (a
-// canceled requester must not mistake "no replies" for "no knowledge").
-func (m *Manager) queryAll(ctx context.Context, wfID string, query proto.Body) ([]memberReply, error) {
-	return m.queryMembers(ctx, wfID, query, nil)
-}
-
-// queryMembers is queryAll restricted to an explicit member list (plan
-// repair queries only the survivors); nil means the full community view.
+// queryMembers sends one query to every listed member (nil means the
+// full community view; plan repair queries only the survivors) and
+// gathers the replies — pairwise in turn by default, or concurrently with
+// ParallelQuery. Parallel mode bounds in-flight Calls by the host's
+// worker count (a 64-member community does not spawn 64 goroutines;
+// workers adopt the next member as each call completes). Unreachable
+// members are skipped; their knowledge and capabilities are simply
+// unavailable to this construction. Context cancellation aborts the round
+// and is returned (a canceled requester must not mistake "no replies" for
+// "no knowledge").
 func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Body, members []proto.Addr) ([]memberReply, error) {
 	if members == nil {
 		members = m.net.Members()
@@ -478,12 +474,13 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 	return replies, nil
 }
 
-// collectAll gathers every fragment of every member (ablation baseline).
-// It queries with a nil label filter, which Fragment Managers treat as
-// "everything" via the host dispatch (see internal/host).
-func (m *Manager) collectAll(ctx context.Context, wfID string) ([]*model.Fragment, error) {
+// collectAll gathers every fragment of the listed members (nil means the
+// whole community) — the ablation baseline. It queries with a nil label
+// filter, which Fragment Managers treat as "everything" via the host
+// dispatch (see internal/host).
+func (m *Manager) collectAll(ctx context.Context, wfID string, members []proto.Addr) ([]*model.Fragment, error) {
 	var out []*model.Fragment
-	replies, err := m.queryAll(ctx, wfID, proto.FragmentQuery{Labels: nil})
+	replies, err := m.queryMembers(ctx, wfID, proto.FragmentQuery{Labels: nil}, members)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +502,7 @@ func (m *Manager) CollectKnowhow(ctx context.Context) ([]*model.Fragment, error)
 	m.mu.Lock()
 	_, wfID := m.mintWorkflowIDLocked()
 	m.mu.Unlock()
-	return m.collectAll(ctx, wfID)
+	return m.collectAll(ctx, wfID, nil)
 }
 
 // communityFeasibility implements core.FeasibilityChecker with Service

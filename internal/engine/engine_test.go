@@ -145,6 +145,29 @@ func (f *fakeNet) setDeclineAll(addr proto.Addr, v bool) {
 	f.members[addr].declineAll = v
 }
 
+// gateCFB blocks a solicitation for task while the member's blockCFB gate
+// for it is shut, counting the call as blocked meanwhile.
+func (f *fakeNet) gateCFB(ctx context.Context, m *fakeMember, task model.TaskID) error {
+	gate, ok := m.blockCFB[task]
+	if !ok {
+		return nil
+	}
+	f.mu.Lock()
+	f.blocked++
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.blocked--
+		f.mu.Unlock()
+	}()
+	select {
+	case <-gate:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -162,21 +185,30 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 	}
 	switch b := body.(type) {
 	case proto.CallForBidsBatch:
-		// Answer each task exactly as the per-task path would: the
-		// scripted behaviors (declineAll, blockCFB gates) apply per task
-		// within the batch.
+		// The scripted behaviors (declineAll, blockCFB gates) apply per
+		// task within the batch.
+		window := f.bidDeadline
+		if window <= 0 {
+			window = time.Second
+		}
 		var reply proto.BidBatch
 		for _, meta := range b.Metas {
-			r, err := f.Call(ctx, to, workflow, proto.CallForBids{Meta: meta}, timeout)
-			if err != nil {
+			if err := f.gateCFB(ctx, m, meta.Task); err != nil {
 				return nil, err
 			}
-			switch rb := r.(type) {
-			case proto.Bid:
-				reply.Bids = append(reply.Bids, rb)
-			case proto.Decline:
-				reply.Declines = append(reply.Declines, rb.Task)
+			f.mu.Lock()
+			decline := m.declineAll || !m.capable[meta.Task]
+			f.mu.Unlock()
+			if decline {
+				reply.Declines = append(reply.Declines, meta.Task)
+				continue
 			}
+			reply.Bids = append(reply.Bids, proto.Bid{
+				Task:            meta.Task,
+				ServicesOffered: m.services,
+				Specialization:  0.5,
+				Deadline:        f.clk.Now().Add(window),
+			})
 		}
 		return reply, nil
 	case proto.FragmentQuery:
@@ -205,38 +237,6 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		}
 		f.mu.Unlock()
 		return proto.FeasibilityReply{Capable: capable}, nil
-	case proto.CallForBids:
-		if gate, ok := m.blockCFB[b.Meta.Task]; ok {
-			f.mu.Lock()
-			f.blocked++
-			f.mu.Unlock()
-			defer func() {
-				f.mu.Lock()
-				f.blocked--
-				f.mu.Unlock()
-			}()
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		f.mu.Lock()
-		decline := m.declineAll || !m.capable[b.Meta.Task]
-		f.mu.Unlock()
-		if decline {
-			return proto.Decline{Task: b.Meta.Task}, nil
-		}
-		window := f.bidDeadline
-		if window <= 0 {
-			window = time.Second
-		}
-		return proto.Bid{
-			Task:            b.Meta.Task,
-			ServicesOffered: m.services,
-			Specialization:  0.5,
-			Deadline:        f.clk.Now().Add(window),
-		}, nil
 	case proto.Award:
 		if m.dropAwardAck {
 			return nil, fmt.Errorf("award ack from %q lost", to)
@@ -1048,7 +1048,7 @@ func TestParallelQueryBoundedByWorkerCount(t *testing.T) {
 	cfg := testConfig()
 	cfg.ParallelQuery = true
 	m := NewManager(net, cfg)
-	replies, err := m.queryAll(context.Background(), "wf", proto.FragmentQuery{Labels: lbl("a")})
+	replies, err := m.queryMembers(context.Background(), "wf", proto.FragmentQuery{Labels: lbl("a")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,40 +73,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	start := m.net.Clock().Now()
 
-	// Distribute routing segments to every executor.
-	for _, seg := range m.planSegments(plan) {
-		to := plan.Allocations[seg.Task]
-		reply, err := m.net.Call(ctx, to, plan.WorkflowID, seg, m.cfg.CallTimeout)
-		if err != nil {
-			if ctx.Err() != nil {
-				return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
-			}
-			return nil, fmt.Errorf("distributing plan segment for %q to %q: %w", seg.Task, to, err)
+	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, m.planSegments(plan), triggers); err != nil {
+		if ctx.Err() != nil {
+			return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
 		}
-		if _, ok := reply.(proto.Ack); !ok {
-			return nil, fmt.Errorf("plan segment to %q: unexpected reply %T", to, reply)
-		}
-	}
-
-	// Inject the triggering conditions: the initiator supplies each
-	// workflow source label to the executors that consume it.
-	for _, l := range w.In() {
-		data := triggers[l]
-		sent := make(map[proto.Addr]struct{})
-		for _, consumer := range w.Consumers(l) {
-			host := plan.Allocations[consumer]
-			if _, dup := sent[host]; dup {
-				continue
-			}
-			sent[host] = struct{}{}
-			lt := proto.LabelTransfer{Label: l, Data: data, Producer: m.net.Self()}
-			if err := m.net.Send(ctx, host, plan.WorkflowID, lt); err != nil {
-				if ctx.Err() != nil {
-					return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
-				}
-				return nil, fmt.Errorf("injecting trigger %q: %w", l, err)
-			}
-		}
+		return nil, err
 	}
 
 	// Keep the executors' commitment leases alive while the workflow
@@ -125,6 +96,41 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 		ctxErr = ctx.Err()
 	}
 	return m.executionReport(ex, plan, start, ctxErr), ctxErr
+}
+
+// distribute sends every routing segment to its task's executor and then
+// injects the triggering conditions: the initiator supplies each workflow
+// source label to the executors that consume it. Execute runs it once; a
+// plan repair runs it again over the repaired allocation, which is safe
+// because segments are idempotent — a fresh executor arms its run, a
+// surviving one updates its sinks, and a finished run re-publishes its
+// retained outputs to the new consumers.
+func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
+	for _, seg := range segs {
+		to := alloc[seg.Task]
+		reply, err := m.net.Call(ctx, to, wfID, seg, m.cfg.CallTimeout)
+		if err != nil {
+			return fmt.Errorf("distributing plan segment for %q to %q: %w", seg.Task, to, err)
+		}
+		if _, ok := reply.(proto.Ack); !ok {
+			return fmt.Errorf("plan segment to %q: unexpected reply %T", to, reply)
+		}
+	}
+	for _, l := range w.In() {
+		sent := make(map[proto.Addr]struct{})
+		for _, consumer := range w.Consumers(l) {
+			host := alloc[consumer]
+			if _, dup := sent[host]; dup {
+				continue
+			}
+			sent[host] = struct{}{}
+			lt := proto.LabelTransfer{Label: l, Data: triggers[l], Producer: m.net.Self()}
+			if err := m.net.Send(ctx, host, wfID, lt); err != nil {
+				return fmt.Errorf("injecting trigger %q: %w", l, err)
+			}
+		}
+	}
+	return nil
 }
 
 // executionReport snapshots an execution's progress. The goals map is

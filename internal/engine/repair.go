@@ -9,17 +9,18 @@ import (
 	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/proto"
-	"openwf/internal/spec"
 )
 
 // Plan repair: commitments are leases, and the initiator's lease
 // refresher doubles as the failure detector. When an executor dies (or a
 // partition makes it unreachable, or it reports a lease it no longer
 // holds), the affected tasks are re-auctioned among the survivors; tasks
-// nobody can take trigger an incremental reconstruction against the
-// surviving community's knowledge — not a full replan — and the diff is
-// applied to the running execution: dropped tasks are canceled, new ones
-// auctioned, routing segments re-distributed, triggers re-injected.
+// nobody can take trigger a reconstruction against the surviving
+// community's knowledge — not a full replan — and the diff is applied to
+// the running execution: dropped tasks are canceled, new ones auctioned,
+// routing segments re-distributed, triggers re-injected. Repair has no
+// steps of its own: it is the session's construct, runAuction and
+// distribute, run over the survivors.
 // Executors retain the outputs of finished runs, so a repaired route
 // re-publishes data instead of re-executing services wherever possible.
 
@@ -225,11 +226,13 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 
 	if len(failed) > 0 {
 		// Nobody among the survivors can take some of the tasks:
-		// reconstruct incrementally from the surviving community's
-		// knowledge with the unplaceable tasks excluded — an incremental
-		// repair, not a full replan. Finished work and live allocations
-		// are kept wherever the new workflow still uses them.
-		res, rerr := m.reconstruct(ctx, wfID, plan.Spec, survivors, failed)
+		// reconstruct from the surviving community's knowledge (a dead
+		// provider's unique fragments are simply not offered) with the
+		// unplaceable tasks excluded — a repair, not a full replan:
+		// finished work and live allocations are kept wherever the new
+		// workflow still uses them.
+		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
+		res, rerr := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
 		if rerr != nil {
 			m.cancelAwards(wfID, won)
 			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, rerr)
@@ -286,7 +289,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	m.mu.Unlock()
 
 	if !finished {
-		if err := m.redistribute(ctx, wfID, wNow, alloc, segs, triggers); err != nil {
+		if err := m.distribute(ctx, wfID, wNow, alloc, segs, triggers); err != nil {
 			return err
 		}
 	}
@@ -294,25 +297,6 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	sort.Slice(deadSorted, func(i, j int) bool { return deadSorted[i] < deadSorted[j] })
 	m.cfg.Observer.repaired(wfID, deadSorted, reallocated)
 	return nil
-}
-
-// reconstruct rebuilds the workflow from the surviving community's
-// knowledge (a dead provider's unique fragments are simply not offered),
-// excluding the tasks proven unallocatable on the survivors. Repair is
-// always incremental — querying round by round is exactly what makes it
-// cheaper than replanning from a full collection.
-func (m *Manager) reconstruct(ctx context.Context, wfID string, s spec.Spec, survivors []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
-	var checker core.FeasibilityChecker
-	if m.cfg.Feasibility {
-		checker = &communityFeasibility{m: m, wfID: wfID, members: survivors}
-	}
-	opts := core.IncrementalOptions{
-		Feasibility: checker,
-		Exclude:     append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), exclude...),
-	}
-	src := &communityKnowledge{m: m, wfID: wfID, members: survivors}
-	res, _, err := core.ConstructIncremental(ctx, src, s, opts)
-	return res, err
 }
 
 // swapWorkflow applies a reconstructed workflow to a running execution:
@@ -412,38 +396,6 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	return need, cancels
 }
 
-// redistribute re-sends every routing segment and re-injects the
-// triggering labels after a repair. Segments are idempotent: a fresh
-// executor arms its run, a surviving one updates its sinks, and a
-// finished run re-publishes its retained outputs to the new consumers.
-func (m *Manager) redistribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
-	for _, seg := range segs {
-		to := alloc[seg.Task]
-		reply, err := m.net.Call(ctx, to, wfID, seg, m.cfg.CallTimeout)
-		if err != nil {
-			return fmt.Errorf("re-distributing plan segment for %q to %q: %w", seg.Task, to, err)
-		}
-		if _, ok := reply.(proto.Ack); !ok {
-			return fmt.Errorf("plan segment to %q: unexpected reply %T", to, reply)
-		}
-	}
-	for _, l := range w.In() {
-		sent := make(map[proto.Addr]struct{})
-		for _, consumer := range w.Consumers(l) {
-			host := alloc[consumer]
-			if _, dup := sent[host]; dup {
-				continue
-			}
-			sent[host] = struct{}{}
-			lt := proto.LabelTransfer{Label: l, Data: triggers[l], Producer: m.net.Self()}
-			if err := m.net.Send(ctx, host, wfID, lt); err != nil {
-				return fmt.Errorf("re-injecting trigger %q: %w", l, err)
-			}
-		}
-	}
-	return nil
-}
-
 // abortExecution fails an execution cleanly: the waiting Execute returns,
 // and every unfinished allocation is compensated so no surviving host
 // keeps a commitment for a workflow that will never proceed.
@@ -464,20 +416,6 @@ func (m *Manager) abortExecution(ex *execution, reason string) {
 	ex.finishLocked(false)
 	m.mu.Unlock()
 	m.cancelAwards(wfID, cancels)
-}
-
-// cancelAwards compensates auction wins that will not be used, under a
-// fresh context (compensation must go out even when the initiating
-// request was canceled), in sorted order for reproducibility.
-func (m *Manager) cancelAwards(wfID string, alloc map[model.TaskID]proto.Addr) {
-	ids := make([]model.TaskID, 0, len(alloc))
-	for t := range alloc {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, t := range ids {
-		_ = m.net.Send(context.Background(), alloc[t], wfID, proto.Cancel{Task: t}) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
-	}
 }
 
 // feedsAny reports whether any output of task t is consumed by a task in

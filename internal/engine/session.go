@@ -11,6 +11,7 @@ import (
 
 	"openwf/internal/core"
 	"openwf/internal/model"
+	"openwf/internal/proto"
 	"openwf/internal/spec"
 )
 
@@ -121,7 +122,7 @@ func (m *Manager) ActiveAllocations() []string {
 func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
 	m := sess.m
 	for {
-		res, err := sess.construct(ctx)
+		res, err := m.construct(ctx, sess.wfID, sess.spec, nil, sess.excluded)
 		if err != nil {
 			return nil, err
 		}
@@ -185,32 +186,33 @@ func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Res
 		if len(failed) == 0 {
 			return plan, nil, nil
 		}
-		sess.compensate(plan)
+		m.cancelAwards(sess.wfID, plan.Allocations)
 		if try >= m.cfg.WindowRetries {
 			return plan, failed, nil
 		}
 	}
 }
 
-// construct builds the workflow, either incrementally (querying the
-// community round by round) or from a full collection.
-func (sess *allocSession) construct(ctx context.Context) (*core.Result, error) {
-	m := sess.m
+// construct builds the workflow for s from the knowledge of members (nil
+// means the whole community; plan repair passes the survivors), never
+// using the exclude tasks — either incrementally (querying round by
+// round) or from a full collection.
+func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
 	var checker core.FeasibilityChecker
 	if m.cfg.Feasibility {
-		checker = &communityFeasibility{m: m, wfID: sess.wfID}
-	}
-	opts := core.IncrementalOptions{
-		Feasibility: checker,
-		Exclude:     sess.excluded,
+		checker = &communityFeasibility{m: m, wfID: wfID, members: members}
 	}
 	if m.cfg.Incremental {
-		src := &communityKnowledge{m: m, wfID: sess.wfID}
-		res, _, err := core.ConstructIncremental(ctx, src, sess.spec, opts)
+		src := &communityKnowledge{m: m, wfID: wfID, members: members}
+		opts := core.IncrementalOptions{
+			Feasibility: checker,
+			Exclude:     exclude,
+		}
+		res, _, err := core.ConstructIncremental(ctx, src, s, opts)
 		return res, err
 	}
 	// Full collection: one query for every label any member knows.
-	frags, err := m.collectAll(ctx, sess.wfID)
+	frags, err := m.collectAll(ctx, wfID, members)
 	if err != nil {
 		return nil, err
 	}
@@ -218,10 +220,10 @@ func (sess *allocSession) construct(ctx context.Context) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range sess.excluded {
+	for _, t := range exclude {
 		g.MarkInfeasible(t)
 	}
-	res, err := core.Construct(g, sess.spec)
+	res, err := core.Construct(g, s)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +236,7 @@ func (sess *allocSession) construct(ctx context.Context) (*core.Result, error) {
 			for _, t := range infeasible {
 				g.MarkInfeasible(t)
 			}
-			res, err = core.Construct(g, sess.spec)
+			res, err = core.Construct(g, s)
 			if err != nil {
 				return nil, err
 			}

@@ -8,11 +8,10 @@ import (
 	"openwf/internal/spec"
 )
 
-// ConcurrentConstructSetup builds the shared fixture for the
-// concurrent-construction benchmarks (the root BenchmarkConcurrentConstruct
-// and cmd/benchjson's ConcurrentConstruct grid): a workspace pool over a
-// store snapshot of a generated scenario, plus nspecs pre-sampled
-// specifications of the given path length. Scenario.SamplePath shares one
+// ConcurrentConstructSetup builds the fixture for the root
+// BenchmarkConcurrentConstruct: a workspace pool over a store snapshot of
+// a generated scenario, plus nspecs pre-sampled specifications of the
+// given path length. Scenario.SamplePath shares one
 // rng, so the problem set must be drawn up front, outside the timed and
 // parallel region.
 func ConcurrentConstructSetup(tasks, nspecs, length int, seed int64) (*core.WorkspacePool, []spec.Spec, error) {

@@ -18,12 +18,12 @@ import (
 // instant works; runs are deterministic relative to it).
 var discoveryT0 = time.Date(2009, 11, 30, 12, 0, 0, 0, time.UTC)
 
-// DiscoverySetup builds the capability-routing grid fixture shared by
-// the root BenchmarkDiscoveryInitiate and cmd/benchjson's Discovery
-// grid: a community of `hosts` members on the instantaneous in-memory
-// network under a frozen virtual clock, where host00 initiates and
-// carries all knowhow for a `chain`-task problem, hosts 1..providers
-// offer every chain service, and every remaining member is "junk" —
+// DiscoverySetup builds the capability-routing fixture of the root
+// BenchmarkDiscoveryInitiate: a community of `hosts` members on the
+// instantaneous in-memory network under a frozen virtual clock, where
+// host00 initiates and carries all knowhow for a `chain`-task problem,
+// hosts 1..providers offer every chain service, and every remaining
+// member is "junk" —
 // fragments and services over labels and tasks disjoint from the
 // problem, the population an initiator should learn to skip.
 //

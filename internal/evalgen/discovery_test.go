@@ -8,8 +8,8 @@ import (
 // TestDiscoverySmoke is the CI smoke row for the Discovery grid: on a
 // 40-host community with 5 relevant providers, index-routed solicitation
 // must construct the same-size plan as broadcast while spending strictly
-// fewer Call round trips. The full grid (100/300/1000 hosts) runs in
-// cmd/benchjson.
+// fewer Call round trips. The root BenchmarkDiscoveryInitiate runs the
+// same fixture at 10 and 100 hosts.
 func TestDiscoverySmoke(t *testing.T) {
 	ctx := context.Background()
 	run := func(indexed bool) int64 {

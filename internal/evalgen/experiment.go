@@ -212,10 +212,8 @@ func BuildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand
 	return comm, addrs, nil
 }
 
-// ConcurrentInitiateSetup builds the community and specification pool
-// shared by the concurrent-allocation benchmarks (the root
-// BenchmarkConcurrentInitiate and cmd/benchjson's ConcurrentInitiate
-// grid, which must measure the same configuration): a 100-task scenario
+// ConcurrentInitiateSetup builds the community and specification pool of
+// the root BenchmarkConcurrentInitiate: a 100-task scenario
 // over `hosts` hosts with replicated services on the modeled 802.11g
 // medium, broadcast queries, generous window retries (contended
 // sessions postpone windows instead of excluding tasks), and a pool of

@@ -106,8 +106,7 @@ type SustainedResult struct {
 var sustainedT0 = time.Date(2009, 11, 30, 12, 0, 0, 0, time.UTC)
 
 // SustainedLoad builds a daemon-owned community on a simulated clock and
-// serves a closed-loop workload against it. It is the one harness behind
-// cmd/loadgen, the benchjson SustainedLoad row, and the CI smoke test.
+// serves a closed-loop workload against it; the CI smoke test drives it.
 // Canceling ctx unwinds the closed loop: clients stop on their next
 // request and the drain deadline collapses to the cancellation.
 func SustainedLoad(ctx context.Context, cfg SustainedConfig) (*SustainedResult, error) {

@@ -199,7 +199,10 @@ func TestPlanBeforeRegisterUsesScheduleCommitment(t *testing.T) {
 		Inputs: []model.LabelID{"in"}, Outputs: []model.LabelID{"out"},
 		Start: time.Now().Add(20 * time.Millisecond), End: time.Now().Add(time.Second),
 	}
-	if _, err := r.sched.Commit("wf", meta, time.Time{}); err != nil {
+	if _, err := r.sched.Hold("wf", meta, time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.sched.CommitHeld("wf", "t", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))

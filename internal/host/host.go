@@ -358,8 +358,8 @@ func (h *Host) Handle(env proto.Envelope) {
 	}
 	h.record(trace.Recv, env.From, env)
 	switch env.Body.(type) {
-	case proto.FragmentReply, proto.FeasibilityReply, proto.Bid, proto.BidBatch,
-		proto.Decline, proto.AwardAck, proto.LeaseRefreshAck, proto.AdvertiseAck, proto.Ack:
+	case proto.FragmentReply, proto.FeasibilityReply, proto.BidBatch,
+		proto.AwardAck, proto.LeaseRefreshAck, proto.AdvertiseAck, proto.Ack:
 		h.observeReply(env)
 		h.routeReply(env)
 	default:
@@ -423,20 +423,12 @@ func (h *Host) process(env proto.Envelope) {
 	case proto.FeasibilityQuery:
 		h.reply(env, proto.FeasibilityReply{Capable: h.Services.Capable(b.Tasks)})
 
-	case proto.CallForBids:
-		resp := h.Participant.HandleCallForBids(env.Workflow, b)
-		if bid, ok := resp.(proto.Bid); ok {
-			// Release the reservation if no award arrives in time.
-			window := bid.Deadline.Sub(h.clk.Now()) + 10*time.Millisecond
-			h.clk.AfterFunc(window, func() { h.Participant.ExpireHolds() })
-		}
-		h.reply(env, resp)
-
 	case proto.CallForBidsBatch:
 		resp := h.Participant.HandleCallForBidsBatch(env.Workflow, b)
 		if len(resp.Bids) > 0 {
-			// One expiry timer covers the whole batch: every bid shares
-			// the batch deadline.
+			// Release the reservations if no award arrives in time. One
+			// expiry timer covers the whole batch: every bid shares the
+			// batch deadline.
 			window := resp.Bids[0].Deadline.Sub(h.clk.Now()) + 10*time.Millisecond
 			h.clk.AfterFunc(window, func() { h.Participant.ExpireHolds() })
 		}
@@ -525,7 +517,6 @@ func (h *Host) sweepLeases() {
 // fault schedule kills the host.
 func (h *Host) Reset() {
 	h.Schedule.Clear()
-	h.Participant.ResetSessions()
 	h.Exec.Reset()
 	if h.index != nil {
 		h.index.Reset()

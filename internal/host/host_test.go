@@ -145,16 +145,16 @@ func TestCallForBidsAndAward(t *testing.T) {
 		Inputs: lbl("in"), Outputs: lbl("out"),
 		Start: time.Now().Add(time.Hour), End: time.Now().Add(2 * time.Hour),
 	}
-	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBids{Meta: meta}, time.Second)
+	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bid, ok := reply.(proto.Bid)
-	if !ok {
-		t.Fatalf("reply = %#v, want Bid", reply)
+	bids, ok := reply.(proto.BidBatch)
+	if !ok || len(bids.Bids) != 1 || len(bids.Declines) != 0 {
+		t.Fatalf("reply = %#v, want one bid", reply)
 	}
-	if bid.ServicesOffered != 1 {
-		t.Errorf("ServicesOffered = %d", bid.ServicesOffered)
+	if bids.Bids[0].ServicesOffered != 1 {
+		t.Errorf("ServicesOffered = %d", bids.Bids[0].ServicesOffered)
 	}
 	reply, err = a.Call(context.Background(), "b", "wf", proto.Award{Meta: meta}, time.Second)
 	if err != nil {
@@ -193,12 +193,12 @@ func TestCallForBidsDecline(t *testing.T) {
 		Inputs: lbl("in"), Outputs: lbl("out"),
 		Start: time.Now().Add(time.Hour), End: time.Now().Add(2 * time.Hour),
 	}
-	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBids{Meta: meta}, time.Second)
+	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reply.(proto.Decline); !ok {
-		t.Fatalf("reply = %#v, want Decline", reply)
+	if bids, ok := reply.(proto.BidBatch); !ok || len(bids.Bids) != 0 || len(bids.Declines) != 1 || bids.Declines[0] != "cook" {
+		t.Fatalf("reply = %#v, want a decline of cook", reply)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestHoldExpiryTimerReleasesSlot(t *testing.T) {
 		Inputs: lbl("in"), Outputs: lbl("out"),
 		Start: time.Now().Add(time.Hour), End: time.Now().Add(2 * time.Hour),
 	}
-	if _, err := a.Call(context.Background(), "b", "wf", proto.CallForBids{Meta: meta}, time.Second); err != nil {
+	if _, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if b.Schedule.Holds() != 1 {
@@ -274,7 +274,7 @@ func TestCloseFailsPendingCalls(t *testing.T) {
 	if _, err := a.Call(context.Background(), "b", "wf", proto.FragmentQuery{}, time.Second); err == nil {
 		t.Error("Call after Close succeeded")
 	}
-	if err := a.Send(context.Background(), "b", "wf", proto.Decline{}); err == nil {
+	if err := a.Send(context.Background(), "b", "wf", proto.Cancel{}); err == nil {
 		t.Error("Send after Close succeeded")
 	}
 	// Double close is fine.
@@ -308,7 +308,7 @@ func TestUnattachedHostErrors(t *testing.T) {
 	if _, err := h.Call(context.Background(), "x", "wf", proto.FragmentQuery{}, time.Second); err == nil {
 		t.Error("Call on unattached host succeeded")
 	}
-	if err := h.Send(context.Background(), "x", "wf", proto.Decline{}); err == nil {
+	if err := h.Send(context.Background(), "x", "wf", proto.Cancel{}); err == nil {
 		t.Error("Send on unattached host succeeded")
 	}
 	if err := h.Close(); err != nil {
@@ -319,7 +319,7 @@ func TestUnattachedHostErrors(t *testing.T) {
 func TestStrayReplyIgnored(t *testing.T) {
 	a, b := pair(t, Config{Addr: "a"}, Config{Addr: "b"})
 	// b sends an uncorrelated reply; a must not crash or route it.
-	if err := b.Send(context.Background(), "a", "wf", proto.Bid{Task: "t"}); err != nil {
+	if err := b.Send(context.Background(), "a", "wf", proto.BidBatch{Declines: []model.TaskID{"t"}}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)

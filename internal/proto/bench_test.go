@@ -20,13 +20,17 @@ func benchEnvelope() Envelope {
 	}
 }
 
-// benchBidEnvelope is the auction-hot reply message.
+// benchBidEnvelope is the auction-hot reply message: one member's answer
+// to a batched call for bids.
 func benchBidEnvelope() Envelope {
 	return Envelope{
 		From: "host-b", To: "host-a", ReqID: 43, Workflow: "wf-1",
-		Body: Bid{
-			Task: "cook omelets", ServicesOffered: 3,
-			Specialization: 0.75, Deadline: time.Unix(1700000000, 0),
+		Body: BidBatch{
+			Bids: []Bid{{
+				Task: "cook omelets", ServicesOffered: 3,
+				Specialization: 0.75, Deadline: time.Unix(1700000000, 0),
+			}},
+			Declines: []model.TaskID{"serve tables"},
 		},
 	}
 }
@@ -82,7 +86,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 		env  Envelope
 	}{
 		{"fragment-query", benchEnvelope()},
-		{"bid", benchBidEnvelope()},
+		{"bid-batch", benchBidEnvelope()},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			pool := sync.Pool{New: func() any { return new(bytes.Buffer) }}

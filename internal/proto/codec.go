@@ -21,7 +21,7 @@
 // sorted key order so equal envelopes encode to identical bytes.
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
-// encoding a hot broadcast message (FragmentQuery, Bid) into a pooled
+// encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
 // buffer performs zero allocations, and decoding performs a small
 // constant number (one copy of the frame as a string whose substrings
 // back every decoded string field, plus the envelope's slices).
@@ -51,16 +51,19 @@ import (
 const wireVersion byte = 1
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
-// decode. Tags are wire contract: never renumber, only append.
+// decode. Tags are wire contract: never renumber, only append. Tags 5–7
+// carried the per-task round (call for bids, bid, decline) and are
+// retired: the blanks keep every later tag's value, and the decoder
+// rejects them like any unknown kind.
 const (
 	kindInvalid byte = iota
 	kindFragmentQuery
 	kindFragmentReply
 	kindFeasibilityQuery
 	kindFeasibilityReply
-	kindCallForBids
-	kindBid
-	kindDecline
+	_ // 5, retired
+	_ // 6, retired
+	_ // 7, retired
 	kindAward
 	kindAwardAck
 	kindCancel
@@ -201,15 +204,6 @@ func (e *encoder) body(env Envelope) error {
 	case FeasibilityReply:
 		e.header(kindFeasibilityReply, env)
 		e.taskIDs(v.Capable)
-	case CallForBids:
-		e.header(kindCallForBids, env)
-		e.meta(v.Meta)
-	case Bid:
-		e.header(kindBid, env)
-		e.bid(v)
-	case Decline:
-		e.header(kindDecline, env)
-		e.str(string(v.Task))
 	case Award:
 		e.header(kindAward, env)
 		e.meta(v.Meta)
@@ -287,7 +281,7 @@ func (e *encoder) body(env Envelope) error {
 	return nil
 }
 
-// bid writes one Bid's fields (shared by the Bid and BidBatch cases).
+// bid writes one Bid's fields.
 func (e *encoder) bid(b Bid) {
 	e.str(string(b.Task))
 	e.int(int64(b.ServicesOffered))
@@ -708,20 +702,6 @@ func (d *decoder) body(kind byte) (Body, error) {
 			return nil, err
 		}
 		return FeasibilityReply{Capable: capable}, nil
-	case kindCallForBids:
-		meta, err := d.meta()
-		if err != nil {
-			return nil, err
-		}
-		return CallForBids{Meta: meta}, nil
-	case kindBid:
-		return d.bid()
-	case kindDecline:
-		task, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return Decline{Task: model.TaskID(task)}, nil
 	case kindAward:
 		meta, err := d.meta()
 		if err != nil {

@@ -63,16 +63,6 @@ func bodyEqual(a, b Body) bool {
 	case FeasibilityReply:
 		bv, ok := b.(FeasibilityReply)
 		return ok && taskIDsEq(av.Capable, bv.Capable)
-	case CallForBids:
-		bv, ok := b.(CallForBids)
-		return ok && metaEq(av.Meta, bv.Meta)
-	case Bid:
-		bv, ok := b.(Bid)
-		return ok && av.Task == bv.Task && av.ServicesOffered == bv.ServicesOffered &&
-			f64Eq(av.Specialization, bv.Specialization) && av.Deadline.Equal(bv.Deadline)
-	case Decline:
-		bv, ok := b.(Decline)
-		return ok && av.Task == bv.Task
 	case Award:
 		bv, ok := b.(Award)
 		return ok && metaEq(av.Meta, bv.Meta)
@@ -134,7 +124,9 @@ func bodyEqual(a, b Body) bool {
 			return false
 		}
 		for i := range av.Bids {
-			if !bodyEqual(av.Bids[i], bv.Bids[i]) {
+			a, b := av.Bids[i], bv.Bids[i]
+			if a.Task != b.Task || a.ServicesOffered != b.ServicesOffered ||
+				!f64Eq(a.Specialization, b.Specialization) || !a.Deadline.Equal(b.Deadline) {
 				return false
 			}
 		}
@@ -309,14 +301,14 @@ func randMeta(rng *rand.Rand) TaskMeta {
 }
 
 func randBody(rng *rand.Rand) Body {
-	switch rng.Intn(21) {
+	switch rng.Intn(18) {
 	case 17:
 		return LeaseRefresh{Tasks: randTaskIDs(rng)}
-	case 18:
+	case 4:
 		return LeaseRefreshAck{Missing: randTaskIDs(rng)}
-	case 19:
+	case 5:
 		return Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
-	case 20:
+	case 6:
 		return AdvertiseAck{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
 	case 14:
 		var metas []TaskMeta
@@ -353,17 +345,6 @@ func randBody(rng *rand.Rand) Body {
 		return FeasibilityQuery{Tasks: randTaskIDs(rng)}
 	case 3:
 		return FeasibilityReply{Capable: randTaskIDs(rng)}
-	case 4:
-		return CallForBids{Meta: randMeta(rng)}
-	case 5:
-		return Bid{
-			Task:            model.TaskID(randString(rng, 16)),
-			ServicesOffered: rng.Intn(100) - 50,
-			Specialization:  randFloat(rng),
-			Deadline:        randTime(rng),
-		}
-	case 6:
-		return Decline{Task: model.TaskID(randString(rng, 16))}
 	case 7:
 		return Award{Meta: randMeta(rng)}
 	case 8:
@@ -644,6 +625,23 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
+// TestRetiredKindsRejected pins tags 5–7 (the per-task call for bids, bid
+// and decline) as retired: a frame carrying one — an old peer's, say — is
+// an error like any unknown kind, never a panic and never another body.
+func TestRetiredKindsRejected(t *testing.T) {
+	data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: Cancel{Task: "t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []byte{5, 6, 7} {
+		frame := append([]byte(nil), data...)
+		frame[1] = kind
+		if env, err := binDecode(frame); err == nil {
+			t.Errorf("retired kind %d decoded as %T", kind, env.Body)
+		}
+	}
+}
+
 // TestWireFormatGolden pins the byte layout of a representative frame so
 // accidental format changes (which would break mixed-version communities)
 // fail loudly. Update the constant only with a wireVersion bump.
@@ -722,14 +720,14 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "envelope-batch",
 			env: Envelope{From: "a", To: "b",
 				Body: EnvelopeBatch{Envelopes: []Envelope{
-					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: Decline{Task: "t"}},
+					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: Cancel{Task: "t"}},
 					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: Ack{}},
 				}}},
 			want: "01" + // version
 				"11" + // kind: envelope-batch
 				"0161" + "0162" + "00" + "00" + // header a, b, 0, ""
 				"02" + // 2 envelopes
-				"07" + "0161" + "0162" + "01" + "0177" + "0174" + // decline "t"
+				"0a" + "0161" + "0162" + "01" + "0177" + "0174" + // cancel "t"
 				"0e" + "0161" + "0162" + "02" + "0177", // ack
 		},
 	}

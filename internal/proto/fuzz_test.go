@@ -34,9 +34,6 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		FragmentReply{Fragments: []*model.Fragment{frag}},
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
-		CallForBids{Meta: meta},
-		Bid{Task: "t", ServicesOffered: 3, Specialization: 0.5, Deadline: time.Unix(50, 0)},
-		Decline{Task: "t"},
 		Award{Meta: meta},
 		AwardAck{Task: "t", OK: true, Reason: "r"},
 		Cancel{Task: "t"},
@@ -57,7 +54,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		LeaseRefreshAck{Missing: []model.TaskID{"t"}},
 		EnvelopeBatch{Envelopes: []Envelope{
 			{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			{From: "a", To: "b", ReqID: 2, Workflow: "wf", Body: Decline{Task: "t"}},
+			{From: "a", To: "b", ReqID: 2, Workflow: "wf", Body: Cancel{Task: "t"}},
 		}},
 	}
 	for _, body := range seeds {
@@ -79,6 +76,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte{wireVersion})
 	f.Add([]byte{wireVersion, kindAck, 0xff, 0xff, 0xff})
 	f.Add([]byte("not a frame at all"))
+	// An old peer's per-task frames: retired tags 5–7 must stay rejected.
+	for _, kind := range []byte{5, 6, 7} {
+		f.Add([]byte{wireVersion, kind, 1, 'a', 1, 'b', 42, 2, 'w', 'f', 1, 't'})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Decode(data)

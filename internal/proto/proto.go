@@ -95,17 +95,9 @@ type TaskMeta struct {
 	HasLocation bool
 }
 
-// CallForBids solicits bids for one task from a participant.
-type CallForBids struct {
-	Meta TaskMeta
-}
-
-// Kind implements Body.
-func (CallForBids) Kind() string { return "call-for-bids" }
-
-// Bid is a firm commitment offer for a task. Firm means the bidder must
-// honor the bid if awarded before Deadline; it reserves the necessary
-// schedule slot until then.
+// Bid is a firm commitment offer for a task, carried in a BidBatch. Firm
+// means the bidder must honor the bid if awarded before Deadline; it
+// reserves the necessary schedule slot until then.
 type Bid struct {
 	Task model.TaskID
 	// ServicesOffered is how many services the bidder offers in total;
@@ -121,26 +113,11 @@ type Bid struct {
 	Deadline time.Time
 }
 
-// Kind implements Body.
-func (Bid) Kind() string { return "bid" }
-
-// Decline tells the auctioneer the participant will not bid on a task.
-// (The paper's participants simply stay silent; an explicit decline lets
-// the auctioneer finalize as soon as the whole community has answered,
-// which never changes the outcome — no further bids can arrive.)
-type Decline struct {
-	Task model.TaskID
-}
-
-// Kind implements Body.
-func (Decline) Kind() string { return "decline" }
-
 // CallForBidsBatch solicits bids for every task of one allocation session
 // from a participant in a single round trip: one call carries all of the
 // session's task metas, and the participant answers each task with a bid
-// or a per-task decline in one BidBatch reply. Batching collapses the
-// member×task pairwise round count of the per-task protocol to one round
-// per member (DESIGN.md §9).
+// or a per-task decline in one BidBatch reply — one round per member
+// (DESIGN.md §9).
 type CallForBidsBatch struct {
 	Metas []TaskMeta
 }
@@ -153,7 +130,10 @@ func (CallForBidsBatch) Kind() string { return "call-for-bids-batch" }
 // task of the soliciting batch appears in exactly one of the two lists.
 type BidBatch struct {
 	Bids []Bid
-	// Declines lists the tasks the participant will not bid on.
+	// Declines lists the tasks the participant will not bid on. (The
+	// paper's participants simply stay silent; an explicit decline lets
+	// the auctioneer finalize as soon as the whole community has answered,
+	// which never changes the outcome — no further bids can arrive.)
 	Declines []model.TaskID
 }
 
@@ -320,7 +300,7 @@ func (EnvelopeBatch) Kind() string { return "envelope-batch" }
 // is accounted separately (community.DiscoveryStats).
 func IsRequest(b Body) bool {
 	switch b.(type) {
-	case FragmentQuery, FeasibilityQuery, CallForBids, CallForBidsBatch, Award, PlanSegment, LeaseRefresh:
+	case FragmentQuery, FeasibilityQuery, CallForBidsBatch, Award, PlanSegment, LeaseRefresh:
 		return true
 	}
 	return false

@@ -28,9 +28,11 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 		FragmentReply{Fragments: []*model.Fragment{frag}},
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
-		CallForBids{Meta: meta},
-		Bid{Task: "t", ServicesOffered: 3, Specialization: 0.5, Deadline: time.Unix(50, 0)},
-		Decline{Task: "t"},
+		CallForBidsBatch{Metas: []TaskMeta{meta}},
+		BidBatch{
+			Bids:     []Bid{{Task: "t", ServicesOffered: 3, Specialization: 0.5, Deadline: time.Unix(50, 0)}},
+			Declines: []model.TaskID{"u"},
+		},
 		Award{Meta: meta},
 		AwardAck{Task: "t", OK: true},
 		Cancel{Task: "t"},
@@ -122,7 +124,7 @@ func TestKinds(t *testing.T) {
 	// Every body type, mirroring the codec's kind table.
 	all := []Body{
 		FragmentQuery{}, FragmentReply{}, FeasibilityQuery{}, FeasibilityReply{},
-		CallForBids{}, Bid{}, Decline{}, Award{}, AwardAck{}, Cancel{},
+		Award{}, AwardAck{}, Cancel{},
 		PlanSegment{}, LabelTransfer{}, TaskDone{}, Ack{},
 		CallForBidsBatch{}, BidBatch{}, EnvelopeBatch{},
 		LeaseRefresh{}, LeaseRefreshAck{},

@@ -99,20 +99,6 @@ func (r *refCalendar) hold(wf string, md proto.TaskMeta, deadline time.Time) (Co
 	return c, class
 }
 
-func (r *refCalendar) commit(wf string, md proto.TaskMeta, lease time.Time) (Commitment, string) {
-	if i := r.find(wf, md.Task, true); i >= 0 {
-		return r.convert(i, lease), ""
-	}
-	c, class := r.plan(md)
-	if class == "" {
-		// A re-commit replaces the key's record and takes a new sequence.
-		r.drop(func(e refEntry) bool { return !e.hold && e.c.Workflow == wf && e.c.Task == md.Task })
-		c.Workflow = wf
-		r.busy = append(r.busy, refEntry{c: c, lease: lease})
-	}
-	return c, class
-}
-
 // convert turns hold i into a commitment in place, keeping its sequence.
 func (r *refCalendar) convert(i int, lease time.Time) Commitment {
 	r.busy[i].hold, r.busy[i].expiry, r.busy[i].lease = false, time.Time{}, lease
@@ -161,8 +147,8 @@ func classOf(err error) string {
 // TestCrossShardDifferentialVsUnshardedOracle is the calendar's model-based
 // property test (the name dates from the sharded calendar it first
 // guarded and is kept so the test's history stays one line). Seeded random
-// operation sequences — including re-Hold, re-Commit and batch refresh of
-// live keys with moved windows — run against the Manager and against
+// operation sequences — including re-Hold and batch refresh of live keys
+// with moved windows — run against the Manager and against
 // refCalendar. After every operation the outcome class and, on success,
 // the commitment must match; a conflict must name the reference's
 // lowest-sequence blocker; Commitments, HeldTasks and Holds must match;
@@ -226,15 +212,38 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 				want, class := ref.hold(wf, md, deadline)
 				check("Hold", got, err, want, class)
 			}
-			commit := func(wf string, md proto.TaskMeta) {
+			holdBatch := func(wf string, metas []proto.TaskMeta, deadline time.Time) {
+				t.Helper()
+				for i, res := range m.HoldBatch(wf, metas, deadline) {
+					var want Commitment
+					var class string
+					if j := ref.find(wf, metas[i].Task, true); j >= 0 {
+						ref.busy[j].expiry = deadline
+						want = ref.busy[j].c
+					} else {
+						want, class = ref.hold(wf, metas[i], deadline)
+					}
+					check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, res.Err, want, class)
+				}
+			}
+			commitHeld := func(wf string, task model.TaskID, lease time.Time) {
+				t.Helper()
+				got, err := m.CommitHeld(wf, task, lease)
+				want, class := Commitment{}, "nohold"
+				if i := ref.find(wf, task, true); i >= 0 {
+					want, class = ref.convert(i, lease), ""
+				}
+				check("CommitHeld", got, err, want, class)
+			}
+			// commit books md the way an award does: hold, then CommitHeld.
+			commit := func(wf string, md proto.TaskMeta, deadline time.Time) {
 				t.Helper()
 				var lease time.Time
 				if rng.Intn(2) == 0 {
 					lease = t0.Add(time.Duration(1+rng.Intn(10)) * time.Minute)
 				}
-				got, err := m.Commit(wf, md, lease)
-				want, class := ref.commit(wf, md, lease)
-				check("Commit", got, err, want, class)
+				hold(wf, md, deadline)
+				commitHeld(wf, md.Task, lease)
 			}
 
 			release := func(wf string, task model.TaskID) {
@@ -261,45 +270,24 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 					for i := rng.Intn(4); i > 0; i-- {
 						metas = append(metas, metaFor(randTask()))
 					}
-					for i, res := range m.HoldBatch(lwf, metas, deadline) {
-						var want Commitment
-						var class string
-						if j := ref.find(lwf, metas[i].Task, true); j >= 0 {
-							ref.busy[j].expiry = deadline
-							want = ref.busy[j].c
-						} else {
-							want, class = ref.hold(lwf, metas[i], deadline)
-						}
-						check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, res.Err, want, class)
-					}
+					holdBatch(lwf, metas, deadline)
 				case 4:
-					commit(wf, metaFor(task))
-				case 5: // re-Commit of a live commitment, moved
+					commit(wf, metaFor(task), deadline)
+				case 5: // re-Hold of a committed key: refused, the record stands
 					lwf, ltask := live(false)
-					commit(lwf, metaFor(ltask))
+					hold(lwf, metaFor(ltask), deadline)
 				case 6: // Release then re-Hold, moved
 					lwf, ltask := live(true)
 					release(lwf, ltask)
 					hold(lwf, metaFor(ltask), deadline)
-				case 7: // Remove then re-Commit, moved
+				case 7: // Remove then re-book, moved
 					lwf, ltask := live(false)
 					remove(lwf, ltask)
-					commit(lwf, metaFor(ltask))
+					commit(lwf, metaFor(ltask), deadline)
 				case 8:
-					got, err := m.CommitHeld(wf, task, time.Time{})
-					want, class := Commitment{}, "nohold"
-					if i := ref.find(wf, task, true); i >= 0 {
-						want, class = ref.convert(i, time.Time{}), ""
-					}
-					check("CommitHeld", got, err, want, class)
-				case 9:
-					got, err := m.RefreshHold(wf, task, deadline)
-					want, class := Commitment{}, "other"
-					if i := ref.find(wf, task, true); i >= 0 {
-						ref.busy[i].expiry = deadline
-						want, class = ref.busy[i].c, ""
-					}
-					check("RefreshHold", got, err, want, class)
+					commitHeld(wf, task, time.Time{})
+				case 9: // a one-meta batch: refreshes a held key, holds a free one
+					holdBatch(wf, []proto.TaskMeta{metaFor(task)}, deadline)
 				case 10:
 					release(wf, task)
 				case 11:

@@ -16,9 +16,9 @@ func TestMovedKeyFreesOldInterval(t *testing.T) {
 	oldWin := meta("a", t0.Add(time.Hour), t0.Add(time.Hour+2*time.Minute))
 	newWin := meta("a", t0.Add(2*time.Hour), t0.Add(2*time.Hour+2*time.Minute))
 	deadline := t0.Add(time.Minute)
-	commit := func(t *testing.T, m *Manager, md proto.TaskMeta) {
+	book := func(t *testing.T, m *Manager, md proto.TaskMeta) {
 		t.Helper()
-		if _, err := m.Commit("wf", md, time.Time{}); err != nil {
+		if _, err := commit(m, "wf", md, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,10 +35,6 @@ func TestMovedKeyFreesOldInterval(t *testing.T) {
 		// refresh keeps the original reservation and books nothing).
 		newBusy bool
 	}{
-		{"re-Commit of a live key", func(t *testing.T, m *Manager) {
-			commit(t, m, oldWin)
-			commit(t, m, newWin)
-		}, true},
 		{"Release then re-Hold", func(t *testing.T, m *Manager) {
 			hold(t, m, oldWin)
 			m.Release("wf", "a")
@@ -53,11 +49,11 @@ func TestMovedKeyFreesOldInterval(t *testing.T) {
 			m.Release("wf", "a")
 		}, false},
 		{"Remove then re-Commit", func(t *testing.T, m *Manager) {
-			commit(t, m, oldWin)
+			book(t, m, oldWin)
 			if !m.Remove("wf", "a") {
 				t.Fatal("Remove found no commitment")
 			}
-			commit(t, m, newWin)
+			book(t, m, newWin)
 		}, true},
 	}
 	for _, row := range rows {

@@ -15,8 +15,8 @@
 //     increasing sequence number when it is taken; a request that
 //     overlaps an earlier hold or commitment fails with ErrSlotBusy and
 //     never evicts the earlier reservation. The losing session receives
-//     a clean decline (its participant answers the call for bids with a
-//     Decline) instead of a stale commitment.
+//     a clean decline (its participant lists the task among the reply's
+//     declines) instead of a stale commitment.
 //   - Conflicts are attributed deterministically: when a request
 //     overlaps several busy intervals, the reported blocker is the one
 //     with the lowest hold sequence (the first winner), so identical
@@ -80,7 +80,7 @@ type record struct {
 	// expiry is the hold deadline (holds only).
 	expiry time.Time
 	// lease is the commitment's lease expiry; zero means the commitment
-	// never expires (lease-less commit, kept for direct scheduling).
+	// never expires (the participant's leasing is disabled).
 	lease time.Time
 }
 
@@ -239,14 +239,14 @@ func overlaps(aStart, aEnd, bStart, bEnd time.Time) bool {
 }
 
 // ErrAlreadyHeld is returned by Hold when the slot for the same
-// (workflow, task) is already reserved; the caller may refresh the
-// reservation's deadline with RefreshHold and bid again.
+// (workflow, task) is already reserved; HoldBatch refreshes such a
+// reservation's deadline in place instead.
 var ErrAlreadyHeld = errors.New("schedule: already holding this task")
 
 // Hold reserves the schedule slot for a firm bid until deadline: the
 // bidder must be able to honor an award that arrives before then. The
-// reservation is released by Release, converted by Commit, or expired by
-// ExpireHolds. Holds are sequence-stamped in arrival order; an
+// reservation is released by Release, converted by CommitHeld, or expired
+// by ExpireHolds. Holds are sequence-stamped in arrival order; an
 // overlapping later Hold fails with ErrSlotBusy (first-hold-wins).
 func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
 	k := key{workflow, meta.Task}
@@ -255,8 +255,7 @@ func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time)
 	return m.hold(k, meta, deadline)
 }
 
-// hold is the single reservation body shared by Hold and HoldBatch, so
-// the per-task and batched protocols stay equivalent by construction.
+// hold is the single reservation body shared by Hold and HoldBatch.
 // Callers hold m.mu.
 func (m *Manager) hold(k key, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
 	if _, dup := m.holds[k]; dup {
@@ -288,10 +287,11 @@ type HoldResult struct {
 // count as busy intervals for later metas, first-hold-wins arbitration
 // against other sessions is unchanged, and a meta whose (workflow, task)
 // is already held refreshes that hold's deadline instead of failing
-// (the replanning re-solicitation path, like Hold + RefreshHold). Results
-// are per task: a failed meta leaves no reservation behind while the
-// rest of the batch proceeds, so a partially-infeasible batch yields
-// partial declines, never leaked holds.
+// (the replanning re-solicitation path), keeping its original arbitration
+// sequence so a refresh never jumps the queue. Results are per task: a
+// failed meta leaves no reservation behind while the rest of the batch
+// proceeds, so a partially-infeasible batch yields partial declines,
+// never leaked holds.
 //
 // Taking the lock once for the whole batch is what makes a participant's
 // answer to a CallForBidsBatch atomic: no competing session can
@@ -302,9 +302,6 @@ func (m *Manager) HoldBatch(workflow string, metas []proto.TaskMeta, deadline ti
 	out := make([]HoldResult, len(metas))
 	for i, meta := range metas {
 		k := key{workflow, meta.Task}
-		// Refresh-on-existing-hold replaces the per-task path's
-		// Hold → ErrAlreadyHeld → RefreshHold round, keeping the
-		// original arbitration sequence.
 		if r, dup := m.holds[k]; dup {
 			r.expiry = deadline
 			out[i] = HoldResult{Commitment: r.c}
@@ -316,59 +313,17 @@ func (m *Manager) HoldBatch(workflow string, metas []proto.TaskMeta, deadline ti
 	return out
 }
 
-// RefreshHold extends an existing reservation's deadline and returns the
-// held commitment. The reservation keeps its original arbitration
-// sequence: refreshing never lets a session jump the queue. It fails if
-// no hold exists.
-func (m *Manager) RefreshHold(workflow string, task model.TaskID, deadline time.Time) (Commitment, error) {
-	k := key{workflow, task}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.holds[k]
-	if !ok {
-		return Commitment{}, fmt.Errorf("no hold for %q in workflow %q", task, workflow)
-	}
-	r.expiry = deadline
-	return r.c, nil
-}
-
 // ErrNoHold is returned by CommitHeld when no live hold backs the
 // commitment: the firm bid's reservation expired (or was released)
 // before the award arrived.
 var ErrNoHold = errors.New("schedule: no live hold")
 
-// Commit converts a hold into a firm commitment (on award), leased until
-// lease (the zero time means the commitment never expires). Committing
-// without a prior hold plans the commitment fresh, failing (ErrSlotBusy)
-// if the slot has meanwhile been reserved by another session. The
-// auction path never takes the fresh-plan branch — participants use
-// CommitHeld so a stale award cannot land on a slot whose hold expired —
-// but direct scheduling (tests, pre-planned calendars) keeps it.
-func (m *Manager) Commit(workflow string, meta proto.TaskMeta, lease time.Time) (Commitment, error) {
-	k := key{workflow, meta.Task}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.holds[k]; ok {
-		return m.convert(k, r, lease), nil
-	}
-	c, err := m.plan(meta)
-	if err != nil {
-		return Commitment{}, err
-	}
-	c.Workflow = workflow
-	m.seq++
-	// Re-committing a live key replaces its record: the old interval
-	// leaves the calendar with the map entry.
-	m.commits[k] = &record{c: c, seq: m.seq, lease: lease}
-	return c, nil
-}
-
-// CommitHeld converts a live hold into a leased commitment and fails
-// with ErrNoHold when the hold is gone — the award arrived after the
-// firm bid's reservation expired, so under lease semantics it must be
-// refused (the slot may meanwhile back a rival's fresh hold, and even a
-// still-free slot belongs to whoever holds it next, not to a stale
-// award).
+// CommitHeld converts a live hold into a commitment leased until lease
+// (the zero time means it never expires) and fails with ErrNoHold when
+// the hold is gone — the award arrived after the firm bid's reservation
+// expired, so under lease semantics it must be refused (the slot may
+// meanwhile back a rival's fresh hold, and even a still-free slot belongs
+// to whoever holds it next, not to a stale award).
 func (m *Manager) CommitHeld(workflow string, task model.TaskID, lease time.Time) (Commitment, error) {
 	k := key{workflow, task}
 	m.mu.Lock()
@@ -377,18 +332,12 @@ func (m *Manager) CommitHeld(workflow string, task model.TaskID, lease time.Time
 	if !ok {
 		return Commitment{}, fmt.Errorf("%w for %q in workflow %q (bid window expired before the award)", ErrNoHold, task, workflow)
 	}
-	return m.convert(k, r, lease), nil
-}
-
-// convert turns one live hold into a commitment with the given lease. The
-// record keeps its busy interval and its arbitration sequence. Callers
-// hold m.mu.
-func (m *Manager) convert(k key, r *record, lease time.Time) Commitment {
+	// The record keeps its busy interval and its arbitration sequence.
 	delete(m.holds, k)
 	r.expiry = time.Time{}
 	r.lease = lease
 	m.commits[k] = r
-	return r.c
+	return r.c, nil
 }
 
 // RefreshCommitLease extends a commitment's lease (the initiator's

@@ -33,6 +33,14 @@ func locMeta(task string, start, end time.Time, at space.Point) proto.TaskMeta {
 	return m
 }
 
+// commit books md the way an award does: a firm-bid hold, then CommitHeld.
+func commit(m *Manager, wf string, md proto.TaskMeta, lease time.Time) (Commitment, error) {
+	if _, err := m.Hold(wf, md, t0.Add(time.Minute)); err != nil {
+		return Commitment{}, err
+	}
+	return m.CommitHeld(wf, md.Task, lease)
+}
+
 func newManager(prefs Preferences, mobility space.Mobility) (*Manager, *clock.Sim) {
 	sim := clock.NewSim(t0)
 	return NewManager(sim, mobility, prefs), sim
@@ -77,7 +85,7 @@ func TestCanCommitWillingness(t *testing.T) {
 
 func TestCanCommitCapacity(t *testing.T) {
 	m, _ := newManager(Preferences{MaxCommitments: 1}, nil)
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.CanCommit(meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour))); err == nil {
@@ -87,7 +95,7 @@ func TestCanCommitCapacity(t *testing.T) {
 
 func TestCommitConflictDetection(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// Overlapping window conflicts.
@@ -142,7 +150,7 @@ func TestTravelChainsFromPreviousCommitment(t *testing.T) {
 	// the origin) to the next location.
 	mobility := space.NewMover(space.Point{}, 1)
 	m, _ := newManager(Preferences{}, mobility)
-	if _, err := m.Commit("wf", locMeta("first", t0.Add(2*time.Minute), t0.Add(3*time.Minute), space.Point{X: 60}), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", locMeta("first", t0.Add(2*time.Minute), t0.Add(3*time.Minute), space.Point{X: 60}), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// Second task back at the origin 30 s after the first ends: travel
@@ -176,12 +184,9 @@ func TestHoldLifecycle(t *testing.T) {
 	if _, err := m.CanCommit(meta("other", t0.Add(90*time.Minute), t0.Add(3*time.Hour))); err == nil {
 		t.Error("hold did not reserve the slot")
 	}
-	// Refresh extends the deadline.
-	if _, err := m.RefreshHold("wf", "t", t0.Add(2*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RefreshHold("wf", "missing", deadline); err == nil {
-		t.Error("RefreshHold of missing hold succeeded")
+	// Re-soliciting the held task extends the deadline.
+	if res := m.HoldBatch("wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
 	// Expiry after the refreshed deadline.
 	if n := m.ExpireHolds(t0.Add(90 * time.Second)); n != 0 {
@@ -201,12 +206,12 @@ func TestCommitConvertsHold(t *testing.T) {
 	if _, err := m.Hold("wf", md, t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	c, err := m.Commit("wf", md, time.Time{})
+	c, err := m.CommitHeld("wf", "t", time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Task != "t" || m.Holds() != 0 {
-		t.Errorf("Commit did not convert hold: %+v holds=%d", c, m.Holds())
+		t.Errorf("CommitHeld did not convert hold: %+v holds=%d", c, m.Holds())
 	}
 	if _, ok := m.Get("wf", "t"); !ok {
 		t.Error("commitment not stored")
@@ -216,11 +221,11 @@ func TestCommitConvertsHold(t *testing.T) {
 func TestCommitWithoutHoldPlansFresh(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
 	md := meta("t", t0.Add(time.Hour), t0.Add(2*time.Hour))
-	if _, err := m.Commit("wf", md, time.Time{}); err != nil {
+	if _, err := commit(m, "wf", md, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// A second, conflicting fresh commit fails.
-	if _, err := m.Commit("wf2", meta("u", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err == nil {
+	if _, err := commit(m, "wf2", meta("u", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err == nil {
 		t.Error("conflicting fresh commit accepted")
 	}
 }
@@ -235,7 +240,7 @@ func TestReleaseAndRemove(t *testing.T) {
 	if m.Holds() != 0 {
 		t.Error("Release did not drop hold")
 	}
-	if _, err := m.Commit("wf", md, time.Time{}); err != nil {
+	if _, err := commit(m, "wf", md, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Remove("wf", "t") {
@@ -248,10 +253,10 @@ func TestReleaseAndRemove(t *testing.T) {
 
 func TestCommitmentsSorted(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
-	if _, err := m.Commit("wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	cs := m.Commitments()
@@ -262,7 +267,7 @@ func TestCommitmentsSorted(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Hold("wf", meta("b", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), t0.Add(time.Minute)); err != nil {
@@ -305,11 +310,6 @@ func TestFirstHoldWinsArbitration(t *testing.T) {
 	if len(held) != 1 || held[0].Workflow != "wf-a" || held[0].Task != "t-first" {
 		t.Fatalf("HeldTasks = %+v, want wf-a/t-first", held)
 	}
-	// A hold-less Commit into the same slot is refused cleanly too
-	// (award after expiry never double-books).
-	if _, err := m.Commit("wf-b", meta("t-second", t0.Add(90*time.Minute), t0.Add(3*time.Hour)), time.Time{}); !errors.Is(err, ErrSlotBusy) {
-		t.Fatalf("fresh Commit into held slot err = %v, want ErrSlotBusy", err)
-	}
 }
 
 // TestReleaseWorkflowSweepsSessionHolds: session teardown drops only that
@@ -350,7 +350,7 @@ func assertNoOverlap(t *testing.T, m *Manager) {
 }
 
 // TestPropertyRandomInterleavingsNeverOverlap drives seeded random
-// interleavings of Hold/RefreshHold/Commit/Release/Remove/ExpireHolds
+// interleavings of Hold/HoldBatch/commit/Release/Remove/ExpireHolds
 // across several workflows and asserts after every operation that busy
 // intervals never overlap and bookkeeping stays consistent.
 func TestPropertyRandomInterleavingsNeverOverlap(t *testing.T) {
@@ -375,9 +375,9 @@ func TestPropertyRandomInterleavingsNeverOverlap(t *testing.T) {
 				case 0:
 					_, _ = m.Hold(wf, md, sim.Now().Add(time.Duration(rng.Intn(120))*time.Second))
 				case 1:
-					_, _ = m.RefreshHold(wf, model.TaskID(task), sim.Now().Add(time.Duration(rng.Intn(120))*time.Second))
+					m.HoldBatch(wf, []proto.TaskMeta{md}, sim.Now().Add(time.Duration(rng.Intn(120))*time.Second))
 				case 2:
-					_, _ = m.Commit(wf, md, time.Time{})
+					_, _ = commit(m, wf, md, time.Time{})
 				case 3:
 					m.Release(wf, model.TaskID(task))
 				case 4:
@@ -413,7 +413,7 @@ func TestPropertyConcurrentSessionsNeverOverlap(t *testing.T) {
 				case 0:
 					_, _ = m.Hold(wf, md, sim.Now().Add(time.Minute))
 				case 1:
-					_, _ = m.Commit(wf, md, time.Time{})
+					_, _ = commit(m, wf, md, time.Time{})
 				case 2:
 					m.Release(wf, model.TaskID(task))
 				case 3:
@@ -435,7 +435,7 @@ func TestNoOverlappingCommitmentsInvariant(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		start := t0.Add(time.Duration(i%13) * 20 * time.Minute).Add(time.Hour)
 		md := meta(string(rune('a'+i)), start, start.Add(30*time.Minute))
-		_, _ = m.Commit("wf", md, time.Time{})
+		_, _ = commit(m, "wf", md, time.Time{})
 	}
 	cs := m.Commitments()
 	for i := 0; i < len(cs); i++ {
@@ -479,13 +479,13 @@ func TestCommitHeldRequiresLiveHold(t *testing.T) {
 func TestExpireCommitmentsSweepsOnlyLapsedLeases(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
 	// a: lease lapses at +1min; b: lease at +1h; c: no lease (permanent).
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(time.Minute)); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Commit("wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Hour)); err != nil {
+	if _, err := commit(m, "wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Commit("wf", meta("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), time.Time{}); err != nil {
+	if _, err := commit(m, "wf", meta("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if swept := m.ExpireCommitments(t0.Add(30 * time.Second)); len(swept) != 0 {
@@ -514,7 +514,7 @@ func TestRefreshCommitLeaseExtendsAndClears(t *testing.T) {
 	if err := m.RefreshCommitLease("wf", "t", t0.Add(time.Hour)); err == nil {
 		t.Fatal("refresh of missing commitment succeeded")
 	}
-	if _, err := m.Commit("wf", meta("t", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(time.Minute)); err != nil {
+	if _, err := commit(m, "wf", meta("t", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RefreshCommitLease("wf", "t", t0.Add(time.Hour)); err != nil {
@@ -537,10 +537,10 @@ func TestNextLeaseExpiry(t *testing.T) {
 	if _, ok := m.NextLeaseExpiry(); ok {
 		t.Fatal("NextLeaseExpiry on empty manager")
 	}
-	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(10*time.Minute)); err != nil {
+	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(10*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Commit("wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(2*time.Minute)); err != nil {
+	if _, err := commit(m, "wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(2*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	next, ok := m.NextLeaseExpiry()
@@ -614,7 +614,7 @@ func TestHoldBatchIntraBatchConflict(t *testing.T) {
 
 // TestHoldBatchRefreshesExistingHold: re-soliciting a task the session
 // already reserved (engine replanning) refreshes the hold's deadline and
-// keeps its arbitration sequence, mirroring Hold + RefreshHold.
+// keeps its arbitration sequence.
 func TestHoldBatchRefreshesExistingHold(t *testing.T) {
 	m, sim := newManager(Preferences{}, nil)
 	md := meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour))
@@ -675,7 +675,7 @@ func TestScheduleFastPathAllocBounds(t *testing.T) {
 
 	t.Run("CanCommit", func(t *testing.T) {
 		m, _ := newManager(Preferences{}, nil)
-		if _, err := m.Commit("wf-bg", meta("bg", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), time.Time{}); err != nil {
+		if _, err := commit(m, "wf-bg", meta("bg", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		testutil.AllocBound(t, 0, func() {

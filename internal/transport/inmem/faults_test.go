@@ -265,7 +265,7 @@ func TestCrashRacingSenders(t *testing.T) {
 				default:
 				}
 				sending.RLock()
-				err := ep.Send(context.Background(), "b", proto.Envelope{ReqID: phase.Load(), Body: proto.Decline{Task: "t"}})
+				err := ep.Send(context.Background(), "b", proto.Envelope{ReqID: phase.Load(), Body: proto.Cancel{Task: "t"}})
 				sending.RUnlock()
 				if err != nil {
 					t.Error(err)

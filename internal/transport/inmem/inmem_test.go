@@ -55,7 +55,7 @@ func (c *collector) count() int {
 }
 
 func ping(n int) proto.Envelope {
-	return proto.Envelope{ReqID: uint64(n), Body: proto.Decline{Task: "t"}}
+	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{Task: "t"}}
 }
 
 func TestBasicDelivery(t *testing.T) {
@@ -79,7 +79,7 @@ func TestBasicDelivery(t *testing.T) {
 	if got[0].From != "a" || got[0].To != "b" || got[0].ReqID != 1 {
 		t.Errorf("envelope = %+v", got[0])
 	}
-	if got[0].Body.Kind() != "decline" {
+	if got[0].Body.Kind() != "cancel" {
 		t.Errorf("body kind = %q", got[0].Body.Kind())
 	}
 	if net.Messages() != 1 || net.Delivered() != 1 || net.Dropped() != 0 {
@@ -333,7 +333,7 @@ func TestHandlerMaySend(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err = net.Endpoint("b", func(env proto.Envelope) {
-		_ = b.Send(context.Background(), env.From, proto.Envelope{ReqID: env.ReqID + 1, Body: proto.Decline{Task: "t"}})
+		_ = b.Send(context.Background(), env.From, proto.Envelope{ReqID: env.ReqID + 1, Body: proto.Cancel{Task: "t"}})
 	})
 	if err != nil {
 		t.Fatal(err)

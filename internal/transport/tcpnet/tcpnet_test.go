@@ -47,7 +47,7 @@ func (c *collector) count() int {
 }
 
 func ping(n int) proto.Envelope {
-	return proto.Envelope{ReqID: uint64(n), Body: proto.Decline{Task: "t"}}
+	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{Task: "t"}}
 }
 
 // pair builds two connected transports with registries installed.

@@ -323,27 +323,6 @@ func NewFragmentStore(frags ...*Fragment) (*FragmentStore, error) {
 	return core.NewStore(frags...)
 }
 
-// ConstructWorkflow runs the construction algorithm locally over a set of
-// fragments, without any community: it merges the fragments into a
-// supergraph and extracts a workflow satisfying the specification. Useful
-// for testing knowhow before deployment. It is one-shot sugar over
-// NewPlanner; construct repeatedly or concurrently through a Planner.
-func ConstructWorkflow(frags []*Fragment, s Spec) (*Workflow, error) {
-	st, err := core.NewStore(frags...)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := st.NewWorkspace()
-	if err != nil {
-		return nil, err
-	}
-	res, err := ws.Construct(s)
-	if err != nil {
-		return nil, err
-	}
-	return res.Workflow, nil
-}
-
 // WirelessLinkModel models an 802.11-style medium for the simulated
 // network: per-message base latency plus serialization at the bandwidth,
 // plus uniform jitter. Wireless80211g below matches the paper's empirical

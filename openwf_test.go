@@ -25,14 +25,18 @@ func TestConstructWorkflowLocal(t *testing.T) {
 			ID: "t2", Mode: openwf.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g"),
 		}),
 	}
-	w, err := openwf.ConstructWorkflow(frags, openwf.MustSpec(lbl("a"), lbl("g")))
+	p, err := openwf.NewPlanner(frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.Construct(context.Background(), openwf.MustSpec(lbl("a"), lbl("g")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.NumTasks() != 2 {
 		t.Fatalf("workflow:\n%v", w)
 	}
-	if _, err := openwf.ConstructWorkflow(frags, openwf.MustSpec(lbl("a"), lbl("nothing"))); err == nil {
+	if _, err := p.Construct(context.Background(), openwf.MustSpec(lbl("a"), lbl("nothing"))); err == nil {
 		t.Fatal("unsatisfiable spec constructed")
 	}
 }
