@@ -24,8 +24,8 @@ import (
 // provides every service; the rest answer queries empty-handed — so the
 // Call count is a pure function of the protocol shape, not of knowledge
 // placement. Full-collection construction (one query round) keeps the
-// construction-phase traffic identical in both modes; the difference is
-// the auction.
+// construction-phase traffic to exactly one sweep; the rest is the
+// auction.
 func buildCallCount(t *testing.T, hosts, chain int, sim *clock.Sim) (*Community, spec.Spec) {
 	t.Helper()
 	var frags []*model.Fragment
@@ -83,15 +83,17 @@ func runCallCount(t *testing.T) (int64, string) {
 }
 
 // TestBatchedCFBCallBudgetAtTenHosts pins the allocation round-trip
-// budget: one full-collection fragment query and one batched call for
-// bids per member (the initiator solicits itself over the loopback too),
-// plus one award per task — 2·hosts+chain Calls in total. The retired
-// per-task oracle cost a further hosts·(chain−1) solicitations; any
-// regression toward per-task traffic breaks the equality.
+// budget: one full-collection fragment query per member (the initiator
+// queries itself over the loopback too), in which every member also
+// describes itself; one batched call for bids to the one member whose
+// description offers any of the tasks; one award per task —
+// hosts+1+chain Calls in total. A broadcast solicitation costs a further
+// hosts−1, the retired per-task oracle hosts·(chain−1) on top; any
+// regression toward either breaks the equality.
 func TestBatchedCFBCallBudgetAtTenHosts(t *testing.T) {
 	const hosts, chain = 10, 8
 	calls, _ := runCallCount(t)
-	want := int64(2*hosts + chain)
+	want := int64(hosts + 1 + chain)
 	t.Logf("calls per Initiate: %d (budget %d)", calls, want)
 	if calls != want {
 		t.Fatalf("Initiate cost %d call round trips, want exactly %d", calls, want)

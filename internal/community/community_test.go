@@ -3,6 +3,7 @@ package community
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -575,22 +576,75 @@ func TestConjunctiveFanInAcrossHosts(t *testing.T) {
 }
 
 // TestTraceRecordsConversation: a shared recorder observes the complete
-// distributed conversation of one construction.
+// distributed conversation of one construction — and that conversation
+// is the routed one. Round 1's fragment query reaches every member and
+// brings back each one's description of itself; from then on only members
+// that can answer are contacted: round 2 ("lunch prepared") goes to the
+// one member that consumes the label, feasibility is answered from the
+// descriptions with no message at all, and bids are solicited only from
+// the members offering a task of the workflow.
 func TestTraceRecordsConversation(t *testing.T) {
 	rec := trace.NewBuffer(0)
 	opts := Options{Engine: testEngineConfig(), Trace: rec}
-	c := newTestCommunity(t, opts, cateringSpecs(t, true, true)...)
-	if _, err := c.Initiate(context.Background(), "manager", spec.Must(lbl("lunch ingredients"), lbl("lunch served"))); err != nil {
+	specs := cateringSpecs(t, true, true)
+	c := newTestCommunity(t, opts, specs...)
+	plan, err := c.Initiate(context.Background(), "manager", spec.Must(lbl("lunch ingredients"), lbl("lunch served")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"fragment-query", "fragment-reply", "feasibility-query", "call-for-bids-batch", "bid-batch", "award"} {
-		if rec.CountKind(kind) == 0 {
-			t.Errorf("no %s events recorded", kind)
+
+	type key struct {
+		kind string
+		dir  trace.Dir
+	}
+	count := make(map[key]int)
+	for _, e := range rec.Events() {
+		count[key{e.Kind, e.Dir}]++
+	}
+
+	queried := received(rec, "fragment-query")
+	for _, hs := range specs {
+		if queried[hs.ID] == 0 {
+			t.Errorf("%s never received a fragment query: round 1 must reach (and describe) every member", hs.ID)
 		}
 	}
-	// Every recv pairs with a send somewhere: total events are even.
-	if rec.Total()%2 != 0 {
-		t.Errorf("Total = %d, want even (send/recv pairs)", rec.Total())
+	if got, want := count[key{"fragment-query", trace.Recv}], len(specs)+1; got != want {
+		t.Errorf("fragment queries = %d, want %d (one per member in round 1, then only the waiter for \"lunch prepared\"): %v",
+			got, want, queried)
+	}
+	if n := rec.CountKind("feasibility-query"); n != 0 {
+		t.Errorf("%d feasibility-query events: a fully described community is answered locally", n)
+	}
+	offerers := make(map[proto.Addr]int)
+	for _, hs := range specs {
+		for _, reg := range hs.Services {
+			if _, ok := plan.Workflow.Task(reg.Descriptor.Task); ok {
+				offerers[hs.ID] = 1
+			}
+		}
+	}
+	if got := received(rec, "call-for-bids-batch"); !reflect.DeepEqual(got, offerers) {
+		t.Errorf("calls for bids went to %v, want exactly one to each offerer %v", got, offerers)
+	}
+	if got, want := count[key{"award", trace.Recv}], plan.Workflow.NumTasks(); got != want {
+		t.Errorf("awards = %d, want one per task (%d)", got, want)
+	}
+
+	// Host.Call does not record the request it sends (only Send and
+	// replies pass through record), so a round trip is three events:
+	// the request's recv, the reply's send, the reply's recv.
+	for req, reply := range map[string]string{
+		"fragment-query":      "fragment-reply",
+		"call-for-bids-batch": "bid-batch",
+		"award":               "award-ack",
+	} {
+		served, sent, got := count[key{req, trace.Recv}], count[key{reply, trace.Send}], count[key{reply, trace.Recv}]
+		if served == 0 {
+			t.Errorf("no %s events recorded", req)
+		}
+		if served != sent || sent != got {
+			t.Errorf("%s: %d requests received, %d %s sent, %d received — want all equal", req, served, sent, reply, got)
+		}
 	}
 }
 

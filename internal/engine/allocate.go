@@ -23,26 +23,18 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 	m := sess.m
 	w := res.Workflow
 	metas := m.taskMetas(w, postpone)
-	// Solicit bids only from members whose advertised service set
-	// intersects the tasks being auctioned (falls back to everyone when
-	// the capability index cannot restrict). Binding stays auction-based:
-	// the index narrows who is asked, never who wins.
+	// Solicit bids only from members that can offer one of the tasks being
+	// auctioned, starting at the member the session ordinal selects (see
+	// route): without the rotation every session visits hosts in the same
+	// order and the first sweep reserves slots on every host before the
+	// others arrive — concurrent Initiates would serialize into bands.
+	// Binding stays auction-based: routing narrows who is asked, never
+	// who wins.
 	taskIDs := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
 		taskIDs[i] = meta.Task
 	}
-	members := m.routeByTasks(nil, taskIDs)
-	// Desynchronize concurrent sessions: rotate the solicitation order
-	// by the session ordinal so simultaneous sweeps start at different
-	// members. Without this, every session visits hosts in the same
-	// order and the first sweep reserves slots on every host before the
-	// others arrive — concurrent Initiates would serialize into bands.
-	// The rotation is a deterministic function of the ordinal, so fixed
-	// batches stay reproducible.
-	if n := len(members); n > 1 {
-		rot := sess.ordinal % n
-		members = append(append(make([]proto.Addr, 0, n), members[rot:]...), members[:rot]...)
-	}
+	members, _ := m.route(&sess.dir, nil, nil, taskIDs, sess.ordinal)
 
 	plan := &Plan{
 		WorkflowID:   sess.wfID,
@@ -84,6 +76,15 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 // the caller owns cleanup (allocate cancels the failed plan's awards;
 // repair aborts the execution, canceling everything unfinished).
 func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
+	if len(members) == 0 {
+		// Every member has described itself and none offers any of these
+		// tasks: what a broadcast would learn from a round of declines
+		// is already known.
+		for _, meta := range metas {
+			m.cfg.Observer.taskDecided(wfID, meta.Task, "")
+		}
+		return unallocated(metas, alloc), nil
+	}
 	auc, err := auction.NewAuctioneer(members, metas)
 	if err != nil {
 		return nil, err
@@ -187,6 +188,12 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 		}
 	}
 
+	return unallocated(metas, alloc), nil
+}
+
+// unallocated returns the tasks of metas that alloc has no winner for,
+// sorted.
+func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []model.TaskID {
 	failed := make([]model.TaskID, 0, len(metas))
 	for _, meta := range metas {
 		if _, ok := alloc[meta.Task]; !ok {
@@ -194,7 +201,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 		}
 	}
 	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
-	return failed, nil
+	return failed
 }
 
 // taskMetas computes the auction metadata for every task (§3.2: "the

@@ -1,0 +1,269 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"openwf/internal/core"
+	"openwf/internal/model"
+	"openwf/internal/proto"
+	"openwf/internal/spec"
+	"openwf/internal/testutil"
+)
+
+// pipelineNet scripts a describing community that knows a → t1 → m → t2 →
+// n → t3 → g one task per member, plus a junk member whose knowhow and
+// service touch none of it.
+func pipelineNet(t *testing.T) *fakeNet {
+	net := newFakeNet("init")
+	net.describes = true
+	net.add("init", &fakeMember{})
+	for i, step := range [][2]string{{"a", "m"}, {"m", "n"}, {"n", "g"}, {"x", "y"}} {
+		name := fmt.Sprintf("t%d", i+1)
+		net.add(proto.Addr(fmt.Sprintf("p%d", i+1)), &fakeMember{
+			fragments: []*model.Fragment{mkFrag(t, name, step[0], step[1])},
+			capable:   map[model.TaskID]bool{model.TaskID(name): true},
+			services:  1,
+		})
+	}
+	return net
+}
+
+// conversation renders the logged calls of the given kind as "to" or
+// "to+describe", in order.
+func conversation(net *fakeNet, kind string) []string {
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	var out []string
+	for _, c := range net.log {
+		if c.body.Kind() != kind {
+			continue
+		}
+		s := string(c.to)
+		if q, ok := c.body.(proto.FragmentQuery); ok && q.Describe {
+			s += "+describe"
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestDirectoryRoutesLaterSweeps: the first sweep reaches everyone and
+// asks for descriptions; every later sweep goes only to members that can
+// answer, feasibility costs no message, and bids are solicited from the
+// offerers alone, in the order a broadcast would have visited them.
+func TestDirectoryRoutesLaterSweeps(t *testing.T) {
+	net := pipelineNet(t)
+	plan, err := NewManager(net, testConfig()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Workflow.NumTasks() != 3 || len(plan.Allocations) != 3 {
+		t.Fatalf("plan: %d tasks, %d allocated", plan.Workflow.NumTasks(), len(plan.Allocations))
+	}
+	wantQueries := []string{
+		"init+describe", "p1+describe", "p2+describe", "p3+describe", "p4+describe", // frontier {a}
+		"p2", // frontier {m}
+		"p3", // frontier {n}
+	}
+	if got := conversation(net, "fragment-query"); !reflect.DeepEqual(got, wantQueries) {
+		t.Errorf("fragment queries:\ngot  %v\nwant %v", got, wantQueries)
+	}
+	if got := conversation(net, "feasibility-query"); got != nil {
+		t.Errorf("feasibility queries to %v, want none: every member described itself", got)
+	}
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("calls for bids to %v, want %v", got, want)
+	}
+}
+
+// TestUndescribedMemberAlwaysAsked: a member that never describes itself
+// — here a peer that ignores Describe — is part of every sweep, asked to
+// describe itself each time, and is the only one sent a feasibility query.
+func TestUndescribedMemberAlwaysAsked(t *testing.T) {
+	net := pipelineNet(t)
+	net.mute = map[proto.Addr]bool{"p4": true}
+	if _, err := NewManager(net, testConfig()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	wantQueries := []string{
+		"init+describe", "p1+describe", "p2+describe", "p3+describe", "p4+describe",
+		"p2+describe", "p4+describe",
+		"p3+describe", "p4+describe",
+	}
+	if got := conversation(net, "fragment-query"); !reflect.DeepEqual(got, wantQueries) {
+		t.Errorf("fragment queries:\ngot  %v\nwant %v", got, wantQueries)
+	}
+	if got, want := conversation(net, "feasibility-query"), []string{"p4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("feasibility queries to %v, want %v", got, want)
+	}
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3", "p4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("calls for bids to %v, want %v", got, want)
+	}
+}
+
+// TestSolicitationKeepsBroadcastOrder pins rotate-then-filter: for every
+// session ordinal, the solicited members appear in the order the full
+// rotated sweep would have visited them. Filtering first and rotating the
+// shorter list by the same ordinal starts at a different member.
+func TestSolicitationKeepsBroadcastOrder(t *testing.T) {
+	net := pipelineNet(t)
+	m := NewManager(net, testConfig())
+	all := net.Members()
+	offers := map[proto.Addr]bool{"p1": true, "p2": true, "p3": true}
+	for ordinal := 1; ordinal <= 2*len(all); ordinal++ {
+		net.mu.Lock()
+		net.log = nil
+		net.mu.Unlock()
+		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("init/%d", ordinal); plan.WorkflowID != want {
+			t.Fatalf("session %d minted %s", ordinal, plan.WorkflowID)
+		}
+		var want []string
+		for i := range all {
+			if member := all[(ordinal+i)%len(all)]; offers[member] {
+				want = append(want, string(member))
+			}
+		}
+		if got := conversation(net, "call-for-bids-batch"); !reflect.DeepEqual(got, want) {
+			t.Errorf("session %d solicited %v, want broadcast order %v", ordinal, got, want)
+		}
+	}
+}
+
+// TestDirectoryNobodyOffersAnything: with feasibility filtering off, a
+// workflow whose only task no described member offers is solicited from
+// nobody; the tasks fail as if everyone had declined, and §5.1 takes over.
+func TestDirectoryNobodyOffersAnything(t *testing.T) {
+	net := newFakeNet("init")
+	net.describes = true
+	net.add("init", &fakeMember{fragments: []*model.Fragment{mkFrag(t, "t1", "a", "g")}})
+	net.add("peer", &fakeMember{})
+	cfg := testConfig()
+	cfg.Feasibility = false
+	_, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if !errors.Is(err, core.ErrNoSolution) {
+		t.Fatalf("err = %v, want the replan around t1 to find no solution", err)
+	}
+	if got := conversation(net, "call-for-bids-batch"); got != nil {
+		t.Errorf("calls for bids to %v, want none", got)
+	}
+}
+
+// indexedNet is a messenger with a capability index that restricts every
+// sweep to one fixed selection.
+type indexedNet struct {
+	*fakeNet
+	sel []proto.Addr
+}
+
+func (n indexedNet) SelectByLabels([]proto.Addr, []model.LabelID) ([]proto.Addr, bool) {
+	return n.sel, true
+}
+
+func (n indexedNet) SelectByTasks([]proto.Addr, []model.TaskID) ([]proto.Addr, bool) {
+	return n.sel, true
+}
+
+// TestIndexRestrictsAlone: where the capability index restricts a sweep
+// no description is requested, so indexed traffic is what it always was.
+func TestIndexRestrictsAlone(t *testing.T) {
+	net := indexedNet{fakeNet: pipelineNet(t), sel: []proto.Addr{"p1", "p2", "p3"}}
+	if _, err := NewManager(net, testConfig()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"p1", "p2", "p3", "p1", "p2", "p3", "p1", "p2", "p3"}
+	if got := conversation(net.fakeNet, "fragment-query"); !reflect.DeepEqual(got, want) {
+		t.Errorf("fragment queries:\ngot  %v\nwant %v", got, want)
+	}
+	if got, want := conversation(net.fakeNet, "feasibility-query"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("feasibility queries to %v, want %v", got, want)
+	}
+}
+
+// TestDirectoryLearnSortsForeignSets: the lookup is a binary search, so a
+// description that arrives unsorted is sorted once instead of silently
+// hiding its member from the sweeps it should be part of.
+func TestDirectoryLearnSortsForeignSets(t *testing.T) {
+	var dir directory
+	dir.learn("peer", &proto.Advertise{
+		Labels: []model.LabelID{"z", "b", "m"},
+		Tasks:  []model.TaskID{"t9", "t1"},
+	})
+	for _, l := range []model.LabelID{"z", "b", "m"} {
+		if got, _ := dir.filter([]proto.Addr{"peer"}, []model.LabelID{l}, nil); len(got) != 1 {
+			t.Errorf("label %q does not route to its member", l)
+		}
+	}
+	for _, task := range []model.TaskID{"t9", "t1"} {
+		if got, _ := dir.filter([]proto.Addr{"peer"}, nil, []model.TaskID{task}); len(got) != 1 {
+			t.Errorf("task %q does not route to its member", task)
+		}
+	}
+	if got, describe := dir.filter([]proto.Addr{"peer"}, []model.LabelID{"q"}, nil); len(got) != 0 || describe {
+		t.Errorf("unrelated label routed to %v (describe=%v)", got, describe)
+	}
+}
+
+// TestDirectoryLookupAllocBound: a lookup over 15 described members — the
+// sim_serial community — allocates the returned member slice and nothing
+// else, and an empty directory (an index-routed session's) not even that.
+func TestDirectoryLookupAllocBound(t *testing.T) {
+	var dir directory
+	members := make([]proto.Addr, 15)
+	for i := range members {
+		members[i] = proto.Addr(fmt.Sprintf("host%02d", i))
+		caps := &proto.Advertise{}
+		for j := 0; j < 8; j++ {
+			caps.Labels = append(caps.Labels, model.LabelID(fmt.Sprintf("l%02d-%d", i, j)))
+			caps.Tasks = append(caps.Tasks, model.TaskID(fmt.Sprintf("t%02d-%d", i, j)))
+		}
+		dir.learn(members[i], caps)
+	}
+	labels := []model.LabelID{"l03-2", "l11-7", "nobody"}
+	tasks := []model.TaskID{"t00-0", "t14-7", "nobody"}
+	testutil.AllocBound(t, 1, func() {
+		if got, _ := dir.filter(members, labels, nil); len(got) != 2 {
+			t.Errorf("labels routed to %v", got)
+		}
+	})
+	testutil.AllocBound(t, 1, func() {
+		if got, _ := dir.filter(members, nil, tasks); len(got) != 2 {
+			t.Errorf("tasks routed to %v", got)
+		}
+	})
+	var empty directory
+	testutil.AllocBound(t, 0, func() {
+		if got, describe := empty.filter(members, labels, nil); len(got) != len(members) || !describe {
+			t.Errorf("empty directory routed to %v (describe=%v)", got, describe)
+		}
+	})
+}
+
+// TestDescribedMemberDownCostsOneSolicitation: a member that dies after
+// describing itself is still in the directory, so the auction tries it —
+// once — and allocates around it from the bids that did arrive.
+func TestDescribedMemberDownCostsOneSolicitation(t *testing.T) {
+	net := pipelineNet(t)
+	net.bidDeadline = 50 * time.Millisecond // the auction waits this long for the silent member
+	net.setCapable("p4", "t2", true)
+	cfg := testConfig()
+	cfg.Observer.ConstructionDone = func(string, core.Result) { net.setDown("p2") }
+	plan, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Replans != 0 || plan.Allocations["t2"] != "p4" {
+		t.Fatalf("replans = %d, t2 → %q; want t2 on p4 without a replan", plan.Replans, plan.Allocations["t2"])
+	}
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3", "p4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("calls for bids to %v, want %v (p2 once, in vain)", got, want)
+	}
+}

@@ -11,6 +11,14 @@
 // when a task cannot be allocated, it is marked infeasible, awarded tasks
 // are compensated (canceled), and the workflow is reconstructed from the
 // remaining knowledge.
+//
+// The paper's initiator "communicates with each member of the community in
+// turn"; the engine does so for a session's first sweep only. That sweep
+// asks every member to describe itself, and the session's directory
+// (directory.go) then routes every later sweep — collection rounds,
+// replans, the feasibility check, the call for bids, repair — to the
+// members that can answer it. One routing step (Manager.route) serves all
+// of them, and yields to the capability index where one restricts.
 package engine
 
 import (
@@ -305,12 +313,14 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 	return plan, nil
 }
 
-// communityKnowledge implements core.KnowledgeSource by querying every
-// member's Fragment Manager pairwise (the initiating host communicates
-// with each member of the community in turn — time linear in hosts).
+// communityKnowledge implements core.KnowledgeSource by querying the
+// members' Fragment Managers pairwise (the initiating host communicates
+// with each member of the community in turn — time linear in hosts for the
+// first sweep, in the members that can contribute for every later one).
 type communityKnowledge struct {
 	m    *Manager
 	wfID string
+	dir  *directory
 	// members restricts the queried community (plan repair consults only
 	// the survivors); nil means every current member.
 	members []proto.Addr
@@ -320,19 +330,29 @@ var _ core.KnowledgeSource = (*communityKnowledge)(nil)
 
 // FragmentsConsuming implements core.KnowledgeSource.
 func (ck *communityKnowledge) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	var out []*model.Fragment
-	query := proto.FragmentQuery{Labels: labels}
-	members := ck.m.routeByLabels(ck.members, labels)
-	replies, err := ck.m.queryMembers(ctx, ck.wfID, query, members)
+	members, describe := ck.m.route(ck.dir, ck.members, labels, nil, 0)
+	if len(members) == 0 {
+		return nil, nil // every member described itself; none consumes these labels
+	}
+	return ck.m.sweepFragments(ctx, ck.wfID, ck.dir, members, proto.FragmentQuery{Labels: labels, Describe: describe})
+}
+
+// sweepFragments sends one fragment query to members (nil means the whole
+// community) and gathers the fragments of the replies; the capability sets
+// the replies carry go into dir.
+func (m *Manager) sweepFragments(ctx context.Context, wfID string, dir *directory, members []proto.Addr, query proto.FragmentQuery) ([]*model.Fragment, error) {
+	replies, err := m.queryMembers(ctx, wfID, query, members)
 	if err != nil {
 		return nil, err
 	}
+	var out []*model.Fragment
 	for _, reply := range replies {
 		fr, ok := reply.body.(proto.FragmentReply)
 		if !ok {
 			return nil, fmt.Errorf("fragment query to %q: unexpected reply %T", reply.from, reply.body)
 		}
 		out = append(out, fr.Fragments...)
+		dir.learn(reply.from, fr.Capabilities)
 	}
 	return out, nil
 }
@@ -347,45 +367,65 @@ type memberReply struct {
 // messenger does not expose its own worker count.
 const defaultQueryWorkers = 8
 
-// memberDirectory is implemented by messengers (internal/host) that keep
+// capabilityIndex is implemented by messengers (internal/host) that keep
 // a capability index (internal/discovery). The engine consults it to
 // restrict community sweeps to members whose advertisements intersect
-// the query; ok=false means the directory cannot restrict (discovery
-// disabled, cold index, or a forced fallback) and the caller uses the
-// full candidate list, so plans are never lost to a stale index.
-type memberDirectory interface {
+// the query; ok=false means the index cannot restrict (discovery
+// disabled, cold index, or a forced fallback) and the session's own
+// directory routes the sweep instead, so plans are never lost to a stale
+// index.
+type capabilityIndex interface {
 	SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool)
 	SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool)
 }
 
-// routeByLabels restricts candidates (nil = the full community view) to
-// the members worth asking a fragment query for labels. Falls back to
-// the unrestricted list whenever the messenger has no directory or the
-// directory declines.
-func (m *Manager) routeByLabels(candidates []proto.Addr, labels []model.LabelID) []proto.Addr {
+// route is the one routing step behind every community sweep: it returns
+// the members of candidates (nil = the full community view) worth sending
+// a fragment query for labels or — labels nil — a feasibility query or
+// call for bids for tasks, and whether the sweep should ask them to
+// describe themselves. Three rules:
+//
+//   - Where the messenger's capability index restricts the sweep it does
+//     so alone: its selection is returned as it always was and no
+//     description is requested, so indexed traffic is unchanged.
+//   - Otherwise the session's directory routes: a member that described
+//     itself is contacted only when its set intersects the query.
+//   - A member that has not described itself is always contacted, and
+//     asked (again) to describe itself.
+//
+// rot rotates the visiting order; allocate passes the session ordinal so
+// concurrent sessions start their solicitation at different members. The
+// full view is rotated first and the directory rules members out second,
+// so the members that are solicited keep the order a broadcast would have
+// visited them in — and plans stay what a broadcast would have produced.
+func (m *Manager) route(dir *directory, candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID, rot int) (members []proto.Addr, describe bool) {
 	if candidates == nil {
 		candidates = m.net.Members()
 	}
-	if dir, ok := m.net.(memberDirectory); ok {
-		if sel, ok := dir.SelectByLabels(candidates, labels); ok {
-			return sel
+	if idx, ok := m.net.(capabilityIndex); ok {
+		var sel []proto.Addr
+		if labels != nil {
+			sel, ok = idx.SelectByLabels(candidates, labels)
+		} else {
+			sel, ok = idx.SelectByTasks(candidates, tasks)
+		}
+		if ok {
+			return rotate(sel, rot), false
 		}
 	}
-	return candidates
+	return dir.filter(rotate(candidates, rot), labels, tasks)
 }
 
-// routeByTasks restricts candidates to the members worth soliciting for
-// tasks, with the same fallback contract as routeByLabels.
-func (m *Manager) routeByTasks(candidates []proto.Addr, tasks []model.TaskID) []proto.Addr {
-	if candidates == nil {
-		candidates = m.net.Members()
+// rotate returns members starting at index by mod len(members).
+func rotate(members []proto.Addr, by int) []proto.Addr {
+	n := len(members)
+	if n < 2 {
+		return members
 	}
-	if dir, ok := m.net.(memberDirectory); ok {
-		if sel, ok := dir.SelectByTasks(candidates, tasks); ok {
-			return sel
-		}
+	if by %= n; by == 0 {
+		return members
 	}
-	return candidates
+	return append(append(make([]proto.Addr, 0, n), members[by:]...), members[:by]...)
 }
 
 // queryWorkerCounter is implemented by messengers (internal/host) that
@@ -477,21 +517,10 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 // collectAll gathers every fragment of the listed members (nil means the
 // whole community) — the ablation baseline. It queries with a nil label
 // filter, which Fragment Managers treat as "everything" via the host
-// dispatch (see internal/host).
-func (m *Manager) collectAll(ctx context.Context, wfID string, members []proto.Addr) ([]*model.Fragment, error) {
-	var out []*model.Fragment
-	replies, err := m.queryMembers(ctx, wfID, proto.FragmentQuery{Labels: nil}, members)
-	if err != nil {
-		return nil, err
-	}
-	for _, reply := range replies {
-		fr, ok := reply.body.(proto.FragmentReply)
-		if !ok {
-			return nil, fmt.Errorf("fragment query to %q: unexpected reply %T", reply.from, reply.body)
-		}
-		out = append(out, fr.Fragments...)
-	}
-	return out, nil
+// dispatch (see internal/host). A session's collection is also the sweep
+// that fills its directory; dir is nil outside any session.
+func (m *Manager) collectAll(ctx context.Context, wfID string, dir *directory, members []proto.Addr) ([]*model.Fragment, error) {
+	return m.sweepFragments(ctx, wfID, dir, members, proto.FragmentQuery{Describe: dir != nil})
 }
 
 // CollectKnowhow gathers every fragment of every reachable member — the
@@ -502,14 +531,16 @@ func (m *Manager) CollectKnowhow(ctx context.Context) ([]*model.Fragment, error)
 	m.mu.Lock()
 	_, wfID := m.mintWorkflowIDLocked()
 	m.mu.Unlock()
-	return m.collectAll(ctx, wfID, nil)
+	return m.collectAll(ctx, wfID, nil, nil)
 }
 
-// communityFeasibility implements core.FeasibilityChecker with Service
-// Feasibility Messages to every member.
+// communityFeasibility implements core.FeasibilityChecker: members that
+// described themselves to the session are answered from their
+// descriptions, the rest with Service Feasibility Messages.
 type communityFeasibility struct {
 	m    *Manager
 	wfID string
+	dir  *directory
 	// members restricts the queried community; nil means everyone.
 	members []proto.Addr
 }
@@ -519,18 +550,20 @@ var _ core.FeasibilityChecker = (*communityFeasibility)(nil)
 // InfeasibleTasks implements core.FeasibilityChecker.
 func (cf *communityFeasibility) InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error) {
 	capable := make(map[model.TaskID]struct{}, len(tasks))
-	members := cf.m.routeByTasks(cf.members, tasks)
-	replies, err := cf.m.queryMembers(ctx, cf.wfID, proto.FeasibilityQuery{Tasks: tasks}, members)
-	if err != nil {
-		return nil, err
-	}
-	for _, reply := range replies {
-		fr, ok := reply.body.(proto.FeasibilityReply)
-		if !ok {
-			return nil, fmt.Errorf("feasibility query to %q: unexpected reply %T", reply.from, reply.body)
+	routed, _ := cf.m.route(cf.dir, cf.members, nil, tasks, 0)
+	if ask := cf.dir.capable(routed, tasks, capable); len(ask) > 0 {
+		replies, err := cf.m.queryMembers(ctx, cf.wfID, proto.FeasibilityQuery{Tasks: tasks}, ask)
+		if err != nil {
+			return nil, err
 		}
-		for _, t := range fr.Capable {
-			capable[t] = struct{}{}
+		for _, reply := range replies {
+			fr, ok := reply.body.(proto.FeasibilityReply)
+			if !ok {
+				return nil, fmt.Errorf("feasibility query to %q: unexpected reply %T", reply.from, reply.body)
+			}
+			for _, t := range fr.Capable {
+				capable[t] = struct{}{}
+			}
 		}
 	}
 	var infeasible []model.TaskID

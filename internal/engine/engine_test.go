@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,45 @@ type fakeNet struct {
 	segs chan proto.PlanSegment
 	// refreshes records every LeaseRefresh call received.
 	refreshes []proto.LeaseRefresh
+	// log records every Call in order. describes makes members honor
+	// FragmentQuery.Describe — except the mute ones, which answer like a
+	// peer that has never heard of the field.
+	log       []fakeCall
+	describes bool
+	mute      map[proto.Addr]bool
+}
+
+// fakeCall is one logged Call.
+type fakeCall struct {
+	to   proto.Addr
+	body proto.Body
+}
+
+// description is the capability set a describing member reports: the
+// labels its fragments consume and the tasks it is capable of, sorted.
+func (f *fakeNet) description(m *fakeMember) *proto.Advertise {
+	caps := &proto.Advertise{}
+	seen := make(map[model.LabelID]bool)
+	for _, fr := range m.fragments {
+		for _, t := range fr.Tasks {
+			for _, in := range t.Inputs {
+				if !seen[in] {
+					seen[in] = true
+					caps.Labels = append(caps.Labels, in)
+				}
+			}
+		}
+	}
+	f.mu.Lock()
+	for t, ok := range m.capable {
+		if ok {
+			caps.Tasks = append(caps.Tasks, t)
+		}
+	}
+	f.mu.Unlock()
+	slices.Sort(caps.Labels)
+	slices.Sort(caps.Tasks)
+	return caps
 }
 
 func newFakeNet(self proto.Addr) *fakeNet {
@@ -174,6 +214,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 	}
 	f.mu.Lock()
 	f.calls++
+	f.log = append(f.log, fakeCall{to, body})
 	isDown := f.down[to]
 	f.mu.Unlock()
 	if isDown {
@@ -226,7 +267,11 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 				}
 			}
 		}
-		return proto.FragmentReply{Fragments: out}, nil
+		reply := proto.FragmentReply{Fragments: out}
+		if b.Describe && f.describes && !f.mute[to] {
+			reply.Capabilities = f.description(m)
+		}
+		return reply, nil
 	case proto.FeasibilityQuery:
 		var capable []model.TaskID
 		f.mu.Lock()

@@ -177,6 +177,10 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// task's later window cannot stall tasks already won.
 	won := make(map[model.TaskID]proto.Addr, len(affected))
 	wonMetas := make(map[model.TaskID]proto.TaskMeta, len(affected))
+	// The allocation session that built the plan is long gone, and so is
+	// what the members told it; the repair keeps its own directory, which
+	// a reconstruction fills.
+	var dir directory
 	band := 0
 	for _, ch := range wfID {
 		band = (band*31 + int(ch)) % retryBandPeriod
@@ -190,14 +194,17 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 			}
 			metas := m.taskMetasFor(target, topoFilter(target, remaining), postpone)
 			alloc := make(map[model.TaskID]proto.Addr, len(metas))
-			// Route the re-auction through the capability index too:
-			// survivors whose advertisements lapsed (e.g. partitioned
-			// mid-round) must not be solicited during repair either.
+			// Route the re-auction like any other sweep: survivors whose
+			// advertisements lapsed (e.g. partitioned mid-round) must not
+			// be solicited during repair either, and once a
+			// reconstruction has filled dir, neither are survivors that
+			// offer none of the tasks.
 			taskIDs := make([]model.TaskID, len(metas))
 			for i, meta := range metas {
 				taskIDs[i] = meta.Task
 			}
-			failed, err := m.runAuction(ctx, wfID, m.routeByTasks(survivors, taskIDs), metas, alloc)
+			members, _ := m.route(&dir, survivors, nil, taskIDs, 0)
+			failed, err := m.runAuction(ctx, wfID, members, metas, alloc)
 			for t, host := range alloc {
 				won[t] = host
 			}
@@ -232,7 +239,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		// finished work and live allocations are kept wherever the new
 		// workflow still uses them.
 		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
-		res, rerr := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
+		res, rerr := m.construct(ctx, wfID, plan.Spec, &dir, survivors, exclude)
 		if rerr != nil {
 			m.cancelAwards(wfID, won)
 			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, rerr)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -266,8 +267,22 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestRepairReconstructsAroundDeadProvider runs against a community that
+// ignores Describe (repair then broadcasts, as it always did) and against
+// one that describes itself: the reconstruction's first sweep fills the
+// repair's own directory, and the re-auction that follows solicits only
+// the member offering the replacement task.
 func TestRepairReconstructsAroundDeadProvider(t *testing.T) {
+	for _, describes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("describes=%v", describes), func(t *testing.T) {
+			testRepairReconstructsAroundDeadProvider(t, describes)
+		})
+	}
+}
+
+func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	net := newFakeNet("init")
+	net.describes = describes
 	net.add("init", &fakeMember{})
 	net.add("p1", &fakeMember{
 		fragments: []*model.Fragment{
@@ -322,6 +337,24 @@ func TestRepairReconstructsAroundDeadProvider(t *testing.T) {
 	}
 	if altHost != "p2" {
 		t.Errorf("Allocations[alt] = %q, want p2", altHost)
+	}
+	if describes {
+		// The log ends: the reconstruction's queries, then the
+		// re-auction of alt.
+		var after []string
+		net.mu.Lock()
+		for _, c := range net.log {
+			switch c.body.(type) {
+			case proto.FragmentQuery:
+				after = nil
+			case proto.CallForBidsBatch:
+				after = append(after, string(c.to))
+			}
+		}
+		net.mu.Unlock()
+		if len(after) != 1 || after[0] != "p2" {
+			t.Errorf("after the reconstruction, bids were solicited from %v, want only p2", after)
+		}
 	}
 
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "alt"})

@@ -38,6 +38,9 @@ type allocSession struct {
 	excluded []model.TaskID
 	// attempt counts reconstructions (replans) of this session.
 	attempt int
+	// dir is what the members have told this session about themselves;
+	// it routes every sweep after the first (see directory).
+	dir directory
 }
 
 // newSession mints a workflow ID and registers the session. IDs are
@@ -122,7 +125,7 @@ func (m *Manager) ActiveAllocations() []string {
 func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
 	m := sess.m
 	for {
-		res, err := m.construct(ctx, sess.wfID, sess.spec, nil, sess.excluded)
+		res, err := m.construct(ctx, sess.wfID, sess.spec, &sess.dir, nil, sess.excluded)
 		if err != nil {
 			return nil, err
 		}
@@ -196,14 +199,15 @@ func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Res
 // construct builds the workflow for s from the knowledge of members (nil
 // means the whole community; plan repair passes the survivors), never
 // using the exclude tasks — either incrementally (querying round by
-// round) or from a full collection.
-func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
+// round) or from a full collection. dir is the caller's session
+// directory: construct's sweeps fill it and are routed by it.
+func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, dir *directory, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
 	var checker core.FeasibilityChecker
 	if m.cfg.Feasibility {
-		checker = &communityFeasibility{m: m, wfID: wfID, members: members}
+		checker = &communityFeasibility{m: m, wfID: wfID, dir: dir, members: members}
 	}
 	if m.cfg.Incremental {
-		src := &communityKnowledge{m: m, wfID: wfID, members: members}
+		src := &communityKnowledge{m: m, wfID: wfID, dir: dir, members: members}
 		opts := core.IncrementalOptions{
 			Feasibility: checker,
 			Exclude:     exclude,
@@ -212,7 +216,7 @@ func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, membe
 		return res, err
 	}
 	// Full collection: one query for every label any member knows.
-	frags, err := m.collectAll(ctx, wfID, members)
+	frags, err := m.collectAll(ctx, wfID, dir, members)
 	if err != nil {
 		return nil, err
 	}

@@ -418,7 +418,12 @@ func (h *Host) process(env proto.Envelope) {
 		} else {
 			frags = h.Fragments.Consuming(b.Labels)
 		}
-		h.reply(env, proto.FragmentReply{Fragments: frags})
+		reply := proto.FragmentReply{Fragments: frags}
+		if b.Describe {
+			labels, tasks := h.capabilities()
+			reply.Capabilities = &proto.Advertise{Labels: labels, Tasks: tasks}
+		}
+		h.reply(env, reply)
 
 	case proto.FeasibilityQuery:
 		h.reply(env, proto.FeasibilityReply{Capable: h.Services.Capable(b.Tasks)})

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,46 @@ func TestCallFragmentQueryNilMeansAll(t *testing.T) {
 	}
 	if fr := reply.(proto.FragmentReply); len(fr.Fragments) != 2 {
 		t.Fatalf("full-collection reply = %d fragments", len(fr.Fragments))
+	}
+}
+
+// TestCallFragmentQueryDescribe: a describing query is answered with the
+// host's complete capability set on top of the matching fragments — the
+// set covers what the query did not ask about, is sorted, and is present
+// (empty, not nil) for a host with nothing to offer; a plain query gets a
+// plain reply.
+func TestCallFragmentQueryDescribe(t *testing.T) {
+	a, _ := pair(t,
+		Config{Addr: "a"},
+		Config{Addr: "b",
+			Fragments: []*model.Fragment{mkFrag(t, "f1", "x", "y"), mkFrag(t, "f2", "p", "q")},
+			Services: []service.Registration{
+				{Descriptor: service.Descriptor{Task: "fly", Specialization: 0.5}},
+				{Descriptor: service.Descriptor{Task: "cook", Specialization: 0.5}},
+			}},
+	)
+	describe := func(to proto.Addr, q proto.FragmentQuery) proto.FragmentReply {
+		t.Helper()
+		reply, err := a.Call(context.Background(), to, "wf", q, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.(proto.FragmentReply)
+	}
+	if fr := describe("b", proto.FragmentQuery{Labels: lbl("x")}); fr.Capabilities != nil {
+		t.Fatalf("undescribing query answered with a description: %+v", fr.Capabilities)
+	}
+	fr := describe("b", proto.FragmentQuery{Labels: lbl("x"), Describe: true})
+	if len(fr.Fragments) != 1 || fr.Fragments[0].Name != "f1" {
+		t.Fatalf("fragments = %v", fr.Fragments)
+	}
+	want := &proto.Advertise{Labels: lbl("p", "x"), Tasks: []model.TaskID{"cook", "fly"}}
+	if !reflect.DeepEqual(fr.Capabilities, want) {
+		t.Fatalf("description = %+v, want %+v", fr.Capabilities, want)
+	}
+	if fr := describe("a", proto.FragmentQuery{Labels: lbl("x"), Describe: true}); fr.Capabilities == nil ||
+		len(fr.Capabilities.Labels)+len(fr.Capabilities.Tasks) != 0 {
+		t.Fatalf("a host with nothing to offer described itself as %+v, want an empty set", fr.Capabilities)
 	}
 }
 

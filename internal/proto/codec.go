@@ -20,6 +20,14 @@
 // Slices and maps are uvarint count + elements; maps are encoded in
 // sorted key order so equal envelopes encode to identical bytes.
 //
+// Optional trailing section: a body that gained fields after its layout
+// was pinned (FragmentQuery.Describe, FragmentReply.Capabilities) writes
+// them after its original fields, behind one optSection byte, and only
+// when they are set — a value without them encodes to the bytes it always
+// did, so the version byte stays. The byte after a body is otherwise the
+// end of the frame or, inside an EnvelopeBatch, the next envelope's kind
+// tag; optSection is no kind tag, so a section is never mistaken for one.
+//
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
 // buffer performs zero allocations, and decoding performs a small
@@ -79,6 +87,10 @@ const (
 	kindAdvertise
 	kindAdvertiseAck
 )
+
+// optSection opens a body's optional trailing section (see the layout
+// notes above). Kind tags count up from 1 and must never reach it.
+const optSection byte = 0xff
 
 // encodeBinary appends the binary encoding of env to buf.
 func encodeBinary(buf *bytes.Buffer, env Envelope) error {
@@ -190,6 +202,9 @@ func (e *encoder) body(env Envelope) error {
 	case FragmentQuery:
 		e.header(kindFragmentQuery, env)
 		e.labels(v.Labels)
+		if v.Describe {
+			e.byte(optSection)
+		}
 	case FragmentReply:
 		e.header(kindFragmentReply, env)
 		e.uint(uint64(len(v.Fragments)))
@@ -197,6 +212,11 @@ func (e *encoder) body(env Envelope) error {
 			if err := e.fragment(f); err != nil {
 				return err
 			}
+		}
+		if c := v.Capabilities; c != nil {
+			e.byte(optSection)
+			e.labels(c.Labels)
+			e.taskIDs(c.Tasks)
 		}
 	case FeasibilityQuery:
 		e.header(kindFeasibilityQuery, env)
@@ -500,6 +520,16 @@ func (d *decoder) time() (time.Time, error) {
 	return time.Unix(sec, int64(nsec)), nil
 }
 
+// optional consumes the optSection byte when the body's optional trailing
+// section follows, and reports whether it did.
+func (d *decoder) optional() bool {
+	if d.pos < len(d.s) && d.s[d.pos] == optSection {
+		d.pos++
+		return true
+	}
+	return false
+}
+
 // labels decodes a label list; zero count yields nil, like gob leaving a
 // slice field untouched.
 func (d *decoder) labels() ([]model.LabelID, error) {
@@ -674,7 +704,7 @@ func (d *decoder) body(kind byte) (Body, error) {
 		if err != nil {
 			return nil, err
 		}
-		return FragmentQuery{Labels: labels}, nil
+		return FragmentQuery{Labels: labels, Describe: d.optional()}, nil
 	case kindFragmentReply:
 		n, err := d.count()
 		if err != nil {
@@ -689,7 +719,18 @@ func (d *decoder) body(kind byte) (Body, error) {
 				}
 			}
 		}
-		return FragmentReply{Fragments: frags}, nil
+		reply := FragmentReply{Fragments: frags}
+		if d.optional() {
+			caps := new(Advertise)
+			if caps.Labels, err = d.labels(); err != nil {
+				return nil, err
+			}
+			if caps.Tasks, err = d.taskIDs(); err != nil {
+				return nil, err
+			}
+			reply.Capabilities = caps
+		}
+		return reply, nil
 	case kindFeasibilityQuery:
 		tasks, err := d.taskIDs()
 		if err != nil {

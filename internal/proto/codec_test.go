@@ -45,10 +45,19 @@ func bodyEqual(a, b Body) bool {
 	switch av := a.(type) {
 	case FragmentQuery:
 		bv, ok := b.(FragmentQuery)
-		return ok && labelsEq(av.Labels, bv.Labels)
+		return ok && labelsEq(av.Labels, bv.Labels) && av.Describe == bv.Describe
 	case FragmentReply:
 		bv, ok := b.(FragmentReply)
 		if !ok || len(av.Fragments) != len(bv.Fragments) {
+			return false
+		}
+		// A described host with nothing to offer (empty set) is not an
+		// undescribed one (nil): presence is part of the meaning.
+		ac, bc := av.Capabilities, bv.Capabilities
+		if (ac == nil) != (bc == nil) {
+			return false
+		}
+		if ac != nil && !(labelsEq(ac.Labels, bc.Labels) && taskIDsEq(ac.Tasks, bc.Tasks)) {
 			return false
 		}
 		for i := range av.Fragments {
@@ -334,13 +343,17 @@ func randBody(rng *rand.Rand) Body {
 		}
 		return EnvelopeBatch{Envelopes: envs}
 	case 0:
-		return FragmentQuery{Labels: randLabels(rng)}
+		return FragmentQuery{Labels: randLabels(rng), Describe: rng.Intn(2) == 1}
 	case 1:
 		var frags []*model.Fragment
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			frags = append(frags, randFragment(rng))
 		}
-		return FragmentReply{Fragments: frags}
+		reply := FragmentReply{Fragments: frags}
+		if rng.Intn(2) == 1 {
+			reply.Capabilities = &Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
+		}
+		return reply
 	case 2:
 		return FeasibilityQuery{Tasks: randTaskIDs(rng)}
 	case 3:
@@ -847,6 +860,146 @@ func TestWireFormatGoldenDiscovery(t *testing.T) {
 				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
 			}
 		})
+	}
+}
+
+// TestWireFormatGoldenDescribe pins the optional trailing section that
+// carries FragmentQuery.Describe and FragmentReply.Capabilities: a value
+// without the new field keeps the bytes it always had (the query row's
+// prefix is TestWireFormatGolden's frame, unchanged), a value with it
+// appends one optSection byte and the fields, and inside a batch the
+// section ends where the next envelope's kind tag begins.
+func TestWireFormatGoldenDescribe(t *testing.T) {
+	frag := model.MustFragment("f", model.Task{
+		ID: "t", Mode: model.Conjunctive,
+		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
+	})
+	const (
+		query = "01" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+			"02" + "0178" + "02797a" // labels ["x", "yz"]
+		reply = "01" + // version
+			"02" + // kind: fragment-reply
+			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
+			"01" + // 1 fragment
+			"0166" + // name "f"
+			"01" + // 1 task
+			"0174" + "01" + // task "t", conjunctive
+			"01" + "0161" + // inputs ["a"]
+			"01" + "0162" // outputs ["b"]
+	)
+	rows := []struct {
+		name string
+		env  Envelope
+		want string
+	}{
+		{
+			name: "fragment-query-describe",
+			env: Envelope{From: "a1", To: "b2", ReqID: 300, Workflow: "wf",
+				Body: FragmentQuery{Labels: []model.LabelID{"x", "yz"}, Describe: true}},
+			want: query + "ff", // section: describe yourself
+		},
+		{
+			name: "fragment-reply",
+			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
+				Body: FragmentReply{Fragments: []*model.Fragment{frag}}},
+			want: reply,
+		},
+		{
+			name: "fragment-reply-described",
+			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
+				Body: FragmentReply{Fragments: []*model.Fragment{frag},
+					Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t", "u"}}}},
+			want: reply + "ff" + // section: capability set
+				"01" + "0161" + // labels ["a"]
+				"02" + "0174" + "0175", // tasks ["t", "u"]
+		},
+		{
+			name: "fragment-reply-described-empty",
+			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
+				Body: FragmentReply{Capabilities: &Advertise{}}},
+			want: "01" + "02" + "0162" + "0161" + "07" + "027766" +
+				"00" + // no fragments
+				"ff" + "00" + "00", // section: nothing consumed, nothing offered
+		},
+		{
+			name: "describe-inside-batch",
+			env: Envelope{From: "a", To: "b",
+				Body: EnvelopeBatch{Envelopes: []Envelope{
+					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: FragmentQuery{Labels: []model.LabelID{"x"}, Describe: true}},
+					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: FragmentQuery{Labels: []model.LabelID{"x"}}},
+					{From: "a", To: "b", ReqID: 3, Workflow: "w", Body: Ack{}},
+				}}},
+			want: "01" + "11" + "0161" + "0162" + "00" + "00" + // batch header a, b, 0, ""
+				"03" + // 3 envelopes
+				"01" + "0161" + "0162" + "01" + "0177" + "01" + "0178" + "ff" + // describing query
+				"01" + "0161" + "0162" + "02" + "0177" + "01" + "0178" + // plain query
+				"0e" + "0161" + "0162" + "03" + "0177", // ack
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			data, err := binEncode(row.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(data); got != row.want {
+				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
+			}
+			back, err := binDecode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !envEqual(row.env, back) {
+				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
+			}
+		})
+	}
+}
+
+// TestOptionalSectionRejectsCorruptFrames: the section's lists are bounded
+// by the bytes remaining like every other count, a truncated section is an
+// error, and the section byte after a body that has no optional section is
+// trailing garbage.
+func TestOptionalSectionRejectsCorruptFrames(t *testing.T) {
+	described, err := binEncode(Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
+		Body: FragmentReply{Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := bytes.IndexByte(described, optSection)
+	if section < 0 {
+		t.Fatal("described reply carries no section byte")
+	}
+	for n := section + 1; n < len(described); n++ {
+		if _, err := binDecode(described[:n]); err == nil {
+			t.Errorf("section truncated to %d of %d bytes accepted", n, len(described))
+		}
+	}
+	var buf bytes.Buffer
+	e := encoder{buf: &buf}
+	e.byte(wireVersion)
+	e.header(kindFragmentReply, Envelope{From: "b", To: "a"})
+	e.uint(0) // no fragments
+	e.byte(optSection)
+	e.uint(1 << 40) // label count
+	if _, err := binDecode(buf.Bytes()); err == nil {
+		t.Error("absurd capability count accepted")
+	}
+	for _, body := range []Body{Cancel{Task: "t"}, FeasibilityQuery{Tasks: []model.TaskID{"t"}}, Ack{}} {
+		data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := binDecode(append(data, optSection)); err == nil {
+			t.Errorf("section byte after a %s body accepted", body.Kind())
+		}
+	}
+	query, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: FragmentQuery{Describe: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := binDecode(append(query, optSection)); err == nil {
+		t.Error("second section byte accepted")
 	}
 }
 

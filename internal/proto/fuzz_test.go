@@ -32,6 +32,14 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	seeds := []Body{
 		FragmentQuery{Labels: []model.LabelID{"a", "b"}},
 		FragmentReply{Fragments: []*model.Fragment{frag}},
+		FragmentQuery{Labels: []model.LabelID{"a", "b"}, Describe: true},
+		FragmentReply{Fragments: []*model.Fragment{frag},
+			Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t"}}},
+		EnvelopeBatch{Envelopes: []Envelope{
+			{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: FragmentQuery{Labels: []model.LabelID{"a"}, Describe: true}},
+			{From: "b", To: "a", ReqID: 1, Workflow: "wf", Body: FragmentReply{Capabilities: &Advertise{}}},
+			{From: "a", To: "b", ReqID: 2, Workflow: "wf", Body: Cancel{Task: "t"}},
+		}},
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
 		Award{Meta: meta},

@@ -4,6 +4,12 @@
 // Messages, Auction Messages, and Inter-service Messages of the paper's
 // architecture, Fig. 3), plus the envelope framing and the hand-rolled
 // binary codec (codec.go) shared by every transport.
+//
+// A body's layout is pinned once it ships. Fields added later
+// (FragmentQuery.Describe, FragmentReply.Capabilities) travel in an
+// optional trailing section that is written only when they are set, so
+// every value that could be expressed before still encodes to the bytes
+// it always did.
 package proto
 
 import (
@@ -46,6 +52,11 @@ type Body interface {
 // task that consumes any of the given labels (the exploration frontier).
 type FragmentQuery struct {
 	Labels []model.LabelID
+	// Describe asks the host to attach its complete capability set to the
+	// reply. An allocation session sets it on sweeps that reach a member
+	// it holds no description of; with the set in hand it contacts that
+	// member again only for queries the set intersects (DESIGN.md §16).
+	Describe bool
 }
 
 // Kind implements Body.
@@ -54,6 +65,12 @@ func (FragmentQuery) Kind() string { return "fragment-query" }
 // FragmentReply returns the matching fragments.
 type FragmentReply struct {
 	Fragments []*model.Fragment
+	// Capabilities answers FragmentQuery.Describe: the host's complete
+	// capability set — what it would advertise, both lists sorted. Nil
+	// when no description was asked for (or the peer does not describe
+	// itself); a host with nothing to offer describes itself with an
+	// empty set, which is not nil.
+	Capabilities *Advertise
 }
 
 // Kind implements Body.
