@@ -16,7 +16,8 @@
 //	                latency summaries — see DESIGN.md §11)
 //	GET  /healthz   200 while serving, 503 while draining
 //	GET  /statusz   JSON serving snapshot (accepted/rejected/completed/
-//	                aborted, backlog depth, latency quantiles)
+//	                aborted, backlog depth, latency quantiles, and the
+//	                holds, commitments and runs the hosts hold now)
 package main
 
 import (

@@ -438,8 +438,8 @@ func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 	p, sim, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
 	bidOne(t, p, "wf", meta("t"))
 	sim.Advance(time.Minute)
-	if n := p.ExpireHolds(); n != 1 {
-		t.Fatalf("ExpireHolds = %d", n)
+	if sched.Expire(sim.Now()); sched.Holds() != 0 {
+		t.Fatalf("holds after the bid window = %d", sched.Holds())
 	}
 	_, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if ack.OK {
@@ -480,6 +480,27 @@ func TestParticipantCancel(t *testing.T) {
 	p.HandleCancel("wf", proto.Cancel{Task: "t"})
 	if _, ok := sched.Get("wf", "t"); ok {
 		t.Error("cancel left the commitment")
+	}
+}
+
+// TestParticipantCancelWithoutTaskEndsWorkflow: a Cancel naming no task is
+// the initiator's end-of-workflow release — the workflow's commitment and
+// its outstanding hold both go, another workflow's entries stay.
+func TestParticipantCancelWithoutTaskEndsWorkflow(t *testing.T) {
+	p, _, sched := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5), sreg("c", 0.5))
+	a := metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))
+	bidOne(t, p, "wf", a)
+	if _, ack := p.HandleAward("wf", proto.Award{Meta: a}); !ack.OK {
+		t.Fatal("award refused")
+	}
+	bidOne(t, p, "wf", metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)))
+	bidOne(t, p, "other", metaAt("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)))
+	p.HandleCancel("wf", proto.Cancel{})
+	if _, ok := sched.Get("wf", "a"); ok || heldBy(sched, "wf") != 0 {
+		t.Errorf("release left wf's commitment (%v) or %d of its holds", ok, heldBy(sched, "wf"))
+	}
+	if heldBy(sched, "other") != 1 {
+		t.Errorf("release of wf took another workflow's hold")
 	}
 }
 
@@ -537,10 +558,7 @@ func TestParticipantSessionsAreIsolated(t *testing.T) {
 	}
 	// Expire past every deadline: wf-2's bid drains too.
 	sim.Advance(time.Minute)
-	if n := p.ExpireHolds(); n != 1 {
-		t.Fatalf("ExpireHolds released %d, want 1", n)
-	}
-	if sched.Holds() != 0 {
+	if sched.Expire(sim.Now()); sched.Holds() != 0 {
 		t.Fatalf("held = %+v after expiry", sched.HeldTasks())
 	}
 }

@@ -30,10 +30,6 @@ type Participant struct {
 	// to decide; its firm bid (and schedule reservation) expires after
 	// this window.
 	bidWindow time.Duration
-	// commitLease is how long an awarded commitment stays valid without a
-	// refresh from the initiator (DefaultCommitLease when unset; ≤ 0 via
-	// SetCommitLease disables leasing — commitments never expire).
-	commitLease time.Duration
 }
 
 // DefaultBidWindow is the deadline participants give auction managers when
@@ -56,25 +52,7 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 	if bidWindow <= 0 {
 		bidWindow = DefaultBidWindow
 	}
-	return &Participant{
-		clk: clk, services: services, sched: sched, bidWindow: bidWindow,
-		commitLease: DefaultCommitLease,
-	}
-}
-
-// SetCommitLease overrides the commitment lease duration. d ≤ 0 disables
-// leasing: awards commit without an expiry.
-func (p *Participant) SetCommitLease(d time.Duration) { p.commitLease = d }
-
-// CommitLease returns the configured commitment lease duration.
-func (p *Participant) CommitLease() time.Duration { return p.commitLease }
-
-// leaseExpiry computes the lease for a commitment made or refreshed now.
-func (p *Participant) leaseExpiry(now time.Time) time.Time {
-	if p.commitLease <= 0 {
-		return time.Time{}
-	}
-	return now.Add(p.commitLease)
+	return &Participant{clk: clk, services: services, sched: sched, bidWindow: bidWindow}
 }
 
 // HandleCallForBidsBatch answers a call for bids: one reply carrying a
@@ -148,7 +126,7 @@ func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.
 			Task: meta.Task, OK: false, Reason: "service no longer offered",
 		}
 	}
-	c, err := p.sched.CommitHeld(workflow, meta.Task, p.leaseExpiry(p.clk.Now()))
+	c, err := p.sched.CommitHeld(workflow, meta.Task, p.clk.Now().Add(DefaultCommitLease))
 	if err != nil {
 		return schedule.Commitment{}, proto.AwardAck{
 			Task: meta.Task, OK: false, Reason: err.Error(),
@@ -161,7 +139,7 @@ func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.
 // and reports back the tasks whose commitments are gone (lease already
 // expired and swept, or canceled): the initiator repairs those.
 func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh) proto.LeaseRefreshAck {
-	lease := p.leaseExpiry(p.clk.Now())
+	lease := p.clk.Now().Add(DefaultCommitLease)
 	var ack proto.LeaseRefreshAck
 	for _, task := range lr.Tasks {
 		if err := p.sched.RefreshCommitLease(workflow, task, lease); err != nil {
@@ -171,29 +149,20 @@ func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh)
 	return ack
 }
 
-// SweepLeases removes every commitment whose lease has expired and
-// returns them so the host can drop dependent execution state. The
-// sweep is what makes a dead initiator's slots come back: nobody
-// refreshes, the lease runs out, the calendar heals.
-func (p *Participant) SweepLeases() []schedule.Commitment {
-	return p.sched.ExpireCommitments(p.clk.Now())
-}
-
 // HandleCancel revokes an awarded task (replanning compensation): the
-// commitment and any leftover hold are dropped.
+// commitment and any leftover hold are dropped; with no task, the workflow's.
 func (p *Participant) HandleCancel(workflow string, c proto.Cancel) {
+	if c.Task == "" {
+		p.sched.DropWorkflow(workflow)
+		return
+	}
 	p.sched.Release(workflow, c.Task)
 	p.sched.Remove(workflow, c.Task)
 }
 
-// ExpireHolds releases reservations whose deadlines have passed and
-// returns how many; hosts call it on a timer at each bid deadline.
-func (p *Participant) ExpireHolds() int { return p.sched.ExpireHolds(p.clk.Now()) }
-
-// ReleaseSession drops every reservation of one workflow's bid session
-// (the session's auction ended without this host winning anything, or
-// the session was torn down wholesale). It returns how many schedule
-// holds were released.
+// ReleaseSession drops every reservation of one workflow's bid session and
+// returns how many schedule holds were released. No product caller; kept
+// for the frozen benchmark, goes with the [benchmark] re-baseline.
 func (p *Participant) ReleaseSession(workflow string) int { return p.sched.ReleaseWorkflow(workflow) }
 
 // BidWindow returns the configured bid window.

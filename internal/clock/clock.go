@@ -147,7 +147,9 @@ func (t simTimer) Stop() bool {
 	if t.w.stopped {
 		return false
 	}
+	// Forget the waiter now: nothing else ever removes a stopped one.
 	t.w.stopped = true
+	t.s.removeLocked(t.w)
 	return true
 }
 

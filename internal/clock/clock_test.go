@@ -146,6 +146,11 @@ func TestSimClockAfterFuncStop(t *testing.T) {
 	if timer.Stop() {
 		t.Error("second Stop = true")
 	}
+	// Stopping forgets the waiter at once: a timer stopped long before its
+	// deadline (a re-armed sweep) must not sit in the list until then.
+	if n := len(c.waiters); n != 0 {
+		t.Errorf("%d waiters kept after Stop", n)
+	}
 	c.Advance(2 * time.Second)
 	if n := c.PendingWaiters(); n != 0 {
 		t.Errorf("PendingWaiters = %d after advance", n)

@@ -12,10 +12,12 @@ package community
 //
 //  1. every workflow either completes or cleanly aborts — no Execute
 //     hangs, no error returns, every abort records its failure;
-//  2. zero orphaned commitments and zero leaked holds once the clock
-//     passes the commitment-lease horizon — a dead initiator's or a
-//     partitioned executor's slots must return to the pool by lease
-//     expiry, not by luck;
+//  2. zero orphaned commitments, leaked holds and leftover runs at
+//     completion — once every session has returned and its release has
+//     landed — on every host no fault cut off from the initiator; the
+//     hosts a crash or the partition did cut off, whose releases and
+//     compensations were lost with the fault, drain by lease expiry once
+//     the clock passes the commitment-lease horizon, not by luck;
 //  3. the goroutine count returns to baseline after the community closes.
 //
 // The initiator host00 is never killed (a dead initiator's sessions are
@@ -272,10 +274,36 @@ func runChaos(t *testing.T, l chaosLayout) {
 		t.Error("no session completed under chaos")
 	}
 
-	// Phase 3 — drain. Advance far past the commitment-lease horizon:
-	// stale leases on partitioned or restarted executors (whose Cancels
-	// were lost with the faults) must expire and sweep, returning every
-	// slot to the pool. Anything left is an orphan.
+	// Phase 3 — at completion. Every session has returned, and each return
+	// released its participants. A host no fault ever cut off from the
+	// initiator heard every release and every compensation: once the links
+	// drain and the last bid windows close — seconds of virtual time, the
+	// leases have minutes to run — it holds nothing.
+	cutOff := make(map[proto.Addr]bool)
+	for _, f := range faults {
+		switch f.Kind {
+		case inmem.FaultCrash:
+			cutOff[f.Host] = true
+		case inmem.FaultPartition:
+			for _, id := range f.Groups[1] {
+				cutOff[id] = true
+			}
+		}
+	}
+	// Labels are left out: a transfer already on a link when its sink
+	// hears the release is a known seam (DESIGN.md §17).
+	for i := 0; leftovers(c, cutOff, false) != ""; i++ {
+		if i == 20 {
+			t.Fatalf("residue at completion on hosts no fault cut off:%s", leftovers(c, cutOff, false))
+		}
+		sim.Advance(500 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// Phase 4 — the backstop. Advance far past the commitment-lease
+	// horizon: stale leases on partitioned or restarted executors (whose
+	// releases and Cancels were lost with the faults) must expire and
+	// sweep, returning every slot to the pool. Anything left is an orphan.
 	deadline := time.Now().Add(15 * time.Second)
 	for c.TotalCommitments() != 0 || c.TotalHolds() != 0 {
 		if time.Now().After(deadline) {

@@ -369,9 +369,9 @@ func (c *Community) ScheduleFaults(faults []inmem.Fault, notify func(inmem.Fault
 }
 
 // TotalCommitments sums the committed (awarded, unreleased) schedule
-// entries across every host. After every workflow has completed or
-// aborted and the lease horizon has passed, it must drain to zero — the
-// orphaned-commitment check the chaos harness asserts.
+// entries across every host. Once every workflow has ended and its
+// initiator's release has landed it must read zero; the lease horizon is
+// the backstop only for hosts the release could not reach.
 func (c *Community) TotalCommitments() int {
 	total := 0
 	for _, id := range c.order {
@@ -388,6 +388,17 @@ func (c *Community) TotalHolds() int {
 	total := 0
 	for _, id := range c.order {
 		total += c.hosts[id].Schedule.Holds()
+	}
+	return total
+}
+
+// TotalRuns sums the execution runs every host still tracks; like
+// TotalCommitments it must read zero once every workflow has ended.
+func (c *Community) TotalRuns() int {
+	total := 0
+	for _, id := range c.order {
+		runs, _ := c.hosts[id].Exec.Residue()
+		total += runs
 	}
 	return total
 }

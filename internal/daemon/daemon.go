@@ -221,6 +221,15 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repa
 	reg.GaugeFunc("openwf_sessions_active",
 		"Allocation sessions currently in flight on the initiator engine.",
 		func() float64 { return float64(h.Engine.SessionStats().Active) })
+	reg.GaugeFunc("openwf_holds",
+		"Firm-bid reservations on the community's calendars.",
+		func() float64 { return float64(comm.TotalHolds()) })
+	reg.GaugeFunc("openwf_commitments",
+		"Commitments on the community's calendars; ended workflows leave none.",
+		func() float64 { return float64(comm.TotalCommitments()) })
+	reg.GaugeFunc("openwf_exec_runs",
+		"Execution runs the hosts track; ended workflows leave none.",
+		func() float64 { return float64(comm.TotalRuns()) })
 	reg.GaugeFunc("openwf_transport_envelopes_total",
 		"Logical envelopes accepted for transmission (community-wide).",
 		func() float64 { return float64(comm.TransportStats().Envelopes) })
@@ -410,6 +419,8 @@ type Snapshot struct {
 	LatencyP50  float64
 	LatencyP99  float64
 	LatencyP999 float64
+	// What the hosts hold right now; ended workflows must leave none.
+	Holds, Commitments, Runs int
 }
 
 // Snapshot returns the current serving counters.
@@ -424,5 +435,8 @@ func (s *Server) Snapshot() Snapshot {
 		LatencyP50:  qs[0],
 		LatencyP99:  qs[1],
 		LatencyP999: qs[2],
+		Holds:       s.comm.TotalHolds(),
+		Commitments: s.comm.TotalCommitments(),
+		Runs:        s.comm.TotalRuns(),
 	}
 }

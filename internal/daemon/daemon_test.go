@@ -3,12 +3,15 @@ package daemon_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"openwf/internal/backlog"
+	"openwf/internal/clock"
 	"openwf/internal/community"
 	"openwf/internal/daemon"
 	"openwf/internal/engine"
@@ -275,6 +278,9 @@ func TestMetricsExposition(t *testing.T) {
 		"openwf_backlog_wait_seconds_count 1",
 		"openwf_transport_calls_total",
 		"openwf_transport_frames_total",
+		"openwf_holds 0",
+		"openwf_commitments 2", // the plan was not executed: its two awards stand
+		"openwf_exec_runs 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -339,5 +345,147 @@ func TestPriorityClassesServedHighFirst(t *testing.T) {
 		// Low served before High while both were queued behind the
 		// first request: priority inversion.
 		t.Errorf("service order %v: high-priority work did not jump the queue", order)
+	}
+}
+
+// soakT0 anchors the soak test's simulated clock.
+var soakT0 = time.Date(2026, 6, 13, 9, 0, 0, 0, time.UTC)
+
+// TestSoakLeavesNoResidue is the long-lived daemon's zero-residue gate: two
+// thousand workflows allocated and executed on the simulated clock, in four
+// quarters. Whenever the daemon falls idle the hosts must hold nothing —
+// no commitment, run or hold, and no timer but the one provider's sweep —
+// although no lease has had time to lapse, and the live heap after the last
+// quarter must be what it was after the first.
+func TestSoakLeavesNoResidue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	testutil.CheckGoroutines(t)
+	const quarters, perQuarter, clients = 4, 500, 4
+	sim := clock.NewSim(soakT0)
+	cfg := testEngineConfig()
+	// No lease refresher: a workflow here is over in a tenth of a virtual
+	// second, and each refresher would park a one-minute timer on the
+	// clock that outlives it — noise in the timer count below.
+	cfg.LeaseRefreshInterval = -1
+	// Four sessions at a time want the one provider's calendar: give a
+	// session that lost its windows more later bands to retry into.
+	cfg.WindowRetries = 8
+	srv, err := daemon.Start(community.Options{Clock: sim, Engine: cfg, DisableMarshal: true},
+		"init", daemon.Config{
+			Workers: clients, Execute: true,
+			Triggers: map[model.LabelID][]byte{"a": []byte("go")},
+		}, chainSpecs(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+
+	// Virtual time runs from the background, but only while the community
+	// is quiet — no allocation session in flight (allocation needs no time
+	// to pass: every member answers, and a clock racing ahead of it would
+	// open the execution windows before the calls for bids arrive), no
+	// message on a link or in a handler. Then everybody is waiting for the
+	// clock — executors for their windows, holds for their deadlines — and
+	// the soak runs about as fast as the machine computes.
+	comm := srv.Community()
+	initiator, _ := comm.Host("init")
+	peer, _ := comm.Host("peer")
+	quiet := func() bool {
+		net := comm.Network()
+		return initiator.Engine.SessionStats().Active == 0 &&
+			net.Messages() == net.Delivered()+net.Dropped() &&
+			initiator.ActiveSessions() == 0 && peer.ActiveSessions() == 0
+	}
+	stop := make(chan struct{})
+	var driver sync.WaitGroup
+	var paused atomic.Bool
+	driver.Add(1)
+	go func() {
+		defer driver.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				switch {
+				case paused.Load():
+					time.Sleep(100 * time.Microsecond)
+				case quiet():
+					// Paced: "quiet" cannot see a worker computing between
+					// two sends, and an unpaced clock would run a lease out
+					// in the microseconds between its Initiate and Execute.
+					sim.Advance(25 * time.Millisecond)
+					time.Sleep(20 * time.Microsecond)
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		driver.Wait()
+	}()
+
+	var heap [quarters]uint64
+	for q := range heap {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perQuarter/clients; i++ {
+					res, err := srv.Do(context.Background(), chainRequest())
+					if err != nil || res.Err != nil || !res.Report.Completed {
+						t.Errorf("quarter %d: Do = %v, result %+v", q, err, res)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		// Idle, with the clock stopped: no lease can lapse now, so whatever
+		// the hosts still hold once the last releases have landed is
+		// residue.
+		paused.Store(true)
+		deadline := time.Now().Add(5 * time.Second)
+		for snap := srv.Snapshot(); snap.Commitments+snap.Runs > 0; snap = srv.Snapshot() {
+			if time.Now().After(deadline) {
+				t.Fatalf("quarter %d left %d commitments and %d runs behind %d workflows", q, snap.Commitments, snap.Runs, snap.Completed)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Two virtual seconds on, the last reply bounds and bid windows
+		// have run out and the sweep has looked at an empty calendar. One
+		// timer may stay: a sweep re-armed at a lease while a workflow was
+		// still running waits that lease out — once per bidding host,
+		// however many workflows came and went.
+		sim.Advance(2 * time.Second)
+		if holds, timers := srv.Snapshot().Holds, sim.PendingWaiters(); holds != 0 || timers > 1 {
+			t.Fatalf("quarter %d left %d holds and %d pending timers", q, holds, timers)
+		}
+		// Still paused: nothing allocates while the collector runs, so two
+		// cycles leave exactly what is reachable.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap[q] = ms.HeapAlloc
+		paused.Store(false)
+	}
+	t.Logf("live heap after each quarter: %d KiB; %v of virtual time",
+		[]uint64{heap[0] >> 10, heap[1] >> 10, heap[2] >> 10, heap[3] >> 10}, sim.Now().Sub(soakT0))
+	// What may still grow is bounded and not per workflow: the two latency
+	// histograms fill their 4096-sample rings (64 KiB between them) and the
+	// runtime keeps the descriptors of goroutines that have exited. A
+	// workflow's own state — at the parent a commitment, a run, its labels
+	// and two timers per task, well over a KiB — would add MiB by now.
+	if heap[quarters-1] > heap[0]+128<<10 {
+		t.Errorf("live heap grew from %d KiB after the first quarter to %d KiB after the last", heap[0]>>10, heap[quarters-1]>>10)
 	}
 }

@@ -74,7 +74,7 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 //
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels the failed plan's awards;
-// repair aborts the execution, canceling everything unfinished).
+// repair cancels what it won and aborts the execution).
 func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
 	if len(members) == 0 {
 		// Every member has described itself and none offers any of these
@@ -236,8 +236,8 @@ func (m *Manager) taskMetasFor(w *model.Workflow, ids []model.TaskID, postpone t
 
 // cancelAwards compensates auction wins that will not be used — a failed
 // allocation attempt about to be retried or replanned, a repair that did
-// not hold together, an aborted execution — so the winners release their
-// commitments. It runs under a fresh context (compensation must go out
+// not hold together, tasks a repair's reconstruction dropped — so the
+// winners release their commitments. It runs under a fresh context (compensation must go out
 // even when the initiating request was canceled), in sorted order for
 // reproducibility. A Cancel names only wfID, so it can never revoke
 // another session's commitments.

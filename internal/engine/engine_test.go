@@ -67,8 +67,10 @@ type fakeNet struct {
 	// (default one second).
 	bidDeadline time.Duration
 
-	mu      sync.Mutex
-	sent    []proto.Body
+	mu   sync.Mutex
+	sent []proto.Body
+	// sentTo pairs every one-way send with its recipient.
+	sentTo  []fakeCall
 	calls   int
 	blocked int // calls currently gated on a blockCFB channel
 	// down hosts fail every Call (a crashed or partitioned executor).
@@ -148,7 +150,24 @@ func (f *fakeNet) Send(_ context.Context, to proto.Addr, workflow string, body p
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.sent = append(f.sent, body)
+	f.sentTo = append(f.sentTo, fakeCall{to, body})
 	return nil
+}
+
+// cancels splits the Cancels sent so far into the recipients of
+// whole-workflow releases (no task named), in send order, and the number
+// of per-task compensations.
+func (f *fakeNet) cancels() (released []proto.Addr, perTask int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.sentTo {
+		if c, ok := s.body.(proto.Cancel); ok && c.Task == "" {
+			released = append(released, s.to)
+		} else if ok {
+			perTask++
+		}
+	}
+	return released, perTask
 }
 
 // setDown marks a host dead: every Call to it fails from now on.
@@ -717,6 +736,95 @@ func TestExecuteDuplicateRejected(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if _, err := m.Execute(context.Background(), plan, nil); err == nil {
 		t.Error("duplicate Execute accepted")
+	}
+	// The refused duplicate owns nothing: only the execution that is
+	// still running may release the workflow.
+	if released, _ := net.cancels(); len(released) != 0 {
+		t.Errorf("refused duplicate released %v", released)
+	}
+}
+
+// TestExecuteReleasesEveryParticipantOnce: however an execution ends, its
+// return sends each distinct participant of the plan, and the initiator
+// itself, exactly one whole-workflow release — and nothing else: an abort
+// compensates nobody task by task any more.
+func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
+	// a →t1→ m →t2→ n →t3→ g with t1 and t3 on p1, t2 on p2: three tasks,
+	// two participants.
+	build := func(t *testing.T) (*fakeNet, *Manager, *Plan) {
+		net := newFakeNet("init")
+		net.add("init", &fakeMember{fragments: []*model.Fragment{
+			mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "n"), mkFrag(t, "t3", "n", "g"),
+		}})
+		net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true, "t3": true}, services: 2})
+		net.add("p2", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 1})
+		cfg := testConfig()
+		cfg.LeaseRefreshInterval = 15 * time.Millisecond
+		m := NewManager(net, cfg)
+		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, m, plan
+	}
+	everyone := []proto.Addr{"init", "p1", "p2"}
+	for _, row := range []struct {
+		name string
+		// end makes the running execution end; cancel cancels its context.
+		end     func(net *fakeNet, m *Manager, wf string, cancel func())
+		before  func(net *fakeNet)
+		want    []proto.Addr
+		wantErr bool
+	}{
+		{name: "completed", want: everyone, end: func(_ *fakeNet, m *Manager, wf string, _ func()) {
+			for _, task := range []model.TaskID{"t1", "t2", "t3"} {
+				m.OnTaskDone(wf, proto.TaskDone{Task: task})
+			}
+			m.OnLabelTransfer(wf, proto.LabelTransfer{Label: "g"})
+		}},
+		{name: "task failed", want: everyone, end: func(_ *fakeNet, m *Manager, wf string, _ func()) {
+			m.OnTaskDone(wf, proto.TaskDone{Task: "t1", Err: "exploded"})
+		}},
+		{name: "abandoned by its caller", want: everyone, wantErr: true, end: func(_ *fakeNet, _ *Manager, _ string, cancel func()) {
+			cancel()
+		}},
+		// p2 dies and nobody else offers t2: repair fails and aborts. The
+		// dead host's allocation is void; the survivors are released.
+		{name: "aborted by a failed repair", want: []proto.Addr{"init", "p1"}, end: func(net *fakeNet, _ *Manager, _ string, _ func()) {
+			net.setDown("p2")
+		}},
+		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet) {
+			net.setDown("p2")
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			net, m, plan := build(t)
+			if row.before != nil {
+				row.before(net)
+			}
+			_, compensated := net.cancels()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if row.end != nil {
+				go func() {
+					time.Sleep(20 * time.Millisecond)
+					if released, _ := net.cancels(); len(released) != 0 {
+						t.Errorf("released %v while the execution was still running", released)
+					}
+					row.end(net, m, plan.WorkflowID, cancel)
+				}()
+			}
+			if _, err := m.Execute(ctx, plan, nil); (err != nil) != row.wantErr {
+				t.Fatalf("Execute err = %v, want an error: %v", err, row.wantErr)
+			}
+			released, perTask := net.cancels()
+			if !slices.Equal(released, row.want) {
+				t.Errorf("released %v, want each of %v once", released, row.want)
+			}
+			if perTask != compensated {
+				t.Errorf("%d per-task cancels sent by the ending execution, want none", perTask-compensated)
+			}
+		})
 	}
 }
 

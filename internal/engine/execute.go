@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,9 +36,10 @@ type Report struct {
 // triggers optionally attaches data to triggering labels (nil data is
 // fine — labels are conditions first, data second). The context bounds
 // the wait: on cancellation or deadline Execute returns ctx.Err()
-// together with a partial report of the progress observed so far. The
-// paper's timing window ends at allocation, so Execute is measured
-// separately.
+// together with a partial report of the progress observed so far. However
+// it ends, the return releases the plan's commitments (release): a plan is
+// executed once. The paper's timing window ends at allocation, so Execute
+// is measured separately.
 func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.LabelID][]byte) (*Report, error) {
 	if len(plan.Allocations) != plan.Workflow.NumTasks() {
 		return nil, fmt.Errorf("plan is not fully allocated: %d of %d tasks",
@@ -65,11 +67,7 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 	}
 	m.executions[plan.WorkflowID] = ex
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.executions, plan.WorkflowID)
-		m.mu.Unlock()
-	}()
+	defer m.release(ex)
 
 	start := m.net.Clock().Now()
 
@@ -96,6 +94,27 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 		ctxErr = ctx.Err()
 	}
 	return m.executionReport(ex, plan, start, ctxErr), ctxErr
+}
+
+// release ends an execution however it ended: it closes the execution to
+// late notifications and to a repair still in flight, and tells each
+// participant of the plan, and this host for the goal labels it buffered,
+// once that the workflow is over (a Cancel naming no task) — drop it now,
+// not one lease later. One-way and best effort: the lease is the backstop.
+func (m *Manager) release(ex *execution) {
+	wfID := ex.plan.WorkflowID
+	m.mu.Lock()
+	ex.finishLocked(false)
+	delete(m.executions, wfID)
+	hosts := []proto.Addr{m.net.Self()}
+	for _, h := range ex.plan.Allocations {
+		hosts = append(hosts, h)
+	}
+	m.mu.Unlock()
+	slices.Sort(hosts)
+	for _, h := range slices.Compact(hosts) {
+		_ = m.net.Send(context.Background(), h, wfID, proto.Cancel{}) //openwf:allow-background the release must out-live a canceled Execute ctx or participants keep a finished workflow for a whole lease
+	}
 }
 
 // distribute sends every routing segment to its task's executor and then

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"openwf/internal/core"
 	"openwf/internal/model"
@@ -45,7 +44,7 @@ func (m *Manager) refreshLoop(ctx context.Context, ex *execution) {
 // An executor that cannot be reached is presumed dead; a lease the
 // executor reports missing was swept (expired) on its side and the slot
 // is gone. Either finding triggers plan repair; a repair that fails
-// aborts the execution cleanly, compensating everything unfinished.
+// aborts the execution, and Execute's return releases the survivors.
 func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	m.mu.Lock()
 	if ex.finished {
@@ -93,12 +92,6 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	if err := m.repairPlan(ctx, ex, dead, lost); err != nil {
 		m.abortExecution(ex, fmt.Sprintf("plan repair after losing hosts %v, leases %v: %v", dead, lost, err))
 	}
-}
-
-// taskCancel is one pending compensation send.
-type taskCancel struct {
-	host proto.Addr
-	task model.TaskID
 }
 
 // repairPlan re-homes the tasks stranded by dead executors and lost
@@ -168,10 +161,10 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// execution windows starting now. Wins accumulate in won/wonMetas and
 	// are merged into the plan only once the whole repair holds together.
 	//
-	// Window conflicts are retried exactly like allocateWithRetries:
-	// concurrent executions repairing after the same fault all re-auction
-	// at the same instant, so without banded postponement they would
-	// collide on the survivors' schedules and abort spuriously. Only the
+	// Window conflicts are retried with allocateWithRetries' postponement
+	// (retryPostpone): concurrent executions repairing after the same
+	// fault all re-auction at the same instant, so without the bands they
+	// would collide on the survivors' schedules and abort spuriously. Only the
 	// still-failed subset retries — execution is data-driven (a task
 	// whose window passed starts when its inputs arrive), so a retried
 	// task's later window cannot stall tasks already won.
@@ -181,18 +174,14 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// what the members told it; the repair keeps its own directory, which
 	// a reconstruction fills.
 	var dir directory
-	band := 0
+	slot := 0
 	for _, ch := range wfID {
-		band = (band*31 + int(ch)) % retryBandPeriod
+		slot = (slot*31 + int(ch)) % retryBandPeriod
 	}
 	reauction := func(target *model.Workflow, set map[model.TaskID]struct{}) ([]model.TaskID, error) {
 		remaining := set
 		for try := 0; ; try++ {
-			var postpone time.Duration
-			if try > 0 {
-				postpone = time.Duration((try-1)*retryBandPeriod+band+1) * m.cfg.StartDelay
-			}
-			metas := m.taskMetasFor(target, topoFilter(target, remaining), postpone)
+			metas := m.taskMetasFor(target, topoFilter(target, remaining), m.retryPostpone(try, slot))
 			alloc := make(map[model.TaskID]proto.Addr, len(metas))
 			// Route the re-auction like any other sweep: survivors whose
 			// advertisements lapsed (e.g. partitioned mid-round) must not
@@ -244,11 +233,8 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 			m.cancelAwards(wfID, won)
 			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, rerr)
 		}
-		need, cancels := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
-		sort.Slice(cancels, func(i, j int) bool { return cancels[i].task < cancels[j].task })
-		for _, c := range cancels {
-			_ = m.net.Send(context.Background(), c.host, wfID, proto.Cancel{Task: c.task}) //openwf:allow-background swap compensation must land even when the repair's request ctx is gone
-		}
+		need, dropped := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
+		m.cancelAwards(wfID, dropped)
 		w = res.Workflow
 		if len(need) > 0 {
 			failed2, aerr := reauction(w, need)
@@ -307,10 +293,10 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 }
 
 // swapWorkflow applies a reconstructed workflow to a running execution:
-// tasks the new workflow dropped are canceled at their executors (the
-// returned sends happen outside the lock), state is re-pointed at the new
-// workflow, and the tasks still needing an executor are returned.
-func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}, won map[model.TaskID]proto.Addr, wonMetas map[model.TaskID]proto.TaskMeta) (map[model.TaskID]struct{}, []taskCancel) {
+// state is re-pointed at the new workflow, and it returns the tasks still
+// needing an executor and the awards the new workflow dropped, for the
+// caller to cancel outside the lock.
+func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}, won map[model.TaskID]proto.Addr, wonMetas map[model.TaskID]proto.TaskMeta) (need map[model.TaskID]struct{}, dropped map[model.TaskID]proto.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	plan := ex.plan
@@ -319,23 +305,22 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	for _, t := range newW.TaskIDs() {
 		inNew[t] = struct{}{}
 	}
-	var cancels []taskCancel
-	// Drop what the new workflow no longer needs, releasing unfinished
-	// commitments (finished executors hold nothing worth canceling, and
-	// dead ones hold nothing at all).
+	dropped = make(map[model.TaskID]proto.Addr)
+	// Drop what the new workflow no longer needs, releasing its
+	// commitments — finished or not: a finished executor still holds its
+	// run, and leaves the plan here, so the final release would miss it —
+	// except on dead hosts, which hold nothing at all.
 	for _, t := range plan.Workflow.TaskIDs() {
 		if _, kept := inNew[t]; kept {
 			continue
 		}
 		if host, ok := won[t]; ok {
-			cancels = append(cancels, taskCancel{host, t})
+			dropped[t] = host
 			delete(won, t)
 			delete(wonMetas, t)
 		} else if host, ok := plan.Allocations[t]; ok {
-			_, fin := ex.finishedTasks[t]
-			_, gone := deadSet[host]
-			if !fin && !gone {
-				cancels = append(cancels, taskCancel{host, t})
+			if _, gone := deadSet[host]; !gone {
+				dropped[t] = host
 			}
 		}
 		delete(plan.Allocations, t)
@@ -347,7 +332,7 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	plan.Construction = *res
 	// New-workflow tasks without a live executor need an auction;
 	// anything unfinished re-enters remaining.
-	need := make(map[model.TaskID]struct{})
+	need = make(map[model.TaskID]struct{})
 	for _, t := range newW.TaskIDs() {
 		_, allocated := plan.Allocations[t]
 		_, rewon := won[t]
@@ -400,29 +385,18 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 		}
 	}
 	ex.goalWant = len(newW.Out())
-	return need, cancels
+	return need, dropped
 }
 
-// abortExecution fails an execution cleanly: the waiting Execute returns,
-// and every unfinished allocation is compensated so no surviving host
-// keeps a commitment for a workflow that will never proceed.
+// abortExecution fails an execution cleanly: it records why and wakes the
+// waiting Execute, whose return releases every participant.
 func (m *Manager) abortExecution(ex *execution, reason string) {
 	m.mu.Lock()
-	if ex.finished {
-		m.mu.Unlock()
-		return
+	defer m.mu.Unlock()
+	if !ex.finished {
+		ex.failures = append(ex.failures, reason)
+		ex.finishLocked(false)
 	}
-	ex.failures = append(ex.failures, reason)
-	wfID := ex.plan.WorkflowID
-	cancels := make(map[model.TaskID]proto.Addr, len(ex.remaining))
-	for t := range ex.remaining {
-		if host, ok := ex.plan.Allocations[t]; ok {
-			cancels[t] = host
-		}
-	}
-	ex.finishLocked(false)
-	m.mu.Unlock()
-	m.cancelAwards(wfID, cancels)
 }
 
 // feedsAny reports whether any output of task t is consumed by a task in

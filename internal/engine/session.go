@@ -156,33 +156,32 @@ func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
 }
 
 // retryBandPeriod spreads concurrent sessions' window retries across
-// distinct bands (see allocateWithRetries).
+// distinct bands (see retryPostpone).
 const retryBandPeriod = 8
 
+// retryPostpone is how far attempt try (0 = the first, not postponed)
+// shifts its execution windows: deterministic decorrelated backoff. If all
+// postponed alike, sessions that blocked each other (each winning some
+// windows, none all, all compensating) would retry into the same band and
+// re-collide forever, like synchronized CSMA. Instead the r-th retry lands
+// in band (r-1)·P + (slot mod P) + 1 (P = retryBandPeriod), reproducibly.
+// An allocation session's slot is its ordinal, so a fixed batch spreads
+// evenly; plan repair outlives that session and hashes the workflow ID.
+func (m *Manager) retryPostpone(try, slot int) time.Duration {
+	if try == 0 {
+		return 0
+	}
+	return time.Duration((try-1)*retryBandPeriod+slot%retryBandPeriod+1) * m.cfg.StartDelay
+}
+
 // allocateWithRetries runs the auction for the constructed workflow,
-// retrying failed allocations with postponed execution windows: the
-// tasks' providers may simply be busy with another session's
-// commitments right now. It returns the plan and any tasks that stayed
-// unallocatable after every retry (empty on success).
-//
-// Retries use deterministic decorrelated backoff. If every session
-// postponed by the same amount, sessions that mutually blocked each
-// other (each winning some windows, none winning all, all compensating)
-// would retry into the same future band and re-collide forever — the
-// allocation equivalent of synchronized CSMA collisions. Instead a
-// session's r-th retry lands in band (r-1)·P + (ordinal mod P) + 1
-// (P = retryBandPeriod), so concurrent sessions back off into distinct
-// bands — like randomized backoff slots, but keyed by the session
-// ordinal so fixed batches stay byte-reproducible.
+// retrying failed allocations with postponed windows (retryPostpone): the
+// providers may simply be busy with another session's commitments now. It
+// returns the plan and any tasks that stayed unallocatable (none on success).
 func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Result) (*Plan, []model.TaskID, error) {
 	m := sess.m
 	for try := 0; ; try++ {
-		var postpone time.Duration
-		if try > 0 {
-			band := (try-1)*retryBandPeriod + sess.ordinal%retryBandPeriod + 1
-			postpone = time.Duration(band) * m.cfg.StartDelay
-		}
-		plan, failed, err := sess.allocate(ctx, res, postpone)
+		plan, failed, err := sess.allocate(ctx, res, m.retryPostpone(try, sess.ordinal))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -94,8 +94,7 @@ type SustainedResult struct {
 	WallElapsed    time.Duration `json:"wall_elapsed_ns"`
 
 	// FinalBacklog, FinalHolds, and FinalCommitments are read after the
-	// drain completed and the lease horizon passed: all must be zero
-	// for a clean shutdown (the ISSUE's acceptance bar).
+	// drain completed and the un-executed plans' leases lapsed: all zero.
 	FinalBacklog     int `json:"final_backlog"`
 	FinalHolds       int `json:"final_holds"`
 	FinalCommitments int `json:"final_commitments"`
@@ -241,8 +240,9 @@ func SustainedLoad(ctx context.Context, cfg SustainedConfig) (*SustainedResult, 
 		driverWG.Wait()
 		return nil, fmt.Errorf("evalgen: drain: %w", err)
 	}
-	// ...then let the lease horizon pass so every allocation-time
-	// commitment and hold is swept (awards are leased, never permanent).
+	// ...then let the lease horizon pass: nobody executes or releases the
+	// plans this Initiate-only daemon hands back, so their commitments leave
+	// by lease expiry only (an executed workflow is released when it ends).
 	for i := 0; i < 600 && comm.TotalCommitments()+comm.TotalHolds() > 0; i++ {
 		sim.Advance(time.Minute)
 		time.Sleep(time.Millisecond) //openwf:allow-wallclock yields real scheduler time so lease sweeps triggered by the advance can land

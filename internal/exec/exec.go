@@ -92,10 +92,8 @@ func (m *Manager) Close() {
 	m.cancel()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range m.runs {
-		for _, t := range r.timers {
-			t.Stop()
-		}
+	for k, r := range m.runs {
+		m.forget(k, r)
 	}
 }
 
@@ -222,48 +220,56 @@ func (m *Manager) OnLabel(workflow string, lt proto.LabelTransfer) {
 	}
 }
 
-// Cancel drops a run (replanning compensation), stopping its timers.
+// forget stops a run's timers and drops it. Callers hold m.mu.
+func (m *Manager) forget(k runKey, r *run) {
+	for _, t := range r.timers {
+		t.Stop()
+	}
+	delete(m.runs, k)
+}
+
+// Cancel drops the run of one task whatever its state (an invocation in
+// flight finds it gone and publishes nothing) or, when task is empty, every
+// run of the workflow. The workflow's buffered labels go with its last run.
 func (m *Manager) Cancel(workflow string, task model.TaskID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := runKey{workflow, task}
-	if r, ok := m.runs[k]; ok && !r.started {
-		for _, t := range r.timers {
-			t.Stop()
+	left := false
+	for k, r := range m.runs {
+		switch {
+		case k.workflow != workflow:
+		case task == "" || k.task == task:
+			m.forget(k, r)
+		default:
+			left = true
 		}
-		delete(m.runs, k)
+	}
+	if !left {
+		delete(m.labels, workflow)
 	}
 }
 
-// Reset wipes every run and buffered label across all workflows — the
-// crash-simulation counterpart of ClearWorkflow. Timers are stopped; the
-// manager itself stays usable (the restarted host re-registers from
-// scratch).
+// ClearWorkflow drops all state for a workflow. No product caller; kept
+// for the frozen benchmark, goes with the [benchmark] re-baseline.
+func (m *Manager) ClearWorkflow(workflow string) { m.Cancel(workflow, "") }
+
+// Reset wipes every run and buffered label (crash simulation); the manager
+// stays usable and the restarted host re-registers from scratch.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, r := range m.runs {
-		for _, t := range r.timers {
-			t.Stop()
-		}
-		delete(m.runs, k)
+		m.forget(k, r)
 	}
-	m.labels = make(map[string]map[model.LabelID][]byte)
+	clear(m.labels)
 }
 
-// ClearWorkflow drops all state for a workflow (after completion).
-func (m *Manager) ClearWorkflow(workflow string) {
+// Residue returns how many runs and how many workflows' buffered labels
+// the manager holds: zero once every workflow this host served has ended.
+func (m *Manager) Residue() (runs, labels int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, r := range m.runs {
-		if k.workflow == workflow {
-			for _, t := range r.timers {
-				t.Stop()
-			}
-			delete(m.runs, k)
-		}
-	}
-	delete(m.labels, workflow)
+	return len(m.runs), len(m.labels)
 }
 
 // Pending returns how many registered runs have not started yet.
@@ -344,13 +350,18 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 		return
 	}
 	// Retain the results: a plan repair may later route them to new
-	// consumers (SetPlan re-publishes for finished runs).
+	// consumers (SetPlan re-publishes for finished runs). A run dropped
+	// mid-invocation owes nobody its outputs.
 	m.mu.Lock()
-	if r, ok := m.runs[runKey{workflow, c.Task}]; ok {
+	r, ok := m.runs[runKey{workflow, c.Task}]
+	if ok {
 		r.finished = true
 		r.outputs = outputs
 	}
 	m.mu.Unlock()
+	if !ok {
+		return
+	}
 	if err := m.publish(workflow, c, seg, outputs); err != nil {
 		m.notifyDone(workflow, seg, err)
 		return

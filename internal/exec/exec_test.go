@@ -268,6 +268,59 @@ func TestCancelStopsRun(t *testing.T) {
 	}
 }
 
+// TestCancelDropsStartedRun: a run is dropped whatever its state, and an
+// invocation in flight when its run is dropped publishes nothing — the
+// commitment it served is gone, and with it the duty to hand outputs on.
+func TestCancelDropsStartedRun(t *testing.T) {
+	started, finish := make(chan struct{}), make(chan struct{})
+	r := newRig(t, nil, service.Registration{
+		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
+		Fn: func(service.Invocation) (service.Outputs, error) {
+			close(started)
+			<-finish
+			return service.Outputs{"out": []byte("late")}, nil
+		},
+	})
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	<-started
+	r.mgr.Cancel("wf", "t")
+	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
+		t.Fatalf("after canceling the started run: %d runs, %d workflows' labels", runs, labels)
+	}
+	close(finish)
+	time.Sleep(20 * time.Millisecond)
+	if got := r.rec.snapshot(); len(got) != 0 {
+		t.Errorf("dropped run still sent %v", got)
+	}
+}
+
+// TestLabelsGoWithLastRun: a workflow's buffered labels outlive the
+// cancellation of one of its runs and leave with the last.
+func TestLabelsGoWithLastRun(t *testing.T) {
+	r := newRig(t, nil)
+	later := time.Now().Add(time.Hour)
+	r.mgr.Register("wf", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"mid"}))
+	r.mgr.Register("wf", commitment("u", later, []model.LabelID{"mid"}, []model.LabelID{"out"}))
+	r.mgr.Register("other", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	r.mgr.OnLabel("other", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	for _, step := range []struct {
+		task         model.TaskID
+		runs, labels int
+	}{
+		{"t", 2, 2},     // u still needs the workflow's labels
+		{"ghost", 2, 2}, // a cancel for a task never awarded here changes nothing
+		{"u", 1, 1},     // the last run takes them along; the other workflow is untouched
+	} {
+		r.mgr.Cancel("wf", step.task)
+		if runs, labels := r.mgr.Residue(); runs != step.runs || labels != step.labels {
+			t.Fatalf("after Cancel(%s): %d runs, %d workflows' labels; want %d, %d", step.task, runs, labels, step.runs, step.labels)
+		}
+	}
+}
+
 func TestClearWorkflow(t *testing.T) {
 	r := newRig(t, nil, service.Registration{
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
@@ -275,9 +328,10 @@ func TestClearWorkflow(t *testing.T) {
 	start := time.Now().Add(time.Hour)
 	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}))
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.ClearWorkflow("wf")
-	if r.mgr.Pending() != 0 {
-		t.Error("ClearWorkflow left runs")
+	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
+		t.Errorf("ClearWorkflow left %d runs, %d workflows' labels", runs, labels)
 	}
 }
 

@@ -44,10 +44,6 @@ type Config struct {
 	// BidWindow is the deadline the host gives auction managers
 	// (default auction.DefaultBidWindow).
 	BidWindow time.Duration
-	// CommitLease is how long an awarded commitment stays valid without
-	// a lease refresh from its initiator (default
-	// auction.DefaultCommitLease; negative disables leasing).
-	CommitLease time.Duration
 	// Engine configures this host's workflow engine (used when the host
 	// initiates workflows).
 	Engine engine.Config
@@ -124,6 +120,10 @@ type Host struct {
 	// refresh tick. Both are guarded by mu.
 	adRng   *rand.Rand
 	adTimer clock.Timer
+	// sweepTimer is the one expiry timer, pending while sweepAt is nonzero
+	// (see armSweep). Both are guarded by mu.
+	sweepTimer clock.Timer
+	sweepAt    time.Time
 }
 
 // New builds a host from its configuration. The host is inert until
@@ -147,9 +147,6 @@ func New(cfg Config) (*Host, error) {
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, cfg.BidWindow)
-	if cfg.CommitLease != 0 {
-		h.Participant.SetCommitLease(cfg.CommitLease)
-	}
 	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule, h.sendEnvelope)
 	h.Engine = engine.NewManager(h, cfg.Engine)
 	h.dispatch = newDispatcher(h.process, cfg.Workers)
@@ -220,6 +217,9 @@ func (h *Host) Close() error {
 	if h.adTimer != nil {
 		h.adTimer.Stop()
 		h.adTimer = nil
+	}
+	if h.sweepTimer != nil {
+		h.sweepTimer.Stop()
 	}
 	h.mu.Unlock()
 	h.cancel()
@@ -431,11 +431,9 @@ func (h *Host) process(env proto.Envelope) {
 	case proto.CallForBidsBatch:
 		resp := h.Participant.HandleCallForBidsBatch(env.Workflow, b)
 		if len(resp.Bids) > 0 {
-			// Release the reservations if no award arrives in time. One
-			// expiry timer covers the whole batch: every bid shares the
-			// batch deadline.
-			window := resp.Bids[0].Deadline.Sub(h.clk.Now()) + 10*time.Millisecond
-			h.clk.AfterFunc(window, func() { h.Participant.ExpireHolds() })
+			// Holds are the only way onto the calendar, so arming here keeps
+			// the sweep ahead; awards and refreshes only move deadlines later.
+			h.armSweep(resp.Bids[0].Deadline)
 		}
 		h.reply(env, resp)
 
@@ -443,16 +441,15 @@ func (h *Host) process(env proto.Envelope) {
 		c, ack := h.Participant.HandleAward(env.Workflow, b)
 		if ack.OK {
 			h.Exec.Register(env.Workflow, c)
-			h.armLeaseSweep()
 		}
 		h.reply(env, ack)
 
 	case proto.LeaseRefresh:
-		ack := h.Participant.HandleLeaseRefresh(env.Workflow, b)
-		h.armLeaseSweep()
-		h.reply(env, ack)
+		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
 
 	case proto.Cancel:
+		// A named task is one revoked award; no task is the end of the
+		// workflow: calendar entries, runs in any state and labels all go.
 		h.Participant.HandleCancel(env.Workflow, b)
 		h.Exec.Cancel(env.Workflow, b.Task)
 
@@ -484,35 +481,38 @@ func (h *Host) process(env proto.Envelope) {
 	}
 }
 
-// armLeaseSweep schedules a sweep at the earliest commitment lease
-// expiry. A fresh timer is armed on every award and refresh (mirroring
-// the bid-expiry timers); a sweep that still finds future leases re-arms,
-// so the chain only goes quiet when the calendar holds no leased
-// commitments.
-func (h *Host) armLeaseSweep() {
-	next, ok := h.Schedule.NextLeaseExpiry()
-	if !ok {
+// armSweep makes sure the sweep runs no later than just past at. The host
+// keeps one expiry timer: a deadline at or after the armed one waits for
+// that sweep, which re-arms at whatever lapses next.
+func (h *Host) armSweep(at time.Time) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed || (!h.sweepAt.IsZero() && !at.Before(h.sweepAt)) {
 		return
 	}
-	window := next.Sub(h.clk.Now()) + 10*time.Millisecond
-	h.clk.AfterFunc(window, h.sweepLeases)
+	if h.sweepTimer != nil {
+		h.sweepTimer.Stop()
+	}
+	h.sweepAt = at
+	h.sweepTimer = h.clk.AfterFunc(at.Sub(h.clk.Now())+10*time.Millisecond, h.sweep)
 }
 
-// sweepLeases drops every commitment whose lease lapsed — the initiator
-// stopped refreshing (it died, or it canceled and the cancel was lost) —
-// and the execution state that depended on it, returning the slots to the
-// pool.
-func (h *Host) sweepLeases() {
+// sweep is the backstop exit: it drops every hold whose bid window closed
+// without an award and every commitment whose lease lapsed — the initiator
+// stopped refreshing and never released: it died, or its release was lost
+// — with the run that depended on it, then re-arms at the next deadline on
+// the calendar, going quiet when there is none.
+func (h *Host) sweep() {
 	h.mu.Lock()
-	closed := h.closed
+	h.sweepAt = time.Time{}
 	h.mu.Unlock()
-	if closed {
-		return
-	}
-	for _, c := range h.Participant.SweepLeases() {
+	lapsed, next := h.Schedule.Expire(h.clk.Now())
+	for _, c := range lapsed {
 		h.Exec.Cancel(c.Workflow, c.Task)
 	}
-	h.armLeaseSweep()
+	if !next.IsZero() {
+		h.armSweep(next)
+	}
 }
 
 // Reset wipes the host's volatile protocol state — calendar, firm bids,

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/auction"
+	"openwf/internal/clock"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/service"
@@ -267,6 +269,73 @@ func TestHoldExpiryTimerReleasesSlot(t *testing.T) {
 			t.Fatal("hold never expired")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestOneSweepTimerPerHost: however many bids, awards and lease refreshes
+// a host serves, it keeps exactly one expiry timer — armed at the earliest
+// deadline on its calendar, re-armed by the sweep itself — and none once
+// the calendar is empty.
+func TestOneSweepTimerPerHost(t *testing.T) {
+	const awards, refreshes = 6, 4
+	sim := clock.NewSim(time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC))
+	var regs []service.Registration
+	for i := 0; i < awards; i++ {
+		regs = append(regs, service.Registration{
+			Descriptor: service.Descriptor{Task: model.TaskID(fmt.Sprintf("t%d", i)), Specialization: 0.5},
+		})
+	}
+	a, b := pair(t,
+		Config{Addr: "a", Clock: sim},
+		Config{Addr: "b", Clock: sim, BidWindow: 10 * time.Second, Services: regs},
+	)
+	call := func(wf string, body proto.Body) proto.Body {
+		t.Helper()
+		reply, err := a.Call(context.Background(), "b", wf, body, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	// pending is the timers left on the clock once every finished Call's
+	// one-second reply timeout has run out.
+	pending := func() int {
+		sim.Advance(2 * time.Second)
+		return sim.PendingWaiters()
+	}
+	for i := 0; i < awards; i++ {
+		wf, start := fmt.Sprintf("wf-%d", i), sim.Now().Add(time.Duration(i+1)*time.Hour)
+		meta := proto.TaskMeta{
+			Task: model.TaskID(fmt.Sprintf("t%d", i)), Mode: model.Conjunctive,
+			Inputs: lbl("in"), Outputs: lbl("out"), Start: start, End: start.Add(time.Minute),
+		}
+		if bids := call(wf, proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}).(proto.BidBatch); len(bids.Bids) != 1 {
+			t.Fatalf("workflow %d: reply %+v, want one bid", i, bids)
+		}
+		if ack := call(wf, proto.Award{Meta: meta}).(proto.AwardAck); !ack.OK {
+			t.Fatalf("workflow %d: award refused: %s", i, ack.Reason)
+		}
+	}
+	if got := pending(); got != 1 {
+		t.Fatalf("%d timers pending after %d awards, want the one sweep timer", got, awards)
+	}
+	for i := 0; i < refreshes; i++ {
+		sim.Advance(30 * time.Second)
+		task := model.TaskID(fmt.Sprintf("t%d", i))
+		if ack := call(fmt.Sprintf("wf-%d", i), proto.LeaseRefresh{Tasks: []model.TaskID{task}}).(proto.LeaseRefreshAck); len(ack.Missing) != 0 {
+			t.Fatalf("refresh %d: missing %v", i, ack.Missing)
+		}
+	}
+	// The bid windows have closed by now and the sweep has moved on to the
+	// earliest lease, by itself.
+	if got, held := pending(), len(b.Schedule.Commitments()); got != 1 || held != awards {
+		t.Fatalf("%d timers pending over %d commitments after %d refreshes, want 1 over %d", got, held, refreshes, awards)
+	}
+	// Nobody refreshes or releases any more: the leases lapse — the
+	// refreshed ones last — and the sweep goes quiet with the calendar.
+	sim.Advance(auction.DefaultCommitLease + time.Minute)
+	if got, held, runs := sim.PendingWaiters(), len(b.Schedule.Commitments()), b.Exec.Pending(); got != 0 || held != 0 || runs != 0 {
+		t.Fatalf("after the lease horizon: %d timers, %d commitments, %d runs; want none", got, held, runs)
 	}
 }
 

@@ -765,8 +765,8 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 }
 
 // TestWireFormatGoldenLease pins the byte layout of the two lease
-// bodies (PR 6) the same way TestWireFormatGolden pins a representative
-// per-task frame. Update the constants only with a wireVersion bump.
+// bodies (PR 6) and of the release that ends a lease early, the same way
+// TestWireFormatGolden pins a representative per-task frame. Update the constants only with a wireVersion bump.
 func TestWireFormatGoldenLease(t *testing.T) {
 	rows := []struct {
 		name string
@@ -790,6 +790,18 @@ func TestWireFormatGoldenLease(t *testing.T) {
 				"13" + // kind: lease-refresh-ack
 				"0162" + "0161" + "05" + "027766" + // header b, a, 5, wf
 				"01" + "027431", // missing ["t1"]
+		},
+		{
+			// The end-of-workflow release is a cancel that names no task:
+			// the same kind and layout as any other cancel, an empty string
+			// where the task goes — no new wire kind, no version bump.
+			name: "release",
+			env: Envelope{From: "a", To: "b", Workflow: "wf",
+				Body: Cancel{}},
+			want: "01" + // version
+				"0a" + // kind: cancel
+				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
+				"00", // task ""
 		},
 	}
 	for _, row := range rows {

@@ -178,7 +178,8 @@ type AwardAck struct {
 func (AwardAck) Kind() string { return "award-ack" }
 
 // Cancel revokes a previously awarded task (compensation during
-// replanning after a failure).
+// replanning after a failure). With no Task it is the release an initiator
+// sends when execution ends: drop everything held for the workflow.
 type Cancel struct {
 	Task model.TaskID
 }

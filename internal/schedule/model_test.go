@@ -148,7 +148,9 @@ func classOf(err error) string {
 // property test (the name dates from the sharded calendar it first
 // guarded and is kept so the test's history stays one line). Seeded random
 // operation sequences — including re-Hold and batch refresh of live keys
-// with moved windows — run against the Manager and against
+// with moved windows, sweeps (Expire must return the reference's lapsed
+// commitments and its earliest remaining deadline) and whole-workflow
+// drops — run against the Manager and against
 // refCalendar. After every operation the outcome class and, on success,
 // the commitment must match; a conflict must name the reference's
 // lowest-sequence blocker; Commitments, HeldTasks and Holds must match;
@@ -261,7 +263,7 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 			for ; op < 500; op++ {
 				wf, task := workflows[rng.Intn(len(workflows))], randTask()
 				deadline := t0.Add(time.Duration(30+rng.Intn(120)) * time.Second)
-				switch rng.Intn(16) {
+				switch rng.Intn(17) {
 				case 0, 1, 2:
 					hold(wf, metaFor(task), deadline)
 				case 3: // a batch that may refresh a live hold with a moved window
@@ -295,21 +297,32 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 					if got := m.ReleaseWorkflow(wf); got != want {
 						t.Fatalf("op %d: ReleaseWorkflow(%s) = %d, reference %d", op, wf, got, want)
 					}
-				case 12:
+				case 12, 13: // a sweep on the bid-window scale, or on the lease scale
 					now := t0.Add(time.Duration(rng.Intn(180)) * time.Second)
-					want := len(ref.drop(func(e refEntry) bool { return e.hold && now.After(e.expiry) }))
-					if got := m.ExpireHolds(now); got != want {
-						t.Fatalf("op %d: ExpireHolds = %d, reference %d", op, got, want)
+					if rng.Intn(2) == 0 {
+						now = t0.Add(time.Duration(rng.Intn(12)) * time.Minute)
 					}
-				case 13:
-					now := t0.Add(time.Duration(rng.Intn(12)) * time.Minute)
+					ref.drop(func(e refEntry) bool { return e.hold && now.After(e.expiry) })
 					want := ref.drop(func(e refEntry) bool { return !e.hold && !e.lease.IsZero() && now.After(e.lease) })
 					sortByStart(want)
-					if got := m.ExpireCommitments(now); !sameList(got, want) {
-						t.Fatalf("op %d: ExpireCommitments\n got %+v\nwant %+v", op, got, want)
+					var wantNext time.Time
+					for _, e := range ref.busy {
+						d := e.lease
+						if e.hold {
+							d = e.expiry
+						}
+						if !d.IsZero() && (wantNext.IsZero() || d.Before(wantNext)) {
+							wantNext = d
+						}
+					}
+					if got, next := m.Expire(now); !sameList(got, want) || !next.Equal(wantNext) {
+						t.Fatalf("op %d: Expire(+%v)\n got %+v, next %v\nwant %+v, next %v", op, now.Sub(t0), got, next, want, wantNext)
 					}
 				case 14:
 					remove(wf, task)
+				case 16: // the workflow ended: holds and commitments both go
+					ref.drop(func(e refEntry) bool { return e.c.Workflow == wf })
+					m.DropWorkflow(wf)
 				case 15:
 					md := metaFor(task)
 					got, err := m.CanCommit(md)

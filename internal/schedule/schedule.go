@@ -80,7 +80,7 @@ type record struct {
 	// expiry is the hold deadline (holds only).
 	expiry time.Time
 	// lease is the commitment's lease expiry; zero means the commitment
-	// never expires (the participant's leasing is disabled).
+	// never expires.
 	lease time.Time
 }
 
@@ -246,7 +246,7 @@ var ErrAlreadyHeld = errors.New("schedule: already holding this task")
 // Hold reserves the schedule slot for a firm bid until deadline: the
 // bidder must be able to honor an award that arrives before then. The
 // reservation is released by Release, converted by CommitHeld, or expired
-// by ExpireHolds. Holds are sequence-stamped in arrival order; an
+// by Expire. Holds are sequence-stamped in arrival order; an
 // overlapping later Hold fails with ErrSlotBusy (first-hold-wins).
 func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
 	k := key{workflow, meta.Task}
@@ -357,24 +357,39 @@ func (m *Manager) RefreshCommitLease(workflow string, task model.TaskID, lease t
 	return nil
 }
 
-// ExpireCommitments removes every commitment whose lease has passed and
-// returns them (sorted by start time, then task) so the caller can
-// release dependent state (execution runs, buffered labels). Lease-less
-// commitments never expire. This is the sweep that returns a dead
-// initiator's slots to the pool: when nobody refreshes the lease, the
-// calendar heals by itself.
-func (m *Manager) ExpireCommitments(now time.Time) []Commitment {
+// Expire is the calendar's one clock-driven exit: it drops every hold whose
+// bid deadline and every commitment whose lease has passed (lease-less
+// commitments never expire) and returns the lapsed commitments, sorted by
+// start then task, so the host can drop the runs behind them, plus the
+// earliest deadline left — when to sweep next; zero when nothing can lapse.
+// This is what returns a dead initiator's slots to the pool.
+func (m *Manager) Expire(now time.Time) (lapsed []Commitment, next time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []Commitment
+	// due reports whether deadline has passed; one that has not competes
+	// for next.
+	due := func(deadline time.Time) bool {
+		if now.After(deadline) {
+			return true
+		}
+		if next.IsZero() || deadline.Before(next) {
+			next = deadline
+		}
+		return false
+	}
+	for k, r := range m.holds {
+		if due(r.expiry) {
+			delete(m.holds, k)
+		}
+	}
 	for k, r := range m.commits {
-		if !r.lease.IsZero() && now.After(r.lease) {
-			out = append(out, r.c)
+		if !r.lease.IsZero() && due(r.lease) {
+			lapsed = append(lapsed, r.c)
 			delete(m.commits, k)
 		}
 	}
-	sortByStart(out)
-	return out
+	sortByStart(lapsed)
+	return lapsed, next
 }
 
 // sortByStart orders commitments by start time, then task.
@@ -387,20 +402,6 @@ func sortByStart(cs []Commitment) {
 	})
 }
 
-// NextLeaseExpiry returns the earliest commitment lease expiry, if any
-// commitment carries a lease (the host uses it to arm its sweep timer).
-func (m *Manager) NextLeaseExpiry() (time.Time, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var min time.Time
-	for _, r := range m.commits {
-		if !r.lease.IsZero() && (min.IsZero() || r.lease.Before(min)) {
-			min = r.lease
-		}
-	}
-	return min, !min.IsZero()
-}
-
 // Release drops a hold without committing (the auction was lost).
 func (m *Manager) Release(workflow string, task model.TaskID) {
 	m.mu.Lock()
@@ -408,32 +409,29 @@ func (m *Manager) Release(workflow string, task model.TaskID) {
 	delete(m.holds, key{workflow, task})
 }
 
-// ReleaseWorkflow drops every hold of one workflow (session teardown,
-// e.g. after the session's auction failed wholesale) and returns how many
-// were released. Commitments are untouched; they are revoked per task by
-// Remove on compensation.
+// DropWorkflow removes everything the calendar holds for one workflow —
+// holds and commitments alike — when the workflow has ended.
+func (m *Manager) DropWorkflow(workflow string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	dropWorkflow(m.holds, workflow)
+	dropWorkflow(m.commits, workflow)
+}
+
+// ReleaseWorkflow drops every hold of one workflow and returns how many
+// were released; commitments are untouched. No product caller; kept for
+// the frozen benchmark, goes with the [benchmark] re-baseline.
 func (m *Manager) ReleaseWorkflow(workflow string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for k := range m.holds {
-		if k.workflow == workflow {
-			delete(m.holds, k)
-			n++
-		}
-	}
-	return n
+	return dropWorkflow(m.holds, workflow)
 }
 
-// ExpireHolds releases every hold whose deadline has passed and returns
-// how many were released.
-func (m *Manager) ExpireHolds(now time.Time) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for k, r := range m.holds {
-		if now.After(r.expiry) {
-			delete(m.holds, k)
+// dropWorkflow deletes a workflow's records from recs and counts them.
+func dropWorkflow(recs map[key]*record, workflow string) (n int) {
+	for k := range recs {
+		if k.workflow == workflow {
+			delete(recs, k)
 			n++
 		}
 	}

@@ -188,15 +188,13 @@ func TestHoldLifecycle(t *testing.T) {
 	if res := m.HoldBatch("wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	// Expiry after the refreshed deadline.
-	if n := m.ExpireHolds(t0.Add(90 * time.Second)); n != 0 {
-		t.Errorf("ExpireHolds before deadline released %d", n)
+	// Expiry after the refreshed deadline, which Expire reports as the
+	// next thing to lapse until then.
+	if _, next := m.Expire(t0.Add(90 * time.Second)); m.Holds() != 1 || !next.Equal(t0.Add(2*time.Minute)) {
+		t.Errorf("Expire before deadline: holds %d, next %v", m.Holds(), next)
 	}
-	if n := m.ExpireHolds(t0.Add(3 * time.Minute)); n != 1 {
-		t.Errorf("ExpireHolds after deadline released %d", n)
-	}
-	if m.Holds() != 0 {
-		t.Errorf("Holds = %d after expiry", m.Holds())
+	if lapsed, next := m.Expire(t0.Add(3 * time.Minute)); m.Holds() != 0 || len(lapsed) != 0 || !next.IsZero() {
+		t.Errorf("Expire after deadline: holds %d, lapsed %v, next %v", m.Holds(), lapsed, next)
 	}
 }
 
@@ -350,7 +348,7 @@ func assertNoOverlap(t *testing.T, m *Manager) {
 }
 
 // TestPropertyRandomInterleavingsNeverOverlap drives seeded random
-// interleavings of Hold/HoldBatch/commit/Release/Remove/ExpireHolds
+// interleavings of Hold/HoldBatch/commit/Release/Remove/Expire
 // across several workflows and asserts after every operation that busy
 // intervals never overlap and bookkeeping stays consistent.
 func TestPropertyRandomInterleavingsNeverOverlap(t *testing.T) {
@@ -384,7 +382,7 @@ func TestPropertyRandomInterleavingsNeverOverlap(t *testing.T) {
 					m.Remove(wf, model.TaskID(task))
 				case 5:
 					sim.Advance(time.Duration(rng.Intn(60)) * time.Second)
-					m.ExpireHolds(sim.Now())
+					m.Expire(sim.Now())
 				}
 				assertNoOverlap(t, m)
 			}
@@ -419,7 +417,7 @@ func TestPropertyConcurrentSessionsNeverOverlap(t *testing.T) {
 				case 3:
 					m.Remove(wf, model.TaskID(task))
 				case 4:
-					m.ExpireHolds(sim.Now())
+					m.Expire(sim.Now())
 				}
 			}
 		}()
@@ -470,13 +468,13 @@ func TestCommitHeldRequiresLiveHold(t *testing.T) {
 	if _, err := m.Hold("wf2", meta("u", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	m.ExpireHolds(t0.Add(2 * time.Minute))
+	m.Expire(t0.Add(2 * time.Minute))
 	if _, err := m.CommitHeld("wf2", "u", time.Time{}); !errors.Is(err, ErrNoHold) {
 		t.Fatalf("CommitHeld after expiry err = %v, want ErrNoHold", err)
 	}
 }
 
-func TestExpireCommitmentsSweepsOnlyLapsedLeases(t *testing.T) {
+func TestExpireSweepsOnlyLapsedLeases(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
 	// a: lease lapses at +1min; b: lease at +1h; c: no lease (permanent).
 	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(time.Minute)); err != nil {
@@ -488,10 +486,10 @@ func TestExpireCommitmentsSweepsOnlyLapsedLeases(t *testing.T) {
 	if _, err := commit(m, "wf", meta("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if swept := m.ExpireCommitments(t0.Add(30 * time.Second)); len(swept) != 0 {
+	if swept, _ := m.Expire(t0.Add(30 * time.Second)); len(swept) != 0 {
 		t.Fatalf("early sweep removed %d commitments", len(swept))
 	}
-	swept := m.ExpireCommitments(t0.Add(2 * time.Minute))
+	swept, _ := m.Expire(t0.Add(2 * time.Minute))
 	if len(swept) != 1 || swept[0].Task != "a" {
 		t.Fatalf("sweep at +2min = %+v, want just a", swept)
 	}
@@ -503,9 +501,12 @@ func TestExpireCommitmentsSweepsOnlyLapsedLeases(t *testing.T) {
 		t.Fatalf("slot not returned to the pool: %v", err)
 	}
 	// b survives until its lease lapses; c never expires.
-	swept = m.ExpireCommitments(t0.Add(24 * time.Hour))
+	swept, next := m.Expire(t0.Add(24 * time.Hour))
 	if len(swept) != 1 || swept[0].Task != "b" {
 		t.Fatalf("final sweep = %+v, want just b", swept)
+	}
+	if _, ok := m.Get("wf", "c"); !ok || !next.IsZero() {
+		t.Fatalf("lease-less commitment kept = %v, next = %v; want kept and nothing left to lapse", ok, next)
 	}
 }
 
@@ -520,22 +521,25 @@ func TestRefreshCommitLeaseExtendsAndClears(t *testing.T) {
 	if err := m.RefreshCommitLease("wf", "t", t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if swept := m.ExpireCommitments(t0.Add(10 * time.Minute)); len(swept) != 0 {
+	if swept, _ := m.Expire(t0.Add(10 * time.Minute)); len(swept) != 0 {
 		t.Fatalf("refreshed lease swept early: %+v", swept)
 	}
 	// Zero lease makes the commitment permanent.
 	if err := m.RefreshCommitLease("wf", "t", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if swept := m.ExpireCommitments(t0.Add(1000 * time.Hour)); len(swept) != 0 {
+	if swept, _ := m.Expire(t0.Add(1000 * time.Hour)); len(swept) != 0 {
 		t.Fatalf("permanent commitment swept: %+v", swept)
 	}
 }
 
-func TestNextLeaseExpiry(t *testing.T) {
+// TestExpireReportsNextDeadline: next is the earliest deadline left on the
+// calendar, a hold's bid deadline or a commitment's lease alike — what the
+// host arms its one sweep timer at.
+func TestExpireReportsNextDeadline(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
-	if _, ok := m.NextLeaseExpiry(); ok {
-		t.Fatal("NextLeaseExpiry on empty manager")
+	if lapsed, next := m.Expire(t0); len(lapsed) != 0 || !next.IsZero() {
+		t.Fatalf("Expire on empty manager = %v, %v", lapsed, next)
 	}
 	if _, err := commit(m, "wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(10*time.Minute)); err != nil {
 		t.Fatal(err)
@@ -543,14 +547,52 @@ func TestNextLeaseExpiry(t *testing.T) {
 	if _, err := commit(m, "wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(2*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	next, ok := m.NextLeaseExpiry()
-	if !ok || !next.Equal(t0.Add(2*time.Minute)) {
-		t.Fatalf("NextLeaseExpiry = %v ok=%v, want %v", next, ok, t0.Add(2*time.Minute))
+	if _, err := m.Hold("wf", meta("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), t0.Add(time.Minute)); err != nil {
+		t.Fatal(err)
 	}
-	m.ExpireCommitments(t0.Add(3 * time.Minute))
-	next, ok = m.NextLeaseExpiry()
-	if !ok || !next.Equal(t0.Add(10*time.Minute)) {
-		t.Fatalf("NextLeaseExpiry after sweep = %v ok=%v", next, ok)
+	for _, step := range []struct {
+		now, next  time.Time
+		lapsed     int
+		holds, cal int
+	}{
+		{now: t0, next: t0.Add(time.Minute), holds: 1, cal: 2},                            // the hold lapses first
+		{now: t0.Add(90 * time.Second), next: t0.Add(2 * time.Minute), cal: 2},            // hold gone, b's lease next
+		{now: t0.Add(3 * time.Minute), next: t0.Add(10 * time.Minute), lapsed: 1, cal: 1}, // b lapsed, a's lease next
+		{now: t0.Add(10 * time.Minute), next: t0.Add(10 * time.Minute), cal: 1},           // a deadline is not past at its own instant
+		{now: t0.Add(10*time.Minute + time.Nanosecond), lapsed: 1},                        // nothing left: the sweep goes quiet
+	} {
+		lapsed, next := m.Expire(step.now)
+		if len(lapsed) != step.lapsed || !next.Equal(step.next) || m.Holds() != step.holds || len(m.Commitments()) != step.cal {
+			t.Fatalf("Expire(+%v) = %d lapsed, next %v, %d holds, %d commitments; want %d, %v, %d, %d",
+				step.now.Sub(t0), len(lapsed), next, m.Holds(), len(m.Commitments()), step.lapsed, step.next, step.holds, step.cal)
+		}
+	}
+}
+
+// TestDropWorkflowTakesHoldsAndCommitments: the end-of-workflow drop
+// removes both kinds of record for its workflow and nothing of another's —
+// unlike ReleaseWorkflow, which the benchmark pins as hold-only.
+func TestDropWorkflowTakesHoldsAndCommitments(t *testing.T) {
+	m, _ := newManager(Preferences{}, nil)
+	for i, wf := range []string{"wf-a", "wf-b"} {
+		base := t0.Add(time.Duration(1+4*i) * time.Hour)
+		if _, err := commit(m, wf, meta("c", base, base.Add(time.Hour)), t0.Add(5*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Hold(wf, meta("h", base.Add(2*time.Hour), base.Add(3*time.Hour)), t0.Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.DropWorkflow("wf-a")
+	if _, ok := m.Get("wf-a", "c"); ok || m.Holds() != 1 || len(m.Commitments()) != 1 {
+		t.Fatalf("after DropWorkflow(wf-a): wf-a commitment kept = %v, %d holds, %d commitments; want only wf-b's", ok, m.Holds(), len(m.Commitments()))
+	}
+	if held := m.HeldTasks(); held[0].Workflow != "wf-b" {
+		t.Fatalf("surviving hold belongs to %q", held[0].Workflow)
+	}
+	// The freed intervals are bookable again.
+	if _, err := m.Hold("wf-c", meta("x", t0.Add(time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Minute)); err != nil {
+		t.Fatalf("dropped workflow's slots not returned to the pool: %v", err)
 	}
 }
 
@@ -631,11 +673,11 @@ func TestHoldBatchRefreshesExistingHold(t *testing.T) {
 	}
 	// The original deadline (t0+1min) would have expired by +2min; the
 	// refreshed one (t0+30s+1min) has not at +80s.
-	if n := m.ExpireHolds(t0.Add(80 * time.Second)); n != 0 {
-		t.Fatalf("refreshed hold expired early (%d expired)", n)
+	if m.Expire(t0.Add(80 * time.Second)); m.Holds() != 1 {
+		t.Fatal("refreshed hold expired early")
 	}
-	if n := m.ExpireHolds(t0.Add(3 * time.Minute)); n != 1 {
-		t.Fatalf("ExpireHolds = %d, want 1", n)
+	if m.Expire(t0.Add(3 * time.Minute)); m.Holds() != 0 {
+		t.Fatal("hold outlived its refreshed deadline")
 	}
 }
 
