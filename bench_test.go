@@ -361,28 +361,41 @@ func BenchmarkConcurrentInitiate(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscoveryInitiate — capability-index routing vs full
-// broadcast (PR 9): one Initiate over a community where only 5 fixed
-// providers are relevant and every other member is junk. The
-// roundtrips/op metric is the story: indexed rows stay flat as the
-// community grows, broadcast rows grow O(hosts). openwfbench's tcp_wide
-// workload carries index routing on real sockets.
+// BenchmarkDiscoveryInitiate prices a host's memory of its community: one
+// Initiate over a community where only 5 fixed providers are relevant and
+// every other member is junk, in the three ways the initiator can know
+// that. The roundtrips/op metric is the story: "cold" (the index is wiped
+// before every Initiate, so each is its host's first) pays one describing
+// sweep and grows O(hosts); "memory" (what earlier sessions were told) and
+// "advertiser" (pushed sets, warmed at set-up) cost the same flat 17 — the
+// advertiser's edge is the first session and the silent member, nothing
+// per Initiate. openwfbench's tcp_wide workload carries the advertiser on
+// real sockets.
 func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
-		for _, mode := range []string{"indexed", "broadcast"} {
+		for _, mode := range []string{"cold", "memory", "advertiser"} {
 			b.Run(fmt.Sprintf("hosts=%d/mode=%s", hosts, mode), func(b *testing.B) {
 				ctx := context.Background()
-				comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "indexed", 1)
+				comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "advertiser", 1)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer comm.Close()
+				h, _ := comm.Host(initiator)
+				if mode == "memory" {
+					if _, err := comm.Initiate(ctx, initiator, s); err != nil {
+						b.Fatal(err)
+					}
+				}
 				comm.Network().ResetCounters()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					comm.ResetSchedules()
+					if mode == "cold" {
+						h.Discovery().Reset()
+					}
 					b.StartTimer()
 					plan, err := comm.Initiate(ctx, initiator, s)
 					if err != nil {

@@ -68,12 +68,13 @@ type Options struct {
 	// Trace, when non-nil, records every message every host sends or
 	// receives (one shared recorder across the community).
 	Trace trace.Recorder
-	// Discovery, when non-nil, enables the capability index on every
-	// host: members advertise their label/task capabilities on the
-	// configured cadence and initiators route solicitation through the
-	// index instead of broadcasting (internal/discovery). Each host's
-	// advertiser jitter is seeded deterministically from Seed and its
-	// creation ordinal.
+	// Discovery, when non-nil, runs the advertiser on every host: members
+	// push their label/task capabilities on the configured cadence, so
+	// initiators know them without asking and stop soliciting a member
+	// one TTL after it falls silent (internal/discovery). Hosts remember
+	// what members say about themselves, and route by it, either way.
+	// Each host's advertiser jitter is seeded deterministically from Seed
+	// and its creation ordinal.
 	Discovery *host.DiscoveryConfig
 }
 
@@ -270,11 +271,10 @@ func (c *Community) InitiateAll(ctx context.Context, id proto.Addr, specs []spec
 	return h.Engine.InitiateBatch(ctx, specs)
 }
 
-// WarmDiscovery synchronously populates the capability index from the
-// given host's point of view: one pull sweep over the community
-// (Advertise request + AdvertiseAck per member) after which its
-// solicitations route by capability instead of broadcasting. Requires
-// Options.Discovery.
+// WarmDiscovery synchronously populates the given host's index: one pull
+// sweep over the community (Advertise request + AdvertiseAck per member),
+// after which even its first session asks nobody to describe itself.
+// Requires Options.Discovery.
 func (c *Community) WarmDiscovery(ctx context.Context, id proto.Addr) error {
 	h, ok := c.hosts[id]
 	if !ok {
@@ -283,14 +283,11 @@ func (c *Community) WarmDiscovery(ctx context.Context, id proto.Addr) error {
 	return h.AdvertiseNow(ctx)
 }
 
-// DiscoveryStats aggregates every host's capability-index counters.
-// Zero value when discovery is disabled.
+// DiscoveryStats aggregates every host's index counters.
 func (c *Community) DiscoveryStats() discovery.Stats {
 	var sum discovery.Stats
 	for _, id := range c.order {
-		if x := c.hosts[id].Discovery(); x != nil {
-			sum.Add(x.Stats())
-		}
+		sum.Add(c.hosts[id].Discovery().Stats())
 	}
 	return sum
 }

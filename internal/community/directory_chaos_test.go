@@ -1,13 +1,19 @@
 package community
 
-// Fault coverage for the session directory (DESIGN.md §16): what a member
-// told a session about itself routes every later sweep, so each test
+// Fault coverage for a host's memory of its community (DESIGN.md §13):
+// what a member said about itself routes every later sweep, so each test
 // breaks that knowledge a different way — the member never got to
 // describe itself (partition), described itself and then died (crash),
 // or described a service it then withdrew — on the virtual clock, with
 // inmem faults, under the chaos job's race detector. The invariant is the
 // chaos harness's: a session ends allocated or cleanly aborted, and no
 // hold outlives its bid window.
+//
+// Every session here is its host's first and stays inside one TTL of
+// virtual time (call timeouts are a second, the driven clock runs 20 ms
+// per wall millisecond), so what the tests count is what one session's
+// worth of memory costs; lapse and doubt have tests of their own on a
+// clock that does not run (internal/discovery, internal/engine).
 
 import (
 	"errors"
@@ -50,15 +56,16 @@ func buildDirectoryChaos(t *testing.T, sim *clock.Sim, cfg engine.Config, rec tr
 	}
 	cfg.TaskWindow = time.Second
 	cfg.StartDelay = time.Duration(dirChain+2) * time.Second
-	cfg.CallTimeout = 10 * time.Second
+	cfg.CallTimeout = time.Second
 	return newTestCommunity(t, Options{Clock: sim, Engine: &cfg, Trace: rec}, specs...)
 }
 
 // driveClock advances the virtual clock in the background, so call
-// timeouts trip and auction deadlines pass; the returned stop joins it
-// and may be called more than once. A test whose fault is over stops the
-// clock before the auction: bid windows are 200 ms of virtual time, which
-// a free-running clock burns through while a sweep is still in flight.
+// timeouts trip (a lost request costs 50 ms of wall time) and auction
+// deadlines pass; the returned stop joins it and may be called more than
+// once. A test whose fault is over stops the clock before the auction: bid
+// windows are 200 ms of virtual time, which a free-running clock burns
+// through while a sweep is still in flight.
 func driveClock(sim *clock.Sim) (stop func()) {
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
@@ -72,7 +79,7 @@ func driveClock(sim *clock.Sim) (stop func()) {
 				return
 			default:
 			}
-			sim.Advance(200 * time.Millisecond)
+			sim.Advance(20 * time.Millisecond)
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -121,7 +128,7 @@ func partitionOff(c *Community, x proto.Addr) {
 // each collection round and the feasibility query — still tries it, and
 // nobody else is sent a feasibility query. The partition heals before the
 // auction (a silent member inside a solicitation sweep outlasts the other
-// bids' windows, with or without a directory), and the member, still
+// bids' windows, however sweeps are routed), and the member, still
 // undescribed, is solicited like everyone a broadcast would solicit.
 func TestChaosDirectoryPartitionedMember(t *testing.T) {
 	const x = proto.Addr("host03")
@@ -238,7 +245,7 @@ func TestChaosDirectoryLearnsAfterHeal(t *testing.T) {
 
 // TestChaosDirectoryCrashAfterDescribing: a member that dies between
 // describing itself and the auction costs each solicitation sweep exactly
-// one failed request — the directory still lists what it offered. The
+// one failed request — the index still lists what it offered. The
 // session ends allocated or cleanly aborted (the dead member's silence
 // outlasts the other bids' windows, so §5.1 may run out of tasks; when it
 // was a task's only provider there is no other way at all), nothing is
@@ -296,7 +303,7 @@ func TestChaosDirectoryCrashAfterDescribing(t *testing.T) {
 }
 
 // TestChaosDirectoryWithdrawnService: a service unregistered after its
-// host described it leaves the directory stale for the rest of the
+// host described it leaves the index stale for the rest of the
 // session. The stale entry is caught where staleness always was — the
 // host declines the call for bids — and §5.1 converges in one replan:
 // the task is excluded and the alternative route allocated.

@@ -1,10 +1,10 @@
 package community_test
 
-// The differential guarantee behind the session directory (DESIGN.md §16),
-// beside the capability index's in discovery_test.go: what members tell a
-// session about themselves may only change WHO is asked in later sweeps,
-// never WHAT plan comes out. An external test package because the seeded
-// communities come from evalgen, which itself imports community.
+// The differential guarantee behind a host's memory of its community
+// (DESIGN.md §13): what members tell a host about themselves — asked by a
+// sweep or pushed by their advertiser — may only change WHO is asked in
+// later sweeps, never WHAT plan comes out. An external test package because
+// the seeded communities come from evalgen, which itself imports community.
 
 import (
 	"context"
@@ -29,15 +29,16 @@ import (
 
 var diffT0 = time.Date(2026, 6, 13, 9, 0, 0, 0, time.UTC)
 
-// sweepKinds are the requests the directory routes.
+// sweepKinds are the requests the index routes.
 var sweepKinds = []string{"fragment-query", "feasibility-query", "call-for-bids-batch"}
 
-// strippingMessenger is the initiator's own host with two additions: it
-// counts the requests sent to each member, and it removes the capability
-// set from the fragment replies of the members strip selects — which makes
-// those members exactly what the engine saw before descriptions existed.
-// Strip everyone and the engine broadcasts every sweep; no switch in
-// product code is involved.
+// strippingMessenger is the initiator's own host — index included, so an
+// engine built over it remembers what the host's advertiser traffic taught
+// it — with two additions: it counts the requests sent to each member, and
+// it removes the capability set from the fragment replies of the members
+// strip selects, which makes those members exactly what the engine saw
+// before descriptions existed. Strip everyone and the engine broadcasts
+// every sweep; no switch in product code is involved.
 type strippingMessenger struct {
 	*host.Host
 	strip func(proto.Addr) bool
@@ -64,13 +65,39 @@ func (m *strippingMessenger) Call(ctx context.Context, to proto.Addr, wf string,
 // total sums the routed requests sent to every member.
 func (m *strippingMessenger) total() int {
 	n := 0
-	for _, kinds := range m.calls {
-		for _, kind := range sweepKinds {
-			n += kinds[kind]
-		}
+	for _, kind := range sweepKinds {
+		n += m.sent(kind)
 	}
 	return n
 }
+
+// sent sums the requests of one kind sent to every member.
+func (m *strippingMessenger) sent(kind string) int {
+	n := 0
+	for _, kinds := range m.calls {
+		n += kinds[kind]
+	}
+	return n
+}
+
+// mode is one way the initiator comes to know — or not to know — its
+// community.
+type mode struct {
+	name  string
+	strip func(proto.Addr) bool
+	// warm runs the advertiser and pulls every member's set into the
+	// initiator's index before the first session.
+	warm bool
+}
+
+const muteMember = proto.Addr("host03")
+
+var (
+	describing = mode{name: "describing", strip: func(proto.Addr) bool { return false }}
+	broadcast  = mode{name: "broadcast", strip: func(proto.Addr) bool { return true }}
+	oneMute    = mode{name: "one mute member", strip: func(a proto.Addr) bool { return a == muteMember }}
+	warmed     = mode{name: "advertiser warmed", strip: describing.strip, warm: true}
+)
 
 // diffCommunity builds the seed's community on a frozen virtual clock: a
 // 24-task evalgen supergraph, knowhow spread evenly over 6–10 hosts, each
@@ -79,7 +106,7 @@ func (m *strippingMessenger) total() int {
 // seeds build equal communities. It returns the initiator's engine,
 // rebuilt over a strippingMessenger, and three specifications to plan in
 // turn (later sessions meet the earlier ones' commitments).
-func diffCommunity(t *testing.T, seed int64, parallel bool, strip func(proto.Addr) bool) (*community.Community, *engine.Manager, *strippingMessenger, []spec.Spec) {
+func diffCommunity(t *testing.T, seed int64, parallel bool, md mode) (*community.Community, *engine.Manager, *strippingMessenger, []spec.Spec) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sc, err := evalgen.Generate(24, rng)
@@ -115,13 +142,24 @@ func diffCommunity(t *testing.T, seed int64, parallel bool, strip func(proto.Add
 	cfg := evalgen.EvalEngineConfig()
 	cfg.ParallelQuery = parallel
 	cfg.CallTimeout = time.Hour // virtual: every member answers, nothing times out
-	c, err := community.New(community.Options{Clock: clock.NewSim(diffT0), Engine: &cfg, Seed: seed}, specs...)
+	opts := community.Options{Clock: clock.NewSim(diffT0), Engine: &cfg, Seed: seed}
+	if md.warm {
+		// On the frozen clock the advertiser never ticks: the pull below is
+		// all the index hears, and nothing it holds lapses.
+		opts.Discovery = &host.DiscoveryConfig{}
+	}
+	c, err := community.New(opts, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
+	if md.warm {
+		if err := c.WarmDiscovery(context.Background(), "host00"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h, _ := c.Host("host00")
-	msgr := &strippingMessenger{Host: h, strip: strip, calls: make(map[proto.Addr]map[string]int)}
+	msgr := &strippingMessenger{Host: h, strip: md.strip, calls: make(map[proto.Addr]map[string]int)}
 	return c, engine.NewManager(msgr, cfg), msgr, problems
 }
 
@@ -148,9 +186,9 @@ func outcome(plan *engine.Plan, err error) string {
 
 // runDiff plans the seed's three problems in turn and returns the
 // outcomes plus the messenger that counted the traffic.
-func runDiff(t *testing.T, seed int64, parallel bool, strip func(proto.Addr) bool) (string, *strippingMessenger) {
+func runDiff(t *testing.T, seed int64, parallel bool, md mode) (string, *strippingMessenger) {
 	t.Helper()
-	c, eng, msgr, problems := diffCommunity(t, seed, parallel, strip)
+	c, eng, msgr, problems := diffCommunity(t, seed, parallel, md)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var b strings.Builder
@@ -170,15 +208,20 @@ func runDiff(t *testing.T, seed int64, parallel bool, strip func(proto.Addr) boo
 	return b.String(), msgr
 }
 
-// TestDirectoryRoutingMatchesBroadcastPlans: over 32 seeded communities,
-// with sequential and with parallel queries, a session whose members
-// describe themselves ends exactly like the same session behind a
-// messenger that strips every description — today's broadcast — and like
-// one where a single member's descriptions are stripped. Along the way:
-// the broadcast really contacts every member in every sweep, routing
-// never costs more requests and in aggregate saves some, and the one
-// member that never describes itself sees exactly the traffic a broadcast
-// would send it.
+// TestDirectoryRoutingMatchesBroadcastPlans is the one differential: over
+// 32 seeded communities, with sequential and with parallel queries, three
+// sessions in turn on one initiator end exactly alike — workflows,
+// allocations, windows, replan counts, errors — whether its members
+// describe themselves when asked, have every description stripped (the
+// broadcast the protocol used to be), include one member that never
+// describes itself, or were all pulled into the index by the advertiser
+// before the first session. Along the way: the broadcast really contacts
+// every member in every sweep; a host that knows its members sends no
+// feasibility query at all; routing never costs more requests than the
+// broadcast and in aggregate far fewer — except that a problem that fails
+// from memory is run once more, asking everyone, before the failure is
+// believed; and the member that never describes itself sees exactly the
+// traffic a broadcast would send it, with the same exception.
 func TestDirectoryRoutingMatchesBroadcastPlans(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
@@ -186,45 +229,126 @@ func TestDirectoryRoutingMatchesBroadcastPlans(t *testing.T) {
 	}
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			routedTotal, broadcastTotal, planned := 0, 0, 0
+			routedTotal, warmedTotal, broadcastTotal, planned, failed := 0, 0, 0, 0, 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				const mute = proto.Addr("host03")
-				routed, routedTraffic := runDiff(t, seed, parallel, func(proto.Addr) bool { return false })
-				broadcast, broadcastTraffic := runDiff(t, seed, parallel, func(proto.Addr) bool { return true })
-				oneMute, muteTraffic := runDiff(t, seed, parallel, func(a proto.Addr) bool { return a == mute })
-				if routed != broadcast {
-					t.Fatalf("seed %d: routed and broadcast sessions diverge:\n--- routed ---\n%s--- broadcast ---\n%s", seed, routed, broadcast)
+				want, bc := runDiff(t, seed, parallel, broadcast)
+				traffic := make(map[string]*strippingMessenger)
+				for _, md := range []mode{describing, oneMute, warmed} {
+					got, msgr := runDiff(t, seed, parallel, md)
+					if got != want {
+						t.Fatalf("seed %d: %s and broadcast sessions diverge:\n--- %s ---\n%s--- broadcast ---\n%s", seed, md.name, md.name, got, want)
+					}
+					traffic[md.name] = msgr
 				}
-				if oneMute != broadcast {
-					t.Fatalf("seed %d: a single undescribed member changes the outcome:\n--- one mute ---\n%s--- broadcast ---\n%s", seed, oneMute, broadcast)
+				planned += strings.Count(want, "wf=")
+				// A failure is re-asked only where it may have come from
+				// memory: pulled sets older than the failing session.
+				reasked := strings.Contains(want, "error:")
+				if reasked {
+					failed++
 				}
-				planned += strings.Count(routed, "wf=")
 
 				for _, kind := range sweepKinds {
-					want := broadcastTraffic.calls["host00"][kind]
-					for member, kinds := range broadcastTraffic.calls {
-						if kinds[kind] != want {
+					all := bc.calls["host00"][kind]
+					for member, kinds := range bc.calls {
+						if kinds[kind] != all {
 							t.Errorf("seed %d: broadcast sent %s %d %s, host00 %d — every sweep must reach every member",
-								seed, member, kinds[kind], kind, want)
+								seed, member, kinds[kind], kind, all)
 						}
 					}
-					if got := muteTraffic.calls[mute][kind]; got != want {
-						t.Errorf("seed %d: the undescribed %s was sent %d %s, a broadcast sends %d", seed, mute, got, kind, want)
+					if got := traffic[oneMute.name].calls[muteMember][kind]; got < all || (got > all && !reasked) {
+						t.Errorf("seed %d: the undescribed %s was sent %d %s, a broadcast sends %d", seed, muteMember, got, kind, all)
 					}
 				}
-				if r, b := routedTraffic.total(), broadcastTraffic.total(); r > b {
-					t.Errorf("seed %d: routing cost %d requests, broadcast %d", seed, r, b)
+				for _, md := range []mode{describing, warmed} {
+					if n := traffic[md.name].sent("feasibility-query"); n != 0 {
+						t.Errorf("seed %d, %s: %d feasibility queries, want none: every member was known by then", seed, md.name, n)
+					}
 				}
-				routedTotal += routedTraffic.total()
-				broadcastTotal += broadcastTraffic.total()
+				r, w, b := traffic[describing.name].total(), traffic[warmed.name].total(), bc.total()
+				if w > b || (r > b && !reasked) || r > 2*b {
+					t.Errorf("seed %d: %d requests routed by descriptions, %d by advertisements, %d broadcast", seed, r, w, b)
+				}
+				routedTotal += r
+				warmedTotal += w
+				broadcastTotal += b
 			}
-			t.Logf("%d seeds, %d sessions planned: %d routed requests vs %d broadcast", seeds, planned, routedTotal, broadcastTotal)
+			t.Logf("%d seeds, %d sessions planned, %d seeds with a failing session: %d requests routed by descriptions, %d by advertisements, %d broadcast",
+				seeds, planned, failed, routedTotal, warmedTotal, broadcastTotal)
 			if planned == 0 {
 				t.Error("no session produced a plan: the layouts exercise nothing")
 			}
-			if routedTotal >= broadcastTotal {
-				t.Errorf("routing saved nothing: %d requests vs %d broadcast", routedTotal, broadcastTotal)
+			if routedTotal >= broadcastTotal || warmedTotal > routedTotal {
+				t.Errorf("routing saved nothing: %d / %d requests vs %d broadcast", routedTotal, warmedTotal, broadcastTotal)
 			}
 		})
+	}
+}
+
+// TestColdConcurrentSessionsMatchSerialBroadcast: eight sessions start at
+// once on a host that knows nobody, so they fill and read one index
+// between them (the race detector watches) — and plan what eight sessions
+// one after the other plan behind a messenger that strips every
+// description. Each session has a provider of its own, so no plan depends
+// on which session reached a calendar first.
+func TestColdConcurrentSessionsMatchSerialBroadcast(t *testing.T) {
+	const sessions, chain = 8, 3
+	build := func(md mode) (*engine.Manager, []spec.Spec) {
+		specs := make([]community.HostSpec, sessions+3)
+		for h := range specs {
+			specs[h].ID = proto.Addr(fmt.Sprintf("host%02d", h))
+		}
+		var problems []spec.Spec
+		for k := 0; k < sessions; k++ {
+			label := func(i int) []model.LabelID { return []model.LabelID{model.LabelID(fmt.Sprintf("s%d-l%d", k, i))} }
+			for i := 0; i < chain; i++ {
+				task := model.Task{ID: model.TaskID(fmt.Sprintf("s%d-t%d", k, i)), Mode: model.Conjunctive, Inputs: label(i), Outputs: label(i + 1)}
+				f, err := model.NewFragment("know-"+string(task.ID), task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Knowhow is spread over three hosts, services sit on the
+				// session's own provider.
+				specs[i].Fragments = append(specs[i].Fragments, f)
+				specs[3+k].Services = append(specs[3+k].Services, service.Registration{
+					Descriptor: service.Descriptor{Task: task.ID, Specialization: 0.5},
+				})
+			}
+			problems = append(problems, spec.Must(label(0), label(chain)))
+		}
+		cfg := evalgen.EvalEngineConfig()
+		cfg.CallTimeout = time.Hour // virtual: every member answers, nothing times out
+		c, err := community.New(community.Options{Clock: clock.NewSim(diffT0), Engine: &cfg}, specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		h, _ := c.Host("host00")
+		msgr := &strippingMessenger{Host: h, strip: md.strip, calls: make(map[proto.Addr]map[string]int)}
+		return engine.NewManager(msgr, cfg), problems
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	eng, problems := build(broadcast)
+	var want strings.Builder
+	for _, s := range problems {
+		want.WriteString(outcome(eng.Initiate(ctx, s)))
+	}
+	if n := strings.Count(want.String(), "wf="); n != sessions {
+		t.Fatalf("the serial broadcast planned %d of %d sessions:\n%s", n, sessions, want.String())
+	}
+
+	eng, problems = build(describing)
+	plans, err := eng.InitiateBatch(ctx, problems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, plan := range plans {
+		got.WriteString(outcome(plan, nil))
+	}
+	if got.String() != want.String() {
+		t.Fatalf("concurrent cold sessions diverge from the serial broadcast:\n--- concurrent ---\n%s--- serial broadcast ---\n%s", got.String(), want.String())
 	}
 }

@@ -1,10 +1,11 @@
 package community
 
-// Differential and fallback tests for capability-index discovery: the
-// index may only change WHO is asked during solicitation sweeps, never
-// WHAT plan comes out. Every test builds the same seeded layout twice —
-// once routing through a warmed index, once broadcasting — on a frozen
-// virtual clock and compares canonical plan bytes.
+// Concurrent sessions over the advertiser: the index may only change WHO
+// is asked during a sweep, never WHAT plan comes out, whether the
+// advertiser filled it, left it cold, or missed a member. Every test
+// builds the same seeded layout with and without the advertiser on a
+// frozen virtual clock and compares canonical plan bytes. (The broadcast
+// differential proper is TestDirectoryRoutingMatchesBroadcastPlans.)
 
 import (
 	"fmt"
@@ -36,7 +37,7 @@ type discLayout struct {
 }
 
 // buildDiscoveryGrid materializes a layout; indexed selects whether the
-// community runs with the capability index enabled.
+// community runs the advertiser.
 func buildDiscoveryGrid(t *testing.T, l discLayout, sim *clock.Sim, indexed bool) *Community {
 	t.Helper()
 	if l.hosts-1 < l.sessions {
@@ -92,11 +93,20 @@ func buildDiscoveryGrid(t *testing.T, l discLayout, sim *clock.Sim, indexed bool
 	return c
 }
 
+// gridRun is what one differential round leaves behind: the canonical
+// plans, the traffic and index counters of the Initiate phase alone, and
+// what that phase would have cost had every sweep been a broadcast.
+type gridRun struct {
+	plans     string
+	traffic   transport.Stats
+	stats     discovery.Stats
+	broadcast int64
+}
+
 // runDiscoveryGrid executes one differential round: build, optionally
 // warm the initiator's index, initiate every session concurrently on the
-// frozen clock, settle, and return the canonical plans plus the traffic
-// and index counters of the Initiate phase alone.
-func runDiscoveryGrid(t *testing.T, l discLayout, indexed, warm bool) (string, transport.Stats, discovery.Stats) {
+// frozen clock, and settle.
+func runDiscoveryGrid(t *testing.T, l discLayout, indexed, warm bool) gridRun {
 	t.Helper()
 	testutil.CheckGoroutines(t)
 	sim := clock.NewSim(stressT0)
@@ -110,86 +120,115 @@ func runDiscoveryGrid(t *testing.T, l discLayout, indexed, warm bool) (string, t
 		}
 	}
 	c.Network().ResetCounters()
+	before := c.DiscoveryStats()
 
 	plans, err := c.InitiateAll(ctx, "host00", stressSpecs(l.sessions, l.chain))
 	if err != nil {
 		t.Fatalf("InitiateAll: %v", err)
 	}
+	run := gridRun{traffic: c.TransportStats(), stats: c.DiscoveryStats()}
+	run.stats.Hits -= before.Hits
+	run.stats.Misses -= before.Misses
+	run.stats.Ads -= before.Ads
 	total := 0
 	for i, p := range plans {
 		if p == nil {
 			t.Fatalf("plan %d missing", i)
 		}
-		if p.Workflow.NumTasks() != l.chain || len(p.Allocations) != l.chain {
-			t.Fatalf("plan %d incomplete: %d tasks, %d allocated (want %d)",
-				i, p.Workflow.NumTasks(), len(p.Allocations), l.chain)
+		if p.Workflow.NumTasks() != l.chain || len(p.Allocations) != l.chain || p.Replans != 0 {
+			t.Fatalf("plan %d incomplete: %d tasks, %d allocated (want %d), %d replans",
+				i, p.Workflow.NumTasks(), len(p.Allocations), l.chain, p.Replans)
 		}
 		total += l.chain
+		// Each collection round, the feasibility check and the call for
+		// bids reach every host; every task is awarded once. (Sessions
+		// have a provider each, so no window is ever retried.)
+		run.broadcast += int64((p.Construction.CollectionRounds+2)*l.hosts + l.chain)
 	}
-	traffic := c.TransportStats()
 	settleStress(t, c, sim, total)
 	assertCalendarInvariants(t, c, plans)
-	return canonicalPlans(plans), traffic, c.DiscoveryStats()
+	run.plans = canonicalPlans(plans)
+	return run
 }
 
-// TestIndexedDiscoveryMatchesBroadcastPlans is the differential
-// guarantee behind index-aware routing: on seeded 6- and 10-host
-// communities, routing solicitation through a warmed capability index
-// produces byte-identical canonical plans to full broadcast — while
-// spending strictly fewer Call round trips and actually exercising the
-// index (hits recorded, junk members skipped).
-func TestIndexedDiscoveryMatchesBroadcastPlans(t *testing.T) {
-	layouts := []discLayout{
+// TestWarmedIndexAnswersFeasibilityLocally: on a warmed advertiser
+// community every member is known before the first session, so concurrent
+// sessions send fragment queries to the one host that holds knowhow, calls
+// for bids to their own provider, and no feasibility query to anyone —
+// and plan what the same community plans without the advertiser.
+func TestWarmedIndexAnswersFeasibilityLocally(t *testing.T) {
+	for _, l := range []discLayout{
 		{hosts: 6, sessions: 2, chain: 3, seed: 7},
 		{hosts: 10, sessions: 4, chain: 3, seed: 11},
-	}
-	for _, l := range layouts {
+	} {
 		l := l
 		t.Run(fmt.Sprintf("hosts=%d/sessions=%d", l.hosts, l.sessions), func(t *testing.T) {
-			indexedPlans, indexedTraffic, stats := runDiscoveryGrid(t, l, true, true)
-			broadcastPlans, broadcastTraffic, _ := runDiscoveryGrid(t, l, false, false)
-			if indexedPlans != broadcastPlans {
-				t.Fatalf("indexed and broadcast plans diverge:\n--- indexed ---\n%s--- broadcast ---\n%s",
-					indexedPlans, broadcastPlans)
+			warm := runDiscoveryGrid(t, l, true, true)
+			plain := runDiscoveryGrid(t, l, false, false)
+			if warm.plans != plain.plans {
+				t.Fatalf("plans diverge:\n--- advertiser, warmed ---\n%s--- no advertiser ---\n%s", warm.plans, plain.plans)
 			}
-			if indexedTraffic.Calls >= broadcastTraffic.Calls {
-				t.Errorf("indexed routing did not save round trips: indexed=%d broadcast=%d",
-					indexedTraffic.Calls, broadcastTraffic.Calls)
+			// Per session: one fragment query to host00 per chain task (the
+			// round that finds nobody consuming the goal sends nothing), one
+			// call for bids to the session's provider, one award per task.
+			if want := int64(l.sessions * (l.chain + 1 + l.chain)); warm.traffic.Calls != want {
+				t.Errorf("%d round trips, want %d: every sweep routed from memory, feasibility answered locally", warm.traffic.Calls, want)
 			}
-			if stats.Hits == 0 {
-				t.Errorf("index never restricted a sweep: %+v", stats)
+			if warm.stats.Misses != 0 || warm.stats.Hits == 0 {
+				t.Errorf("a warmed index asked for descriptions: %+v", warm.stats)
 			}
 		})
 	}
 }
 
-// TestColdStartFallsBackToBroadcast pins the fallback half of the
-// routing contract: with discovery enabled but the index never warmed,
-// every sweep falls back to full broadcast (junk members never prove any
-// capability, so they stay unknown) and the plans are identical to a
-// community without discovery at all. The misses surface on the counter
-// the daemon exports via internal/metrics.
+// TestWarmDiscoveryObservesEachSetOnce: one pull sweep over N hosts leaves
+// the caller's index with N pushed sets counted — its own and one per
+// reply — not one per reply twice over.
+func TestWarmDiscoveryObservesEachSetOnce(t *testing.T) {
+	l := discLayout{hosts: 7, sessions: 2, chain: 3, seed: 5}
+	c := buildDiscoveryGrid(t, l, clock.NewSim(stressT0), true)
+	t.Cleanup(func() { _ = c.Close() })
+	if err := c.WarmDiscovery(ctxTimeout(t, 30*time.Second), "host00"); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := c.Host("host00")
+	if st := h.Discovery().Stats(); st.Ads != int64(l.hosts) || st.Entries != l.hosts {
+		t.Errorf("after one WarmDiscovery over %d hosts the caller counts %d ads in %d entries, want %d in %d",
+			l.hosts, st.Ads, st.Entries, l.hosts, l.hosts)
+	}
+}
+
+// TestColdStartFallsBackToBroadcast pins the cold half of the routing
+// contract: with the advertiser on but the index never warmed, the first
+// sweeps ask everyone to describe themselves (misses, on the counter the
+// daemon exports via internal/metrics), the plans are identical to a
+// community without the advertiser, and neither costs more round trips
+// than broadcasting every sweep would. The two sessions run concurrently
+// and share what either learns, so how far below the broadcast they land
+// depends on which got where first.
 func TestColdStartFallsBackToBroadcast(t *testing.T) {
 	l := discLayout{hosts: 8, sessions: 2, chain: 3, seed: 13}
-	coldPlans, coldTraffic, stats := runDiscoveryGrid(t, l, true, false)
-	broadcastPlans, broadcastTraffic, _ := runDiscoveryGrid(t, l, false, false)
-	if coldPlans != broadcastPlans {
-		t.Fatalf("cold-start plans diverge from broadcast:\n--- cold ---\n%s--- broadcast ---\n%s",
-			coldPlans, broadcastPlans)
+	cold := runDiscoveryGrid(t, l, true, false)
+	plain := runDiscoveryGrid(t, l, false, false)
+	if cold.plans != plain.plans {
+		t.Fatalf("cold-start plans diverge from a community without the advertiser:\n--- cold ---\n%s--- none ---\n%s",
+			cold.plans, plain.plans)
 	}
-	if stats.Misses == 0 {
-		t.Errorf("cold index should have recorded fallback misses: %+v", stats)
-	}
-	if coldTraffic.Calls != broadcastTraffic.Calls {
-		t.Errorf("cold start must broadcast exactly like no index: cold=%d broadcast=%d",
-			coldTraffic.Calls, broadcastTraffic.Calls)
+	for name, run := range map[string]gridRun{"cold advertiser": cold, "no advertiser": plain} {
+		if run.stats.Misses == 0 {
+			t.Errorf("%s: a cold index should have asked for descriptions: %+v", name, run.stats)
+		}
+		if run.traffic.Calls > run.broadcast {
+			t.Errorf("%s: %d round trips, broadcasting every sweep costs %d", name, run.traffic.Calls, run.broadcast)
+		}
 	}
 }
 
 // TestForcedIndexMissFallsBack pins the never-seen-member rule at the
-// community level: warming the index and then forgetting one junk member
-// forces every sweep whose candidates include it back to full broadcast
-// — the plan is still constructed and identical to the broadcast plan.
+// community level: a junk member that joins the initiator's view after
+// the index was warmed is asked by the next sweep — and asked to describe
+// itself — and the plan is still constructed, identical to the plan of a
+// community without the advertiser.
 func TestForcedIndexMissFallsBack(t *testing.T) {
 	l := discLayout{hosts: 8, sessions: 2, chain: 3, seed: 17}
 
@@ -198,11 +237,12 @@ func TestForcedIndexMissFallsBack(t *testing.T) {
 	c := buildDiscoveryGrid(t, l, sim, true)
 	t.Cleanup(func() { _ = c.Close() })
 	ctx := ctxTimeout(t, 60*time.Second)
+	h, _ := c.Host("host00")
+	h.SetMembers(c.Members()[:7]) // host07 has not joined yet
 	if err := c.WarmDiscovery(ctx, "host00"); err != nil {
 		t.Fatalf("WarmDiscovery: %v", err)
 	}
-	h, _ := c.Host("host00")
-	h.Discovery().Forget("host07") // junk member drops off the index
+	h.SetMembers(c.Members())
 
 	plans, err := c.InitiateAll(ctx, "host00", stressSpecs(l.sessions, l.chain))
 	if err != nil {
@@ -216,14 +256,14 @@ func TestForcedIndexMissFallsBack(t *testing.T) {
 		total += l.chain
 	}
 	if stats := h.Discovery().Stats(); stats.Misses == 0 {
-		t.Errorf("forgotten member should force fallback misses: %+v", stats)
+		t.Errorf("the late joiner should have been asked to describe itself: %+v", stats)
 	}
 	got := canonicalPlans(plans)
 	settleStress(t, c, sim, total)
 
-	want, _, _ := runDiscoveryGrid(t, l, false, false)
+	want := runDiscoveryGrid(t, l, false, false).plans
 	if got != want {
-		t.Fatalf("forced-miss plans diverge from broadcast:\n--- forced miss ---\n%s--- broadcast ---\n%s",
+		t.Fatalf("forced-miss plans diverge:\n--- forced miss ---\n%s--- no advertiser ---\n%s",
 			got, want)
 	}
 }

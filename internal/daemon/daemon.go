@@ -246,13 +246,13 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repa
 		"Wire frames lost after framing (loss, crash, unreachable peer).",
 		func() float64 { return float64(comm.TransportStats().FramesDropped) })
 	reg.GaugeFunc("openwf_discovery_hits_total",
-		"Solicitation sweeps the capability index restricted.",
+		"Sweeps the hosts routed from what members had told them, asking nobody to describe itself.",
 		func() float64 { return float64(comm.DiscoveryStats().Hits) })
 	reg.GaugeFunc("openwf_discovery_misses_total",
-		"Sweeps that fell back to full broadcast (cold or incomplete index).",
+		"Sweeps that also asked unknown members to describe themselves.",
 		func() float64 { return float64(comm.DiscoveryStats().Misses) })
 	reg.GaugeFunc("openwf_discovery_excluded_total",
-		"Members skipped because their advertisement lapsed past the TTL.",
+		"Members skipped as presumed dead: their advertiser was silent for a full TTL.",
 		func() float64 { return float64(comm.DiscoveryStats().Excluded) })
 
 	for i := 0; i < cfg.Workers; i++ {

@@ -1,37 +1,40 @@
-// Package discovery implements the capability index that lets an
-// initiator route solicitation by advertised capability instead of
-// broadcasting to the whole community. Each member periodically
-// advertises the labels its fragments consume and the tasks it offers
-// services for (proto.Advertise); the index keeps one TTL'd entry per
-// member and answers "which of these members could contribute to these
-// labels/tasks?" during construction and allocation sweeps.
+// Package discovery is a host's one memory of its community: what each
+// member has said about itself — the labels its fragments consume, the
+// tasks it offers services for — and therefore which members are worth
+// sending a sweep. The paper's initiator "communicates with each member of
+// the community in turn"; a host that remembers the answers does so once
+// per member per TTL, and routes every other sweep of every session to the
+// members that can answer it.
 //
-// Routing is conservative so a stale index can never lose a plan:
+// A set arrives pulled — the member described itself in a fragment reply
+// because a sweep asked it to (proto.FragmentQuery.Describe) — or pushed by
+// the member's advertiser (proto.Advertise, AdvertiseAck), which repeats it
+// several times per TTL. The way decides what silence means, and one table
+// routes every sweep (Route, Capable), member by member:
 //
-//   - A member the index has never heard from forces a full-broadcast
-//     fallback (counted as a miss) — nothing is known about it, so
-//     nothing may be skipped.
-//   - A fresh entry from a complete advertisement restricts: the member
-//     is contacted only when its advertisement intersects the query.
-//   - A fresh entry learned opportunistically (from a fragment-query or
-//     feasibility reply, which proves presence but not absence) always
-//     includes the member.
-//   - An expired entry excludes the member: it stopped advertising for a
-//     full TTL and is presumed dead. This is what guarantees that a
-//     crashed host's stale advertisement never routes a solicitation
-//     past the TTL horizon — the failure-detection half of the index.
-//   - An empty selection also falls back to broadcast (counted as a
-//     miss): "nobody advertises this" must never silently become "ask
-//     nobody".
+//	no entry        unknown        asked, and asked to describe itself
+//	fresh           known          asked iff its set intersects the query
+//	pulled, lapsed  unknown again  asked, and asked to describe itself
+//	pushed, lapsed  presumed dead  not asked
 //
-// The index is driven entirely by the injected clock, so every TTL
-// property is testable on the simulated clock without wall time.
+// Memory outlives the session that filled it. Three rules keep it from
+// costing a plan, and they are the whole policy (DESIGN.md §13):
+//
+//   - Lapse, above: a capability gained is seen within one TTL; one lost
+//     is caught where it always was, by the member declining the bid.
+//   - No failure is reported from memory (Mark, Doubt): a session about to
+//     fail after routing on entries older than itself drops the pulled
+//     ones and runs once more, asking everyone.
+//   - Repair starts from doubt: the community just changed under a running
+//     workflow, so plan repair drops the pulled entries before it asks.
+//
+// The index runs on the injected clock, so every rule is testable on the
+// simulated clock without wall time.
 package discovery
 
 import (
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openwf/internal/clock"
@@ -39,54 +42,60 @@ import (
 	"openwf/internal/proto"
 )
 
-// DefaultTTL is how long an advertisement stays fresh without a refresh.
+// DefaultTTL is how long a capability set stays fresh without a refresh.
 const DefaultTTL = 30 * time.Second
 
-// entry is one member's advertised capability set.
+// entry is what one member last said about itself. The sets are sorted and
+// looked up by binary search.
 type entry struct {
-	labels map[model.LabelID]struct{}
-	tasks  map[model.TaskID]struct{}
-	// complete marks a full advertisement (the member enumerated its
-	// whole capability set) as opposed to an opportunistic partial
-	// observation, which proves presence but not absence.
-	complete bool
-	// expires is when the entry lapses; an entry is fresh strictly
-	// before it (an ad expires exactly at TTL, not after).
+	labels []model.LabelID
+	tasks  []model.TaskID
+	// expires is when the entry lapses; it is fresh strictly before.
 	expires time.Time
+	// pushed records that the member's advertiser has spoken: its silence
+	// then means death, not ignorance (see the package comment). A later
+	// description refreshes the entry but never takes the mark away.
+	pushed bool
+	// seq places the entry in the order sets arrived (Mark).
+	seq uint64
 }
 
-// Index is a per-community capability index. It is safe for concurrent
-// use: the host's transport pump records observations while engine
-// sessions select members.
+// standing is what the index knows about a member at some instant.
+type standing int
+
+const (
+	unknown standing = iota // never heard from, or pulled and lapsed
+	known                   // fresh
+	dead                    // pushed and lapsed
+)
+
+// Index is one host's memory of its community. It is safe for concurrent
+// use: sessions route and learn while the host's dispatcher records
+// advertisements.
 type Index struct {
 	clk clock.Clock
 	ttl time.Duration
 
-	mu      sync.Mutex
-	entries map[proto.Addr]*entry
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	excluded atomic.Int64
-	ads      atomic.Int64
-	partials atomic.Int64
+	mu sync.Mutex
+	// entries is allocated with the first entry: a host that never
+	// initiates and hears no advertiser carries none.
+	entries map[proto.Addr]entry
+	seq     uint64
+	stats   Stats
 }
 
 // Stats is a snapshot of the index counters.
 type Stats struct {
-	// Hits counts selections the index restricted.
+	// Hits counts sweeps routed from memory alone.
 	Hits int64
-	// Misses counts selections that fell back to full broadcast (cold
-	// start, a never-seen member, or an empty selection).
+	// Misses counts sweeps that also had to ask some member to describe
+	// itself (an empty memory, a member never heard from, a lapsed pull).
 	Misses int64
-	// Excluded counts members skipped because their entry had expired
-	// past the TTL horizon (presumed dead).
+	// Excluded counts members skipped as presumed dead.
 	Excluded int64
-	// Ads counts complete advertisements observed (Advertise bodies and
-	// AdvertiseAck piggybacks).
+	// Ads counts pushed capability sets observed (Advertise bodies and
+	// AdvertiseAck replies); descriptions pulled by a sweep are not ads.
 	Ads int64
-	// Partials counts opportunistic partial observations folded in.
-	Partials int64
 	// Entries is the current number of members with an entry.
 	Entries int
 }
@@ -100,171 +109,207 @@ func New(clk clock.Clock, ttl time.Duration) *Index {
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
-	return &Index{clk: clk, ttl: ttl, entries: make(map[proto.Addr]*entry)}
+	return &Index{clk: clk, ttl: ttl}
 }
 
-// TTL returns the index's advertisement time-to-live.
-func (x *Index) TTL() time.Duration { return x.ttl }
-
-// ObserveAdvertise folds in a complete advertisement from a member: the
-// entry's capability set is replaced (capabilities may shrink) and its
-// TTL restarts.
+// ObserveAdvertise records a capability set the member's advertiser
+// pushed: it replaces what was known (capabilities may shrink) and restarts
+// the TTL. The index keeps the slices — sorted ones as they are, unsorted
+// ones as a sorted copy — so the caller must not modify them afterwards.
 func (x *Index) ObserveAdvertise(from proto.Addr, labels []model.LabelID, tasks []model.TaskID) {
-	x.ads.Add(1)
-	e := &entry{
-		labels:   make(map[model.LabelID]struct{}, len(labels)),
-		tasks:    make(map[model.TaskID]struct{}, len(tasks)),
-		complete: true,
-		expires:  x.clk.Now().Add(x.ttl),
-	}
-	for _, l := range labels {
-		e.labels[l] = struct{}{}
-	}
-	for _, t := range tasks {
-		e.tasks[t] = struct{}{}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.stats.Ads++
+	x.storeLocked(from, labels, tasks, true)
+}
+
+// Learn records a member's description of itself from a fragment reply;
+// nil (the reply carried none) is ignored. Like ObserveAdvertise it
+// replaces the member's set and restarts its TTL.
+func (x *Index) Learn(from proto.Addr, caps *proto.Advertise) {
+	if caps == nil {
+		return
 	}
 	x.mu.Lock()
-	x.entries[from] = e
-	x.mu.Unlock()
+	defer x.mu.Unlock()
+	x.storeLocked(from, caps.Labels, caps.Tasks, false)
 }
 
-// ObservePartial folds in an opportunistic observation — a member that
-// answered a fragment query or feasibility query just proved it holds
-// these capabilities and is alive. The observation merges into the
-// existing entry and extends its TTL; with no existing entry it creates
-// an incomplete one (the member may hold more than it just showed).
-func (x *Index) ObservePartial(from proto.Addr, labels []model.LabelID, tasks []model.TaskID) {
-	x.partials.Add(1)
+func (x *Index) storeLocked(from proto.Addr, labels []model.LabelID, tasks []model.TaskID, pushed bool) {
+	if x.entries == nil {
+		x.entries = make(map[proto.Addr]entry)
+	}
+	x.seq++
+	x.entries[from] = entry{
+		labels:  sorted(labels),
+		tasks:   sorted(tasks),
+		expires: x.clk.Now().Add(x.ttl),
+		pushed:  pushed || x.entries[from].pushed,
+		seq:     x.seq,
+	}
+}
+
+// sorted returns set in ascending order. Members send sorted sets; one from
+// a foreign peer that is not costs a copy and a sort here, never a wrongly
+// skipped member later.
+func sorted[S ~string](set []S) []S {
+	if slices.IsSorted(set) {
+		return set
+	}
+	set = slices.Clone(set)
+	slices.Sort(set)
+	return set
+}
+
+// standingLocked classifies a member at now.
+func (x *Index) standingLocked(addr proto.Addr, now time.Time) (entry, standing) {
+	e, ok := x.entries[addr]
+	switch {
+	case ok && now.Before(e.expires):
+		return e, known
+	case ok && e.pushed:
+		return e, dead
+	}
+	return e, unknown
+}
+
+// Route returns, in candidate order, the members worth sending a sweep for
+// labels (a fragment query) or tasks (a call for bids), by the package
+// comment's table; describe reports whether any of them is unknown, i.e.
+// whether the sweep should ask for descriptions. It allocates the returned
+// slice and nothing else, and with an empty memory not even that.
+func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID) (members []proto.Addr, describe bool) {
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	e, ok := x.entries[from]
-	if !ok || now.Compare(e.expires) >= 0 {
-		// No entry, or only a lapsed one: start a fresh incomplete entry
-		// (a lapsed complete ad does not still bound the member's
-		// capabilities — it could have changed while presumed dead).
-		e = &entry{
-			labels: make(map[model.LabelID]struct{}, len(labels)),
-			tasks:  make(map[model.TaskID]struct{}, len(tasks)),
+	if len(x.entries) == 0 {
+		x.stats.Misses++
+		return candidates, true
+	}
+	members = make([]proto.Addr, 0, len(candidates))
+	for _, c := range candidates {
+		switch e, st := x.standingLocked(c, now); st {
+		case unknown:
+			describe = true
+			members = append(members, c)
+		case known:
+			if intersects(e.labels, labels) || intersects(e.tasks, tasks) {
+				members = append(members, c)
+			}
+		case dead:
+			x.stats.Excluded++
 		}
-		x.entries[from] = e
 	}
-	for _, l := range labels {
-		e.labels[l] = struct{}{}
+	if describe {
+		x.stats.Misses++
+	} else {
+		x.stats.Hits++
 	}
-	for _, t := range tasks {
-		e.tasks[t] = struct{}{}
-	}
-	e.expires = now.Add(x.ttl)
+	return members, describe
 }
 
-// Forget drops a member's entry, forcing the next selection involving it
-// back to full broadcast (membership change, or a test forcing a miss).
-func (x *Index) Forget(addr proto.Addr) {
+// Capable answers a feasibility query from memory: it marks in out the
+// tasks the known candidates offer — no message at all — and returns the
+// unknown ones, which still have to be asked.
+func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, out map[model.TaskID]struct{}) (ask []proto.Addr) {
+	now := x.clk.Now()
 	x.mu.Lock()
-	delete(x.entries, addr)
-	x.mu.Unlock()
+	defer x.mu.Unlock()
+	for _, c := range candidates {
+		switch e, st := x.standingLocked(c, now); st {
+		case unknown:
+			ask = append(ask, c)
+		case known:
+			for _, t := range tasks {
+				if _, offered := slices.BinarySearch(e.tasks, t); offered {
+					out[t] = struct{}{}
+				}
+			}
+		case dead:
+			x.stats.Excluded++
+		}
+	}
+	if len(ask) > 0 {
+		x.stats.Misses++
+	} else {
+		x.stats.Hits++
+	}
+	return ask
+}
+
+// intersects reports whether any of query is in the sorted set.
+func intersects[S ~string](set, query []S) bool {
+	for _, q := range query {
+		if _, ok := slices.BinarySearch(set, q); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// SelectByLabels is Route for a fragment query alone. ok is false when
+// memory does not settle the sweep: some candidate is unknown, or nobody
+// consumes the labels.
+func (x *Index) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
+	sel, describe := x.Route(candidates, labels, nil)
+	return sel, !describe && len(sel) > 0
+}
+
+// SelectByTasks is Route for a solicitation alone, with SelectByLabels'
+// contract.
+func (x *Index) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
+	sel, describe := x.Route(candidates, nil, tasks)
+	return sel, !describe && len(sel) > 0
+}
+
+// Mark returns the index's place in the order sets arrived. A session
+// takes it when it begins and hands it to Doubt should it fail.
+func (x *Index) Mark() uint64 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.seq
+}
+
+// Doubt is the second staleness rule: when some pulled entry is no newer
+// than mark — the caller may have routed on what a member said before the
+// caller began — it drops every pulled entry and reports true. It reports
+// false when everything pulled was learned since mark: asking again would
+// change nothing. Doubt(Mark()) doubts everything pulled.
+func (x *Index) Doubt(mark uint64) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	older := false
+	for _, e := range x.entries {
+		if !e.pushed && e.seq <= mark {
+			older = true
+			break
+		}
+	}
+	if !older {
+		return false
+	}
+	for a, e := range x.entries {
+		if !e.pushed {
+			delete(x.entries, a)
+		}
+	}
+	return true
 }
 
 // Reset wipes every entry (host crash/restart loses volatile state).
 func (x *Index) Reset() {
 	x.mu.Lock()
-	x.entries = make(map[proto.Addr]*entry)
+	x.entries = nil
 	x.mu.Unlock()
-}
-
-// SelectByLabels returns the members of candidates worth asking a
-// fragment query for the given labels. ok is false when the index cannot
-// restrict (cold start, a never-seen candidate, or an empty selection)
-// and the caller must fall back to the full candidate list. Candidate
-// order is preserved.
-func (x *Index) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
-	return x.selectBy(candidates, func(e *entry) bool {
-		for _, l := range labels {
-			if _, ok := e.labels[l]; ok {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// SelectByTasks returns the members of candidates worth soliciting for
-// the given tasks, with the same fallback contract as SelectByLabels.
-func (x *Index) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
-	return x.selectBy(candidates, func(e *entry) bool {
-		for _, t := range tasks {
-			if _, ok := e.tasks[t]; ok {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-func (x *Index) selectBy(candidates []proto.Addr, intersects func(*entry) bool) ([]proto.Addr, bool) {
-	now := x.clk.Now()
-	// Pre-size to the candidate list: one allocation per lookup, pinned
-	// by the route-lookup AllocBound test (this runs once per query hop).
-	selected := make([]proto.Addr, 0, len(candidates))
-	x.mu.Lock()
-	for _, c := range candidates {
-		e, ok := x.entries[c]
-		if !ok {
-			x.mu.Unlock()
-			x.misses.Add(1)
-			return nil, false
-		}
-		if now.Compare(e.expires) >= 0 {
-			x.excluded.Add(1)
-			continue
-		}
-		if !e.complete || intersects(e) {
-			selected = append(selected, c)
-		}
-	}
-	x.mu.Unlock()
-	if len(selected) == 0 {
-		x.misses.Add(1)
-		return nil, false
-	}
-	x.hits.Add(1)
-	return selected, true
-}
-
-// Fresh reports whether the member currently has an unexpired entry.
-func (x *Index) Fresh(addr proto.Addr) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	e, ok := x.entries[addr]
-	return ok && x.clk.Now().Compare(e.expires) < 0
-}
-
-// Known returns the members with any entry (fresh or lapsed), sorted.
-func (x *Index) Known() []proto.Addr {
-	x.mu.Lock()
-	out := make([]proto.Addr, 0, len(x.entries))
-	for a := range x.entries {
-		out = append(out, a)
-	}
-	x.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Stats returns a snapshot of the index counters.
 func (x *Index) Stats() Stats {
 	x.mu.Lock()
-	n := len(x.entries)
-	x.mu.Unlock()
-	return Stats{
-		Hits:     x.hits.Load(),
-		Misses:   x.misses.Load(),
-		Excluded: x.excluded.Load(),
-		Ads:      x.ads.Load(),
-		Partials: x.partials.Load(),
-		Entries:  n,
-	}
+	defer x.mu.Unlock()
+	st := x.stats
+	st.Entries = len(x.entries)
+	return st
 }
 
 // Add merges another snapshot into s (community-wide aggregation).
@@ -273,6 +318,5 @@ func (s *Stats) Add(o Stats) {
 	s.Misses += o.Misses
 	s.Excluded += o.Excluded
 	s.Ads += o.Ads
-	s.Partials += o.Partials
 	s.Entries += o.Entries
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -79,12 +80,12 @@ func TestRefreshExtendsTTL(t *testing.T) {
 	sim.Advance(8 * time.Second)
 	x.ObserveAdvertise("h1", lbls("a"), nil)
 	sim.Advance(8 * time.Second) // 16s after the first ad, 8s after refresh
-	if !x.Fresh("h1") {
+	if sel, _ := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 1 {
 		t.Fatal("refreshed ad lapsed before its extended TTL")
 	}
 	sim.Advance(2 * time.Second)
-	if x.Fresh("h1") {
-		t.Fatal("ad survived past the refreshed TTL")
+	if sel, describe := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 0 || describe {
+		t.Fatalf("ad survived past the refreshed TTL: routed to %v (describe=%v)", sel, describe)
 	}
 }
 
@@ -103,32 +104,10 @@ func TestCompleteAdReplacesCapabilities(t *testing.T) {
 	}
 }
 
-// TestPartialObservationAlwaysIncluded pins the conservative rule for
-// opportunistically learned entries: they prove presence, not absence,
-// so the member is contacted even when the observation does not
-// intersect the query.
-func TestPartialObservationAlwaysIncluded(t *testing.T) {
-	sim := clock.NewSim(discT0)
-	x := New(sim, 10*time.Second)
-	members := []proto.Addr{"h1", "h2"}
-	x.ObserveAdvertise("h1", lbls("a"), nil)
-	x.ObservePartial("h2", lbls("z"), nil)
-	sel, ok := x.SelectByLabels(members, lbls("a"))
-	if !ok || !contains(sel, "h2") {
-		t.Fatalf("incomplete entry must always be included: %v (ok=%v)", sel, ok)
-	}
-	// A partial observation also refreshes liveness.
-	sim.Advance(8 * time.Second)
-	x.ObservePartial("h2", lbls("z"), nil)
-	sim.Advance(8 * time.Second)
-	if !x.Fresh("h2") {
-		t.Fatal("partial observation did not extend the TTL")
-	}
-}
-
-// TestNeverSeenMemberForcesBroadcast pins the fallback rule: a candidate
-// with no entry at all (cold start, a member that joined after the last
-// sweep, a Forget) makes the whole selection fall back.
+// TestNeverSeenMemberForcesBroadcast pins what the Select adapters report
+// for a candidate with no entry at all (cold start, a member that joined
+// after the last sweep): memory does not settle the sweep, and it counts
+// as a miss.
 func TestNeverSeenMemberForcesBroadcast(t *testing.T) {
 	sim := clock.NewSim(discT0)
 	x := New(sim, 10*time.Second)
@@ -145,17 +124,16 @@ func TestNeverSeenMemberForcesBroadcast(t *testing.T) {
 	if _, ok := x.SelectByLabels(members, lbls("a")); !ok {
 		t.Fatal("all members known: selection should route")
 	}
-	x.Forget("h2")
-	if sel, ok := x.SelectByLabels(members, lbls("a")); ok {
-		t.Fatalf("forgotten member must force fallback, got %v", sel)
+	if sel, ok := x.SelectByLabels(append(members, "h3"), lbls("a")); ok {
+		t.Fatalf("a member that just joined must force fallback, got %v", sel)
 	}
 	if st := x.Stats(); st.Misses != 3 {
 		t.Fatalf("want 3 fallback misses, got %+v", st)
 	}
 }
 
-// TestEmptySelectionFallsBack: "nobody advertises this" must never
-// become "ask nobody" — the caller broadcasts instead.
+// TestEmptySelectionFallsBack: the Select adapters report "nobody
+// advertises this" as not settled.
 func TestEmptySelectionFallsBack(t *testing.T) {
 	sim := clock.NewSim(discT0)
 	x := New(sim, 10*time.Second)
@@ -180,7 +158,7 @@ func TestResetWipes(t *testing.T) {
 	x := New(sim, 10*time.Second)
 	x.ObserveAdvertise("h1", lbls("a"), nil)
 	x.Reset()
-	if n := len(x.Known()); n != 0 {
+	if n := x.Stats().Entries; n != 0 {
 		t.Fatalf("reset left %d entries", n)
 	}
 	if _, ok := x.SelectByLabels([]proto.Addr{"h1"}, lbls("a")); ok {
@@ -189,7 +167,7 @@ func TestResetWipes(t *testing.T) {
 }
 
 // TestCrashedHostNeverRoutedPastTTL runs seeded interleavings of
-// refreshes, partial observations, and clock advances against a
+// refreshes, descriptions, and clock advances against a
 // community where one host "crashes" (stops refreshing) at a random
 // instant and later "restarts" (advertises again). Invariants, checked
 // after every step:
@@ -212,7 +190,10 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 		victim := members[rng.Intn(len(members))]
 		crashAt := sim.Now().Add(time.Duration(1+rng.Intn(20)) * time.Second)
 		restartAt := crashAt.Add(time.Duration(int(ttl/time.Second)+rng.Intn(20)) * time.Second)
-		lastSeen := sim.Now()
+		lastSeen := make(map[proto.Addr]time.Time)
+		for _, m := range members {
+			lastSeen[m] = sim.Now()
+		}
 		restarted := false
 
 		for step := 0; step < 200; step++ {
@@ -231,24 +212,22 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 					restarted = true
 				}
 				if rng.Intn(4) == 0 {
-					x.ObservePartial(m, lbls("a"), nil)
+					x.Learn(m, &proto.Advertise{Labels: lbls("a"), Tasks: tsks("t")})
 				} else {
 					x.ObserveAdvertise(m, lbls("a"), tsks("t"))
 				}
-				if m == victim {
-					lastSeen = now
-				}
+				lastSeen[m] = now
 			}
 			sel, ok := x.SelectByLabels(members, lbls("a"))
 			if !ok {
 				continue
 			}
-			if contains(sel, victim) && !now.Before(lastSeen.Add(ttl)) {
+			if contains(sel, victim) && !now.Before(lastSeen[victim].Add(ttl)) {
 				t.Fatalf("seed %d step %d: crashed %q routed %v past its TTL horizon",
-					seed, step, victim, now.Sub(lastSeen))
+					seed, step, victim, now.Sub(lastSeen[victim]))
 			}
 			for _, m := range sel {
-				if !x.Fresh(m) {
+				if !now.Before(lastSeen[m].Add(ttl)) {
 					t.Fatalf("seed %d step %d: lapsed %q selected", seed, step, m)
 				}
 			}
@@ -265,29 +244,192 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 	}
 }
 
-// TestSelectAllocBounds pins the route-lookup fast path: one pre-sized
-// result slice per call (plus the intersection closure) and nothing
-// proportional to hits. This path runs once per query hop in the
-// engine's capability routing, so regressions here multiply across a
-// whole construction.
+// TestSelectAllocBounds pins the lookup every sweep of every session
+// makes: over 15 known members — the sim_serial community — Route
+// allocates the returned member slice and nothing else, the Select
+// adapters no more than it, and an empty memory not even that.
 func TestSelectAllocBounds(t *testing.T) {
 	x := New(clock.NewSim(discT0), time.Minute)
-	candidates := make([]proto.Addr, 16)
-	for i := range candidates {
-		a := proto.Addr(string(rune('a' + i)))
-		candidates[i] = a
-		x.ObserveAdvertise(a, lbls("l0", "l1"), tsks("t0", "t1"))
+	members := make([]proto.Addr, 15)
+	for i := range members {
+		members[i] = proto.Addr(fmt.Sprintf("host%02d", i))
+		caps := &proto.Advertise{}
+		for j := 0; j < 8; j++ {
+			caps.Labels = append(caps.Labels, model.LabelID(fmt.Sprintf("l%02d-%d", i, j)))
+			caps.Tasks = append(caps.Tasks, model.TaskID(fmt.Sprintf("t%02d-%d", i, j)))
+		}
+		if i%2 == 0 {
+			x.Learn(members[i], caps)
+		} else {
+			x.ObserveAdvertise(members[i], caps.Labels, caps.Tasks)
+		}
 	}
-	labels := lbls("l1")
-	tasks := tsks("t1")
-	testutil.AllocBound(t, 2, func() {
-		if _, ok := x.SelectByLabels(candidates, labels); !ok {
-			t.Fatal("SelectByLabels fell back")
+	labels := lbls("l03-2", "l11-7", "nobody")
+	tasks := tsks("t00-0", "t14-7", "nobody")
+	testutil.AllocBound(t, 1, func() {
+		if got, describe := x.Route(members, labels, nil); len(got) != 2 || describe {
+			t.Errorf("labels routed to %v (describe=%v)", got, describe)
 		}
 	})
-	testutil.AllocBound(t, 2, func() {
-		if _, ok := x.SelectByTasks(candidates, tasks); !ok {
-			t.Fatal("SelectByTasks fell back")
+	testutil.AllocBound(t, 1, func() {
+		if got, describe := x.Route(members, nil, tasks); len(got) != 2 || describe {
+			t.Errorf("tasks routed to %v (describe=%v)", got, describe)
 		}
 	})
+	testutil.AllocBound(t, 1, func() {
+		if got, ok := x.SelectByLabels(members, labels); len(got) != 2 || !ok {
+			t.Errorf("SelectByLabels = %v, %v", got, ok)
+		}
+	})
+	testutil.AllocBound(t, 1, func() {
+		if got, ok := x.SelectByTasks(members, tasks); len(got) != 2 || !ok {
+			t.Errorf("SelectByTasks = %v, %v", got, ok)
+		}
+	})
+	empty := New(clock.NewSim(discT0), time.Minute)
+	testutil.AllocBound(t, 0, func() {
+		if got, describe := empty.Route(members, labels, nil); len(got) != len(members) || !describe {
+			t.Errorf("empty memory routed to %v (describe=%v)", got, describe)
+		}
+	})
+}
+
+// TestLearnSortsForeignSets: the lookup is a binary search, so a set that
+// arrives unsorted is sorted once — as a copy, the sender's slice is left
+// alone — instead of silently hiding its member from the sweeps it should
+// be part of.
+func TestLearnSortsForeignSets(t *testing.T) {
+	x := New(clock.NewSim(discT0), time.Minute)
+	caps := &proto.Advertise{Labels: lbls("z", "b", "m"), Tasks: tsks("t9", "t1")}
+	x.Learn("peer", caps)
+	x.ObserveAdvertise("pusher", caps.Labels, caps.Tasks)
+	if caps.Labels[0] != "z" || caps.Tasks[0] != "t9" {
+		t.Errorf("the sender's slices were reordered: %v %v", caps.Labels, caps.Tasks)
+	}
+	both := []proto.Addr{"peer", "pusher"}
+	for _, l := range caps.Labels {
+		if got, _ := x.Route(both, []model.LabelID{l}, nil); len(got) != 2 {
+			t.Errorf("label %q routes to %v, want both members", l, got)
+		}
+	}
+	for _, task := range caps.Tasks {
+		if got, _ := x.Route(both, nil, []model.TaskID{task}); len(got) != 2 {
+			t.Errorf("task %q routes to %v, want both members", task, got)
+		}
+	}
+	if got, describe := x.Route(both, lbls("q"), nil); len(got) != 0 || describe {
+		t.Errorf("unrelated label routed to %v (describe=%v)", got, describe)
+	}
+}
+
+// TestRoutingTable walks one member of each kind through the package
+// comment's table on the simulated clock: a pulled entry is asked to
+// describe itself again once per TTL and not before, a pushed entry past
+// its TTL is excluded, and a description never turns an advertiser's
+// silence back into mere ignorance.
+func TestRoutingTable(t *testing.T) {
+	const ttl = 10 * time.Second
+	sim := clock.NewSim(discT0)
+	x := New(sim, ttl)
+	all := []proto.Addr{"pulled", "pushed", "both", "stranger"}
+	caps := &proto.Advertise{Labels: lbls("a"), Tasks: tsks("t")}
+	x.Learn("pulled", caps)
+	x.ObserveAdvertise("pushed", caps.Labels, caps.Tasks)
+	x.ObserveAdvertise("both", caps.Labels, caps.Tasks)
+	x.Learn("both", caps)
+
+	route := func(labels []model.LabelID) string {
+		t.Helper()
+		got, describe := x.Route(all, labels, nil)
+		return fmt.Sprintf("%v describe=%v", got, describe)
+	}
+	feasible := func() string {
+		t.Helper()
+		out := make(map[model.TaskID]struct{})
+		ask := x.Capable(all, tsks("t", "u"), out)
+		_, t1 := out["t"]
+		_, t2 := out["u"]
+		return fmt.Sprintf("ask %v t=%v u=%v", ask, t1, t2)
+	}
+
+	// Fresh: the known three are asked iff they intersect; the stranger
+	// always, and it alone makes the sweep a describing one.
+	if got, want := route(lbls("a")), "[pulled pushed both stranger] describe=true"; got != want {
+		t.Errorf("fresh, intersecting: %s, want %s", got, want)
+	}
+	if got, want := route(lbls("zzz")), "[stranger] describe=true"; got != want {
+		t.Errorf("fresh, disjoint: %s, want %s", got, want)
+	}
+	if got, want := feasible(), "ask [stranger] t=true u=false"; got != want {
+		t.Errorf("fresh feasibility: %s, want %s", got, want)
+	}
+	x.Learn("stranger", &proto.Advertise{})
+	if got, want := route(lbls("zzz")), "[] describe=false"; got != want {
+		t.Errorf("everyone known, disjoint: %s, want %s", got, want)
+	}
+
+	// One nanosecond before the TTL nothing has changed.
+	sim.Advance(ttl - time.Nanosecond)
+	if got, want := route(lbls("zzz")), "[] describe=false"; got != want {
+		t.Errorf("just before the TTL: %s, want %s", got, want)
+	}
+	// At the TTL the pulled entries are unknown again — asked whatever
+	// the query, and asked to describe themselves — and the pushed ones
+	// are presumed dead, the one that also described itself included.
+	sim.Advance(time.Nanosecond)
+	if got, want := route(lbls("zzz")), "[pulled stranger] describe=true"; got != want {
+		t.Errorf("at the TTL: %s, want %s", got, want)
+	}
+	if got, want := feasible(), "ask [pulled stranger] t=false u=false"; got != want {
+		t.Errorf("feasibility at the TTL: %s, want %s", got, want)
+	}
+	if st := x.Stats(); st.Excluded != 4 {
+		t.Errorf("excluded %d members, want 4: two presumed dead, skipped by two lookups", st.Excluded)
+	}
+	// The re-asked member describes itself and is good for another TTL;
+	// an advertiser that speaks again is alive again.
+	x.Learn("pulled", caps)
+	x.ObserveAdvertise("pushed", caps.Labels, caps.Tasks)
+	if got, want := route(lbls("a")), "[pulled pushed stranger] describe=true"; got != want {
+		t.Errorf("after re-describing: %s, want %s", got, want)
+	}
+	if st := x.Stats(); st.Ads != 3 {
+		t.Errorf("Ads = %d, want the 3 pushed sets: descriptions are not ads", st.Ads)
+	}
+}
+
+// TestDoubt pins the second staleness rule: Doubt drops the pulled entries
+// — and only those — when one of them is no newer than the mark, and
+// reports false when everything pulled arrived after it.
+func TestDoubt(t *testing.T) {
+	x := New(clock.NewSim(discT0), time.Minute)
+	all := []proto.Addr{"old", "pushed", "new"}
+	caps := &proto.Advertise{Labels: lbls("a")}
+	if x.Doubt(x.Mark()) {
+		t.Error("an empty memory was doubted")
+	}
+	x.Learn("old", caps)
+	x.ObserveAdvertise("pushed", caps.Labels, nil)
+	mark := x.Mark()
+	x.Learn("new", caps)
+
+	fresh := New(clock.NewSim(discT0), time.Minute)
+	m0 := fresh.Mark()
+	fresh.Learn("new", caps)
+	if fresh.Doubt(m0) {
+		t.Error("doubted although everything pulled was learned after the mark")
+	}
+	if got, describe := fresh.Route([]proto.Addr{"new"}, lbls("zzz"), nil); len(got) != 0 || describe {
+		t.Errorf("a refused doubt dropped entries: routed to %v (describe=%v)", got, describe)
+	}
+
+	if !x.Doubt(mark) {
+		t.Fatal("not doubted although \"old\" predates the mark")
+	}
+	if got, want := fmt.Sprint(x.Route(all, lbls("zzz"), nil)), "[old new] true"; got != want {
+		t.Errorf("after doubt routed to %s, want %s: pulled entries unknown, the pushed one kept", got, want)
+	}
+	if x.Doubt(x.Mark()) {
+		t.Error("doubted twice: nothing pulled was left")
+	}
 }

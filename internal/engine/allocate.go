@@ -23,19 +23,6 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 	m := sess.m
 	w := res.Workflow
 	metas := m.taskMetas(w, postpone)
-	// Solicit bids only from members that can offer one of the tasks being
-	// auctioned, starting at the member the session ordinal selects (see
-	// route): without the rotation every session visits hosts in the same
-	// order and the first sweep reserves slots on every host before the
-	// others arrive — concurrent Initiates would serialize into bands.
-	// Binding stays auction-based: routing narrows who is asked, never
-	// who wins.
-	taskIDs := make([]model.TaskID, len(metas))
-	for i, meta := range metas {
-		taskIDs[i] = meta.Task
-	}
-	members, _ := m.route(&sess.dir, nil, nil, taskIDs, sess.ordinal)
-
 	plan := &Plan{
 		WorkflowID:   sess.wfID,
 		Spec:         sess.spec,
@@ -48,7 +35,7 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 		plan.Metas[meta.Task] = meta
 	}
 
-	failed, err := m.runAuction(ctx, sess.wfID, members, metas, plan.Allocations)
+	failed, err := m.runAuction(ctx, sess.wfID, nil, sess.ordinal, metas, plan.Allocations)
 	if err != nil {
 		// Whatever was already won is compensated (canceled) so no winner
 		// keeps a dead commitment blocking its schedule window: decision-
@@ -60,12 +47,19 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 	return plan, failed, nil
 }
 
-// runAuction solicits bids for metas from members (one CallForBidsBatch
-// per member, answered by one BidBatch — one round trip per member),
-// awards each decision the moment the auctioneer makes it, and records
-// confirmed winners in alloc. It returns the tasks that ended unallocated
-// — decided failed, award refused or undeliverable, or never decided at
-// all.
+// runAuction solicits bids for metas (one CallForBidsBatch per member,
+// answered by one BidBatch — one round trip per member), awards each
+// decision the moment the auctioneer makes it, and records confirmed
+// winners in alloc. It returns the tasks that ended unallocated — decided
+// failed, award refused or undeliverable, or never decided at all.
+//
+// Bids are solicited only from the members of candidates (nil = the whole
+// community) that can offer one of the tasks, starting at the member rot
+// selects (see route): without the rotation every session visits hosts in
+// the same order and the first sweep reserves slots on every host before
+// the others arrive — concurrent Initiates would serialize into bands.
+// Binding stays auction-based: routing narrows who is asked, never who
+// wins.
 //
 // Awarding (and canceling losers) at decision time releases contended
 // schedule slots a full round earlier than a collect-then-award shape:
@@ -75,11 +69,16 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels the failed plan's awards;
 // repair cancels what it won and aborts the execution).
-func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
+func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
+	tasks := make([]model.TaskID, len(metas))
+	for i, meta := range metas {
+		tasks[i] = meta.Task
+	}
+	members, _ := m.route(candidates, nil, tasks, rot)
 	if len(members) == 0 {
-		// Every member has described itself and none offers any of these
-		// tasks: what a broadcast would learn from a round of declines
-		// is already known.
+		// Every member is known and none offers any of these tasks: what
+		// a broadcast would learn from a round of declines is already
+		// known.
 		for _, meta := range metas {
 			m.cfg.Observer.taskDecided(wfID, meta.Task, "")
 		}

@@ -13,12 +13,14 @@
 // remaining knowledge.
 //
 // The paper's initiator "communicates with each member of the community in
-// turn"; the engine does so for a session's first sweep only. That sweep
-// asks every member to describe itself, and the session's directory
-// (directory.go) then routes every later sweep — collection rounds,
-// replans, the feasibility check, the call for bids, repair — to the
-// members that can answer it. One routing step (Manager.route) serves all
-// of them, and yields to the capability index where one restricts.
+// turn"; the engine does so once per member per TTL. A sweep asks the
+// members its host knows nothing about to describe themselves, the host's
+// index (internal/discovery) remembers the answers beyond the session, and
+// every later sweep of every session — collection rounds, replans, the
+// feasibility check, the call for bids, repair — goes to the members that
+// can answer it. One routing step (Manager.route) serves all of them; what
+// keeps a stale memory from costing a plan is stated once, in
+// internal/discovery.
 package engine
 
 import (
@@ -31,6 +33,7 @@ import (
 
 	"openwf/internal/clock"
 	"openwf/internal/core"
+	"openwf/internal/discovery"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/spec"
@@ -213,6 +216,9 @@ var ErrAllocationFailed = errors.New("allocation failed")
 type Manager struct {
 	net Messenger
 	cfg Config
+	// idx is what the community's members have told this host about
+	// themselves; it routes every sweep and outlives every session.
+	idx *discovery.Index
 
 	mu         sync.Mutex
 	seq        int
@@ -247,7 +253,9 @@ type execution struct {
 	repairs int
 }
 
-// NewManager returns an engine bound to its host messenger.
+// NewManager returns an engine bound to its host messenger. It routes by
+// the messenger's index where the messenger keeps one (internal/host
+// does, and feeds it advertisements), by one of its own otherwise.
 func NewManager(net Messenger, cfg Config) *Manager {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = DefaultConfig().CallTimeout
@@ -261,8 +269,12 @@ func NewManager(net Messenger, cfg Config) *Manager {
 	if cfg.LeaseRefreshInterval == 0 {
 		cfg.LeaseRefreshInterval = DefaultConfig().LeaseRefreshInterval
 	}
+	idx := discovery.New(net.Clock(), 0)
+	if h, ok := net.(interface{ Discovery() *discovery.Index }); ok {
+		idx = h.Discovery()
+	}
 	return &Manager{
-		net: net, cfg: cfg,
+		net: net, cfg: cfg, idx: idx,
 		executions: make(map[string]*execution),
 		allocs:     make(map[string]*allocSession),
 	}
@@ -302,45 +314,45 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 	sess := m.newSession(s)
 	defer m.endSession(sess)
 	res := &core.Result{Workflow: w}
-	plan, failed, err := sess.allocateWithRetries(ctx, res)
-	if err == nil && len(failed) > 0 {
-		err = fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
-	}
+	plan, err := m.notFromMemory(func() (*Plan, error) {
+		plan, failed, err := sess.allocateWithRetries(ctx, res)
+		if err == nil && len(failed) > 0 {
+			plan, err = nil, fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
+		}
+		return plan, err
+	})
 	m.noteSessionDone(sess, err)
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return plan, err
 }
 
-// communityKnowledge implements core.KnowledgeSource by querying the
+// communityView is one construction's window on the community's knowhow
+// and capabilities. It implements core.KnowledgeSource by querying the
 // members' Fragment Managers pairwise (the initiating host communicates
-// with each member of the community in turn — time linear in hosts for the
-// first sweep, in the members that can contribute for every later one).
-type communityKnowledge struct {
+// with each member of the community in turn — time linear in hosts for a
+// host's first sweep, in the members that can contribute for every later
+// one) and core.FeasibilityChecker from what the host's index knows, with
+// Service Feasibility Messages to the members it does not.
+type communityView struct {
 	m    *Manager
 	wfID string
-	dir  *directory
 	// members restricts the queried community (plan repair consults only
 	// the survivors); nil means every current member.
 	members []proto.Addr
 }
 
-var _ core.KnowledgeSource = (*communityKnowledge)(nil)
-
 // FragmentsConsuming implements core.KnowledgeSource.
-func (ck *communityKnowledge) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	members, describe := ck.m.route(ck.dir, ck.members, labels, nil, 0)
+func (cv *communityView) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
+	members, describe := cv.m.route(cv.members, labels, nil, 0)
 	if len(members) == 0 {
-		return nil, nil // every member described itself; none consumes these labels
+		return nil, nil // every member is known; none consumes these labels
 	}
-	return ck.m.sweepFragments(ctx, ck.wfID, ck.dir, members, proto.FragmentQuery{Labels: labels, Describe: describe})
+	return cv.m.sweepFragments(ctx, cv.wfID, members, proto.FragmentQuery{Labels: labels, Describe: describe})
 }
 
 // sweepFragments sends one fragment query to members (nil means the whole
-// community) and gathers the fragments of the replies; the capability sets
-// the replies carry go into dir.
-func (m *Manager) sweepFragments(ctx context.Context, wfID string, dir *directory, members []proto.Addr, query proto.FragmentQuery) ([]*model.Fragment, error) {
+// community) and gathers the fragments of the replies; the descriptions
+// the replies carry go into the index.
+func (m *Manager) sweepFragments(ctx context.Context, wfID string, members []proto.Addr, query proto.FragmentQuery) ([]*model.Fragment, error) {
 	replies, err := m.queryMembers(ctx, wfID, query, members)
 	if err != nil {
 		return nil, err
@@ -352,7 +364,7 @@ func (m *Manager) sweepFragments(ctx context.Context, wfID string, dir *director
 			return nil, fmt.Errorf("fragment query to %q: unexpected reply %T", reply.from, reply.body)
 		}
 		out = append(out, fr.Fragments...)
-		dir.learn(reply.from, fr.Capabilities)
+		m.idx.Learn(reply.from, fr.Capabilities)
 	}
 	return out, nil
 }
@@ -367,53 +379,27 @@ type memberReply struct {
 // messenger does not expose its own worker count.
 const defaultQueryWorkers = 8
 
-// capabilityIndex is implemented by messengers (internal/host) that keep
-// a capability index (internal/discovery). The engine consults it to
-// restrict community sweeps to members whose advertisements intersect
-// the query; ok=false means the index cannot restrict (discovery
-// disabled, cold index, or a forced fallback) and the session's own
-// directory routes the sweep instead, so plans are never lost to a stale
-// index.
-type capabilityIndex interface {
-	SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool)
-	SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool)
-}
-
 // route is the one routing step behind every community sweep: it returns
 // the members of candidates (nil = the full community view) worth sending
-// a fragment query for labels or — labels nil — a feasibility query or
-// call for bids for tasks, and whether the sweep should ask them to
-// describe themselves. Three rules:
-//
-//   - Where the messenger's capability index restricts the sweep it does
-//     so alone: its selection is returned as it always was and no
-//     description is requested, so indexed traffic is unchanged.
-//   - Otherwise the session's directory routes: a member that described
-//     itself is contacted only when its set intersects the query.
-//   - A member that has not described itself is always contacted, and
-//     asked (again) to describe itself.
+// a fragment query for labels or — labels nil — a call for bids for tasks,
+// and whether the sweep should ask them to describe themselves. The index
+// decides member by member (see internal/discovery).
 //
 // rot rotates the visiting order; allocate passes the session ordinal so
 // concurrent sessions start their solicitation at different members. The
-// full view is rotated first and the directory rules members out second,
-// so the members that are solicited keep the order a broadcast would have
+// full view is rotated first and the index rules members out second, so
+// the members that are solicited keep the order a broadcast would have
 // visited them in — and plans stay what a broadcast would have produced.
-func (m *Manager) route(dir *directory, candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID, rot int) (members []proto.Addr, describe bool) {
-	if candidates == nil {
-		candidates = m.net.Members()
+func (m *Manager) route(candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID, rot int) (members []proto.Addr, describe bool) {
+	return m.idx.Route(rotate(m.community(candidates), rot), labels, tasks)
+}
+
+// community resolves a member restriction: nil means the full current view.
+func (m *Manager) community(members []proto.Addr) []proto.Addr {
+	if members == nil {
+		return m.net.Members()
 	}
-	if idx, ok := m.net.(capabilityIndex); ok {
-		var sel []proto.Addr
-		if labels != nil {
-			sel, ok = idx.SelectByLabels(candidates, labels)
-		} else {
-			sel, ok = idx.SelectByTasks(candidates, tasks)
-		}
-		if ok {
-			return rotate(sel, rot), false
-		}
-	}
-	return dir.filter(rotate(candidates, rot), labels, tasks)
+	return members
 }
 
 // rotate returns members starting at index by mod len(members).
@@ -462,9 +448,7 @@ func (m *Manager) queryConcurrency(members int) int {
 // and is returned (a canceled requester must not mistake "no replies" for
 // "no knowledge").
 func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Body, members []proto.Addr) ([]memberReply, error) {
-	if members == nil {
-		members = m.net.Members()
-	}
+	members = m.community(members)
 	if !m.cfg.ParallelQuery {
 		replies := make([]memberReply, 0, len(members))
 		for _, member := range members {
@@ -514,14 +498,11 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 	return replies, nil
 }
 
-// collectAll gathers every fragment of the listed members (nil means the
-// whole community) — the ablation baseline. It queries with a nil label
-// filter, which Fragment Managers treat as "everything" via the host
-// dispatch (see internal/host). A session's collection is also the sweep
-// that fills its directory; dir is nil outside any session.
-func (m *Manager) collectAll(ctx context.Context, wfID string, dir *directory, members []proto.Addr) ([]*model.Fragment, error) {
-	return m.sweepFragments(ctx, wfID, dir, members, proto.FragmentQuery{Describe: dir != nil})
-}
+// collectEverything is the full-collection query: Fragment Managers treat
+// a nil label filter as "everything" via the host dispatch (see
+// internal/host). Everyone is asked anyway, so everyone is asked to
+// describe itself too.
+var collectEverything = proto.FragmentQuery{Describe: true}
 
 // CollectKnowhow gathers every fragment of every reachable member — the
 // raw material for a shared fragment-store snapshot from which many
@@ -531,28 +512,14 @@ func (m *Manager) CollectKnowhow(ctx context.Context) ([]*model.Fragment, error)
 	m.mu.Lock()
 	_, wfID := m.mintWorkflowIDLocked()
 	m.mu.Unlock()
-	return m.collectAll(ctx, wfID, nil, nil)
+	return m.sweepFragments(ctx, wfID, nil, collectEverything)
 }
-
-// communityFeasibility implements core.FeasibilityChecker: members that
-// described themselves to the session are answered from their
-// descriptions, the rest with Service Feasibility Messages.
-type communityFeasibility struct {
-	m    *Manager
-	wfID string
-	dir  *directory
-	// members restricts the queried community; nil means everyone.
-	members []proto.Addr
-}
-
-var _ core.FeasibilityChecker = (*communityFeasibility)(nil)
 
 // InfeasibleTasks implements core.FeasibilityChecker.
-func (cf *communityFeasibility) InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error) {
+func (cv *communityView) InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error) {
 	capable := make(map[model.TaskID]struct{}, len(tasks))
-	routed, _ := cf.m.route(cf.dir, cf.members, nil, tasks, 0)
-	if ask := cf.dir.capable(routed, tasks, capable); len(ask) > 0 {
-		replies, err := cf.m.queryMembers(ctx, cf.wfID, proto.FeasibilityQuery{Tasks: tasks}, ask)
+	if ask := cv.m.idx.Capable(cv.m.community(cv.members), tasks, capable); len(ask) > 0 {
+		replies, err := cv.m.queryMembers(ctx, cv.wfID, proto.FeasibilityQuery{Tasks: tasks}, ask)
 		if err != nil {
 			return nil, err
 		}

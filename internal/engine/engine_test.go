@@ -170,6 +170,13 @@ func (f *fakeNet) cancels() (released []proto.Addr, perTask int) {
 	return released, perTask
 }
 
+// clearLog forgets the calls logged so far.
+func (f *fakeNet) clearLog() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.log = nil
+}
+
 // setDown marks a host dead: every Call to it fails from now on.
 func (f *fakeNet) setDown(addr proto.Addr) {
 	f.mu.Lock()

@@ -170,10 +170,11 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// task's later window cannot stall tasks already won.
 	won := make(map[model.TaskID]proto.Addr, len(affected))
 	wonMetas := make(map[model.TaskID]proto.TaskMeta, len(affected))
-	// The allocation session that built the plan is long gone, and so is
-	// what the members told it; the repair keeps its own directory, which
-	// a reconstruction fills.
-	var dir directory
+	// Repair starts from doubt: a member just died under a running
+	// workflow, and what the survivors said before that says nothing about
+	// what they can take over now. Everyone is solicited until a
+	// reconstruction has asked them again (see internal/discovery).
+	m.idx.Doubt(m.idx.Mark())
 	slot := 0
 	for _, ch := range wfID {
 		slot = (slot*31 + int(ch)) % retryBandPeriod
@@ -183,17 +184,11 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		for try := 0; ; try++ {
 			metas := m.taskMetasFor(target, topoFilter(target, remaining), m.retryPostpone(try, slot))
 			alloc := make(map[model.TaskID]proto.Addr, len(metas))
-			// Route the re-auction like any other sweep: survivors whose
-			// advertisements lapsed (e.g. partitioned mid-round) must not
-			// be solicited during repair either, and once a
-			// reconstruction has filled dir, neither are survivors that
-			// offer none of the tasks.
-			taskIDs := make([]model.TaskID, len(metas))
-			for i, meta := range metas {
-				taskIDs[i] = meta.Task
-			}
-			members, _ := m.route(&dir, survivors, nil, taskIDs, 0)
-			failed, err := m.runAuction(ctx, wfID, members, metas, alloc)
+			// Routed like any other sweep: survivors whose advertisements
+			// lapsed (e.g. partitioned mid-round) must not be solicited
+			// during repair either, and once a reconstruction has asked the
+			// survivors again, neither are those that offer none of the tasks.
+			failed, err := m.runAuction(ctx, wfID, survivors, 0, metas, alloc)
 			for t, host := range alloc {
 				won[t] = host
 			}
@@ -228,7 +223,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		// finished work and live allocations are kept wherever the new
 		// workflow still uses them.
 		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
-		res, rerr := m.construct(ctx, wfID, plan.Spec, &dir, survivors, exclude)
+		res, rerr := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
 		if rerr != nil {
 			m.cancelAwards(wfID, won)
 			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, rerr)

@@ -269,9 +269,12 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 
 // TestRepairReconstructsAroundDeadProvider runs against a community that
 // ignores Describe (repair then broadcasts, as it always did) and against
-// one that describes itself: the reconstruction's first sweep fills the
-// repair's own directory, and the re-auction that follows solicits only
-// the member offering the replacement task.
+// one that describes itself. There repair starts from doubt — p2 gained
+// the replacement service after describing itself to the session that
+// built the plan, and routing by that memory would abort a repairable
+// workflow — so the first re-auction solicits every survivor, the
+// reconstruction's first sweep asks them all again, and the re-auction
+// that follows solicits only the member offering the replacement task.
 func TestRepairReconstructsAroundDeadProvider(t *testing.T) {
 	for _, describes := range []bool{false, true} {
 		t.Run(fmt.Sprintf("describes=%v", describes), func(t *testing.T) {

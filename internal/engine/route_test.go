@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/clock"
 	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/proto"
@@ -52,13 +53,17 @@ func conversation(net *fakeNet, kind string) []string {
 	return out
 }
 
-// TestDirectoryRoutesLaterSweeps: the first sweep reaches everyone and
-// asks for descriptions; every later sweep goes only to members that can
-// answer, feasibility costs no message, and bids are solicited from the
-// offerers alone, in the order a broadcast would have visited them.
+// TestDirectoryRoutesLaterSweeps: a host's first sweep reaches everyone
+// and asks for descriptions; every later sweep goes only to members that
+// can answer, feasibility costs no message, and bids are solicited from
+// the offerers alone, in the order a broadcast would have visited them.
+// The host remembers: its second session sends no describing sweep at all
+// — its first collection round reaches only the member that consumes the
+// trigger label.
 func TestDirectoryRoutesLaterSweeps(t *testing.T) {
 	net := pipelineNet(t)
-	plan, err := NewManager(net, testConfig()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	m := NewManager(net, testConfig())
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +83,20 @@ func TestDirectoryRoutesLaterSweeps(t *testing.T) {
 	}
 	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("calls for bids to %v, want %v", got, want)
+	}
+
+	net.clearLog()
+	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := conversation(net, "fragment-query"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("second session's fragment queries: %v, want %v: one per round, to the member that consumes the frontier", got, want)
+	}
+	if got := conversation(net, "feasibility-query"); got != nil {
+		t.Errorf("second session's feasibility queries to %v, want none", got)
+	}
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p2", "p3", "p1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("second session's calls for bids to %v, want %v (ordinal 2 starts at p2)", got, want)
 	}
 }
 
@@ -116,9 +135,7 @@ func TestSolicitationKeepsBroadcastOrder(t *testing.T) {
 	all := net.Members()
 	offers := map[proto.Addr]bool{"p1": true, "p2": true, "p3": true}
 	for ordinal := 1; ordinal <= 2*len(all); ordinal++ {
-		net.mu.Lock()
-		net.log = nil
-		net.mu.Unlock()
+		net.clearLog()
 		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 		if err != nil {
 			t.Fatal(err)
@@ -157,66 +174,37 @@ func TestDirectoryNobodyOffersAnything(t *testing.T) {
 	}
 }
 
-// indexedNet is a messenger with a capability index that restricts every
-// sweep to one fixed selection.
-type indexedNet struct {
-	*fakeNet
-	sel []proto.Addr
-}
-
-func (n indexedNet) SelectByLabels([]proto.Addr, []model.LabelID) ([]proto.Addr, bool) {
-	return n.sel, true
-}
-
-func (n indexedNet) SelectByTasks([]proto.Addr, []model.TaskID) ([]proto.Addr, bool) {
-	return n.sel, true
-}
-
-// TestIndexRestrictsAlone: where the capability index restricts a sweep
-// no description is requested, so indexed traffic is what it always was.
-func TestIndexRestrictsAlone(t *testing.T) {
-	net := indexedNet{fakeNet: pipelineNet(t), sel: []proto.Addr{"p1", "p2", "p3"}}
-	if _, err := NewManager(net, testConfig()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"p1", "p2", "p3", "p1", "p2", "p3", "p1", "p2", "p3"}
-	if got := conversation(net.fakeNet, "fragment-query"); !reflect.DeepEqual(got, want) {
-		t.Errorf("fragment queries:\ngot  %v\nwant %v", got, want)
-	}
-	if got, want := conversation(net.fakeNet, "feasibility-query"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("feasibility queries to %v, want %v", got, want)
-	}
-}
-
-// TestDirectoryLearnSortsForeignSets: the lookup is a binary search, so a
-// description that arrives unsorted is sorted once instead of silently
-// hiding its member from the sweeps it should be part of.
+// TestDirectoryLearnSortsForeignSets: the engine keeps what a reply
+// carries and looks it up by binary search, so a description that arrives
+// unsorted from a foreign peer must still route every sweep its member
+// should be part of.
 func TestDirectoryLearnSortsForeignSets(t *testing.T) {
-	var dir directory
-	dir.learn("peer", &proto.Advertise{
+	m := NewManager(newFakeNet("init"), testConfig())
+	m.idx.Learn("peer", &proto.Advertise{
 		Labels: []model.LabelID{"z", "b", "m"},
 		Tasks:  []model.TaskID{"t9", "t1"},
 	})
 	for _, l := range []model.LabelID{"z", "b", "m"} {
-		if got, _ := dir.filter([]proto.Addr{"peer"}, []model.LabelID{l}, nil); len(got) != 1 {
+		if got, _ := m.route([]proto.Addr{"peer"}, []model.LabelID{l}, nil, 0); len(got) != 1 {
 			t.Errorf("label %q does not route to its member", l)
 		}
 	}
 	for _, task := range []model.TaskID{"t9", "t1"} {
-		if got, _ := dir.filter([]proto.Addr{"peer"}, nil, []model.TaskID{task}); len(got) != 1 {
+		if got, _ := m.route([]proto.Addr{"peer"}, nil, []model.TaskID{task}, 0); len(got) != 1 {
 			t.Errorf("task %q does not route to its member", task)
 		}
 	}
-	if got, describe := dir.filter([]proto.Addr{"peer"}, []model.LabelID{"q"}, nil); len(got) != 0 || describe {
+	if got, describe := m.route([]proto.Addr{"peer"}, []model.LabelID{"q"}, nil, 0); len(got) != 0 || describe {
 		t.Errorf("unrelated label routed to %v (describe=%v)", got, describe)
 	}
 }
 
-// TestDirectoryLookupAllocBound: a lookup over 15 described members — the
-// sim_serial community — allocates the returned member slice and nothing
-// else, and an empty directory (an index-routed session's) not even that.
+// TestDirectoryLookupAllocBound: the routing step over 15 known members —
+// the sim_serial community — allocates the returned member slice and
+// nothing else (one more for a rotated visiting order), and on a host
+// that knows nobody not even that.
 func TestDirectoryLookupAllocBound(t *testing.T) {
-	var dir directory
+	m := NewManager(newFakeNet("init"), testConfig())
 	members := make([]proto.Addr, 15)
 	for i := range members {
 		members[i] = proto.Addr(fmt.Sprintf("host%02d", i))
@@ -225,30 +213,121 @@ func TestDirectoryLookupAllocBound(t *testing.T) {
 			caps.Labels = append(caps.Labels, model.LabelID(fmt.Sprintf("l%02d-%d", i, j)))
 			caps.Tasks = append(caps.Tasks, model.TaskID(fmt.Sprintf("t%02d-%d", i, j)))
 		}
-		dir.learn(members[i], caps)
+		m.idx.Learn(members[i], caps)
 	}
 	labels := []model.LabelID{"l03-2", "l11-7", "nobody"}
 	tasks := []model.TaskID{"t00-0", "t14-7", "nobody"}
 	testutil.AllocBound(t, 1, func() {
-		if got, _ := dir.filter(members, labels, nil); len(got) != 2 {
+		if got, _ := m.route(members, labels, nil, 0); len(got) != 2 {
 			t.Errorf("labels routed to %v", got)
 		}
 	})
-	testutil.AllocBound(t, 1, func() {
-		if got, _ := dir.filter(members, nil, tasks); len(got) != 2 {
+	testutil.AllocBound(t, 2, func() {
+		if got, _ := m.route(members, nil, tasks, 7); len(got) != 2 {
 			t.Errorf("tasks routed to %v", got)
 		}
 	})
-	var empty directory
+	cold := NewManager(newFakeNet("init"), testConfig())
 	testutil.AllocBound(t, 0, func() {
-		if got, describe := empty.filter(members, labels, nil); len(got) != len(members) || !describe {
-			t.Errorf("empty directory routed to %v (describe=%v)", got, describe)
+		if got, describe := cold.route(members, labels, nil, 0); len(got) != len(members) || !describe {
+			t.Errorf("a host that knows nobody routed to %v (describe=%v)", got, describe)
 		}
 	})
 }
 
+// staleNet is pipelineNet on a frozen virtual clock after one planned
+// session, so the host remembers every member — and nothing lapses.
+func staleNet(t *testing.T) (*fakeNet, *Manager) {
+	net := pipelineNet(t)
+	net.clk = clock.NewSim(time.Date(2026, 6, 14, 9, 0, 0, 0, time.UTC))
+	net.setCapable("p4", "t4", false)
+	m := NewManager(net, testConfig())
+	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	net.clearLog()
+	return net, m
+}
+
+// describing is one sweep that asks the whole pipeline community to
+// describe itself.
+var describing = []string{"init+describe", "p1+describe", "p2+describe", "p3+describe", "p4+describe"}
+
+// TestNoFailureReportedFromMemory: a member gains a fragment or a service
+// after describing itself, and the next session needs it. Routed by what
+// the host remembers the session finds no solution; instead of reporting
+// that it forgets what it was told before it began and runs once more,
+// asking everyone — and succeeds without the clock moving at all.
+func TestNoFailureReportedFromMemory(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		gain   func(*testing.T, *fakeNet)
+		goal   string
+		before []string // the run routed from memory
+		after  []string // the re-asking run's queries past its describing sweep
+	}{
+		{name: "fragment", goal: "z", before: []string{"p4"}, after: []string{"p4"},
+			gain: func(t *testing.T, net *fakeNet) {
+				net.setCapable("p4", "t4", true)
+				net.setCapable("p4", "t5", true)
+				p4 := net.members["p4"]
+				p4.fragments = append(p4.fragments, mkFrag(t, "t5", "y", "z"))
+			}},
+		{name: "service", goal: "y", before: []string{"p4"}, after: nil,
+			gain: func(_ *testing.T, net *fakeNet) { net.setCapable("p4", "t4", true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, m := staleNet(t)
+			tc.gain(t, net)
+			plan, err := m.Initiate(context.Background(), spec.Must(lbl("x"), lbl(tc.goal)))
+			if err != nil {
+				t.Fatalf("the session that needs what p4 gained: %v", err)
+			}
+			if plan.Replans != 0 || len(plan.Allocations) != plan.Workflow.NumTasks() {
+				t.Fatalf("plan: %d replans, %d of %d tasks allocated", plan.Replans, len(plan.Allocations), plan.Workflow.NumTasks())
+			}
+			want := append(append(append([]string(nil), tc.before...), describing...), tc.after...)
+			if got := conversation(net, "fragment-query"); !reflect.DeepEqual(got, want) {
+				t.Errorf("fragment queries:\ngot  %v\nwant %v\n(one run from memory, exactly one re-asking run)", got, want)
+			}
+			if got := conversation(net, "feasibility-query"); got != nil {
+				t.Errorf("feasibility queries to %v, want none", got)
+			}
+		})
+	}
+}
+
+// TestNoSolutionCostsOneDescribingSweep: a specification nobody can
+// satisfy is re-asked once — one describing sweep more than the same
+// failure costs from memory — and then reported; it never loops. The
+// first session on a host learned everything it knows itself, so it fails
+// without running again.
+func TestNoSolutionCostsOneDescribingSweep(t *testing.T) {
+	nowhere := spec.Must(lbl("a"), lbl("nowhere"))
+	net, m := staleNet(t)
+	for session := 2; session <= 3; session++ {
+		net.clearLog()
+		if _, err := m.Initiate(context.Background(), nowhere); !errors.Is(err, core.ErrNoSolution) {
+			t.Fatalf("session %d: err = %v, want ErrNoSolution", session, err)
+		}
+		want := append(append([]string{"p1", "p2", "p3"}, describing...), "p2", "p3")
+		if got := conversation(net, "fragment-query"); !reflect.DeepEqual(got, want) {
+			t.Errorf("session %d fragment queries:\ngot  %v\nwant %v", session, got, want)
+		}
+	}
+
+	first := pipelineNet(t)
+	if _, err := NewManager(first, testConfig()).Initiate(context.Background(), nowhere); !errors.Is(err, core.ErrNoSolution) {
+		t.Fatalf("first session: err = %v, want ErrNoSolution", err)
+	}
+	want := append(append([]string(nil), describing...), "p2", "p3")
+	if got := conversation(first, "fragment-query"); !reflect.DeepEqual(got, want) {
+		t.Errorf("first session's fragment queries:\ngot  %v\nwant %v\n(it must not run again)", got, want)
+	}
+}
+
 // TestDescribedMemberDownCostsOneSolicitation: a member that dies after
-// describing itself is still in the directory, so the auction tries it —
+// describing itself is still in the index, so the auction tries it —
 // once — and allocates around it from the bids that did arrive.
 func TestDescribedMemberDownCostsOneSolicitation(t *testing.T) {
 	net := pipelineNet(t)

@@ -22,7 +22,8 @@ import (
 // its auctioneer. Nothing here is shared between sessions, so a replan in
 // one session can never disturb another; the only cross-session contact
 // points are the participants' schedule managers, which arbitrate slot
-// conflicts first-hold-wins (see internal/schedule).
+// conflicts first-hold-wins (see internal/schedule), and the host's index,
+// where sessions share who is worth asking and nothing else.
 type allocSession struct {
 	m    *Manager
 	wfID string
@@ -38,9 +39,6 @@ type allocSession struct {
 	excluded []model.TaskID
 	// attempt counts reconstructions (replans) of this session.
 	attempt int
-	// dir is what the members have told this session about themselves;
-	// it routes every sweep after the first (see directory).
-	dir directory
 }
 
 // newSession mints a workflow ID and registers the session. IDs are
@@ -52,7 +50,6 @@ func (m *Manager) newSession(s spec.Spec) *allocSession {
 	sess.ordinal, sess.wfID = m.mintWorkflowIDLocked()
 	m.allocs[sess.wfID] = sess
 	m.mu.Unlock()
-	sess.excluded = append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...)
 	m.sessStarted.Add(1)
 	return sess
 }
@@ -119,13 +116,35 @@ func (m *Manager) ActiveAllocations() []string {
 	return out
 }
 
+// notFromMemory runs a session's work and, should it fail for want of a
+// solution or of providers after routing on what members said before it
+// began, once more with those memories dropped — asking everyone, as the
+// first session on a host does. It is the one place a session's failure is
+// checked against the age of what it was routed by (discovery.Index.Doubt).
+func (m *Manager) notFromMemory(work func() (*Plan, error)) (*Plan, error) {
+	mark := m.idx.Mark()
+	plan, err := work()
+	if (errors.Is(err, core.ErrNoSolution) || errors.Is(err, ErrAllocationFailed)) && m.idx.Doubt(mark) {
+		return work()
+	}
+	return plan, err
+}
+
 // run drives the session to a fully allocated plan: construct, allocate
 // with window retries, and on persistent failure exclude the offending
 // tasks and reconstruct (§5.1), up to MaxReplans.
 func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
+	return sess.m.notFromMemory(func() (*Plan, error) { return sess.runOnce(ctx) })
+}
+
+// runOnce is one pass of run, starting from the configured exclusions
+// alone: what an earlier pass excluded, it excluded on doubted memory.
+func (sess *allocSession) runOnce(ctx context.Context) (*Plan, error) {
 	m := sess.m
+	sess.excluded = append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...)
+	sess.attempt = 0
 	for {
-		res, err := m.construct(ctx, sess.wfID, sess.spec, &sess.dir, nil, sess.excluded)
+		res, err := m.construct(ctx, sess.wfID, sess.spec, nil, sess.excluded)
 		if err != nil {
 			return nil, err
 		}
@@ -198,24 +217,23 @@ func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Res
 // construct builds the workflow for s from the knowledge of members (nil
 // means the whole community; plan repair passes the survivors), never
 // using the exclude tasks — either incrementally (querying round by
-// round) or from a full collection. dir is the caller's session
-// directory: construct's sweeps fill it and are routed by it.
-func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, dir *directory, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
+// round) or from a full collection.
+func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
+	view := &communityView{m: m, wfID: wfID, members: members}
 	var checker core.FeasibilityChecker
 	if m.cfg.Feasibility {
-		checker = &communityFeasibility{m: m, wfID: wfID, dir: dir, members: members}
+		checker = view
 	}
 	if m.cfg.Incremental {
-		src := &communityKnowledge{m: m, wfID: wfID, dir: dir, members: members}
 		opts := core.IncrementalOptions{
 			Feasibility: checker,
 			Exclude:     exclude,
 		}
-		res, _, err := core.ConstructIncremental(ctx, src, s, opts)
+		res, _, err := core.ConstructIncremental(ctx, view, s, opts)
 		return res, err
 	}
 	// Full collection: one query for every label any member knows.
-	frags, err := m.collectAll(ctx, wfID, dir, members)
+	frags, err := m.sweepFragments(ctx, wfID, members, collectEverything)
 	if err != nil {
 		return nil, err
 	}

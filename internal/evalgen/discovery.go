@@ -18,23 +18,24 @@ import (
 // instant works; runs are deterministic relative to it).
 var discoveryT0 = time.Date(2009, 11, 30, 12, 0, 0, 0, time.UTC)
 
-// DiscoverySetup builds the capability-routing fixture of the root
+// DiscoverySetup builds the routing fixture of the root
 // BenchmarkDiscoveryInitiate: a community of `hosts` members on the
 // instantaneous in-memory network under a frozen virtual clock, where
 // host00 initiates and carries all knowhow for a `chain`-task problem,
 // hosts 1..providers offer every chain service, and every remaining
-// member is "junk" —
-// fragments and services over labels and tasks disjoint from the
-// problem, the population an initiator should learn to skip.
+// member is "junk" — fragments and services over labels and tasks
+// disjoint from the problem, the population an initiator should learn to
+// skip.
 //
-// With indexed=true the community runs capability-index discovery and
-// the initiator's index is warmed (one pull sweep) before return, so
-// solicitation routes to the fixed provider set and Calls/Initiate
-// stays flat as `hosts` grows; with indexed=false every sweep
-// broadcasts and Calls/Initiate grows O(hosts). The returned
-// specification poses the chain problem; schedules should be reset
-// between measurements.
-func DiscoverySetup(ctx context.Context, hosts, providers, chain int, indexed bool, seed int64) (*community.Community, proto.Addr, spec.Spec, error) {
+// It prices the three ways host00 can come to know that population. Its
+// first session on a cold index asks every member to describe itself:
+// Calls/Initiate grows O(hosts), once. Every later session routes from
+// what the first was told and stays flat as `hosts` grows. With
+// advertiser=true the community runs the advertiser and the initiator's
+// index is warmed (one pull sweep) before return, so the first session is
+// flat too. The returned specification poses the chain problem; schedules
+// should be reset between measurements.
+func DiscoverySetup(ctx context.Context, hosts, providers, chain int, advertiser bool, seed int64) (*community.Community, proto.Addr, spec.Spec, error) {
 	if hosts < providers+1 || providers < 1 || chain < 1 {
 		return nil, "", spec.Spec{}, fmt.Errorf("evalgen: invalid discovery grid hosts=%d providers=%d chain=%d", hosts, providers, chain)
 	}
@@ -92,7 +93,7 @@ func DiscoverySetup(ctx context.Context, hosts, providers, chain int, indexed bo
 		DisableMarshal: true,
 		Engine:         &engCfg,
 	}
-	if indexed {
+	if advertiser {
 		opts.Discovery = &host.DiscoveryConfig{}
 	}
 	comm, err := community.New(opts, specs...)
@@ -100,7 +101,7 @@ func DiscoverySetup(ctx context.Context, hosts, providers, chain int, indexed bo
 		return nil, "", spec.Spec{}, err
 	}
 	initiator := specs[0].ID
-	if indexed {
+	if advertiser {
 		if err := comm.WarmDiscovery(ctx, initiator); err != nil {
 			_ = comm.Close()
 			return nil, "", spec.Spec{}, err

@@ -5,35 +5,51 @@ import (
 	"testing"
 )
 
-// TestDiscoverySmoke is the CI smoke row for the Discovery grid: on a
-// 40-host community with 5 relevant providers, index-routed solicitation
-// must construct the same-size plan as broadcast while spending strictly
-// fewer Call round trips. The root BenchmarkDiscoveryInitiate runs the
-// same fixture at 10 and 100 hosts.
+// TestDiscoverySmoke is the CI smoke row for the Discovery grid, on a
+// 40-host community with 5 relevant providers and a 6-task chain. Routed
+// from memory — the host's own after its first session, or the
+// advertiser's before it — an Initiate costs exactly 17 round trips: one
+// fragment query per chain task to the host that holds the knowhow, no
+// feasibility query, 5 calls for bids, 6 awards. The first session on a
+// cold host pays one describing sweep over the community on top, once.
+// The root BenchmarkDiscoveryInitiate runs the same fixture at 10 and 100
+// hosts.
 func TestDiscoverySmoke(t *testing.T) {
+	const hosts, routed = 40, 6 + 5 + 6
 	ctx := context.Background()
-	run := func(indexed bool) int64 {
+	run := func(advertiser bool) (first, second int64) {
 		t.Helper()
-		comm, initiator, s, err := DiscoverySetup(ctx, 40, 5, 6, indexed, 1)
+		comm, initiator, s, err := DiscoverySetup(ctx, hosts, 5, 6, advertiser, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer comm.Close()
-		comm.Network().ResetCounters()
-		plan, err := comm.Initiate(ctx, initiator, s)
-		if err != nil {
-			t.Fatalf("indexed=%v: %v", indexed, err)
+		var calls [2]int64
+		for i := range calls {
+			comm.ResetSchedules()
+			comm.Network().ResetCounters()
+			plan, err := comm.Initiate(ctx, initiator, s)
+			if err != nil {
+				t.Fatalf("advertiser=%v: %v", advertiser, err)
+			}
+			if plan.Workflow.NumTasks() != 6 || len(plan.Allocations) != 6 {
+				t.Fatalf("advertiser=%v: plan has %d tasks, %d allocated",
+					advertiser, plan.Workflow.NumTasks(), len(plan.Allocations))
+			}
+			calls[i] = comm.Network().Stats().Calls
 		}
-		if plan.Workflow.NumTasks() != 6 || len(plan.Allocations) != 6 {
-			t.Fatalf("indexed=%v: plan has %d tasks, %d allocated",
-				indexed, plan.Workflow.NumTasks(), len(plan.Allocations))
-		}
-		return comm.Network().Stats().Calls
+		return calls[0], calls[1]
 	}
-	indexedCalls := run(true)
-	broadcastCalls := run(false)
-	t.Logf("calls/initiate: indexed=%d broadcast=%d", indexedCalls, broadcastCalls)
-	if indexedCalls >= broadcastCalls {
-		t.Errorf("index routing saved nothing: indexed=%d broadcast=%d", indexedCalls, broadcastCalls)
+	coldFirst, coldSecond := run(false)
+	warmFirst, warmSecond := run(true)
+	t.Logf("calls/initiate: cold host %d then %d, warmed by the advertiser %d then %d", coldFirst, coldSecond, warmFirst, warmSecond)
+	// The describing sweep replaces the first round's one routed query.
+	if want := int64(routed + hosts - 1); coldFirst != want {
+		t.Errorf("first session on a cold host: %d round trips, want %d (one describing sweep over %d hosts)", coldFirst, want, hosts)
+	}
+	for name, got := range map[string]int64{"second session from memory": coldSecond, "first session, warmed": warmFirst, "second session, warmed": warmSecond} {
+		if got != routed {
+			t.Errorf("%s: %d round trips, want %d", name, got, routed)
+		}
 	}
 }

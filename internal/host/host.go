@@ -60,28 +60,30 @@ type Config struct {
 	// Trace, when non-nil, records every message the host sends or
 	// receives.
 	Trace trace.Recorder
-	// Discovery, when non-nil, enables the capability index: the host
-	// answers and periodically pushes advertisements, and its engine
-	// routes solicitation by advertised capability (internal/discovery).
+	// Discovery, when non-nil, runs the advertiser: the host pushes its
+	// capability set to every member on a jittered cadence, so the
+	// members' indexes hold it without asking and treat a full TTL of
+	// silence as this host's death (internal/discovery). Every host keeps
+	// an index and answers advertisements either way.
 	Discovery *DiscoveryConfig
 }
 
-// DiscoveryConfig tunes the capability index and the host's advertiser.
+// DiscoveryConfig tunes the host's advertiser.
 type DiscoveryConfig struct {
-	// TTL is how long a received advertisement stays fresh (default
-	// discovery.DefaultTTL). A member silent for a full TTL is presumed
-	// dead and excluded from solicitation sweeps.
+	// TTL is how long a capability set stays fresh in this host's index
+	// (default discovery.DefaultTTL). An advertising member silent for a
+	// full TTL is presumed dead and excluded from solicitation sweeps.
 	TTL time.Duration
 	// RefreshEvery is the advertiser's push cadence (default TTL/3, so
 	// a live member survives two lost refreshes before lapsing).
 	RefreshEvery time.Duration
-	// CallTimeout bounds the pull round trips of AdvertiseNow (default
-	// 5s).
-	CallTimeout time.Duration
 	// Seed seeds the advertiser's cadence jitter, desynchronizing the
 	// community's refresh bursts deterministically.
 	Seed int64
 }
+
+// advertiseCallTimeout bounds each pull round trip of AdvertiseNow.
+const advertiseCallTimeout = 5 * time.Second
 
 // Host is one participant device.
 type Host struct {
@@ -105,10 +107,11 @@ type Host struct {
 	// so concurrent allocation sessions multiplex over one host.
 	dispatch *dispatcher
 
-	// index is the host's capability index; nil when discovery is
-	// disabled.
-	index   *discovery.Index
-	discCfg DiscoveryConfig
+	// index is the host's memory of its community, which its engine
+	// routes by and fills; refreshEvery is the advertiser's cadence, zero
+	// when the host runs none.
+	index        *discovery.Index
+	refreshEvery time.Duration
 
 	mu       sync.Mutex
 	endpoint transport.Endpoint
@@ -148,23 +151,20 @@ func New(cfg Config) (*Host, error) {
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, cfg.BidWindow)
 	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule, h.sendEnvelope)
-	h.Engine = engine.NewManager(h, cfg.Engine)
-	h.dispatch = newDispatcher(h.process, cfg.Workers)
-	if cfg.Discovery != nil {
-		dc := *cfg.Discovery
-		if dc.TTL <= 0 {
-			dc.TTL = discovery.DefaultTTL
+	ttl := discovery.DefaultTTL
+	if dc := cfg.Discovery; dc != nil {
+		if dc.TTL > 0 {
+			ttl = dc.TTL
 		}
-		if dc.RefreshEvery <= 0 {
-			dc.RefreshEvery = dc.TTL / 3
+		h.refreshEvery = dc.RefreshEvery
+		if h.refreshEvery <= 0 {
+			h.refreshEvery = ttl / 3
 		}
-		if dc.CallTimeout <= 0 {
-			dc.CallTimeout = 5 * time.Second
-		}
-		h.discCfg = dc
-		h.index = discovery.New(clk, dc.TTL)
 		h.adRng = rand.New(rand.NewSource(dc.Seed))
 	}
+	h.index = discovery.New(clk, ttl)
+	h.Engine = engine.NewManager(h, cfg.Engine)
+	h.dispatch = newDispatcher(h.process, cfg.Workers)
 
 	for _, f := range cfg.Fragments {
 		if err := h.Fragments.Add(f); err != nil {
@@ -180,10 +180,10 @@ func New(cfg Config) (*Host, error) {
 }
 
 // Attach connects the host to its transport endpoint. The endpoint must
-// have been created with h.Handle as its handler. With discovery
-// enabled, attaching also arms the periodic advertiser (its first tick
-// lands after one jittered refresh interval, by which time the
-// community view is installed).
+// have been created with h.Handle as its handler. Attaching also arms
+// the periodic advertiser where the host runs one (its first tick lands
+// after one jittered refresh interval, by which time the community view
+// is installed).
 func (h *Host) Attach(ep transport.Endpoint) {
 	h.mu.Lock()
 	h.endpoint = ep
@@ -360,46 +360,9 @@ func (h *Host) Handle(env proto.Envelope) {
 	switch env.Body.(type) {
 	case proto.FragmentReply, proto.FeasibilityReply, proto.BidBatch,
 		proto.AwardAck, proto.LeaseRefreshAck, proto.AdvertiseAck, proto.Ack:
-		h.observeReply(env)
 		h.routeReply(env)
 	default:
 		h.dispatch.enqueue(env)
-	}
-}
-
-// observeReply opportunistically feeds the capability index from reply
-// traffic the host is receiving anyway: a member that just returned
-// fragments or capabilities proved it holds them and is alive, and an
-// AdvertiseAck piggybacks the replier's complete advertisement. Runs on
-// the transport pump; index updates are quick map operations.
-func (h *Host) observeReply(env proto.Envelope) {
-	if h.index == nil {
-		return
-	}
-	switch b := env.Body.(type) {
-	case proto.FragmentReply:
-		if len(b.Fragments) == 0 {
-			return
-		}
-		var labels []model.LabelID
-		seen := make(map[model.LabelID]struct{})
-		for _, f := range b.Fragments {
-			for _, t := range f.Tasks {
-				for _, in := range t.Inputs {
-					if _, dup := seen[in]; !dup {
-						seen[in] = struct{}{}
-						labels = append(labels, in)
-					}
-				}
-			}
-		}
-		h.index.ObservePartial(env.From, labels, nil)
-	case proto.FeasibilityReply:
-		if len(b.Capable) > 0 {
-			h.index.ObservePartial(env.From, nil, b.Capable)
-		}
-	case proto.AdvertiseAck:
-		h.index.ObserveAdvertise(env.From, b.Labels, b.Tasks)
 	}
 }
 
@@ -465,15 +428,11 @@ func (h *Host) process(env proto.Envelope) {
 		h.Engine.OnTaskDone(env.Workflow, b)
 
 	case proto.Advertise:
-		if h.index != nil {
-			h.index.ObserveAdvertise(env.From, b.Labels, b.Tasks)
-		}
+		h.index.ObserveAdvertise(env.From, b.Labels, b.Tasks)
 		// A pulled advertisement (nonzero ReqID) is answered with this
 		// host's own capability set — anti-entropy, so one pull round
 		// trip refreshes both directions. One-way refreshes get no
-		// reply. Answer even with discovery disabled locally: the
-		// capability set exists regardless of whether this host keeps
-		// an index of its own.
+		// reply.
 		if env.ReqID != 0 {
 			labels, tasks := h.capabilities()
 			h.reply(env, proto.AdvertiseAck{Labels: labels, Tasks: tasks})
@@ -523,9 +482,7 @@ func (h *Host) sweep() {
 func (h *Host) Reset() {
 	h.Schedule.Clear()
 	h.Exec.Reset()
-	if h.index != nil {
-		h.index.Reset()
-	}
+	h.index.Reset()
 }
 
 // reply echoes the request's correlation ID back to the sender. Replies
@@ -538,8 +495,8 @@ func (h *Host) reply(req proto.Envelope, body proto.Body) {
 
 // --- capability advertisements (discovery) ---
 
-// Discovery returns the host's capability index, or nil when discovery
-// is disabled.
+// Discovery returns the host's memory of its community. The host's engine
+// finds it here (engine.NewManager).
 func (h *Host) Discovery() *discovery.Index { return h.index }
 
 // capabilities snapshots what this host would advertise: the labels its
@@ -554,10 +511,10 @@ func (h *Host) capabilities() ([]model.LabelID, []model.TaskID) {
 func (h *Host) scheduleAdvertise() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.index == nil || h.closed || h.endpoint == nil {
+	if h.refreshEvery == 0 || h.closed || h.endpoint == nil {
 		return
 	}
-	d := h.discCfg.RefreshEvery
+	d := h.refreshEvery
 	if spread := int64(d / 5); spread > 0 {
 		d += time.Duration(h.adRng.Int63n(spread)) - d/10
 	}
@@ -569,13 +526,7 @@ func (h *Host) scheduleAdvertise() {
 // itself need clock progress — happen on their own goroutine; only the
 // cheap re-arm stays on the timer path.
 func (h *Host) advertiseTick() {
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
-		return
-	}
-	go h.advertiseOnce(h.ctx)
+	h.AdvertiseSoon()
 	h.scheduleAdvertise()
 }
 
@@ -585,9 +536,6 @@ func (h *Host) advertiseTick() {
 // refresh costs nothing until a full TTL of them are lost, at which
 // point the receiver correctly presumes this host dead.
 func (h *Host) advertiseOnce(ctx context.Context) {
-	if h.index == nil {
-		return
-	}
 	labels, tasks := h.capabilities()
 	h.index.ObserveAdvertise(h.addr, labels, tasks)
 	ad := proto.Advertise{Labels: labels, Tasks: tasks}
@@ -609,22 +557,22 @@ func (h *Host) AdvertiseSoon() {
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
-	if closed || h.index == nil {
+	if closed || h.refreshEvery == 0 {
 		return
 	}
 	go h.advertiseOnce(h.ctx)
 }
 
-// AdvertiseNow warms discovery synchronously by pulling: it pushes this
-// host's advertisement to every other member as a request and folds each
-// AdvertiseAck's piggybacked capability set into the local index. One
-// O(members) sweep fully populates a cold initiator — the community
-// learns about this host, and this host learns about the community —
-// without waiting for the community's own refresh cadence. Members that
-// do not answer are skipped (their entries stay absent, so solicitation
-// involving them falls back to broadcast rather than losing plans).
+// AdvertiseNow warms the index synchronously by pulling: it sends this
+// host's advertisement to every other member as a request and records each
+// AdvertiseAck's capability set, once. One O(members) sweep fully
+// populates a cold initiator — the community learns about this host, and
+// this host learns about the community — without waiting for the
+// community's own refresh cadence. Members that do not answer are skipped:
+// they stay unknown, so sweeps ask them. It needs the advertiser: a pushed
+// entry nobody refreshes would lapse to presumed dead.
 func (h *Host) AdvertiseNow(ctx context.Context) error {
-	if h.index == nil {
+	if h.refreshEvery == 0 {
 		return fmt.Errorf("host %q: discovery disabled", h.addr)
 	}
 	labels, tasks := h.capabilities()
@@ -634,7 +582,7 @@ func (h *Host) AdvertiseNow(ctx context.Context) error {
 		if m == h.addr {
 			continue
 		}
-		reply, err := h.Call(ctx, m, "", ad, h.discCfg.CallTimeout)
+		reply, err := h.Call(ctx, m, "", ad, advertiseCallTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -646,25 +594,6 @@ func (h *Host) AdvertiseNow(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SelectByLabels implements the engine's member directory: the members
-// of candidates worth asking a fragment query for labels. ok is false
-// when the index cannot restrict and the caller must use the full list.
-func (h *Host) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
-	if h.index == nil || len(labels) == 0 {
-		return nil, false
-	}
-	return h.index.SelectByLabels(candidates, labels)
-}
-
-// SelectByTasks implements the engine's member directory for capability
-// and solicitation sweeps, with the same contract as SelectByLabels.
-func (h *Host) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
-	if h.index == nil || len(tasks) == 0 {
-		return nil, false
-	}
-	return h.index.SelectByTasks(candidates, tasks)
 }
 
 // routeReply delivers a correlated reply to its waiting Call.

@@ -53,9 +53,9 @@ type Body interface {
 type FragmentQuery struct {
 	Labels []model.LabelID
 	// Describe asks the host to attach its complete capability set to the
-	// reply. An allocation session sets it on sweeps that reach a member
-	// it holds no description of; with the set in hand it contacts that
-	// member again only for queries the set intersects (DESIGN.md §16).
+	// reply. An initiator sets it on sweeps that reach a member it knows
+	// nothing about; with the set in hand it contacts that member again
+	// only for queries the set intersects (DESIGN.md §13).
 	Describe bool
 }
 
