@@ -366,11 +366,14 @@ func BenchmarkConcurrentInitiate(b *testing.B) {
 // every other member is junk, in the three ways the initiator can know
 // that. The roundtrips/op metric is the story: "cold" (the index is wiped
 // before every Initiate, so each is its host's first) pays one describing
-// sweep and grows O(hosts); "memory" (what earlier sessions were told) and
-// "advertiser" (pushed sets, warmed at set-up) cost the same flat 17 — the
-// advertiser's edge is the first session and the silent member, nothing
-// per Initiate. openwfbench's tcp_wide workload carries the advertiser on
-// real sockets.
+// sweep and grows O(hosts) — 26 and 116, every fragment query on the wire;
+// "memory" (what earlier sessions were told, fragments included) costs a
+// flat 11 = 5 calls for bids + 6 awards and no fragment query; "advertiser"
+// (pushed sets, warmed at set-up) costs the same 11 between pushes and 6
+// more for the one session after the knowhow host's push, which drops what
+// it had answered — the advertiser's edge is the first session and the
+// silent member, nothing per Initiate. openwfbench's tcp_wide workload
+// carries the advertiser on real sockets.
 func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
 		for _, mode := range []string{"cold", "memory", "advertiser"} {

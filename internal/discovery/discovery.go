@@ -1,10 +1,13 @@
 // Package discovery is a host's one memory of its community: what each
 // member has said about itself — the labels its fragments consume, the
-// tasks it offers services for — and therefore which members are worth
-// sending a sweep. The paper's initiator "communicates with each member of
-// the community in turn"; a host that remembers the answers does so once
-// per member per TTL, and routes every other sweep of every session to the
-// members that can answer it.
+// tasks it offers services for — and what it has said it knows — the
+// fragments it returned for the labels it was asked about. The first says
+// which members are worth sending a sweep, the second which of them need no
+// message at all. The paper's initiator "communicates with each member of
+// the community in turn", "drawing from the community only the fragments
+// that we need"; a host that remembers the answers does the first once per
+// member per TTL, the second once per member and label per TTL, and
+// constructs every other workflow from what it was told.
 //
 // A set arrives pulled — the member described itself in a fragment reply
 // because a sweep asked it to (proto.FragmentQuery.Describe) — or pushed by
@@ -13,7 +16,11 @@
 // routes every sweep (Route, Capable), member by member:
 //
 //	no entry        unknown        asked, and asked to describe itself
-//	fresh           known          asked iff its set intersects the query
+//	fresh           known          asked iff its set intersects the query;
+//	                               a fragment query, only if it names a
+//	                               label the member consumes and has not
+//	                               answered since the entry was stored —
+//	                               otherwise the entry answers (Recall)
 //	pulled, lapsed  unknown again  asked, and asked to describe itself
 //	pushed, lapsed  presumed dead  not asked
 //
@@ -28,12 +35,26 @@
 //   - Repair starts from doubt: the community just changed under a running
 //     workflow, so plan repair drops the pulled entries before it asks.
 //
+// Knowhow lives and dies with its entry, so the same three rules cover it
+// and it has none of its own: any store — a fresh description, every
+// advertiser push — starts the entry with no knowhow; a lapsed entry
+// answers nothing and lets its fragments go; Doubt forgets the knowhow of
+// every entry, the pushed ones included (the advertiser vouches for the
+// sets, nobody vouches for the fragments); Reset wipes it. A fragment a
+// member gains is therefore seen within one TTL, or at once by the session
+// that would otherwise fail for want of it; one a member removed or
+// replaced is believed until its entry is next stored or doubted, and the
+// auction settles whether anyone can still perform its tasks. Knowledge
+// outlives reachability: a remembered member that cannot be reached still
+// contributes its knowhow and simply does not bid.
+//
 // The index runs on the injected clock, so every rule is testable on the
 // simulated clock without wall time.
 package discovery
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,6 +79,56 @@ type entry struct {
 	pushed bool
 	// seq places the entry in the order sets arrived (Mark).
 	seq uint64
+	// What the member has said it knows since the entry was stored — none
+	// (answered nil) until it answers a query for a label it consumes:
+	// answered[i] records that a fragment query for labels[i] came back,
+	// frags are the fragments those replies carried, sorted by name and
+	// shared read-only with every session that recalls them, since places
+	// the first answer in the order seq does. Knowhow lives and dies with
+	// its entry.
+	answered []bool
+	frags    []*model.Fragment
+	since    uint64
+}
+
+// forget drops the entry's knowhow and keeps its sets.
+func (e *entry) forget() { e.answered, e.frags = nil, nil }
+
+// answers reports whether the member has answered every one of labels it
+// consumes — whether a query for them would return only what frags holds.
+func (e *entry) answers(labels []model.LabelID) bool {
+	for _, l := range labels {
+		if i, consumed := slices.BinarySearch(e.labels, l); consumed && (e.answered == nil || !e.answered[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// record merges one fragment reply to a query for labels into the entry; a
+// reply about labels the member consumes none of leaves it as it was.
+func (e *entry) record(labels []model.LabelID, frags []*model.Fragment) {
+	for _, l := range labels {
+		if i, consumed := slices.BinarySearch(e.labels, l); consumed {
+			if e.answered == nil {
+				e.answered = make([]bool, len(e.labels))
+			}
+			e.answered[i] = true
+		}
+	}
+	if e.answered == nil {
+		return
+	}
+	for _, f := range frags {
+		i, found := slices.BinarySearchFunc(e.frags, f.Name, func(g *model.Fragment, name string) int {
+			return strings.Compare(g.Name, name)
+		})
+		if found {
+			e.frags[i] = f
+		} else {
+			e.frags = slices.Insert(e.frags, i, f)
+		}
+	}
 }
 
 // standing is what the index knows about a member at some instant.
@@ -123,16 +194,32 @@ func (x *Index) ObserveAdvertise(from proto.Addr, labels []model.LabelID, tasks 
 	x.storeLocked(from, labels, tasks, true)
 }
 
-// Learn records a member's description of itself from a fragment reply;
-// nil (the reply carried none) is ignored. Like ObserveAdvertise it
-// replaces the member's set and restarts its TTL.
-func (x *Index) Learn(from proto.Addr, caps *proto.Advertise) {
-	if caps == nil {
-		return
-	}
+// Learn records one fragment reply. A description of the member (caps; nil
+// when the reply carried none) replaces its set and restarts its TTL like
+// ObserveAdvertise. The answer — frags came back for a query for labels —
+// is merged into the member's fresh entry, the one just stored included, so
+// the next query for labels it has answered is a Recall; a full collection
+// (no labels) and a member without a fresh entry record nothing. The index
+// keeps the fragments and shares them read-only.
+func (x *Index) Learn(from proto.Addr, caps *proto.Advertise, labels []model.LabelID, frags []*model.Fragment) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.storeLocked(from, caps.Labels, caps.Tasks, false)
+	if caps != nil {
+		x.storeLocked(from, caps.Labels, caps.Tasks, false)
+	}
+	e, st := x.standingLocked(from, x.clk.Now())
+	if st != known || len(labels) == 0 {
+		return
+	}
+	first := e.answered == nil
+	if e.record(labels, frags); e.answered == nil {
+		return
+	}
+	if first {
+		x.seq++
+		e.since = x.seq
+	}
+	x.entries[from] = e
 }
 
 func (x *Index) storeLocked(from proto.Addr, labels []model.LabelID, tasks []model.TaskID, pushed bool) {
@@ -161,13 +248,20 @@ func sorted[S ~string](set []S) []S {
 	return set
 }
 
-// standingLocked classifies a member at now.
+// standingLocked classifies a member at now. An entry it finds lapsed lets
+// its fragments go there and then: a lapsed member holds none.
 func (x *Index) standingLocked(addr proto.Addr, now time.Time) (entry, standing) {
 	e, ok := x.entries[addr]
 	switch {
-	case ok && now.Before(e.expires):
+	case !ok:
+		return e, unknown
+	case now.Before(e.expires):
 		return e, known
-	case ok && e.pushed:
+	case e.answered != nil:
+		e.forget()
+		x.entries[addr] = e
+	}
+	if e.pushed {
 		return e, dead
 	}
 	return e, unknown
@@ -206,6 +300,38 @@ func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []m
 		x.stats.Hits++
 	}
 	return members, describe
+}
+
+// Recall answers a fragment query for labels from memory where it can. Of
+// members — the routed ones, in order — each that is known and has answered
+// every one of labels it consumes contributes what it returned then: its
+// fragments that consume one of labels, in name order, exactly what it
+// would send now. The others are returned as ask; at[i] is how many of
+// frags precede ask[i]'s reply, so frags spliced with the replies is what
+// asking every member would have gathered. A round answered from memory
+// allocates frags and the label set, nothing per remembered fragment.
+func (x *Index) Recall(members []proto.Addr, labels []model.LabelID) (frags []*model.Fragment, ask []proto.Addr, at []int) {
+	set := make(map[model.LabelID]struct{}, len(labels))
+	for _, l := range labels {
+		set[l] = struct{}{}
+	}
+	frags = make([]*model.Fragment, 0, len(members))
+	now := x.clk.Now()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, c := range members {
+		e, st := x.standingLocked(c, now)
+		if st != known || !e.answers(labels) {
+			ask, at = append(ask, c), append(at, len(frags))
+			continue
+		}
+		for _, f := range e.frags {
+			if f.ConsumesAny(set) {
+				frags = append(frags, f)
+			}
+		}
+	}
+	return frags, ask, at
 }
 
 // Capable answers a feasibility query from memory: it marks in out the
@@ -247,16 +373,9 @@ func intersects[S ~string](set, query []S) bool {
 	return false
 }
 
-// SelectByLabels is Route for a fragment query alone. ok is false when
-// memory does not settle the sweep: some candidate is unknown, or nobody
-// consumes the labels.
-func (x *Index) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
-	sel, describe := x.Route(candidates, labels, nil)
-	return sel, !describe && len(sel) > 0
-}
-
-// SelectByTasks is Route for a solicitation alone, with SelectByLabels'
-// contract.
+// SelectByTasks is Route for a solicitation alone. ok is false when memory
+// does not settle the sweep: some candidate is unknown, or nobody offers the
+// tasks.
 func (x *Index) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
 	sel, describe := x.Route(candidates, nil, tasks)
 	return sel, !describe && len(sel) > 0
@@ -270,17 +389,20 @@ func (x *Index) Mark() uint64 {
 	return x.seq
 }
 
-// Doubt is the second staleness rule: when some pulled entry is no newer
-// than mark — the caller may have routed on what a member said before the
-// caller began — it drops every pulled entry and reports true. It reports
-// false when everything pulled was learned since mark: asking again would
-// change nothing. Doubt(Mark()) doubts everything pulled.
+// Doubt is the second staleness rule: when the caller may have routed or
+// constructed on what a member said before the caller began — some pulled
+// entry, or the knowhow some pushed entry holds, is no newer than mark — it
+// drops every pulled entry and the knowhow of every pushed one (the
+// advertiser vouches for the sets, nobody vouches for the fragments) and
+// reports true. It reports false when everything it would drop was learned
+// since mark: asking again would change nothing. Doubt(Mark()) doubts
+// everything.
 func (x *Index) Doubt(mark uint64) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	older := false
 	for _, e := range x.entries {
-		if !e.pushed && e.seq <= mark {
+		if (!e.pushed && e.seq <= mark) || (e.answered != nil && e.since <= mark) {
 			older = true
 			break
 		}
@@ -291,6 +413,9 @@ func (x *Index) Doubt(mark uint64) bool {
 	for a, e := range x.entries {
 		if !e.pushed {
 			delete(x.entries, a)
+		} else if e.answered != nil {
+			e.forget()
+			x.entries[a] = e
 		}
 	}
 	return true

@@ -49,16 +49,16 @@ func TestAdExpiresExactlyAtTTL(t *testing.T) {
 	x.ObserveAdvertise("h2", lbls("a"), nil)
 
 	sim.Advance(10*time.Second - time.Nanosecond)
-	sel, ok := x.SelectByLabels(members, lbls("a"))
-	if !ok || !contains(sel, "h1") || !contains(sel, "h2") {
-		t.Fatalf("one nanosecond before TTL: want both fresh, got %v (ok=%v)", sel, ok)
+	sel, describe := x.Route(members, lbls("a"), nil)
+	if describe || !contains(sel, "h1") || !contains(sel, "h2") {
+		t.Fatalf("one nanosecond before TTL: want both fresh, got %v (describe=%v)", sel, describe)
 	}
 
 	x.ObserveAdvertise("h2", lbls("a"), nil) // h2 refreshes; h1 does not
 	sim.Advance(time.Nanosecond)             // h1's ad is now exactly TTL old
-	sel, ok = x.SelectByLabels(members, lbls("a"))
-	if !ok {
-		t.Fatalf("fresh h2 should still route: got fallback")
+	sel, describe = x.Route(members, lbls("a"), nil)
+	if describe {
+		t.Fatalf("fresh h2 should still route: asked for descriptions")
 	}
 	if contains(sel, "h1") {
 		t.Fatalf("h1's ad lapsed exactly at TTL but was selected: %v", sel)
@@ -98,50 +98,51 @@ func TestCompleteAdReplacesCapabilities(t *testing.T) {
 	x.ObserveAdvertise("h1", lbls("a", "b"), nil)
 	x.ObserveAdvertise("h2", lbls("a"), nil)
 	x.ObserveAdvertise("h1", lbls("c"), nil) // h1 dropped a and b
-	sel, ok := x.SelectByLabels(members, lbls("a"))
-	if !ok || contains(sel, "h1") {
-		t.Fatalf("h1 no longer advertises a but was selected: %v (ok=%v)", sel, ok)
+	sel, describe := x.Route(members, lbls("a"), nil)
+	if describe || len(sel) != 1 || sel[0] != "h2" {
+		t.Fatalf("h1 no longer advertises a: routed to %v (describe=%v), want [h2]", sel, describe)
 	}
 }
 
-// TestNeverSeenMemberForcesBroadcast pins what the Select adapters report
-// for a candidate with no entry at all (cold start, a member that joined
-// after the last sweep): memory does not settle the sweep, and it counts
-// as a miss.
+// TestNeverSeenMemberForcesBroadcast pins what Route reports for a
+// candidate with no entry at all (cold start, a member that joined after
+// the last sweep): it is asked, and asked to describe itself, and the sweep
+// counts as a miss.
 func TestNeverSeenMemberForcesBroadcast(t *testing.T) {
 	sim := clock.NewSim(discT0)
 	x := New(sim, 10*time.Second)
 	members := []proto.Addr{"h1", "h2"}
 
-	if sel, ok := x.SelectByLabels(members, lbls("a")); ok {
-		t.Fatalf("cold start must fall back, got %v", sel)
+	if sel, describe := x.Route(members, lbls("a"), nil); !describe || len(sel) != 2 {
+		t.Fatalf("cold start must ask everyone to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	x.ObserveAdvertise("h1", lbls("a"), nil)
-	if sel, ok := x.SelectByLabels(members, lbls("a")); ok {
-		t.Fatalf("h2 never seen: must fall back, got %v", sel)
+	if sel, describe := x.Route(members, lbls("a"), nil); !describe || !contains(sel, "h2") {
+		t.Fatalf("h2 never seen: must be asked to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	x.ObserveAdvertise("h2", nil, nil)
-	if _, ok := x.SelectByLabels(members, lbls("a")); !ok {
-		t.Fatal("all members known: selection should route")
+	if sel, describe := x.Route(members, lbls("a"), nil); describe || len(sel) != 1 || sel[0] != "h1" {
+		t.Fatalf("all members known: routed to %v (describe=%v), want [h1]", sel, describe)
 	}
-	if sel, ok := x.SelectByLabels(append(members, "h3"), lbls("a")); ok {
-		t.Fatalf("a member that just joined must force fallback, got %v", sel)
+	if sel, describe := x.Route(append(members, "h3"), lbls("a"), nil); !describe || !contains(sel, "h3") {
+		t.Fatalf("a member that just joined must be asked to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	if st := x.Stats(); st.Misses != 3 {
 		t.Fatalf("want 3 fallback misses, got %+v", st)
 	}
 }
 
-// TestEmptySelectionFallsBack: the Select adapters report "nobody
-// advertises this" as not settled.
+// TestEmptySelectionFallsBack: among known members nobody who advertises
+// the query is nobody to ask — which the SelectByTasks adapter reports as
+// not settled.
 func TestEmptySelectionFallsBack(t *testing.T) {
 	sim := clock.NewSim(discT0)
 	x := New(sim, 10*time.Second)
 	members := []proto.Addr{"h1", "h2"}
 	x.ObserveAdvertise("h1", lbls("a"), tsks("t1"))
 	x.ObserveAdvertise("h2", lbls("b"), nil)
-	if sel, ok := x.SelectByLabels(members, lbls("zzz")); ok {
-		t.Fatalf("no intersection anywhere: must fall back, got %v", sel)
+	if sel, describe := x.Route(members, lbls("zzz"), nil); len(sel) != 0 || describe {
+		t.Fatalf("no intersection anywhere: routed to %v (describe=%v)", sel, describe)
 	}
 	if sel, ok := x.SelectByTasks(members, tsks("t9")); ok {
 		t.Fatalf("no capable host: must fall back, got %v", sel)
@@ -161,8 +162,8 @@ func TestResetWipes(t *testing.T) {
 	if n := x.Stats().Entries; n != 0 {
 		t.Fatalf("reset left %d entries", n)
 	}
-	if _, ok := x.SelectByLabels([]proto.Addr{"h1"}, lbls("a")); ok {
-		t.Fatal("reset index must fall back")
+	if _, describe := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); !describe {
+		t.Fatal("a reset index must ask for descriptions again")
 	}
 }
 
@@ -212,15 +213,15 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 					restarted = true
 				}
 				if rng.Intn(4) == 0 {
-					x.Learn(m, &proto.Advertise{Labels: lbls("a"), Tasks: tsks("t")})
+					x.Learn(m, &proto.Advertise{Labels: lbls("a"), Tasks: tsks("t")}, nil, nil)
 				} else {
 					x.ObserveAdvertise(m, lbls("a"), tsks("t"))
 				}
 				lastSeen[m] = now
 			}
-			sel, ok := x.SelectByLabels(members, lbls("a"))
-			if !ok {
-				continue
+			sel, describe := x.Route(members, lbls("a"), nil)
+			if describe {
+				continue // some pulled entry lapsed: its member is asked again
 			}
 			if contains(sel, victim) && !now.Before(lastSeen[victim].Add(ttl)) {
 				t.Fatalf("seed %d step %d: crashed %q routed %v past its TTL horizon",
@@ -237,17 +238,16 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 		}
 		// After restart the victim advertises again and must be routable.
 		x.ObserveAdvertise(victim, lbls("a"), tsks("t"))
-		sel, ok := x.SelectByLabels(members, lbls("a"))
-		if !ok || !contains(sel, victim) {
-			t.Fatalf("seed %d: restarted %q not routable: %v (ok=%v)", seed, victim, sel, ok)
+		if sel, _ := x.Route(members, lbls("a"), nil); !contains(sel, victim) {
+			t.Fatalf("seed %d: restarted %q not routable: %v", seed, victim, sel)
 		}
 	}
 }
 
 // TestSelectAllocBounds pins the lookup every sweep of every session
 // makes: over 15 known members — the sim_serial community — Route
-// allocates the returned member slice and nothing else, the Select
-// adapters no more than it, and an empty memory not even that.
+// allocates the returned member slice and nothing else, the SelectByTasks
+// adapter no more than it, and an empty memory not even that.
 func TestSelectAllocBounds(t *testing.T) {
 	x := New(clock.NewSim(discT0), time.Minute)
 	members := make([]proto.Addr, 15)
@@ -259,7 +259,7 @@ func TestSelectAllocBounds(t *testing.T) {
 			caps.Tasks = append(caps.Tasks, model.TaskID(fmt.Sprintf("t%02d-%d", i, j)))
 		}
 		if i%2 == 0 {
-			x.Learn(members[i], caps)
+			x.Learn(members[i], caps, nil, nil)
 		} else {
 			x.ObserveAdvertise(members[i], caps.Labels, caps.Tasks)
 		}
@@ -277,13 +277,28 @@ func TestSelectAllocBounds(t *testing.T) {
 		}
 	})
 	testutil.AllocBound(t, 1, func() {
-		if got, ok := x.SelectByLabels(members, labels); len(got) != 2 || !ok {
-			t.Errorf("SelectByLabels = %v, %v", got, ok)
-		}
-	})
-	testutil.AllocBound(t, 1, func() {
 		if got, ok := x.SelectByTasks(members, tasks); len(got) != 2 || !ok {
 			t.Errorf("SelectByTasks = %v, %v", got, ok)
+		}
+	})
+	// A round answered from memory: two of the routed members hold forty
+	// fragments each and one of each consumes the query. Recall allocates
+	// the returned slice and the label set, nothing per remembered fragment.
+	routed := []proto.Addr{members[3], members[11]}
+	for _, m := range routed {
+		caps := &proto.Advertise{}
+		var frags []*model.Fragment
+		for j := 0; j < 40; j++ {
+			l := fmt.Sprintf("l%s-%02d", m[4:], j)
+			caps.Labels = append(caps.Labels, model.LabelID(l))
+			frags = append(frags, kfrag("know-"+l, l, "out-"+l))
+		}
+		x.Learn(m, caps, caps.Labels, frags)
+	}
+	recall := lbls("l03-02", "l11-07", "nobody")
+	testutil.AllocBound(t, 2, func() {
+		if got, ask, _ := x.Recall(routed, recall); len(got) != 2 || ask != nil {
+			t.Errorf("recalled %v, asking %v", got, ask)
 		}
 	})
 	empty := New(clock.NewSim(discT0), time.Minute)
@@ -301,7 +316,7 @@ func TestSelectAllocBounds(t *testing.T) {
 func TestLearnSortsForeignSets(t *testing.T) {
 	x := New(clock.NewSim(discT0), time.Minute)
 	caps := &proto.Advertise{Labels: lbls("z", "b", "m"), Tasks: tsks("t9", "t1")}
-	x.Learn("peer", caps)
+	x.Learn("peer", caps, nil, nil)
 	x.ObserveAdvertise("pusher", caps.Labels, caps.Tasks)
 	if caps.Labels[0] != "z" || caps.Tasks[0] != "t9" {
 		t.Errorf("the sender's slices were reordered: %v %v", caps.Labels, caps.Tasks)
@@ -333,10 +348,10 @@ func TestRoutingTable(t *testing.T) {
 	x := New(sim, ttl)
 	all := []proto.Addr{"pulled", "pushed", "both", "stranger"}
 	caps := &proto.Advertise{Labels: lbls("a"), Tasks: tsks("t")}
-	x.Learn("pulled", caps)
+	x.Learn("pulled", caps, nil, nil)
 	x.ObserveAdvertise("pushed", caps.Labels, caps.Tasks)
 	x.ObserveAdvertise("both", caps.Labels, caps.Tasks)
-	x.Learn("both", caps)
+	x.Learn("both", caps, nil, nil)
 
 	route := func(labels []model.LabelID) string {
 		t.Helper()
@@ -363,7 +378,7 @@ func TestRoutingTable(t *testing.T) {
 	if got, want := feasible(), "ask [stranger] t=true u=false"; got != want {
 		t.Errorf("fresh feasibility: %s, want %s", got, want)
 	}
-	x.Learn("stranger", &proto.Advertise{})
+	x.Learn("stranger", &proto.Advertise{}, nil, nil)
 	if got, want := route(lbls("zzz")), "[] describe=false"; got != want {
 		t.Errorf("everyone known, disjoint: %s, want %s", got, want)
 	}
@@ -388,7 +403,7 @@ func TestRoutingTable(t *testing.T) {
 	}
 	// The re-asked member describes itself and is good for another TTL;
 	// an advertiser that speaks again is alive again.
-	x.Learn("pulled", caps)
+	x.Learn("pulled", caps, nil, nil)
 	x.ObserveAdvertise("pushed", caps.Labels, caps.Tasks)
 	if got, want := route(lbls("a")), "[pulled pushed stranger] describe=true"; got != want {
 		t.Errorf("after re-describing: %s, want %s", got, want)
@@ -408,14 +423,14 @@ func TestDoubt(t *testing.T) {
 	if x.Doubt(x.Mark()) {
 		t.Error("an empty memory was doubted")
 	}
-	x.Learn("old", caps)
+	x.Learn("old", caps, nil, nil)
 	x.ObserveAdvertise("pushed", caps.Labels, nil)
 	mark := x.Mark()
-	x.Learn("new", caps)
+	x.Learn("new", caps, nil, nil)
 
 	fresh := New(clock.NewSim(discT0), time.Minute)
 	m0 := fresh.Mark()
-	fresh.Learn("new", caps)
+	fresh.Learn("new", caps, nil, nil)
 	if fresh.Doubt(m0) {
 		t.Error("doubted although everything pulled was learned after the mark")
 	}
@@ -431,5 +446,163 @@ func TestDoubt(t *testing.T) {
 	}
 	if x.Doubt(x.Mark()) {
 		t.Error("doubted twice: nothing pulled was left")
+	}
+}
+
+// kfrag is a one-task fragment in → out named name.
+func kfrag(name, in, out string) *model.Fragment {
+	return model.MustFragment(name, model.Task{
+		ID: model.TaskID(name), Mode: model.Conjunctive, Inputs: lbls(in), Outputs: lbls(out),
+	})
+}
+
+// recall renders what memory answers for one member and whether the member
+// has to be asked.
+func recall(x *Index, member proto.Addr, labels ...string) string {
+	frags, ask, _ := x.Recall([]proto.Addr{member}, lbls(labels...))
+	names := make([]string, len(frags))
+	for i, f := range frags {
+		names[i] = f.Name
+	}
+	return fmt.Sprintf("%v ask=%v", names, ask)
+}
+
+// TestRecallAnswersOnlyWhatWasAnswered: a member is answered from memory
+// exactly when every queried label it consumes has come back from it since
+// its entry was stored — with the fragments it returned that consume the
+// query, in name order, each once however often it was returned.
+func TestRecallAnswersOnlyWhatWasAnswered(t *testing.T) {
+	x := New(clock.NewSim(discT0), time.Minute)
+	caps := &proto.Advertise{Labels: lbls("a", "b", "c")}
+	fa, fab, fb := kfrag("know-1", "a", "m"), kfrag("know-0", "a", "n"), kfrag("know-2", "b", "o")
+	fab.Tasks[0].Inputs = lbls("a", "b")
+
+	x.Learn("p", caps, lbls("a"), []*model.Fragment{fab, fa})
+	if got, want := recall(x, "p", "a"), "[know-0 know-1] ask=[]"; got != want {
+		t.Errorf("a, answered: %s, want %s", got, want)
+	}
+	if got, want := recall(x, "p", "a", "zzz"), "[know-0 know-1] ask=[]"; got != want {
+		t.Errorf("a and a label p does not consume: %s, want %s", got, want)
+	}
+	if got, want := recall(x, "p", "a", "b"), "[] ask=[p]"; got != want {
+		t.Errorf("b was never asked: %s, want %s", got, want)
+	}
+	// The reply for {a, b} repeats know-0; a reply without a description
+	// is merged into the entry that is there.
+	x.Learn("p", nil, lbls("a", "b"), []*model.Fragment{fab, fb})
+	if got, want := recall(x, "p", "b"), "[know-0 know-2] ask=[]"; got != want {
+		t.Errorf("b, answered: %s, want %s", got, want)
+	}
+	if got, want := recall(x, "p", "b", "a"), "[know-0 know-1 know-2] ask=[]"; got != want {
+		t.Errorf("a and b: %s, want %s", got, want)
+	}
+	if got, want := recall(x, "p", "c"), "[] ask=[p]"; got != want {
+		t.Errorf("c was never asked: %s, want %s", got, want)
+	}
+	// What a member nobody has described says is not kept: there is no
+	// entry for it to live and die with. Nor is a full collection's reply.
+	x.Learn("mute", nil, lbls("a"), []*model.Fragment{fa})
+	if got, want := recall(x, "mute", "a"), "[] ask=[mute]"; got != want {
+		t.Errorf("undescribed member: %s, want %s", got, want)
+	}
+	x.Learn("full", caps, nil, []*model.Fragment{fa, fb})
+	if got, want := recall(x, "full", "a"), "[] ask=[full]"; got != want {
+		t.Errorf("after a full collection: %s, want %s", got, want)
+	}
+
+	// Spliced: at[i] fragments of the recalled ones precede ask[i]'s reply.
+	x.Learn("q", &proto.Advertise{Labels: lbls("b")}, lbls("b"), []*model.Fragment{fb})
+	frags, ask, at := x.Recall([]proto.Addr{"mute", "p", "full", "q", "stranger"}, lbls("b"))
+	if got, want := fmt.Sprint(len(frags), ask, at), "3 [mute full stranger] [0 2 3]"; got != want {
+		t.Errorf("spliced recall: %s, want %s", got, want)
+	}
+}
+
+// TestKnowhowLivesAndDiesWithItsEntry: the three staleness rules cover
+// what a member said it knows with no rule of their own. Knowhow is
+// answered before the TTL and not after — a lapsed member holds no
+// fragments — and not again until it is re-learned; any store starts the entry without it; Doubt forgets
+// it, the knowhow of pushed entries included, whose sets stay; Reset wipes
+// it.
+func TestKnowhowLivesAndDiesWithItsEntry(t *testing.T) {
+	const ttl = 10 * time.Second
+	sim := clock.NewSim(discT0)
+	x := New(sim, ttl)
+	caps := &proto.Advertise{Labels: lbls("a")}
+	fa := []*model.Fragment{kfrag("know-a", "a", "m")}
+	holds := func(member proto.Addr) bool {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return x.entries[member].frags != nil
+	}
+	const answered, asked = "[know-a] ask=[]", "[] ask=[p]"
+
+	// Lapse.
+	x.Learn("p", caps, lbls("a"), fa)
+	x.ObserveAdvertise("dead", caps.Labels, nil)
+	x.Learn("dead", nil, lbls("a"), fa)
+	sim.Advance(ttl - time.Nanosecond)
+	if got := recall(x, "p", "a"); got != answered {
+		t.Errorf("one nanosecond before the TTL: %s, want %s", got, answered)
+	}
+	sim.Advance(time.Nanosecond)
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("at the TTL: %s, want %s", got, asked)
+	}
+	// The lookup that finds an entry lapsed lets its fragments go, whether
+	// the member is unknown again or presumed dead.
+	if !holds("dead") {
+		t.Error("the entry nobody has looked up since it lapsed holds nothing: the test proves nothing")
+	}
+	if got, describe := x.Route([]proto.Addr{"p", "dead"}, lbls("a"), nil); len(got) != 1 || !describe {
+		t.Errorf("at the TTL routed to %v (describe=%v)", got, describe)
+	}
+	if holds("p") || holds("dead") {
+		t.Errorf("lapsed entries still hold fragments: p=%v dead=%v", holds("p"), holds("dead"))
+	}
+	x.Learn("p", caps, nil, nil) // described again, asked nothing yet
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("re-described, not re-asked: %s, want %s", got, asked)
+	}
+	x.Learn("p", nil, lbls("a"), fa)
+	if got := recall(x, "p", "a"); got != answered {
+		t.Errorf("re-learned: %s, want %s", got, answered)
+	}
+
+	// Any store starts the entry with no knowhow.
+	x.Learn("p", caps, nil, nil)
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("after a fresh description: %s, want %s", got, asked)
+	}
+	x.Learn("p", nil, lbls("a"), fa)
+	x.ObserveAdvertise("p", caps.Labels, nil)
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("after an advertiser push: %s, want %s", got, asked)
+	}
+
+	// Doubt: every entry is a pushed one now, so only knowhow can be
+	// doubted — when it is no newer than the mark.
+	if x.Doubt(x.Mark()) {
+		t.Error("doubted pushed entries that hold no knowhow")
+	}
+	mark := x.Mark()
+	x.Learn("p", nil, lbls("a"), fa)
+	if x.Doubt(mark) {
+		t.Error("doubted although the knowhow was learned after the mark")
+	}
+	if !x.Doubt(x.Mark()) {
+		t.Fatal("not doubted although a pushed entry holds knowhow no newer than the mark")
+	}
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("after doubt: %s, want %s", got, asked)
+	}
+	if got, describe := x.Route([]proto.Addr{"p"}, lbls("a"), nil); len(got) != 1 || describe {
+		t.Errorf("doubt dropped a pushed set: routed to %v (describe=%v)", got, describe)
+	}
+
+	// Reset.
+	x.Reset()
+	if got := recall(x, "p", "a"); got != asked {
+		t.Errorf("after reset: %s, want %s", got, asked)
 	}
 }

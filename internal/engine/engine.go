@@ -18,9 +18,15 @@
 // index (internal/discovery) remembers the answers beyond the session, and
 // every later sweep of every session — collection rounds, replans, the
 // feasibility check, the call for bids, repair — goes to the members that
-// can answer it. One routing step (Manager.route) serves all of them; what
-// keeps a stale memory from costing a plan is stated once, in
-// internal/discovery.
+// can answer it. One routing step (Manager.route) serves all of them. The
+// index also keeps the fragments the members returned, so a collection
+// round (communityView.FragmentsConsuming) sends a query only to the routed
+// members that have not answered its labels yet and takes the others'
+// answers from memory; once every round's labels have been answered a
+// session constructs without a fragment query. Full collection
+// (Incremental off, CollectKnowhow) is the ablation that asks everyone
+// everything and neither reads nor writes that memory. What keeps a stale
+// memory from costing a plan is stated once, in internal/discovery.
 package engine
 
 import (
@@ -340,33 +346,50 @@ type communityView struct {
 	members []proto.Addr
 }
 
-// FragmentsConsuming implements core.KnowledgeSource.
+// FragmentsConsuming implements core.KnowledgeSource: the routed members
+// that have answered these labels before answer from the host's memory, and
+// only the others are sent the query.
 func (cv *communityView) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
 	members, describe := cv.m.route(cv.members, labels, nil, 0)
 	if len(members) == 0 {
 		return nil, nil // every member is known; none consumes these labels
 	}
-	return cv.m.sweepFragments(ctx, cv.wfID, members, proto.FragmentQuery{Labels: labels, Describe: describe})
+	known, ask, at := cv.m.idx.Recall(members, labels)
+	if len(ask) == 0 {
+		return known, nil // nothing about these labels is left to ask anyone
+	}
+	return cv.m.sweepFragments(ctx, cv.wfID, ask, proto.FragmentQuery{Labels: labels, Describe: describe}, known, at)
 }
 
 // sweepFragments sends one fragment query to members (nil means the whole
-// community) and gathers the fragments of the replies; the descriptions
-// the replies carry go into the index.
-func (m *Manager) sweepFragments(ctx context.Context, wfID string, members []proto.Addr, query proto.FragmentQuery) ([]*model.Fragment, error) {
+// community) and gathers the fragments of the replies in member order; what
+// the replies say — the member's description, its answer to an incremental
+// query — goes into the index. known are fragments the index recalled for
+// members that were not asked, at[i] how many of them go before members[i]'s
+// reply (discovery.Index.Recall); a full collection passes neither.
+func (m *Manager) sweepFragments(ctx context.Context, wfID string, members []proto.Addr, query proto.FragmentQuery, known []*model.Fragment, at []int) ([]*model.Fragment, error) {
 	replies, err := m.queryMembers(ctx, wfID, query, members)
 	if err != nil {
 		return nil, err
 	}
 	var out []*model.Fragment
+	i, spliced := 0, 0
 	for _, reply := range replies {
 		fr, ok := reply.body.(proto.FragmentReply)
 		if !ok {
 			return nil, fmt.Errorf("fragment query to %q: unexpected reply %T", reply.from, reply.body)
 		}
+		if at != nil {
+			for members[i] != reply.from {
+				i++ // members that did not reply
+			}
+			out = append(out, known[spliced:at[i]]...)
+			spliced = at[i]
+		}
 		out = append(out, fr.Fragments...)
-		m.idx.Learn(reply.from, fr.Capabilities)
+		m.idx.Learn(reply.from, fr.Capabilities, query.Labels, fr.Fragments)
 	}
-	return out, nil
+	return append(out, known[spliced:]...), nil
 }
 
 // memberReply pairs a community reply with its sender.
@@ -512,7 +535,7 @@ func (m *Manager) CollectKnowhow(ctx context.Context) ([]*model.Fragment, error)
 	m.mu.Lock()
 	_, wfID := m.mintWorkflowIDLocked()
 	m.mu.Unlock()
-	return m.sweepFragments(ctx, wfID, nil, collectEverything)
+	return m.sweepFragments(ctx, wfID, nil, collectEverything, nil, nil)
 }
 
 // InfeasibleTasks implements core.FeasibilityChecker.

@@ -233,7 +233,7 @@ func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, membe
 		return res, err
 	}
 	// Full collection: one query for every label any member knows.
-	frags, err := m.sweepFragments(ctx, wfID, members, collectEverything)
+	frags, err := m.sweepFragments(ctx, wfID, members, collectEverything, nil, nil)
 	if err != nil {
 		return nil, err
 	}

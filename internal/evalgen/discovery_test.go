@@ -7,15 +7,16 @@ import (
 
 // TestDiscoverySmoke is the CI smoke row for the Discovery grid, on a
 // 40-host community with 5 relevant providers and a 6-task chain. Routed
-// from memory — the host's own after its first session, or the
-// advertiser's before it — an Initiate costs exactly 17 round trips: one
-// fragment query per chain task to the host that holds the knowhow, no
-// feasibility query, 5 calls for bids, 6 awards. The first session on a
-// cold host pays one describing sweep over the community on top, once.
-// The root BenchmarkDiscoveryInitiate runs the same fixture at 10 and 100
-// hosts.
+// by the advertiser's sets, a host's first session costs exactly 17 round
+// trips: one fragment query per chain task to the host that holds the
+// knowhow, no feasibility query, 5 calls for bids, 6 awards. The first
+// session on a cold host pays one describing sweep over the community on
+// top, once. Either way the host then remembers the fragments too, and its
+// second session costs exactly 11: no fragment query, 5 calls for bids, 6
+// awards. The root BenchmarkDiscoveryInitiate runs the same fixture at 10
+// and 100 hosts.
 func TestDiscoverySmoke(t *testing.T) {
-	const hosts, routed = 40, 6 + 5 + 6
+	const hosts, remembered, routed = 40, 5 + 6, 6 + 5 + 6
 	ctx := context.Background()
 	run := func(advertiser bool) (first, second int64) {
 		t.Helper()
@@ -47,9 +48,12 @@ func TestDiscoverySmoke(t *testing.T) {
 	if want := int64(routed + hosts - 1); coldFirst != want {
 		t.Errorf("first session on a cold host: %d round trips, want %d (one describing sweep over %d hosts)", coldFirst, want, hosts)
 	}
-	for name, got := range map[string]int64{"second session from memory": coldSecond, "first session, warmed": warmFirst, "second session, warmed": warmSecond} {
-		if got != routed {
-			t.Errorf("%s: %d round trips, want %d", name, got, routed)
+	if warmFirst != routed {
+		t.Errorf("first session, warmed: %d round trips, want %d", warmFirst, routed)
+	}
+	for name, got := range map[string]int64{"second session from memory": coldSecond, "second session, warmed": warmSecond} {
+		if got != remembered {
+			t.Errorf("%s: %d round trips, want %d", name, got, remembered)
 		}
 	}
 }
