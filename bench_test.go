@@ -24,7 +24,10 @@ import (
 	"openwf/internal/spec"
 )
 
-// benchPoint measures one (tasks, hosts, path length) grid point.
+// benchPoint measures one (tasks, hosts, path length) grid point. Each op is
+// an independent problem: calendars cleared, and the initiator's memory of
+// its community forgotten — the paper's timed window includes collecting the
+// knowhow (evalgen.RunExperiment does the same between measurements).
 func benchPoint(b *testing.B, cfg evalgen.ExperimentConfig, length int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -40,6 +43,7 @@ func benchPoint(b *testing.B, cfg evalgen.ExperimentConfig, length int) {
 		b.Fatal(err)
 	}
 	defer comm.Close()
+	initiator, _ := comm.Host(hosts[0])
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,6 +53,7 @@ func benchPoint(b *testing.B, cfg evalgen.ExperimentConfig, length int) {
 			b.Skipf("no path of length %d", length)
 		}
 		comm.ResetSchedules()
+		initiator.Discovery().Reset()
 		b.StartTimer()
 		plan, err := comm.Initiate(context.Background(), hosts[0], s)
 		if err != nil {
@@ -120,8 +125,9 @@ func BenchmarkFigure6TCP(b *testing.B) {
 
 // BenchmarkAblationCollection — incremental (on-demand) fragment
 // collection vs gathering the community's entire knowledge up front
-// (§3.1's simplifying assumption). Incremental wins by transferring only
-// the fragments the colored region needs.
+// (§3.1's simplifying assumption). Incremental transfers only the
+// fragments the colored region needs, at one sweep per collection round;
+// full collection transfers everything in one sweep. Both cold (benchPoint).
 func BenchmarkAblationCollection(b *testing.B) {
 	for _, incremental := range []bool{true, false} {
 		name := "incremental"
@@ -156,8 +162,9 @@ func BenchmarkAblationFeasibility(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMarshal — gob-encoding every message on the simulated
-// network (realistic serialization cost) vs passing envelopes by value.
+// BenchmarkAblationMarshal — running every message on the simulated
+// network through the binary wire codec (realistic serialization cost) vs
+// passing envelopes by value.
 func BenchmarkAblationMarshal(b *testing.B) {
 	for _, disable := range []bool{false, true} {
 		name := "marshal-on"
@@ -246,10 +253,9 @@ func BenchmarkBaselineStaticWorkflow(b *testing.B) {
 }
 
 // BenchmarkConcurrentConstruct — N goroutines constructing against one
-// shared immutable fragment store through a workspace pool (the PR 2
-// Planner architecture). Aggregate throughput should scale with
-// GOMAXPROCS because the store is never written and every goroutine owns
-// its workspace's coloring scratch:
+// shared immutable fragment store through a workspace pool (DESIGN.md §6).
+// Aggregate throughput should scale with GOMAXPROCS because the store is
+// never written and every goroutine owns its workspace's coloring scratch:
 //
 //	go test -bench=ConcurrentConstruct -cpu=1,2,4,8 .
 func BenchmarkConcurrentConstruct(b *testing.B) {

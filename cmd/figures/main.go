@@ -9,7 +9,8 @@
 //	go run ./cmd/figures -fig 5 -csv out/             # CSV per figure
 //
 // Absolute times reflect today's hardware and Go runtime; the reproduced
-// claims are the curve shapes (see EXPERIMENTS.md).
+// claims are the curve shapes. Every measurement is a cold one: the
+// initiator forgets what the community told it between runs (DESIGN.md §20).
 package main
 
 import (
@@ -32,7 +33,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		transport = flag.String("transport", "inmem", "substrate for figure 6: inmem (802.11g model) or tcp")
 		csvDir    = flag.String("csv", "", "directory to also write CSV files into")
-		fastsim   = flag.Bool("fastsim", false, "skip gob marshaling on the simulated network")
+		fastsim   = flag.Bool("fastsim", false, "skip the binary wire codec on the simulated network (pass envelopes by value)")
 	)
 	flag.Parse()
 

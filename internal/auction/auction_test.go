@@ -72,8 +72,8 @@ func TestAuctioneerManyTasks(t *testing.T) {
 				string(metas[i].Task), services[m], 0.5, deadline), now)...)
 		}
 	}
-	if !a.Done() || a.Open() != 0 {
-		t.Fatalf("auction not done: open = %d", a.Open())
+	if !a.Done() {
+		t.Fatal("auction not done")
 	}
 	if len(decisions) != n {
 		t.Fatalf("decisions = %d, want %d", len(decisions), n)
@@ -87,18 +87,6 @@ func TestAuctioneerManyTasks(t *testing.T) {
 			t.Fatalf("task %q decided twice", d.Task)
 		}
 		seen[d.Task] = true
-	}
-	allocs := a.Allocations()
-	if len(allocs) != n {
-		t.Fatalf("Allocations = %d entries, want %d", len(allocs), n)
-	}
-	for _, m := range metas {
-		if allocs[m.Task] != "h2" {
-			t.Fatalf("task %q allocated to %q, want h2", m.Task, allocs[m.Task])
-		}
-	}
-	if failed := a.FailedTasks(); len(failed) != 0 {
-		t.Fatalf("FailedTasks = %v", failed)
 	}
 }
 
@@ -142,11 +130,8 @@ func TestDecideWhenAllResponded(t *testing.T) {
 	if len(ds) != 1 || ds[0].Winner != "h1" {
 		t.Fatalf("decisions = %+v", ds)
 	}
-	if !a.Done() || a.Open() != 0 {
+	if !a.Done() {
 		t.Error("auction not done after decision")
-	}
-	if got := a.Allocations()["t"]; got != "h1" {
-		t.Errorf("Allocations = %v", a.Allocations())
 	}
 }
 
@@ -192,9 +177,8 @@ func TestAllDeclinedFails(t *testing.T) {
 	if len(ds) != 1 || !ds[0].Failed() {
 		t.Fatalf("decisions = %+v, want failed", ds)
 	}
-	failed := a.FailedTasks()
-	if len(failed) != 1 || failed[0] != "t" {
-		t.Errorf("FailedTasks = %v", failed)
+	if !a.Done() {
+		t.Error("auction not done after the failed decision")
 	}
 }
 
@@ -250,8 +234,8 @@ func TestLateBidIgnoredAfterDecision(t *testing.T) {
 	if ds := a.HandleBid("h2", bid("t", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
 		t.Errorf("late bid produced decisions: %v", ds)
 	}
-	if a.Allocations()["t"] != "h1" {
-		t.Error("late bid changed the allocation")
+	if ds := a.Tick(t0.Add(time.Hour)); len(ds) != 0 {
+		t.Errorf("late bid reopened the task: %v", ds)
 	}
 }
 
@@ -270,15 +254,14 @@ func TestMultiTaskIndependence(t *testing.T) {
 	now := t0
 	dl := t0.Add(time.Minute)
 	a.HandleBid("h1", bid("t1", 1, 0.5, dl), now)
-	a.HandleBid("h2", bid("t1", 2, 0.5, dl), now) // decides t1 → h1
+	d1 := a.HandleBid("h2", bid("t1", 2, 0.5, dl), now) // decides t1 → h1
 	a.HandleDecline("h1", "t2", now)
-	a.HandleBid("h2", bid("t2", 2, 0.5, dl), now) // decides t2 → h2
+	d2 := a.HandleBid("h2", bid("t2", 2, 0.5, dl), now) // decides t2 → h2
 	if !a.Done() {
 		t.Fatal("not done")
 	}
-	al := a.Allocations()
-	if al["t1"] != "h1" || al["t2"] != "h2" {
-		t.Errorf("Allocations = %v", al)
+	if len(d1) != 1 || d1[0].Winner != "h1" || len(d2) != 1 || d2[0].Winner != "h2" {
+		t.Errorf("decisions = %v, %v", d1, d2)
 	}
 }
 
@@ -639,28 +622,33 @@ func TestHandleBidBatchMatchesPerTask(t *testing.T) {
 		Bids:     []proto.Bid{bid("t1", 1, 0.5, dl), bid("t3", 2, 0.5, dl)},
 		Declines: []model.TaskID{"t2"},
 	}
-	decide := func(drive func(a *Auctioneer, from proto.Addr)) map[model.TaskID]proto.Addr {
+	decide := func(drive func(a *Auctioneer, from proto.Addr) []Decision) map[model.TaskID]proto.Addr {
 		a, err := NewAuctioneer(members("h1", "h2"), metas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drive(a, "h1")
-		drive(a, "h2")
+		won := make(map[model.TaskID]proto.Addr)
+		for _, d := range append(drive(a, "h1"), drive(a, "h2")...) {
+			if !d.Failed() {
+				won[d.Task] = d.Winner
+			}
+		}
 		if !a.Done() {
 			t.Fatal("auction not done")
 		}
-		return a.Allocations()
+		return won
 	}
-	batched := decide(func(a *Auctioneer, from proto.Addr) {
-		a.HandleBidBatch(from, batch, t0)
+	batched := decide(func(a *Auctioneer, from proto.Addr) []Decision {
+		return a.HandleBidBatch(from, batch, t0)
 	})
-	perTask := decide(func(a *Auctioneer, from proto.Addr) {
+	perTask := decide(func(a *Auctioneer, from proto.Addr) (ds []Decision) {
 		for _, b := range batch.Bids {
-			a.HandleBid(from, b, t0)
+			ds = append(ds, a.HandleBid(from, b, t0)...)
 		}
 		for _, task := range batch.Declines {
-			a.HandleDecline(from, task, t0)
+			ds = append(ds, a.HandleDecline(from, task, t0)...)
 		}
+		return ds
 	})
 	if len(batched) != len(perTask) || len(batched) != 2 {
 		t.Fatalf("allocations differ: batched %v vs per-task %v", batched, perTask)

@@ -246,32 +246,6 @@ func (a *Auctioneer) NextDeadline() (time.Time, bool) {
 // Done reports whether every task has been decided.
 func (a *Auctioneer) Done() bool { return a.open == 0 }
 
-// Open returns the number of undecided tasks.
-func (a *Auctioneer) Open() int { return a.open }
-
-// Allocations returns the winner of every decided-and-won task.
-func (a *Auctioneer) Allocations() map[model.TaskID]proto.Addr {
-	out := make(map[model.TaskID]proto.Addr)
-	for id, ta := range a.tasks {
-		if ta.decided && ta.winner != "" {
-			out[id] = ta.winner
-		}
-	}
-	return out
-}
-
-// FailedTasks returns the tasks whose auctions ended with no bid, sorted.
-func (a *Auctioneer) FailedTasks() []model.TaskID {
-	var out []model.TaskID
-	for id, ta := range a.tasks {
-		if ta.decided && ta.winner == "" {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // betterBid implements the selection criterion: prefer the participant
 // providing fewer services (preserving the community's resource pool),
 // then higher specialization, then the lexicographically smaller address

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"openwf/internal/clock"
-	"openwf/internal/core"
 	"openwf/internal/discovery"
 	"openwf/internal/engine"
 	"openwf/internal/host"
@@ -50,8 +49,8 @@ type Options struct {
 	LinkModel inmem.LinkModel
 	// Seed seeds the network's randomness (jitter, loss).
 	Seed int64
-	// DisableMarshal skips gob encoding on the in-memory network for
-	// maximum simulation throughput.
+	// DisableMarshal skips the binary wire codec on the in-memory network
+	// (envelopes are passed by value) for maximum simulation throughput.
 	DisableMarshal bool
 	// StoreAndForward buffers messages across partitions on the
 	// in-memory network instead of losing them (delay-tolerant
@@ -412,25 +411,11 @@ func (c *Community) Execute(ctx context.Context, id proto.Addr, plan *engine.Pla
 	return h.Engine.Execute(ctx, plan, triggers)
 }
 
-// CollectKnowhow gathers every fragment known to any reachable member
-// into an immutable fragment store — the snapshot from which an
-// openwf.Planner constructs many workflows locally and concurrently,
-// without further community traffic.
-func (c *Community) CollectKnowhow(ctx context.Context, id proto.Addr) (*core.Store, error) {
-	h, ok := c.hosts[id]
-	if !ok {
-		return nil, fmt.Errorf("community: no host %q", id)
-	}
-	frags, err := h.Engine.CollectKnowhow(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewStore(frags...)
-}
-
 // ResetSchedules clears every host's calendar (commitments and holds).
 // The evaluation harness calls it between runs so that the thousands of
-// independent measurements do not compete for the same schedule slots.
+// independent measurements do not compete for the same schedule slots. It
+// leaves what the hosts remember of their community alone; a harness that
+// wants cold runs also resets the initiator's index (evalgen does).
 func (c *Community) ResetSchedules() {
 	for _, id := range c.order {
 		c.hosts[id].Schedule.Clear()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -38,14 +39,63 @@ type Result struct {
 // called repeatedly with different specifications against the same
 // knowledge without paying for the graph's size.
 func Construct(g *Supergraph, s spec.Spec) (*Result, error) {
+	g.ResetColoring()
+	//openwf:allow-background no source and no checker: the loop runs one round and waits on nothing
+	return construct(context.Background(), g, nil, s, nil)
+}
+
+// construct is the one construction loop. Each round explores as far as
+// g's knowledge allows; while a goal is out of reach it asks src — when
+// there is one — for the consumers of the green labels it has not asked
+// about before and merges them. Once every goal is green, feas — when there
+// is one — is asked about the green tasks not checked before; an infeasible
+// one resets the coloring and the loop continues, possibly collecting
+// alternative fragments. The blue subgraph pruned back from ω is the
+// workflow. Cancellation of ctx stops the loop between rounds with
+// ctx.Err().
+func construct(ctx context.Context, g *Supergraph, src KnowledgeSource, s spec.Spec, feas FeasibilityChecker) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g.ResetColoring()
-	explore(g, s)
-	if !goalsGreen(g, s) {
-		return nil, fmt.Errorf("%w: goals %v not reachable from triggers %v",
-			ErrNoSolution, missingGoals(g, s), s.Triggers)
+	queried := make(map[model.LabelID]struct{})
+	checked := make(map[model.TaskID]struct{})
+	rounds := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		explore(g, s)
+		if goalsGreen(g, s) {
+			infeasible, err := checkFeasibility(ctx, g, feas, checked)
+			if err != nil {
+				return nil, err
+			}
+			if infeasible == 0 {
+				break
+			}
+			continue // MarkInfeasible reset the coloring
+		}
+		var frontier []model.LabelID
+		if src != nil {
+			frontier = frontierLabels(g, queried)
+		}
+		if len(frontier) == 0 {
+			return nil, fmt.Errorf("%w: goals %v not reachable from triggers %v after %d collection rounds",
+				ErrNoSolution, missingGoals(g, s), s.Triggers, rounds)
+		}
+		rounds++
+		frags, err := src.FragmentsConsuming(ctx, frontier)
+		if err != nil {
+			return nil, fmt.Errorf("collecting fragments: %w", err)
+		}
+		for _, l := range frontier {
+			queried[l] = struct{}{}
+		}
+		for _, f := range frags {
+			if _, err := g.AddFragment(f); err != nil {
+				return nil, fmt.Errorf("merging collected fragment: %w", err)
+			}
+		}
 	}
 	if err := prune(g, s); err != nil {
 		return nil, err
@@ -66,6 +116,7 @@ func Construct(g *Supergraph, s spec.Spec) (*Result, error) {
 		Workflow:           w,
 		Explored:           g.GreenCount(),
 		SupergraphTasks:    g.NumTasks(),
+		CollectionRounds:   rounds,
 		FragmentsCollected: g.NumFragments(),
 	}, nil
 }

@@ -41,97 +41,21 @@ type IncrementalOptions struct {
 	// Exclude lists tasks that must not be used (specification
 	// constraint §5.1); they are marked infeasible up front.
 	Exclude []model.TaskID
-	// MaxRounds bounds the number of collection rounds as a safety
-	// valve; 0 means unbounded.
-	MaxRounds int
 }
 
 // ConstructIncremental builds a workflow for s by pulling fragments from
 // src on demand, per the paper's incremental strategy: "we build the
 // supergraph incrementally, drawing from the community only the fragments
 // that we need to extend the supergraph along the boundaries of the
-// colored region."
-//
-// Each round explores as far as current knowledge allows, then queries for
-// consumers of green labels that have not been queried before. Once every
-// goal is green, service feasibility is checked (if configured); newly
-// infeasible tasks reset the coloring and the loop continues, possibly
-// collecting alternative fragments. The supergraph is returned alongside
-// the result for inspection and reuse (replanning). Cancellation of ctx
-// stops the collection loop between rounds with ctx.Err().
+// colored region." It is the construction loop (construct) started on an
+// empty supergraph, which is returned alongside the result for inspection.
 func ConstructIncremental(ctx context.Context, src KnowledgeSource, s spec.Spec, opts IncrementalOptions) (*Result, *Supergraph, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
 	g := NewSupergraph()
 	for _, t := range opts.Exclude {
 		g.MarkInfeasible(t)
 	}
-
-	queried := make(map[model.LabelID]struct{})
-	feasChecked := make(map[model.TaskID]struct{})
-	rounds := 0
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, g, err
-		}
-		explore(g, s)
-
-		if goalsGreen(g, s) {
-			infeasible, err := checkFeasibility(ctx, g, opts.Feasibility, feasChecked)
-			if err != nil {
-				return nil, g, err
-			}
-			if infeasible == 0 {
-				break
-			}
-			// Coloring was reset by MarkInfeasible; explore again,
-			// and possibly collect alternative paths.
-			continue
-		}
-
-		frontier := frontierLabels(g, s, queried)
-		if len(frontier) == 0 {
-			return nil, g, fmt.Errorf("%w: community knowledge exhausted after %d rounds; goals %v unreachable",
-				ErrNoSolution, rounds, missingGoals(g, s))
-		}
-		rounds++
-		if opts.MaxRounds > 0 && rounds > opts.MaxRounds {
-			return nil, g, fmt.Errorf("%w: collection exceeded %d rounds", ErrNoSolution, opts.MaxRounds)
-		}
-		frags, err := src.FragmentsConsuming(ctx, frontier)
-		if err != nil {
-			return nil, g, fmt.Errorf("collecting fragments: %w", err)
-		}
-		for _, l := range frontier {
-			queried[l] = struct{}{}
-		}
-		for _, f := range frags {
-			if _, err := g.AddFragment(f); err != nil {
-				return nil, g, fmt.Errorf("merging collected fragment: %w", err)
-			}
-		}
-	}
-
-	if err := prune(g, s); err != nil {
-		return nil, g, err
-	}
-	w, err := extract(g)
-	if err != nil {
-		return nil, g, err
-	}
-	if !s.Satisfies(w) {
-		return nil, g, fmt.Errorf("%w: constructed workflow has outset %v, specification requires %v",
-			ErrNoSolution, w.Out(), s.Goals)
-	}
-	return &Result{
-		Workflow:           w,
-		Explored:           g.GreenCount(),
-		SupergraphTasks:    g.NumTasks(),
-		CollectionRounds:   rounds,
-		FragmentsCollected: g.NumFragments(),
-	}, g, nil
+	res, err := construct(ctx, g, src, s, opts.Feasibility)
+	return res, g, err
 }
 
 // frontierLabels returns the green labels not yet queried, in coloring
@@ -139,7 +63,7 @@ func ConstructIncremental(ctx context.Context, src KnowledgeSource, s spec.Spec,
 // labels are green from the first exploration pass, so they are part of
 // the first frontier. Walking the supergraph's green list keeps the
 // boundary scan proportional to the explored region, not the graph.
-func frontierLabels(g *Supergraph, s spec.Spec, queried map[model.LabelID]struct{}) []model.LabelID {
+func frontierLabels(g *Supergraph, queried map[model.LabelID]struct{}) []model.LabelID {
 	var out []model.LabelID
 	for _, n := range g.green {
 		if n.kind != labelNode {
@@ -181,8 +105,8 @@ func checkFeasibility(ctx context.Context, g *Supergraph, checker FeasibilityChe
 	return len(infeasible), nil
 }
 
-// SliceSource is a KnowledgeSource over an in-memory fragment list; it is
-// used by tests, examples, and the full-collection ablation.
+// SliceSource is a KnowledgeSource over an in-memory fragment list: the
+// source of the package's tests and of the property tests' oracle.
 type SliceSource []*model.Fragment
 
 var _ KnowledgeSource = SliceSource(nil)
@@ -202,10 +126,10 @@ func (s SliceSource) FragmentsConsuming(_ context.Context, labels []model.LabelI
 	return out, nil
 }
 
-// CollectAll merges every fragment of the source list into a fresh
-// supergraph — the non-incremental baseline in which the initiator first
-// gathers the community's entire knowledge (§3.1's simplifying assumption,
-// kept as an ablation).
+// CollectAll merges every fragment of the list into a fresh supergraph —
+// all the knowledge first, construction second (§3.1's simplifying
+// assumption): a Store's workspaces and the algorithm benchmarks are built
+// this way.
 func CollectAll(frags []*model.Fragment) (*Supergraph, error) {
 	g := NewSupergraph()
 	for _, f := range frags {

@@ -12,13 +12,9 @@ import (
 // Store is an immutable, shareable snapshot of collected knowhow: a set
 // of workflow fragments plus a consumer index for frontier queries. Once
 // built, a Store never changes — any number of goroutines may construct
-// workflows against it concurrently through Workspaces. Extension is
-// copy-on-write: With returns a new Store sharing the existing fragment
-// pointers (fragments themselves are immutable), leaving every previous
-// snapshot — and every workspace checked out from one — untouched.
+// workflows against it concurrently through Workspaces.
 type Store struct {
 	frags []*model.Fragment
-	names map[string]struct{}
 	// consumers indexes fragments by consumed label, the store-local
 	// equivalent of the community's Fragment Managers answering a
 	// FragmentsConsuming query.
@@ -29,26 +25,16 @@ type Store struct {
 // are deduplicated by name (the same rule the supergraph merge applies);
 // the fragments are retained by reference and must not be mutated.
 func NewStore(frags ...*model.Fragment) (*Store, error) {
-	s := &Store{
-		names:     make(map[string]struct{}, len(frags)),
-		consumers: make(map[model.LabelID][]*model.Fragment),
-	}
-	if err := s.add(frags); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// add appends fragments, skipping names already present.
-func (s *Store) add(frags []*model.Fragment) error {
+	s := &Store{consumers: make(map[model.LabelID][]*model.Fragment)}
+	names := make(map[string]struct{}, len(frags))
 	for _, f := range frags {
 		if f == nil {
-			return fmt.Errorf("core: nil fragment in store")
+			return nil, fmt.Errorf("core: nil fragment in store")
 		}
-		if _, dup := s.names[f.Name]; dup {
+		if _, dup := names[f.Name]; dup {
 			continue
 		}
-		s.names[f.Name] = struct{}{}
+		names[f.Name] = struct{}{}
 		s.frags = append(s.frags, f)
 		seen := make(map[model.LabelID]struct{})
 		for _, t := range f.Tasks {
@@ -61,34 +47,7 @@ func (s *Store) add(frags []*model.Fragment) error {
 			}
 		}
 	}
-	return nil
-}
-
-// With returns a new snapshot extended by the given fragments (names
-// already present are skipped). The receiver is unchanged; the two
-// stores share fragment pointers, so the copy costs O(existing) pointer
-// moves, not a deep clone.
-func (s *Store) With(frags ...*model.Fragment) (*Store, error) {
-	c := &Store{
-		frags:     append(make([]*model.Fragment, 0, len(s.frags)+len(frags)), s.frags...),
-		names:     make(map[string]struct{}, len(s.names)+len(frags)),
-		consumers: make(map[model.LabelID][]*model.Fragment, len(s.consumers)),
-	}
-	for name := range s.names {
-		c.names[name] = struct{}{}
-	}
-	for l, fs := range s.consumers {
-		c.consumers[l] = append([]*model.Fragment(nil), fs...)
-	}
-	if err := c.add(frags); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Fragments returns a copy of the snapshot's fragment list.
-func (s *Store) Fragments() []*model.Fragment {
-	return append([]*model.Fragment(nil), s.frags...)
+	return s, nil
 }
 
 // NumFragments returns how many distinct fragments the snapshot holds.
@@ -118,11 +77,9 @@ func (s *Store) FragmentsConsuming(_ context.Context, labels []model.LabelID) ([
 // merged from a store snapshot plus the epoch-stamped coloring state of
 // PR 1. The shared Store is never written; all mutable state (colors,
 // distances, worklists, infeasibility marks) lives here, owned by
-// exactly one goroutine at a time. Check workspaces out of a
-// WorkspacePool to construct many specifications in parallel against
-// one snapshot.
+// exactly one goroutine at a time. A WorkspacePool hands them out to
+// construct many specifications in parallel against one snapshot.
 type Workspace struct {
-	store *Store
 	graph *Supergraph
 	// marks are the per-construct infeasibility marks to undo before
 	// the workspace is reused (the store's knowledge is shared; one
@@ -134,21 +91,12 @@ type Workspace struct {
 // paid once per workspace; afterwards every construction is an O(1)
 // epoch reset plus an O(explored region) walk.
 func (s *Store) NewWorkspace() (*Workspace, error) {
-	g := NewSupergraph()
-	for _, f := range s.frags {
-		if _, err := g.AddFragment(f); err != nil {
-			return nil, fmt.Errorf("core: merging store fragment: %w", err)
-		}
+	g, err := CollectAll(s.frags)
+	if err != nil {
+		return nil, fmt.Errorf("core: merging store fragment: %w", err)
 	}
-	return &Workspace{store: s, graph: g}, nil
+	return &Workspace{graph: g}, nil
 }
-
-// Store returns the snapshot this workspace was checked out from.
-func (w *Workspace) Store() *Store { return w.store }
-
-// Graph exposes the workspace's supergraph for inspection (tests,
-// metrics). The caller must own the workspace.
-func (w *Workspace) Graph() *Supergraph { return w.graph }
 
 // Construct runs Algorithm 1 in this workspace: exclude marks the given
 // tasks infeasible for this construction only (specification-level
@@ -172,9 +120,11 @@ func (w *Workspace) Construct(sp spec.Spec, exclude ...model.TaskID) (*Result, e
 }
 
 // WorkspacePool shares one immutable store snapshot among N concurrent
-// construction sessions: each Construct checks a workspace out (reusing
-// a pooled one, or merging a fresh one on first use under load), runs
-// the coloring algorithm in it, and returns it. Safe for concurrent use.
+// construction sessions: each Construct takes a workspace (a pooled one, or
+// a fresh merge on first use under load), runs the coloring algorithm in
+// it, and puts it back. Pooled workspaces keep their merged supergraph, so
+// a warm construction costs nothing but the epoch bump. Safe for
+// concurrent use.
 type WorkspacePool struct {
 	store *Store
 	pool  sync.Pool
@@ -185,40 +135,22 @@ func NewWorkspacePool(store *Store) *WorkspacePool {
 	return &WorkspacePool{store: store}
 }
 
-// Store returns the pool's snapshot.
-func (p *WorkspacePool) Store() *Store { return p.store }
-
-// Checkout hands the caller a workspace for exclusive use; pair with
-// Release. Pooled workspaces keep their merged supergraph, so a warm
-// checkout costs nothing but the epoch bump inside Construct.
-func (p *WorkspacePool) Checkout() (*Workspace, error) {
-	if ws, ok := p.pool.Get().(*Workspace); ok {
-		return ws, nil
-	}
-	return p.store.NewWorkspace()
-}
-
-// Release returns a workspace to the pool for reuse.
-func (p *WorkspacePool) Release(ws *Workspace) {
-	if ws == nil || ws.store != p.store {
-		return
-	}
-	p.pool.Put(ws)
-}
-
-// Construct checks a workspace out, constructs a workflow satisfying sp,
-// and releases the workspace. The context is consulted before the (pure
-// CPU, microsecond-scale) construction begins; many Construct calls may
-// run concurrently against the same pool.
+// Construct constructs a workflow satisfying sp in a pooled workspace. The
+// context is consulted before the (pure CPU, microsecond-scale)
+// construction begins; many Construct calls may run concurrently against
+// the same pool.
 func (p *WorkspacePool) Construct(ctx context.Context, sp spec.Spec, exclude ...model.TaskID) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ws, err := p.Checkout()
-	if err != nil {
-		return nil, err
+	ws, ok := p.pool.Get().(*Workspace)
+	if !ok {
+		var err error
+		if ws, err = p.store.NewWorkspace(); err != nil {
+			return nil, err
+		}
 	}
 	res, err := ws.Construct(sp, exclude...)
-	p.Release(ws)
+	p.pool.Put(ws)
 	return res, err
 }

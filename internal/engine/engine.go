@@ -24,9 +24,9 @@
 // members that have not answered its labels yet and takes the others'
 // answers from memory; once every round's labels have been answered a
 // session constructs without a fragment query. Full collection
-// (Incremental off, CollectKnowhow) is the ablation that asks everyone
-// everything and neither reads nor writes that memory. What keeps a stale
-// memory from costing a plan is stated once, in internal/discovery.
+// (Incremental off) is the ablation that asks everyone everything and
+// neither reads nor writes that memory. What keeps a stale memory from
+// costing a plan is stated once, in internal/discovery.
 package engine
 
 import (
@@ -63,12 +63,11 @@ type Messenger interface {
 	Clock() clock.Clock
 }
 
-// Observer receives construction and auction events from the engine (and
-// from openwf.Planner for local constructions). Every field is optional;
-// nil callbacks are skipped. Callbacks run synchronously on the engine's
-// goroutine and must be fast and non-blocking; they may be invoked from
-// several construction goroutines at once and must be safe for concurrent
-// use.
+// Observer receives construction and auction events from the engine.
+// Every field is optional; nil callbacks are skipped. Callbacks run
+// synchronously on the engine's goroutine and must be fast and
+// non-blocking; they may be invoked from several construction goroutines
+// at once and must be safe for concurrent use.
 type Observer struct {
 	// ConstructionDone fires after each successful construction with the
 	// construction metrics (explored region, collection rounds, …).
@@ -521,21 +520,25 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 	return replies, nil
 }
 
-// collectEverything is the full-collection query: Fragment Managers treat
-// a nil label filter as "everything" via the host dispatch (see
-// internal/host). Everyone is asked anyway, so everyone is asked to
-// describe itself too.
-var collectEverything = proto.FragmentQuery{Describe: true}
+// fullCollection is the knowledge source of the ablation that gathers the
+// community's entire knowhow up front (§3.1's simplifying assumption): its
+// first round asks every member for everything — Fragment Managers treat a
+// nil label filter as "everything" (see internal/host) — and, everyone being
+// asked anyway, to describe itself; no later round has anything to add. It
+// neither reads nor writes the remembered knowhow.
+type fullCollection struct {
+	view  *communityView
+	asked bool
+}
 
-// CollectKnowhow gathers every fragment of every reachable member — the
-// raw material for a shared fragment-store snapshot from which many
-// constructions can then proceed locally and concurrently (see
-// openwf.Planner).
-func (m *Manager) CollectKnowhow(ctx context.Context) ([]*model.Fragment, error) {
-	m.mu.Lock()
-	_, wfID := m.mintWorkflowIDLocked()
-	m.mu.Unlock()
-	return m.sweepFragments(ctx, wfID, nil, collectEverything, nil, nil)
+// FragmentsConsuming implements core.KnowledgeSource.
+func (fc *fullCollection) FragmentsConsuming(ctx context.Context, _ []model.LabelID) ([]*model.Fragment, error) {
+	if fc.asked {
+		return nil, nil
+	}
+	fc.asked = true
+	cv := fc.view
+	return cv.m.sweepFragments(ctx, cv.wfID, cv.members, proto.FragmentQuery{Describe: true}, nil, nil)
 }
 
 // InfeasibleTasks implements core.FeasibilityChecker.

@@ -642,6 +642,38 @@ func TestInitiateFullCollectionFeasibility(t *testing.T) {
 	}
 }
 
+// TestFullCollectionChecksEveryReconstruction: of three routes a → g the two
+// shortest have no provider. Feasibility is re-checked after each
+// reconstruction, in full-collection mode as in incremental mode, so the
+// third route is found during construction and costs no failed auction and
+// no replan. (When full collection had its own construct-check-reconstruct
+// body, the second construction went to auction unchecked: Replans == 1.)
+func TestFullCollectionChecksEveryReconstruction(t *testing.T) {
+	net := newFakeNet("init")
+	net.add("init", &fakeMember{})
+	net.add("peer", &fakeMember{
+		fragments: []*model.Fragment{
+			mkFrag(t, "short", "a", "g"),
+			mkFrag(t, "mid1", "a", "m"), mkFrag(t, "mid2", "m", "g"),
+			mkFrag(t, "long1", "a", "x"), mkFrag(t, "long2", "x", "y"), mkFrag(t, "long3", "y", "g"),
+		},
+		capable:  map[model.TaskID]bool{"long1": true, "long2": true, "long3": true},
+		services: 3,
+	})
+	for _, incremental := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Incremental = incremental
+		plan, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatalf("incremental=%v: %v", incremental, err)
+		}
+		if _, ok := plan.Workflow.Task("long2"); !ok || plan.Workflow.NumTasks() != 3 || plan.Replans != 0 {
+			t.Errorf("incremental=%v: %d replans for\n%v\nwant the three-task route with none",
+				incremental, plan.Replans, plan.Workflow)
+		}
+	}
+}
+
 func TestExecuteRejectsPartialPlan(t *testing.T) {
 	net := chainNet(t)
 	m := NewManager(net, testConfig())
@@ -1008,8 +1040,8 @@ func TestInitiateBatchConcurrentSessions(t *testing.T) {
 			t.Errorf("plan %d WorkflowID = %q, want %q", i, p.WorkflowID, want)
 		}
 	}
-	if got := m.ActiveAllocations(); len(got) != 0 {
-		t.Errorf("ActiveAllocations after settle = %v", got)
+	if got := m.SessionStats().Active; got != 0 {
+		t.Errorf("active sessions after settle = %d", got)
 	}
 }
 
@@ -1031,7 +1063,7 @@ func TestInitiateBatchPartialFailure(t *testing.T) {
 }
 
 // TestActiveAllocationsDuringSession: a session in flight is visible in
-// ActiveAllocations and gone after it settles.
+// SessionStats and gone after it settles.
 func TestActiveAllocationsDuringSession(t *testing.T) {
 	net := slowBidNet(t)
 	cfg := testConfig()
@@ -1044,7 +1076,7 @@ func TestActiveAllocationsDuringSession(t *testing.T) {
 		_, _ = m.Initiate(ctx, spec.Must(lbl("a"), lbl("g")))
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for len(m.ActiveAllocations()) == 0 {
+	for m.SessionStats().Active == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never became visible")
 		}
@@ -1052,8 +1084,8 @@ func TestActiveAllocationsDuringSession(t *testing.T) {
 	}
 	cancel()
 	<-done
-	if got := m.ActiveAllocations(); len(got) != 0 {
-		t.Errorf("ActiveAllocations after cancel = %v", got)
+	if got := m.SessionStats().Active; got != 0 {
+		t.Errorf("active sessions after cancel = %d", got)
 	}
 }
 
@@ -1130,8 +1162,8 @@ func TestLostAwardAckSendsCancelWhileConcurrentSession(t *testing.T) {
 	if stillBlocked != 1 {
 		t.Fatalf("second session no longer mid-auction (blocked=%d); the sweep disturbed it", stillBlocked)
 	}
-	if got := m.ActiveAllocations(); len(got) != 1 {
-		t.Fatalf("ActiveAllocations = %v, want the blocked session only", got)
+	if got := m.SessionStats().Active; got != 1 {
+		t.Fatalf("active sessions = %d, want the blocked session only", got)
 	}
 
 	// Release the gate: session B must finish cleanly, untouched by A's
@@ -1157,8 +1189,8 @@ func TestInitiateBatchInvalidSpecLeavesNoSessions(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with an invalid spec accepted")
 	}
-	if got := m.ActiveAllocations(); len(got) != 0 {
-		t.Fatalf("ActiveAllocations = %v after aborted batch, want none", got)
+	if got := m.SessionStats().Active; got != 0 {
+		t.Fatalf("active sessions = %d after aborted batch, want none", got)
 	}
 }
 

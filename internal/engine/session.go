@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -47,18 +46,12 @@ type allocSession struct {
 func (m *Manager) newSession(s spec.Spec) *allocSession {
 	sess := &allocSession{m: m, spec: s}
 	m.mu.Lock()
-	sess.ordinal, sess.wfID = m.mintWorkflowIDLocked()
+	m.seq++
+	sess.ordinal, sess.wfID = m.seq, string(m.net.Self())+"/"+strconv.Itoa(m.seq)
 	m.allocs[sess.wfID] = sess
 	m.mu.Unlock()
 	m.sessStarted.Add(1)
 	return sess
-}
-
-// mintWorkflowIDLocked assigns the next session ordinal and its
-// workflow identifier. Callers hold m.mu.
-func (m *Manager) mintWorkflowIDLocked() (int, string) {
-	m.seq++
-	return m.seq, string(m.net.Self()) + "/" + strconv.Itoa(m.seq)
 }
 
 // endSession deregisters a finished session.
@@ -101,19 +94,6 @@ func (m *Manager) SessionStats() SessionStats {
 		Failed:    m.sessFailed.Load(),
 		Active:    active,
 	}
-}
-
-// ActiveAllocations returns the workflow IDs of the allocation sessions
-// currently in flight on this engine, sorted.
-func (m *Manager) ActiveAllocations() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.allocs))
-	for id := range m.allocs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // notFromMemory runs a session's work and, should it fail for want of a
@@ -216,54 +196,20 @@ func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Res
 
 // construct builds the workflow for s from the knowledge of members (nil
 // means the whole community; plan repair passes the survivors), never
-// using the exclude tasks — either incrementally (querying round by
-// round) or from a full collection.
+// using the exclude tasks. It is core's construction loop over the
+// community; Incremental only chooses what a collection round asks for.
 func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
 	view := &communityView{m: m, wfID: wfID, members: members}
-	var checker core.FeasibilityChecker
+	var src core.KnowledgeSource = view
+	if !m.cfg.Incremental {
+		src = &fullCollection{view: view}
+	}
+	opts := core.IncrementalOptions{Exclude: exclude}
 	if m.cfg.Feasibility {
-		checker = view
+		opts.Feasibility = view
 	}
-	if m.cfg.Incremental {
-		opts := core.IncrementalOptions{
-			Feasibility: checker,
-			Exclude:     exclude,
-		}
-		res, _, err := core.ConstructIncremental(ctx, view, s, opts)
-		return res, err
-	}
-	// Full collection: one query for every label any member knows.
-	frags, err := m.sweepFragments(ctx, wfID, members, collectEverything, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	g, err := core.CollectAll(frags)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range exclude {
-		g.MarkInfeasible(t)
-	}
-	res, err := core.Construct(g, s)
-	if err != nil {
-		return nil, err
-	}
-	if checker != nil {
-		infeasible, ferr := checker.InfeasibleTasks(ctx, res.Workflow.TaskIDs())
-		if ferr != nil {
-			return nil, ferr
-		}
-		if len(infeasible) > 0 {
-			for _, t := range infeasible {
-				g.MarkInfeasible(t)
-			}
-			res, err = core.Construct(g, s)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
+	res, _, err := core.ConstructIncremental(ctx, src, s, opts)
+	return res, err
 }
 
 // InitiateBatch runs one allocation session per specification,

@@ -8,6 +8,7 @@ import (
 
 	"openwf/internal/community"
 	"openwf/internal/engine"
+	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/service"
 	"openwf/internal/spec"
@@ -34,7 +35,8 @@ type ExperimentConfig struct {
 	// LinkModel adds a latency model to the in-memory network (e.g. the
 	// 802.11g model for the empirical configuration).
 	LinkModel inmem.LinkModel
-	// DisableMarshal skips gob encoding on the in-memory network.
+	// DisableMarshal skips the binary wire codec on the in-memory
+	// network: envelopes are passed by value.
 	DisableMarshal bool
 	// Engine overrides the per-host engine configuration.
 	Engine *engine.Config
@@ -67,11 +69,9 @@ type ExperimentResult struct {
 }
 
 // RunExperiment builds the community once, then for every requested path
-// length performs Runs measurements: draw a specification of that length,
-// measure the time from handing it to the initiating host until every
-// task of the resulting workflow is allocated, and reset the schedules
-// (each run is an independent problem). Canceling ctx aborts the
-// experiment between (and inside) measurements.
+// length performs Runs measurements: draw a specification of that length
+// and measure it (see measure). Canceling ctx aborts the experiment between
+// (and inside) measurements.
 func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string) (*ExperimentResult, error) {
 	if cfg.Tasks < 2 || cfg.Hosts < 1 || cfg.Runs < 1 {
 		return nil, fmt.Errorf("evalgen: invalid experiment config %+v", cfg)
@@ -87,7 +87,6 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string)
 	}
 	defer comm.Close()
 
-	initiator := hosts[0]
 	series := stats.NewSeries(seriesName)
 	result := &ExperimentResult{Series: series, MaxPathLength: sc.MaxPathLength()}
 
@@ -99,19 +98,11 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string)
 				result.Skipped++
 				continue
 			}
-			//openwf:allow-wallclock measures wall latency of Initiate over the modeled medium — the experiment's reported quantity
-			start := time.Now()
-			plan, err := comm.Initiate(ctx, initiator, s)
-			elapsed := time.Since(start) //openwf:allow-wallclock measures wall latency of Initiate over the modeled medium
+			elapsed, err := measure(ctx, comm, hosts[0], s, length)
 			if err != nil {
 				return nil, fmt.Errorf("length %d run %d: %w", length, run, err)
 			}
-			if plan.Workflow.NumTasks() != length {
-				return nil, fmt.Errorf("length %d run %d: workflow has %d tasks",
-					length, run, plan.Workflow.NumTasks())
-			}
 			sample.AddDuration(elapsed)
-			comm.ResetSchedules()
 		}
 		if sample.N() == 0 {
 			// No path of this length exists in the supergraph:
@@ -125,45 +116,44 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string)
 	return result, nil
 }
 
+// measure times one run: from handing s to the initiating host until every
+// task of the resulting workflow — length tasks — is allocated. Each run is
+// an independent problem, so afterwards the calendars are cleared and the
+// initiator forgets what the community told it: the paper's timed window
+// includes collecting the knowhow, which a host that remembers its members'
+// answers would pay on its first run only.
+func measure(ctx context.Context, comm *community.Community, initiator proto.Addr, s spec.Spec, length int) (time.Duration, error) {
+	//openwf:allow-wallclock measures wall latency of Initiate over the modeled medium — the experiment's reported quantity
+	start := time.Now()
+	plan, err := comm.Initiate(ctx, initiator, s)
+	elapsed := time.Since(start) //openwf:allow-wallclock measures wall latency of Initiate over the modeled medium
+	if err != nil {
+		return 0, err
+	}
+	if plan.Workflow.NumTasks() != length {
+		return 0, fmt.Errorf("workflow has %d tasks", plan.Workflow.NumTasks())
+	}
+	comm.ResetSchedules()
+	if h, ok := comm.Host(initiator); ok {
+		h.Discovery().Reset()
+	}
+	return elapsed, nil
+}
+
 // BuildCommunity materializes a scenario into a running community:
 // fragments and services distributed randomly and evenly across the
 // hosts. It returns the community and the host addresses (the first is
 // the conventional initiator).
 func BuildCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*community.Community, []proto.Addr, error) {
-	fragParts, err := sc.DistributeFragments(cfg.Hosts, rng)
+	frags, err := sc.DistributeFragments(cfg.Hosts, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	svcParts, err := sc.DistributeServices(cfg.Hosts, rng)
+	svcs, err := sc.DistributeServices(cfg.Hosts, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	engCfg := EvalEngineConfig()
-	if cfg.Engine != nil {
-		engCfg = *cfg.Engine
-	}
-	specs := make([]community.HostSpec, cfg.Hosts)
-	addrs := make([]proto.Addr, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		addr := proto.Addr(fmt.Sprintf("host%02d", i))
-		specs[i] = community.HostSpec{
-			ID:        addr,
-			Fragments: fragParts[i],
-			Services:  svcParts[i],
-		}
-		addrs[i] = addr
-	}
-	comm, err := community.New(community.Options{
-		Transport:      cfg.Transport,
-		LinkModel:      cfg.LinkModel,
-		Seed:           cfg.Seed,
-		DisableMarshal: cfg.DisableMarshal,
-		Engine:         &engCfg,
-	}, specs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comm, addrs, nil
+	return build(cfg, frags, svcs)
 }
 
 // BuildReplicatedCommunity materializes a scenario like BuildCommunity,
@@ -175,29 +165,37 @@ func BuildCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*commun
 // capacity scale with the community, which is the configuration the
 // concurrent-allocation benchmarks measure.
 func BuildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*community.Community, []proto.Addr, error) {
-	fragParts, err := sc.DistributeFragments(cfg.Hosts, rng)
+	frags, err := sc.DistributeFragments(cfg.Hosts, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	allServices := make([]service.Registration, 0, sc.NumTasks())
+	all := make([]service.Registration, 0, sc.NumTasks())
 	for i := 0; i < sc.NumTasks(); i++ {
-		allServices = append(allServices, service.Registration{
+		all = append(all, service.Registration{
 			Descriptor: service.Descriptor{Task: sc.Task(i).ID, Specialization: 0.5},
 		})
 	}
+	svcs := make([][]service.Registration, cfg.Hosts)
+	for i := range svcs {
+		if i > 0 || cfg.Hosts == 1 {
+			svcs[i] = all
+		}
+	}
+	return build(cfg, frags, svcs)
+}
+
+// build starts the community of cfg in which host i holds frags[i] and
+// offers svcs[i].
+func build(cfg ExperimentConfig, frags [][]*model.Fragment, svcs [][]service.Registration) (*community.Community, []proto.Addr, error) {
 	engCfg := EvalEngineConfig()
 	if cfg.Engine != nil {
 		engCfg = *cfg.Engine
 	}
 	specs := make([]community.HostSpec, cfg.Hosts)
 	addrs := make([]proto.Addr, cfg.Hosts)
-	for i := 0; i < cfg.Hosts; i++ {
-		addr := proto.Addr(fmt.Sprintf("host%02d", i))
-		specs[i] = community.HostSpec{ID: addr, Fragments: fragParts[i]}
-		if i > 0 || cfg.Hosts == 1 {
-			specs[i].Services = allServices
-		}
-		addrs[i] = addr
+	for i := range specs {
+		addrs[i] = proto.Addr(fmt.Sprintf("host%02d", i))
+		specs[i] = community.HostSpec{ID: addrs[i], Fragments: frags[i], Services: svcs[i]}
 	}
 	comm, err := community.New(community.Options{
 		Transport:      cfg.Transport,

@@ -7,10 +7,11 @@
 // repo's rule is stdlib only, and the scrape format is simple enough to
 // emit directly.
 //
-// Concurrency: every instrument is safe for concurrent use. Counters and
-// gauges are single atomics; histograms take a short mutex per
-// observation. GaugeFunc callbacks run at scrape time on the scraper's
-// goroutine and must be fast and non-blocking.
+// Concurrency: every instrument is safe for concurrent use. Counters are
+// single atomics; histograms take a short mutex per observation. A gauge
+// is a GaugeFunc over state that has its own accounting; the callbacks run
+// at scrape time on the scraper's goroutine and must be fast and
+// non-blocking.
 package metrics
 
 import (
@@ -36,20 +37,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous value that may go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histWindow bounds how many recent observations a histogram keeps for
 // quantile estimation. Count and Sum stay exact over the histogram's
@@ -133,7 +120,6 @@ type instrument struct {
 	kind kind
 
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -168,13 +154,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(&instrument{name: name, help: help, kind: kindCounter, counter: c})
 	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&instrument{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -215,16 +194,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		case kindGauge:
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", inst.name); err != nil {
-				return err
-			}
-			var err error
-			if inst.gaugeFn != nil {
-				_, err = fmt.Fprintf(w, "%s %g\n", inst.name, inst.gaugeFn())
-			} else {
-				_, err = fmt.Fprintf(w, "%s %d\n", inst.name, inst.gauge.Value())
-			}
-			if err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n",
+				inst.name, inst.name, inst.gaugeFn()); err != nil {
 				return err
 			}
 		case kindSummary:

@@ -11,16 +11,20 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests")
-	g := r.Gauge("depth", "queue depth")
+	depth := 7.0
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
 	c.Inc()
 	c.Add(4)
-	g.Set(7)
-	g.Add(-2)
+	depth -= 2
 	if c.Value() != 5 {
 		t.Errorf("counter = %d", c.Value())
 	}
-	if g.Value() != 5 {
-		t.Errorf("gauge = %d", g.Value())
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "depth 5\n") {
+		t.Errorf("gauge not read at scrape time:\n%s", sb.String())
 	}
 }
 
@@ -72,11 +76,10 @@ func TestHistogramWindowBounded(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("wf_initiates_accepted_total", "accepted")
-	g := r.Gauge("wf_backlog_depth", "depth")
+	r.GaugeFunc("wf_backlog_depth", "depth", func() float64 { return 2 })
 	r.GaugeFunc("wf_transport_frames", "frames", func() float64 { return 42 })
 	h := r.Histogram("wf_initiate_seconds", "latency")
 	c.Add(3)
-	g.Set(2)
 	h.Observe(0.25)
 	h.Observe(0.75)
 	var sb strings.Builder
@@ -112,7 +115,7 @@ func TestDuplicateNamePanics(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 func TestConcurrentInstruments(t *testing.T) {

@@ -151,19 +151,3 @@ func (s *Writer) Record(e Event) {
 	defer s.mu.Unlock()
 	fmt.Fprintln(s.w, e)
 }
-
-// Multi fans events out to several recorders.
-func Multi(rs ...Recorder) Recorder {
-	return multi(rs)
-}
-
-type multi []Recorder
-
-// Record implements Recorder.
-func (m multi) Record(e Event) {
-	for _, r := range m {
-		if r != nil {
-			r.Record(e)
-		}
-	}
-}

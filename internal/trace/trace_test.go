@@ -88,15 +88,6 @@ func TestWriterStreams(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	b1, b2 := NewBuffer(0), NewBuffer(0)
-	m := Multi(b1, nil, b2)
-	m.Record(Event{Kind: "bid"})
-	if b1.Total() != 1 || b2.Total() != 1 {
-		t.Error("Multi did not fan out")
-	}
-}
-
 func TestBufferConcurrent(t *testing.T) {
 	b := NewBuffer(64)
 	var wg sync.WaitGroup

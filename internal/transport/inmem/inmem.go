@@ -68,19 +68,6 @@ func Wireless(base, jitter time.Duration, bandwidthBps float64) LinkModel {
 	}
 }
 
-// Lossy wraps a model with uniform random loss probability p.
-func Lossy(p float64, inner LinkModel) LinkModel {
-	return func(from, to proto.Addr, size int, rng *rand.Rand) (time.Duration, bool) {
-		if rng.Float64() < p {
-			return 0, true
-		}
-		if inner == nil {
-			return 0, false
-		}
-		return inner(from, to, size, rng)
-	}
-}
-
 // Option configures a Network.
 type Option func(*Network)
 
@@ -297,18 +284,6 @@ func (n *Network) flushStoredLocked() {
 		}
 		delete(n.stored, k)
 	}
-}
-
-// Stored returns how many messages are currently buffered awaiting
-// reachability (store-and-forward mode only).
-func (n *Network) Stored() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, msgs := range n.stored {
-		total += len(msgs)
-	}
-	return total
 }
 
 // Messages returns the number of envelopes accepted for transmission.

@@ -3,6 +3,7 @@ package inmem
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -197,8 +198,10 @@ func TestPartitionIsolatesUnlistedHosts(t *testing.T) {
 	}
 }
 
+// TestLossyModel: a link model's loss verdict drops the message.
 func TestLossyModel(t *testing.T) {
-	net := NewNetwork(WithLinkModel(Lossy(1.0, nil)), WithSeed(7))
+	lossy := func(_, _ proto.Addr, _ int, _ *rand.Rand) (time.Duration, bool) { return 0, true }
+	net := NewNetwork(WithLinkModel(lossy), WithSeed(7))
 	defer net.Close()
 	col := newCollector()
 	a, _ := net.Endpoint("a", func(proto.Envelope) {})
@@ -212,7 +215,7 @@ func TestLossyModel(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 	if col.count() != 0 {
-		t.Errorf("lossy(1.0) delivered %d messages", col.count())
+		t.Errorf("lossy model delivered %d messages", col.count())
 	}
 	if net.Dropped() != 10 {
 		t.Errorf("Dropped = %d, want 10", net.Dropped())
@@ -394,9 +397,6 @@ func TestStoreAndForwardAcrossPartition(t *testing.T) {
 	if col.count() != 0 {
 		t.Fatal("messages crossed an active partition")
 	}
-	if net.Stored() != 5 {
-		t.Fatalf("Stored = %d, want 5", net.Stored())
-	}
 	if net.Dropped() != 0 {
 		t.Fatalf("Dropped = %d with store-and-forward", net.Dropped())
 	}
@@ -408,9 +408,6 @@ func TestStoreAndForwardAcrossPartition(t *testing.T) {
 			t.Fatalf("message %d has ReqID %d: order lost across partition", i, env.ReqID)
 		}
 	}
-	if net.Stored() != 0 {
-		t.Errorf("Stored = %d after heal", net.Stored())
-	}
 }
 
 func TestStoreAndForwardLateJoiner(t *testing.T) {
@@ -421,8 +418,8 @@ func TestStoreAndForwardLateJoiner(t *testing.T) {
 	if err := a.Send(context.Background(), "b", ping(7)); err != nil {
 		t.Fatal(err)
 	}
-	if net.Stored() != 1 {
-		t.Fatalf("Stored = %d", net.Stored())
+	if net.Dropped() != 0 {
+		t.Fatalf("Dropped = %d with store-and-forward", net.Dropped())
 	}
 	col := newCollector()
 	if _, err := net.Endpoint("b", col.handler); err != nil {
@@ -440,9 +437,6 @@ func TestStoreAndForwardDisabledByDefault(t *testing.T) {
 	a, _ := net.Endpoint("a", func(proto.Envelope) {})
 	if err := a.Send(context.Background(), "ghost", ping(1)); err != nil {
 		t.Fatal(err)
-	}
-	if net.Stored() != 0 {
-		t.Errorf("Stored = %d without store-and-forward", net.Stored())
 	}
 	if net.Dropped() != 1 {
 		t.Errorf("Dropped = %d", net.Dropped())

@@ -52,18 +52,12 @@
 // every host, per-session auction state, first-hold-wins schedule
 // arbitration); see DESIGN.md §8.
 //
-// For server-shaped workloads — many specifications constructed
-// concurrently against one pool of knowhow — snapshot the knowhow once
-// and plan from it in parallel, with no further community traffic:
+// A host remembers what its community's members told it — what they know
+// and what they offer — so later sessions on the same host construct from
+// memory and send only calls for bids and awards (DESIGN.md §13).
 //
-//	store, err := com.CollectKnowhow(ctx, "requester")
-//	planner, err := openwf.NewPlannerFromStore(store)
-//	// Any number of goroutines:
-//	w, err := planner.Construct(ctx, spec)
-//
-// See the examples directory for complete programs, DESIGN.md for the
-// system inventory, and EXPERIMENTS.md for the reproduction of the
-// paper's evaluation.
+// See the examples directory for complete programs and DESIGN.md for the
+// system inventory; cmd/figures reproduces the paper's evaluation.
 package openwf
 
 import (
@@ -136,10 +130,6 @@ type (
 	Commitment = schedule.Commitment
 	// TaskMeta is per-task auction/execution metadata.
 	TaskMeta = proto.TaskMeta
-	// FragmentStore is an immutable, shareable snapshot of collected
-	// knowhow; any number of Planners and goroutines may construct
-	// against one store concurrently.
-	FragmentStore = core.Store
 	// ConstructionResult carries one construction's metrics (explored
 	// region, supergraph size, collection rounds).
 	ConstructionResult = core.Result
@@ -193,9 +183,7 @@ func MustSpec(triggers, goals []LabelID) Spec {
 	return spec.Must(triggers, goals)
 }
 
-// Option configures NewCommunity and NewPlanner. Options that concern
-// only the community substrate (transport, link model, seed) are
-// ignored by NewPlanner, which is a purely local facility.
+// Option configures NewCommunity.
 type Option func(*settings)
 
 // settings accumulates the facade's functional options.
@@ -233,8 +221,7 @@ func WithTransport(t Transport) Option {
 	return func(s *settings) { s.comm.Transport = t }
 }
 
-// WithEngineConfig sets every host's workflow-engine configuration. For
-// a Planner it supplies the construction constraints (§5.1).
+// WithEngineConfig sets every host's workflow-engine configuration.
 func WithEngineConfig(cfg EngineConfig) Option {
 	return func(s *settings) { s.engine, s.engineSet = cfg, true }
 }
@@ -314,13 +301,6 @@ func LocatedService(task TaskID, at Point, duration time.Duration, fn ServiceFun
 		},
 		Fn: fn,
 	}
-}
-
-// NewFragmentStore builds an immutable fragment-store snapshot from the
-// given knowhow. Extend a snapshot with store.With; snapshot a running
-// community's pooled knowhow with Community.CollectKnowhow.
-func NewFragmentStore(frags ...*Fragment) (*FragmentStore, error) {
-	return core.NewStore(frags...)
 }
 
 // WirelessLinkModel models an 802.11-style medium for the simulated

@@ -16,27 +16,33 @@ func lbl(ls ...string) []openwf.LabelID {
 	return out
 }
 
+// TestConstructWorkflowLocal: a community of one constructs from its own
+// knowhow and allocates to itself.
 func TestConstructWorkflowLocal(t *testing.T) {
-	frags := []*openwf.Fragment{
-		openwf.MustFragment("f1", openwf.Task{
-			ID: "t1", Mode: openwf.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m"),
-		}),
-		openwf.MustFragment("f2", openwf.Task{
-			ID: "t2", Mode: openwf.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g"),
-		}),
-	}
-	p, err := openwf.NewPlanner(frags)
+	com, err := openwf.NewCommunity([]openwf.HostSpec{{
+		ID: "solo",
+		Fragments: []*openwf.Fragment{
+			openwf.MustFragment("f1", openwf.Task{
+				ID: "t1", Mode: openwf.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m"),
+			}),
+			openwf.MustFragment("f2", openwf.Task{
+				ID: "t2", Mode: openwf.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g"),
+			}),
+		},
+		Services: []openwf.ServiceRegistration{openwf.SimpleService("t1"), openwf.SimpleService("t2")},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := p.Construct(context.Background(), openwf.MustSpec(lbl("a"), lbl("g")))
+	defer com.Close()
+	plan, err := com.Initiate(context.Background(), "solo", openwf.MustSpec(lbl("a"), lbl("g")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.NumTasks() != 2 {
-		t.Fatalf("workflow:\n%v", w)
+	if plan.Workflow.NumTasks() != 2 {
+		t.Fatalf("workflow:\n%v", plan.Workflow)
 	}
-	if _, err := p.Construct(context.Background(), openwf.MustSpec(lbl("a"), lbl("nothing"))); err == nil {
+	if _, err := com.Initiate(context.Background(), "solo", openwf.MustSpec(lbl("a"), lbl("nothing"))); err == nil {
 		t.Fatal("unsatisfiable spec constructed")
 	}
 }
