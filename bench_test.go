@@ -94,9 +94,9 @@ func BenchmarkFigure5(b *testing.B) {
 }
 
 // BenchmarkFigure6 — the empirical configuration: 4 hosts on a modeled
-// 802.11g ad hoc network (54 Mbit/s, ~1.2 ms per hop). One order of
-// magnitude slower than the zero-latency simulation, matching the paper's
-// Figure 5 → Figure 6 shift.
+// 802.11g ad hoc network (evalgen.Wireless80211g: 54 Mbit/s, 0.5 ms per hop
+// plus up to 0.2 ms of jitter). One order of magnitude slower than the
+// zero-latency simulation, matching the paper's Figure 5 → Figure 6 shift.
 func BenchmarkFigure6(b *testing.B) {
 	for _, tasks := range []int{25, 50, 100} {
 		for _, length := range []int{4, 8} {
@@ -157,23 +157,6 @@ func BenchmarkAblationFeasibility(b *testing.B) {
 			engCfg.Feasibility = feasibility
 			benchPoint(b, evalgen.ExperimentConfig{
 				Tasks: 100, Hosts: 5, Seed: 1, Engine: &engCfg,
-			}, 8)
-		})
-	}
-}
-
-// BenchmarkAblationMarshal — running every message on the simulated
-// network through the binary wire codec (realistic serialization cost) vs
-// passing envelopes by value.
-func BenchmarkAblationMarshal(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "marshal-on"
-		if disable {
-			name = "marshal-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchPoint(b, evalgen.ExperimentConfig{
-				Tasks: 100, Hosts: 5, Seed: 1, DisableMarshal: disable,
 			}, 8)
 		})
 	}

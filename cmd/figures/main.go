@@ -33,7 +33,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		transport = flag.String("transport", "inmem", "substrate for figure 6: inmem (802.11g model) or tcp")
 		csvDir    = flag.String("csv", "", "directory to also write CSV files into")
-		fastsim   = flag.Bool("fastsim", false, "skip the binary wire codec on the simulated network (pass envelopes by value)")
 	)
 	flag.Parse()
 
@@ -49,17 +48,16 @@ func main() {
 		fmt.Printf("(figure %s regenerated in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	cfg := sweepConfig{runs: *runs, seed: *seed, csvDir: *csvDir, fastsim: *fastsim}
+	cfg := sweepConfig{runs: *runs, seed: *seed, csvDir: *csvDir}
 	run("4", func() error { return figure4(cfg) })
 	run("5", func() error { return figure5(cfg) })
 	run("6", func() error { return figure6(cfg, *transport) })
 }
 
 type sweepConfig struct {
-	runs    int
-	seed    int64
-	csvDir  string
-	fastsim bool
+	runs   int
+	seed   int64
+	csvDir string
 }
 
 func lengths(from, to, step int) []int {
@@ -77,12 +75,11 @@ func figure4(cfg sweepConfig) error {
 	for _, hosts := range []int{15, 10, 5, 4, 3, 2} {
 		name := fmt.Sprintf("%d host", hosts)
 		res, err := evalgen.RunExperiment(context.Background(), evalgen.ExperimentConfig{
-			Tasks:          100,
-			Hosts:          hosts,
-			PathLengths:    lengths(2, 22, 2),
-			Runs:           cfg.runs,
-			Seed:           cfg.seed,
-			DisableMarshal: cfg.fastsim,
+			Tasks:       100,
+			Hosts:       hosts,
+			PathLengths: lengths(2, 22, 2),
+			Runs:        cfg.runs,
+			Seed:        cfg.seed,
 		}, name)
 		if err != nil {
 			return err
@@ -101,12 +98,11 @@ func figure5(cfg sweepConfig) error {
 	for _, tasks := range []int{500, 250, 100, 50, 25} {
 		name := fmt.Sprintf("%d task", tasks)
 		res, err := evalgen.RunExperiment(context.Background(), evalgen.ExperimentConfig{
-			Tasks:          tasks,
-			Hosts:          2,
-			PathLengths:    lengths(2, 14, 2),
-			Runs:           cfg.runs,
-			Seed:           cfg.seed,
-			DisableMarshal: cfg.fastsim,
+			Tasks:       tasks,
+			Hosts:       2,
+			PathLengths: lengths(2, 14, 2),
+			Runs:        cfg.runs,
+			Seed:        cfg.seed,
 		}, name)
 		if err != nil {
 			return err

@@ -56,7 +56,7 @@ func run() error {
 		configPath = flag.String("config", "", "XML deployment configuration (required)")
 		initiator  = flag.String("initiator", "", "host that initiates workflows (required)")
 		listen     = flag.String("listen", ":8080", "HTTP listen address")
-		workers    = flag.Int("workers", 0, "concurrent Initiates (0 = host worker bound)")
+		workers    = flag.Int("workers", 0, fmt.Sprintf("concurrent Initiates (0 = %d, how many workflows every host serves at once)", engine.Workers))
 		backlogCap = flag.Int("backlog", 0, "per-class backlog capacity (0 = default)")
 		execute    = flag.Bool("execute", false, "execute each allocated workflow, not just plan it")
 		transport  = flag.String("transport", "inmem", "substrate: inmem or tcp")

@@ -13,7 +13,7 @@ import (
 // against the wall clock. Each has a clock.Clock counterpart (or, for
 // the constructors, an AfterFunc-based equivalent); calling them
 // directly desynchronizes the component from the injected clock and
-// silently breaks chaos replay and the sustained-load harness.
+// silently breaks chaos replay and the daemon soak.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Sleep":     true,

@@ -502,9 +502,15 @@ func TestParticipantLocatedServiceImposesLocation(t *testing.T) {
 }
 
 func TestParticipantBidWindowDefault(t *testing.T) {
-	p := NewParticipant(nil, service.NewManager(nil), schedule.NewManager(nil, nil, schedule.Preferences{}), 0)
-	if p.BidWindow() != DefaultBidWindow {
-		t.Errorf("BidWindow = %v", p.BidWindow())
+	sim := clock.NewSim(t0)
+	services := service.NewManager(sim)
+	if err := services.Register(sreg("t", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	p := NewParticipant(sim, services, schedule.NewManager(sim, nil, schedule.Preferences{}), 0)
+	b, ok := bidOne(t, p, "wf", meta("t"))
+	if !ok || !b.Deadline.Equal(t0.Add(DefaultBidWindow)) {
+		t.Errorf("bid = %+v (bid %v), want a deadline one default window away", b, ok)
 	}
 }
 

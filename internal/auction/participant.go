@@ -164,6 +164,3 @@ func (p *Participant) HandleCancel(workflow string, c proto.Cancel) {
 // returns how many schedule holds were released. No product caller; kept
 // for the frozen benchmark, goes with the [benchmark] re-baseline.
 func (p *Participant) ReleaseSession(workflow string) int { return p.sched.ReleaseWorkflow(workflow) }
-
-// BidWindow returns the configured bid window.
-func (p *Participant) BidWindow() time.Duration { return p.bidWindow }

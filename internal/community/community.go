@@ -49,9 +49,6 @@ type Options struct {
 	LinkModel inmem.LinkModel
 	// Seed seeds the network's randomness (jitter, loss).
 	Seed int64
-	// DisableMarshal skips the binary wire codec on the in-memory network
-	// (envelopes are passed by value) for maximum simulation throughput.
-	DisableMarshal bool
 	// StoreAndForward buffers messages across partitions on the
 	// in-memory network instead of losing them (delay-tolerant
 	// delivery; see inmem.WithStoreAndForward).
@@ -61,9 +58,6 @@ type Options struct {
 	Engine *engine.Config
 	// BidWindow overrides the participants' bid deadline window.
 	BidWindow time.Duration
-	// HostWorkers bounds each host's inbound-envelope worker pool (the
-	// per-workflow session dispatcher; default host.DefaultWorkers).
-	HostWorkers int
 	// Trace, when non-nil, records every message every host sends or
 	// receives (one shared recorder across the community).
 	Trace trace.Recorder
@@ -143,7 +137,6 @@ func New(opts Options, specs ...HostSpec) (*Community, error) {
 			Mobility:  mobility,
 			Prefs:     hs.Prefs,
 			BidWindow: opts.BidWindow,
-			Workers:   opts.HostWorkers,
 			Engine:    engCfg,
 			Fragments: hs.Fragments,
 			Services:  hs.Services,
@@ -163,7 +156,6 @@ func New(opts Options, specs ...HostSpec) (*Community, error) {
 		netOpts := []inmem.Option{
 			inmem.WithClock(clk),
 			inmem.WithSeed(opts.Seed),
-			inmem.WithMarshal(!opts.DisableMarshal),
 			inmem.WithStoreAndForward(opts.StoreAndForward),
 		}
 		if opts.LinkModel != nil {

@@ -14,8 +14,8 @@
 // Every server carries a metrics.Registry (exposed over HTTP by
 // cmd/openwfd) with the serving signals the ISSUE names: accepted /
 // rejected / completed / aborted Initiates, per-class backlog depth,
-// p50/p99/p999 Initiate latency, repair and replan counts, engine
-// session accounting, and the transport frame counters. Metric names are
+// p50/p99/p999 Initiate latency, repair and replan counts, the engine's
+// sessions in flight, and the transport frame counters. Metric names are
 // listed in DESIGN.md §11.
 package daemon
 
@@ -51,10 +51,9 @@ const DefaultBacklog = 64
 // Config tunes a Server.
 type Config struct {
 	// Workers bounds how many Initiates run concurrently. Zero means
-	// the initiator host's dispatcher worker bound (QueryWorkers) — the
-	// host's inbound concurrency becomes the admission input, so the
-	// daemon never multiplexes more sessions than the host is
-	// provisioned to serve.
+	// engine.Workers, the bound every host's dispatcher serves inbound
+	// workflows under, so the daemon never multiplexes more sessions than
+	// its initiator host handles at once.
 	Workers int
 	// Backlog is the per-priority-class queue capacity (default
 	// DefaultBacklog). A class at capacity rejects with
@@ -68,9 +67,6 @@ type Config struct {
 	// Triggers are the initial label transfers injected when Execute is
 	// set.
 	Triggers map[model.LabelID][]byte
-	// Registry receives the server's instruments. Nil means a fresh
-	// registry (read it back with Registry()).
-	Registry *metrics.Registry
 }
 
 // Request is one unit of admission: a problem specification plus the
@@ -132,11 +128,7 @@ type Server struct {
 // before any host exists: openwf_repairs_total and openwf_replans_total
 // count from the first workflow.
 func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...community.HostSpec) (*Server, error) {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	cfg.Registry = reg
+	reg := metrics.NewRegistry()
 	repairs := reg.Counter("openwf_repairs_total",
 		"Mid-execution plan repairs completed (engine Observer.Repaired).")
 	replans := reg.Counter("openwf_replans_total",
@@ -164,7 +156,7 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	if err != nil {
 		return nil, err
 	}
-	srv, err := newServer(comm, initiator, cfg, repairs, replans)
+	srv, err := newServer(comm, initiator, cfg, reg, repairs, replans)
 	if err != nil {
 		_ = comm.Close()
 		return nil, err
@@ -172,13 +164,13 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	return srv, nil
 }
 
-func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repairs, replans *metrics.Counter) (*Server, error) {
+func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg *metrics.Registry, repairs, replans *metrics.Counter) (*Server, error) {
 	h, ok := comm.Host(initiator)
 	if !ok {
 		return nil, fmt.Errorf("daemon: no host %q in community", initiator)
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = h.QueryWorkers()
+		cfg.Workers = engine.Workers
 	}
 	if cfg.Backlog <= 0 {
 		cfg.Backlog = DefaultBacklog
@@ -189,14 +181,13 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repa
 		initiator: initiator,
 		cfg:       cfg,
 		clk:       comm.Clock(),
-		reg:       cfg.Registry,
+		reg:       reg,
 		q:         backlog.New[*job](cfg.Backlog),
 		ctx:       ctx,
 		cancel:    cancel,
 		mRepairs:  repairs,
 		mReplans:  replans,
 	}
-	reg := s.reg
 	s.mAccepted = reg.Counter("openwf_initiates_accepted_total",
 		"Requests admitted to the backlog.")
 	s.mRejected = reg.Counter("openwf_initiates_rejected_total",
@@ -220,7 +211,7 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, repa
 		func() float64 { return float64(cfg.Workers) })
 	reg.GaugeFunc("openwf_sessions_active",
 		"Allocation sessions currently in flight on the initiator engine.",
-		func() float64 { return float64(h.Engine.SessionStats().Active) })
+		func() float64 { return float64(h.Engine.InFlight()) })
 	reg.GaugeFunc("openwf_holds",
 		"Firm-bid reservations on the community's calendars.",
 		func() float64 { return float64(comm.TotalHolds()) })

@@ -122,26 +122,32 @@ func TestDoManySequentialAndConcurrent(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
+	// Twelve requests against four workers and a 64-deep backlog are under
+	// capacity: admission sheds nothing, and the latency window has filled.
 	snap := srv.Snapshot()
-	if snap.Completed != n || snap.Accepted != n {
+	if snap.Completed != n || snap.Accepted != n || snap.Rejected != 0 {
 		t.Errorf("snapshot = %+v", snap)
+	}
+	if snap.LatencyP50 <= 0 || snap.LatencyP99 < snap.LatencyP50 {
+		t.Errorf("latency quantiles p50=%v p99=%v", snap.LatencyP50, snap.LatencyP99)
 	}
 }
 
-// TestAdmissionShedsTyped: a full class rejects with the typed error and
-// the rejection counter moves — never an unbounded queue.
+// TestAdmissionShedsTyped: a full class rejects with the typed error, every
+// rejection the server counts reached its submitter, and what was admitted
+// is still served — never an unbounded queue.
 func TestAdmissionShedsTyped(t *testing.T) {
 	srv := startChainServer(t, daemon.Config{Workers: 1, Backlog: 1})
 	// Stuff the worker and the queue: the worker takes one request,
 	// one more queues, the next must shed. A gate service isn't needed
 	// — submission is much faster than allocation — but tolerate the
 	// worker winning the race by submitting until a rejection shows.
-	var sawReject bool
-	for i := 0; i < 64 && !sawReject; i++ {
+	var rejected int64
+	for i := 0; i < 64 && rejected == 0; i++ {
 		err := srv.Submit(daemon.Request{Spec: chainRequest().Spec}, nil)
 		var rej *backlog.RejectedError
 		if errors.As(err, &rej) {
-			sawReject = true
+			rejected++
 			if rej.Class != backlog.Low || rej.Capacity != 1 {
 				t.Errorf("rejection = %+v", rej)
 			}
@@ -149,11 +155,19 @@ func TestAdmissionShedsTyped(t *testing.T) {
 			t.Fatalf("unexpected Submit error: %v", err)
 		}
 	}
-	if !sawReject {
+	if rejected == 0 {
 		t.Fatal("no typed rejection after 64 submissions into a 1-deep backlog")
 	}
-	if srv.Snapshot().Rejected == 0 {
-		t.Error("rejected counter never moved")
+	if got := srv.Snapshot().Rejected; got != rejected {
+		t.Errorf("server counted %d rejections, submitters saw %d", got, rejected)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srv.Snapshot(); snap.Completed == 0 || snap.Accepted != snap.Completed+snap.Aborted || snap.Backlog != 0 {
+		t.Errorf("overloaded server drained to %+v", snap)
 	}
 }
 
@@ -191,7 +205,7 @@ func TestDrainFinishesAdmittedWork(t *testing.T) {
 		}
 	}
 	snap := srv.Snapshot()
-	if snap.Completed != n || snap.Backlog != 0 {
+	if snap.Completed != n || snap.Backlog != 0 || snap.Accepted != snap.Completed+snap.Aborted {
 		t.Errorf("post-drain snapshot = %+v", snap)
 	}
 	if srv.Community().TotalHolds() != 0 {
@@ -372,7 +386,7 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 	// Four sessions at a time want the one provider's calendar: give a
 	// session that lost its windows more later bands to retry into.
 	cfg.WindowRetries = 8
-	srv, err := daemon.Start(community.Options{Clock: sim, Engine: cfg, DisableMarshal: true},
+	srv, err := daemon.Start(community.Options{Clock: sim, Engine: cfg},
 		"init", daemon.Config{
 			Workers: clients, Execute: true,
 			Triggers: map[model.LabelID][]byte{"a": []byte("go")},
@@ -394,7 +408,7 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 	peer, _ := comm.Host("peer")
 	quiet := func() bool {
 		net := comm.Network()
-		return initiator.Engine.SessionStats().Active == 0 &&
+		return initiator.Engine.InFlight() == 0 &&
 			net.Messages() == net.Delivered()+net.Dropped() &&
 			initiator.ActiveSessions() == 0 && peer.ActiveSessions() == 0
 	}

@@ -82,11 +82,6 @@ type Observer struct {
 	// lists the executors declared failed, reallocated the tasks that
 	// were re-auctioned onto surviving hosts.
 	Repaired func(workflowID string, dead []proto.Addr, reallocated []model.TaskID)
-	// SessionDone fires when an allocation session ends (Initiate,
-	// InitiateBatch, or AllocateWorkflow): err is nil on a fully
-	// allocated plan, the session's failure otherwise. This is the hook
-	// the daemon's completed/aborted counters hang off.
-	SessionDone func(workflowID string, err error)
 }
 
 // constructionDone invokes the callback when set.
@@ -114,13 +109,6 @@ func (o Observer) replanned(wfID string, attempt int, excluded []model.TaskID) {
 func (o Observer) repaired(wfID string, dead []proto.Addr, reallocated []model.TaskID) {
 	if o.Repaired != nil {
 		o.Repaired(wfID, dead, reallocated)
-	}
-}
-
-// sessionDone invokes the callback when set.
-func (o Observer) sessionDone(wfID string, err error) {
-	if o.SessionDone != nil {
-		o.SessionDone(wfID, err)
 	}
 }
 
@@ -228,13 +216,10 @@ type Manager struct {
 	mu         sync.Mutex
 	seq        int
 	executions map[string]*execution
-	allocs     map[string]*allocSession
 
-	// Session accounting (see SessionStats): lifetime counters the
-	// daemon's metrics registry reads without locking the engine.
-	sessStarted   atomic.Int64
-	sessCompleted atomic.Int64
-	sessFailed    atomic.Int64
+	// inFlight counts the allocation sessions between newSession and
+	// endSession (see InFlight).
+	inFlight atomic.Int64
 }
 
 // execution tracks an in-flight Execute call on the initiator.
@@ -281,12 +266,8 @@ func NewManager(net Messenger, cfg Config) *Manager {
 	return &Manager{
 		net: net, cfg: cfg, idx: idx,
 		executions: make(map[string]*execution),
-		allocs:     make(map[string]*allocSession),
 	}
 }
-
-// Config returns the engine configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Initiate runs the full construction-and-allocation pipeline for a new
 // problem specification and returns the allocated plan. This is the
@@ -300,10 +281,8 @@ func (m *Manager) Initiate(ctx context.Context, s spec.Spec) (*Plan, error) {
 		return nil, err
 	}
 	sess := m.newSession(s)
-	defer m.endSession(sess)
-	plan, err := sess.run(ctx)
-	m.noteSessionDone(sess, err)
-	return plan, err
+	defer m.endSession()
+	return sess.run(ctx)
 }
 
 // AllocateWorkflow allocates a pre-specified workflow without any
@@ -317,17 +296,15 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 		return nil, fmt.Errorf("empty workflow")
 	}
 	sess := m.newSession(s)
-	defer m.endSession(sess)
+	defer m.endSession()
 	res := &core.Result{Workflow: w}
-	plan, err := m.notFromMemory(func() (*Plan, error) {
+	return m.notFromMemory(func() (*Plan, error) {
 		plan, failed, err := sess.allocateWithRetries(ctx, res)
 		if err == nil && len(failed) > 0 {
 			plan, err = nil, fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
 		}
 		return plan, err
 	})
-	m.noteSessionDone(sess, err)
-	return plan, err
 }
 
 // communityView is one construction's window on the community's knowhow
@@ -397,10 +374,6 @@ type memberReply struct {
 	body proto.Body
 }
 
-// defaultQueryWorkers bounds in-flight parallel queries when the
-// messenger does not expose its own worker count.
-const defaultQueryWorkers = 8
-
 // route is the one routing step behind every community sweep: it returns
 // the members of candidates (nil = the full community view) worth sending
 // a fragment query for labels or — labels nil — a call for bids for tasks,
@@ -436,88 +409,64 @@ func rotate(members []proto.Addr, by int) []proto.Addr {
 	return append(append(make([]proto.Addr, 0, n), members[by:]...), members[:by]...)
 }
 
-// queryWorkerCounter is implemented by messengers (internal/host) that
-// know how many inbound envelopes they can usefully have in flight; the
-// engine matches its outbound parallel-query fan-out to it.
-type queryWorkerCounter interface {
-	QueryWorkers() int
-}
+// Workers is how much one host does at once: how many workflows' inbound
+// envelopes its dispatcher handles concurrently (internal/host), how many
+// community queries a ParallelQuery sweep keeps in flight — a host never has
+// more out than it could itself serve inbound — and how many Initiates a
+// daemon runs when its configuration does not say (internal/daemon). Session
+// work waits on auctions, schedules and peers rather than on the CPU, so the
+// value is deliberately larger than typical core counts.
+const Workers = 8
 
-// queryConcurrency returns the in-flight bound for parallel community
-// queries: the host's worker count when the messenger exposes one,
-// defaultQueryWorkers otherwise, and never more than the community size.
-func (m *Manager) queryConcurrency(members int) int {
-	bound := defaultQueryWorkers
-	if wc, ok := m.net.(queryWorkerCounter); ok {
-		if n := wc.QueryWorkers(); n > 0 {
-			bound = n
-		}
-	}
-	if bound > members {
-		bound = members
-	}
-	return bound
-}
-
-// queryMembers sends one query to every listed member (nil means the
-// full community view; plan repair queries only the survivors) and
-// gathers the replies — pairwise in turn by default, or concurrently with
-// ParallelQuery. Parallel mode bounds in-flight Calls by the host's
-// worker count (a 64-member community does not spawn 64 goroutines;
-// workers adopt the next member as each call completes). Unreachable
+// queryMembers sends one query to every listed member (nil means the full
+// community view; plan repair queries only the survivors) and returns the
+// replies in member order. One loop asks: without ParallelQuery the caller
+// runs it alone, pairwise in turn; with it up to Workers goroutines — the
+// caller is the first — share it, each adopting the next member as its call
+// completes (a 64-member community does not spawn 64 goroutines). Unreachable
 // members are skipped; their knowledge and capabilities are simply
 // unavailable to this construction. Context cancellation aborts the round
 // and is returned (a canceled requester must not mistake "no replies" for
 // "no knowledge").
 func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Body, members []proto.Addr) ([]memberReply, error) {
 	members = m.community(members)
-	if !m.cfg.ParallelQuery {
-		replies := make([]memberReply, 0, len(members))
-		for _, member := range members {
-			reply, err := m.net.Call(ctx, member, wfID, query, m.cfg.CallTimeout)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				continue
-			}
-			replies = append(replies, memberReply{from: member, body: reply})
-		}
-		return replies, nil
+	bound := 1
+	if m.cfg.ParallelQuery {
+		bound = min(Workers, len(members))
 	}
-	results := make([]memberReply, len(members))
-	errs := make([]error, len(members))
+	replies := make([]memberReply, len(members))
 	var next atomic.Int64
+	ask := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(members) {
+				return
+			}
+			if body, err := m.net.Call(ctx, members[i], wfID, query, m.cfg.CallTimeout); err == nil {
+				replies[i] = memberReply{from: members[i], body: body}
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := m.queryConcurrency(len(members)); w > 0; w-- {
+	for w := 1; w < bound; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(members) || ctx.Err() != nil {
-					return
-				}
-				reply, err := m.net.Call(ctx, members[i], wfID, query, m.cfg.CallTimeout)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = memberReply{from: members[i], body: reply}
-			}
+			ask()
 		}()
 	}
+	ask()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	replies := make([]memberReply, 0, len(members))
-	for i := range results {
-		if errs[i] == nil && results[i].body != nil {
-			replies = append(replies, results[i])
+	answered := replies[:0]
+	for _, r := range replies {
+		if r.body != nil {
+			answered = append(answered, r)
 		}
 	}
-	return replies, nil
+	return answered, nil
 }
 
 // fullCollection is the knowledge source of the ablation that gathers the

@@ -1040,7 +1040,7 @@ func TestInitiateBatchConcurrentSessions(t *testing.T) {
 			t.Errorf("plan %d WorkflowID = %q, want %q", i, p.WorkflowID, want)
 		}
 	}
-	if got := m.SessionStats().Active; got != 0 {
+	if got := m.InFlight(); got != 0 {
 		t.Errorf("active sessions after settle = %d", got)
 	}
 }
@@ -1063,7 +1063,7 @@ func TestInitiateBatchPartialFailure(t *testing.T) {
 }
 
 // TestActiveAllocationsDuringSession: a session in flight is visible in
-// SessionStats and gone after it settles.
+// InFlight and gone after it settles.
 func TestActiveAllocationsDuringSession(t *testing.T) {
 	net := slowBidNet(t)
 	cfg := testConfig()
@@ -1076,7 +1076,7 @@ func TestActiveAllocationsDuringSession(t *testing.T) {
 		_, _ = m.Initiate(ctx, spec.Must(lbl("a"), lbl("g")))
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for m.SessionStats().Active == 0 {
+	for m.InFlight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never became visible")
 		}
@@ -1084,7 +1084,7 @@ func TestActiveAllocationsDuringSession(t *testing.T) {
 	}
 	cancel()
 	<-done
-	if got := m.SessionStats().Active; got != 0 {
+	if got := m.InFlight(); got != 0 {
 		t.Errorf("active sessions after cancel = %d", got)
 	}
 }
@@ -1162,7 +1162,7 @@ func TestLostAwardAckSendsCancelWhileConcurrentSession(t *testing.T) {
 	if stillBlocked != 1 {
 		t.Fatalf("second session no longer mid-auction (blocked=%d); the sweep disturbed it", stillBlocked)
 	}
-	if got := m.SessionStats().Active; got != 1 {
+	if got := m.InFlight(); got != 1 {
 		t.Fatalf("active sessions = %d, want the blocked session only", got)
 	}
 
@@ -1189,29 +1189,32 @@ func TestInitiateBatchInvalidSpecLeavesNoSessions(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with an invalid spec accepted")
 	}
-	if got := m.SessionStats().Active; got != 0 {
+	if got := m.InFlight(); got != 0 {
 		t.Fatalf("active sessions = %d after aborted batch, want none", got)
 	}
 }
 
-// boundedNet wraps fakeNet to expose a worker count (as internal/host
-// does) and track the peak number of in-flight Calls.
+// boundedNet wraps fakeNet to track the peak number of in-flight Calls and,
+// when cancelAt is set, to cancel the round as its cancelAt-th Call starts.
 type boundedNet struct {
 	*fakeNet
-	workers int
 
 	cmu      sync.Mutex
 	inflight int
 	peak     int
+	started  int
+	cancelAt int
+	cancel   context.CancelFunc
 }
-
-func (b *boundedNet) QueryWorkers() int { return b.workers }
 
 func (b *boundedNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	b.cmu.Lock()
 	b.inflight++
 	if b.inflight > b.peak {
 		b.peak = b.inflight
+	}
+	if b.started++; b.started == b.cancelAt {
+		b.cancel()
 	}
 	b.cmu.Unlock()
 	// Hold the call open briefly so concurrent workers overlap and the
@@ -1225,36 +1228,78 @@ func (b *boundedNet) Call(ctx context.Context, to proto.Addr, workflow string, b
 	return b.fakeNet.Call(ctx, to, workflow, body, timeout)
 }
 
-// TestParallelQueryBoundedByWorkerCount: with 64 members and a host
-// worker bound of 8, a parallel query round keeps at most 8 Calls in
-// flight yet still reaches every member.
+// TestParallelQueryBoundedByWorkerCount drives the one query loop at both of
+// its bounds over 64 members, one of them unreachable: alone on the caller's
+// goroutine (ParallelQuery off) and shared by Workers goroutines (on). Either
+// way the round reaches every member, returns the replies in member order
+// without the unreachable one, and never has more Calls in flight than its
+// bound; a context canceled mid-round is returned and leaves no goroutine.
 func TestParallelQueryBoundedByWorkerCount(t *testing.T) {
-	inner := newFakeNet("init")
-	for i := 0; i < 64; i++ {
-		addr := proto.Addr(fmt.Sprintf("m%02d", i))
-		inner.add(addr, &fakeMember{
-			fragments: []*model.Fragment{mkFrag(t, fmt.Sprintf("f%02d", i), "a", "g")},
+	for _, bound := range []int{1, Workers} {
+		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			inner := newFakeNet("init")
+			var want []string
+			for i := 0; i < 64; i++ {
+				addr := proto.Addr(fmt.Sprintf("m%02d", i))
+				frag := fmt.Sprintf("f%02d", i)
+				inner.add(addr, &fakeMember{
+					fragments: []*model.Fragment{mkFrag(t, frag, "a", "g")},
+				})
+				if i != 7 {
+					want = append(want, string(addr)+":"+frag)
+				}
+			}
+			inner.setDown("m07")
+			net := &boundedNet{fakeNet: inner}
+			cfg := testConfig()
+			cfg.ParallelQuery = bound > 1
+			m := NewManager(net, cfg)
+			query := proto.FragmentQuery{Labels: lbl("a")}
+
+			replies, err := m.queryMembers(context.Background(), "wf", query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, r := range replies {
+				fr, ok := r.body.(proto.FragmentReply)
+				if !ok || len(fr.Fragments) != 1 {
+					t.Fatalf("reply from %q = %#v", r.from, r.body)
+				}
+				got = append(got, string(r.from)+":"+fr.Fragments[0].Name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("replies = %v\nwant every reachable member once, in member order: %v", got, want)
+			}
+			net.cmu.Lock()
+			peak, started := net.peak, net.started
+			net.cmu.Unlock()
+			if started != 64 {
+				t.Errorf("round made %d calls, want one per member (64)", started)
+			}
+			if peak > bound {
+				t.Errorf("peak in-flight calls = %d, want ≤ %d", peak, bound)
+			}
+			if bound > 1 && peak < 2 {
+				t.Errorf("peak in-flight calls = %d; the round never actually overlapped", peak)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			net.cmu.Lock()
+			net.started, net.cancelAt, net.cancel = 0, 10, cancel
+			net.cmu.Unlock()
+			if _, err := m.queryMembers(ctx, "wf", query, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("round canceled at its tenth call returned %v, want context.Canceled", err)
+			}
+			net.cmu.Lock()
+			started = net.started
+			net.cmu.Unlock()
+			if started >= 64 {
+				t.Errorf("canceled round still made %d calls", started)
+			}
 		})
-	}
-	net := &boundedNet{fakeNet: inner, workers: 8}
-	cfg := testConfig()
-	cfg.ParallelQuery = true
-	m := NewManager(net, cfg)
-	replies, err := m.queryMembers(context.Background(), "wf", proto.FragmentQuery{Labels: lbl("a")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replies) != 64 {
-		t.Fatalf("replies = %d, want 64", len(replies))
-	}
-	net.cmu.Lock()
-	peak := net.peak
-	net.cmu.Unlock()
-	if peak > 8 {
-		t.Fatalf("peak in-flight calls = %d, want ≤ 8 (the worker bound)", peak)
-	}
-	if peak < 2 {
-		t.Fatalf("peak in-flight calls = %d; the round never actually overlapped", peak)
 	}
 }
 
@@ -1300,29 +1345,13 @@ func TestProtocolViolationMidSweepCompensatesAwards(t *testing.T) {
 	t.Fatalf("confirmed award t1 never canceled after mid-sweep abort; sent = %v", net.sent)
 }
 
-// TestSessionStatsAndSessionDone pins the engine's session accounting
-// (the daemon's completed/aborted counters read it): Started counts every
-// minted session, Completed/Failed partition the outcomes, and the
-// SessionDone observer fires once per session with the matching error.
-func TestSessionStatsAndSessionDone(t *testing.T) {
-	net := chainNet(t)
-	cfg := testConfig()
-	var mu sync.Mutex
-	var done, failed int
-	cfg.Observer.SessionDone = func(wfID string, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if err != nil {
-			failed++
-		}
-		if wfID == "" {
-			t.Error("SessionDone with empty workflow ID")
-		}
-	}
-	m := NewManager(net, cfg)
-	if st := m.SessionStats(); st != (SessionStats{}) {
-		t.Fatalf("fresh engine SessionStats = %+v", st)
+// TestInFlightZeroAfterEveryOutcome pins the engine's one session count (the
+// daemon's openwf_sessions_active gauge reads it): a session that succeeds
+// and one that fails both leave it, and a validation error never mints one.
+func TestInFlightZeroAfterEveryOutcome(t *testing.T) {
+	m := NewManager(chainNet(t), testConfig())
+	if got := m.InFlight(); got != 0 {
+		t.Fatalf("fresh engine InFlight = %d", got)
 	}
 	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
 		t.Fatal(err)
@@ -1330,17 +1359,10 @@ func TestSessionStatsAndSessionDone(t *testing.T) {
 	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("unreachable"))); err == nil {
 		t.Fatal("Initiate with unknown goal succeeded")
 	}
-	// A validation error never mints a session and must not count.
 	if _, err := m.Initiate(context.Background(), spec.Spec{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	want := SessionStats{Started: 2, Completed: 1, Failed: 1, Active: 0}
-	if st := m.SessionStats(); st != want {
-		t.Errorf("SessionStats = %+v, want %+v", st, want)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if done != 2 || failed != 1 {
-		t.Errorf("SessionDone fired %d times (%d failed), want 2 (1 failed)", done, failed)
+	if got := m.InFlight(); got != 0 {
+		t.Errorf("InFlight = %d after one completed and one failed session, want 0", got)
 	}
 }

@@ -40,7 +40,7 @@ type allocSession struct {
 	attempt int
 }
 
-// newSession mints a workflow ID and registers the session. IDs are
+// newSession mints a workflow ID and counts the session in flight. IDs are
 // assigned in call order, so callers that pre-create sessions before
 // launching goroutines (InitiateBatch) get reproducible IDs.
 func (m *Manager) newSession(s spec.Spec) *allocSession {
@@ -48,53 +48,17 @@ func (m *Manager) newSession(s spec.Spec) *allocSession {
 	m.mu.Lock()
 	m.seq++
 	sess.ordinal, sess.wfID = m.seq, string(m.net.Self())+"/"+strconv.Itoa(m.seq)
-	m.allocs[sess.wfID] = sess
 	m.mu.Unlock()
-	m.sessStarted.Add(1)
+	m.inFlight.Add(1)
 	return sess
 }
 
-// endSession deregisters a finished session.
-func (m *Manager) endSession(sess *allocSession) {
-	m.mu.Lock()
-	delete(m.allocs, sess.wfID)
-	m.mu.Unlock()
-}
+// endSession ends a session newSession began.
+func (m *Manager) endSession() { m.inFlight.Add(-1) }
 
-// noteSessionDone records a session's outcome in the lifetime counters
-// and fires the SessionDone observer hook.
-func (m *Manager) noteSessionDone(sess *allocSession, err error) {
-	if err == nil {
-		m.sessCompleted.Add(1)
-	} else {
-		m.sessFailed.Add(1)
-	}
-	m.cfg.Observer.sessionDone(sess.wfID, err)
-}
-
-// SessionStats is a snapshot of the engine's allocation-session
-// accounting: lifetime Started/Completed/Failed counts plus the sessions
-// currently in flight. Started = Completed + Failed + Active once the
-// engine is quiescent.
-type SessionStats struct {
-	Started   int64
-	Completed int64
-	Failed    int64
-	Active    int64
-}
-
-// SessionStats returns the current session accounting.
-func (m *Manager) SessionStats() SessionStats {
-	m.mu.Lock()
-	active := int64(len(m.allocs))
-	m.mu.Unlock()
-	return SessionStats{
-		Started:   m.sessStarted.Load(),
-		Completed: m.sessCompleted.Load(),
-		Failed:    m.sessFailed.Load(),
-		Active:    active,
-	}
-}
+// InFlight returns how many allocation sessions (Initiate, InitiateBatch,
+// AllocateWorkflow) are running on this engine right now.
+func (m *Manager) InFlight() int { return int(m.inFlight.Load()) }
 
 // notFromMemory runs a session's work and, should it fail for want of a
 // solution or of providers after routing on what members said before it
@@ -238,9 +202,8 @@ func (m *Manager) InitiateBatch(ctx context.Context, specs []spec.Spec) ([]*Plan
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer m.endSession(sessions[i])
+			defer m.endSession()
 			plans[i], errs[i] = sessions[i].run(ctx)
-			m.noteSessionDone(sessions[i], errs[i])
 		}(i)
 	}
 	wg.Wait()

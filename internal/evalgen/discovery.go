@@ -88,10 +88,9 @@ func DiscoverySetup(ctx context.Context, hosts, providers, chain int, advertiser
 	engCfg := EvalEngineConfig()
 	engCfg.ParallelQuery = true
 	opts := community.Options{
-		Clock:          clock.NewSim(discoveryT0),
-		Seed:           seed,
-		DisableMarshal: true,
-		Engine:         &engCfg,
+		Clock:  clock.NewSim(discoveryT0),
+		Seed:   seed,
+		Engine: &engCfg,
 	}
 	if advertiser {
 		opts.Discovery = &host.DiscoveryConfig{}

@@ -35,9 +35,6 @@ type ExperimentConfig struct {
 	// LinkModel adds a latency model to the in-memory network (e.g. the
 	// 802.11g model for the empirical configuration).
 	LinkModel inmem.LinkModel
-	// DisableMarshal skips the binary wire codec on the in-memory
-	// network: envelopes are passed by value.
-	DisableMarshal bool
 	// Engine overrides the per-host engine configuration.
 	Engine *engine.Config
 }
@@ -198,11 +195,10 @@ func build(cfg ExperimentConfig, frags [][]*model.Fragment, svcs [][]service.Reg
 		specs[i] = community.HostSpec{ID: addrs[i], Fragments: frags[i], Services: svcs[i]}
 	}
 	comm, err := community.New(community.Options{
-		Transport:      cfg.Transport,
-		LinkModel:      cfg.LinkModel,
-		Seed:           cfg.Seed,
-		DisableMarshal: cfg.DisableMarshal,
-		Engine:         &engCfg,
+		Transport: cfg.Transport,
+		LinkModel: cfg.LinkModel,
+		Seed:      cfg.Seed,
+		Engine:    &engCfg,
 	}, specs...)
 	if err != nil {
 		return nil, nil, err
@@ -250,7 +246,9 @@ func ConcurrentInitiateSetup(hosts, poolSize int) (*community.Community, []proto
 // Wireless80211g returns the link model used for the empirical (Figure 6)
 // configuration: 802.11g at 54 Mbit/s with a 0.5 ms per-hop base latency
 // (DIFS/SIFS/ACK overhead plus contention backoff) and 0.2 ms jitter —
-// typical single-hop ad hoc figures for small control frames.
+// typical single-hop ad hoc figures for small control frames. These three
+// numbers are written here and nowhere else; openwf.Wireless80211g returns
+// this model.
 func Wireless80211g() inmem.LinkModel {
 	return inmem.Wireless(500*time.Microsecond, 200*time.Microsecond, 54e6)
 }

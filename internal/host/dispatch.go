@@ -6,12 +6,6 @@ import (
 	"openwf/internal/proto"
 )
 
-// DefaultWorkers is the dispatcher's worker-pool bound when the host
-// configuration does not set one. Session work is latency-bound (waiting
-// on auctions, schedules, and peers), not CPU-bound, so the default is
-// deliberately larger than typical core counts.
-const DefaultWorkers = 8
-
 // sessionQueue is the pending inbound traffic of one workflow session on
 // this host. Envelopes of one workflow are processed strictly in arrival
 // order (the per-link FIFO guarantee extends through the dispatcher);
@@ -49,9 +43,6 @@ type dispatcher struct {
 }
 
 func newDispatcher(process func(proto.Envelope), workers int) *dispatcher {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
 	return &dispatcher{
 		process:  process,
 		workers:  workers,

@@ -47,12 +47,6 @@ type Config struct {
 	// Engine configures this host's workflow engine (used when the host
 	// initiates workflows).
 	Engine engine.Config
-	// Workers bounds how many inbound envelopes the host handles
-	// concurrently (the dispatcher's worker pool; default
-	// DefaultWorkers). Envelopes of one workflow are always handled
-	// sequentially in arrival order; the bound caps cross-workflow
-	// parallelism.
-	Workers int
 	// Fragments is the host's initial knowhow.
 	Fragments []*model.Fragment
 	// Services are the host's initial capabilities.
@@ -164,7 +158,7 @@ func New(cfg Config) (*Host, error) {
 	}
 	h.index = discovery.New(clk, ttl)
 	h.Engine = engine.NewManager(h, cfg.Engine)
-	h.dispatch = newDispatcher(h.process, cfg.Workers)
+	h.dispatch = newDispatcher(h.process, engine.Workers)
 
 	for _, f := range cfg.Fragments {
 		if err := h.Fragments.Add(f); err != nil {
@@ -240,11 +234,6 @@ func (h *Host) Self() proto.Addr { return h.addr }
 
 // Clock implements engine.Messenger.
 func (h *Host) Clock() clock.Clock { return h.clk }
-
-// QueryWorkers returns the host's dispatcher worker bound. The engine
-// matches its outbound parallel-query fan-out to it, so a host never has
-// more community queries in flight than it could itself serve inbound.
-func (h *Host) QueryWorkers() int { return h.dispatch.workers }
 
 // Members implements engine.Messenger.
 func (h *Host) Members() []proto.Addr {
@@ -338,7 +327,7 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 // Handle is the host's transport handler. Correlated replies are routed
 // straight to their waiting Call (a non-blocking channel send); every
 // other envelope is dispatched to its workflow's session worker, so the
-// traffic of N concurrent workflows is handled by up to Config.Workers
+// traffic of N concurrent workflows is handled by up to engine.Workers
 // goroutines at once while each single workflow still sees its messages
 // strictly in arrival order. The transport may keep invoking Handle
 // sequentially (the in-memory network's endpoint pump does); the

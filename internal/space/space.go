@@ -8,7 +8,6 @@ package space
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -129,78 +128,4 @@ func (m *Mover) Travel(start time.Time, dest Point) {
 	m.origin = m.positionLocked(start)
 	m.dest = dest
 	m.departure = start
-}
-
-// Region is an axis-aligned rectangle used to generate random positions.
-type Region struct {
-	Min, Max Point
-}
-
-// RandomPoint returns a uniformly random point in the region.
-func (r Region) RandomPoint(rng *rand.Rand) Point {
-	return Point{
-		X: r.Min.X + rng.Float64()*(r.Max.X-r.Min.X),
-		Y: r.Min.Y + rng.Float64()*(r.Max.Y-r.Min.Y),
-	}
-}
-
-// Contains reports whether p lies within the region (inclusive).
-func (r Region) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// RandomWaypoint implements the classical random-waypoint mobility model:
-// the host repeatedly picks a uniformly random destination in a region and
-// travels to it at its configured speed. Advancing is driven by calls to
-// Step, keeping the model deterministic under a simulated clock.
-type RandomWaypoint struct {
-	mu     sync.Mutex
-	mover  *Mover
-	region Region
-	rng    *rand.Rand
-	target Point
-	eta    time.Time
-}
-
-var _ Mobility = (*RandomWaypoint)(nil)
-
-// NewRandomWaypoint returns a random-waypoint mobility starting at start.
-func NewRandomWaypoint(start Point, speed float64, region Region, rng *rand.Rand) *RandomWaypoint {
-	return &RandomWaypoint{
-		mover:  NewMover(start, speed),
-		region: region,
-		rng:    rng,
-		target: start,
-	}
-}
-
-// Step advances the model to the given time, choosing a new waypoint when
-// the previous one has been reached. Call it periodically (for instance
-// from a simulation loop) before querying Position.
-func (w *RandomWaypoint) Step(now time.Time) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if now.Before(w.eta) {
-		return
-	}
-	next := w.region.RandomPoint(w.rng)
-	w.mover.Travel(now, next)
-	w.target = next
-	w.eta = now.Add(TravelTime(w.mover.Position(now), next, w.mover.Speed()))
-}
-
-// Position implements Mobility.
-func (w *RandomWaypoint) Position(now time.Time) Point { return w.mover.Position(now) }
-
-// Speed implements Mobility.
-func (w *RandomWaypoint) Speed() float64 { return w.mover.Speed() }
-
-// Travel implements Mobility: an explicit journey overrides the waypoint
-// wander until the destination is reached.
-func (w *RandomWaypoint) Travel(start time.Time, dest Point) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mover.Travel(start, dest)
-	w.target = dest
-	w.eta = start.Add(TravelTime(w.mover.Position(start), dest, w.mover.Speed()))
 }

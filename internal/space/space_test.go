@@ -2,7 +2,6 @@ package space
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,54 +92,6 @@ func TestMoverReroute(t *testing.T) {
 	got := m.Position(mid.Add(5 * time.Second))
 	if math.Abs(got.X) > 1e-9 {
 		t.Errorf("after reroute Position = %v, want origin", got)
-	}
-}
-
-func TestRegion(t *testing.T) {
-	r := Region{Min: Point{0, 0}, Max: Point{10, 10}}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		p := r.RandomPoint(rng)
-		if !r.Contains(p) {
-			t.Fatalf("RandomPoint %v outside region", p)
-		}
-	}
-	if r.Contains(Point{-1, 5}) {
-		t.Error("Contains outside point")
-	}
-}
-
-func TestRandomWaypoint(t *testing.T) {
-	r := Region{Min: Point{0, 0}, Max: Point{100, 100}}
-	rng := rand.New(rand.NewSource(7))
-	w := NewRandomWaypoint(Point{50, 50}, 10, r, rng)
-	now := time.Unix(0, 0)
-	if w.Speed() != 10 {
-		t.Errorf("Speed = %v", w.Speed())
-	}
-	// Step repeatedly; position must stay in region and eventually move.
-	moved := false
-	prev := w.Position(now)
-	for i := 0; i < 200; i++ {
-		now = now.Add(time.Second)
-		w.Step(now)
-		p := w.Position(now)
-		if !r.Contains(p) {
-			t.Fatalf("position %v left region", p)
-		}
-		if p != prev {
-			moved = true
-		}
-		prev = p
-	}
-	if !moved {
-		t.Error("random waypoint never moved")
-	}
-	// Explicit travel overrides wandering.
-	w.Travel(now, Point{0, 0})
-	arrive := now.Add(TravelTime(w.Position(now), Point{0, 0}, 10) + time.Second)
-	if got := w.Position(arrive); !Near(got, Point{0, 0}, 1e-6) {
-		t.Errorf("after explicit travel Position = %v, want origin", got)
 	}
 }
 

@@ -7,9 +7,8 @@
 //	W.in ⊆ ι  ∧  W.out = ω
 //
 // where ι are the triggering-condition labels and ω the goal labels. Spec
-// captures that form; Predicate captures the general form; Constraints
-// layers the paper's §5.1 "richer specification" extensions (bounds on the
-// workflow graph) on top.
+// captures that form; Constraints layers the paper's §5.1 "richer
+// specification" extensions (bounds on the workflow graph) on top.
 package spec
 
 import (
@@ -141,10 +140,6 @@ func joinLabels(ls []model.LabelID) string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// Predicate is the general specification form of §2.2: an arbitrary
-// predicate over (inset, outset). Spec.Evaluate is one such predicate.
-type Predicate func(in, out []model.LabelID) bool
 
 // Constraints extends a base specification with the richer forms sketched
 // in §5.1: bounds on the workflow graph and task exclusions. The

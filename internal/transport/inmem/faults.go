@@ -37,7 +37,7 @@ func (n *Network) Crash(addr proto.Addr) {
 	}
 	n.mu.Unlock()
 	for _, d := range purged {
-		n.lost(d.env)
+		n.lost(d)
 	}
 }
 

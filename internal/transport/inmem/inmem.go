@@ -36,9 +36,8 @@ import (
 
 // LinkModel computes the behavior of one message on a directed link:
 // the delivery latency and whether the medium drops the message. size is
-// the encoded message size in bytes (0 when marshaling is disabled). The
-// model is called with the network's lock held and its link's own random
-// source; it must not block.
+// the encoded message size in bytes. The model is called with the
+// network's lock held and its link's own random source; it must not block.
 type LinkModel func(from, to proto.Addr, size int, rng *rand.Rand) (latency time.Duration, drop bool)
 
 // FixedLatency returns a LinkModel with constant latency and no loss.
@@ -53,8 +52,8 @@ func FixedLatency(d time.Duration) LinkModel {
 // given bandwidth, plus uniform jitter in [0, jitter).
 //
 // The paper's empirical configuration used 802.11g at 54 Mbit/s;
-// Wireless(1200*time.Microsecond, 400*time.Microsecond, 54e6) approximates
-// the per-hop behavior of that medium for small control messages.
+// evalgen.Wireless80211g is that medium for small control messages:
+// Wireless(500*time.Microsecond, 200*time.Microsecond, 54e6).
 func Wireless(base, jitter time.Duration, bandwidthBps float64) LinkModel {
 	return func(_, _ proto.Addr, size int, rng *rand.Rand) (time.Duration, bool) {
 		lat := base
@@ -77,12 +76,6 @@ func WithClock(c clock.Clock) Option { return func(n *Network) { n.clock = c } }
 // WithLinkModel sets the latency/loss model (default: instantaneous,
 // lossless delivery).
 func WithLinkModel(m LinkModel) Option { return func(n *Network) { n.model = m } }
-
-// WithMarshal controls whether envelopes are wire-encoded on send and
-// decoded on delivery (default true). Marshaling isolates endpoints from
-// shared mutable state and charges realistic serialization cost; disabling
-// it passes envelopes by value for maximum simulation throughput.
-func WithMarshal(enabled bool) Option { return func(n *Network) { n.marshal = enabled } }
 
 // WithSeed seeds the network's randomness (jitter, loss). Each directed
 // link derives its own independent source from this seed and the link's
@@ -119,7 +112,6 @@ type linkState struct {
 type Network struct {
 	clock           clock.Clock
 	model           LinkModel
-	marshal         bool
 	seed            int64
 	storeAndForward bool
 
@@ -183,7 +175,6 @@ type linkKey struct{ from, to proto.Addr }
 func NewNetwork(opts ...Option) *Network {
 	n := &Network{
 		clock:     clock.New(),
-		marshal:   true,
 		seed:      1,
 		endpoints: make(map[proto.Addr]*endpoint),
 		links:     make(map[linkKey]*linkState),
@@ -279,7 +270,7 @@ func (n *Network) flushStoredLocked() {
 		}
 		for _, d := range msgs {
 			if !target.box.push(d) {
-				n.lost(d.env)
+				n.lost(d)
 			}
 		}
 		delete(n.stored, k)
@@ -296,8 +287,7 @@ func (n *Network) Delivered() int64 { return n.delivered.Load() }
 // missing/closed recipient).
 func (n *Network) Dropped() int64 { return n.dropped.Load() }
 
-// Bytes returns the total encoded payload bytes transmitted (0 when
-// marshaling is disabled).
+// Bytes returns the total encoded payload bytes transmitted.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
 
 // ResetCounters zeroes the traffic counters (between evaluation runs).
@@ -380,19 +370,9 @@ func (n *Network) drainOutbox(from *endpoint, to proto.Addr, ob *transport.Coale
 	})
 }
 
-// envelopeCount returns how many logical envelopes a frame carries, so
-// the sent/delivered/dropped counters stay in envelope units (Sent =
-// Delivered + Dropped) whether or not the frame was coalesced.
-func envelopeCount(env proto.Envelope) int64 {
-	if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-		return int64(len(batch.Envelopes))
-	}
-	return 1
-}
-
 // lost accounts one frame that will never reach a handler.
-func (n *Network) lost(env proto.Envelope) {
-	n.dropped.Add(envelopeCount(env))
+func (n *Network) lost(d delivery) {
+	n.dropped.Add(d.envelopes)
 	n.framesDropped.Add(1)
 }
 
@@ -400,33 +380,18 @@ func (n *Network) lost(env proto.Envelope) {
 // envelope or a coalesced batch): encode outside the lock, decide under
 // it — crash state, reachability, loss draw, latency model — and hand
 // the frame to the recipient's inbox or the link's delay line after
-// releasing it.
+// releasing it. Only the encoded bytes travel: a receiver decodes its own
+// copy and never shares a slice or map with the sender.
 func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) error {
-	count := envelopeCount(env)
-	callCount := int64(0)
-	if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-		for _, inner := range batch.Envelopes {
-			if proto.IsRequest(inner.Body) {
-				callCount++
-			}
-		}
-	} else if proto.IsRequest(env.Body) {
-		callCount = 1
-	}
-
-	var payload []byte
-	size := 0
-	if n.marshal {
-		buf := encPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if err := proto.EncodeTo(buf, env); err != nil {
-			encPool.Put(buf)
-			return err
-		}
-		payload = append(make([]byte, 0, buf.Len()), buf.Bytes()...)
-		size = len(payload)
+	buf := encPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := proto.EncodeTo(buf, env); err != nil {
 		encPool.Put(buf)
+		return err
 	}
+	payload := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
+	encPool.Put(buf)
+	count, calls := transport.FrameCounts(env)
 
 	n.mu.Lock()
 	if n.closed {
@@ -439,8 +404,8 @@ func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) er
 		n.mu.Unlock()
 		return fmt.Errorf("inmem: host %q crashed", from.addr)
 	}
-	d := delivery{env: env, payload: payload}
-	box, held := n.routeLocked(from.addr, to, &d, size)
+	d := delivery{payload: payload, envelopes: count}
+	box, held := n.routeLocked(from.addr, to, &d)
 	n.mu.Unlock()
 
 	// Counted outside the lock, but before the push, so Delivered never
@@ -450,10 +415,10 @@ func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) er
 	if count > 1 {
 		n.batches.Add(1)
 	}
-	n.calls.Add(callCount)
-	n.bytes.Add(int64(size))
+	n.calls.Add(calls)
+	n.bytes.Add(int64(len(payload)))
 	if !held && (box == nil || !box.push(d)) {
-		n.lost(env)
+		n.lost(d)
 	}
 	return nil
 }
@@ -463,7 +428,7 @@ func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) er
 // delay line when the model charges latency — after stamping d with its
 // due time and the recipient's crash epoch. A nil mailbox means the frame
 // is lost, unless held reports that store-and-forward buffered it.
-func (n *Network) routeLocked(from, to proto.Addr, d *delivery, size int) (box *mailbox, held bool) {
+func (n *Network) routeLocked(from, to proto.Addr, d *delivery) (box *mailbox, held bool) {
 	if n.crashed[to] {
 		// Dark recipient: the frame is lost, never stored — a crash is
 		// loss, unlike a partition.
@@ -486,7 +451,7 @@ func (n *Network) routeLocked(from, to proto.Addr, d *delivery, size int) (box *
 	var latency time.Duration
 	if n.model != nil {
 		var drop bool
-		if latency, drop = n.model(from, to, size, ls.rng); drop {
+		if latency, drop = n.model(from, to, len(d.payload), ls.rng); drop {
 			return nil, false
 		}
 	}
@@ -543,15 +508,17 @@ func (l *link) pump() {
 		dark := n.crashed[to] || n.crashEpoch[to] != d.epoch
 		n.mu.Unlock()
 		if dark || !l.target.box.push(d) {
-			n.lost(d.env)
+			n.lost(d)
 		}
 	}
 }
 
+// delivery is one frame on its way: the encoded bytes and how many
+// envelopes they carry (loss is accounted in envelope units).
 type delivery struct {
-	env     proto.Envelope
-	payload []byte
-	due     time.Time
+	payload   []byte
+	envelopes int64
+	due       time.Time
 	// epoch is the recipient's crash epoch at send time; a mismatch at
 	// delivery means the recipient crashed while the frame was in flight.
 	epoch uint64
@@ -594,14 +561,10 @@ func (e *endpoint) pump() {
 		if !ok {
 			return
 		}
-		env := d.env
-		if e.net.marshal {
-			decoded, err := proto.Decode(d.payload)
-			if err != nil {
-				e.net.lost(d.env)
-				continue
-			}
-			env = decoded
+		env, err := proto.Decode(d.payload)
+		if err != nil {
+			e.net.lost(d)
+			continue
 		}
 		if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
 			for _, inner := range batch.Envelopes {

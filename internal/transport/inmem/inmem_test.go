@@ -287,26 +287,6 @@ func TestEndpointClose(t *testing.T) {
 	}
 }
 
-func TestMarshalDisabled(t *testing.T) {
-	net := NewNetwork(WithMarshal(false))
-	defer net.Close()
-	col := newCollector()
-	a, _ := net.Endpoint("a", func(proto.Envelope) {})
-	if _, err := net.Endpoint("b", col.handler); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(context.Background(), "b", ping(9)); err != nil {
-		t.Fatal(err)
-	}
-	got := col.waitN(t, 1, time.Second)
-	if got[0].ReqID != 9 {
-		t.Errorf("ReqID = %d", got[0].ReqID)
-	}
-	if net.Bytes() != 0 {
-		t.Errorf("Bytes = %d with marshal disabled", net.Bytes())
-	}
-}
-
 func TestResetCounters(t *testing.T) {
 	net := NewNetwork()
 	defer net.Close()

@@ -198,24 +198,13 @@ func (t *Transport) transmit(ctx context.Context, to proto.Addr, env proto.Envel
 	frame := buf.Bytes()
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 
-	count := int64(1)
-	callCount := int64(0)
-	if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-		count = int64(len(batch.Envelopes))
-		for _, inner := range batch.Envelopes {
-			if proto.IsRequest(inner.Body) {
-				callCount++
-			}
-		}
-	} else if proto.IsRequest(env.Body) {
-		callCount = 1
-	}
+	count, calls := transport.FrameCounts(env)
 	t.envelopes.Add(count)
 	t.frames.Add(1)
 	if count > 1 {
 		t.batches.Add(1)
 	}
-	t.calls.Add(callCount)
+	t.calls.Add(calls)
 
 	// Two attempts: a cached connection may have gone stale.
 	for attempt := 0; attempt < 2; attempt++ {

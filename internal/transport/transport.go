@@ -99,6 +99,25 @@ func (c *Coalescer) Drain(from, to proto.Addr, transmit func(proto.Envelope) err
 	}
 }
 
+// FrameCounts returns what one wire frame — a lone envelope, or the
+// proto.EnvelopeBatch Drain built — adds to Stats: the logical envelopes it
+// carries and how many of them are requests, each opening a Call round trip.
+// Both transports count a frame with it, so the counters mean the same on
+// either substrate and stay in envelope units whether or not the frame was
+// coalesced.
+func FrameCounts(frame proto.Envelope) (envelopes, calls int64) {
+	carried := []proto.Envelope{frame}
+	if batch, ok := frame.Body.(proto.EnvelopeBatch); ok {
+		carried = batch.Envelopes
+	}
+	for _, env := range carried {
+		if proto.IsRequest(env.Body) {
+			calls++
+		}
+	}
+	return int64(len(carried)), calls
+}
+
 // Stats is the framing and round-trip accounting shared by both
 // transports — the diagnostic counterpart of the paper's message counts,
 // and the seed of the daemon's transport metrics. Envelopes is the number

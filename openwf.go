@@ -66,6 +66,7 @@ import (
 	"openwf/internal/community"
 	"openwf/internal/core"
 	"openwf/internal/engine"
+	"openwf/internal/evalgen"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/schedule"
@@ -254,14 +255,6 @@ func WithStoreAndForward() Option {
 	return func(s *settings) { s.comm.StoreAndForward = true }
 }
 
-// WithHostWorkers bounds each host's inbound-envelope worker pool: how
-// many workflow sessions a participant serves concurrently. Each
-// workflow's messages are always handled sequentially in arrival order;
-// the bound caps cross-workflow parallelism (default 8).
-func WithHostWorkers(n int) Option {
-	return func(s *settings) { s.comm.HostWorkers = n }
-}
-
 // NewCommunity builds and starts a community of hosts.
 func NewCommunity(hosts []HostSpec, opts ...Option) (*Community, error) {
 	s := apply(opts)
@@ -311,8 +304,7 @@ func WirelessLinkModel(base, jitter time.Duration, bandwidthBps float64) LinkMod
 	return inmem.Wireless(base, jitter, bandwidthBps)
 }
 
-// Wireless80211g is the link model for the paper's empirical
-// configuration: 802.11g at 54 Mbit/s with ~0.5 ms per-hop MAC overhead.
-func Wireless80211g() LinkModel {
-	return inmem.Wireless(500*time.Microsecond, 200*time.Microsecond, 54e6)
-}
+// Wireless80211g is the link model of the paper's empirical configuration,
+// the one cmd/figures and the benchmarks run Figure 6 on: 802.11g at
+// 54 Mbit/s, 0.5 ms per hop plus up to 0.2 ms of jitter.
+func Wireless80211g() LinkModel { return evalgen.Wireless80211g() }

@@ -2,10 +2,15 @@ package openwf_test
 
 import (
 	"context"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"openwf"
+	"openwf/internal/auction"
+	"openwf/internal/proto"
 )
 
 func lbl(ls ...string) []openwf.LabelID {
@@ -123,7 +128,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestFacadeInitiateAll: N allocation sessions multiplexed over one
-// initiator through the facade, with the worker-pool option applied.
+// initiator through the facade.
 func TestFacadeInitiateAll(t *testing.T) {
 	cfg := openwf.DefaultEngineConfig()
 	cfg.StartDelay = 200 * time.Millisecond
@@ -151,7 +156,7 @@ func TestFacadeInitiateAll(t *testing.T) {
 			Fragments: []*openwf.Fragment{frag("k3", "job3", "in3", "out3")},
 			Services:  []openwf.ServiceRegistration{openwf.SimpleService("job3")},
 		},
-	}, openwf.WithEngineConfig(cfg), openwf.WithHostWorkers(4))
+	}, openwf.WithEngineConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +182,161 @@ func TestFacadeInitiateAll(t *testing.T) {
 		if got := p.Allocations[task]; got != want {
 			t.Errorf("plan %d: %s allocated to %q, want %q", i, task, got, want)
 		}
+	}
+}
+
+// TestFacadeOptions builds a two-host community through each functional
+// option in turn and checks the one thing that option changes
+// (WithEngineConfig is what the tests above run on).
+func TestFacadeOptions(t *testing.T) {
+	hosts := func() []openwf.HostSpec {
+		return []openwf.HostSpec{
+			{ID: "asker"},
+			{
+				ID: "worker",
+				Fragments: []*openwf.Fragment{openwf.MustFragment("know", openwf.Task{
+					ID: "job", Mode: openwf.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"),
+				})},
+				Services: []openwf.ServiceRegistration{openwf.SimpleService("job")},
+			},
+		}
+	}
+	problem, err := openwf.NewSpec(lbl("in"), lbl("out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openwf.NewSpec(lbl("in"), nil); err == nil {
+		t.Error("NewSpec accepted a specification without goals")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	initiate := func(t *testing.T, com *openwf.Community) {
+		t.Helper()
+		plan, err := com.Initiate(ctx, "asker", problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Allocations["job"]; got != "worker" {
+			t.Fatalf("Allocations = %v", plan.Allocations)
+		}
+	}
+	// firstDraw builds a community whose link model records the first value
+	// the network's seeded per-link source hands it.
+	firstDraw := func(t *testing.T, seed int64) int64 {
+		var once sync.Once
+		var draw int64
+		com, err := openwf.NewCommunity(hosts(), openwf.WithSeed(seed),
+			openwf.WithLinkModel(func(_, _ openwf.Addr, _ int, rng *rand.Rand) (time.Duration, bool) {
+				once.Do(func() { draw = rng.Int63() })
+				return 0, false
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer com.Close()
+		initiate(t, com)
+		return draw
+	}
+	// cutOff partitions worker away, sends it one message and heals.
+	cutOff := func(t *testing.T, com *openwf.Community) {
+		t.Helper()
+		asker, _ := com.Host("asker")
+		com.Network().SetPartition([]openwf.Addr{"asker"}, []openwf.Addr{"worker"})
+		if err := asker.Send(ctx, "worker", "wf", proto.Cancel{Task: "job"}); err != nil {
+			t.Fatal(err)
+		}
+		com.Network().SetPartition()
+	}
+
+	var constructions atomic.Int64
+	for _, row := range []struct {
+		name  string
+		opts  []openwf.Option
+		check func(t *testing.T, com *openwf.Community)
+	}{
+		{"WithTransport", []openwf.Option{openwf.WithTransport(openwf.TCP)},
+			func(t *testing.T, com *openwf.Community) {
+				if com.Network() != nil {
+					t.Error("TCP community runs on the simulated network")
+				}
+				initiate(t, com)
+				if com.TransportStats().Calls == 0 {
+					t.Error("no request crossed a socket")
+				}
+			}},
+		{"WithObserver", []openwf.Option{openwf.WithObserver(openwf.Observer{
+			ConstructionDone: func(string, openwf.ConstructionResult) { constructions.Add(1) },
+		})},
+			func(t *testing.T, com *openwf.Community) {
+				initiate(t, com)
+				if got := constructions.Load(); got != 1 {
+					t.Errorf("ConstructionDone fired %d times, want 1", got)
+				}
+			}},
+		{"WithLinkModel+WithSeed", nil,
+			func(t *testing.T, _ *openwf.Community) {
+				a, again, b := firstDraw(t, 7), firstDraw(t, 7), firstDraw(t, 8)
+				if a == 0 || a != again || a == b {
+					t.Errorf("first link draw: seed 7 → %d then %d, seed 8 → %d; want equal, then different", a, again, b)
+				}
+			}},
+		{"WithBidWindow", []openwf.Option{openwf.WithBidWindow(20 * time.Millisecond)},
+			func(t *testing.T, com *openwf.Community) {
+				asker, _ := com.Host("asker")
+				sent := time.Now()
+				reply, err := asker.Call(ctx, "worker", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{{
+					Task: "job", Mode: openwf.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"),
+					Start: sent.Add(time.Hour), End: sent.Add(time.Hour + time.Minute),
+				}}}, time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bids, ok := reply.(proto.BidBatch)
+				if !ok || len(bids.Bids) != 1 {
+					t.Fatalf("reply = %#v", reply)
+				}
+				if com.TotalHolds() != 1 {
+					t.Fatalf("holds after the bid = %d, want 1", com.TotalHolds())
+				}
+				if wait := bids.Bids[0].Deadline.Sub(sent); wait < 20*time.Millisecond || wait >= auction.DefaultBidWindow {
+					t.Errorf("bid decides within %v, want the 20 ms window, not the default", wait)
+				}
+				// Nobody awards: the host's sweep drops the hold once the
+				// window has passed.
+				for deadline := time.Now().Add(5 * time.Second); com.TotalHolds() != 0; {
+					if time.Now().After(deadline) {
+						t.Fatalf("hold still there %v after its window", time.Since(sent))
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}},
+		{"WithStoreAndForward", []openwf.Option{openwf.WithStoreAndForward()},
+			func(t *testing.T, com *openwf.Community) {
+				cutOff(t, com)
+				for deadline := time.Now().Add(5 * time.Second); com.Network().Delivered() != 1; {
+					if time.Now().After(deadline) {
+						t.Fatalf("message sent across the partition not delivered after it healed (dropped %d)", com.Network().Dropped())
+					}
+					time.Sleep(time.Millisecond)
+				}
+				plain, err := openwf.NewCommunity(hosts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer plain.Close()
+				cutOff(t, plain)
+				if plain.Network().Dropped() != 1 {
+					t.Errorf("without the option the partition dropped %d messages, want 1", plain.Network().Dropped())
+				}
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			com, err := openwf.NewCommunity(hosts(), row.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer com.Close()
+			row.check(t, com)
+		})
 	}
 }
