@@ -220,16 +220,11 @@ func (c *Community) Clock() clock.Clock { return c.clk }
 // daemon's metrics registry scrapes.
 func (c *Community) TransportStats() transport.Stats {
 	if c.network != nil {
-		return c.network.TransportStats()
+		return c.network.Stats()
 	}
 	var sum transport.Stats
 	for _, tr := range c.tcps {
-		st := tr.TransportStats()
-		sum.Envelopes += st.Envelopes
-		sum.Frames += st.Frames
-		sum.Batches += st.Batches
-		sum.Calls += st.Calls
-		sum.FramesDropped += st.FramesDropped
+		sum.Add(tr.Stats())
 	}
 	return sum
 }

@@ -334,17 +334,6 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 // dispatcher is what turns that serial feed into per-session
 // concurrency.
 func (h *Host) Handle(env proto.Envelope) {
-	// Transports split coalesced frames before dispatching, but a batch
-	// reaching the handler anyway (a custom transport, a test feeding
-	// envelopes directly) is unwrapped here: its envelopes are handled
-	// in order, preserving the per-link FIFO guarantee through the
-	// per-workflow dispatcher queues.
-	if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-		for _, inner := range batch.Envelopes {
-			h.Handle(inner)
-		}
-		return
-	}
 	h.record(trace.Recv, env.From, env)
 	switch env.Body.(type) {
 	case proto.FragmentReply, proto.FeasibilityReply, proto.BidBatch,

@@ -3,7 +3,9 @@ package proto
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"openwf/internal/model"
 	"openwf/internal/testutil"
 )
 
@@ -35,4 +37,41 @@ func TestEncodeToBidAllocFree(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestDecodeAllocBounds pins the read half of the same path: one copy of
+// the frame as a string backs every decoded string, so a body costs that
+// copy, its boxing into Body, and one allocation per slice it carries —
+// nothing per field. The decoder itself must stay on the stack; a rewrite
+// that lets it escape shows up here as one more allocation on every row.
+func TestDecodeAllocBounds(t *testing.T) {
+	at := time.Unix(1700000000, 0)
+	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
+	for _, c := range []struct {
+		name string
+		max  float64
+		env  Envelope
+	}{
+		{"fragment-query", 3, benchEnvelope()},
+		{"cancel", 2, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Task: "cook omelets"}}},
+		{"bid-batch", 4, benchBidEnvelope()},
+		{"award", 4, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: meta}}},
+		{"fragment-reply", 7, Envelope{From: "host-b", To: "host-a", ReqID: 42, Workflow: "wf-1", Body: FragmentReply{
+			Fragments: []*model.Fragment{{Name: "omelet bar", Tasks: []model.Task{{
+				ID: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"},
+			}}}},
+		}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data, err := Encode(c.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.AllocBound(t, c.max, func() {
+				if _, err := Decode(data); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+	}
 }

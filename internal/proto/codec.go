@@ -360,7 +360,8 @@ var (
 // cloneThreshold bounds the substring-sharing optimization below: above
 // it, decoded strings are cloned so a small retained field (a label used
 // as a map key, say) cannot pin a frame-sized backing array — a
-// LabelTransfer frame may approach maxFrame, while its Label is bytes.
+// LabelTransfer frame may approach transport.MaxFrame, while its Label is
+// bytes.
 const cloneThreshold = 4 << 10
 
 // decodeBinary decodes a frame produced by encodeBinary. It fully copies:
@@ -378,152 +379,150 @@ func decodeBinary(data []byte) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, fmt.Errorf("decoding envelope: %w", err)
 	}
-	if d.pos != len(d.s) {
-		return Envelope{}, fmt.Errorf("decoding envelope: %w: %d trailing bytes", errCorrupt, len(d.s)-d.pos)
-	}
 	return env, nil
 }
 
+// decoder reads one frame. It keeps the first error it meets: every read
+// after that returns the zero value and consumes nothing, and a counted
+// loop stops, so a body is decoded as one composite literal and the error
+// is looked at once, in envelope. Element decoders are written out per
+// type rather than passed as func values — a func argument makes the
+// decoder escape, one allocation on every frame (TestDecodeAllocBounds).
 type decoder struct {
 	s   string
 	pos int
 	// clone makes str return copies instead of substrings of s, so no
 	// decoded field keeps a large frame's backing array alive.
 	clone bool
+	err   error
+}
+
+// fail keeps err unless an earlier error is already kept.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
 }
 
 // rem returns how many bytes remain; counts and lengths are bounded by it
 // so corrupt frames cannot trigger large allocations.
 func (d *decoder) rem() int { return len(d.s) - d.pos }
 
-func (d *decoder) byte() (byte, error) {
+func (d *decoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
 	if d.pos >= len(d.s) {
-		return 0, errTruncated
+		d.err = errTruncated
+		return 0
 	}
 	b := d.s[d.pos]
 	d.pos++
-	return b, nil
+	return b
 }
 
-func (d *decoder) uint() (uint64, error) {
+func (d *decoder) uint() uint64 {
 	var v uint64
 	for shift := uint(0); shift < 64; shift += 7 {
-		b, err := d.byte()
-		if err != nil {
-			return 0, err
+		b := d.byte()
+		if d.err != nil {
+			return 0
 		}
 		if b < 0x80 {
 			if shift == 63 && b > 1 {
-				return 0, fmt.Errorf("%w: uvarint overflow", errCorrupt)
+				d.err = fmt.Errorf("%w: uvarint overflow", errCorrupt)
+				return 0
 			}
-			return v | uint64(b)<<shift, nil
+			return v | uint64(b)<<shift
 		}
 		v |= uint64(b&0x7f) << shift
 	}
-	return 0, fmt.Errorf("%w: uvarint too long", errCorrupt)
+	d.err = fmt.Errorf("%w: uvarint too long", errCorrupt)
+	return 0
 }
 
-func (d *decoder) int() (int64, error) {
-	u, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) int() int64 {
+	u := d.uint()
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
 	}
-	return v, nil
+	return v
 }
 
 // count reads a collection length, bounded by the remaining bytes (every
 // element occupies at least one byte on the wire).
-func (d *decoder) count() (int, error) {
-	n, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) count() int {
+	n := d.uint()
 	if n > uint64(d.rem()) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", errCorrupt, n, d.rem())
+		d.err = fmt.Errorf("%w: count %d exceeds %d remaining bytes", errCorrupt, n, d.rem())
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-func (d *decoder) str() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
+func (d *decoder) str() string {
+	n := d.count()
 	s := d.s[d.pos : d.pos+n]
 	d.pos += n
 	if d.clone {
 		s = strings.Clone(s)
 	}
-	return s, nil
+	return s
 }
 
 // bytes returns a fresh copy (a []byte must not alias the frame string).
 // It reads the raw substring directly — the []byte conversion is already
 // the copy, so the clone mode's extra string copy would be wasted work on
 // exactly the large payloads that trigger it.
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) bytes() []byte {
+	n := d.count()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	s := d.s[d.pos : d.pos+n]
 	d.pos += n
-	return []byte(s), nil
+	return []byte(s)
 }
 
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail(fmt.Errorf("%w: bool byte %d", errCorrupt, b))
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: bool byte %d", errCorrupt, b)
-	}
+	return b == 1
 }
 
-func (d *decoder) f64() (float64, error) {
+func (d *decoder) f64() float64 {
 	if d.rem() < 8 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+	}
+	if d.err != nil {
+		return 0
 	}
 	bits := uint64(0)
 	for i := 0; i < 8; i++ {
 		bits = bits<<8 | uint64(d.s[d.pos+i])
 	}
 	d.pos += 8
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(bits)
 }
 
-func (d *decoder) time() (time.Time, error) {
-	sec, err := d.int()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := d.uint()
-	if err != nil {
-		return time.Time{}, err
-	}
+func (d *decoder) time() time.Time {
+	sec, nsec := d.int(), d.uint()
 	if nsec > 999_999_999 {
-		return time.Time{}, fmt.Errorf("%w: %d nanoseconds", errCorrupt, nsec)
+		d.fail(fmt.Errorf("%w: %d nanoseconds", errCorrupt, nsec))
 	}
-	return time.Unix(sec, int64(nsec)), nil
+	if d.err != nil {
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec))
 }
 
 // optional consumes the optSection byte when the body's optional trailing
 // section follows, and reports whether it did.
 func (d *decoder) optional() bool {
-	if d.pos < len(d.s) && d.s[d.pos] == optSection {
+	if d.err == nil && d.pos < len(d.s) && d.s[d.pos] == optSection {
 		d.pos++
 		return true
 	}
@@ -532,451 +531,219 @@ func (d *decoder) optional() bool {
 
 // labels decodes a label list; zero count yields nil, like gob leaving a
 // slice field untouched.
-func (d *decoder) labels() ([]model.LabelID, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) labels() []model.LabelID {
+	n := d.count()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]model.LabelID, n)
-	for i := range out {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = model.LabelID(s)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = model.LabelID(d.str())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) taskIDs() ([]model.TaskID, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) taskIDs() []model.TaskID {
+	n := d.count()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]model.TaskID, n)
-	for i := range out {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = model.TaskID(s)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = model.TaskID(d.str())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) task() (model.Task, error) {
-	var t model.Task
-	id, err := d.str()
-	if err != nil {
-		return t, err
+func (d *decoder) task() model.Task {
+	return model.Task{
+		ID:      model.TaskID(d.str()),
+		Mode:    model.Mode(d.uint()),
+		Inputs:  d.labels(),
+		Outputs: d.labels(),
 	}
-	mode, err := d.uint()
-	if err != nil {
-		return t, err
-	}
-	if t.Inputs, err = d.labels(); err != nil {
-		return t, err
-	}
-	if t.Outputs, err = d.labels(); err != nil {
-		return t, err
-	}
-	t.ID = model.TaskID(id)
-	t.Mode = model.Mode(mode)
-	return t, nil
 }
 
-func (d *decoder) fragment() (*model.Fragment, error) {
-	name, err := d.str()
-	if err != nil {
-		return nil, err
+func (d *decoder) fragments() []*model.Fragment {
+	n := d.count()
+	if n == 0 {
+		return nil
 	}
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	f := &model.Fragment{Name: name}
-	if n > 0 {
-		f.Tasks = make([]model.Task, n)
-		for i := range f.Tasks {
-			if f.Tasks[i], err = d.task(); err != nil {
-				return nil, err
+	out := make([]*model.Fragment, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		f := &model.Fragment{Name: d.str()}
+		if m := d.count(); m > 0 {
+			f.Tasks = make([]model.Task, m)
+			for j := 0; j < m && d.err == nil; j++ {
+				f.Tasks[j] = d.task()
 			}
 		}
+		out[i] = f
 	}
-	return f, nil
+	return out
 }
 
-func (d *decoder) point() (space.Point, error) {
-	var p space.Point
-	var err error
-	if p.X, err = d.f64(); err != nil {
-		return p, err
+func (d *decoder) meta() TaskMeta {
+	return TaskMeta{
+		Task:        model.TaskID(d.str()),
+		Mode:        model.Mode(d.uint()),
+		Inputs:      d.labels(),
+		Outputs:     d.labels(),
+		Start:       d.time(),
+		End:         d.time(),
+		Location:    space.Point{X: d.f64(), Y: d.f64()},
+		HasLocation: d.bool(),
 	}
-	p.Y, err = d.f64()
-	return p, err
 }
 
-func (d *decoder) meta() (TaskMeta, error) {
-	var m TaskMeta
-	task, err := d.str()
-	if err != nil {
-		return m, err
+func (d *decoder) metas() []TaskMeta {
+	n := d.count()
+	if n == 0 {
+		return nil
 	}
-	mode, err := d.uint()
-	if err != nil {
-		return m, err
+	out := make([]TaskMeta, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = d.meta()
 	}
-	if m.Inputs, err = d.labels(); err != nil {
-		return m, err
-	}
-	if m.Outputs, err = d.labels(); err != nil {
-		return m, err
-	}
-	if m.Start, err = d.time(); err != nil {
-		return m, err
-	}
-	if m.End, err = d.time(); err != nil {
-		return m, err
-	}
-	if m.Location, err = d.point(); err != nil {
-		return m, err
-	}
-	if m.HasLocation, err = d.bool(); err != nil {
-		return m, err
-	}
-	m.Task = model.TaskID(task)
-	m.Mode = model.Mode(mode)
-	return m, nil
+	return out
 }
 
+func (d *decoder) bids() []Bid {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Bid, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = Bid{
+			Task:            model.TaskID(d.str()),
+			ServicesOffered: int(d.int()),
+			Specialization:  d.f64(),
+			Deadline:        d.time(),
+		}
+	}
+	return out
+}
+
+// envelope decodes the whole frame: version byte, one kind-tagged
+// envelope, nothing after it.
 func (d *decoder) envelope() (Envelope, error) {
-	version, err := d.byte()
-	if err != nil {
-		return Envelope{}, err
+	if version := d.byte(); version != wireVersion {
+		d.fail(fmt.Errorf("%w: wire version %d (want %d)", errCorrupt, version, wireVersion))
 	}
-	if version != wireVersion {
-		return Envelope{}, fmt.Errorf("%w: wire version %d (want %d)", errCorrupt, version, wireVersion)
+	env := d.framed(true)
+	if d.pos != len(d.s) {
+		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.s)-d.pos))
 	}
-	return d.framedEnvelope(true)
+	return env, d.err
 }
 
-// framedEnvelope decodes one kind-tagged envelope (header plus body).
-// allowBatch is true only at the top level: batches never nest, so an
-// EnvelopeBatch kind inside another batch is a corrupt frame.
-func (d *decoder) framedEnvelope(allowBatch bool) (Envelope, error) {
-	var env Envelope
-	kind, err := d.byte()
-	if err != nil {
-		return env, err
-	}
+// framed decodes one kind-tagged envelope (header plus body). allowBatch
+// is true only at the top level: batches never nest, so an EnvelopeBatch
+// kind inside another batch is a corrupt frame.
+func (d *decoder) framed(allowBatch bool) Envelope {
+	kind := d.byte()
 	if kind == kindEnvelopeBatch && !allowBatch {
-		return env, fmt.Errorf("%w: nested envelope batch", errCorrupt)
+		d.fail(fmt.Errorf("%w: nested envelope batch", errCorrupt))
 	}
-	from, err := d.str()
-	if err != nil {
-		return env, err
+	return Envelope{
+		From:     Addr(d.str()),
+		To:       Addr(d.str()),
+		ReqID:    d.uint(),
+		Workflow: d.str(),
+		Body:     d.body(kind),
 	}
-	to, err := d.str()
-	if err != nil {
-		return env, err
-	}
-	if env.ReqID, err = d.uint(); err != nil {
-		return env, err
-	}
-	if env.Workflow, err = d.str(); err != nil {
-		return env, err
-	}
-	env.From, env.To = Addr(from), Addr(to)
-	env.Body, err = d.body(kind)
-	return env, err
 }
 
-func (d *decoder) body(kind byte) (Body, error) {
+func (d *decoder) body(kind byte) Body {
 	switch kind {
 	case kindFragmentQuery:
-		labels, err := d.labels()
-		if err != nil {
-			return nil, err
-		}
-		return FragmentQuery{Labels: labels, Describe: d.optional()}, nil
+		return FragmentQuery{Labels: d.labels(), Describe: d.optional()}
 	case kindFragmentReply:
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		var frags []*model.Fragment
-		if n > 0 {
-			frags = make([]*model.Fragment, n)
-			for i := range frags {
-				if frags[i], err = d.fragment(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		reply := FragmentReply{Fragments: frags}
+		reply := FragmentReply{Fragments: d.fragments()}
 		if d.optional() {
-			caps := new(Advertise)
-			if caps.Labels, err = d.labels(); err != nil {
-				return nil, err
-			}
-			if caps.Tasks, err = d.taskIDs(); err != nil {
-				return nil, err
-			}
-			reply.Capabilities = caps
+			reply.Capabilities = &Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
 		}
-		return reply, nil
+		return reply
 	case kindFeasibilityQuery:
-		tasks, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return FeasibilityQuery{Tasks: tasks}, nil
+		return FeasibilityQuery{Tasks: d.taskIDs()}
 	case kindFeasibilityReply:
-		capable, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return FeasibilityReply{Capable: capable}, nil
+		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
-		meta, err := d.meta()
-		if err != nil {
-			return nil, err
-		}
-		return Award{Meta: meta}, nil
+		return Award{Meta: d.meta()}
 	case kindAwardAck:
-		var a AwardAck
-		task, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if a.OK, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if a.Reason, err = d.str(); err != nil {
-			return nil, err
-		}
-		a.Task = model.TaskID(task)
-		return a, nil
+		return AwardAck{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
 	case kindCancel:
-		task, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return Cancel{Task: model.TaskID(task)}, nil
+		return Cancel{Task: model.TaskID(d.str())}
 	case kindPlanSegment:
-		var p PlanSegment
-		task, err := d.str()
-		if err != nil {
-			return nil, err
+		return PlanSegment{
+			Task:         model.TaskID(d.str()),
+			Initiator:    Addr(d.str()),
+			InputSources: d.inputSources(),
+			OutputSinks:  d.outputSinks(),
 		}
-		initiator, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if p.InputSources, err = d.inputSources(); err != nil {
-			return nil, err
-		}
-		if p.OutputSinks, err = d.outputSinks(); err != nil {
-			return nil, err
-		}
-		p.Task = model.TaskID(task)
-		p.Initiator = Addr(initiator)
-		return p, nil
 	case kindLabelTransfer:
-		var l LabelTransfer
-		label, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if l.Data, err = d.bytes(); err != nil {
-			return nil, err
-		}
-		producer, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		l.Label = model.LabelID(label)
-		l.Producer = Addr(producer)
-		return l, nil
+		return LabelTransfer{Label: model.LabelID(d.str()), Data: d.bytes(), Producer: Addr(d.str())}
 	case kindTaskDone:
-		var t TaskDone
-		task, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		if t.Err, err = d.str(); err != nil {
-			return nil, err
-		}
-		t.Task = model.TaskID(task)
-		return t, nil
+		return TaskDone{Task: model.TaskID(d.str()), Err: d.str()}
 	case kindAck:
-		return Ack{}, nil
+		return Ack{}
 	case kindCallForBidsBatch:
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		var metas []TaskMeta
-		if n > 0 {
-			metas = make([]TaskMeta, n)
-			for i := range metas {
-				if metas[i], err = d.meta(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return CallForBidsBatch{Metas: metas}, nil
+		return CallForBidsBatch{Metas: d.metas()}
 	case kindBidBatch:
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		var bids []Bid
-		if n > 0 {
-			bids = make([]Bid, n)
-			for i := range bids {
-				if bids[i], err = d.bid(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		declines, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return BidBatch{Bids: bids, Declines: declines}, nil
+		return BidBatch{Bids: d.bids(), Declines: d.taskIDs()}
 	case kindLeaseRefresh:
-		tasks, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return LeaseRefresh{Tasks: tasks}, nil
+		return LeaseRefresh{Tasks: d.taskIDs()}
 	case kindLeaseRefreshAck:
-		missing, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return LeaseRefreshAck{Missing: missing}, nil
+		return LeaseRefreshAck{Missing: d.taskIDs()}
 	case kindAdvertise:
-		labels, err := d.labels()
-		if err != nil {
-			return nil, err
-		}
-		tasks, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return Advertise{Labels: labels, Tasks: tasks}, nil
+		return Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
 	case kindAdvertiseAck:
-		labels, err := d.labels()
-		if err != nil {
-			return nil, err
-		}
-		tasks, err := d.taskIDs()
-		if err != nil {
-			return nil, err
-		}
-		return AdvertiseAck{Labels: labels, Tasks: tasks}, nil
+		return AdvertiseAck{Labels: d.labels(), Tasks: d.taskIDs()}
 	case kindEnvelopeBatch:
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
 		var envs []Envelope
-		if n > 0 {
+		if n := d.count(); n > 0 {
 			envs = make([]Envelope, n)
-			for i := range envs {
-				if envs[i], err = d.framedEnvelope(false); err != nil {
-					return nil, err
-				}
+			for i := 0; i < n && d.err == nil; i++ {
+				envs[i] = d.framed(false)
 			}
 		}
-		return EnvelopeBatch{Envelopes: envs}, nil
+		return EnvelopeBatch{Envelopes: envs}
 	default:
-		return nil, fmt.Errorf("%w: unknown body kind %d", errCorrupt, kind)
+		d.fail(fmt.Errorf("%w: unknown body kind %d", errCorrupt, kind))
+		return nil
 	}
 }
 
-func (d *decoder) bid() (Bid, error) {
-	var b Bid
-	task, err := d.str()
-	if err != nil {
-		return b, err
-	}
-	services, err := d.int()
-	if err != nil {
-		return b, err
-	}
-	if b.Specialization, err = d.f64(); err != nil {
-		return b, err
-	}
-	if b.Deadline, err = d.time(); err != nil {
-		return b, err
-	}
-	b.Task = model.TaskID(task)
-	b.ServicesOffered = int(services)
-	return b, nil
-}
-
-func (d *decoder) inputSources() (map[model.LabelID]Addr, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) inputSources() map[model.LabelID]Addr {
+	n := d.count()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make(map[model.LabelID]Addr, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out[model.LabelID(k)] = Addr(v)
+	for i := 0; i < n && d.err == nil; i++ {
+		k := model.LabelID(d.str())
+		out[k] = Addr(d.str())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) outputSinks() (map[model.LabelID][]Addr, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) outputSinks() map[model.LabelID][]Addr {
+	n := d.count()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make(map[model.LabelID][]Addr, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		m, err := d.count()
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n && d.err == nil; i++ {
+		k := model.LabelID(d.str())
 		var addrs []Addr
-		if m > 0 {
+		if m := d.count(); m > 0 {
 			addrs = make([]Addr, m)
-			for j := range addrs {
-				a, err := d.str()
-				if err != nil {
-					return nil, err
-				}
-				addrs[j] = Addr(a)
+			for j := 0; j < m && d.err == nil; j++ {
+				addrs[j] = Addr(d.str())
 			}
 		}
-		out[model.LabelID(k)] = addrs
+		out[k] = addrs
 	}
-	return out, nil
+	return out
 }

@@ -298,10 +298,10 @@ func (AdvertiseAck) Kind() string { return "advertise-ack" }
 // EnvelopeBatch is a frame-level coalescing body: one wire frame carrying
 // several queued envelopes to the same destination, so a burst of
 // messages on one link pays the per-frame overhead (framing, syscall,
-// modeled MAC latency) once. Transports build and split batches
-// transparently; protocol components never see one — a batch arriving at
-// a handler is unwrapped into its envelopes, in order, preserving the
-// per-link FIFO guarantee. Batches never nest.
+// modeled MAC latency) once. The transport layer builds one in its sender
+// and splits it in transport.Deliver, in order, preserving the per-link
+// FIFO guarantee, so no handler and no protocol component ever sees one.
+// Batches never nest.
 type EnvelopeBatch struct {
 	Envelopes []Envelope
 }
@@ -311,7 +311,7 @@ func (EnvelopeBatch) Kind() string { return "envelope-batch" }
 
 // IsRequest reports whether the body opens a Call round trip (a request
 // expecting a correlated reply). Transports use it for round-trip
-// accounting; see inmem's Stats. Advertise is deliberately absent even
+// accounting; see transport.Stats. Advertise is deliberately absent even
 // though a pulled Advertise is answered: the Calls counter measures
 // solicitation round trips per Initiate, and discovery maintenance
 // traffic — amortized background refreshes and one-time index warming —

@@ -315,8 +315,7 @@ func TestCrashRacingSenders(t *testing.T) {
 // the subsequent drain flushes them as one EnvelopeBatch frame.
 func queueBatch(t *testing.T, n *Network, a *endpoint, to proto.Addr, ids ...int) {
 	t.Helper()
-	ob := n.outboxFor(a.addr, to)
-	if w, _ := ob.Admit(proto.Envelope{From: a.addr, To: to, Body: proto.Ack{}}); !w {
+	if _, w := a.Admit(to, proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle link")
 	}
 	for _, id := range ids {
@@ -324,7 +323,7 @@ func queueBatch(t *testing.T, n *Network, a *endpoint, to proto.Addr, ids ...int
 			t.Fatal(err)
 		}
 	}
-	n.drainOutbox(a, to, ob)
+	a.Drain(context.Background(), to)
 }
 
 // TestBatchFrameLossIsAllOrNothing: a dropped EnvelopeBatch frame loses

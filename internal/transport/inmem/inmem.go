@@ -11,7 +11,7 @@
 // One mutex, Network.mu, guards everything the delivery decision reads:
 // the endpoint, partition and crash tables, the store-and-forward buffer,
 // and the per-directed-link state (loss override, seeded random source,
-// delay line). A send encodes its frame outside the lock, decides under
+// delay line). A send copies its frame outside the lock, decides under
 // it, and pushes to the recipient's mailbox after releasing it; the
 // mailbox's dark flag is what keeps a push that lost that race to a Crash
 // out of the crashed host's inbox. DESIGN.md §14 records the sharded,
@@ -93,10 +93,10 @@ func WithStoreAndForward(enabled bool) Option {
 	return func(n *Network) { n.storeAndForward = enabled }
 }
 
-// linkState is everything one directed link needs on the send path. The
-// coalescer has its own internal lock; Network.mu guards the rest.
+// linkState is what the medium keeps per directed link; Network.mu guards
+// it. (The link's write-side queue belongs to the sending endpoint's
+// transport.Sender.)
 type linkState struct {
-	outbox transport.Coalescer
 	// rng is this link's private random source (jitter, loss draws),
 	// derived deterministically from the network seed and the link key.
 	rng *rand.Rand
@@ -136,14 +136,13 @@ type Network struct {
 	// modeled delays.
 	done chan struct{}
 
-	sent          atomic.Int64
-	delivered     atomic.Int64
-	dropped       atomic.Int64
-	bytes         atomic.Int64
-	frames        atomic.Int64
-	batches       atomic.Int64
-	calls         atomic.Int64
-	framesDropped atomic.Int64
+	// wire is the accounting of every endpoint's sender; the medium adds
+	// what only it knows: envelopes handed to handlers, envelopes in frames
+	// it lost, payload bytes it carried.
+	wire      transport.Counters
+	delivered atomic.Int64
+	dropped   atomic.Int64
+	bytes     atomic.Int64
 }
 
 // Stats is the network's round-trip and framing accounting — the shared
@@ -154,20 +153,7 @@ type Network struct {
 type Stats = transport.Stats
 
 // Stats returns the current counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Envelopes:     n.sent.Load(),
-		Frames:        n.frames.Load(),
-		Batches:       n.batches.Load(),
-		Calls:         n.calls.Load(),
-		FramesDropped: n.framesDropped.Load(),
-	}
-}
-
-var _ transport.Reporter = (*Network)(nil)
-
-// TransportStats implements transport.Reporter.
-func (n *Network) TransportStats() transport.Stats { return n.Stats() }
+func (n *Network) Stats() Stats { return n.wire.Stats() }
 
 type linkKey struct{ from, to proto.Addr }
 
@@ -197,14 +183,6 @@ func (n *Network) linkLocked(k linkKey) *linkState {
 	return ls
 }
 
-// outboxFor returns the write-side coalescer for a directed link (the
-// state machine itself is transport.Coalescer, shared with tcpnet).
-func (n *Network) outboxFor(from, to proto.Addr) *transport.Coalescer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return &n.linkLocked(linkKey{from, to}).outbox
-}
-
 // linkSeed derives a link's private random seed from the network seed:
 // deterministic per (seed, from, to), independent across links (FNV-1a
 // of the two addresses, 0xff between them so ("ab","c") and ("a","bc")
@@ -231,7 +209,12 @@ func (n *Network) Endpoint(addr proto.Addr, handler transport.Handler) (transpor
 	if _, dup := n.endpoints[addr]; dup {
 		return nil, fmt.Errorf("inmem: address %q already in use", addr)
 	}
-	ep := &endpoint{net: n, addr: addr, handler: handler, box: newMailbox()}
+	ep := &endpoint{net: n, addr: addr, box: newMailbox()}
+	ep.handler = func(env proto.Envelope) {
+		n.delivered.Add(1)
+		handler(env)
+	}
+	ep.Sender = transport.NewSender(addr, 0, &n.wire, ep.put)
 	n.endpoints[addr] = ep
 	go ep.pump()
 	// A late joiner may have store-and-forward traffic waiting.
@@ -278,28 +261,24 @@ func (n *Network) flushStoredLocked() {
 }
 
 // Messages returns the number of envelopes accepted for transmission.
-func (n *Network) Messages() int64 { return n.sent.Load() }
+func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 
 // Delivered returns the number of envelopes handed to handlers.
 func (n *Network) Delivered() int64 { return n.delivered.Load() }
 
-// Dropped returns the number of envelopes lost (partition, loss model, or
-// missing/closed recipient).
-func (n *Network) Dropped() int64 { return n.dropped.Load() }
+// Dropped returns the number of envelopes lost (partition, loss model,
+// missing/closed recipient, or a sender's full queue).
+func (n *Network) Dropped() int64 { return n.dropped.Load() + n.wire.Overflow() }
 
 // Bytes returns the total encoded payload bytes transmitted.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
 
 // ResetCounters zeroes the traffic counters (between evaluation runs).
 func (n *Network) ResetCounters() {
-	n.sent.Store(0)
+	n.wire.Reset()
 	n.delivered.Store(0)
 	n.dropped.Store(0)
 	n.bytes.Store(0)
-	n.frames.Store(0)
-	n.batches.Store(0)
-	n.calls.Store(0)
-	n.framesDropped.Store(0)
 }
 
 // Close tears down the network and all endpoints.
@@ -327,96 +306,36 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// encPool recycles encode buffers across sends: the payload must be
-// copied out (it is retained until delivery), but the pooled buffer's
-// grown backing array is reused, so steady-state broadcast traffic stops
-// churning the GC with per-envelope buffer growth.
-var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// send queues one envelope through the link's write coalescer: an idle
-// link transmits it immediately as its own frame (zero added latency when
-// the queue has one entry); a busy link queues it for the busy sender to
-// flush as part of an EnvelopeBatch frame.
-func (n *Network) send(ctx context.Context, from *endpoint, to proto.Addr, env proto.Envelope) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	env.From = from.addr
-	env.To = to
-	ob := n.outboxFor(from.addr, to)
-	writer, dropped := ob.Admit(env)
-	if dropped {
-		// Queue at capacity behind a stalled link: silent loss, like the
-		// wireless medium (counted on both sides of the Sent =
-		// Delivered + Dropped identity).
-		n.sent.Add(1)
-		n.dropped.Add(1)
-		return nil
-	}
-	if !writer {
-		return nil
-	}
-	err := n.transmit(from, to, env)
-	n.drainOutbox(from, to, ob)
-	return err
-}
-
-// drainOutbox flushes everything queued while the caller was
-// transmitting, one EnvelopeBatch frame per flush, until the queue is
-// empty. ob must be the coalescer of the from→to link.
-func (n *Network) drainOutbox(from *endpoint, to proto.Addr, ob *transport.Coalescer) {
-	ob.Drain(from.addr, to, func(env proto.Envelope) error {
-		return n.transmit(from, to, env)
-	})
-}
-
 // lost accounts one frame that will never reach a handler.
 func (n *Network) lost(d delivery) {
 	n.dropped.Add(d.envelopes)
-	n.framesDropped.Add(1)
+	n.wire.FrameDropped()
 }
 
-// transmit implements the delivery decision for one frame (a single
-// envelope or a coalesced batch): encode outside the lock, decide under
-// it — crash state, reachability, loss draw, latency model — and hand
-// the frame to the recipient's inbox or the link's delay line after
-// releasing it. Only the encoded bytes travel: a receiver decodes its own
-// copy and never shares a slice or map with the sender.
-func (n *Network) transmit(from *endpoint, to proto.Addr, env proto.Envelope) error {
-	buf := encPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := proto.EncodeTo(buf, env); err != nil {
-		encPool.Put(buf)
-		return err
-	}
-	payload := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
-	encPool.Put(buf)
-	count, calls := transport.FrameCounts(env)
-
+// put is the endpoint's transport.Link: the delivery decision for one
+// encoded frame. It copies the bytes outside the lock (only they travel: a
+// receiver decodes its own copy and never shares a slice or map with the
+// sender), decides under it — crash state, reachability, loss draw,
+// latency model — and hands the frame to the recipient's inbox or the
+// link's delay line after releasing it.
+func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte, envelopes int64) error {
+	n := e.net
+	d := delivery{payload: bytes.Clone(frame), envelopes: envelopes}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return fmt.Errorf("inmem: network closed")
 	}
-	if n.crashed[from.addr] {
+	if n.crashed[e.addr] {
 		// A crashed host cannot transmit: the failure is loud on the
 		// sender's side (its own Call fails) rather than silent loss.
 		n.mu.Unlock()
-		return fmt.Errorf("inmem: host %q crashed", from.addr)
+		return fmt.Errorf("inmem: host %q crashed", e.addr)
 	}
-	d := delivery{payload: payload, envelopes: count}
-	box, held := n.routeLocked(from.addr, to, &d)
+	box, held := n.routeLocked(e.addr, to, &d)
 	n.mu.Unlock()
 
-	// Counted outside the lock, but before the push, so Delivered never
-	// runs ahead of Sent.
-	n.sent.Add(count)
-	n.frames.Add(1)
-	if count > 1 {
-		n.batches.Add(1)
-	}
-	n.calls.Add(calls)
-	n.bytes.Add(int64(len(payload)))
+	n.bytes.Add(int64(len(d.payload)))
 	if !held && (box == nil || !box.push(d)) {
 		n.lost(d)
 	}
@@ -524,10 +443,12 @@ type delivery struct {
 	epoch uint64
 }
 
-// endpoint implements transport.Endpoint.
+// endpoint implements transport.Endpoint; Send is its Sender's.
 type endpoint struct {
-	net     *Network
-	addr    proto.Addr
+	*transport.Sender
+	net  *Network
+	addr proto.Addr
+	// handler counts an envelope delivered, then runs the host's handler.
 	handler transport.Handler
 	box     *mailbox
 }
@@ -536,11 +457,6 @@ var _ transport.Endpoint = (*endpoint)(nil)
 
 // Addr implements transport.Endpoint.
 func (e *endpoint) Addr() proto.Addr { return e.addr }
-
-// Send implements transport.Endpoint.
-func (e *endpoint) Send(ctx context.Context, to proto.Addr, env proto.Envelope) error {
-	return e.net.send(ctx, e, to, env)
-}
 
 // Close implements transport.Endpoint.
 func (e *endpoint) Close() error {
@@ -551,30 +467,17 @@ func (e *endpoint) Close() error {
 	return nil
 }
 
-// pump delivers queued messages to the handler, one at a time. Coalesced
-// frames are split here: the handler sees only plain envelopes, in the
-// order they were queued on the sending side (the per-link FIFO
-// guarantee passes through batching intact).
+// pump delivers queued frames to the handler, one at a time; a frame that
+// does not decode is lost.
 func (e *endpoint) pump() {
 	for {
 		d, ok := e.box.pop()
 		if !ok {
 			return
 		}
-		env, err := proto.Decode(d.payload)
-		if err != nil {
+		if err := transport.Deliver(e.handler, d.payload); err != nil {
 			e.net.lost(d)
-			continue
 		}
-		if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-			for _, inner := range batch.Envelopes {
-				e.net.delivered.Add(1)
-				e.handler(inner)
-			}
-			continue
-		}
-		e.net.delivered.Add(1)
-		e.handler(env)
 	}
 }
 

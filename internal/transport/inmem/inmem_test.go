@@ -442,10 +442,9 @@ func TestCoalescerFlushesQueueAsOneBatch(t *testing.T) {
 	a := epA.(*endpoint)
 	// Simulate a write in flight on a→b: everything sent meanwhile
 	// queues behind it.
-	ob := n.outboxFor("a", "b")
 	// Become the writer without transmitting: everything sent while the
 	// "write" is in flight queues behind it.
-	if w, _ := ob.Admit(proto.Envelope{From: "a", To: "b", Body: proto.Ack{}}); !w {
+	if _, w := a.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle link")
 	}
 	for i := 1; i <= 3; i++ {
@@ -456,7 +455,7 @@ func TestCoalescerFlushesQueueAsOneBatch(t *testing.T) {
 	if got := recv.count(); got != 0 {
 		t.Fatalf("%d envelopes delivered while the link was busy", got)
 	}
-	n.drainOutbox(a, "b", ob)
+	a.Drain(context.Background(), "b")
 	got := recv.waitN(t, 3, time.Second)
 	for i, env := range got {
 		if env.ReqID != uint64(i+1) {
@@ -509,10 +508,9 @@ func TestCoalescerBoundsBatchSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := epA.(*endpoint)
-	ob := n.outboxFor("a", "b")
 	// Become the writer without transmitting: everything sent while the
 	// "write" is in flight queues behind it.
-	if w, _ := ob.Admit(proto.Envelope{From: "a", To: "b", Body: proto.Ack{}}); !w {
+	if _, w := a.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle link")
 	}
 	total := transport.MaxCoalesce + 5
@@ -521,7 +519,7 @@ func TestCoalescerBoundsBatchSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.drainOutbox(a, "b", ob)
+	a.Drain(context.Background(), "b")
 	got := recv.waitN(t, total, time.Second)
 	for i, env := range got {
 		if env.ReqID != uint64(i+1) {
@@ -617,8 +615,7 @@ func TestDroppedCountsBatchedEnvelopes(t *testing.T) {
 	a := epA.(*endpoint)
 	// Queue three envelopes behind a busy link to "ghost" (never
 	// attached), then flush: the whole batch frame drops.
-	ob := n.outboxFor("a", "ghost")
-	if w, _ := ob.Admit(proto.Envelope{From: "a", To: "ghost", Body: proto.Ack{}}); !w {
+	if _, w := a.Admit("ghost", proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle link")
 	}
 	for i := 1; i <= 3; i++ {
@@ -626,7 +623,7 @@ func TestDroppedCountsBatchedEnvelopes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.drainOutbox(a, "ghost", ob)
+	a.Drain(context.Background(), "ghost")
 	if got := n.Messages(); got != 3 {
 		t.Fatalf("Messages = %d, want 3", got)
 	}

@@ -8,7 +8,6 @@
 package tcpnet
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -16,66 +15,41 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"openwf/internal/proto"
 	"openwf/internal/transport"
 )
 
-// maxFrame bounds a single message frame (16 MiB) to fail fast on
-// corrupted length prefixes.
-const maxFrame = 16 << 20
+// prefixLen is the frame header the sender reserves and write fills in:
+// the big-endian length of the encoded envelope that follows.
+const prefixLen = 4
 
 // Transport is one host's TCP endpoint. Create with Listen, then provide
 // the community registry with SetRegistry before sending.
 type Transport struct {
+	// Sender supplies Send. Unknown or unreachable recipients lose the
+	// message silently, matching the wireless semantics of the abstract
+	// layer; local failures (closed transport, encoding, an oversized frame,
+	// canceled context) error and count nothing. The context bounds
+	// connection establishment: a canceled context aborts an in-flight dial
+	// promptly.
+	*transport.Sender
 	addr     proto.Addr
 	handler  transport.Handler
 	listener net.Listener
+	wire     transport.Counters
 
 	mu       sync.Mutex
 	registry map[proto.Addr]string
 	conns    map[proto.Addr]net.Conn
 	inbound  map[net.Conn]struct{}
-	outboxes map[proto.Addr]*transport.Coalescer
 	closed   bool
 
 	wg sync.WaitGroup
-
-	// Framing and round-trip counters mirroring inmem's accounting (see
-	// transport.Stats): envelopes at frame granularity in transmit plus
-	// overflow-dropped admits, calls by unwrapping coalesced batches,
-	// framesDropped per lost frame — so daemon metrics read identically
-	// off either substrate.
-	envelopes     atomic.Int64
-	frames        atomic.Int64
-	batches       atomic.Int64
-	calls         atomic.Int64
-	framesDropped atomic.Int64
 }
-
-var _ transport.Reporter = (*Transport)(nil)
 
 // Stats returns the transport's framing and round-trip counters.
-func (t *Transport) Stats() transport.Stats {
-	return transport.Stats{
-		Envelopes:     t.envelopes.Load(),
-		Frames:        t.frames.Load(),
-		Batches:       t.batches.Load(),
-		Calls:         t.calls.Load(),
-		FramesDropped: t.framesDropped.Load(),
-	}
-}
-
-// TransportStats implements transport.Reporter.
-func (t *Transport) TransportStats() transport.Stats { return t.Stats() }
-
-// drainDialTimeout bounds connection establishment for queued envelopes:
-// they detached from their callers' contexts when they were accepted, so
-// the drain loop supplies its own deadline — a blackholed peer costs one
-// bounded dial per flush, never a wedged coalescer.
-const drainDialTimeout = 10 * time.Second
+func (t *Transport) Stats() transport.Stats { return t.wire.Stats() }
 
 var _ transport.Endpoint = (*Transport)(nil)
 
@@ -97,8 +71,8 @@ func Listen(addr proto.Addr, handler transport.Handler) (*Transport, string, err
 		registry: make(map[proto.Addr]string),
 		conns:    make(map[proto.Addr]net.Conn),
 		inbound:  make(map[net.Conn]struct{}),
-		outboxes: make(map[proto.Addr]*transport.Coalescer),
 	}
+	t.Sender = transport.NewSender(addr, prefixLen, &t.wire, t.write)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, ln.Addr().String(), nil
@@ -118,110 +92,25 @@ func (t *Transport) SetRegistry(reg map[proto.Addr]string) {
 // Addr implements transport.Endpoint.
 func (t *Transport) Addr() proto.Addr { return t.addr }
 
-// encPool recycles frame buffers across sends; the frame is written to
-// the socket before the buffer returns to the pool, so no per-envelope
-// byte slice escapes.
-var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// Send implements transport.Endpoint. Unknown or unreachable recipients
-// lose the message silently, matching the wireless semantics of the
-// abstract layer; local failures (closed transport, encoding, canceled
-// context) error. The context bounds connection establishment: a
-// canceled context aborts an in-flight dial promptly.
-//
-// Sends to one peer pass through a write-side coalescer
-// (transport.Coalescer, shared with inmem): an envelope arriving while
-// another write to the same peer is in flight is queued (bounded; a
-// stalled peer drops the overflow like the lossy medium it models) and
-// flushed by the busy sender as part of one EnvelopeBatch frame. Queued
-// envelopes detach from their caller's context — like the wireless
-// medium, once accepted they are the transport's to deliver or lose.
-func (t *Transport) Send(ctx context.Context, to proto.Addr, env proto.Envelope) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	env.From = t.addr
-	env.To = to
-	ob := t.outboxFor(to)
-	writer, dropped := ob.Admit(env)
-	if dropped {
-		// Accepted then lost at the queue cap, like inmem's overflow
-		// accounting: the envelope counts, but no frame ever existed to
-		// count under FramesDropped.
-		t.envelopes.Add(1)
-		return nil
-	}
-	if !writer {
-		return nil // queued for the busy writer to flush
-	}
-	err := t.transmit(ctx, to, env)
-	t.drainOutbox(to, ob)
-	return err
-}
-
-// outboxFor returns (creating on first use) the coalescer for a peer.
-func (t *Transport) outboxFor(to proto.Addr) *transport.Coalescer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ob, ok := t.outboxes[to]
-	if !ok {
-		ob = &transport.Coalescer{}
-		t.outboxes[to] = ob
-	}
-	return ob
-}
-
-// drainOutbox flushes everything queued while the caller was writing,
-// one EnvelopeBatch frame per flush, until the queue is empty. Each
-// flush dials (if needed) under its own bounded context.
-func (t *Transport) drainOutbox(to proto.Addr, ob *transport.Coalescer) {
-	ob.Drain(t.addr, to, func(env proto.Envelope) error {
-		ctx, cancel := context.WithTimeout(context.Background(), drainDialTimeout) //openwf:allow-background the drain out-lives the admitting writer's request ctx; the dial timeout bounds it instead
-		defer cancel()
-		return t.transmit(ctx, to, env)
-	})
-}
-
-// transmit frames and writes one envelope (or coalesced batch) to the
-// peer's connection.
-func (t *Transport) transmit(ctx context.Context, to proto.Addr, env proto.Envelope) error {
-	buf := encPool.Get().(*bytes.Buffer)
-	defer encPool.Put(buf)
-	buf.Reset()
-	// Reserve the frame's 4-byte length prefix, patched in after
-	// encoding.
-	var prefix [4]byte
-	buf.Write(prefix[:])
-	if err := proto.EncodeTo(buf, env); err != nil {
-		return err
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-
-	count, calls := transport.FrameCounts(env)
-	t.envelopes.Add(count)
-	t.frames.Add(1)
-	if count > 1 {
-		t.batches.Add(1)
-	}
-	t.calls.Add(calls)
-
+// write is the transport.Link: it fills in the length prefix and writes
+// the frame to the peer's connection in one call.
+func (t *Transport) write(ctx context.Context, to proto.Addr, frame []byte, _ int64) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-prefixLen))
 	// Two attempts: a cached connection may have gone stale.
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, err := t.conn(ctx, to)
 		if err != nil {
-			t.framesDropped.Add(1)
 			if errors.Is(err, errClosed) || ctx.Err() != nil {
 				return err
 			}
-			return nil // unreachable: silent loss
+			break // unreachable: silent loss
 		}
 		if _, err := conn.Write(frame); err == nil {
 			return nil
 		}
 		t.dropConn(to, conn)
 	}
-	t.framesDropped.Add(1)
+	t.wire.FrameDropped()
 	return nil
 }
 
@@ -335,19 +224,19 @@ func (t *Transport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 		_ = conn.Close()
 	}()
-	var lenBuf [4]byte
+	var lenBuf [prefixLen]byte
 	// data is reused across frames instead of allocated per frame: the
-	// read loop is the only writer, and proto.Decode fully copies what it
-	// keeps (TestDecodeCopiesInput in internal/proto pins that property),
-	// so overwriting the buffer with the next frame cannot alias an
-	// envelope already handed to the handler.
+	// read loop is the only writer, and transport.Deliver hands over
+	// envelopes that share nothing with it (TestDecodeCopiesInput in
+	// internal/proto pins that property), so overwriting the buffer with
+	// the next frame cannot alias an envelope already handed to the handler.
 	var data []byte
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
+		if n == 0 || n > transport.MaxFrame {
 			return
 		}
 		if uint32(cap(data)) < n {
@@ -357,26 +246,13 @@ func (t *Transport) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, data); err != nil {
 			return
 		}
-		env, err := proto.Decode(data)
-		if err != nil {
-			continue // corrupt frame: drop, keep the connection
-		}
 		t.mu.Lock()
 		closed := t.closed
 		t.mu.Unlock()
 		if closed {
 			return
 		}
-		// A coalesced frame splits here without re-allocating: Decode
-		// already produced the inner envelopes backed by the frame's one
-		// string copy, so dispatching them is pure iteration, in queue
-		// order (per-connection FIFO extends through batching).
-		if batch, ok := env.Body.(proto.EnvelopeBatch); ok {
-			for _, inner := range batch.Envelopes {
-				t.handler(inner)
-			}
-			continue
-		}
-		t.handler(env)
+		// A corrupt frame is dropped; the connection is kept.
+		_ = transport.Deliver(t.handler, data)
 	}
 }

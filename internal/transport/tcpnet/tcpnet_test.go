@@ -2,11 +2,13 @@ package tcpnet
 
 import (
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"openwf/internal/proto"
+	"openwf/internal/transport"
 )
 
 type collector struct {
@@ -183,9 +185,55 @@ func TestSendAfterCloseErrors(t *testing.T) {
 	if err := ta.Send(context.Background(), "b", ping(1)); err == nil {
 		t.Error("Send on closed transport succeeded")
 	}
+	// The caller was told: a refused write is not a frame lost on the
+	// medium, and counts nowhere.
+	if st := ta.Stats(); st != (transport.Stats{}) {
+		t.Errorf("Stats after a refused send = %+v, want all zero", st)
+	}
 	// Double close is fine.
 	if err := ta.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestOversizedFrameRefusedBeforeTheWire: a frame over transport.MaxFrame
+// is a local failure, known once it is encoded. The sender errors and
+// counts nothing, and nothing is written — so the receiver never sees a
+// length it must refuse, and the connection carrying the frames before it
+// carries the frames after it.
+func TestOversizedFrameRefusedBeforeTheWire(t *testing.T) {
+	ta, _, _, colB := pair(t)
+	ctx := context.Background()
+	if err := ta.Send(ctx, "b", ping(1)); err != nil {
+		t.Fatal(err)
+	}
+	colB.waitN(t, 1, 2*time.Second)
+	cached := func() net.Conn {
+		ta.mu.Lock()
+		defer ta.mu.Unlock()
+		return ta.conns["b"]
+	}
+	conn := cached()
+	big := proto.Envelope{ReqID: 2, Body: proto.LabelTransfer{Label: "l", Data: make([]byte, transport.MaxFrame+1)}}
+	if err := ta.Send(ctx, "b", big); err == nil {
+		t.Error("Send of a frame over MaxFrame succeeded")
+	}
+	for i := 3; i <= 5; i++ {
+		if err := ta.Send(ctx, "b", ping(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := colB.waitN(t, 4, 2*time.Second)
+	for i, want := range []uint64{1, 3, 4, 5} {
+		if got[i].ReqID != want {
+			t.Fatalf("envelope %d has ReqID %d, want %d", i, got[i].ReqID, want)
+		}
+	}
+	if now := cached(); now != conn {
+		t.Errorf("connection to b replaced (%v → %v): the oversized frame reached the wire", conn, now)
+	}
+	if st := ta.Stats(); st.Frames != 4 || st.FramesDropped != 0 {
+		t.Errorf("Stats = %+v, want 4 frames, none dropped", st)
 	}
 }
 
@@ -284,10 +332,9 @@ func TestNilHandlerRejected(t *testing.T) {
 // splits it and the handler sees plain envelopes in send order.
 func TestCoalescedBatchSplitsAtReceiver(t *testing.T) {
 	ta, _, _, colB := pair(t)
-	ob := ta.outboxFor("b")
 	// Become the writer without writing: everything sent meanwhile
 	// queues behind the simulated in-flight write.
-	if w, _ := ob.Admit(proto.Envelope{From: "a", To: "b", Body: proto.Ack{}}); !w {
+	if _, w := ta.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle peer")
 	}
 	for i := 1; i <= 4; i++ {
@@ -298,7 +345,7 @@ func TestCoalescedBatchSplitsAtReceiver(t *testing.T) {
 	if got := colB.count(); got != 0 {
 		t.Fatalf("%d envelopes arrived while the writer was busy", got)
 	}
-	ta.drainOutbox("b", ob)
+	ta.Drain(context.Background(), "b")
 	got := colB.waitN(t, 4, 2*time.Second)
 	for i, env := range got {
 		if env.ReqID != uint64(i+1) {
@@ -353,8 +400,7 @@ func TestStatsCounters(t *testing.T) {
 
 	// A forced coalesced flush: three envelopes queued behind a busy
 	// writer land as one EnvelopeBatch frame.
-	ob := ta.outboxFor("b")
-	if w, _ := ob.Admit(proto.Envelope{From: "a", To: "b", Body: proto.Ack{}}); !w {
+	if _, w := ta.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
 		t.Fatal("expected to become the writer on an idle peer")
 	}
 	for i := 4; i <= 6; i++ {
@@ -362,7 +408,7 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ta.drainOutbox("b", ob)
+	ta.Drain(context.Background(), "b")
 	colB.waitN(t, 5, 2*time.Second)
 	st = ta.Stats()
 	if st.Envelopes != 6 || st.Frames != 4 || st.Batches != 1 {

@@ -4,10 +4,16 @@
 // caching are hidden behind this interface; all components — local or
 // remote — exchange proto.Envelopes through it uniformly.
 //
-// Two implementations ship with the system: inmem (a simulated network
-// with configurable latency, loss, and partitions, used for simulation
+// Two substrates ship with the system: inmem (a simulated network with
+// configurable latency, loss, and partitions, used for simulation
 // experiments) and tcpnet (real TCP sockets, used for the empirical
-// configuration).
+// configuration). Everything between Endpoint.Send and the Handler that is
+// not the medium itself lives here, once (wire.go): a Sender stamps,
+// coalesces, encodes, bounds and counts each frame, and Deliver decodes
+// one and splits a coalesced batch. A substrate only moves bytes — it
+// supplies one Link function that puts an encoded frame on the link to a
+// peer, and calls Deliver on each frame that arrives — so the counters
+// mean the same on either substrate by construction.
 package transport
 
 import (
@@ -99,25 +105,6 @@ func (c *Coalescer) Drain(from, to proto.Addr, transmit func(proto.Envelope) err
 	}
 }
 
-// FrameCounts returns what one wire frame — a lone envelope, or the
-// proto.EnvelopeBatch Drain built — adds to Stats: the logical envelopes it
-// carries and how many of them are requests, each opening a Call round trip.
-// Both transports count a frame with it, so the counters mean the same on
-// either substrate and stay in envelope units whether or not the frame was
-// coalesced.
-func FrameCounts(frame proto.Envelope) (envelopes, calls int64) {
-	carried := []proto.Envelope{frame}
-	if batch, ok := frame.Body.(proto.EnvelopeBatch); ok {
-		carried = batch.Envelopes
-	}
-	for _, env := range carried {
-		if proto.IsRequest(env.Body) {
-			calls++
-		}
-	}
-	return int64(len(carried)), calls
-}
-
 // Stats is the framing and round-trip accounting shared by both
 // transports — the diagnostic counterpart of the paper's message counts,
 // and the seed of the daemon's transport metrics. Envelopes is the number
@@ -138,12 +125,14 @@ type Stats struct {
 	FramesDropped int64
 }
 
-// Reporter is implemented by transports that export their counters
-// (inmem.Network, tcpnet.Transport); the daemon's metrics registry
-// scrapes it uniformly across substrates.
-type Reporter interface {
-	// TransportStats returns a snapshot of the counters.
-	TransportStats() Stats
+// Add merges another snapshot into s (a community's sum over its
+// endpoints).
+func (s *Stats) Add(o Stats) {
+	s.Envelopes += o.Envelopes
+	s.Frames += o.Frames
+	s.Batches += o.Batches
+	s.Calls += o.Calls
+	s.FramesDropped += o.FramesDropped
 }
 
 // Endpoint is one host's attachment to the network.
