@@ -355,14 +355,16 @@ func BenchmarkConcurrentInitiate(b *testing.B) {
 // every other member is junk, in the three ways the initiator can know
 // that. The roundtrips/op metric is the story: "cold" (the index is wiped
 // before every Initiate, so each is its host's first) pays one describing
-// sweep and grows O(hosts) — 26 and 116, every fragment query on the wire;
+// sweep and grows O(hosts) — 21 and 111, every fragment query on the wire;
 // "memory" (what earlier sessions were told, fragments included) costs a
-// flat 11 = 5 calls for bids + 6 awards and no fragment query; "advertiser"
-// (pushed sets, warmed at set-up) costs the same 11 between pushes and 6
-// more for the one session after the knowhow host's push, which drops what
-// it had answered — the advertiser's edge is the first session and the
-// silent member, nothing per Initiate. openwfbench's tcp_wide workload
-// carries the advertiser on real sockets.
+// flat 6 = 5 calls for bids + 1 award to the replica that wins all six
+// tasks, and no fragment query; "advertiser" (pushed sets, warmed at
+// set-up) costs the same 6 between pushes and 6 more for the one session
+// after the knowhow host's push, which drops what it had answered (26 / 11
+// / 11 and 116 / 11 / 11 while each task was awarded on its own) — the
+// advertiser's edge is the first session and the silent member, nothing
+// per Initiate. openwfbench's tcp_wide workload carries the advertiser on
+// real sockets.
 func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
 		for _, mode := range []string{"cold", "memory", "advertiser"} {

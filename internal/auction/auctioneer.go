@@ -35,8 +35,9 @@ type Decision struct {
 	// Winner is the awarded host; empty when the auction failed (every
 	// member declined).
 	Winner proto.Addr
-	// Award is the message to send to the winner (zero when failed).
-	Award proto.Award
+	// Meta is the decided task's metadata, as solicited: what the engine
+	// awards the winner.
+	Meta proto.TaskMeta
 	// Losers are the hosts whose firm bids were not awarded, sorted.
 	// Each still reserves its schedule slot; the engine releases them
 	// promptly (a Cancel) instead of letting the reservations block
@@ -192,7 +193,7 @@ func (a *Auctioneer) maybeFinalize(ta *taskAuction, now time.Time) []Decision {
 	ta.decided = true
 	a.open--
 	if !ta.hasBest {
-		return []Decision{{Task: ta.meta.Task}}
+		return []Decision{{Task: ta.meta.Task, Meta: ta.meta}}
 	}
 	ta.winner = ta.bestBidder
 	var losers []proto.Addr
@@ -205,7 +206,7 @@ func (a *Auctioneer) maybeFinalize(ta *taskAuction, now time.Time) []Decision {
 	return []Decision{{
 		Task:   ta.meta.Task,
 		Winner: ta.bestBidder,
-		Award:  proto.Award{Meta: ta.meta},
+		Meta:   ta.meta,
 		Losers: losers,
 	}}
 }

@@ -86,14 +86,18 @@ func runCallCount(t *testing.T) (int64, string) {
 // budget: one full-collection fragment query per member (the initiator
 // queries itself over the loopback too), in which every member also
 // describes itself; one batched call for bids to the one member whose
-// description offers any of the tasks; one award per task —
-// hosts+1+chain Calls in total. A broadcast solicitation costs a further
-// hosts−1, the retired per-task oracle hosts·(chain−1) on top; any
-// regression toward either breaks the equality.
+// description offers any of the tasks — and, that member being the only
+// one offering them, the call carries the award of all chain tasks and its
+// bids are the commitments: hosts+1 Calls in total. (It was hosts+1+1 while
+// the sole winner was sent one Award for the whole chain after its bids,
+// and hosts+1+chain = 19 while each decision was awarded on its own.) A
+// broadcast solicitation costs a further hosts−1, the retired per-task
+// oracle hosts·(chain−1) on top; any regression toward either, or toward an
+// award per task or per winner, breaks the equality.
 func TestBatchedCFBCallBudgetAtTenHosts(t *testing.T) {
-	const hosts, chain = 10, 8
+	const hosts = 10
 	calls, _ := runCallCount(t)
-	want := int64(hosts + 1 + chain)
+	want := int64(hosts + 1)
 	t.Logf("calls per Initiate: %d (budget %d)", calls, want)
 	if calls != want {
 		t.Fatalf("Initiate cost %d call round trips, want exactly %d", calls, want)

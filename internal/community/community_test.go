@@ -582,7 +582,8 @@ func TestConjunctiveFanInAcrossHosts(t *testing.T) {
 // that can answer are contacted: round 2 ("lunch prepared") goes to the
 // one member that consumes the label, feasibility is answered from the
 // descriptions with no message at all, and bids are solicited only from
-// the members offering a task of the workflow.
+// the members offering a task of the workflow — each the only one offering
+// its task, so the award rides on the call for bids and no award is sent.
 func TestTraceRecordsConversation(t *testing.T) {
 	rec := trace.NewBuffer(0)
 	opts := Options{Engine: testEngineConfig(), Trace: rec}
@@ -626,8 +627,11 @@ func TestTraceRecordsConversation(t *testing.T) {
 	if got := received(rec, "call-for-bids-batch"); !reflect.DeepEqual(got, offerers) {
 		t.Errorf("calls for bids went to %v, want exactly one to each offerer %v", got, offerers)
 	}
-	if got, want := count[key{"award", trace.Recv}], plan.Workflow.NumTasks(); got != want {
-		t.Errorf("awards = %d, want one per task (%d)", got, want)
+	if got := rec.CountKind("award"); got != 0 {
+		t.Errorf("%d award events, want none: each task has one offerer, whose bid is the commitment", got)
+	}
+	if got, want := c.TotalCommitments(), plan.Workflow.NumTasks(); got != want {
+		t.Errorf("%d commitments, want one per task (%d)", got, want)
 	}
 
 	// Host.Call does not record the request it sends (only Send and
@@ -636,7 +640,6 @@ func TestTraceRecordsConversation(t *testing.T) {
 	for req, reply := range map[string]string{
 		"fragment-query":      "fragment-reply",
 		"call-for-bids-batch": "bid-batch",
-		"award":               "award-ack",
 	} {
 		served, sent, got := count[key{req, trace.Recv}], count[key{reply, trace.Send}], count[key{reply, trace.Recv}]
 		if served == 0 {

@@ -169,9 +169,12 @@ func TestWarmedIndexAnswersFeasibilityLocally(t *testing.T) {
 				t.Fatalf("plans diverge:\n--- advertiser, warmed ---\n%s--- no advertiser ---\n%s", warm.plans, plain.plans)
 			}
 			// Per session: one fragment query to host00 per chain task (the
-			// round that finds nobody consuming the goal sends nothing), one
-			// call for bids to the session's provider, one award per task.
-			if want := int64(l.sessions * (l.chain + 1 + l.chain)); warm.traffic.Calls != want {
+			// round that finds nobody consuming the goal sends nothing) and
+			// one call for bids to the session's provider, which — the only
+			// member offering the chain — commits it as it bids (10 and 20
+			// while an Award for the whole chain followed, 14 and 28 while it
+			// was one award per task).
+			if want := int64(l.sessions * (l.chain + 1)); warm.traffic.Calls != want {
 				t.Errorf("%d round trips, want %d: every sweep routed from memory, feasibility answered locally", warm.traffic.Calls, want)
 			}
 			if warm.stats.Misses != 0 || warm.stats.Hits == 0 {

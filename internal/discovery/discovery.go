@@ -24,6 +24,10 @@
 //	pulled, lapsed  unknown again  asked, and asked to describe itself
 //	pushed, lapsed  presumed dead  not asked
 //
+// The same sets say when a solicitation has one possible bidder (Sole): a
+// task exactly one of the routed members offers, every one of them known,
+// is awarded on that member's call for bids instead of after it.
+//
 // Memory outlives the session that filled it. Three rules keep it from
 // costing a plan, and they are the whole policy (DESIGN.md §13):
 //
@@ -361,6 +365,42 @@ func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, out map[m
 		x.stats.Hits++
 	}
 	return ask
+}
+
+// Sole names, task by task, the member a call for bids could only be won
+// by: with every one of members known — the routed ones of a sweep that
+// asked nobody to describe itself — a task exactly one of them offers has
+// one possible bidder, and sole[i] is that member; it is "" for a task
+// several offer or none does. An award sent there without an auction goes
+// to whom the auction would have chosen, on the same memory that chose whom
+// the auction would have asked. sole is nil when some member is not known
+// (its entry lapsed since the sweep was routed) or no task is settled.
+func (x *Index) Sole(members []proto.Addr, tasks []model.TaskID) (sole []proto.Addr) {
+	now := x.clk.Now()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	offered := make([]int, len(tasks))
+	winners := make([]proto.Addr, len(tasks))
+	for _, c := range members {
+		e, st := x.standingLocked(c, now)
+		if st != known {
+			return nil
+		}
+		for i, t := range tasks {
+			if _, ok := slices.BinarySearch(e.tasks, t); ok {
+				offered[i]++
+				winners[i] = c
+			}
+		}
+	}
+	for i, n := range offered {
+		if n == 1 {
+			sole = winners // something is settled
+		} else {
+			winners[i] = ""
+		}
+	}
+	return sole
 }
 
 // intersects reports whether any of query is in the sorted set.

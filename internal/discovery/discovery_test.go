@@ -3,6 +3,7 @@ package discovery
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -604,5 +605,33 @@ func TestKnowhowLivesAndDiesWithItsEntry(t *testing.T) {
 	x.Reset()
 	if got := recall(x, "p", "a"); got != asked {
 		t.Errorf("after reset: %s, want %s", got, asked)
+	}
+}
+
+// TestSole: with every routed member known, a task exactly one of them
+// offers is that member's; a task two offer, or none, is nobody's; and one
+// member that is not known — never heard from, or lapsed since the sweep
+// was routed — settles nothing.
+func TestSole(t *testing.T) {
+	sim := clock.NewSim(discT0)
+	x := New(sim, 10*time.Second)
+	x.ObserveAdvertise("h1", nil, tsks("both", "one"))
+	x.Learn("h2", &proto.Advertise{Tasks: tsks("both", "other")}, nil, nil)
+	members := []proto.Addr{"h1", "h2"}
+	tasks := tsks("one", "both", "none", "other")
+
+	got := x.Sole(members, tasks)
+	if want := []proto.Addr{"h1", "", "", "h2"}; !slices.Equal(got, want) {
+		t.Errorf("Sole = %q, want %q", got, want)
+	}
+	if got := x.Sole(members, tsks("both", "none")); got != nil {
+		t.Errorf("Sole = %q with no task settled, want nil", got)
+	}
+	if got := x.Sole([]proto.Addr{"h1", "h2", "h3"}, tasks); got != nil {
+		t.Errorf("Sole = %q with h3 never heard from, want nil", got)
+	}
+	sim.Advance(10 * time.Second)
+	if got := x.Sole(members, tasks); got != nil {
+		t.Errorf("Sole = %q with both entries lapsed, want nil", got)
 	}
 }

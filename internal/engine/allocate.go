@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,10 +50,11 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 }
 
 // runAuction solicits bids for metas (one CallForBidsBatch per member,
-// answered by one BidBatch — one round trip per member), awards each
-// decision the moment the auctioneer makes it, and records confirmed
-// winners in alloc. It returns the tasks that ended unallocated — decided
-// failed, award refused or undeliverable, or never decided at all.
+// answered by one BidBatch — one round trip per member), awards the
+// decisions the moment the auctioneer makes them (one Award per winner,
+// see award), and records confirmed winners in alloc. It returns the tasks
+// that ended unallocated — decided failed, award refused or undeliverable,
+// or never decided at all.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -59,7 +62,10 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 // the same order and the first sweep reserves slots on every host before
 // the others arrive — concurrent Initiates would serialize into bands.
 // Binding stays auction-based: routing narrows who is asked, never who
-// wins.
+// wins. A task the routing leaves one member to ask has its auction's
+// outcome before it starts — that member wins or nobody does — so its
+// award rides on that member's call for bids (soleTasks) and the
+// auctioneer runs the others.
 //
 // Awarding (and canceling losers) at decision time releases contended
 // schedule slots a full round earlier than a collect-then-award shape:
@@ -74,7 +80,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	for i, meta := range metas {
 		tasks[i] = meta.Task
 	}
-	members, _ := m.route(candidates, nil, tasks, rot)
+	members, describe := m.route(candidates, nil, tasks, rot)
 	if len(members) == 0 {
 		// Every member is known and none offers any of these tasks: what
 		// a broadcast would learn from a round of declines is already
@@ -84,82 +90,63 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 		}
 		return unallocated(metas, alloc), nil
 	}
-	auc, err := auction.NewAuctioneer(members, metas)
+	open, sole := metas, map[proto.Addr][]proto.TaskMeta(nil)
+	if !describe {
+		open, sole = m.soleTasks(members, tasks, metas)
+	}
+	auc, err := auction.NewAuctioneer(members, open)
 	if err != nil {
 		return nil, err
 	}
 	clk := m.net.Clock()
 
-	// award finalizes one decision. A refused or undeliverable award
-	// re-enters the failure set for replanning.
-	award := func(d auction.Decision) error {
-		if d.Failed() {
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-			return nil
-		}
-		// Release the losing bidders' reservations promptly: a Cancel
-		// for a task the host never committed drops exactly the hold.
-		for _, loser := range d.Losers {
-			_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
-		}
-		reply, err := m.net.Call(ctx, d.Winner, wfID, d.Award, m.cfg.CallTimeout)
-		if err != nil {
-			if ctx.Err() != nil {
-				// Canceled mid-award: the interrupted award may have
-				// reached its winner even though the ack never came
-				// back, so record it and let the caller's cleanup
-				// cancel it along with everything already won.
-				alloc[d.Task] = d.Winner
-				return ctx.Err()
-			}
-			// The call failed without the context being canceled (a
-			// timeout or a lost ack). The award itself may still have
-			// reached the winner, which would then hold a dead
-			// commitment blocking its schedule window while the task is
-			// replanned elsewhere — send a best-effort Cancel. Unlike
-			// cancelAwards, ctx is still live here, so the send stays
-			// cancelable and cannot hang on the very peer that just
-			// failed to answer.
-			_ = m.net.Send(ctx, d.Winner, wfID, proto.Cancel{Task: d.Task})
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-			return nil
-		}
-		ack, ok := reply.(proto.AwardAck)
-		if !ok {
-			return fmt.Errorf("award to %q: unexpected reply %T", d.Winner, reply)
-		}
-		if !ack.OK {
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-			return nil
-		}
-		alloc[d.Task] = d.Winner
-		m.cfg.Observer.taskDecided(wfID, d.Task, d.Winner)
-		return nil
-	}
-	awardAll := func(ds []auction.Decision) error {
-		for _, d := range ds {
-			if err := award(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Solicit bids from every member in turn (§5: time linear in the
 	// number of hosts); decisions are awarded as they finalize.
 	for _, out := range auc.StartBatched() {
+		mine := sole[out.To]
+		if len(mine) > 0 {
+			cfb := out.Body.(proto.CallForBidsBatch)
+			cfb.Metas = slices.Concat(cfb.Metas, mine)
+			cfb.Sole = make([]model.TaskID, len(mine))
+			for i, meta := range mine {
+				cfb.Sole[i] = meta.Task
+			}
+			out.Body = cfb
+		}
 		reply, err := m.net.Call(ctx, out.To, wfID, out.Body, m.cfg.CallTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
+				// Canceled mid-call: the member may have committed its own
+				// tasks although its reply never came back, so record them
+				// for the caller's cleanup, as an interrupted award is.
+				for _, meta := range mine {
+					alloc[meta.Task] = out.To
+				}
 				return nil, ctx.Err()
 			}
-			continue // member unreachable: it simply does not bid
+			// Member unreachable: it simply does not bid. Its own tasks are
+			// lost awards — it may hold them committed — and are settled as
+			// awardWinner settles those.
+			for _, meta := range mine {
+				_ = m.net.Send(ctx, out.To, wfID, proto.Cancel{Task: meta.Task})
+				m.cfg.Observer.taskDecided(wfID, meta.Task, "")
+			}
+			continue
 		}
 		bids, ok := reply.(proto.BidBatch)
 		if !ok {
 			return nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
 		}
-		if err := awardAll(auc.HandleBidBatch(out.To, bids, clk.Now())); err != nil {
+		for _, meta := range mine {
+			// A bid for a task that rode on the call is its commitment.
+			var winner proto.Addr
+			if slices.ContainsFunc(bids.Bids, func(b proto.Bid) bool { return b.Task == meta.Task }) {
+				winner = out.To
+				alloc[meta.Task] = winner
+			}
+			m.cfg.Observer.taskDecided(wfID, meta.Task, winner)
+		}
+		if err := m.award(ctx, wfID, auc.HandleBidBatch(out.To, bids, clk.Now()), alloc); err != nil {
 			return nil, err
 		}
 	}
@@ -182,12 +169,121 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 				return nil, ctx.Err()
 			}
 		}
-		if err := awardAll(auc.Tick(clk.Now())); err != nil {
+		if err := m.award(ctx, wfID, auc.Tick(clk.Now()), alloc); err != nil {
 			return nil, err
 		}
 	}
 
 	return unallocated(metas, alloc), nil
+}
+
+// soleTasks splits metas by what the host's memory says of members, the
+// routed ones, every one of them known: a task exactly one of them offers
+// goes to that member's list in sole (discovery.Index.Sole), the others
+// stay open for the auction. Memory that would have left the auctioneer
+// one member to hear from on a task names that member here instead; a
+// session that fails on what it was told runs once more asking everyone
+// (notFromMemory).
+func (m *Manager) soleTasks(members []proto.Addr, tasks []model.TaskID, metas []proto.TaskMeta) (open []proto.TaskMeta, sole map[proto.Addr][]proto.TaskMeta) {
+	only := m.idx.Sole(members, tasks)
+	if only == nil {
+		return metas, nil
+	}
+	sole = make(map[proto.Addr][]proto.TaskMeta)
+	for i, meta := range metas {
+		if only[i] == "" {
+			open = append(open, meta)
+		} else {
+			sole[only[i]] = append(sole[only[i]], meta)
+		}
+	}
+	return open, sole
+}
+
+// award finalizes the decisions one reply or one tick produced: failed
+// ones are reported, every loser is released, and each winner is told
+// once, of everything it won (awardWinner). A refused or undeliverable
+// award re-enters the failure set for replanning.
+func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
+	// Failed decisions have no winner and sort first; a winner's decisions
+	// stay in the auctioneer's order.
+	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
+	for _, d := range ds {
+		if d.Failed() {
+			m.cfg.Observer.taskDecided(wfID, d.Task, "")
+		}
+		// Release the losing bidders' reservations promptly: a Cancel for
+		// a task the host never committed drops exactly the hold.
+		for _, loser := range d.Losers {
+			_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
+		}
+	}
+	for len(ds) > 0 {
+		n := 1
+		for n < len(ds) && ds[n].Winner == ds[0].Winner {
+			n++
+		}
+		if !ds[0].Failed() {
+			if err := m.awardWinner(ctx, wfID, ds[:n], alloc); err != nil {
+				return err
+			}
+		}
+		ds = ds[n:]
+	}
+	return nil
+}
+
+// awardWinner sends ds, all won by ds[0].Winner, in one Award and settles
+// each task by its own verdict: a confirmed task is recorded in alloc, a
+// refused one re-enters the failure set alone (the winner freed its slot,
+// HandleAward's rule).
+func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
+	winner := ds[0].Winner
+	body := proto.Award{Meta: ds[0].Meta, More: make([]proto.TaskMeta, len(ds)-1)}
+	for i, d := range ds[1:] {
+		body.More[i] = d.Meta
+	}
+	reply, err := m.net.Call(ctx, winner, wfID, body, m.cfg.CallTimeout)
+	if err != nil {
+		if ctx.Err() != nil {
+			// Canceled mid-award: the interrupted award may have reached
+			// its winner even though the ack never came back, so record
+			// all of it and let the caller's cleanup cancel it along with
+			// everything already won.
+			for _, d := range ds {
+				alloc[d.Task] = winner
+			}
+			return ctx.Err()
+		}
+		// The call failed without the context being canceled (a timeout or
+		// a lost ack). The award itself may still have reached the winner,
+		// which would then hold dead commitments blocking its schedule
+		// windows while the tasks are replanned elsewhere — send a
+		// best-effort Cancel for each. Unlike cancelAwards, ctx is still
+		// live here, so the sends stay cancelable and cannot hang on the
+		// very peer that just failed to answer.
+		for _, d := range ds {
+			_ = m.net.Send(ctx, winner, wfID, proto.Cancel{Task: d.Task})
+			m.cfg.Observer.taskDecided(wfID, d.Task, "")
+		}
+		return nil
+	}
+	ack, ok := reply.(proto.AwardAck)
+	if !ok {
+		return fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
+	}
+	if len(ack.More) != len(body.More) {
+		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, 1+len(ack.More), len(ds))
+	}
+	for i, verdict := range append([]proto.AwardAck{ack}, ack.More...) {
+		if !verdict.OK {
+			m.cfg.Observer.taskDecided(wfID, ds[i].Task, "")
+			continue
+		}
+		alloc[ds[i].Task] = winner
+		m.cfg.Observer.taskDecided(wfID, ds[i].Task, winner)
+	}
+	return nil
 }
 
 // unallocated returns the tasks of metas that alloc has no winner for,

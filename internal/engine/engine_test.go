@@ -44,8 +44,10 @@ type fakeMember struct {
 	capable   map[model.TaskID]bool
 	// declineAll makes the member decline every call for bids.
 	declineAll bool
-	// refuseAward makes the member nack awards.
+	// refuseAward makes the member nack awards; refuseTask nacks the
+	// listed tasks only, whatever else the same Award carries.
 	refuseAward bool
+	refuseTask  map[model.TaskID]bool
 	// dropAwardAck makes the Award call itself fail (the award may have
 	// been delivered, but the ack never comes back — a lost-ack
 	// transport fault).
@@ -258,13 +260,20 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		if window <= 0 {
 			window = time.Second
 		}
+		// A task that rides on the call (b.Sole) is awarded as it is bid
+		// for: the award scripts apply to it here — a refusal is a decline,
+		// a lost ack the loss of the whole reply.
+		if len(b.Sole) > 0 && m.dropAwardAck {
+			return nil, fmt.Errorf("bid batch from %q lost", to)
+		}
 		var reply proto.BidBatch
 		for _, meta := range b.Metas {
 			if err := f.gateCFB(ctx, m, meta.Task); err != nil {
 				return nil, err
 			}
 			f.mu.Lock()
-			decline := m.declineAll || !m.capable[meta.Task]
+			decline := m.declineAll || !m.capable[meta.Task] ||
+				slices.Contains(b.Sole, meta.Task) && (m.refuseAward || m.refuseTask[meta.Task])
 			f.mu.Unlock()
 			if decline {
 				reply.Declines = append(reply.Declines, meta.Task)
@@ -312,16 +321,30 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		if m.dropAwardAck {
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
-		if m.refuseAward {
-			return proto.AwardAck{Task: b.Meta.Task, OK: false, Reason: "scripted refusal"}, nil
+		// One verdict per task the Award carries, in its order.
+		verdict := func(meta proto.TaskMeta) proto.AwardAck {
+			if m.refuseAward || m.refuseTask[meta.Task] {
+				return proto.AwardAck{Task: meta.Task, OK: false, Reason: "scripted refusal"}
+			}
+			return proto.AwardAck{Task: meta.Task, OK: true}
 		}
-		return proto.AwardAck{Task: b.Meta.Task, OK: true}, nil
+		ack := verdict(b.Meta)
+		for _, meta := range b.More {
+			ack.More = append(ack.More, verdict(meta))
+		}
+		return ack, nil
 	case proto.PlanSegment:
 		f.mu.Lock()
 		segCh := f.segs
 		f.mu.Unlock()
 		if segCh != nil {
+			// Every segment the request carries is observed on its own.
+			more := b.More
+			b.More = nil
 			segCh <- b
+			for _, seg := range more {
+				segCh <- seg
+			}
 		}
 		return proto.Ack{}, nil
 	case proto.LeaseRefresh:
@@ -1303,17 +1326,20 @@ func TestParallelQueryBoundedByWorkerCount(t *testing.T) {
 	}
 }
 
-// badAwardNet scripts a provider whose AwardAck for one task comes back
-// as the wrong body type — a protocol violation surfacing mid-sweep,
-// after earlier decision-time awards already confirmed.
+// badAwardNet scripts a provider whose reply to the Award carrying one
+// task comes back as the wrong body type — a protocol violation surfacing
+// mid-sweep, after an earlier winner's awards already confirmed.
 type badAwardNet struct {
 	*fakeNet
 	badTask model.TaskID
 }
 
 func (b *badAwardNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
-	if award, ok := body.(proto.Award); ok && award.Meta.Task == b.badTask {
-		return proto.Ack{}, nil // wrong reply type for an Award
+	if award, ok := body.(proto.Award); ok {
+		carried := append([]proto.TaskMeta{award.Meta}, award.More...)
+		if slices.ContainsFunc(carried, func(m proto.TaskMeta) bool { return m.Task == b.badTask }) {
+			return proto.Ack{}, nil // wrong reply type for an Award
+		}
 	}
 	return b.fakeNet.Call(ctx, to, workflow, body, timeout)
 }
@@ -1325,24 +1351,17 @@ func (b *badAwardNet) Call(ctx context.Context, to proto.Addr, workflow string, 
 // compensating, which was harmless when awards only went out after the
 // sweep but leaks commitments now that they go out inside it.)
 func TestProtocolViolationMidSweepCompensatesAwards(t *testing.T) {
-	net := &badAwardNet{fakeNet: chainNet(t), badTask: "t2"}
-	cfg := testConfig()
-	cfg.WindowRetries = 0
-	cfg.MaxReplans = 0
-	m := NewManager(net, cfg)
+	// One round of decisions, two winners: p1's award (t1, t3) goes first
+	// and confirms, p2's (t2) violates.
+	net := &badAwardNet{fakeNet: groupNet(t), badTask: "t2"}
+	m := NewManager(net, oneAttempt())
 	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err == nil {
 		t.Fatal("Initiate succeeded despite a protocol-violating award reply")
 	}
-	// t1's award confirmed before t2's violation aborted the session;
-	// compensation must have canceled t1.
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	for _, b := range net.sent {
-		if c, ok := b.(proto.Cancel); ok && c.Task == "t1" {
-			return
-		}
+	// Compensation must have canceled everything p1 confirmed.
+	if got, want := taskCancels(net.fakeNet), []string{"t1@p1", "t3@p1"}; !slices.Equal(got, want) {
+		t.Fatalf("cancels after mid-sweep abort = %v, want %v", got, want)
 	}
-	t.Fatalf("confirmed award t1 never canceled after mid-sweep abort; sent = %v", net.sent)
 }
 
 // TestInFlightZeroAfterEveryOutcome pins the engine's one session count (the

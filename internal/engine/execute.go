@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -117,23 +118,39 @@ func (m *Manager) release(ex *execution) {
 	}
 }
 
-// distribute sends every routing segment to its task's executor and then
-// injects the triggering conditions: the initiator supplies each workflow
-// source label to the executors that consume it. Execute runs it once; a
-// plan repair runs it again over the repaired allocation, which is safe
-// because segments are idempotent — a fresh executor arms its run, a
-// surviving one updates its sinks, and a finished run re-publishes its
-// retained outputs to the new consumers.
+// distribute sends each executor the routing segments of its tasks in one
+// plan request — the first segment carries the rest, the executor
+// acknowledges once — and then injects the triggering conditions: the
+// initiator supplies each workflow source label to the executors that
+// consume it. Execute runs it once; a plan repair runs it again over the
+// repaired allocation, which is safe because segments are idempotent — a
+// fresh executor arms its run, a surviving one updates its sinks, and a
+// finished run re-publishes its retained outputs to the new consumers.
+// segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
-	for _, seg := range segs {
-		to := alloc[seg.Task]
-		reply, err := m.net.Call(ctx, to, wfID, seg, m.cfg.CallTimeout)
+	slices.SortStableFunc(segs, func(a, b proto.PlanSegment) int { return cmp.Compare(alloc[a.Task], alloc[b.Task]) })
+	for len(segs) > 0 {
+		to := alloc[segs[0].Task]
+		n := 1
+		for n < len(segs) && alloc[segs[n].Task] == to {
+			n++
+		}
+		plan := segs[0]
+		plan.More = segs[1:n]
+		reply, err := m.net.Call(ctx, to, wfID, plan, m.cfg.CallTimeout)
+		if err == nil {
+			if _, ok := reply.(proto.Ack); !ok {
+				err = fmt.Errorf("unexpected reply %T", reply)
+			}
+		}
 		if err != nil {
-			return fmt.Errorf("distributing plan segment for %q to %q: %w", seg.Task, to, err)
+			tasks := make([]model.TaskID, n)
+			for i, seg := range segs[:n] {
+				tasks[i] = seg.Task
+			}
+			return fmt.Errorf("distributing plan segments for %q to %q: %w", tasks, to, err)
 		}
-		if _, ok := reply.(proto.Ack); !ok {
-			return fmt.Errorf("plan segment to %q: unexpected reply %T", to, reply)
-		}
+		segs = segs[n:]
 	}
 	for _, l := range w.In() {
 		sent := make(map[proto.Addr]struct{})

@@ -7,16 +7,18 @@ import (
 
 // TestDiscoverySmoke is the CI smoke row for the Discovery grid, on a
 // 40-host community with 5 relevant providers and a 6-task chain. Routed
-// by the advertiser's sets, a host's first session costs exactly 17 round
+// by the advertiser's sets, a host's first session costs exactly 12 round
 // trips: one fragment query per chain task to the host that holds the
-// knowhow, no feasibility query, 5 calls for bids, 6 awards. The first
-// session on a cold host pays one describing sweep over the community on
-// top, once. Either way the host then remembers the fragments too, and its
-// second session costs exactly 11: no fragment query, 5 calls for bids, 6
-// awards. The root BenchmarkDiscoveryInitiate runs the same fixture at 10
-// and 100 hosts.
+// knowhow, no feasibility query, 5 calls for bids, and 1 award — the five
+// providers are replicas, one of them wins all six tasks when the fifth
+// answers, and a winner is awarded once (17 while each task was awarded on
+// its own). The first session on a cold host pays one describing sweep
+// over the community on top, once. Either way the host then remembers the
+// fragments too, and its second session costs exactly 6: no fragment
+// query, 5 calls for bids, 1 award (was 11). The root
+// BenchmarkDiscoveryInitiate runs the same fixture at 10 and 100 hosts.
 func TestDiscoverySmoke(t *testing.T) {
-	const hosts, remembered, routed = 40, 5 + 6, 6 + 5 + 6
+	const hosts, remembered, routed = 40, 5 + 1, 6 + 5 + 1
 	ctx := context.Background()
 	run := func(advertiser bool) (first, second int64) {
 		t.Helper()

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -376,12 +377,18 @@ func (h *Host) process(env proto.Envelope) {
 			// the sweep ahead; awards and refreshes only move deadlines later.
 			h.armSweep(resp.Bids[0].Deadline)
 		}
+		if len(b.Sole) > 0 {
+			h.awardSole(env.Workflow, b, &resp)
+		}
 		h.reply(env, resp)
 
 	case proto.Award:
-		c, ack := h.Participant.HandleAward(env.Workflow, b)
-		if ack.OK {
-			h.Exec.Register(env.Workflow, c)
+		// Each task of the award stands alone: it is committed and
+		// registered, or refused with its slot freed, whatever the others do.
+		ack := h.award(env.Workflow, b.Meta)
+		ack.More = make([]proto.AwardAck, len(b.More))
+		for i, meta := range b.More {
+			ack.More[i] = h.award(env.Workflow, meta)
 		}
 		h.reply(env, ack)
 
@@ -395,7 +402,12 @@ func (h *Host) process(env proto.Envelope) {
 		h.Exec.Cancel(env.Workflow, b.Task)
 
 	case proto.PlanSegment:
+		more := b.More
+		b.More = nil
 		h.Exec.SetPlan(env.Workflow, b)
+		for _, seg := range more {
+			h.Exec.SetPlan(env.Workflow, seg)
+		}
 		h.reply(env, proto.Ack{})
 
 	case proto.LabelTransfer:
@@ -416,6 +428,35 @@ func (h *Host) process(env proto.Envelope) {
 			h.reply(env, proto.AdvertiseAck{Labels: labels, Tasks: tasks})
 		}
 	}
+}
+
+// award converts one awarded task's hold into a commitment registered for
+// execution, and returns the verdict on it.
+func (h *Host) award(workflow string, meta proto.TaskMeta) proto.AwardAck {
+	c, ack := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
+	if ack.OK {
+		h.Exec.Register(workflow, c)
+	}
+	return ack
+}
+
+// awardSole awards the tasks of the call that ride on it (b.Sole) as far as
+// resp bids for them: each is committed and registered as an Award would
+// have it, and a bid that cannot be — the service went between the two
+// steps — becomes a decline, its slot free.
+func (h *Host) awardSole(workflow string, b proto.CallForBidsBatch, resp *proto.BidBatch) {
+	bids := resp.Bids[:0]
+	for _, bid := range resp.Bids {
+		if slices.Contains(b.Sole, bid.Task) {
+			i := slices.IndexFunc(b.Metas, func(m proto.TaskMeta) bool { return m.Task == bid.Task })
+			if !h.award(workflow, b.Metas[i]).OK {
+				resp.Declines = append(resp.Declines, bid.Task)
+				continue
+			}
+		}
+		bids = append(bids, bid)
+	}
+	resp.Bids = bids
 }
 
 // armSweep makes sure the sweep runs no later than just past at. The host

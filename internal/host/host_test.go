@@ -229,6 +229,124 @@ func TestCallForBidsAndAward(t *testing.T) {
 	}
 }
 
+// TestAwardGroupSettlesEachTaskAlone: one Award carrying three tasks is
+// answered by one ack with a verdict per task, in order. The task whose
+// service was withdrawn after the bid and the task that was never held are
+// refused alone, with their slots free afterwards; the third is committed
+// and registered for execution — and one plan request carrying two
+// segments arms the run it has and drops the one it has not.
+func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
+	reg := func(task model.TaskID) service.Registration {
+		return service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}
+	}
+	a, b := pair(t, Config{Addr: "a"}, Config{Addr: "b", Services: []service.Registration{reg("chop"), reg("cook"), reg("serve")}})
+	start := time.Now().Add(time.Hour)
+	meta := func(task model.TaskID, slot int) proto.TaskMeta {
+		at := start.Add(time.Duration(slot) * time.Minute)
+		return proto.TaskMeta{Task: task, Mode: model.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"), Start: at, End: at.Add(time.Minute)}
+	}
+	chop, cook, serve := meta("chop", 0), meta("cook", 1), meta("serve", 2)
+	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{chop, cook}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bids := reply.(proto.BidBatch); len(bids.Bids) != 2 {
+		t.Fatalf("reply = %#v, want two bids", reply)
+	}
+	b.Services.Unregister("cook")
+
+	reply, err = a.Call(context.Background(), "b", "wf", proto.Award{Meta: chop, More: []proto.TaskMeta{cook, serve}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, ok := reply.(proto.AwardAck)
+	if !ok || len(ack.More) != 2 {
+		t.Fatalf("reply = %#v, want one ack with three verdicts", reply)
+	}
+	if ack.Task != "chop" || !ack.OK {
+		t.Errorf("chop: verdict %+v, want confirmed", ack)
+	}
+	if v := ack.More[0]; v.Task != "cook" || v.OK || v.Reason != "service no longer offered" {
+		t.Errorf("cook: verdict %+v, want refused for its withdrawn service", v)
+	}
+	if v := ack.More[1]; v.Task != "serve" || v.OK || v.Reason == "" {
+		t.Errorf("serve: verdict %+v, want refused for lack of a hold", v)
+	}
+	if holds, commits := b.Schedule.Holds(), len(b.Schedule.Commitments()); holds != 0 || commits != 1 {
+		t.Errorf("%d holds, %d commitments after the award; want the refused slots free and chop committed", holds, commits)
+	}
+	if _, ok := b.Schedule.Get("wf", "chop"); !ok {
+		t.Error("chop was not committed")
+	}
+	if runs, _ := b.Exec.Residue(); runs != 1 {
+		t.Errorf("%d runs registered, want chop's alone", runs)
+	}
+
+	seg := func(task model.TaskID) proto.PlanSegment {
+		return proto.PlanSegment{Task: task, Initiator: "a",
+			InputSources: map[model.LabelID]proto.Addr{"in": "a"}, OutputSinks: map[model.LabelID][]proto.Addr{"out": {"a"}}}
+	}
+	plan := seg("cook")
+	plan.More = []proto.PlanSegment{seg("chop")}
+	reply, err = a.Call(context.Background(), "b", "wf", plan, time.Second)
+	if _, ok := reply.(proto.Ack); err != nil || !ok {
+		t.Fatalf("plan request: reply %#v, err %v; want one Ack", reply, err)
+	}
+	if runs, _ := b.Exec.Residue(); runs != 1 || b.Exec.Pending() != 1 {
+		t.Errorf("%d runs, %d pending after the plan; want chop's run armed and nothing made up for cook", runs, b.Exec.Pending())
+	}
+}
+
+// TestSoleTasksCommittedOnTheCall: of one call for bids on three tasks, two
+// named Sole, the host commits and registers the sole task it can bid for
+// (its Bid is the confirmation), declines the sole task whose slot a rival
+// workflow holds — leaving that hold alone — and merely holds the third.
+func TestSoleTasksCommittedOnTheCall(t *testing.T) {
+	reg := func(task model.TaskID) service.Registration {
+		return service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}
+	}
+	a, b := pair(t, Config{Addr: "a"}, Config{Addr: "b", Services: []service.Registration{reg("chop"), reg("cook"), reg("serve")}})
+	start := time.Now().Add(time.Hour)
+	meta := func(task model.TaskID, slot int) proto.TaskMeta {
+		at := start.Add(time.Duration(slot) * time.Minute)
+		return proto.TaskMeta{Task: task, Mode: model.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"), Start: at, End: at.Add(time.Minute)}
+	}
+	chop, cook, serve := meta("chop", 0), meta("cook", 1), meta("serve", 2)
+	if _, err := a.Call(context.Background(), "b", "rival", proto.CallForBidsBatch{Metas: []proto.TaskMeta{serve}}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	reply, err := a.Call(context.Background(), "b", "wf",
+		proto.CallForBidsBatch{Metas: []proto.TaskMeta{chop, cook, serve}, Sole: []model.TaskID{"cook", "serve"}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids, ok := reply.(proto.BidBatch)
+	if !ok || len(bids.Bids) != 2 || bids.Bids[0].Task != "chop" || bids.Bids[1].Task != "cook" {
+		t.Fatalf("reply = %#v, want bids for chop and cook", reply)
+	}
+	if len(bids.Declines) != 1 || bids.Declines[0] != "serve" {
+		t.Errorf("declines = %v, want serve alone", bids.Declines)
+	}
+	if _, ok := b.Schedule.Get("wf", "cook"); !ok {
+		t.Error("cook rode on the call and was not committed")
+	}
+	if _, ok := b.Schedule.Get("wf", "chop"); ok {
+		t.Error("chop was committed although the call only asked for a bid")
+	}
+	if holds, commits := b.Schedule.Holds(), len(b.Schedule.Commitments()); holds != 2 || commits != 1 {
+		t.Errorf("%d holds, %d commitments; want chop's and the rival's holds and cook's commitment", holds, commits)
+	}
+	if runs, _ := b.Exec.Residue(); runs != 1 {
+		t.Errorf("%d runs registered, want cook's alone", runs)
+	}
+	// An Award for the held task completes the ordinary way.
+	reply, err = a.Call(context.Background(), "b", "wf", proto.Award{Meta: chop}, time.Second)
+	if ack, ok := reply.(proto.AwardAck); err != nil || !ok || !ack.OK {
+		t.Fatalf("award of chop: reply %#v, err %v", reply, err)
+	}
+}
+
 func TestCallForBidsDecline(t *testing.T) {
 	a, _ := pair(t, Config{Addr: "a"}, Config{Addr: "b"})
 	meta := proto.TaskMeta{

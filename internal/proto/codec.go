@@ -21,12 +21,15 @@
 // sorted key order so equal envelopes encode to identical bytes.
 //
 // Optional trailing section: a body that gained fields after its layout
-// was pinned (FragmentQuery.Describe, FragmentReply.Capabilities) writes
-// them after its original fields, behind one optSection byte, and only
-// when they are set — a value without them encodes to the bytes it always
-// did, so the version byte stays. The byte after a body is otherwise the
-// end of the frame or, inside an EnvelopeBatch, the next envelope's kind
-// tag; optSection is no kind tag, so a section is never mistaken for one.
+// was pinned (FragmentQuery.Describe, FragmentReply.Capabilities, the
+// More lists of Award, AwardAck and PlanSegment — a count and the elements
+// in the layout of the body's own fields — and CallForBidsBatch.Sole, a
+// count and the task names) writes them after its original fields, behind
+// one optSection byte, and only when they are set — a value without them
+// encodes to the bytes it always did, so the version byte stays. The byte
+// after a body is otherwise the end of the frame or, inside an
+// EnvelopeBatch, the next envelope's kind tag; optSection is no kind tag,
+// so a section is never mistaken for one.
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
@@ -196,6 +199,28 @@ func (e *encoder) meta(m TaskMeta) {
 	e.bool(m.HasLocation)
 }
 
+func (e *encoder) metas(ms []TaskMeta) {
+	e.uint(uint64(len(ms)))
+	for _, m := range ms {
+		e.meta(m)
+	}
+}
+
+// verdict writes one task's verdict: an AwardAck's own fields.
+func (e *encoder) verdict(a AwardAck) {
+	e.str(string(a.Task))
+	e.bool(a.OK)
+	e.str(a.Reason)
+}
+
+// segment writes one commitment's routing: a PlanSegment's own fields.
+func (e *encoder) segment(s PlanSegment) {
+	e.str(string(s.Task))
+	e.str(string(s.Initiator))
+	e.inputSources(s.InputSources)
+	e.outputSinks(s.OutputSinks)
+}
+
 // body writes the kind tag, envelope header, and body fields.
 func (e *encoder) body(env Envelope) error {
 	switch v := env.Body.(type) {
@@ -227,20 +252,33 @@ func (e *encoder) body(env Envelope) error {
 	case Award:
 		e.header(kindAward, env)
 		e.meta(v.Meta)
+		if len(v.More) > 0 {
+			e.byte(optSection)
+			e.metas(v.More)
+		}
 	case AwardAck:
 		e.header(kindAwardAck, env)
-		e.str(string(v.Task))
-		e.bool(v.OK)
-		e.str(v.Reason)
+		e.verdict(v)
+		if len(v.More) > 0 {
+			e.byte(optSection)
+			e.uint(uint64(len(v.More)))
+			for _, m := range v.More {
+				e.verdict(m)
+			}
+		}
 	case Cancel:
 		e.header(kindCancel, env)
 		e.str(string(v.Task))
 	case PlanSegment:
 		e.header(kindPlanSegment, env)
-		e.str(string(v.Task))
-		e.str(string(v.Initiator))
-		e.inputSources(v.InputSources)
-		e.outputSinks(v.OutputSinks)
+		e.segment(v)
+		if len(v.More) > 0 {
+			e.byte(optSection)
+			e.uint(uint64(len(v.More)))
+			for _, m := range v.More {
+				e.segment(m)
+			}
+		}
 	case LabelTransfer:
 		e.header(kindLabelTransfer, env)
 		e.str(string(v.Label))
@@ -254,9 +292,10 @@ func (e *encoder) body(env Envelope) error {
 		e.header(kindAck, env)
 	case CallForBidsBatch:
 		e.header(kindCallForBidsBatch, env)
-		e.uint(uint64(len(v.Metas)))
-		for _, m := range v.Metas {
-			e.meta(m)
+		e.metas(v.Metas)
+		if len(v.Sole) > 0 {
+			e.byte(optSection)
+			e.taskIDs(v.Sole)
 		}
 	case BidBatch:
 		e.header(kindBidBatch, env)
@@ -608,6 +647,19 @@ func (d *decoder) metas() []TaskMeta {
 	return out
 }
 
+func (d *decoder) verdict() AwardAck {
+	return AwardAck{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
+}
+
+func (d *decoder) segment() PlanSegment {
+	return PlanSegment{
+		Task:         model.TaskID(d.str()),
+		Initiator:    Addr(d.str()),
+		InputSources: d.inputSources(),
+		OutputSinks:  d.outputSinks(),
+	}
+}
+
 func (d *decoder) bids() []Bid {
 	n := d.count()
 	if n == 0 {
@@ -670,18 +722,35 @@ func (d *decoder) body(kind byte) Body {
 	case kindFeasibilityReply:
 		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
-		return Award{Meta: d.meta()}
+		award := Award{Meta: d.meta()}
+		if d.optional() {
+			award.More = d.metas()
+		}
+		return award
 	case kindAwardAck:
-		return AwardAck{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
+		ack := d.verdict()
+		if d.optional() {
+			if n := d.count(); n > 0 {
+				ack.More = make([]AwardAck, n)
+				for i := 0; i < n && d.err == nil; i++ {
+					ack.More[i] = d.verdict()
+				}
+			}
+		}
+		return ack
 	case kindCancel:
 		return Cancel{Task: model.TaskID(d.str())}
 	case kindPlanSegment:
-		return PlanSegment{
-			Task:         model.TaskID(d.str()),
-			Initiator:    Addr(d.str()),
-			InputSources: d.inputSources(),
-			OutputSinks:  d.outputSinks(),
+		seg := d.segment()
+		if d.optional() {
+			if n := d.count(); n > 0 {
+				seg.More = make([]PlanSegment, n)
+				for i := 0; i < n && d.err == nil; i++ {
+					seg.More[i] = d.segment()
+				}
+			}
 		}
+		return seg
 	case kindLabelTransfer:
 		return LabelTransfer{Label: model.LabelID(d.str()), Data: d.bytes(), Producer: Addr(d.str())}
 	case kindTaskDone:
@@ -689,7 +758,11 @@ func (d *decoder) body(kind byte) Body {
 	case kindAck:
 		return Ack{}
 	case kindCallForBidsBatch:
-		return CallForBidsBatch{Metas: d.metas()}
+		cfb := CallForBidsBatch{Metas: d.metas()}
+		if d.optional() {
+			cfb.Sole = d.taskIDs()
+		}
+		return cfb
 	case kindBidBatch:
 		return BidBatch{Bids: d.bids(), Declines: d.taskIDs()}
 	case kindLeaseRefresh:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,38 +75,16 @@ func bodyEqual(a, b Body) bool {
 		return ok && taskIDsEq(av.Capable, bv.Capable)
 	case Award:
 		bv, ok := b.(Award)
-		return ok && metaEq(av.Meta, bv.Meta)
+		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq)
 	case AwardAck:
 		bv, ok := b.(AwardAck)
-		return ok && av == bv
+		return ok && verdictEq(av, bv) && slices.EqualFunc(av.More, bv.More, verdictEq)
 	case Cancel:
 		bv, ok := b.(Cancel)
 		return ok && av.Task == bv.Task
 	case PlanSegment:
 		bv, ok := b.(PlanSegment)
-		if !ok || av.Task != bv.Task || av.Initiator != bv.Initiator {
-			return false
-		}
-		if len(av.InputSources) != len(bv.InputSources) || len(av.OutputSinks) != len(bv.OutputSinks) {
-			return false
-		}
-		for k, v := range av.InputSources {
-			if bv.InputSources[k] != v {
-				return false
-			}
-		}
-		for k, v := range av.OutputSinks {
-			bvv, ok := bv.OutputSinks[k]
-			if !ok || len(v) != len(bvv) {
-				return false
-			}
-			for i := range v {
-				if v[i] != bvv[i] {
-					return false
-				}
-			}
-		}
-		return true
+		return ok && segmentEq(av, bv) && slices.EqualFunc(av.More, bv.More, segmentEq)
 	case LabelTransfer:
 		bv, ok := b.(LabelTransfer)
 		return ok && av.Label == bv.Label && av.Producer == bv.Producer &&
@@ -126,7 +105,7 @@ func bodyEqual(a, b Body) bool {
 				return false
 			}
 		}
-		return true
+		return taskIDsEq(av.Sole, bv.Sole)
 	case BidBatch:
 		bv, ok := b.(BidBatch)
 		if !ok || len(av.Bids) != len(bv.Bids) || !taskIDsEq(av.Declines, bv.Declines) {
@@ -208,6 +187,33 @@ func fragEq(a, b *model.Fragment) bool {
 		at, bt := a.Tasks[i], b.Tasks[i]
 		if at.ID != bt.ID || at.Mode != bt.Mode ||
 			!labelsEq(at.Inputs, bt.Inputs) || !labelsEq(at.Outputs, bt.Outputs) {
+			return false
+		}
+	}
+	return true
+}
+
+// verdictEq compares one task's verdict: an AwardAck's own fields.
+func verdictEq(a, b AwardAck) bool {
+	return a.Task == b.Task && a.OK == b.OK && a.Reason == b.Reason
+}
+
+// segmentEq compares one commitment's routing: a PlanSegment's own fields.
+func segmentEq(a, b PlanSegment) bool {
+	if a.Task != b.Task || a.Initiator != b.Initiator {
+		return false
+	}
+	if len(a.InputSources) != len(b.InputSources) || len(a.OutputSinks) != len(b.OutputSinks) {
+		return false
+	}
+	for k, v := range a.InputSources {
+		if b.InputSources[k] != v {
+			return false
+		}
+	}
+	for k, v := range a.OutputSinks {
+		bv, ok := b.OutputSinks[k]
+		if !ok || !slices.Equal(v, bv) {
 			return false
 		}
 	}

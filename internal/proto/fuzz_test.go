@@ -72,6 +72,17 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A winner's award, its verdicts, an executor's plan and a call for
+	// bids that awards: the optional sections of the one-message-per-peer
+	// bodies (TestWireFormatGoldenGroups pins the same four frames).
+	award, ack, plan, cfb := groupEnvelopes()
+	for _, env := range []Envelope{award, ack, plan, cfb} {
+		data, err := Encode(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	// Randomized valid frames widen the corpus beyond the hand-picked
 	// shapes; a few corrupt seeds steer the mutator at rejection paths.
 	rng := rand.New(rand.NewSource(42))

@@ -6,10 +6,11 @@
 // binary codec (codec.go) shared by every transport.
 //
 // A body's layout is pinned once it ships. Fields added later
-// (FragmentQuery.Describe, FragmentReply.Capabilities) travel in an
+// (FragmentQuery.Describe, FragmentReply.Capabilities, the More lists of
+// Award, AwardAck and PlanSegment, CallForBidsBatch.Sole) travel in an
 // optional trailing section that is written only when they are set, so
-// every value that could be expressed before still encodes to the bytes
-// it always did.
+// every value that could be expressed before still encodes to the bytes it
+// always did.
 package proto
 
 import (
@@ -137,6 +138,13 @@ type Bid struct {
 // (DESIGN.md §9).
 type CallForBidsBatch struct {
 	Metas []TaskMeta
+	// Sole names the tasks of Metas nobody else is asked to bid for: the
+	// initiator's memory of its community knows the recipient as the only
+	// member offering them, so their auction has one possible winner and
+	// the award rides on the call. The recipient commits such a task as it
+	// bids for it, and its Bid in the reply is the confirmed award; a task
+	// it cannot commit is declined like any other (DESIGN.md §9).
+	Sole []model.TaskID
 }
 
 // Kind implements Body.
@@ -144,7 +152,8 @@ func (CallForBidsBatch) Kind() string { return "call-for-bids-batch" }
 
 // BidBatch answers a CallForBidsBatch: firm bids for the tasks the
 // participant can commit to and per-task declines for the rest. Every
-// task of the soliciting batch appears in exactly one of the two lists.
+// task of the soliciting batch appears in exactly one of the two lists. A
+// bid for one of the call's Sole tasks is a commitment already made.
 type BidBatch struct {
 	Bids []Bid
 	// Declines lists the tasks the participant will not bid on. (The
@@ -157,21 +166,30 @@ type BidBatch struct {
 // Kind implements Body.
 func (BidBatch) Kind() string { return "bid-batch" }
 
-// Award allocates a task to the winning bidder, who converts its
-// reservation into a commitment.
+// Award allocates to the winning bidder, who converts its reservations
+// into commitments, every task it won in one round of decisions: one
+// message per winner, answered by one AwardAck carrying a verdict per task
+// (DESIGN.md §9).
 type Award struct {
 	Meta TaskMeta
+	// More are the further tasks the same winner is awarded with Meta.
+	More []TaskMeta
 }
 
 // Kind implements Body.
 func (Award) Kind() string { return "award" }
 
-// AwardAck confirms (or refuses) an award. Refusal happens only if the
-// bid's deadline passed before the award arrived.
+// AwardAck confirms (or refuses) an award, task by task. A task is refused
+// when its hold is gone — the bid's deadline passed before the award
+// arrived — or the service was withdrawn meanwhile; a refusal binds only
+// its own task.
 type AwardAck struct {
 	Task   model.TaskID
 	OK     bool
 	Reason string
+	// More are the verdicts on Award.More, in the award's order; they
+	// carry no More of their own.
+	More []AwardAck
 }
 
 // Kind implements Body.
@@ -191,7 +209,8 @@ func (Cancel) Kind() string { return "cancel" }
 
 // PlanSegment gives an awarded host the routing information for one of its
 // commitments: where each input comes from and where each output must go.
-// The initiator distributes segments once allocation completes.
+// The initiator distributes segments once allocation completes, one
+// message per executor (DESIGN.md §9).
 type PlanSegment struct {
 	Task model.TaskID
 	// Initiator is the host coordinating the workflow; executors send
@@ -203,6 +222,9 @@ type PlanSegment struct {
 	// OutputSinks maps each output label to the hosts that need it
 	// (consumer executors, plus the initiator for goal labels).
 	OutputSinks map[model.LabelID][]Addr
+	// More are the segments of the same executor's other commitments; they
+	// carry no More of their own.
+	More []PlanSegment
 }
 
 // Kind implements Body.
