@@ -413,6 +413,25 @@ func TestParticipantRefusedAwardReleasesHold(t *testing.T) {
 	}
 }
 
+// TestParticipantDeclineReleasesOwnHold: a workflow bids for a task, the
+// service is withdrawn, and the same workflow's next call for bids — the
+// replanning re-solicitation — declines the task. The decline frees the
+// slot its first bid held, as a refused award does: no Cancel follows a
+// decline.
+func TestParticipantDeclineReleasesOwnHold(t *testing.T) {
+	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
+	if _, ok := bidOne(t, p, "wf", meta("t")); !ok {
+		t.Fatal("bid declined")
+	}
+	p.services.Unregister("t")
+	if _, ok := bidOne(t, p, "wf", meta("t")); ok {
+		t.Fatal("bid for a withdrawn service")
+	}
+	if sched.Holds() != 0 {
+		t.Fatalf("decline left holds: %+v", sched.HeldTasks())
+	}
+}
+
 func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 	// The hold expired before the award arrived: the slot already
 	// returned to the pool, so the stale award is refused even though

@@ -64,7 +64,9 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 // atomically under one schedule-manager lock acquisition (HoldBatch), so
 // a competing session cannot interleave between two tasks of the batch;
 // infeasible tasks decline individually without disturbing the rest. The
-// whole batch shares one bid deadline.
+// whole batch shares one bid deadline. A task declined for want of its
+// service drops the hold an earlier call of the same workflow took on it,
+// as a refused award does: the auctioneer sends no Cancel after a decline.
 func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallForBidsBatch) proto.BidBatch {
 	var reply proto.BidBatch
 	capable := make([]proto.TaskMeta, 0, len(batch.Metas))
@@ -72,6 +74,7 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 	for _, meta := range batch.Metas {
 		desc, ok := p.services.CanPerform(meta.Task)
 		if !ok {
+			p.sched.Release(workflow, meta.Task)
 			reply.Declines = append(reply.Declines, meta.Task)
 			continue
 		}
@@ -108,31 +111,31 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 	return reply
 }
 
-// HandleAward converts the reservation into a leased commitment. It
-// returns the commitment (for execution registration) and the
-// acknowledgment to send. An award without a live hold — the bid
+// HandleAward converts the reservation of award.Meta into a leased
+// commitment. It returns the commitment (for execution registration) and
+// the verdict on the task. An award without a live hold — the bid
 // window expired before the award arrived — is refused even when the
 // slot is still free: under leases the slot already returned to the
 // pool and may back a rival session's fresh hold, so a stale award must
-// never silently commit. The refusal (AwardAck.OK=false) cancels the
+// never silently commit. The refusal (Verdict.OK=false) cancels the
 // award back to the auctioneer, which replans the task. Every refusal
 // leaves the slot free: the auctioneer sends no Cancel after one, so a
 // hold kept here would block rival sessions until the bid window lapsed.
-func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.Commitment, proto.AwardAck) {
+func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.Commitment, proto.Verdict) {
 	meta := award.Meta
 	if _, ok := p.services.CanPerform(meta.Task); !ok {
 		p.sched.Release(workflow, meta.Task)
-		return schedule.Commitment{}, proto.AwardAck{
+		return schedule.Commitment{}, proto.Verdict{
 			Task: meta.Task, OK: false, Reason: "service no longer offered",
 		}
 	}
 	c, err := p.sched.CommitHeld(workflow, meta.Task, p.clk.Now().Add(DefaultCommitLease))
 	if err != nil {
-		return schedule.Commitment{}, proto.AwardAck{
+		return schedule.Commitment{}, proto.Verdict{
 			Task: meta.Task, OK: false, Reason: err.Error(),
 		}
 	}
-	return c, proto.AwardAck{Task: meta.Task, OK: true}
+	return c, proto.Verdict{Task: meta.Task, OK: true}
 }
 
 // HandleLeaseRefresh extends the leases of the listed tasks' commitments

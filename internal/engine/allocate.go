@@ -272,10 +272,10 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 	if !ok {
 		return fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
 	}
-	if len(ack.More) != len(body.More) {
-		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, 1+len(ack.More), len(ds))
+	if len(ack.Verdicts) != len(ds) {
+		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
 	}
-	for i, verdict := range append([]proto.AwardAck{ack}, ack.More...) {
+	for i, verdict := range ack.Verdicts {
 		if !verdict.OK {
 			m.cfg.Observer.taskDecided(wfID, ds[i].Task, "")
 			continue

@@ -197,13 +197,13 @@ func TestCanceledMidAwardCompensatesWholeGroup(t *testing.T) {
 	}
 }
 
-// shortAckNet answers every Award like a peer that has never heard of
-// More: one verdict, on the first task.
+// shortAckNet answers every Award with one verdict, on the first task,
+// however many the award carried.
 type shortAckNet struct{ *fakeNet }
 
 func (s shortAckNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	if award, ok := body.(proto.Award); ok {
-		return proto.AwardAck{Task: award.Meta.Task, OK: true}, nil
+		return proto.AwardAck{Verdicts: []proto.Verdict{{Task: award.Meta.Task, OK: true}}}, nil
 	}
 	return s.fakeNet.Call(ctx, to, workflow, body, timeout)
 }
@@ -277,10 +277,10 @@ func TestDistributeGroupsByExecutor(t *testing.T) {
 	net.mu.Lock()
 	var got []string
 	for _, c := range net.log {
-		if seg, ok := c.body.(proto.PlanSegment); ok {
-			tasks := []model.TaskID{seg.Task}
-			for _, more := range seg.More {
-				tasks = append(tasks, more.Task)
+		if plan, ok := c.body.(proto.Plan); ok {
+			var tasks []model.TaskID
+			for _, seg := range plan.Segments {
+				tasks = append(tasks, seg.Task)
 			}
 			got = append(got, fmt.Sprintf("%s%v", c.to, tasks))
 		}

@@ -80,8 +80,8 @@ type fakeNet struct {
 	// lostOnce scripts leases a host reports Missing on its next
 	// LeaseRefresh, then forgets (a swept commitment is gone exactly once).
 	lostOnce map[proto.Addr][]model.TaskID
-	// segs, when non-nil, receives every PlanSegment call (tests use it
-	// to observe distribution and re-distribution).
+	// segs, when non-nil, receives every segment of every Plan call (tests
+	// use it to observe distribution and re-distribution).
 	segs chan proto.PlanSegment
 	// refreshes records every LeaseRefresh call received.
 	refreshes []proto.LeaseRefresh
@@ -322,27 +322,22 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
 		// One verdict per task the Award carries, in its order.
-		verdict := func(meta proto.TaskMeta) proto.AwardAck {
+		var ack proto.AwardAck
+		for _, meta := range append([]proto.TaskMeta{b.Meta}, b.More...) {
+			v := proto.Verdict{Task: meta.Task, OK: true}
 			if m.refuseAward || m.refuseTask[meta.Task] {
-				return proto.AwardAck{Task: meta.Task, OK: false, Reason: "scripted refusal"}
+				v = proto.Verdict{Task: meta.Task, OK: false, Reason: "scripted refusal"}
 			}
-			return proto.AwardAck{Task: meta.Task, OK: true}
-		}
-		ack := verdict(b.Meta)
-		for _, meta := range b.More {
-			ack.More = append(ack.More, verdict(meta))
+			ack.Verdicts = append(ack.Verdicts, v)
 		}
 		return ack, nil
-	case proto.PlanSegment:
+	case proto.Plan:
 		f.mu.Lock()
 		segCh := f.segs
 		f.mu.Unlock()
 		if segCh != nil {
 			// Every segment the request carries is observed on its own.
-			more := b.More
-			b.More = nil
-			segCh <- b
-			for _, seg := range more {
+			for _, seg := range b.Segments {
 				segCh <- seg
 			}
 		}

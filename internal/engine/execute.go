@@ -119,13 +119,13 @@ func (m *Manager) release(ex *execution) {
 }
 
 // distribute sends each executor the routing segments of its tasks in one
-// plan request — the first segment carries the rest, the executor
-// acknowledges once — and then injects the triggering conditions: the
-// initiator supplies each workflow source label to the executors that
-// consume it. Execute runs it once; a plan repair runs it again over the
-// repaired allocation, which is safe because segments are idempotent — a
-// fresh executor arms its run, a surviving one updates its sinks, and a
-// finished run re-publishes its retained outputs to the new consumers.
+// plan request, acknowledged once, and then injects the triggering
+// conditions: the initiator supplies each workflow source label to the
+// executors that consume it. Execute runs it once; a plan repair runs it
+// again over the repaired allocation, which is safe because segments are
+// idempotent — a fresh executor arms its run, a surviving one updates its
+// sinks, and a finished run re-publishes its retained outputs to the new
+// consumers.
 // segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
 	slices.SortStableFunc(segs, func(a, b proto.PlanSegment) int { return cmp.Compare(alloc[a.Task], alloc[b.Task]) })
@@ -135,9 +135,7 @@ func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow
 		for n < len(segs) && alloc[segs[n].Task] == to {
 			n++
 		}
-		plan := segs[0]
-		plan.More = segs[1:n]
-		reply, err := m.net.Call(ctx, to, wfID, plan, m.cfg.CallTimeout)
+		reply, err := m.net.Call(ctx, to, wfID, proto.Plan{Segments: segs[:n]}, m.cfg.CallTimeout)
 		if err == nil {
 			if _, ok := reply.(proto.Ack); !ok {
 				err = fmt.Errorf("unexpected reply %T", reply)

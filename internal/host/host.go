@@ -385,12 +385,12 @@ func (h *Host) process(env proto.Envelope) {
 	case proto.Award:
 		// Each task of the award stands alone: it is committed and
 		// registered, or refused with its slot freed, whatever the others do.
-		ack := h.award(env.Workflow, b.Meta)
-		ack.More = make([]proto.AwardAck, len(b.More))
-		for i, meta := range b.More {
-			ack.More[i] = h.award(env.Workflow, meta)
+		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
+		verdicts = append(verdicts, h.award(env.Workflow, b.Meta))
+		for _, meta := range b.More {
+			verdicts = append(verdicts, h.award(env.Workflow, meta))
 		}
-		h.reply(env, ack)
+		h.reply(env, proto.AwardAck{Verdicts: verdicts})
 
 	case proto.LeaseRefresh:
 		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
@@ -401,11 +401,8 @@ func (h *Host) process(env proto.Envelope) {
 		h.Participant.HandleCancel(env.Workflow, b)
 		h.Exec.Cancel(env.Workflow, b.Task)
 
-	case proto.PlanSegment:
-		more := b.More
-		b.More = nil
-		h.Exec.SetPlan(env.Workflow, b)
-		for _, seg := range more {
+	case proto.Plan:
+		for _, seg := range b.Segments {
 			h.Exec.SetPlan(env.Workflow, seg)
 		}
 		h.reply(env, proto.Ack{})
@@ -432,12 +429,12 @@ func (h *Host) process(env proto.Envelope) {
 
 // award converts one awarded task's hold into a commitment registered for
 // execution, and returns the verdict on it.
-func (h *Host) award(workflow string, meta proto.TaskMeta) proto.AwardAck {
-	c, ack := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
-	if ack.OK {
+func (h *Host) award(workflow string, meta proto.TaskMeta) proto.Verdict {
+	c, v := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
+	if v.OK {
 		h.Exec.Register(workflow, c)
 	}
-	return ack
+	return v
 }
 
 // awardSole awards the tasks of the call that ride on it (b.Sole) as far as

@@ -204,8 +204,8 @@ func TestCallForBidsAndAward(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack := reply.(proto.AwardAck)
-	if !ack.OK {
-		t.Fatalf("award refused: %s", ack.Reason)
+	if len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+		t.Fatalf("award refused: %+v", ack.Verdicts)
 	}
 	if _, ok := b.Schedule.Get("wf", "cook"); !ok {
 		t.Error("award did not create a commitment")
@@ -260,16 +260,16 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack, ok := reply.(proto.AwardAck)
-	if !ok || len(ack.More) != 2 {
+	if !ok || len(ack.Verdicts) != 3 {
 		t.Fatalf("reply = %#v, want one ack with three verdicts", reply)
 	}
-	if ack.Task != "chop" || !ack.OK {
-		t.Errorf("chop: verdict %+v, want confirmed", ack)
+	if v := ack.Verdicts[0]; v.Task != "chop" || !v.OK {
+		t.Errorf("chop: verdict %+v, want confirmed", v)
 	}
-	if v := ack.More[0]; v.Task != "cook" || v.OK || v.Reason != "service no longer offered" {
+	if v := ack.Verdicts[1]; v.Task != "cook" || v.OK || v.Reason != "service no longer offered" {
 		t.Errorf("cook: verdict %+v, want refused for its withdrawn service", v)
 	}
-	if v := ack.More[1]; v.Task != "serve" || v.OK || v.Reason == "" {
+	if v := ack.Verdicts[2]; v.Task != "serve" || v.OK || v.Reason == "" {
 		t.Errorf("serve: verdict %+v, want refused for lack of a hold", v)
 	}
 	if holds, commits := b.Schedule.Holds(), len(b.Schedule.Commitments()); holds != 0 || commits != 1 {
@@ -286,8 +286,7 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 		return proto.PlanSegment{Task: task, Initiator: "a",
 			InputSources: map[model.LabelID]proto.Addr{"in": "a"}, OutputSinks: map[model.LabelID][]proto.Addr{"out": {"a"}}}
 	}
-	plan := seg("cook")
-	plan.More = []proto.PlanSegment{seg("chop")}
+	plan := proto.Plan{Segments: []proto.PlanSegment{seg("cook"), seg("chop")}}
 	reply, err = a.Call(context.Background(), "b", "wf", plan, time.Second)
 	if _, ok := reply.(proto.Ack); err != nil || !ok {
 		t.Fatalf("plan request: reply %#v, err %v; want one Ack", reply, err)
@@ -342,7 +341,7 @@ func TestSoleTasksCommittedOnTheCall(t *testing.T) {
 	}
 	// An Award for the held task completes the ordinary way.
 	reply, err = a.Call(context.Background(), "b", "wf", proto.Award{Meta: chop}, time.Second)
-	if ack, ok := reply.(proto.AwardAck); err != nil || !ok || !ack.OK {
+	if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
 		t.Fatalf("award of chop: reply %#v, err %v", reply, err)
 	}
 }
@@ -430,8 +429,8 @@ func TestOneSweepTimerPerHost(t *testing.T) {
 		if bids := call(wf, proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}).(proto.BidBatch); len(bids.Bids) != 1 {
 			t.Fatalf("workflow %d: reply %+v, want one bid", i, bids)
 		}
-		if ack := call(wf, proto.Award{Meta: meta}).(proto.AwardAck); !ack.OK {
-			t.Fatalf("workflow %d: award refused: %s", i, ack.Reason)
+		if ack := call(wf, proto.Award{Meta: meta}).(proto.AwardAck); len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+			t.Fatalf("workflow %d: award refused: %+v", i, ack.Verdicts)
 		}
 	}
 	if got := pending(); got != 1 {

@@ -61,6 +61,17 @@ func TestDecodeAllocBounds(t *testing.T) {
 				ID: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"},
 			}}}},
 		}}},
+		{"award-ack", 3, Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{
+			Verdicts: []Verdict{{Task: "cook omelets", OK: true}},
+		}}},
+		{"plan", 8, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
+			Task: "cook omelets", Initiator: "host-a",
+			InputSources: map[model.LabelID]Addr{"eggs": "host-a"},
+			OutputSinks:  map[model.LabelID][]Addr{"omelets": {"host-a"}},
+		}}}}},
+		{"call-for-bids-batch-sole", 6, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
+			Metas: []TaskMeta{meta}, Sole: []model.TaskID{"cook omelets"},
+		}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data, err := Encode(c.env)

@@ -18,18 +18,10 @@
 // instant only — wall offset and monotonic readings do not survive the
 // wire, matching what the envelope consumers compare with time.Equal).
 // Slices and maps are uvarint count + elements; maps are encoded in
-// sorted key order so equal envelopes encode to identical bytes.
-//
-// Optional trailing section: a body that gained fields after its layout
-// was pinned (FragmentQuery.Describe, FragmentReply.Capabilities, the
-// More lists of Award, AwardAck and PlanSegment — a count and the elements
-// in the layout of the body's own fields — and CallForBidsBatch.Sole, a
-// count and the task names) writes them after its original fields, behind
-// one optSection byte, and only when they are set — a value without them
-// encodes to the bytes it always did, so the version byte stays. The byte
-// after a body is otherwise the end of the frame or, inside an
-// EnvelopeBatch, the next envelope's kind tag; optSection is no kind tag,
-// so a section is never mistaken for one.
+// sorted key order so equal envelopes encode to identical bytes. A pointer
+// field (FragmentReply.Capabilities) is a presence bool, then the fields
+// when present. Every field is always written: one layout per body, and a
+// layout change bumps wireVersion.
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
@@ -59,7 +51,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 1
+const wireVersion byte = 2
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -78,7 +70,7 @@ const (
 	kindAward
 	kindAwardAck
 	kindCancel
-	kindPlanSegment
+	kindPlan
 	kindLabelTransfer
 	kindTaskDone
 	kindAck
@@ -90,10 +82,6 @@ const (
 	kindAdvertise
 	kindAdvertiseAck
 )
-
-// optSection opens a body's optional trailing section (see the layout
-// notes above). Kind tags count up from 1 and must never reach it.
-const optSection byte = 0xff
 
 // encodeBinary appends the binary encoding of env to buf.
 func encodeBinary(buf *bytes.Buffer, env Envelope) error {
@@ -206,30 +194,13 @@ func (e *encoder) metas(ms []TaskMeta) {
 	}
 }
 
-// verdict writes one task's verdict: an AwardAck's own fields.
-func (e *encoder) verdict(a AwardAck) {
-	e.str(string(a.Task))
-	e.bool(a.OK)
-	e.str(a.Reason)
-}
-
-// segment writes one commitment's routing: a PlanSegment's own fields.
-func (e *encoder) segment(s PlanSegment) {
-	e.str(string(s.Task))
-	e.str(string(s.Initiator))
-	e.inputSources(s.InputSources)
-	e.outputSinks(s.OutputSinks)
-}
-
 // body writes the kind tag, envelope header, and body fields.
 func (e *encoder) body(env Envelope) error {
 	switch v := env.Body.(type) {
 	case FragmentQuery:
 		e.header(kindFragmentQuery, env)
 		e.labels(v.Labels)
-		if v.Describe {
-			e.byte(optSection)
-		}
+		e.bool(v.Describe)
 	case FragmentReply:
 		e.header(kindFragmentReply, env)
 		e.uint(uint64(len(v.Fragments)))
@@ -238,8 +209,8 @@ func (e *encoder) body(env Envelope) error {
 				return err
 			}
 		}
+		e.bool(v.Capabilities != nil)
 		if c := v.Capabilities; c != nil {
-			e.byte(optSection)
 			e.labels(c.Labels)
 			e.taskIDs(c.Tasks)
 		}
@@ -252,32 +223,26 @@ func (e *encoder) body(env Envelope) error {
 	case Award:
 		e.header(kindAward, env)
 		e.meta(v.Meta)
-		if len(v.More) > 0 {
-			e.byte(optSection)
-			e.metas(v.More)
-		}
+		e.metas(v.More)
 	case AwardAck:
 		e.header(kindAwardAck, env)
-		e.verdict(v)
-		if len(v.More) > 0 {
-			e.byte(optSection)
-			e.uint(uint64(len(v.More)))
-			for _, m := range v.More {
-				e.verdict(m)
-			}
+		e.uint(uint64(len(v.Verdicts)))
+		for _, x := range v.Verdicts {
+			e.str(string(x.Task))
+			e.bool(x.OK)
+			e.str(x.Reason)
 		}
 	case Cancel:
 		e.header(kindCancel, env)
 		e.str(string(v.Task))
-	case PlanSegment:
-		e.header(kindPlanSegment, env)
-		e.segment(v)
-		if len(v.More) > 0 {
-			e.byte(optSection)
-			e.uint(uint64(len(v.More)))
-			for _, m := range v.More {
-				e.segment(m)
-			}
+	case Plan:
+		e.header(kindPlan, env)
+		e.uint(uint64(len(v.Segments)))
+		for _, s := range v.Segments {
+			e.str(string(s.Task))
+			e.str(string(s.Initiator))
+			e.inputSources(s.InputSources)
+			e.outputSinks(s.OutputSinks)
 		}
 	case LabelTransfer:
 		e.header(kindLabelTransfer, env)
@@ -293,10 +258,7 @@ func (e *encoder) body(env Envelope) error {
 	case CallForBidsBatch:
 		e.header(kindCallForBidsBatch, env)
 		e.metas(v.Metas)
-		if len(v.Sole) > 0 {
-			e.byte(optSection)
-			e.taskIDs(v.Sole)
-		}
+		e.taskIDs(v.Sole)
 	case BidBatch:
 		e.header(kindBidBatch, env)
 		e.uint(uint64(len(v.Bids)))
@@ -558,16 +520,6 @@ func (d *decoder) time() time.Time {
 	return time.Unix(sec, int64(nsec))
 }
 
-// optional consumes the optSection byte when the body's optional trailing
-// section follows, and reports whether it did.
-func (d *decoder) optional() bool {
-	if d.err == nil && d.pos < len(d.s) && d.s[d.pos] == optSection {
-		d.pos++
-		return true
-	}
-	return false
-}
-
 // labels decodes a label list; zero count yields nil, like gob leaving a
 // slice field untouched.
 func (d *decoder) labels() []model.LabelID {
@@ -647,17 +599,41 @@ func (d *decoder) metas() []TaskMeta {
 	return out
 }
 
-func (d *decoder) verdict() AwardAck {
-	return AwardAck{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
+func (d *decoder) verdicts() []Verdict {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Verdict, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = Verdict{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
+	}
+	return out
 }
 
-func (d *decoder) segment() PlanSegment {
-	return PlanSegment{
-		Task:         model.TaskID(d.str()),
-		Initiator:    Addr(d.str()),
-		InputSources: d.inputSources(),
-		OutputSinks:  d.outputSinks(),
+func (d *decoder) segments() []PlanSegment {
+	n := d.count()
+	if n == 0 {
+		return nil
 	}
+	out := make([]PlanSegment, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = PlanSegment{
+			Task:         model.TaskID(d.str()),
+			Initiator:    Addr(d.str()),
+			InputSources: d.inputSources(),
+			OutputSinks:  d.outputSinks(),
+		}
+	}
+	return out
+}
+
+// capabilities reads a presence bool and, when set, the capability set.
+func (d *decoder) capabilities() *Advertise {
+	if !d.bool() {
+		return nil
+	}
+	return &Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
 }
 
 func (d *decoder) bids() []Bid {
@@ -710,47 +686,21 @@ func (d *decoder) framed(allowBatch bool) Envelope {
 func (d *decoder) body(kind byte) Body {
 	switch kind {
 	case kindFragmentQuery:
-		return FragmentQuery{Labels: d.labels(), Describe: d.optional()}
+		return FragmentQuery{Labels: d.labels(), Describe: d.bool()}
 	case kindFragmentReply:
-		reply := FragmentReply{Fragments: d.fragments()}
-		if d.optional() {
-			reply.Capabilities = &Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
-		}
-		return reply
+		return FragmentReply{Fragments: d.fragments(), Capabilities: d.capabilities()}
 	case kindFeasibilityQuery:
 		return FeasibilityQuery{Tasks: d.taskIDs()}
 	case kindFeasibilityReply:
 		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
-		award := Award{Meta: d.meta()}
-		if d.optional() {
-			award.More = d.metas()
-		}
-		return award
+		return Award{Meta: d.meta(), More: d.metas()}
 	case kindAwardAck:
-		ack := d.verdict()
-		if d.optional() {
-			if n := d.count(); n > 0 {
-				ack.More = make([]AwardAck, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					ack.More[i] = d.verdict()
-				}
-			}
-		}
-		return ack
+		return AwardAck{Verdicts: d.verdicts()}
 	case kindCancel:
 		return Cancel{Task: model.TaskID(d.str())}
-	case kindPlanSegment:
-		seg := d.segment()
-		if d.optional() {
-			if n := d.count(); n > 0 {
-				seg.More = make([]PlanSegment, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					seg.More[i] = d.segment()
-				}
-			}
-		}
-		return seg
+	case kindPlan:
+		return Plan{Segments: d.segments()}
 	case kindLabelTransfer:
 		return LabelTransfer{Label: model.LabelID(d.str()), Data: d.bytes(), Producer: Addr(d.str())}
 	case kindTaskDone:
@@ -758,11 +708,7 @@ func (d *decoder) body(kind byte) Body {
 	case kindAck:
 		return Ack{}
 	case kindCallForBidsBatch:
-		cfb := CallForBidsBatch{Metas: d.metas()}
-		if d.optional() {
-			cfb.Sole = d.taskIDs()
-		}
-		return cfb
+		return CallForBidsBatch{Metas: d.metas(), Sole: d.taskIDs()}
 	case kindBidBatch:
 		return BidBatch{Bids: d.bids(), Declines: d.taskIDs()}
 	case kindLeaseRefresh:

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,13 +79,13 @@ func bodyEqual(a, b Body) bool {
 		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq)
 	case AwardAck:
 		bv, ok := b.(AwardAck)
-		return ok && verdictEq(av, bv) && slices.EqualFunc(av.More, bv.More, verdictEq)
+		return ok && slices.Equal(av.Verdicts, bv.Verdicts)
 	case Cancel:
 		bv, ok := b.(Cancel)
 		return ok && av.Task == bv.Task
-	case PlanSegment:
-		bv, ok := b.(PlanSegment)
-		return ok && segmentEq(av, bv) && slices.EqualFunc(av.More, bv.More, segmentEq)
+	case Plan:
+		bv, ok := b.(Plan)
+		return ok && slices.EqualFunc(av.Segments, bv.Segments, segmentEq)
 	case LabelTransfer:
 		bv, ok := b.(LabelTransfer)
 		return ok && av.Label == bv.Label && av.Producer == bv.Producer &&
@@ -193,12 +194,7 @@ func fragEq(a, b *model.Fragment) bool {
 	return true
 }
 
-// verdictEq compares one task's verdict: an AwardAck's own fields.
-func verdictEq(a, b AwardAck) bool {
-	return a.Task == b.Task && a.OK == b.OK && a.Reason == b.Reason
-}
-
-// segmentEq compares one commitment's routing: a PlanSegment's own fields.
+// segmentEq compares one commitment's routing.
 func segmentEq(a, b PlanSegment) bool {
 	if a.Task != b.Task || a.Initiator != b.Initiator {
 		return false
@@ -315,6 +311,39 @@ func randMeta(rng *rand.Rand) TaskMeta {
 	}
 }
 
+// randMetas draws fewer than limit metas, nil for none.
+func randMetas(rng *rand.Rand, limit int) []TaskMeta {
+	var metas []TaskMeta
+	for i, n := 0, rng.Intn(limit); i < n; i++ {
+		metas = append(metas, randMeta(rng))
+	}
+	return metas
+}
+
+func randSegment(rng *rand.Rand) PlanSegment {
+	seg := PlanSegment{
+		Task:      model.TaskID(randString(rng, 16)),
+		Initiator: Addr(randString(rng, 12)),
+	}
+	if n := rng.Intn(4); n > 0 {
+		seg.InputSources = make(map[model.LabelID]Addr, n)
+		for i := 0; i < n; i++ {
+			seg.InputSources[model.LabelID(randString(rng, 12))] = Addr(randString(rng, 12))
+		}
+	}
+	if n := rng.Intn(4); n > 0 {
+		seg.OutputSinks = make(map[model.LabelID][]Addr, n)
+		for i := 0; i < n; i++ {
+			var addrs []Addr
+			for j, m := 0, rng.Intn(3); j < m; j++ {
+				addrs = append(addrs, Addr(randString(rng, 12)))
+			}
+			seg.OutputSinks[model.LabelID(randString(rng, 12))] = addrs
+		}
+	}
+	return seg
+}
+
 func randBody(rng *rand.Rand) Body {
 	switch rng.Intn(18) {
 	case 17:
@@ -326,11 +355,7 @@ func randBody(rng *rand.Rand) Body {
 	case 6:
 		return AdvertiseAck{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
 	case 14:
-		var metas []TaskMeta
-		for i, n := 0, rng.Intn(5); i < n; i++ {
-			metas = append(metas, randMeta(rng))
-		}
-		return CallForBidsBatch{Metas: metas}
+		return CallForBidsBatch{Metas: randMetas(rng, 5), Sole: randTaskIDs(rng)}
 	case 15:
 		var bids []Bid
 		for i, n := 0, rng.Intn(4); i < n; i++ {
@@ -365,37 +390,25 @@ func randBody(rng *rand.Rand) Body {
 	case 3:
 		return FeasibilityReply{Capable: randTaskIDs(rng)}
 	case 7:
-		return Award{Meta: randMeta(rng)}
+		return Award{Meta: randMeta(rng), More: randMetas(rng, 3)}
 	case 8:
-		return AwardAck{
-			Task:   model.TaskID(randString(rng, 16)),
-			OK:     rng.Intn(2) == 1,
-			Reason: randString(rng, 32),
+		var ack AwardAck
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			ack.Verdicts = append(ack.Verdicts, Verdict{
+				Task:   model.TaskID(randString(rng, 16)),
+				OK:     rng.Intn(2) == 1,
+				Reason: randString(rng, 32),
+			})
 		}
+		return ack
 	case 9:
 		return Cancel{Task: model.TaskID(randString(rng, 16))}
 	case 10:
-		seg := PlanSegment{
-			Task:      model.TaskID(randString(rng, 16)),
-			Initiator: Addr(randString(rng, 12)),
+		var plan Plan
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			plan.Segments = append(plan.Segments, randSegment(rng))
 		}
-		if n := rng.Intn(4); n > 0 {
-			seg.InputSources = make(map[model.LabelID]Addr, n)
-			for i := 0; i < n; i++ {
-				seg.InputSources[model.LabelID(randString(rng, 12))] = Addr(randString(rng, 12))
-			}
-		}
-		if n := rng.Intn(4); n > 0 {
-			seg.OutputSinks = make(map[model.LabelID][]Addr, n)
-			for i := 0; i < n; i++ {
-				var addrs []Addr
-				for j, m := 0, rng.Intn(3); j < m; j++ {
-					addrs = append(addrs, Addr(randString(rng, 12)))
-				}
-				seg.OutputSinks[model.LabelID(randString(rng, 12))] = addrs
-			}
-		}
-		return seg
+		return plan
 	case 11:
 		var data []byte
 		if n := rng.Intn(64); n > 0 {
@@ -497,10 +510,10 @@ func TestDecodeCopiesInput(t *testing.T) {
 		{From: "a", To: "b", Body: FragmentReply{Fragments: []*model.Fragment{frag}}},
 		{From: "x", To: "y", Body: LabelTransfer{
 			Label: "meal", Data: []byte{1, 2, 3, 4}, Producer: "x"}},
-		{From: "p", To: "q", Body: PlanSegment{
+		{From: "p", To: "q", Body: Plan{Segments: []PlanSegment{{
 			Task: "cook", Initiator: "p",
 			InputSources: map[model.LabelID]Addr{"ingredients": "p"},
-			OutputSinks:  map[model.LabelID][]Addr{"meal": {"q"}}}},
+			OutputSinks:  map[model.LabelID][]Addr{"meal": {"q"}}}}}},
 	}
 	for _, env := range envs {
 		t.Run(env.Body.Kind(), func(t *testing.T) {
@@ -661,6 +674,47 @@ func TestRetiredKindsRejected(t *testing.T) {
 	}
 }
 
+// goldenRow is one pinned frame: the envelope and its hex encoding.
+type goldenRow struct {
+	name string
+	env  Envelope
+	want string
+}
+
+// checkGolden encodes each row's envelope, compares the bytes with the
+// row's, and decodes them back to the same envelope.
+func checkGolden(t *testing.T, rows []goldenRow) {
+	t.Helper()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			data, err := binEncode(row.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(data); got != row.want {
+				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
+			}
+			back, err := binDecode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !envEqual(row.env, back) {
+				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
+			}
+		})
+	}
+}
+
+// fromV1 is the version-2 frame of a body whose layout version 2 kept: its
+// version-1 literal with the version byte, and only that, changed. Every
+// golden row built with it is a check that the layout did not drift.
+func fromV1(v1 string) string {
+	if !strings.HasPrefix(v1, "01") {
+		panic("not a version-1 frame: " + v1)
+	}
+	return hex.EncodeToString([]byte{wireVersion}) + v1[2:]
+}
+
 // TestWireFormatGolden pins the byte layout of a representative frame so
 // accidental format changes (which would break mixed-version communities)
 // fail loudly. Update the constant only with a wireVersion bump.
@@ -673,7 +727,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "01" + // version
+	const want = "02" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -681,7 +735,8 @@ func TestWireFormatGolden(t *testing.T) {
 		"027766" + // Workflow "wf"
 		"02" + // 2 labels
 		"0178" + // "x"
-		"02797a" // "yz"
+		"02797a" + // "yz"
+		"00" // Describe false
 	if got := hex.EncodeToString(data); got != want {
 		t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, want)
 	}
@@ -696,16 +751,12 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 		Start: time.Unix(1, 0), End: time.Unix(2, 0),
 	}
-	rows := []struct {
-		name string
-		env  Envelope
-		want string
-	}{
+	checkGolden(t, []goldenRow{
 		{
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "01" + // version
+			want: "02" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -716,7 +767,8 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 				"02" + "00" + // start: 1s (zigzag 2), 0ns
 				"04" + "00" + // end: 2s (zigzag 4), 0ns
 				"0000000000000000" + "0000000000000000" + // location
-				"00", // no location
+				"00" + // no location
+				"00", // Sole []
 		},
 		{
 			name: "bid-batch",
@@ -725,7 +777,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 					Bids:     []Bid{{Task: "t1", ServicesOffered: 2, Specialization: 0.5, Deadline: time.Unix(3, 0)}},
 					Declines: []model.TaskID{"t2"},
 				}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"10" + // kind: bid-batch
 				"0161" + "0162" + "08" + "027766" + // header a, b, 8, wf
 				"01" + // 1 bid
@@ -733,7 +785,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 				"04" + // services 2 (zigzag 4)
 				"3fe0000000000000" + // specialization 0.5
 				"06" + "00" + // deadline: 3s (zigzag 6), 0ns
-				"01" + "027432", // declines ["t2"]
+				"01" + "027432"), // declines ["t2"]
 		},
 		{
 			name: "envelope-batch",
@@ -742,92 +794,53 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: Cancel{Task: "t"}},
 					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: Ack{}},
 				}}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"11" + // kind: envelope-batch
 				"0161" + "0162" + "00" + "00" + // header a, b, 0, ""
 				"02" + // 2 envelopes
 				"0a" + "0161" + "0162" + "01" + "0177" + "0174" + // cancel "t"
-				"0e" + "0161" + "0162" + "02" + "0177", // ack
+				"0e" + "0161" + "0162" + "02" + "0177"), // ack
 		},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			data, err := binEncode(row.env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hex.EncodeToString(data); got != row.want {
-				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
-			}
-			back, err := binDecode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !envEqual(row.env, back) {
-				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
-			}
-		})
-	}
+	})
 }
 
 // TestWireFormatGoldenLease pins the byte layout of the two lease
 // bodies (PR 6) and of the release that ends a lease early, the same way
-// TestWireFormatGolden pins a representative per-task frame. Update the constants only with a wireVersion bump.
+// TestWireFormatGolden pins a representative per-task frame. Update the
+// constants only with a wireVersion bump.
 func TestWireFormatGoldenLease(t *testing.T) {
-	rows := []struct {
-		name string
-		env  Envelope
-		want string
-	}{
+	checkGolden(t, []goldenRow{
 		{
 			name: "lease-refresh",
 			env: Envelope{From: "a", To: "b", ReqID: 5, Workflow: "wf",
 				Body: LeaseRefresh{Tasks: []model.TaskID{"t1", "t2"}}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"12" + // kind: lease-refresh
 				"0161" + "0162" + "05" + "027766" + // header a, b, 5, wf
-				"02" + "027431" + "027432", // tasks ["t1","t2"]
+				"02" + "027431" + "027432"), // tasks ["t1","t2"]
 		},
 		{
 			name: "lease-refresh-ack",
 			env: Envelope{From: "b", To: "a", ReqID: 5, Workflow: "wf",
 				Body: LeaseRefreshAck{Missing: []model.TaskID{"t1"}}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"13" + // kind: lease-refresh-ack
 				"0162" + "0161" + "05" + "027766" + // header b, a, 5, wf
-				"01" + "027431", // missing ["t1"]
+				"01" + "027431"), // missing ["t1"]
 		},
 		{
 			// The end-of-workflow release is a cancel that names no task:
 			// the same kind and layout as any other cancel, an empty string
-			// where the task goes — no new wire kind, no version bump.
+			// where the task goes.
 			name: "release",
 			env: Envelope{From: "a", To: "b", Workflow: "wf",
 				Body: Cancel{}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"0a" + // kind: cancel
 				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
-				"00", // task ""
+				"00"), // task ""
 		},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			data, err := binEncode(row.env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hex.EncodeToString(data); got != row.want {
-				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
-			}
-			back, err := binDecode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !envEqual(row.env, back) {
-				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
-			}
-		})
-	}
+	})
 }
 
 // TestWireFormatGoldenDiscovery pins the byte layout of the two
@@ -835,67 +848,44 @@ func TestWireFormatGoldenLease(t *testing.T) {
 // TestWireFormatGoldenLease pins the lease bodies. Update the constants
 // only with a wireVersion bump.
 func TestWireFormatGoldenDiscovery(t *testing.T) {
-	rows := []struct {
-		name string
-		env  Envelope
-		want string
-	}{
+	checkGolden(t, []goldenRow{
 		{
 			name: "advertise",
 			env: Envelope{From: "a", To: "b", ReqID: 5, Workflow: "wf",
 				Body: Advertise{Labels: []model.LabelID{"l1", "l2"}, Tasks: []model.TaskID{"t1"}}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"14" + // kind: advertise
 				"0161" + "0162" + "05" + "027766" + // header a, b, 5, wf
 				"02" + "026c31" + "026c32" + // labels ["l1","l2"]
-				"01" + "027431", // tasks ["t1"]
+				"01" + "027431"), // tasks ["t1"]
 		},
 		{
 			name: "advertise-ack",
 			env: Envelope{From: "b", To: "a", ReqID: 5, Workflow: "wf",
 				Body: AdvertiseAck{Labels: []model.LabelID{"l3"}, Tasks: nil}},
-			want: "01" + // version
+			want: fromV1("01" + // version
 				"15" + // kind: advertise-ack
 				"0162" + "0161" + "05" + "027766" + // header b, a, 5, wf
 				"01" + "026c33" + // labels ["l3"]
-				"00", // tasks []
+				"00"), // tasks []
 		},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			data, err := binEncode(row.env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hex.EncodeToString(data); got != row.want {
-				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
-			}
-			back, err := binDecode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !envEqual(row.env, back) {
-				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
-			}
-		})
-	}
+	})
 }
 
-// TestWireFormatGoldenDescribe pins the optional trailing section that
-// carries FragmentQuery.Describe and FragmentReply.Capabilities: a value
-// without the new field keeps the bytes it always had (the query row's
-// prefix is TestWireFormatGolden's frame, unchanged), a value with it
-// appends one optSection byte and the fields, and inside a batch the
-// section ends where the next envelope's kind tag begins.
+// TestWireFormatGoldenDescribe pins FragmentQuery.Describe, a bool after
+// the labels, and FragmentReply.Capabilities, a presence bool after the
+// fragments and then the set: a described host with nothing to offer is an
+// empty set, not an absent one. Inside a batch each body ends where its
+// fields do, and the next envelope's kind tag follows.
 func TestWireFormatGoldenDescribe(t *testing.T) {
 	frag := model.MustFragment("f", model.Task{
 		ID: "t", Mode: model.Conjunctive,
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "01" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "02" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "01" + // version
+		reply = "02" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -905,29 +895,25 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			"01" + "0161" + // inputs ["a"]
 			"01" + "0162" // outputs ["b"]
 	)
-	rows := []struct {
-		name string
-		env  Envelope
-		want string
-	}{
+	checkGolden(t, []goldenRow{
 		{
 			name: "fragment-query-describe",
 			env: Envelope{From: "a1", To: "b2", ReqID: 300, Workflow: "wf",
 				Body: FragmentQuery{Labels: []model.LabelID{"x", "yz"}, Describe: true}},
-			want: query + "ff", // section: describe yourself
+			want: query + "01", // describe yourself
 		},
 		{
 			name: "fragment-reply",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Fragments: []*model.Fragment{frag}}},
-			want: reply,
+			want: reply + "00", // no capability set
 		},
 		{
 			name: "fragment-reply-described",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Fragments: []*model.Fragment{frag},
 					Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t", "u"}}}},
-			want: reply + "ff" + // section: capability set
+			want: reply + "01" + // a capability set:
 				"01" + "0161" + // labels ["a"]
 				"02" + "0174" + "0175", // tasks ["t", "u"]
 		},
@@ -935,9 +921,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "01" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "02" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
-				"ff" + "00" + "00", // section: nothing consumed, nothing offered
+				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},
 		{
 			name: "describe-inside-batch",
@@ -947,78 +933,13 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: FragmentQuery{Labels: []model.LabelID{"x"}}},
 					{From: "a", To: "b", ReqID: 3, Workflow: "w", Body: Ack{}},
 				}}},
-			want: "01" + "11" + "0161" + "0162" + "00" + "00" + // batch header a, b, 0, ""
+			want: "02" + "11" + "0161" + "0162" + "00" + "00" + // batch header a, b, 0, ""
 				"03" + // 3 envelopes
-				"01" + "0161" + "0162" + "01" + "0177" + "01" + "0178" + "ff" + // describing query
-				"01" + "0161" + "0162" + "02" + "0177" + "01" + "0178" + // plain query
+				"01" + "0161" + "0162" + "01" + "0177" + "01" + "0178" + "01" + // describing query
+				"01" + "0161" + "0162" + "02" + "0177" + "01" + "0178" + "00" + // plain query
 				"0e" + "0161" + "0162" + "03" + "0177", // ack
 		},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			data, err := binEncode(row.env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hex.EncodeToString(data); got != row.want {
-				t.Fatalf("wire bytes changed:\ngot  %s\nwant %s", got, row.want)
-			}
-			back, err := binDecode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !envEqual(row.env, back) {
-				t.Fatalf("golden frame round trip lost information:\nwant %+v\ngot  %+v", row.env, back)
-			}
-		})
-	}
-}
-
-// TestOptionalSectionRejectsCorruptFrames: the section's lists are bounded
-// by the bytes remaining like every other count, a truncated section is an
-// error, and the section byte after a body that has no optional section is
-// trailing garbage.
-func TestOptionalSectionRejectsCorruptFrames(t *testing.T) {
-	described, err := binEncode(Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
-		Body: FragmentReply{Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t"}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	section := bytes.IndexByte(described, optSection)
-	if section < 0 {
-		t.Fatal("described reply carries no section byte")
-	}
-	for n := section + 1; n < len(described); n++ {
-		if _, err := binDecode(described[:n]); err == nil {
-			t.Errorf("section truncated to %d of %d bytes accepted", n, len(described))
-		}
-	}
-	var buf bytes.Buffer
-	e := encoder{buf: &buf}
-	e.byte(wireVersion)
-	e.header(kindFragmentReply, Envelope{From: "b", To: "a"})
-	e.uint(0) // no fragments
-	e.byte(optSection)
-	e.uint(1 << 40) // label count
-	if _, err := binDecode(buf.Bytes()); err == nil {
-		t.Error("absurd capability count accepted")
-	}
-	for _, body := range []Body{Cancel{Task: "t"}, FeasibilityQuery{Tasks: []model.TaskID{"t"}}, Ack{}} {
-		data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: body})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := binDecode(append(data, optSection)); err == nil {
-			t.Errorf("section byte after a %s body accepted", body.Kind())
-		}
-	}
-	query, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: FragmentQuery{Describe: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := binDecode(append(query, optSection)); err == nil {
-		t.Error("second section byte accepted")
-	}
+	})
 }
 
 // TestEnvelopeBatchNeverNests pins the depth bound from both sides: the

@@ -43,13 +43,13 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
 		Award{Meta: meta},
-		AwardAck{Task: "t", OK: true, Reason: "r"},
+		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true, Reason: "r"}}},
 		Cancel{Task: "t"},
-		PlanSegment{
+		Plan{Segments: []PlanSegment{{
 			Task: "t", Initiator: "h0",
 			InputSources: map[model.LabelID]Addr{"a": "h1"},
 			OutputSinks:  map[model.LabelID][]Addr{"b": {"h2", "h3"}},
-		},
+		}}},
 		LabelTransfer{Label: "a", Data: []byte{0, 1, 255}, Producer: "h1"},
 		TaskDone{Task: "t", Err: "boom"},
 		Ack{},
@@ -72,9 +72,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A winner's award, its verdicts, an executor's plan and a call for
-	// bids that awards: the optional sections of the one-message-per-peer
-	// bodies (TestWireFormatGoldenGroups pins the same four frames).
+	// A winner's three-task award, its three verdicts, an executor's
+	// three-segment plan and a call for bids that awards one task: the lists
+	// of the one-message-per-peer bodies (TestWireFormatGoldenGroups pins
+	// the same four frames).
 	award, ack, plan, cfb := groupEnvelopes()
 	for _, env := range []Envelope{award, ack, plan, cfb} {
 		data, err := Encode(env)

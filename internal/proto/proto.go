@@ -5,12 +5,9 @@
 // architecture, Fig. 3), plus the envelope framing and the hand-rolled
 // binary codec (codec.go) shared by every transport.
 //
-// A body's layout is pinned once it ships. Fields added later
-// (FragmentQuery.Describe, FragmentReply.Capabilities, the More lists of
-// Award, AwardAck and PlanSegment, CallForBidsBatch.Sole) travel in an
-// optional trailing section that is written only when they are set, so
-// every value that could be expressed before still encodes to the bytes it
-// always did.
+// Each body has one layout, every field always written; a list is a count
+// and its elements. Changing a layout bumps the codec's wire version, and
+// a frame of any other version is rejected.
 package proto
 
 import (
@@ -169,7 +166,9 @@ func (BidBatch) Kind() string { return "bid-batch" }
 // Award allocates to the winning bidder, who converts its reservations
 // into commitments, every task it won in one round of decisions: one
 // message per winner, answered by one AwardAck carrying a verdict per task
-// (DESIGN.md §9).
+// (DESIGN.md §9). The tasks are Meta followed by More: the one body left
+// with a head and a rest, because the frozen benchmark module builds
+// Award{Meta: m}. It becomes one list when that module is re-baselined.
 type Award struct {
 	Meta TaskMeta
 	// More are the further tasks the same winner is awarded with Meta.
@@ -179,17 +178,19 @@ type Award struct {
 // Kind implements Body.
 func (Award) Kind() string { return "award" }
 
-// AwardAck confirms (or refuses) an award, task by task. A task is refused
+// Verdict confirms (OK) or refuses one awarded task. A task is refused
 // when its hold is gone — the bid's deadline passed before the award
-// arrived — or the service was withdrawn meanwhile; a refusal binds only
-// its own task.
-type AwardAck struct {
+// arrived — or the service was withdrawn meanwhile, and Reason says which.
+type Verdict struct {
 	Task   model.TaskID
 	OK     bool
 	Reason string
-	// More are the verdicts on Award.More, in the award's order; they
-	// carry no More of their own.
-	More []AwardAck
+}
+
+// AwardAck answers an Award with one verdict per task, in the award's
+// order; a refusal binds only its own task.
+type AwardAck struct {
+	Verdicts []Verdict
 }
 
 // Kind implements Body.
@@ -207,10 +208,19 @@ func (Cancel) Kind() string { return "cancel" }
 
 // --- Plan distribution and Inter-service Messages (execution) ---
 
-// PlanSegment gives an awarded host the routing information for one of its
-// commitments: where each input comes from and where each output must go.
-// The initiator distributes segments once allocation completes, one
-// message per executor (DESIGN.md §9).
+// Plan gives an executor the routing segments of its commitments in one
+// workflow. The initiator distributes them once allocation completes, one
+// message per executor (DESIGN.md §9), acknowledged with an Ack.
+type Plan struct {
+	Segments []PlanSegment
+}
+
+// Kind implements Body. It is the kind string traces and metrics key a plan
+// request by, paired with "ack".
+func (Plan) Kind() string { return "plan-segment" }
+
+// PlanSegment is the routing information for one commitment: where each
+// input comes from and where each output must go.
 type PlanSegment struct {
 	Task model.TaskID
 	// Initiator is the host coordinating the workflow; executors send
@@ -222,13 +232,7 @@ type PlanSegment struct {
 	// OutputSinks maps each output label to the hosts that need it
 	// (consumer executors, plus the initiator for goal labels).
 	OutputSinks map[model.LabelID][]Addr
-	// More are the segments of the same executor's other commitments; they
-	// carry no More of their own.
-	More []PlanSegment
 }
-
-// Kind implements Body.
-func (PlanSegment) Kind() string { return "plan-segment" }
 
 // LabelTransfer carries a produced label (condition plus optional data)
 // from the executor of a producing task to the executor of a consuming
@@ -254,7 +258,7 @@ type TaskDone struct {
 func (TaskDone) Kind() string { return "task-done" }
 
 // Ack is the generic acknowledgment for requests with no richer reply
-// (plan segments).
+// (plans).
 type Ack struct{}
 
 // Kind implements Body.
@@ -340,7 +344,7 @@ func (EnvelopeBatch) Kind() string { return "envelope-batch" }
 // is accounted separately (community.DiscoveryStats).
 func IsRequest(b Body) bool {
 	switch b.(type) {
-	case FragmentQuery, FeasibilityQuery, CallForBidsBatch, Award, PlanSegment, LeaseRefresh:
+	case FragmentQuery, FeasibilityQuery, CallForBidsBatch, Award, Plan, LeaseRefresh:
 		return true
 	}
 	return false

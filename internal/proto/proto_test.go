@@ -34,13 +34,13 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 			Declines: []model.TaskID{"u"},
 		},
 		Award{Meta: meta},
-		AwardAck{Task: "t", OK: true},
+		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true}}},
 		Cancel{Task: "t"},
-		PlanSegment{
+		Plan{Segments: []PlanSegment{{
 			Task:         "t",
 			InputSources: map[model.LabelID]Addr{"a": "h1"},
 			OutputSinks:  map[model.LabelID][]Addr{"b": {"h2", "h3"}},
-		},
+		}}},
 		LabelTransfer{Label: "a", Data: []byte("payload"), Producer: "h1"},
 		TaskDone{Task: "t", Err: "boom"},
 	}
@@ -125,7 +125,7 @@ func TestKinds(t *testing.T) {
 	all := []Body{
 		FragmentQuery{}, FragmentReply{}, FeasibilityQuery{}, FeasibilityReply{},
 		Award{}, AwardAck{}, Cancel{},
-		PlanSegment{}, LabelTransfer{}, TaskDone{}, Ack{},
+		Plan{}, LabelTransfer{}, TaskDone{}, Ack{},
 		CallForBidsBatch{}, BidBatch{}, EnvelopeBatch{},
 		LeaseRefresh{}, LeaseRefreshAck{},
 	}

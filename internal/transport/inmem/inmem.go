@@ -267,8 +267,9 @@ func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 func (n *Network) Delivered() int64 { return n.delivered.Load() }
 
 // Dropped returns the number of envelopes lost (partition, loss model,
-// missing/closed recipient, or a sender's full queue).
-func (n *Network) Dropped() int64 { return n.dropped.Load() + n.wire.Overflow() }
+// missing/closed recipient, a sender's full queue, or a queued envelope's
+// refused frame).
+func (n *Network) Dropped() int64 { return n.dropped.Load() + n.wire.Lost() }
 
 // Bytes returns the total encoded payload bytes transmitted.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }

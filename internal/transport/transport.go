@@ -77,7 +77,8 @@ func (c *Coalescer) Admit(env proto.Envelope) (writer, dropped bool) {
 // one frame per flush: a lone envelope as itself, several as one
 // proto.EnvelopeBatch of at most MaxCoalesce addressed from→to — until
 // the queue empties and the coalescer goes idle. Transmit errors are
-// discarded: accepted envelopes are the transport's to deliver or lose.
+// the transmit function's to account for: accepted envelopes are the
+// transport's to deliver or lose, and the coalescer goes on draining.
 func (c *Coalescer) Drain(from, to proto.Addr, transmit func(proto.Envelope) error) {
 	for {
 		c.mu.Lock()

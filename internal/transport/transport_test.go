@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"openwf/internal/model"
 	"openwf/internal/proto"
 )
 
@@ -85,5 +88,37 @@ func TestCoalescerQueueCap(t *testing.T) {
 	}
 	if _, d := c.Admit(env(1)); d {
 		t.Fatal("Admit dropped on a drained coalescer")
+	}
+}
+
+// TestRefusedDrainCountsQueuedEnvelopeLost: an envelope queued behind the
+// write in flight was accepted — its Send returned nil — so when the link
+// refuses the frame that drains it, it counts as accepted and lost, as an
+// envelope refused at MaxOutboxQueue does, and under no frame or call.
+func TestRefusedDrainCountsQueuedEnvelopeLost(t *testing.T) {
+	ctx := context.Background()
+	var count Counters
+	var s *Sender
+	writes := 0
+	s = NewSender("a", 0, &count, func(ctx context.Context, to proto.Addr, frame []byte, envelopes int64) error {
+		writes++
+		if writes == 1 {
+			// Queued behind this write, the link being busy.
+			if err := s.Send(ctx, to, proto.Envelope{ReqID: 2, Body: proto.Cancel{Task: "t"}}); err != nil {
+				t.Errorf("queued Send: %v", err)
+			}
+			return nil
+		}
+		return errors.New("link closed")
+	})
+	if err := s.Send(ctx, "b", proto.Envelope{ReqID: 1, Body: proto.LeaseRefresh{Tasks: []model.TaskID{"t"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if writes != 2 {
+		t.Fatalf("%d writes, want the first and the refused drain", writes)
+	}
+	want := Stats{Envelopes: 2, Frames: 1, Calls: 1}
+	if got := count.Stats(); got != want || count.Lost() != 1 {
+		t.Errorf("stats %+v with %d lost, want %+v with 1 lost", got, count.Lost(), want)
 	}
 }

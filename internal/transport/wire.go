@@ -25,11 +25,12 @@ const MaxFrame = 16 << 20
 const drainTimeout = 10 * time.Second
 
 // Counters is the accounting of the frames a Sender put on its links: the
-// five Stats fields plus the envelopes lost to a full queue. A substrate
-// owns one value — per endpoint (tcpnet) or shared by every endpoint of a
-// simulated network (inmem) — and only adds the frames its medium loses.
+// five Stats fields plus the envelopes accepted and lost before any frame
+// carried them. A substrate owns one value — per endpoint (tcpnet) or
+// shared by every endpoint of a simulated network (inmem) — and only adds
+// the frames its medium loses.
 type Counters struct {
-	envelopes, frames, batches, calls, framesDropped, overflow atomic.Int64
+	envelopes, frames, batches, calls, framesDropped, lost atomic.Int64
 }
 
 // Stats returns a snapshot of the counters.
@@ -43,10 +44,18 @@ func (c *Counters) Stats() Stats {
 	}
 }
 
-// Overflow returns how many envelopes were accepted and then lost at
-// MaxOutboxQueue. They count under Stats.Envelopes, but no frame ever
-// existed to count under FramesDropped.
-func (c *Counters) Overflow() int64 { return c.overflow.Load() }
+// Lost returns how many envelopes Send accepted (returned nil for) and then
+// lost before any frame reached the medium: refused at MaxOutboxQueue, or
+// queued and then carried by a drained frame the sender or the link
+// refused. They count under Stats.Envelopes, but under no other field: no
+// frame went on the link to count under Frames or FramesDropped.
+func (c *Counters) Lost() int64 { return c.lost.Load() }
+
+// lose counts n envelopes as accepted and lost.
+func (c *Counters) lose(n int64) {
+	c.envelopes.Add(n)
+	c.lost.Add(n)
+}
 
 // FrameDropped records that the medium lost one frame the link function
 // had accepted (returned nil for).
@@ -54,7 +63,7 @@ func (c *Counters) FrameDropped() { c.framesDropped.Add(1) }
 
 // Reset zeroes the counters (between evaluation runs).
 func (c *Counters) Reset() {
-	for _, n := range []*atomic.Int64{&c.envelopes, &c.frames, &c.batches, &c.calls, &c.framesDropped, &c.overflow} {
+	for _, n := range []*atomic.Int64{&c.envelopes, &c.frames, &c.batches, &c.calls, &c.framesDropped, &c.lost} {
 		n.Store(0)
 	}
 }
@@ -143,8 +152,7 @@ func (s *Sender) Admit(to proto.Addr, env proto.Envelope) (stamped proto.Envelop
 	env.From, env.To = s.addr, to
 	writer, dropped := s.outbox(to).Admit(env)
 	if dropped {
-		s.count.envelopes.Add(1)
-		s.count.overflow.Add(1)
+		s.count.lose(1)
 	}
 	return env, writer
 }
@@ -152,12 +160,21 @@ func (s *Sender) Admit(to proto.Addr, env proto.Envelope) (stamped proto.Envelop
 // Drain flushes what queued on the link to the peer while its writer was
 // transmitting, one frame per flush, until the queue is empty and the link
 // idle. Each frame gets its own bounded context, detached from the
-// writer's: the writer giving up must not lose what others queued.
+// writer's: the writer giving up must not lose what others queued. A frame
+// refused here is lost and counted: its envelopes' Sends returned nil.
 func (s *Sender) Drain(ctx context.Context, to proto.Addr) {
 	s.outbox(to).Drain(s.addr, to, func(frame proto.Envelope) error {
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drainTimeout)
 		defer cancel()
-		return s.transmit(ctx, to, frame)
+		err := s.transmit(ctx, to, frame)
+		if err != nil {
+			n := int64(1)
+			if batch, ok := frame.Body.(proto.EnvelopeBatch); ok {
+				n = int64(len(batch.Envelopes))
+			}
+			s.count.lose(n)
+		}
+		return err
 	})
 }
 
