@@ -117,7 +117,7 @@ func BenchmarkConstructIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ConstructIncremental(context.Background(), src, s, core.IncrementalOptions{}); err != nil {
+		if _, err := core.ConstructIncremental(context.Background(), src, s, core.IncrementalOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,8 +22,8 @@ type Result struct {
 	// exploration — the size of the searched region (an evaluation
 	// metric: larger supergraphs make the search encounter more nodes).
 	Explored int
-	// SupergraphTasks is the number of task nodes in the supergraph at
-	// the end of construction.
+	// SupergraphTasks is the number of tasks the supergraph's fragments
+	// define at the end of construction.
 	SupergraphTasks int
 	// CollectionRounds is the number of community query rounds an
 	// incremental construction performed (0 for a local construction).
@@ -57,8 +57,9 @@ func construct(ctx context.Context, g *Supergraph, src KnowledgeSource, s spec.S
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	queried := make(map[model.LabelID]struct{})
-	checked := make(map[model.TaskID]struct{})
+	queried, checked := g.queried, g.checked
+	clear(queried)
+	clear(checked)
 	rounds := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -75,6 +76,9 @@ func construct(ctx context.Context, g *Supergraph, src KnowledgeSource, s spec.S
 			}
 			continue // MarkInfeasible reset the coloring
 		}
+		// The frontier is a new slice every round, never graph scratch:
+		// a source may keep it past the call (a query still queued on a
+		// stalled link after the call timed out).
 		var frontier []model.LabelID
 		if src != nil {
 			frontier = frontierLabels(g, queried)

@@ -178,21 +178,23 @@ func TestEpochWraparound(t *testing.T) {
 func TestEpochIncrementalRounds(t *testing.T) {
 	frags := cateringFragments(t)
 	s := spec.Must(lbl("breakfast ingredients", "lunch ingredients"), lbl("breakfast served", "lunch served"))
-	res, g, err := ConstructIncremental(context.Background(), SliceSource(frags), s, IncrementalOptions{})
+	res, err := ConstructIncremental(context.Background(), SliceSource(frags), s, IncrementalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CollectionRounds == 0 {
 		t.Error("CollectionRounds = 0, want > 0")
 	}
-	// The incremental supergraph (a subset of the full knowledge) must
-	// answer a repeat construction identically.
-	again, err := Construct(g, s)
+	// A repeat construction, in the supergraph the first one recycled,
+	// must collect and answer identically.
+	again, err := ConstructIncremental(context.Background(), SliceSource(frags), s, IncrementalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Workflow.String() != res.Workflow.String() {
-		t.Errorf("repeat construction on incremental supergraph diverges:\ngot:\n%s\nwant:\n%s",
-			again.Workflow, res.Workflow)
+	want := *res
+	want.Workflow = again.Workflow
+	if again.Workflow.String() != res.Workflow.String() || *again != want {
+		t.Errorf("repeat incremental construction diverges:\ngot %+v:\n%s\nwant %+v:\n%s",
+			*again, again.Workflow, *res, res.Workflow)
 	}
 }

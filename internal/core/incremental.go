@@ -48,14 +48,18 @@ type IncrementalOptions struct {
 // supergraph incrementally, drawing from the community only the fragments
 // that we need to extend the supergraph along the boundaries of the
 // colored region." It is the construction loop (construct) started on an
-// empty supergraph, which is returned alongside the result for inspection.
-func ConstructIncremental(ctx context.Context, src KnowledgeSource, s spec.Spec, opts IncrementalOptions) (*Result, *Supergraph, error) {
-	g := NewSupergraph()
+// empty supergraph. The supergraph is a recycled one — the nodes, adjacency
+// arrays and maps of an earlier construction, emptied — and goes back to
+// the pool on every return; the result is copied out of it.
+func ConstructIncremental(ctx context.Context, src KnowledgeSource, s spec.Spec, opts IncrementalOptions) (*Result, error) {
+	g := graphPool.Get().(*Supergraph)
 	for _, t := range opts.Exclude {
 		g.MarkInfeasible(t)
 	}
 	res, err := construct(ctx, g, src, s, opts.Feasibility)
-	return res, g, err
+	g.recycle()
+	graphPool.Put(g)
+	return res, err
 }
 
 // frontierLabels returns the green labels not yet queried, in coloring

@@ -219,7 +219,7 @@ func TestPropIncrementalAgreesWithFull(t *testing.T) {
 			return false
 		}
 		_, fullErr := Construct(g, s)
-		_, _, incErr := ConstructIncremental(context.Background(), SliceSource(frags), s, IncrementalOptions{})
+		_, incErr := ConstructIncremental(context.Background(), SliceSource(frags), s, IncrementalOptions{})
 		return (fullErr == nil) == (incErr == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

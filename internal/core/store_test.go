@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"openwf/internal/model"
 	"openwf/internal/spec"
 )
 
@@ -53,7 +54,7 @@ func TestStoreAsKnowledgeSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := spec.Must(lbl("breakfast ingredients"), lbl("breakfast served"))
-	res, _, err := ConstructIncremental(context.Background(), st, s, IncrementalOptions{})
+	res, err := ConstructIncremental(context.Background(), st, s, IncrementalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +132,30 @@ func TestWorkspaceExcludeIsUndone(t *testing.T) {
 	// And with no exclusions at all, construction still succeeds.
 	if _, err := ws.Construct(s); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkspacePlaceholderIsNoTask: excluding a task no fragment defines
+// leaves a placeholder node in the workspace, which is not a supergraph
+// task — neither in that construction nor in any later one.
+func TestWorkspacePlaceholderIsNoTask(t *testing.T) {
+	st, err := NewStore(frag(t, "only", ctask("t", lbl("a"), lbl("b"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := st.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec.Must(lbl("a"), lbl("b"))
+	for i, exclude := range [][]model.TaskID{nil, {"nobody-defines-me"}, nil} {
+		res, err := ws.Construct(s, exclude...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SupergraphTasks != 1 {
+			t.Errorf("construction %d (exclude %v): SupergraphTasks = %d, want 1", i, exclude, res.SupergraphTasks)
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"openwf/internal/model"
 )
@@ -151,7 +152,7 @@ func (n *node) stamp(e uint64) {
 
 // Supergraph is the union of collected workflow fragments plus the
 // coloring state of an in-progress construction. It is not safe for
-// concurrent use; the engine serializes access per workspace.
+// concurrent use: a Workspace or one ConstructIncremental call owns it.
 type Supergraph struct {
 	labels map[model.LabelID]*node
 	tasks  map[model.TaskID]*node
@@ -166,6 +167,20 @@ type Supergraph struct {
 
 	// fragments records the names of merged fragments (dedup).
 	fragments map[string]struct{}
+
+	// placeholders counts the task nodes MarkInfeasible created that no
+	// fragment has defined yet; NumTasks leaves them out.
+	placeholders int
+
+	// spare holds the nodes of an earlier construction that recycle
+	// released, for newNode to reuse with their adjacency arrays.
+	spare []*node
+
+	// queried and checked are construct's sets of the labels asked
+	// about and the tasks whose feasibility is known, cleared at the
+	// start of every construction.
+	queried map[model.LabelID]struct{}
+	checked map[model.TaskID]struct{}
 
 	// epoch is the current coloring generation. Node coloring state is
 	// valid only when the node's stamp matches; bumping the epoch
@@ -196,15 +211,52 @@ func NewSupergraph() *Supergraph {
 		labels:    make(map[model.LabelID]*node),
 		tasks:     make(map[model.TaskID]*node),
 		fragments: make(map[string]struct{}),
+		queried:   make(map[model.LabelID]struct{}),
+		checked:   make(map[model.TaskID]struct{}),
 		epoch:     1,
 	}
+}
+
+// graphPool holds the supergraphs ConstructIncremental has finished with,
+// emptied by recycle.
+var graphPool = sync.Pool{New: func() any { return NewSupergraph() }}
+
+// recycle empties the graph for another construction while keeping its
+// memory: every node goes to the spare list with its adjacency arrays
+// truncated, the maps are cleared (keeping their buckets), and the
+// coloring is reset. A recycled graph constructs exactly like a new one.
+func (g *Supergraph) recycle() {
+	for _, order := range [2][]*node{g.labelOrder, g.taskOrder} {
+		for _, n := range order {
+			*n = node{parents: n.parents[:0], children: n.children[:0], blueParents: n.blueParents[:0]}
+			g.spare = append(g.spare, n)
+		}
+	}
+	g.labelOrder, g.taskOrder = g.labelOrder[:0], g.taskOrder[:0]
+	clear(g.labels)
+	clear(g.tasks)
+	clear(g.fragments)
+	g.placeholders = 0
+	g.ResetColoring()
+}
+
+// newNode returns an uncolored node, reusing a spare one when there is.
+func (g *Supergraph) newNode(kind nodeKind, label model.LabelID, task model.TaskID, mode model.Mode) *node {
+	var n *node
+	if k := len(g.spare); k > 0 {
+		n, g.spare = g.spare[k-1], g.spare[:k-1]
+	} else {
+		n = new(node)
+	}
+	n.kind, n.label, n.task, n.mode, n.distance = kind, label, task, mode, infinity
+	return n
 }
 
 // labelFor returns (creating if needed) the node for a label.
 func (g *Supergraph) labelFor(l model.LabelID) *node {
 	n, ok := g.labels[l]
 	if !ok {
-		n = &node{kind: labelNode, label: l, mode: model.Disjunctive, distance: infinity}
+		n = g.newNode(labelNode, l, "", model.Disjunctive)
 		g.labels[l] = n
 		g.labelOrder = append(g.labelOrder, n)
 	}
@@ -247,11 +299,12 @@ func (g *Supergraph) addTask(t model.Task) (bool, error) {
 			return false, nil
 		}
 		existing.placeholder = false
+		g.placeholders--
 		existing.mode = t.Mode
 		g.wireTask(existing, t)
 		return true, nil
 	}
-	n := &node{kind: taskNode, task: t.ID, mode: t.Mode, distance: infinity}
+	n := g.newNode(taskNode, "", t.ID, t.Mode)
 	g.tasks[t.ID] = n
 	g.taskOrder = append(g.taskOrder, n)
 	g.wireTask(n, t)
@@ -314,7 +367,9 @@ func (g *Supergraph) MarkInfeasible(t model.TaskID) {
 	if !ok {
 		// Record the exclusion even before the task is collected; the
 		// first fragment defining the task fills in the wiring.
-		n = &node{kind: taskNode, task: t, mode: model.Conjunctive, distance: infinity, placeholder: true}
+		n = g.newNode(taskNode, "", t, model.Conjunctive)
+		n.placeholder = true
+		g.placeholders++
 		g.tasks[t] = n
 		g.taskOrder = append(g.taskOrder, n)
 	}
@@ -375,8 +430,10 @@ func (g *Supergraph) ResetStats() (resets, fullSweeps uint64) {
 	return g.resets, g.fullSweeps
 }
 
-// NumTasks returns the number of task nodes (including infeasible ones).
-func (g *Supergraph) NumTasks() int { return len(g.tasks) }
+// NumTasks returns the number of tasks the merged fragments define
+// (including infeasible ones; not a placeholder MarkInfeasible made for a
+// task no fragment has defined).
+func (g *Supergraph) NumTasks() int { return len(g.tasks) - g.placeholders }
 
 // NumLabels returns the number of label nodes.
 func (g *Supergraph) NumLabels() int { return len(g.labels) }

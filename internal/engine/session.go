@@ -172,8 +172,7 @@ func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, membe
 	if m.cfg.Feasibility {
 		opts.Feasibility = view
 	}
-	res, _, err := core.ConstructIncremental(ctx, src, s, opts)
-	return res, err
+	return core.ConstructIncremental(ctx, src, s, opts)
 }
 
 // InitiateBatch runs one allocation session per specification,
