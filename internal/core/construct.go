@@ -76,9 +76,9 @@ func construct(ctx context.Context, g *Supergraph, src KnowledgeSource, s spec.S
 			}
 			continue // MarkInfeasible reset the coloring
 		}
-		// The frontier is a new slice every round, never graph scratch:
-		// a source may keep it past the call (a query still queued on a
-		// stalled link after the call timed out).
+		// The frontier is graph scratch, lent to the source for the
+		// call: a source that keeps it past the call (a query still
+		// queued on a stalled link after the call timed out) copies it.
 		var frontier []model.LabelID
 		if src != nil {
 			frontier = frontierLabels(g, queried)
@@ -333,39 +333,42 @@ func (g *Supergraph) minGreenParent(n *node) *node {
 
 // extract converts the blue subgraph into a model.Workflow. Blue nodes are
 // a subset of the green list (selection never leaves the explored region),
-// so extraction walks the green list, not the whole supergraph.
+// so extraction walks the green list, not the whole supergraph. A task's
+// blue inputs are its blueParents; its blue outputs are the blue children
+// whose blueParents hold it. One count sizes a single label slab every
+// task's sorted inputs and outputs are carved from.
 func extract(g *Supergraph) (*model.Workflow, error) {
-	// Blue out-edges of tasks are recorded on the label side: a blue
-	// label's blueParents hold its chosen producer.
-	outEdges := make(map[model.TaskID][]model.LabelID)
+	tasks, edges := 0, 0
 	for _, n := range g.green {
-		if n.kind != labelNode || n.color != Blue {
-			continue
-		}
-		for _, p := range n.blueParents {
-			outEdges[p.task] = append(outEdges[p.task], n.label)
+		if n.color == Blue {
+			edges += len(n.blueParents)
+			if n.kind == taskNode {
+				tasks++
+			}
 		}
 	}
-	wg := model.NewGraph()
+	slab := make([]model.LabelID, 0, edges)
+	ts := make([]model.Task, 0, tasks)
 	for _, n := range g.green {
 		if n.kind != taskNode || n.color != Blue {
 			continue
 		}
-		inputs := make([]model.LabelID, 0, len(n.blueParents))
+		in := len(slab)
 		for _, p := range n.blueParents {
-			inputs = append(inputs, p.label)
+			slab = append(slab, p.label)
 		}
+		out := len(slab)
+		for _, c := range n.children {
+			if c.colorAt(g.epoch) == Blue && slices.Contains(c.blueParents, n) {
+				slab = append(slab, c.label)
+			}
+		}
+		inputs, outputs := slab[in:out:out], slab[out:len(slab):len(slab)]
 		slices.Sort(inputs)
-		outputs := outEdges[n.task]
 		slices.Sort(outputs)
-		t := model.Task{ID: n.task, Mode: n.mode, Inputs: inputs, Outputs: outputs}
-		if err := wg.AddTask(t); err != nil {
-			return nil, fmt.Errorf("extracting workflow: %w", err)
-		}
+		ts = append(ts, model.Task{ID: n.task, Mode: n.mode, Inputs: inputs, Outputs: outputs})
 	}
-	// The graph was built solely for this workflow; transfer ownership
-	// instead of cloning.
-	w, err := model.NewWorkflowOwning(wg)
+	w, err := model.NewWorkflowOfTasks(ts)
 	if err != nil {
 		return nil, fmt.Errorf("extracting workflow: %w", err)
 	}

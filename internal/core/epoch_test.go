@@ -90,9 +90,6 @@ func TestEpochResetIsLazy(t *testing.T) {
 	if g.GreenCount() != 0 {
 		t.Errorf("GreenCount after reset = %d", g.GreenCount())
 	}
-	if got := g.GreenTasks(); len(got) != 0 {
-		t.Errorf("GreenTasks after reset = %v", got)
-	}
 }
 
 // TestEpochMarkInfeasibleAfterConstruction: excluding a task after a

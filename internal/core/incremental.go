@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"openwf/internal/model"
 	"openwf/internal/spec"
@@ -19,8 +20,10 @@ type KnowledgeSource interface {
 	// FragmentsConsuming returns every known fragment containing at
 	// least one task that consumes at least one of the given labels.
 	// Returning a fragment more than once across calls is permitted;
-	// merging is idempotent. The context cancels in-flight community
-	// queries.
+	// merging is idempotent. The labels are valid only for the call: a
+	// source that keeps them — a query left queued on a stalled link —
+	// copies them. The returned slice is read before the next call. The
+	// context cancels in-flight community queries.
 	FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error)
 }
 
@@ -30,7 +33,9 @@ type KnowledgeSource interface {
 // (the Service Feasibility Messages of the paper's architecture, Fig. 3).
 type FeasibilityChecker interface {
 	// InfeasibleTasks returns the subset of tasks that no participant
-	// can perform. The context cancels in-flight community queries.
+	// can perform. The tasks are valid only for the call; a checker
+	// that keeps them copies them. The context cancels in-flight
+	// community queries.
 	InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error)
 }
 
@@ -66,9 +71,10 @@ func ConstructIncremental(ctx context.Context, src KnowledgeSource, s spec.Spec,
 // order (deterministic for a deterministic merge sequence). The triggering
 // labels are green from the first exploration pass, so they are part of
 // the first frontier. Walking the supergraph's green list keeps the
-// boundary scan proportional to the explored region, not the graph.
+// boundary scan proportional to the explored region, not the graph. The
+// list is the graph's scratch, overwritten by the next call.
 func frontierLabels(g *Supergraph, queried map[model.LabelID]struct{}) []model.LabelID {
-	var out []model.LabelID
+	out := g.frontier[:0]
 	for _, n := range g.green {
 		if n.kind != labelNode {
 			continue
@@ -78,21 +84,29 @@ func frontierLabels(g *Supergraph, queried map[model.LabelID]struct{}) []model.L
 		}
 		out = append(out, n.label)
 	}
+	g.frontier = out
 	return out
 }
 
-// checkFeasibility queries the checker for green tasks not yet checked and
-// marks the infeasible ones. It returns how many tasks were newly marked.
+// checkFeasibility queries the checker for green tasks not yet checked, in
+// ID order, and marks the infeasible ones. (Purple and blue nodes were
+// green before selection and still count.) It returns how many tasks were
+// newly marked.
 func checkFeasibility(ctx context.Context, g *Supergraph, checker FeasibilityChecker, checked map[model.TaskID]struct{}) (int, error) {
 	if checker == nil {
 		return 0, nil
 	}
-	var toCheck []model.TaskID
-	for _, id := range g.GreenTasks() {
-		if _, done := checked[id]; !done {
-			toCheck = append(toCheck, id)
+	toCheck := g.toCheck[:0]
+	for _, n := range g.green {
+		if n.kind != taskNode {
+			continue
+		}
+		if _, done := checked[n.task]; !done {
+			toCheck = append(toCheck, n.task)
 		}
 	}
+	slices.Sort(toCheck)
+	g.toCheck = toCheck
 	if len(toCheck) == 0 {
 		return 0, nil
 	}
@@ -117,13 +131,9 @@ var _ KnowledgeSource = SliceSource(nil)
 
 // FragmentsConsuming implements KnowledgeSource.
 func (s SliceSource) FragmentsConsuming(_ context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	set := make(map[model.LabelID]struct{}, len(labels))
-	for _, l := range labels {
-		set[l] = struct{}{}
-	}
 	var out []*model.Fragment
 	for _, f := range s {
-		if f.ConsumesAny(set) {
+		if f.ConsumesAny(labels) {
 			out = append(out, f)
 		}
 	}

@@ -29,7 +29,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"openwf/internal/model"
@@ -197,6 +196,12 @@ type Supergraph struct {
 	// work is the scratch worklist shared by the exploration and
 	// pruning phases; its backing array is reused across constructions.
 	work []*node
+
+	// frontier and toCheck are the lists a collection round and a
+	// feasibility check lend to the knowledge source and the checker,
+	// valid for the call only; their backing arrays are reused.
+	frontier []model.LabelID
+	toCheck  []model.TaskID
 
 	// resets counts ResetColoring calls; fullSweeps counts the rare
 	// epoch-wraparound sweeps among them. resets-fullSweeps is the
@@ -473,17 +478,4 @@ func (g *Supergraph) LabelDistance(l model.LabelID) (int, bool) {
 		return 0, false
 	}
 	return d, true
-}
-
-// GreenTasks returns the IDs of all green task nodes, sorted. (Purple and
-// blue nodes were green before selection and still count.)
-func (g *Supergraph) GreenTasks() []model.TaskID {
-	var out []model.TaskID
-	for _, n := range g.green {
-		if n.kind == taskNode {
-			out = append(out, n.task)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

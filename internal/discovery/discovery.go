@@ -310,16 +310,13 @@ func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []m
 // members — the routed ones, in order — each that is known and has answered
 // every one of labels it consumes contributes what it returned then: its
 // fragments that consume one of labels, in name order, exactly what it
-// would send now. The others are returned as ask; at[i] is how many of
-// frags precede ask[i]'s reply, so frags spliced with the replies is what
-// asking every member would have gathered. A round answered from memory
-// allocates frags and the label set, nothing per remembered fragment.
-func (x *Index) Recall(members []proto.Addr, labels []model.LabelID) (frags []*model.Fragment, ask []proto.Addr, at []int) {
-	set := make(map[model.LabelID]struct{}, len(labels))
-	for _, l := range labels {
-		set[l] = struct{}{}
-	}
-	frags = make([]*model.Fragment, 0, len(members))
+// would send now. They are appended to dst, which the caller reuses round
+// after round. The others are returned as ask; at[i] is how many of frags
+// precede ask[i]'s reply, so frags spliced with the replies is what asking
+// every member would have gathered. A round answered from memory into a
+// grown dst allocates nothing.
+func (x *Index) Recall(dst []*model.Fragment, members []proto.Addr, labels []model.LabelID) (frags []*model.Fragment, ask []proto.Addr, at []int) {
+	frags = dst
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -330,7 +327,7 @@ func (x *Index) Recall(members []proto.Addr, labels []model.LabelID) (frags []*m
 			continue
 		}
 		for _, f := range e.frags {
-			if f.ConsumesAny(set) {
+			if f.ConsumesAny(labels) {
 				frags = append(frags, f)
 			}
 		}

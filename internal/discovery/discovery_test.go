@@ -248,7 +248,8 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 // TestSelectAllocBounds pins the lookup every sweep of every session
 // makes: over 15 known members — the sim_serial community — Route
 // allocates the returned member slice and nothing else, the SelectByTasks
-// adapter no more than it, and an empty memory not even that.
+// adapter no more than it, and an empty memory not even that; Recall into
+// a grown buffer allocates nothing.
 func TestSelectAllocBounds(t *testing.T) {
 	x := New(clock.NewSim(discT0), time.Minute)
 	members := make([]proto.Addr, 15)
@@ -283,8 +284,8 @@ func TestSelectAllocBounds(t *testing.T) {
 		}
 	})
 	// A round answered from memory: two of the routed members hold forty
-	// fragments each and one of each consumes the query. Recall allocates
-	// the returned slice and the label set, nothing per remembered fragment.
+	// fragments each and one of each consumes the query. Recall into a
+	// buffer grown by an earlier round allocates nothing at all.
 	routed := []proto.Addr{members[3], members[11]}
 	for _, m := range routed {
 		caps := &proto.Advertise{}
@@ -297,10 +298,13 @@ func TestSelectAllocBounds(t *testing.T) {
 		x.Learn(m, caps, caps.Labels, frags)
 	}
 	recall := lbls("l03-02", "l11-07", "nobody")
-	testutil.AllocBound(t, 2, func() {
-		if got, ask, _ := x.Recall(routed, recall); len(got) != 2 || ask != nil {
+	var buf []*model.Fragment
+	testutil.AllocBound(t, 0, func() {
+		got, ask, _ := x.Recall(buf[:0], routed, recall)
+		if len(got) != 2 || ask != nil {
 			t.Errorf("recalled %v, asking %v", got, ask)
 		}
+		buf = got
 	})
 	empty := New(clock.NewSim(discT0), time.Minute)
 	testutil.AllocBound(t, 0, func() {
@@ -460,7 +464,7 @@ func kfrag(name, in, out string) *model.Fragment {
 // recall renders what memory answers for one member and whether the member
 // has to be asked.
 func recall(x *Index, member proto.Addr, labels ...string) string {
-	frags, ask, _ := x.Recall([]proto.Addr{member}, lbls(labels...))
+	frags, ask, _ := x.Recall(nil, []proto.Addr{member}, lbls(labels...))
 	names := make([]string, len(frags))
 	for i, f := range frags {
 		names[i] = f.Name
@@ -513,7 +517,7 @@ func TestRecallAnswersOnlyWhatWasAnswered(t *testing.T) {
 
 	// Spliced: at[i] fragments of the recalled ones precede ask[i]'s reply.
 	x.Learn("q", &proto.Advertise{Labels: lbls("b")}, lbls("b"), []*model.Fragment{fb})
-	frags, ask, at := x.Recall([]proto.Addr{"mute", "p", "full", "q", "stranger"}, lbls("b"))
+	frags, ask, at := x.Recall(nil, []proto.Addr{"mute", "p", "full", "q", "stranger"}, lbls("b"))
 	if got, want := fmt.Sprint(len(frags), ask, at), "3 [mute full stranger] [0 2 3]"; got != want {
 		t.Errorf("spliced recall: %s, want %s", got, want)
 	}

@@ -263,8 +263,16 @@ func TestDistributeGroupsByExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.clearLog()
+	// Events for a workflow not yet executing are dropped as stale, so
+	// they wait for the first plan segment: distribution begins once the
+	// execution is registered. One buffer slot per segment of the plan.
+	segs := make(chan proto.PlanSegment, 3)
+	net.mu.Lock()
+	net.segs = segs
+	net.mu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
+		<-segs
 		for _, task := range []model.TaskID{"t1", "t2", "t3"} {
 			m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: task})
 		}
@@ -285,6 +293,7 @@ func TestDistributeGroupsByExecutor(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s%v", c.to, tasks))
 		}
 	}
+	net.segs = nil
 	net.mu.Unlock()
 	if want := []string{"p1[t1 t3]", "p2[t2]"}; !slices.Equal(got, want) {
 		t.Errorf("plan requests = %v, want %v", got, want)

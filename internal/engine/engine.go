@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -320,21 +321,29 @@ type communityView struct {
 	// members restricts the queried community (plan repair consults only
 	// the survivors); nil means every current member.
 	members []proto.Addr
+	// known is the buffer Recall appends the remembered fragments to,
+	// reused round after round: construct merges a round's fragments
+	// before it asks the next.
+	known []*model.Fragment
 }
 
 // FragmentsConsuming implements core.KnowledgeSource: the routed members
 // that have answered these labels before answer from the host's memory, and
-// only the others are sent the query.
+// only the others are sent the query. The labels are construction scratch,
+// so the query gets its own copy: one still queued behind a stalled write
+// after the call gave up must not see the next round's frontier.
 func (cv *communityView) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
 	members, describe := cv.m.route(cv.members, labels, nil, 0)
 	if len(members) == 0 {
 		return nil, nil // every member is known; none consumes these labels
 	}
-	known, ask, at := cv.m.idx.Recall(members, labels)
+	known, ask, at := cv.m.idx.Recall(cv.known[:0], members, labels)
+	cv.known = known
 	if len(ask) == 0 {
 		return known, nil // nothing about these labels is left to ask anyone
 	}
-	return cv.m.sweepFragments(ctx, cv.wfID, ask, proto.FragmentQuery{Labels: labels, Describe: describe}, known, at)
+	query := proto.FragmentQuery{Labels: slices.Clone(labels), Describe: describe}
+	return cv.m.sweepFragments(ctx, cv.wfID, ask, query, known, at)
 }
 
 // sweepFragments sends one fragment query to members (nil means the whole
@@ -494,7 +503,9 @@ func (fc *fullCollection) FragmentsConsuming(ctx context.Context, _ []model.Labe
 func (cv *communityView) InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error) {
 	capable := make(map[model.TaskID]struct{}, len(tasks))
 	if ask := cv.m.idx.Capable(cv.m.community(cv.members), tasks, capable); len(ask) > 0 {
-		replies, err := cv.m.queryMembers(ctx, cv.wfID, proto.FeasibilityQuery{Tasks: tasks}, ask)
+		// Like a fragment query's labels, the tasks are lent for the call.
+		query := proto.FeasibilityQuery{Tasks: slices.Clone(tasks)}
+		replies, err := cv.m.queryMembers(ctx, cv.wfID, query, ask)
 		if err != nil {
 			return nil, err
 		}

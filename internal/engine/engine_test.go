@@ -292,12 +292,8 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		if b.Labels == nil {
 			out = m.fragments
 		} else {
-			set := make(map[model.LabelID]struct{}, len(b.Labels))
-			for _, l := range b.Labels {
-				set[l] = struct{}{}
-			}
 			for _, fr := range m.fragments {
-				if fr.ConsumesAny(set) {
+				if fr.ConsumesAny(b.Labels) {
 					out = append(out, fr)
 				}
 			}

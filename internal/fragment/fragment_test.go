@@ -166,13 +166,9 @@ func TestPropConsumingMatchesLinearScan(t *testing.T) {
 			frags = append(frags, fr)
 		}
 		query := lbl(labelU[rng.Intn(len(labelU))], labelU[rng.Intn(len(labelU))])
-		set := make(map[model.LabelID]struct{})
-		for _, l := range query {
-			set[l] = struct{}{}
-		}
 		want := make(map[string]bool)
 		for _, fr := range frags {
-			if fr.ConsumesAny(set) {
+			if fr.ConsumesAny(query) {
 				want[fr.Name] = true
 			}
 		}

@@ -236,12 +236,14 @@ func (h *Host) Self() proto.Addr { return h.addr }
 // Clock implements engine.Messenger.
 func (h *Host) Clock() clock.Clock { return h.clk }
 
-// Members implements engine.Messenger.
+// Members implements engine.Messenger. SetMembers only ever replaces the
+// slice, never writes into it, so every caller shares it; the capacity is
+// capped, so a caller's append copies instead of writing past the end.
 func (h *Host) Members() []proto.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.members) > 0 {
-		return append([]proto.Addr(nil), h.members...)
+	if n := len(h.members); n > 0 {
+		return h.members[:n:n]
 	}
 	return []proto.Addr{h.addr}
 }

@@ -527,6 +527,43 @@ func TestMembersDefaultsToSelf(t *testing.T) {
 	}
 }
 
+// TestMembersCannotBeWrittenThrough: every caller shares the host's member
+// slice, so appending to what Members returns must copy — never write into
+// spare capacity another caller's append also lands in. Seventeen members
+// are copied into an array with room for an eighteenth.
+func TestMembersCannotBeWrittenThrough(t *testing.T) {
+	h, err := New(Config{Addr: "m00"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]proto.Addr, 17)
+	for i := range members {
+		members[i] = proto.Addr(fmt.Sprintf("m%02d", i))
+	}
+	h.SetMembers(members)
+	a := append(h.Members(), "a")
+	b := append(h.Members(), "b")
+	if a[17] != "a" || b[17] != "b" {
+		t.Errorf("appends wrote through: %v then %v", a[17], b[17])
+	}
+	if got := h.Members(); !reflect.DeepEqual(got, members) {
+		t.Errorf("Members = %v after appends, want %v", got, members)
+	}
+	var wg sync.WaitGroup
+	for _, extra := range []proto.Addr{"x", "y"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				if ms := append(h.Members(), extra); ms[17] != extra {
+					t.Errorf("concurrent append of %v read %v", extra, ms[17])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestUnattachedHostErrors(t *testing.T) {
 	h, err := New(Config{Addr: "solo"})
 	if err != nil {

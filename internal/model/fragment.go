@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,13 +78,14 @@ func (f *Fragment) TaskIDs() []TaskID {
 	return ids
 }
 
-// ConsumesAny reports whether any task of the fragment consumes any label
-// in the given set. Fragment managers use this to answer knowhow queries
-// for the exploration frontier.
-func (f *Fragment) ConsumesAny(labels map[LabelID]struct{}) bool {
+// ConsumesAny reports whether any task of the fragment consumes any of
+// labels. Fragment managers use this to answer knowhow queries for the
+// exploration frontier; a frontier is a handful of labels, so a list scan
+// beats building a set per query.
+func (f *Fragment) ConsumesAny(labels []LabelID) bool {
 	for _, t := range f.Tasks {
 		for _, in := range t.Inputs {
-			if _, ok := labels[in]; ok {
+			if slices.Contains(labels, in) {
 				return true
 			}
 		}

@@ -198,95 +198,15 @@ func (g *Graph) Union(other *Graph) error {
 	return nil
 }
 
-// IsAcyclic reports whether the bipartite graph has no directed cycle.
-// Because every edge either enters or leaves a task, it suffices to check
-// the task-to-task reachability relation induced by shared labels.
-func (g *Graph) IsAcyclic() bool {
-	// successors of a task = consumers of its outputs. The traversal
-	// order does not affect the boolean result, so the consumer index
-	// is built unsorted and the task map is iterated directly.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[TaskID]int, len(g.tasks))
-	consumersOf := make(map[LabelID][]TaskID)
-	for id, t := range g.tasks {
-		for _, in := range t.Inputs {
-			consumersOf[in] = append(consumersOf[in], id)
-		}
-	}
-
-	var visit func(id TaskID) bool
-	visit = func(id TaskID) bool {
-		color[id] = gray
-		for _, out := range g.tasks[id].Outputs {
-			for _, succ := range consumersOf[out] {
-				switch color[succ] {
-				case gray:
-					return false
-				case white:
-					if !visit(succ) {
-						return false
-					}
-				}
-			}
-		}
-		color[id] = black
-		return true
-	}
-	for id := range g.tasks {
-		if color[id] == white {
-			if !visit(id) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// producerIndex returns, for every label, the sorted list of tasks that
-// produce it.
-func (g *Graph) producerIndex() map[LabelID][]TaskID {
-	idx := make(map[LabelID][]TaskID)
-	for id, t := range g.tasks {
-		for _, out := range t.Outputs {
-			idx[out] = append(idx[out], id)
-		}
-	}
-	for l := range idx {
-		slices.Sort(idx[l])
-	}
-	return idx
-}
-
 // Validate checks the workflow validity conditions of §2.2:
 // every task has at least one input and output (sources/sinks are labels),
 // every label has at most one producer, and the graph is acyclic. Task
 // -level validity (defined mode, no duplicate labels) is established by
-// AddTask. An empty graph is not a valid workflow.
+// AddTask. An empty graph is not a valid workflow. It is the pass that
+// builds a Workflow's indexes, run for its verdict alone.
 func (g *Graph) Validate() error {
-	if len(g.tasks) == 0 {
-		return fmt.Errorf("empty graph is not a workflow")
-	}
-	// Single pass over outputs: the full producer index (per-label
-	// sorted slices) is not needed to detect a duplicate producer.
-	producer := make(map[LabelID]TaskID, len(g.tasks))
-	for id, t := range g.tasks {
-		for _, out := range t.Outputs {
-			if _, dup := producer[out]; dup {
-				ps := g.Producers(out)
-				return fmt.Errorf("label %q has %d producers (%v); a label may have at most one incoming edge",
-					out, len(ps), ps)
-			}
-			producer[out] = id
-		}
-	}
-	if !g.IsAcyclic() {
-		return fmt.Errorf("graph contains a cycle")
-	}
-	return nil
+	w := Workflow{g: g}
+	return w.index()
 }
 
 // String renders the graph one task per line, in ID order.

@@ -182,16 +182,16 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestGraphIsAcyclic(t *testing.T) {
+func TestGraphValidateThreeCycle(t *testing.T) {
 	g := NewGraph()
 	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
 	mustAdd(t, g, task("t2", Conjunctive, labels("b"), labels("c")))
-	if !g.IsAcyclic() {
-		t.Error("chain reported cyclic")
+	if err := g.Validate(); err != nil {
+		t.Errorf("chain rejected: %v", err)
 	}
 	mustAdd(t, g, task("t3", Conjunctive, labels("c"), labels("a")))
-	if g.IsAcyclic() {
-		t.Error("cycle not detected")
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("cycle not detected: %v", err)
 	}
 }
 

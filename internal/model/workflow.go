@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Workflow is a Graph that has been checked against the validity conditions
@@ -30,80 +31,122 @@ type Workflow struct {
 // NewWorkflow validates g and wraps it as a workflow. The graph is cloned;
 // later changes to g do not affect the workflow.
 func NewWorkflow(g *Graph) (*Workflow, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid workflow: %w", err)
-	}
-	w := &Workflow{g: g.Clone()}
-	w.buildIndexes()
-	return w, nil
+	return newWorkflow(g.Clone())
 }
 
-// NewWorkflowOwning validates g and wraps it as a workflow without
-// cloning, taking ownership: the caller must not retain or mutate g
-// afterwards. Used on hot paths (workflow extraction) where the graph was
-// built solely to become the workflow.
-func NewWorkflowOwning(g *Graph) (*Workflow, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid workflow: %w", err)
+// NewWorkflowOfTasks validates ts and wraps them as a workflow, taking
+// ownership of the tasks and their label slices: the caller must not
+// retain or mutate them afterwards. Workflow extraction builds its tasks
+// solely to become the workflow and so skips the clone AddTask makes.
+func NewWorkflowOfTasks(ts []Task) (*Workflow, error) {
+	g := &Graph{tasks: make(map[TaskID]Task, len(ts))}
+	for _, t := range ts {
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("invalid workflow: %w", err)
+		}
+		if _, dup := g.tasks[t.ID]; dup {
+			return nil, fmt.Errorf("invalid workflow: task %q appears twice", t.ID)
+		}
+		g.tasks[t.ID] = t
 	}
+	return newWorkflow(g)
+}
+
+func newWorkflow(g *Graph) (*Workflow, error) {
 	w := &Workflow{g: g}
-	w.buildIndexes()
+	if err := w.index(); err != nil {
+		return nil, fmt.Errorf("invalid workflow: %w", err)
+	}
 	return w, nil
 }
 
-// buildIndexes computes the producer/consumer indexes, depths, and the
-// topological order in one pass over the (now frozen) graph.
-func (w *Workflow) buildIndexes() {
-	n := w.g.NumTasks()
-	w.producerOf = make(map[LabelID]TaskID, n)
-	w.consumersOf = make(map[LabelID][]TaskID)
-	for id, t := range w.g.tasks {
+// index checks the validity conditions of §2.2 that span tasks and, in the
+// same pass, fills the caches: the producer map, which also finds a label
+// with a second producer; the consumer lists, carved from one sorted
+// (label, task) edge array; depths, by a memoised walk over producers that
+// finds a cycle as a task met while its own depth is being computed; and
+// the topological order. Task-level validity is the caller's.
+func (w *Workflow) index() error {
+	tasks := w.g.tasks
+	if len(tasks) == 0 {
+		return fmt.Errorf("empty graph is not a workflow")
+	}
+	nin, nout := 0, 0
+	for _, t := range tasks {
+		nin += len(t.Inputs)
+		nout += len(t.Outputs)
+	}
+	w.producerOf = make(map[LabelID]TaskID, nout)
+	for id, t := range tasks {
 		for _, out := range t.Outputs {
+			if _, dup := w.producerOf[out]; dup {
+				ps := w.g.Producers(out)
+				return fmt.Errorf("label %q has %d producers (%v); a label may have at most one incoming edge",
+					out, len(ps), ps)
+			}
 			w.producerOf[out] = id
 		}
-		for _, in := range t.Inputs {
-			w.consumersOf[in] = append(w.consumersOf[in], id)
-		}
-	}
-	for l := range w.consumersOf {
-		c := w.consumersOf[l]
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 	}
 
-	// Depths: tasks all of whose inputs are workflow sources have depth
-	// 0; otherwise one more than the maximum depth of the tasks
-	// producing their inputs. Memoized DFS over the producer index.
-	w.depths = make(map[TaskID]int, n)
-	var compute func(id TaskID) int
-	compute = func(id TaskID) int {
-		if d, ok := w.depths[id]; ok {
-			return d
-		}
-		// Mark to guard against cycles (cannot happen in a valid
-		// workflow, but keep the function total).
-		w.depths[id] = 0
-		t := w.g.tasks[id]
-		d := 0
+	type edge struct {
+		l LabelID
+		t TaskID
+	}
+	edges := make([]edge, 0, nin)
+	for id, t := range tasks {
 		for _, in := range t.Inputs {
-			if p, ok := w.producerOf[in]; ok && p != id {
-				if pd := compute(p) + 1; pd > d {
-					d = pd
-				}
-			}
+			edges = append(edges, edge{in, id})
 		}
-		w.depths[id] = d
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.t, b.t))
+	})
+	consumers := make([]TaskID, len(edges))
+	w.consumersOf = make(map[LabelID][]TaskID)
+	for i := 0; i < len(edges); {
+		j := i
+		for ; j < len(edges) && edges[j].l == edges[i].l; j++ {
+			consumers[j] = edges[j].t
+		}
+		w.consumersOf[edges[i].l] = consumers[i:j:j]
+		i = j
+	}
+
+	w.depths = make(map[TaskID]int, len(tasks))
+	w.topo = make([]TaskID, 0, len(tasks))
+	for id := range tasks {
+		if w.depth(id) < 0 {
+			return fmt.Errorf("graph contains a cycle")
+		}
+		w.topo = append(w.topo, id)
+	}
+	slices.SortFunc(w.topo, func(a, b TaskID) int {
+		return cmp.Or(cmp.Compare(w.depths[a], w.depths[b]), cmp.Compare(a, b))
+	})
+	return nil
+}
+
+// depth returns the task's DAG depth — 0 when all its inputs are workflow
+// sources, else one more than the deepest producer of an input — memoised
+// in w.depths, or -1 when the walk meets a task whose depth is still being
+// computed: the producers lead back to it, a cycle.
+func (w *Workflow) depth(id TaskID) int {
+	if d, ok := w.depths[id]; ok {
 		return d
 	}
-	w.topo = w.g.TaskIDs()
-	for _, id := range w.topo {
-		compute(id)
-	}
-	sort.SliceStable(w.topo, func(i, j int) bool {
-		if w.depths[w.topo[i]] != w.depths[w.topo[j]] {
-			return w.depths[w.topo[i]] < w.depths[w.topo[j]]
+	w.depths[id] = -1
+	d := 0
+	for _, in := range w.g.tasks[id].Inputs {
+		if p, ok := w.producerOf[in]; ok {
+			pd := w.depth(p)
+			if pd < 0 {
+				return -1
+			}
+			d = max(d, pd+1)
 		}
-		return w.topo[i] < w.topo[j]
-	})
+	}
+	w.depths[id] = d
+	return d
 }
 
 // Graph returns a copy of the underlying graph.

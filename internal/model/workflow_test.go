@@ -131,10 +131,10 @@ func TestMustFragmentPanics(t *testing.T) {
 
 func TestFragmentConsumesAny(t *testing.T) {
 	f := MustFragment("f", task("t", Conjunctive, labels("a", "b"), labels("c")))
-	if !f.ConsumesAny(map[LabelID]struct{}{"b": {}}) {
+	if !f.ConsumesAny(labels("b")) {
 		t.Error("ConsumesAny(b) = false")
 	}
-	if f.ConsumesAny(map[LabelID]struct{}{"c": {}}) {
+	if f.ConsumesAny(labels("c")) {
 		t.Error("ConsumesAny(c) = true; c is an output")
 	}
 }
