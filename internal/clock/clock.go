@@ -180,6 +180,8 @@ func (s *Sim) AdvanceTo(t time.Time) {
 		}
 		s.removeLocked(w)
 		stopped := w.stopped
+		// Fired: a later Stop reports false, as Timer documents.
+		w.stopped = true
 		s.mu.Unlock()
 		if stopped {
 			continue

@@ -155,6 +155,12 @@ func TestSimClockAfterFuncStop(t *testing.T) {
 	if n := c.PendingWaiters(); n != 0 {
 		t.Errorf("PendingWaiters = %d after advance", n)
 	}
+	// As on the wall clock, a timer that has fired is no longer pending.
+	fired := c.AfterFunc(time.Second, func() {})
+	c.Advance(time.Second)
+	if fired.Stop() {
+		t.Error("Stop reported pending after firing")
+	}
 }
 
 func TestSimClockAfterFuncImmediate(t *testing.T) {

@@ -474,8 +474,9 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		// Two virtual seconds on, the last reply bounds and bid windows
-		// have run out and the sweep has looked at an empty calendar. One
+		// Two virtual seconds on, the last bid windows have run out (an
+		// answered call stopped its reply bound as it returned) and the
+		// sweep has looked at an empty calendar. One
 		// timer may stay: a sweep re-armed at a lease while a workflow was
 		// still running waits that lease out — once per bidding host,
 		// however many workflows came and went.

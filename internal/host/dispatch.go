@@ -1,6 +1,7 @@
 package host
 
 import (
+	"slices"
 	"sync"
 
 	"openwf/internal/proto"
@@ -13,6 +14,9 @@ import (
 type sessionQueue struct {
 	id    string
 	queue []proto.Envelope
+	// spare is the cleared backing array of the batch drained last: the
+	// queue's next array once the current one goes out as a batch.
+	spare []proto.Envelope
 	// scheduled is true while the session is running on a worker or
 	// waiting in the runnable list; it is never in both places.
 	scheduled bool
@@ -31,23 +35,30 @@ type sessionQueue struct {
 //     handled at once across all sessions;
 //   - no idle goroutines: a drained session releases its worker, which
 //     adopts the next runnable session or exits.
+//
+// In steady state it allocates nothing: retired sessions are reused, a
+// session's two queue arrays take turns, and workers start from d.work.
 type dispatcher struct {
 	process func(proto.Envelope)
 	workers int
+	work    func() // d.run, bound once: starting a worker allocates no closure
 
 	mu       sync.Mutex
 	sessions map[string]*sessionQueue
 	runnable []*sessionQueue // FIFO of scheduled sessions awaiting a worker
+	free     []*sessionQueue // retired sessions, for reuse
 	active   int             // workers currently live
 	closed   bool
 }
 
 func newDispatcher(process func(proto.Envelope), workers int) *dispatcher {
-	return &dispatcher{
+	d := &dispatcher{
 		process:  process,
 		workers:  workers,
 		sessions: make(map[string]*sessionQueue),
 	}
+	d.work = d.run
+	return d
 }
 
 // enqueue routes one envelope to its workflow's session, scheduling the
@@ -55,58 +66,58 @@ func newDispatcher(process func(proto.Envelope), workers int) *dispatcher {
 // blocks.
 func (d *dispatcher) enqueue(env proto.Envelope) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return
 	}
 	s, ok := d.sessions[env.Workflow]
 	if !ok {
-		s = &sessionQueue{id: env.Workflow}
+		if n := len(d.free); n > 0 {
+			s, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			s = &sessionQueue{}
+		}
+		s.id = env.Workflow
 		d.sessions[env.Workflow] = s
 	}
 	s.queue = append(s.queue, env)
 	if !s.scheduled {
 		s.scheduled = true
+		d.runnable = append(d.runnable, s)
 		if d.active < d.workers {
 			d.active++
-			go d.run(s)
-		} else {
-			d.runnable = append(d.runnable, s)
+			go d.work()
 		}
 	}
-	d.mu.Unlock()
 }
 
-// run drains one session, then adopts further runnable sessions until
-// none remain, and exits.
-func (d *dispatcher) run(s *sessionQueue) {
-	for {
-		d.mu.Lock()
+// run is one worker: it drains runnable sessions, oldest first, until none
+// remain, and exits.
+func (d *dispatcher) run() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for !d.closed && len(d.runnable) > 0 {
+		s := d.runnable[0]
+		d.runnable = slices.Delete(d.runnable, 0, 1)
 		for len(s.queue) > 0 && !d.closed {
 			batch := s.queue
-			s.queue = nil
+			s.queue, s.spare = s.spare, nil
 			d.mu.Unlock()
 			for _, env := range batch {
 				d.process(env)
 			}
+			clear(batch)
 			d.mu.Lock()
+			s.spare = batch[:0]
 		}
 		// Session drained (or the dispatcher is closing): retire it.
 		s.scheduled = false
 		if len(s.queue) == 0 {
 			delete(d.sessions, s.id)
+			d.free = append(d.free, s)
 		}
-		if !d.closed && len(d.runnable) > 0 {
-			next := d.runnable[0]
-			d.runnable = d.runnable[1:]
-			d.mu.Unlock()
-			s = next
-			continue
-		}
-		d.active--
-		d.mu.Unlock()
-		return
 	}
+	d.active--
 }
 
 // close stops the dispatcher: queued envelopes are dropped and new ones

@@ -112,7 +112,8 @@ type Host struct {
 	endpoint transport.Endpoint
 	members  []proto.Addr
 	nextReq  uint64
-	pending  map[uint64]chan proto.Envelope
+	pending  map[uint64]*call
+	calls    []*call // free list, under Call's recycle rule
 	closed   bool
 	// adRng jitters the advertiser cadence; adTimer is the pending
 	// refresh tick. Both are guarded by mu.
@@ -140,7 +141,7 @@ func New(cfg Config) (*Host, error) {
 		trace:     cfg.Trace,
 		Fragments: fragment.NewManager(),
 		Services:  service.NewManager(clk),
-		pending:   make(map[uint64]chan proto.Envelope),
+		pending:   make(map[uint64]*call),
 	}
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
@@ -205,8 +206,8 @@ func (h *Host) Close() error {
 	}
 	h.closed = true
 	ep := h.endpoint
-	for id, ch := range h.pending {
-		close(ch)
+	for id, c := range h.pending {
+		close(c.ch)
 		delete(h.pending, id)
 	}
 	if h.adTimer != nil {
@@ -280,11 +281,26 @@ func (h *Host) record(dir trace.Dir, peer proto.Addr, env proto.Envelope) {
 	})
 }
 
+// call is one outstanding request. Its channel gets the reply, the timeout
+// marker (an envelope with no body) or Close's close, from whichever takes
+// the call out of pending. expire, the timer's callback, is built once.
+type call struct {
+	id     uint64
+	ch     chan proto.Envelope
+	expire func()
+}
+
 // Call implements engine.Messenger: request/response with correlation.
 // The context cancels the wait promptly (returning ctx.Err()); timeout is
 // the clock-paced bound on the reply (which keeps per-query deadlines
 // meaningful under a simulated clock, where wall-clock context deadlines
-// would not advance).
+// would not advance). The bound is a timer stopped when Call returns, so an
+// answered call leaves nothing on the clock.
+//
+// Calls are recycled. One goes back on the free list only when nothing else
+// can still send to it: Call received the reply or forgot the call itself,
+// and stopped the timer before it fired. A call that timed out or was
+// closed by Close is left to the collector.
 func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -294,36 +310,69 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 		h.mu.Unlock()
 		return nil, fmt.Errorf("host %q: not attached", h.addr)
 	}
+	c := h.newCallLocked()
 	h.nextReq++
-	id := h.nextReq
-	ch := make(chan proto.Envelope, 1)
-	h.pending[id] = ch
+	c.id = h.nextReq
+	h.pending[c.id] = c
 	ep := h.endpoint
 	h.mu.Unlock()
 
-	cleanup := func() {
-		h.mu.Lock()
-		delete(h.pending, id)
-		h.mu.Unlock()
-	}
-	env := proto.Envelope{ReqID: id, Workflow: workflow, Body: body}
+	env := proto.Envelope{ReqID: c.id, Workflow: workflow, Body: body}
 	if err := ep.Send(ctx, to, env); err != nil {
-		cleanup()
+		h.forget(c)
 		return nil, err
 	}
+	timer := h.clk.AfterFunc(timeout, c.expire)
 	select {
-	case reply, ok := <-ch:
-		cleanup()
-		if !ok {
+	case reply, ok := <-c.ch:
+		switch {
+		case !ok:
+			timer.Stop()
 			return nil, fmt.Errorf("host %q: closed while calling %q", h.addr, to)
+		case reply.Body == nil: // the timeout marker: the timer has fired
+			return nil, fmt.Errorf("call to %q (%s) timed out after %v", to, body.Kind(), timeout)
 		}
+		h.recycle(c, timer, true)
 		return reply.Body, nil
 	case <-ctx.Done():
-		cleanup()
+		h.recycle(c, timer, h.forget(c))
 		return nil, ctx.Err()
-	case <-h.clk.After(timeout):
-		cleanup()
-		return nil, fmt.Errorf("call to %q (%s) timed out after %v", to, body.Kind(), timeout)
+	}
+}
+
+// newCallLocked takes a call off the free list, or makes one.
+func (h *Host) newCallLocked() *call {
+	if n := len(h.calls); n > 0 {
+		c := h.calls[n-1]
+		h.calls = h.calls[:n-1]
+		return c
+	}
+	c := &call{ch: make(chan proto.Envelope, 1)}
+	c.expire = func() {
+		if h.forget(c) {
+			c.ch <- proto.Envelope{}
+		}
+	}
+	return c
+}
+
+// forget takes the call out of pending, reporting whether it was there:
+// then no reply, timeout or Close can reach it any more.
+func (h *Host) forget(c *call) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, ok := h.pending[c.id]
+	delete(h.pending, c.id)
+	return ok
+}
+
+// recycle stops the call's timer and frees the call if it is mine — its
+// Call received the reply or forgot it — and the timer had not fired.
+func (h *Host) recycle(c *call, t clock.Timer, mine bool) {
+	if t.Stop() && mine {
+		h.mu.Lock()
+		h.calls = append(h.calls, c)
+		h.mu.Unlock()
 	}
 }
 
@@ -620,12 +669,12 @@ func (h *Host) routeReply(env proto.Envelope) {
 		return
 	}
 	h.mu.Lock()
-	ch, ok := h.pending[env.ReqID]
+	c, ok := h.pending[env.ReqID]
 	if ok {
 		delete(h.pending, env.ReqID)
 	}
 	h.mu.Unlock()
 	if ok {
-		ch <- env
+		c.ch <- env
 	}
 }

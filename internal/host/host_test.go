@@ -2,7 +2,9 @@ package host
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +17,8 @@ import (
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/service"
+	"openwf/internal/testutil"
+	"openwf/internal/transport"
 	"openwf/internal/transport/inmem"
 )
 
@@ -414,8 +418,8 @@ func TestOneSweepTimerPerHost(t *testing.T) {
 		}
 		return reply
 	}
-	// pending is the timers left on the clock once every finished Call's
-	// one-second reply timeout has run out.
+	// pending is the timers left on the clock two seconds on. An answered
+	// Call stops its reply bound as it returns, so they are the host's own.
 	pending := func() int {
 		sim.Advance(2 * time.Second)
 		return sim.PendingWaiters()
@@ -462,6 +466,240 @@ func TestCallTimeout(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v, want timeout", err)
 	}
+}
+
+// TestCallTimeoutOnSimClock is TestCallTimeout on the simulated clock: the
+// call to a silent peer keeps its reply bound armed until the clock reaches
+// it, and fails with a timeout then, not before.
+func TestCallTimeoutOnSimClock(t *testing.T) {
+	sim := clock.NewSim(time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC))
+	a, _ := pair(t, Config{Addr: "a", Clock: sim}, Config{Addr: "b", Clock: sim})
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Call(context.Background(), "ghost", "wf", proto.FragmentQuery{Labels: lbl("x")}, time.Second)
+		done <- err
+	}()
+	for deadline := time.Now().Add(time.Second); sim.PendingWaiters() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the call never armed its reply bound")
+		}
+	}
+	sim.Advance(time.Second - time.Millisecond)
+	if n := sim.PendingWaiters(); n != 1 || len(done) != 0 {
+		t.Fatalf("a millisecond short of the bound: %d timers, %d results; want the bound armed and no result", n, len(done))
+	}
+	sim.Advance(time.Millisecond)
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("err = %v, want timeout", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the call outlived its bound")
+	}
+}
+
+// TestAnsweredCallLeavesNoTimer: a call stops its reply bound as it
+// returns, so answered calls leave nothing on the clock to wait out.
+func TestAnsweredCallLeavesNoTimer(t *testing.T) {
+	sim := clock.NewSim(time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC))
+	a, _ := pair(t, Config{Addr: "a", Clock: sim}, Config{Addr: "b", Clock: sim})
+	for i := 0; i < 10; i++ {
+		if _, err := a.Call(context.Background(), "b", "wf", proto.FeasibilityQuery{Tasks: []model.TaskID{"cook"}}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sim.PendingWaiters(); n != 0 {
+		t.Fatalf("%d timers pending after 10 answered calls, want none", n)
+	}
+}
+
+// echoPeer is a bare endpoint that answers each FeasibilityQuery with its
+// own tasks as Capable or, while hold is set, passes the request to held to
+// be answered late.
+type echoPeer struct {
+	ep   transport.Endpoint
+	hold atomic.Bool
+	held chan proto.Envelope
+}
+
+func (p *echoPeer) answer(req proto.Envelope) {
+	q := req.Body.(proto.FeasibilityQuery)
+	_ = p.ep.Send(context.Background(), req.From, proto.Envelope{ReqID: req.ReqID, Workflow: req.Workflow, Body: proto.FeasibilityReply{Capable: q.Tasks}})
+}
+
+// echoPair attaches host a and an echoPeer p to a fresh network.
+func echoPair(t *testing.T) (*Host, *echoPeer) {
+	t.Helper()
+	net := inmem.NewNetwork()
+	t.Cleanup(func() { _ = net.Close() })
+	a, err := New(Config{Addr: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epA, err := net.Endpoint("a", a.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Attach(epA)
+	t.Cleanup(func() { _ = a.Close() })
+	p := &echoPeer{held: make(chan proto.Envelope, 1)}
+	p.ep, err = net.Endpoint("p", func(req proto.Envelope) {
+		if p.hold.Load() {
+			p.held <- req
+			return
+		}
+		p.answer(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, p
+}
+
+// ask asks p about task i alone and reports whether the reply answered
+// that question.
+func ask(ctx context.Context, a *Host, i int, timeout time.Duration) (own bool, err error) {
+	task := model.TaskID(fmt.Sprintf("t%d", i))
+	reply, err := a.Call(ctx, "p", "wf", proto.FeasibilityQuery{Tasks: []model.TaskID{task}}, timeout)
+	if err != nil {
+		return false, err
+	}
+	fr, ok := reply.(proto.FeasibilityReply)
+	return ok && len(fr.Capable) == 1 && fr.Capable[0] == task, nil
+}
+
+// TestRecycledCallsGetTheirOwnReplies: call objects are recycled, and
+// however a call ends, no later call hears its reply. A call that timed
+// out, or that Close interrupted, stays off the free list; one cancelled
+// through its ctx goes back on it. Each one's reply then lands late, and
+// fresh calls hear their own (after Close, they fail at once). Last, 8
+// goroutines make 200 calls each, with bounds near the round trip and
+// random cancellation: every reply answers its own request, and no call
+// times out before its bound.
+func TestRecycledCallsGetTheirOwnReplies(t *testing.T) {
+	free := func(a *Host) int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.calls)
+	}
+	fresh := func(t *testing.T, a *Host) {
+		t.Helper()
+		for i := 100; i < 103; i++ {
+			if own, err := ask(context.Background(), a, i, time.Second); err != nil || !own {
+				t.Fatalf("fresh call %d: own reply %v, err %v", i, own, err)
+			}
+		}
+	}
+	// interrupt starts a call that p holds, ends it with end once p holds
+	// it, and returns the held request and the call's error.
+	interrupt := func(ctx context.Context, a *Host, p *echoPeer, timeout time.Duration, end func()) (proto.Envelope, error) {
+		p.hold.Store(true)
+		done := make(chan error, 1)
+		go func() {
+			_, err := ask(ctx, a, 1, timeout)
+			done <- err
+		}()
+		req := <-p.held
+		p.hold.Store(false)
+		end()
+		return req, <-done
+	}
+
+	t.Run("timed out", func(t *testing.T) {
+		a, p := echoPair(t)
+		fresh(t, a)
+		req, err := interrupt(context.Background(), a, p, 20*time.Millisecond, func() {})
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("err = %v, want timeout", err)
+		}
+		if n := free(a); n != 0 {
+			t.Fatalf("%d calls on the free list, want none: a timed-out call stays off it", n)
+		}
+		p.answer(req)
+		fresh(t, a)
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		a, p := echoPair(t)
+		fresh(t, a)
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := interrupt(ctx, a, p, time.Minute, cancel)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if n := free(a); n != 1 {
+			t.Fatalf("%d calls on the free list, want the cancelled one back", n)
+		}
+		p.answer(req)
+		fresh(t, a)
+	})
+	t.Run("closed", func(t *testing.T) {
+		a, p := echoPair(t)
+		fresh(t, a)
+		req, err := interrupt(context.Background(), a, p, time.Minute, func() { _ = a.Close() })
+		if err == nil || !strings.Contains(err.Error(), "closed while calling") {
+			t.Fatalf("err = %v, want the call closed", err)
+		}
+		if n := free(a); n != 0 {
+			t.Fatalf("%d calls on the free list, want none: a closed call stays off it", n)
+		}
+		p.answer(req)
+		if _, err := ask(context.Background(), a, 100, time.Second); err == nil {
+			t.Fatal("a call after Close succeeded")
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		a, _ := echoPair(t)
+		const goroutines, calls = 8, 200
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for k := 0; k < calls; k++ {
+					i := g*calls + k
+					patience := time.Hour
+					if rng.Intn(2) == 0 {
+						patience = time.Duration(rng.Intn(500)) * time.Microsecond
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), patience)
+					timeout := time.Minute
+					if rng.Intn(4) != 0 {
+						timeout = time.Duration(10+rng.Intn(500)) * time.Microsecond
+					}
+					start := time.Now()
+					own, err := ask(ctx, a, i, timeout)
+					elapsed := time.Since(start)
+					switch {
+					case err == nil && !own:
+						t.Errorf("call %d heard another call's reply", i)
+					case err != nil && ctx.Err() == nil && (!strings.Contains(err.Error(), "timed out") || elapsed < timeout):
+						t.Errorf("call %d failed after %v of its %v bound: %v", i, elapsed, timeout, err)
+					}
+					cancel()
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// TestCallRoundTripAllocBound pins what the plumbing of one round trip
+// between two hosts on inmem allocates, both sides together. The query is
+// empty, so no body field is decoded; what is left is each side's decoded
+// strings and boxed body, the boxed reply, and the reply bound's timer. 14
+// at the parent of this bound (17 with one task in the query, 9 now), when
+// every call made its channel and timer, every dispatch its session, queue
+// and worker closure, and every frame its copy and mailbox slot.
+func TestCallRoundTripAllocBound(t *testing.T) {
+	a, _ := pair(t, Config{Addr: "a"}, Config{Addr: "b"})
+	var q proto.Body = proto.FeasibilityQuery{}
+	testutil.AllocBound(t, 6, func() {
+		if _, err := a.Call(context.Background(), "b", "wf", q, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestCallSelf(t *testing.T) {
@@ -688,6 +926,21 @@ func TestDispatcherWorkerPoolBound(t *testing.T) {
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency %d exceeds worker bound %d", p, workers)
 	}
+}
+
+// TestDispatcherAllocFree: in steady state an envelope goes from enqueue
+// to process allocating nothing — the session comes off the free list, its
+// queue is last time's batch, and the worker starts from a bound method
+// value. At the parent of this bound each cost a session, its queue and a
+// worker closure (3).
+func TestDispatcherAllocFree(t *testing.T) {
+	done := make(chan struct{})
+	d := newDispatcher(func(proto.Envelope) { done <- struct{}{} }, 4)
+	env := proto.Envelope{Workflow: "wf", Body: proto.Cancel{}}
+	testutil.AllocBound(t, 0, func() {
+		d.enqueue(env)
+		<-done
+	})
 }
 
 // TestDispatcherCloseDropsQueued: after close, queued and new envelopes

@@ -11,16 +11,15 @@
 // One mutex, Network.mu, guards everything the delivery decision reads:
 // the endpoint, partition and crash tables, the store-and-forward buffer,
 // and the per-directed-link state (loss override, seeded random source,
-// delay line). A send copies its frame outside the lock, decides under
-// it, and pushes to the recipient's mailbox after releasing it; the
-// mailbox's dark flag is what keeps a push that lost that race to a Crash
-// out of the crashed host's inbox. DESIGN.md §14 records the sharded,
-// copy-on-write send path that was tried in its place, measured, and
-// removed.
+// delay line). A send copies its frame into a pooled buffer (returned once
+// the recipient has decoded it) outside the lock, decides under it, and
+// pushes to the recipient's mailbox after releasing it; the mailbox's dark
+// flag is what keeps a push that lost that race to a Crash out of the
+// crashed host's inbox. DESIGN.md §14 records the sharded, copy-on-write
+// send path that was tried in its place, measured, and removed.
 package inmem
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -313,6 +312,11 @@ func (n *Network) lost(d delivery) {
 	n.wire.FrameDropped()
 }
 
+// framePool recycles the buffers frames travel in. The recipient's pump
+// returns one once the frame is decoded (an envelope shares no memory with
+// its frame); a frame that is lost, purged or dropped is left to the GC.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // put is the endpoint's transport.Link: the delivery decision for one
 // encoded frame. It copies the bytes outside the lock (only they travel: a
 // receiver decodes its own copy and never shares a slice or map with the
@@ -321,7 +325,9 @@ func (n *Network) lost(d delivery) {
 // link's delay line after releasing it.
 func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte, envelopes int64) error {
 	n := e.net
-	d := delivery{payload: bytes.Clone(frame), envelopes: envelopes}
+	buf := framePool.Get().(*[]byte)
+	*buf = append((*buf)[:0], frame...)
+	d := delivery{frame: buf, envelopes: envelopes}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -336,7 +342,7 @@ func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte, envelopes
 	box, held := n.routeLocked(e.addr, to, &d)
 	n.mu.Unlock()
 
-	n.bytes.Add(int64(len(d.payload)))
+	n.bytes.Add(int64(len(*d.frame)))
 	if !held && (box == nil || !box.push(d)) {
 		n.lost(d)
 	}
@@ -371,7 +377,7 @@ func (n *Network) routeLocked(from, to proto.Addr, d *delivery) (box *mailbox, h
 	var latency time.Duration
 	if n.model != nil {
 		var drop bool
-		if latency, drop = n.model(from, to, len(d.payload), ls.rng); drop {
+		if latency, drop = n.model(from, to, len(*d.frame), ls.rng); drop {
 			return nil, false
 		}
 	}
@@ -433,10 +439,10 @@ func (l *link) pump() {
 	}
 }
 
-// delivery is one frame on its way: the encoded bytes and how many
-// envelopes they carry (loss is accounted in envelope units).
+// delivery is one frame on its way: the encoded bytes (a framePool buffer)
+// and how many envelopes they carry (loss is accounted in envelope units).
 type delivery struct {
-	payload   []byte
+	frame     *[]byte
 	envelopes int64
 	due       time.Time
 	// epoch is the recipient's crash epoch at send time; a mismatch at
@@ -468,17 +474,18 @@ func (e *endpoint) Close() error {
 	return nil
 }
 
-// pump delivers queued frames to the handler, one at a time; a frame that
-// does not decode is lost.
+// pump delivers queued frames to the handler, one at a time, and returns
+// each frame's buffer to the pool; a frame that does not decode is lost.
 func (e *endpoint) pump() {
 	for {
 		d, ok := e.box.pop()
 		if !ok {
 			return
 		}
-		if err := transport.Deliver(e.handler, d.payload); err != nil {
+		if err := transport.Deliver(e.handler, *d.frame); err != nil {
 			e.net.lost(d)
 		}
+		framePool.Put(d.frame)
 	}
 }
 
@@ -489,9 +496,12 @@ func (e *endpoint) pump() {
 // serialize on the mailbox's own lock, so a frame routed just before a
 // Crash cannot slip into the crashed host's inbox after it.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// items[head:] are queued; pop rewinds both to the array's start once it
+	// takes the last item, so a mailbox that drains keeps its array.
 	items  []delivery
+	head   int
 	closed bool
 	dark   bool
 }
@@ -510,6 +520,10 @@ func (m *mailbox) push(d delivery) bool {
 	if m.closed || m.dark {
 		return false
 	}
+	if m.head > 0 && len(m.items) == cap(m.items) {
+		// A queue that never drains slides down rather than growing.
+		m.items, m.head = m.items[:copy(m.items, m.items[m.head:])], 0
+	}
 	m.items = append(m.items, d)
 	m.cond.Signal()
 	return true
@@ -525,8 +539,9 @@ func (m *mailbox) setDark(dark bool) []delivery {
 	if !dark {
 		return nil
 	}
-	out := m.items
-	m.items = nil
+	// The array goes with the items: the caller reads them after unlocking.
+	out := m.items[m.head:]
+	m.items, m.head = nil, 0
 	return out
 }
 
@@ -541,8 +556,11 @@ func (m *mailbox) pop() (delivery, bool) {
 	if len(m.items) == 0 {
 		return delivery{}, false
 	}
-	d := m.items[0]
-	m.items = m.items[1:]
+	d := m.items[m.head]
+	m.items[m.head] = delivery{}
+	if m.head++; m.head == len(m.items) {
+		m.items, m.head = m.items[:0], 0
+	}
 	return d, true
 }
 
@@ -550,6 +568,6 @@ func (m *mailbox) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.items = nil
+	m.items, m.head = nil, 0
 	m.cond.Broadcast()
 }

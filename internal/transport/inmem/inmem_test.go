@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openwf/internal/proto"
+	"openwf/internal/testutil"
 	"openwf/internal/transport"
 )
 
@@ -232,6 +233,86 @@ func TestWirelessModelLatencyScalesWithSize(t *testing.T) {
 	if big != 11*time.Millisecond {
 		t.Errorf("big latency = %v, want 11ms", big)
 	}
+}
+
+// TestMailboxFIFOAcrossDrains: the mailbox pops by a head index and
+// rewinds to the start of its array once drained. Pushes and pops
+// interleaved across those rewinds keep FIFO order, going dark returns
+// exactly the items not yet popped, and a queue that never drains slides
+// down its array rather than growing it.
+func TestMailboxFIFOAcrossDrains(t *testing.T) {
+	m := newMailbox()
+	pushed := int64(0)
+	push := func(k int) {
+		t.Helper()
+		for range k {
+			pushed++
+			if !m.push(delivery{envelopes: pushed}) {
+				t.Fatalf("push %d refused", pushed)
+			}
+		}
+	}
+	pop := func(want ...int64) {
+		t.Helper()
+		for _, w := range want {
+			if d, ok := m.pop(); !ok || d.envelopes != w {
+				t.Fatalf("pop = %d (ok %v), want %d", d.envelopes, ok, w)
+			}
+		}
+	}
+	dark := func(want ...int64) {
+		t.Helper()
+		var got []int64
+		for _, d := range m.setDark(true) {
+			got = append(got, d.envelopes)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("setDark returned %v, want %v", got, want)
+		}
+		m.setDark(false)
+	}
+	push(3)
+	pop(1, 2)
+	push(2)
+	pop(3, 4, 5)
+	push(1)
+	dark(6)
+	push(3)
+	pop(7)
+	dark(8, 9)
+	push(2)
+	for i := int64(12); i < 1000; i++ {
+		push(1)
+		pop(i - 2)
+	}
+	if c := cap(m.items); c > 8 {
+		t.Fatalf("a queue two items long holds an array of %d", c)
+	}
+}
+
+// TestSendToHandlerAllocBound pins a one-way envelope's trip from Send to
+// the recipient's handler: what is left is the decoded envelope's strings
+// and boxed body. The frame's copy and its mailbox slot come back from the
+// envelope before; at the parent of this bound they cost one allocation
+// each (4 in all).
+func TestSendToHandlerAllocBound(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	got := make(chan struct{})
+	if _, err := n.Endpoint("b", func(proto.Envelope) { got <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	a, err := n.Endpoint("a", func(proto.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := ping(1)
+	testutil.AllocBound(t, 2, func() {
+		if err := a.Send(context.Background(), "b", env); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	})
 }
 
 func TestDuplicateAddressRejected(t *testing.T) {
