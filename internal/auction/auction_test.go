@@ -183,26 +183,21 @@ func TestAllDeclinedFails(t *testing.T) {
 }
 
 func TestDeadlineForcesDecision(t *testing.T) {
-	// h2 never answers; the tentative winner's deadline forces the
-	// allocation ("the task is guaranteed to be allocated").
+	// h2 never answers; the engine counts its failed call as declining
+	// every task, which decides the task on the bid in hand, well before
+	// the tentative winner's deadline ("the task is guaranteed to be
+	// allocated").
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
 	deadline := t0.Add(time.Minute)
 	if ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), t0); len(ds) != 0 {
 		t.Fatal("decided too early")
 	}
-	next, ok := a.NextDeadline()
-	if !ok || !next.Equal(deadline) {
-		t.Fatalf("NextDeadline = %v, %v", next, ok)
-	}
-	if ds := a.Tick(t0.Add(30 * time.Second)); len(ds) != 0 {
-		t.Fatal("Tick decided before deadline")
-	}
-	ds := a.Tick(deadline)
+	ds := a.HandleBidBatch("h2", proto.BidBatch{Declines: []model.TaskID{"t", "not-auctioned"}}, t0)
 	if len(ds) != 1 || ds[0].Winner != "h1" {
-		t.Fatalf("Tick decisions = %+v", ds)
+		t.Fatalf("decisions = %+v", ds)
 	}
-	if _, ok := a.NextDeadline(); ok {
-		t.Error("NextDeadline reports after all decided")
+	if !a.Done() {
+		t.Error("auction not done after the silent member declined")
 	}
 }
 
@@ -219,9 +214,12 @@ func TestBidAtOrAfterDeadlineDecidesImmediately(t *testing.T) {
 func TestDeadlineUpdateForcesEarlierDecision(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2", "h3"), []proto.TaskMeta{meta("t")})
 	a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Hour)), t0)
-	// h1 re-bids with a much closer deadline, forcing a decision.
-	a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Second)), t0)
-	ds := a.Tick(t0.Add(2 * time.Second))
+	// h1 re-bids with a much closer deadline, forcing a decision: the
+	// next answer after it passed decides, though h3 has not answered.
+	if ds := a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Second)), t0); len(ds) != 0 {
+		t.Fatal("decided before the updated deadline")
+	}
+	ds := a.HandleBid("h2", bid("t", 5, 0.5, t0.Add(time.Hour)), t0.Add(2*time.Second))
 	if len(ds) != 1 || ds[0].Winner != "h1" {
 		t.Fatalf("decisions = %+v", ds)
 	}
@@ -233,9 +231,6 @@ func TestLateBidIgnoredAfterDecision(t *testing.T) {
 	a.HandleDecline("h2", "t", t0)
 	if ds := a.HandleBid("h2", bid("t", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
 		t.Errorf("late bid produced decisions: %v", ds)
-	}
-	if ds := a.Tick(t0.Add(time.Hour)); len(ds) != 0 {
-		t.Errorf("late bid reopened the task: %v", ds)
 	}
 }
 

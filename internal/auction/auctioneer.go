@@ -7,10 +7,14 @@
 // and finalizes no later than the tentative winner's deadline — preferring
 // participants that offer fewer services, since scheduling a more capable
 // participant removes more services from the community's resource pool.
+// A task is decided once every member has answered for it, or at the
+// first answer at or after its tentative winner's deadline. The engine
+// asks the members one blocking call at a time and counts a member whose
+// call fails as declining, so every auction ends with its sweep.
 //
 // The Auctioneer and Participant types are passive state machines: the
-// engine and host drive them with messages and clock ticks, which keeps
-// the protocol logic deterministic and testable without a network.
+// engine and host drive them with messages, which keeps the protocol
+// logic deterministic and testable without a network.
 package auction
 
 import (
@@ -209,39 +213,6 @@ func (a *Auctioneer) maybeFinalize(ta *taskAuction, now time.Time) []Decision {
 		Meta:   ta.meta,
 		Losers: losers,
 	}}
-}
-
-// Tick finalizes every undecided task whose tentative winner's deadline
-// has arrived. The engine calls it when NextDeadline fires.
-func (a *Auctioneer) Tick(now time.Time) []Decision {
-	var out []Decision
-	for _, id := range a.sortedTaskIDs() {
-		ta := a.tasks[id]
-		if ta.decided || !ta.hasBest {
-			continue
-		}
-		if !now.Before(ta.bestBid.Deadline) {
-			out = append(out, a.maybeFinalize(ta, now)...)
-		}
-	}
-	return out
-}
-
-// NextDeadline returns the earliest deadline among undecided tasks with a
-// tentative winner; ok is false when there is none.
-func (a *Auctioneer) NextDeadline() (time.Time, bool) {
-	var best time.Time
-	found := false
-	for _, ta := range a.tasks {
-		if ta.decided || !ta.hasBest {
-			continue
-		}
-		if !found || ta.bestBid.Deadline.Before(best) {
-			best = ta.bestBid.Deadline
-			found = true
-		}
-	}
-	return best, found
 }
 
 // Done reports whether every task has been decided.

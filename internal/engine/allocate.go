@@ -6,55 +6,84 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"openwf/internal/auction"
-	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 )
 
-// allocate runs the auction for every task of the constructed workflow and
-// returns the plan plus any tasks that could not be allocated. postpone
-// shifts every execution window into the future (allocation retry).
-// Context cancellation aborts bid solicitation and deadline waits
-// promptly with ctx.Err(). The auctioneer is per-session, per-attempt
-// state owned by this call; concurrent sessions on the same engine run
-// disjoint auctions and meet only at the participants' schedule managers.
-func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpone time.Duration) (*Plan, []model.TaskID, error) {
-	m := sess.m
-	w := res.Workflow
-	metas := m.taskMetas(w, postpone)
-	plan := &Plan{
-		WorkflowID:   sess.wfID,
-		Spec:         sess.spec,
-		Workflow:     w,
-		Allocations:  make(map[model.TaskID]proto.Addr, len(metas)),
-		Metas:        make(map[model.TaskID]proto.TaskMeta, len(metas)),
-		Construction: *res,
-	}
-	for _, meta := range metas {
-		plan.Metas[meta.Task] = meta
-	}
+// retryBandPeriod spreads concurrent sessions' window retries across
+// distinct bands (see retryPostpone).
+const retryBandPeriod = 8
 
-	failed, err := m.runAuction(ctx, sess.wfID, nil, sess.ordinal, metas, plan.Allocations)
-	if err != nil {
-		// Whatever was already won is compensated (canceled) so no winner
-		// keeps a dead commitment blocking its schedule window: decision-
-		// time awards go out during the sweep, so a mid-sweep error always
-		// has something to release.
-		m.cancelAwards(sess.wfID, plan.Allocations)
-		return nil, nil, err
+// retryPostpone is how far attempt try (0 = the first, not postponed)
+// shifts its execution windows: deterministic decorrelated backoff. If all
+// postponed alike, sessions that blocked each other (each winning some
+// windows, none all, all compensating) would retry into the same band and
+// re-collide forever, like synchronized CSMA. Instead the r-th retry lands
+// in band (r-1)·P + (slot mod P) + 1 (P = retryBandPeriod), reproducibly.
+func (m *Manager) retryPostpone(try, slot int) time.Duration {
+	if try == 0 {
+		return 0
 	}
-	return plan, failed, nil
+	return time.Duration((try-1)*retryBandPeriod+slot%retryBandPeriod+1) * m.cfg.StartDelay
+}
+
+// retrySlot is the retry slot of workflow wfID, which newSession mints as
+// host/ordinal: the ordinal plus an FNV-1a hash of the host, so one host's
+// consecutive sessions fill consecutive bands, two hosts' n-th sessions
+// need not share one, and a repair retries in its allocation's slot.
+func retrySlot(wfID string) int {
+	i := strings.LastIndexByte(wfID, '/')
+	ordinal, _ := strconv.Atoi(wfID[i+1:])
+	h := uint32(2166136261)
+	for _, c := range []byte(wfID[:max(i, 0)]) {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return ordinal + int(h%retryBandPeriod)
+}
+
+// allocate auctions the tasks ids of w, windows staggered in that order,
+// among candidates (nil = the whole community; repair passes the
+// survivors), rotated by rot (see route). A try that leaves tasks
+// unallocated — their providers may only be busy with another session's
+// commitments now — cancels its own wins and solicits the whole set again,
+// postponed into the try's retry band (retryPostpone, retrySlot). It
+// returns the last try's wins with their metas and the tasks it left
+// unallocated; once the retries are spent those wins are the caller's to
+// keep or cancel. On error the try's wins are cancelled.
+func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
+	slot := retrySlot(wfID)
+	for try := 0; ; try++ {
+		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
+		won = make(map[model.TaskID]proto.Addr, len(solicited))
+		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, won); err != nil {
+			// Awards go out during the sweep, so a mid-sweep error always
+			// has something to release.
+			m.cancelAwards(wfID, won)
+			return nil, nil, nil, err
+		}
+		if len(failed) == 0 || try >= m.cfg.WindowRetries {
+			metas = make(map[model.TaskID]proto.TaskMeta, len(won))
+			for _, meta := range solicited {
+				if _, ok := won[meta.Task]; ok {
+					metas[meta.Task] = meta
+				}
+			}
+			return won, metas, failed, nil
+		}
+		m.cancelAwards(wfID, won)
+	}
 }
 
 // runAuction solicits bids for metas (one CallForBidsBatch per member,
 // answered by one BidBatch — one round trip per member), awards the
 // decisions the moment the auctioneer makes them (one Award per winner,
 // see award), and records confirmed winners in alloc. It returns the tasks
-// that ended unallocated — decided failed, award refused or undeliverable,
-// or never decided at all.
+// that ended unallocated — decided failed, award refused or undeliverable.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -72,9 +101,13 @@ func (sess *allocSession) allocate(ctx context.Context, res *core.Result, postpo
 // under concurrent sessions a loser's reservation held until the end of
 // the sweep blocks every other workflow racing for that window.
 //
+// The auction ends with its sweep. Members are asked one blocking call at
+// a time, so once the last has answered no bid can still arrive, and a
+// member whose call fails declines every task it was asked about: every
+// task is decided by the time the sweep ends, on the bids in hand.
+//
 // On error the awards already recorded in alloc are NOT compensated —
-// the caller owns cleanup (allocate cancels the failed plan's awards;
-// repair cancels what it won and aborts the execution).
+// the caller owns cleanup (allocate cancels them).
 func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
@@ -98,7 +131,6 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	if err != nil {
 		return nil, err
 	}
-	clk := m.net.Clock()
 
 	// Solicit bids from every member in turn (§5: time linear in the
 	// number of hosts); decisions are awarded as they finalize.
@@ -115,23 +147,12 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 		}
 		reply, err := m.net.Call(ctx, out.To, wfID, out.Body, m.cfg.CallTimeout)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Canceled mid-call: the member may have committed its own
-				// tasks although its reply never came back, so record them
-				// for the caller's cleanup, as an interrupted award is.
-				for _, meta := range mine {
-					alloc[meta.Task] = out.To
-				}
-				return nil, ctx.Err()
+			// Its own tasks are lost awards, settled as awardWinner settles
+			// those; for the auction it declines everything.
+			if err := m.settleLost(ctx, wfID, out.To, mine, alloc); err != nil {
+				return nil, err
 			}
-			// Member unreachable: it simply does not bid. Its own tasks are
-			// lost awards — it may hold them committed — and are settled as
-			// awardWinner settles those.
-			for _, meta := range mine {
-				_ = m.net.Send(ctx, out.To, wfID, proto.Cancel{Task: meta.Task})
-				m.cfg.Observer.taskDecided(wfID, meta.Task, "")
-			}
-			continue
+			reply, mine = proto.BidBatch{Declines: tasks}, nil
 		}
 		bids, ok := reply.(proto.BidBatch)
 		if !ok {
@@ -146,34 +167,10 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 			}
 			m.cfg.Observer.taskDecided(wfID, meta.Task, winner)
 		}
-		if err := m.award(ctx, wfID, auc.HandleBidBatch(out.To, bids, clk.Now()), alloc); err != nil {
+		if err := m.award(ctx, wfID, auc.HandleBidBatch(out.To, bids, m.net.Clock().Now()), alloc); err != nil {
 			return nil, err
 		}
 	}
-
-	// Undecided tasks (some member never answered) wait for the
-	// tentative winner's deadline: the auction manager waits as long as
-	// possible, but once some participant can do the task, the task is
-	// guaranteed to be allocated.
-	for !auc.Done() {
-		deadline, ok := auc.NextDeadline()
-		if !ok {
-			// No tentative winner anywhere and not everyone
-			// responded: the remaining tasks cannot be allocated.
-			break
-		}
-		if wait := deadline.Sub(clk.Now()); wait > 0 {
-			select {
-			case <-clk.After(wait):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		if err := m.award(ctx, wfID, auc.Tick(clk.Now()), alloc); err != nil {
-			return nil, err
-		}
-	}
-
 	return unallocated(metas, alloc), nil
 }
 
@@ -239,34 +236,13 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 // HandleAward's rule).
 func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
 	winner := ds[0].Winner
-	body := proto.Award{Meta: ds[0].Meta, More: make([]proto.TaskMeta, len(ds)-1)}
-	for i, d := range ds[1:] {
-		body.More[i] = d.Meta
+	metas := make([]proto.TaskMeta, len(ds))
+	for i, d := range ds {
+		metas[i] = d.Meta
 	}
-	reply, err := m.net.Call(ctx, winner, wfID, body, m.cfg.CallTimeout)
+	reply, err := m.net.Call(ctx, winner, wfID, proto.Award{Meta: metas[0], More: metas[1:]}, m.cfg.CallTimeout)
 	if err != nil {
-		if ctx.Err() != nil {
-			// Canceled mid-award: the interrupted award may have reached
-			// its winner even though the ack never came back, so record
-			// all of it and let the caller's cleanup cancel it along with
-			// everything already won.
-			for _, d := range ds {
-				alloc[d.Task] = winner
-			}
-			return ctx.Err()
-		}
-		// The call failed without the context being canceled (a timeout or
-		// a lost ack). The award itself may still have reached the winner,
-		// which would then hold dead commitments blocking its schedule
-		// windows while the tasks are replanned elsewhere — send a
-		// best-effort Cancel for each. Unlike cancelAwards, ctx is still
-		// live here, so the sends stay cancelable and cannot hang on the
-		// very peer that just failed to answer.
-		for _, d := range ds {
-			_ = m.net.Send(ctx, winner, wfID, proto.Cancel{Task: d.Task})
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-		}
-		return nil
+		return m.settleLost(ctx, wfID, winner, metas, alloc)
 	}
 	ack, ok := reply.(proto.AwardAck)
 	if !ok {
@@ -286,6 +262,28 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 	return nil
 }
 
+// settleLost settles the awards a failed call to member carried — an
+// Award, or the tasks riding on a call for bids: the call may have reached
+// the member although no reply came back. Canceled mid-call, all of them
+// are recorded in alloc for the caller's cleanup to cancel along with
+// everything already won, and ctx.Err() is returned. Otherwise (a timeout,
+// a lost reply) each gets a best-effort Cancel, still cancelable on the
+// live ctx so it cannot hang on the very peer that just failed to answer,
+// and is decided failed.
+func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) error {
+	if err := ctx.Err(); err != nil {
+		for _, meta := range metas {
+			alloc[meta.Task] = member
+		}
+		return err
+	}
+	for _, meta := range metas {
+		_ = m.net.Send(ctx, member, wfID, proto.Cancel{Task: meta.Task})
+		m.cfg.Observer.taskDecided(wfID, meta.Task, "")
+	}
+	return nil
+}
+
 // unallocated returns the tasks of metas that alloc has no winner for,
 // sorted.
 func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []model.TaskID {
@@ -299,19 +297,13 @@ func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []mo
 	return failed
 }
 
-// taskMetas computes the auction metadata for every task (§3.2: "the
-// auction manager begins the allocation phase by computing metadata for
-// each task used in allocating and executing the workflow"): data flow
-// from the workflow and execution windows staggered by topological order,
-// so data dependencies and single-host schedules are both satisfiable.
-func (m *Manager) taskMetas(w *model.Workflow, postpone time.Duration) []proto.TaskMeta {
-	return m.taskMetasFor(w, w.TopoOrder(), postpone)
-}
-
-// taskMetasFor computes fresh auction metadata for a subset of a
-// workflow's tasks, in the given order (plan repair re-auctions only the
-// affected tasks, with windows starting from now).
-func (m *Manager) taskMetasFor(w *model.Workflow, ids []model.TaskID, postpone time.Duration) []proto.TaskMeta {
+// taskMetas computes the auction metadata for the tasks ids of w (§3.2:
+// "the auction manager begins the allocation phase by computing metadata
+// for each task used in allocating and executing the workflow"): data flow
+// from the workflow and execution windows staggered in the order given —
+// topological, so data dependencies and single-host schedules are both
+// satisfiable — starting StartDelay + postpone from now.
+func (m *Manager) taskMetas(w *model.Workflow, ids []model.TaskID, postpone time.Duration) []proto.TaskMeta {
 	base := m.net.Clock().Now().Add(m.cfg.StartDelay + postpone)
 	metas := make([]proto.TaskMeta, 0, len(ids))
 	for i, id := range ids {

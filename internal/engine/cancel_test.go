@@ -11,9 +11,9 @@ import (
 	"openwf/internal/spec"
 )
 
-// slowBidNet is a fakeNet whose capable member bids with a far-future
-// deadline while another listed member never answers, so the auction
-// manager must sit in its deadline wait — the window in which we cancel.
+// slowBidNet is a fakeNet whose capable member holds the call for bids
+// open until the caller gives up (a blockCFB gate that never opens), so
+// the session sits mid-auction — the window in which we cancel.
 func slowBidNet(t *testing.T) *fakeNet {
 	t.Helper()
 	net := newFakeNet("init")
@@ -21,16 +21,14 @@ func slowBidNet(t *testing.T) *fakeNet {
 	net.add("peer", &fakeMember{
 		fragments: []*model.Fragment{mkFrag(t, "only", "a", "g")},
 		capable:   map[model.TaskID]bool{"only": true},
+		blockCFB:  map[model.TaskID]chan struct{}{"only": make(chan struct{})},
 		services:  1,
 	})
-	net.bidDeadline = time.Hour
-	net.order = append(net.order, "ghost") // listed, never responds
 	return net
 }
 
-// TestInitiateCanceledMidAuction: cancellation during the auction's
-// deadline wait returns context.Canceled promptly instead of sleeping
-// out the tentative winner's deadline.
+// TestInitiateCanceledMidAuction: cancellation inside a call for bids
+// returns context.Canceled promptly instead of waiting the call out.
 func TestInitiateCanceledMidAuction(t *testing.T) {
 	net := slowBidNet(t)
 	cfg := testConfig()
@@ -49,7 +47,7 @@ func TestInitiateCanceledMidAuction(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("cancellation took %v; the hour-long bid deadline leaked into the wait", elapsed)
+		t.Fatalf("cancellation took %v; the held call for bids outlived its context", elapsed)
 	}
 }
 

@@ -273,10 +273,10 @@ func NewManager(net Messenger, cfg Config) *Manager {
 // Initiate runs the full construction-and-allocation pipeline for a new
 // problem specification and returns the allocated plan. This is the
 // operation the paper's evaluation times. Cancellation of ctx aborts
-// community queries, bid solicitation, and auction deadline waits
-// promptly, returning ctx.Err(). Any number of Initiate calls may run
-// concurrently on one engine; each gets its own isolated allocation
-// session (see InitiateBatch for the deterministic-ID batch form).
+// community queries, bid solicitation and awards promptly, returning
+// ctx.Err(). Any number of Initiate calls may run concurrently on one
+// engine; each gets its own isolated allocation session (see
+// InitiateBatch for the deterministic-ID batch form).
 func (m *Manager) Initiate(ctx context.Context, s spec.Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -298,13 +298,19 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 	}
 	sess := m.newSession(s)
 	defer m.endSession()
-	res := &core.Result{Workflow: w}
 	return m.notFromMemory(func() (*Plan, error) {
-		plan, failed, err := sess.allocateWithRetries(ctx, res)
+		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, w.TopoOrder(), nil, sess.ordinal)
 		if err == nil && len(failed) > 0 {
-			plan, err = nil, fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
+			m.cancelAwards(sess.wfID, alloc)
+			err = fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
 		}
-		return plan, err
+		if err != nil {
+			return nil, err
+		}
+		return &Plan{
+			WorkflowID: sess.wfID, Spec: s, Workflow: w,
+			Allocations: alloc, Metas: metas, Construction: core.Result{Workflow: w},
+		}, nil
 	})
 }
 

@@ -65,9 +65,6 @@ type fakeNet struct {
 	clk     clock.Clock
 	members map[proto.Addr]*fakeMember
 	order   []proto.Addr
-	// bidDeadline overrides how far in the future members' bids expire
-	// (default one second).
-	bidDeadline time.Duration
 
 	mu   sync.Mutex
 	sent []proto.Body
@@ -255,11 +252,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 	switch b := body.(type) {
 	case proto.CallForBidsBatch:
 		// The scripted behaviors (declineAll, blockCFB gates) apply per
-		// task within the batch.
-		window := f.bidDeadline
-		if window <= 0 {
-			window = time.Second
-		}
+		// task within the batch; bids expire in one second.
 		// A task that rides on the call (b.Sole) is awarded as it is bid
 		// for: the award scripts apply to it here — a refusal is a decline,
 		// a lost ack the loss of the whole reply.
@@ -283,7 +276,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 				Task:            meta.Task,
 				ServicesOffered: m.services,
 				Specialization:  0.5,
-				Deadline:        f.clk.Now().Add(window),
+				Deadline:        f.clk.Now().Add(time.Second),
 			})
 		}
 		return reply, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"openwf/internal/core"
@@ -18,7 +19,7 @@ import (
 // community's knowledge — not a full replan — and the diff is applied to
 // the running execution: dropped tasks are canceled, new ones auctioned,
 // routing segments re-distributed, triggers re-injected. Repair has no
-// steps of its own: it is the session's construct, runAuction and
+// steps of its own: it is the session's construct, allocate and
 // distribute, run over the survivors.
 // Executors retain the outputs of finished runs, so a repaired route
 // re-publishes data instead of re-executing services wherever possible.
@@ -124,25 +125,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 			affected[t] = struct{}{}
 		}
 	}
-	// A finished task whose executor died must re-run when a task being
-	// re-allocated still consumes its outputs: the retained outputs died
-	// with the host (surviving consumers hold their copies, but a fresh
-	// executor holds nothing).
-	for changed := true; changed; {
-		changed = false
-		for t := range ex.finishedTasks {
-			if _, already := affected[t]; already {
-				continue
-			}
-			if _, gone := deadSet[plan.Allocations[t]]; !gone {
-				continue
-			}
-			if feedsAny(w, t, affected) {
-				affected[t] = struct{}{}
-				changed = true
-			}
-		}
-	}
+	rerunDeadProducers(ex, w, deadSet, affected)
 	if len(affected) == 0 {
 		m.mu.Unlock()
 		return nil
@@ -157,64 +140,23 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	survivors := survivorsOf(m.net.Members(), deadSet)
 	m.mu.Unlock()
 
-	// Re-auction the affected tasks among the survivors, with fresh
-	// execution windows starting now. Wins accumulate in won/wonMetas and
-	// are merged into the plan only once the whole repair holds together.
+	// Re-auction the affected tasks among the survivors, routed like any
+	// other sweep, with fresh execution windows starting now and
+	// allocation's window retries: concurrent executions repairing after
+	// the same fault all re-auction at the same instant, and the retry
+	// bands keep them from colliding on the survivors' schedules round
+	// after round. The wins are merged into the plan only once the whole
+	// repair holds together.
 	//
-	// Window conflicts are retried with allocateWithRetries' postponement
-	// (retryPostpone): concurrent executions repairing after the same
-	// fault all re-auction at the same instant, so without the bands they
-	// would collide on the survivors' schedules and abort spuriously. Only the
-	// still-failed subset retries — execution is data-driven (a task
-	// whose window passed starts when its inputs arrive), so a retried
-	// task's later window cannot stall tasks already won.
-	won := make(map[model.TaskID]proto.Addr, len(affected))
-	wonMetas := make(map[model.TaskID]proto.TaskMeta, len(affected))
 	// Repair starts from doubt: a member just died under a running
 	// workflow, and what the survivors said before that says nothing about
 	// what they can take over now. Everyone is solicited until a
 	// reconstruction has asked them again (see internal/discovery).
 	m.idx.Doubt(m.idx.Mark())
-	slot := 0
-	for _, ch := range wfID {
-		slot = (slot*31 + int(ch)) % retryBandPeriod
-	}
-	reauction := func(target *model.Workflow, set map[model.TaskID]struct{}) ([]model.TaskID, error) {
-		remaining := set
-		for try := 0; ; try++ {
-			metas := m.taskMetasFor(target, topoFilter(target, remaining), m.retryPostpone(try, slot))
-			alloc := make(map[model.TaskID]proto.Addr, len(metas))
-			// Routed like any other sweep: survivors whose advertisements
-			// lapsed (e.g. partitioned mid-round) must not be solicited
-			// during repair either, and once a reconstruction has asked the
-			// survivors again, neither are those that offer none of the tasks.
-			failed, err := m.runAuction(ctx, wfID, survivors, 0, metas, alloc)
-			for t, host := range alloc {
-				won[t] = host
-			}
-			for _, meta := range metas {
-				if _, ok := alloc[meta.Task]; ok {
-					wonMetas[meta.Task] = meta
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			if len(failed) == 0 || try >= m.cfg.WindowRetries {
-				return failed, nil
-			}
-			remaining = make(map[model.TaskID]struct{}, len(failed))
-			for _, t := range failed {
-				remaining[t] = struct{}{}
-			}
-		}
-	}
-	failed, err := reauction(w, affected)
+	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
 	if err != nil {
-		m.cancelAwards(wfID, won)
 		return err
 	}
-
 	if len(failed) > 0 {
 		// Nobody among the survivors can take some of the tasks:
 		// reconstruct from the surviving community's knowledge (a dead
@@ -223,23 +165,23 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		// finished work and live allocations are kept wherever the new
 		// workflow still uses them.
 		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
-		res, rerr := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
-		if rerr != nil {
+		res, err := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
+		if err != nil {
 			m.cancelAwards(wfID, won)
-			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, rerr)
+			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, err)
 		}
 		need, dropped := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
 		m.cancelAwards(wfID, dropped)
-		w = res.Workflow
 		if len(need) > 0 {
-			failed2, aerr := reauction(w, need)
-			if aerr != nil {
-				m.cancelAwards(wfID, won)
-				return aerr
+			more, moreMetas, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
+			maps.Copy(won, more)
+			maps.Copy(wonMetas, moreMetas)
+			if err == nil && len(failed) > 0 {
+				err = fmt.Errorf("%w: tasks %v unallocatable on the surviving community", ErrAllocationFailed, failed)
 			}
-			if len(failed2) > 0 {
+			if err != nil {
 				m.cancelAwards(wfID, won)
-				return fmt.Errorf("%w: tasks %v unallocatable on the surviving community", ErrAllocationFailed, failed2)
+				return err
 			}
 		}
 	}
@@ -251,12 +193,8 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		m.cancelAwards(wfID, won)
 		return nil
 	}
-	for t, host := range won {
-		plan.Allocations[t] = host
-	}
-	for t, meta := range wonMetas {
-		plan.Metas[t] = meta
-	}
+	maps.Copy(plan.Allocations, won)
+	maps.Copy(plan.Metas, wonMetas)
 	ex.repairs++
 	reallocated := make([]model.TaskID, 0, len(won))
 	for t := range won {
@@ -264,10 +202,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	}
 	sort.Slice(reallocated, func(i, j int) bool { return reallocated[i] < reallocated[j] })
 	segs := m.planSegments(plan)
-	alloc := make(map[model.TaskID]proto.Addr, len(plan.Allocations))
-	for t, h := range plan.Allocations {
-		alloc[t] = h
-	}
+	alloc := maps.Clone(plan.Allocations)
 	wNow := plan.Workflow
 	triggers := ex.triggers
 	// A reconstruction may have shrunk the workflow to already-finished
@@ -338,9 +273,7 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 			ex.remaining[t] = struct{}{}
 		}
 	}
-	// The dead-producer closure again, against the new topology: a
-	// finished task on a dead executor feeding anything that moved must
-	// re-run, because its retained outputs are gone.
+	// The dead-producer closure again, against the new topology.
 	moved := make(map[model.TaskID]struct{}, len(won)+len(need))
 	for t := range won {
 		moved[t] = struct{}{}
@@ -348,25 +281,12 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	for t := range need {
 		moved[t] = struct{}{}
 	}
-	for changed := true; changed; {
-		changed = false
-		for t := range ex.finishedTasks {
-			if _, gone := deadSet[plan.Allocations[t]]; !gone {
-				continue
-			}
-			if _, already := moved[t]; already {
-				continue
-			}
-			if feedsAny(newW, t, moved) {
-				delete(ex.finishedTasks, t)
-				delete(plan.Allocations, t)
-				delete(plan.Metas, t)
-				ex.remaining[t] = struct{}{}
-				need[t] = struct{}{}
-				moved[t] = struct{}{}
-				changed = true
-			}
-		}
+	for _, t := range rerunDeadProducers(ex, newW, deadSet, moved) {
+		delete(ex.finishedTasks, t)
+		delete(plan.Allocations, t)
+		delete(plan.Metas, t)
+		ex.remaining[t] = struct{}{}
+		need[t] = struct{}{}
 	}
 	// Goals follow the new workflow (the spec is unchanged, so in
 	// practice the goal set is too; pruning keeps the count honest).
@@ -392,6 +312,28 @@ func (m *Manager) abortExecution(ex *execution, reason string) {
 		ex.failures = append(ex.failures, reason)
 		ex.finishLocked(false)
 	}
+}
+
+// rerunDeadProducers extends set, to a fixed point, with every finished
+// task of ex on a dead executor that feeds a task of set in w: its
+// retained outputs died with the host (surviving consumers hold their
+// copies, but a fresh executor holds nothing), so it must run again. It
+// returns the tasks it added.
+func rerunDeadProducers(ex *execution, w *model.Workflow, dead map[proto.Addr]struct{}, set map[model.TaskID]struct{}) (added []model.TaskID) {
+	for changed := true; changed; {
+		changed = false
+		for t := range ex.finishedTasks {
+			if _, in := set[t]; in {
+				continue
+			}
+			if _, gone := dead[ex.plan.Allocations[t]]; gone && feedsAny(w, t, set) {
+				set[t] = struct{}{}
+				added = append(added, t)
+				changed = true
+			}
+		}
+	}
+	return added
 }
 
 // feedsAny reports whether any output of task t is consumed by a task in

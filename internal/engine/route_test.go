@@ -332,7 +332,6 @@ func TestNoSolutionCostsOneDescribingSweep(t *testing.T) {
 // once — and allocates around it from the bids that did arrive.
 func TestDescribedMemberDownCostsOneSolicitation(t *testing.T) {
 	net := pipelineNet(t)
-	net.bidDeadline = 50 * time.Millisecond // the auction waits this long for the silent member
 	net.setCapable("p4", "t2", true)
 	cfg := testConfig()
 	cfg.Observer.ConstructionDone = func(string, core.Result) { net.setDown("p2") }
@@ -346,4 +345,51 @@ func TestDescribedMemberDownCostsOneSolicitation(t *testing.T) {
 	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3", "p4"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("calls for bids to %v, want %v (p2 once, in vain)", got, want)
 	}
+}
+
+// TestSilentMemberDeclines: a member whose call for bids fails declines
+// every task it was asked about, so the auction ends with its sweep — here
+// on a clock nobody advances, where waiting for the tentative winner's
+// deadline would never end — and a task nobody bid for is decided failed,
+// once.
+func TestSilentMemberDeclines(t *testing.T) {
+	net := chainNet(t)
+	net.clk = clock.NewSim(time.Unix(1000, 0))
+	net.add("down", &fakeMember{capable: map[model.TaskID]bool{"t1": true, "t2": true}})
+	net.setDown("down")
+	initiate := func() (*Plan, *decisions, error) {
+		t.Helper()
+		cfg := oneAttempt()
+		cfg.Feasibility = false
+		seen := observeDecisions(&cfg)
+		m := NewManager(net, cfg)
+		var plan *Plan
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			plan, err = m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Initiate still waiting on the silent member")
+		}
+		return plan, seen, err
+	}
+
+	plan, seen, err := initiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Allocations["t1"] != "peer" || plan.Allocations["t2"] != "peer" {
+		t.Errorf("Allocations = %v, want everything on the bidder", plan.Allocations)
+	}
+	seen.want(t, map[model.TaskID]proto.Addr{"t1": "peer", "t2": "peer"})
+
+	net.setCapable("peer", "t2", false)
+	if _, seen, err = initiate(); !errors.Is(err, ErrAllocationFailed) {
+		t.Fatalf("err = %v, want ErrAllocationFailed", err)
+	}
+	seen.want(t, map[model.TaskID]proto.Addr{"t1": "peer", "t2": ""})
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"openwf/internal/core"
 	"openwf/internal/model"
@@ -75,8 +74,8 @@ func (m *Manager) notFromMemory(work func() (*Plan, error)) (*Plan, error) {
 }
 
 // run drives the session to a fully allocated plan: construct, allocate
-// with window retries, and on persistent failure exclude the offending
-// tasks and reconstruct (§5.1), up to MaxReplans.
+// with window retries (Manager.allocate), and on persistent failure
+// exclude the offending tasks and reconstruct (§5.1), up to MaxReplans.
 func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
 	return sess.m.notFromMemory(func() (*Plan, error) { return sess.runOnce(ctx) })
 }
@@ -98,16 +97,21 @@ func (sess *allocSession) runOnce(ctx context.Context) (*Plan, error) {
 			}
 		}
 		m.cfg.Observer.constructionDone(sess.wfID, *res)
-		plan, failed, err := sess.allocateWithRetries(ctx, res)
+		w := res.Workflow
+		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, w.TopoOrder(), nil, sess.ordinal)
 		if err != nil {
 			return nil, err
 		}
 		if len(failed) == 0 {
-			plan.Replans = sess.attempt
-			return plan, nil
+			return &Plan{
+				WorkflowID: sess.wfID, Spec: sess.spec, Workflow: w,
+				Allocations: alloc, Metas: metas, Construction: *res, Replans: sess.attempt,
+			}, nil
 		}
-		// Failure feedback (§5.1): the tasks stayed unallocatable;
-		// exclude them and reconstruct from the remaining knowledge.
+		// Failure feedback (§5.1): the tasks stayed unallocatable; release
+		// what was won, exclude them and reconstruct from the remaining
+		// knowledge.
+		m.cancelAwards(sess.wfID, alloc)
 		sess.excluded = append(sess.excluded, failed...)
 		if sess.attempt >= m.cfg.MaxReplans {
 			return nil, fmt.Errorf("%w: tasks %v unallocatable after %d replans",
@@ -115,46 +119,6 @@ func (sess *allocSession) runOnce(ctx context.Context) (*Plan, error) {
 		}
 		sess.attempt++
 		m.cfg.Observer.replanned(sess.wfID, sess.attempt, failed)
-	}
-}
-
-// retryBandPeriod spreads concurrent sessions' window retries across
-// distinct bands (see retryPostpone).
-const retryBandPeriod = 8
-
-// retryPostpone is how far attempt try (0 = the first, not postponed)
-// shifts its execution windows: deterministic decorrelated backoff. If all
-// postponed alike, sessions that blocked each other (each winning some
-// windows, none all, all compensating) would retry into the same band and
-// re-collide forever, like synchronized CSMA. Instead the r-th retry lands
-// in band (r-1)·P + (slot mod P) + 1 (P = retryBandPeriod), reproducibly.
-// An allocation session's slot is its ordinal, so a fixed batch spreads
-// evenly; plan repair outlives that session and hashes the workflow ID.
-func (m *Manager) retryPostpone(try, slot int) time.Duration {
-	if try == 0 {
-		return 0
-	}
-	return time.Duration((try-1)*retryBandPeriod+slot%retryBandPeriod+1) * m.cfg.StartDelay
-}
-
-// allocateWithRetries runs the auction for the constructed workflow,
-// retrying failed allocations with postponed windows (retryPostpone): the
-// providers may simply be busy with another session's commitments now. It
-// returns the plan and any tasks that stayed unallocatable (none on success).
-func (sess *allocSession) allocateWithRetries(ctx context.Context, res *core.Result) (*Plan, []model.TaskID, error) {
-	m := sess.m
-	for try := 0; ; try++ {
-		plan, failed, err := sess.allocate(ctx, res, m.retryPostpone(try, sess.ordinal))
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(failed) == 0 {
-			return plan, nil, nil
-		}
-		m.cancelAwards(sess.wfID, plan.Allocations)
-		if try >= m.cfg.WindowRetries {
-			return plan, failed, nil
-		}
 	}
 }
 
