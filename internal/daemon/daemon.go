@@ -225,11 +225,8 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg 
 		"Logical envelopes accepted for transmission (community-wide).",
 		func() float64 { return float64(comm.TransportStats().Envelopes) })
 	reg.GaugeFunc("openwf_transport_frames_total",
-		"Wire frames transmitted (coalescing makes frames <= envelopes).",
+		"Wire frames transmitted (one per envelope).",
 		func() float64 { return float64(comm.TransportStats().Frames) })
-	reg.GaugeFunc("openwf_transport_batches_total",
-		"Frames that carried more than one envelope.",
-		func() float64 { return float64(comm.TransportStats().Batches) })
 	reg.GaugeFunc("openwf_transport_calls_total",
 		"Request envelopes (each opens a Call round trip).",
 		func() float64 { return float64(comm.TransportStats().Calls) })

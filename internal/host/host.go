@@ -598,8 +598,7 @@ func (h *Host) advertiseTick() {
 }
 
 // advertiseOnce pushes one one-way advertisement to every other member
-// (the write-side coalescer batches the burst per link) and refreshes
-// the host's own index entry. Push traffic is fire-and-forget: a lost
+// (one frame each) and refreshes the host's own index entry. Push traffic is fire-and-forget: a lost
 // refresh costs nothing until a full TTL of them are lost, at which
 // point the receiver correctly presumes this host dead.
 func (h *Host) advertiseOnce(ctx context.Context) {

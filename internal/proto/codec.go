@@ -55,9 +55,9 @@ const wireVersion byte = 2
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
-// carried the per-task round (call for bids, bid, decline) and are
-// retired: the blanks keep every later tag's value, and the decoder
-// rejects them like any unknown kind.
+// carried the per-task round (call for bids, bid, decline) and tag 17 a
+// batch of coalesced envelopes; all four are retired: the blanks keep every
+// later tag's value, and the decoder rejects them like any unknown kind.
 const (
 	kindInvalid byte = iota
 	kindFragmentQuery
@@ -76,7 +76,7 @@ const (
 	kindAck
 	kindCallForBidsBatch
 	kindBidBatch
-	kindEnvelopeBatch
+	_ // 17, retired
 	kindLeaseRefresh
 	kindLeaseRefreshAck
 	kindAdvertise
@@ -266,22 +266,6 @@ func (e *encoder) body(env Envelope) error {
 			e.bid(b)
 		}
 		e.taskIDs(v.Declines)
-	case EnvelopeBatch:
-		e.header(kindEnvelopeBatch, env)
-		e.uint(uint64(len(v.Envelopes)))
-		for _, inner := range v.Envelopes {
-			if inner.Body == nil {
-				return errors.New("nil body in envelope batch")
-			}
-			if _, nested := inner.Body.(EnvelopeBatch); nested {
-				// Depth is bounded at one: transports coalesce already-
-				// framed envelopes, never batches of batches.
-				return errors.New("nested envelope batch")
-			}
-			if err := e.body(inner); err != nil {
-				return err
-			}
-		}
 	case LeaseRefresh:
 		e.header(kindLeaseRefresh, env)
 		e.taskIDs(v.Tasks)
@@ -659,28 +643,18 @@ func (d *decoder) envelope() (Envelope, error) {
 	if version := d.byte(); version != wireVersion {
 		d.fail(fmt.Errorf("%w: wire version %d (want %d)", errCorrupt, version, wireVersion))
 	}
-	env := d.framed(true)
-	if d.pos != len(d.s) {
-		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.s)-d.pos))
-	}
-	return env, d.err
-}
-
-// framed decodes one kind-tagged envelope (header plus body). allowBatch
-// is true only at the top level: batches never nest, so an EnvelopeBatch
-// kind inside another batch is a corrupt frame.
-func (d *decoder) framed(allowBatch bool) Envelope {
 	kind := d.byte()
-	if kind == kindEnvelopeBatch && !allowBatch {
-		d.fail(fmt.Errorf("%w: nested envelope batch", errCorrupt))
-	}
-	return Envelope{
+	env := Envelope{
 		From:     Addr(d.str()),
 		To:       Addr(d.str()),
 		ReqID:    d.uint(),
 		Workflow: d.str(),
 		Body:     d.body(kind),
 	}
+	if d.pos != len(d.s) {
+		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.s)-d.pos))
+	}
+	return env, d.err
 }
 
 func (d *decoder) body(kind byte) Body {
@@ -719,15 +693,6 @@ func (d *decoder) body(kind byte) Body {
 		return Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
 	case kindAdvertiseAck:
 		return AdvertiseAck{Labels: d.labels(), Tasks: d.taskIDs()}
-	case kindEnvelopeBatch:
-		var envs []Envelope
-		if n := d.count(); n > 0 {
-			envs = make([]Envelope, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				envs[i] = d.framed(false)
-			}
-		}
-		return EnvelopeBatch{Envelopes: envs}
 	default:
 		d.fail(fmt.Errorf("%w: unknown body kind %d", errCorrupt, kind))
 		return nil

@@ -120,17 +120,6 @@ func bodyEqual(a, b Body) bool {
 			}
 		}
 		return true
-	case EnvelopeBatch:
-		bv, ok := b.(EnvelopeBatch)
-		if !ok || len(av.Envelopes) != len(bv.Envelopes) {
-			return false
-		}
-		for i := range av.Envelopes {
-			if !envEqual(av.Envelopes[i], bv.Envelopes[i]) {
-				return false
-			}
-		}
-		return true
 	case LeaseRefresh:
 		bv, ok := b.(LeaseRefresh)
 		return ok && taskIDsEq(av.Tasks, bv.Tasks)
@@ -345,8 +334,8 @@ func randSegment(rng *rand.Rand) PlanSegment {
 }
 
 func randBody(rng *rand.Rand) Body {
-	switch rng.Intn(18) {
-	case 17:
+	switch rng.Intn(17) {
+	case 16:
 		return LeaseRefresh{Tasks: randTaskIDs(rng)}
 	case 4:
 		return LeaseRefreshAck{Missing: randTaskIDs(rng)}
@@ -367,12 +356,6 @@ func randBody(rng *rand.Rand) Body {
 			})
 		}
 		return BidBatch{Bids: bids, Declines: randTaskIDs(rng)}
-	case 16:
-		var envs []Envelope
-		for i, n := 0, rng.Intn(4); i < n; i++ {
-			envs = append(envs, randInnerEnvelope(rng))
-		}
-		return EnvelopeBatch{Envelopes: envs}
 	case 0:
 		return FragmentQuery{Labels: randLabels(rng), Describe: rng.Intn(2) == 1}
 	case 1:
@@ -434,17 +417,6 @@ func randEnvelope(rng *rand.Rand) Envelope {
 		ReqID:    rng.Uint64() >> uint(rng.Intn(64)),
 		Workflow: randString(rng, 20),
 		Body:     randBody(rng),
-	}
-}
-
-// randInnerEnvelope draws an envelope that may sit inside an
-// EnvelopeBatch: any body but another batch (batches never nest).
-func randInnerEnvelope(rng *rand.Rand) Envelope {
-	for {
-		env := randEnvelope(rng)
-		if _, nested := env.Body.(EnvelopeBatch); !nested {
-			return env
-		}
 	}
 }
 
@@ -658,14 +630,15 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 }
 
 // TestRetiredKindsRejected pins tags 5–7 (the per-task call for bids, bid
-// and decline) as retired: a frame carrying one — an old peer's, say — is
-// an error like any unknown kind, never a panic and never another body.
+// and decline) and 17 (a batch of coalesced envelopes) as retired: a frame
+// carrying one — an old peer's, say — is an error like any unknown kind,
+// never a panic and never another body.
 func TestRetiredKindsRejected(t *testing.T) {
 	data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: Cancel{Task: "t"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []byte{5, 6, 7} {
+	for _, kind := range []byte{5, 6, 7, 17} {
 		frame := append([]byte(nil), data...)
 		frame[1] = kind
 		if env, err := binDecode(frame); err == nil {
@@ -742,7 +715,7 @@ func TestWireFormatGolden(t *testing.T) {
 	}
 }
 
-// TestWireFormatGoldenBatches pins the byte layout of the three batch
+// TestWireFormatGoldenBatches pins the byte layout of the two batch
 // bodies (PR 5) the same way TestWireFormatGolden pins a representative
 // per-task frame. Update the constants only with a wireVersion bump.
 func TestWireFormatGoldenBatches(t *testing.T) {
@@ -786,20 +759,6 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 				"3fe0000000000000" + // specialization 0.5
 				"06" + "00" + // deadline: 3s (zigzag 6), 0ns
 				"01" + "027432"), // declines ["t2"]
-		},
-		{
-			name: "envelope-batch",
-			env: Envelope{From: "a", To: "b",
-				Body: EnvelopeBatch{Envelopes: []Envelope{
-					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: Cancel{Task: "t"}},
-					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: Ack{}},
-				}}},
-			want: fromV1("01" + // version
-				"11" + // kind: envelope-batch
-				"0161" + "0162" + "00" + "00" + // header a, b, 0, ""
-				"02" + // 2 envelopes
-				"0a" + "0161" + "0162" + "01" + "0177" + "0174" + // cancel "t"
-				"0e" + "0161" + "0162" + "02" + "0177"), // ack
 		},
 	})
 }
@@ -875,8 +834,7 @@ func TestWireFormatGoldenDiscovery(t *testing.T) {
 // TestWireFormatGoldenDescribe pins FragmentQuery.Describe, a bool after
 // the labels, and FragmentReply.Capabilities, a presence bool after the
 // fragments and then the set: a described host with nothing to offer is an
-// empty set, not an absent one. Inside a batch each body ends where its
-// fields do, and the next envelope's kind tag follows.
+// empty set, not an absent one.
 func TestWireFormatGoldenDescribe(t *testing.T) {
 	frag := model.MustFragment("f", model.Task{
 		ID: "t", Mode: model.Conjunctive,
@@ -925,50 +883,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},
-		{
-			name: "describe-inside-batch",
-			env: Envelope{From: "a", To: "b",
-				Body: EnvelopeBatch{Envelopes: []Envelope{
-					{From: "a", To: "b", ReqID: 1, Workflow: "w", Body: FragmentQuery{Labels: []model.LabelID{"x"}, Describe: true}},
-					{From: "a", To: "b", ReqID: 2, Workflow: "w", Body: FragmentQuery{Labels: []model.LabelID{"x"}}},
-					{From: "a", To: "b", ReqID: 3, Workflow: "w", Body: Ack{}},
-				}}},
-			want: "02" + "11" + "0161" + "0162" + "00" + "00" + // batch header a, b, 0, ""
-				"03" + // 3 envelopes
-				"01" + "0161" + "0162" + "01" + "0177" + "01" + "0178" + "01" + // describing query
-				"01" + "0161" + "0162" + "02" + "0177" + "01" + "0178" + "00" + // plain query
-				"0e" + "0161" + "0162" + "03" + "0177", // ack
-		},
 	})
-}
-
-// TestEnvelopeBatchNeverNests pins the depth bound from both sides: the
-// encoder refuses a batch inside a batch, and a hand-crafted frame whose
-// inner kind tag is another batch is rejected as corrupt.
-func TestEnvelopeBatchNeverNests(t *testing.T) {
-	inner := Envelope{From: "a", To: "b", Body: Ack{}}
-	nested := Envelope{From: "a", To: "b", Body: EnvelopeBatch{
-		Envelopes: []Envelope{{From: "a", To: "b", Body: EnvelopeBatch{Envelopes: []Envelope{inner}}}},
-	}}
-	if _, err := binEncode(nested); err == nil {
-		t.Fatal("nested envelope batch encoded")
-	}
-	if _, err := binEncode(Envelope{From: "a", To: "b", Body: EnvelopeBatch{
-		Envelopes: []Envelope{{From: "a", To: "b"}},
-	}}); err == nil {
-		t.Fatal("batch with nil inner body encoded")
-	}
-	// Craft the nested frame by hand; the decoder must reject it.
-	var buf bytes.Buffer
-	e := encoder{buf: &buf}
-	e.byte(wireVersion)
-	e.header(kindEnvelopeBatch, Envelope{From: "a", To: "b"})
-	e.uint(1)
-	e.header(kindEnvelopeBatch, Envelope{From: "a", To: "b"})
-	e.uint(0)
-	if _, err := binDecode(buf.Bytes()); err == nil {
-		t.Fatal("nested envelope batch decoded")
-	}
 }
 
 // TestEncodeRejectsNilFragment matches gob, which cannot encode nil

@@ -35,11 +35,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		FragmentQuery{Labels: []model.LabelID{"a", "b"}, Describe: true},
 		FragmentReply{Fragments: []*model.Fragment{frag},
 			Capabilities: &Advertise{Labels: []model.LabelID{"a"}, Tasks: []model.TaskID{"t"}}},
-		EnvelopeBatch{Envelopes: []Envelope{
-			{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: FragmentQuery{Labels: []model.LabelID{"a"}, Describe: true}},
-			{From: "b", To: "a", ReqID: 1, Workflow: "wf", Body: FragmentReply{Capabilities: &Advertise{}}},
-			{From: "a", To: "b", ReqID: 2, Workflow: "wf", Body: Cancel{Task: "t"}},
-		}},
+		FragmentReply{Capabilities: &Advertise{}},
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
 		Award{Meta: meta},
@@ -60,10 +56,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		},
 		LeaseRefresh{Tasks: []model.TaskID{"t", "u"}},
 		LeaseRefreshAck{Missing: []model.TaskID{"t"}},
-		EnvelopeBatch{Envelopes: []Envelope{
-			{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			{From: "a", To: "b", ReqID: 2, Workflow: "wf", Body: Cancel{Task: "t"}},
-		}},
+		CallForBidsBatch{Metas: []TaskMeta{meta}},
 	}
 	for _, body := range seeds {
 		data, err := Encode(Envelope{From: "a", To: "b", ReqID: 42, Workflow: "wf", Body: body})
@@ -96,8 +89,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte{wireVersion})
 	f.Add([]byte{wireVersion, kindAck, 0xff, 0xff, 0xff})
 	f.Add([]byte("not a frame at all"))
-	// An old peer's per-task frames: retired tags 5–7 must stay rejected.
-	for _, kind := range []byte{5, 6, 7} {
+	// An old peer's per-task and coalesced frames: retired tags 5–7 and 17
+	// must stay rejected.
+	for _, kind := range []byte{5, 6, 7, 17} {
 		f.Add([]byte{wireVersion, kind, 1, 'a', 1, 'b', 42, 2, 'w', 'f', 1, 't'})
 	}
 

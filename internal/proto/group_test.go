@@ -85,10 +85,6 @@ func TestWireFormatGoldenGroups(t *testing.T) {
 			"027433" + "0169" + "01" + "0161" + "0168" + "01" + "0162" + "01" + "0169"}, // t3: a from h, b to [i]
 		{"call-for-bids", groupEnv("i", "h", CallForBidsBatch{Metas: cfbSole.Body.(CallForBidsBatch).Metas}), cfb + "00"},
 		{"call-for-bids-awarding-one", cfbSole, cfb + "01" + "027432"}, // t2 is the recipient's alone
-		{"groups-inside-batch", Envelope{From: "i", To: "h", Body: EnvelopeBatch{Envelopes: []Envelope{ackOf3, ackOf1}}},
-			"02" + "11" + "0169" + "0168" + "00" + "00" + "02" + // batch header i, h, 0, "", 2 envelopes
-				ack[2:] + verdicts3 + // the list ends …
-				ack[2:] + "01" + t1OK}, // … where the next envelope's kind tag begins
 	})
 }
 

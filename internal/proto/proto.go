@@ -321,20 +321,6 @@ type AdvertiseAck struct {
 // Kind implements Body.
 func (AdvertiseAck) Kind() string { return "advertise-ack" }
 
-// EnvelopeBatch is a frame-level coalescing body: one wire frame carrying
-// several queued envelopes to the same destination, so a burst of
-// messages on one link pays the per-frame overhead (framing, syscall,
-// modeled MAC latency) once. The transport layer builds one in its sender
-// and splits it in transport.Deliver, in order, preserving the per-link
-// FIFO guarantee, so no handler and no protocol component ever sees one.
-// Batches never nest.
-type EnvelopeBatch struct {
-	Envelopes []Envelope
-}
-
-// Kind implements Body.
-func (EnvelopeBatch) Kind() string { return "envelope-batch" }
-
 // IsRequest reports whether the body opens a Call round trip (a request
 // expecting a correlated reply). Transports use it for round-trip
 // accounting; see transport.Stats. Advertise is deliberately absent even

@@ -126,7 +126,7 @@ func TestKinds(t *testing.T) {
 		FragmentQuery{}, FragmentReply{}, FeasibilityQuery{}, FeasibilityReply{},
 		Award{}, AwardAck{}, Cancel{},
 		Plan{}, LabelTransfer{}, TaskDone{}, Ack{},
-		CallForBidsBatch{}, BidBatch{}, EnvelopeBatch{},
+		CallForBidsBatch{}, BidBatch{},
 		LeaseRefresh{}, LeaseRefreshAck{},
 	}
 	seen := make(map[string]bool)

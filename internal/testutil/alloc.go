@@ -13,7 +13,7 @@ const allocRuns = 100
 // testing.AllocsPerRun after one warmup call. It turns a benchmark
 // number into a regular test that fails on regression — the repo's
 // 0-alloc hot-path claims (proto.EncodeTo pooled encode, Scenario.bfs
-// warmed sweeps, transport.Coalescer admit/drain on an idle link) are
+// warmed sweeps, transport.Sender.Send on an idle link) are
 // pinned with it in the default `go test ./...` tier.
 //
 // The warmup call lets f populate pools, grow scratch buffers, and

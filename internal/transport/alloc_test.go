@@ -1,26 +1,24 @@
 package transport
 
 import (
+	"context"
 	"testing"
 
 	"openwf/internal/proto"
 	"openwf/internal/testutil"
 )
 
-// TestCoalescerIdleLinkAllocFree pins the uncontended send path: on an
-// idle link every Admit elects the caller as writer and the following
-// Drain hands the single envelope straight to transmit, with no queue
-// growth and no batch assembly — zero heap allocations per message.
-// This is the common case under light load, so a regression here taxes
-// every envelope the transports carry.
+// TestCoalescerIdleLinkAllocFree pins the send path on an idle link:
+// Sender.Send stamps, encodes into a pooled buffer and hands the frame to
+// the link with zero heap allocations per message. Every envelope the
+// transports carry takes this path, so a regression here taxes them all.
 func TestCoalescerIdleLinkAllocFree(t *testing.T) {
-	var c Coalescer
-	e := env(1)
-	transmit := func(proto.Envelope) error { return nil }
+	var count Counters
+	s := NewSender("a", 0, &count, func(context.Context, proto.Addr, []byte) error { return nil })
+	ctx, e := context.Background(), env(1)
 	testutil.AllocBound(t, 0, func() {
-		if w, d := c.Admit(e); !w || d {
-			t.Errorf("Admit on idle link: writer=%v dropped=%v, want writer", w, d)
+		if err := s.Send(ctx, "b", e); err != nil {
+			t.Error(err)
 		}
-		c.Drain("a", "b", transmit)
 	})
 }

@@ -36,8 +36,8 @@ func (n *Network) Crash(addr proto.Addr) {
 		purged = ep.box.setDark(true)
 	}
 	n.mu.Unlock()
-	for _, d := range purged {
-		n.lost(d)
+	for range purged {
+		n.wire.FrameDropped()
 	}
 }
 
@@ -65,10 +65,9 @@ func (n *Network) Crashed(addr proto.Addr) bool {
 }
 
 // SetLinkLoss sets a uniform loss probability for one directed link,
-// layered on top of the LinkModel (either may drop). Loss applies at
-// frame granularity: a dropped EnvelopeBatch loses every member envelope
-// and never delivers partially. p ≤ 0 removes the override. Draws come
-// from the link's own deterministically seeded random source.
+// layered on top of the LinkModel (either may drop). p ≤ 0 removes the
+// override. Draws come from the link's own deterministically seeded random
+// source.
 func (n *Network) SetLinkLoss(from, to proto.Addr, p float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -309,27 +309,22 @@ func TestCrashRacingSenders(t *testing.T) {
 	}
 }
 
-// --- coalesced frames under loss (PR 6 satellite) ---
+// --- lone frames under loss (PR 6 satellite) ---
 
-// queueBatch parks a writer on the a→to link and queues ids behind it, so
-// the subsequent drain flushes them as one EnvelopeBatch frame.
-func queueBatch(t *testing.T, n *Network, a *endpoint, to proto.Addr, ids ...int) {
+// sendAll sends ids from a to to, one frame each.
+func sendAll(t *testing.T, a *endpoint, to proto.Addr, ids ...int) {
 	t.Helper()
-	if _, w := a.Admit(to, proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle link")
-	}
 	for _, id := range ids {
 		if err := a.Send(context.Background(), to, ping(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a.Drain(context.Background(), to)
 }
 
-// TestBatchFrameLossIsAllOrNothing: a dropped EnvelopeBatch frame loses
-// exactly its member envelopes — there is no partial-frame delivery — and
-// Stats counts the loss once at frame granularity, for both the per-link
-// fault model and a crashed recipient.
+// TestBatchFrameLossIsAllOrNothing: every envelope travels as its own
+// frame, so a lost frame loses exactly one envelope and counts once, in
+// FramesDropped and in Dropped, for both the per-link fault model and a
+// crashed recipient; after the heal, frames arrive whole and in order.
 func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -360,33 +355,27 @@ func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 			}
 			a := epA.(*endpoint)
 			tc.inject(n)
-			queueBatch(t, n, a, "b", 1, 2, 3)
+			sendAll(t, a, "b", 1, 2, 3)
 			if got := col.count(); got != 0 {
-				t.Fatalf("%d envelopes of a dropped frame delivered", got)
+				t.Fatalf("%d envelopes of dropped frames delivered", got)
 			}
-			st := n.Stats()
-			if st.Envelopes != 3 || st.Frames != 1 || st.Batches != 1 {
-				t.Fatalf("Stats = %+v, want one batched frame of 3", st)
-			}
-			if st.FramesDropped != 1 {
-				t.Fatalf("FramesDropped = %d, want 1 (frame granularity)", st.FramesDropped)
+			want := Stats{Envelopes: 3, Frames: 3, FramesDropped: 3}
+			if st := n.Stats(); st != want {
+				t.Fatalf("Stats = %+v, want %+v", st, want)
 			}
 			if n.Dropped() != 3 {
-				t.Fatalf("Dropped = %d, want all 3 member envelopes", n.Dropped())
+				t.Fatalf("Dropped = %d, want 3, one per lost frame", n.Dropped())
 			}
-			// After healing, a fresh batch arrives whole and in order.
+			// After healing, fresh frames arrive whole and in order.
 			tc.heal(n)
-			queueBatch(t, n, a, "b", 4, 5, 6)
+			sendAll(t, a, "b", 4, 5, 6)
 			got := col.waitN(t, 3, time.Second)
 			for i, env := range got {
 				if env.ReqID != uint64(4+i) {
 					t.Fatalf("post-heal delivery = %+v, want [4 5 6]", got)
 				}
-				if _, ok := env.Body.(proto.EnvelopeBatch); ok {
-					t.Fatal("handler saw a raw EnvelopeBatch")
-				}
 			}
-			if st := n.Stats(); st.FramesDropped != 1 || n.Dropped() != 3 {
+			if st := n.Stats(); st.FramesDropped != 3 || n.Dropped() != 3 {
 				t.Fatalf("post-heal loss accounting moved: %+v dropped=%d", st, n.Dropped())
 			}
 		})

@@ -93,8 +93,7 @@ func WithStoreAndForward(enabled bool) Option {
 }
 
 // linkState is what the medium keeps per directed link; Network.mu guards
-// it. (The link's write-side queue belongs to the sending endpoint's
-// transport.Sender.)
+// it.
 type linkState struct {
 	// rng is this link's private random source (jitter, loss draws),
 	// derived deterministically from the network seed and the link key.
@@ -135,12 +134,11 @@ type Network struct {
 	// modeled delays.
 	done chan struct{}
 
-	// wire is the accounting of every endpoint's sender; the medium adds
-	// what only it knows: envelopes handed to handlers, envelopes in frames
-	// it lost, payload bytes it carried.
+	// wire is the accounting of every endpoint's sender, the frames the
+	// medium lost included; the medium adds what only it knows: envelopes
+	// handed to handlers and payload bytes carried.
 	wire      transport.Counters
 	delivered atomic.Int64
-	dropped   atomic.Int64
 	bytes     atomic.Int64
 }
 
@@ -252,7 +250,7 @@ func (n *Network) flushStoredLocked() {
 		}
 		for _, d := range msgs {
 			if !target.box.push(d) {
-				n.lost(d)
+				n.wire.FrameDropped()
 			}
 		}
 		delete(n.stored, k)
@@ -266,9 +264,9 @@ func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 func (n *Network) Delivered() int64 { return n.delivered.Load() }
 
 // Dropped returns the number of envelopes lost (partition, loss model,
-// missing/closed recipient, a sender's full queue, or a queued envelope's
-// refused frame).
-func (n *Network) Dropped() int64 { return n.dropped.Load() + n.wire.Lost() }
+// crash, missing/closed recipient, corrupt frame): Stats.FramesDropped, as
+// every frame carries one envelope.
+func (n *Network) Dropped() int64 { return n.wire.Stats().FramesDropped }
 
 // Bytes returns the total encoded payload bytes transmitted.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
@@ -277,7 +275,6 @@ func (n *Network) Bytes() int64 { return n.bytes.Load() }
 func (n *Network) ResetCounters() {
 	n.wire.Reset()
 	n.delivered.Store(0)
-	n.dropped.Store(0)
 	n.bytes.Store(0)
 }
 
@@ -306,12 +303,6 @@ func (n *Network) Close() error {
 	return nil
 }
 
-// lost accounts one frame that will never reach a handler.
-func (n *Network) lost(d delivery) {
-	n.dropped.Add(d.envelopes)
-	n.wire.FrameDropped()
-}
-
 // framePool recycles the buffers frames travel in. The recipient's pump
 // returns one once the frame is decoded (an envelope shares no memory with
 // its frame); a frame that is lost, purged or dropped is left to the GC.
@@ -323,11 +314,11 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 // sender), decides under it — crash state, reachability, loss draw,
 // latency model — and hands the frame to the recipient's inbox or the
 // link's delay line after releasing it.
-func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte, envelopes int64) error {
+func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte) error {
 	n := e.net
 	buf := framePool.Get().(*[]byte)
 	*buf = append((*buf)[:0], frame...)
-	d := delivery{frame: buf, envelopes: envelopes}
+	d := delivery{frame: buf}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -344,7 +335,7 @@ func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte, envelopes
 
 	n.bytes.Add(int64(len(*d.frame)))
 	if !held && (box == nil || !box.push(d)) {
-		n.lost(d)
+		n.wire.FrameDropped()
 	}
 	return nil
 }
@@ -434,17 +425,15 @@ func (l *link) pump() {
 		dark := n.crashed[to] || n.crashEpoch[to] != d.epoch
 		n.mu.Unlock()
 		if dark || !l.target.box.push(d) {
-			n.lost(d)
+			n.wire.FrameDropped()
 		}
 	}
 }
 
-// delivery is one frame on its way: the encoded bytes (a framePool buffer)
-// and how many envelopes they carry (loss is accounted in envelope units).
+// delivery is one frame on its way: the encoded bytes (a framePool buffer).
 type delivery struct {
-	frame     *[]byte
-	envelopes int64
-	due       time.Time
+	frame *[]byte
+	due   time.Time
 	// epoch is the recipient's crash epoch at send time; a mismatch at
 	// delivery means the recipient crashed while the frame was in flight.
 	epoch uint64
@@ -483,7 +472,7 @@ func (e *endpoint) pump() {
 			return
 		}
 		if err := transport.Deliver(e.handler, *d.frame); err != nil {
-			e.net.lost(d)
+			e.net.wire.FrameDropped()
 		}
 		framePool.Put(d.frame)
 	}

@@ -236,35 +236,36 @@ func TestWirelessModelLatencyScalesWithSize(t *testing.T) {
 }
 
 // TestMailboxFIFOAcrossDrains: the mailbox pops by a head index and
-// rewinds to the start of its array once drained. Pushes and pops
+// rewinds to the start of its array once drained (each item is tagged by
+// its epoch field). Pushes and pops
 // interleaved across those rewinds keep FIFO order, going dark returns
 // exactly the items not yet popped, and a queue that never drains slides
 // down its array rather than growing it.
 func TestMailboxFIFOAcrossDrains(t *testing.T) {
 	m := newMailbox()
-	pushed := int64(0)
+	pushed := uint64(0)
 	push := func(k int) {
 		t.Helper()
 		for range k {
 			pushed++
-			if !m.push(delivery{envelopes: pushed}) {
+			if !m.push(delivery{epoch: pushed}) {
 				t.Fatalf("push %d refused", pushed)
 			}
 		}
 	}
-	pop := func(want ...int64) {
+	pop := func(want ...uint64) {
 		t.Helper()
 		for _, w := range want {
-			if d, ok := m.pop(); !ok || d.envelopes != w {
-				t.Fatalf("pop = %d (ok %v), want %d", d.envelopes, ok, w)
+			if d, ok := m.pop(); !ok || d.epoch != w {
+				t.Fatalf("pop = %d (ok %v), want %d", d.epoch, ok, w)
 			}
 		}
 	}
-	dark := func(want ...int64) {
+	dark := func(want ...uint64) {
 		t.Helper()
-		var got []int64
+		var got []uint64
 		for _, d := range m.setDark(true) {
-			got = append(got, d.envelopes)
+			got = append(got, d.epoch)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("setDark returned %v, want %v", got, want)
@@ -281,7 +282,7 @@ func TestMailboxFIFOAcrossDrains(t *testing.T) {
 	pop(7)
 	dark(8, 9)
 	push(2)
-	for i := int64(12); i < 1000; i++ {
+	for i := uint64(12); i < 1000; i++ {
 		push(1)
 		pop(i - 2)
 	}
@@ -504,56 +505,10 @@ func TestStoreAndForwardDisabledByDefault(t *testing.T) {
 	}
 }
 
-// --- write-side coalescer (PR 5) ---
+// --- one frame per envelope ---
 
-// TestCoalescerFlushesQueueAsOneBatch: envelopes queued behind an
-// in-flight write on the same link flush as a single EnvelopeBatch
-// frame, delivered split and in order at the receiver.
-func TestCoalescerFlushesQueueAsOneBatch(t *testing.T) {
-	n := NewNetwork()
-	defer n.Close()
-	recv := newCollector()
-	if _, err := n.Endpoint("b", recv.handler); err != nil {
-		t.Fatal(err)
-	}
-	epA, err := n.Endpoint("a", func(proto.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := epA.(*endpoint)
-	// Simulate a write in flight on a→b: everything sent meanwhile
-	// queues behind it.
-	// Become the writer without transmitting: everything sent while the
-	// "write" is in flight queues behind it.
-	if _, w := a.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle link")
-	}
-	for i := 1; i <= 3; i++ {
-		if err := a.Send(context.Background(), "b", ping(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := recv.count(); got != 0 {
-		t.Fatalf("%d envelopes delivered while the link was busy", got)
-	}
-	a.Drain(context.Background(), "b")
-	got := recv.waitN(t, 3, time.Second)
-	for i, env := range got {
-		if env.ReqID != uint64(i+1) {
-			t.Fatalf("order broken: got %v", got)
-		}
-		if _, ok := env.Body.(proto.EnvelopeBatch); ok {
-			t.Fatal("handler saw a raw EnvelopeBatch; transports must split")
-		}
-	}
-	st := n.Stats()
-	if st.Envelopes != 3 || st.Frames != 1 || st.Batches != 1 {
-		t.Fatalf("Stats = %+v, want 3 envelopes in 1 batched frame", st)
-	}
-}
-
-// TestCoalescerSingleEntryStaysUnbatched: an idle link transmits a lone
-// envelope as its own frame — no batching overhead, no added latency.
+// TestCoalescerSingleEntryStaysUnbatched: a lone envelope travels as its
+// own frame — no batch, no added latency.
 func TestCoalescerSingleEntryStaysUnbatched(t *testing.T) {
 	n := NewNetwork()
 	defer n.Close()
@@ -572,44 +527,6 @@ func TestCoalescerSingleEntryStaysUnbatched(t *testing.T) {
 	st := n.Stats()
 	if st.Envelopes != 1 || st.Frames != 1 || st.Batches != 0 {
 		t.Fatalf("Stats = %+v, want one plain frame", st)
-	}
-}
-
-// TestCoalescerBoundsBatchSize: a queue longer than maxCoalesce drains
-// in several bounded frames, never one oversized frame.
-func TestCoalescerBoundsBatchSize(t *testing.T) {
-	n := NewNetwork()
-	defer n.Close()
-	recv := newCollector()
-	if _, err := n.Endpoint("b", recv.handler); err != nil {
-		t.Fatal(err)
-	}
-	epA, err := n.Endpoint("a", func(proto.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := epA.(*endpoint)
-	// Become the writer without transmitting: everything sent while the
-	// "write" is in flight queues behind it.
-	if _, w := a.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle link")
-	}
-	total := transport.MaxCoalesce + 5
-	for i := 1; i <= total; i++ {
-		if err := a.Send(context.Background(), "b", ping(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Drain(context.Background(), "b")
-	got := recv.waitN(t, total, time.Second)
-	for i, env := range got {
-		if env.ReqID != uint64(i+1) {
-			t.Fatalf("order broken at %d: got ReqID %d", i, env.ReqID)
-		}
-	}
-	st := n.Stats()
-	if st.Envelopes != int64(total) || st.Frames != 2 || st.Batches != 2 {
-		t.Fatalf("Stats = %+v, want %d envelopes in 2 bounded batch frames", st, total)
 	}
 }
 
@@ -648,8 +565,8 @@ func TestStatsCountsCallRoundTrips(t *testing.T) {
 }
 
 // TestCoalescerConcurrentSendersDeliverAll: hammering one link from many
-// goroutines loses nothing and preserves nothing less than total
-// delivery, whatever batching happened underneath.
+// goroutines loses nothing, each sender's envelopes arrive in the order it
+// sent them, and each travels as its own frame.
 func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 	n := NewNetwork()
 	defer n.Close()
@@ -673,45 +590,16 @@ func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	recv.waitN(t, senders*each, 5*time.Second)
-	st := n.Stats()
-	if st.Envelopes != senders*each {
-		t.Fatalf("Stats.Envelopes = %d, want %d", st.Envelopes, senders*each)
-	}
-	if st.Frames > st.Envelopes {
-		t.Fatalf("Frames %d > Envelopes %d", st.Frames, st.Envelopes)
-	}
-}
-
-// TestDroppedCountsBatchedEnvelopes: losing a coalesced frame loses all
-// of its envelopes — the Sent = Delivered + Dropped identity must hold
-// in envelope units, not frame units.
-func TestDroppedCountsBatchedEnvelopes(t *testing.T) {
-	n := NewNetwork()
-	defer n.Close()
-	epA, err := n.Endpoint("a", func(proto.Envelope) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := epA.(*endpoint)
-	// Queue three envelopes behind a busy link to "ghost" (never
-	// attached), then flush: the whole batch frame drops.
-	if _, w := a.Admit("ghost", proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle link")
-	}
-	for i := 1; i <= 3; i++ {
-		if err := a.Send(context.Background(), "ghost", ping(i)); err != nil {
-			t.Fatal(err)
+	next := make([]int, senders) // per sender, the index it sends next
+	for _, env := range recv.waitN(t, senders*each, 5*time.Second) {
+		s, i := int(env.ReqID)/each, int(env.ReqID)%each
+		if i != next[s] {
+			t.Fatalf("sender %d: envelope %d arrived where %d was due", s, i, next[s])
 		}
+		next[s]++
 	}
-	a.Drain(context.Background(), "ghost")
-	if got := n.Messages(); got != 3 {
-		t.Fatalf("Messages = %d, want 3", got)
-	}
-	if got := n.Dropped(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3 (every envelope of the lost batch)", got)
-	}
-	if got := n.Delivered(); got != 0 {
-		t.Fatalf("Delivered = %d, want 0", got)
+	want := Stats{Envelopes: senders * each, Frames: senders * each}
+	if st := n.Stats(); st != want {
+		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
 }

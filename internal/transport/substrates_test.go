@@ -12,21 +12,13 @@ import (
 	"openwf/internal/transport/tcpnet"
 )
 
-// sender is the part of an endpoint both substrates get from the embedded
-// transport.Sender: Send's two steps, which is how a test parks a writer
-// on a link without a substrate-specific hook.
-type sender interface {
-	transport.Endpoint
-	Admit(to proto.Addr, env proto.Envelope) (proto.Envelope, bool)
-	Drain(ctx context.Context, to proto.Addr)
-}
-
 // TestSubstratesAgree drives one envelope sequence from a to b through
 // each substrate and holds both to one expected outcome: the handler sees
-// the envelopes that were sent, in that order, never a proto.EnvelopeBatch
-// (its kind is none that was sent), and Stats is equal field by field — the
-// counters are produced by the shared sender, so they cannot mean
-// different things on different substrates.
+// the envelopes that were sent, in that order, each as the kind that was
+// sent, and Stats is equal field by field — the counters are produced by
+// the shared sender, so they cannot mean different things on different
+// substrates. A burst travels as one frame per envelope, as a lone
+// envelope does.
 func TestSubstratesAgree(t *testing.T) {
 	substrates := []struct {
 		name string
@@ -65,12 +57,11 @@ func TestSubstratesAgree(t *testing.T) {
 		t.Run(sub.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var seen []proto.Envelope
-			ep, stats := sub.attach(t, func(env proto.Envelope) {
+			a, stats := sub.attach(t, func(env proto.Envelope) {
 				mu.Lock()
 				seen = append(seen, env)
 				mu.Unlock()
 			})
-			a := ep.(sender)
 			ctx := context.Background()
 			var sent []string // body kinds, in send order; ReqID is the place in it
 			send := func(body proto.Body) {
@@ -80,26 +71,19 @@ func TestSubstratesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// parked queues n envelopes behind a writer that owns the link
-			// but transmits nothing, then drains them.
-			parked := func(n int) {
+			burst := func(n int) {
 				t.Helper()
-				if _, writer := a.Admit("b", proto.Envelope{Body: proto.Ack{}}); !writer {
-					t.Fatal("expected to become the writer on an idle link")
-				}
 				for i := 0; i < n; i++ {
 					send(proto.Cancel{Task: "t"})
 				}
-				a.Drain(ctx, "b")
 			}
 
-			for i := 0; i < 3; i++ { // lone envelopes on an idle link: 3 frames
-				send(proto.Cancel{Task: "t"})
-			}
-			parked(4)                              // a burst behind a writer: 1 batch
+			burst(3)                               // lone envelopes on an idle link: 3 frames
+			burst(4)                               // a burst: 4 frames, no batch
 			send(proto.FragmentQuery{Labels: nil}) // one request: 1 frame, 1 call
-			parked(transport.MaxCoalesce + 1)      // a 33-envelope queue: a full batch and a lone frame
-			want := transport.Stats{Envelopes: int64(len(sent)), Frames: 7, Batches: 2, Calls: 1}
+			burst(33)                              // a longer burst: 33 frames
+			n := int64(len(sent))
+			want := transport.Stats{Envelopes: n, Frames: n, Batches: 0, Calls: 1}
 
 			deadline := time.Now().Add(5 * time.Second)
 			for {

@@ -5,6 +5,13 @@
 // envelopes travel as length-prefixed frames of proto's binary wire
 // codec. Unlike the simulated network it exercises real kernel sockets,
 // framing, and scheduling.
+//
+// Each Send writes its frame to the peer's one cached connection in a single
+// Write call, with no writer goroutine or queue in between. Concurrent Sends
+// to one peer are safe because Go's runtime serialises concurrent Writes on
+// one net.Conn (the internal/poll write lock), so frames never interleave on
+// the stream. There is no write deadline: a connected peer that stops
+// reading blocks each sender in its own Write.
 package tcpnet
 
 import (
@@ -94,7 +101,7 @@ func (t *Transport) Addr() proto.Addr { return t.addr }
 
 // write is the transport.Link: it fills in the length prefix and writes
 // the frame to the peer's connection in one call.
-func (t *Transport) write(ctx context.Context, to proto.Addr, frame []byte, _ int64) error {
+func (t *Transport) write(ctx context.Context, to proto.Addr, frame []byte) error {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-prefixLen))
 	// Two attempts: a cached connection may have gone stale.
 	for attempt := 0; attempt < 2; attempt++ {

@@ -325,50 +325,13 @@ func TestNilHandlerRejected(t *testing.T) {
 	}
 }
 
-// --- write-side coalescer (PR 5) ---
-
-// TestCoalescedBatchSplitsAtReceiver: envelopes queued behind an
-// in-flight socket write flush as one EnvelopeBatch frame; readLoop
-// splits it and the handler sees plain envelopes in send order.
-func TestCoalescedBatchSplitsAtReceiver(t *testing.T) {
-	ta, _, _, colB := pair(t)
-	// Become the writer without writing: everything sent meanwhile
-	// queues behind the simulated in-flight write.
-	if _, w := ta.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle peer")
-	}
-	for i := 1; i <= 4; i++ {
-		if err := ta.Send(context.Background(), "b", ping(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := colB.count(); got != 0 {
-		t.Fatalf("%d envelopes arrived while the writer was busy", got)
-	}
-	ta.Drain(context.Background(), "b")
-	got := colB.waitN(t, 4, 2*time.Second)
-	for i, env := range got {
-		if env.ReqID != uint64(i+1) {
-			t.Fatalf("order broken: got %+v", got)
-		}
-		if _, ok := env.Body.(proto.EnvelopeBatch); ok {
-			t.Fatal("handler saw a raw EnvelopeBatch; readLoop must split")
-		}
-		if env.From != "a" || env.To != "b" {
-			t.Fatalf("inner routing lost: %+v", env)
-		}
-	}
-}
+// --- one frame per envelope ---
 
 // TestStatsCounters pins the framing accounting against inmem's
-// semantics: envelopes and calls per logical envelope (batches
-// unwrapped), frames per wire write, batches only for coalesced frames,
-// framesDropped per lost frame — one frame even when it carried several
-// envelopes.
+// semantics: one frame per envelope, calls per request, no batches, and
+// framesDropped per lost frame.
 func TestStatsCounters(t *testing.T) {
 	ta, _, _, colB := pair(t)
-	// Sequential sends from one goroutine never coalesce: each transmit
-	// finishes before the next Admit.
 	if err := ta.Send(context.Background(), "b", proto.Envelope{
 		ReqID: 1, Body: proto.FragmentQuery{},
 	}); err != nil {
@@ -397,28 +360,12 @@ func TestStatsCounters(t *testing.T) {
 	if st.Envelopes != 3 || st.Frames != 3 || st.FramesDropped != 1 {
 		t.Errorf("after ghost send: %+v", st)
 	}
-
-	// A forced coalesced flush: three envelopes queued behind a busy
-	// writer land as one EnvelopeBatch frame.
-	if _, w := ta.Admit("b", proto.Envelope{Body: proto.Ack{}}); !w {
-		t.Fatal("expected to become the writer on an idle peer")
-	}
-	for i := 4; i <= 6; i++ {
-		if err := ta.Send(context.Background(), "b", ping(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ta.Drain(context.Background(), "b")
-	colB.waitN(t, 5, 2*time.Second)
-	st = ta.Stats()
-	if st.Envelopes != 6 || st.Frames != 4 || st.Batches != 1 {
-		t.Errorf("after coalesced flush: %+v", st)
-	}
 }
 
 // TestCoalescerConcurrentSendersDeliverAll: many goroutines writing to
-// one peer through the coalescer lose nothing, whatever batching
-// happened underneath.
+// one peer over its one connection lose nothing, and each sender's
+// envelopes arrive in the order it sent them — concurrent Writes on a
+// net.Conn never interleave two frames.
 func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 	ta, _, _, colB := pair(t)
 	const senders, each = 8, 25
@@ -433,5 +380,16 @@ func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	colB.waitN(t, senders*each, 5*time.Second)
+	next := make([]int, senders) // per sender, the index it sends next
+	for _, env := range colB.waitN(t, senders*each, 5*time.Second) {
+		s, i := int(env.ReqID)/each, int(env.ReqID)%each
+		if i != next[s] {
+			t.Fatalf("sender %d: envelope %d arrived where %d was due", s, i, next[s])
+		}
+		next[s]++
+	}
+	want := transport.Stats{Envelopes: senders * each, Frames: senders * each}
+	if st := ta.Stats(); st != want {
+		t.Fatalf("Stats = %+v, want %+v", st, want)
+	}
 }
