@@ -2,6 +2,7 @@ package auction
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,12 +41,18 @@ func members(ids ...string) []proto.Addr {
 	return out
 }
 
+// answer feeds the auctioneer member from's answer, bidding bids and
+// declining every other task.
+func answer(a *Auctioneer, from string, bids ...proto.Bid) []Decision {
+	return a.HandleBidBatch(proto.Addr(from), proto.BidBatch{Bids: bids}, time.Time{})
+}
+
 // TestAuctioneerManyTasks runs a full auction over a few hundred tasks
 // and three members, covering the post-processing the engine does after
 // bidding (the winners map, failed set, decision stream) at the scale
 // where an accidentally quadratic sweep would show. Every task must be
-// decided, won by the member offering the fewest services, and reported
-// exactly once.
+// decided at the last answer, in task order, won by the member offering
+// the fewest services, with the other two as its losers.
 func TestAuctioneerManyTasks(t *testing.T) {
 	const n = 300
 	ms := members("h1", "h2", "h3")
@@ -53,7 +60,7 @@ func TestAuctioneerManyTasks(t *testing.T) {
 	services := map[proto.Addr]int{"h1": 5, "h2": 1, "h3": 3}
 	metas := make([]proto.TaskMeta, n)
 	for i := range metas {
-		metas[i] = meta(fmt.Sprintf("t%03d", i))
+		metas[i] = meta(fmt.Sprintf("t%03d", n-1-i))
 	}
 	a, err := NewAuctioneer(ms, metas)
 	if err != nil {
@@ -63,13 +70,15 @@ func TestAuctioneerManyTasks(t *testing.T) {
 		t.Fatalf("StartBatched emitted %d messages, want %d", got, len(ms))
 	}
 
-	now := t0
 	deadline := t0.Add(time.Hour)
 	var decisions []Decision
-	for _, m := range ms {
-		for i := range metas {
-			decisions = append(decisions, a.HandleBid(m, bid(
-				string(metas[i].Task), services[m], 0.5, deadline), now)...)
+	for i, m := range ms {
+		bids := make([]proto.Bid, n)
+		for j := range metas {
+			bids[j] = bid(string(metas[j].Task), services[m], 0.5, deadline)
+		}
+		if decisions = answer(a, string(m), bids...); i < len(ms)-1 && decisions != nil {
+			t.Fatalf("decided before %s answered: %v", ms[len(ms)-1], decisions)
 		}
 	}
 	if !a.Done() {
@@ -78,15 +87,13 @@ func TestAuctioneerManyTasks(t *testing.T) {
 	if len(decisions) != n {
 		t.Fatalf("decisions = %d, want %d", len(decisions), n)
 	}
-	seen := make(map[model.TaskID]bool, n)
-	for _, d := range decisions {
-		if d.Failed() || d.Winner != "h2" {
-			t.Fatalf("decision %+v, want winner h2", d)
+	for i, d := range decisions {
+		if want := model.TaskID(fmt.Sprintf("t%03d", i)); d.Task != want || d.Meta.Task != want {
+			t.Fatalf("decision %d is for %q, want %q", i, d.Task, want)
 		}
-		if seen[d.Task] {
-			t.Fatalf("task %q decided twice", d.Task)
+		if d.Winner != "h2" || !slices.Equal(d.Losers, members("h1", "h3")) {
+			t.Fatalf("decision %+v, want winner h2, losers [h1 h3]", d)
 		}
-		seen[d.Task] = true
 	}
 }
 
@@ -121,13 +128,15 @@ func TestStartEmitsPairwiseCFBs(t *testing.T) {
 
 func TestDecideWhenAllResponded(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	now := t0
 	deadline := t0.Add(time.Minute)
-	if ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), now); len(ds) != 0 {
+	if ds := answer(a, "h1", bid("t", 3, 0.5, deadline)); ds != nil {
 		t.Fatalf("decided before all responded: %v", ds)
 	}
-	ds := a.HandleDecline("h2", "t", now)
-	if len(ds) != 1 || ds[0].Winner != "h1" {
+	if a.Done() {
+		t.Fatal("auction done before h2 answered")
+	}
+	ds := a.HandleBidBatch("h2", proto.BidBatch{Declines: []model.TaskID{"t"}}, time.Time{})
+	if len(ds) != 1 || ds[0].Winner != "h1" || len(ds[0].Losers) != 0 {
 		t.Fatalf("decisions = %+v", ds)
 	}
 	if !a.Done() {
@@ -135,24 +144,37 @@ func TestDecideWhenAllResponded(t *testing.T) {
 	}
 }
 
+// TestAnswerWithoutATaskStillDecides: an answer that neither bids for a
+// task nor declines it declines it all the same, so the last answer
+// decides every task.
+func TestAnswerWithoutATaskStillDecides(t *testing.T) {
+	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
+	answer(a, "h1", bid("t", 3, 0.5, t0.Add(time.Minute)))
+	ds := a.HandleBidBatch("h2", proto.BidBatch{}, time.Time{})
+	if len(ds) != 1 || ds[0].Task != "t" || ds[0].Winner != "h1" {
+		t.Fatalf("decisions = %+v, want t decided for h1", ds)
+	}
+	if !a.Done() {
+		t.Error("auction not done after every member answered")
+	}
+}
+
 func TestSelectionPrefersFewerServices(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2", "h3"), []proto.TaskMeta{meta("t")})
-	now := t0
 	deadline := t0.Add(time.Minute)
-	a.HandleBid("h1", bid("t", 5, 0.9, deadline), now)
-	a.HandleBid("h2", bid("t", 2, 0.1, deadline), now)
-	ds := a.HandleBid("h3", bid("t", 4, 0.9, deadline), now)
-	if len(ds) != 1 || ds[0].Winner != "h2" {
-		t.Fatalf("winner = %+v, want h2 (fewest services)", ds)
+	answer(a, "h1", bid("t", 5, 0.9, deadline))
+	answer(a, "h2", bid("t", 2, 0.1, deadline))
+	ds := answer(a, "h3", bid("t", 4, 0.9, deadline))
+	if len(ds) != 1 || ds[0].Winner != "h2" || !slices.Equal(ds[0].Losers, members("h1", "h3")) {
+		t.Fatalf("decisions = %+v, want h2 (fewest services) over [h1 h3]", ds)
 	}
 }
 
 func TestSelectionTieBreaksOnSpecialization(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	now := t0
 	deadline := t0.Add(time.Minute)
-	a.HandleBid("h1", bid("t", 3, 0.3, deadline), now)
-	ds := a.HandleBid("h2", bid("t", 3, 0.8, deadline), now)
+	answer(a, "h1", bid("t", 3, 0.3, deadline))
+	ds := answer(a, "h2", bid("t", 3, 0.8, deadline))
 	if len(ds) != 1 || ds[0].Winner != "h2" {
 		t.Fatalf("winner = %+v, want h2 (higher specialization)", ds)
 	}
@@ -160,10 +182,9 @@ func TestSelectionTieBreaksOnSpecialization(t *testing.T) {
 
 func TestSelectionTieBreaksOnAddress(t *testing.T) {
 	a, _ := NewAuctioneer(members("h2", "h1"), []proto.TaskMeta{meta("t")})
-	now := t0
 	deadline := t0.Add(time.Minute)
-	a.HandleBid("h2", bid("t", 3, 0.5, deadline), now)
-	ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), now)
+	answer(a, "h2", bid("t", 3, 0.5, deadline))
+	ds := answer(a, "h1", bid("t", 3, 0.5, deadline))
 	if len(ds) != 1 || ds[0].Winner != "h1" {
 		t.Fatalf("winner = %+v, want h1 (smaller address)", ds)
 	}
@@ -171,10 +192,10 @@ func TestSelectionTieBreaksOnAddress(t *testing.T) {
 
 func TestAllDeclinedFails(t *testing.T) {
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	now := t0
-	a.HandleDecline("h1", "t", now)
-	ds := a.HandleDecline("h2", "t", now)
-	if len(ds) != 1 || !ds[0].Failed() {
+	decline := proto.BidBatch{Declines: []model.TaskID{"t"}}
+	a.HandleBidBatch("h1", decline, time.Time{})
+	ds := a.HandleBidBatch("h2", decline, time.Time{})
+	if len(ds) != 1 || !ds[0].Failed() || len(ds[0].Losers) != 0 {
 		t.Fatalf("decisions = %+v, want failed", ds)
 	}
 	if !a.Done() {
@@ -182,17 +203,18 @@ func TestAllDeclinedFails(t *testing.T) {
 	}
 }
 
+// TestDeadlineForcesDecision: no deadline forces a decision. h1's bid
+// has lapsed by the time it is recorded, and the task still waits for h2,
+// whose failed call the engine counts as declining every task; that last
+// answer decides it on the bid in hand. A bid may still arrive until the
+// last member has answered, and a lapsed winner's award is refused and
+// retried like any other.
 func TestDeadlineForcesDecision(t *testing.T) {
-	// h2 never answers; the engine counts its failed call as declining
-	// every task, which decides the task on the bid in hand, well before
-	// the tentative winner's deadline ("the task is guaranteed to be
-	// allocated").
 	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	deadline := t0.Add(time.Minute)
-	if ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), t0); len(ds) != 0 {
-		t.Fatal("decided too early")
+	if ds := a.HandleBidBatch("h1", proto.BidBatch{Bids: []proto.Bid{bid("t", 3, 0.5, t0)}}, t0.Add(time.Minute)); ds != nil {
+		t.Fatalf("decided before h2 answered: %+v", ds)
 	}
-	ds := a.HandleBidBatch("h2", proto.BidBatch{Declines: []model.TaskID{"t", "not-auctioned"}}, t0)
+	ds := a.HandleBidBatch("h2", proto.BidBatch{Declines: []model.TaskID{"t", "not-auctioned"}}, t0.Add(time.Minute))
 	if len(ds) != 1 || ds[0].Winner != "h1" {
 		t.Fatalf("decisions = %+v", ds)
 	}
@@ -201,62 +223,49 @@ func TestDeadlineForcesDecision(t *testing.T) {
 	}
 }
 
-func TestBidAtOrAfterDeadlineDecidesImmediately(t *testing.T) {
-	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	deadline := t0.Add(time.Minute)
-	// The bid arrives when its deadline has already passed (slow net).
-	ds := a.HandleBid("h1", bid("t", 3, 0.5, deadline), deadline.Add(time.Second))
-	if len(ds) != 1 || ds[0].Winner != "h1" {
-		t.Fatalf("decisions = %+v", ds)
-	}
-}
-
-func TestDeadlineUpdateForcesEarlierDecision(t *testing.T) {
-	a, _ := NewAuctioneer(members("h1", "h2", "h3"), []proto.TaskMeta{meta("t")})
-	a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Hour)), t0)
-	// h1 re-bids with a much closer deadline, forcing a decision: the
-	// next answer after it passed decides, though h3 has not answered.
-	if ds := a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Second)), t0); len(ds) != 0 {
-		t.Fatal("decided before the updated deadline")
-	}
-	ds := a.HandleBid("h2", bid("t", 5, 0.5, t0.Add(time.Hour)), t0.Add(2*time.Second))
-	if len(ds) != 1 || ds[0].Winner != "h1" {
-		t.Fatalf("decisions = %+v", ds)
-	}
-}
-
+// TestLateBidIgnoredAfterDecision: a member answers once. A second answer
+// from it, or an answer from a host that was not asked, changes nothing.
 func TestLateBidIgnoredAfterDecision(t *testing.T) {
-	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
-	a.HandleBid("h1", bid("t", 3, 0.5, t0.Add(time.Minute)), t0)
-	a.HandleDecline("h2", "t", t0)
-	if ds := a.HandleBid("h2", bid("t", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
-		t.Errorf("late bid produced decisions: %v", ds)
+	a, _ := NewAuctioneer(members("h1", "h2", "h3"), []proto.TaskMeta{meta("t")})
+	answer(a, "h1", bid("t", 3, 0.5, t0.Add(time.Minute)))
+	answer(a, "h2")
+	if ds := answer(a, "h2", bid("t", 1, 1, t0.Add(time.Minute))); ds != nil {
+		t.Errorf("second answer produced decisions: %v", ds)
+	}
+	if ds := answer(a, "stranger", bid("t", 1, 1, t0.Add(time.Minute))); ds != nil || a.Done() {
+		t.Errorf("a non-member's answer produced decisions %v or ended the auction", ds)
+	}
+	ds := answer(a, "h3")
+	if len(ds) != 1 || ds[0].Winner != "h1" || len(ds[0].Losers) != 0 {
+		t.Fatalf("decisions = %+v, want h1 alone as bidder", ds)
+	}
+	if ds := answer(a, "h3", bid("t", 1, 1, t0.Add(time.Minute))); ds != nil {
+		t.Errorf("answer after the decision produced decisions: %v", ds)
 	}
 }
 
 func TestUnknownTaskMessagesIgnored(t *testing.T) {
-	a, _ := NewAuctioneer(members("h1"), []proto.TaskMeta{meta("t")})
-	if ds := a.HandleBid("h1", bid("zz", 1, 1, t0.Add(time.Minute)), t0); len(ds) != 0 {
+	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t")})
+	if ds := answer(a, "h1", bid("zz", 1, 1, t0.Add(time.Minute))); ds != nil {
 		t.Errorf("bid for unknown task decided: %v", ds)
 	}
-	if ds := a.HandleDecline("h1", "zz", t0); len(ds) != 0 {
-		t.Errorf("decline for unknown task decided: %v", ds)
+	ds := a.HandleBidBatch("h2", proto.BidBatch{Declines: []model.TaskID{"zz"}}, time.Time{})
+	if len(ds) != 1 || ds[0].Task != "t" || !ds[0].Failed() {
+		t.Errorf("decisions = %+v, want t alone, failed", ds)
 	}
 }
 
 func TestMultiTaskIndependence(t *testing.T) {
-	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t1"), meta("t2")})
-	now := t0
+	a, _ := NewAuctioneer(members("h1", "h2"), []proto.TaskMeta{meta("t2"), meta("t1")})
 	dl := t0.Add(time.Minute)
-	a.HandleBid("h1", bid("t1", 1, 0.5, dl), now)
-	d1 := a.HandleBid("h2", bid("t1", 2, 0.5, dl), now) // decides t1 → h1
-	a.HandleDecline("h1", "t2", now)
-	d2 := a.HandleBid("h2", bid("t2", 2, 0.5, dl), now) // decides t2 → h2
+	answer(a, "h1", bid("t1", 1, 0.5, dl))
+	ds := answer(a, "h2", bid("t1", 2, 0.5, dl), bid("t2", 2, 0.5, dl))
 	if !a.Done() {
 		t.Fatal("not done")
 	}
-	if len(d1) != 1 || d1[0].Winner != "h1" || len(d2) != 1 || d2[0].Winner != "h2" {
-		t.Errorf("decisions = %v, %v", d1, d2)
+	if len(ds) != 2 || ds[0].Task != "t1" || ds[0].Winner != "h1" || !slices.Equal(ds[0].Losers, members("h2")) ||
+		ds[1].Task != "t2" || ds[1].Winner != "h2" || len(ds[1].Losers) != 0 {
+		t.Errorf("decisions = %+v, want t1 → h1 over [h2], t2 → h2 alone", ds)
 	}
 }
 
@@ -632,55 +641,6 @@ func TestStartBatchedOnePerMember(t *testing.T) {
 	}
 }
 
-// TestHandleBidBatchMatchesPerTask: feeding one member's batched reply
-// produces the same decisions as the equivalent per-task bid/decline
-// sequence on a second auctioneer.
-func TestHandleBidBatchMatchesPerTask(t *testing.T) {
-	metas := []proto.TaskMeta{meta("t1"), meta("t2"), meta("t3")}
-	dl := t0.Add(time.Minute)
-	batch := proto.BidBatch{
-		Bids:     []proto.Bid{bid("t1", 1, 0.5, dl), bid("t3", 2, 0.5, dl)},
-		Declines: []model.TaskID{"t2"},
-	}
-	decide := func(drive func(a *Auctioneer, from proto.Addr) []Decision) map[model.TaskID]proto.Addr {
-		a, err := NewAuctioneer(members("h1", "h2"), metas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		won := make(map[model.TaskID]proto.Addr)
-		for _, d := range append(drive(a, "h1"), drive(a, "h2")...) {
-			if !d.Failed() {
-				won[d.Task] = d.Winner
-			}
-		}
-		if !a.Done() {
-			t.Fatal("auction not done")
-		}
-		return won
-	}
-	batched := decide(func(a *Auctioneer, from proto.Addr) []Decision {
-		return a.HandleBidBatch(from, batch, t0)
-	})
-	perTask := decide(func(a *Auctioneer, from proto.Addr) (ds []Decision) {
-		for _, b := range batch.Bids {
-			ds = append(ds, a.HandleBid(from, b, t0)...)
-		}
-		for _, task := range batch.Declines {
-			ds = append(ds, a.HandleDecline(from, task, t0)...)
-		}
-		return ds
-	})
-	if len(batched) != len(perTask) || len(batched) != 2 {
-		t.Fatalf("allocations differ: batched %v vs per-task %v", batched, perTask)
-	}
-	for task, winner := range perTask {
-		if batched[task] != winner {
-			t.Fatalf("task %q: batched winner %q vs per-task %q", task, batched[task], winner)
-		}
-	}
-}
-
-// TestParticipantBatchedCallMixedCapability: one batched call covering a
 // capable task, an unknown task, and a task blocked by another session
 // answers each per task — one bid, two declines, one hold.
 func TestParticipantBatchedCallMixedCapability(t *testing.T) {

@@ -2,15 +2,16 @@
 // in which the workflow initiator acts as auction manager, soliciting firm
 // bids for every task from all community members. Participants bid only on
 // work they can commit to (capability, schedule, travel, willingness);
-// bids carry ranking information and a response deadline. The auction
-// manager keeps a tentative winner per task, re-evaluates as bids arrive,
-// and finalizes no later than the tentative winner's deadline — preferring
-// participants that offer fewer services, since scheduling a more capable
-// participant removes more services from the community's resource pool.
-// A task is decided once every member has answered for it, or at the
-// first answer at or after its tentative winner's deadline. The engine
-// asks the members one blocking call at a time and counts a member whose
-// call fails as declining, so every auction ends with its sweep.
+// bids carry ranking information and a response deadline. The paper's
+// manager re-evaluates a tentative winner as bids arrive and decides no
+// later than that winner's deadline, because bids may still be in flight.
+// Here the engine asks every member every open task in one blocking call
+// at a time and counts a member whose call fails as declining, so no bid
+// can arrive after the last answer: the Auctioneer collects the answers
+// and decides every task once, when the last member has answered —
+// preferring participants that offer fewer services, since scheduling a
+// more capable participant removes more services from the community's
+// resource pool.
 //
 // The Auctioneer and Participant types are passive state machines: the
 // engine and host drive them with messages, which keeps the protocol
@@ -18,8 +19,9 @@
 package auction
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"openwf/internal/model"
@@ -52,16 +54,11 @@ type Decision struct {
 // Failed reports whether the decision is a failed allocation.
 func (d Decision) Failed() bool { return d.Winner == "" }
 
-// taskAuction tracks one task's in-flight auction.
-type taskAuction struct {
-	meta       proto.TaskMeta
-	responded  map[proto.Addr]struct{}
-	bidders    map[proto.Addr]struct{}
-	bestBid    proto.Bid
-	bestBidder proto.Addr
-	hasBest    bool
-	decided    bool
-	winner     proto.Addr
+// lot is one task's bids so far: the best one and every bidder.
+type lot struct {
+	best    proto.Bid
+	winner  proto.Addr // "" while nobody has bid
+	bidders []proto.Addr
 }
 
 // Auctioneer allocates the tasks of one workflow. It is per-session
@@ -70,9 +67,11 @@ type taskAuction struct {
 // instance is not safe for concurrent use; its owning session drives it
 // from one goroutine.
 type Auctioneer struct {
-	members []proto.Addr
-	tasks   map[model.TaskID]*taskAuction
-	open    int
+	members  []proto.Addr
+	answered []bool // by member position
+	left     int    // members yet to answer
+	metas    []proto.TaskMeta
+	lots     []lot // by position in metas
 }
 
 // NewAuctioneer prepares auctions for the given tasks among the given
@@ -82,21 +81,20 @@ func NewAuctioneer(members []proto.Addr, metas []proto.TaskMeta) (*Auctioneer, e
 	if len(members) == 0 {
 		return nil, fmt.Errorf("auction: no community members")
 	}
-	a := &Auctioneer{
-		members: append([]proto.Addr(nil), members...),
-		tasks:   make(map[model.TaskID]*taskAuction, len(metas)),
-	}
-	for _, meta := range metas {
-		if _, dup := a.tasks[meta.Task]; dup {
-			return nil, fmt.Errorf("auction: duplicate task %q", meta.Task)
+	sorted := slices.Clone(metas)
+	slices.SortFunc(sorted, func(a, b proto.TaskMeta) int { return cmp.Compare(a.Task, b.Task) })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Task == sorted[i-1].Task {
+			return nil, fmt.Errorf("auction: duplicate task %q", sorted[i].Task)
 		}
-		a.tasks[meta.Task] = &taskAuction{
-			meta:      meta,
-			responded: make(map[proto.Addr]struct{}, len(members)),
-		}
-		a.open++
 	}
-	return a, nil
+	return &Auctioneer{
+		members:  slices.Clone(members),
+		answered: make([]bool, len(members)),
+		left:     len(members),
+		metas:    sorted,
+		lots:     make([]lot, len(sorted)),
+	}, nil
 }
 
 // StartBatched returns the calls for bids to send: exactly one
@@ -105,118 +103,53 @@ func NewAuctioneer(members []proto.Addr, metas []proto.TaskMeta) (*Auctioneer, e
 // (the paper's linear-in-hosts communication pattern) in one round trip
 // per member (DESIGN.md §9).
 func (a *Auctioneer) StartBatched() []Outbound {
-	taskIDs := a.sortedTaskIDs()
-	metas := make([]proto.TaskMeta, 0, len(taskIDs))
-	for _, id := range taskIDs {
-		metas = append(metas, a.tasks[id].meta)
-	}
-	out := make([]Outbound, 0, len(a.members))
-	for _, m := range a.members {
-		out = append(out, Outbound{To: m, Body: proto.CallForBidsBatch{Metas: metas}})
+	out := make([]Outbound, len(a.members))
+	for i, m := range a.members {
+		out[i] = Outbound{To: m, Body: proto.CallForBidsBatch{Metas: a.metas}}
 	}
 	return out
 }
 
-// HandleBidBatch processes one member's batched reply: every bid and
-// per-task decline it carries, in reply order. It returns all decisions
-// that became final, exactly as the equivalent sequence of HandleBid and
-// HandleDecline calls would.
-func (a *Auctioneer) HandleBidBatch(from proto.Addr, batch proto.BidBatch, now time.Time) []Decision {
-	var out []Decision
+// HandleBidBatch records member from's answer: a bid for a task counts, a
+// task the answer does not bid for is declined whether or not Declines
+// names it. A second answer from a member, an answer from a non-member and
+// a bid for a task not auctioned change nothing. When the last member has
+// answered it returns one Decision per task, in task order; before, nil.
+// The time argument is not read: it stays because the frozen benchmark
+// module calls this signature.
+func (a *Auctioneer) HandleBidBatch(from proto.Addr, batch proto.BidBatch, _ time.Time) []Decision {
+	i := slices.Index(a.members, from)
+	if i < 0 || a.answered[i] {
+		return nil
+	}
+	a.answered[i] = true
+	a.left--
 	for _, bid := range batch.Bids {
-		out = append(out, a.HandleBid(from, bid, now)...)
-	}
-	for _, task := range batch.Declines {
-		out = append(out, a.HandleDecline(from, task, now)...)
-	}
-	return out
-}
-
-func (a *Auctioneer) sortedTaskIDs() []model.TaskID {
-	ids := make([]model.TaskID, 0, len(a.tasks))
-	for id := range a.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// HandleBid processes a firm bid. A repeated bid from the same host
-// updates the deadline of its earlier bid (the paper allows forcing a
-// decision this way). It returns any decisions that became final because
-// the whole community has now responded, evaluated at the given time.
-func (a *Auctioneer) HandleBid(from proto.Addr, bid proto.Bid, now time.Time) []Decision {
-	ta, ok := a.tasks[bid.Task]
-	if !ok || ta.decided {
-		return nil
-	}
-	ta.responded[from] = struct{}{}
-	if ta.bidders == nil {
-		ta.bidders = make(map[proto.Addr]struct{})
-	}
-	ta.bidders[from] = struct{}{}
-	if ta.hasBest && ta.bestBidder == from {
-		// Deadline update for an existing bid; ranking is unchanged
-		// because bids are firm.
-		ta.bestBid.Deadline = bid.Deadline
-	} else if !ta.hasBest || betterBid(bid, from, ta.bestBid, ta.bestBidder) {
-		// The tentative allocation is continually re-evaluated as new
-		// bids arrive.
-		ta.bestBid = bid
-		ta.bestBidder = from
-		ta.hasBest = true
-	}
-	return a.maybeFinalize(ta, now)
-}
-
-// HandleDecline processes an explicit decline of one task. It returns any
-// decisions that became final.
-func (a *Auctioneer) HandleDecline(from proto.Addr, task model.TaskID, now time.Time) []Decision {
-	ta, ok := a.tasks[task]
-	if !ok || ta.decided {
-		return nil
-	}
-	ta.responded[from] = struct{}{}
-	return a.maybeFinalize(ta, now)
-}
-
-// maybeFinalize decides a task when no better bid can arrive (everyone
-// responded) or the tentative winner's deadline has been reached.
-func (a *Auctioneer) maybeFinalize(ta *taskAuction, now time.Time) []Decision {
-	if ta.decided {
-		return nil
-	}
-	allResponded := len(ta.responded) >= len(a.members)
-	deadlineDue := ta.hasBest && !now.Before(ta.bestBid.Deadline)
-	if !allResponded && !deadlineDue {
-		return nil
-	}
-	if !ta.hasBest && !allResponded {
-		return nil
-	}
-	ta.decided = true
-	a.open--
-	if !ta.hasBest {
-		return []Decision{{Task: ta.meta.Task, Meta: ta.meta}}
-	}
-	ta.winner = ta.bestBidder
-	var losers []proto.Addr
-	for addr := range ta.bidders {
-		if addr != ta.bestBidder {
-			losers = append(losers, addr)
+		t, ok := slices.BinarySearchFunc(a.metas, bid.Task, func(m proto.TaskMeta, id model.TaskID) int { return cmp.Compare(m.Task, id) })
+		if !ok {
+			continue
+		}
+		l := &a.lots[t]
+		l.bidders = append(l.bidders, from)
+		if l.winner == "" || betterBid(bid, from, l.best, l.winner) {
+			l.best, l.winner = bid, from
 		}
 	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
-	return []Decision{{
-		Task:   ta.meta.Task,
-		Winner: ta.bestBidder,
-		Meta:   ta.meta,
-		Losers: losers,
-	}}
+	if a.left > 0 {
+		return nil
+	}
+	ds := make([]Decision, len(a.metas))
+	for t, meta := range a.metas {
+		l := &a.lots[t]
+		losers := slices.DeleteFunc(l.bidders, func(b proto.Addr) bool { return b == l.winner })
+		slices.Sort(losers)
+		ds[t] = Decision{Task: meta.Task, Winner: l.winner, Meta: meta, Losers: losers}
+	}
+	return ds
 }
 
-// Done reports whether every task has been decided.
-func (a *Auctioneer) Done() bool { return a.open == 0 }
+// Done reports whether every member has answered.
+func (a *Auctioneer) Done() bool { return a.left == 0 }
 
 // betterBid implements the selection criterion: prefer the participant
 // providing fewer services (preserving the community's resource pool),

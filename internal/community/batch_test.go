@@ -116,9 +116,10 @@ func TestBatchedCFBByteStableAcrossRuns(t *testing.T) {
 }
 
 // TestBatchedCFBOnModeledMedium runs one Initiate over the modeled
-// 802.11g medium with batching on and asserts frame-level coalescing
-// accounting stays consistent (frames ≤ envelopes, batches only when
-// frames coalesced) under real latency interleavings.
+// 802.11g medium under real latency interleavings and checks the
+// transport's accounting: frames were sent, never more than envelopes
+// (each envelope is its own frame, so Frames equals Envelopes and Batches
+// stays 0), and call round trips were recorded.
 func TestBatchedCFBOnModeledMedium(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.ParallelQuery = true

@@ -61,8 +61,8 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
 		won = make(map[model.TaskID]proto.Addr, len(solicited))
 		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, won); err != nil {
-			// Awards go out during the sweep, so a mid-sweep error always
-			// has something to release.
+			// Awards riding on the calls for bids go out during the sweep,
+			// so an error may leave wins to release.
 			m.cancelAwards(wfID, won)
 			return nil, nil, nil, err
 		}
@@ -81,8 +81,8 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 
 // runAuction solicits bids for metas (one CallForBidsBatch per member,
 // answered by one BidBatch — one round trip per member), awards the
-// decisions the moment the auctioneer makes them (one Award per winner,
-// see award), and records confirmed winners in alloc. It returns the tasks
+// auctioneer's decisions once the sweep ends (one Award per winner, see
+// award), and records confirmed winners in alloc. It returns the tasks
 // that ended unallocated — decided failed, award refused or undeliverable.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
@@ -96,15 +96,11 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 // award rides on that member's call for bids (soleTasks) and the
 // auctioneer runs the others.
 //
-// Awarding (and canceling losers) at decision time releases contended
-// schedule slots a full round earlier than a collect-then-award shape:
-// under concurrent sessions a loser's reservation held until the end of
-// the sweep blocks every other workflow racing for that window.
-//
-// The auction ends with its sweep. Members are asked one blocking call at
-// a time, so once the last has answered no bid can still arrive, and a
-// member whose call fails declines every task it was asked about: every
-// task is decided by the time the sweep ends, on the bids in hand.
+// The auction ends with its sweep. Every member is asked every open task
+// in one blocking call at a time, and a member whose call fails declines
+// them all, so once the last has answered no bid can still arrive: the
+// auctioneer decides every task then, on the bids in hand, and award
+// releases every loser before the first winner is told.
 //
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels them).
@@ -133,7 +129,8 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	}
 
 	// Solicit bids from every member in turn (§5: time linear in the
-	// number of hosts); decisions are awarded as they finalize.
+	// number of hosts); the last answer decides every open task.
+	var ds []auction.Decision
 	for _, out := range auc.StartBatched() {
 		mine := sole[out.To]
 		if len(mine) > 0 {
@@ -167,9 +164,10 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 			}
 			m.cfg.Observer.taskDecided(wfID, meta.Task, winner)
 		}
-		if err := m.award(ctx, wfID, auc.HandleBidBatch(out.To, bids, m.net.Clock().Now()), alloc); err != nil {
-			return nil, err
-		}
+		ds = auc.HandleBidBatch(out.To, bids, time.Time{})
+	}
+	if err := m.award(ctx, wfID, ds, alloc); err != nil {
+		return nil, err
 	}
 	return unallocated(metas, alloc), nil
 }
@@ -197,10 +195,10 @@ func (m *Manager) soleTasks(members []proto.Addr, tasks []model.TaskID, metas []
 	return open, sole
 }
 
-// award finalizes the decisions one reply or one tick produced: failed
-// ones are reported, every loser is released, and each winner is told
-// once, of everything it won (awardWinner). A refused or undeliverable
-// award re-enters the failure set for replanning.
+// award settles an auction's decisions: failed ones are reported, every
+// loser is released before the first winner is told, and each winner is
+// told once, of everything it won (awardWinner). A refused or
+// undeliverable award re-enters the failure set for replanning.
 func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/clock"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/spec"
@@ -249,6 +250,50 @@ func TestLosersReleasedBeforeAward(t *testing.T) {
 		if got := net.before[winner]; !slices.Equal(got, want) {
 			t.Errorf("Cancels out before the award to %s = %v, want %v", winner, got, want)
 		}
+	}
+}
+
+// TestEveryLosingBidderIsReleased: a call for bids that outlasts the bid
+// window decides nothing early. p2 answers after p1's bid has lapsed, and
+// p3 after p2; the auction still ends with p3's answer, so p1 wins once
+// and both p2 and p3 are sent the Cancel that frees their holds.
+func TestEveryLosingBidderIsReleased(t *testing.T) {
+	sim := clock.NewSim(time.Unix(1000, 0))
+	gate := make(chan struct{})
+	net := newFakeNet("init")
+	net.clk = sim
+	net.add("init", &fakeMember{fragments: []*model.Fragment{mkFrag(t, "t1", "a", "g")}})
+	for _, p := range []proto.Addr{"p1", "p2", "p3"} {
+		net.add(p, &fakeMember{capable: map[model.TaskID]bool{"t1": true}, services: 1})
+	}
+	net.members["p2"].blockCFB = map[model.TaskID]chan struct{}{"t1": gate}
+	cfg := oneAttempt()
+	seen := observeDecisions(&cfg)
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		done <- err
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		net.mu.Lock()
+		blocked := net.blocked
+		net.mu.Unlock()
+		if blocked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the call for bids to p2 never blocked")
+		}
+	}
+	// The fake's bids lapse after one second: p1's has, before p2 answers.
+	sim.Advance(2 * time.Second)
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	seen.want(t, map[model.TaskID]proto.Addr{"t1": "p1"})
+	if got, want := taskCancels(net), []string{"t1@p2", "t1@p3"}; !slices.Equal(got, want) {
+		t.Errorf("cancels = %v, want %v: every losing bidder released", got, want)
 	}
 }
 

@@ -122,9 +122,9 @@ type Bid struct {
 	// Specialization ranks how specialized the bidder is for this task
 	// (higher is better); a tiebreaker after ServicesOffered.
 	Specialization float64
-	// Deadline is when the bidder needs a decision by; the auctioneer
-	// finalizes the allocation no later than the tentative winner's
-	// deadline.
+	// Deadline is when the bidder's hold on the slot lapses; an award
+	// arriving later is refused. The auctioneer does not read it: it
+	// decides when the last member has answered.
 	Deadline time.Time
 }
 
