@@ -110,8 +110,9 @@ func (m *Manager) Register(workflow string, c schedule.Commitment) {
 }
 
 // SetPlan attaches the routing information for a commitment and arms the
-// travel and start timers. Unknown (never registered) segments are kept so
-// that plan and award may arrive in either order.
+// travel and start timers. A segment whose task was never registered is
+// dropped, unless the calendar already holds its commitment: then the run
+// is made from that, so plan and award may arrive in either order.
 func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	m.mu.Lock()
 	k := runKey{workflow, seg.Task}

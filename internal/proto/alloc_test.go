@@ -39,11 +39,32 @@ func TestEncodeToBidAllocFree(t *testing.T) {
 	})
 }
 
+// TestEncodeToPlanAllocFree pins the executor's plan segment on the same
+// path: its two maps are written in sorted key order without allocating
+// a key slice for either.
+func TestEncodeToPlanAllocFree(t *testing.T) {
+	env := Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
+		Task: "cook omelets", Initiator: "host-a",
+		InputSources: map[model.LabelID]Addr{"eggs": "host-a", "cheese": "host-c"},
+		OutputSinks:  map[model.LabelID][]Addr{"omelets": {"host-a"}, "shells": {"host-c", "host-d"}},
+	}}}}
+	buf := new(bytes.Buffer)
+	testutil.AllocBound(t, 0, func() {
+		buf.Reset()
+		if err := EncodeTo(buf, env); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 // TestDecodeAllocBounds pins the read half of the same path: one copy of
-// the frame as a string backs every decoded string, so a body costs that
-// copy, its boxing into Body, and one allocation per slice it carries —
-// nothing per field. The decoder itself must stay on the stack; a rewrite
-// that lets it escape shows up here as one more allocation on every row.
+// a small frame as a string backs every decoded string, so a body costs
+// that copy, its boxing into Body, and one allocation per slice it
+// carries — nothing per field. A large frame is not copied whole; each of
+// its strings is copied out on its own (label-transfer-4k: five strings,
+// the payload and the boxing). The decoder itself must stay on the
+// stack; a rewrite that lets it escape shows up here as one more
+// allocation on every row.
 func TestDecodeAllocBounds(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
@@ -72,6 +93,7 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"call-for-bids-batch-sole", 6, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
 			Metas: []TaskMeta{meta}, Sole: []model.TaskID{"cook omelets"},
 		}}},
+		{"label-transfer-4k", 7, benchLabelTransfer4K()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data, err := Encode(c.env)
@@ -84,5 +106,19 @@ func TestDecodeAllocBounds(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDecodeLargeFrameBytes pins what a data-flow hop's decode costs in
+// bytes: the payload's one copy and a few small strings, not a second
+// frame-sized copy.
+func TestDecodeLargeFrameBytes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation bounds are not meaningful under the race detector")
+	}
+	payload := len(benchLabelTransfer4K().Body.(LabelTransfer).Data)
+	r := testing.Benchmark(BenchmarkDecodeLabelTransfer4K)
+	if got, max := r.AllocedBytesPerOp(), int64(payload+256); got > max {
+		t.Fatalf("decoding a %d-byte payload allocates %d B/op, want ≤ %d", payload, got, max)
 	}
 }

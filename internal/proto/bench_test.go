@@ -35,6 +35,20 @@ func benchBidEnvelope() Envelope {
 	}
 }
 
+// benchLabelTransfer4K is one hop of an executed workflow's data flow: a
+// label with a 4 KiB payload, the shape every wireless_execute hop sends.
+// Its frame is over cloneThreshold, so the decoder reads it in place.
+func benchLabelTransfer4K() Envelope {
+	data := make([]byte, 4<<10)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	return Envelope{
+		From: "host-a", To: "host-b", ReqID: 47, Workflow: "wf-1",
+		Body: LabelTransfer{Label: "omelets", Data: data, Producer: "host-a"},
+	}
+}
+
 // BenchmarkEncode is the unpooled per-envelope marshal cost.
 func BenchmarkEncode(b *testing.B) {
 	env := benchEnvelope()
@@ -66,6 +80,22 @@ func BenchmarkEncodeToPooled(b *testing.B) {
 // BenchmarkDecode is the per-envelope unmarshal cost on the receive path.
 func BenchmarkDecode(b *testing.B) {
 	data, err := Encode(benchEnvelope())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeLabelTransfer4K is the receive cost of one data-flow
+// hop. Its B/op is the payload's one copy plus a few small strings
+// (TestDecodeLargeFrameBytes bounds it).
+func BenchmarkDecodeLabelTransfer4K(b *testing.B) {
+	data, err := Encode(benchLabelTransfer4K())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,9 +25,10 @@
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
-// buffer performs zero allocations, and decoding performs a small
-// constant number (one copy of the frame as a string whose substrings
-// back every decoded string field, plus the envelope's slices).
+// buffer performs zero allocations, and decoding a small frame performs a
+// small constant number (one copy of the frame as a string whose
+// substrings back every decoded string field, plus the envelope's
+// slices); a large frame is read in place, one copy per field.
 //
 // Decoding is defensive: every length and count is bounded by the bytes
 // remaining in the frame, unknown version/kind bytes and trailing garbage
@@ -41,8 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"openwf/internal/model"
@@ -305,11 +305,8 @@ func (e *encoder) header(kind byte, env Envelope) {
 
 // inputSources encodes map[LabelID]Addr in sorted key order.
 func (e *encoder) inputSources(m map[model.LabelID]Addr) {
-	keys := make([]model.LabelID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var scratch [8]model.LabelID
+	keys := sortedKeys(m, scratch[:0])
 	e.uint(uint64(len(keys)))
 	for _, k := range keys {
 		e.str(string(k))
@@ -319,11 +316,8 @@ func (e *encoder) inputSources(m map[model.LabelID]Addr) {
 
 // outputSinks encodes map[LabelID][]Addr in sorted key order.
 func (e *encoder) outputSinks(m map[model.LabelID][]Addr) {
-	keys := make([]model.LabelID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var scratch [8]model.LabelID
+	keys := sortedKeys(m, scratch[:0])
 	e.uint(uint64(len(keys)))
 	for _, k := range keys {
 		e.str(string(k))
@@ -335,6 +329,16 @@ func (e *encoder) outputSinks(m map[model.LabelID][]Addr) {
 	}
 }
 
+// sortedKeys appends m's keys to keys and sorts them. Given a caller's
+// stack array that fits them, it allocates nothing.
+func sortedKeys[V any](m map[model.LabelID]V, keys []model.LabelID) []model.LabelID {
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // --- decoding ---
 
 var (
@@ -343,23 +347,25 @@ var (
 )
 
 // cloneThreshold bounds the substring-sharing optimization below: above
-// it, decoded strings are cloned so a small retained field (a label used
-// as a map key, say) cannot pin a frame-sized backing array — a
-// LabelTransfer frame may approach transport.MaxFrame, while its Label is
-// bytes.
+// it, decoded strings are copied out one by one so a small retained field
+// (a label used as a map key, say) cannot pin a frame-sized backing array
+// — a LabelTransfer frame may approach transport.MaxFrame, while its Label
+// is bytes.
 const cloneThreshold = 4 << 10
 
 // decodeBinary decodes a frame produced by encodeBinary. It fully copies:
 // nothing in the returned envelope aliases data, so callers may recycle
 // the input buffer immediately (the transports' read paths rely on this;
-// TestDecodeCopiesInput asserts it).
+// TestDecodeCopiesInput and TestDecodeLargeFrameCopiesInput assert it).
 func decodeBinary(data []byte) (Envelope, error) {
-	// One copy of the whole frame as an immutable string; every decoded
-	// string field is a substring sharing its backing array. This is what
-	// keeps decode at a small constant number of allocations while
-	// guaranteeing the copy property above. Large frames trade those
-	// saved allocations for per-string clones instead (cloneThreshold).
-	d := decoder{s: string(data), clone: len(data) > cloneThreshold}
+	// A small frame is copied once, whole, into an immutable string whose
+	// substrings back every decoded string field: a small constant number
+	// of allocations. A large frame is read in place, and each field is
+	// copied out on its own (cloneThreshold).
+	d := decoder{b: data}
+	if len(data) <= cloneThreshold {
+		d.s = string(data)
+	}
 	env, err := d.envelope()
 	if err != nil {
 		return Envelope{}, fmt.Errorf("decoding envelope: %w", err)
@@ -374,12 +380,11 @@ func decodeBinary(data []byte) (Envelope, error) {
 // type rather than passed as func values — a func argument makes the
 // decoder escape, one allocation on every frame (TestDecodeAllocBounds).
 type decoder struct {
-	s   string
+	b   []byte
 	pos int
-	// clone makes str return copies instead of substrings of s, so no
-	// decoded field keeps a large frame's backing array alive.
-	clone bool
-	err   error
+	// s is a small frame's one copy (decodeBinary); empty for a large one.
+	s   string
+	err error
 }
 
 // fail keeps err unless an earlier error is already kept.
@@ -391,17 +396,17 @@ func (d *decoder) fail(err error) {
 
 // rem returns how many bytes remain; counts and lengths are bounded by it
 // so corrupt frames cannot trigger large allocations.
-func (d *decoder) rem() int { return len(d.s) - d.pos }
+func (d *decoder) rem() int { return len(d.b) - d.pos }
 
 func (d *decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	if d.pos >= len(d.s) {
+	if d.pos >= len(d.b) {
 		d.err = errTruncated
 		return 0
 	}
-	b := d.s[d.pos]
+	b := d.b[d.pos]
 	d.pos++
 	return b
 }
@@ -446,28 +451,28 @@ func (d *decoder) count() int {
 	return int(n)
 }
 
+// str shares a small frame's string and copies out of a large one.
 func (d *decoder) str() string {
 	n := d.count()
-	s := d.s[d.pos : d.pos+n]
+	i := d.pos
 	d.pos += n
-	if d.clone {
-		s = strings.Clone(s)
+	if d.s != "" {
+		return d.s[i:d.pos]
 	}
-	return s
+	return string(d.b[i:d.pos])
 }
 
-// bytes returns a fresh copy (a []byte must not alias the frame string).
-// It reads the raw substring directly — the []byte conversion is already
-// the copy, so the clone mode's extra string copy would be wasted work on
-// exactly the large payloads that trigger it.
+// bytes returns a fresh copy (a []byte must not alias the frame), read
+// straight from b: that one copy is all a payload costs, small frame or
+// large.
 func (d *decoder) bytes() []byte {
 	n := d.count()
 	if n == 0 {
 		return nil
 	}
-	s := d.s[d.pos : d.pos+n]
+	i := d.pos
 	d.pos += n
-	return []byte(s)
+	return bytes.Clone(d.b[i:d.pos])
 }
 
 func (d *decoder) bool() bool {
@@ -485,10 +490,7 @@ func (d *decoder) f64() float64 {
 	if d.err != nil {
 		return 0
 	}
-	bits := uint64(0)
-	for i := 0; i < 8; i++ {
-		bits = bits<<8 | uint64(d.s[d.pos+i])
-	}
+	bits := binary.BigEndian.Uint64(d.b[d.pos:])
 	d.pos += 8
 	return math.Float64frombits(bits)
 }
@@ -651,8 +653,8 @@ func (d *decoder) envelope() (Envelope, error) {
 		Workflow: d.str(),
 		Body:     d.body(kind),
 	}
-	if d.pos != len(d.s) {
-		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.s)-d.pos))
+	if d.pos != len(d.b) {
+		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.b)-d.pos))
 	}
 	return env, d.err
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -499,6 +500,64 @@ func TestDecodeCopiesInput(t *testing.T) {
 			}
 			// Scribble over every byte of the frame, as a reused read
 			// buffer would.
+			for i := range data {
+				data[i] = 0xAA
+			}
+			if !envEqual(env, got) {
+				t.Fatalf("decoded envelope changed after input was overwritten:\nwant %+v\ngot  %+v", env, got)
+			}
+		})
+	}
+}
+
+// largeEnvelopes are one frame of each large shape a session sends, each
+// over cloneThreshold, so the decoder reads them in place: a label's 4 KiB
+// payload, an executor's plan of many segments and a reply of many
+// fragments.
+func largeEnvelopes() []Envelope {
+	pad := strings.Repeat("-", 48)
+	var segments []PlanSegment
+	var fragments []*model.Fragment
+	for i := 0; i < 32; i++ {
+		task := model.TaskID(fmt.Sprintf("task %d%s", i, pad))
+		in, out := model.LabelID(fmt.Sprintf("in %d%s", i, pad)), model.LabelID(fmt.Sprintf("out %d%s", i, pad))
+		segments = append(segments, PlanSegment{
+			Task: task, Initiator: "host-a",
+			InputSources: map[model.LabelID]Addr{in: "host-b", "trigger": "host-a"},
+			OutputSinks:  map[model.LabelID][]Addr{out: {"host-c", "host-d"}},
+		})
+		fragments = append(fragments, model.MustFragment(fmt.Sprintf("fragment %d", i), model.Task{
+			ID: task, Mode: model.Conjunctive,
+			Inputs: []model.LabelID{in}, Outputs: []model.LabelID{out},
+		}))
+	}
+	return []Envelope{
+		benchLabelTransfer4K(),
+		{From: "host-a", To: "host-b", ReqID: 48, Workflow: "wf-1", Body: Plan{Segments: segments}},
+		{From: "host-b", To: "host-a", ReqID: 49, Workflow: "wf-1", Body: FragmentReply{
+			Fragments:    fragments,
+			Capabilities: &Advertise{Labels: []model.LabelID{"trigger"}, Tasks: []model.TaskID{segments[0].Task}},
+		}},
+	}
+}
+
+// TestDecodeLargeFrameCopiesInput asserts TestDecodeCopiesInput's property
+// on frames over cloneThreshold, which the decoder reads in place: nothing
+// it returns may alias the frame.
+func TestDecodeLargeFrameCopiesInput(t *testing.T) {
+	for _, env := range largeEnvelopes() {
+		t.Run(env.Body.Kind(), func(t *testing.T) {
+			data, err := binEncode(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) <= cloneThreshold {
+				t.Fatalf("frame too small (%d bytes) to be read in place", len(data))
+			}
+			got, err := binDecode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range data {
 				data[i] = 0xAA
 			}

@@ -77,6 +77,15 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// Frames over cloneThreshold, which the decoder reads in place: a
+	// label's 4 KiB payload, a many-segment plan and a many-fragment reply.
+	for _, env := range largeEnvelopes() {
+		data, err := Encode(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	// Randomized valid frames widen the corpus beyond the hand-picked
 	// shapes; a few corrupt seeds steer the mutator at rejection paths.
 	rng := rand.New(rand.NewSource(42))
