@@ -281,8 +281,8 @@ func (c *Community) DiscoveryStats() discovery.Stats {
 // CrashHost kills a host: its network endpoint goes dark (frames to and
 // from it drop, queued messages are purged) and its volatile protocol
 // state — calendar, firm bids, commitment leases, execution runs,
-// buffered labels — is wiped, so a later RestartHost revives a blank
-// participant that kept only its static configuration. In-memory
+// buffered labels — is wiped, so a FaultRestart in ScheduleFaults revives
+// a blank participant that kept only its static configuration. In-memory
 // transport only.
 func (c *Community) CrashHost(id proto.Addr) error {
 	if c.network == nil {
@@ -294,28 +294,6 @@ func (c *Community) CrashHost(id proto.Addr) error {
 	}
 	c.network.Crash(id)
 	h.Reset()
-	return nil
-}
-
-// RestartHost revives a crashed host with empty volatile state (a crash
-// is loss: nothing is replayed, nothing is restored).
-func (c *Community) RestartHost(id proto.Addr) error {
-	if c.network == nil {
-		return fmt.Errorf("community: fault injection requires the in-memory transport")
-	}
-	h, ok := c.hosts[id]
-	if !ok {
-		return fmt.Errorf("community: no host %q", id)
-	}
-	// Wipe again at revival: anything the host accumulated locally while
-	// dark (it could not hear the community, but local timers still ran)
-	// did not survive the outage either.
-	h.Reset()
-	c.network.Restart(id)
-	// A revived member re-announces itself right away instead of waiting
-	// out a refresh interval, so the community's indexes repopulate its
-	// entry (the crash wiped everyone's trust in the old one by TTL).
-	h.AdvertiseSoon()
 	return nil
 }
 

@@ -96,7 +96,7 @@ func TestConstructCatering(t *testing.T) {
 	if _, ok := w.Producer("lunch served"); !ok {
 		t.Error("no producer of lunch served")
 	}
-	if err := w.Graph().Validate(); err != nil {
+	if _, err := model.NewWorkflowOfTasks(w.Tasks()); err != nil {
 		t.Errorf("result not a valid workflow: %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestConstructHandlesCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Workflow.Graph().Validate(); err != nil {
+	if _, err := model.NewWorkflowOfTasks(res.Workflow.Tasks()); err != nil {
 		t.Fatalf("cyclic selection: %v", err)
 	}
 	if _, ok := res.Workflow.Task("loop"); ok {

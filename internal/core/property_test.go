@@ -135,7 +135,7 @@ func TestPropConstructMatchesOracle(t *testing.T) {
 			return false
 		}
 		w := res.Workflow
-		if err := w.Graph().Validate(); err != nil {
+		if _, err := model.NewWorkflowOfTasks(w.Tasks()); err != nil {
 			return false
 		}
 		return s.Satisfies(w)

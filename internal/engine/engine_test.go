@@ -957,14 +957,10 @@ func TestAllocateWorkflowStaticBaseline(t *testing.T) {
 	net := chainNet(t)
 	m := NewManager(net, testConfig())
 	// Pre-specified workflow (the CiAN-style mode): build it locally.
-	g := model.NewGraph()
-	if err := g.AddTask(model.Task{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(model.Task{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g")}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := model.NewWorkflow(g)
+	w, err := model.NewWorkflowOfTasks([]model.Task{
+		{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m")},
+		{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -984,11 +980,9 @@ func TestAllocateWorkflowFailsWithoutProviders(t *testing.T) {
 	net := newFakeNet("init")
 	net.add("init", &fakeMember{})
 	m := NewManager(net, testConfig())
-	g := model.NewGraph()
-	if err := g.AddTask(model.Task{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("g")}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := model.NewWorkflow(g)
+	w, err := model.NewWorkflowOfTasks([]model.Task{
+		{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("g")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

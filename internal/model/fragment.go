@@ -15,7 +15,7 @@ type Fragment struct {
 	// Name identifies the fragment for bookkeeping and logs.
 	Name string
 	// Tasks are the fragment's task nodes. Labels are implicit, as in
-	// Graph: the fragment's labels are the union of task inputs/outputs.
+	// Workflow: the fragment's labels are the union of task inputs/outputs.
 	Tasks []Task
 }
 
@@ -42,27 +42,14 @@ func MustFragment(name string, tasks ...Task) *Fragment {
 	return f
 }
 
-// Graph returns the fragment's tasks as a fresh Graph.
-func (f *Fragment) Graph() (*Graph, error) {
-	g := NewGraph()
-	for _, t := range f.Tasks {
-		if err := g.AddTask(t); err != nil {
-			return nil, fmt.Errorf("fragment %q: %w", f.Name, err)
-		}
-	}
-	return g, nil
-}
-
-// Validate checks that the fragment is a valid workflow.
+// Validate checks that the fragment is a valid workflow, each task listed
+// once.
 func (f *Fragment) Validate() error {
 	if f.Name == "" {
 		return fmt.Errorf("fragment has empty name")
 	}
-	g, err := f.Graph()
-	if err != nil {
-		return err
-	}
-	if err := g.Validate(); err != nil {
+	// The workflow only reads the tasks, so they need no copy.
+	if _, err := NewWorkflowOfTasks(f.Tasks); err != nil {
 		return fmt.Errorf("fragment %q: %w", f.Name, err)
 	}
 	return nil

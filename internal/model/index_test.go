@@ -13,20 +13,31 @@ import (
 	"openwf/internal/testutil"
 )
 
+// graph is a set of tasks by ID that need not be a workflow: it may hold
+// cycles and labels with several producers.
+type graph map[TaskID]Task
+
+// tasks lists g's tasks in ID order.
+func (g graph) tasks() []Task {
+	ts := make([]Task, 0, len(g))
+	for _, id := range slices.Sorted(maps.Keys(g)) {
+		ts = append(ts, g[id])
+	}
+	return ts
+}
+
 // oracleValidate is Graph.Validate as it was before validation and indexing
 // became one pass: a producer check, then a colour-marking DFS over the
 // task-to-task successor relation.
-func oracleValidate(g *Graph) error {
-	if len(g.tasks) == 0 {
+func oracleValidate(g graph) error {
+	if len(g) == 0 {
 		return fmt.Errorf("empty graph is not a workflow")
 	}
-	producer := make(map[LabelID]TaskID, len(g.tasks))
-	for id, t := range g.tasks {
+	producer := make(map[LabelID]TaskID, len(g))
+	for id, t := range g {
 		for _, out := range t.Outputs {
 			if _, dup := producer[out]; dup {
-				ps := g.Producers(out)
-				return fmt.Errorf("label %q has %d producers (%v); a label may have at most one incoming edge",
-					out, len(ps), ps)
+				return fmt.Errorf("label %q has several producers", out)
 			}
 			producer[out] = id
 		}
@@ -36,9 +47,9 @@ func oracleValidate(g *Graph) error {
 		gray
 		black
 	)
-	color := make(map[TaskID]int, len(g.tasks))
+	color := make(map[TaskID]int, len(g))
 	consumersOf := make(map[LabelID][]TaskID)
-	for id, t := range g.tasks {
+	for id, t := range g {
 		for _, in := range t.Inputs {
 			consumersOf[in] = append(consumersOf[in], id)
 		}
@@ -46,7 +57,7 @@ func oracleValidate(g *Graph) error {
 	var visit func(id TaskID) bool
 	visit = func(id TaskID) bool {
 		color[id] = gray
-		for _, out := range g.tasks[id].Outputs {
+		for _, out := range g[id].Outputs {
 			for _, succ := range consumersOf[out] {
 				switch color[succ] {
 				case gray:
@@ -61,7 +72,7 @@ func oracleValidate(g *Graph) error {
 		color[id] = black
 		return true
 	}
-	for id := range g.tasks {
+	for id := range g {
 		if color[id] == white && !visit(id) {
 			return fmt.Errorf("graph contains a cycle")
 		}
@@ -71,10 +82,10 @@ func oracleValidate(g *Graph) error {
 
 // oracleIndexes is the old buildIndexes over a graph oracleValidate
 // accepted.
-func oracleIndexes(g *Graph) (producerOf map[LabelID]TaskID, consumersOf map[LabelID][]TaskID, depths map[TaskID]int, topo []TaskID) {
+func oracleIndexes(g graph) (producerOf map[LabelID]TaskID, consumersOf map[LabelID][]TaskID, topo []TaskID) {
 	producerOf = make(map[LabelID]TaskID)
 	consumersOf = make(map[LabelID][]TaskID)
-	for id, t := range g.tasks {
+	for id, t := range g {
 		for _, out := range t.Outputs {
 			producerOf[out] = id
 		}
@@ -85,7 +96,7 @@ func oracleIndexes(g *Graph) (producerOf map[LabelID]TaskID, consumersOf map[Lab
 	for _, c := range consumersOf {
 		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 	}
-	depths = make(map[TaskID]int)
+	depths := make(map[TaskID]int)
 	var compute func(id TaskID) int
 	compute = func(id TaskID) int {
 		if d, ok := depths[id]; ok {
@@ -93,7 +104,7 @@ func oracleIndexes(g *Graph) (producerOf map[LabelID]TaskID, consumersOf map[Lab
 		}
 		depths[id] = 0
 		d := 0
-		for _, in := range g.tasks[id].Inputs {
+		for _, in := range g[id].Inputs {
 			if p, ok := producerOf[in]; ok && p != id {
 				d = max(d, compute(p)+1)
 			}
@@ -101,7 +112,7 @@ func oracleIndexes(g *Graph) (producerOf map[LabelID]TaskID, consumersOf map[Lab
 		depths[id] = d
 		return d
 	}
-	topo = g.TaskIDs()
+	topo = slices.Sorted(maps.Keys(g))
 	for _, id := range topo {
 		compute(id)
 	}
@@ -111,7 +122,47 @@ func oracleIndexes(g *Graph) (producerOf map[LabelID]TaskID, consumersOf map[Lab
 		}
 		return topo[i] < topo[j]
 	})
-	return producerOf, consumersOf, depths, topo
+	return producerOf, consumersOf, topo
+}
+
+// oracleSources is Graph.Sources as it was: the labels with no producer,
+// sorted. For a valid workflow this is the inset W.in.
+func oracleSources(g graph) []LabelID {
+	produced := make(map[LabelID]struct{})
+	for _, t := range g {
+		for _, out := range t.Outputs {
+			produced[out] = struct{}{}
+		}
+	}
+	set := make(map[LabelID]struct{})
+	for _, t := range g {
+		for _, in := range t.Inputs {
+			if _, ok := produced[in]; !ok {
+				set[in] = struct{}{}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(set))
+}
+
+// oracleSinks is Graph.Sinks as it was: the labels with no consumer,
+// sorted. For a valid workflow this is the outset W.out.
+func oracleSinks(g graph) []LabelID {
+	consumed := make(map[LabelID]struct{})
+	for _, t := range g {
+		for _, in := range t.Inputs {
+			consumed[in] = struct{}{}
+		}
+	}
+	set := make(map[LabelID]struct{})
+	for _, t := range g {
+		for _, out := range t.Outputs {
+			if _, ok := consumed[out]; !ok {
+				set[out] = struct{}{}
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(set))
 }
 
 // verdict names what a validation error is about; the label a two-producer
@@ -134,8 +185,9 @@ func verdict(err error) string {
 // edges run from lower- to higher-numbered labels, each label produced at
 // most once; that graph with a 2- or a 3-cycle through labels added; that
 // graph with a second producer of one of its labels; or the empty graph.
-func randomGraph(t *testing.T, rng *rand.Rand, shape int) *Graph {
-	g := NewGraph()
+func randomGraph(rng *rand.Rand, shape int) graph {
+	g := make(graph)
+	add := func(tk Task) { g[tk.ID] = tk }
 	if shape == 4 {
 		return g
 	}
@@ -166,10 +218,10 @@ func randomGraph(t *testing.T, rng *rand.Rand, shape int) *Graph {
 		if rng.Intn(2) == 0 {
 			mode = Disjunctive
 		}
-		mustAdd(t, g, task(TaskID(fmt.Sprintf("t%02d", k)), mode, ins, outs))
+		add(task(TaskID(fmt.Sprintf("t%02d", k)), mode, ins, outs))
 	}
-	if g.NumTasks() == 0 {
-		mustAdd(t, g, task("t00", Conjunctive, labels("l00"), labels("l01")))
+	if len(g) == 0 {
+		add(task("t00", Conjunctive, labels("l00"), labels("l01")))
 		produced[1] = true
 	}
 	switch shape {
@@ -180,7 +232,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, shape int) *Graph {
 			if i == 0 {
 				ins = append(ins, "l00")
 			}
-			mustAdd(t, g, task(TaskID(fmt.Sprintf("cyc%d", i)), Conjunctive, ins,
+			add(task(TaskID(fmt.Sprintf("cyc%d", i)), Conjunctive, ins,
 				[]LabelID{LabelID(fmt.Sprintf("c%d", (i+1)%n))}))
 		}
 	case 3: // a second producer of an already produced label
@@ -190,7 +242,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, shape int) *Graph {
 		}
 		slices.Sort(ls)
 		l := ls[rng.Intn(len(ls))]
-		mustAdd(t, g, task("dup", Conjunctive, []LabelID{LabelID(fmt.Sprintf("x%d", l))}, []LabelID{lab(l)}))
+		add(task("dup", Conjunctive, []LabelID{LabelID(fmt.Sprintf("x%d", l))}, []LabelID{lab(l)}))
 	}
 	return g
 }
@@ -198,39 +250,44 @@ func randomGraph(t *testing.T, rng *rand.Rand, shape int) *Graph {
 // TestIndexMatchesOracle: the one pass that validates and indexes a
 // workflow accepts and rejects exactly the graphs the old separate passes
 // did, and on every accepted graph serves the same producer, consumers,
-// depths and topological order.
+// topological order, task IDs, sources and sinks.
 func TestIndexMatchesOracle(t *testing.T) {
 	counts := make(map[string]int)
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(t, rng, int(seed%5))
-		want, got := verdict(oracleValidate(g)), verdict(g.Validate())
+		g := randomGraph(rng, int(seed%5))
+		w, err := NewWorkflowOfTasks(g.tasks())
+		want, got := verdict(oracleValidate(g)), verdict(err)
 		counts[want]++
 		if got != want {
-			t.Fatalf("seed %d: Validate says %s, oracle %s\n%v", seed, got, want, g)
-		}
-		w, err := NewWorkflow(g)
-		if (err == nil) != (want == "valid") {
-			t.Fatalf("seed %d: NewWorkflow error %v, oracle %s", seed, err, want)
+			t.Fatalf("seed %d: NewWorkflowOfTasks says %s (%v), oracle %s\n%v", seed, got, err, want, g.tasks())
 		}
 		if err != nil {
 			continue
 		}
-		producerOf, consumersOf, depths, topo := oracleIndexes(g)
-		for l := range g.Labels() {
-			p, ok := w.Producer(l)
-			if wp, wok := producerOf[l]; p != wp || ok != wok {
-				t.Fatalf("seed %d: Producer(%s) = %q, %v; oracle %q, %v", seed, l, p, ok, wp, wok)
+		producerOf, consumersOf, topo := oracleIndexes(g)
+		for _, tk := range g {
+			for _, l := range append(slices.Clone(tk.Inputs), tk.Outputs...) {
+				p, ok := w.Producer(l)
+				if wp, wok := producerOf[l]; p != wp || ok != wok {
+					t.Fatalf("seed %d: Producer(%s) = %q, %v; oracle %q, %v", seed, l, p, ok, wp, wok)
+				}
+				if got := w.Consumers(l); !slices.Equal(got, consumersOf[l]) {
+					t.Fatalf("seed %d: Consumers(%s) = %v; oracle %v", seed, l, got, consumersOf[l])
+				}
 			}
-			if got := w.Consumers(l); !slices.Equal(got, consumersOf[l]) {
-				t.Fatalf("seed %d: Consumers(%s) = %v; oracle %v", seed, l, got, consumersOf[l])
-			}
-		}
-		if got := w.Depths(); !maps.Equal(got, depths) {
-			t.Fatalf("seed %d: Depths = %v; oracle %v", seed, got, depths)
 		}
 		if got := w.TopoOrder(); !reflect.DeepEqual(got, topo) {
 			t.Fatalf("seed %d: TopoOrder = %v; oracle %v", seed, got, topo)
+		}
+		if got, want := w.TaskIDs(), slices.Sorted(maps.Keys(g)); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: TaskIDs = %v; want %v", seed, got, want)
+		}
+		if got, want := w.In(), oracleSources(g); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: In = %v; oracle %v", seed, got, want)
+		}
+		if got, want := w.Out(), oracleSinks(g); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Out = %v; oracle %v", seed, got, want)
 		}
 	}
 	for _, v := range []string{"valid", "cycle", "producers", "empty"} {
@@ -267,9 +324,10 @@ func TestNewWorkflowOfTasks(t *testing.T) {
 }
 
 // TestNewWorkflowOfTasksAllocBound pins what wrapping an 8-task chain
-// costs, 16 allocations: the Graph and the Workflow, the task, producer,
-// consumer and depth maps with their buckets, the edge array, the consumer
-// slab and the order — and no copy of a task.
+// costs, at most 16 allocations (14 read): the Workflow, the task, producer
+// and consumer maps with their buckets, the edge array, the consumer slab,
+// the one slab of sources and sinks and the order — and no copy of a task.
+// The depth map, local to the pass, does not escape.
 func TestNewWorkflowOfTasksAllocBound(t *testing.T) {
 	chain := make([]Task, 8)
 	for i := range chain {

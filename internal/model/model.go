@@ -14,14 +14,13 @@
 //  2. every label has at most one incoming edge (at most one producer), and
 //  3. there are no duplicate nodes and no cycles.
 //
-// Fragments are small workflows intended for later composition. The package
-// also provides composition (merging identical sources/sinks) and the three
-// pruning operations defined by the paper.
+// Fragments are small workflows intended for later composition. The
+// paper's composition (merging identical sources and sinks) and pruning
+// happen during construction, in internal/core's supergraph.
 package model
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -64,8 +63,8 @@ func (m Mode) Valid() bool { return m == Conjunctive || m == Disjunctive }
 // implementation of a task. Inputs are the task's preconditions and Outputs
 // its postconditions, both expressed as labels.
 //
-// Tasks are value types; Graph stores copies, so mutating a Task after
-// adding it to a Graph has no effect on the graph.
+// Tasks are value types, and a Workflow's accessors return copies, so
+// mutating a Task read from a workflow has no effect on the workflow.
 type Task struct {
 	// ID is the semantic identifier of the task.
 	ID TaskID
@@ -166,26 +165,4 @@ func (t Task) String() string {
 	}
 	fmt.Fprintf(&b, " (%s)", t.Mode)
 	return b.String()
-}
-
-// SortedLabelIDs returns the label identifiers of set in lexicographic
-// order. It is used wherever a deterministic iteration order over a label
-// set is required.
-func SortedLabelIDs(set map[LabelID]struct{}) []LabelID {
-	out := make([]LabelID, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// SortedTaskIDs returns the task identifiers of set in lexicographic order.
-func SortedTaskIDs(set map[TaskID]struct{}) []TaskID {
-	out := make([]TaskID, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -98,175 +98,152 @@ func TestTaskCloneIndependence(t *testing.T) {
 	}
 }
 
+// workflowOf wraps tasks as a workflow, failing the test if they are not
+// one.
+func workflowOf(t *testing.T, ts ...Task) *Workflow {
+	t.Helper()
+	w, err := NewWorkflowOfTasks(ts)
+	if err != nil {
+		t.Fatalf("NewWorkflowOfTasks(%v): %v", ts, err)
+	}
+	return w
+}
+
+// validate is NewWorkflowOfTasks run for its verdict alone.
+func validate(ts ...Task) error {
+	_, err := NewWorkflowOfTasks(ts)
+	return err
+}
+
+// TestGraphAddTask: a workflow takes each task once, valid, whatever a
+// repeat of it says.
 func TestGraphAddTask(t *testing.T) {
-	g := NewGraph()
-	if err := g.AddTask(task("t", Conjunctive, labels("a"), labels("b"))); err != nil {
-		t.Fatalf("AddTask: %v", err)
+	if w := workflowOf(t, task("t", Conjunctive, labels("a"), labels("b"))); w.NumTasks() != 1 {
+		t.Fatalf("NumTasks = %d, want 1", w.NumTasks())
 	}
-	// Identical re-add is a no-op.
-	if err := g.AddTask(task("t", Conjunctive, labels("a"), labels("b"))); err != nil {
-		t.Fatalf("idempotent AddTask: %v", err)
+	for _, repeat := range []Task{
+		task("t", Conjunctive, labels("a"), labels("b")),
+		task("t", Disjunctive, labels("a"), labels("b")),
+	} {
+		if err := validate(task("t", Conjunctive, labels("a"), labels("b")), repeat); err == nil ||
+			!strings.Contains(err.Error(), "appears twice") {
+			t.Errorf("repeated task %v: %v, want an appears-twice error", repeat, err)
+		}
 	}
-	if g.NumTasks() != 1 {
-		t.Fatalf("NumTasks = %d, want 1", g.NumTasks())
-	}
-	// Conflicting re-add fails.
-	if err := g.AddTask(task("t", Disjunctive, labels("a"), labels("b"))); err == nil {
-		t.Fatal("conflicting AddTask succeeded, want error")
-	}
-	// Invalid task fails.
-	if err := g.AddTask(task("", Conjunctive, labels("a"), labels("b"))); err == nil {
+	if err := validate(task("", Conjunctive, labels("a"), labels("b"))); err == nil {
 		t.Fatal("invalid task accepted")
 	}
 }
 
+// TestGraphAddTaskOrderInsensitiveMerge: the order of a task's inputs and
+// outputs is not part of its identity.
 func TestGraphAddTaskOrderInsensitiveMerge(t *testing.T) {
-	g := NewGraph()
-	if err := g.AddTask(task("t", Conjunctive, labels("a", "b"), labels("c", "d"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(task("t", Conjunctive, labels("b", "a"), labels("d", "c"))); err != nil {
-		t.Fatalf("re-add with permuted labels should merge: %v", err)
+	w1 := workflowOf(t, task("t", Conjunctive, labels("a", "b"), labels("c", "d")))
+	w2 := workflowOf(t, task("t", Conjunctive, labels("b", "a"), labels("d", "c")))
+	if !w1.Equal(w2) || !w2.Equal(w1) {
+		t.Error("workflows differing only in label order are not Equal")
 	}
 }
 
 func TestGraphAccessors(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Disjunctive, labels("b"), labels("c")))
+	w := workflowOf(t,
+		task("t1", Conjunctive, labels("a"), labels("b")),
+		task("t2", Disjunctive, labels("b"), labels("c")))
 
-	if got := g.NumLabels(); got != 3 {
-		t.Errorf("NumLabels = %d, want 3", got)
-	}
-	if ids := g.TaskIDs(); len(ids) != 2 || ids[0] != "t1" || ids[1] != "t2" {
+	if ids := w.TaskIDs(); len(ids) != 2 || ids[0] != "t1" || ids[1] != "t2" {
 		t.Errorf("TaskIDs = %v", ids)
 	}
-	if ps := g.Producers("b"); len(ps) != 1 || ps[0] != "t1" {
-		t.Errorf("Producers(b) = %v", ps)
+	if p, ok := w.Producer("b"); !ok || p != "t1" {
+		t.Errorf("Producer(b) = %v, %v", p, ok)
 	}
-	if cs := g.Consumers("b"); len(cs) != 1 || cs[0] != "t2" {
+	if cs := w.Consumers("b"); len(cs) != 1 || cs[0] != "t2" {
 		t.Errorf("Consumers(b) = %v", cs)
 	}
-	if src := g.Sources(); len(src) != 1 || src[0] != "a" {
-		t.Errorf("Sources = %v", src)
+	if src := w.In(); len(src) != 1 || src[0] != "a" {
+		t.Errorf("In = %v", src)
 	}
-	if snk := g.Sinks(); len(snk) != 1 || snk[0] != "c" {
-		t.Errorf("Sinks = %v", snk)
+	if snk := w.Out(); len(snk) != 1 || snk[0] != "c" {
+		t.Errorf("Out = %v", snk)
 	}
-	if _, ok := g.Task("t1"); !ok {
+	if _, ok := w.Task("t1"); !ok {
 		t.Error("Task(t1) not found")
 	}
-	if _, ok := g.Task("zz"); ok {
+	if _, ok := w.Task("zz"); ok {
 		t.Error("Task(zz) found")
 	}
 }
 
 func TestGraphTaskReturnsCopy(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t", Conjunctive, labels("a"), labels("b")))
-	got, _ := g.Task("t")
+	w := workflowOf(t, task("t", Conjunctive, labels("a"), labels("b")))
+	got, _ := w.Task("t")
 	got.Inputs[0] = "zzz"
-	again, _ := g.Task("t")
+	again, _ := w.Task("t")
 	if again.Inputs[0] != "a" {
 		t.Error("Task() exposed internal slice")
 	}
 }
 
+// TestGraphCloneIndependence: Tasks returns copies.
 func TestGraphCloneIndependence(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t", Conjunctive, labels("a"), labels("b")))
-	c := g.Clone()
-	c.RemoveTask("t")
-	if g.NumTasks() != 1 {
-		t.Error("Clone shares task map")
+	w := workflowOf(t, task("t", Conjunctive, labels("a"), labels("b")))
+	ts := w.Tasks()
+	ts[0].Inputs[0] = "zzz"
+	if again, _ := w.Task("t"); again.Inputs[0] != "a" {
+		t.Error("Tasks() exposed internal slice")
 	}
 }
 
 func TestGraphValidateThreeCycle(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("b"), labels("c")))
-	if err := g.Validate(); err != nil {
+	t1 := task("t1", Conjunctive, labels("a"), labels("b"))
+	t2 := task("t2", Conjunctive, labels("b"), labels("c"))
+	if err := validate(t1, t2); err != nil {
 		t.Errorf("chain rejected: %v", err)
 	}
-	mustAdd(t, g, task("t3", Conjunctive, labels("c"), labels("a")))
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+	t3 := task("t3", Conjunctive, labels("c"), labels("a"))
+	if err := validate(t1, t2, t3); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle not detected: %v", err)
 	}
 }
 
 func TestGraphValidate(t *testing.T) {
-	g := NewGraph()
-	if err := g.Validate(); err == nil {
+	if err := validate(); err == nil {
 		t.Error("empty graph validated")
 	}
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	if err := g.Validate(); err != nil {
+	t1 := task("t1", Conjunctive, labels("a"), labels("b"))
+	if err := validate(t1); err != nil {
 		t.Errorf("valid graph rejected: %v", err)
 	}
 	// Two producers of the same label.
-	mustAdd(t, g, task("t2", Conjunctive, labels("c"), labels("b")))
-	err := g.Validate()
+	err := validate(t1, task("t2", Conjunctive, labels("c"), labels("b")))
 	if err == nil || !strings.Contains(err.Error(), "producers") {
 		t.Errorf("multi-producer not rejected: %v", err)
 	}
 }
 
 func TestGraphValidateCycle(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("b"), labels("a2")))
-	mustAdd(t, g, task("t3", Conjunctive, labels("a2"), labels("z")))
-	if err := g.Validate(); err != nil {
+	if err := validate(
+		task("t1", Conjunctive, labels("a"), labels("b")),
+		task("t2", Conjunctive, labels("b"), labels("a2")),
+		task("t3", Conjunctive, labels("a2"), labels("z")),
+	); err != nil {
 		t.Fatalf("chain rejected: %v", err)
 	}
-	g2 := NewGraph()
-	mustAdd(t, g2, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g2, task("t2", Conjunctive, labels("b"), labels("c")))
-	mustAdd(t, g2, task("t3", Conjunctive, labels("c", "x"), labels("a")))
-	err := g2.Validate()
+	err := validate(
+		task("t1", Conjunctive, labels("a"), labels("b")),
+		task("t2", Conjunctive, labels("b"), labels("c")),
+		task("t3", Conjunctive, labels("c", "x"), labels("a")),
+	)
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle not rejected: %v", err)
 	}
 }
 
-func TestGraphUnion(t *testing.T) {
-	g1 := NewGraph()
-	mustAdd(t, g1, task("t1", Conjunctive, labels("a"), labels("b")))
-	g2 := NewGraph()
-	mustAdd(t, g2, task("t2", Conjunctive, labels("b"), labels("c")))
-	if err := g1.Union(g2); err != nil {
-		t.Fatalf("Union: %v", err)
-	}
-	if g1.NumTasks() != 2 {
-		t.Errorf("NumTasks = %d after union", g1.NumTasks())
-	}
-}
-
 func TestGraphString(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("b"), labels("c")))
-	s := g.String()
-	if !strings.Contains(s, "t1") || !strings.Contains(s, "t2") {
-		t.Errorf("String() = %q", s)
-	}
-}
-
-func mustAdd(t *testing.T, g *Graph, tk Task) {
-	t.Helper()
-	if err := g.AddTask(tk); err != nil {
-		t.Fatalf("AddTask(%v): %v", tk, err)
-	}
-}
-
-func TestSortedIDs(t *testing.T) {
-	ls := SortedLabelIDs(map[LabelID]struct{}{"b": {}, "a": {}, "c": {}})
-	if len(ls) != 3 || ls[0] != "a" || ls[2] != "c" {
-		t.Errorf("SortedLabelIDs = %v", ls)
-	}
-	ts := SortedTaskIDs(map[TaskID]struct{}{"y": {}, "x": {}})
-	if len(ts) != 2 || ts[0] != "x" {
-		t.Errorf("SortedTaskIDs = %v", ts)
+	w := workflowOf(t,
+		task("t2", Conjunctive, labels("b"), labels("c")),
+		task("t1", Conjunctive, labels("a"), labels("b")))
+	s := w.String()
+	if !strings.HasPrefix(s, "t1") || !strings.Contains(s, "\nt2") {
+		t.Errorf("String() = %q, want t1 then t2", s)
 	}
 }

@@ -3,15 +3,16 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// randomDAGGraph builds a random layered graph that is a valid workflow by
-// construction: tasks in layer i consume labels from earlier layers and
+// randomDAGTasks builds a random layered task set that is a valid workflow
+// by construction: tasks in layer i consume labels from earlier layers and
 // produce fresh labels, so no label has two producers and no cycles exist.
-func randomDAGGraph(rng *rand.Rand) *Graph {
-	g := NewGraph()
+func randomDAGTasks(rng *rand.Rand) []Task {
+	var ts []Task
 	layers := 1 + rng.Intn(4)
 	// Layer 0: free source labels.
 	available := []LabelID{}
@@ -40,21 +41,12 @@ func randomDAGGraph(rng *rand.Rand) *Graph {
 				mode = Disjunctive
 			}
 			id := TaskID(fmt.Sprintf("t%d_%d", l, t))
-			if err := g.AddTask(Task{ID: id, Mode: mode, Inputs: ins, Outputs: outs}); err != nil {
-				panic(err)
-			}
+			ts = append(ts, Task{ID: id, Mode: mode, Inputs: ins, Outputs: outs})
 			produced = append(produced, outs...)
 		}
 		available = append(available, produced...)
 	}
-	return g
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return ts
 }
 
 // TestPropRandomDAGIsValidWorkflow: the generator above always yields a
@@ -62,59 +54,28 @@ func min(a, b int) int {
 func TestPropRandomDAGIsValidWorkflow(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomDAGGraph(rng)
-		return g.Validate() == nil
+		return validate(randomDAGTasks(rng)...) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPropCloneEqualsOriginal: a cloned graph has the same tasks, sources,
-// and sinks as the original.
+// TestPropCloneEqualsOriginal: a workflow's Tasks round-trip to an Equal
+// workflow with the same sources and sinks.
 func TestPropCloneEqualsOriginal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomDAGGraph(rng)
-		c := g.Clone()
-		if g.NumTasks() != c.NumTasks() {
+		w, err := NewWorkflowOfTasks(randomDAGTasks(rng))
+		if err != nil {
 			return false
 		}
-		gs, cs := g.Sources(), c.Sources()
-		if len(gs) != len(cs) {
+		c, err := NewWorkflowOfTasks(w.Tasks())
+		if err != nil {
 			return false
 		}
-		for i := range gs {
-			if gs[i] != cs[i] {
-				return false
-			}
-		}
-		gk, ck := g.Sinks(), c.Sinks()
-		if len(gk) != len(ck) {
-			return false
-		}
-		for i := range gk {
-			if gk[i] != ck[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropUnionIdempotent: merging a graph into itself changes nothing.
-func TestPropUnionIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAGGraph(rng)
-		n := g.NumTasks()
-		if err := g.Union(g.Clone()); err != nil {
-			return false
-		}
-		return g.NumTasks() == n
+		return w.Equal(c) && c.Equal(w) &&
+			slices.Equal(w.In(), c.In()) && slices.Equal(w.Out(), c.Out())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -126,8 +87,7 @@ func TestPropUnionIdempotent(t *testing.T) {
 func TestPropTopoOrderRespectsEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomDAGGraph(rng)
-		w, err := NewWorkflow(g)
+		w, err := NewWorkflowOfTasks(randomDAGTasks(rng))
 		if err != nil {
 			return false
 		}
@@ -159,17 +119,12 @@ func TestPropComposeAssociativeOnChains(t *testing.T) {
 		n := 3 + rng.Intn(3)
 		ws := make([]*Workflow, 0, n)
 		for i := 0; i < n; i++ {
-			g := NewGraph()
-			tk := Task{
+			w, err := NewWorkflowOfTasks([]Task{{
 				ID:      TaskID(fmt.Sprintf("t%d", i)),
 				Mode:    Conjunctive,
 				Inputs:  []LabelID{LabelID(fmt.Sprintf("c%d", i))},
 				Outputs: []LabelID{LabelID(fmt.Sprintf("c%d", i+1))},
-			}
-			if err := g.AddTask(tk); err != nil {
-				return false
-			}
-			w, err := NewWorkflow(g)
+			}})
 			if err != nil {
 				return false
 			}
@@ -179,7 +134,7 @@ func TestPropComposeAssociativeOnChains(t *testing.T) {
 		left := ws[0]
 		for _, w := range ws[1:] {
 			var err error
-			left, err = Compose(left, w)
+			left, err = compose(left, w)
 			if err != nil {
 				return false
 			}
@@ -188,7 +143,7 @@ func TestPropComposeAssociativeOnChains(t *testing.T) {
 		right := ws[n-1]
 		for i := n - 2; i >= 0; i-- {
 			var err error
-			right, err = Compose(ws[i], right)
+			right, err = compose(ws[i], right)
 			if err != nil {
 				return false
 			}
@@ -196,35 +151,6 @@ func TestPropComposeAssociativeOnChains(t *testing.T) {
 		return left.Equal(right)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropPruneTaskShrinks: pruning any prunable task yields a valid
-// workflow with exactly one task fewer.
-func TestPropPruneTaskShrinks(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAGGraph(rng)
-		w, err := NewWorkflow(g)
-		if err != nil {
-			return false
-		}
-		for _, id := range w.TaskIDs() {
-			w2, err := PruneTask(w, id)
-			if err != nil {
-				continue // not prunable; fine
-			}
-			if w2.NumTasks() != w.NumTasks()-1 {
-				return false
-			}
-			if err := w2.Graph().Validate(); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

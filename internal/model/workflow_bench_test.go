@@ -5,23 +5,20 @@ import (
 	"testing"
 )
 
-// chainWorkflow builds a valid workflow of n tasks in a single chain:
+// benchChainWorkflow builds a valid workflow of n tasks in a single chain:
 // l0 -> t0 -> l1 -> t1 -> ... -> ln.
 func benchChainWorkflow(b *testing.B, n int) *Workflow {
 	b.Helper()
-	g := NewGraph()
-	for i := 0; i < n; i++ {
-		t := Task{
+	ts := make([]Task, n)
+	for i := range ts {
+		ts[i] = Task{
 			ID:      TaskID(fmt.Sprintf("t%04d", i)),
 			Mode:    Conjunctive,
 			Inputs:  []LabelID{LabelID(fmt.Sprintf("l%04d", i))},
 			Outputs: []LabelID{LabelID(fmt.Sprintf("l%04d", i+1))},
 		}
-		if err := g.AddTask(t); err != nil {
-			b.Fatal(err)
-		}
 	}
-	w, err := NewWorkflow(g)
+	w, err := NewWorkflowOfTasks(ts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,23 +36,6 @@ func BenchmarkTopoOrder(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := w.TopoOrder(); len(got) != n {
-					b.Fatalf("len = %d", len(got))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDepths measures the per-call cost of Depths (a map copy of
-// the cached depths vs a full recomputation per call before PR 2).
-func BenchmarkDepths(b *testing.B) {
-	for _, n := range []int{100, 500} {
-		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
-			w := benchChainWorkflow(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := w.Depths(); len(got) != n {
 					b.Fatalf("len = %d", len(got))
 				}
 			}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,22 +9,17 @@ import (
 // chainWorkflow builds a -> t1 -> b -> t2 -> c.
 func chainWorkflow(t *testing.T) *Workflow {
 	t.Helper()
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("b"), labels("c")))
-	w, err := NewWorkflow(g)
-	if err != nil {
-		t.Fatalf("NewWorkflow: %v", err)
-	}
-	return w
+	return workflowOf(t,
+		task("t1", Conjunctive, labels("a"), labels("b")),
+		task("t2", Conjunctive, labels("b"), labels("c")))
 }
 
 func TestNewWorkflowRejectsInvalid(t *testing.T) {
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("c"), labels("b")))
-	if _, err := NewWorkflow(g); err == nil {
-		t.Fatal("NewWorkflow accepted a multi-producer graph")
+	if err := validate(
+		task("t1", Conjunctive, labels("a"), labels("b")),
+		task("t2", Conjunctive, labels("c"), labels("b")),
+	); err == nil {
+		t.Fatal("NewWorkflowOfTasks accepted a multi-producer graph")
 	}
 }
 
@@ -37,12 +33,18 @@ func TestWorkflowInOut(t *testing.T) {
 	}
 }
 
+// TestWorkflowImmutability: every slice an accessor returns is the
+// caller's.
 func TestWorkflowImmutability(t *testing.T) {
 	w := chainWorkflow(t)
-	g := w.Graph()
-	g.RemoveTask("t1")
-	if w.NumTasks() != 2 {
-		t.Error("Graph() exposed internal graph")
+	w.In()[0] = "zzz"
+	w.Out()[0] = "zzz"
+	w.TaskIDs()[0] = "zzz"
+	w.Consumers("b")[0] = "zzz"
+	w.TopoOrder()[0] = "zzz"
+	if w.In()[0] != "a" || w.Out()[0] != "c" || w.TaskIDs()[0] != "t1" ||
+		w.Consumers("b")[0] != "t2" || w.TopoOrder()[0] != "t1" {
+		t.Error("an accessor exposed an internal slice")
 	}
 }
 
@@ -60,26 +62,15 @@ func TestWorkflowProducerConsumers(t *testing.T) {
 }
 
 func TestWorkflowDepthsAndTopoOrder(t *testing.T) {
-	g := NewGraph()
-	// diamond: a -> t1 -> b ; a -> t2 -> c ; b,c -> t3 -> d
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	mustAdd(t, g, task("t2", Conjunctive, labels("a"), labels("c")))
-	mustAdd(t, g, task("t3", Conjunctive, labels("b", "c"), labels("d")))
-	w, err := NewWorkflow(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := w.Depths()
-	if d["t1"] != 0 || d["t2"] != 0 || d["t3"] != 1 {
-		t.Errorf("Depths = %v", d)
-	}
-	order := w.TopoOrder()
-	pos := make(map[TaskID]int)
-	for i, id := range order {
-		pos[id] = i
-	}
-	if pos["t3"] < pos["t1"] || pos["t3"] < pos["t2"] {
-		t.Errorf("TopoOrder = %v: t3 must come after t1 and t2", order)
+	// diamond: a -> t1 -> b ; a -> t2 -> c ; b,c -> t3 -> d, given deepest
+	// first so that ID order alone would not do.
+	w := workflowOf(t,
+		task("t3", Conjunctive, labels("b", "c"), labels("d")),
+		task("t2", Conjunctive, labels("a"), labels("c")),
+		task("t1", Conjunctive, labels("a"), labels("b")))
+	// t1 and t2 have depth 0, t3 depth 1.
+	if order := w.TopoOrder(); !slices.Equal(order, []TaskID{"t1", "t2", "t3"}) {
+		t.Errorf("TopoOrder = %v, want [t1 t2 t3]", order)
 	}
 }
 
@@ -89,9 +80,7 @@ func TestWorkflowEqual(t *testing.T) {
 	if !w1.Equal(w2) {
 		t.Error("identical workflows not Equal")
 	}
-	g := NewGraph()
-	mustAdd(t, g, task("t1", Conjunctive, labels("a"), labels("b")))
-	w3, _ := NewWorkflow(g)
+	w3 := workflowOf(t, task("t1", Conjunctive, labels("a"), labels("b")))
 	if w1.Equal(w3) {
 		t.Error("different workflows Equal")
 	}
@@ -117,6 +106,13 @@ func TestFragmentValidate(t *testing.T) {
 		task("t2", Conjunctive, labels("c"), labels("b")))
 	if err == nil {
 		t.Error("invalid fragment accepted")
+	}
+	// A fragment lists each task once, even an identical repeat.
+	_, err = NewFragment("f",
+		task("t", Conjunctive, labels("a"), labels("b")),
+		task("t", Conjunctive, labels("a"), labels("b")))
+	if err == nil || !strings.Contains(err.Error(), "appears twice") {
+		t.Errorf("fragment listing a task twice: %v, want an appears-twice error", err)
 	}
 }
 
@@ -164,17 +160,18 @@ func TestSingleTaskFragment(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	g1 := NewGraph()
-	mustAdd(t, g1, task("t1", Conjunctive, labels("a"), labels("b")))
-	w1, _ := NewWorkflow(g1)
-	g2 := NewGraph()
-	mustAdd(t, g2, task("t2", Conjunctive, labels("b"), labels("c")))
-	w2, _ := NewWorkflow(g2)
+// compose is §2.2's composition of two workflows with disjoint task sets:
+// the workflow of both's tasks, in which identical labels merge.
+func compose(a, b *Workflow) (*Workflow, error) {
+	return NewWorkflowOfTasks(append(a.Tasks(), b.Tasks()...))
+}
 
-	w, err := Compose(w1, w2)
+func TestCompose(t *testing.T) {
+	w1 := workflowOf(t, task("t1", Conjunctive, labels("a"), labels("b")))
+	w2 := workflowOf(t, task("t2", Conjunctive, labels("b"), labels("c")))
+	w, err := compose(w1, w2)
 	if err != nil {
-		t.Fatalf("Compose: %v", err)
+		t.Fatalf("compose: %v", err)
 	}
 	if in := w.In(); len(in) != 1 || in[0] != "a" {
 		t.Errorf("composed In = %v", in)
@@ -182,80 +179,31 @@ func TestCompose(t *testing.T) {
 	if out := w.Out(); len(out) != 1 || out[0] != "c" {
 		t.Errorf("composed Out = %v", out)
 	}
-	if !Composable(w1, w2) {
-		t.Error("Composable = false for composable pair")
-	}
 }
 
 // TestComposePaperExample reproduces the §2.2 example: W1 with sources
 // {a,b,c} and sinks {d,e,f}, W2 with sources {c,d,e} and sinks {g,h},
 // composing into W with sources {a,b,c} and sinks {f,g,h}.
 func TestComposePaperExample(t *testing.T) {
-	g1 := NewGraph()
-	mustAdd(t, g1, task("w1", Conjunctive, labels("a", "b", "c"), labels("d", "e", "f")))
-	w1, err := NewWorkflow(g1)
+	w1 := workflowOf(t, task("w1", Conjunctive, labels("a", "b", "c"), labels("d", "e", "f")))
+	w2 := workflowOf(t, task("w2", Conjunctive, labels("c", "d", "e"), labels("g", "h")))
+	w, err := compose(w1, w2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("compose: %v", err)
 	}
-	g2 := NewGraph()
-	mustAdd(t, g2, task("w2", Conjunctive, labels("c", "d", "e"), labels("g", "h")))
-	w2, err := NewWorkflow(g2)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := w.In(), labels("a", "b", "c"); !slices.Equal(got, want) {
+		t.Errorf("In = %v, want %v", got, want)
 	}
-	w, err := Compose(w1, w2)
-	if err != nil {
-		t.Fatalf("Compose: %v", err)
-	}
-	wantIn := labels("a", "b", "c")
-	wantOut := labels("f", "g", "h")
-	gotIn, gotOut := w.In(), w.Out()
-	if len(gotIn) != len(wantIn) {
-		t.Fatalf("In = %v, want %v", gotIn, wantIn)
-	}
-	for i := range wantIn {
-		if gotIn[i] != wantIn[i] {
-			t.Errorf("In[%d] = %v, want %v", i, gotIn[i], wantIn[i])
-		}
-	}
-	if len(gotOut) != len(wantOut) {
-		t.Fatalf("Out = %v, want %v", gotOut, wantOut)
-	}
-	for i := range wantOut {
-		if gotOut[i] != wantOut[i] {
-			t.Errorf("Out[%d] = %v, want %v", i, gotOut[i], wantOut[i])
-		}
+	if got, want := w.Out(), labels("f", "g", "h"); !slices.Equal(got, want) {
+		t.Errorf("Out = %v, want %v", got, want)
 	}
 }
 
 func TestComposeNotComposable(t *testing.T) {
 	// Both produce b: the union gives b two producers.
-	g1 := NewGraph()
-	mustAdd(t, g1, task("t1", Conjunctive, labels("a"), labels("b")))
-	w1, _ := NewWorkflow(g1)
-	g2 := NewGraph()
-	mustAdd(t, g2, task("t2", Conjunctive, labels("c"), labels("b")))
-	w2, _ := NewWorkflow(g2)
-	if _, err := Compose(w1, w2); err == nil {
-		t.Error("Compose succeeded for non-composable pair")
-	}
-	if Composable(w1, w2) {
-		t.Error("Composable = true for non-composable pair")
-	}
-}
-
-func TestComposeFragments(t *testing.T) {
-	f1 := MustFragment("f1", task("t1", Conjunctive, labels("a"), labels("b")))
-	f2 := MustFragment("f2", task("t2", Conjunctive, labels("c"), labels("b")))
-	// The supergraph may be an invalid workflow (two producers of b).
-	g, err := ComposeFragments([]*Fragment{f1, f2})
-	if err != nil {
-		t.Fatalf("ComposeFragments: %v", err)
-	}
-	if g.NumTasks() != 2 {
-		t.Errorf("NumTasks = %d", g.NumTasks())
-	}
-	if err := g.Validate(); err == nil {
-		t.Error("supergraph with two producers validated as workflow")
+	w1 := workflowOf(t, task("t1", Conjunctive, labels("a"), labels("b")))
+	w2 := workflowOf(t, task("t2", Conjunctive, labels("c"), labels("b")))
+	if _, err := compose(w1, w2); err == nil {
+		t.Error("compose succeeded for non-composable pair")
 	}
 }

@@ -568,10 +568,10 @@ func TestDecodeLargeFrameCopiesInput(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeFrameClonesStrings exercises the decoder's clone mode:
-// above cloneThreshold, string fields are copied out of the frame string
-// instead of substring-shared, so a retained few-byte label cannot pin a
-// frame-sized backing array. The round trip must be lossless either way,
+// TestDecodeLargeFrameClonesStrings exercises the decoder's large-frame
+// mode: above cloneThreshold there is no frame string, and each string
+// field is copied out of the input bytes on its own, so a retained
+// few-byte label cannot pin a frame-sized backing array. The round trip must be lossless either way,
 // and the small label must not carry frame-sized memory.
 func TestDecodeLargeFrameClonesStrings(t *testing.T) {
 	data := make([]byte, cloneThreshold*4)

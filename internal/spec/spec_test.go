@@ -87,13 +87,9 @@ func TestEvaluate(t *testing.T) {
 }
 
 func TestSatisfies(t *testing.T) {
-	g := model.NewGraph()
-	if err := g.AddTask(model.Task{
+	w, err := model.NewWorkflowOfTasks([]model.Task{{
 		ID: "t", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("g"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := model.NewWorkflow(g)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +120,10 @@ func TestString(t *testing.T) {
 }
 
 func TestConstraints(t *testing.T) {
-	g := model.NewGraph()
-	if err := g.AddTask(model.Task{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(model.Task{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g")}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := model.NewWorkflow(g)
+	w, err := model.NewWorkflowOfTasks([]model.Task{
+		{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("m")},
+		{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("m"), Outputs: lbl("g")},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,8 +249,8 @@ func TestCrashRacingSenders(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		// One sender per link, so no frame is ever coalesced and each Send
-		// has made its delivery decision by the time it returns.
+		// One sender per link; every envelope is its own frame, so each
+		// Send has made its delivery decision by the time it returns.
 		ep, err := n.Endpoint(proto.Addr(fmt.Sprintf("a%d", i)), func(proto.Envelope) {})
 		if err != nil {
 			t.Fatal(err)

@@ -10,8 +10,10 @@
 // Write call, with no writer goroutine or queue in between. Concurrent Sends
 // to one peer are safe because Go's runtime serialises concurrent Writes on
 // one net.Conn (the internal/poll write lock), so frames never interleave on
-// the stream. There is no write deadline: a connected peer that stops
-// reading blocks each sender in its own Write.
+// the stream. Each Write has a deadline, the context's or writeTimeout,
+// whichever is earlier: a connected peer that stops reading costs a sender
+// at most that wait, then the connection is dropped and the frame is lost
+// silently, as on the medium.
 package tcpnet
 
 import (
@@ -21,7 +23,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"time"
 
 	"openwf/internal/proto"
 	"openwf/internal/transport"
@@ -30,6 +34,11 @@ import (
 // prefixLen is the frame header the sender reserves and write fills in:
 // the big-endian length of the encoded envelope that follows.
 const prefixLen = 4
+
+// writeTimeout bounds a Write whose context has no earlier deadline. It is
+// the engine's default CallTimeout: a peer that stops reading costs a
+// sender what a peer that stops answering costs a caller.
+const writeTimeout = 5 * time.Second
 
 // Transport is one host's TCP endpoint. Create with Listen, then provide
 // the community registry with SetRegistry before sending.
@@ -100,9 +109,17 @@ func (t *Transport) SetRegistry(reg map[proto.Addr]string) {
 func (t *Transport) Addr() proto.Addr { return t.addr }
 
 // write is the transport.Link: it fills in the length prefix and writes
-// the frame to the peer's connection in one call.
+// the frame to the peer's connection in one call, by the deadline.
+// Concurrent senders share the connection's one deadline, so a Write waits
+// at most writeTimeout past the latest Send to the peer. A Write that times
+// out loses its frame and the connection, which a partial frame has
+// spoiled.
 func (t *Transport) write(ctx context.Context, to proto.Addr, frame []byte) error {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-prefixLen))
+	deadline := time.Now().Add(writeTimeout) //openwf:allow-wallclock kernel write deadlines are wall time
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	// Two attempts: a cached connection may have gone stale.
 	for attempt := 0; attempt < 2; attempt++ {
 		conn, err := t.conn(ctx, to)
@@ -112,10 +129,15 @@ func (t *Transport) write(ctx context.Context, to proto.Addr, frame []byte) erro
 			}
 			break // unreachable: silent loss
 		}
-		if _, err := conn.Write(frame); err == nil {
+		_ = conn.SetWriteDeadline(deadline) // fails only on a closed conn, as Write then does
+		_, err = conn.Write(frame)
+		if err == nil {
 			return nil
 		}
 		t.dropConn(to, conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			break // a stalled peer: silent loss, no second connection
+		}
 	}
 	t.wire.FrameDropped()
 	return nil

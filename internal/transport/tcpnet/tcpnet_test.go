@@ -393,3 +393,63 @@ func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
 }
+
+// TestSendToStalledPeerReturns: a peer that accepts a connection and never
+// reads it fills the kernel's buffers, and then each Send waits for its
+// context's deadline at most: the frame is dropped, counted, and the
+// connection with it. A live peer is still reached afterwards.
+func TestSendToStalledPeerReturns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var stalled []net.Conn // accepted and never read
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			stalled = append(stalled, c)
+			mu.Unlock()
+		}
+	}()
+	ta, _, _, colB := pair(t)
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range stalled {
+			_ = c.Close()
+		}
+	})
+	ta.mu.Lock()
+	ta.registry["stall"] = ln.Addr().String()
+	ta.mu.Unlock()
+
+	const wait, slack = 100 * time.Millisecond, 2 * time.Second
+	frame := proto.Envelope{Body: proto.LabelTransfer{Label: "l", Data: make([]byte, 4<<10)}}
+	for i := 0; ta.Stats().FramesDropped == 0; i++ {
+		if i == 1<<15 { // 128 MiB: far past any loopback buffer
+			t.Fatalf("%d Sends to a peer that never reads all returned without a drop", i)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		done := make(chan error, 1)
+		go func() { done <- ta.Send(ctx, "stall", frame) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Send %d to the stalled peer: %v", i, err)
+			}
+		case <-time.After(wait + slack):
+			t.Fatalf("Send %d to the stalled peer still blocked after %v", i, wait+slack)
+		}
+		cancel()
+	}
+	if err := ta.Send(context.Background(), "b", ping(1)); err != nil {
+		t.Fatal(err)
+	}
+	colB.waitN(t, 1, 2*time.Second)
+}

@@ -90,8 +90,6 @@ type (
 	Fragment = model.Fragment
 	// Workflow is a validated bipartite task/label DAG.
 	Workflow = model.Workflow
-	// Graph is a possibly-invalid workflow graph (e.g. a supergraph).
-	Graph = model.Graph
 	// Spec is a problem specification: triggers ι and goals ω.
 	Spec = spec.Spec
 	// Constraints are the richer specification options of §5.1.
