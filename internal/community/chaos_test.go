@@ -290,11 +290,9 @@ func runChaos(t *testing.T, l chaosLayout) {
 			}
 		}
 	}
-	// Labels are left out: a transfer already on a link when its sink
-	// hears the release is a known seam (DESIGN.md §17).
-	for i := 0; leftovers(c, cutOff, false) != ""; i++ {
+	for i := 0; leftovers(c, cutOff) != ""; i++ {
 		if i == 20 {
-			t.Fatalf("residue at completion on hosts no fault cut off:%s", leftovers(c, cutOff, false))
+			t.Fatalf("residue at completion on hosts no fault cut off:%s", leftovers(c, cutOff))
 		}
 		sim.Advance(500 * time.Millisecond)
 		time.Sleep(2 * time.Millisecond)

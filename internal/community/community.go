@@ -10,7 +10,6 @@ package community
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"openwf/internal/clock"
 	"openwf/internal/discovery"
@@ -56,8 +55,6 @@ type Options struct {
 	// Engine configures every host's workflow engine; the zero value
 	// selects engine.DefaultConfig.
 	Engine *engine.Config
-	// BidWindow overrides the participants' bid deadline window.
-	BidWindow time.Duration
 	// Trace, when non-nil, records every message every host sends or
 	// receives (one shared recorder across the community).
 	Trace trace.Recorder
@@ -136,7 +133,6 @@ func New(opts Options, specs ...HostSpec) (*Community, error) {
 			Clock:     clk,
 			Mobility:  mobility,
 			Prefs:     hs.Prefs,
-			BidWindow: opts.BidWindow,
 			Engine:    engCfg,
 			Fragments: hs.Fragments,
 			Services:  hs.Services,

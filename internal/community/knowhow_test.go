@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/auction"
 	"openwf/internal/clock"
 	"openwf/internal/discovery"
 	"openwf/internal/engine"
@@ -38,14 +39,16 @@ type knowhowCommunity struct {
 	seen int
 }
 
-func newKnowhowCommunity(t *testing.T, advertiser bool, opts Options) *knowhowCommunity {
+func newKnowhowCommunity(t *testing.T, advertiser bool) *knowhowCommunity {
 	t.Helper()
 	k := &knowhowCommunity{t: t, sim: clock.NewSim(chaosT0), buf: trace.NewBuffer(0)}
 	cfg := engine.DefaultConfig()
 	cfg.TaskWindow = time.Second
 	cfg.StartDelay = 4 * time.Second
-	cfg.CallTimeout = time.Second // virtual: it runs out only when a test advances the clock
-	opts.Clock, opts.Engine, opts.Trace = k.sim, &cfg, k.buf
+	// Virtual: a call runs out only when a test advances the clock, and
+	// then at the instant the bids made with it lapse.
+	cfg.CallTimeout = auction.DefaultBidWindow
+	opts := Options{Clock: k.sim, Engine: &cfg, Trace: k.buf}
 	if advertiser {
 		opts.Discovery = &host.DiscoveryConfig{}
 	}
@@ -116,7 +119,7 @@ var (
 // the TTL — sessions plan without the fragment and send no fragment query —
 // and the first session after the lapse collects it.
 func TestDirectoryKnowhowBelievedWithinTTL(t *testing.T) {
-	k := newKnowhowCommunity(t, false, Options{})
+	k := newKnowhowCommunity(t, false)
 	if plan, queries := k.planned("g"); plan.Construction.FragmentsCollected != 2 || !reflect.DeepEqual(queries, describingSweep) {
 		t.Fatalf("first session: %d fragments for the queries %v, want 2 for %v", plan.Construction.FragmentsCollected, queries, describingSweep)
 	}
@@ -151,7 +154,7 @@ func TestDirectoryKnowhowDoubtedBeforeFailing(t *testing.T) {
 		{name: "pushed", advertiser: true, first: collected, rerun: collected},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k := newKnowhowCommunity(t, tc.advertiser, Options{})
+			k := newKnowhowCommunity(t, tc.advertiser)
 			if _, queries := k.planned("g"); !reflect.DeepEqual(queries, tc.first) {
 				t.Fatalf("first session's queries %v, want %v", queries, tc.first)
 			}
@@ -175,7 +178,7 @@ func TestDirectoryKnowhowDoubtedBeforeFailing(t *testing.T) {
 // sessions replaces its member's entry, so the member is asked again for
 // what it had answered — and it alone.
 func TestDirectoryKnowhowDroppedByPush(t *testing.T) {
-	k := newKnowhowCommunity(t, true, Options{})
+	k := newKnowhowCommunity(t, true)
 	if _, queries := k.planned("g"); !reflect.DeepEqual(queries, collected) {
 		t.Fatalf("first session's queries %v, want %v", queries, collected)
 	}
@@ -209,7 +212,7 @@ func TestChaosDirectoryUnreachableMemberStillKnows(t *testing.T) {
 	// call to x gives up is also the one at which host03's bids — made
 	// before x was tried: session 2 starts its sweep at host02 — are
 	// decided, and the clock has to move exactly once.
-	k := newKnowhowCommunity(t, false, Options{BidWindow: time.Second})
+	k := newKnowhowCommunity(t, false)
 	h, _ := k.Host(x)
 	if err := h.Services.Register(svc("t1", 0)); err != nil {
 		t.Fatal(err)
@@ -223,7 +226,7 @@ func TestChaosDirectoryUnreachableMemberStillKnows(t *testing.T) {
 		for deadline := time.Now().Add(30 * time.Second); k.Network().Dropped() == 0 && time.Now().Before(deadline); {
 			time.Sleep(100 * time.Microsecond)
 		}
-		k.sim.Advance(time.Second)
+		k.sim.Advance(auction.DefaultBidWindow)
 	}()
 	plan, queries := k.planned("g")
 	<-lost

@@ -1,10 +1,13 @@
 package community
 
 // Zero residue: a workflow that ends leaves nothing behind on any host —
-// no hold, no commitment, no execution run, no buffered label, the
-// initiator's goal labels included — as soon as its initiator's release has
-// landed, not one lease later. The lease is the backstop for the releases
-// that never land, and then it has to clear finished runs and labels too.
+// no hold, no commitment, no execution run, and so no label, since a label
+// lives in the run that consumes it — as soon as its initiator's release
+// has landed at each participant, not one lease later. The initiator keeps
+// the goal labels in the execution, which ends with Execute, and a label
+// that arrives after its run has gone is dropped. The lease is the backstop
+// for the releases that never land, and then it clears finished runs and
+// their inputs too.
 
 import (
 	"context"
@@ -28,18 +31,15 @@ import (
 
 // leftovers lists what each host still holds, one line per host that holds
 // anything; empty means the community is clean. skip, when non-nil, exempts
-// hosts; labels false leaves buffered labels out of the count.
-func leftovers(c *Community, skip map[proto.Addr]bool, labels bool) string {
+// hosts.
+func leftovers(c *Community, skip map[proto.Addr]bool) string {
 	var sb strings.Builder
 	for _, id := range c.Members() {
 		h, _ := c.Host(id)
 		holds, commits := h.Schedule.Holds(), len(h.Schedule.Commitments())
-		runs, buffered := h.Exec.Residue()
-		if !labels {
-			buffered = 0
-		}
-		if !skip[id] && holds+commits+runs+buffered > 0 {
-			fmt.Fprintf(&sb, "\n  %s: %d holds, %d commitments, %d runs, %d workflows' labels", id, holds, commits, runs, buffered)
+		runs, labels := h.Exec.Residue()
+		if !skip[id] && holds+commits+runs+labels > 0 {
+			fmt.Fprintf(&sb, "\n  %s: %d holds, %d commitments, %d runs, %d labels", id, holds, commits, runs, labels)
 		}
 	}
 	return sb.String()
@@ -52,9 +52,9 @@ func leftovers(c *Community, skip map[proto.Addr]bool, labels bool) string {
 func waitClean(t *testing.T, c *Community) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for leftovers(c, nil, true) != "" {
+	for leftovers(c, nil) != "" {
 		if time.Now().After(deadline) {
-			t.Fatalf("residue after the workflow ended:%s", leftovers(c, nil, true))
+			t.Fatalf("residue after the workflow ended:%s", leftovers(c, nil))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -118,8 +118,7 @@ func TestExecuteLeavesNoResidue(t *testing.T) {
 
 // loseReleases drops every frame the initiator sends a participant from
 // the moment the last completion notice reaches it: the execution
-// completes, and every release that follows is lost. The initiator's link
-// to itself stays up.
+// completes, and every release that follows is lost.
 type loseReleases struct {
 	c    *Community
 	last proto.Addr
@@ -134,8 +133,8 @@ func (r *loseReleases) Record(e trace.Event) {
 }
 
 // TestLeaseBackstopClearsFinishedRuns: when the release never arrives, a
-// participant keeps its finished run and the labels it buffered — until
-// its lease lapses, which drops them with the commitment.
+// participant keeps its finished run and the inputs it held — until its
+// lease lapses, which drops them with the commitment.
 func TestLeaseBackstopClearsFinishedRuns(t *testing.T) {
 	sim := clock.NewSim(chaosT0)
 	cfg := engine.DefaultConfig()
@@ -153,7 +152,8 @@ func TestLeaseBackstopClearsFinishedRuns(t *testing.T) {
 	if err != nil || !report.Completed {
 		t.Fatalf("report = %+v, err = %v", report, err)
 	}
-	// The initiator released itself; the participants never heard.
+	// The participants never heard; the initiator, which runs no task,
+	// holds nothing.
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Network().Dropped() < 2 {
 		if time.Now().After(deadline) {
@@ -169,11 +169,70 @@ func TestLeaseBackstopClearsFinishedRuns(t *testing.T) {
 		}
 		runs, labels := h.Exec.Residue()
 		if commits := len(h.Schedule.Commitments()); runs != want || labels != want || commits != want {
-			t.Fatalf("%s after the lost release: %d runs, %d workflows' labels, %d commitments; want %d of each",
+			t.Fatalf("%s after the lost release: %d runs, %d labels, %d commitments; want %d of each",
 				id, runs, labels, commits, want)
 		}
 	}
 	sim.Advance(auction.DefaultCommitLease + time.Minute)
+	waitClean(t, c)
+}
+
+// simChain is chainOf's community of two sole providers on a simulated
+// clock, with the chain a → t1 → m1 → t2 → g initiated on host00.
+func simChain(t *testing.T) (*clock.Sim, *Community, *engine.Plan) {
+	t.Helper()
+	sim := clock.NewSim(chaosT0)
+	cfg := engine.DefaultConfig()
+	cfg.StartDelay, cfg.TaskWindow = 2*time.Second, time.Second
+	c, s := chainOf(t, Options{Clock: sim, Engine: &cfg}, 10*time.Millisecond, 10*time.Millisecond)
+	plan, err := c.Initiate(context.Background(), "host00", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, c, plan
+}
+
+// executeChain executes simChain's plan and fails unless the execution
+// completes with its goal.
+func executeChain(t *testing.T, sim *clock.Sim, c *Community, plan *engine.Plan) {
+	t.Helper()
+	stop := driveClock(sim)
+	report, err := c.Execute(ctxTimeout(t, 30*time.Second), "host00", plan, map[model.LabelID][]byte{"a": []byte("go")})
+	stop()
+	if err != nil || !report.Completed || report.Goals["g"] == nil {
+		t.Fatalf("report = %+v, err = %v", report, err)
+	}
+}
+
+// TestLateLabelTransferLeavesNoResidue: a label transfer that lands after
+// its sink has processed the release — t1's output reaching t2's host once
+// more — finds no run to consume it and is dropped, not kept for nobody.
+func TestLateLabelTransferLeavesNoResidue(t *testing.T) {
+	sim, c, plan := simChain(t)
+	executeChain(t, sim, c, plan)
+	waitClean(t, c)
+	h1, _ := c.Host("host01")
+	ctx := ctxTimeout(t, 5*time.Second)
+	if err := h1.Send(ctx, "host02", plan.WorkflowID, proto.LabelTransfer{Label: "m1", Data: []byte("late"), Producer: "host01"}); err != nil {
+		t.Fatal(err)
+	}
+	// One link and one session queue: host02 serves this request only
+	// after it has processed the transfer.
+	if _, err := h1.Call(ctx, "host02", plan.WorkflowID, proto.LeaseRefresh{}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := leftovers(c, nil); got != "" {
+		t.Fatalf("residue after a late label transfer:%s", got)
+	}
+}
+
+// TestLossySelfLinkLeavesNoResidue: the initiator runs no task, so it holds
+// nothing for the workflow outside the execution that Execute ends — a
+// link to itself that loses every frame strands nothing there.
+func TestLossySelfLinkLeavesNoResidue(t *testing.T) {
+	sim, c, plan := simChain(t)
+	c.Network().SetLinkLoss("host00", "host00", 1)
+	executeChain(t, sim, c, plan)
 	waitClean(t, c)
 }
 

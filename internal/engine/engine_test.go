@@ -791,19 +791,26 @@ func TestExecuteDuplicateRejected(t *testing.T) {
 }
 
 // TestExecuteReleasesEveryParticipantOnce: however an execution ends, its
-// return sends each distinct participant of the plan, and the initiator
-// itself, exactly one whole-workflow release — and nothing else: an abort
-// compensates nobody task by task any more.
+// return sends each distinct participant of the plan exactly one
+// whole-workflow release — and nothing else: an abort compensates nobody
+// task by task, and the initiator, whose goal labels end with the
+// execution, is released only when it ran a task itself.
 func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
-	// a →t1→ m →t2→ n →t3→ g with t1 and t3 on p1, t2 on p2: three tasks,
-	// two participants.
-	build := func(t *testing.T) (*fakeNet, *Manager, *Plan) {
+	// a →t1→ m →t2→ n →t3→ g with t1 and t3 on p1, t2 on p2 (or on the
+	// initiator): three tasks, two participants.
+	build := func(t *testing.T, initRuns bool) (*fakeNet, *Manager, *Plan) {
 		net := newFakeNet("init")
-		net.add("init", &fakeMember{fragments: []*model.Fragment{
+		t2 := map[model.TaskID]bool{"t2": true}
+		initiator, p2 := &fakeMember{}, &fakeMember{capable: t2, services: 1}
+		if initRuns {
+			initiator, p2 = &fakeMember{capable: t2, services: 1}, &fakeMember{}
+		}
+		initiator.fragments = []*model.Fragment{
 			mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "n"), mkFrag(t, "t3", "n", "g"),
-		}})
+		}
+		net.add("init", initiator)
 		net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true, "t3": true}, services: 2})
-		net.add("p2", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 1})
+		net.add("p2", p2)
 		cfg := testConfig()
 		cfg.LeaseRefreshInterval = 15 * time.Millisecond
 		m := NewManager(net, cfg)
@@ -813,21 +820,25 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		}
 		return net, m, plan
 	}
-	everyone := []proto.Addr{"init", "p1", "p2"}
+	everyone := []proto.Addr{"p1", "p2"}
+	complete := func(_ *fakeNet, m *Manager, wf string, _ func()) {
+		for _, task := range []model.TaskID{"t1", "t2", "t3"} {
+			m.OnTaskDone(wf, proto.TaskDone{Task: task})
+		}
+		m.OnLabelTransfer(wf, proto.LabelTransfer{Label: "g"})
+	}
 	for _, row := range []struct {
 		name string
+		// initRuns allocates t2 to the initiator instead of p2.
+		initRuns bool
 		// end makes the running execution end; cancel cancels its context.
 		end     func(net *fakeNet, m *Manager, wf string, cancel func())
 		before  func(net *fakeNet)
 		want    []proto.Addr
 		wantErr bool
 	}{
-		{name: "completed", want: everyone, end: func(_ *fakeNet, m *Manager, wf string, _ func()) {
-			for _, task := range []model.TaskID{"t1", "t2", "t3"} {
-				m.OnTaskDone(wf, proto.TaskDone{Task: task})
-			}
-			m.OnLabelTransfer(wf, proto.LabelTransfer{Label: "g"})
-		}},
+		{name: "completed", want: everyone, end: complete},
+		{name: "completed, the initiator a participant", initRuns: true, want: []proto.Addr{"init", "p1"}, end: complete},
 		{name: "task failed", want: everyone, end: func(_ *fakeNet, m *Manager, wf string, _ func()) {
 			m.OnTaskDone(wf, proto.TaskDone{Task: "t1", Err: "exploded"})
 		}},
@@ -836,7 +847,7 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		}},
 		// p2 dies and nobody else offers t2: repair fails and aborts. The
 		// dead host's allocation is void; the survivors are released.
-		{name: "aborted by a failed repair", want: []proto.Addr{"init", "p1"}, end: func(net *fakeNet, _ *Manager, _ string, _ func()) {
+		{name: "aborted by a failed repair", want: []proto.Addr{"p1"}, end: func(net *fakeNet, _ *Manager, _ string, _ func()) {
 			net.setDown("p2")
 		}},
 		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet) {
@@ -844,7 +855,7 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			net, m, plan := build(t)
+			net, m, plan := build(t, row.initRuns)
 			if row.before != nil {
 				row.before(net)
 			}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -99,18 +100,16 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 // release ends an execution however it ended: it closes the execution to
 // late notifications and to a repair still in flight, and tells each
-// participant of the plan, and this host for the goal labels it buffered,
-// once that the workflow is over (a Cancel naming no task) — drop it now,
-// not one lease later. One-way and best effort: the lease is the backstop.
+// participant of the plan once that the workflow is over (a Cancel naming
+// no task) — drop it now, not one lease later. One-way and best effort:
+// the lease is the backstop. This host is told only if it is a
+// participant: its goal labels live in the execution and end with it.
 func (m *Manager) release(ex *execution) {
 	wfID := ex.plan.WorkflowID
 	m.mu.Lock()
 	ex.finishLocked(false)
 	delete(m.executions, wfID)
-	hosts := []proto.Addr{m.net.Self()}
-	for _, h := range ex.plan.Allocations {
-		hosts = append(hosts, h)
-	}
+	hosts := slices.Collect(maps.Values(ex.plan.Allocations))
 	m.mu.Unlock()
 	slices.Sort(hosts)
 	for _, h := range slices.Compact(hosts) {

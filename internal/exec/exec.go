@@ -6,11 +6,15 @@
 // of §3.2. To meet a commitment the participant (1) acquires the required
 // inputs from the executors of preceding tasks, (2) travels to the
 // required location, and (3) executes the service at the required time.
+// A label therefore lives in the run that consumes it: a run registered
+// here and not yet started keeps it, and it leaves with that run; a label
+// no such run consumes is dropped.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"openwf/internal/clock"
@@ -28,13 +32,14 @@ const locationEps = 0.5
 // SendFunc transmits an envelope; the host injects its endpoint.
 type SendFunc func(ctx context.Context, to proto.Addr, env proto.Envelope) error
 
-// Manager drives the execution of this host's commitments. It is safe for
+// Manager drives the execution of this host's commitments: one run per
+// commitment, each holding the inputs it consumes. It is safe for
 // concurrent use.
 type Manager struct {
 	self     proto.Addr
 	clk      clock.Clock
 	services *service.Manager
-	sched    *schedule.Manager
+	mobility space.Mobility
 	send     SendFunc
 	// ctx is the manager's root context, canceled by Close: in-flight
 	// service invocations and output publishing stop promptly when the
@@ -44,9 +49,6 @@ type Manager struct {
 
 	mu   sync.Mutex
 	runs map[runKey]*run
-	// labels buffers label data per workflow, including labels arriving
-	// before the consuming commitment is registered.
-	labels map[string]map[model.LabelID][]byte
 }
 
 type runKey struct {
@@ -56,10 +58,14 @@ type runKey struct {
 
 type run struct {
 	commitment schedule.Commitment
-	seg        proto.PlanSegment
-	hasSeg     bool
-	traveling  bool
-	started    bool
+	// inputs holds the data of the commitment's input labels, the first
+	// arrival of each winning; it is made with the first. It is written
+	// only before the run starts and read by the invocation after.
+	inputs    service.Inputs
+	seg       proto.PlanSegment
+	hasSeg    bool
+	traveling bool
+	started   bool
 	// finished marks a successful invocation; outputs retains its results
 	// so a repaired plan (new consumers for the same task) can re-publish
 	// them without re-executing the service.
@@ -68,8 +74,9 @@ type run struct {
 	timers   []clock.Timer
 }
 
-// NewManager returns an execution manager for one host.
-func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, sched *schedule.Manager, send SendFunc) *Manager {
+// NewManager returns an execution manager for one host that moves as
+// mobility says.
+func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, mobility space.Mobility, send SendFunc) *Manager {
 	if clk == nil {
 		clk = clock.New()
 	}
@@ -77,10 +84,9 @@ func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, sch
 		self:     self,
 		clk:      clk,
 		services: services,
-		sched:    sched,
+		mobility: mobility,
 		send:     send,
 		runs:     make(map[runKey]*run),
-		labels:   make(map[string]map[model.LabelID][]byte),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root spanning every execution on this host, canceled by Close
 	return m
@@ -98,7 +104,10 @@ func (m *Manager) Close() {
 }
 
 // Register records an awarded commitment. Execution additionally needs the
-// routing plan (SetPlan); conditions are monitored from then on.
+// routing plan (SetPlan); conditions are monitored from then on. The host
+// registers before it answers the award, and the initiator sends plans
+// and triggers only once every award is answered, so a run is always
+// here before any label or segment for it.
 func (m *Manager) Register(workflow string, c schedule.Commitment) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -110,25 +119,14 @@ func (m *Manager) Register(workflow string, c schedule.Commitment) {
 }
 
 // SetPlan attaches the routing information for a commitment and arms the
-// travel and start timers. A segment whose task was never registered is
-// dropped, unless the calendar already holds its commitment: then the run
-// is made from that, so plan and award may arrive in either order.
+// travel and start timers. A segment whose task is not registered here is
+// dropped.
 func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	m.mu.Lock()
-	k := runKey{workflow, seg.Task}
-	r, ok := m.runs[k]
+	r, ok := m.runs[runKey{workflow, seg.Task}]
 	if !ok {
-		// Award not seen yet (messages may reorder across links);
-		// synthesize the run from the schedule manager's commitment
-		// when it exists, else drop — the engine re-sends plans on
-		// replanning.
-		if c, exists := m.sched.Get(workflow, seg.Task); exists {
-			r = &run{commitment: c}
-			m.runs[k] = r
-		} else {
-			m.mu.Unlock()
-			return
-		}
+		m.mu.Unlock()
+		return
 	}
 	r.seg = seg
 	r.hasSeg = true
@@ -188,35 +186,33 @@ func (m *Manager) beginTravelLocked(r *run) {
 		return
 	}
 	r.traveling = true
-	m.sched.Mobility().Travel(m.clk.Now(), r.commitment.Location)
+	m.mobility.Travel(m.clk.Now(), r.commitment.Location)
 }
 
-// OnLabel receives a label transfer (an inter-service message). The data
-// is buffered per workflow and any run waiting on it is re-checked.
+// OnLabel receives a label transfer (an inter-service message). Each run
+// of the workflow that consumes the label and has not started keeps the
+// data, and a run whose inputs are now complete is re-checked. A label no
+// run here consumes is dropped: it is the initiator's goal, or late.
 func (m *Manager) OnLabel(workflow string, lt proto.LabelTransfer) {
 	m.mu.Lock()
-	wf, ok := m.labels[workflow]
-	if !ok {
-		wf = make(map[model.LabelID][]byte)
-		m.labels[workflow] = wf
-	}
-	if _, dup := wf[lt.Label]; !dup {
-		wf[lt.Label] = lt.Data
-	}
-	var waiting []model.TaskID
+	var ready []model.TaskID
 	for k, r := range m.runs {
-		if k.workflow != workflow || r.started {
+		if k.workflow != workflow || r.started || !slices.Contains(r.commitment.Meta.Inputs, lt.Label) {
 			continue
 		}
-		for _, in := range r.commitment.Meta.Inputs {
-			if in == lt.Label {
-				waiting = append(waiting, k.task)
-				break
-			}
+		if _, dup := r.inputs[lt.Label]; dup {
+			continue
+		}
+		if r.inputs == nil {
+			r.inputs = make(service.Inputs, len(r.commitment.Meta.Inputs))
+		}
+		r.inputs[lt.Label] = lt.Data
+		if len(r.inputs) == len(r.commitment.Meta.Inputs) {
+			ready = append(ready, k.task)
 		}
 	}
 	m.mu.Unlock()
-	for _, task := range waiting {
+	for _, task := range ready {
 		m.tryStart(workflow, task)
 	}
 }
@@ -229,24 +225,16 @@ func (m *Manager) forget(k runKey, r *run) {
 	delete(m.runs, k)
 }
 
-// Cancel drops the run of one task whatever its state (an invocation in
-// flight finds it gone and publishes nothing) or, when task is empty, every
-// run of the workflow. The workflow's buffered labels go with its last run.
+// Cancel drops the run of one task, with its inputs, whatever its state
+// (an invocation in flight finds it gone and publishes nothing) or, when
+// task is empty, every run of the workflow.
 func (m *Manager) Cancel(workflow string, task model.TaskID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	left := false
 	for k, r := range m.runs {
-		switch {
-		case k.workflow != workflow:
-		case task == "" || k.task == task:
+		if k.workflow == workflow && (task == "" || k.task == task) {
 			m.forget(k, r)
-		default:
-			left = true
 		}
-	}
-	if !left {
-		delete(m.labels, workflow)
 	}
 }
 
@@ -254,7 +242,7 @@ func (m *Manager) Cancel(workflow string, task model.TaskID) {
 // for the frozen benchmark, goes with the [benchmark] re-baseline.
 func (m *Manager) ClearWorkflow(workflow string) { m.Cancel(workflow, "") }
 
-// Reset wipes every run and buffered label (crash simulation); the manager
+// Reset wipes every run and its inputs (crash simulation); the manager
 // stays usable and the restarted host re-registers from scratch.
 func (m *Manager) Reset() {
 	m.mu.Lock()
@@ -262,15 +250,18 @@ func (m *Manager) Reset() {
 	for k, r := range m.runs {
 		m.forget(k, r)
 	}
-	clear(m.labels)
 }
 
-// Residue returns how many runs and how many workflows' buffered labels
-// the manager holds: zero once every workflow this host served has ended.
+// Residue returns how many runs and how many label values held by those
+// runs the manager holds: zero once every workflow this host served has
+// ended.
 func (m *Manager) Residue() (runs, labels int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.runs), len(m.labels)
+	for _, r := range m.runs {
+		labels += len(r.inputs)
+	}
+	return len(m.runs), labels
 }
 
 // Pending returns how many registered runs have not started yet.
@@ -303,21 +294,15 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 		m.mu.Unlock()
 		return
 	}
-	wf := m.labels[workflow]
-	inputs := make(service.Inputs, len(c.Meta.Inputs))
-	for _, in := range c.Meta.Inputs {
-		data, have := wf[in]
-		if !have {
-			m.mu.Unlock()
-			return
-		}
-		inputs[in] = data
+	if len(r.inputs) < len(c.Meta.Inputs) {
+		m.mu.Unlock()
+		return
 	}
 	if c.HasLocation {
-		pos := m.sched.Mobility().Position(now)
+		pos := m.mobility.Position(now)
 		if !space.Near(pos, c.Location, locationEps) {
 			// Still under way: re-check on arrival.
-			eta := space.TravelTime(pos, c.Location, m.sched.Mobility().Speed())
+			eta := space.TravelTime(pos, c.Location, m.mobility.Speed())
 			if eta > 0 && eta < 1<<62 {
 				t := m.clk.AfterFunc(eta, func() { m.tryStart(workflow, task) })
 				r.timers = append(r.timers, t)
@@ -327,7 +312,7 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 		}
 	}
 	r.started = true
-	seg := r.seg
+	seg, inputs := r.seg, r.inputs
 	m.mu.Unlock()
 
 	go m.invoke(workflow, c, seg, inputs)

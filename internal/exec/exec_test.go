@@ -79,7 +79,6 @@ func (r *sentRecorder) count(pred func(sent) bool) int {
 // rig assembles an execution manager around a real-clock host.
 type rig struct {
 	mgr      *Manager
-	sched    *schedule.Manager
 	services *service.Manager
 	rec      *sentRecorder
 	clk      clock.Clock
@@ -94,11 +93,12 @@ func newRig(t *testing.T, mobility space.Mobility, regs ...service.Registration)
 			t.Fatal(err)
 		}
 	}
-	sched := schedule.NewManager(clk, mobility, schedule.Preferences{})
+	if mobility == nil {
+		mobility = space.Static{}
+	}
 	rec := &sentRecorder{}
 	return &rig{
-		mgr:      NewManager("self", clk, services, sched, rec.send),
-		sched:    sched,
+		mgr:      NewManager("self", clk, services, mobility, rec.send),
 		services: services,
 		rec:      rec,
 		clk:      clk,
@@ -176,37 +176,23 @@ func TestWaitsForStartTime(t *testing.T) {
 	}
 }
 
+// TestLabelBeforePlanBuffered: a label that reaches a registered run
+// before its plan segment (a repair re-publishes while it re-distributes)
+// is kept by the run; one that arrives before the run is dropped.
 func TestLabelBeforePlanBuffered(t *testing.T) {
 	r := newRig(t, nil, service.Registration{
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
-	now := time.Now()
-	// The input arrives before award and plan.
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
-	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}))
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
-}
-
-func TestPlanBeforeRegisterUsesScheduleCommitment(t *testing.T) {
-	r := newRig(t, nil, service.Registration{
-		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
-	})
-	// The award path stored the commitment in the schedule manager, but
-	// exec.Register was never called (messages reordered).
-	meta := proto.TaskMeta{
-		Task: "t", Mode: model.Conjunctive,
-		Inputs: []model.LabelID{"in"}, Outputs: []model.LabelID{"out"},
-		Start: time.Now().Add(20 * time.Millisecond), End: time.Now().Add(time.Second),
+	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
+		t.Fatalf("a label with no run to consume it: %d runs, %d labels held", runs, labels)
 	}
-	if _, err := r.sched.Hold("wf", meta, time.Now().Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.sched.CommitHeld("wf", "t", time.Time{}); err != nil {
-		t.Fatal(err)
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	if runs, labels := r.mgr.Residue(); runs != 1 || labels != 1 {
+		t.Fatalf("a label before its plan: %d runs, %d labels held; want 1, 1", runs, labels)
 	}
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
-	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
 }
 
@@ -287,7 +273,7 @@ func TestCancelDropsStartedRun(t *testing.T) {
 	<-started
 	r.mgr.Cancel("wf", "t")
 	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
-		t.Fatalf("after canceling the started run: %d runs, %d workflows' labels", runs, labels)
+		t.Fatalf("after canceling the started run: %d runs, %d labels", runs, labels)
 	}
 	close(finish)
 	time.Sleep(20 * time.Millisecond)
@@ -296,27 +282,32 @@ func TestCancelDropsStartedRun(t *testing.T) {
 	}
 }
 
-// TestLabelsGoWithLastRun: a workflow's buffered labels outlive the
-// cancellation of one of its runs and leave with the last.
-func TestLabelsGoWithLastRun(t *testing.T) {
+// TestLabelsGoWithTheirRun: a label is held by each run that consumes it,
+// dropped when none does, and leaves with its run.
+func TestLabelsGoWithTheirRun(t *testing.T) {
 	r := newRig(t, nil)
 	later := time.Now().Add(time.Hour)
 	r.mgr.Register("wf", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"mid"}))
-	r.mgr.Register("wf", commitment("u", later, []model.LabelID{"mid"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("u", later, []model.LabelID{"in", "mid"}, []model.LabelID{"out"}))
 	r.mgr.Register("other", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"out"}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "mid", Producer: "peer"})
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "out", Producer: "peer"}) // nobody here consumes it
 	r.mgr.OnLabel("other", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	if runs, labels := r.mgr.Residue(); runs != 3 || labels != 4 {
+		t.Fatalf("%d runs, %d labels; want 3, 4", runs, labels)
+	}
 	for _, step := range []struct {
 		task         model.TaskID
 		runs, labels int
 	}{
-		{"t", 2, 2},     // u still needs the workflow's labels
-		{"ghost", 2, 2}, // a cancel for a task never awarded here changes nothing
-		{"u", 1, 1},     // the last run takes them along; the other workflow is untouched
+		{"t", 2, 3},     // t's copy of "in" goes; u keeps its own
+		{"ghost", 2, 3}, // a cancel for a task never awarded here changes nothing
+		{"u", 1, 1},     // u takes its two along; the other workflow is untouched
 	} {
 		r.mgr.Cancel("wf", step.task)
 		if runs, labels := r.mgr.Residue(); runs != step.runs || labels != step.labels {
-			t.Fatalf("after Cancel(%s): %d runs, %d workflows' labels; want %d, %d", step.task, runs, labels, step.runs, step.labels)
+			t.Fatalf("after Cancel(%s): %d runs, %d labels; want %d, %d", step.task, runs, labels, step.runs, step.labels)
 		}
 	}
 }
@@ -331,7 +322,7 @@ func TestClearWorkflow(t *testing.T) {
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.ClearWorkflow("wf")
 	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
-		t.Errorf("ClearWorkflow left %d runs, %d workflows' labels", runs, labels)
+		t.Errorf("ClearWorkflow left %d runs, %d labels", runs, labels)
 	}
 }
 

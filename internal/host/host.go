@@ -42,9 +42,6 @@ type Config struct {
 	Mobility space.Mobility
 	// Prefs expresses scheduling willingness.
 	Prefs schedule.Preferences
-	// BidWindow is the deadline the host gives auction managers
-	// (default auction.DefaultBidWindow).
-	BidWindow time.Duration
 	// Engine configures this host's workflow engine (used when the host
 	// initiates workflows).
 	Engine engine.Config
@@ -145,8 +142,8 @@ func New(cfg Config) (*Host, error) {
 	}
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
-	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, cfg.BidWindow)
-	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule, h.sendEnvelope)
+	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, 0)
+	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule.Mobility(), h.sendEnvelope)
 	ttl := discovery.DefaultTTL
 	if dc := cfg.Discovery; dc != nil {
 		if dc.TTL > 0 {

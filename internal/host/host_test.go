@@ -366,17 +366,20 @@ func TestCallForBidsDecline(t *testing.T) {
 	}
 }
 
+// TestHoldExpiryTimerReleasesSlot: a bid nobody awards holds its slot for
+// the bid window and not after it.
 func TestHoldExpiryTimerReleasesSlot(t *testing.T) {
+	sim := clock.NewSim(time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC))
 	a, b := pair(t,
-		Config{Addr: "a", BidWindow: 20 * time.Millisecond},
-		Config{Addr: "b", BidWindow: 20 * time.Millisecond, Services: []service.Registration{
+		Config{Addr: "a", Clock: sim},
+		Config{Addr: "b", Clock: sim, Services: []service.Registration{
 			{Descriptor: service.Descriptor{Task: "cook", Specialization: 0.5}},
 		}},
 	)
 	meta := proto.TaskMeta{
 		Task: "cook", Mode: model.Conjunctive,
 		Inputs: lbl("in"), Outputs: lbl("out"),
-		Start: time.Now().Add(time.Hour), End: time.Now().Add(2 * time.Hour),
+		Start: sim.Now().Add(time.Hour), End: sim.Now().Add(2 * time.Hour),
 	}
 	if _, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}, time.Second); err != nil {
 		t.Fatal(err)
@@ -384,12 +387,13 @@ func TestHoldExpiryTimerReleasesSlot(t *testing.T) {
 	if b.Schedule.Holds() != 1 {
 		t.Fatalf("Holds = %d after bid", b.Schedule.Holds())
 	}
-	deadline := time.Now().Add(time.Second)
-	for b.Schedule.Holds() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hold never expired")
-		}
-		time.Sleep(5 * time.Millisecond)
+	sim.Advance(auction.DefaultBidWindow - time.Millisecond)
+	if b.Schedule.Holds() != 1 {
+		t.Fatalf("Holds = %d inside the bid window", b.Schedule.Holds())
+	}
+	sim.Advance(time.Second)
+	if b.Schedule.Holds() != 0 {
+		t.Fatal("hold outlived its bid window")
 	}
 }
 
@@ -408,7 +412,7 @@ func TestOneSweepTimerPerHost(t *testing.T) {
 	}
 	a, b := pair(t,
 		Config{Addr: "a", Clock: sim},
-		Config{Addr: "b", Clock: sim, BidWindow: 10 * time.Second, Services: regs},
+		Config{Addr: "b", Clock: sim, Services: regs},
 	)
 	call := func(wf string, body proto.Body) proto.Body {
 		t.Helper()

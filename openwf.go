@@ -242,11 +242,6 @@ func WithSeed(seed int64) Option {
 	return func(s *settings) { s.comm.Seed = seed }
 }
 
-// WithBidWindow overrides the participants' bid deadline window.
-func WithBidWindow(d time.Duration) Option {
-	return func(s *settings) { s.comm.BidWindow = d }
-}
-
 // WithStoreAndForward buffers messages across partitions on the
 // in-memory network (delay-tolerant delivery) instead of losing them.
 func WithStoreAndForward() Option {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"openwf"
-	"openwf/internal/auction"
 	"openwf/internal/proto"
 )
 
@@ -278,36 +277,6 @@ func TestFacadeOptions(t *testing.T) {
 				a, again, b := firstDraw(t, 7), firstDraw(t, 7), firstDraw(t, 8)
 				if a == 0 || a != again || a == b {
 					t.Errorf("first link draw: seed 7 → %d then %d, seed 8 → %d; want equal, then different", a, again, b)
-				}
-			}},
-		{"WithBidWindow", []openwf.Option{openwf.WithBidWindow(20 * time.Millisecond)},
-			func(t *testing.T, com *openwf.Community) {
-				asker, _ := com.Host("asker")
-				sent := time.Now()
-				reply, err := asker.Call(ctx, "worker", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{{
-					Task: "job", Mode: openwf.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"),
-					Start: sent.Add(time.Hour), End: sent.Add(time.Hour + time.Minute),
-				}}}, time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bids, ok := reply.(proto.BidBatch)
-				if !ok || len(bids.Bids) != 1 {
-					t.Fatalf("reply = %#v", reply)
-				}
-				if com.TotalHolds() != 1 {
-					t.Fatalf("holds after the bid = %d, want 1", com.TotalHolds())
-				}
-				if wait := bids.Bids[0].Deadline.Sub(sent); wait < 20*time.Millisecond || wait >= auction.DefaultBidWindow {
-					t.Errorf("bid decides within %v, want the 20 ms window, not the default", wait)
-				}
-				// Nobody awards: the host's sweep drops the hold once the
-				// window has passed.
-				for deadline := time.Now().Add(5 * time.Second); com.TotalHolds() != 0; {
-					if time.Now().After(deadline) {
-						t.Fatalf("hold still there %v after its window", time.Since(sent))
-					}
-					time.Sleep(time.Millisecond)
 				}
 			}},
 		{"WithStoreAndForward", []openwf.Option{openwf.WithStoreAndForward()},
