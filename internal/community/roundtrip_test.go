@@ -6,6 +6,7 @@ package community
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,16 +34,17 @@ func (l linkClock) Record(e trace.Event) {
 
 // TestOneMessagePerPeerPerPhase: 4 hosts, a 6-task chain, 3 replicated
 // providers. From memory an Initiate costs one call for bids per provider
-// and one award per winner, its Execute one plan request per executor:
-// 3 + W, then + E, with W = E = the distinct hosts of the plan.
+// and one award per winner, and its Execute no round trip at all: the sweep
+// decides every task before the first award goes out, so each award carries
+// its tasks' routes and no plan request follows. 3 + W for Initiate and
+// Execute together, with W the distinct hosts of the plan.
 //
 // The benchmark's StartDelay (5 ms) is shorter than three sequential calls
 // for bids on its link (2.3 ms each): the third provider is asked 5.75 ms
 // in, after the first task's window opened, and declines that one task —
 // "execution window already started". When that provider is host01, which
 // wins every tie, the chain splits over two winners; the rotation puts it
-// third in one session of four, so the benchmark reads 3 + 1.25 + 1.25 and
-// not 5. The split is the fixture's, not the batching's: it is pinned here
+// third in one session of four, so the benchmark reads 3 + 1.25 and not 4. The split is the fixture's, not the batching's: it is pinned here
 // so that a change in either shows.
 func TestOneMessagePerPeerPerPhase(t *testing.T) {
 	const chain = 6
@@ -117,8 +119,8 @@ func TestOneMessagePerPeerPerPhase(t *testing.T) {
 			t.Errorf("session %d: allocations %v; want the chain on host01, or t1 alone on host02", i, plan.Allocations)
 		}
 		execute(plan)
-		if got := c.Network().Stats().Calls; got != 3+w+w {
-			t.Errorf("session %d: Initiate and Execute cost %d round trips, want 3 + %d awards + %d plan requests", i, got, w, w)
+		if got := c.Network().Stats().Calls; got != 3+w {
+			t.Errorf("session %d: Initiate and Execute cost %d round trips, want 3 + %d awards and no plan request", i, got, w)
 		}
 	}
 	if splits != 1 {
@@ -130,8 +132,9 @@ func TestOneMessagePerPeerPerPhase(t *testing.T) {
 // by one host only — the shape of the benchmark's sim_serial workload. From
 // memory each task has one possible winner, so its award rides on that
 // host's call for bids: an Initiate costs D round trips, D the distinct
-// hosts of the plan, where it cost 2·D while an Award followed the sweep —
-// and Execute still one plan request per executor.
+// hosts of the plan, where it cost 2·D while an Award followed the sweep.
+// Those awards go out before the other tasks are decided, so they carry no
+// routes: Execute costs one plan request per executor, + D.
 func TestSoleProvidersCostOneCallEach(t *testing.T) {
 	const chain = 6
 	sim := clock.NewSim(stressT0)
@@ -191,5 +194,46 @@ func TestSoleProvidersCostOneCallEach(t *testing.T) {
 	}
 	if got := rec.CountKind("award"); got != 0 {
 		t.Errorf("%d award events over three sessions, want none", got)
+	}
+}
+
+// TestMixedPlanOnePlanRequest: the same chain with t1 … t5 offered by
+// host01 to host03 and t6 by host03 alone. From memory t6's award rides on
+// host03's call for bids, before the others are decided, so it carries no
+// routes; the auctioned tasks' award carries theirs. Execute sends exactly
+// one plan request, to host03.
+func TestMixedPlanOnePlanRequest(t *testing.T) {
+	sim := clock.NewSim(stressT0)
+	rec := trace.NewBuffer(0)
+	replicated := []int{1, 2, 3}
+	c, problem := routedChain(t, sim, rec, 4, [][]int{replicated, replicated, replicated, replicated, replicated, {3}})
+	ctx := ctxTimeout(t, 60*time.Second)
+
+	for i := 0; i < 2; i++ { // the first session also learns its community
+		plan, err := c.Initiate(ctx, "host00", problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			executeOn(t, c, sim, "host00", plan)
+			continue
+		}
+		if plan.Allocations["t6"] != "host03" {
+			t.Fatalf("allocations %v, want t6 on its one provider host03", plan.Allocations)
+		}
+		if got := fmt.Sprint(plan.Routed); len(plan.Routed) != 5 || slices.Contains(plan.Routed, "t6") {
+			t.Fatalf("routes rode on the awards of %s, want t1 … t5", got)
+		}
+		before := received(rec, "plan-segment")
+		executeOn(t, c, sim, "host00", plan)
+		got := received(rec, "plan-segment")
+		for h, n := range before {
+			if got[h] -= n; got[h] == 0 {
+				delete(got, h)
+			}
+		}
+		if len(got) != 1 || got["host03"] != 1 {
+			t.Errorf("plan requests received %v, want exactly one, by host03", got)
+		}
 	}
 }

@@ -48,23 +48,34 @@ func retrySlot(wfID string) int {
 
 // allocate auctions the tasks ids of w, windows staggered in that order,
 // among candidates (nil = the whole community; repair passes the
-// survivors), rotated by rot (see route). A try that leaves tasks
-// unallocated — their providers may only be busy with another session's
-// commitments now — cancels its own wins and solicits the whole set again,
+// survivors), rotated by rot (see route). ids nil is every task of w in
+// topological order, and then the plan rides on the awards: the sweep
+// decides every task before the first award goes out, so each award can
+// carry where its tasks' outputs go (runAuction). A repair names the tasks
+// it re-homes and distributes the whole plan itself.
+//
+// A try that leaves tasks unallocated — their providers may only be busy
+// with another session's commitments now — cancels its own wins, and with
+// them any routes they carried, and solicits the whole set again,
 // postponed into the try's retry band (retryPostpone, retrySlot). It
-// returns the last try's wins with their metas and the tasks it left
-// unallocated; once the retries are spent those wins are the caller's to
-// keep or cancel. On error the try's wins are cancelled.
-func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
+// returns the last try's wins with their metas, the won tasks whose
+// winners hold their routes, and the tasks it left unallocated; once the
+// retries are spent those wins are the caller's to keep or cancel. On
+// error the try's wins are cancelled.
+func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, routed, failed []model.TaskID, err error) {
 	slot := retrySlot(wfID)
+	whole := ids == nil
+	if whole {
+		ids = w.TopoOrder()
+	}
 	for try := 0; ; try++ {
 		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
 		won = make(map[model.TaskID]proto.Addr, len(solicited))
-		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, won); err != nil {
+		if failed, routed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, whole, won); err != nil {
 			// Awards riding on the calls for bids go out during the sweep,
 			// so an error may leave wins to release.
 			m.cancelAwards(wfID, won)
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		if len(failed) == 0 || try >= m.cfg.WindowRetries {
 			metas = make(map[model.TaskID]proto.TaskMeta, len(won))
@@ -73,7 +84,7 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 					metas[meta.Task] = meta
 				}
 			}
-			return won, metas, failed, nil
+			return won, metas, routed, failed, nil
 		}
 		m.cancelAwards(wfID, won)
 	}
@@ -83,7 +94,9 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 // answered by one BidBatch — one round trip per member), awards the
 // auctioneer's decisions once the sweep ends (one Award per winner, see
 // award), and records confirmed winners in alloc. It returns the tasks
-// that ended unallocated — decided failed, award refused or undeliverable.
+// that ended unallocated — decided failed, award refused or undeliverable
+// — and, when metas are every task of the workflow (whole), the awarded
+// tasks whose winners confirmed holding the routes their award carried.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -104,7 +117,7 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 //
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels them).
-func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) ([]model.TaskID, error) {
+func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, whole bool, alloc map[model.TaskID]proto.Addr) (failed, routed []model.TaskID, err error) {
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
 		tasks[i] = meta.Task
@@ -117,7 +130,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 		for _, meta := range metas {
 			m.cfg.Observer.taskDecided(wfID, meta.Task, "")
 		}
-		return unallocated(metas, alloc), nil
+		return unallocated(metas, alloc), nil, nil
 	}
 	open, sole := metas, map[proto.Addr][]proto.TaskMeta(nil)
 	if !describe {
@@ -125,7 +138,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	}
 	auc, err := auction.NewAuctioneer(members, open)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Solicit bids from every member in turn (§5: time linear in the
@@ -147,13 +160,13 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 			// Its own tasks are lost awards, settled as awardWinner settles
 			// those; for the auction it declines everything.
 			if err := m.settleLost(ctx, wfID, out.To, mine, alloc); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			reply, mine = proto.BidBatch{Declines: tasks}, nil
 		}
 		bids, ok := reply.(proto.BidBatch)
 		if !ok {
-			return nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
+			return nil, nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
 		}
 		for _, meta := range mine {
 			// A bid for a task that rode on the call is its commitment.
@@ -166,10 +179,14 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 		}
 		ds = auc.HandleBidBatch(out.To, bids, time.Time{})
 	}
-	if err := m.award(ctx, wfID, ds, alloc); err != nil {
-		return nil, err
+	var all []proto.TaskMeta
+	if whole {
+		all = metas
 	}
-	return unallocated(metas, alloc), nil
+	if routed, err = m.award(ctx, wfID, ds, all, alloc); err != nil {
+		return nil, nil, err
+	}
+	return unallocated(metas, alloc), routed, nil
 }
 
 // soleTasks splits metas by what the host's memory says of members, the
@@ -199,7 +216,12 @@ func (m *Manager) soleTasks(members []proto.Addr, tasks []model.TaskID, metas []
 // loser is released before the first winner is told, and each winner is
 // told once, of everything it won (awardWinner). A refused or
 // undeliverable award re-enters the failure set for replanning.
-func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
+//
+// With all, the metas of every task of the workflow, each award carries
+// the routes of its tasks' outputs: every executor is known by now, a sole
+// win in alloc or a decision in ds. It returns the tasks whose winners
+// confirmed holding them (proto.AwardAck.Routed).
+func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, all []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) (routed []model.TaskID, err error) {
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.
 	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
@@ -213,41 +235,109 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 			_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
 		}
 	}
+	decided := ds
+	if all != nil && len(ds) > 0 {
+		routed = make([]model.TaskID, 0, len(ds))
+	}
+	executor := func(t model.TaskID) proto.Addr {
+		if to, ok := alloc[t]; ok {
+			return to
+		}
+		for _, d := range decided {
+			if d.Task == t {
+				return d.Winner
+			}
+		}
+		return ""
+	}
 	for len(ds) > 0 {
 		n := 1
 		for n < len(ds) && ds[n].Winner == ds[0].Winner {
 			n++
 		}
 		if !ds[0].Failed() {
-			if err := m.awardWinner(ctx, wfID, ds[:n], alloc); err != nil {
-				return err
+			var routes []proto.Route
+			if all != nil {
+				routes = m.awardRoutes(ds[:n], all, executor)
+			}
+			if routed, err = m.awardWinner(ctx, wfID, ds[:n], routes, alloc, routed); err != nil {
+				return nil, err
 			}
 		}
 		ds = ds[n:]
 	}
-	return nil
+	return routed, nil
 }
 
-// awardWinner sends ds, all won by ds[0].Winner, in one Award and settles
-// each task by its own verdict: a confirmed task is recorded in alloc, a
-// refused one re-enters the failure set alone (the winner freed its slot,
-// HandleAward's rule).
-func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, alloc map[model.TaskID]proto.Addr) error {
+// awardRoutes lists where the outputs of the tasks of ds go, or nil when
+// some consumer has no executor: a decision failed, so the try fails and
+// its awards are cancelled.
+func (m *Manager) awardRoutes(ds []auction.Decision, all []proto.TaskMeta, executor func(model.TaskID) proto.Addr) []proto.Route {
+	n := 0
+	for _, d := range ds {
+		n += len(d.Meta.Outputs)
+	}
+	routes := make([]proto.Route, 0, n)
+	for _, d := range ds {
+		var ok bool
+		if routes, ok = m.routes(routes, d.Meta, all, executor); !ok {
+			return nil
+		}
+	}
+	return routes
+}
+
+// routes appends where the outputs of task go, all being the metas of
+// every task of the workflow: one route to each distinct executor of a
+// task consuming the output or, for a goal label — one no task consumes —
+// one to this host; by label, then host. It reports false, leaving the
+// consumer out, when a consumer has no executor.
+func (m *Manager) routes(rs []proto.Route, task proto.TaskMeta, all []proto.TaskMeta, executor func(model.TaskID) proto.Addr) ([]proto.Route, bool) {
+	ok := true
+	for _, out := range task.Outputs {
+		from := len(rs)
+		consumed := false
+		for _, c := range all {
+			if !slices.Contains(c.Inputs, out) {
+				continue
+			}
+			consumed = true
+			r := proto.Route{Label: out, To: executor(c.Task)}
+			if r.To == "" {
+				ok = false
+			} else if !slices.Contains(rs[from:], r) {
+				rs = append(rs, r)
+			}
+		}
+		if !consumed {
+			rs = append(rs, proto.Route{Label: out, To: m.net.Self()})
+		}
+		slices.SortFunc(rs[from:], func(a, b proto.Route) int { return cmp.Compare(a.To, b.To) })
+	}
+	return rs, ok
+}
+
+// awardWinner sends ds, all won by ds[0].Winner, in one Award carrying
+// routes, and settles each task by its own verdict: a confirmed task is
+// recorded in alloc, and appended to routed when the winner confirmed
+// holding the routes; a refused one re-enters the failure set alone (the
+// winner freed its slot, HandleAward's rule).
+func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, routes []proto.Route, alloc map[model.TaskID]proto.Addr, routed []model.TaskID) ([]model.TaskID, error) {
 	winner := ds[0].Winner
 	metas := make([]proto.TaskMeta, len(ds))
 	for i, d := range ds {
 		metas[i] = d.Meta
 	}
-	reply, err := m.net.Call(ctx, winner, wfID, proto.Award{Meta: metas[0], More: metas[1:]}, m.cfg.CallTimeout)
+	reply, err := m.net.Call(ctx, winner, wfID, proto.Award{Meta: metas[0], More: metas[1:], Routes: routes}, m.cfg.CallTimeout)
 	if err != nil {
-		return m.settleLost(ctx, wfID, winner, metas, alloc)
+		return routed, m.settleLost(ctx, wfID, winner, metas, alloc)
 	}
 	ack, ok := reply.(proto.AwardAck)
 	if !ok {
-		return fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
+		return nil, fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
 	}
 	if len(ack.Verdicts) != len(ds) {
-		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
+		return nil, fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
 	}
 	for i, verdict := range ack.Verdicts {
 		if !verdict.OK {
@@ -255,9 +345,12 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 			continue
 		}
 		alloc[ds[i].Task] = winner
+		if ack.Routed && routes != nil {
+			routed = append(routed, ds[i].Task)
+		}
 		m.cfg.Observer.taskDecided(wfID, ds[i].Task, winner)
 	}
-	return nil
+	return routed, nil
 }
 
 // settleLost settles the awards a failed call to member carried — an

@@ -355,3 +355,63 @@ func TestDistributeGroupsByExecutor(t *testing.T) {
 		t.Errorf("err = %v, want the host and the tasks its plan request carried", err)
 	}
 }
+
+// TestAwardCarriesRoutes: the sweep decides every task before the first
+// award goes out, so each winner's award carries where its tasks' outputs
+// go — to the executor of the consuming task, the goal to the initiator —
+// and Execute sends no plan request to a winner that confirmed holding
+// them. It only injects the trigger.
+func TestAwardCarriesRoutes(t *testing.T) {
+	net := groupNet(t)
+	net.routes = true
+	m := NewManager(net, oneAttempt())
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[proto.Addr]string)
+	for _, c := range awards(net) {
+		got[c.to] = fmt.Sprint(c.body.(proto.Award).Routes)
+	}
+	want := map[proto.Addr]string{"p1": "[{m p2} {g init}]", "p2": "[{n p1}]"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("award routes = %v, want %v", got, want)
+	}
+	if routed := slices.Sorted(slices.Values(plan.Routed)); !slices.Equal(routed, []model.TaskID{"t1", "t2", "t3"}) || plan.Initiator != "init" {
+		t.Errorf("plan by %q routed %v on its awards, want init and every task", plan.Initiator, plan.Routed)
+	}
+
+	net.clearLog()
+	go func() {
+		for {
+			m.mu.Lock()
+			_, running := m.executions[plan.WorkflowID]
+			m.mu.Unlock()
+			if running {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, task := range []model.TaskID{"t1", "t2", "t3"} {
+			m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: task})
+		}
+		m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+	}()
+	if _, err := m.Execute(context.Background(), plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	if len(net.log) != 0 {
+		t.Errorf("Execute called %v, want nothing: the plan rode on the awards", net.log)
+	}
+	var triggers []string
+	for _, s := range net.sentTo {
+		if lt, ok := s.body.(proto.LabelTransfer); ok {
+			triggers = append(triggers, fmt.Sprintf("%s@%s", lt.Label, s.to))
+		}
+	}
+	if !slices.Equal(triggers, []string{"a@p1"}) {
+		t.Errorf("triggers injected %v, want a to t1's executor p1", triggers)
+	}
+}

@@ -88,6 +88,9 @@ type fakeNet struct {
 	log       []fakeCall
 	describes bool
 	mute      map[proto.Addr]bool
+	// routes makes members confirm holding the routes an Award carries, as
+	// a host does; without it every plan goes out in plan requests.
+	routes bool
 }
 
 // fakeCall is one logged Call.
@@ -311,7 +314,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
 		// One verdict per task the Award carries, in its order.
-		var ack proto.AwardAck
+		ack := proto.AwardAck{Routed: f.routes && b.Routes != nil}
 		for _, meta := range append([]proto.TaskMeta{b.Meta}, b.More...) {
 			v := proto.Verdict{Task: meta.Task, OK: true}
 			if m.refuseAward || m.refuseTask[meta.Task] {
@@ -900,7 +903,7 @@ func TestPlanSegmentsRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := m.planSegments(plan)
+	segs := m.planSegments(plan, nil)
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d", len(segs))
 	}
@@ -908,26 +911,20 @@ func TestPlanSegmentsRouting(t *testing.T) {
 	for _, s := range segs {
 		byTask[s.Task] = s
 	}
-	// t1's input a comes from the initiator (trigger); its output m
-	// goes to t2's executor.
-	if got := byTask["t1"].InputSources["a"]; got != "init" {
-		t.Errorf("t1 input source = %v", got)
+	// t1's output m goes to t2's executor; t2's goal output g returns to
+	// the initiator.
+	if got, want := byTask["t1"].Routes, []proto.Route{{Label: "m", To: "peer"}}; !slices.Equal(got, want) {
+		t.Errorf("t1 routes = %v, want %v", got, want)
 	}
-	if got := byTask["t1"].OutputSinks["m"]; len(got) != 1 || got[0] != "peer" {
-		t.Errorf("t1 output sinks = %v", got)
-	}
-	// t2's goal output g returns to the initiator.
-	foundInit := false
-	for _, sink := range byTask["t2"].OutputSinks["g"] {
-		if sink == "init" {
-			foundInit = true
-		}
-	}
-	if !foundInit {
-		t.Errorf("goal not routed to initiator: %v", byTask["t2"].OutputSinks["g"])
+	if got, want := byTask["t2"].Routes, []proto.Route{{Label: "g", To: "init"}}; !slices.Equal(got, want) {
+		t.Errorf("t2 routes = %v, want %v: the goal returns to the initiator", got, want)
 	}
 	if byTask["t1"].Initiator != "init" || byTask["t2"].Initiator != "init" {
 		t.Error("initiator missing from segments")
+	}
+	// Segments of the tasks whose routes rode on their award are not built.
+	if segs := m.planSegments(plan, []model.TaskID{"t1"}); len(segs) != 1 || segs[0].Task != "t2" {
+		t.Errorf("segments skipping t1 = %v, want t2's alone", segs)
 	}
 }
 

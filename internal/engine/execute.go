@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"openwf/internal/model"
@@ -29,11 +28,14 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// Execute distributes the routing plan for an allocated workflow, injects
+// Execute completes the routing plan of an allocated workflow, injects
 // the triggering labels, and waits for the community to execute it: every
 // commitment is met in a decentralized fashion, outputs flow directly
 // between executors, and the goal labels (plus per-task completion
-// notifications) flow back to the initiator.
+// notifications) flow back to the initiator. The plan rode on the awards
+// of the tasks in plan.Routed; only the executors of the others get a plan
+// request. A plan executed on a host other than its Initiator is
+// distributed in full, so that every executor reports to this host.
 //
 // triggers optionally attaches data to triggering labels (nil data is
 // fine — labels are conditions first, data second). The context bounds
@@ -73,7 +75,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	start := m.net.Clock().Now()
 
-	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, m.planSegments(plan), triggers); err != nil {
+	routed := plan.Routed
+	if plan.Initiator != m.net.Self() {
+		routed = nil
+	}
+	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, m.planSegments(plan, routed), triggers); err != nil {
 		if ctx.Err() != nil {
 			return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
 		}
@@ -117,13 +123,14 @@ func (m *Manager) release(ex *execution) {
 	}
 }
 
-// distribute sends each executor the routing segments of its tasks in one
-// plan request, acknowledged once, and then injects the triggering
+// distribute sends each executor the routing segments segs of its tasks in
+// one plan request, acknowledged once, and then injects the triggering
 // conditions: the initiator supplies each workflow source label to the
-// executors that consume it. Execute runs it once; a plan repair runs it
-// again over the repaired allocation, which is safe because segments are
+// executors that consume it. Execute runs it once, with the segments that
+// did not ride on an award; a plan repair runs it again with every segment
+// of the repaired allocation, which is safe because segments are
 // idempotent — a fresh executor arms its run, a surviving one updates its
-// sinks, and a finished run re-publishes its retained outputs to the new
+// routes, and a finished run re-publishes its retained outputs to the new
 // consumers.
 // segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
@@ -186,52 +193,27 @@ func (m *Manager) executionReport(ex *execution, plan *Plan, start time.Time, ct
 	}
 }
 
-// planSegments derives each task's routing information from the workflow
-// structure and the allocation: inputs come from the producer's executor
-// (or the initiator for triggering labels); outputs go to every consumer's
-// executor, and goal labels also return to the initiator.
-func (m *Manager) planSegments(plan *Plan) []proto.PlanSegment {
+// planSegments derives the routing of every task of the plan not in skip
+// from the workflow structure and the allocation: each output goes to
+// every consumer's executor, a goal label to this host (routes).
+func (m *Manager) planSegments(plan *Plan, skip []model.TaskID) []proto.PlanSegment {
 	w := plan.Workflow
-	self := m.net.Self()
-	goalSet := make(map[model.LabelID]struct{})
-	for _, g := range w.Out() {
-		goalSet[g] = struct{}{}
+	if len(skip) >= w.NumTasks() {
+		return nil
 	}
-	segs := make([]proto.PlanSegment, 0, w.NumTasks())
-	for _, id := range w.TaskIDs() {
-		t, _ := w.Task(id)
-		seg := proto.PlanSegment{
-			Task:         id,
-			Initiator:    self,
-			InputSources: make(map[model.LabelID]proto.Addr, len(t.Inputs)),
-			OutputSinks:  make(map[model.LabelID][]proto.Addr, len(t.Outputs)),
+	tasks := w.Tasks()
+	all := make([]proto.TaskMeta, len(tasks))
+	for i, t := range tasks {
+		all[i] = proto.TaskMeta{Task: t.ID, Inputs: t.Inputs, Outputs: t.Outputs}
+	}
+	executor := func(t model.TaskID) proto.Addr { return plan.Allocations[t] }
+	segs := make([]proto.PlanSegment, 0, len(all)-len(skip))
+	for _, t := range all {
+		if slices.Contains(skip, t.Task) {
+			continue
 		}
-		for _, in := range t.Inputs {
-			if producer, ok := w.Producer(in); ok {
-				seg.InputSources[in] = plan.Allocations[producer]
-			} else {
-				seg.InputSources[in] = self // triggering label
-			}
-		}
-		for _, out := range t.Outputs {
-			var sinks []proto.Addr
-			seen := make(map[proto.Addr]struct{})
-			for _, consumer := range w.Consumers(out) {
-				host := plan.Allocations[consumer]
-				if _, dup := seen[host]; !dup {
-					seen[host] = struct{}{}
-					sinks = append(sinks, host)
-				}
-			}
-			if _, isGoal := goalSet[out]; isGoal {
-				if _, dup := seen[self]; !dup {
-					sinks = append(sinks, self)
-				}
-			}
-			sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
-			seg.OutputSinks[out] = sinks
-		}
-		segs = append(segs, seg)
+		routes, _ := m.routes(nil, t, all, executor)
+		segs = append(segs, proto.PlanSegment{Task: t.Task, Initiator: m.net.Self(), Routes: routes})
 	}
 	return segs
 }

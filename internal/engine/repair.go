@@ -153,7 +153,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// what they can take over now. Everyone is solicited until a
 	// reconstruction has asked them again (see internal/discovery).
 	m.idx.Doubt(m.idx.Mark())
-	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
+	won, wonMetas, _, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		need, dropped := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
 		m.cancelAwards(wfID, dropped)
 		if len(need) > 0 {
-			more, moreMetas, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
+			more, moreMetas, _, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
 			maps.Copy(won, more)
 			maps.Copy(wonMetas, moreMetas)
 			if err == nil && len(failed) > 0 {
@@ -201,7 +201,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		reallocated = append(reallocated, t)
 	}
 	sort.Slice(reallocated, func(i, j int) bool { return reallocated[i] < reallocated[j] })
-	segs := m.planSegments(plan)
+	segs := m.planSegments(plan, nil)
 	alloc := maps.Clone(plan.Allocations)
 	wNow := plan.Workflow
 	triggers := ex.triggers

@@ -61,11 +61,15 @@ type run struct {
 	// inputs holds the data of the commitment's input labels, the first
 	// arrival of each winning; it is made with the first. It is written
 	// only before the run starts and read by the invocation after.
-	inputs    service.Inputs
+	inputs service.Inputs
+	// seg is the run's routing, from its award or a plan request; the run
+	// waits for it while seg.Initiator is empty.
 	seg       proto.PlanSegment
-	hasSeg    bool
 	traveling bool
-	started   bool
+	// armed marks the start timer: it is armed once, when the run lacks
+	// nothing but its window (tryStart).
+	armed   bool
+	started bool
 	// finished marks a successful invocation; outputs retains its results
 	// so a repaired plan (new consumers for the same task) can re-publish
 	// them without re-executing the service.
@@ -103,24 +107,38 @@ func (m *Manager) Close() {
 	}
 }
 
-// Register records an awarded commitment. Execution additionally needs the
-// routing plan (SetPlan); conditions are monitored from then on. The host
-// registers before it answers the award, and the initiator sends plans
-// and triggers only once every award is answered, so a run is always
-// here before any label or segment for it.
-func (m *Manager) Register(workflow string, c schedule.Commitment) {
+// Register records an awarded commitment. seg is its routing when that
+// rode on the award (proto.Award.Routes); a zero seg waits for SetPlan.
+// The host registers before it answers the award, and the initiator sends
+// plans and triggers only once every award is answered, so a run is
+// always here before any label or segment for it. A later award of the
+// same task, not yet started, replaces the run: the earlier one was
+// cancelled.
+func (m *Manager) Register(workflow string, c schedule.Commitment, seg proto.PlanSegment) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	k := runKey{workflow, c.Task}
-	if _, dup := m.runs[k]; dup {
-		return
+	if r, dup := m.runs[k]; dup {
+		if r.started {
+			m.mu.Unlock()
+			return
+		}
+		m.forget(k, r)
 	}
-	m.runs[k] = &run{commitment: c}
+	r := &run{commitment: c}
+	m.runs[k] = r
+	routed := seg.Initiator != ""
+	if routed {
+		m.routeLocked(workflow, r, seg)
+	}
+	m.mu.Unlock()
+	if routed {
+		m.tryStart(workflow, c.Task)
+	}
 }
 
-// SetPlan attaches the routing information for a commitment and arms the
-// travel and start timers. A segment whose task is not registered here is
-// dropped.
+// SetPlan attaches the routing information for a commitment whose award
+// did not carry it, or replaces it (a repair, an Execute on another host).
+// A segment whose task is not registered here is dropped.
 func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	m.mu.Lock()
 	r, ok := m.runs[runKey{workflow, seg.Task}]
@@ -128,13 +146,12 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 		m.mu.Unlock()
 		return
 	}
-	r.seg = seg
-	r.hasSeg = true
 	if r.finished {
 		// The task already ran; a refreshed segment (plan repair after a
 		// provider died) may route its outputs to new consumers.
 		// Re-publish to the new sinks — receivers deduplicate labels, so
 		// surviving consumers see nothing new.
+		r.seg = seg
 		c, outputs := r.commitment, r.outputs
 		m.mu.Unlock()
 		go func() {
@@ -144,29 +161,25 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 		}()
 		return
 	}
-	m.armTimersLocked(workflow, r)
+	m.routeLocked(workflow, r, seg)
 	m.mu.Unlock()
 	m.tryStart(workflow, seg.Task)
 }
 
-// armTimersLocked schedules travel and readiness checks for a run.
-func (m *Manager) armTimersLocked(workflow string, r *run) {
-	now := m.clk.Now()
-	c := r.commitment
-	if c.HasLocation && c.TravelStart.After(now) {
-		t := m.clk.AfterFunc(c.TravelStart.Sub(now), func() {
-			m.beginTravel(workflow, c.Task)
-		})
-		r.timers = append(r.timers, t)
-	} else if c.HasLocation {
-		m.beginTravelLocked(r)
+// routeLocked gives a run its routing and, the first time, sets it on its
+// way to the commitment's location. Its start timer waits for tryStart:
+// an award that is never executed arms nothing.
+func (m *Manager) routeLocked(workflow string, r *run, seg proto.PlanSegment) {
+	first := r.seg.Initiator == ""
+	r.seg = seg
+	if !first || !r.commitment.HasLocation {
+		return
 	}
-	if c.Start.After(now) {
-		task := c.Task
-		t := m.clk.AfterFunc(c.Start.Sub(now), func() {
-			m.tryStart(workflow, task)
-		})
-		r.timers = append(r.timers, t)
+	if d := r.commitment.TravelStart.Sub(m.clk.Now()); d > 0 {
+		task := seg.Task
+		r.timers = append(r.timers, m.clk.AfterFunc(d, func() { m.beginTravel(workflow, task) }))
+	} else {
+		m.beginTravelLocked(r)
 	}
 }
 
@@ -277,24 +290,29 @@ func (m *Manager) Pending() int {
 	return n
 }
 
-// tryStart checks a run's conditions — plan present, all inputs received,
-// window open, location reached — and launches the service invocation in
-// its own goroutine when they all hold.
+// tryStart checks a run's conditions — routing present, all inputs
+// received, window open, location reached — and launches the service
+// invocation in its own goroutine when they all hold. A run lacking only
+// its window arms the start timer that re-checks it then.
 func (m *Manager) tryStart(workflow string, task model.TaskID) {
 	m.mu.Lock()
 	k := runKey{workflow, task}
 	r, ok := m.runs[k]
-	if !ok || r.started || !r.hasSeg {
+	if !ok || r.started || r.seg.Initiator == "" {
 		m.mu.Unlock()
 		return
 	}
 	now := m.clk.Now()
 	c := r.commitment
-	if now.Before(c.Start) {
+	if len(r.inputs) < len(c.Meta.Inputs) {
 		m.mu.Unlock()
 		return
 	}
-	if len(r.inputs) < len(c.Meta.Inputs) {
+	if now.Before(c.Start) {
+		if !r.armed {
+			r.armed = true
+			r.timers = append(r.timers, m.clk.AfterFunc(c.Start.Sub(now), func() { m.tryStart(workflow, task) }))
+		}
 		m.mu.Unlock()
 		return
 	}
@@ -356,10 +374,15 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 }
 
 // publish communicates the outputs to every participant that requires
-// them (§3.2: the participant's final responsibility).
+// them (§3.2: the participant's final responsibility). The routes may be
+// an award's, shared by all its tasks: each run follows those of its own
+// outputs.
 func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs) error {
 	for _, out := range c.Meta.Outputs {
-		for _, sink := range seg.OutputSinks[out] {
+		for _, r := range seg.Routes {
+			if r.Label != out {
+				continue
+			}
 			env := proto.Envelope{
 				Workflow: workflow,
 				Body: proto.LabelTransfer{
@@ -368,7 +391,7 @@ func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.Plan
 					Producer: m.self,
 				},
 			}
-			if sendErr := m.send(m.ctx, sink, env); sendErr != nil {
+			if sendErr := m.send(m.ctx, r.To, env); sendErr != nil {
 				return fmt.Errorf("publishing %q: %w", out, sendErr)
 			}
 		}

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,12 +119,15 @@ func commitment(task string, start time.Time, inputs, outputs []model.LabelID) s
 	}
 }
 
+// seg routes each output label of task to its sinks, in label order.
 func seg(task string, initiator proto.Addr, sinks map[model.LabelID][]proto.Addr) proto.PlanSegment {
-	return proto.PlanSegment{
-		Task:        model.TaskID(task),
-		Initiator:   initiator,
-		OutputSinks: sinks,
+	var routes []proto.Route
+	for _, l := range slices.Sorted(maps.Keys(sinks)) {
+		for _, to := range sinks[l] {
+			routes = append(routes, proto.Route{Label: l, To: to})
+		}
 	}
+	return proto.PlanSegment{Task: model.TaskID(task), Initiator: initiator, Routes: routes}
 }
 
 func TestExecutesWhenConditionsMet(t *testing.T) {
@@ -133,7 +138,7 @@ func TestExecutesWhenConditionsMet(t *testing.T) {
 		},
 	})
 	now := time.Now()
-	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	if r.mgr.Pending() != 1 {
 		t.Fatalf("Pending = %d", r.mgr.Pending())
@@ -162,7 +167,7 @@ func TestWaitsForStartTime(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(50 * time.Millisecond)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
@@ -173,6 +178,51 @@ func TestWaitsForStartTime(t *testing.T) {
 	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
 	if time.Now().Before(start) {
 		t.Error("finished before start")
+	}
+}
+
+// TestRoutedRunArmsItsWindowWithItsInputs: a run whose routes rode on its
+// award arms no timer until its inputs are complete — an award that is
+// never executed costs the clock nothing — then one for its window, and
+// executes when it opens. A run with no inputs arms its window at once.
+func TestRoutedRunArmsItsWindowWithItsInputs(t *testing.T) {
+	sim := clock.NewSim(t0)
+	services := service.NewManager(sim)
+	for _, task := range []model.TaskID{"t", "u"} {
+		if err := services.Register(service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := &sentRecorder{}
+	mgr := NewManager("self", sim, services, space.Static{}, rec.send)
+	defer mgr.Close()
+	start := t0.Add(time.Minute)
+	routed := func(task string) proto.PlanSegment {
+		return seg(task, "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}})
+	}
+
+	mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), routed("t"))
+	if got := sim.PendingWaiters(); got != 0 {
+		t.Fatalf("%d timers armed by a routed award without its input, want none", got)
+	}
+	mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	if got := sim.PendingWaiters(); got != 1 {
+		t.Fatalf("%d timers once the input is in, want the window's one", got)
+	}
+	mgr.Register("wf", commitment("u", start, nil, []model.LabelID{"out"}), routed("u"))
+	if got := sim.PendingWaiters(); got != 2 {
+		t.Fatalf("%d timers with an input-less run registered, want its window's too", got)
+	}
+
+	sim.AdvanceTo(start)
+	done := func(s sent) bool { return s.to == "boss" && s.env.Body.Kind() == "task-done" }
+	deadline := time.Now().Add(5 * time.Second)
+	for rec.count(done) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sent %v, want both runs done once their window opened", rec.snapshot())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -187,7 +237,7 @@ func TestLabelBeforePlanBuffered(t *testing.T) {
 	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
 		t.Fatalf("a label with no run to consume it: %d runs, %d labels held", runs, labels)
 	}
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	if runs, labels := r.mgr.Residue(); runs != 1 || labels != 1 {
 		t.Fatalf("a label before its plan: %d runs, %d labels held; want 1, 1", runs, labels)
@@ -212,7 +262,7 @@ func TestServiceFailureReported(t *testing.T) {
 		},
 	})
 	now := time.Now()
-	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	m := r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
@@ -230,7 +280,7 @@ func TestDisjunctiveSingleInputSuffices(t *testing.T) {
 	})
 	c := commitment("t", time.Now(), []model.LabelID{"chosen"}, []model.LabelID{"out"})
 	c.Meta.Mode = model.Disjunctive
-	r.mgr.Register("wf", c)
+	r.mgr.Register("wf", c, proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "chosen", Producer: "boss"})
 	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
@@ -241,7 +291,7 @@ func TestCancelStopsRun(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(30 * time.Millisecond)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.Cancel("wf", "t")
@@ -267,7 +317,7 @@ func TestCancelDropsStartedRun(t *testing.T) {
 			return service.Outputs{"out": []byte("late")}, nil
 		},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	<-started
@@ -287,9 +337,9 @@ func TestCancelDropsStartedRun(t *testing.T) {
 func TestLabelsGoWithTheirRun(t *testing.T) {
 	r := newRig(t, nil)
 	later := time.Now().Add(time.Hour)
-	r.mgr.Register("wf", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"mid"}))
-	r.mgr.Register("wf", commitment("u", later, []model.LabelID{"in", "mid"}, []model.LabelID{"out"}))
-	r.mgr.Register("other", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"mid"}), proto.PlanSegment{})
+	r.mgr.Register("wf", commitment("u", later, []model.LabelID{"in", "mid"}, []model.LabelID{"out"}), proto.PlanSegment{})
+	r.mgr.Register("other", commitment("t", later, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "mid", Producer: "peer"})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "out", Producer: "peer"}) // nobody here consumes it
@@ -317,7 +367,7 @@ func TestClearWorkflow(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(time.Hour)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.ClearWorkflow("wf")
@@ -333,7 +383,7 @@ func TestDuplicateLabelIgnored(t *testing.T) {
 			return service.Outputs{"out": inv.Inputs["in"]}, nil
 		},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Data: []byte("first"), Producer: "a"})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Data: []byte("second"), Producer: "b"})
@@ -362,7 +412,7 @@ func TestTravelThenExecute(t *testing.T) {
 	c.TravelStart = start.Add(-25 * time.Millisecond)
 	c.Meta.Location = c.Location
 	c.Meta.HasLocation = true
-	r.mgr.Register("wf", c)
+	r.mgr.Register("wf", c, proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
@@ -376,7 +426,7 @@ func TestOutputsFanOutToAllSinks(t *testing.T) {
 	r := newRig(t, nil, service.Registration{
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{
 		"out": {"peer1", "peer2", "boss"},
 	}))

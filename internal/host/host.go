@@ -433,12 +433,18 @@ func (h *Host) process(env proto.Envelope) {
 	case proto.Award:
 		// Each task of the award stands alone: it is committed and
 		// registered, or refused with its slot freed, whatever the others do.
-		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
-		verdicts = append(verdicts, h.award(env.Workflow, b.Meta))
-		for _, meta := range b.More {
-			verdicts = append(verdicts, h.award(env.Workflow, meta))
+		// Routes riding on the award are every task's plan, its sender the
+		// initiator.
+		var from proto.Addr
+		if b.Routes != nil {
+			from = env.From
 		}
-		h.reply(env, proto.AwardAck{Verdicts: verdicts})
+		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
+		verdicts = append(verdicts, h.award(env.Workflow, b.Meta, from, b.Routes))
+		for _, meta := range b.More {
+			verdicts = append(verdicts, h.award(env.Workflow, meta, from, b.Routes))
+		}
+		h.reply(env, proto.AwardAck{Routed: b.Routes != nil, Verdicts: verdicts})
 
 	case proto.LeaseRefresh:
 		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
@@ -476,11 +482,12 @@ func (h *Host) process(env proto.Envelope) {
 }
 
 // award converts one awarded task's hold into a commitment registered for
-// execution, and returns the verdict on it.
-func (h *Host) award(workflow string, meta proto.TaskMeta) proto.Verdict {
+// execution, and returns the verdict on it. initiator and routes are the
+// task's plan when it rode on the award; empty, a plan request brings it.
+func (h *Host) award(workflow string, meta proto.TaskMeta, initiator proto.Addr, routes []proto.Route) proto.Verdict {
 	c, v := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
 	if v.OK {
-		h.Exec.Register(workflow, c)
+		h.Exec.Register(workflow, c, proto.PlanSegment{Task: meta.Task, Initiator: initiator, Routes: routes})
 	}
 	return v
 }
@@ -494,7 +501,7 @@ func (h *Host) awardSole(workflow string, b proto.CallForBidsBatch, resp *proto.
 	for _, bid := range resp.Bids {
 		if slices.Contains(b.Sole, bid.Task) {
 			i := slices.IndexFunc(b.Metas, func(m proto.TaskMeta) bool { return m.Task == bid.Task })
-			if !h.award(workflow, b.Metas[i]).OK {
+			if !h.award(workflow, b.Metas[i], "", nil).OK {
 				resp.Declines = append(resp.Declines, bid.Task)
 				continue
 			}

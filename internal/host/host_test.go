@@ -18,6 +18,7 @@ import (
 	"openwf/internal/proto"
 	"openwf/internal/service"
 	"openwf/internal/testutil"
+	"openwf/internal/trace"
 	"openwf/internal/transport"
 	"openwf/internal/transport/inmem"
 )
@@ -287,8 +288,7 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 	}
 
 	seg := func(task model.TaskID) proto.PlanSegment {
-		return proto.PlanSegment{Task: task, Initiator: "a",
-			InputSources: map[model.LabelID]proto.Addr{"in": "a"}, OutputSinks: map[model.LabelID][]proto.Addr{"out": {"a"}}}
+		return proto.PlanSegment{Task: task, Initiator: "a", Routes: []proto.Route{{Label: "out", To: "a"}}}
 	}
 	plan := proto.Plan{Segments: []proto.PlanSegment{seg("cook"), seg("chop")}}
 	reply, err = a.Call(context.Background(), "b", "wf", plan, time.Second)
@@ -297,6 +297,52 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 	}
 	if runs, _ := b.Exec.Residue(); runs != 1 || b.Exec.Pending() != 1 {
 		t.Errorf("%d runs, %d pending after the plan; want chop's run armed and nothing made up for cook", runs, b.Exec.Pending())
+	}
+}
+
+// TestAwardRoutesRunWithoutPlan: an Award carrying routes is its tasks'
+// plan. The ack confirms the host holds them, and the run, given its input,
+// executes in its window and publishes its output and completion to the
+// award's sender with no plan request.
+func TestAwardRoutesRunWithoutPlan(t *testing.T) {
+	rec := trace.NewBuffer(0)
+	a, _ := pair(t, Config{Addr: "a", Trace: rec}, Config{Addr: "b", Services: []service.Registration{
+		{Descriptor: service.Descriptor{Task: "cook", Specialization: 0.5}},
+	}})
+	start := time.Now().Add(50 * time.Millisecond)
+	meta := proto.TaskMeta{Task: "cook", Mode: model.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"), Start: start, End: start.Add(time.Minute)}
+	if _, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := a.Call(context.Background(), "b", "wf", proto.Award{Meta: meta, Routes: []proto.Route{{Label: "out", To: "a"}}}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, ok := reply.(proto.AwardAck); !ok || !ack.Routed || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+		t.Fatalf("reply = %#v, want the task confirmed with its routes", reply)
+	}
+	if err := a.Send(context.Background(), "b", "wf", proto.LabelTransfer{Label: "in", Producer: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	received := func() (labels, done int) {
+		for _, e := range rec.Events() {
+			if e.Dir == trace.Recv && e.Peer == "b" {
+				switch e.Kind {
+				case "label-transfer":
+					labels++
+				case "task-done":
+					done++
+				}
+			}
+		}
+		return labels, done
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for labels, done := received(); labels == 0 || done == 0; labels, done = received() {
+		if time.Now().After(deadline) {
+			t.Fatalf("a received %d outputs and %d completions from the routed run, want one each", labels, done)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

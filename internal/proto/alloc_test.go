@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -40,13 +41,11 @@ func TestEncodeToBidAllocFree(t *testing.T) {
 }
 
 // TestEncodeToPlanAllocFree pins the executor's plan segment on the same
-// path: its two maps are written in sorted key order without allocating
-// a key slice for either.
+// path: its routes are one flat list.
 func TestEncodeToPlanAllocFree(t *testing.T) {
 	env := Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
 		Task: "cook omelets", Initiator: "host-a",
-		InputSources: map[model.LabelID]Addr{"eggs": "host-a", "cheese": "host-c"},
-		OutputSinks:  map[model.LabelID][]Addr{"omelets": {"host-a"}, "shells": {"host-c", "host-d"}},
+		Routes: []Route{{Label: "omelets", To: "host-a"}, {Label: "shells", To: "host-c"}, {Label: "shells", To: "host-d"}},
 	}}}}
 	buf := new(bytes.Buffer)
 	testutil.AllocBound(t, 0, func() {
@@ -64,10 +63,24 @@ func TestEncodeToPlanAllocFree(t *testing.T) {
 // its strings is copied out on its own (label-transfer-4k: five strings,
 // the payload and the boxing). The decoder itself must stay on the
 // stack; a rewrite that lets it escape shows up here as one more
-// allocation on every row.
+// allocation on every row. Routes are one flat list: a 6-task award that
+// carries its plan costs one allocation more than one that does not, and a
+// map-shaped routing form would cost several per task.
 func TestDecodeAllocBounds(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
+	chain := make([]TaskMeta, 6)
+	routes := make([]Route, 6)
+	for i := range chain {
+		in, out := model.LabelID(fmt.Sprintf("l%d", i)), model.LabelID(fmt.Sprintf("l%d", i+1))
+		chain[i] = TaskMeta{Task: model.TaskID(fmt.Sprintf("t%d", i+1)), Inputs: []model.LabelID{in}, Outputs: []model.LabelID{out},
+			Start: at.Add(time.Duration(i) * time.Second), End: at.Add(time.Duration(i+1) * time.Second)}
+		routes[i] = Route{Label: out, To: "host-b"}
+	}
+	routes[5].To = "host-a" // the goal returns to the initiator
+	award6 := Award{Meta: chain[0], More: chain[1:]}
+	routed6 := award6
+	routed6.Routes = routes
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -77,6 +90,8 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"cancel", 2, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Task: "cook omelets"}}},
 		{"bid-batch", 4, benchBidEnvelope()},
 		{"award", 4, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: meta}}},
+		{"award-of-6", 15, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: award6}},
+		{"award-of-6-with-routes", 15 + 1, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: routed6}},
 		{"fragment-reply", 7, Envelope{From: "host-b", To: "host-a", ReqID: 42, Workflow: "wf-1", Body: FragmentReply{
 			Fragments: []*model.Fragment{{Name: "omelet bar", Tasks: []model.Task{{
 				ID: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"},
@@ -85,10 +100,8 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"award-ack", 3, Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{
 			Verdicts: []Verdict{{Task: "cook omelets", OK: true}},
 		}}},
-		{"plan", 8, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
-			Task: "cook omelets", Initiator: "host-a",
-			InputSources: map[model.LabelID]Addr{"eggs": "host-a"},
-			OutputSinks:  map[model.LabelID][]Addr{"omelets": {"host-a"}},
+		{"plan", 4, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
+			Task: "cook omelets", Initiator: "host-a", Routes: []Route{{Label: "omelets", To: "host-a"}},
 		}}}}},
 		{"call-for-bids-batch-sole", 6, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
 			Metas: []TaskMeta{meta}, Sole: []model.TaskID{"cook omelets"},

@@ -17,8 +17,7 @@
 // bits; time.Time is varint Unix seconds + uvarint nanoseconds (the
 // instant only — wall offset and monotonic readings do not survive the
 // wire, matching what the envelope consumers compare with time.Equal).
-// Slices and maps are uvarint count + elements; maps are encoded in
-// sorted key order so equal envelopes encode to identical bytes. A pointer
+// Slices are uvarint count + elements; no body carries a map. A pointer
 // field (FragmentReply.Capabilities) is a presence bool, then the fields
 // when present. Every field is always written: one layout per body, and a
 // layout change bumps wireVersion.
@@ -42,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"openwf/internal/model"
@@ -51,7 +49,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 2
+const wireVersion byte = 3
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -194,6 +192,14 @@ func (e *encoder) metas(ms []TaskMeta) {
 	}
 }
 
+func (e *encoder) routes(rs []Route) {
+	e.uint(uint64(len(rs)))
+	for _, r := range rs {
+		e.str(string(r.Label))
+		e.str(string(r.To))
+	}
+}
+
 // body writes the kind tag, envelope header, and body fields.
 func (e *encoder) body(env Envelope) error {
 	switch v := env.Body.(type) {
@@ -224,8 +230,10 @@ func (e *encoder) body(env Envelope) error {
 		e.header(kindAward, env)
 		e.meta(v.Meta)
 		e.metas(v.More)
+		e.routes(v.Routes)
 	case AwardAck:
 		e.header(kindAwardAck, env)
+		e.bool(v.Routed)
 		e.uint(uint64(len(v.Verdicts)))
 		for _, x := range v.Verdicts {
 			e.str(string(x.Task))
@@ -241,8 +249,7 @@ func (e *encoder) body(env Envelope) error {
 		for _, s := range v.Segments {
 			e.str(string(s.Task))
 			e.str(string(s.Initiator))
-			e.inputSources(s.InputSources)
-			e.outputSinks(s.OutputSinks)
+			e.routes(s.Routes)
 		}
 	case LabelTransfer:
 		e.header(kindLabelTransfer, env)
@@ -301,42 +308,6 @@ func (e *encoder) header(kind byte, env Envelope) {
 	e.str(string(env.To))
 	e.uint(env.ReqID)
 	e.str(env.Workflow)
-}
-
-// inputSources encodes map[LabelID]Addr in sorted key order.
-func (e *encoder) inputSources(m map[model.LabelID]Addr) {
-	var scratch [8]model.LabelID
-	keys := sortedKeys(m, scratch[:0])
-	e.uint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(string(k))
-		e.str(string(m[k]))
-	}
-}
-
-// outputSinks encodes map[LabelID][]Addr in sorted key order.
-func (e *encoder) outputSinks(m map[model.LabelID][]Addr) {
-	var scratch [8]model.LabelID
-	keys := sortedKeys(m, scratch[:0])
-	e.uint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(string(k))
-		addrs := m[k]
-		e.uint(uint64(len(addrs)))
-		for _, a := range addrs {
-			e.str(string(a))
-		}
-	}
-}
-
-// sortedKeys appends m's keys to keys and sorts them. Given a caller's
-// stack array that fits them, it allocates nothing.
-func sortedKeys[V any](m map[model.LabelID]V, keys []model.LabelID) []model.LabelID {
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // --- decoding ---
@@ -605,11 +576,22 @@ func (d *decoder) segments() []PlanSegment {
 	out := make([]PlanSegment, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		out[i] = PlanSegment{
-			Task:         model.TaskID(d.str()),
-			Initiator:    Addr(d.str()),
-			InputSources: d.inputSources(),
-			OutputSinks:  d.outputSinks(),
+			Task:      model.TaskID(d.str()),
+			Initiator: Addr(d.str()),
+			Routes:    d.routes(),
 		}
+	}
+	return out
+}
+
+func (d *decoder) routes() []Route {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Route, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		out[i] = Route{Label: model.LabelID(d.str()), To: Addr(d.str())}
 	}
 	return out
 }
@@ -670,9 +652,9 @@ func (d *decoder) body(kind byte) Body {
 	case kindFeasibilityReply:
 		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
-		return Award{Meta: d.meta(), More: d.metas()}
+		return Award{Meta: d.meta(), More: d.metas(), Routes: d.routes()}
 	case kindAwardAck:
-		return AwardAck{Verdicts: d.verdicts()}
+		return AwardAck{Routed: d.bool(), Verdicts: d.verdicts()}
 	case kindCancel:
 		return Cancel{Task: model.TaskID(d.str())}
 	case kindPlan:
@@ -699,37 +681,4 @@ func (d *decoder) body(kind byte) Body {
 		d.fail(fmt.Errorf("%w: unknown body kind %d", errCorrupt, kind))
 		return nil
 	}
-}
-
-func (d *decoder) inputSources() map[model.LabelID]Addr {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make(map[model.LabelID]Addr, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := model.LabelID(d.str())
-		out[k] = Addr(d.str())
-	}
-	return out
-}
-
-func (d *decoder) outputSinks() map[model.LabelID][]Addr {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make(map[model.LabelID][]Addr, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := model.LabelID(d.str())
-		var addrs []Addr
-		if m := d.count(); m > 0 {
-			addrs = make([]Addr, m)
-			for j := 0; j < m && d.err == nil; j++ {
-				addrs[j] = Addr(d.str())
-			}
-		}
-		out[k] = addrs
-	}
-	return out
 }

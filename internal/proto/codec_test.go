@@ -77,10 +77,10 @@ func bodyEqual(a, b Body) bool {
 		return ok && taskIDsEq(av.Capable, bv.Capable)
 	case Award:
 		bv, ok := b.(Award)
-		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq)
+		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq) && routesEq(av.Routes, bv.Routes)
 	case AwardAck:
 		bv, ok := b.(AwardAck)
-		return ok && slices.Equal(av.Verdicts, bv.Verdicts)
+		return ok && av.Routed == bv.Routed && slices.Equal(av.Verdicts, bv.Verdicts)
 	case Cancel:
 		bv, ok := b.(Cancel)
 		return ok && av.Task == bv.Task
@@ -186,25 +186,11 @@ func fragEq(a, b *model.Fragment) bool {
 
 // segmentEq compares one commitment's routing.
 func segmentEq(a, b PlanSegment) bool {
-	if a.Task != b.Task || a.Initiator != b.Initiator {
-		return false
-	}
-	if len(a.InputSources) != len(b.InputSources) || len(a.OutputSinks) != len(b.OutputSinks) {
-		return false
-	}
-	for k, v := range a.InputSources {
-		if b.InputSources[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.OutputSinks {
-		bv, ok := b.OutputSinks[k]
-		if !ok || !slices.Equal(v, bv) {
-			return false
-		}
-	}
-	return true
+	return a.Task == b.Task && a.Initiator == b.Initiator && routesEq(a.Routes, b.Routes)
 }
+
+// routesEq compares route lists, nil equal to empty as the codec has it.
+func routesEq(a, b []Route) bool { return len(a) == len(b) && slices.Equal(a, b) }
 
 func metaEq(a, b TaskMeta) bool {
 	return a.Task == b.Task && a.Mode == b.Mode &&
@@ -315,23 +301,17 @@ func randSegment(rng *rand.Rand) PlanSegment {
 		Task:      model.TaskID(randString(rng, 16)),
 		Initiator: Addr(randString(rng, 12)),
 	}
-	if n := rng.Intn(4); n > 0 {
-		seg.InputSources = make(map[model.LabelID]Addr, n)
-		for i := 0; i < n; i++ {
-			seg.InputSources[model.LabelID(randString(rng, 12))] = Addr(randString(rng, 12))
-		}
-	}
-	if n := rng.Intn(4); n > 0 {
-		seg.OutputSinks = make(map[model.LabelID][]Addr, n)
-		for i := 0; i < n; i++ {
-			var addrs []Addr
-			for j, m := 0, rng.Intn(3); j < m; j++ {
-				addrs = append(addrs, Addr(randString(rng, 12)))
-			}
-			seg.OutputSinks[model.LabelID(randString(rng, 12))] = addrs
-		}
-	}
+	seg.Routes = randRoutes(rng)
 	return seg
+}
+
+// randRoutes draws up to five routes, nil for none.
+func randRoutes(rng *rand.Rand) []Route {
+	var routes []Route
+	for i, n := 0, rng.Intn(6); i < n; i++ {
+		routes = append(routes, Route{Label: model.LabelID(randString(rng, 12)), To: Addr(randString(rng, 12))})
+	}
+	return routes
 }
 
 func randBody(rng *rand.Rand) Body {
@@ -374,9 +354,9 @@ func randBody(rng *rand.Rand) Body {
 	case 3:
 		return FeasibilityReply{Capable: randTaskIDs(rng)}
 	case 7:
-		return Award{Meta: randMeta(rng), More: randMetas(rng, 3)}
+		return Award{Meta: randMeta(rng), More: randMetas(rng, 3), Routes: randRoutes(rng)}
 	case 8:
-		var ack AwardAck
+		ack := AwardAck{Routed: rng.Intn(2) == 1}
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			ack.Verdicts = append(ack.Verdicts, Verdict{
 				Task:   model.TaskID(randString(rng, 16)),
@@ -484,9 +464,8 @@ func TestDecodeCopiesInput(t *testing.T) {
 		{From: "x", To: "y", Body: LabelTransfer{
 			Label: "meal", Data: []byte{1, 2, 3, 4}, Producer: "x"}},
 		{From: "p", To: "q", Body: Plan{Segments: []PlanSegment{{
-			Task: "cook", Initiator: "p",
-			InputSources: map[model.LabelID]Addr{"ingredients": "p"},
-			OutputSinks:  map[model.LabelID][]Addr{"meal": {"q"}}}}}},
+			Task: "cook", Initiator: "p", Routes: []Route{{Label: "meal", To: "q"}}}}}},
+		{From: "p", To: "q", Body: Award{Meta: TaskMeta{Task: "cook"}, Routes: []Route{{Label: "meal", To: "p"}}}},
 	}
 	for _, env := range envs {
 		t.Run(env.Body.Kind(), func(t *testing.T) {
@@ -512,20 +491,23 @@ func TestDecodeCopiesInput(t *testing.T) {
 
 // largeEnvelopes are one frame of each large shape a session sends, each
 // over cloneThreshold, so the decoder reads them in place: a label's 4 KiB
-// payload, an executor's plan of many segments and a reply of many
-// fragments.
+// payload, an executor's plan of many segments, an award of many tasks
+// with their routes, and a reply of many fragments.
 func largeEnvelopes() []Envelope {
 	pad := strings.Repeat("-", 48)
 	var segments []PlanSegment
+	var metas []TaskMeta
+	var routes []Route
 	var fragments []*model.Fragment
 	for i := 0; i < 32; i++ {
 		task := model.TaskID(fmt.Sprintf("task %d%s", i, pad))
 		in, out := model.LabelID(fmt.Sprintf("in %d%s", i, pad)), model.LabelID(fmt.Sprintf("out %d%s", i, pad))
 		segments = append(segments, PlanSegment{
 			Task: task, Initiator: "host-a",
-			InputSources: map[model.LabelID]Addr{in: "host-b", "trigger": "host-a"},
-			OutputSinks:  map[model.LabelID][]Addr{out: {"host-c", "host-d"}},
+			Routes: []Route{{Label: out, To: "host-c"}, {Label: out, To: "host-d"}},
 		})
+		metas = append(metas, TaskMeta{Task: task, Inputs: []model.LabelID{in}, Outputs: []model.LabelID{out}})
+		routes = append(routes, segments[i].Routes...)
 		fragments = append(fragments, model.MustFragment(fmt.Sprintf("fragment %d", i), model.Task{
 			ID: task, Mode: model.Conjunctive,
 			Inputs: []model.LabelID{in}, Outputs: []model.LabelID{out},
@@ -534,6 +516,7 @@ func largeEnvelopes() []Envelope {
 	return []Envelope{
 		benchLabelTransfer4K(),
 		{From: "host-a", To: "host-b", ReqID: 48, Workflow: "wf-1", Body: Plan{Segments: segments}},
+		{From: "host-a", To: "host-b", ReqID: 50, Workflow: "wf-1", Body: Award{Meta: metas[0], More: metas[1:], Routes: routes}},
 		{From: "host-b", To: "host-a", ReqID: 49, Workflow: "wf-1", Body: FragmentReply{
 			Fragments:    fragments,
 			Capabilities: &Advertise{Labels: []model.LabelID{"trigger"}, Tasks: []model.TaskID{segments[0].Task}},
@@ -759,7 +742,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "02" + // version
+	const want = "03" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -788,7 +771,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "02" + // version
+			want: "03" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -900,9 +883,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "02" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "03" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "02" + // version
+		reply = "03" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -938,7 +921,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "02" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "03" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},

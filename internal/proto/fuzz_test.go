@@ -39,12 +39,13 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		FeasibilityQuery{Tasks: []model.TaskID{"t"}},
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
 		Award{Meta: meta},
+		Award{Meta: meta, More: []TaskMeta{meta}, Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}}},
 		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true, Reason: "r"}}},
+		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
 		Cancel{Task: "t"},
 		Plan{Segments: []PlanSegment{{
 			Task: "t", Initiator: "h0",
-			InputSources: map[model.LabelID]Addr{"a": "h1"},
-			OutputSinks:  map[model.LabelID][]Addr{"b": {"h2", "h3"}},
+			Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}},
 		}}},
 		LabelTransfer{Label: "a", Data: []byte{0, 1, 255}, Producer: "h1"},
 		TaskDone{Task: "t", Err: "boom"},

@@ -10,9 +10,10 @@ import (
 	"openwf/internal/model"
 )
 
-// One message per peer per phase: an Award carries all of a winner's tasks,
-// its AwardAck a verdict per task, a Plan all of an executor's segments, and
-// a CallForBidsBatch names the tasks it awards as they are bid for (Sole).
+// One message per peer per phase: an Award carries all of a winner's tasks
+// and, when the auction decided every task at once, their routes; its
+// AwardAck a verdict per task; a Plan all of an executor's segments; and a
+// CallForBidsBatch names the tasks it awards as they are bid for (Sole).
 // Each list is a count and its elements. The rows below are the wire
 // contract for them and the corpus FuzzEnvelopeRoundTrip is seeded with.
 
@@ -24,65 +25,71 @@ func groupMeta(task model.TaskID, at int64) TaskMeta {
 	}
 }
 
-func groupSegment(task model.TaskID, from, to Addr) PlanSegment {
-	return PlanSegment{
-		Task: task, Initiator: "i",
-		InputSources: map[model.LabelID]Addr{"a": from},
-		OutputSinks:  map[model.LabelID][]Addr{"b": {to}},
-	}
+func groupSegment(task model.TaskID, to Addr) PlanSegment {
+	return PlanSegment{Task: task, Initiator: "i", Routes: []Route{{Label: "b", To: to}}}
 }
 
 func groupEnv(from, to Addr, body Body) Envelope {
 	return Envelope{From: from, To: to, ReqID: 9, Workflow: "wf", Body: body}
 }
 
-// groupEnvelopes returns a three-task award, its verdicts with one refusal
-// and the reason, a three-segment plan, and a call for bids on two tasks
-// that awards the second.
+// groupAward3 is a three-task award.
+func groupAward3() Award {
+	return Award{Meta: groupMeta("t1", 1), More: []TaskMeta{groupMeta("t2", 2), groupMeta("t3", 3)}}
+}
+
+// groupEnvelopes returns a three-task award carrying two routes, its
+// verdicts with one refusal and the reason, a three-segment plan, and a
+// call for bids on two tasks that awards the second.
 func groupEnvelopes() (award, ack, plan, cfb Envelope) {
-	return groupEnv("i", "h", Award{Meta: groupMeta("t1", 1), More: []TaskMeta{groupMeta("t2", 2), groupMeta("t3", 3)}}),
-		groupEnv("h", "i", AwardAck{Verdicts: []Verdict{{Task: "t1", OK: true}, {Task: "t2", Reason: "no"}, {Task: "t3", OK: true}}}),
-		groupEnv("i", "h", Plan{Segments: []PlanSegment{groupSegment("t1", "i", "h"), groupSegment("t2", "h", "h"), groupSegment("t3", "h", "i")}}),
+	routed := groupAward3()
+	routed.Routes = []Route{{Label: "b", To: "h"}, {Label: "b", To: "i"}}
+	return groupEnv("i", "h", routed),
+		groupEnv("h", "i", AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t1", OK: true}, {Task: "t2", Reason: "no"}, {Task: "t3", OK: true}}}),
+		groupEnv("i", "h", Plan{Segments: []PlanSegment{groupSegment("t1", "h"), groupSegment("t2", "h"), groupSegment("t3", "i")}}),
 		groupEnv("i", "h", CallForBidsBatch{Metas: []TaskMeta{groupMeta("t1", 1), groupMeta("t2", 2)}, Sole: []model.TaskID{"t2"}})
 }
 
 // TestWireFormatGoldenGroups pins the lists of the one-message-per-peer
 // bodies: an award is its first task's meta, then a count and the further
-// metas; an ack a count and the verdicts; a plan a count and the segments;
-// a call for bids its metas, then a count and the Sole task names. Update
-// the constants only with a wireVersion bump.
+// metas, then a count and the routes (label, host); an ack its routed
+// byte, then a count and the verdicts; a plan a count and the segments,
+// each its task, initiator, and a count and the routes; a call for bids its
+// metas, then a count and the Sole task names. Update the constants only
+// with a wireVersion bump.
 func TestWireFormatGoldenGroups(t *testing.T) {
 	const (
 		noLocation = "00000000000000000000000000000000" + "00"         // point (0, 0), HasLocation false
 		ioAB       = "01" + "0161" + "01" + "0162"                     // inputs ["a"], outputs ["b"]
-		award      = "02" + "08" + "0169" + "0168" + "09" + "027766" + // version, kind award, header i, h, 9, wf
+		award      = "03" + "08" + "0169" + "0168" + "09" + "027766" + // version, kind award, header i, h, 9, wf
 			"027431" + "01" + ioAB + "0200" + "0400" + noLocation // t1, conjunctive, window [1 s, 2 s)
-		ack  = "02" + "09" + "0168" + "0169" + "09" + "027766" // kind award-ack
+		more2 = "02" +
+			"027432" + "01" + ioAB + "0400" + "0600" + noLocation + // t2, window [2 s, 3 s)
+			"027433" + "01" + ioAB + "0600" + "0800" + noLocation // t3, window [3 s, 4 s)
+		ack  = "03" + "09" + "0168" + "0169" + "09" + "027766" // kind award-ack
 		t1OK = "027431" + "01" + "00"                          // t1 confirmed, no reason
-		plan = "02" + "0b" + "0169" + "0168" + "09" + "027766" // kind plan-segment
+		plan = "03" + "0b" + "0169" + "0168" + "09" + "027766" // kind plan-segment
 		seg1 = "027431" + "0169" +                             // t1, initiator i
-			"01" + "0161" + "0169" + // input a from i
-			"01" + "0162" + "01" + "0168" // output b to [h]
-		cfb = "02" + "0f" + "0169" + "0168" + "09" + "027766" + "02" + // kind call-for-bids-batch, two metas
+			"01" + "0162" + "0168" // route b to h
+		cfb = "03" + "0f" + "0169" + "0168" + "09" + "027766" + "02" + // kind call-for-bids-batch, two metas
 			"027431" + "01" + ioAB + "0200" + "0400" + noLocation +
 			"027432" + "01" + ioAB + "0400" + "0600" + noLocation
 		verdicts3 = "03" + t1OK +
 			"027432" + "00" + "026e6f" + // t2 refused: "no"
 			"027433" + "01" + "00" // t3 confirmed
 	)
-	awardOf3, ackOf3, planOf3, cfbSole := groupEnvelopes()
+	routedOf3, ackOf3, planOf3, cfbSole := groupEnvelopes()
 	ackOf1 := groupEnv("h", "i", AwardAck{Verdicts: []Verdict{{Task: "t1", OK: true}}})
 	checkGolden(t, []goldenRow{
-		{"award-of-one", groupEnv("i", "h", Award{Meta: groupMeta("t1", 1)}), award + "00"},
-		{"award-of-three", awardOf3, award + "02" +
-			"027432" + "01" + ioAB + "0400" + "0600" + noLocation + // t2, window [2 s, 3 s)
-			"027433" + "01" + ioAB + "0600" + "0800" + noLocation}, // t3, window [3 s, 4 s)
-		{"verdict-of-one", ackOf1, ack + "01" + t1OK},
-		{"verdicts-of-three", ackOf3, ack + verdicts3},
-		{"plan-of-one", groupEnv("i", "h", Plan{Segments: []PlanSegment{groupSegment("t1", "i", "h")}}), plan + "01" + seg1},
+		{"award-of-one", groupEnv("i", "h", Award{Meta: groupMeta("t1", 1)}), award + "00" + "00"},
+		{"award-of-three", groupEnv("i", "h", groupAward3()), award + more2 + "00"},
+		{"award-of-three-routed", routedOf3, award + more2 + "02" + "0162" + "0168" + "0162" + "0169"}, // b to h, b to i
+		{"verdict-of-one", ackOf1, ack + "00" + "01" + t1OK},
+		{"verdicts-of-three", ackOf3, ack + "01" + verdicts3}, // routed
+		{"plan-of-one", groupEnv("i", "h", Plan{Segments: []PlanSegment{groupSegment("t1", "h")}}), plan + "01" + seg1},
 		{"plan-of-three", planOf3, plan + "03" + seg1 +
-			"027432" + "0169" + "01" + "0161" + "0168" + "01" + "0162" + "01" + "0168" + // t2: a from h, b to [h]
-			"027433" + "0169" + "01" + "0161" + "0168" + "01" + "0162" + "01" + "0169"}, // t3: a from h, b to [i]
+			"027432" + "0169" + "01" + "0162" + "0168" + // t2: b to h
+			"027433" + "0169" + "01" + "0162" + "0169"}, // t3: b to i
 		{"call-for-bids", groupEnv("i", "h", CallForBidsBatch{Metas: cfbSole.Body.(CallForBidsBatch).Metas}), cfb + "00"},
 		{"call-for-bids-awarding-one", cfbSole, cfb + "01" + "027432"}, // t2 is the recipient's alone
 	})
@@ -95,8 +102,9 @@ func TestWireFormatGoldenGroups(t *testing.T) {
 func TestListsRejectCorruptFrames(t *testing.T) {
 	award, ack, plan, cfb := groupEnvelopes()
 	for _, c := range []listCase{
-		{"award-more", award, groupEnv("i", "h", Award{Meta: groupMeta("t1", 1)})},
-		{"verdicts", ack, groupEnv("h", "i", AwardAck{})},
+		{"award-more", groupEnv("i", "h", groupAward3()), groupEnv("i", "h", Award{Meta: groupMeta("t1", 1)})},
+		{"award-routes", award, groupEnv("i", "h", groupAward3())},
+		{"verdicts", ack, groupEnv("h", "i", AwardAck{Routed: true})},
 		{"segments", plan, groupEnv("i", "h", Plan{})},
 		{"sole", cfb, groupEnv("i", "h", CallForBidsBatch{Metas: cfb.Body.(CallForBidsBatch).Metas})},
 	} {
@@ -121,9 +129,9 @@ func TestCapabilitiesRejectCorruptFrames(t *testing.T) {
 	}
 }
 
-// listCase is a list that is the last field of its body. with is the
-// envelope carrying it, without the same envelope with that list empty,
-// whose frame ends in the list's zero count.
+// listCase is a list of a body. with is the envelope carrying it, without
+// the same envelope with that list empty: their frames part at the list's
+// count, zero in without.
 type listCase struct {
 	name          string
 	with, without Envelope
@@ -138,8 +146,11 @@ func (c listCase) check(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := len(empty) - 1 // the list's count byte
-	if !bytes.HasPrefix(data, empty[:at]) || empty[at] != 0 || data[at] == 0 {
+	at := 0 // the list's count byte
+	for at < len(empty) && at < len(data) && empty[at] == data[at] {
+		at++
+	}
+	if at == len(empty) || at == len(data) || empty[at] != 0 {
 		t.Fatalf("frame %s does not carry its list at byte %d", hex.EncodeToString(data), at)
 	}
 	for n := at; n < len(data); n++ {

@@ -173,6 +173,11 @@ type Award struct {
 	Meta TaskMeta
 	// More are the further tasks the same winner is awarded with Meta.
 	More []TaskMeta
+	// Routes, when the auction decided every task of the workflow at once,
+	// say where the outputs of every awarded task go: the plan rides on the
+	// award, and the sender is the initiator. Nil when the initiator does
+	// not know every executor yet; a plan request brings the routes then.
+	Routes []Route
 }
 
 // Kind implements Body.
@@ -190,6 +195,9 @@ type Verdict struct {
 // AwardAck answers an Award with one verdict per task, in the award's
 // order; a refusal binds only its own task.
 type AwardAck struct {
+	// Routed confirms that the winner holds the award's Routes: its
+	// confirmed tasks publish their outputs without a plan request.
+	Routed   bool
 	Verdicts []Verdict
 }
 
@@ -209,8 +217,11 @@ func (Cancel) Kind() string { return "cancel" }
 // --- Plan distribution and Inter-service Messages (execution) ---
 
 // Plan gives an executor the routing segments of its commitments in one
-// workflow. The initiator distributes them once allocation completes, one
-// message per executor (DESIGN.md §9), acknowledged with an Ack.
+// workflow whose routes did not ride on their award: a task awarded on
+// its call for bids (CallForBidsBatch.Sole), before the other tasks were
+// decided, or re-homed by a plan repair. The initiator sends it at
+// Execute, one message per executor (DESIGN.md §9), acknowledged with an
+// Ack.
 type Plan struct {
 	Segments []PlanSegment
 }
@@ -219,19 +230,24 @@ type Plan struct {
 // request by, paired with "ack".
 func (Plan) Kind() string { return "plan-segment" }
 
-// PlanSegment is the routing information for one commitment: where each
-// input comes from and where each output must go.
+// PlanSegment is the routing information for one commitment: where its
+// outputs must go and whom to tell it is done.
 type PlanSegment struct {
 	Task model.TaskID
 	// Initiator is the host coordinating the workflow; executors send
 	// it TaskDone notifications.
 	Initiator Addr
-	// InputSources maps each required input label to the host that will
-	// produce it (the initiator itself for triggering labels).
-	InputSources map[model.LabelID]Addr
-	// OutputSinks maps each output label to the hosts that need it
-	// (consumer executors, plus the initiator for goal labels).
-	OutputSinks map[model.LabelID][]Addr
+	// Routes send each output of the task to the hosts that need it.
+	Routes []Route
+}
+
+// Route sends one label to one host: the executor of a task that consumes
+// it, or the initiator for a goal label. A label with several consuming
+// executors has a route to each. Award and PlanSegment share the form, one
+// flat list, so routing costs a decoder one slice.
+type Route struct {
+	Label model.LabelID
+	To    Addr
 }
 
 // LabelTransfer carries a produced label (condition plus optional data)

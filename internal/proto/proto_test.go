@@ -33,13 +33,12 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 			Bids:     []Bid{{Task: "t", ServicesOffered: 3, Specialization: 0.5, Deadline: time.Unix(50, 0)}},
 			Declines: []model.TaskID{"u"},
 		},
-		Award{Meta: meta},
-		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true}}},
+		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h2"}}},
+		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
 		Cancel{Task: "t"},
 		Plan{Segments: []PlanSegment{{
-			Task:         "t",
-			InputSources: map[model.LabelID]Addr{"a": "h1"},
-			OutputSinks:  map[model.LabelID][]Addr{"b": {"h2", "h3"}},
+			Task:   "t",
+			Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}},
 		}}},
 		LabelTransfer{Label: "a", Data: []byte("payload"), Producer: "h1"},
 		TaskDone{Task: "t", Err: "boom"},
