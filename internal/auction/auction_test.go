@@ -483,7 +483,7 @@ func TestParticipantCancel(t *testing.T) {
 	if _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")}); !ack.OK {
 		t.Fatal("award refused")
 	}
-	p.HandleCancel("wf", proto.Cancel{Task: "t"})
+	p.HandleCancel("wf", proto.Cancel{Tasks: []model.TaskID{"t"}})
 	if _, ok := sched.Get("wf", "t"); ok {
 		t.Error("cancel left the commitment")
 	}
@@ -563,7 +563,7 @@ func TestParticipantSessionsAreIsolated(t *testing.T) {
 		t.Fatalf("session bids = %d/%d of %d holds", heldBy(sched, "wf-1"), heldBy(sched, "wf-2"), sched.Holds())
 	}
 	// Cancel wf-1's task: wf-2 untouched.
-	p.HandleCancel("wf-1", proto.Cancel{Task: "a"})
+	p.HandleCancel("wf-1", proto.Cancel{Tasks: []model.TaskID{"a"}})
 	if heldBy(sched, "wf-1") != 0 || heldBy(sched, "wf-2") != 1 || sched.Holds() != 1 {
 		t.Fatalf("after cancel: wf-1=%d wf-2=%d holds=%d",
 			heldBy(sched, "wf-1"), heldBy(sched, "wf-2"), sched.Holds())

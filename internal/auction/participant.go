@@ -153,15 +153,18 @@ func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh)
 	return ack
 }
 
-// HandleCancel revokes an awarded task (replanning compensation): the
-// commitment and any leftover hold are dropped; with no task, the workflow's.
+// HandleCancel revokes the listed tasks (replanning compensation, a lost
+// auction): each one's commitment and any leftover hold are dropped; with
+// no tasks, the workflow's.
 func (p *Participant) HandleCancel(workflow string, c proto.Cancel) {
-	if c.Task == "" {
+	if len(c.Tasks) == 0 {
 		p.sched.DropWorkflow(workflow)
 		return
 	}
-	p.sched.Release(workflow, c.Task)
-	p.sched.Remove(workflow, c.Task)
+	for _, task := range c.Tasks {
+		p.sched.Release(workflow, task)
+		p.sched.Remove(workflow, task)
+	}
 }
 
 // ReleaseSession drops every reservation of one workflow's bid session and

@@ -285,6 +285,12 @@ func TestChaosDirectoryCrashAfterDescribing(t *testing.T) {
 					}
 				}
 			case errors.Is(err, core.ErrNoSolution) || errors.Is(err, engine.ErrAllocationFailed):
+				// The abort's compensation is one-way Cancels, still on the
+				// links when Initiate returns: count once they have landed.
+				deadline := time.Now().Add(5 * time.Second)
+				for c.TotalCommitments() != 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
 				if n := c.TotalCommitments(); n != 0 {
 					t.Errorf("%d commitments survive the aborted session", n)
 				}

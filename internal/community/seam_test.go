@@ -4,7 +4,9 @@ package community
 //
 // The seam: a producer finishes its task and publishes the output label
 // to its consumers with a single one-way LabelTransfer (exec.publish),
-// then reports TaskDone to the initiator. If that transfer is lost in
+// then reports TaskDone to the initiator. A consumer on the producer's own
+// host gets the label handed over in place, which cannot be lost; the seam
+// concerns only a label that crosses hosts. If that transfer is lost in
 // flight — the wireless medium drops it, or the producer crashes right
 // after its radio queued the frame — nobody ever finds out:
 //

@@ -225,16 +225,19 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.
 	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
+	// Release the losing bidders' reservations promptly, one Cancel per
+	// loser: a Cancel for a task the host never committed drops exactly
+	// the hold.
+	lost := make(map[proto.Addr][]model.TaskID)
 	for _, d := range ds {
 		if d.Failed() {
 			m.cfg.Observer.taskDecided(wfID, d.Task, "")
 		}
-		// Release the losing bidders' reservations promptly: a Cancel for
-		// a task the host never committed drops exactly the hold.
 		for _, loser := range d.Losers {
-			_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
+			lost[loser] = append(lost[loser], d.Task)
 		}
 	}
+	m.cancel(ctx, wfID, lost)
 	decided := ds
 	if all != nil && len(ds) > 0 {
 		routed = make([]model.TaskID, 0, len(ds))
@@ -358,9 +361,9 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 // the member although no reply came back. Canceled mid-call, all of them
 // are recorded in alloc for the caller's cleanup to cancel along with
 // everything already won, and ctx.Err() is returned. Otherwise (a timeout,
-// a lost reply) each gets a best-effort Cancel, still cancelable on the
-// live ctx so it cannot hang on the very peer that just failed to answer,
-// and is decided failed.
+// a lost reply) the member gets one best-effort Cancel naming them all,
+// still cancelable on the live ctx so it cannot hang on the very peer that
+// just failed to answer, and each is decided failed.
 func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) error {
 	if err := ctx.Err(); err != nil {
 		for _, meta := range metas {
@@ -368,10 +371,15 @@ func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr
 		}
 		return err
 	}
-	for _, meta := range metas {
-		_ = m.net.Send(ctx, member, wfID, proto.Cancel{Task: meta.Task})
+	if len(metas) == 0 {
+		return nil // no Cancel: one naming no task would end the workflow
+	}
+	tasks := make([]model.TaskID, len(metas))
+	for i, meta := range metas {
+		tasks[i] = meta.Task
 		m.cfg.Observer.taskDecided(wfID, meta.Task, "")
 	}
+	_ = m.net.Send(ctx, member, wfID, proto.Cancel{Tasks: tasks})
 	return nil
 }
 
@@ -415,17 +423,34 @@ func (m *Manager) taskMetas(w *model.Workflow, ids []model.TaskID, postpone time
 // cancelAwards compensates auction wins that will not be used — a failed
 // allocation attempt about to be retried or replanned, a repair that did
 // not hold together, tasks a repair's reconstruction dropped — so the
-// winners release their commitments. It runs under a fresh context (compensation must go out
-// even when the initiating request was canceled), in sorted order for
-// reproducibility. A Cancel names only wfID, so it can never revoke
-// another session's commitments.
+// winners release their commitments: one Cancel per winner. It runs under a
+// fresh context (compensation must go out even when the initiating request
+// was canceled), hosts and tasks in sorted order for reproducibility. A
+// Cancel names only wfID, so it can never revoke another session's
+// commitments.
 func (m *Manager) cancelAwards(wfID string, alloc map[model.TaskID]proto.Addr) {
 	ids := make([]model.TaskID, 0, len(alloc))
 	for t := range alloc {
 		ids = append(ids, t)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	won := make(map[proto.Addr][]model.TaskID)
 	for _, t := range ids {
-		_ = m.net.Send(context.Background(), alloc[t], wfID, proto.Cancel{Task: t}) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
+		won[alloc[t]] = append(won[alloc[t]], t)
+	}
+	m.cancel(context.Background(), wfID, won) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
+}
+
+// cancel sends each host of tasks one Cancel naming its tasks, in host
+// order. An auction with no loser costs it nothing: the hosts are
+// collected by hand, since an iterator over an empty map still allocates.
+func (m *Manager) cancel(ctx context.Context, wfID string, tasks map[proto.Addr][]model.TaskID) {
+	hosts := make([]proto.Addr, 0, len(tasks))
+	for h := range tasks {
+		hosts = append(hosts, h)
+	}
+	slices.Sort(hosts)
+	for _, h := range hosts {
+		_ = m.net.Send(ctx, h, wfID, proto.Cancel{Tasks: tasks[h]})
 	}
 }

@@ -81,8 +81,10 @@ func taskCancels(f *fakeNet) []string {
 	defer f.mu.Unlock()
 	var out []string
 	for _, s := range f.sentTo {
-		if c, ok := s.body.(proto.Cancel); ok && c.Task != "" {
-			out = append(out, fmt.Sprintf("%s@%s", c.Task, s.to))
+		if c, ok := s.body.(proto.Cancel); ok {
+			for _, task := range c.Tasks {
+				out = append(out, fmt.Sprintf("%s@%s", task, s.to))
+			}
 		}
 	}
 	slices.Sort(out)

@@ -163,10 +163,10 @@ func (f *fakeNet) cancels() (released []proto.Addr, perTask int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, s := range f.sentTo {
-		if c, ok := s.body.(proto.Cancel); ok && c.Task == "" {
+		if c, ok := s.body.(proto.Cancel); ok && len(c.Tasks) == 0 {
 			released = append(released, s.to)
 		} else if ok {
-			perTask++
+			perTask += len(c.Tasks)
 		}
 	}
 	return released, perTask
@@ -547,7 +547,7 @@ func TestLostAwardAckSendsCancel(t *testing.T) {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	for _, b := range net.sent {
-		if c, ok := b.(proto.Cancel); ok && c.Task == "only" {
+		if c, ok := b.(proto.Cancel); ok && slices.Equal(c.Tasks, []model.TaskID{"only"}) {
 			return
 		}
 	}
@@ -1165,7 +1165,7 @@ func TestLostAwardAckSendsCancelWhileConcurrentSession(t *testing.T) {
 	}
 	stillBlocked := net.blocked
 	net.mu.Unlock()
-	if len(cancels) != 1 || cancels[0].Task != "only" {
+	if len(cancels) != 1 || !slices.Equal(cancels[0].Tasks, []model.TaskID{"only"}) {
 		t.Fatalf("cancels = %v, want exactly one for task %q", cancels, "only")
 	}
 	if stillBlocked != 1 {

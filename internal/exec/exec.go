@@ -29,7 +29,11 @@ import (
 // location to execute it.
 const locationEps = 0.5
 
-// SendFunc transmits an envelope; the host injects its endpoint.
+// SendFunc transmits a one-way envelope, a LabelTransfer or a TaskDone.
+// The host injects it: one addressed to another host crosses the
+// endpoint, and one addressed to the host itself is handed to its own
+// handler with LabelTransfer.Data copied, so a run's inputs are always
+// its own copy, never the producer's retained outputs.
 type SendFunc func(ctx context.Context, to proto.Addr, env proto.Envelope) error
 
 // Manager drives the execution of this host's commitments: one run per
@@ -238,14 +242,14 @@ func (m *Manager) forget(k runKey, r *run) {
 	delete(m.runs, k)
 }
 
-// Cancel drops the run of one task, with its inputs, whatever its state
-// (an invocation in flight finds it gone and publishes nothing) or, when
-// task is empty, every run of the workflow.
-func (m *Manager) Cancel(workflow string, task model.TaskID) {
+// Cancel drops the runs of the listed tasks, with their inputs, whatever
+// their state (an invocation in flight finds its run gone and publishes
+// nothing) or, when tasks is empty, every run of the workflow.
+func (m *Manager) Cancel(workflow string, tasks ...model.TaskID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, r := range m.runs {
-		if k.workflow == workflow && (task == "" || k.task == task) {
+		if k.workflow == workflow && (len(tasks) == 0 || slices.Contains(tasks, k.task)) {
 			m.forget(k, r)
 		}
 	}
@@ -253,7 +257,7 @@ func (m *Manager) Cancel(workflow string, task model.TaskID) {
 
 // ClearWorkflow drops all state for a workflow. No product caller; kept
 // for the frozen benchmark, goes with the [benchmark] re-baseline.
-func (m *Manager) ClearWorkflow(workflow string) { m.Cancel(workflow, "") }
+func (m *Manager) ClearWorkflow(workflow string) { m.Cancel(workflow) }
 
 // Reset wipes every run and its inputs (crash simulation); the manager
 // stays usable and the restarted host re-registers from scratch.
@@ -376,7 +380,8 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 // publish communicates the outputs to every participant that requires
 // them (§3.2: the participant's final responsibility). The routes may be
 // an award's, shared by all its tasks: each run follows those of its own
-// outputs.
+// outputs. The outputs stay the run's: every receiver, this host
+// included, gets a copy (SendFunc), so a repair re-publishes them intact.
 func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs) error {
 	for _, out := range c.Meta.Outputs {
 		for _, r := range seg.Routes {

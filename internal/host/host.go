@@ -10,6 +10,7 @@
 package host
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -143,7 +144,7 @@ func New(cfg Config) (*Host, error) {
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, 0)
-	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule.Mobility(), h.sendEnvelope)
+	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule.Mobility(), h.sendExec)
 	ttl := discovery.DefaultTTL
 	if dc := cfg.Discovery; dc != nil {
 		if dc.TTL > 0 {
@@ -261,6 +262,24 @@ func (h *Host) sendEnvelope(ctx context.Context, to proto.Addr, env proto.Envelo
 	}
 	h.record(trace.Send, to, env)
 	return ep.Send(ctx, to, env)
+}
+
+// sendExec is the execution manager's SendFunc. A one-way envelope for
+// this host — a label for a run here, a TaskDone for its own initiator —
+// never crosses the link: it is handed to Handle, where it takes the path
+// of one that arrived, its Data copied as the codec would copy it.
+func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) error {
+	if to != h.addr {
+		return h.sendEnvelope(ctx, to, env)
+	}
+	if lt, ok := env.Body.(proto.LabelTransfer); ok {
+		lt.Data = bytes.Clone(lt.Data)
+		env.Body = lt
+	}
+	env.From, env.To = h.addr, h.addr
+	h.record(trace.Send, to, env)
+	h.Handle(env)
+	return nil
 }
 
 // record emits a trace event if tracing is enabled.
@@ -450,10 +469,11 @@ func (h *Host) process(env proto.Envelope) {
 		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
 
 	case proto.Cancel:
-		// A named task is one revoked award; no task is the end of the
-		// workflow: calendar entries, runs in any state and labels all go.
+		// Each named task is a revoked award or a lost bid; no task is the
+		// end of the workflow: calendar entries, runs in any state and
+		// labels all go.
 		h.Participant.HandleCancel(env.Workflow, b)
-		h.Exec.Cancel(env.Workflow, b.Task)
+		h.Exec.Cancel(env.Workflow, b.Tasks...)
 
 	case proto.Plan:
 		for _, seg := range b.Segments {

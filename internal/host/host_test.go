@@ -219,7 +219,7 @@ func TestCallForBidsAndAward(t *testing.T) {
 		t.Errorf("Exec.Pending = %d", b.Exec.Pending())
 	}
 	// Cancel is one-way.
-	if err := a.Send(context.Background(), "b", "wf", proto.Cancel{Task: "cook"}); err != nil {
+	if err := a.Send(context.Background(), "b", "wf", proto.Cancel{Tasks: []model.TaskID{"cook"}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)

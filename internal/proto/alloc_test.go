@@ -65,7 +65,8 @@ func TestEncodeToPlanAllocFree(t *testing.T) {
 // stack; a rewrite that lets it escape shows up here as one more
 // allocation on every row. Routes are one flat list: a 6-task award that
 // carries its plan costs one allocation more than one that does not, and a
-// map-shaped routing form would cost several per task.
+// map-shaped routing form would cost several per task. A Cancel's tasks
+// are one list too: naming six costs what naming one does.
 func TestDecodeAllocBounds(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
@@ -78,6 +79,10 @@ func TestDecodeAllocBounds(t *testing.T) {
 		routes[i] = Route{Label: out, To: "host-b"}
 	}
 	routes[5].To = "host-a" // the goal returns to the initiator
+	tasks6 := make([]model.TaskID, len(chain))
+	for i, m := range chain {
+		tasks6[i] = m.Task
+	}
 	award6 := Award{Meta: chain[0], More: chain[1:]}
 	routed6 := award6
 	routed6.Routes = routes
@@ -87,7 +92,8 @@ func TestDecodeAllocBounds(t *testing.T) {
 		env  Envelope
 	}{
 		{"fragment-query", 3, benchEnvelope()},
-		{"cancel", 2, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Task: "cook omelets"}}},
+		{"cancel", 3, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Tasks: []model.TaskID{"cook omelets"}}}},
+		{"cancel-of-6", 3, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Tasks: tasks6}}},
 		{"bid-batch", 4, benchBidEnvelope()},
 		{"award", 4, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: meta}}},
 		{"award-of-6", 15, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: award6}},

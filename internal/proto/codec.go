@@ -49,7 +49,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 3
+const wireVersion byte = 4
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -242,7 +242,7 @@ func (e *encoder) body(env Envelope) error {
 		}
 	case Cancel:
 		e.header(kindCancel, env)
-		e.str(string(v.Task))
+		e.taskIDs(v.Tasks)
 	case Plan:
 		e.header(kindPlan, env)
 		e.uint(uint64(len(v.Segments)))
@@ -656,7 +656,7 @@ func (d *decoder) body(kind byte) Body {
 	case kindAwardAck:
 		return AwardAck{Routed: d.bool(), Verdicts: d.verdicts()}
 	case kindCancel:
-		return Cancel{Task: model.TaskID(d.str())}
+		return Cancel{Tasks: d.taskIDs()}
 	case kindPlan:
 		return Plan{Segments: d.segments()}
 	case kindLabelTransfer:

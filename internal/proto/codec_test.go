@@ -83,7 +83,7 @@ func bodyEqual(a, b Body) bool {
 		return ok && av.Routed == bv.Routed && slices.Equal(av.Verdicts, bv.Verdicts)
 	case Cancel:
 		bv, ok := b.(Cancel)
-		return ok && av.Task == bv.Task
+		return ok && taskIDsEq(av.Tasks, bv.Tasks)
 	case Plan:
 		bv, ok := b.(Plan)
 		return ok && slices.EqualFunc(av.Segments, bv.Segments, segmentEq)
@@ -366,7 +366,7 @@ func randBody(rng *rand.Rand) Body {
 		}
 		return ack
 	case 9:
-		return Cancel{Task: model.TaskID(randString(rng, 16))}
+		return Cancel{Tasks: randTaskIDs(rng)}
 	case 10:
 		var plan Plan
 		for i, n := 0, rng.Intn(4); i < n; i++ {
@@ -676,7 +676,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 // carrying one — an old peer's, say — is an error like any unknown kind,
 // never a panic and never another body.
 func TestRetiredKindsRejected(t *testing.T) {
-	data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: Cancel{Task: "t"}})
+	data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: Cancel{Tasks: []model.TaskID{"t"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +742,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "03" + // version
+	const want = "04" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -771,7 +771,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "03" + // version
+			want: "04" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -830,16 +830,27 @@ func TestWireFormatGoldenLease(t *testing.T) {
 				"01" + "027431"), // missing ["t1"]
 		},
 		{
+			// One cancel per host names every task it revokes there.
+			name: "cancel",
+			env: Envelope{From: "a", To: "b", Workflow: "wf",
+				Body: Cancel{Tasks: []model.TaskID{"t1", "t2"}}},
+			want: "04" + // version
+				"0a" + // kind: cancel
+				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
+				"02" + "027431" + "027432", // tasks ["t1","t2"]
+		},
+		{
 			// The end-of-workflow release is a cancel that names no task:
-			// the same kind and layout as any other cancel, an empty string
-			// where the task goes.
+			// the same kind and layout as any other cancel, an empty list
+			// where the tasks go — the byte version 1 wrote for an empty
+			// task name.
 			name: "release",
 			env: Envelope{From: "a", To: "b", Workflow: "wf",
 				Body: Cancel{}},
 			want: fromV1("01" + // version
 				"0a" + // kind: cancel
 				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
-				"00"), // task ""
+				"00"), // tasks []
 		},
 	})
 }
@@ -883,9 +894,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "03" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "04" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "03" + // version
+		reply = "04" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -921,7 +932,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "03" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "04" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},

@@ -42,7 +42,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		Award{Meta: meta, More: []TaskMeta{meta}, Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}}},
 		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true, Reason: "r"}}},
 		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
-		Cancel{Task: "t"},
+		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
 			Task: "t", Initiator: "h0",
 			Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}},

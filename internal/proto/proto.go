@@ -204,11 +204,13 @@ type AwardAck struct {
 // Kind implements Body.
 func (AwardAck) Kind() string { return "award-ack" }
 
-// Cancel revokes a previously awarded task (compensation during
-// replanning after a failure). With no Task it is the release an initiator
-// sends when execution ends: drop everything held for the workflow.
+// Cancel revokes previously awarded tasks of one host, or the holds of
+// its losing bids (compensation during the auction and replanning after a
+// failure): one message per host, whatever the number of tasks. With no
+// Tasks it is the release an initiator sends when execution ends: drop
+// everything held for the workflow.
 type Cancel struct {
-	Task model.TaskID
+	Tasks []model.TaskID
 }
 
 // Kind implements Body.

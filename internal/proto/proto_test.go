@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 		},
 		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h2"}}},
 		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
-		Cancel{Task: "t"},
+		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
 			Task:   "t",
 			Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}},

@@ -22,7 +22,9 @@ import (
 	"openwf/internal/space"
 )
 
-// Inputs carries the marshaled input labels of an invocation.
+// Inputs carries the marshaled input labels of an invocation. They are
+// the invocation's own copy: a service may overwrite them in place
+// without touching its producers' retained outputs.
 type Inputs map[model.LabelID][]byte
 
 // Outputs carries the marshaled output labels an invocation produced.

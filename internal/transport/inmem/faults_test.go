@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"openwf/internal/clock"
+	"openwf/internal/model"
 	"openwf/internal/proto"
 )
 
@@ -265,7 +266,7 @@ func TestCrashRacingSenders(t *testing.T) {
 				default:
 				}
 				sending.RLock()
-				err := ep.Send(context.Background(), "b", proto.Envelope{ReqID: phase.Load(), Body: proto.Cancel{Task: "t"}})
+				err := ep.Send(context.Background(), "b", proto.Envelope{ReqID: phase.Load(), Body: proto.Cancel{Tasks: []model.TaskID{"t"}}})
 				sending.RUnlock()
 				if err != nil {
 					t.Error(err)

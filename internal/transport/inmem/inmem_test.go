@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/testutil"
 	"openwf/internal/transport"
@@ -56,8 +57,9 @@ func (c *collector) count() int {
 	return len(c.got)
 }
 
+// ping is a one-way envelope whose body decodes to no slice: a release.
 func ping(n int) proto.Envelope {
-	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{Task: "t"}}
+	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{}}
 }
 
 func TestBasicDelivery(t *testing.T) {
@@ -398,7 +400,7 @@ func TestHandlerMaySend(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err = net.Endpoint("b", func(env proto.Envelope) {
-		_ = b.Send(context.Background(), env.From, proto.Envelope{ReqID: env.ReqID + 1, Body: proto.Cancel{Task: "t"}})
+		_ = b.Send(context.Background(), env.From, proto.Envelope{ReqID: env.ReqID + 1, Body: proto.Cancel{Tasks: []model.TaskID{"t"}}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +549,7 @@ func TestStatsCountsCallRoundTrips(t *testing.T) {
 		{ReqID: 1, Body: proto.FragmentQuery{Labels: nil}}, // request
 		{ReqID: 2, Body: proto.CallForBidsBatch{}},         // request
 		{ReqID: 2, Body: proto.BidBatch{}},                 // reply
-		{Body: proto.Cancel{Task: "t"}},                    // one-way
+		{Body: proto.Cancel{Tasks: []model.TaskID{"t"}}},   // one-way
 	}
 	for _, env := range sends {
 		if err := a.Send(context.Background(), "b", env); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/transport"
 	"openwf/internal/transport/inmem"
@@ -74,7 +75,7 @@ func TestSubstratesAgree(t *testing.T) {
 			burst := func(n int) {
 				t.Helper()
 				for i := 0; i < n; i++ {
-					send(proto.Cancel{Task: "t"})
+					send(proto.Cancel{Tasks: []model.TaskID{"t"}})
 				}
 			}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/transport"
 )
@@ -49,7 +50,7 @@ func (c *collector) count() int {
 }
 
 func ping(n int) proto.Envelope {
-	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{Task: "t"}}
+	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{Tasks: []model.TaskID{"t"}}}
 }
 
 // pair builds two connected transports with registries installed.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"openwf"
+	"openwf/internal/model"
 	"openwf/internal/proto"
 )
 
@@ -241,7 +242,7 @@ func TestFacadeOptions(t *testing.T) {
 		t.Helper()
 		asker, _ := com.Host("asker")
 		com.Network().SetPartition([]openwf.Addr{"asker"}, []openwf.Addr{"worker"})
-		if err := asker.Send(ctx, "worker", "wf", proto.Cancel{Task: "job"}); err != nil {
+		if err := asker.Send(ctx, "worker", "wf", proto.Cancel{Tasks: []model.TaskID{"job"}}); err != nil {
 			t.Fatal(err)
 		}
 		com.Network().SetPartition()
