@@ -581,9 +581,9 @@ func TestConjunctiveFanInAcrossHosts(t *testing.T) {
 // brings back each one's description of itself; from then on only members
 // that can answer are contacted: round 2 ("lunch prepared") goes to the
 // one member that consumes the label, feasibility is answered from the
-// descriptions with no message at all, and bids are solicited only from
-// the members offering a task of the workflow — each the only one offering
-// its task, so the award rides on the call for bids and no award is sent.
+// descriptions with no message at all, and only the members offering a task
+// of the workflow are contacted — each the only one offering its task, so
+// no bids are solicited: each gets one award, decided from memory.
 func TestTraceRecordsConversation(t *testing.T) {
 	rec := trace.NewBuffer(0)
 	opts := Options{Engine: testEngineConfig(), Trace: rec}
@@ -624,11 +624,11 @@ func TestTraceRecordsConversation(t *testing.T) {
 			}
 		}
 	}
-	if got := received(rec, "call-for-bids-batch"); !reflect.DeepEqual(got, offerers) {
-		t.Errorf("calls for bids went to %v, want exactly one to each offerer %v", got, offerers)
+	if got := received(rec, "award"); !reflect.DeepEqual(got, offerers) {
+		t.Errorf("awards went to %v, want exactly one to each offerer %v", got, offerers)
 	}
-	if got := rec.CountKind("award"); got != 0 {
-		t.Errorf("%d award events, want none: each task has one offerer, whose bid is the commitment", got)
+	if got := rec.CountKind("call-for-bids-batch"); got != 0 {
+		t.Errorf("%d call-for-bids events, want none: each task has one offerer, awarded from memory", got)
 	}
 	if got, want := c.TotalCommitments(), plan.Workflow.NumTasks(); got != want {
 		t.Errorf("%d commitments, want one per task (%d)", got, want)
@@ -638,8 +638,8 @@ func TestTraceRecordsConversation(t *testing.T) {
 	// replies pass through record), so a round trip is three events:
 	// the request's recv, the reply's send, the reply's recv.
 	for req, reply := range map[string]string{
-		"fragment-query":      "fragment-reply",
-		"call-for-bids-batch": "bid-batch",
+		"fragment-query": "fragment-reply",
+		"award":          "award-ack",
 	} {
 		served, sent, got := count[key{req, trace.Recv}], count[key{reply, trace.Send}], count[key{reply, trace.Recv}]
 		if served == 0 {

@@ -246,8 +246,8 @@ func TestChaosDirectoryLearnsAfterHeal(t *testing.T) {
 // TestChaosDirectoryCrashAfterDescribing: a member that dies between
 // describing itself and the auction costs each solicitation sweep exactly
 // one failed request — the index still lists what it offered — and, when
-// it was a task's only provider, the best-effort Cancel of the award that
-// rode on that request (the member may have committed and its reply been
+// every task has one provider, that request is a held award, followed by
+// its best-effort Cancel (the member may have committed and its reply been
 // lost; the initiator cannot tell). The
 // session ends allocated or cleanly aborted (the dead member's silence
 // outlasts the other bids' windows, so §5.1 may run out of tasks; when it
@@ -298,14 +298,16 @@ func TestChaosDirectoryCrashAfterDescribing(t *testing.T) {
 				t.Fatalf("err = %v, want an allocated plan or a clean abort", err)
 			}
 			// The witness offers a task of every attempt's workflow, so
-			// it saw every solicitation sweep; x was part of each one.
-			sweeps := received(buf, "call-for-bids-batch")
-			if sweeps[x] != 0 {
-				t.Errorf("the crashed %s received %d calls for bids", x, sweeps[x])
-			}
-			perSweep := 1
+			// it saw every solicitation sweep — a call for bids, or with
+			// every provider sole a held award decided from memory, whose
+			// best-effort Cancel is lost as well; x was part of each one.
+			kind, perSweep := "call-for-bids-batch", 1
 			if sole {
-				perSweep = 2
+				kind, perSweep = "award", 2
+			}
+			sweeps := received(buf, kind)
+			if sweeps[x] != 0 {
+				t.Errorf("the crashed %s received %d %s requests", x, sweeps[x], kind)
 			}
 			if got := c.Network().Dropped(); sweeps[witness] == 0 || got != int64(perSweep*sweeps[witness]) {
 				t.Errorf("%d envelopes lost over %d solicitation sweeps, want %d per sweep", got, sweeps[witness], perSweep)
@@ -372,8 +374,8 @@ func TestChaosDirectoryWithdrawnService(t *testing.T) {
 
 // TestChaosDirectoryFullCollection: with Incremental off the one
 // collect-everything sweep is also the describing one, so full
-// collection's feasibility re-check costs no message and bids are
-// solicited from the offerers only.
+// collection's feasibility re-check costs no message and only the offerers
+// are contacted: each provider sole, each gets one award from memory.
 func TestChaosDirectoryFullCollection(t *testing.T) {
 	sim := clock.NewSim(chaosT0)
 	buf := trace.NewBuffer(0)
@@ -400,8 +402,8 @@ func TestChaosDirectoryFullCollection(t *testing.T) {
 	}
 	delete(want, "host00") // knows everything, offers nothing
 	delete(want, "host05") // sole mode: four tasks, providers 1–4
-	if got := received(buf, "call-for-bids-batch"); !reflect.DeepEqual(got, want) {
-		t.Errorf("calls for bids received: %v, want the offerers %v", got, want)
+	if got := received(buf, "award"); !reflect.DeepEqual(got, want) {
+		t.Errorf("awards received: %v, want one by each offerer %v", got, want)
 	}
 	settleDirectoryChaos(t, c, sim)
 }

@@ -1,9 +1,8 @@
 package community
 
-// The plan rides on the award: once the sweep has decided every task, each
-// winner's Award carries where its tasks' outputs go, and Execute sends a
-// plan request only to the executors of the tasks it did not cover. These
-// tests pin the seams of that: a try whose award is refused, a plan that is
+// The plan rides on the award: once every task is decided, each winner's
+// Award carries where its tasks' outputs go, and Execute on the initiator
+// sends no plan request. These tests pin the seams of that: a try whose award is refused, a plan that is
 // never executed, and a plan executed on another host than the one that
 // allocated it.
 
@@ -108,8 +107,8 @@ func TestRefusedAwardExecutesOnLastTryRoutes(t *testing.T) {
 			t.Fatalf("allocations %v, want %v", plan.Allocations, want)
 		}
 	}
-	if plan.Replans != 0 || len(plan.Routed) != 3 {
-		t.Fatalf("plan after %d replans routes %v on its awards, want all three tasks from a window retry", plan.Replans, plan.Routed)
+	if plan.Replans != 0 || c.TotalRuns() != 3 {
+		t.Fatalf("plan after %d replans has %d runs registered, want the three of a window retry", plan.Replans, c.TotalRuns())
 	}
 	if got := received(rec.Buffer, "award"); got["host01"] != 2 || got["host02"] != 1 {
 		t.Fatalf("awards received %v, want host01's refused one and one each after the retry", got)
@@ -142,8 +141,8 @@ func TestUnexecutedPlanArmsNoTimer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Routed) != 6 || c.TotalRuns() != 6 {
-		t.Fatalf("%d runs registered, %v routed on the awards; want all six", c.TotalRuns(), plan.Routed)
+	if got := c.TotalRuns(); got != 6 {
+		t.Fatalf("%d runs registered by the awards, want all six", got)
 	}
 	if got := sim.PendingWaiters(); got > len(c.Members()) {
 		t.Errorf("%d timers pending after Initiate, want at most one calendar sweep per host", got)
@@ -183,8 +182,8 @@ func TestExecuteElsewhereDistributesInFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Initiator != "host00" || len(plan.Routed) == 0 {
-		t.Fatalf("plan allocated by %q routes %v on its awards, want host00 and some", plan.Initiator, plan.Routed)
+	if plan.Initiator != "host00" || c.TotalRuns() != 4 {
+		t.Fatalf("plan allocated by %q registered %d runs, want host00 and all four", plan.Initiator, c.TotalRuns())
 	}
 	executors := make(map[proto.Addr]int)
 	for _, h := range plan.Allocations {

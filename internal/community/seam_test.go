@@ -39,6 +39,7 @@ import (
 	"openwf/internal/service"
 	"openwf/internal/spec"
 	"openwf/internal/testutil"
+	"openwf/internal/transport/inmem"
 )
 
 func TestSeamLostLabelTransferStallsConsumer(t *testing.T) {
@@ -123,5 +124,91 @@ func TestSeamLostLabelTransferStallsConsumer(t *testing.T) {
 	}
 	if got := report.Goals["g"]; got != nil {
 		t.Errorf("goal delivered despite stall: %q", got)
+	}
+}
+
+// TestSeamFinishedProducerOutlivesItsLease: a producer that finished its
+// task long before the workflow ends still holds the run a repair
+// re-publishes from. "prod" runs t1 at once and t3 twelve minutes later;
+// t2 runs on "cons" in between, six minutes in. The refresher polls prod
+// every minute because prod still owes t3, and names t1 as well, so t1's
+// lease outlives DefaultCommitLease (five minutes). cons crashes at 5m30s,
+// before t2's window; repair re-homes t2 on "spare", and prod re-publishes
+// t1's retained output to it. Without the refresh t1's lease lapses at five
+// minutes, taking the run along, and Execute stalls.
+func TestSeamFinishedProducerOutlivesItsLease(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	sim := clock.NewSim(chaosT0)
+	cfg := engine.DefaultConfig()
+	cfg.StartDelay = time.Second
+	cfg.TaskWindow = 6 * time.Minute
+	cfg.CallTimeout = 10 * time.Second
+	cfg.LeaseRefreshInterval = time.Minute
+	c, err := New(Options{Clock: sim, Engine: &cfg, Seed: 1}, []HostSpec{
+		{ID: "host00", Fragments: []*model.Fragment{
+			frag(t, "know-t1", ctask("t1", []model.LabelID{"a"}, []model.LabelID{"m"})),
+			frag(t, "know-t2", ctask("t2", []model.LabelID{"m"}, []model.LabelID{"n"})),
+			frag(t, "know-t3", ctask("t3", []model.LabelID{"n"}, []model.LabelID{"g"})),
+		}},
+		{ID: "prod", Services: []service.Registration{svc("t1", 10*time.Millisecond), svc("t3", 10*time.Millisecond)}},
+		{ID: "cons", Services: []service.Registration{svc("t2", 10*time.Millisecond)}},
+		{ID: "spare", Services: []service.Registration{svc("t2", 10*time.Millisecond)}},
+	}...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+
+	plan, err := c.Initiate(context.Background(), "host00", spec.Must([]model.LabelID{"a"}, []model.LabelID{"g"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Allocations["t1"] != "prod" || plan.Allocations["t2"] != "cons" || plan.Allocations["t3"] != "prod" {
+		t.Fatalf("allocation not as expected: %+v", plan.Allocations)
+	}
+	const crash = 5*time.Minute + 30*time.Second
+	if err := c.ScheduleFaults([]inmem.Fault{{At: crash, Kind: inmem.FaultCrash, Host: "cons"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second of virtual time per step, but 50 ms around the repair's
+	// auction, whose bids hold their slots for 200 ms. The virtual clock
+	// bounds the wait: past twenty minutes, the workflow has stalled.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	stop := make(chan struct{})
+	var driver sync.WaitGroup
+	driver.Add(1)
+	go func() {
+		defer driver.Done()
+		start := sim.Now()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			step, at := time.Second, sim.Since(start)
+			if at > crash && at < crash+2*time.Minute {
+				step = 50 * time.Millisecond
+			}
+			if at > 20*time.Minute {
+				cancel()
+			}
+			sim.Advance(step)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() {
+		close(stop)
+		driver.Wait()
+	}()
+
+	report, err := c.Execute(ctx, "host00", plan, map[model.LabelID][]byte{"a": []byte("go")})
+	if err != nil || !report.Completed {
+		t.Fatalf("Execute = %+v, err %v; want completion after t2 is re-homed and fed from t1's retained run", report, err)
+	}
+	if got := plan.Allocations["t2"]; got != "spare" {
+		t.Errorf("t2 re-homed on %q, want spare", got)
 	}
 }

@@ -24,9 +24,9 @@
 //	pulled, lapsed  unknown again  asked, and asked to describe itself
 //	pushed, lapsed  presumed dead  not asked
 //
-// The same sets say when a solicitation has one possible bidder (Sole): a
-// task exactly one of the routed members offers, every one of them known,
-// is awarded on that member's call for bids instead of after it.
+// The same sets say when a solicitation has one possible bidder (Sole): when
+// exactly one of the routed members, every one of them known, offers each
+// task, the session sends no call for bids and awards from memory.
 //
 // Memory outlives the session that filled it. Three rules keep it from
 // costing a plan, and they are the whole policy (DESIGN.md §13):
@@ -368,10 +368,11 @@ func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, out map[m
 // by: with every one of members known — the routed ones of a sweep that
 // asked nobody to describe itself — a task exactly one of them offers has
 // one possible bidder, and sole[i] is that member; it is "" for a task
-// several offer or none does. An award sent there without an auction goes
-// to whom the auction would have chosen, on the same memory that chose whom
-// the auction would have asked. sole is nil when some member is not known
-// (its entry lapsed since the sweep was routed) or no task is settled.
+// several offer or none does. With no "", the engine awards every task
+// without an auction, to whom the auction would have chosen, on the same
+// memory that chose whom it would have asked. sole is nil when some member
+// is not known (its entry lapsed since the sweep was routed) or no task is
+// settled.
 func (x *Index) Sole(members []proto.Addr, tasks []model.TaskID) (sole []proto.Addr) {
 	now := x.clk.Now()
 	x.mu.Lock()

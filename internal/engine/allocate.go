@@ -49,20 +49,19 @@ func retrySlot(wfID string) int {
 // allocate auctions the tasks ids of w, windows staggered in that order,
 // among candidates (nil = the whole community; repair passes the
 // survivors), rotated by rot (see route). ids nil is every task of w in
-// topological order, and then the plan rides on the awards: the sweep
-// decides every task before the first award goes out, so each award can
-// carry where its tasks' outputs go (runAuction). A repair names the tasks
-// it re-homes and distributes the whole plan itself.
+// topological order, and then the plan rides on the awards: every task is
+// decided before the first award goes out, so each award can carry where
+// its tasks' outputs go (runAuction). A repair names the tasks it re-homes
+// and distributes the whole plan itself.
 //
 // A try that leaves tasks unallocated — their providers may only be busy
 // with another session's commitments now — cancels its own wins, and with
 // them any routes they carried, and solicits the whole set again,
 // postponed into the try's retry band (retryPostpone, retrySlot). It
-// returns the last try's wins with their metas, the won tasks whose
-// winners hold their routes, and the tasks it left unallocated; once the
-// retries are spent those wins are the caller's to keep or cancel. On
-// error the try's wins are cancelled.
-func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, routed, failed []model.TaskID, err error) {
+// returns the last try's wins with their metas and the tasks it left
+// unallocated; once the retries are spent those wins are the caller's to
+// keep or cancel. On error the try's wins are cancelled.
+func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
 	slot := retrySlot(wfID)
 	whole := ids == nil
 	if whole {
@@ -71,11 +70,11 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 	for try := 0; ; try++ {
 		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
 		won = make(map[model.TaskID]proto.Addr, len(solicited))
-		if failed, routed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, whole, won); err != nil {
-			// Awards riding on the calls for bids go out during the sweep,
-			// so an error may leave wins to release.
+		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, whole, won); err != nil {
+			// Awards confirmed before the error, or canceled mid-call
+			// (settleLost), are wins to release.
 			m.cancelAwards(wfID, won)
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		if len(failed) == 0 || try >= m.cfg.WindowRetries {
 			metas = make(map[model.TaskID]proto.TaskMeta, len(won))
@@ -84,19 +83,17 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 					metas[meta.Task] = meta
 				}
 			}
-			return won, metas, routed, failed, nil
+			return won, metas, failed, nil
 		}
 		m.cancelAwards(wfID, won)
 	}
 }
 
-// runAuction solicits bids for metas (one CallForBidsBatch per member,
-// answered by one BidBatch — one round trip per member), awards the
-// auctioneer's decisions once the sweep ends (one Award per winner, see
-// award), and records confirmed winners in alloc. It returns the tasks
-// that ended unallocated — decided failed, award refused or undeliverable
-// — and, when metas are every task of the workflow (whole), the awarded
-// tasks whose winners confirmed holding the routes their award carried.
+// runAuction decides who executes metas, awards the decisions (one Award
+// per winner, see award), and records confirmed winners in alloc. It
+// returns the tasks that ended unallocated — decided failed, award refused
+// or undeliverable. With whole, metas are every task of the workflow and
+// each award carries its tasks' routes.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -104,25 +101,26 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 // the same order and the first sweep reserves slots on every host before
 // the others arrive — concurrent Initiates would serialize into bands.
 // Binding stays auction-based: routing narrows who is asked, never who
-// wins. A task the routing leaves one member to ask has its auction's
-// outcome before it starts — that member wins or nobody does — so its
-// award rides on that member's call for bids (soleTasks) and the
-// auctioneer runs the others.
+// wins. When memory knows one routed member to offer each task, every
+// auction's outcome is known before it starts — that member wins or nobody
+// does — so no call for bids goes out: the decisions come from memory
+// (remembered) and the award asks each winner to hold as it commits
+// (proto.Award.Hold).
 //
-// The auction ends with its sweep. Every member is asked every open task
-// in one blocking call at a time, and a member whose call fails declines
-// them all, so once the last has answered no bid can still arrive: the
-// auctioneer decides every task then, on the bids in hand, and award
-// releases every loser before the first winner is told.
+// Otherwise the auction ends with its sweep. Every member is asked every
+// task in one blocking call at a time, and a member whose call fails
+// declines them all, so once the last has answered no bid can still
+// arrive: the auctioneer decides every task then, on the bids in hand, and
+// award releases every loser before the first winner is told.
 //
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels them).
-func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, whole bool, alloc map[model.TaskID]proto.Addr) (failed, routed []model.TaskID, err error) {
+func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, whole bool, alloc map[model.TaskID]proto.Addr) (failed []model.TaskID, err error) {
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
 		tasks[i] = meta.Task
 	}
-	members, describe := m.route(candidates, nil, tasks, rot)
+	members, _ := m.route(candidates, nil, tasks, rot)
 	if len(members) == 0 {
 		// Every member is known and none offers any of these tasks: what
 		// a broadcast would learn from a round of declines is already
@@ -130,98 +128,79 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 		for _, meta := range metas {
 			m.cfg.Observer.taskDecided(wfID, meta.Task, "")
 		}
-		return unallocated(metas, alloc), nil, nil
+		return unallocated(metas, alloc), nil
 	}
-	open, sole := metas, map[proto.Addr][]proto.TaskMeta(nil)
-	if !describe {
-		open, sole = m.soleTasks(members, tasks, metas)
-	}
-	auc, err := auction.NewAuctioneer(members, open)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Solicit bids from every member in turn (§5: time linear in the
-	// number of hosts); the last answer decides every open task.
-	var ds []auction.Decision
-	for _, out := range auc.StartBatched() {
-		mine := sole[out.To]
-		if len(mine) > 0 {
-			cfb := out.Body.(proto.CallForBidsBatch)
-			cfb.Metas = slices.Concat(cfb.Metas, mine)
-			cfb.Sole = make([]model.TaskID, len(mine))
-			for i, meta := range mine {
-				cfb.Sole[i] = meta.Task
-			}
-			out.Body = cfb
+	ds := m.remembered(members, tasks, metas)
+	hold := ds != nil
+	if !hold {
+		if ds, err = m.sweep(ctx, wfID, members, tasks, metas); err != nil {
+			return nil, err
 		}
-		reply, err := m.net.Call(ctx, out.To, wfID, out.Body, m.cfg.CallTimeout)
-		if err != nil {
-			// Its own tasks are lost awards, settled as awardWinner settles
-			// those; for the auction it declines everything.
-			if err := m.settleLost(ctx, wfID, out.To, mine, alloc); err != nil {
-				return nil, nil, err
-			}
-			reply, mine = proto.BidBatch{Declines: tasks}, nil
-		}
-		bids, ok := reply.(proto.BidBatch)
-		if !ok {
-			return nil, nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
-		}
-		for _, meta := range mine {
-			// A bid for a task that rode on the call is its commitment.
-			var winner proto.Addr
-			if slices.ContainsFunc(bids.Bids, func(b proto.Bid) bool { return b.Task == meta.Task }) {
-				winner = out.To
-				alloc[meta.Task] = winner
-			}
-			m.cfg.Observer.taskDecided(wfID, meta.Task, winner)
-		}
-		ds = auc.HandleBidBatch(out.To, bids, time.Time{})
 	}
 	var all []proto.TaskMeta
 	if whole {
 		all = metas
 	}
-	if routed, err = m.award(ctx, wfID, ds, all, alloc); err != nil {
-		return nil, nil, err
+	if err := m.award(ctx, wfID, ds, all, hold, alloc); err != nil {
+		return nil, err
 	}
-	return unallocated(metas, alloc), routed, nil
+	return unallocated(metas, alloc), nil
 }
 
-// soleTasks splits metas by what the host's memory says of members, the
-// routed ones, every one of them known: a task exactly one of them offers
-// goes to that member's list in sole (discovery.Index.Sole), the others
-// stay open for the auction. Memory that would have left the auctioneer
-// one member to hear from on a task names that member here instead; a
-// session that fails on what it was told runs once more asking everyone
-// (notFromMemory).
-func (m *Manager) soleTasks(members []proto.Addr, tasks []model.TaskID, metas []proto.TaskMeta) (open []proto.TaskMeta, sole map[proto.Addr][]proto.TaskMeta) {
+// remembered decides metas from what the host's memory says of members,
+// the routed ones: when every one of them is known and each task is offered
+// by exactly one (discovery.Index.Sole), that member is its winner. It
+// returns nil otherwise — a member to describe itself, a task contested or
+// offered by none — and the whole session is auctioned. A session that
+// fails on what it was told runs once more asking everyone (notFromMemory).
+func (m *Manager) remembered(members []proto.Addr, tasks []model.TaskID, metas []proto.TaskMeta) []auction.Decision {
 	only := m.idx.Sole(members, tasks)
-	if only == nil {
-		return metas, nil
+	if only == nil || slices.Contains(only, "") {
+		return nil
 	}
-	sole = make(map[proto.Addr][]proto.TaskMeta)
+	ds := make([]auction.Decision, len(metas))
 	for i, meta := range metas {
-		if only[i] == "" {
-			open = append(open, meta)
-		} else {
-			sole[only[i]] = append(sole[only[i]], meta)
-		}
+		ds[i] = auction.Decision{Task: meta.Task, Winner: only[i], Meta: meta}
 	}
-	return open, sole
+	return ds
+}
+
+// sweep solicits bids for metas from members in turn (§5: time linear in
+// the number of hosts; one CallForBidsBatch per member, answered by one
+// BidBatch) and returns the auctioneer's decisions once the last has
+// answered.
+func (m *Manager) sweep(ctx context.Context, wfID string, members []proto.Addr, tasks []model.TaskID, metas []proto.TaskMeta) ([]auction.Decision, error) {
+	auc, err := auction.NewAuctioneer(members, metas)
+	if err != nil {
+		return nil, err
+	}
+	var ds []auction.Decision
+	for _, out := range auc.StartBatched() {
+		reply, err := m.net.Call(ctx, out.To, wfID, out.Body, m.cfg.CallTimeout)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			reply = proto.BidBatch{Declines: tasks} // for the auction it declines everything
+		}
+		bids, ok := reply.(proto.BidBatch)
+		if !ok {
+			return nil, fmt.Errorf("call for bids to %q: unexpected reply %T", out.To, reply)
+		}
+		ds = auc.HandleBidBatch(out.To, bids, time.Time{})
+	}
+	return ds, nil
 }
 
 // award settles an auction's decisions: failed ones are reported, every
 // loser is released before the first winner is told, and each winner is
-// told once, of everything it won (awardWinner). A refused or
-// undeliverable award re-enters the failure set for replanning.
+// told once, of everything it won (awardWinner), holding first when hold
+// says the decisions came from memory. A refused or undeliverable award
+// re-enters the failure set for replanning.
 //
 // With all, the metas of every task of the workflow, each award carries
-// the routes of its tasks' outputs: every executor is known by now, a sole
-// win in alloc or a decision in ds. It returns the tasks whose winners
-// confirmed holding them (proto.AwardAck.Routed).
-func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, all []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) (routed []model.TaskID, err error) {
+// the routes of its tasks' outputs: every executor is decided by now.
+func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, all []proto.TaskMeta, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.
 	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
@@ -239,13 +218,7 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 	}
 	m.cancel(ctx, wfID, lost)
 	decided := ds
-	if all != nil && len(ds) > 0 {
-		routed = make([]model.TaskID, 0, len(ds))
-	}
 	executor := func(t model.TaskID) proto.Addr {
-		if to, ok := alloc[t]; ok {
-			return to
-		}
 		for _, d := range decided {
 			if d.Task == t {
 				return d.Winner
@@ -259,23 +232,22 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 			n++
 		}
 		if !ds[0].Failed() {
-			var routes []proto.Route
-			if all != nil {
-				routes = m.awardRoutes(ds[:n], all, executor)
-			}
-			if routed, err = m.awardWinner(ctx, wfID, ds[:n], routes, alloc, routed); err != nil {
-				return nil, err
+			if err := m.awardWinner(ctx, wfID, ds[:n], m.awardRoutes(ds[:n], all, executor), hold, alloc); err != nil {
+				return err
 			}
 		}
 		ds = ds[n:]
 	}
-	return routed, nil
+	return nil
 }
 
-// awardRoutes lists where the outputs of the tasks of ds go, or nil when
-// some consumer has no executor: a decision failed, so the try fails and
-// its awards are cancelled.
+// awardRoutes lists where the outputs of the tasks of ds go, or nil without
+// all or when some consumer has no executor: a decision failed, so the try
+// fails and its awards are cancelled.
 func (m *Manager) awardRoutes(ds []auction.Decision, all []proto.TaskMeta, executor func(model.TaskID) proto.Addr) []proto.Route {
+	if all == nil {
+		return nil
+	}
 	n := 0
 	for _, d := range ds {
 		n += len(d.Meta.Outputs)
@@ -321,26 +293,26 @@ func (m *Manager) routes(rs []proto.Route, task proto.TaskMeta, all []proto.Task
 }
 
 // awardWinner sends ds, all won by ds[0].Winner, in one Award carrying
-// routes, and settles each task by its own verdict: a confirmed task is
-// recorded in alloc, and appended to routed when the winner confirmed
-// holding the routes; a refused one re-enters the failure set alone (the
-// winner freed its slot, HandleAward's rule).
-func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, routes []proto.Route, alloc map[model.TaskID]proto.Addr, routed []model.TaskID) ([]model.TaskID, error) {
+// routes and hold, and settles each task by its own verdict: a confirmed
+// task is recorded in alloc; a refused one re-enters the failure set alone
+// (the winner freed its slot, HandleAward's rule).
+func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, routes []proto.Route, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	winner := ds[0].Winner
 	metas := make([]proto.TaskMeta, len(ds))
 	for i, d := range ds {
 		metas[i] = d.Meta
 	}
-	reply, err := m.net.Call(ctx, winner, wfID, proto.Award{Meta: metas[0], More: metas[1:], Routes: routes}, m.cfg.CallTimeout)
+	award := proto.Award{Meta: metas[0], More: metas[1:], Routes: routes, Hold: hold}
+	reply, err := m.net.Call(ctx, winner, wfID, award, m.cfg.CallTimeout)
 	if err != nil {
-		return routed, m.settleLost(ctx, wfID, winner, metas, alloc)
+		return m.settleLost(ctx, wfID, winner, metas, alloc)
 	}
 	ack, ok := reply.(proto.AwardAck)
 	if !ok {
-		return nil, fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
+		return fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
 	}
 	if len(ack.Verdicts) != len(ds) {
-		return nil, fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
+		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
 	}
 	for i, verdict := range ack.Verdicts {
 		if !verdict.OK {
@@ -348,31 +320,25 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 			continue
 		}
 		alloc[ds[i].Task] = winner
-		if ack.Routed && routes != nil {
-			routed = append(routed, ds[i].Task)
-		}
 		m.cfg.Observer.taskDecided(wfID, ds[i].Task, winner)
 	}
-	return routed, nil
+	return nil
 }
 
-// settleLost settles the awards a failed call to member carried — an
-// Award, or the tasks riding on a call for bids: the call may have reached
-// the member although no reply came back. Canceled mid-call, all of them
-// are recorded in alloc for the caller's cleanup to cancel along with
-// everything already won, and ctx.Err() is returned. Otherwise (a timeout,
-// a lost reply) the member gets one best-effort Cancel naming them all,
-// still cancelable on the live ctx so it cannot hang on the very peer that
-// just failed to answer, and each is decided failed.
+// settleLost settles the tasks of an Award whose call to member failed:
+// the award may have reached the member although no reply came back.
+// Canceled mid-call, all of them are recorded in alloc for the caller's
+// cleanup to cancel along with everything already won, and ctx.Err() is
+// returned. Otherwise (a timeout, a lost reply) the member gets one
+// best-effort Cancel naming them all, still cancelable on the live ctx so
+// it cannot hang on the very peer that just failed to answer, and each is
+// decided failed.
 func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) error {
 	if err := ctx.Err(); err != nil {
 		for _, meta := range metas {
 			alloc[meta.Task] = member
 		}
 		return err
-	}
-	if len(metas) == 0 {
-		return nil // no Cancel: one naming no task would end the workflow
 	}
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {

@@ -5,9 +5,7 @@
 // constructs the workflow with the coloring algorithm of internal/core,
 // and delegates allocation to the Auction Manager. The routing plan that
 // lets execution proceed in a fully decentralized manner rides on the
-// awards — the auction decides every task before the first award goes out
-// — and Execute sends a plan request only to the executors of tasks
-// awarded on their call for bids, before the others were decided.
+// awards: every task is decided before the first award goes out.
 //
 // The engine also implements the failure feedback loop sketched in §5.1:
 // when a task cannot be allocated, it is marked infeasible, awarded tasks
@@ -198,11 +196,6 @@ type Plan struct {
 	Allocations map[model.TaskID]proto.Addr
 	// Metas holds the auction metadata per task (windows, locations).
 	Metas map[model.TaskID]proto.TaskMeta
-	// Routed lists the tasks whose routes rode on their award, confirmed by
-	// the winner (proto.AwardAck.Routed): Execute on the Initiator sends
-	// their executors no plan request. The others were awarded on their
-	// call for bids, before the rest of the workflow was decided.
-	Routed []model.TaskID
 	// Construction carries the construction metrics.
 	Construction core.Result
 	// Replans is how many failure-feedback iterations were needed.
@@ -309,7 +302,7 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 	sess := m.newSession(s)
 	defer m.endSession()
 	return m.notFromMemory(func() (*Plan, error) {
-		alloc, metas, routed, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
+		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
 		if err == nil && len(failed) > 0 {
 			m.cancelAwards(sess.wfID, alloc)
 			err = fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
@@ -319,7 +312,7 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 		}
 		return &Plan{
 			WorkflowID: sess.wfID, Spec: s, Workflow: w, Initiator: m.net.Self(),
-			Allocations: alloc, Metas: metas, Routed: routed, Construction: core.Result{Workflow: w},
+			Allocations: alloc, Metas: metas, Construction: core.Result{Workflow: w},
 		}, nil
 	})
 }

@@ -88,9 +88,6 @@ type fakeNet struct {
 	log       []fakeCall
 	describes bool
 	mute      map[proto.Addr]bool
-	// routes makes members confirm holding the routes an Award carries, as
-	// a host does; without it every plan goes out in plan requests.
-	routes bool
 }
 
 // fakeCall is one logged Call.
@@ -256,20 +253,13 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 	case proto.CallForBidsBatch:
 		// The scripted behaviors (declineAll, blockCFB gates) apply per
 		// task within the batch; bids expire in one second.
-		// A task that rides on the call (b.Sole) is awarded as it is bid
-		// for: the award scripts apply to it here — a refusal is a decline,
-		// a lost ack the loss of the whole reply.
-		if len(b.Sole) > 0 && m.dropAwardAck {
-			return nil, fmt.Errorf("bid batch from %q lost", to)
-		}
 		var reply proto.BidBatch
 		for _, meta := range b.Metas {
 			if err := f.gateCFB(ctx, m, meta.Task); err != nil {
 				return nil, err
 			}
 			f.mu.Lock()
-			decline := m.declineAll || !m.capable[meta.Task] ||
-				slices.Contains(b.Sole, meta.Task) && (m.refuseAward || m.refuseTask[meta.Task])
+			decline := m.declineAll || !m.capable[meta.Task]
 			f.mu.Unlock()
 			if decline {
 				reply.Declines = append(reply.Declines, meta.Task)
@@ -313,11 +303,15 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		if m.dropAwardAck {
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
-		// One verdict per task the Award carries, in its order.
-		ack := proto.AwardAck{Routed: f.routes && b.Routes != nil}
+		// One verdict per task the Award carries, in its order. A held
+		// award is refused what the member would have declined to bid for.
+		var ack proto.AwardAck
 		for _, meta := range append([]proto.TaskMeta{b.Meta}, b.More...) {
 			v := proto.Verdict{Task: meta.Task, OK: true}
-			if m.refuseAward || m.refuseTask[meta.Task] {
+			f.mu.Lock()
+			unheld := b.Hold && (m.declineAll || !m.capable[meta.Task])
+			f.mu.Unlock()
+			if unheld || m.refuseAward || m.refuseTask[meta.Task] {
 				v = proto.Verdict{Task: meta.Task, OK: false, Reason: "scripted refusal"}
 			}
 			ack.Verdicts = append(ack.Verdicts, v)
@@ -836,7 +830,7 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		initRuns bool
 		// end makes the running execution end; cancel cancels its context.
 		end     func(net *fakeNet, m *Manager, wf string, cancel func())
-		before  func(net *fakeNet)
+		before  func(net *fakeNet, plan *Plan)
 		want    []proto.Addr
 		wantErr bool
 	}{
@@ -853,14 +847,17 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		{name: "aborted by a failed repair", want: []proto.Addr{"p1"}, end: func(net *fakeNet, _ *Manager, _ string, _ func()) {
 			net.setDown("p2")
 		}},
-		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet) {
+		// Executed away from its initiator, the plan is distributed in
+		// full, and p2 is down by then.
+		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet, plan *Plan) {
+			plan.Initiator = "elsewhere"
 			net.setDown("p2")
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			net, m, plan := build(t, row.initRuns)
 			if row.before != nil {
-				row.before(net)
+				row.before(net, plan)
 			}
 			_, compensated := net.cancels()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -903,7 +900,7 @@ func TestPlanSegmentsRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := m.planSegments(plan, nil)
+	segs := m.planSegments(plan)
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d", len(segs))
 	}
@@ -921,10 +918,6 @@ func TestPlanSegmentsRouting(t *testing.T) {
 	}
 	if byTask["t1"].Initiator != "init" || byTask["t2"].Initiator != "init" {
 		t.Error("initiator missing from segments")
-	}
-	// Segments of the tasks whose routes rode on their award are not built.
-	if segs := m.planSegments(plan, []model.TaskID{"t1"}); len(segs) != 1 || segs[0].Task != "t2" {
-		t.Errorf("segments skipping t1 = %v, want t2's alone", segs)
 	}
 }
 

@@ -32,10 +32,10 @@ type Report struct {
 // the triggering labels, and waits for the community to execute it: every
 // commitment is met in a decentralized fashion, outputs flow directly
 // between executors, and the goal labels (plus per-task completion
-// notifications) flow back to the initiator. The plan rode on the awards
-// of the tasks in plan.Routed; only the executors of the others get a plan
-// request. A plan executed on a host other than its Initiator is
-// distributed in full, so that every executor reports to this host.
+// notifications) flow back to the initiator. On the plan's Initiator the
+// plan rode on the awards and only the triggers are sent; a plan executed
+// on another host is distributed in full, one plan request per executor,
+// so that every executor reports to this host.
 //
 // triggers optionally attaches data to triggering labels (nil data is
 // fine — labels are conditions first, data second). The context bounds
@@ -75,11 +75,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	start := m.net.Clock().Now()
 
-	routed := plan.Routed
+	var segs []proto.PlanSegment
 	if plan.Initiator != m.net.Self() {
-		routed = nil
+		segs = m.planSegments(plan)
 	}
-	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, m.planSegments(plan, routed), triggers); err != nil {
+	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, segs, triggers); err != nil {
 		if ctx.Err() != nil {
 			return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
 		}
@@ -126,12 +126,12 @@ func (m *Manager) release(ex *execution) {
 // distribute sends each executor the routing segments segs of its tasks in
 // one plan request, acknowledged once, and then injects the triggering
 // conditions: the initiator supplies each workflow source label to the
-// executors that consume it. Execute runs it once, with the segments that
-// did not ride on an award; a plan repair runs it again with every segment
-// of the repaired allocation, which is safe because segments are
-// idempotent — a fresh executor arms its run, a surviving one updates its
-// routes, and a finished run re-publishes its retained outputs to the new
-// consumers.
+// executors that consume it. Execute runs it once, with every segment off
+// the plan's Initiator and none on it; a plan repair runs it again with
+// every segment of the repaired allocation, which is safe because segments
+// are idempotent — a fresh executor arms its run, a surviving one updates
+// its routes, and a finished run re-publishes its retained outputs to the
+// new consumers.
 // segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
 	slices.SortStableFunc(segs, func(a, b proto.PlanSegment) int { return cmp.Compare(alloc[a.Task], alloc[b.Task]) })
@@ -193,25 +193,18 @@ func (m *Manager) executionReport(ex *execution, plan *Plan, start time.Time, ct
 	}
 }
 
-// planSegments derives the routing of every task of the plan not in skip
-// from the workflow structure and the allocation: each output goes to
-// every consumer's executor, a goal label to this host (routes).
-func (m *Manager) planSegments(plan *Plan, skip []model.TaskID) []proto.PlanSegment {
-	w := plan.Workflow
-	if len(skip) >= w.NumTasks() {
-		return nil
-	}
-	tasks := w.Tasks()
+// planSegments derives the routing of every task of the plan from the
+// workflow structure and the allocation: each output goes to every
+// consumer's executor, a goal label to this host (routes).
+func (m *Manager) planSegments(plan *Plan) []proto.PlanSegment {
+	tasks := plan.Workflow.Tasks()
 	all := make([]proto.TaskMeta, len(tasks))
 	for i, t := range tasks {
 		all[i] = proto.TaskMeta{Task: t.ID, Inputs: t.Inputs, Outputs: t.Outputs}
 	}
 	executor := func(t model.TaskID) proto.Addr { return plan.Allocations[t] }
-	segs := make([]proto.PlanSegment, 0, len(all)-len(skip))
+	segs := make([]proto.PlanSegment, 0, len(all))
 	for _, t := range all {
-		if slices.Contains(skip, t.Task) {
-			continue
-		}
 		routes, _ := m.routes(nil, t, all, executor)
 		segs = append(segs, proto.PlanSegment{Task: t.Task, Initiator: m.net.Self(), Routes: routes})
 	}

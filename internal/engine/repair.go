@@ -41,7 +41,8 @@ func (m *Manager) refreshLoop(ctx context.Context, ex *execution) {
 	}
 }
 
-// refreshLeases sends one LeaseRefresh per executor still owing tasks.
+// refreshLeases sends one LeaseRefresh per executor still owing tasks,
+// naming its finished ones too, whose runs keep what a repair re-publishes.
 // An executor that cannot be reached is presumed dead; a lease the
 // executor reports missing was swept (expired) on its side and the slot
 // is gone. Either finding triggers plan repair; a repair that fails
@@ -56,6 +57,11 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	byHost := make(map[proto.Addr][]model.TaskID)
 	for t := range ex.remaining {
 		if host, ok := ex.plan.Allocations[t]; ok {
+			byHost[host] = append(byHost[host], t)
+		}
+	}
+	for t := range ex.finishedTasks {
+		if host := ex.plan.Allocations[t]; byHost[host] != nil {
 			byHost[host] = append(byHost[host], t)
 		}
 	}
@@ -153,7 +159,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// what they can take over now. Everyone is solicited until a
 	// reconstruction has asked them again (see internal/discovery).
 	m.idx.Doubt(m.idx.Mark())
-	won, wonMetas, _, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
+	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
 	if err != nil {
 		return err
 	}
@@ -173,7 +179,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		need, dropped := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
 		m.cancelAwards(wfID, dropped)
 		if len(need) > 0 {
-			more, moreMetas, _, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
+			more, moreMetas, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
 			maps.Copy(won, more)
 			maps.Copy(wonMetas, moreMetas)
 			if err == nil && len(failed) > 0 {
@@ -201,7 +207,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		reallocated = append(reallocated, t)
 	}
 	sort.Slice(reallocated, func(i, j int) bool { return reallocated[i] < reallocated[j] })
-	segs := m.planSegments(plan, nil)
+	segs := m.planSegments(plan)
 	alloc := maps.Clone(plan.Allocations)
 	wNow := plan.Workflow
 	triggers := ex.triggers

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,29 @@ func collectSegs(t *testing.T, ch <-chan proto.PlanSegment, n int) []proto.PlanS
 	return out
 }
 
+// waitTrigger waits for Execute's trigger LabelTransfer — on the plan's
+// initiator, all it sends before the execution runs — failing the test on a
+// stall.
+func waitTrigger(t *testing.T, f *fakeNet) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f.mu.Lock()
+		sent := slices.ContainsFunc(f.sent, func(b proto.Body) bool {
+			_, ok := b.(proto.LabelTransfer)
+			return ok
+		})
+		f.mu.Unlock()
+		if sent {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for Execute's trigger")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // startExecution launches Execute on its own goroutine and returns the
 // channels to join it.
 func startExecution(m *Manager, plan *Plan) (<-chan struct{}, func() (*Report, error)) {
@@ -86,7 +110,7 @@ func TestRefresherSendsLeaseRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	done, join := startExecution(m, plan)
-	collectSegs(t, net.segs, 2)
+	waitTrigger(t, net)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -153,7 +177,7 @@ func TestRepairReallocatesAfterExecutorDeath(t *testing.T) {
 	}
 
 	done, join := startExecution(m, plan)
-	collectSegs(t, net.segs, 2)
+	waitTrigger(t, net)
 	// Open p2 up before killing p1 so the refresher can only ever observe
 	// a repairable community.
 	net.setDeclineAll("p2", false)
@@ -172,6 +196,8 @@ func TestRepairReallocatesAfterExecutorDeath(t *testing.T) {
 	if a1 != "p2" || a2 != "p2" {
 		t.Errorf("post-repair Allocations = %v/%v, want p2/p2", a1, a2)
 	}
+	// The repair distributes the repaired plan in plan requests.
+	collectSegs(t, net.segs, 2)
 
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1"})
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t2"})
@@ -197,7 +223,7 @@ func TestRepairReauctionsLostLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	done, join := startExecution(m, plan)
-	collectSegs(t, net.segs, 2)
+	waitTrigger(t, net)
 	// The executor swept t2's lease (an expired commitment): the next
 	// refresh reports it missing and the task is re-auctioned — the host
 	// itself is alive and keeps t1.
@@ -216,6 +242,7 @@ func TestRepairReauctionsLostLease(t *testing.T) {
 	if a2 != "peer" {
 		t.Errorf("post-repair Allocations[t2] = %q, want peer", a2)
 	}
+	collectSegs(t, net.segs, 2)
 
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1"})
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t2"})
@@ -238,7 +265,7 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	done, join := startExecution(m, plan)
-	collectSegs(t, net.segs, 2)
+	waitTrigger(t, net)
 	// The only capable executor dies and nobody else offers the
 	// fragments: repair cannot re-home the tasks and reconstruction finds
 	// no alternative, so the execution must abort cleanly instead of
@@ -317,7 +344,7 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	}
 
 	done, join := startExecution(m, plan)
-	collectSegs(t, net.segs, 2)
+	waitTrigger(t, net)
 	// Flip capability before the kill: a refresh between the two fault
 	// injections must still find a repairable community.
 	net.setCapable("p2", "alt", true)
@@ -343,20 +370,25 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	}
 	if describes {
 		// The log ends: the reconstruction's queries, then the
-		// re-auction of alt.
+		// re-allocation of alt, which memory knows one offerer of: a held
+		// award to p2 and no call for bids.
 		var after []string
 		net.mu.Lock()
 		for _, c := range net.log {
-			switch c.body.(type) {
+			switch b := c.body.(type) {
 			case proto.FragmentQuery:
 				after = nil
 			case proto.CallForBidsBatch:
-				after = append(after, string(c.to))
+				after = append(after, "cfb:"+string(c.to))
+			case proto.Award:
+				if b.Hold {
+					after = append(after, "held:"+string(c.to))
+				}
 			}
 		}
 		net.mu.Unlock()
-		if len(after) != 1 || after[0] != "p2" {
-			t.Errorf("after the reconstruction, bids were solicited from %v, want only p2", after)
+		if len(after) != 1 || after[0] != "held:p2" {
+			t.Errorf("after the reconstruction, %v, want one held award to p2", after)
 		}
 	}
 

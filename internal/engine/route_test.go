@@ -34,6 +34,15 @@ func pipelineNet(t *testing.T) *fakeNet {
 	return net
 }
 
+// contestedNet is pipelineNet with t2 offered by the junk member p4 as
+// well: t2 is contested, so memory cannot decide a session and every one is
+// auctioned in a sweep.
+func contestedNet(t *testing.T) *fakeNet {
+	net := pipelineNet(t)
+	net.members["p4"].capable["t2"] = true
+	return net
+}
+
 // conversation renders the logged calls of the given kind as "to" or
 // "to+describe", in order.
 func conversation(net *fakeNet, kind string) []string {
@@ -61,7 +70,7 @@ func conversation(net *fakeNet, kind string) []string {
 // from the fragments the first one collected and sends no fragment query at
 // all.
 func TestDirectoryRoutesLaterSweeps(t *testing.T) {
-	net := pipelineNet(t)
+	net := contestedNet(t)
 	m := NewManager(net, testConfig())
 	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 	if err != nil {
@@ -81,7 +90,7 @@ func TestDirectoryRoutesLaterSweeps(t *testing.T) {
 	if got := conversation(net, "feasibility-query"); got != nil {
 		t.Errorf("feasibility queries to %v, want none: every member described itself", got)
 	}
-	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3"}; !reflect.DeepEqual(got, want) {
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p1", "p2", "p3", "p4"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("calls for bids to %v, want %v", got, want)
 	}
 
@@ -95,7 +104,7 @@ func TestDirectoryRoutesLaterSweeps(t *testing.T) {
 	if got := conversation(net, "feasibility-query"); got != nil {
 		t.Errorf("second session's feasibility queries to %v, want none", got)
 	}
-	if got, want := conversation(net, "call-for-bids-batch"), []string{"p2", "p3", "p1"}; !reflect.DeepEqual(got, want) {
+	if got, want := conversation(net, "call-for-bids-batch"), []string{"p2", "p3", "p4", "p1"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("second session's calls for bids to %v, want %v (ordinal 2 starts at p2)", got, want)
 	}
 }
@@ -130,10 +139,10 @@ func TestUndescribedMemberAlwaysAsked(t *testing.T) {
 // rotated sweep would have visited them. Filtering first and rotating the
 // shorter list by the same ordinal starts at a different member.
 func TestSolicitationKeepsBroadcastOrder(t *testing.T) {
-	net := pipelineNet(t)
+	net := contestedNet(t)
 	m := NewManager(net, testConfig())
 	all := net.Members()
-	offers := map[proto.Addr]bool{"p1": true, "p2": true, "p3": true}
+	offers := map[proto.Addr]bool{"p1": true, "p2": true, "p3": true, "p4": true}
 	for ordinal := 1; ordinal <= 2*len(all); ordinal++ {
 		net.clearLog()
 		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))

@@ -98,14 +98,14 @@ func (sess *allocSession) runOnce(ctx context.Context) (*Plan, error) {
 		}
 		m.cfg.Observer.constructionDone(sess.wfID, *res)
 		w := res.Workflow
-		alloc, metas, routed, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
+		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
 		if err != nil {
 			return nil, err
 		}
 		if len(failed) == 0 {
 			return &Plan{
 				WorkflowID: sess.wfID, Spec: sess.spec, Workflow: w, Initiator: m.net.Self(),
-				Allocations: alloc, Metas: metas, Routed: routed, Construction: *res, Replans: sess.attempt,
+				Allocations: alloc, Metas: metas, Construction: *res, Replans: sess.attempt,
 			}, nil
 		}
 		// Failure feedback (§5.1): the tasks stayed unallocatable; release

@@ -14,12 +14,12 @@ import (
 	"openwf/internal/spec"
 )
 
-// A task the host's memory knows one offerer of has no auction to hold: its
-// award rides on that member's call for bids (CallForBidsBatch.Sole) and
-// the member's bid is the commitment. The tests below pin what such a task
-// keeps of an award's rules — settled alone, compensated when its reply is
-// lost or its call interrupted — and that a task two members offer is
-// auctioned as ever.
+// A session whose host's memory knows one offerer of every task has no
+// auction to hold: each offerer is sent one held award (proto.Award.Hold)
+// and no call for bids. The tests below pin that such an award keeps an
+// award's rules — each task settled alone, compensated when its reply is
+// lost or its call interrupted — and that a session with a task two members
+// offer is auctioned whole.
 
 // soleNet is groupNet in a community whose members describe themselves: by
 // the time a session solicits, its host knows t1 and t3 as p1's alone and
@@ -30,22 +30,33 @@ func soleNet(t *testing.T) *fakeNet {
 	return net
 }
 
-// solicited renders the calls for bids logged so far as "to[sole tasks]".
+// solicited renders the calls for bids and awards logged so far as
+// "cfb:to" and "award:to[tasks]", "held:to[tasks]" when the award holds.
 func solicited(f *fakeNet) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []string
 	for _, c := range f.log {
-		if cfb, ok := c.body.(proto.CallForBidsBatch); ok {
-			out = append(out, fmt.Sprintf("%s%v", c.to, cfb.Sole))
+		switch b := c.body.(type) {
+		case proto.CallForBidsBatch:
+			out = append(out, "cfb:"+string(c.to))
+		case proto.Award:
+			kind, tasks := "award", []model.TaskID{b.Meta.Task}
+			if b.Hold {
+				kind = "held"
+			}
+			for _, meta := range b.More {
+				tasks = append(tasks, meta.Task)
+			}
+			out = append(out, fmt.Sprintf("%s:%s%v", kind, c.to, tasks))
 		}
 	}
 	return out
 }
 
-// TestSoleTaskRidesOnCallForBids: with every task's one offerer known, the
-// calls for bids carry the awards and no Award is sent; each task is still
-// decided once, for its offerer.
+// TestSoleTaskRidesOnCallForBids: with every task's one offerer known, no
+// call for bids is sent: each offerer gets one held award, in winner order,
+// and each task is still decided once, for its offerer.
 func TestSoleTaskRidesOnCallForBids(t *testing.T) {
 	net := soleNet(t)
 	cfg := oneAttempt()
@@ -54,11 +65,8 @@ func TestSoleTaskRidesOnCallForBids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := solicited(net), []string{"p1[t1 t3]", "p2[t2]"}; !slices.Equal(got, want) {
-		t.Errorf("calls for bids = %v, want %v", got, want)
-	}
-	if got := awards(net); len(got) != 0 {
-		t.Errorf("%d Award calls, want none: %v", len(got), got)
+	if got, want := solicited(net), []string{"held:p1[t1 t3]", "held:p2[t2]"}; !slices.Equal(got, want) {
+		t.Errorf("calls = %v, want %v", got, want)
 	}
 	want := map[model.TaskID]proto.Addr{"t1": "p1", "t2": "p2", "t3": "p1"}
 	seen.want(t, want)
@@ -69,9 +77,9 @@ func TestSoleTaskRidesOnCallForBids(t *testing.T) {
 	}
 }
 
-// TestContestedTaskStillAuctioned: a second offerer of t2 puts it back in
-// the auction — every member is asked about it, the winner gets an Award,
-// the loser its Cancel — while t1 and t3 still ride on p1's call.
+// TestContestedTaskStillAuctioned: a second offerer of t2 puts the session
+// back in the auction — every member that offers a task is called for bids,
+// each winner gets an Award that does not hold, the loser its Cancel.
 func TestContestedTaskStillAuctioned(t *testing.T) {
 	net := soleNet(t)
 	net.add("p3", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 3})
@@ -80,12 +88,9 @@ func TestContestedTaskStillAuctioned(t *testing.T) {
 	if _, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := solicited(net), []string{"p1[t1 t3]", "p2[]", "p3[]"}; !slices.Equal(got, want) {
-		t.Errorf("calls for bids = %v, want %v", got, want)
-	}
-	got := awards(net)
-	if len(got) != 1 || got[0].to != "p2" || got[0].body.(proto.Award).Meta.Task != "t2" {
-		t.Errorf("Award calls = %v, want t2 alone to p2", got)
+	want := []string{"cfb:p1", "cfb:p2", "cfb:p3", "award:p1[t1 t3]", "award:p2[t2]"}
+	if got := solicited(net); !slices.Equal(got, want) {
+		t.Errorf("calls = %v, want %v", got, want)
 	}
 	if got, want := taskCancels(net), []string{"t2@p3"}; !slices.Equal(got, want) {
 		t.Errorf("cancels = %v, want %v", got, want)
@@ -93,10 +98,10 @@ func TestContestedTaskStillAuctioned(t *testing.T) {
 	seen.want(t, map[model.TaskID]proto.Addr{"t1": "p1", "t2": "p2", "t3": "p1"})
 }
 
-// TestRefusedSoleTaskFailsAlone: p1 cannot commit t3 and declines it in
-// the reply that commits t1: t3 alone re-enters the failure set, t1 is
-// recorded (so the failed attempt's cleanup cancels it), and the declined
-// task is sent no Cancel.
+// TestRefusedSoleTaskFailsAlone: p1 cannot commit t3 and refuses it in the
+// ack that confirms t1: t3 alone re-enters the failure set, t1 is recorded
+// (so the failed attempt's cleanup cancels it), and the refused task is
+// sent no Cancel.
 func TestRefusedSoleTaskFailsAlone(t *testing.T) {
 	net := soleNet(t)
 	net.members["p1"].refuseTask = map[model.TaskID]bool{"t3": true}
@@ -106,7 +111,7 @@ func TestRefusedSoleTaskFailsAlone(t *testing.T) {
 	if !errors.Is(err, ErrAllocationFailed) || !strings.Contains(err.Error(), "[t3]") {
 		t.Fatalf("err = %v, want allocation failure naming t3 alone", err)
 	}
-	// The failure was routed from memory no older than the session, so it
+	// The failure was decided from memory no older than the session, so it
 	// stands: no second pass asks everyone.
 	seen.want(t, map[model.TaskID]proto.Addr{"t1": "p1", "t2": "p2", "t3": ""})
 	if got, want := taskCancels(net), []string{"t1@p1", "t2@p2"}; !slices.Equal(got, want) {
@@ -114,9 +119,9 @@ func TestRefusedSoleTaskFailsAlone(t *testing.T) {
 	}
 }
 
-// TestLostBidReplyCancelsSoleTasks: a call for bids whose reply never comes
-// back may have committed the tasks that rode on it, so each gets its
-// best-effort Cancel and each is decided failed.
+// TestLostBidReplyCancelsSoleTasks: a held award whose ack never comes back
+// may have committed its tasks, so each gets its best-effort Cancel and
+// each is decided failed.
 func TestLostBidReplyCancelsSoleTasks(t *testing.T) {
 	net := soleNet(t)
 	net.members["p1"].dropAwardAck = true
@@ -132,8 +137,8 @@ func TestLostBidReplyCancelsSoleTasks(t *testing.T) {
 	}
 }
 
-// cancelOnSoleNet cancels the session's context the moment a call for bids
-// carrying awards reaches the given host, and loses that call.
+// cancelOnSoleNet cancels the session's context the moment a held award
+// reaches the given host, and loses that call.
 type cancelOnSoleNet struct {
 	*fakeNet
 	at     proto.Addr
@@ -141,16 +146,16 @@ type cancelOnSoleNet struct {
 }
 
 func (c *cancelOnSoleNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
-	if cfb, ok := body.(proto.CallForBidsBatch); ok && to == c.at && len(cfb.Sole) > 0 {
+	if award, ok := body.(proto.Award); ok && to == c.at && award.Hold {
 		c.cancel()
 		return nil, ctx.Err()
 	}
 	return c.fakeNet.Call(ctx, to, workflow, body, timeout)
 }
 
-// TestCanceledMidCallCompensatesSoleTasks: a call for bids interrupted by
-// its own context may have reached the member, so the tasks that rode on it
-// are recorded and the session's cleanup cancels each.
+// TestCanceledMidCallCompensatesSoleTasks: a held award interrupted by its
+// own context may have reached the member, so its tasks are recorded and
+// the session's cleanup cancels each.
 func TestCanceledMidCallCompensatesSoleTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -160,6 +165,6 @@ func TestCanceledMidCallCompensatesSoleTasks(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got, want := taskCancels(net.fakeNet), []string{"t1@p1", "t3@p1"}; !slices.Equal(got, want) {
-		t.Errorf("cancels = %v, want %v: everything the interrupted call carried", got, want)
+		t.Errorf("cancels = %v, want %v: everything the interrupted award carried", got, want)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -438,22 +437,16 @@ func (h *Host) process(env proto.Envelope) {
 		h.reply(env, proto.FeasibilityReply{Capable: h.Services.Capable(b.Tasks)})
 
 	case proto.CallForBidsBatch:
-		resp := h.Participant.HandleCallForBidsBatch(env.Workflow, b)
-		if len(resp.Bids) > 0 {
-			// Holds are the only way onto the calendar, so arming here keeps
-			// the sweep ahead; awards and refreshes only move deadlines later.
-			h.armSweep(resp.Bids[0].Deadline)
-		}
-		if len(b.Sole) > 0 {
-			h.awardSole(env.Workflow, b, &resp)
-		}
-		h.reply(env, resp)
+		h.reply(env, h.bid(env.Workflow, b))
 
 	case proto.Award:
-		// Each task of the award stands alone: it is committed and
-		// registered, or refused with its slot freed, whatever the others do.
-		// Routes riding on the award are every task's plan, its sender the
-		// initiator.
+		// A held award takes its holds as a call for bids would; then each
+		// task stands alone: committed and registered, or refused with its
+		// slot freed, whatever the others do. Routes riding on the award are
+		// every task's plan, its sender the initiator.
+		if b.Hold {
+			h.bid(env.Workflow, proto.CallForBidsBatch{Metas: append([]proto.TaskMeta{b.Meta}, b.More...)})
+		}
 		var from proto.Addr
 		if b.Routes != nil {
 			from = env.From
@@ -463,7 +456,7 @@ func (h *Host) process(env proto.Envelope) {
 		for _, meta := range b.More {
 			verdicts = append(verdicts, h.award(env.Workflow, meta, from, b.Routes))
 		}
-		h.reply(env, proto.AwardAck{Routed: b.Routes != nil, Verdicts: verdicts})
+		h.reply(env, proto.AwardAck{Verdicts: verdicts})
 
 	case proto.LeaseRefresh:
 		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
@@ -503,7 +496,8 @@ func (h *Host) process(env proto.Envelope) {
 
 // award converts one awarded task's hold into a commitment registered for
 // execution, and returns the verdict on it. initiator and routes are the
-// task's plan when it rode on the award; empty, a plan request brings it.
+// task's plan when it rode on the award; empty (a plan repair's award), a
+// plan request brings it.
 func (h *Host) award(workflow string, meta proto.TaskMeta, initiator proto.Addr, routes []proto.Route) proto.Verdict {
 	c, v := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
 	if v.OK {
@@ -512,23 +506,15 @@ func (h *Host) award(workflow string, meta proto.TaskMeta, initiator proto.Addr,
 	return v
 }
 
-// awardSole awards the tasks of the call that ride on it (b.Sole) as far as
-// resp bids for them: each is committed and registered as an Award would
-// have it, and a bid that cannot be — the service went between the two
-// steps — becomes a decline, its slot free.
-func (h *Host) awardSole(workflow string, b proto.CallForBidsBatch, resp *proto.BidBatch) {
-	bids := resp.Bids[:0]
-	for _, bid := range resp.Bids {
-		if slices.Contains(b.Sole, bid.Task) {
-			i := slices.IndexFunc(b.Metas, func(m proto.TaskMeta) bool { return m.Task == bid.Task })
-			if !h.award(workflow, b.Metas[i], "", nil).OK {
-				resp.Declines = append(resp.Declines, bid.Task)
-				continue
-			}
-		}
-		bids = append(bids, bid)
+// bid answers a call for bids. Holds are the only way onto the calendar,
+// so arming the sweep here keeps it ahead; awards and refreshes only move
+// deadlines later.
+func (h *Host) bid(workflow string, b proto.CallForBidsBatch) proto.BidBatch {
+	resp := h.Participant.HandleCallForBidsBatch(workflow, b)
+	if len(resp.Bids) > 0 {
+		h.armSweep(resp.Bids[0].Deadline)
 	}
-	resp.Bids = bids
+	return resp
 }
 
 // armSweep makes sure the sweep runs no later than just past at. The host

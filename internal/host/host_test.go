@@ -318,7 +318,7 @@ func TestAwardRoutesRunWithoutPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, ok := reply.(proto.AwardAck); !ok || !ack.Routed || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+	if ack, ok := reply.(proto.AwardAck); !ok || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
 		t.Fatalf("reply = %#v, want the task confirmed with its routes", reply)
 	}
 	if err := a.Send(context.Background(), "b", "wf", proto.LabelTransfer{Label: "in", Producer: "a"}); err != nil {
@@ -346,10 +346,11 @@ func TestAwardRoutesRunWithoutPlan(t *testing.T) {
 	}
 }
 
-// TestSoleTasksCommittedOnTheCall: of one call for bids on three tasks, two
-// named Sole, the host commits and registers the sole task it can bid for
-// (its Bid is the confirmation), declines the sole task whose slot a rival
-// workflow holds — leaving that hold alone — and merely holds the third.
+// TestSoleTasksCommittedOnTheCall: of a held award on two tasks, decided
+// from memory with no call for bids, the host holds, commits and registers
+// the task it can hold, and refuses the one whose slot a rival workflow
+// holds — leaving that hold alone. A call for bids on a third task merely
+// holds it.
 func TestSoleTasksCommittedOnTheCall(t *testing.T) {
 	reg := func(task model.TaskID) service.Registration {
 		return service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}
@@ -365,20 +366,18 @@ func TestSoleTasksCommittedOnTheCall(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reply, err := a.Call(context.Background(), "b", "wf",
-		proto.CallForBidsBatch{Metas: []proto.TaskMeta{chop, cook, serve}, Sole: []model.TaskID{"cook", "serve"}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
+	reply, err := a.Call(context.Background(), "b", "wf", proto.CallForBidsBatch{Metas: []proto.TaskMeta{chop}}, time.Second)
+	if bids, ok := reply.(proto.BidBatch); err != nil || !ok || len(bids.Bids) != 1 {
+		t.Fatalf("call for bids on chop: reply %#v, err %v; want a bid", reply, err)
 	}
-	bids, ok := reply.(proto.BidBatch)
-	if !ok || len(bids.Bids) != 2 || bids.Bids[0].Task != "chop" || bids.Bids[1].Task != "cook" {
-		t.Fatalf("reply = %#v, want bids for chop and cook", reply)
-	}
-	if len(bids.Declines) != 1 || bids.Declines[0] != "serve" {
-		t.Errorf("declines = %v, want serve alone", bids.Declines)
+	held := proto.Award{Meta: cook, More: []proto.TaskMeta{serve}, Hold: true, Routes: []proto.Route{{Label: "out", To: "a"}}}
+	reply, err = a.Call(context.Background(), "b", "wf", held, time.Second)
+	ack, ok := reply.(proto.AwardAck)
+	if err != nil || !ok || len(ack.Verdicts) != 2 || !ack.Verdicts[0].OK || ack.Verdicts[1].OK {
+		t.Fatalf("held award: reply %#v, err %v; want cook confirmed and serve refused", reply, err)
 	}
 	if _, ok := b.Schedule.Get("wf", "cook"); !ok {
-		t.Error("cook rode on the call and was not committed")
+		t.Error("cook was awarded held and was not committed")
 	}
 	if _, ok := b.Schedule.Get("wf", "chop"); ok {
 		t.Error("chop was committed although the call only asked for a bid")

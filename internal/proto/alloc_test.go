@@ -109,8 +109,8 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"plan", 4, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
 			Task: "cook omelets", Initiator: "host-a", Routes: []Route{{Label: "omelets", To: "host-a"}},
 		}}}}},
-		{"call-for-bids-batch-sole", 6, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
-			Metas: []TaskMeta{meta}, Sole: []model.TaskID{"cook omelets"},
+		{"call-for-bids-batch", 5, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
+			Metas: []TaskMeta{meta},
 		}}},
 		{"label-transfer-4k", 7, benchLabelTransfer4K()},
 	} {

@@ -49,7 +49,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 4
+const wireVersion byte = 5
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -230,10 +230,10 @@ func (e *encoder) body(env Envelope) error {
 		e.header(kindAward, env)
 		e.meta(v.Meta)
 		e.metas(v.More)
+		e.bool(v.Hold)
 		e.routes(v.Routes)
 	case AwardAck:
 		e.header(kindAwardAck, env)
-		e.bool(v.Routed)
 		e.uint(uint64(len(v.Verdicts)))
 		for _, x := range v.Verdicts {
 			e.str(string(x.Task))
@@ -265,7 +265,6 @@ func (e *encoder) body(env Envelope) error {
 	case CallForBidsBatch:
 		e.header(kindCallForBidsBatch, env)
 		e.metas(v.Metas)
-		e.taskIDs(v.Sole)
 	case BidBatch:
 		e.header(kindBidBatch, env)
 		e.uint(uint64(len(v.Bids)))
@@ -652,9 +651,9 @@ func (d *decoder) body(kind byte) Body {
 	case kindFeasibilityReply:
 		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
-		return Award{Meta: d.meta(), More: d.metas(), Routes: d.routes()}
+		return Award{Meta: d.meta(), More: d.metas(), Hold: d.bool(), Routes: d.routes()}
 	case kindAwardAck:
-		return AwardAck{Routed: d.bool(), Verdicts: d.verdicts()}
+		return AwardAck{Verdicts: d.verdicts()}
 	case kindCancel:
 		return Cancel{Tasks: d.taskIDs()}
 	case kindPlan:
@@ -666,7 +665,7 @@ func (d *decoder) body(kind byte) Body {
 	case kindAck:
 		return Ack{}
 	case kindCallForBidsBatch:
-		return CallForBidsBatch{Metas: d.metas(), Sole: d.taskIDs()}
+		return CallForBidsBatch{Metas: d.metas()}
 	case kindBidBatch:
 		return BidBatch{Bids: d.bids(), Declines: d.taskIDs()}
 	case kindLeaseRefresh:

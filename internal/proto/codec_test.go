@@ -77,10 +77,10 @@ func bodyEqual(a, b Body) bool {
 		return ok && taskIDsEq(av.Capable, bv.Capable)
 	case Award:
 		bv, ok := b.(Award)
-		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq) && routesEq(av.Routes, bv.Routes)
+		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq) && routesEq(av.Routes, bv.Routes) && av.Hold == bv.Hold
 	case AwardAck:
 		bv, ok := b.(AwardAck)
-		return ok && av.Routed == bv.Routed && slices.Equal(av.Verdicts, bv.Verdicts)
+		return ok && slices.Equal(av.Verdicts, bv.Verdicts)
 	case Cancel:
 		bv, ok := b.(Cancel)
 		return ok && taskIDsEq(av.Tasks, bv.Tasks)
@@ -107,7 +107,7 @@ func bodyEqual(a, b Body) bool {
 				return false
 			}
 		}
-		return taskIDsEq(av.Sole, bv.Sole)
+		return true
 	case BidBatch:
 		bv, ok := b.(BidBatch)
 		if !ok || len(av.Bids) != len(bv.Bids) || !taskIDsEq(av.Declines, bv.Declines) {
@@ -325,7 +325,7 @@ func randBody(rng *rand.Rand) Body {
 	case 6:
 		return AdvertiseAck{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
 	case 14:
-		return CallForBidsBatch{Metas: randMetas(rng, 5), Sole: randTaskIDs(rng)}
+		return CallForBidsBatch{Metas: randMetas(rng, 5)}
 	case 15:
 		var bids []Bid
 		for i, n := 0, rng.Intn(4); i < n; i++ {
@@ -354,9 +354,9 @@ func randBody(rng *rand.Rand) Body {
 	case 3:
 		return FeasibilityReply{Capable: randTaskIDs(rng)}
 	case 7:
-		return Award{Meta: randMeta(rng), More: randMetas(rng, 3), Routes: randRoutes(rng)}
+		return Award{Meta: randMeta(rng), More: randMetas(rng, 3), Routes: randRoutes(rng), Hold: rng.Intn(2) == 1}
 	case 8:
-		ack := AwardAck{Routed: rng.Intn(2) == 1}
+		var ack AwardAck
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			ack.Verdicts = append(ack.Verdicts, Verdict{
 				Task:   model.TaskID(randString(rng, 16)),
@@ -742,7 +742,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "04" + // version
+	const want = "05" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -771,7 +771,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "04" + // version
+			want: "05" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -782,8 +782,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 				"02" + "00" + // start: 1s (zigzag 2), 0ns
 				"04" + "00" + // end: 2s (zigzag 4), 0ns
 				"0000000000000000" + "0000000000000000" + // location
-				"00" + // no location
-				"00", // Sole []
+				"00", // no location
 		},
 		{
 			name: "bid-batch",
@@ -834,7 +833,7 @@ func TestWireFormatGoldenLease(t *testing.T) {
 			name: "cancel",
 			env: Envelope{From: "a", To: "b", Workflow: "wf",
 				Body: Cancel{Tasks: []model.TaskID{"t1", "t2"}}},
-			want: "04" + // version
+			want: "05" + // version
 				"0a" + // kind: cancel
 				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
 				"02" + "027431" + "027432", // tasks ["t1","t2"]
@@ -894,9 +893,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "04" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "05" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "04" + // version
+		reply = "05" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -932,7 +931,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "04" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "05" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},

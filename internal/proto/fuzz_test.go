@@ -41,7 +41,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		Award{Meta: meta},
 		Award{Meta: meta, More: []TaskMeta{meta}, Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}}},
 		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true, Reason: "r"}}},
-		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
+		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h0"}}, Hold: true},
 		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
 			Task: "t", Initiator: "h0",
@@ -66,10 +66,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A winner's three-task award, its three verdicts, an executor's
-	// three-segment plan and a call for bids that awards one task: the lists
-	// of the one-message-per-peer bodies (TestWireFormatGoldenGroups pins
-	// the same four frames).
+	// A winner's held three-task award, its three verdicts, an executor's
+	// three-segment plan and a call for bids on two tasks: the lists of the
+	// one-message-per-peer bodies (TestWireFormatGoldenGroups pins the same
+	// four frames).
 	award, ack, plan, cfb := groupEnvelopes()
 	for _, env := range []Envelope{award, ack, plan, cfb} {
 		data, err := Encode(env)

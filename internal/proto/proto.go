@@ -132,16 +132,10 @@ type Bid struct {
 // from a participant in a single round trip: one call carries all of the
 // session's task metas, and the participant answers each task with a bid
 // or a per-task decline in one BidBatch reply — one round per member
-// (DESIGN.md §9).
+// (DESIGN.md §9). A session whose initiator remembers one possible bidder
+// for every task sends none: its awards hold as they commit (Award.Hold).
 type CallForBidsBatch struct {
 	Metas []TaskMeta
-	// Sole names the tasks of Metas nobody else is asked to bid for: the
-	// initiator's memory of its community knows the recipient as the only
-	// member offering them, so their auction has one possible winner and
-	// the award rides on the call. The recipient commits such a task as it
-	// bids for it, and its Bid in the reply is the confirmed award; a task
-	// it cannot commit is declined like any other (DESIGN.md §9).
-	Sole []model.TaskID
 }
 
 // Kind implements Body.
@@ -149,8 +143,7 @@ func (CallForBidsBatch) Kind() string { return "call-for-bids-batch" }
 
 // BidBatch answers a CallForBidsBatch: firm bids for the tasks the
 // participant can commit to and per-task declines for the rest. Every
-// task of the soliciting batch appears in exactly one of the two lists. A
-// bid for one of the call's Sole tasks is a commitment already made.
+// task of the soliciting batch appears in exactly one of the two lists.
 type BidBatch struct {
 	Bids []Bid
 	// Declines lists the tasks the participant will not bid on. (The
@@ -173,10 +166,15 @@ type Award struct {
 	Meta TaskMeta
 	// More are the further tasks the same winner is awarded with Meta.
 	More []TaskMeta
-	// Routes, when the auction decided every task of the workflow at once,
-	// say where the outputs of every awarded task go: the plan rides on the
-	// award, and the sender is the initiator. Nil when the initiator does
-	// not know every executor yet; a plan request brings the routes then.
+	// Hold asks the winner to take its holds, as a call for bids would,
+	// before it commits: the initiator decided from memory, knowing one
+	// possible bidder per task, and sent no call. A task the winner cannot
+	// hold is refused like any award without a hold (DESIGN.md §9).
+	Hold bool
+	// Routes, when every task of the workflow was decided at once, say
+	// where the outputs of every awarded task go: the plan rides on the
+	// award, and the sender is the initiator. Nil on a plan repair's
+	// awards; a plan request brings the routes then.
 	Routes []Route
 }
 
@@ -195,9 +193,6 @@ type Verdict struct {
 // AwardAck answers an Award with one verdict per task, in the award's
 // order; a refusal binds only its own task.
 type AwardAck struct {
-	// Routed confirms that the winner holds the award's Routes: its
-	// confirmed tasks publish their outputs without a plan request.
-	Routed   bool
 	Verdicts []Verdict
 }
 
@@ -219,11 +214,10 @@ func (Cancel) Kind() string { return "cancel" }
 // --- Plan distribution and Inter-service Messages (execution) ---
 
 // Plan gives an executor the routing segments of its commitments in one
-// workflow whose routes did not ride on their award: a task awarded on
-// its call for bids (CallForBidsBatch.Sole), before the other tasks were
-// decided, or re-homed by a plan repair. The initiator sends it at
-// Execute, one message per executor (DESIGN.md §9), acknowledged with an
-// Ack.
+// workflow when they did not ride on the award, or must change: after a
+// plan repair, and at an Execute on a host other than the plan's
+// initiator, which re-routes completions to itself. One message per
+// executor (DESIGN.md §9), acknowledged with an Ack.
 type Plan struct {
 	Segments []PlanSegment
 }

@@ -34,7 +34,7 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 			Declines: []model.TaskID{"u"},
 		},
 		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h2"}}},
-		AwardAck{Routed: true, Verdicts: []Verdict{{Task: "t", OK: true}}},
+		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true}}},
 		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
 			Task:   "t",
