@@ -117,15 +117,15 @@ func TestExecuteLeavesNoResidue(t *testing.T) {
 }
 
 // loseReleases drops every frame the initiator sends a participant from
-// the moment the last completion notice reaches it: the execution
-// completes, and every release that follows is lost.
+// the moment the goal reaches it: the execution completes, and every
+// release that follows is lost.
 type loseReleases struct {
 	c    *Community
 	last proto.Addr
 }
 
 func (r *loseReleases) Record(e trace.Event) {
-	if e.Dir == trace.Recv && e.Host == "host00" && e.Kind == "task-done" && e.Peer == r.last {
+	if e.Dir == trace.Recv && e.Host == "host00" && e.Kind == "label-transfer" && e.Peer == r.last {
 		for _, id := range r.c.Members()[1:] {
 			r.c.Network().SetLinkLoss("host00", id, 1)
 		}

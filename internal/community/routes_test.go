@@ -170,9 +170,10 @@ func TestUnexecutedPlanArmsNoTimer(t *testing.T) {
 }
 
 // TestExecuteElsewhereDistributesInFull: the routes on the awards return
-// goals and completions to the host that allocated the plan. Executed from
-// another host, Execute sends every executor a plan request naming it
-// instead, and the workflow completes there.
+// goals to the host that allocated the plan. Executed from another host,
+// Execute sends every executor a plan request naming it instead, and the
+// goal returns there: host03 runs no task, so every label it receives is a
+// goal.
 func TestExecuteElsewhereDistributesInFull(t *testing.T) {
 	sim := clock.NewSim(stressT0)
 	rec := trace.NewBuffer(0)
@@ -194,16 +195,16 @@ func TestExecuteElsewhereDistributesInFull(t *testing.T) {
 	if got := received(rec, "plan-segment"); fmt.Sprint(got) != fmt.Sprint(executors) {
 		t.Errorf("plan requests received %v, want one by each executor %v", got, executors)
 	}
-	done := 0
+	goals := 0
 	for _, e := range rec.Events() {
-		if e.Kind == "task-done" && e.Dir == trace.Recv {
+		if e.Kind == "label-transfer" && e.Dir == trace.Recv && (e.Host == "host00" || e.Host == "host03") {
 			if e.Host != "host03" {
-				t.Errorf("a completion went to %s, want the executing host03", e.Host)
+				t.Errorf("a goal went to %s, want the executing host03", e.Host)
 			}
-			done++
+			goals++
 		}
 	}
-	if done != 4 {
-		t.Errorf("%d completions reached host03, want 4", done)
+	if goals != 1 {
+		t.Errorf("%d goals reached host03, want 1", goals)
 	}
 }

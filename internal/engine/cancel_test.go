@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"openwf/internal/model"
-	"openwf/internal/proto"
 	"openwf/internal/spec"
 )
 
@@ -70,18 +69,29 @@ func TestInitiateCanceledBeforeStart(t *testing.T) {
 
 // TestExecuteCanceledMidExecution: cancellation while waiting for the
 // community to finish returns context.Canceled promptly with the partial
-// progress report.
+// progress report: the task a refresh reported finished.
 func TestExecuteCanceledMidExecution(t *testing.T) {
 	net := chainNet(t)
-	m := NewManager(net, testConfig())
+	net.finish("peer", "t1")
+	cfg := testConfig()
+	cfg.LeaseRefreshInterval = 10 * time.Millisecond
+	m := NewManager(net, cfg)
 	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(30 * time.Millisecond)
-		m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1"})
+		// The second refresh starts once the first one's ack is recorded.
+		for {
+			net.mu.Lock()
+			n := len(net.refreshes)
+			net.mu.Unlock()
+			if n >= 2 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
 		cancel()
 	}()
 	start := time.Now()

@@ -190,7 +190,7 @@ type Plan struct {
 	// Workflow is the constructed workflow.
 	Workflow *model.Workflow
 	// Initiator is the host that allocated the plan: the routes riding on
-	// its awards return goal labels and completions to it.
+	// its awards return goal labels and failures to it.
 	Initiator proto.Addr
 	// Allocations maps every task to its awarded host.
 	Allocations map[model.TaskID]proto.Addr
@@ -236,9 +236,10 @@ type execution struct {
 	done      chan struct{}
 	finished  bool
 	completed bool
-	// finishedTasks records successful completions — the complement of
-	// remaining, kept explicitly so plan repair can tell "finished" from
-	// "never part of the workflow" after the workflow itself changes.
+	// finishedTasks records the tasks known to have finished, from lease
+	// refreshes — the complement of remaining, kept explicitly so plan
+	// repair can tell "finished" from "never part of the workflow" after
+	// the workflow itself changes.
 	finishedTasks map[model.TaskID]struct{}
 	// triggers retains the initiator-supplied trigger data so a repair
 	// can re-inject the workflow sources to re-allocated consumers.

@@ -77,6 +77,9 @@ type fakeNet struct {
 	// lostOnce scripts leases a host reports Missing on its next
 	// LeaseRefresh, then forgets (a swept commitment is gone exactly once).
 	lostOnce map[proto.Addr][]model.TaskID
+	// finished scripts the runs a host reports Finished on every
+	// LeaseRefresh that names them.
+	finished map[proto.Addr][]model.TaskID
 	// segs, when non-nil, receives every segment of every Plan call (tests
 	// use it to observe distribution and re-distribution).
 	segs chan proto.PlanSegment
@@ -194,6 +197,16 @@ func (f *fakeNet) loseLease(addr proto.Addr, tasks ...model.TaskID) {
 		f.lostOnce = make(map[proto.Addr][]model.TaskID)
 	}
 	f.lostOnce[addr] = append(f.lostOnce[addr], tasks...)
+}
+
+// finish scripts the host's LeaseRefreshes to report tasks Finished.
+func (f *fakeNet) finish(addr proto.Addr, tasks ...model.TaskID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.finished == nil {
+		f.finished = make(map[proto.Addr][]model.TaskID)
+	}
+	f.finished[addr] = append(f.finished[addr], tasks...)
 }
 
 // setCapable flips one host's feasibility/bidding capability for a task.
@@ -333,6 +346,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		f.refreshes = append(f.refreshes, b)
 		missing := f.lostOnce[to]
 		delete(f.lostOnce, to)
+		finished := f.finished[to]
 		f.mu.Unlock()
 		requested := make(map[model.TaskID]struct{}, len(b.Tasks))
 		for _, task := range b.Tasks {
@@ -342,6 +356,11 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		for _, task := range missing {
 			if _, ok := requested[task]; ok {
 				ack.Missing = append(ack.Missing, task)
+			}
+		}
+		for _, task := range finished {
+			if _, ok := requested[task]; ok {
+				ack.Finished = append(ack.Finished, task)
 			}
 		}
 		return ack, nil

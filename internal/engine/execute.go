@@ -14,12 +14,14 @@ import (
 
 // Report summarizes one workflow execution observed from the initiator.
 type Report struct {
-	// Completed is true when every task finished and every goal label
-	// reached the initiator.
+	// Completed is true when every goal label reached the initiator, and
+	// with them every task finished.
 	Completed bool
 	// Goals holds the data attached to each goal label.
 	Goals map[model.LabelID][]byte
-	// TasksDone is how many task-completion notifications arrived.
+	// TasksDone is how many tasks are known to have finished: every task
+	// of the plan on completion, and otherwise those a lease refresh
+	// reported finished, with their producers upstream.
 	TasksDone int
 	// Failures lists task failure messages, if any.
 	Failures []string
@@ -31,11 +33,14 @@ type Report struct {
 // Execute completes the routing plan of an allocated workflow, injects
 // the triggering labels, and waits for the community to execute it: every
 // commitment is met in a decentralized fashion, outputs flow directly
-// between executors, and the goal labels (plus per-task completion
-// notifications) flow back to the initiator. On the plan's Initiator the
-// plan rode on the awards and only the triggers are sent; a plan executed
-// on another host is distributed in full, one plan request per executor,
-// so that every executor reports to this host.
+// between executors, and the goal labels flow back to the initiator. It
+// completes when every goal has arrived: pruning keeps only tasks on a
+// path back to a goal, and a run starts only once all of its inputs are
+// in, so by then every task has finished. An executor reports only a
+// failure, which ends the wait at once. On the plan's Initiator the plan
+// rode on the awards and only the triggers are sent; a plan executed on
+// another host is distributed in full, one plan request per executor, so
+// that goals and failures come to this host.
 //
 // triggers optionally attaches data to triggering labels (nil data is
 // fine — labels are conditions first, data second). The context bounds
@@ -93,7 +98,7 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 		go m.refreshLoop(ctx, ex)
 	}
 
-	// Wait for completion (all tasks done and all goals delivered) or
+	// Wait for completion (every goal delivered), a failure or
 	// cancellation, whichever comes first.
 	var ctxErr error
 	select {
@@ -211,27 +216,18 @@ func (m *Manager) planSegments(plan *Plan) []proto.PlanSegment {
 	return segs
 }
 
-// OnTaskDone records a task-completion notification; the host dispatches
-// inbound TaskDone messages here.
+// OnTaskDone records a task failure; the host dispatches inbound TaskDone
+// messages here. A failed task means the goals can never be produced, so
+// the wait ends at once, reporting the failure.
 func (m *Manager) OnTaskDone(workflow string, td proto.TaskDone) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ex, ok := m.executions[workflow]
-	if !ok || ex.finished {
+	if !ok || ex.finished || td.Err == "" {
 		return
 	}
-	if td.Err != "" {
-		ex.failures = append(ex.failures, fmt.Sprintf("%s: %s", td.Task, td.Err))
-		// A failed task means the goals can never be produced; finish
-		// the wait immediately, reporting the failure.
-		ex.finishLocked(false)
-		return
-	}
-	if _, known := ex.remaining[td.Task]; known {
-		ex.finishedTasks[td.Task] = struct{}{}
-	}
-	delete(ex.remaining, td.Task)
-	ex.maybeCompleteLocked()
+	ex.failures = append(ex.failures, fmt.Sprintf("%s: %s", td.Task, td.Err))
+	ex.finishLocked(false)
 }
 
 // OnLabelTransfer records goal labels arriving at the initiator; the host
@@ -255,8 +251,11 @@ func (m *Manager) OnLabelTransfer(workflow string, lt proto.LabelTransfer) {
 	ex.maybeCompleteLocked()
 }
 
+// maybeCompleteLocked completes the execution once every goal has
+// arrived; every task then counts as finished (Execute).
 func (ex *execution) maybeCompleteLocked() {
-	if len(ex.remaining) == 0 && len(ex.goals) == ex.goalWant {
+	if len(ex.goals) == ex.goalWant {
+		clear(ex.remaining)
 		ex.finishLocked(true)
 	}
 }

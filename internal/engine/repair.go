@@ -41,11 +41,13 @@ func (m *Manager) refreshLoop(ctx context.Context, ex *execution) {
 	}
 }
 
-// refreshLeases sends one LeaseRefresh per executor still owing tasks,
-// naming its finished ones too, whose runs keep what a repair re-publishes.
-// An executor that cannot be reached is presumed dead; a lease the
-// executor reports missing was swept (expired) on its side and the slot
-// is gone. Either finding triggers plan repair; a repair that fails
+// refreshLeases sends one LeaseRefresh to every executor of the plan,
+// naming all of its tasks: finished runs keep what a repair re-publishes,
+// and the ack says which have finished. Each task reported finished is
+// marked so, with every producer upstream of it, before any repair is
+// decided. An executor that cannot be reached is presumed dead; a lease
+// the executor reports missing was swept (expired) on its side and the
+// slot is gone. Either finding triggers plan repair; a repair that fails
 // aborts the execution, and Execute's return releases the survivors.
 func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	m.mu.Lock()
@@ -55,15 +57,8 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	}
 	wfID := ex.plan.WorkflowID
 	byHost := make(map[proto.Addr][]model.TaskID)
-	for t := range ex.remaining {
-		if host, ok := ex.plan.Allocations[t]; ok {
-			byHost[host] = append(byHost[host], t)
-		}
-	}
-	for t := range ex.finishedTasks {
-		if host := ex.plan.Allocations[t]; byHost[host] != nil {
-			byHost[host] = append(byHost[host], t)
-		}
+	for t, host := range ex.plan.Allocations {
+		byHost[host] = append(byHost[host], t)
 	}
 	m.mu.Unlock()
 
@@ -74,7 +69,7 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 
 	var dead []proto.Addr
-	var lost []model.TaskID
+	var lost, finished []model.TaskID
 	for _, h := range hosts {
 		tasks := byHost[h]
 		sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
@@ -92,12 +87,39 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 			continue
 		}
 		lost = append(lost, ack.Missing...)
+		finished = append(finished, ack.Finished...)
 	}
+	m.mu.Lock()
+	ex.markFinishedLocked(finished)
+	m.mu.Unlock()
 	if len(dead) == 0 && len(lost) == 0 {
 		return
 	}
 	if err := m.repairPlan(ctx, ex, dead, lost); err != nil {
 		m.abortExecution(ex, fmt.Sprintf("plan repair after losing hosts %v, leases %v: %v", dead, lost, err))
+	}
+}
+
+// markFinishedLocked records tasks a refresh reported finished, and every
+// producer upstream of them: a run starts only once all of its inputs are
+// in. A task no longer in remaining — already known, or gone from the
+// workflow — is skipped with its upstream.
+func (ex *execution) markFinishedLocked(tasks []model.TaskID) {
+	w := ex.plan.Workflow
+	for len(tasks) > 0 {
+		t := tasks[len(tasks)-1]
+		tasks = tasks[:len(tasks)-1]
+		if _, open := ex.remaining[t]; !open {
+			continue
+		}
+		delete(ex.remaining, t)
+		ex.finishedTasks[t] = struct{}{}
+		task, _ := w.Task(t)
+		for _, in := range task.Inputs {
+			if p, ok := w.Producer(in); ok {
+				tasks = append(tasks, p)
+			}
+		}
 	}
 }
 

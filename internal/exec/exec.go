@@ -29,7 +29,8 @@ import (
 // location to execute it.
 const locationEps = 0.5
 
-// SendFunc transmits a one-way envelope, a LabelTransfer or a TaskDone.
+// SendFunc transmits a one-way envelope, a LabelTransfer or a failure's
+// TaskDone.
 // The host injects it: one addressed to another host crosses the
 // endpoint, and one addressed to the host itself is handed to its own
 // handler with LabelTransfer.Data copied, so a run's inputs are always
@@ -158,11 +159,7 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 		r.seg = seg
 		c, outputs := r.commitment, r.outputs
 		m.mu.Unlock()
-		go func() {
-			if err := m.publish(workflow, c, seg, outputs); err == nil {
-				m.notifyDone(workflow, seg, nil)
-			}
-		}()
+		go func() { m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs)) }()
 		return
 	}
 	m.routeLocked(workflow, r, seg)
@@ -281,6 +278,20 @@ func (m *Manager) Residue() (runs, labels int) {
 	return len(m.runs), labels
 }
 
+// Finished returns those of the named tasks whose run on this host has
+// finished, in the order named.
+func (m *Manager) Finished(workflow string, tasks []model.TaskID) []model.TaskID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []model.TaskID
+	for _, t := range tasks {
+		if r, ok := m.runs[runKey{workflow, t}]; ok && r.finished {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // Pending returns how many registered runs have not started yet.
 func (m *Manager) Pending() int {
 	m.mu.Lock()
@@ -354,7 +365,7 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 		if m.ctx.Err() != nil {
 			return // host shutting down: nobody to notify
 		}
-		m.notifyDone(workflow, seg, fmt.Errorf("executing %q: %w", c.Task, err))
+		m.reportFailure(workflow, seg, fmt.Errorf("executing %q: %w", c.Task, err))
 		return
 	}
 	// Retain the results: a plan repair may later route them to new
@@ -370,11 +381,7 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 	if !ok {
 		return
 	}
-	if err := m.publish(workflow, c, seg, outputs); err != nil {
-		m.notifyDone(workflow, seg, err)
-		return
-	}
-	m.notifyDone(workflow, seg, nil)
+	m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs))
 }
 
 // publish communicates the outputs to every participant that requires
@@ -404,13 +411,13 @@ func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.Plan
 	return nil
 }
 
-func (m *Manager) notifyDone(workflow string, seg proto.PlanSegment, err error) {
-	if seg.Initiator == "" {
+// reportFailure tells the initiator that a task failed. A success is not
+// reported: the goals arriving complete the workflow, and a lease refresh
+// asks which runs finished (Finished).
+func (m *Manager) reportFailure(workflow string, seg proto.PlanSegment, err error) {
+	if err == nil || seg.Initiator == "" {
 		return
 	}
-	body := proto.TaskDone{Task: seg.Task}
-	if err != nil {
-		body.Err = err.Error()
-	}
+	body := proto.TaskDone{Task: seg.Task, Err: err.Error()}
 	_ = m.send(m.ctx, seg.Initiator, proto.Envelope{Workflow: workflow, Body: body})
 }

@@ -78,6 +78,20 @@ func (r *sentRecorder) count(pred func(sent) bool) int {
 	return n
 }
 
+// waitFinished waits until every named run of "wf" has finished; a
+// success sends no TaskDone, so the manager is asked, as a lease refresh
+// would ask it.
+func waitFinished(t *testing.T, mgr *Manager, timeout time.Duration, tasks ...model.TaskID) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for len(mgr.Finished("wf", tasks)) < len(tasks) {
+		if time.Now().After(deadline) {
+			t.Fatalf("finished %v of %v", mgr.Finished("wf", tasks), tasks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // rig assembles an execution manager around a real-clock host.
 type rig struct {
 	mgr      *Manager
@@ -157,9 +171,10 @@ func TestExecutesWhenConditionsMet(t *testing.T) {
 	if string(body.Data) != "got:X" {
 		t.Errorf("output data = %q", body.Data)
 	}
-	r.rec.waitFor(t, func(s sent) bool {
-		return s.to == "boss" && s.env.Body.Kind() == "task-done"
-	}, time.Second)
+	waitFinished(t, r.mgr, time.Second, "t")
+	if got := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "task-done" }); got != 0 {
+		t.Errorf("%d task-done sent for a success, want none", got)
+	}
 }
 
 func TestWaitsForStartTime(t *testing.T) {
@@ -172,10 +187,10 @@ func TestWaitsForStartTime(t *testing.T) {
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
 	time.Sleep(10 * time.Millisecond)
-	if got := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "task-done" }); got != 0 {
+	if got := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "label-transfer" }); got != 0 {
 		t.Fatal("executed before the window opened")
 	}
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
+	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "label-transfer" }, time.Second)
 	if time.Now().Before(start) {
 		t.Error("finished before start")
 	}
@@ -216,14 +231,7 @@ func TestRoutedRunArmsItsWindowWithItsInputs(t *testing.T) {
 	}
 
 	sim.AdvanceTo(start)
-	done := func(s sent) bool { return s.to == "boss" && s.env.Body.Kind() == "task-done" }
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.count(done) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sent %v, want both runs done once their window opened", rec.snapshot())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFinished(t, mgr, 5*time.Second, "t", "u")
 }
 
 // TestLabelBeforePlanBuffered: a label that reaches a registered run
@@ -243,7 +251,7 @@ func TestLabelBeforePlanBuffered(t *testing.T) {
 		t.Fatalf("a label before its plan: %d runs, %d labels held; want 1, 1", runs, labels)
 	}
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
+	waitFinished(t, r.mgr, time.Second, "t")
 }
 
 func TestPlanForUnknownTaskDropped(t *testing.T) {
@@ -283,7 +291,7 @@ func TestDisjunctiveSingleInputSuffices(t *testing.T) {
 	r.mgr.Register("wf", c, proto.PlanSegment{})
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "chosen", Producer: "boss"})
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
+	waitFinished(t, r.mgr, time.Second, "t")
 }
 
 func TestCancelStopsRun(t *testing.T) {
@@ -292,15 +300,15 @@ func TestCancelStopsRun(t *testing.T) {
 	})
 	start := time.Now().Add(30 * time.Millisecond)
 	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.Cancel("wf", "t")
 	if r.mgr.Pending() != 0 {
 		t.Fatalf("Pending = %d after cancel", r.mgr.Pending())
 	}
 	time.Sleep(60 * time.Millisecond)
-	if got := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "task-done" }); got != 0 {
-		t.Error("canceled run executed")
+	if got := r.rec.snapshot(); len(got) != 0 {
+		t.Errorf("canceled run executed and sent %v", got)
 	}
 }
 
@@ -393,8 +401,8 @@ func TestDuplicateLabelIgnored(t *testing.T) {
 	}
 	// The task runs once despite the duplicate.
 	time.Sleep(20 * time.Millisecond)
-	if n := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "task-done" }); n != 1 {
-		t.Errorf("task-done count = %d", n)
+	if n := r.rec.count(func(s sent) bool { return s.env.Body.Kind() == "label-transfer" }); n != 1 {
+		t.Errorf("label-transfer count = %d", n)
 	}
 }
 
@@ -416,7 +424,7 @@ func TestTravelThenExecute(t *testing.T) {
 	r.mgr.SetPlan("wf", seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, 2*time.Second)
+	waitFinished(t, r.mgr, 2*time.Second, "t")
 	if pos := mobility.Position(time.Now()); !space.Near(pos, space.Point{}, 0.5) {
 		t.Errorf("host did not arrive: %v", pos)
 	}
@@ -431,9 +439,9 @@ func TestOutputsFanOutToAllSinks(t *testing.T) {
 		"out": {"peer1", "peer2", "boss"},
 	}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
-	r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
+	r.rec.waitFor(t, func(s sent) bool { return s.to == "boss" && s.env.Body.Kind() == "label-transfer" }, time.Second)
+	time.Sleep(20 * time.Millisecond)
 	for _, to := range []proto.Addr{"peer1", "peer2", "boss"} {
-		to := to
 		if n := r.rec.count(func(s sent) bool {
 			return s.to == to && s.env.Body.Kind() == "label-transfer"
 		}); n != 1 {

@@ -264,7 +264,7 @@ func (h *Host) sendEnvelope(ctx context.Context, to proto.Addr, env proto.Envelo
 }
 
 // sendExec is the execution manager's SendFunc. A one-way envelope for
-// this host — a label for a run here, a TaskDone for its own initiator —
+// this host — a label for a run here, a failure for its own initiator —
 // never crosses the link: it is handed to Handle, where it takes the path
 // of one that arrived, its Data copied as the codec would copy it.
 func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) error {
@@ -459,7 +459,9 @@ func (h *Host) process(env proto.Envelope) {
 		h.reply(env, proto.AwardAck{Verdicts: verdicts})
 
 	case proto.LeaseRefresh:
-		h.reply(env, h.Participant.HandleLeaseRefresh(env.Workflow, b))
+		ack := h.Participant.HandleLeaseRefresh(env.Workflow, b)
+		ack.Finished = h.Exec.Finished(env.Workflow, b.Tasks)
+		h.reply(env, ack)
 
 	case proto.Cancel:
 		// Each named task is a revoked award or a lost bid; no task is the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,8 +303,8 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 
 // TestAwardRoutesRunWithoutPlan: an Award carrying routes is its tasks'
 // plan. The ack confirms the host holds them, and the run, given its input,
-// executes in its window and publishes its output and completion to the
-// award's sender with no plan request.
+// executes in its window and publishes its output to the award's sender
+// with no plan request; a lease refresh reports it finished.
 func TestAwardRoutesRunWithoutPlan(t *testing.T) {
 	rec := trace.NewBuffer(0)
 	a, _ := pair(t, Config{Addr: "a", Trace: rec}, Config{Addr: "b", Services: []service.Registration{
@@ -338,11 +339,19 @@ func TestAwardRoutesRunWithoutPlan(t *testing.T) {
 		return labels, done
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for labels, done := received(); labels == 0 || done == 0; labels, done = received() {
+	for labels, _ := received(); labels == 0; labels, _ = received() {
 		if time.Now().After(deadline) {
-			t.Fatalf("a received %d outputs and %d completions from the routed run, want one each", labels, done)
+			t.Fatal("a received no output from the routed run")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// A success sends no TaskDone; a lease refresh learns of it.
+	reply, err = a.Call(context.Background(), "b", "wf", proto.LeaseRefresh{Tasks: []model.TaskID{"cook"}}, time.Second)
+	if ack, ok := reply.(proto.LeaseRefreshAck); err != nil || !ok || !slices.Equal(ack.Finished, []model.TaskID{"cook"}) {
+		t.Fatalf("lease refresh: reply %#v, err %v; want cook finished", reply, err)
+	}
+	if labels, done := received(); labels != 1 || done != 0 {
+		t.Fatalf("a received %d outputs and %d completions from the routed run, want one output and no completion", labels, done)
 	}
 }
 

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,10 +64,13 @@ func TestEncodeToPlanAllocFree(t *testing.T) {
 // its strings is copied out on its own (label-transfer-4k: five strings,
 // the payload and the boxing). The decoder itself must stay on the
 // stack; a rewrite that lets it escape shows up here as one more
-// allocation on every row. Routes are one flat list: a 6-task award that
-// carries its plan costs one allocation more than one that does not, and a
-// map-shaped routing form would cost several per task. A Cancel's tasks
-// are one list too: naming six costs what naming one does.
+// allocation on every row. A frame's label lists are windows of one slab:
+// a call for bids or an award costs the same whether it carries one task
+// or six (cfb-of-6 cost 15 while every list was its own slice). Routes are
+// one flat list: a 6-task award that carries its plan costs one allocation
+// more than one that does not, and a map-shaped routing form would cost
+// several per task. A Cancel's tasks are one list too: naming six costs
+// what naming one does.
 func TestDecodeAllocBounds(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
@@ -96,8 +100,8 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"cancel-of-6", 3, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Tasks: tasks6}}},
 		{"bid-batch", 4, benchBidEnvelope()},
 		{"award", 4, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: meta}}},
-		{"award-of-6", 15, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: award6}},
-		{"award-of-6-with-routes", 15 + 1, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: routed6}},
+		{"award-of-6", 5, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: award6}},
+		{"award-of-6-with-routes", 5 + 1, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: routed6}},
 		{"fragment-reply", 7, Envelope{From: "host-b", To: "host-a", ReqID: 42, Workflow: "wf-1", Body: FragmentReply{
 			Fragments: []*model.Fragment{{Name: "omelet bar", Tasks: []model.Task{{
 				ID: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"},
@@ -109,9 +113,10 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"plan", 4, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
 			Task: "cook omelets", Initiator: "host-a", Routes: []Route{{Label: "omelets", To: "host-a"}},
 		}}}}},
-		{"call-for-bids-batch", 5, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
+		{"call-for-bids-batch", 4, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{
 			Metas: []TaskMeta{meta},
 		}}},
+		{"cfb-of-6", 4, Envelope{From: "host-a", To: "host-b", ReqID: 46, Workflow: "wf-1", Body: CallForBidsBatch{Metas: chain}}},
 		{"label-transfer-4k", 7, benchLabelTransfer4K()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -125,6 +130,33 @@ func TestDecodeAllocBounds(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDecodedListsDoNotShareTails: the label lists of one frame are
+// windows of one slab, each capped at its own length, so appending to one
+// copies it and leaves the next list intact.
+func TestDecodedListsDoNotShareTails(t *testing.T) {
+	env := Envelope{From: "a", To: "b", Workflow: "wf", Body: CallForBidsBatch{Metas: []TaskMeta{
+		{Task: "t1", Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"}},
+		{Task: "t2", Inputs: []model.LabelID{"b"}, Outputs: []model.LabelID{"c"}},
+	}}}
+	data, err := Encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := back.Body.(CallForBidsBatch).Metas
+	grown := append(metas[0].Inputs, "x")
+	grown[0] = "y"
+	if metas[0].Inputs[0] != "a" || metas[0].Outputs[0] != "b" || metas[1].Inputs[0] != "b" {
+		t.Fatalf("appending to one decoded list changed its neighbours: %+v", metas)
+	}
+	if !slices.Equal(metas[0].Outputs, []model.LabelID{"b"}) {
+		t.Fatalf("outputs = %v, want [b]", metas[0].Outputs)
 	}
 }
 

@@ -49,7 +49,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 5
+const wireVersion byte = 6
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -278,6 +278,7 @@ func (e *encoder) body(env Envelope) error {
 	case LeaseRefreshAck:
 		e.header(kindLeaseRefreshAck, env)
 		e.taskIDs(v.Missing)
+		e.taskIDs(v.Finished)
 	case Advertise:
 		e.header(kindAdvertise, env)
 		e.labels(v.Labels)
@@ -353,8 +354,21 @@ type decoder struct {
 	b   []byte
 	pos int
 	// s is a small frame's one copy (decodeBinary); empty for a large one.
-	s   string
-	err error
+	s string
+	// labs is the frame's label slab: every label list is a window of it,
+	// its capacity capped, so appending to one list copies it instead of
+	// overwriting the next (reserve).
+	labs []model.LabelID
+	err  error
+}
+
+// reserve makes room for n more labels in the slab. A full slab is
+// replaced by one of twice its capacity, or of n if that is more; the
+// windows already handed out keep the old one.
+func (d *decoder) reserve(n int) {
+	if cap(d.labs)-len(d.labs) < n {
+		d.labs = make([]model.LabelID, 0, max(n, 2*cap(d.labs)))
+	}
 }
 
 // fail keeps err unless an earlier error is already kept.
@@ -476,18 +490,19 @@ func (d *decoder) time() time.Time {
 	return time.Unix(sec, int64(nsec))
 }
 
-// labels decodes a label list; zero count yields nil, like gob leaving a
-// slice field untouched.
+// labels decodes a label list into a window of the slab; zero count
+// yields nil, like gob leaving a slice field untouched.
 func (d *decoder) labels() []model.LabelID {
 	n := d.count()
 	if n == 0 {
 		return nil
 	}
-	out := make([]model.LabelID, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = model.LabelID(d.str())
+	d.reserve(n)
+	i := len(d.labs)
+	for j := 0; j < n && d.err == nil; j++ {
+		d.labs = append(d.labs, model.LabelID(d.str()))
 	}
-	return out
+	return d.labs[i:len(d.labs):len(d.labs)]
 }
 
 func (d *decoder) taskIDs() []model.TaskID {
@@ -543,11 +558,14 @@ func (d *decoder) meta() TaskMeta {
 	}
 }
 
+// metas reserves two labels per meta, an input and an output, so a call
+// for bids or an award costs one slab, not two lists per task.
 func (d *decoder) metas() []TaskMeta {
 	n := d.count()
 	if n == 0 {
 		return nil
 	}
+	d.reserve(2 * n)
 	out := make([]TaskMeta, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		out[i] = d.meta()
@@ -651,6 +669,7 @@ func (d *decoder) body(kind byte) Body {
 	case kindFeasibilityReply:
 		return FeasibilityReply{Capable: d.taskIDs()}
 	case kindAward:
+		d.reserve(2)
 		return Award{Meta: d.meta(), More: d.metas(), Hold: d.bool(), Routes: d.routes()}
 	case kindAwardAck:
 		return AwardAck{Verdicts: d.verdicts()}
@@ -671,7 +690,7 @@ func (d *decoder) body(kind byte) Body {
 	case kindLeaseRefresh:
 		return LeaseRefresh{Tasks: d.taskIDs()}
 	case kindLeaseRefreshAck:
-		return LeaseRefreshAck{Missing: d.taskIDs()}
+		return LeaseRefreshAck{Missing: d.taskIDs(), Finished: d.taskIDs()}
 	case kindAdvertise:
 		return Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
 	case kindAdvertiseAck:

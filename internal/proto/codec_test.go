@@ -126,7 +126,7 @@ func bodyEqual(a, b Body) bool {
 		return ok && taskIDsEq(av.Tasks, bv.Tasks)
 	case LeaseRefreshAck:
 		bv, ok := b.(LeaseRefreshAck)
-		return ok && taskIDsEq(av.Missing, bv.Missing)
+		return ok && taskIDsEq(av.Missing, bv.Missing) && taskIDsEq(av.Finished, bv.Finished)
 	case Advertise:
 		bv, ok := b.(Advertise)
 		return ok && labelsEq(av.Labels, bv.Labels) && taskIDsEq(av.Tasks, bv.Tasks)
@@ -319,7 +319,7 @@ func randBody(rng *rand.Rand) Body {
 	case 16:
 		return LeaseRefresh{Tasks: randTaskIDs(rng)}
 	case 4:
-		return LeaseRefreshAck{Missing: randTaskIDs(rng)}
+		return LeaseRefreshAck{Missing: randTaskIDs(rng), Finished: randTaskIDs(rng)}
 	case 5:
 		return Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
 	case 6:
@@ -742,7 +742,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "05" + // version
+	const want = "06" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -771,7 +771,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "05" + // version
+			want: "06" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -822,18 +822,19 @@ func TestWireFormatGoldenLease(t *testing.T) {
 		{
 			name: "lease-refresh-ack",
 			env: Envelope{From: "b", To: "a", ReqID: 5, Workflow: "wf",
-				Body: LeaseRefreshAck{Missing: []model.TaskID{"t1"}}},
-			want: fromV1("01" + // version
+				Body: LeaseRefreshAck{Missing: []model.TaskID{"t1"}, Finished: []model.TaskID{"t2", "t3"}}},
+			want: "06" + // version
 				"13" + // kind: lease-refresh-ack
 				"0162" + "0161" + "05" + "027766" + // header b, a, 5, wf
-				"01" + "027431"), // missing ["t1"]
+				"01" + "027431" + // missing ["t1"]
+				"02" + "027432" + "027433", // finished ["t2","t3"]
 		},
 		{
 			// One cancel per host names every task it revokes there.
 			name: "cancel",
 			env: Envelope{From: "a", To: "b", Workflow: "wf",
 				Body: Cancel{Tasks: []model.TaskID{"t1", "t2"}}},
-			want: "05" + // version
+			want: "06" + // version
 				"0a" + // kind: cancel
 				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
 				"02" + "027431" + "027432", // tasks ["t1","t2"]
@@ -893,9 +894,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "05" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "06" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "05" + // version
+		reply = "06" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -931,7 +932,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "05" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "06" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},

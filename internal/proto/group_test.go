@@ -60,17 +60,17 @@ func TestWireFormatGoldenGroups(t *testing.T) {
 	const (
 		noLocation = "00000000000000000000000000000000" + "00"         // point (0, 0), HasLocation false
 		ioAB       = "01" + "0161" + "01" + "0162"                     // inputs ["a"], outputs ["b"]
-		award      = "05" + "08" + "0169" + "0168" + "09" + "027766" + // version, kind award, header i, h, 9, wf
+		award      = "06" + "08" + "0169" + "0168" + "09" + "027766" + // version, kind award, header i, h, 9, wf
 			"027431" + "01" + ioAB + "0200" + "0400" + noLocation // t1, conjunctive, window [1 s, 2 s)
 		more2 = "02" +
 			"027432" + "01" + ioAB + "0400" + "0600" + noLocation + // t2, window [2 s, 3 s)
 			"027433" + "01" + ioAB + "0600" + "0800" + noLocation // t3, window [3 s, 4 s)
-		ack  = "05" + "09" + "0168" + "0169" + "09" + "027766" // kind award-ack
+		ack  = "06" + "09" + "0168" + "0169" + "09" + "027766" // kind award-ack
 		t1OK = "027431" + "01" + "00"                          // t1 confirmed, no reason
-		plan = "05" + "0b" + "0169" + "0168" + "09" + "027766" // kind plan-segment
+		plan = "06" + "0b" + "0169" + "0168" + "09" + "027766" // kind plan-segment
 		seg1 = "027431" + "0169" +                             // t1, initiator i
 			"01" + "0162" + "0168" // route b to h
-		cfb = "05" + "0f" + "0169" + "0168" + "09" + "027766" + "02" + // kind call-for-bids-batch, two metas
+		cfb = "06" + "0f" + "0169" + "0168" + "09" + "027766" + "02" + // kind call-for-bids-batch, two metas
 			"027431" + "01" + ioAB + "0200" + "0400" + noLocation +
 			"027432" + "01" + ioAB + "0400" + "0600" + noLocation
 		verdicts3 = "03" + t1OK +

@@ -40,7 +40,7 @@ var lossContract = map[string]lossRule{
 	"cancel":              leaseBounded,
 	"advertise":           refreshed,
 	"label-transfer":      openSeam1,
-	"task-done":           openSeam1,
+	"task-done":           openSeam1, // failure only: a success sends none
 }
 
 // codecBodies returns a body of every kind the decoder knows, by kind: for

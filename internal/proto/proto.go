@@ -216,7 +216,7 @@ func (Cancel) Kind() string { return "cancel" }
 // Plan gives an executor the routing segments of its commitments in one
 // workflow when they did not ride on the award, or must change: after a
 // plan repair, and at an Execute on a host other than the plan's
-// initiator, which re-routes completions to itself. One message per
+// initiator, which re-routes goals and failures to itself. One message per
 // executor (DESIGN.md §9), acknowledged with an Ack.
 type Plan struct {
 	Segments []PlanSegment
@@ -227,11 +227,11 @@ type Plan struct {
 func (Plan) Kind() string { return "plan-segment" }
 
 // PlanSegment is the routing information for one commitment: where its
-// outputs must go and whom to tell it is done.
+// outputs must go and whom to tell if it fails.
 type PlanSegment struct {
 	Task model.TaskID
-	// Initiator is the host coordinating the workflow; executors send
-	// it TaskDone notifications.
+	// Initiator is the host coordinating the workflow; an executor whose
+	// task fails tells it with a TaskDone.
 	Initiator Addr
 	// Routes send each output of the task to the hosts that need it.
 	Routes []Route
@@ -259,8 +259,10 @@ type LabelTransfer struct {
 // Kind implements Body.
 func (LabelTransfer) Kind() string { return "label-transfer" }
 
-// TaskDone notifies the initiator that a committed task finished (or
-// failed, with Err set).
+// TaskDone notifies the initiator that a committed task failed, with Err
+// saying why. A success is not reported: the workflow is complete when its
+// goals arrive, and the refresh learns which tasks finished
+// (LeaseRefreshAck.Finished).
 type TaskDone struct {
 	Task model.TaskID
 	Err  string
@@ -290,9 +292,12 @@ func (LeaseRefresh) Kind() string { return "lease-refresh" }
 
 // LeaseRefreshAck answers a LeaseRefresh: Missing lists the tasks whose
 // commitments no longer exist on this host (lease already expired and
-// swept, or canceled). The initiator repairs those tasks.
+// swept, or canceled), and the initiator repairs those tasks. Finished
+// lists the named tasks whose run on this host has finished: a success
+// sends no TaskDone, so this is how the initiator learns it.
 type LeaseRefreshAck struct {
-	Missing []model.TaskID
+	Missing  []model.TaskID
+	Finished []model.TaskID
 }
 
 // Kind implements Body.
