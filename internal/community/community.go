@@ -360,10 +360,12 @@ func (c *Community) TotalRuns() int {
 	return total
 }
 
-// Execute distributes and runs an allocated plan from its initiator,
-// waiting for the community to finish. The context bounds the wait (use
-// context.WithTimeout for the old timeout behavior); on cancellation it
-// returns ctx.Err() alongside a partial report.
+// Execute runs an allocated plan from host id, which must be its
+// initiator (plan.Initiator: the routes on its awards return goals and
+// failures there; any other host refuses it), waiting for the community to
+// finish. The context bounds the wait (use context.WithTimeout for the old
+// timeout behavior); on cancellation it returns ctx.Err() alongside a
+// partial report.
 func (c *Community) Execute(ctx context.Context, id proto.Addr, plan *engine.Plan, triggers map[model.LabelID][]byte) (*engine.Report, error) {
 	h, ok := c.hosts[id]
 	if !ok {

@@ -202,11 +202,11 @@ func TestSoleProvidersCostOneCallEach(t *testing.T) {
 	}
 }
 
-// TestMixedPlanOnePlanRequest: the same chain with t1 … t5 offered by
+// TestMixedPlanNoPlanRequest: the same chain with t1 … t5 offered by
 // host01 to host03 and t6 by host03 alone. Memory leaves t1 … t5 contested,
 // so the session is auctioned whole, t6 with the rest: every award carries
 // its tasks' routes, t6's included, and Execute sends no plan request.
-func TestMixedPlanOnePlanRequest(t *testing.T) {
+func TestMixedPlanNoPlanRequest(t *testing.T) {
 	sim := clock.NewSim(stressT0)
 	rec := trace.NewBuffer(0)
 	replicated := []int{1, 2, 3}

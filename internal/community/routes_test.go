@@ -169,12 +169,12 @@ func TestUnexecutedPlanArmsNoTimer(t *testing.T) {
 	}
 }
 
-// TestExecuteElsewhereDistributesInFull: the routes on the awards return
-// goals to the host that allocated the plan. Executed from another host,
-// Execute sends every executor a plan request naming it instead, and the
-// goal returns there: host03 runs no task, so every label it receives is a
-// goal.
-func TestExecuteElsewhereDistributesInFull(t *testing.T) {
+// TestExecuteElsewhereRefused: the routes on the awards return goals and
+// failures to the host that allocated the plan, so the plan executes only
+// there. Executed from another host, Execute errors before it sends
+// anything, and releases nothing: the same plan then completes on its
+// initiator with no plan request.
+func TestExecuteElsewhereRefused(t *testing.T) {
 	sim := clock.NewSim(stressT0)
 	rec := trace.NewBuffer(0)
 	c, problem := routedChain(t, sim, rec, 4, [][]int{{1}, {1, 2}, {2}, {2}})
@@ -186,25 +186,20 @@ func TestExecuteElsewhereDistributesInFull(t *testing.T) {
 	if plan.Initiator != "host00" || c.TotalRuns() != 4 {
 		t.Fatalf("plan allocated by %q registered %d runs, want host00 and all four", plan.Initiator, c.TotalRuns())
 	}
-	executors := make(map[proto.Addr]int)
-	for _, h := range plan.Allocations {
-		executors[h] = 1
+
+	sent := len(rec.Events())
+	if _, err := c.Execute(ctxTimeout(t, 60*time.Second), "host03", plan, nil); err == nil {
+		t.Fatal("Execute on host03 accepted a plan host00 initiated")
+	}
+	if got := rec.Events()[sent:]; len(got) != 0 {
+		t.Errorf("refused Execute sent %v, want nothing", got)
+	}
+	if c.TotalRuns() != 4 {
+		t.Errorf("%d runs after the refused Execute, want all four still registered", c.TotalRuns())
 	}
 
-	executeOn(t, c, sim, "host03", plan)
-	if got := received(rec, "plan-segment"); fmt.Sprint(got) != fmt.Sprint(executors) {
-		t.Errorf("plan requests received %v, want one by each executor %v", got, executors)
-	}
-	goals := 0
-	for _, e := range rec.Events() {
-		if e.Kind == "label-transfer" && e.Dir == trace.Recv && (e.Host == "host00" || e.Host == "host03") {
-			if e.Host != "host03" {
-				t.Errorf("a goal went to %s, want the executing host03", e.Host)
-			}
-			goals++
-		}
-	}
-	if goals != 1 {
-		t.Errorf("%d goals reached host03, want 1", goals)
+	executeOn(t, c, sim, "host00", plan)
+	if got := received(rec, "plan-segment"); len(got) != 0 {
+		t.Errorf("plan requests received %v, want none", got)
 	}
 }

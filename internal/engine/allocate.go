@@ -46,13 +46,14 @@ func retrySlot(wfID string) int {
 	return ordinal + int(h%retryBandPeriod)
 }
 
-// allocate auctions the tasks ids of w, windows staggered in that order,
-// among candidates (nil = the whole community; repair passes the
-// survivors), rotated by rot (see route). ids nil is every task of w in
-// topological order, and then the plan rides on the awards: every task is
-// decided before the first award goes out, so each award can carry where
-// its tasks' outputs go (runAuction). A repair names the tasks it re-homes
-// and distributes the whole plan itself.
+// allocate auctions every task of w that placed has no executor for —
+// every task on an Initiate (placed nil), the re-homed ones on a repair
+// (placed is the allocation it keeps) — in topological order, windows
+// staggered in that order, among candidates (nil = the whole community;
+// repair passes the survivors), rotated by rot (see route). The plan rides
+// on the awards: every task is decided before the first award goes out,
+// so each award carries where its tasks' outputs go (award). With nothing
+// to place it sends nothing.
 //
 // A try that leaves tasks unallocated — their providers may only be busy
 // with another session's commitments now — cancels its own wins, and with
@@ -61,16 +62,19 @@ func retrySlot(wfID string) int {
 // returns the last try's wins with their metas and the tasks it left
 // unallocated; once the retries are spent those wins are the caller's to
 // keep or cancel. On error the try's wins are cancelled.
-func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, ids []model.TaskID, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
+func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
 	slot := retrySlot(wfID)
-	whole := ids == nil
-	if whole {
-		ids = w.TopoOrder()
+	ids := slices.DeleteFunc(w.TopoOrder(), func(t model.TaskID) bool {
+		_, ok := placed[t]
+		return ok
+	})
+	if len(ids) == 0 {
+		return nil, nil, nil, nil
 	}
 	for try := 0; ; try++ {
 		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
 		won = make(map[model.TaskID]proto.Addr, len(solicited))
-		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, whole, won); err != nil {
+		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, w, placed, won); err != nil {
 			// Awards confirmed before the error, or canceled mid-call
 			// (settleLost), are wins to release.
 			m.cancelAwards(wfID, won)
@@ -89,11 +93,10 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 	}
 }
 
-// runAuction decides who executes metas, awards the decisions (one Award
-// per winner, see award), and records confirmed winners in alloc. It
-// returns the tasks that ended unallocated — decided failed, award refused
-// or undeliverable. With whole, metas are every task of the workflow and
-// each award carries its tasks' routes.
+// runAuction decides who executes metas, the tasks of w that placed has no
+// executor for, awards the decisions (one Award per winner, see award), and
+// records confirmed winners in alloc. It returns the tasks that ended
+// unallocated — decided failed, award refused or undeliverable.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -115,7 +118,7 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 //
 // On error the awards already recorded in alloc are NOT compensated —
 // the caller owns cleanup (allocate cancels them).
-func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, whole bool, alloc map[model.TaskID]proto.Addr) (failed []model.TaskID, err error) {
+func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, w *model.Workflow, placed, alloc map[model.TaskID]proto.Addr) (failed []model.TaskID, err error) {
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
 		tasks[i] = meta.Task
@@ -137,11 +140,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 			return nil, err
 		}
 	}
-	var all []proto.TaskMeta
-	if whole {
-		all = metas
-	}
-	if err := m.award(ctx, wfID, ds, all, hold, alloc); err != nil {
+	if err := m.award(ctx, wfID, w, ds, placed, hold, alloc); err != nil {
 		return nil, err
 	}
 	return unallocated(metas, alloc), nil
@@ -198,9 +197,9 @@ func (m *Manager) sweep(ctx context.Context, wfID string, members []proto.Addr, 
 // says the decisions came from memory. A refused or undeliverable award
 // re-enters the failure set for replanning.
 //
-// With all, the metas of every task of the workflow, each award carries
-// the routes of its tasks' outputs: every executor is decided by now.
-func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision, all []proto.TaskMeta, hold bool, alloc map[model.TaskID]proto.Addr) error {
+// Each award carries the routes of its tasks' outputs in w: every executor
+// is decided by now, or kept in placed.
+func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds []auction.Decision, placed map[model.TaskID]proto.Addr, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.
 	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
@@ -224,7 +223,7 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 				return d.Winner
 			}
 		}
-		return ""
+		return placed[t]
 	}
 	for len(ds) > 0 {
 		n := 1
@@ -232,7 +231,7 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 			n++
 		}
 		if !ds[0].Failed() {
-			if err := m.awardWinner(ctx, wfID, ds[:n], m.awardRoutes(ds[:n], all, executor), hold, alloc); err != nil {
+			if err := m.awardWinner(ctx, wfID, ds[:n], m.awardRoutes(ds[:n], w, executor), hold, alloc); err != nil {
 				return err
 			}
 		}
@@ -241,46 +240,31 @@ func (m *Manager) award(ctx context.Context, wfID string, ds []auction.Decision,
 	return nil
 }
 
-// awardRoutes lists where the outputs of the tasks of ds go, or nil without
-// all or when some consumer has no executor: a decision failed, so the try
-// fails and its awards are cancelled.
-func (m *Manager) awardRoutes(ds []auction.Decision, all []proto.TaskMeta, executor func(model.TaskID) proto.Addr) []proto.Route {
-	if all == nil {
-		return nil
-	}
+// awardRoutes lists where the outputs of the tasks of ds go in w.
+func (m *Manager) awardRoutes(ds []auction.Decision, w *model.Workflow, executor func(model.TaskID) proto.Addr) []proto.Route {
 	n := 0
 	for _, d := range ds {
 		n += len(d.Meta.Outputs)
 	}
 	routes := make([]proto.Route, 0, n)
 	for _, d := range ds {
-		var ok bool
-		if routes, ok = m.routes(routes, d.Meta, all, executor); !ok {
-			return nil
-		}
+		routes = m.routes(routes, d.Meta.Outputs, w, executor)
 	}
 	return routes
 }
 
-// routes appends where the outputs of task go, all being the metas of
-// every task of the workflow: one route to each distinct executor of a
-// task consuming the output or, for a goal label — one no task consumes —
-// one to this host; by label, then host. It reports false, leaving the
-// consumer out, when a consumer has no executor.
-func (m *Manager) routes(rs []proto.Route, task proto.TaskMeta, all []proto.TaskMeta, executor func(model.TaskID) proto.Addr) ([]proto.Route, bool) {
-	ok := true
-	for _, out := range task.Outputs {
+// routes appends where outputs go in w: one route to each distinct
+// executor of a task consuming the output or, for a goal label — one no
+// task consumes — one to this host; by label, then host. A consumer with no
+// executor is left out: its auction failed, so the try fails and its
+// awards are cancelled.
+func (m *Manager) routes(rs []proto.Route, outputs []model.LabelID, w *model.Workflow, executor func(model.TaskID) proto.Addr) []proto.Route {
+	for _, out := range outputs {
 		from := len(rs)
 		consumed := false
-		for _, c := range all {
-			if !slices.Contains(c.Inputs, out) {
-				continue
-			}
+		for c := range w.ConsumersSeq(out) {
 			consumed = true
-			r := proto.Route{Label: out, To: executor(c.Task)}
-			if r.To == "" {
-				ok = false
-			} else if !slices.Contains(rs[from:], r) {
+			if r := (proto.Route{Label: out, To: executor(c)}); r.To != "" && !slices.Contains(rs[from:], r) {
 				rs = append(rs, r)
 			}
 		}
@@ -289,7 +273,7 @@ func (m *Manager) routes(rs []proto.Route, task proto.TaskMeta, all []proto.Task
 		}
 		slices.SortFunc(rs[from:], func(a, b proto.Route) int { return cmp.Compare(a.To, b.To) })
 	}
-	return rs, ok
+	return rs
 }
 
 // awardWinner sends ds, all won by ds[0].Winner, in one Award carrying

@@ -299,37 +299,45 @@ func TestEveryLosingBidderIsReleased(t *testing.T) {
 	}
 }
 
-// TestDistributeGroupsByExecutor: Execute away from the plan's initiator
-// sends each executor one plan request carrying all its segments, and a
-// failed request names the host and the tasks it carried.
+// TestDistributeGroupsByExecutor: a repair sends each kept executor that
+// feeds a re-homed task one plan request carrying all its segments, and a
+// failed request names the host and the tasks it carried. The chain
+// a → t1 → … → t6 → g runs t1 and t3 on p1, t5 on p2 and the rest on p3,
+// which loses the leases of t2, t4 and t6.
 func TestDistributeGroupsByExecutor(t *testing.T) {
-	net := groupNet(t)
-	m := NewManager(net, oneAttempt())
-	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Initiator = "elsewhere" // allocated by another host
-	net.clearLog()
-	// Events for a workflow not yet executing are dropped as stale, so
-	// they wait for the first plan segment: distribution begins once the
-	// execution is registered. One buffer slot per segment of the plan.
-	segs := make(chan proto.PlanSegment, 3)
-	net.mu.Lock()
-	net.segs = segs
-	net.mu.Unlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-segs
-		for _, task := range []model.TaskID{"t1", "t2", "t3"} {
-			m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: task})
+	net := newFakeNet("init")
+	var frags []*model.Fragment
+	for i := 1; i <= 6; i++ {
+		in, out := fmt.Sprintf("m%d", i-1), fmt.Sprintf("m%d", i)
+		if i == 1 {
+			in = "a"
 		}
-		m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
-	}()
-	if _, err := m.Execute(ctx, plan, nil); err != nil {
-		t.Fatal(err)
+		if i == 6 {
+			out = "g"
+		}
+		frags = append(frags, mkFrag(t, fmt.Sprintf("t%d", i), in, out))
 	}
-	cancel()
+	net.add("init", &fakeMember{fragments: frags})
+	net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true, "t3": true}, services: 2})
+	net.add("p2", &fakeMember{capable: map[model.TaskID]bool{"t5": true}, services: 1})
+	net.add("p3", &fakeMember{capable: map[model.TaskID]bool{"t2": true, "t4": true, "t6": true}, services: 3})
+	cfg := repairConfig()
+	events := repairObserver(&cfg)
+	m := NewManager(net, cfg)
+	execute := func() (*Plan, <-chan struct{}, func() (*Report, error)) {
+		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.clearLog()
+		done, join := startExecution(m, plan)
+		waitTrigger(t, net)
+		net.loseLease("p3", "t2", "t4", "t6")
+		return plan, done, join
+	}
+
+	plan, done, join := execute()
+	waitRepair(t, events)
 	net.mu.Lock()
 	var got []string
 	for _, c := range net.log {
@@ -341,22 +349,26 @@ func TestDistributeGroupsByExecutor(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s%v", c.to, tasks))
 		}
 	}
-	net.segs = nil
 	net.mu.Unlock()
-	if want := []string{"p1[t1 t3]", "p2[t2]"}; !slices.Equal(got, want) {
+	if want := []string{"p1[t1 t3]", "p2[t5]"}; !slices.Equal(got, want) {
 		t.Errorf("plan requests = %v, want %v", got, want)
 	}
-
-	// A second plan, with p1 gone before distribution.
-	plan, err = m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
-	if err != nil {
-		t.Fatal(err)
+	m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+	<-done
+	if report, err := join(); err != nil || !report.Completed {
+		t.Fatalf("report = %+v, err = %v", report, err)
 	}
-	plan.Initiator = "elsewhere"
-	net.setDown("p1")
-	_, err = m.Execute(context.Background(), plan, nil)
-	if err == nil || !strings.Contains(err.Error(), `["t1" "t3"] to "p1"`) {
-		t.Errorf("err = %v, want the host and the tasks its plan request carried", err)
+
+	// A second execution, whose plan request to p1 fails.
+	net.mu.Lock()
+	net.members["p1"].dropPlan = true
+	net.mu.Unlock()
+	_, done, join = execute()
+	<-done
+	report, err := join()
+	if err != nil || report.Completed || len(report.Failures) != 1 ||
+		!strings.Contains(report.Failures[0], `["t1" "t3"] to "p1"`) {
+		t.Errorf("report = %+v, err = %v, want a failure naming the host and the tasks its plan request carried", report, err)
 	}
 }
 

@@ -56,6 +56,8 @@ type fakeMember struct {
 	// for a listed task blocks until its channel closes (or the caller's
 	// context cancels) — a member that keeps a session mid-auction.
 	blockCFB map[model.TaskID]chan struct{}
+	// dropPlan makes the member's plan requests fail.
+	dropPlan bool
 	services int
 }
 
@@ -74,6 +76,10 @@ type fakeNet struct {
 	blocked int // calls currently gated on a blockCFB channel
 	// down hosts fail every Call (a crashed or partitioned executor).
 	down map[proto.Addr]bool
+	// dropLabels makes every LabelTransfer Send fail.
+	dropLabels bool
+	// seq counts every Send and Call, ordering the two logs.
+	seq int
 	// lostOnce scripts leases a host reports Missing on its next
 	// LeaseRefresh, then forgets (a swept commitment is gone exactly once).
 	lostOnce map[proto.Addr][]model.TaskID
@@ -93,10 +99,11 @@ type fakeNet struct {
 	mute      map[proto.Addr]bool
 }
 
-// fakeCall is one logged Call.
+// fakeCall is one logged Call or Send; at orders it among all of them.
 type fakeCall struct {
 	to   proto.Addr
 	body proto.Body
+	at   int
 }
 
 // description is the capability set a describing member reports: the
@@ -151,8 +158,12 @@ func (f *fakeNet) Members() []proto.Addr {
 func (f *fakeNet) Send(_ context.Context, to proto.Addr, workflow string, body proto.Body) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if _, label := body.(proto.LabelTransfer); label && f.dropLabels {
+		return fmt.Errorf("label to %q lost", to)
+	}
+	f.seq++
 	f.sent = append(f.sent, body)
-	f.sentTo = append(f.sentTo, fakeCall{to, body})
+	f.sentTo = append(f.sentTo, fakeCall{to, body, f.seq})
 	return nil
 }
 
@@ -252,7 +263,8 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 	}
 	f.mu.Lock()
 	f.calls++
-	f.log = append(f.log, fakeCall{to, body})
+	f.seq++
+	f.log = append(f.log, fakeCall{to, body, f.seq})
 	isDown := f.down[to]
 	f.mu.Unlock()
 	if isDown {
@@ -331,6 +343,9 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		}
 		return ack, nil
 	case proto.Plan:
+		if m.dropPlan {
+			return nil, fmt.Errorf("plan ack from %q lost", to)
+		}
 		f.mu.Lock()
 		segCh := f.segs
 		f.mu.Unlock()
@@ -866,11 +881,11 @@ func TestExecuteReleasesEveryParticipantOnce(t *testing.T) {
 		{name: "aborted by a failed repair", want: []proto.Addr{"p1"}, end: func(net *fakeNet, _ *Manager, _ string, _ func()) {
 			net.setDown("p2")
 		}},
-		// Executed away from its initiator, the plan is distributed in
-		// full, and p2 is down by then.
-		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet, plan *Plan) {
-			plan.Initiator = "elsewhere"
-			net.setDown("p2")
+		// The trigger cannot be injected.
+		{name: "distribution failed", want: everyone, wantErr: true, before: func(net *fakeNet, _ *Plan) {
+			net.mu.Lock()
+			net.dropLabels = true
+			net.mu.Unlock()
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -919,24 +934,15 @@ func TestPlanSegmentsRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := m.planSegments(plan)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %d", len(segs))
+	// t2 re-homed: its kept producer t1 is re-routed, m to t2's executor.
+	segs := m.planSegments(plan, map[model.TaskID]proto.Addr{"t2": "peer"})
+	want := []proto.PlanSegment{{Task: "t1", Initiator: "init", Routes: []proto.Route{{Label: "m", To: "peer"}}}}
+	if fmt.Sprint(segs) != fmt.Sprint(want) {
+		t.Errorf("segments = %v, want %v", segs, want)
 	}
-	byTask := make(map[model.TaskID]proto.PlanSegment, len(segs))
-	for _, s := range segs {
-		byTask[s.Task] = s
-	}
-	// t1's output m goes to t2's executor; t2's goal output g returns to
-	// the initiator.
-	if got, want := byTask["t1"].Routes, []proto.Route{{Label: "m", To: "peer"}}; !slices.Equal(got, want) {
-		t.Errorf("t1 routes = %v, want %v", got, want)
-	}
-	if got, want := byTask["t2"].Routes, []proto.Route{{Label: "g", To: "init"}}; !slices.Equal(got, want) {
-		t.Errorf("t2 routes = %v, want %v: the goal returns to the initiator", got, want)
-	}
-	if byTask["t1"].Initiator != "init" || byTask["t2"].Initiator != "init" {
-		t.Error("initiator missing from segments")
+	// t1 re-homed: t2 feeds nothing, and t1's own routes ride on its award.
+	if segs := m.planSegments(plan, map[model.TaskID]proto.Addr{"t1": "peer"}); len(segs) != 0 {
+		t.Errorf("segments = %v, want none", segs)
 	}
 }
 

@@ -37,10 +37,9 @@ type Report struct {
 // completes when every goal has arrived: pruning keeps only tasks on a
 // path back to a goal, and a run starts only once all of its inputs are
 // in, so by then every task has finished. An executor reports only a
-// failure, which ends the wait at once. On the plan's Initiator the plan
-// rode on the awards and only the triggers are sent; a plan executed on
-// another host is distributed in full, one plan request per executor, so
-// that goals and failures come to this host.
+// failure, which ends the wait at once. The plan rode on the awards, whose
+// routes return goals and failures to the plan's Initiator, so Execute
+// runs only there, and sends only the triggers.
 //
 // triggers optionally attaches data to triggering labels (nil data is
 // fine — labels are conditions first, data second). The context bounds
@@ -50,6 +49,9 @@ type Report struct {
 // executed once. The paper's timing window ends at allocation, so Execute
 // is measured separately.
 func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.LabelID][]byte) (*Report, error) {
+	if plan.Initiator != m.net.Self() {
+		return nil, fmt.Errorf("plan %q was initiated by %q: execute it there, not on %q", plan.WorkflowID, plan.Initiator, m.net.Self())
+	}
 	if len(plan.Allocations) != plan.Workflow.NumTasks() {
 		return nil, fmt.Errorf("plan is not fully allocated: %d of %d tasks",
 			len(plan.Allocations), plan.Workflow.NumTasks())
@@ -80,11 +82,7 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	start := m.net.Clock().Now()
 
-	var segs []proto.PlanSegment
-	if plan.Initiator != m.net.Self() {
-		segs = m.planSegments(plan)
-	}
-	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, segs, triggers); err != nil {
+	if err := m.distribute(ctx, plan.WorkflowID, w, plan.Allocations, nil, triggers); err != nil {
 		if ctx.Err() != nil {
 			return m.executionReport(ex, plan, start, ctx.Err()), ctx.Err()
 		}
@@ -131,12 +129,10 @@ func (m *Manager) release(ex *execution) {
 // distribute sends each executor the routing segments segs of its tasks in
 // one plan request, acknowledged once, and then injects the triggering
 // conditions: the initiator supplies each workflow source label to the
-// executors that consume it. Execute runs it once, with every segment off
-// the plan's Initiator and none on it; a plan repair runs it again with
-// every segment of the repaired allocation, which is safe because segments
-// are idempotent — a fresh executor arms its run, a surviving one updates
-// its routes, and a finished run re-publishes its retained outputs to the
-// new consumers.
+// executors that consume it. Execute runs it with no segment; a plan repair
+// runs it again with the segments of the kept producers of re-homed tasks
+// (planSegments): a running executor re-routes, and a finished run
+// re-publishes its retained outputs to the new consumers.
 // segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
 	slices.SortStableFunc(segs, func(a, b proto.PlanSegment) int { return cmp.Compare(alloc[a.Task], alloc[b.Task]) })
@@ -163,7 +159,7 @@ func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow
 	}
 	for _, l := range w.In() {
 		sent := make(map[proto.Addr]struct{})
-		for _, consumer := range w.Consumers(l) {
+		for consumer := range w.ConsumersSeq(l) {
 			host := alloc[consumer]
 			if _, dup := sent[host]; dup {
 				continue
@@ -198,20 +194,17 @@ func (m *Manager) executionReport(ex *execution, plan *Plan, start time.Time, ct
 	}
 }
 
-// planSegments derives the routing of every task of the plan from the
-// workflow structure and the allocation: each output goes to every
-// consumer's executor, a goal label to this host (routes).
-func (m *Manager) planSegments(plan *Plan) []proto.PlanSegment {
-	tasks := plan.Workflow.Tasks()
-	all := make([]proto.TaskMeta, len(tasks))
-	for i, t := range tasks {
-		all[i] = proto.TaskMeta{Task: t.ID, Inputs: t.Inputs, Outputs: t.Outputs}
-	}
+// planSegments derives the routing of every kept task of the plan that
+// feeds a re-homed task of rehomed: each output goes to every consumer's
+// executor, a goal label to this host (routes).
+func (m *Manager) planSegments(plan *Plan, rehomed map[model.TaskID]proto.Addr) []proto.PlanSegment {
+	w := plan.Workflow
 	executor := func(t model.TaskID) proto.Addr { return plan.Allocations[t] }
-	segs := make([]proto.PlanSegment, 0, len(all))
-	for _, t := range all {
-		routes, _ := m.routes(nil, t, all, executor)
-		segs = append(segs, proto.PlanSegment{Task: t.Task, Initiator: m.net.Self(), Routes: routes})
+	var segs []proto.PlanSegment
+	for _, t := range w.Tasks() {
+		if _, moved := rehomed[t.ID]; !moved && feedsAny(w, t.ID, rehomed) {
+			segs = append(segs, proto.PlanSegment{Task: t.ID, Initiator: m.net.Self(), Routes: m.routes(nil, t.Outputs, w, executor)})
+		}
 	}
 	return segs
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"openwf/internal/core"
@@ -17,10 +18,10 @@ import (
 // holds), the affected tasks are re-auctioned among the survivors; tasks
 // nobody can take trigger a reconstruction against the surviving
 // community's knowledge — not a full replan — and the diff is applied to
-// the running execution: dropped tasks are canceled, new ones auctioned,
-// routing segments re-distributed, triggers re-injected. Repair has no
-// steps of its own: it is the session's construct, allocate and
-// distribute, run over the survivors.
+// the running execution: dropped tasks are canceled, new ones auctioned
+// with their routes, kept producers of re-homed tasks re-routed, triggers
+// re-injected. Repair has no steps of its own: it is the session's
+// construct, allocate and distribute, run over the survivors.
 // Executors retain the outputs of finished runs, so a repaired route
 // re-publishes data instead of re-executing services wherever possible.
 
@@ -166,6 +167,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		ex.remaining[t] = struct{}{}
 	}
 	survivors := survivorsOf(m.net.Members(), deadSet)
+	placed := maps.Clone(plan.Allocations)
 	m.mu.Unlock()
 
 	// Re-auction the affected tasks among the survivors, routed like any
@@ -173,44 +175,42 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	// allocation's window retries: concurrent executions repairing after
 	// the same fault all re-auction at the same instant, and the retry
 	// bands keep them from colliding on the survivors' schedules round
-	// after round. The wins are merged into the plan only once the whole
-	// repair holds together.
+	// after round. Each award carries its task's routes, to kept and
+	// re-homed consumers alike. The wins are merged into the plan only once
+	// the whole repair holds together.
 	//
 	// Repair starts from doubt: a member just died under a running
 	// workflow, and what the survivors said before that says nothing about
 	// what they can take over now. Everyone is solicited until a
 	// reconstruction has asked them again (see internal/discovery).
 	m.idx.Doubt(m.idx.Mark())
-	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, topoFilter(w, affected), survivors, 0)
+	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, placed, survivors, 0)
 	if err != nil {
 		return err
 	}
 	if len(failed) > 0 {
-		// Nobody among the survivors can take some of the tasks:
-		// reconstruct from the surviving community's knowledge (a dead
-		// provider's unique fragments are simply not offered) with the
-		// unplaceable tasks excluded — a repair, not a full replan:
+		// Nobody among the survivors can take some of the tasks: cancel the
+		// partial re-auction, whose routes name a task that may not
+		// survive, and reconstruct from the surviving community's knowledge
+		// (a dead provider's unique fragments are simply not offered) with
+		// the unplaceable tasks excluded — a repair, not a full replan:
 		// finished work and live allocations are kept wherever the new
 		// workflow still uses them.
+		m.cancelAwards(wfID, won)
 		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
 		res, err := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
 		if err != nil {
-			m.cancelAwards(wfID, won)
 			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, err)
 		}
-		need, dropped := m.swapWorkflow(ex, res, deadSet, won, wonMetas)
+		placed, dropped := m.swapWorkflow(ex, res, deadSet)
 		m.cancelAwards(wfID, dropped)
-		if len(need) > 0 {
-			more, moreMetas, failed, err := m.allocate(ctx, wfID, res.Workflow, topoFilter(res.Workflow, need), survivors, 0)
-			maps.Copy(won, more)
-			maps.Copy(wonMetas, moreMetas)
-			if err == nil && len(failed) > 0 {
-				err = fmt.Errorf("%w: tasks %v unallocatable on the surviving community", ErrAllocationFailed, failed)
-			}
-			if err != nil {
-				m.cancelAwards(wfID, won)
-				return err
-			}
+		won, wonMetas, failed, err = m.allocate(ctx, wfID, res.Workflow, placed, survivors, 0)
+		if err == nil && len(failed) > 0 {
+			m.cancelAwards(wfID, won)
+			err = fmt.Errorf("%w: tasks %v unallocatable on the surviving community", ErrAllocationFailed, failed)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
@@ -224,12 +224,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	maps.Copy(plan.Allocations, won)
 	maps.Copy(plan.Metas, wonMetas)
 	ex.repairs++
-	reallocated := make([]model.TaskID, 0, len(won))
-	for t := range won {
-		reallocated = append(reallocated, t)
-	}
-	sort.Slice(reallocated, func(i, j int) bool { return reallocated[i] < reallocated[j] })
-	segs := m.planSegments(plan)
+	segs := m.planSegments(plan, won)
 	alloc := maps.Clone(plan.Allocations)
 	wNow := plan.Workflow
 	triggers := ex.triggers
@@ -246,37 +241,29 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	}
 	deadSorted := append([]proto.Addr(nil), dead...)
 	sort.Slice(deadSorted, func(i, j int) bool { return deadSorted[i] < deadSorted[j] })
-	m.cfg.Observer.repaired(wfID, deadSorted, reallocated)
+	m.cfg.Observer.repaired(wfID, deadSorted, slices.Sorted(maps.Keys(won)))
 	return nil
 }
 
 // swapWorkflow applies a reconstructed workflow to a running execution:
-// state is re-pointed at the new workflow, and it returns the tasks still
-// needing an executor and the awards the new workflow dropped, for the
-// caller to cancel outside the lock.
-func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}, won map[model.TaskID]proto.Addr, wonMetas map[model.TaskID]proto.TaskMeta) (need map[model.TaskID]struct{}, dropped map[model.TaskID]proto.Addr) {
+// state is re-pointed at the new workflow, and it returns the allocation
+// it keeps and the one the new workflow dropped, for the caller to cancel
+// outside the lock.
+func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}) (kept, dropped map[model.TaskID]proto.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	plan := ex.plan
 	newW := res.Workflow
-	inNew := make(map[model.TaskID]struct{}, newW.NumTasks())
-	for _, t := range newW.TaskIDs() {
-		inNew[t] = struct{}{}
-	}
 	dropped = make(map[model.TaskID]proto.Addr)
 	// Drop what the new workflow no longer needs, releasing its
 	// commitments — finished or not: a finished executor still holds its
 	// run, and leaves the plan here, so the final release would miss it —
 	// except on dead hosts, which hold nothing at all.
 	for _, t := range plan.Workflow.TaskIDs() {
-		if _, kept := inNew[t]; kept {
+		if _, in := newW.Task(t); in {
 			continue
 		}
-		if host, ok := won[t]; ok {
-			dropped[t] = host
-			delete(won, t)
-			delete(wonMetas, t)
-		} else if host, ok := plan.Allocations[t]; ok {
+		if host, ok := plan.Allocations[t]; ok {
 			if _, gone := deadSet[host]; !gone {
 				dropped[t] = host
 			}
@@ -290,31 +277,22 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	plan.Construction = *res
 	// New-workflow tasks without a live executor need an auction;
 	// anything unfinished re-enters remaining.
-	need = make(map[model.TaskID]struct{})
+	moved := make(map[model.TaskID]struct{})
 	for _, t := range newW.TaskIDs() {
 		_, allocated := plan.Allocations[t]
-		_, rewon := won[t]
-		if !allocated && !rewon {
-			need[t] = struct{}{}
+		if _, fin := ex.finishedTasks[t]; !allocated || !fin {
 			ex.remaining[t] = struct{}{}
-		} else if _, fin := ex.finishedTasks[t]; !fin {
-			ex.remaining[t] = struct{}{}
+		}
+		if !allocated {
+			moved[t] = struct{}{}
 		}
 	}
 	// The dead-producer closure again, against the new topology.
-	moved := make(map[model.TaskID]struct{}, len(won)+len(need))
-	for t := range won {
-		moved[t] = struct{}{}
-	}
-	for t := range need {
-		moved[t] = struct{}{}
-	}
 	for _, t := range rerunDeadProducers(ex, newW, deadSet, moved) {
 		delete(ex.finishedTasks, t)
 		delete(plan.Allocations, t)
 		delete(plan.Metas, t)
 		ex.remaining[t] = struct{}{}
-		need[t] = struct{}{}
 	}
 	// Goals follow the new workflow (the spec is unchanged, so in
 	// practice the goal set is too; pruning keeps the count honest).
@@ -328,7 +306,7 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 		}
 	}
 	ex.goalWant = len(newW.Out())
-	return need, dropped
+	return maps.Clone(plan.Allocations), dropped
 }
 
 // abortExecution fails an execution cleanly: it records why and wakes the
@@ -366,31 +344,19 @@ func rerunDeadProducers(ex *execution, w *model.Workflow, dead map[proto.Addr]st
 
 // feedsAny reports whether any output of task t is consumed by a task in
 // set.
-func feedsAny(w *model.Workflow, t model.TaskID, set map[model.TaskID]struct{}) bool {
+func feedsAny[V any](w *model.Workflow, t model.TaskID, set map[model.TaskID]V) bool {
 	task, ok := w.Task(t)
 	if !ok {
 		return false
 	}
 	for _, out := range task.Outputs {
-		for _, c := range w.Consumers(out) {
+		for c := range w.ConsumersSeq(out) {
 			if _, hit := set[c]; hit {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// topoFilter returns the members of set in the workflow's topological
-// order (auction windows are staggered in dependency order).
-func topoFilter(w *model.Workflow, set map[model.TaskID]struct{}) []model.TaskID {
-	out := make([]model.TaskID, 0, len(set))
-	for _, id := range w.TopoOrder() {
-		if _, hit := set[id]; hit {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // survivorsOf filters the dead out of a member list.

@@ -196,8 +196,11 @@ func TestRepairReallocatesAfterExecutorDeath(t *testing.T) {
 	if a1 != "p2" || a2 != "p2" {
 		t.Errorf("post-repair Allocations = %v/%v, want p2/p2", a1, a2)
 	}
-	// The repair distributes the repaired plan in plan requests.
-	collectSegs(t, net.segs, 2)
+	// Both tasks were re-homed, their routes on their awards, and no kept
+	// task feeds them: the repair sends no plan request.
+	if n := len(net.segs); n != 0 {
+		t.Errorf("%d plan segments sent, want none", n)
+	}
 
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1"})
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t2"})
@@ -242,7 +245,11 @@ func TestRepairReauctionsLostLease(t *testing.T) {
 	if a2 != "peer" {
 		t.Errorf("post-repair Allocations[t2] = %q, want peer", a2)
 	}
-	collectSegs(t, net.segs, 2)
+	// The kept t1 feeds t2's new run: it alone gets a segment, and
+	// re-publishes.
+	if segs := collectSegs(t, net.segs, 1); segs[0].Task != "t1" || len(net.segs) != 0 {
+		t.Errorf("plan segments %v and %d more, want t1's alone", segs, len(net.segs))
+	}
 
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1"})
 	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t2"})
@@ -402,4 +409,146 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	if !report.Completed {
 		t.Fatalf("report = %+v", report)
 	}
+}
+
+// TestRepairPlansOnlyKeptFeeders: the chain a → t1 → m → t2 → n → t3 → g
+// runs on p1, p2 and p3, and p2 dies. The repair's award for t2 carries
+// t2's routes, and the one plan request goes to t1's executor, naming t1
+// alone: t3's executor is told nothing. When the first re-auction wins one
+// task and fails another, its win is cancelled before the reconstruction,
+// and the execution completes on the reconstructed workflow.
+func TestRepairPlansOnlyKeptFeeders(t *testing.T) {
+	t.Run("re-homed", func(t *testing.T) {
+		net := newFakeNet("init")
+		net.add("init", &fakeMember{fragments: []*model.Fragment{
+			mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "n"), mkFrag(t, "t3", "n", "g"),
+		}})
+		net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true}, services: 1})
+		net.add("p2", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 1})
+		net.add("p3", &fakeMember{capable: map[model.TaskID]bool{"t3": true}, services: 1})
+		// p4 can take t2 but sits the first auction out.
+		net.add("p4", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 1, declineAll: true})
+		cfg := repairConfig()
+		events := repairObserver(&cfg)
+		m := NewManager(net, cfg)
+		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, join := startExecution(m, plan)
+		waitTrigger(t, net)
+		net.clearLog()
+		net.setDeclineAll("p4", false)
+		net.setDown("p2")
+		waitRepair(t, events)
+
+		if got, want := fmt.Sprint(awardRoutes(net)), "[p4:t2:[{n p3}]]"; got != want {
+			t.Errorf("repair awards %s, want %s: t2's routes on its award", got, want)
+		}
+		if got, want := fmt.Sprint(planRequests(net)), "[p1:[{t1 init [{m p4}]}]]"; got != want {
+			t.Errorf("plan requests %s, want %s: t1's executor alone, naming t1", got, want)
+		}
+		m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+		<-done
+		if report, err := join(); err != nil || !report.Completed {
+			t.Fatalf("report = %+v, err = %v", report, err)
+		}
+	})
+
+	// p2 runs t2 and t3. Only p4 can take t2 over and nobody t3, so the
+	// first re-auction wins t2 alone; the reconstruction replaces t3 with
+	// p5's alt, which becomes feasible with the fault.
+	t.Run("reconstructed", func(t *testing.T) {
+		net := newFakeNet("init")
+		net.add("init", &fakeMember{fragments: []*model.Fragment{
+			mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "n"), mkFrag(t, "t3", "n", "g"),
+		}})
+		net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true}, services: 1})
+		net.add("p2", &fakeMember{capable: map[model.TaskID]bool{"t2": true, "t3": true}, services: 2})
+		net.add("p4", &fakeMember{capable: map[model.TaskID]bool{"t2": true}, services: 1, declineAll: true})
+		net.add("p5", &fakeMember{
+			fragments: []*model.Fragment{mkFrag(t, "alt", "n", "g")},
+			capable:   map[model.TaskID]bool{"alt": false},
+			services:  1,
+		})
+		cfg := repairConfig()
+		cfg.WindowRetries = 0 // one re-auction try: one Cancel for its win
+		events := repairObserver(&cfg)
+		m := NewManager(net, cfg)
+		plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Workflow.NumTasks() != 3 {
+			t.Fatalf("initial workflow:\n%v", plan.Workflow)
+		}
+		done, join := startExecution(m, plan)
+		waitTrigger(t, net)
+		net.clearLog()
+		net.setDeclineAll("p4", false)
+		net.setCapable("p5", "alt", true)
+		net.setDown("p2")
+		ev := waitRepair(t, events)
+		if fmt.Sprint(ev.tasks) != "[alt t2]" {
+			t.Errorf("repaired tasks %v, want [alt t2]", ev.tasks)
+		}
+
+		net.mu.Lock()
+		reconstructed := -1
+		for _, c := range net.log {
+			if _, ok := c.body.(proto.FragmentQuery); ok {
+				reconstructed = c.at
+				break
+			}
+		}
+		var cancels []int
+		for _, s := range net.sentTo {
+			if c, ok := s.body.(proto.Cancel); ok && s.to == "p4" && slices.Contains(c.Tasks, "t2") {
+				cancels = append(cancels, s.at)
+			}
+		}
+		net.mu.Unlock()
+		if len(cancels) != 1 || reconstructed < 0 || cancels[0] > reconstructed {
+			t.Errorf("t2's first win cancelled at %v, the reconstruction at %d: want one Cancel before it", cancels, reconstructed)
+		}
+		// The first re-auction's award routes n to nobody: t3 failed.
+		if got, want := fmt.Sprint(awardRoutes(net)), "[p4:t2:[] p4:t2:[{n p5}] p5:alt:[{g init}]]"; got != want {
+			t.Errorf("repair awards %s, want %s", got, want)
+		}
+		if got, want := fmt.Sprint(planRequests(net)), "[p1:[{t1 init [{m p4}]}]]"; got != want {
+			t.Errorf("plan requests %s, want %s", got, want)
+		}
+		m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+		<-done
+		if report, err := join(); err != nil || !report.Completed {
+			t.Fatalf("report = %+v, err = %v", report, err)
+		}
+	})
+}
+
+// awardRoutes lists the Award calls logged so far as host:tasks:routes.
+func awardRoutes(f *fakeNet) []string {
+	var out []string
+	for _, c := range awards(f) {
+		a := c.body.(proto.Award)
+		tasks := []model.TaskID{a.Meta.Task}
+		for _, meta := range a.More {
+			tasks = append(tasks, meta.Task)
+		}
+		out = append(out, fmt.Sprintf("%s:%s:%v", c.to, strings.Trim(fmt.Sprint(tasks), "[]"), a.Routes))
+	}
+	return out
+}
+
+// planRequests lists the Plan calls logged so far as host:segments.
+func planRequests(f *fakeNet) []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []string
+	for _, c := range f.log {
+		if p, ok := c.body.(proto.Plan); ok {
+			out = append(out, fmt.Sprintf("%s:%v", c.to, p.Segments))
+		}
+	}
+	return out
 }

@@ -67,8 +67,7 @@ type run struct {
 	// arrival of each winning; it is made with the first. It is written
 	// only before the run starts and read by the invocation after.
 	inputs service.Inputs
-	// seg is the run's routing, from its award or a plan request; the run
-	// waits for it while seg.Initiator is empty.
+	// seg is the run's routing: its award's, or a repair's plan request.
 	seg       proto.PlanSegment
 	traveling bool
 	// armed marks the start timer: it is armed once, when the run lacks
@@ -112,13 +111,14 @@ func (m *Manager) Close() {
 	}
 }
 
-// Register records an awarded commitment. seg is its routing when that
-// rode on the award (proto.Award.Routes); a zero seg waits for SetPlan.
-// The host registers before it answers the award, and the initiator sends
-// plans and triggers only once every award is answered, so a run is
-// always here before any label or segment for it. A later award of the
-// same task, not yet started, replaces the run: the earlier one was
-// cancelled.
+// Register records an awarded commitment with its routing, which rode on
+// the award (proto.Award.Routes), and sets it on its way to the
+// commitment's location. Its start timer waits for tryStart: an award that
+// is never executed arms nothing. The host registers before it answers the
+// award, and the initiator sends plans and triggers only once every award
+// is answered, so a run is always here before any label or segment for it.
+// A later award of the same task, not yet started, replaces the run: the
+// earlier one was cancelled.
 func (m *Manager) Register(workflow string, c schedule.Commitment, seg proto.PlanSegment) {
 	m.mu.Lock()
 	k := runKey{workflow, c.Task}
@@ -129,58 +129,38 @@ func (m *Manager) Register(workflow string, c schedule.Commitment, seg proto.Pla
 		}
 		m.forget(k, r)
 	}
-	r := &run{commitment: c}
+	r := &run{commitment: c, seg: seg}
 	m.runs[k] = r
-	routed := seg.Initiator != ""
-	if routed {
-		m.routeLocked(workflow, r, seg)
+	if c.HasLocation {
+		if d := c.TravelStart.Sub(m.clk.Now()); d > 0 {
+			// The closure captures the task alone: capturing c would move
+			// every commitment to the heap, located or not.
+			task := c.Task
+			r.timers = append(r.timers, m.clk.AfterFunc(d, func() { m.beginTravel(workflow, task) }))
+		} else {
+			m.beginTravelLocked(r)
+		}
 	}
 	m.mu.Unlock()
-	if routed {
-		m.tryStart(workflow, c.Task)
-	}
+	m.tryStart(workflow, c.Task)
 }
 
-// SetPlan attaches the routing information for a commitment whose award
-// did not carry it, or replaces it (a repair, an Execute on another host).
-// A segment whose task is not registered here is dropped.
+// SetPlan replaces the routing of a registered run: a repair re-homed one
+// of its consumers. A run that has finished re-publishes its retained
+// outputs along the new routes instead — receivers deduplicate labels, so
+// surviving consumers see nothing new. A segment whose task is not
+// registered here is dropped.
 func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	r, ok := m.runs[runKey{workflow, seg.Task}]
 	if !ok {
-		m.mu.Unlock()
 		return
 	}
-	if r.finished {
-		// The task already ran; a refreshed segment (plan repair after a
-		// provider died) may route its outputs to new consumers.
-		// Re-publish to the new sinks — receivers deduplicate labels, so
-		// surviving consumers see nothing new.
-		r.seg = seg
-		c, outputs := r.commitment, r.outputs
-		m.mu.Unlock()
-		go func() { m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs)) }()
-		return
-	}
-	m.routeLocked(workflow, r, seg)
-	m.mu.Unlock()
-	m.tryStart(workflow, seg.Task)
-}
-
-// routeLocked gives a run its routing and, the first time, sets it on its
-// way to the commitment's location. Its start timer waits for tryStart:
-// an award that is never executed arms nothing.
-func (m *Manager) routeLocked(workflow string, r *run, seg proto.PlanSegment) {
-	first := r.seg.Initiator == ""
 	r.seg = seg
-	if !first || !r.commitment.HasLocation {
-		return
-	}
-	if d := r.commitment.TravelStart.Sub(m.clk.Now()); d > 0 {
-		task := seg.Task
-		r.timers = append(r.timers, m.clk.AfterFunc(d, func() { m.beginTravel(workflow, task) }))
-	} else {
-		m.beginTravelLocked(r)
+	if r.finished {
+		c, outputs := r.commitment, r.outputs
+		go func() { m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs)) }()
 	}
 }
 
@@ -305,15 +285,15 @@ func (m *Manager) Pending() int {
 	return n
 }
 
-// tryStart checks a run's conditions — routing present, all inputs
-// received, window open, location reached — and launches the service
-// invocation in its own goroutine when they all hold. A run lacking only
-// its window arms the start timer that re-checks it then.
+// tryStart checks a run's conditions — all inputs received, window open,
+// location reached — and launches the service invocation in its own
+// goroutine when they all hold. A run lacking only its window arms the
+// start timer that re-checks it then.
 func (m *Manager) tryStart(workflow string, task model.TaskID) {
 	m.mu.Lock()
 	k := runKey{workflow, task}
 	r, ok := m.runs[k]
-	if !ok || r.started || r.seg.Initiator == "" {
+	if !ok || r.started {
 		m.mu.Unlock()
 		return
 	}
@@ -369,13 +349,15 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 		return
 	}
 	// Retain the results: a plan repair may later route them to new
-	// consumers (SetPlan re-publishes for finished runs). A run dropped
+	// consumers (SetPlan re-publishes for finished runs), and publish along
+	// the routes a repair gave the run meanwhile. A run dropped
 	// mid-invocation owes nobody its outputs.
 	m.mu.Lock()
 	r, ok := m.runs[runKey{workflow, c.Task}]
 	if ok {
 		r.finished = true
 		r.outputs = outputs
+		seg = r.seg
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -415,7 +397,7 @@ func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.Plan
 // reported: the goals arriving complete the workflow, and a lease refresh
 // asks which runs finished (Finished).
 func (m *Manager) reportFailure(workflow string, seg proto.PlanSegment, err error) {
-	if err == nil || seg.Initiator == "" {
+	if err == nil {
 		return
 	}
 	body := proto.TaskDone{Task: seg.Task, Err: err.Error()}

@@ -152,8 +152,7 @@ func TestExecutesWhenConditionsMet(t *testing.T) {
 		},
 	})
 	now := time.Now()
-	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	if r.mgr.Pending() != 1 {
 		t.Fatalf("Pending = %d", r.mgr.Pending())
 	}
@@ -182,8 +181,7 @@ func TestWaitsForStartTime(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(50 * time.Millisecond)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
 	time.Sleep(10 * time.Millisecond)
@@ -234,10 +232,9 @@ func TestRoutedRunArmsItsWindowWithItsInputs(t *testing.T) {
 	waitFinished(t, mgr, 5*time.Second, "t", "u")
 }
 
-// TestLabelBeforePlanBuffered: a label that reaches a registered run
-// before its plan segment (a repair re-publishes while it re-distributes)
-// is kept by the run; one that arrives before the run is dropped.
-func TestLabelBeforePlanBuffered(t *testing.T) {
+// TestLabelBeforeAwardDropped: a label that arrives before the run that
+// consumes it is registered is dropped.
+func TestLabelBeforeAwardDropped(t *testing.T) {
 	r := newRig(t, nil, service.Registration{
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
@@ -245,13 +242,6 @@ func TestLabelBeforePlanBuffered(t *testing.T) {
 	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
 		t.Fatalf("a label with no run to consume it: %d runs, %d labels held", runs, labels)
 	}
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
-	if runs, labels := r.mgr.Residue(); runs != 1 || labels != 1 {
-		t.Fatalf("a label before its plan: %d runs, %d labels held; want 1, 1", runs, labels)
-	}
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
-	waitFinished(t, r.mgr, time.Second, "t")
 }
 
 func TestPlanForUnknownTaskDropped(t *testing.T) {
@@ -270,8 +260,7 @@ func TestServiceFailureReported(t *testing.T) {
 		},
 	})
 	now := time.Now()
-	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	m := r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "task-done" }, time.Second)
 	td := m.env.Body.(proto.TaskDone)
@@ -288,8 +277,7 @@ func TestDisjunctiveSingleInputSuffices(t *testing.T) {
 	})
 	c := commitment("t", time.Now(), []model.LabelID{"chosen"}, []model.LabelID{"out"})
 	c.Meta.Mode = model.Disjunctive
-	r.mgr.Register("wf", c, proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.Register("wf", c, seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "chosen", Producer: "boss"})
 	waitFinished(t, r.mgr, time.Second, "t")
 }
@@ -299,8 +287,7 @@ func TestCancelStopsRun(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(30 * time.Millisecond)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.Cancel("wf", "t")
 	if r.mgr.Pending() != 0 {
@@ -325,8 +312,7 @@ func TestCancelDropsStartedRun(t *testing.T) {
 			return service.Outputs{"out": []byte("late")}, nil
 		},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	<-started
 	r.mgr.Cancel("wf", "t")
@@ -375,8 +361,7 @@ func TestClearWorkflow(t *testing.T) {
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
 	start := time.Now().Add(time.Hour)
-	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.Register("wf", commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 	r.mgr.ClearWorkflow("wf")
 	if runs, labels := r.mgr.Residue(); runs != 0 || labels != 0 {
@@ -391,8 +376,7 @@ func TestDuplicateLabelIgnored(t *testing.T) {
 			return service.Outputs{"out": inv.Inputs["in"]}, nil
 		},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Data: []byte("first"), Producer: "a"})
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Data: []byte("second"), Producer: "b"})
 	m := r.rec.waitFor(t, func(s sent) bool { return s.env.Body.Kind() == "label-transfer" }, time.Second)
@@ -420,8 +404,7 @@ func TestTravelThenExecute(t *testing.T) {
 	c.TravelStart = start.Add(-25 * time.Millisecond)
 	c.Meta.Location = c.Location
 	c.Meta.HasLocation = true
-	r.mgr.Register("wf", c, proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", nil))
+	r.mgr.Register("wf", c, seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 
 	waitFinished(t, r.mgr, 2*time.Second, "t")
@@ -434,8 +417,7 @@ func TestOutputsFanOutToAllSinks(t *testing.T) {
 	r := newRig(t, nil, service.Registration{
 		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
 	})
-	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), proto.PlanSegment{})
-	r.mgr.SetPlan("wf", seg("t", "boss", map[model.LabelID][]proto.Addr{
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), seg("t", "boss", map[model.LabelID][]proto.Addr{
 		"out": {"peer1", "peer2", "boss"},
 	}))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
@@ -447,5 +429,52 @@ func TestOutputsFanOutToAllSinks(t *testing.T) {
 		}); n != 1 {
 			t.Errorf("sink %s received %d transfers", to, n)
 		}
+	}
+}
+
+// TestSetPlanReroutesOrRepublishes: a plan request replaces a run's
+// routes — one already invoking publishes along the new ones when it
+// finishes — and makes a finished run re-publish its retained outputs
+// along them.
+func TestSetPlanReroutesOrRepublishes(t *testing.T) {
+	started, finish := make(chan struct{}), make(chan struct{})
+	r := newRig(t, nil, service.Registration{
+		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
+		Fn: func(service.Invocation) (service.Outputs, error) {
+			close(started)
+			<-finish
+			return service.Outputs{"out": []byte("x")}, nil
+		},
+	})
+	to := func(sink proto.Addr) proto.PlanSegment {
+		return seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {sink}})
+	}
+	r.mgr.Register("wf", commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"}), to("old"))
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	<-started
+	r.mgr.SetPlan("wf", to("new"))
+	close(finish)
+	r.rec.waitFor(t, func(s sent) bool { return s.to == "new" }, time.Second)
+	r.mgr.SetPlan("wf", to("later"))
+	r.rec.waitFor(t, func(s sent) bool { return s.to == "later" }, time.Second)
+	if got := r.rec.snapshot(); !slices.Equal(got, []string{"new:label-transfer", "later:label-transfer"}) {
+		t.Errorf("sent %v, want the output along the new route, then re-published", got)
+	}
+}
+
+// TestRegisterAllocBound: registering and cancelling a commitment with no
+// location allocates the run and little else — the commitment itself
+// stays off the heap.
+func TestRegisterAllocBound(t *testing.T) {
+	r := newRig(t, nil)
+	c := commitment("t", time.Now().Add(time.Hour), []model.LabelID{"in"}, []model.LabelID{"out"})
+	s := seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}})
+	allocs := testing.AllocsPerRun(100, func() {
+		r.mgr.Register("wf", c, s)
+		r.mgr.Cancel("wf", "t")
+	})
+	t.Logf("%.1f allocations per Register + Cancel", allocs)
+	if allocs > 1 {
+		t.Errorf("%.1f allocations per Register + Cancel, want at most 1", allocs)
 	}
 }

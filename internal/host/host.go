@@ -442,19 +442,15 @@ func (h *Host) process(env proto.Envelope) {
 	case proto.Award:
 		// A held award takes its holds as a call for bids would; then each
 		// task stands alone: committed and registered, or refused with its
-		// slot freed, whatever the others do. Routes riding on the award are
-		// every task's plan, its sender the initiator.
+		// slot freed, whatever the others do. The routes riding on the award
+		// are every task's plan, its sender the initiator.
 		if b.Hold {
 			h.bid(env.Workflow, proto.CallForBidsBatch{Metas: append([]proto.TaskMeta{b.Meta}, b.More...)})
 		}
-		var from proto.Addr
-		if b.Routes != nil {
-			from = env.From
-		}
 		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
-		verdicts = append(verdicts, h.award(env.Workflow, b.Meta, from, b.Routes))
+		verdicts = append(verdicts, h.award(env.Workflow, b.Meta, env.From, b.Routes))
 		for _, meta := range b.More {
-			verdicts = append(verdicts, h.award(env.Workflow, meta, from, b.Routes))
+			verdicts = append(verdicts, h.award(env.Workflow, meta, env.From, b.Routes))
 		}
 		h.reply(env, proto.AwardAck{Verdicts: verdicts})
 
@@ -498,8 +494,7 @@ func (h *Host) process(env proto.Envelope) {
 
 // award converts one awarded task's hold into a commitment registered for
 // execution, and returns the verdict on it. initiator and routes are the
-// task's plan when it rode on the award; empty (a plan repair's award), a
-// plan request brings it.
+// task's plan, which rode on the award.
 func (h *Host) award(workflow string, meta proto.TaskMeta, initiator proto.Addr, routes []proto.Route) proto.Verdict {
 	c, v := h.Participant.HandleAward(workflow, proto.Award{Meta: meta})
 	if v.OK {

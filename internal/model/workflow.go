@@ -3,6 +3,7 @@ package model
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 )
@@ -16,8 +17,8 @@ import (
 // Because the tasks can never change, the producer/consumer indexes, the
 // topological order and the inset and outset are computed once at
 // construction and served from cache — Producer is O(1), Consumers,
-// TopoOrder, In and Out are a copy of a precomputed slice — instead of
-// rescanning every task per call.
+// TopoOrder, In and Out are a copy of a precomputed slice, ConsumersSeq
+// iterates one — instead of rescanning every task per call.
 type Workflow struct {
 	tasks map[TaskID]Task
 
@@ -214,6 +215,12 @@ func (w *Workflow) Producer(l LabelID) (TaskID, bool) {
 // copy of the cached index entry.
 func (w *Workflow) Consumers(l LabelID) []TaskID {
 	return append([]TaskID(nil), w.consumersOf[l]...)
+}
+
+// ConsumersSeq yields the tasks consuming label l, sorted, from the cached
+// index entry itself: Consumers without the copy.
+func (w *Workflow) ConsumersSeq(l LabelID) iter.Seq[TaskID] {
+	return slices.Values(w.consumersOf[l])
 }
 
 // TopoOrder returns the task IDs sorted by depth, ties broken by ID. The

@@ -59,6 +59,17 @@ func TestWorkflowProducerConsumers(t *testing.T) {
 	if cs := w.Consumers("b"); len(cs) != 1 || cs[0] != "t2" {
 		t.Errorf("Consumers(b) = %v", cs)
 	}
+	if cs := slices.Collect(w.ConsumersSeq("b")); len(cs) != 1 || cs[0] != "t2" {
+		t.Errorf("ConsumersSeq(b) = %v", cs)
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		for range w.ConsumersSeq("b") {
+			n++
+		}
+	}); allocs != 0 {
+		t.Errorf("ConsumersSeq allocates %.1f times per loop, want none", allocs)
+	}
 }
 
 func TestWorkflowDepthsAndTopoOrder(t *testing.T) {

@@ -171,10 +171,9 @@ type Award struct {
 	// possible bidder per task, and sent no call. A task the winner cannot
 	// hold is refused like any award without a hold (DESIGN.md §9).
 	Hold bool
-	// Routes, when every task of the workflow was decided at once, say
-	// where the outputs of every awarded task go: the plan rides on the
-	// award, and the sender is the initiator. Nil on a plan repair's
-	// awards; a plan request brings the routes then.
+	// Routes say where the outputs of every awarded task go, to the
+	// executors decided with it or kept by a plan repair: the plan rides on
+	// the award, and the sender is the initiator.
 	Routes []Route
 }
 
@@ -213,11 +212,11 @@ func (Cancel) Kind() string { return "cancel" }
 
 // --- Plan distribution and Inter-service Messages (execution) ---
 
-// Plan gives an executor the routing segments of its commitments in one
-// workflow when they did not ride on the award, or must change: after a
-// plan repair, and at an Execute on a host other than the plan's
-// initiator, which re-routes goals and failures to itself. One message per
-// executor (DESIGN.md §9), acknowledged with an Ack.
+// Plan gives an executor new routing segments for its commitments in one
+// workflow, whose routes rode on their awards: a plan repair re-homed a
+// task they feed, so a running task re-routes and a finished one
+// re-publishes. One message per executor (DESIGN.md §9), acknowledged with
+// an Ack.
 type Plan struct {
 	Segments []PlanSegment
 }

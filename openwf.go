@@ -42,6 +42,9 @@
 //	    []openwf.LabelID{"need"}, []openwf.LabelID{"done"}))
 //	report, err := com.Execute(ctx, "requester", plan, nil)
 //
+// Execute's id is the plan's initiator: the host that allocated it, where
+// the goals return.
+//
 // Communities are open: any member may initiate at any time, so a host
 // routinely carries several allocation sessions at once. Initiate calls
 // may overlap freely, or a batch can be multiplexed explicitly:
