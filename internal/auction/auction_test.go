@@ -2,6 +2,7 @@ package auction
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"openwf/internal/schedule"
 	"openwf/internal/service"
 	"openwf/internal/space"
+	"openwf/internal/testutil"
 )
 
 var t0 = time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC)
@@ -731,5 +733,60 @@ func TestParticipantBatchedRebidRefreshes(t *testing.T) {
 	}
 	if sched.Holds() != 1 {
 		t.Errorf("holds = %d, want 1", sched.Holds())
+	}
+}
+
+// TestAllBusyBatchAllocBound pins what a participant's answer costs when
+// a rival session holds every slot it is asked for: the batch's working
+// lists and the reply's declines once each, and one small value per busy
+// decline.
+func TestAllBusyBatchAllocBound(t *testing.T) {
+	var regs []service.Registration
+	var metas []proto.TaskMeta
+	for i := 0; i < 6; i++ {
+		regs = append(regs, sreg(fmt.Sprintf("t%d", i), 0.5))
+		start := t0.Add(time.Duration(i+1) * time.Hour)
+		metas = append(metas, metaAt(fmt.Sprintf("t%d", i), start, start.Add(time.Hour)))
+	}
+	p, _, _ := participant(schedule.Preferences{}, regs...)
+	if reply := p.HandleCallForBidsBatch("rival", proto.CallForBidsBatch{Metas: metas}); len(reply.Bids) != len(metas) {
+		t.Fatalf("rival bids = %+v, want all six", reply.Bids)
+	}
+	batch := proto.CallForBidsBatch{Metas: metas}
+	testutil.AllocBound(t, 10, func() {
+		if reply := p.HandleCallForBidsBatch("wf", batch); len(reply.Declines) != len(metas) {
+			t.Fatalf("reply = %+v, want six declines", reply)
+		}
+	})
+}
+
+// TestDecisionLosersDoNotShareTails: every lot's bidders are windows of
+// one slab, each capped at its own end, so appending to one decision's
+// Losers copies it and leaves the next decision's intact. Every call for
+// bids carries the same body.
+func TestDecisionLosersDoNotShareTails(t *testing.T) {
+	ms := members("h1", "h2", "h3", "h4")
+	a, err := NewAuctioneer(ms, []proto.TaskMeta{meta("t1"), meta("t2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := a.StartBatched()
+	for _, o := range out[1:] {
+		if !reflect.DeepEqual(o.Body, out[0].Body) {
+			t.Fatalf("body to %s = %+v, want %+v", o.To, o.Body, out[0].Body)
+		}
+	}
+	var ds []Decision
+	for i, m := range ms {
+		ds = answer(a, string(m), bid("t1", i+1, 0.5, t0), bid("t2", 4-i, 0.5, t0))
+	}
+	if len(ds) != 2 || ds[0].Winner != "h1" || ds[1].Winner != "h4" {
+		t.Fatalf("decisions = %+v, want t1 to h1 and t2 to h4", ds)
+	}
+	// One more loser fits t1's window, two do not.
+	_ = append(ds[0].Losers, "x")
+	_ = append(ds[0].Losers, "x", "y")
+	if !slices.Equal(ds[0].Losers, members("h2", "h3", "h4")) || !slices.Equal(ds[1].Losers, members("h1", "h2", "h3")) {
+		t.Fatalf("losers after appending to t1's = %v and %v, want [h2 h3 h4] and [h1 h2 h3]", ds[0].Losers, ds[1].Losers)
 	}
 }

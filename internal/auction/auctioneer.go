@@ -71,7 +71,8 @@ type Auctioneer struct {
 	answered []bool // by member position
 	left     int    // members yet to answer
 	metas    []proto.TaskMeta
-	lots     []lot // by position in metas
+	lots     []lot        // by position in metas
+	bidders  []proto.Addr // the lots' bidders: a window of len(members) each
 }
 
 // NewAuctioneer prepares auctions for the given tasks among the given
@@ -101,11 +102,12 @@ func NewAuctioneer(members []proto.Addr, metas []proto.TaskMeta) (*Auctioneer, e
 // CallForBidsBatch per member, carrying every task's metadata in sorted
 // task order, so the engine communicates pairwise with each participant
 // (the paper's linear-in-hosts communication pattern) in one round trip
-// per member (DESIGN.md §9).
+// per member (DESIGN.md §9). Every call shares one body.
 func (a *Auctioneer) StartBatched() []Outbound {
+	var body proto.Body = proto.CallForBidsBatch{Metas: a.metas}
 	out := make([]Outbound, len(a.members))
 	for i, m := range a.members {
-		out[i] = Outbound{To: m, Body: proto.CallForBidsBatch{Metas: a.metas}}
+		out[i] = Outbound{To: m, Body: body}
 	}
 	return out
 }
@@ -130,6 +132,14 @@ func (a *Auctioneer) HandleBidBatch(from proto.Addr, batch proto.BidBatch, _ tim
 			continue
 		}
 		l := &a.lots[t]
+		if l.bidders == nil {
+			n := len(a.members)
+			if a.bidders == nil {
+				a.bidders = make([]proto.Addr, len(a.lots)*n)
+			}
+			// Capped, so one lot's Losers never grows into the next's.
+			l.bidders = a.bidders[t*n : t*n : (t+1)*n]
+		}
 		l.bidders = append(l.bidders, from)
 		if l.winner == "" || betterBid(bid, from, l.best, l.winner) {
 			l.best, l.winner = bid, from

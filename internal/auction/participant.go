@@ -61,13 +61,15 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 // for the rest. A bid reserves the schedule slot (including travel time)
 // until the bid's deadline; a repeated solicitation for a task already
 // reserved (the engine replanning) refreshes that deadline. All schedule
-// reservations are taken
-// atomically under one schedule-manager lock acquisition (HoldBatch), so
-// a competing session cannot interleave between two tasks of the batch;
-// infeasible tasks decline individually without disturbing the rest. The
-// whole batch shares one bid deadline. A task declined for want of its
-// service drops the hold an earlier call of the same workflow took on it,
-// as a refused award does: the auctioneer sends no Cancel after a decline.
+// reservations are taken atomically under one schedule-manager lock
+// acquisition (HoldBatch), so a competing session cannot interleave
+// between two tasks of the batch; infeasible tasks decline individually
+// without disturbing the rest. The whole batch shares one bid deadline. A
+// task declined for want of its service drops the hold an earlier call of
+// the same workflow took on it, as a refused award does: the auctioneer
+// sends no Cancel after a decline. A decline reads only whether the
+// calendar refused, never why, and the reply's lists are sized from the
+// batch once.
 func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallForBidsBatch) proto.BidBatch {
 	var reply proto.BidBatch
 	capable := make([]proto.TaskMeta, 0, len(batch.Metas))
@@ -76,7 +78,7 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 		desc, ok := p.services.CanPerform(meta.Task)
 		if !ok {
 			p.sched.Release(workflow, meta.Task)
-			reply.Declines = append(reply.Declines, meta.Task)
+			reply.Declines = appendSized(reply.Declines, meta.Task, len(batch.Metas))
 			continue
 		}
 		// A service pinned to a location imposes it on the commitment when
@@ -99,17 +101,25 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 			// The slot belongs to an earlier session (schedule.ErrSlotBusy)
 			// or is otherwise uncommittable: a clean decline, never a stale
 			// reservation.
-			reply.Declines = append(reply.Declines, capable[i].Task)
+			reply.Declines = appendSized(reply.Declines, capable[i].Task, len(batch.Metas))
 			continue
 		}
-		reply.Bids = append(reply.Bids, proto.Bid{
+		reply.Bids = appendSized(reply.Bids, proto.Bid{
 			Task:            capable[i].Task,
 			ServicesOffered: count,
 			Specialization:  descs[i].Specialization,
 			Deadline:        deadline,
-		})
+		}, len(results))
 	}
 	return reply
+}
+
+// appendSized appends v to s, giving s room for n on first use.
+func appendSized[T any](s []T, v T, n int) []T {
+	if s == nil {
+		s = make([]T, 0, n)
+	}
+	return append(s, v)
 }
 
 // HandleAward converts the reservation of award.Meta into a leased

@@ -21,6 +21,8 @@
 //     overlaps several busy intervals, the reported blocker is the one
 //     with the lowest hold sequence (the first winner), so identical
 //     interleavings produce identical errors.
+//   - A busy or already-started decline is a typed value copying what it
+//     names, formatted only when read: never under the lock.
 //
 // # Concurrency
 //
@@ -192,7 +194,7 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 			return Commitment{}, fmt.Errorf("too late to travel for %q", meta.Task)
 		}
 	} else if meta.Start.Before(m.clk.Now()) {
-		return Commitment{}, fmt.Errorf("execution window for %q already started", meta.Task)
+		return Commitment{}, startedError(meta.Task)
 	}
 
 	// The busy interval is [TravelStart, End); it must not overlap any
@@ -208,12 +210,30 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 		}
 	}
 	if blocker != nil {
-		return Commitment{}, fmt.Errorf(
-			"%w: task %q conflicts with %q of workflow %q (%v–%v)",
-			ErrSlotBusy, meta.Task, blocker.c.Task, blocker.c.Workflow,
-			blocker.c.TravelStart, blocker.c.End)
+		return Commitment{}, &busyError{meta.Task, blocker.c.Task, blocker.c.Workflow, blocker.c.TravelStart, blocker.c.End}
 	}
 	return c, nil
+}
+
+// busyError is the ErrSlotBusy decline. It copies the blocker, not its
+// record, which may be committed or removed by the time the error is read.
+type busyError struct {
+	task, blocker model.TaskID
+	workflow      string
+	start, end    time.Time
+}
+
+func (e *busyError) Error() string {
+	return fmt.Sprintf("%v: task %q conflicts with %q of workflow %q (%v–%v)", ErrSlotBusy, e.task, e.blocker, e.workflow, e.start, e.end)
+}
+
+func (e *busyError) Unwrap() error { return ErrSlotBusy }
+
+// startedError declines a task whose execution window has already begun.
+type startedError model.TaskID
+
+func (e startedError) Error() string {
+	return fmt.Sprintf("execution window for %q already started", string(e))
 }
 
 // origin determines where the host will be (and from when it is free to

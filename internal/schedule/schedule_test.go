@@ -740,3 +740,118 @@ func TestScheduleFastPathAllocBounds(t *testing.T) {
 		})
 	})
 }
+
+// busyBatch returns a manager on which a rival session holds six slots and
+// a batch of six metas for "wf", each overlapping one of the rival's.
+func busyBatch() (*Manager, []proto.TaskMeta) {
+	m, _ := newManager(Preferences{}, nil)
+	metas := make([]proto.TaskMeta, 6)
+	for i := range metas {
+		start := t0.Add(time.Duration(i+1) * time.Hour)
+		if _, err := m.Hold("rival", meta(fmt.Sprintf("r%d", i), start, start.Add(time.Hour)), t0.Add(time.Hour)); err != nil {
+			panic(err)
+		}
+		metas[i] = meta(fmt.Sprintf("t%d", i), start.Add(30*time.Minute), start.Add(45*time.Minute))
+	}
+	return m, metas
+}
+
+// TestBusyDeclineAllocBound pins what a contended batch costs: the
+// results slice and one small value per busy decline, with no text
+// formatted while the calendar is locked.
+func TestBusyDeclineAllocBound(t *testing.T) {
+	m, metas := busyBatch()
+	testutil.AllocBound(t, 7, func() {
+		for _, res := range m.HoldBatch("wf", metas, t0.Add(time.Hour)) {
+			if !errors.Is(res.Err, ErrSlotBusy) {
+				t.Fatalf("err = %v, want ErrSlotBusy", res.Err)
+			}
+		}
+	})
+}
+
+// TestBusyErrorText pins a busy decline's text and what it captures: the
+// same text from Hold and HoldBatch, and the blocker as it was when the
+// slot was refused, after that blocker is committed and removed.
+func TestBusyErrorText(t *testing.T) {
+	const want = `schedule: slot busy: task "t-second" conflicts with "t-first" of workflow "wf-a" ` +
+		`(2026-06-11 10:00:00 +0000 UTC–2026-06-11 11:00:00 +0000 UTC)`
+	m, _ := newManager(Preferences{}, nil)
+	first := meta("t-first", t0.Add(time.Hour), t0.Add(2*time.Hour))
+	if _, err := m.Hold("wf-a", first, t0.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	second := meta("t-second", t0.Add(90*time.Minute), t0.Add(3*time.Hour))
+	_, holdErr := m.Hold("wf-b", second, t0.Add(time.Minute))
+	batchErr := m.HoldBatch("wf-b", []proto.TaskMeta{second}, t0.Add(time.Minute))[0].Err
+	for _, err := range []error{holdErr, batchErr} {
+		if !errors.Is(err, ErrSlotBusy) {
+			t.Fatalf("err = %v, want ErrSlotBusy", err)
+		}
+	}
+	if _, err := m.CommitHeld("wf-a", "t-first", time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Remove("wf-a", "t-first") {
+		t.Fatal("blocker not committed")
+	}
+	// A new record on the slot must not show through either.
+	if _, err := m.Hold("wf-c", meta("t-third", t0.Add(time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{holdErr, batchErr} {
+		if got := err.Error(); got != want {
+			t.Fatalf("Error() =\n %s\nwant\n %s", got, want)
+		}
+	}
+}
+
+// TestBusyErrorTextUnderChurn formats busy declines while another
+// goroutine holds, commits and removes their blocker on the same manager,
+// so the race detector sees any read of a live record.
+func TestBusyErrorTextUnderChurn(t *testing.T) {
+	const want = `schedule: slot busy: task "late" conflicts with "churn" of workflow "wf-a" ` +
+		`(2026-06-11 10:00:00 +0000 UTC–2026-06-11 11:00:00 +0000 UTC)`
+	m, _ := newManager(Preferences{}, nil)
+	blocker := meta("churn", t0.Add(time.Hour), t0.Add(2*time.Hour))
+	late := meta("late", t0.Add(90*time.Minute), t0.Add(3*time.Hour))
+	// One decline taken before the churn starts, so there is always one
+	// to format while it runs.
+	if _, err := commit(m, "wf-a", blocker, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Hold("wf-b", late, t0.Add(time.Minute))
+	errs := []error{err}
+	m.Remove("wf-a", "churn")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := commit(m, "wf-a", blocker, time.Time{}); err == nil {
+				m.Remove("wf-a", "churn")
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if _, err := m.Hold("wf-b", late, t0.Add(time.Minute)); err != nil {
+			errs = append(errs, err)
+		} else {
+			m.Release("wf-b", "late")
+		}
+		_ = errs[len(errs)-1].Error()
+	}
+	close(stop)
+	wg.Wait()
+	for _, err := range errs {
+		if got := err.Error(); got != want {
+			t.Fatalf("Error() =\n %s\nwant\n %s", got, want)
+		}
+	}
+}
