@@ -70,25 +70,27 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 // sends no Cancel after a decline. A decline reads only whether the
 // calendar refused, never why, and the reply's lists are sized from the
 // batch once.
+//
+// The batch goes to the calendar as it came while every task is capable
+// and none takes its service's location; the first that does not starts a
+// copy. A bid reads its service's specialization afresh.
 func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallForBidsBatch) proto.BidBatch {
 	var reply proto.BidBatch
-	capable := make([]proto.TaskMeta, 0, len(batch.Metas))
-	descs := make([]service.Descriptor, 0, len(batch.Metas))
-	for _, meta := range batch.Metas {
-		desc, ok := p.services.CanPerform(meta.Task)
+	var copied []proto.TaskMeta // nil while the batch stands as sent
+	for i, meta := range batch.Metas {
+		located, ok := p.locate(workflow, meta)
+		if copied == nil && (!ok || located.HasLocation != meta.HasLocation) {
+			copied = append(make([]proto.TaskMeta, 0, len(batch.Metas)), batch.Metas[:i]...)
+		}
 		if !ok {
-			p.sched.Release(workflow, meta.Task)
 			reply.Declines = appendSized(reply.Declines, meta.Task, len(batch.Metas))
-			continue
+		} else if copied != nil {
+			copied = append(copied, located)
 		}
-		// A service pinned to a location imposes it on the commitment when
-		// the task itself does not require one.
-		if !meta.HasLocation && desc.HasLocation {
-			meta.Location = desc.Location
-			meta.HasLocation = true
-		}
-		capable = append(capable, meta)
-		descs = append(descs, desc)
+	}
+	capable := batch.Metas
+	if copied != nil {
+		capable = copied
 	}
 	if len(capable) == 0 {
 		return reply
@@ -104,14 +106,63 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 			reply.Declines = appendSized(reply.Declines, capable[i].Task, len(batch.Metas))
 			continue
 		}
+		desc, _ := p.services.CanPerform(capable[i].Task)
 		reply.Bids = appendSized(reply.Bids, proto.Bid{
 			Task:            capable[i].Task,
 			ServicesOffered: count,
-			Specialization:  descs[i].Specialization,
+			Specialization:  desc.Specialization,
 			Deadline:        deadline,
 		}, len(results))
 	}
 	return reply
+}
+
+// HoldAward takes the holds a held award (proto.Award.Hold) is about to
+// commit, as a call for bids naming its tasks would, and returns their
+// deadline for the host's sweep — zero when it took none. No bid is
+// placed: the award's sender decided from memory and waits for verdicts,
+// not bids. Each task stands alone from here on — HandleAward commits or
+// refuses it whatever the others get — so each takes its own hold (Hold),
+// in award order, and nothing is gathered into a batch. A hold the
+// workflow already has stays as it is, for HandleAward to commit.
+func (p *Participant) HoldAward(workflow string, award proto.Award) (deadline time.Time) {
+	at := p.clk.Now().Add(p.bidWindow)
+	held := p.hold(workflow, award.Meta, at)
+	for _, meta := range award.More {
+		held = p.hold(workflow, meta, at) || held
+	}
+	if !held {
+		return time.Time{}
+	}
+	return at
+}
+
+// hold takes one held award task's hold until deadline, reporting whether
+// it took one.
+func (p *Participant) hold(workflow string, meta proto.TaskMeta, deadline time.Time) bool {
+	located, ok := p.locate(workflow, meta)
+	if !ok {
+		return false
+	}
+	_, err := p.sched.Hold(workflow, located, deadline)
+	return err == nil
+}
+
+// locate checks meta against the host's services: a task it offers none
+// for drops the hold an earlier call of the workflow took on it and is
+// not ok; a service pinned to a location imposes it on the commitment when
+// the task itself does not require one.
+func (p *Participant) locate(workflow string, meta proto.TaskMeta) (proto.TaskMeta, bool) {
+	desc, ok := p.services.CanPerform(meta.Task)
+	if !ok {
+		p.sched.Release(workflow, meta.Task)
+		return meta, false
+	}
+	if !meta.HasLocation && desc.HasLocation {
+		meta.Location = desc.Location
+		meta.HasLocation = true
+	}
+	return meta, true
 }
 
 // appendSized appends v to s, giving s room for n on first use.

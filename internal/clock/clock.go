@@ -30,6 +30,11 @@ type Timer interface {
 	// Stop cancels the pending call. It reports whether the call was
 	// still pending.
 	Stop() bool
+	// Reset makes the call pending again, due d from now, whether it
+	// was stopped, had fired or is still pending; it reports whether it
+	// was pending. Reset a timer only once it is stopped or has fired
+	// and returned, or the call may run for the old deadline and the new.
+	Reset(d time.Duration) bool
 }
 
 // Real is the wall clock. The zero value is ready to use.
@@ -59,6 +64,8 @@ type realTimer struct{ t *time.Timer }
 
 func (t realTimer) Stop() bool { return t.t.Stop() }
 
+func (t realTimer) Reset(d time.Duration) bool { return t.t.Reset(d) }
+
 // Sim is a deterministic simulated clock. Time advances only through
 // Advance/AdvanceTo; Sleep and After block until the clock passes their
 // deadline. Sim is safe for concurrent use.
@@ -75,6 +82,13 @@ type simWaiter struct {
 	ch       chan time.Time
 	fn       func()
 	stopped  bool
+}
+
+// simTimer is an AfterFunc waiter as its Timer: one allocation per
+// AfterFunc, none per Reset.
+type simTimer struct {
+	simWaiter
+	s *Sim
 }
 
 var _ Clock = (*Sim)(nil)
@@ -118,39 +132,52 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-// AfterFunc implements Clock. f runs in its own goroutine when the clock
-// reaches now+d.
+// AfterFunc implements Clock. f runs when the clock reaches now+d,
+// synchronously with the Advance that gets there; for d <= 0 it runs at
+// once in its own goroutine.
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
+	t := &simTimer{simWaiter: simWaiter{fn: f, stopped: true}, s: s}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t.armLocked(d)
+	return t
+}
+
+// armLocked makes a stopped or fired timer pending again, due d from now,
+// or for d <= 0 runs its call at once, leaving it fired. Callers hold s.mu.
+func (t *simTimer) armLocked(d time.Duration) {
 	if d <= 0 {
-		go f()
-		return simTimer{}
+		go t.fn()
+		return
 	}
-	s.seq++
-	w := &simWaiter{deadline: s.now.Add(d), seq: s.seq, fn: f}
-	s.waiters = append(s.waiters, w)
-	return simTimer{s: s, w: w}
+	t.s.seq++
+	t.deadline, t.seq, t.stopped = t.s.now.Add(d), t.s.seq, false
+	t.s.waiters = append(t.s.waiters, &t.simWaiter)
 }
 
-type simTimer struct {
-	s *Sim
-	w *simWaiter
-}
-
-func (t simTimer) Stop() bool {
-	if t.s == nil {
-		return false
-	}
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.w.stopped {
+// stopLocked is Stop under s.mu.
+func (t *simTimer) stopLocked() bool {
+	if t.stopped {
 		return false
 	}
 	// Forget the waiter now: nothing else ever removes a stopped one.
-	t.w.stopped = true
-	t.s.removeLocked(t.w)
+	t.stopped = true
+	t.s.removeLocked(&t.simWaiter)
 	return true
+}
+
+func (t *simTimer) Stop() bool {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	return t.stopLocked()
+}
+
+func (t *simTimer) Reset(d time.Duration) bool {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	pending := t.stopLocked()
+	t.armLocked(d)
+	return pending
 }
 
 // Advance moves the simulated clock forward by d, firing every timer and

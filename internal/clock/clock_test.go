@@ -222,3 +222,100 @@ func TestSimClockConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// TestRealTimerReset: a wall-clock timer stopped and then reset fires its
+// call once, no earlier than the new deadline, and a Stop after that
+// reports it no longer pending.
+func TestRealTimerReset(t *testing.T) {
+	c := New()
+	fired := make(chan time.Time, 2)
+	timer := c.AfterFunc(time.Hour, func() { fired <- time.Now() })
+	if !timer.Stop() {
+		t.Fatal("Stop reported not pending before firing")
+	}
+	start := time.Now()
+	if timer.Reset(20 * time.Millisecond) {
+		t.Error("Reset reported a stopped timer pending")
+	}
+	select {
+	case at := <-fired:
+		if d := at.Sub(start); d < 20*time.Millisecond {
+			t.Errorf("fired %v after Reset, want ≥ 20ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reset timer never fired")
+	}
+	time.Sleep(30 * time.Millisecond)
+	if n := len(fired); n != 0 {
+		t.Errorf("fired %d more times", n)
+	}
+	if timer.Stop() {
+		t.Error("Stop reported pending after firing")
+	}
+}
+
+// TestSimTimerReset: on the simulated clock a timer reset after Stop fires
+// once, at the new deadline and not before; reset after firing it fires
+// again; reset while pending it moves; and a Stop after it fired reports
+// false. Reset(d ≤ 0) runs the call at once in its own goroutine and
+// leaves nothing pending, as AfterFunc(0) does.
+func TestSimTimerReset(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewSim(start)
+	var at []time.Time
+	timer := c.AfterFunc(time.Second, func() { at = append(at, c.Now()) })
+	if !timer.Stop() {
+		t.Fatal("Stop = false on pending timer")
+	}
+	if timer.Reset(3 * time.Second) {
+		t.Error("Reset reported a stopped timer pending")
+	}
+	c.Advance(2 * time.Second)
+	if len(at) != 0 {
+		t.Fatalf("fired at %v, before the reset deadline", at)
+	}
+	c.Advance(5 * time.Second)
+	if want := start.Add(3 * time.Second); len(at) != 1 || !at[0].Equal(want) {
+		t.Fatalf("fired at %v, want once at %v", at, want)
+	}
+	if timer.Stop() {
+		t.Error("Stop reported pending after firing")
+	}
+
+	// Reset after firing: once more, d from now.
+	if timer.Reset(time.Second) {
+		t.Error("Reset reported a fired timer pending")
+	}
+	// Reset while pending: the deadline moves, the call still runs once.
+	if !timer.Reset(2 * time.Second) {
+		t.Error("Reset reported a pending timer not pending")
+	}
+	if n := c.PendingWaiters(); n != 1 {
+		t.Errorf("PendingWaiters = %d after resetting a pending timer, want 1", n)
+	}
+	c.Advance(5 * time.Second)
+	if want := start.Add(9 * time.Second); len(at) != 2 || !at[1].Equal(want) {
+		t.Fatalf("fired at %v, want a second time at %v", at, want)
+	}
+
+	done := make(chan struct{}, 1)
+	now := c.AfterFunc(time.Hour, func() { done <- struct{}{} })
+	if !now.Reset(0) {
+		t.Error("Reset(0) reported a pending timer not pending")
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Reset(0) never ran the call")
+	}
+	if n := c.PendingWaiters(); n != 0 {
+		t.Errorf("PendingWaiters = %d after Reset(0), want 0", n)
+	}
+	if now.Stop() {
+		t.Error("Stop reported pending after Reset(0) ran the call")
+	}
+	c.Advance(2 * time.Hour)
+	if n := len(done); n != 0 {
+		t.Error("the call ran again at the old deadline")
+	}
+}

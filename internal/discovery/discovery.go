@@ -271,12 +271,16 @@ func (x *Index) standingLocked(addr proto.Addr, now time.Time) (entry, standing)
 	return e, unknown
 }
 
-// Route returns, in candidate order, the members worth sending a sweep for
-// labels (a fragment query) or tasks (a call for bids), by the package
-// comment's table; describe reports whether any of them is unknown, i.e.
-// whether the sweep should ask for descriptions. It allocates the returned
-// slice and nothing else, and with an empty memory not even that.
-func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID) (members []proto.Addr, describe bool) {
+// Route appends to dst, in candidate order, the members worth sending a
+// sweep for labels (a fragment query) or tasks (a call for bids), by the
+// package comment's table; describe reports whether any of them is
+// unknown, i.e. whether the sweep should ask for descriptions. It
+// allocates only when dst has no room for every candidate — a caller that
+// routes round after round passes the last round's members — and with an
+// empty memory not at all: it returns candidates itself, and describe, so a
+// caller that reuses the members for its next round keeps only those of a
+// round that asked nobody to describe itself.
+func (x *Index) Route(dst, candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID) (members []proto.Addr, describe bool) {
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -284,7 +288,7 @@ func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []m
 		x.stats.Misses++
 		return candidates, true
 	}
-	members = make([]proto.Addr, 0, len(candidates))
+	members = slices.Grow(dst, len(candidates))
 	for _, c := range candidates {
 		switch e, st := x.standingLocked(c, now); st {
 		case unknown:
@@ -313,13 +317,22 @@ func (x *Index) Route(candidates []proto.Addr, labels []model.LabelID, tasks []m
 // would send now. They are appended to dst, which the caller reuses round
 // after round. The others are returned as ask; at[i] is how many of frags
 // precede ask[i]'s reply, so frags spliced with the replies is what asking
-// every member would have gathered. A round answered from memory into a
+// every member would have gathered. dst grows at most once while memory
+// holds no more fragments than when it grew: an empty dst is given room for
+// every fragment memory holds, so a round answered from memory into a
 // grown dst allocates nothing.
 func (x *Index) Recall(dst []*model.Fragment, members []proto.Addr, labels []model.LabelID) (frags []*model.Fragment, ask []proto.Addr, at []int) {
 	frags = dst
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if cap(frags) == 0 {
+		n := 0
+		for _, e := range x.entries {
+			n += len(e.frags)
+		}
+		frags = make([]*model.Fragment, 0, n)
+	}
 	for _, c := range members {
 		e, st := x.standingLocked(c, now)
 		if st != known || !e.answers(labels) {
@@ -335,10 +348,11 @@ func (x *Index) Recall(dst []*model.Fragment, members []proto.Addr, labels []mod
 	return frags, ask, at
 }
 
-// Capable answers a feasibility query from memory: it marks in out the
-// tasks the known candidates offer — no message at all — and returns the
-// unknown ones, which still have to be asked.
-func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, out map[model.TaskID]struct{}) (ask []proto.Addr) {
+// Capable answers a feasibility query from memory: it sets offered[i] for
+// each of tasks[i] a known candidate offers — no message at all; offered
+// is as long as tasks — and returns the unknown candidates, which still
+// have to be asked.
+func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, offered []bool) (ask []proto.Addr) {
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -347,9 +361,9 @@ func (x *Index) Capable(candidates []proto.Addr, tasks []model.TaskID, out map[m
 		case unknown:
 			ask = append(ask, c)
 		case known:
-			for _, t := range tasks {
-				if _, offered := slices.BinarySearch(e.tasks, t); offered {
-					out[t] = struct{}{}
+			for i, t := range tasks {
+				if _, ok := slices.BinarySearch(e.tasks, t); ok {
+					offered[i] = true
 				}
 			}
 		case dead:
@@ -415,7 +429,7 @@ func intersects[S ~string](set, query []S) bool {
 // does not settle the sweep: some candidate is unknown, or nobody offers the
 // tasks.
 func (x *Index) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
-	sel, describe := x.Route(candidates, nil, tasks)
+	sel, describe := x.Route(nil, candidates, nil, tasks)
 	return sel, !describe && len(sel) > 0
 }
 

@@ -50,14 +50,14 @@ func TestAdExpiresExactlyAtTTL(t *testing.T) {
 	x.ObserveAdvertise("h2", lbls("a"), nil)
 
 	sim.Advance(10*time.Second - time.Nanosecond)
-	sel, describe := x.Route(members, lbls("a"), nil)
+	sel, describe := x.Route(nil, members, lbls("a"), nil)
 	if describe || !contains(sel, "h1") || !contains(sel, "h2") {
 		t.Fatalf("one nanosecond before TTL: want both fresh, got %v (describe=%v)", sel, describe)
 	}
 
 	x.ObserveAdvertise("h2", lbls("a"), nil) // h2 refreshes; h1 does not
 	sim.Advance(time.Nanosecond)             // h1's ad is now exactly TTL old
-	sel, describe = x.Route(members, lbls("a"), nil)
+	sel, describe = x.Route(nil, members, lbls("a"), nil)
 	if describe {
 		t.Fatalf("fresh h2 should still route: asked for descriptions")
 	}
@@ -81,11 +81,11 @@ func TestRefreshExtendsTTL(t *testing.T) {
 	sim.Advance(8 * time.Second)
 	x.ObserveAdvertise("h1", lbls("a"), nil)
 	sim.Advance(8 * time.Second) // 16s after the first ad, 8s after refresh
-	if sel, _ := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 1 {
+	if sel, _ := x.Route(nil, []proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 1 {
 		t.Fatal("refreshed ad lapsed before its extended TTL")
 	}
 	sim.Advance(2 * time.Second)
-	if sel, describe := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 0 || describe {
+	if sel, describe := x.Route(nil, []proto.Addr{"h1"}, lbls("a"), nil); len(sel) != 0 || describe {
 		t.Fatalf("ad survived past the refreshed TTL: routed to %v (describe=%v)", sel, describe)
 	}
 }
@@ -99,7 +99,7 @@ func TestCompleteAdReplacesCapabilities(t *testing.T) {
 	x.ObserveAdvertise("h1", lbls("a", "b"), nil)
 	x.ObserveAdvertise("h2", lbls("a"), nil)
 	x.ObserveAdvertise("h1", lbls("c"), nil) // h1 dropped a and b
-	sel, describe := x.Route(members, lbls("a"), nil)
+	sel, describe := x.Route(nil, members, lbls("a"), nil)
 	if describe || len(sel) != 1 || sel[0] != "h2" {
 		t.Fatalf("h1 no longer advertises a: routed to %v (describe=%v), want [h2]", sel, describe)
 	}
@@ -114,18 +114,18 @@ func TestNeverSeenMemberForcesBroadcast(t *testing.T) {
 	x := New(sim, 10*time.Second)
 	members := []proto.Addr{"h1", "h2"}
 
-	if sel, describe := x.Route(members, lbls("a"), nil); !describe || len(sel) != 2 {
+	if sel, describe := x.Route(nil, members, lbls("a"), nil); !describe || len(sel) != 2 {
 		t.Fatalf("cold start must ask everyone to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	x.ObserveAdvertise("h1", lbls("a"), nil)
-	if sel, describe := x.Route(members, lbls("a"), nil); !describe || !contains(sel, "h2") {
+	if sel, describe := x.Route(nil, members, lbls("a"), nil); !describe || !contains(sel, "h2") {
 		t.Fatalf("h2 never seen: must be asked to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	x.ObserveAdvertise("h2", nil, nil)
-	if sel, describe := x.Route(members, lbls("a"), nil); describe || len(sel) != 1 || sel[0] != "h1" {
+	if sel, describe := x.Route(nil, members, lbls("a"), nil); describe || len(sel) != 1 || sel[0] != "h1" {
 		t.Fatalf("all members known: routed to %v (describe=%v), want [h1]", sel, describe)
 	}
-	if sel, describe := x.Route(append(members, "h3"), lbls("a"), nil); !describe || !contains(sel, "h3") {
+	if sel, describe := x.Route(nil, append(members, "h3"), lbls("a"), nil); !describe || !contains(sel, "h3") {
 		t.Fatalf("a member that just joined must be asked to describe itself, got %v (describe=%v)", sel, describe)
 	}
 	if st := x.Stats(); st.Misses != 3 {
@@ -142,7 +142,7 @@ func TestEmptySelectionFallsBack(t *testing.T) {
 	members := []proto.Addr{"h1", "h2"}
 	x.ObserveAdvertise("h1", lbls("a"), tsks("t1"))
 	x.ObserveAdvertise("h2", lbls("b"), nil)
-	if sel, describe := x.Route(members, lbls("zzz"), nil); len(sel) != 0 || describe {
+	if sel, describe := x.Route(nil, members, lbls("zzz"), nil); len(sel) != 0 || describe {
 		t.Fatalf("no intersection anywhere: routed to %v (describe=%v)", sel, describe)
 	}
 	if sel, ok := x.SelectByTasks(members, tsks("t9")); ok {
@@ -163,7 +163,7 @@ func TestResetWipes(t *testing.T) {
 	if n := x.Stats().Entries; n != 0 {
 		t.Fatalf("reset left %d entries", n)
 	}
-	if _, describe := x.Route([]proto.Addr{"h1"}, lbls("a"), nil); !describe {
+	if _, describe := x.Route(nil, []proto.Addr{"h1"}, lbls("a"), nil); !describe {
 		t.Fatal("a reset index must ask for descriptions again")
 	}
 }
@@ -220,7 +220,7 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 				}
 				lastSeen[m] = now
 			}
-			sel, describe := x.Route(members, lbls("a"), nil)
+			sel, describe := x.Route(nil, members, lbls("a"), nil)
 			if describe {
 				continue // some pulled entry lapsed: its member is asked again
 			}
@@ -239,7 +239,7 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 		}
 		// After restart the victim advertises again and must be routable.
 		x.ObserveAdvertise(victim, lbls("a"), tsks("t"))
-		if sel, _ := x.Route(members, lbls("a"), nil); !contains(sel, victim) {
+		if sel, _ := x.Route(nil, members, lbls("a"), nil); !contains(sel, victim) {
 			t.Fatalf("seed %d: restarted %q not routable: %v", seed, victim, sel)
 		}
 	}
@@ -247,9 +247,10 @@ func TestCrashedHostNeverRoutedPastTTL(t *testing.T) {
 
 // TestSelectAllocBounds pins the lookup every sweep of every session
 // makes: over 15 known members — the sim_serial community — Route
-// allocates the returned member slice and nothing else, the SelectByTasks
-// adapter no more than it, and an empty memory not even that; Recall into
-// a grown buffer allocates nothing.
+// allocates the member slice it returns and nothing else, into a buffer an
+// earlier round grew not even that, the SelectByTasks adapter no more than
+// it, and an empty memory nothing; Recall into a grown buffer allocates
+// nothing.
 func TestSelectAllocBounds(t *testing.T) {
 	x := New(clock.NewSim(discT0), time.Minute)
 	members := make([]proto.Addr, 15)
@@ -269,14 +270,22 @@ func TestSelectAllocBounds(t *testing.T) {
 	labels := lbls("l03-2", "l11-7", "nobody")
 	tasks := tsks("t00-0", "t14-7", "nobody")
 	testutil.AllocBound(t, 1, func() {
-		if got, describe := x.Route(members, labels, nil); len(got) != 2 || describe {
+		if got, describe := x.Route(nil, members, labels, nil); len(got) != 2 || describe {
 			t.Errorf("labels routed to %v (describe=%v)", got, describe)
 		}
 	})
 	testutil.AllocBound(t, 1, func() {
-		if got, describe := x.Route(members, nil, tasks); len(got) != 2 || describe {
+		if got, describe := x.Route(nil, members, nil, tasks); len(got) != 2 || describe {
 			t.Errorf("tasks routed to %v (describe=%v)", got, describe)
 		}
+	})
+	var into []proto.Addr
+	testutil.AllocBound(t, 0, func() {
+		got, describe := x.Route(into[:0], members, labels, nil)
+		if len(got) != 2 || describe {
+			t.Errorf("labels routed into a buffer to %v (describe=%v)", got, describe)
+		}
+		into = got
 	})
 	testutil.AllocBound(t, 1, func() {
 		if got, ok := x.SelectByTasks(members, tasks); len(got) != 2 || !ok {
@@ -308,7 +317,7 @@ func TestSelectAllocBounds(t *testing.T) {
 	})
 	empty := New(clock.NewSim(discT0), time.Minute)
 	testutil.AllocBound(t, 0, func() {
-		if got, describe := empty.Route(members, labels, nil); len(got) != len(members) || !describe {
+		if got, describe := empty.Route(nil, members, labels, nil); len(got) != len(members) || !describe {
 			t.Errorf("empty memory routed to %v (describe=%v)", got, describe)
 		}
 	})
@@ -328,16 +337,16 @@ func TestLearnSortsForeignSets(t *testing.T) {
 	}
 	both := []proto.Addr{"peer", "pusher"}
 	for _, l := range caps.Labels {
-		if got, _ := x.Route(both, []model.LabelID{l}, nil); len(got) != 2 {
+		if got, _ := x.Route(nil, both, []model.LabelID{l}, nil); len(got) != 2 {
 			t.Errorf("label %q routes to %v, want both members", l, got)
 		}
 	}
 	for _, task := range caps.Tasks {
-		if got, _ := x.Route(both, nil, []model.TaskID{task}); len(got) != 2 {
+		if got, _ := x.Route(nil, both, nil, []model.TaskID{task}); len(got) != 2 {
 			t.Errorf("task %q routes to %v, want both members", task, got)
 		}
 	}
-	if got, describe := x.Route(both, lbls("q"), nil); len(got) != 0 || describe {
+	if got, describe := x.Route(nil, both, lbls("q"), nil); len(got) != 0 || describe {
 		t.Errorf("unrelated label routed to %v (describe=%v)", got, describe)
 	}
 }
@@ -360,16 +369,14 @@ func TestRoutingTable(t *testing.T) {
 
 	route := func(labels []model.LabelID) string {
 		t.Helper()
-		got, describe := x.Route(all, labels, nil)
+		got, describe := x.Route(nil, all, labels, nil)
 		return fmt.Sprintf("%v describe=%v", got, describe)
 	}
 	feasible := func() string {
 		t.Helper()
-		out := make(map[model.TaskID]struct{})
-		ask := x.Capable(all, tsks("t", "u"), out)
-		_, t1 := out["t"]
-		_, t2 := out["u"]
-		return fmt.Sprintf("ask %v t=%v u=%v", ask, t1, t2)
+		offered := make([]bool, 2)
+		ask := x.Capable(all, tsks("t", "u"), offered)
+		return fmt.Sprintf("ask %v t=%v u=%v", ask, offered[0], offered[1])
 	}
 
 	// Fresh: the known three are asked iff they intersect; the stranger
@@ -439,14 +446,14 @@ func TestDoubt(t *testing.T) {
 	if fresh.Doubt(m0) {
 		t.Error("doubted although everything pulled was learned after the mark")
 	}
-	if got, describe := fresh.Route([]proto.Addr{"new"}, lbls("zzz"), nil); len(got) != 0 || describe {
+	if got, describe := fresh.Route(nil, []proto.Addr{"new"}, lbls("zzz"), nil); len(got) != 0 || describe {
 		t.Errorf("a refused doubt dropped entries: routed to %v (describe=%v)", got, describe)
 	}
 
 	if !x.Doubt(mark) {
 		t.Fatal("not doubted although \"old\" predates the mark")
 	}
-	if got, want := fmt.Sprint(x.Route(all, lbls("zzz"), nil)), "[old new] true"; got != want {
+	if got, want := fmt.Sprint(x.Route(nil, all, lbls("zzz"), nil)), "[old new] true"; got != want {
 		t.Errorf("after doubt routed to %s, want %s: pulled entries unknown, the pushed one kept", got, want)
 	}
 	if x.Doubt(x.Mark()) {
@@ -559,7 +566,7 @@ func TestKnowhowLivesAndDiesWithItsEntry(t *testing.T) {
 	if !holds("dead") {
 		t.Error("the entry nobody has looked up since it lapsed holds nothing: the test proves nothing")
 	}
-	if got, describe := x.Route([]proto.Addr{"p", "dead"}, lbls("a"), nil); len(got) != 1 || !describe {
+	if got, describe := x.Route(nil, []proto.Addr{"p", "dead"}, lbls("a"), nil); len(got) != 1 || !describe {
 		t.Errorf("at the TTL routed to %v (describe=%v)", got, describe)
 	}
 	if holds("p") || holds("dead") {
@@ -601,7 +608,7 @@ func TestKnowhowLivesAndDiesWithItsEntry(t *testing.T) {
 	if got := recall(x, "p", "a"); got != asked {
 		t.Errorf("after doubt: %s, want %s", got, asked)
 	}
-	if got, describe := x.Route([]proto.Addr{"p"}, lbls("a"), nil); len(got) != 1 || describe {
+	if got, describe := x.Route(nil, []proto.Addr{"p"}, lbls("a"), nil); len(got) != 1 || describe {
 		t.Errorf("doubt dropped a pushed set: routed to %v (describe=%v)", got, describe)
 	}
 

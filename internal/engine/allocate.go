@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -123,7 +122,7 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	for i, meta := range metas {
 		tasks[i] = meta.Task
 	}
-	members, _ := m.route(candidates, nil, tasks, rot)
+	members, _ := m.route(nil, candidates, nil, tasks, rot)
 	if len(members) == 0 {
 		// Every member is known and none offers any of these tasks: what
 		// a broadcast would learn from a round of declines is already
@@ -198,7 +197,10 @@ func (m *Manager) sweep(ctx context.Context, wfID string, members []proto.Addr, 
 // re-enters the failure set for replanning.
 //
 // Each award carries the routes of its tasks' outputs in w: every executor
-// is decided by now, or kept in placed.
+// is decided by now, or kept in placed. The awards' metas and routes are
+// carved from one slab each, every winner's windows capped at their own
+// end; the routes' is sized for one route per output and grows only for an
+// output whose consumers run on several hosts.
 func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds []auction.Decision, placed map[model.TaskID]proto.Addr, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	// Failed decisions have no winner and sort first; a winner's decisions
 	// stay in the auctioneer's order.
@@ -225,32 +227,33 @@ func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds 
 		}
 		return placed[t]
 	}
+	won, outputs := 0, 0
+	for _, d := range ds {
+		if !d.Failed() {
+			won++
+			outputs += len(d.Meta.Outputs)
+		}
+	}
+	metas := make([]proto.TaskMeta, 0, won)
+	routes := make([]proto.Route, 0, outputs)
 	for len(ds) > 0 {
 		n := 1
 		for n < len(ds) && ds[n].Winner == ds[0].Winner {
 			n++
 		}
 		if !ds[0].Failed() {
-			if err := m.awardWinner(ctx, wfID, ds[:n], m.awardRoutes(ds[:n], w, executor), hold, alloc); err != nil {
+			mfrom, rfrom := len(metas), len(routes)
+			for _, d := range ds[:n] {
+				metas = append(metas, d.Meta)
+				routes = m.routes(routes, d.Meta.Outputs, w, executor)
+			}
+			if err := m.awardWinner(ctx, wfID, ds[:n], metas[mfrom:len(metas):len(metas)], routes[rfrom:len(routes):len(routes)], hold, alloc); err != nil {
 				return err
 			}
 		}
 		ds = ds[n:]
 	}
 	return nil
-}
-
-// awardRoutes lists where the outputs of the tasks of ds go in w.
-func (m *Manager) awardRoutes(ds []auction.Decision, w *model.Workflow, executor func(model.TaskID) proto.Addr) []proto.Route {
-	n := 0
-	for _, d := range ds {
-		n += len(d.Meta.Outputs)
-	}
-	routes := make([]proto.Route, 0, n)
-	for _, d := range ds {
-		routes = m.routes(routes, d.Meta.Outputs, w, executor)
-	}
-	return routes
 }
 
 // routes appends where outputs go in w: one route to each distinct
@@ -276,16 +279,12 @@ func (m *Manager) routes(rs []proto.Route, outputs []model.LabelID, w *model.Wor
 	return rs
 }
 
-// awardWinner sends ds, all won by ds[0].Winner, in one Award carrying
-// routes and hold, and settles each task by its own verdict: a confirmed
-// task is recorded in alloc; a refused one re-enters the failure set alone
-// (the winner freed its slot, HandleAward's rule).
-func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, routes []proto.Route, hold bool, alloc map[model.TaskID]proto.Addr) error {
+// awardWinner sends ds, all won by ds[0].Winner, in one Award of their
+// metas carrying routes and hold, and settles each task by its own
+// verdict: a confirmed task is recorded in alloc; a refused one re-enters
+// the failure set alone (the winner freed its slot, HandleAward's rule).
+func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, metas []proto.TaskMeta, routes []proto.Route, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	winner := ds[0].Winner
-	metas := make([]proto.TaskMeta, len(ds))
-	for i, d := range ds {
-		metas[i] = d.Meta
-	}
 	award := proto.Award{Meta: metas[0], More: metas[1:], Routes: routes, Hold: hold}
 	reply, err := m.net.Call(ctx, winner, wfID, award, m.cfg.CallTimeout)
 	if err != nil {
@@ -342,7 +341,7 @@ func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []mo
 			failed = append(failed, meta.Task)
 		}
 	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
+	slices.Sort(failed)
 	return failed
 }
 
@@ -352,17 +351,35 @@ func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []mo
 // from the workflow and execution windows staggered in the order given —
 // topological, so data dependencies and single-host schedules are both
 // satisfiable — starting StartDelay + postpone from now.
+//
+// The metas' label lists are carved from one slab, each capped at its own
+// end, so a session's metas cost two allocations however many tasks it
+// has, and appending to one list never writes into the next.
 func (m *Manager) taskMetas(w *model.Workflow, ids []model.TaskID, postpone time.Duration) []proto.TaskMeta {
 	base := m.net.Clock().Now().Add(m.cfg.StartDelay + postpone)
+	n := 0
+	for _, id := range ids {
+		t, _ := w.TaskView(id)
+		n += len(t.Inputs) + len(t.Outputs)
+	}
+	slab := make([]model.LabelID, 0, n)
+	carve := func(labels []model.LabelID) []model.LabelID {
+		if len(labels) == 0 {
+			return nil
+		}
+		from := len(slab)
+		slab = append(slab, labels...)
+		return slab[from:len(slab):len(slab)]
+	}
 	metas := make([]proto.TaskMeta, 0, len(ids))
 	for i, id := range ids {
-		t, _ := w.Task(id)
+		t, _ := w.TaskView(id)
 		start := base.Add(time.Duration(i) * m.cfg.TaskWindow)
 		metas = append(metas, proto.TaskMeta{
 			Task:    t.ID,
 			Mode:    t.Mode,
-			Inputs:  t.Inputs,
-			Outputs: t.Outputs,
+			Inputs:  carve(t.Inputs),
+			Outputs: carve(t.Outputs),
 			Start:   start,
 			End:     start.Add(m.cfg.TaskWindow),
 		})

@@ -14,6 +14,7 @@ import (
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/spec"
+	"openwf/internal/testutil"
 )
 
 // One Award per winner carries every task a round of decisions gave it;
@@ -428,5 +429,81 @@ func TestAwardCarriesRoutes(t *testing.T) {
 	}
 	if !slices.Equal(triggers, []string{"a@p1"}) {
 		t.Errorf("triggers injected %v, want a to t1's executor p1", triggers)
+	}
+}
+
+// chainWorkflow is the workflow l0 →t0→ l1 →t1→ … →t(n-1)→ ln.
+func chainWorkflow(t *testing.T, n int) *model.Workflow {
+	t.Helper()
+	tasks := make([]model.Task, n)
+	for i := range tasks {
+		tasks[i] = model.Task{
+			ID: model.TaskID(fmt.Sprintf("t%d", i)), Mode: model.Conjunctive,
+			Inputs: lbl(fmt.Sprintf("l%d", i)), Outputs: lbl(fmt.Sprintf("l%d", i+1)),
+		}
+	}
+	w, err := model.NewWorkflowOfTasks(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+var metasSink []proto.TaskMeta
+
+// TestTaskMetasAllocBound: the metadata of an 8-task session — the
+// sim_serial path length — is the meta slice and one label slab. 18 while
+// every task's label lists were cloned from the workflow and then shared.
+func TestTaskMetasAllocBound(t *testing.T) {
+	m := NewManager(newFakeNet("init"), testConfig())
+	w := chainWorkflow(t, 8)
+	ids := w.TopoOrder()
+	testutil.AllocBound(t, 2, func() {
+		metasSink = m.taskMetas(w, ids, 0)
+	})
+	if len(metasSink) != 8 || metasSink[7].Outputs[0] != "l8" {
+		t.Fatalf("metas = %v", metasSink)
+	}
+}
+
+// TestTaskMetasDoNotShareTails: every label list of a session's metas is a
+// window of one slab, capped at its own end, so appending to one task's
+// inputs or outputs copies it and leaves the next list intact.
+func TestTaskMetasDoNotShareTails(t *testing.T) {
+	m := NewManager(newFakeNet("init"), testConfig())
+	w := chainWorkflow(t, 3)
+	metas := m.taskMetas(w, w.TopoOrder(), 0)
+	_ = append(metas[0].Inputs, "x")
+	_ = append(metas[0].Outputs, "y")
+	if !slices.Equal(metas[0].Outputs, lbl("l1")) || !slices.Equal(metas[1].Inputs, lbl("l1")) {
+		t.Fatalf("after appending to t0's lists: t0 outputs %v, t1 inputs %v; want [l1] and [l1]",
+			metas[0].Outputs, metas[1].Inputs)
+	}
+	if task, _ := w.Task("t0"); !slices.Equal(task.Outputs, lbl("l1")) {
+		t.Fatalf("the workflow's t0 outputs became %v", task.Outputs)
+	}
+}
+
+// TestAwardSlabsDoNotShareTails: the awards of one allocation carve their
+// metas and routes from one slab each, every winner's capped at its own
+// end: appending to p1's routes or tasks leaves p2's award as sent.
+func TestAwardSlabsDoNotShareTails(t *testing.T) {
+	net := groupNet(t)
+	if _, err := NewManager(net, oneAttempt()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	got := awards(net)
+	if len(got) != 2 {
+		t.Fatalf("%d Award calls for two winners: %v", len(got), got)
+	}
+	p1, p2 := got[0].body.(proto.Award), got[1].body.(proto.Award)
+	if cap(p1.More) != len(p1.More) || cap(p1.Routes) != len(p1.Routes) {
+		t.Errorf("p1's award: more %d of %d, routes %d of %d; want each capped at its length",
+			len(p1.More), cap(p1.More), len(p1.Routes), cap(p1.Routes))
+	}
+	want := slices.Clone(p2.Routes)
+	_ = append(p1.Routes, proto.Route{Label: "x", To: "x"})
+	if !slices.Equal(p2.Routes, want) {
+		t.Errorf("after appending to p1's routes p2's are %v, want %v", p2.Routes, want)
 	}
 }

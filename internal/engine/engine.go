@@ -333,8 +333,12 @@ type communityView struct {
 	members []proto.Addr
 	// known is the buffer Recall appends the remembered fragments to,
 	// reused round after round: construct merges a round's fragments
-	// before it asks the next.
-	known []*model.Fragment
+	// before it asks the next. routed, the members a round was routed to,
+	// and offered, which of a feasibility round's tasks someone offers,
+	// are reused the same way.
+	known   []*model.Fragment
+	routed  []proto.Addr
+	offered []bool
 }
 
 // FragmentsConsuming implements core.KnowledgeSource: the routed members
@@ -343,7 +347,10 @@ type communityView struct {
 // so the query gets its own copy: one still queued behind a stalled write
 // after the call gave up must not see the next round's frontier.
 func (cv *communityView) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	members, describe := cv.m.route(cv.members, labels, nil, 0)
+	members, describe := cv.m.route(cv.routed[:0], cv.members, labels, nil, 0)
+	if !describe {
+		cv.routed = members // never the candidates themselves (discovery.Index.Route)
+	}
 	if len(members) == 0 {
 		return nil, nil // every member is known; none consumes these labels
 	}
@@ -393,19 +400,19 @@ type memberReply struct {
 	body proto.Body
 }
 
-// route is the one routing step behind every community sweep: it returns
-// the members of candidates (nil = the full community view) worth sending
-// a fragment query for labels or — labels nil — a call for bids for tasks,
-// and whether the sweep should ask them to describe themselves. The index
-// decides member by member (see internal/discovery).
+// route is the one routing step behind every community sweep: it appends
+// to dst the members of candidates (nil = the full community view) worth
+// sending a fragment query for labels or — labels nil — a call for bids
+// for tasks, and reports whether the sweep should ask them to describe
+// themselves. The index decides member by member (see internal/discovery).
 //
 // rot rotates the visiting order; allocate passes the session ordinal so
 // concurrent sessions start their solicitation at different members. The
 // full view is rotated first and the index rules members out second, so
 // the members that are solicited keep the order a broadcast would have
 // visited them in — and plans stay what a broadcast would have produced.
-func (m *Manager) route(candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID, rot int) (members []proto.Addr, describe bool) {
-	return m.idx.Route(rotate(m.community(candidates), rot), labels, tasks)
+func (m *Manager) route(dst, candidates []proto.Addr, labels []model.LabelID, tasks []model.TaskID, rot int) (members []proto.Addr, describe bool) {
+	return m.idx.Route(dst, rotate(m.community(candidates), rot), labels, tasks)
 }
 
 // community resolves a member restriction: nil means the full current view.
@@ -511,8 +518,12 @@ func (fc *fullCollection) FragmentsConsuming(ctx context.Context, _ []model.Labe
 
 // InfeasibleTasks implements core.FeasibilityChecker.
 func (cv *communityView) InfeasibleTasks(ctx context.Context, tasks []model.TaskID) ([]model.TaskID, error) {
-	capable := make(map[model.TaskID]struct{}, len(tasks))
-	if ask := cv.m.idx.Capable(cv.m.community(cv.members), tasks, capable); len(ask) > 0 {
+	if cap(cv.offered) < len(tasks) {
+		cv.offered = make([]bool, len(tasks))
+	}
+	offered := cv.offered[:len(tasks)]
+	clear(offered)
+	if ask := cv.m.idx.Capable(cv.m.community(cv.members), tasks, offered); len(ask) > 0 {
 		// Like a fragment query's labels, the tasks are lent for the call.
 		query := proto.FeasibilityQuery{Tasks: slices.Clone(tasks)}
 		replies, err := cv.m.queryMembers(ctx, cv.wfID, query, ask)
@@ -524,14 +535,14 @@ func (cv *communityView) InfeasibleTasks(ctx context.Context, tasks []model.Task
 			if !ok {
 				return nil, fmt.Errorf("feasibility query to %q: unexpected reply %T", reply.from, reply.body)
 			}
-			for _, t := range fr.Capable {
-				capable[t] = struct{}{}
+			for i, t := range tasks {
+				offered[i] = offered[i] || slices.Contains(fr.Capable, t)
 			}
 		}
 	}
 	var infeasible []model.TaskID
-	for _, t := range tasks {
-		if _, ok := capable[t]; !ok {
+	for i, t := range tasks {
+		if !offered[i] {
 			infeasible = append(infeasible, t)
 		}
 	}

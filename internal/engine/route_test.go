@@ -194,16 +194,16 @@ func TestDirectoryLearnSortsForeignSets(t *testing.T) {
 		Tasks:  []model.TaskID{"t9", "t1"},
 	}, nil, nil)
 	for _, l := range []model.LabelID{"z", "b", "m"} {
-		if got, _ := m.route([]proto.Addr{"peer"}, []model.LabelID{l}, nil, 0); len(got) != 1 {
+		if got, _ := m.route(nil, []proto.Addr{"peer"}, []model.LabelID{l}, nil, 0); len(got) != 1 {
 			t.Errorf("label %q does not route to its member", l)
 		}
 	}
 	for _, task := range []model.TaskID{"t9", "t1"} {
-		if got, _ := m.route([]proto.Addr{"peer"}, nil, []model.TaskID{task}, 0); len(got) != 1 {
+		if got, _ := m.route(nil, []proto.Addr{"peer"}, nil, []model.TaskID{task}, 0); len(got) != 1 {
 			t.Errorf("task %q does not route to its member", task)
 		}
 	}
-	if got, describe := m.route([]proto.Addr{"peer"}, []model.LabelID{"q"}, nil, 0); len(got) != 0 || describe {
+	if got, describe := m.route(nil, []proto.Addr{"peer"}, []model.LabelID{"q"}, nil, 0); len(got) != 0 || describe {
 		t.Errorf("unrelated label routed to %v (describe=%v)", got, describe)
 	}
 }
@@ -227,18 +227,18 @@ func TestDirectoryLookupAllocBound(t *testing.T) {
 	labels := []model.LabelID{"l03-2", "l11-7", "nobody"}
 	tasks := []model.TaskID{"t00-0", "t14-7", "nobody"}
 	testutil.AllocBound(t, 1, func() {
-		if got, _ := m.route(members, labels, nil, 0); len(got) != 2 {
+		if got, _ := m.route(nil, members, labels, nil, 0); len(got) != 2 {
 			t.Errorf("labels routed to %v", got)
 		}
 	})
 	testutil.AllocBound(t, 2, func() {
-		if got, _ := m.route(members, nil, tasks, 7); len(got) != 2 {
+		if got, _ := m.route(nil, members, nil, tasks, 7); len(got) != 2 {
 			t.Errorf("tasks routed to %v", got)
 		}
 	})
 	cold := NewManager(newFakeNet("init"), testConfig())
 	testutil.AllocBound(t, 0, func() {
-		if got, describe := cold.route(members, labels, nil, 0); len(got) != len(members) || !describe {
+		if got, describe := cold.route(nil, members, labels, nil, 0); len(got) != len(members) || !describe {
 			t.Errorf("a host that knows nobody routed to %v (describe=%v)", got, describe)
 		}
 	})

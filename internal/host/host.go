@@ -298,11 +298,14 @@ func (h *Host) record(dir trace.Dir, peer proto.Addr, env proto.Envelope) {
 
 // call is one outstanding request. Its channel gets the reply, the timeout
 // marker (an envelope with no body) or Close's close, from whichever takes
-// the call out of pending. expire, the timer's callback, is built once.
+// the call out of pending. timer, the reply bound, calls expire, which is
+// built with the call; the timer is made on the call's first use and
+// re-armed on every later one.
 type call struct {
 	id     uint64
 	ch     chan proto.Envelope
 	expire func()
+	timer  clock.Timer
 }
 
 // Call implements engine.Messenger: request/response with correlation.
@@ -312,10 +315,12 @@ type call struct {
 // would not advance). The bound is a timer stopped when Call returns, so an
 // answered call leaves nothing on the clock.
 //
-// Calls are recycled. One goes back on the free list only when nothing else
-// can still send to it: Call received the reply or forgot the call itself,
-// and stopped the timer before it fired. A call that timed out or was
-// closed by Close is left to the collector.
+// Calls are recycled, timer and all. One goes back on the free list only
+// when nothing else can still send to it: Call received the reply or forgot
+// the call itself, and stopped the timer before it fired — so the timer a
+// recycled call is re-armed with (clock.Timer.Reset) has no callback left
+// to run. A call that timed out or was closed by Close is left to the
+// collector.
 func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -337,20 +342,24 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 		h.forget(c)
 		return nil, err
 	}
-	timer := h.clk.AfterFunc(timeout, c.expire)
+	if c.timer == nil {
+		c.timer = h.clk.AfterFunc(timeout, c.expire)
+	} else {
+		c.timer.Reset(timeout)
+	}
 	select {
 	case reply, ok := <-c.ch:
 		switch {
 		case !ok:
-			timer.Stop()
+			c.timer.Stop()
 			return nil, fmt.Errorf("host %q: closed while calling %q", h.addr, to)
 		case reply.Body == nil: // the timeout marker: the timer has fired
 			return nil, fmt.Errorf("call to %q (%s) timed out after %v", to, body.Kind(), timeout)
 		}
-		h.recycle(c, timer, true)
+		h.recycle(c, true)
 		return reply.Body, nil
 	case <-ctx.Done():
-		h.recycle(c, timer, h.forget(c))
+		h.recycle(c, h.forget(c))
 		return nil, ctx.Err()
 	}
 }
@@ -383,8 +392,8 @@ func (h *Host) forget(c *call) bool {
 
 // recycle stops the call's timer and frees the call if it is mine — its
 // Call received the reply or forgot it — and the timer had not fired.
-func (h *Host) recycle(c *call, t clock.Timer, mine bool) {
-	if t.Stop() && mine {
+func (h *Host) recycle(c *call, mine bool) {
+	if c.timer.Stop() && mine {
 		h.mu.Lock()
 		h.calls = append(h.calls, c)
 		h.mu.Unlock()
@@ -440,12 +449,15 @@ func (h *Host) process(env proto.Envelope) {
 		h.reply(env, h.bid(env.Workflow, b))
 
 	case proto.Award:
-		// A held award takes its holds as a call for bids would; then each
-		// task stands alone: committed and registered, or refused with its
-		// slot freed, whatever the others do. The routes riding on the award
-		// are every task's plan, its sender the initiator.
+		// A held award takes its holds as a call for bids would, with no
+		// bid to answer; then each task stands alone: committed and
+		// registered, or refused with its slot freed, whatever the others
+		// do. The routes riding on the award are every task's plan, its
+		// sender the initiator.
 		if b.Hold {
-			h.bid(env.Workflow, proto.CallForBidsBatch{Metas: append([]proto.TaskMeta{b.Meta}, b.More...)})
+			if at := h.Participant.HoldAward(env.Workflow, b); !at.IsZero() {
+				h.armSweep(at)
+			}
 		}
 		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
 		verdicts = append(verdicts, h.award(env.Workflow, b.Meta, env.From, b.Routes))
@@ -504,8 +516,8 @@ func (h *Host) award(workflow string, meta proto.TaskMeta, initiator proto.Addr,
 }
 
 // bid answers a call for bids. Holds are the only way onto the calendar,
-// so arming the sweep here keeps it ahead; awards and refreshes only move
-// deadlines later.
+// so arming the sweep here and for a held award's holds keeps it ahead;
+// awards and refreshes only move deadlines later.
 func (h *Host) bid(workflow string, b proto.CallForBidsBatch) proto.BidBatch {
 	resp := h.Participant.HandleCallForBidsBatch(workflow, b)
 	if len(resp.Bids) > 0 {

@@ -745,18 +745,51 @@ func TestRecycledCallsGetTheirOwnReplies(t *testing.T) {
 
 // TestCallRoundTripAllocBound pins what the plumbing of one round trip
 // between two hosts on inmem allocates, both sides together. The query is
-// empty, so no body field is decoded; what is left is each side's decoded
-// strings and boxed body, the boxed reply, and the reply bound's timer. 14
-// at the parent of this bound (17 with one task in the query, 9 now), when
-// every call made its channel and timer, every dispatch its session, queue
-// and worker closure, and every frame its copy and mailbox slot.
+// empty, so no body field is decoded, and a recycled call re-arms its
+// timer: 2 are left. 14 when the bound was set (17 with one task in the
+// query, 9 then), when every call made its channel and timer, every
+// dispatch its session, queue and worker closure, and every frame its copy
+// and mailbox slot; the bound then stood at 6 while 3 were made, the third
+// a new timer for every call's reply bound.
 func TestCallRoundTripAllocBound(t *testing.T) {
 	a, _ := pair(t, Config{Addr: "a"}, Config{Addr: "b"})
 	var q proto.Body = proto.FeasibilityQuery{}
-	testutil.AllocBound(t, 6, func() {
+	testutil.AllocBound(t, 2, func() {
 		if _, err := a.Call(context.Background(), "b", "wf", q, time.Second); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// TestHeldAwardAllocBound pins what a held award on three tasks costs
+// through Handle, both hosts together, beyond the round trip's plumbing
+// (TestCallRoundTripAllocBound): the award's decoding, the three holds,
+// commitments and registered runs, and the verdicts. The holds are taken
+// task by task from the award as it came: no list of its tasks is built,
+// no bid is placed and none is thrown away. 23 while a held award was
+// answered as a call for bids on a copy of its tasks (and 1 of them the
+// call's timer).
+func TestHeldAwardAllocBound(t *testing.T) {
+	reg := func(task model.TaskID) service.Registration {
+		return service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}
+	}
+	a, b := pair(t, Config{Addr: "a"}, Config{Addr: "b", Services: []service.Registration{reg("chop"), reg("cook"), reg("serve")}})
+	start := time.Now().Add(time.Hour)
+	meta := func(task model.TaskID, slot int) proto.TaskMeta {
+		at := start.Add(time.Duration(slot) * time.Minute)
+		return proto.TaskMeta{Task: task, Mode: model.Conjunctive, Inputs: lbl("in"), Outputs: lbl("out"), Start: at, End: at.Add(time.Minute)}
+	}
+	var held proto.Body = proto.Award{
+		Meta: meta("chop", 0), More: []proto.TaskMeta{meta("cook", 1), meta("serve", 2)},
+		Hold: true, Routes: []proto.Route{{Label: "out", To: "a"}},
+	}
+	testutil.AllocBound(t, 17, func() {
+		reply, err := a.Call(context.Background(), "b", "wf", held, time.Second)
+		if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Verdicts) != 3 || !ack.Verdicts[2].OK {
+			t.Fatalf("held award: reply %#v, err %v; want three confirmed", reply, err)
+		}
+		b.Participant.HandleCancel("wf", proto.Cancel{})
+		b.Exec.Cancel("wf")
 	})
 }
 

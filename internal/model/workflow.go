@@ -201,6 +201,13 @@ func (w *Workflow) Task(id TaskID) (Task, bool) {
 	return t.clone(), true
 }
 
+// TaskView is Task without the copy: the task's label slices are the
+// workflow's own, which the caller must not modify.
+func (w *Workflow) TaskView(id TaskID) (Task, bool) {
+	t, ok := w.tasks[id]
+	return t, ok
+}
+
 // NumTasks returns the number of tasks in the workflow.
 func (w *Workflow) NumTasks() int { return len(w.tasks) }
 
