@@ -10,7 +10,7 @@
 //
 // Absolute times reflect today's hardware and Go runtime; the reproduced
 // claims are the curve shapes. Every measurement is a cold one: the
-// initiator forgets what the community told it between runs (DESIGN.md §20).
+// initiator forgets what the community told it between runs (MEASUREMENTS.md §20).
 package main
 
 import (

@@ -60,9 +60,9 @@ func layeredFragments(b *testing.B, depth, width int) ([]*model.Fragment, spec.S
 }
 
 // BenchmarkRepeatedConstruct measures the steady-state cost of answering
-// specifications against one long-lived supergraph — the epoch-stamped
-// reset hot path. allocs/op here is the construction algorithm's
-// steady-state allocation floor.
+// specifications against one long-lived supergraph — construction plus
+// the green-list reset before it. allocs/op here is the construction
+// algorithm's steady-state allocation floor.
 func BenchmarkRepeatedConstruct(b *testing.B) {
 	for _, size := range []struct{ depth, width int }{{8, 4}, {16, 16}, {32, 32}} {
 		b.Run(fmt.Sprintf("depth=%d/width=%d", size.depth, size.width), func(b *testing.B) {
@@ -79,31 +79,6 @@ func BenchmarkRepeatedConstruct(b *testing.B) {
 				if _, err := core.Construct(g, s); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkResetColoring shows the reset is O(1) in graph size: ns/op must
-// stay flat as the supergraph grows by two orders of magnitude.
-func BenchmarkResetColoring(b *testing.B) {
-	for _, size := range []struct{ depth, width int }{{4, 4}, {32, 32}, {64, 64}} {
-		b.Run(fmt.Sprintf("tasks=%d", size.depth*size.width*2+1), func(b *testing.B) {
-			frags, s := layeredFragments(b, size.depth, size.width)
-			g := core.NewSupergraph()
-			for _, f := range frags {
-				if _, err := g.AddFragment(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Populate coloring so the reset has state to invalidate.
-			if _, err := core.Construct(g, s); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.ResetColoring()
 			}
 		})
 	}

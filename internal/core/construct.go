@@ -35,9 +35,10 @@ type Result struct {
 // Construct runs Algorithm 1 against an already-assembled supergraph:
 // exploration from ι, then pruning back from ω. On success the blue
 // subgraph is returned as a valid workflow satisfying s. The supergraph's
-// coloring state is reset first (an O(1) epoch bump), so Construct may be
-// called repeatedly with different specifications against the same
-// knowledge without paying for the graph's size.
+// coloring state is reset first (a walk of the last construction's green
+// list), so Construct may be called repeatedly with different
+// specifications against the same knowledge without paying for the graph's
+// size.
 func Construct(g *Supergraph, s spec.Spec) (*Result, error) {
 	g.ResetColoring()
 	//openwf:allow-background no source and no checker: the loop runs one round and waits on nothing
@@ -134,14 +135,13 @@ func construct(ctx context.Context, g *Supergraph, src KnowledgeSource, s spec.S
 // green at strictly smaller distance).
 //
 // The frontier is re-seeded from the supergraph's green list — the region
-// explored by earlier passes of this epoch — so an incremental round after
-// a fragment merge walks only previously-green nodes, never the whole
-// graph. The worklist reuses the supergraph's scratch buffer.
+// explored by earlier passes since the last reset — so an incremental
+// round after a fragment merge walks only previously-green nodes, never
+// the whole graph. The worklist reuses the supergraph's scratch buffer.
 func explore(g *Supergraph, s spec.Spec) {
-	e := g.epoch
 	goalsLeft := 0
 	for _, l := range s.Goals {
-		if n, ok := g.labels[l]; !ok || n.colorAt(e) != Green {
+		if n, ok := g.labels[l]; !ok || n.color != Green {
 			goalsLeft++
 		}
 	}
@@ -156,7 +156,6 @@ func explore(g *Supergraph, s spec.Spec) {
 	// yet — the incremental variant queries for their consumers).
 	for _, l := range s.Triggers {
 		n := g.labelFor(l)
-		n.stamp(e)
 		if n.color != Green {
 			n.color = Green
 			n.distance = 0
@@ -169,7 +168,7 @@ func explore(g *Supergraph, s spec.Spec) {
 	// Re-seed the frontier: any child of a green node may have become
 	// colorable after a fragment merge. The green list holds exactly the
 	// triggers seeded above plus the region explored by earlier passes
-	// of this epoch.
+	// since the last reset.
 	queue, head := g.work[:0], 0
 	for _, n := range g.green {
 		for _, c := range n.children {
@@ -183,11 +182,10 @@ func explore(g *Supergraph, s spec.Spec) {
 		if n.kind == taskNode && n.infeasible {
 			continue
 		}
-		d, ok := g.candidateDistance(n)
+		d, ok := n.candidateDistance()
 		if !ok {
 			continue
 		}
-		n.stamp(e)
 		if n.color == Uncolored || (n.color == Green && n.distance > d+1) {
 			if n.color == Uncolored {
 				g.green = append(g.green, n)
@@ -211,15 +209,14 @@ func explore(g *Supergraph, s spec.Spec) {
 // its green parents: the minimum green-parent distance for disjunctive
 // nodes, the maximum over all parents (which must all be green) for
 // conjunctive nodes. ok is false when the node is not yet colorable.
-func (g *Supergraph) candidateDistance(n *node) (int, bool) {
+func (n *node) candidateDistance() (int, bool) {
 	if len(n.parents) == 0 {
 		return 0, false
 	}
-	e := g.epoch
 	if n.mode == model.Disjunctive {
 		best, found := 0, false
 		for _, p := range n.parents {
-			if p.colorAt(e) != Uncolored {
+			if p.color != Uncolored {
 				if !found || p.distance < best {
 					best, found = p.distance, true
 				}
@@ -230,7 +227,7 @@ func (g *Supergraph) candidateDistance(n *node) (int, bool) {
 	// Conjunctive: all parents must be green.
 	worst := 0
 	for _, p := range n.parents {
-		if p.colorAt(e) == Uncolored {
+		if p.color == Uncolored {
 			return 0, false
 		}
 		if p.distance > worst {
@@ -244,7 +241,7 @@ func (g *Supergraph) candidateDistance(n *node) (int, bool) {
 func goalsGreen(g *Supergraph, s spec.Spec) bool {
 	for _, l := range s.Goals {
 		n, ok := g.labels[l]
-		if !ok || n.colorAt(g.epoch) == Uncolored {
+		if !ok || n.color == Uncolored {
 			return false
 		}
 	}
@@ -254,7 +251,7 @@ func goalsGreen(g *Supergraph, s spec.Spec) bool {
 func missingGoals(g *Supergraph, s spec.Spec) []model.LabelID {
 	var out []model.LabelID
 	for _, l := range s.Goals {
-		if n, ok := g.labels[l]; !ok || n.colorAt(g.epoch) == Uncolored {
+		if n, ok := g.labels[l]; !ok || n.color == Uncolored {
 			out = append(out, l)
 		}
 	}
@@ -265,14 +262,14 @@ func missingGoals(g *Supergraph, s spec.Spec) []model.LabelID {
 // markers, it selects the minimum-distance green parent of each
 // disjunctive node and all parents of each conjunctive node, coloring the
 // selection blue. On return the blue nodes and blue (recorded) edges form
-// the constructed workflow. Every node prune touches is green (stamped in
-// the current epoch), so no epoch checks are needed past the goal seeds;
-// the worklist reuses the supergraph's scratch buffer.
+// the constructed workflow. Every node prune touches is green, so prune
+// recolors only nodes on the green list; the worklist reuses the
+// supergraph's scratch buffer.
 func prune(g *Supergraph, s spec.Spec) error {
 	queue, head := g.work[:0], 0
 	for _, l := range s.Goals {
 		n, ok := g.labels[l]
-		if !ok || n.colorAt(g.epoch) != Green {
+		if !ok || n.color != Green {
 			return fmt.Errorf("%w: goal %q not reached", ErrNoSolution, l)
 		}
 		n.color = Purple
@@ -294,7 +291,7 @@ func prune(g *Supergraph, s spec.Spec) error {
 			// A triggering label: available by assumption, no
 			// prerequisites even if the supergraph knows producers.
 		case n.mode == model.Disjunctive:
-			p := g.minGreenParent(n)
+			p := n.minGreenParent()
 			if p == nil {
 				return fmt.Errorf("internal: purple node %s has no green parent", n.id())
 			}
@@ -313,11 +310,10 @@ func prune(g *Supergraph, s spec.Spec) error {
 // minGreenParent returns the colored parent with minimum distance, ties
 // broken by node ID for determinism. (Purple/blue parents are earlier
 // selections; reusing them keeps the workflow small.)
-func (g *Supergraph) minGreenParent(n *node) *node {
-	e := g.epoch
+func (n *node) minGreenParent() *node {
 	var best *node
 	for _, p := range n.parents {
-		if p.colorAt(e) == Uncolored {
+		if p.color == Uncolored {
 			continue
 		}
 		if p.kind == taskNode && p.infeasible {
@@ -359,7 +355,7 @@ func extract(g *Supergraph) (*model.Workflow, error) {
 		}
 		out := len(slab)
 		for _, c := range n.children {
-			if c.colorAt(g.epoch) == Blue && slices.Contains(c.blueParents, n) {
+			if c.color == Blue && slices.Contains(c.blueParents, n) {
 				slab = append(slab, c.label)
 			}
 		}

@@ -448,12 +448,12 @@ func TestConstructDistanceInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range g.labelOrder {
-		if n.colorAt(g.epoch) == Uncolored || n.distance == 0 {
+		if n.color == Uncolored || n.distance == 0 {
 			continue
 		}
 		ok := false
 		for _, p := range n.parents {
-			if p.colorAt(g.epoch) != Uncolored && p.distance < n.distance {
+			if p.color != Uncolored && p.distance < n.distance {
 				ok = true
 				break
 			}

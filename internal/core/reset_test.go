@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
+	"slices"
 	"testing"
 
 	"openwf/internal/model"
@@ -11,7 +11,7 @@ import (
 
 // freshConstruct builds a brand-new supergraph from frags (applying excl
 // first) and constructs s against it — the reference result every
-// epoch-reusing construction must match byte for byte.
+// construction in a reused supergraph must match byte for byte.
 func freshConstruct(t *testing.T, frags []*model.Fragment, s spec.Spec, excl ...model.TaskID) string {
 	t.Helper()
 	g := NewSupergraph()
@@ -30,10 +30,29 @@ func freshConstruct(t *testing.T, frags []*model.Fragment, s spec.Spec, excl ...
 	return res.Workflow.String()
 }
 
+// assertOnlyGreenColored checks the precondition ResetColoring rests on:
+// every node that is not on the green list is uncolored, at distance
+// infinity, with no blue parents.
+func assertOnlyGreenColored(t *testing.T, g *Supergraph, when string) {
+	t.Helper()
+	for _, order := range [2][]*node{g.labelOrder, g.taskOrder} {
+		for _, n := range order {
+			if slices.Contains(g.green, n) {
+				continue
+			}
+			if n.color != Uncolored || n.distance != infinity || len(n.blueParents) != 0 {
+				t.Errorf("%s: %s is off the green list but carries color %v, distance %d, %d blue parents",
+					when, n.id(), n.color, n.distance, len(n.blueParents))
+			}
+		}
+	}
+}
+
 // TestEpochRepeatedConstructMatchesFresh: a long-lived supergraph answering
 // a sequence of different specifications yields, for every one of them, a
-// workflow byte-identical to a freshly built graph's answer — epoch-stamped
-// lazy resets leave no residue.
+// workflow byte-identical to a freshly built graph's answer, and only the
+// nodes on the green list ever carry coloring state — the reset leaves no
+// residue.
 func TestEpochRepeatedConstructMatchesFresh(t *testing.T) {
 	frags := cateringFragments(t)
 	g := supergraphOf(t, frags)
@@ -52,35 +71,34 @@ func TestEpochRepeatedConstructMatchesFresh(t *testing.T) {
 		if got, want := res.Workflow.String(), freshConstruct(t, frags, s); got != want {
 			t.Errorf("spec %d: reused supergraph diverges from fresh graph:\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
+		assertOnlyGreenColored(t, g, "after Construct")
 	}
-	resets, sweeps := g.ResetStats()
-	if want := uint64(len(specs)); resets != want {
-		t.Errorf("resets = %d, want %d (one per Construct)", resets, want)
+	g.ResetColoring()
+	assertOnlyGreenColored(t, g, "after ResetColoring")
+	if _, err := Construct(g, specs[0]); err != nil {
+		t.Fatal(err)
 	}
-	if sweeps != 0 {
-		t.Errorf("fullSweeps = %d, want 0: ResetColoring must not touch nodes on the common path", sweeps)
+	g.MarkInfeasible("serve tables")
+	assertOnlyGreenColored(t, g, "after MarkInfeasible")
+	if _, err := Construct(g, specs[1]); err != nil {
+		t.Fatal(err)
 	}
+	g.MarkFeasible("serve tables")
+	assertOnlyGreenColored(t, g, "after MarkFeasible")
 }
 
-// TestEpochResetIsLazy: ResetColoring must be an O(1) epoch bump — node
-// state is left physically untouched and only reads as cleared.
-func TestEpochResetIsLazy(t *testing.T) {
+// TestResetColoringClears: after ResetColoring no label reads as colored
+// or reached, and the green list is empty.
+func TestResetColoringClears(t *testing.T) {
 	g := supergraphOf(t, cateringFragments(t))
 	s := spec.Must(lbl("breakfast ingredients"), lbl("breakfast served"))
 	if _, err := Construct(g, s); err != nil {
 		t.Fatal(err)
 	}
-	n := g.labels["breakfast served"]
-	if n.color != Blue {
-		t.Fatalf("goal color = %v before reset", n.color)
+	if c := g.LabelColor("breakfast served"); c != Blue {
+		t.Fatalf("goal color = %v before reset", c)
 	}
-	prevEpoch := n.epoch
 	g.ResetColoring()
-	// Physically untouched (lazy)...
-	if n.color != Blue || n.epoch != prevEpoch {
-		t.Errorf("ResetColoring touched node state: color=%v epoch=%d (was Blue/%d)", n.color, n.epoch, prevEpoch)
-	}
-	// ...but logically cleared.
 	if c := g.LabelColor("breakfast served"); c != Uncolored {
 		t.Errorf("LabelColor after reset = %v, want uncolored", c)
 	}
@@ -93,7 +111,7 @@ func TestEpochResetIsLazy(t *testing.T) {
 }
 
 // TestEpochMarkInfeasibleAfterConstruction: excluding a task after a
-// completed construction resets coloring (epoch bump) and the next
+// completed construction resets coloring and the next
 // construction routes around it exactly like a freshly built graph with
 // the same exclusion.
 func TestEpochMarkInfeasibleAfterConstruction(t *testing.T) {
@@ -125,47 +143,6 @@ func TestEpochMarkInfeasibleAfterConstruction(t *testing.T) {
 	}
 	if got, want := second.Workflow.String(), freshConstruct(t, frags, s, excluded); got != want {
 		t.Errorf("post-exclusion workflow diverges from fresh graph:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestEpochWraparound: when the epoch counter wraps around, ResetColoring
-// falls back to a full sweep exactly once and constructions keep yielding
-// byte-identical workflows — no stale stamp can alias the new epoch.
-func TestEpochWraparound(t *testing.T) {
-	frags := cateringFragments(t)
-	g := supergraphOf(t, frags)
-	s := spec.Must(lbl("breakfast ingredients"), lbl("breakfast served"))
-	// Populate coloring state at a normal epoch first, so the sweep has
-	// real residue to clear.
-	if _, err := Construct(g, s); err != nil {
-		t.Fatal(err)
-	}
-	// Force the next reset to wrap.
-	g.epoch = math.MaxUint64
-	res, err := Construct(g, s)
-	if err != nil {
-		t.Fatalf("Construct across wraparound: %v", err)
-	}
-	if g.epoch != 1 {
-		t.Errorf("epoch after wraparound = %d, want 1", g.epoch)
-	}
-	_, sweeps := g.ResetStats()
-	if sweeps != 1 {
-		t.Errorf("fullSweeps = %d, want exactly 1 (the wraparound)", sweeps)
-	}
-	if got, want := res.Workflow.String(), freshConstruct(t, frags, s); got != want {
-		t.Errorf("wraparound workflow diverges from fresh graph:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	// And the epoch machinery keeps working after re-basing.
-	res2, err := Construct(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Workflow.String() != res.Workflow.String() {
-		t.Error("construction after wraparound re-base diverges")
-	}
-	if _, sweeps := g.ResetStats(); sweeps != 1 {
-		t.Errorf("fullSweeps grew to %d after re-base; wraparound sweep must be rare", sweeps)
 	}
 }
 

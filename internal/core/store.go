@@ -74,11 +74,11 @@ func (s *Store) FragmentsConsuming(_ context.Context, labels []model.LabelID) ([
 }
 
 // Workspace is one construction session's private scratch: a supergraph
-// merged from a store snapshot plus the epoch-stamped coloring state of
-// PR 1. The shared Store is never written; all mutable state (colors,
-// distances, worklists, infeasibility marks) lives here, owned by
-// exactly one goroutine at a time. A WorkspacePool hands them out to
-// construct many specifications in parallel against one snapshot.
+// merged from a store snapshot plus its coloring state. The shared Store
+// is never written; all mutable state (colors, distances, worklists,
+// infeasibility marks) lives here, owned by exactly one goroutine at a
+// time. A WorkspacePool hands them out to construct many specifications
+// in parallel against one snapshot.
 type Workspace struct {
 	graph *Supergraph
 	// marks are the per-construct infeasibility marks to undo before
@@ -88,8 +88,8 @@ type Workspace struct {
 }
 
 // NewWorkspace merges the snapshot into a fresh supergraph. The merge is
-// paid once per workspace; afterwards every construction is an O(1)
-// epoch reset plus an O(explored region) walk.
+// paid once per workspace; afterwards every construction, its reset
+// included, walks only the explored region.
 func (s *Store) NewWorkspace() (*Workspace, error) {
 	g, err := CollectAll(s.frags)
 	if err != nil {
@@ -123,8 +123,8 @@ func (w *Workspace) Construct(sp spec.Spec, exclude ...model.TaskID) (*Result, e
 // construction sessions: each Construct takes a workspace (a pooled one, or
 // a fresh merge on first use under load), runs the coloring algorithm in
 // it, and puts it back. Pooled workspaces keep their merged supergraph, so
-// a warm construction costs nothing but the epoch bump. Safe for
-// concurrent use.
+// a warm construction pays for the region it explores, not for the merge.
+// Safe for concurrent use.
 type WorkspacePool struct {
 	store *Store
 	pool  sync.Pool

@@ -20,10 +20,11 @@
 // pulled from the community on demand, only where needed to extend the
 // supergraph along the boundary of the colored region.
 //
-// Coloring state is epoch-stamped (see DESIGN.md): resetting between
-// constructions is an O(1) epoch bump, and every phase of a construction
-// walks only the explored (green) region, so repeated constructions
-// against a long-lived supergraph cost O(explored), not O(graph).
+// Every node that carries coloring state is on the green list (see
+// DESIGN.md §3): resetting between constructions clears that list's nodes,
+// and every phase of a construction walks only the explored (green)
+// region, so repeated constructions against a long-lived supergraph cost
+// O(explored), not O(graph).
 package core
 
 import (
@@ -88,11 +89,9 @@ type node struct {
 	parents  []*node
 	children []*node
 
-	// epoch stamps the coloring state below: color, distance, and
-	// blueParents are only meaningful while epoch matches the
-	// supergraph's current epoch. A lagging node reads as
-	// Uncolored/infinity without ever being visited by a reset.
-	epoch    uint64
+	// color, distance and blueParents are the coloring state. A node
+	// holds any only while it is on the supergraph's green list, which
+	// is what lets ResetColoring walk that list alone.
 	color    Color
 	distance int
 
@@ -107,7 +106,7 @@ type node struct {
 
 	// blueParents records, after pruning, which parent edges were
 	// colored blue (the edges of the constructed workflow). The backing
-	// array is retained across epochs and reused.
+	// array is retained across resets and reused.
 	blueParents []*node
 }
 
@@ -116,37 +115,6 @@ func (n *node) id() string {
 		return "L:" + string(n.label)
 	}
 	return "T:" + string(n.task)
-}
-
-// colorAt returns the node's color as of epoch e: a node whose stamp lags
-// the supergraph's epoch has not been touched since the last reset and
-// reads as Uncolored.
-func (n *node) colorAt(e uint64) Color {
-	if n.epoch != e {
-		return Uncolored
-	}
-	return n.color
-}
-
-// distanceAt returns the node's distance as of epoch e (infinity when the
-// node's stamp lags).
-func (n *node) distanceAt(e uint64) int {
-	if n.epoch != e {
-		return infinity
-	}
-	return n.distance
-}
-
-// stamp brings the node into epoch e, lazily clearing coloring state left
-// over from earlier epochs. The blueParents backing array is kept so the
-// pruning phase of later constructions appends without allocating.
-func (n *node) stamp(e uint64) {
-	if n.epoch != e {
-		n.epoch = e
-		n.color = Uncolored
-		n.distance = infinity
-		n.blueParents = n.blueParents[:0]
-	}
 }
 
 // Supergraph is the union of collected workflow fragments plus the
@@ -159,8 +127,8 @@ type Supergraph struct {
 	// labelOrder and taskOrder hold the nodes in insertion order. They
 	// replace per-construction map-iteration-plus-sort: insertion order
 	// is deterministic for a deterministic merge sequence, so every
-	// full-graph walk (wraparound sweeps, invariant checks) iterates
-	// them directly without allocating.
+	// full-graph walk (recycle, invariant checks) iterates them directly
+	// without allocating.
 	labelOrder []*node
 	taskOrder  []*node
 
@@ -181,16 +149,10 @@ type Supergraph struct {
 	queried map[model.LabelID]struct{}
 	checked map[model.TaskID]struct{}
 
-	// epoch is the current coloring generation. Node coloring state is
-	// valid only when the node's stamp matches; bumping the epoch
-	// invalidates every node at once. Epoch 0 is reserved as the
-	// "never stamped" value so fresh nodes always read Uncolored.
-	epoch uint64
-
-	// green lists the nodes colored green in the current epoch, in
-	// coloring order. It is the explored region: frontier re-seeding,
-	// feasibility checks, and workflow extraction walk this list
-	// instead of the whole graph. Truncated (O(1)) on reset.
+	// green lists the nodes colored since the last reset, in coloring
+	// order. It is the explored region: frontier re-seeding, feasibility
+	// checks, workflow extraction and the reset walk this list instead
+	// of the whole graph.
 	green []*node
 
 	// work is the scratch worklist shared by the exploration and
@@ -202,12 +164,6 @@ type Supergraph struct {
 	// valid for the call only; their backing arrays are reused.
 	frontier []model.LabelID
 	toCheck  []model.TaskID
-
-	// resets counts ResetColoring calls; fullSweeps counts the rare
-	// epoch-wraparound sweeps among them. resets-fullSweeps is the
-	// number of O(1) resets, asserted by tests.
-	resets     uint64
-	fullSweeps uint64
 }
 
 // NewSupergraph returns an empty supergraph.
@@ -218,7 +174,6 @@ func NewSupergraph() *Supergraph {
 		fragments: make(map[string]struct{}),
 		queried:   make(map[model.LabelID]struct{}),
 		checked:   make(map[model.TaskID]struct{}),
-		epoch:     1,
 	}
 }
 
@@ -386,11 +341,11 @@ func (g *Supergraph) MarkInfeasible(t model.TaskID) {
 }
 
 // MarkFeasible undoes MarkInfeasible: the task may be colored again.
-// Like marking, clearing resets the coloring (reachability may change),
-// an O(1) epoch bump. Workspaces use it to undo per-construction
-// exclusions before returning to their pool. A placeholder node created
-// by a premature MarkInfeasible keeps its (empty) wiring; with no
-// parents it remains uncolorable until a fragment defines the task.
+// Like marking, clearing resets the coloring (reachability may change).
+// Workspaces use it to undo per-construction exclusions before returning
+// to their pool. A placeholder node created by a premature
+// MarkInfeasible keeps its (empty) wiring; with no parents it remains
+// uncolorable until a fragment defines the task.
 func (g *Supergraph) MarkFeasible(t model.TaskID) {
 	n, ok := g.tasks[t]
 	if !ok || !n.infeasible {
@@ -407,32 +362,13 @@ func (g *Supergraph) Infeasible(t model.TaskID) bool {
 }
 
 // ResetColoring clears all colors and distances, keeping the merged graph
-// and infeasibility marks. On the common path this is an O(1) epoch bump:
-// nodes stamped with an older epoch read as Uncolored/infinity and are
-// re-initialized lazily when exploration touches them. Only when the
-// 64-bit epoch counter wraps around does a full sweep run, pushing every
-// node back to the reserved never-stamped epoch 0.
+// and infeasibility marks. Only the nodes on the green list carry coloring
+// state, so the reset walks that list: O(explored), not O(graph).
 func (g *Supergraph) ResetColoring() {
-	g.green = g.green[:0]
-	g.resets++
-	g.epoch++
-	if g.epoch == 0 { // wrapped: re-base every node stamp
-		g.fullSweeps++
-		for _, n := range g.labelOrder {
-			n.epoch, n.color, n.distance, n.blueParents = 0, Uncolored, infinity, n.blueParents[:0]
-		}
-		for _, n := range g.taskOrder {
-			n.epoch, n.color, n.distance, n.blueParents = 0, Uncolored, infinity, n.blueParents[:0]
-		}
-		g.epoch = 1
+	for _, n := range g.green {
+		n.color, n.distance, n.blueParents = Uncolored, infinity, n.blueParents[:0]
 	}
-}
-
-// ResetStats reports how many times the coloring was reset and how many of
-// those resets required a full wraparound sweep; the difference is the
-// number of O(1) epoch bumps. Exposed for tests and evaluation metrics.
-func (g *Supergraph) ResetStats() (resets, fullSweeps uint64) {
-	return g.resets, g.fullSweeps
+	g.green = g.green[:0]
 }
 
 // NumTasks returns the number of tasks the merged fragments define
@@ -453,7 +389,7 @@ func (g *Supergraph) GreenCount() int { return len(g.green) }
 // TaskColor returns the color of a task node.
 func (g *Supergraph) TaskColor(t model.TaskID) Color {
 	if n, ok := g.tasks[t]; ok {
-		return n.colorAt(g.epoch)
+		return n.color
 	}
 	return Uncolored
 }
@@ -461,7 +397,7 @@ func (g *Supergraph) TaskColor(t model.TaskID) Color {
 // LabelColor returns the color of a label node.
 func (g *Supergraph) LabelColor(l model.LabelID) Color {
 	if n, ok := g.labels[l]; ok {
-		return n.colorAt(g.epoch)
+		return n.color
 	}
 	return Uncolored
 }
@@ -473,9 +409,8 @@ func (g *Supergraph) LabelDistance(l model.LabelID) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	d := n.distanceAt(g.epoch)
-	if d == infinity {
+	if n.distance == infinity {
 		return 0, false
 	}
-	return d, true
+	return n.distance, true
 }

@@ -231,7 +231,6 @@ type execution struct {
 	plan      *Plan
 	remaining map[model.TaskID]struct{}
 	goals     map[model.LabelID][]byte
-	goalWant  int
 	failures  []string
 	done      chan struct{}
 	finished  bool
@@ -244,8 +243,6 @@ type execution struct {
 	// triggers retains the initiator-supplied trigger data so a repair
 	// can re-inject the workflow sources to re-allocated consumers.
 	triggers map[model.LabelID][]byte
-	// repairs counts completed mid-execution plan repairs.
-	repairs int
 }
 
 // NewManager returns an engine bound to its host messenger. It routes by

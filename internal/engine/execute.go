@@ -57,13 +57,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 			len(plan.Allocations), plan.Workflow.NumTasks())
 	}
 	w := plan.Workflow
-	goalWant := len(w.Out())
 
 	ex := &execution{
 		plan:          plan,
 		remaining:     make(map[model.TaskID]struct{}, w.NumTasks()),
-		goals:         make(map[model.LabelID][]byte, goalWant),
-		goalWant:      goalWant,
+		goals:         make(map[model.LabelID][]byte, len(w.Out())),
 		done:          make(chan struct{}),
 		finishedTasks: make(map[model.TaskID]struct{}, w.NumTasks()),
 		triggers:      triggers,
@@ -233,21 +231,20 @@ func (m *Manager) OnLabelTransfer(workflow string, lt proto.LabelTransfer) {
 	if !ok || ex.finished {
 		return
 	}
-	for _, g := range ex.plan.Workflow.Out() {
-		if g == lt.Label {
-			if _, dup := ex.goals[lt.Label]; !dup {
-				ex.goals[lt.Label] = lt.Data
-			}
-			break
+	goals := ex.plan.Workflow.Out()
+	if slices.Contains(goals, lt.Label) {
+		if _, dup := ex.goals[lt.Label]; !dup {
+			ex.goals[lt.Label] = lt.Data
 		}
 	}
-	ex.maybeCompleteLocked()
+	ex.maybeCompleteLocked(goals)
 }
 
-// maybeCompleteLocked completes the execution once every goal has
-// arrived; every task then counts as finished (Execute).
-func (ex *execution) maybeCompleteLocked() {
-	if len(ex.goals) == ex.goalWant {
+// maybeCompleteLocked completes the execution once every goal of the
+// plan's workflow, given as goals, has arrived; every task then counts as
+// finished (Execute).
+func (ex *execution) maybeCompleteLocked(goals []model.LabelID) {
+	if len(ex.goals) == len(goals) {
 		clear(ex.remaining)
 		ex.finishLocked(true)
 	}

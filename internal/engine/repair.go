@@ -223,14 +223,13 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	}
 	maps.Copy(plan.Allocations, won)
 	maps.Copy(plan.Metas, wonMetas)
-	ex.repairs++
 	segs := m.planSegments(plan, won)
 	alloc := maps.Clone(plan.Allocations)
 	wNow := plan.Workflow
 	triggers := ex.triggers
 	// A reconstruction may have shrunk the workflow to already-finished
 	// work; nothing is left to distribute then.
-	ex.maybeCompleteLocked()
+	ex.maybeCompleteLocked(wNow.Out())
 	finished := ex.finished
 	m.mu.Unlock()
 
@@ -305,7 +304,6 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 			delete(ex.goals, l)
 		}
 	}
-	ex.goalWant = len(newW.Out())
 	return maps.Clone(plan.Allocations), dropped
 }
 

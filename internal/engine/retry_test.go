@@ -95,7 +95,6 @@ func TestRepairRetriesInItsAllocationBand(t *testing.T) {
 		plan:          plan,
 		remaining:     map[model.TaskID]struct{}{"t1": {}, "t2": {}},
 		finishedTasks: make(map[model.TaskID]struct{}),
-		goalWant:      1,
 		done:          make(chan struct{}),
 	}
 	if err := m.repairPlan(context.Background(), ex, nil, []model.TaskID{"t2"}); err != nil {

@@ -30,7 +30,7 @@
 // of it sits behind one sync.RWMutex: two maps keyed by (workflow, task),
 // one of holds and one of commitments, and a conflict check that scans
 // both. Every operation is atomic against every other, and a record is
-// either in a map or gone. DESIGN.md §14 records the sharded calendar
+// either in a map or gone. MEASUREMENTS.md §14 records the sharded calendar
 // that was tried in its place, measured, and removed.
 package schedule
 

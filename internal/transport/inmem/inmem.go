@@ -15,7 +15,7 @@
 // the recipient has decoded it) outside the lock, decides under it, and
 // pushes to the recipient's mailbox after releasing it; the mailbox's dark
 // flag is what keeps a push that lost that race to a Crash out of the
-// crashed host's inbox. DESIGN.md §14 records the sharded, copy-on-write
+// crashed host's inbox. MEASUREMENTS.md §14 records the sharded, copy-on-write
 // send path that was tried in its place, measured, and removed.
 package inmem
 
