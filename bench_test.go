@@ -369,39 +369,83 @@ func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
 		for _, mode := range []string{"cold", "memory", "advertiser"} {
 			b.Run(fmt.Sprintf("hosts=%d/mode=%s", hosts, mode), func(b *testing.B) {
-				ctx := context.Background()
-				comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "advertiser", 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer comm.Close()
-				h, _ := comm.Host(initiator)
-				if mode == "memory" {
-					if _, err := comm.Initiate(ctx, initiator, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				comm.Network().ResetCounters()
+				comm, reset, initiate := discoveryRow(b, hosts, mode)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					comm.ResetSchedules()
-					if mode == "cold" {
-						h.Discovery().Reset()
-					}
+					reset()
 					b.StartTimer()
-					plan, err := comm.Initiate(ctx, initiator, s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if plan.Workflow.NumTasks() != 6 {
-						b.Fatalf("workflow has %d tasks", plan.Workflow.NumTasks())
-					}
+					initiate()
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(comm.Network().Stats().Calls)/float64(b.N), "roundtrips/op")
 			})
 		}
 	}
+}
+
+// TestDiscoveryInitiateCalls pins BenchmarkDiscoveryInitiate's round trips
+// for one Initiate, what -benchtime=1x reads, exactly: the virtual clock
+// is frozen and the in-memory network instantaneous, so every run counts
+// the same. Moving a row is a change to say why.
+func TestDiscoveryInitiateCalls(t *testing.T) {
+	for _, row := range []struct {
+		hosts int
+		mode  string
+		want  int64
+	}{
+		{10, "cold", 21},
+		{100, "cold", 111},
+		{10, "memory", 6},
+		{100, "memory", 6},
+		{10, "advertiser", 12},
+		{100, "advertiser", 12},
+	} {
+		t.Run(fmt.Sprintf("hosts=%d/mode=%s", row.hosts, row.mode), func(t *testing.T) {
+			comm, reset, initiate := discoveryRow(t, row.hosts, row.mode)
+			reset()
+			initiate()
+			if got := comm.Network().Stats().Calls; got != row.want {
+				t.Errorf("%d round trips, want %d", got, row.want)
+			}
+		})
+	}
+}
+
+// discoveryRow builds BenchmarkDiscoveryInitiate's community of hosts
+// members for one mode, with its call counters zeroed, and returns it with
+// the two halves of one measured Initiate: reset clears the calendars and,
+// in "cold" mode, the initiator's memory of its community; initiate runs
+// the session. In "memory" mode one session has run before the counters
+// are zeroed.
+func discoveryRow(tb testing.TB, hosts int, mode string) (comm *community.Community, reset, initiate func()) {
+	tb.Helper()
+	ctx := context.Background()
+	comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "advertiser", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = comm.Close() })
+	h, _ := comm.Host(initiator)
+	reset = func() {
+		comm.ResetSchedules()
+		if mode == "cold" {
+			h.Discovery().Reset()
+		}
+	}
+	initiate = func() {
+		plan, err := comm.Initiate(ctx, initiator, s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if plan.Workflow.NumTasks() != 6 {
+			tb.Fatalf("workflow has %d tasks", plan.Workflow.NumTasks())
+		}
+	}
+	if mode == "memory" {
+		initiate()
+	}
+	comm.Network().ResetCounters()
+	return comm, reset, initiate
 }

@@ -10,7 +10,6 @@ func Analyzers() []*analysis.Analyzer {
 		Clockcheck,
 		Seedcheck,
 		Ctxcheck,
-		Protokind,
 		Depcheck,
 	}
 }

@@ -26,13 +26,6 @@
 //     `//openwf:allow-background <reason>` (lifecycle roots and
 //     detached best-effort sends are the legitimate uses).
 //
-//   - protokind: wire-codec exhaustiveness. Every concrete type
-//     implementing proto.Body must appear at each registration site
-//     that exists in the package being analyzed: the kind* tag constant
-//     block, the (*encoder).body type switch, the decoder's
-//     construction methods, and the randBody differential-test arms.
-//     A body type forgotten at any site is a vet error naming the site.
-//
 //   - depcheck: the golang.org/x/tools dependency is tool/test-scoped.
 //     No non-test file of a package under internal/ outside
 //     internal/analysis may import it, keeping the runtime import

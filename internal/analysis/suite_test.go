@@ -34,20 +34,6 @@ func TestCtxcheckSkipsCmd(t *testing.T) {
 		analyzertest.WithPkgPath("openwf/cmd/openwfd"))
 }
 
-func TestProtokindMissingSites(t *testing.T) {
-	analyzertest.Run(t, analysis.Protokind, "protomissing")
-}
-
-func TestProtokindComplete(t *testing.T) {
-	analyzertest.Run(t, analysis.Protokind, "protocomplete")
-}
-
-func TestProtokindInertWithoutBody(t *testing.T) {
-	// A package with no Body interface (every other package in the
-	// repo) must not trigger the exhaustiveness machinery.
-	analyzertest.Run(t, analysis.Protokind, "ctxexempt")
-}
-
 func TestDepcheckForbidsXToolsInInternal(t *testing.T) {
 	analyzertest.Run(t, analysis.Depcheck, "depfixture",
 		analyzertest.WithPkgPath("openwf/internal/transport"))
@@ -74,7 +60,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"clockcheck", "seedcheck", "ctxcheck", "protokind", "depcheck"} {
+	for _, want := range []string{"clockcheck", "seedcheck", "ctxcheck", "depcheck"} {
 		if !names[want] {
 			t.Fatalf("suite is missing analyzer %q", want)
 		}

@@ -230,6 +230,9 @@ type Manager struct {
 type execution struct {
 	plan      *Plan
 	remaining map[model.TaskID]struct{}
+	// outs are the plan workflow's goal labels (Workflow.Out), kept so a
+	// label's arrival copies nothing; a repair re-homing tasks resets them.
+	outs      []model.LabelID
 	goals     map[model.LabelID][]byte
 	failures  []string
 	done      chan struct{}

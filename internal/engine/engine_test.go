@@ -754,6 +754,40 @@ func TestExecuteCompletion(t *testing.T) {
 	}
 }
 
+// TestLabelArrivalAllocFree: a label reaching the initiator of a running
+// execution allocates nothing, goal or not: the goal list is the
+// execution's (1 while every arrival cloned the workflow's).
+func TestLabelArrivalAllocFree(t *testing.T) {
+	net := chainNet(t)
+	cfg := testConfig()
+	cfg.LeaseRefreshInterval = -1 // no refresher allocating beside the measurement
+	m := NewManager(net, cfg)
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Execute(ctx, plan, nil)
+		done <- err
+	}()
+	// The trigger's injection is the last thing Execute sends.
+	for injected := false; !injected; time.Sleep(time.Millisecond) {
+		net.mu.Lock()
+		injected = slices.ContainsFunc(net.sent, func(b proto.Body) bool { _, ok := b.(proto.LabelTransfer); return ok })
+		net.mu.Unlock()
+	}
+	testutil.AllocBound(t, 0, func() {
+		m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "m"})
+	})
+	m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExecuteTaskFailureFinishesEarly(t *testing.T) {
 	net := chainNet(t)
 	m := NewManager(net, testConfig())

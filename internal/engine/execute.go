@@ -58,10 +58,12 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 	}
 	w := plan.Workflow
 
+	outs := w.Out()
 	ex := &execution{
 		plan:          plan,
 		remaining:     make(map[model.TaskID]struct{}, w.NumTasks()),
-		goals:         make(map[model.LabelID][]byte, len(w.Out())),
+		outs:          outs,
+		goals:         make(map[model.LabelID][]byte, len(outs)),
 		done:          make(chan struct{}),
 		finishedTasks: make(map[model.TaskID]struct{}, w.NumTasks()),
 		triggers:      triggers,
@@ -231,20 +233,19 @@ func (m *Manager) OnLabelTransfer(workflow string, lt proto.LabelTransfer) {
 	if !ok || ex.finished {
 		return
 	}
-	goals := ex.plan.Workflow.Out()
-	if slices.Contains(goals, lt.Label) {
+	if slices.Contains(ex.outs, lt.Label) {
 		if _, dup := ex.goals[lt.Label]; !dup {
 			ex.goals[lt.Label] = lt.Data
 		}
 	}
-	ex.maybeCompleteLocked(goals)
+	ex.maybeCompleteLocked()
 }
 
 // maybeCompleteLocked completes the execution once every goal of the
-// plan's workflow, given as goals, has arrived; every task then counts as
-// finished (Execute).
-func (ex *execution) maybeCompleteLocked(goals []model.LabelID) {
-	if len(ex.goals) == len(goals) {
+// plan's workflow has arrived; every task then counts as finished
+// (Execute).
+func (ex *execution) maybeCompleteLocked() {
+	if len(ex.goals) == len(ex.outs) {
 		clear(ex.remaining)
 		ex.finishLocked(true)
 	}

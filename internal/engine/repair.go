@@ -229,7 +229,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	triggers := ex.triggers
 	// A reconstruction may have shrunk the workflow to already-finished
 	// work; nothing is left to distribute then.
-	ex.maybeCompleteLocked(wNow.Out())
+	ex.maybeCompleteLocked()
 	finished := ex.finished
 	m.mu.Unlock()
 
@@ -295,12 +295,9 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	}
 	// Goals follow the new workflow (the spec is unchanged, so in
 	// practice the goal set is too; pruning keeps the count honest).
-	goalSet := make(map[model.LabelID]struct{}, len(newW.Out()))
-	for _, g := range newW.Out() {
-		goalSet[g] = struct{}{}
-	}
+	ex.outs = newW.Out()
 	for l := range ex.goals {
-		if _, ok := goalSet[l]; !ok {
+		if !slices.Contains(ex.outs, l) {
 			delete(ex.goals, l)
 		}
 	}

@@ -94,6 +94,7 @@ func TestRepairRetriesInItsAllocationBand(t *testing.T) {
 	ex := &execution{
 		plan:          plan,
 		remaining:     map[model.TaskID]struct{}{"t1": {}, "t2": {}},
+		outs:          plan.Workflow.Out(),
 		finishedTasks: make(map[model.TaskID]struct{}),
 		done:          make(chan struct{}),
 	}

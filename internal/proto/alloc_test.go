@@ -120,7 +120,7 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"label-transfer-4k", 7, benchLabelTransfer4K()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			data, err := Encode(c.env)
+			data, err := binEncode(c.env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestDecodedListsDoNotShareTails(t *testing.T) {
 		{Task: "t1", Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"}},
 		{Task: "t2", Inputs: []model.LabelID{"b"}, Outputs: []model.LabelID{"c"}},
 	}}}
-	data, err := Encode(env)
+	data, err := binEncode(env)
 	if err != nil {
 		t.Fatal(err)
 	}

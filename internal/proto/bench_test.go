@@ -49,17 +49,6 @@ func benchLabelTransfer4K() Envelope {
 	}
 }
 
-// BenchmarkEncode is the unpooled per-envelope marshal cost.
-func BenchmarkEncode(b *testing.B) {
-	env := benchEnvelope()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEncodeToPooled is the transports' marshal path: a pooled buffer
 // whose grown backing array is reused across envelopes. With the binary
 // codec this is allocation-free.
@@ -79,7 +68,7 @@ func BenchmarkEncodeToPooled(b *testing.B) {
 
 // BenchmarkDecode is the per-envelope unmarshal cost on the receive path.
 func BenchmarkDecode(b *testing.B) {
-	data, err := Encode(benchEnvelope())
+	data, err := binEncode(benchEnvelope())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +84,7 @@ func BenchmarkDecode(b *testing.B) {
 // hop. Its B/op is the payload's one copy plus a few small strings
 // (TestDecodeLargeFrameBytes bounds it).
 func BenchmarkDecodeLabelTransfer4K(b *testing.B) {
-	data, err := Encode(benchLabelTransfer4K())
+	data, err := binEncode(benchLabelTransfer4K())
 	if err != nil {
 		b.Fatal(err)
 	}

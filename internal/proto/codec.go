@@ -5,11 +5,11 @@
 // Frame layout, documented in DESIGN.md §"Wire format":
 //
 //	version byte (wireVersion)
-//	kind byte (one of the kind* constants, tagging the body type)
+//	kind byte (Body.kind: one of the kind* constants)
 //	From, To   string
 //	ReqID      uvarint
 //	Workflow   string
-//	body fields, in struct order
+//	body fields, in struct order (Body.encode)
 //
 // Primitives: uvarint is unsigned LEB128 (encoding/binary layout); varint
 // is zigzag-encoded; string and []byte are uvarint length + raw bytes;
@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"openwf/internal/model"
@@ -81,100 +82,77 @@ const (
 	kindAdvertiseAck
 )
 
-// encodeBinary appends the binary encoding of env to buf.
-func encodeBinary(buf *bytes.Buffer, env Envelope) error {
+// EncodeTo appends the wire encoding of env to buf. Transports call it
+// with a pooled buffer: once the buffer has grown to fit, encoding
+// performs no allocations of its own.
+func EncodeTo(buf *bytes.Buffer, env Envelope) error {
 	if env.Body == nil {
-		return fmt.Errorf("encoding envelope: nil body")
+		return errors.New("encoding envelope: nil body")
 	}
-	e := encoder{buf: buf}
+	// A nil fragment has no layout: it is the caller's error, not a frame.
+	if r, ok := env.Body.(FragmentReply); ok && slices.Contains(r.Fragments, nil) {
+		return errors.New("encoding fragment-reply envelope: nil fragment")
+	}
+	e := encoder{buf}
 	e.byte(wireVersion)
-	if err := e.body(env); err != nil {
-		return fmt.Errorf("encoding %s envelope: %w", env.Body.Kind(), err)
-	}
+	e.header(env.Body.kind(), env)
+	env.Body.encode(e)
 	return nil
 }
 
-// encoder wraps the output buffer with varint scratch space so that
-// encoding performs no allocations of its own.
-type encoder struct {
-	buf     *bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
+// encoder writes into the caller's buffer. It is passed by value to
+// Body.encode: a pointer would escape through the interface call, one
+// allocation per frame (TestEncodeToAllocFree).
+type encoder struct{ buf *bytes.Buffer }
 
-func (e *encoder) byte(b byte) { e.buf.WriteByte(b) }
-func (e *encoder) uint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
+func (e encoder) byte(b byte)   { e.buf.WriteByte(b) }
+func (e encoder) uint(v uint64) { e.buf.Write(binary.AppendUvarint(e.buf.AvailableBuffer(), v)) }
+func (e encoder) int(v int64)   { e.buf.Write(binary.AppendVarint(e.buf.AvailableBuffer(), v)) }
+func (e encoder) f64(v float64) {
+	e.buf.Write(binary.BigEndian.AppendUint64(e.buf.AvailableBuffer(), math.Float64bits(v)))
 }
-func (e *encoder) int(v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-func (e *encoder) str(s string) {
+func (e encoder) str(s string) {
 	e.uint(uint64(len(s)))
 	e.buf.WriteString(s)
 }
-func (e *encoder) bytes(b []byte) {
+func (e encoder) bytes(b []byte) {
 	e.uint(uint64(len(b)))
 	e.buf.Write(b)
 }
-func (e *encoder) bool(v bool) {
+func (e encoder) bool(v bool) {
 	if v {
 		e.byte(1)
 	} else {
 		e.byte(0)
 	}
 }
-func (e *encoder) f64(v float64) {
-	binary.BigEndian.PutUint64(e.scratch[:8], math.Float64bits(v))
-	e.buf.Write(e.scratch[:8])
-}
 
 // time encodes the instant: varint Unix seconds plus uvarint nanoseconds.
-func (e *encoder) time(t time.Time) {
+func (e encoder) time(t time.Time) {
 	e.int(t.Unix())
 	e.uint(uint64(t.Nanosecond()))
 }
 
-func (e *encoder) labels(ls []model.LabelID) {
+func (e encoder) labels(ls []model.LabelID) {
 	e.uint(uint64(len(ls)))
 	for _, l := range ls {
 		e.str(string(l))
 	}
 }
 
-func (e *encoder) taskIDs(ts []model.TaskID) {
+func (e encoder) taskIDs(ts []model.TaskID) {
 	e.uint(uint64(len(ts)))
 	for _, t := range ts {
 		e.str(string(t))
 	}
 }
 
-func (e *encoder) task(t model.Task) {
-	e.str(string(t.ID))
-	e.uint(uint64(t.Mode))
-	e.labels(t.Inputs)
-	e.labels(t.Outputs)
-}
-
-func (e *encoder) fragment(f *model.Fragment) error {
-	if f == nil {
-		return errors.New("nil fragment") // gob rejects nil pointers too
-	}
-	e.str(f.Name)
-	e.uint(uint64(len(f.Tasks)))
-	for _, t := range f.Tasks {
-		e.task(t)
-	}
-	return nil
-}
-
-func (e *encoder) point(p space.Point) {
+func (e encoder) point(p space.Point) {
 	e.f64(p.X)
 	e.f64(p.Y)
 }
 
-func (e *encoder) meta(m TaskMeta) {
+func (e encoder) meta(m TaskMeta) {
 	e.str(string(m.Task))
 	e.uint(uint64(m.Mode))
 	e.labels(m.Inputs)
@@ -185,14 +163,14 @@ func (e *encoder) meta(m TaskMeta) {
 	e.bool(m.HasLocation)
 }
 
-func (e *encoder) metas(ms []TaskMeta) {
+func (e encoder) metas(ms []TaskMeta) {
 	e.uint(uint64(len(ms)))
 	for _, m := range ms {
 		e.meta(m)
 	}
 }
 
-func (e *encoder) routes(rs []Route) {
+func (e encoder) routes(rs []Route) {
 	e.uint(uint64(len(rs)))
 	for _, r := range rs {
 		e.str(string(r.Label))
@@ -200,114 +178,130 @@ func (e *encoder) routes(rs []Route) {
 	}
 }
 
-// body writes the kind tag, envelope header, and body fields.
-func (e *encoder) body(env Envelope) error {
-	switch v := env.Body.(type) {
-	case FragmentQuery:
-		e.header(kindFragmentQuery, env)
-		e.labels(v.Labels)
-		e.bool(v.Describe)
-	case FragmentReply:
-		e.header(kindFragmentReply, env)
-		e.uint(uint64(len(v.Fragments)))
-		for _, f := range v.Fragments {
-			if err := e.fragment(f); err != nil {
-				return err
-			}
-		}
-		e.bool(v.Capabilities != nil)
-		if c := v.Capabilities; c != nil {
-			e.labels(c.Labels)
-			e.taskIDs(c.Tasks)
-		}
-	case FeasibilityQuery:
-		e.header(kindFeasibilityQuery, env)
-		e.taskIDs(v.Tasks)
-	case FeasibilityReply:
-		e.header(kindFeasibilityReply, env)
-		e.taskIDs(v.Capable)
-	case Award:
-		e.header(kindAward, env)
-		e.meta(v.Meta)
-		e.metas(v.More)
-		e.bool(v.Hold)
-		e.routes(v.Routes)
-	case AwardAck:
-		e.header(kindAwardAck, env)
-		e.uint(uint64(len(v.Verdicts)))
-		for _, x := range v.Verdicts {
-			e.str(string(x.Task))
-			e.bool(x.OK)
-			e.str(x.Reason)
-		}
-	case Cancel:
-		e.header(kindCancel, env)
-		e.taskIDs(v.Tasks)
-	case Plan:
-		e.header(kindPlan, env)
-		e.uint(uint64(len(v.Segments)))
-		for _, s := range v.Segments {
-			e.str(string(s.Task))
-			e.str(string(s.Initiator))
-			e.routes(s.Routes)
-		}
-	case LabelTransfer:
-		e.header(kindLabelTransfer, env)
-		e.str(string(v.Label))
-		e.bytes(v.Data)
-		e.str(string(v.Producer))
-	case TaskDone:
-		e.header(kindTaskDone, env)
-		e.str(string(v.Task))
-		e.str(v.Err)
-	case Ack:
-		e.header(kindAck, env)
-	case CallForBidsBatch:
-		e.header(kindCallForBidsBatch, env)
-		e.metas(v.Metas)
-	case BidBatch:
-		e.header(kindBidBatch, env)
-		e.uint(uint64(len(v.Bids)))
-		for _, b := range v.Bids {
-			e.bid(b)
-		}
-		e.taskIDs(v.Declines)
-	case LeaseRefresh:
-		e.header(kindLeaseRefresh, env)
-		e.taskIDs(v.Tasks)
-	case LeaseRefreshAck:
-		e.header(kindLeaseRefreshAck, env)
-		e.taskIDs(v.Missing)
-		e.taskIDs(v.Finished)
-	case Advertise:
-		e.header(kindAdvertise, env)
-		e.labels(v.Labels)
-		e.taskIDs(v.Tasks)
-	case AdvertiseAck:
-		e.header(kindAdvertiseAck, env)
-		e.labels(v.Labels)
-		e.taskIDs(v.Tasks)
-	default:
-		return fmt.Errorf("unregistered body type %T", env.Body)
-	}
-	return nil
-}
-
-// bid writes one Bid's fields.
-func (e *encoder) bid(b Bid) {
-	e.str(string(b.Task))
-	e.int(int64(b.ServicesOffered))
-	e.f64(b.Specialization)
-	e.time(b.Deadline)
-}
-
 // header writes the kind tag and the envelope routing fields.
-func (e *encoder) header(kind byte, env Envelope) {
+func (e encoder) header(kind byte, env Envelope) {
 	e.byte(kind)
 	e.str(string(env.From))
 	e.str(string(env.To))
 	e.uint(env.ReqID)
 	e.str(env.Workflow)
+}
+
+// --- each body's tag and fields, in tag order ---
+
+func (FragmentQuery) kind() byte { return kindFragmentQuery }
+func (q FragmentQuery) encode(e encoder) {
+	e.labels(q.Labels)
+	e.bool(q.Describe)
+}
+
+func (FragmentReply) kind() byte { return kindFragmentReply }
+func (r FragmentReply) encode(e encoder) {
+	e.uint(uint64(len(r.Fragments)))
+	for _, f := range r.Fragments {
+		e.str(f.Name)
+		e.uint(uint64(len(f.Tasks)))
+		for _, t := range f.Tasks {
+			e.str(string(t.ID))
+			e.uint(uint64(t.Mode))
+			e.labels(t.Inputs)
+			e.labels(t.Outputs)
+		}
+	}
+	e.bool(r.Capabilities != nil)
+	if c := r.Capabilities; c != nil {
+		e.labels(c.Labels)
+		e.taskIDs(c.Tasks)
+	}
+}
+
+func (FeasibilityQuery) kind() byte         { return kindFeasibilityQuery }
+func (q FeasibilityQuery) encode(e encoder) { e.taskIDs(q.Tasks) }
+
+func (FeasibilityReply) kind() byte         { return kindFeasibilityReply }
+func (r FeasibilityReply) encode(e encoder) { e.taskIDs(r.Capable) }
+
+func (Award) kind() byte { return kindAward }
+func (a Award) encode(e encoder) {
+	e.meta(a.Meta)
+	e.metas(a.More)
+	e.bool(a.Hold)
+	e.routes(a.Routes)
+}
+
+func (AwardAck) kind() byte { return kindAwardAck }
+func (a AwardAck) encode(e encoder) {
+	e.uint(uint64(len(a.Verdicts)))
+	for _, v := range a.Verdicts {
+		e.str(string(v.Task))
+		e.bool(v.OK)
+		e.str(v.Reason)
+	}
+}
+
+func (Cancel) kind() byte         { return kindCancel }
+func (c Cancel) encode(e encoder) { e.taskIDs(c.Tasks) }
+
+func (Plan) kind() byte { return kindPlan }
+func (p Plan) encode(e encoder) {
+	e.uint(uint64(len(p.Segments)))
+	for _, s := range p.Segments {
+		e.str(string(s.Task))
+		e.str(string(s.Initiator))
+		e.routes(s.Routes)
+	}
+}
+
+func (LabelTransfer) kind() byte { return kindLabelTransfer }
+func (lt LabelTransfer) encode(e encoder) {
+	e.str(string(lt.Label))
+	e.bytes(lt.Data)
+	e.str(string(lt.Producer))
+}
+
+func (TaskDone) kind() byte { return kindTaskDone }
+func (td TaskDone) encode(e encoder) {
+	e.str(string(td.Task))
+	e.str(td.Err)
+}
+
+func (Ack) kind() byte     { return kindAck }
+func (Ack) encode(encoder) {}
+
+func (CallForBidsBatch) kind() byte         { return kindCallForBidsBatch }
+func (c CallForBidsBatch) encode(e encoder) { e.metas(c.Metas) }
+
+func (BidBatch) kind() byte { return kindBidBatch }
+func (b BidBatch) encode(e encoder) {
+	e.uint(uint64(len(b.Bids)))
+	for _, bid := range b.Bids {
+		e.str(string(bid.Task))
+		e.int(int64(bid.ServicesOffered))
+		e.f64(bid.Specialization)
+		e.time(bid.Deadline)
+	}
+	e.taskIDs(b.Declines)
+}
+
+func (LeaseRefresh) kind() byte         { return kindLeaseRefresh }
+func (r LeaseRefresh) encode(e encoder) { e.taskIDs(r.Tasks) }
+
+func (LeaseRefreshAck) kind() byte { return kindLeaseRefreshAck }
+func (a LeaseRefreshAck) encode(e encoder) {
+	e.taskIDs(a.Missing)
+	e.taskIDs(a.Finished)
+}
+
+func (Advertise) kind() byte { return kindAdvertise }
+func (a Advertise) encode(e encoder) {
+	e.labels(a.Labels)
+	e.taskIDs(a.Tasks)
+}
+
+func (AdvertiseAck) kind() byte { return kindAdvertiseAck }
+func (a AdvertiseAck) encode(e encoder) {
+	e.labels(a.Labels)
+	e.taskIDs(a.Tasks)
 }
 
 // --- decoding ---
@@ -324,11 +318,11 @@ var (
 // is bytes.
 const cloneThreshold = 4 << 10
 
-// decodeBinary decodes a frame produced by encodeBinary. It fully copies:
-// nothing in the returned envelope aliases data, so callers may recycle
-// the input buffer immediately (the transports' read paths rely on this;
+// Decode decodes a frame produced by EncodeTo. It fully copies: nothing
+// in the returned envelope aliases data, so callers may recycle the input
+// buffer immediately (the transports' read paths rely on this;
 // TestDecodeCopiesInput and TestDecodeLargeFrameCopiesInput assert it).
-func decodeBinary(data []byte) (Envelope, error) {
+func Decode(data []byte) (Envelope, error) {
 	// A small frame is copied once, whole, into an immutable string whose
 	// substrings back every decoded string field: a small constant number
 	// of allocations. A large frame is read in place, and each field is
@@ -353,7 +347,7 @@ func decodeBinary(data []byte) (Envelope, error) {
 type decoder struct {
 	b   []byte
 	pos int
-	// s is a small frame's one copy (decodeBinary); empty for a large one.
+	// s is a small frame's one copy (Decode); empty for a large one.
 	s string
 	// labs is the frame's label slab: every label list is a window of it,
 	// its capacity capped, so appending to one list copies it instead of

@@ -16,19 +16,16 @@ import (
 	"openwf/internal/space"
 )
 
-// binEncode/binDecode name the codec entry points the historical way
-// (when a gob oracle coexisted with the binary codec, tests had to
-// target the binary one explicitly; the oracle is gone, these are now
-// just Encode/Decode).
+// binEncode encodes env into a fresh frame; binDecode is Decode.
 func binEncode(env Envelope) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := encodeBinary(&buf, env); err != nil {
+	if err := EncodeTo(&buf, env); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-func binDecode(data []byte) (Envelope, error) { return decodeBinary(data) }
+func binDecode(data []byte) (Envelope, error) { return Decode(data) }
 
 // --- semantic envelope equality ---
 //
@@ -314,32 +311,14 @@ func randRoutes(rng *rand.Rand) []Route {
 	return routes
 }
 
-func randBody(rng *rand.Rand) Body {
-	switch rng.Intn(17) {
-	case 16:
-		return LeaseRefresh{Tasks: randTaskIDs(rng)}
-	case 4:
-		return LeaseRefreshAck{Missing: randTaskIDs(rng), Finished: randTaskIDs(rng)}
-	case 5:
-		return Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
-	case 6:
-		return AdvertiseAck{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
-	case 14:
-		return CallForBidsBatch{Metas: randMetas(rng, 5)}
-	case 15:
-		var bids []Bid
-		for i, n := 0, rng.Intn(4); i < n; i++ {
-			bids = append(bids, Bid{
-				Task:            model.TaskID(randString(rng, 16)),
-				ServicesOffered: rng.Intn(100) - 50,
-				Specialization:  randFloat(rng),
-				Deadline:        randTime(rng),
-			})
-		}
-		return BidBatch{Bids: bids, Declines: randTaskIDs(rng)}
-	case 0:
+// randArms draws a body of each kind, one arm per kind (TestBodyKinds).
+// randBody picks an arm by index, so adding or reordering arms changes
+// what the seeded tests and the fuzz corpus draw.
+var randArms = []func(rng *rand.Rand) Body{
+	func(rng *rand.Rand) Body {
 		return FragmentQuery{Labels: randLabels(rng), Describe: rng.Intn(2) == 1}
-	case 1:
+	},
+	func(rng *rand.Rand) Body {
 		var frags []*model.Fragment
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			frags = append(frags, randFragment(rng))
@@ -349,13 +328,18 @@ func randBody(rng *rand.Rand) Body {
 			reply.Capabilities = &Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)}
 		}
 		return reply
-	case 2:
-		return FeasibilityQuery{Tasks: randTaskIDs(rng)}
-	case 3:
-		return FeasibilityReply{Capable: randTaskIDs(rng)}
-	case 7:
+	},
+	func(rng *rand.Rand) Body { return FeasibilityQuery{Tasks: randTaskIDs(rng)} },
+	func(rng *rand.Rand) Body { return FeasibilityReply{Capable: randTaskIDs(rng)} },
+	func(rng *rand.Rand) Body {
+		return LeaseRefreshAck{Missing: randTaskIDs(rng), Finished: randTaskIDs(rng)}
+	},
+	func(rng *rand.Rand) Body { return Advertise{Labels: randLabels(rng), Tasks: randTaskIDs(rng)} },
+	func(rng *rand.Rand) Body { return AdvertiseAck{Labels: randLabels(rng), Tasks: randTaskIDs(rng)} },
+	func(rng *rand.Rand) Body {
 		return Award{Meta: randMeta(rng), More: randMetas(rng, 3), Routes: randRoutes(rng), Hold: rng.Intn(2) == 1}
-	case 8:
+	},
+	func(rng *rand.Rand) Body {
 		var ack AwardAck
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			ack.Verdicts = append(ack.Verdicts, Verdict{
@@ -365,15 +349,16 @@ func randBody(rng *rand.Rand) Body {
 			})
 		}
 		return ack
-	case 9:
-		return Cancel{Tasks: randTaskIDs(rng)}
-	case 10:
+	},
+	func(rng *rand.Rand) Body { return Cancel{Tasks: randTaskIDs(rng)} },
+	func(rng *rand.Rand) Body {
 		var plan Plan
 		for i, n := 0, rng.Intn(4); i < n; i++ {
 			plan.Segments = append(plan.Segments, randSegment(rng))
 		}
 		return plan
-	case 11:
+	},
+	func(rng *rand.Rand) Body {
 		var data []byte
 		if n := rng.Intn(64); n > 0 {
 			data = make([]byte, n)
@@ -384,12 +369,28 @@ func randBody(rng *rand.Rand) Body {
 			Data:     data,
 			Producer: Addr(randString(rng, 12)),
 		}
-	case 12:
+	},
+	func(rng *rand.Rand) Body {
 		return TaskDone{Task: model.TaskID(randString(rng, 16)), Err: randString(rng, 32)}
-	default:
-		return Ack{}
-	}
+	},
+	func(*rand.Rand) Body { return Ack{} },
+	func(rng *rand.Rand) Body { return CallForBidsBatch{Metas: randMetas(rng, 5)} },
+	func(rng *rand.Rand) Body {
+		var bids []Bid
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			bids = append(bids, Bid{
+				Task:            model.TaskID(randString(rng, 16)),
+				ServicesOffered: rng.Intn(100) - 50,
+				Specialization:  randFloat(rng),
+				Deadline:        randTime(rng),
+			})
+		}
+		return BidBatch{Bids: bids, Declines: randTaskIDs(rng)}
+	},
+	func(rng *rand.Rand) Body { return LeaseRefresh{Tasks: randTaskIDs(rng)} },
 }
+
+func randBody(rng *rand.Rand) Body { return randArms[rng.Intn(len(randArms))](rng) }
 
 func randEnvelope(rng *rand.Rand) Envelope {
 	return Envelope{
@@ -680,11 +681,57 @@ func TestRetiredKindsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []byte{5, 6, 7, 17} {
+	for _, kind := range retiredKinds {
 		frame := append([]byte(nil), data...)
 		frame[1] = kind
 		if env, err := binDecode(frame); err == nil {
 			t.Errorf("retired kind %d decoded as %T", kind, env.Body)
+		}
+	}
+}
+
+// retiredKinds are the tags no body carries any more.
+var retiredKinds = []byte{5, 6, 7, 17}
+
+// TestBodyKinds checks what the compiler cannot about the bodies' tags,
+// in both directions: every tag the decoder knows has a randBody arm whose
+// body carries that tag and round-trips, every arm's tag is known to the
+// decoder, and no live tag is skipped except a retired one.
+func TestBodyKinds(t *testing.T) {
+	decoded := decodedBodies()
+	rng := rand.New(rand.NewSource(1))
+	armed := make(map[byte]bool)
+	for i, arm := range randArms {
+		body := arm(rng)
+		tag := body.kind()
+		armed[tag] = true
+		if _, ok := decoded[tag]; !ok {
+			t.Errorf("randArms[%d] draws %s, whose tag %d the decoder does not know", i, body.Kind(), tag)
+			continue
+		}
+		env := Envelope{From: "a", To: "b", ReqID: 1, Workflow: "wf", Body: body}
+		data, err := binEncode(env)
+		if err != nil {
+			t.Errorf("randArms[%d]: %v", i, err)
+			continue
+		}
+		if back, err := binDecode(data); err != nil || !envEqual(env, back) {
+			t.Errorf("randArms[%d] draws %s, which decodes as %T (%v)", i, body.Kind(), back.Body, err)
+		}
+	}
+	var top byte
+	for tag, body := range decoded {
+		top = max(top, tag)
+		if !armed[tag] {
+			t.Errorf("tag %d decodes as %s, which no randBody arm draws", tag, body.Kind())
+		}
+		if body.kind() != tag {
+			t.Errorf("tag %d decodes as %s, whose kind() is %d", tag, body.Kind(), body.kind())
+		}
+	}
+	for tag := byte(1); tag < top; tag++ {
+		if _, ok := decoded[tag]; !ok && !slices.Contains(retiredKinds, tag) {
+			t.Errorf("tag %d is below the highest live tag %d but neither decoded nor retired", tag, top)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		CallForBidsBatch{Metas: []TaskMeta{meta}},
 	}
 	for _, body := range seeds {
-		data, err := Encode(Envelope{From: "a", To: "b", ReqID: 42, Workflow: "wf", Body: body})
+		data, err := binEncode(Envelope{From: "a", To: "b", ReqID: 42, Workflow: "wf", Body: body})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	// four frames).
 	award, ack, plan, cfb := groupEnvelopes()
 	for _, env := range []Envelope{award, ack, plan, cfb} {
-		data, err := Encode(env)
+		data, err := binEncode(env)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	// Frames over cloneThreshold, which the decoder reads in place: a
 	// label's 4 KiB payload, a many-segment plan and a many-fragment reply.
 	for _, env := range largeEnvelopes() {
-		data, err := Encode(env)
+		data, err := binEncode(env)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	// shapes; a few corrupt seeds steer the mutator at rejection paths.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 32; i++ {
-		if data, err := Encode(randEnvelope(rng)); err == nil {
+		if data, err := binEncode(randEnvelope(rng)); err == nil {
 			f.Add(data)
 		}
 	}
@@ -113,7 +113,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if env.Body == nil {
 			t.Fatal("Decode returned nil body without error")
 		}
-		out, err := Encode(env)
+		out, err := binEncode(env)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v\n%+v", err, env)
 		}

@@ -43,20 +43,29 @@ var lossContract = map[string]lossRule{
 	"task-done":           openSeam1, // failure only: a success sends none
 }
 
-// codecBodies returns a body of every kind the decoder knows, by kind: for
-// each tag byte, the shortest all-zero frame carrying it that decodes. An
-// unknown or retired tag decodes at no length.
-func codecBodies() map[string]Body {
-	bodies := make(map[string]Body)
+// decodedBodies returns a body of every kind the decoder knows, by tag:
+// for each tag byte, the shortest all-zero frame carrying it that decodes.
+// An unknown or retired tag decodes at no length.
+func decodedBodies() map[byte]Body {
+	bodies := make(map[byte]Body)
 	for tag := 0; tag < 256; tag++ {
 		for pad := 0; pad <= 64; pad++ {
 			// From, To, ReqID and Workflow are one zero byte each.
 			frame := append([]byte{wireVersion, byte(tag)}, make([]byte, 4+pad)...)
 			if env, err := binDecode(frame); err == nil {
-				bodies[env.Body.Kind()] = env.Body
+				bodies[byte(tag)] = env.Body
 				break
 			}
 		}
+	}
+	return bodies
+}
+
+// codecBodies returns the bodies of decodedBodies by kind name.
+func codecBodies() map[string]Body {
+	bodies := make(map[string]Body)
+	for _, b := range decodedBodies() {
+		bodies[b.Kind()] = b
 	}
 	return bodies
 }

@@ -11,7 +11,6 @@
 package proto
 
 import (
-	"bytes"
 	"time"
 
 	"openwf/internal/model"
@@ -38,10 +37,16 @@ type Envelope struct {
 	Body Body
 }
 
-// Body is implemented by every message body.
+// Body is implemented by every message body. Its unexported methods are
+// the body's wire layout (codec.go), so a body without a tag or an encoder
+// does not compile.
 type Body interface {
 	// Kind returns a short name for logging and dispatch.
 	Kind() string
+	// kind returns the tag that opens the body on the wire.
+	kind() byte
+	// encode writes the body's fields, in struct order.
+	encode(encoder)
 }
 
 // --- Fragment Messages (knowhow discovery) ---
@@ -350,29 +355,4 @@ func IsRequest(b Body) bool {
 		return true
 	}
 	return false
-}
-
-// Encode serializes an envelope with the wire codec (the hand-rolled
-// binary format documented in codec.go and DESIGN.md §7).
-func Encode(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeTo(&buf, env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// EncodeTo appends the wire encoding of env to buf. Transports call this
-// with a pooled buffer: the encode path performs no allocations of its
-// own, so the per-envelope marshal cost is pure byte-writing into the
-// recycled backing array.
-func EncodeTo(buf *bytes.Buffer, env Envelope) error {
-	return encodeBinary(buf, env)
-}
-
-// Decode deserializes an envelope encoded by Encode. The returned
-// envelope shares no memory with data: callers may reuse the input buffer
-// for the next frame immediately.
-func Decode(data []byte) (Envelope, error) {
-	return decodeBinary(data)
 }

@@ -46,7 +46,7 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 	for _, body := range cases {
 		t.Run(body.Kind(), func(t *testing.T) {
 			env := Envelope{From: "a", To: "b", ReqID: 42, Workflow: "wf-1", Body: body}
-			data, err := Encode(env)
+			data, err := binEncode(env)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
@@ -77,7 +77,7 @@ func TestRoundTripPreservesPayloads(t *testing.T) {
 	env := Envelope{
 		From: "x", To: "y", Body: LabelTransfer{Label: "l", Data: []byte{0, 1, 2, 255}, Producer: "x"},
 	}
-	data, err := Encode(env)
+	data, err := binEncode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRoundTripTaskMeta(t *testing.T) {
 		Start: time.Unix(1000, 0).UTC(), End: time.Unix(2000, 0).UTC(),
 		Location: space.Point{X: 3.5, Y: -1}, HasLocation: true,
 	}
-	data, err := Encode(Envelope{From: "a", To: "b", Body: Award{Meta: meta}})
+	data, err := binEncode(Envelope{From: "a", To: "b", Body: Award{Meta: meta}})
 	if err != nil {
 		t.Fatal(err)
 	}
