@@ -1,0 +1,234 @@
+package community
+
+// The cost table: each row runs one scenario on a virtual clock over
+// zero-latency inmem, where nothing waits on a link, and prices it alone —
+// its round trips and the envelopes of each kind exactly, and the
+// allocations of each phase as bounds (skipped under the race detector,
+// whose instrumentation allocates). A change that moves a row edits the row
+// and says why.
+
+import (
+	"fmt"
+	"maps"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+
+	"openwf/internal/clock"
+	"openwf/internal/core"
+	"openwf/internal/engine"
+	"openwf/internal/model"
+	"openwf/internal/proto"
+	"openwf/internal/service"
+	"openwf/internal/spec"
+	"openwf/internal/testutil"
+	"openwf/internal/trace"
+)
+
+// A phase of one session, as the table prices it.
+type phase int
+
+const (
+	construct phase = iota // Initiate up to the constructed workflow
+	allocate               // the rest of Initiate: calls for bids and awards
+	execute                // Execute, until every host has dropped its runs
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"construct", "allocate", "execute"}
+
+// meter attributes the process's heap allocations to phases: mark ends the
+// phase that began at the previous mark.
+type meter struct {
+	ms     runtime.MemStats
+	last   uint64
+	allocs [numPhases]uint64
+}
+
+func (m *meter) start() {
+	runtime.ReadMemStats(&m.ms)
+	m.last = m.ms.Mallocs
+}
+
+func (m *meter) mark(p phase) {
+	runtime.ReadMemStats(&m.ms)
+	m.allocs[p] += m.ms.Mallocs - m.last
+	m.last = m.ms.Mallocs
+}
+
+// kinds counts the envelopes the hosts receive, by kind; one handed over
+// in place on its own host counts too.
+type kinds struct {
+	mu     sync.Mutex
+	counts map[string]int
+}
+
+func (k *kinds) Record(e trace.Event) {
+	if e.Dir != trace.Recv {
+		return
+	}
+	k.mu.Lock()
+	k.counts[e.Kind]++
+	k.mu.Unlock()
+}
+
+func (k *kinds) take() map[string]int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	out := maps.Clone(k.counts)
+	clear(k.counts)
+	return out
+}
+
+// TestCostTable prices each row's warm session: one session runs first,
+// so the initiator knows its community, and each of the sessions after it
+// must cost the row's calls and envelopes exactly, and on average at most
+// the row's allocations per phase.
+func TestCostTable(t *testing.T) {
+	const sessions = 10
+	for _, row := range []struct {
+		name      string
+		setup     func(*testing.T, *kinds, *meter) (*Community, func(*testing.T))
+		calls     int64
+		envelopes map[string]int
+		// allocs bounds each phase's allocations per session, with the
+		// process's other goroutines counted in.
+		allocs [numPhases]float64
+	}{
+		// wireless_execute's session on zero latency: 4 hosts, a 6-task
+		// chain, 3 providers of every task, 4 KiB labels. From memory the
+		// sweep decides every task before a window opens, so host01, which
+		// wins every tie, runs the whole chain: 3 calls for bids + 1 award;
+		// 7 label transfers, 5 of them host01 to itself; and 3 cancels, one
+		// to each loser's bids and the release of host01's runs. The
+		// services are the benchmark's XOR, 3 allocations a task. Thirty
+		// runs of the test read construct 22.0 – 22.3, allocate 120.0 –
+		// 120.1 and execute 84.0 – 84.1 (execute read 116.0 – 116.1 while
+		// the service copied every body's outputs and sendExec copied a
+		// same-host label's body); each bound sits 2 above, a third of the
+		// 6 that one more allocation per task run adds.
+		{
+			name:      "initiate+execute/chain=6/label=4KiB",
+			setup:     chainSession,
+			calls:     4,
+			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "label-transfer": 7, "cancel": 3},
+			allocs:    [numPhases]float64{construct: 24, allocate: 122, execute: 86},
+		},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			// A collection empties the pools, which then allocate again, and
+			// a pool's Get on another P than its Put misses.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			rec := &kinds{counts: make(map[string]int)}
+			var m meter
+			c, session := row.setup(t, rec, &m)
+			session(t) // warm: the initiator learns its community
+			rec.take()
+			m = meter{}
+			for i := 0; i < sessions; i++ {
+				c0 := c.Network().Stats().Calls
+				m.start()
+				session(t)
+				if got := c.Network().Stats().Calls - c0; got != row.calls {
+					t.Errorf("session %d: %d round trips, want %d", i, got, row.calls)
+				}
+				if got := rec.take(); !maps.Equal(got, row.envelopes) {
+					t.Errorf("session %d: envelopes %v, want %v", i, got, row.envelopes)
+				}
+			}
+			if testutil.RaceEnabled {
+				t.Skip("allocation bounds are not meaningful under the race detector")
+			}
+			for p, n := range m.allocs {
+				avg := float64(n) / sessions
+				t.Logf("%s: %.1f allocations per session", phaseNames[p], avg)
+				if avg > row.allocs[p] {
+					t.Errorf("%s: %.1f allocations per session, want ≤ %g", phaseNames[p], avg, row.allocs[p])
+				}
+			}
+		})
+	}
+}
+
+// chainSession builds the row's community and returns one session of it:
+// Initiate, then Execute once every window has opened, so no run waits on
+// the clock, then the wait until every host has dropped its runs.
+func chainSession(t *testing.T, rec *kinds, m *meter) (*Community, func(*testing.T)) {
+	const chain, hosts, size = 6, 4, 4096
+	sim := clock.NewSim(stressT0)
+	cfg := engine.DefaultConfig()
+	cfg.ParallelQuery = true
+	cfg.StartDelay, cfg.TaskWindow = 5*time.Millisecond, time.Millisecond
+	cfg.CallTimeout = time.Hour
+	cfg.LeaseRefreshInterval = time.Hour
+	cfg.Observer.ConstructionDone = func(string, core.Result) { m.mark(construct) }
+
+	label := func(i int) model.LabelID { return model.LabelID(fmt.Sprintf("l%d", i)) }
+	specs := make([]HostSpec, hosts)
+	for h := range specs {
+		specs[h] = HostSpec{ID: proto.Addr(fmt.Sprintf("host%02d", h))}
+	}
+	for i := 0; i < chain; i++ {
+		task := fmt.Sprintf("t%d", i+1)
+		in, out := label(i), label(i+1)
+		specs[i%hosts].Fragments = append(specs[i%hosts].Fragments,
+			frag(t, "know-"+task, ctask(task, []model.LabelID{in}, []model.LabelID{out})))
+		mask := make([]byte, size)
+		for j := range mask {
+			mask[j] = byte(i + j)
+		}
+		xor := service.Registration{
+			Descriptor: service.Descriptor{Task: model.TaskID(task), Specialization: 0.5},
+			Fn: func(inv service.Invocation) (service.Outputs, error) {
+				res := make([]byte, size)
+				for j, b := range inv.Inputs[in] {
+					res[j] = b ^ mask[j]
+				}
+				return service.Outputs{out: res}, nil
+			},
+		}
+		for h := 1; h < hosts; h++ {
+			specs[h].Services = append(specs[h].Services, xor)
+		}
+	}
+	c := newTestCommunity(t, Options{Clock: sim, Engine: &cfg, Trace: rec, Seed: 1}, specs...)
+	problem := spec.Must([]model.LabelID{label(0)}, []model.LabelID{label(chain)})
+	triggers := map[model.LabelID][]byte{label(0): make([]byte, size)}
+	ctx := ctxTimeout(t, time.Minute)
+	return c, func(t *testing.T) {
+		t.Helper()
+		plan, err := c.Initiate(ctx, "host00", problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle(c, false)
+		m.mark(allocate)
+		sim.Advance(time.Second)
+		report, err := c.Execute(ctx, "host00", plan, triggers)
+		if err != nil || !report.Completed || len(report.Goals[label(chain)]) != size {
+			t.Fatalf("report = %+v, err = %v", report, err)
+		}
+		settle(c, true)
+		m.mark(execute)
+	}
+}
+
+// settle waits until no host holds a bid's hold — the cancels that end
+// an auction's losing bids have been handled — and, with runs, no run
+// either: the workflow's release has been handled. It allocates nothing,
+// so it adds nothing to a phase.
+func settle(c *Community, runs bool) {
+	for _, id := range c.order {
+		h := c.hosts[id]
+		for {
+			n, _ := h.Exec.Residue()
+			if h.Schedule.Holds() == 0 && (!runs || n == 0) {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}

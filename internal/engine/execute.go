@@ -118,7 +118,7 @@ func (m *Manager) release(ex *execution) {
 	m.mu.Lock()
 	ex.finishLocked(false)
 	delete(m.executions, wfID)
-	hosts := slices.Collect(maps.Values(ex.plan.Allocations))
+	hosts := slices.AppendSeq(make([]proto.Addr, 0, len(ex.plan.Allocations)), maps.Values(ex.plan.Allocations))
 	m.mu.Unlock()
 	slices.Sort(hosts)
 	for _, h := range slices.Compact(hosts) {
@@ -157,14 +157,16 @@ func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow
 		}
 		segs = segs[n:]
 	}
+	var buf [4]proto.Addr
+	sent := buf[:0] // the hosts a label went to; reused across labels
 	for _, l := range w.In() {
-		sent := make(map[proto.Addr]struct{})
+		sent = sent[:0]
 		for consumer := range w.ConsumersSeq(l) {
 			host := alloc[consumer]
-			if _, dup := sent[host]; dup {
+			if slices.Contains(sent, host) {
 				continue
 			}
-			sent[host] = struct{}{}
+			sent = append(sent, host)
 			lt := proto.LabelTransfer{Label: l, Data: triggers[l], Producer: m.net.Self()}
 			if err := m.net.Send(ctx, host, wfID, lt); err != nil {
 				return fmt.Errorf("injecting trigger %q: %w", l, err)

@@ -12,6 +12,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -33,8 +34,9 @@ const locationEps = 0.5
 // TaskDone.
 // The host injects it: one addressed to another host crosses the
 // endpoint, and one addressed to the host itself is handed to its own
-// handler with LabelTransfer.Data copied, so a run's inputs are always
-// its own copy, never the producer's retained outputs.
+// handler as it is. A LabelTransfer to this host already carries its own
+// copy of the data (publish), so a run's inputs are never the producer's
+// retained outputs.
 type SendFunc func(ctx context.Context, to proto.Addr, env proto.Envelope) error
 
 // Manager drives the execution of this host's commitments: one run per
@@ -159,8 +161,8 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	}
 	r.seg = seg
 	if r.finished {
-		c, outputs := r.commitment, r.outputs
-		go func() { m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs)) }()
+		outputs := r.outputs
+		go func() { m.reportFailure(workflow, seg, m.publish(workflow, &r.commitment, seg, outputs)) }()
 	}
 }
 
@@ -189,7 +191,8 @@ func (m *Manager) beginTravelLocked(r *run) {
 // run here consumes is dropped: it is the initiator's goal, or late.
 func (m *Manager) OnLabel(workflow string, lt proto.LabelTransfer) {
 	m.mu.Lock()
-	var ready []model.TaskID
+	var buf [4]model.TaskID
+	ready := buf[:0]
 	for k, r := range m.runs {
 		if k.workflow != workflow || r.started || !slices.Contains(r.commitment.Meta.Inputs, lt.Label) {
 			continue
@@ -298,7 +301,7 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 		return
 	}
 	now := m.clk.Now()
-	c := r.commitment
+	c := &r.commitment
 	if len(r.inputs) < len(c.Meta.Inputs) {
 		m.mu.Unlock()
 		return
@@ -325,22 +328,37 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 		}
 	}
 	r.started = true
-	seg, inputs := r.seg, r.inputs
 	m.mu.Unlock()
 
-	go m.invoke(workflow, c, seg, inputs)
+	go m.invoke(workflow, r)
 }
 
-// invoke performs the service and publishes its results.
-func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanSegment, inputs service.Inputs) {
+// invoke performs the service of a started run and publishes its results.
+// A started run's commitment and inputs no longer change; its routes may,
+// so they are read under m.mu once the service returns.
+func (m *Manager) invoke(workflow string, r *run) {
+	c := &r.commitment
 	inv := service.Invocation{
 		Ctx:      m.ctx,
 		Task:     c.Task,
 		Workflow: workflow,
-		Inputs:   inputs,
+		Inputs:   r.inputs,
 		Now:      m.clk.Now(),
 	}
 	outputs, err := m.services.Invoke(inv, c.Meta.Outputs)
+	// Retain the results: a plan repair may later route them to new
+	// consumers (SetPlan re-publishes for finished runs), and publish along
+	// the routes a repair gave the run meanwhile. A run dropped
+	// mid-invocation owes nobody its outputs, not even to a run of the same
+	// task registered since.
+	m.mu.Lock()
+	seg := r.seg
+	live := err == nil && m.runs[runKey{workflow, c.Task}] == r
+	if live {
+		r.finished = true
+		r.outputs = outputs
+	}
+	m.mu.Unlock()
 	if err != nil {
 		if m.ctx.Err() != nil {
 			return // host shutting down: nobody to notify
@@ -348,40 +366,32 @@ func (m *Manager) invoke(workflow string, c schedule.Commitment, seg proto.PlanS
 		m.reportFailure(workflow, seg, fmt.Errorf("executing %q: %w", c.Task, err))
 		return
 	}
-	// Retain the results: a plan repair may later route them to new
-	// consumers (SetPlan re-publishes for finished runs), and publish along
-	// the routes a repair gave the run meanwhile. A run dropped
-	// mid-invocation owes nobody its outputs.
-	m.mu.Lock()
-	r, ok := m.runs[runKey{workflow, c.Task}]
-	if ok {
-		r.finished = true
-		r.outputs = outputs
-		seg = r.seg
+	if live {
+		m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs))
 	}
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs))
 }
 
 // publish communicates the outputs to every participant that requires
 // them (§3.2: the participant's final responsibility). The routes may be
 // an award's, shared by all its tasks: each run follows those of its own
-// outputs. The outputs stay the run's: every receiver, this host
-// included, gets a copy (SendFunc), so a repair re-publishes them intact.
-func (m *Manager) publish(workflow string, c schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs) error {
+// outputs. The outputs stay the run's: every receiver gets a copy — the
+// codec's for another host, and one made here for this host — so a
+// repair re-publishes them intact.
+func (m *Manager) publish(workflow string, c *schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs) error {
 	for _, out := range c.Meta.Outputs {
 		for _, r := range seg.Routes {
 			if r.Label != out {
 				continue
 			}
+			data := outputs[out]
+			if r.To == m.self {
+				data = bytes.Clone(data)
+			}
 			env := proto.Envelope{
 				Workflow: workflow,
 				Body: proto.LabelTransfer{
 					Label:    out,
-					Data:     outputs[out],
+					Data:     data,
 					Producer: m.self,
 				},
 			}

@@ -15,6 +15,7 @@ import (
 	"openwf/internal/schedule"
 	"openwf/internal/service"
 	"openwf/internal/space"
+	"openwf/internal/testutil"
 )
 
 var t0 = time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC)
@@ -476,5 +477,95 @@ func TestRegisterAllocBound(t *testing.T) {
 	t.Logf("%.1f allocations per Register + Cancel", allocs)
 	if allocs > 1 {
 		t.Errorf("%.1f allocations per Register + Cancel, want at most 1", allocs)
+	}
+}
+
+// TestReplacedRunKeepsItsOwnState: an invocation still running when its
+// run is cancelled and the same task registered again finishes into
+// nothing — the run that replaced its own is neither marked finished nor
+// handed the stale outputs, and nothing is published.
+func TestReplacedRunKeepsItsOwnState(t *testing.T) {
+	started, finish := make(chan struct{}), make(chan struct{})
+	r := newRig(t, nil, service.Registration{
+		Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
+		Fn: func(service.Invocation) (service.Outputs, error) {
+			close(started)
+			<-finish
+			return service.Outputs{"out": []byte("stale")}, nil
+		},
+	})
+	c := commitment("t", time.Now(), []model.LabelID{"in"}, []model.LabelID{"out"})
+	s := seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {"peer"}})
+	r.mgr.Register("wf", c, s)
+	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	<-started
+	r.mgr.Cancel("wf", "t")
+	r.mgr.Register("wf", c, s) // awaits its own input
+	close(finish)
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		if got := r.mgr.Finished("wf", []model.TaskID{"t"}); len(got) != 0 {
+			t.Fatalf("the replacing run reads finished %v before its input arrived", got)
+		}
+		if got := r.rec.snapshot(); len(got) != 0 {
+			t.Fatalf("the cancelled invocation published %v along the replacing run's routes", got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if r.mgr.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the replacing run still waiting", r.mgr.Pending())
+	}
+}
+
+// TestTaskRunAllocBound: one 1-in / 1-out run — Register, its input label,
+// the invocation and the publish of an output the body returns exactly —
+// costs the run, its inputs map (2: map and insert), the invocation's
+// goroutine closure and the boxed LabelTransfer: 5 allocations to another
+// host, and a 6th, the copy of the data, to this host. The body returns a
+// map built once, so the bound prices exec and service alone. Before a run
+// was priced per label it read 9 on both routes: a second closure
+// allocation for the commitment and segment the go statement copied, the
+// service's new Outputs map and its insert, and OnLabel's ready slice.
+func TestTaskRunAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		to   proto.Addr
+		want float64
+	}{
+		{"peer", 5},
+		{"self", 6},
+	} {
+		t.Run(string(tc.to), func(t *testing.T) {
+			data := make([]byte, 4096)
+			outputs := service.Outputs{"out": data}
+			sim := clock.NewSim(t0)
+			services := service.NewManager(sim)
+			if err := services.Register(service.Registration{
+				Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
+				Fn:         func(service.Invocation) (service.Outputs, error) { return outputs, nil },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			published := make(chan proto.LabelTransfer, 1)
+			send := func(_ context.Context, _ proto.Addr, env proto.Envelope) error {
+				published <- env.Body.(proto.LabelTransfer)
+				return nil
+			}
+			mgr := NewManager("self", sim, services, space.Static{}, send)
+			defer mgr.Close()
+			c := commitment("t", t0, []model.LabelID{"in"}, []model.LabelID{"out"})
+			s := seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {tc.to}})
+			in := proto.LabelTransfer{Label: "in", Data: data, Producer: "boss"}
+			var got proto.LabelTransfer
+			testutil.AllocBound(t, tc.want, func() {
+				mgr.Register("wf", c, s)
+				mgr.OnLabel("wf", in)
+				got = <-published
+				mgr.Cancel("wf", "t")
+			})
+			// Another host gets the codec's copy; this host gets publish's.
+			if aliased, want := &got.Data[0] == &data[0], tc.to != "self"; aliased != want {
+				t.Errorf("published to %s: data is the run's own output: %v, want %v", tc.to, aliased, want)
+			}
+		})
 	}
 }

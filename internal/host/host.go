@@ -10,7 +10,6 @@
 package host
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -265,15 +264,12 @@ func (h *Host) sendEnvelope(ctx context.Context, to proto.Addr, env proto.Envelo
 
 // sendExec is the execution manager's SendFunc. A one-way envelope for
 // this host — a label for a run here, a failure for its own initiator —
-// never crosses the link: it is handed to Handle, where it takes the path
-// of one that arrived, its Data copied as the codec would copy it.
+// never crosses the link: it is re-addressed and handed to Handle, where it
+// takes the path of one that arrived. A label's Data is already its own
+// copy (exec's publish makes it).
 func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) error {
 	if to != h.addr {
 		return h.sendEnvelope(ctx, to, env)
-	}
-	if lt, ok := env.Body.(proto.LabelTransfer); ok {
-		lt.Data = bytes.Clone(lt.Data)
-		env.Body = lt
 	}
 	env.From, env.To = h.addr, h.addr
 	h.record(trace.Send, to, env)

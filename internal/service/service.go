@@ -28,6 +28,8 @@ import (
 type Inputs map[model.LabelID][]byte
 
 // Outputs carries the marshaled output labels an invocation produced.
+// Once a Func returns them, the map and its data belong to the run: the
+// service must not touch either again.
 type Outputs map[model.LabelID][]byte
 
 // Invocation is everything a service sees when executed.
@@ -49,7 +51,8 @@ type Invocation struct {
 
 // Func is a computational service body: it transforms inputs to outputs.
 // Returning a nil Outputs means "produce all declared outputs with empty
-// data" — convenient for condition-only labels.
+// data" — convenient for condition-only labels. The returned map and its
+// data belong to the run from then on (Outputs).
 type Func func(inv Invocation) (Outputs, error)
 
 // Descriptor declares one service a host offers.
@@ -176,7 +179,8 @@ func (m *Manager) Tasks() []model.TaskID {
 
 // Invoke performs the service for a task: it blocks for the service's
 // duration (real work or simulated user action) and returns the marshaled
-// outputs for the declared output labels. The declared outputs must be
+// outputs for the declared output labels: the body's own map when it holds
+// exactly those, else a new one. The declared outputs must be
 // supplied so that services with pruned outputs only produce what the
 // workflow needs. Cancellation of inv.Ctx interrupts the duration wait
 // and is passed through to the service body.
@@ -206,7 +210,11 @@ func (m *Manager) Invoke(inv Invocation, declaredOutputs []model.LabelID) (Outpu
 		}
 	}
 	// Uniform marshaling: ensure every declared output label is present,
-	// defaulting to a provenance note for condition-only labels.
+	// defaulting to a provenance note for condition-only labels, and no
+	// other. A body that produced exactly the declared labels keeps its map.
+	if exact(outs, declaredOutputs) {
+		return outs, nil
+	}
 	result := make(Outputs, len(declaredOutputs))
 	for _, l := range declaredOutputs {
 		if outs != nil {
@@ -218,4 +226,17 @@ func (m *Manager) Invoke(inv Invocation, declaredOutputs []model.LabelID) (Outpu
 		result[l] = []byte(fmt.Sprintf("%s by %s", l, inv.Task))
 	}
 	return result, nil
+}
+
+// exact reports whether outs holds exactly the declared labels.
+func exact(outs Outputs, declared []model.LabelID) bool {
+	if outs == nil || len(outs) != len(declared) {
+		return false
+	}
+	for _, l := range declared {
+		if _, ok := outs[l]; !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"errors"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"openwf/internal/clock"
 	"openwf/internal/model"
 	"openwf/internal/space"
+	"openwf/internal/testutil"
 )
 
 func reg(task string, spec float64) Registration {
@@ -109,47 +112,63 @@ func TestInvokeWithFunc(t *testing.T) {
 	}
 }
 
-func TestInvokeDefaultsMissingOutputs(t *testing.T) {
-	m := NewManager(nil)
-	if err := m.Register(reg("noop", 0.5)); err != nil {
-		t.Fatal(err)
+// TestInvokeOutputs: Invoke hands back the body's own map when it holds
+// exactly the declared labels, and otherwise a new one that fills each
+// missing label with its provenance note and drops every undeclared one
+// (the workflow pruned it).
+func TestInvokeOutputs(t *testing.T) {
+	own := Outputs{"y": []byte("Y")}
+	for _, tc := range []struct {
+		name     string
+		fn       Func
+		declared []model.LabelID
+		want     map[model.LabelID]string
+		own      bool // the result is the body's own map
+	}{
+		{"exact set returned as is", func(Invocation) (Outputs, error) { return own, nil }, lbls("y"), map[model.LabelID]string{"y": "Y"}, true},
+		{"missing output filled", func(Invocation) (Outputs, error) { return Outputs{"a": []byte("A")}, nil }, lbls("a", "b"), map[model.LabelID]string{"a": "A", "b": "b by t"}, false},
+		{"undeclared output dropped", func(Invocation) (Outputs, error) {
+			return Outputs{"wanted": []byte("w"), "waste": []byte("x")}, nil
+		}, lbls("wanted"), map[model.LabelID]string{"wanted": "w"}, false},
+		{"nil outputs get the defaults", func(Invocation) (Outputs, error) { return nil, nil }, lbls("a"), map[model.LabelID]string{"a": "a by t"}, false},
+		{"nil Fn gets the defaults", nil, lbls("a", "b"), map[model.LabelID]string{"a": "a by t", "b": "b by t"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManager(nil)
+			if err := m.Register(Registration{Descriptor: Descriptor{Task: "t"}, Fn: tc.fn}); err != nil {
+				t.Fatal(err)
+			}
+			outs, err := m.Invoke(Invocation{Task: "t"}, tc.declared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[model.LabelID]string, len(outs))
+			for l, data := range outs {
+				got[l] = string(data)
+			}
+			if !maps.Equal(got, tc.want) {
+				t.Errorf("outputs = %q, want %q", got, tc.want)
+			}
+			if same := reflect.ValueOf(outs).UnsafePointer() == reflect.ValueOf(own).UnsafePointer(); same != tc.own {
+				t.Errorf("result is the body's own map: %v, want %v", same, tc.own)
+			}
+		})
 	}
-	outs, err := m.Invoke(Invocation{Task: "noop"}, []model.LabelID{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 {
-		t.Fatalf("outputs = %v", outs)
-	}
-	if !strings.Contains(string(outs["a"]), "noop") {
-		t.Errorf("default output = %q, want provenance note", outs["a"])
-	}
+	t.Run("exact set allocates nothing", func(t *testing.T) {
+		m := NewManager(nil)
+		if err := m.Register(Registration{Descriptor: Descriptor{Task: "t"}, Fn: func(Invocation) (Outputs, error) { return own, nil }}); err != nil {
+			t.Fatal(err)
+		}
+		declared := lbls("y")
+		testutil.AllocBound(t, 0, func() {
+			if _, err := m.Invoke(Invocation{Task: "t"}, declared); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }
 
-func TestInvokeOnlyDeclaredOutputs(t *testing.T) {
-	// A service producing extra labels only surfaces the declared ones
-	// (the workflow pruned the rest).
-	m := NewManager(nil)
-	err := m.Register(Registration{
-		Descriptor: Descriptor{Task: "multi", Specialization: 0.5},
-		Fn: func(Invocation) (Outputs, error) {
-			return Outputs{"wanted": []byte("w"), "waste": []byte("x")}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := m.Invoke(Invocation{Task: "multi"}, []model.LabelID{"wanted"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := outs["waste"]; ok {
-		t.Error("pruned output produced")
-	}
-	if string(outs["wanted"]) != "w" {
-		t.Errorf("wanted = %q", outs["wanted"])
-	}
-}
+func lbls(ls ...model.LabelID) []model.LabelID { return ls }
 
 func TestInvokeUnknownService(t *testing.T) {
 	m := NewManager(nil)
