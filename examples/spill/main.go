@@ -131,7 +131,7 @@ func main() {
 		t, _ := plan.Workflow.Task(id)
 		meta := plan.Metas[id]
 		where := "anywhere"
-		if meta.HasLocation {
+		if meta.Location != nil {
 			where = meta.Location.String()
 		}
 		fmt.Printf("  %-30s → %-15s window %s  at %s\n",

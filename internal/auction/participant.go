@@ -79,7 +79,7 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 	var copied []proto.TaskMeta // nil while the batch stands as sent
 	for i, meta := range batch.Metas {
 		located, ok := p.locate(workflow, meta)
-		if copied == nil && (!ok || located.HasLocation != meta.HasLocation) {
+		if copied == nil && (!ok || located.Location != meta.Location) {
 			copied = append(make([]proto.TaskMeta, 0, len(batch.Metas)), batch.Metas[:i]...)
 		}
 		if !ok {
@@ -151,16 +151,18 @@ func (p *Participant) hold(workflow string, meta proto.TaskMeta, deadline time.T
 // locate checks meta against the host's services: a task it offers none
 // for drops the hold an earlier call of the workflow took on it and is
 // not ok; a service pinned to a location imposes it on the commitment when
-// the task itself does not require one.
+// the task itself does not require one. Only that imposed location is
+// allocated: the point is a copy made in its branch, so desc does not
+// escape for a task that takes none.
 func (p *Participant) locate(workflow string, meta proto.TaskMeta) (proto.TaskMeta, bool) {
 	desc, ok := p.services.CanPerform(meta.Task)
 	if !ok {
 		p.sched.Release(workflow, meta.Task)
 		return meta, false
 	}
-	if !meta.HasLocation && desc.HasLocation {
-		meta.Location = desc.Location
-		meta.HasLocation = true
+	if meta.Location == nil && desc.HasLocation {
+		at := desc.Location
+		meta.Location = &at
 	}
 	return meta, true
 }

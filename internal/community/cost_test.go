@@ -104,17 +104,39 @@ func TestCostTable(t *testing.T) {
 		// 7 label transfers, 5 of them host01 to itself; and 3 cancels, one
 		// to each loser's bids and the release of host01's runs. The
 		// services are the benchmark's XOR, 3 allocations a task. Thirty
-		// runs of the test read construct 22.0 – 22.3, allocate 120.0 –
-		// 120.1 and execute 84.0 – 84.1 (execute read 116.0 – 116.1 while
-		// the service copied every body's outputs and sendExec copied a
-		// same-host label's body); each bound sits 2 above, a third of the
-		// 6 that one more allocation per task run adds.
+		// runs of the test read construct 20.0 – 20.3, allocate 110.0 –
+		// 110.1 and execute 83.0 – 83.1; each bound sits 2 above, a third
+		// of the 6 that one more allocation per task run adds. They read
+		// construct 22.0 – 22.3 while Satisfies copied the workflow's inset
+		// and outset, allocate 120.0 – 120.1 while a plan's metas sat out
+		// of line and the ack carried a verdict per task, and execute 84.0 –
+		// 84.1 while distribute copied the inset (116.0 – 116.1 while the
+		// service copied every body's outputs and sendExec copied a
+		// same-host label's body).
 		{
 			name:      "initiate+execute/chain=6/label=4KiB",
 			setup:     chainSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "label-transfer": 7, "cancel": 3},
-			allocs:    [numPhases]float64{construct: 24, allocate: 122, execute: 86},
+			allocs:    [numPhases]float64{construct: 22, allocate: 112, execute: 85},
+		},
+		// sim_serial's session: a 6-task chain whose every task one host
+		// offers, 3 providers of 2 tasks each. Memory knows each task's one
+		// offerer, so no call for bids goes out: 3 held awards, each
+		// answered by its ack, and nothing else. Thirty runs read construct
+		// 20.0 – 20.3 and allocate 52.8; each bound sits 2 above, a third
+		// of the 6 that one more allocation per task adds. It read
+		// construct 22.0 while Satisfies copied the inset and outset, and
+		// allocate 70.8 while the ack carried a verdict per task — 4
+		// allocations per award, the list built and boxed by the winner and
+		// again by the decoder — and a plan's metas sat out of line, 1 per
+		// task.
+		{
+			name:      "initiate/sole-providers/chain=6",
+			setup:     soleSession,
+			calls:     3,
+			envelopes: map[string]int{"award": 3, "award-ack": 3},
+			allocs:    [numPhases]float64{construct: 22, allocate: 55},
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -213,6 +235,49 @@ func chainSession(t *testing.T, rec *kinds, m *meter) (*Community, func(*testing
 		}
 		settle(c, true)
 		m.mark(execute)
+	}
+}
+
+// soleSession builds the row's community and returns one session of it:
+// Initiate, then every calendar cleared and the plan's runs dropped in
+// place, as sim_serial clears them between operations, so the next
+// session's windows are free. The clearing sends nothing and falls outside
+// every phase.
+func soleSession(t *testing.T, rec *kinds, m *meter) (*Community, func(*testing.T)) {
+	const chain, hosts = 6, 4
+	sim := clock.NewSim(stressT0)
+	cfg := engine.DefaultConfig()
+	cfg.StartDelay, cfg.TaskWindow = time.Second, time.Second
+	cfg.CallTimeout = time.Hour
+	cfg.LeaseRefreshInterval = time.Hour
+	cfg.Observer.ConstructionDone = func(string, core.Result) { m.mark(construct) }
+
+	label := func(i int) model.LabelID { return model.LabelID(fmt.Sprintf("l%d", i)) }
+	specs := make([]HostSpec, hosts)
+	for h := range specs {
+		specs[h] = HostSpec{ID: proto.Addr(fmt.Sprintf("host%02d", h))}
+	}
+	for i := 0; i < chain; i++ {
+		task := fmt.Sprintf("t%d", i+1)
+		specs[i%hosts].Fragments = append(specs[i%hosts].Fragments,
+			frag(t, "know-"+task, ctask(task, []model.LabelID{label(i)}, []model.LabelID{label(i + 1)})))
+		specs[1+i%3].Services = append(specs[1+i%3].Services, svc(task, 0))
+	}
+	c := newTestCommunity(t, Options{Clock: sim, Engine: &cfg, Trace: rec, Seed: 1}, specs...)
+	problem := spec.Must([]model.LabelID{label(0)}, []model.LabelID{label(chain)})
+	ctx := ctxTimeout(t, time.Minute)
+	return c, func(t *testing.T) {
+		t.Helper()
+		plan, err := c.Initiate(ctx, "host00", problem)
+		if err != nil || len(plan.Allocations) != chain {
+			t.Fatalf("plan = %+v, err = %v", plan, err)
+		}
+		settle(c, false)
+		m.mark(allocate)
+		c.ResetSchedules()
+		for _, id := range c.order {
+			c.hosts[id].Exec.ClearWorkflow(plan.WorkflowID)
+		}
 	}
 }
 

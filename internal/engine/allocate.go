@@ -280,9 +280,11 @@ func (m *Manager) routes(rs []proto.Route, outputs []model.LabelID, w *model.Wor
 }
 
 // awardWinner sends ds, all won by ds[0].Winner, in one Award of their
-// metas carrying routes and hold, and settles each task by its own
-// verdict: a confirmed task is recorded in alloc; a refused one re-enters
-// the failure set alone (the winner freed its slot, HandleAward's rule).
+// metas carrying routes and hold, and settles each task alone: one the ack
+// names as refused re-enters the failure set (the winner freed its slot,
+// HandleAward's rule), and every other is confirmed and recorded in alloc.
+// An ack that refuses a task the award did not carry, or one task twice,
+// is a protocol error, and nothing of it is recorded.
 func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Decision, metas []proto.TaskMeta, routes []proto.Route, hold bool, alloc map[model.TaskID]proto.Addr) error {
 	winner := ds[0].Winner
 	award := proto.Award{Meta: metas[0], More: metas[1:], Routes: routes, Hold: hold}
@@ -294,16 +296,21 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 	if !ok {
 		return fmt.Errorf("award to %q: unexpected reply %T", winner, reply)
 	}
-	if len(ack.Verdicts) != len(ds) {
-		return fmt.Errorf("award to %q: %d verdicts on %d tasks", winner, len(ack.Verdicts), len(ds))
+	for i, v := range ack.Refused {
+		if !slices.ContainsFunc(ds, func(d auction.Decision) bool { return d.Task == v.Task }) {
+			return fmt.Errorf("award to %q: refuses %q, which it was not awarded", winner, v.Task)
+		}
+		if slices.ContainsFunc(ack.Refused[:i], func(r proto.Verdict) bool { return r.Task == v.Task }) {
+			return fmt.Errorf("award to %q: refuses %q twice", winner, v.Task)
+		}
 	}
-	for i, verdict := range ack.Verdicts {
-		if !verdict.OK {
-			m.cfg.Observer.taskDecided(wfID, ds[i].Task, "")
+	for _, d := range ds {
+		if slices.ContainsFunc(ack.Refused, func(r proto.Verdict) bool { return r.Task == d.Task }) {
+			m.cfg.Observer.taskDecided(wfID, d.Task, "")
 			continue
 		}
-		alloc[ds[i].Task] = winner
-		m.cfg.Observer.taskDecided(wfID, ds[i].Task, winner)
+		alloc[d.Task] = winner
+		m.cfg.Observer.taskDecided(wfID, d.Task, winner)
 	}
 	return nil
 }

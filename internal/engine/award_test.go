@@ -201,24 +201,74 @@ func TestCanceledMidAwardCompensatesWholeGroup(t *testing.T) {
 	}
 }
 
-// shortAckNet answers every Award with one verdict, on the first task,
-// however many the award carried.
-type shortAckNet struct{ *fakeNet }
+// TestRefusedTaskOfThreeFailsAlone: an ack names only its refusals, and
+// every task it does not name is confirmed. p1 wins all three tasks in one
+// award and refuses t2: t2 alone re-enters the failure set, t1 and t3 are
+// recorded (so the failed attempt's cleanup cancels them), and t2 is sent
+// no Cancel.
+func TestRefusedTaskOfThreeFailsAlone(t *testing.T) {
+	net := newFakeNet("init")
+	net.add("init", &fakeMember{fragments: []*model.Fragment{
+		mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "n"), mkFrag(t, "t3", "n", "g"),
+	}})
+	net.add("p1", &fakeMember{capable: map[model.TaskID]bool{"t1": true, "t2": true, "t3": true}, services: 3,
+		refuseTask: map[model.TaskID]bool{"t2": true}})
+	cfg := oneAttempt()
+	seen := observeDecisions(&cfg)
+	_, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if !errors.Is(err, ErrAllocationFailed) || !strings.Contains(err.Error(), "[t2]") {
+		t.Fatalf("err = %v, want allocation failure naming t2 alone", err)
+	}
+	if got := awards(net); len(got) != 1 || len(got[0].body.(proto.Award).More) != 2 {
+		t.Fatalf("awards = %v, want one of three tasks", got)
+	}
+	seen.want(t, map[model.TaskID]proto.Addr{"t1": "p1", "t2": "", "t3": "p1"})
+	if got, want := taskCancels(net), []string{"t1@p1", "t3@p1"}; !slices.Equal(got, want) {
+		t.Errorf("cancels = %v, want %v: the confirmed tasks compensated, the refused one not", got, want)
+	}
+}
 
-func (s shortAckNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
-	if award, ok := body.(proto.Award); ok {
-		return proto.AwardAck{Verdicts: []proto.Verdict{{Task: award.Meta.Task, OK: true}}}, nil
+// scriptedAckNet answers every Award with an ack refusing refused.
+type scriptedAckNet struct {
+	*fakeNet
+	refused []proto.Verdict
+}
+
+func (s scriptedAckNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
+	if _, ok := body.(proto.Award); ok {
+		return proto.AwardAck{Refused: s.refused}, nil
 	}
 	return s.fakeNet.Call(ctx, to, workflow, body, timeout)
 }
 
-// TestAckShortOfVerdictsIsProtocolViolation: an ack must answer every task
-// its award carried; one that does not is an error, not a silent refusal
-// of the rest.
-func TestAckShortOfVerdictsIsProtocolViolation(t *testing.T) {
-	_, err := NewManager(shortAckNet{groupNet(t)}, oneAttempt()).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
-	if err == nil || !strings.Contains(err.Error(), `award to "p1": 1 verdicts on 2 tasks`) {
-		t.Fatalf("err = %v, want the short ack reported", err)
+// TestAckRefusingUnawardedTaskIsProtocolViolation: an ack may refuse only
+// tasks its award carried, each once; anything else is an error, not a
+// refusal the engine guesses the meaning of. p1 is awarded t1 and t3.
+func TestAckRefusingUnawardedTaskIsProtocolViolation(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		refused []proto.Verdict
+		want    string
+	}{
+		{"unawarded", []proto.Verdict{{Task: "t2"}}, `award to "p1": refuses "t2", which it was not awarded`},
+		{"twice", []proto.Verdict{{Task: "t3"}, {Task: "t3"}}, `award to "p1": refuses "t3" twice`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := scriptedAckNet{groupNet(t), c.refused}
+			cfg := oneAttempt()
+			seen := observeDecisions(&cfg)
+			_, err := NewManager(net, cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+			seen.mu.Lock()
+			defer seen.mu.Unlock()
+			for _, task := range []model.TaskID{"t1", "t3"} {
+				if got := seen.by[task]; len(got) != 0 {
+					t.Errorf("%s decided %q on a malformed ack, want undecided", task, got)
+				}
+			}
+		})
 	}
 }
 

@@ -328,18 +328,17 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		if m.dropAwardAck {
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
-		// One verdict per task the Award carries, in its order. A held
-		// award is refused what the member would have declined to bid for.
+		// The refusals among the tasks the Award carries, in its order. A
+		// held award is refused what the member would have declined to bid
+		// for.
 		var ack proto.AwardAck
 		for _, meta := range append([]proto.TaskMeta{b.Meta}, b.More...) {
-			v := proto.Verdict{Task: meta.Task, OK: true}
 			f.mu.Lock()
 			unheld := b.Hold && (m.declineAll || !m.capable[meta.Task])
 			f.mu.Unlock()
 			if unheld || m.refuseAward || m.refuseTask[meta.Task] {
-				v = proto.Verdict{Task: meta.Task, OK: false, Reason: "scripted refusal"}
+				ack.Refused = append(ack.Refused, proto.Verdict{Task: meta.Task, Reason: "scripted refusal"})
 			}
-			ack.Verdicts = append(ack.Verdicts, v)
 		}
 		return ack, nil
 	case proto.Plan:

@@ -159,7 +159,7 @@ func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow
 	}
 	var buf [4]proto.Addr
 	sent := buf[:0] // the hosts a label went to; reused across labels
-	for _, l := range w.In() {
+	for l := range w.InSeq() {
 		sent = sent[:0]
 		for consumer := range w.ConsumersSeq(l) {
 			host := alloc[consumer]

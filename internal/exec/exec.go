@@ -133,7 +133,7 @@ func (m *Manager) Register(workflow string, c schedule.Commitment, seg proto.Pla
 	}
 	r := &run{commitment: c, seg: seg}
 	m.runs[k] = r
-	if c.HasLocation {
+	if c.Meta.Location != nil {
 		if d := c.TravelStart.Sub(m.clk.Now()); d > 0 {
 			// The closure captures the task alone: capturing c would move
 			// every commitment to the heap, located or not.
@@ -182,7 +182,7 @@ func (m *Manager) beginTravelLocked(r *run) {
 		return
 	}
 	r.traveling = true
-	m.mobility.Travel(m.clk.Now(), r.commitment.Location)
+	m.mobility.Travel(m.clk.Now(), *r.commitment.Meta.Location)
 }
 
 // OnLabel receives a label transfer (an inter-service message). Each run
@@ -314,11 +314,11 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 		m.mu.Unlock()
 		return
 	}
-	if c.HasLocation {
+	if at := c.Meta.Location; at != nil {
 		pos := m.mobility.Position(now)
-		if !space.Near(pos, c.Location, locationEps) {
+		if !space.Near(pos, *at, locationEps) {
 			// Still under way: re-check on arrival.
-			eta := space.TravelTime(pos, c.Location, m.mobility.Speed())
+			eta := space.TravelTime(pos, *at, m.mobility.Speed())
 			if eta > 0 && eta < 1<<62 {
 				t := m.clk.AfterFunc(eta, func() { m.tryStart(workflow, task) })
 				r.timers = append(r.timers, t)

@@ -400,11 +400,8 @@ func TestTravelThenExecute(t *testing.T) {
 	})
 	start := time.Now().Add(40 * time.Millisecond)
 	c := commitment("t", start, []model.LabelID{"in"}, []model.LabelID{"out"})
-	c.HasLocation = true
-	c.Location = space.Point{}
 	c.TravelStart = start.Add(-25 * time.Millisecond)
-	c.Meta.Location = c.Location
-	c.Meta.HasLocation = true
+	c.Meta.Location = &space.Point{}
 	r.mgr.Register("wf", c, seg("t", "boss", nil))
 	r.mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
 

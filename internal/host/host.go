@@ -449,18 +449,23 @@ func (h *Host) process(env proto.Envelope) {
 		// bid to answer; then each task stands alone: committed and
 		// registered, or refused with its slot freed, whatever the others
 		// do. The routes riding on the award are every task's plan, its
-		// sender the initiator.
+		// sender the initiator. The ack names the refusals only, so one
+		// that confirms everything builds no list.
 		if b.Hold {
 			if at := h.Participant.HoldAward(env.Workflow, b); !at.IsZero() {
 				h.armSweep(at)
 			}
 		}
-		verdicts := make([]proto.Verdict, 0, 1+len(b.More))
-		verdicts = append(verdicts, h.award(env.Workflow, b.Meta, env.From, b.Routes))
-		for _, meta := range b.More {
-			verdicts = append(verdicts, h.award(env.Workflow, meta, env.From, b.Routes))
+		var refused []proto.Verdict
+		if v := h.award(env.Workflow, b.Meta, env.From, b.Routes); !v.OK {
+			refused = append(refused, v)
 		}
-		h.reply(env, proto.AwardAck{Verdicts: verdicts})
+		for _, meta := range b.More {
+			if v := h.award(env.Workflow, meta, env.From, b.Routes); !v.OK {
+				refused = append(refused, v)
+			}
+		}
+		h.reply(env, proto.AwardAck{Refused: refused})
 
 	case proto.LeaseRefresh:
 		ack := h.Participant.HandleLeaseRefresh(env.Workflow, b)

@@ -210,8 +210,8 @@ func TestCallForBidsAndAward(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack := reply.(proto.AwardAck)
-	if len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
-		t.Fatalf("award refused: %+v", ack.Verdicts)
+	if len(ack.Refused) != 0 {
+		t.Fatalf("award refused: %+v", ack.Refused)
 	}
 	if _, ok := b.Schedule.Get("wf", "cook"); !ok {
 		t.Error("award did not create a commitment")
@@ -266,16 +266,13 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack, ok := reply.(proto.AwardAck)
-	if !ok || len(ack.Verdicts) != 3 {
-		t.Fatalf("reply = %#v, want one ack with three verdicts", reply)
+	if !ok || len(ack.Refused) != 2 {
+		t.Fatalf("reply = %#v, want one ack naming two refusals, chop confirmed by its absence", reply)
 	}
-	if v := ack.Verdicts[0]; v.Task != "chop" || !v.OK {
-		t.Errorf("chop: verdict %+v, want confirmed", v)
-	}
-	if v := ack.Verdicts[1]; v.Task != "cook" || v.OK || v.Reason != "service no longer offered" {
+	if v := ack.Refused[0]; v.Task != "cook" || v.OK || v.Reason != "service no longer offered" {
 		t.Errorf("cook: verdict %+v, want refused for its withdrawn service", v)
 	}
-	if v := ack.Verdicts[2]; v.Task != "serve" || v.OK || v.Reason == "" {
+	if v := ack.Refused[1]; v.Task != "serve" || v.OK || v.Reason == "" {
 		t.Errorf("serve: verdict %+v, want refused for lack of a hold", v)
 	}
 	if holds, commits := b.Schedule.Holds(), len(b.Schedule.Commitments()); holds != 0 || commits != 1 {
@@ -319,7 +316,7 @@ func TestAwardRoutesRunWithoutPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, ok := reply.(proto.AwardAck); !ok || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+	if ack, ok := reply.(proto.AwardAck); !ok || len(ack.Refused) != 0 {
 		t.Fatalf("reply = %#v, want the task confirmed with its routes", reply)
 	}
 	if err := a.Send(context.Background(), "b", "wf", proto.LabelTransfer{Label: "in", Producer: "a"}); err != nil {
@@ -382,7 +379,7 @@ func TestSoleTasksCommittedOnTheCall(t *testing.T) {
 	held := proto.Award{Meta: cook, More: []proto.TaskMeta{serve}, Hold: true, Routes: []proto.Route{{Label: "out", To: "a"}}}
 	reply, err = a.Call(context.Background(), "b", "wf", held, time.Second)
 	ack, ok := reply.(proto.AwardAck)
-	if err != nil || !ok || len(ack.Verdicts) != 2 || !ack.Verdicts[0].OK || ack.Verdicts[1].OK {
+	if err != nil || !ok || len(ack.Refused) != 1 || ack.Refused[0].Task != "serve" {
 		t.Fatalf("held award: reply %#v, err %v; want cook confirmed and serve refused", reply, err)
 	}
 	if _, ok := b.Schedule.Get("wf", "cook"); !ok {
@@ -399,7 +396,7 @@ func TestSoleTasksCommittedOnTheCall(t *testing.T) {
 	}
 	// An Award for the held task completes the ordinary way.
 	reply, err = a.Call(context.Background(), "b", "wf", proto.Award{Meta: chop}, time.Second)
-	if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
+	if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Refused) != 0 {
 		t.Fatalf("award of chop: reply %#v, err %v", reply, err)
 	}
 }
@@ -491,8 +488,8 @@ func TestOneSweepTimerPerHost(t *testing.T) {
 		if bids := call(wf, proto.CallForBidsBatch{Metas: []proto.TaskMeta{meta}}).(proto.BidBatch); len(bids.Bids) != 1 {
 			t.Fatalf("workflow %d: reply %+v, want one bid", i, bids)
 		}
-		if ack := call(wf, proto.Award{Meta: meta}).(proto.AwardAck); len(ack.Verdicts) != 1 || !ack.Verdicts[0].OK {
-			t.Fatalf("workflow %d: award refused: %+v", i, ack.Verdicts)
+		if ack := call(wf, proto.Award{Meta: meta}).(proto.AwardAck); len(ack.Refused) != 0 {
+			t.Fatalf("workflow %d: award refused: %+v", i, ack.Refused)
 		}
 	}
 	if got := pending(); got != 1 {
@@ -764,11 +761,14 @@ func TestCallRoundTripAllocBound(t *testing.T) {
 // TestHeldAwardAllocBound pins what a held award on three tasks costs
 // through Handle, both hosts together, beyond the round trip's plumbing
 // (TestCallRoundTripAllocBound): the award's decoding, the three holds,
-// commitments and registered runs, and the verdicts. The holds are taken
-// task by task from the award as it came: no list of its tasks is built,
-// no bid is placed and none is thrown away. 23 while a held award was
-// answered as a call for bids on a copy of its tasks (and 1 of them the
-// call's timer).
+// commitments and registered runs, and the ack. The holds are taken task
+// by task from the award as it came: no list of its tasks is built, no bid
+// is placed and none is thrown away. The ack names refusals only, so one
+// that confirms all three builds no list, boxes without allocating, and
+// decodes to the frame's copy alone. 17 while the ack carried a verdict
+// per task, built and boxed on one side and rebuilt and boxed on the
+// other; 23 while a held award was answered as a call for bids on a copy
+// of its tasks (and 1 of them the call's timer).
 func TestHeldAwardAllocBound(t *testing.T) {
 	reg := func(task model.TaskID) service.Registration {
 		return service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: 0.5}}
@@ -783,9 +783,9 @@ func TestHeldAwardAllocBound(t *testing.T) {
 		Meta: meta("chop", 0), More: []proto.TaskMeta{meta("cook", 1), meta("serve", 2)},
 		Hold: true, Routes: []proto.Route{{Label: "out", To: "a"}},
 	}
-	testutil.AllocBound(t, 17, func() {
+	testutil.AllocBound(t, 13, func() {
 		reply, err := a.Call(context.Background(), "b", "wf", held, time.Second)
-		if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Verdicts) != 3 || !ack.Verdicts[2].OK {
+		if ack, ok := reply.(proto.AwardAck); err != nil || !ok || len(ack.Refused) != 0 {
 			t.Fatalf("held award: reply %#v, err %v; want three confirmed", reply, err)
 		}
 		b.Participant.HandleCancel("wf", proto.Cancel{})

@@ -289,6 +289,12 @@ func TestIndexMatchesOracle(t *testing.T) {
 		if got, want := w.Out(), oracleSinks(g); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: Out = %v; oracle %v", seed, got, want)
 		}
+		if got, want := slices.Collect(w.InSeq()), oracleSources(g); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: InSeq = %v; oracle %v", seed, got, want)
+		}
+		if got, want := slices.Collect(w.OutSeq()), oracleSinks(g); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: OutSeq = %v; oracle %v", seed, got, want)
+		}
 	}
 	for _, v := range []string{"valid", "cycle", "producers", "empty"} {
 		if counts[v] < 50 {

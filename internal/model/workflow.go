@@ -17,8 +17,9 @@ import (
 // Because the tasks can never change, the producer/consumer indexes, the
 // topological order and the inset and outset are computed once at
 // construction and served from cache — Producer is O(1), Consumers,
-// TopoOrder, In and Out are a copy of a precomputed slice, ConsumersSeq
-// iterates one — instead of rescanning every task per call.
+// TopoOrder, In and Out are a copy of a precomputed slice, ConsumersSeq,
+// InSeq and OutSeq iterate one — instead of rescanning every task per
+// call.
 type Workflow struct {
 	tasks map[TaskID]Task
 
@@ -171,6 +172,14 @@ func (w *Workflow) In() []LabelID { return slices.Clone(w.in) }
 
 // Out returns the workflow's outset W.out: its sink labels, sorted.
 func (w *Workflow) Out() []LabelID { return slices.Clone(w.out) }
+
+// InSeq yields the inset's labels, sorted, from the cached slice itself:
+// In without the copy.
+func (w *Workflow) InSeq() iter.Seq[LabelID] { return slices.Values(w.in) }
+
+// OutSeq yields the outset's labels, sorted, from the cached slice itself:
+// Out without the copy.
+func (w *Workflow) OutSeq() iter.Seq[LabelID] { return slices.Values(w.out) }
 
 // Tasks returns copies of all tasks in lexicographic ID order.
 func (w *Workflow) Tasks() []Task {

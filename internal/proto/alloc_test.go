@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"openwf/internal/model"
+	"openwf/internal/space"
 	"openwf/internal/testutil"
 )
 
@@ -70,10 +71,15 @@ func TestEncodeToPlanAllocFree(t *testing.T) {
 // one flat list: a 6-task award that carries its plan costs one allocation
 // more than one that does not, and a map-shaped routing form would cost
 // several per task. A Cancel's tasks are one list too: naming six costs
-// what naming one does.
+// what naming one does. A meta's location is the one field that costs an
+// allocation of its own, and only when it is there. An ack that confirms
+// every task carries no list, so it costs the frame's copy alone (3 while
+// it carried a verdict per task); a refusal costs the list and the boxing.
 func TestDecodeAllocBounds(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 	meta := TaskMeta{Task: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"}, Start: at, End: at.Add(time.Hour)}
+	located := meta
+	located.Location = &space.Point{X: 3, Y: 4}
 	chain := make([]TaskMeta, 6)
 	routes := make([]Route, 6)
 	for i := range chain {
@@ -100,6 +106,7 @@ func TestDecodeAllocBounds(t *testing.T) {
 		{"cancel-of-6", 3, Envelope{From: "host-a", To: "host-b", Workflow: "wf-1", Body: Cancel{Tasks: tasks6}}},
 		{"bid-batch", 4, benchBidEnvelope()},
 		{"award", 4, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: meta}}},
+		{"award-located", 4 + 1, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: Award{Meta: located}}},
 		{"award-of-6", 5, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: award6}},
 		{"award-of-6-with-routes", 5 + 1, Envelope{From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1", Body: routed6}},
 		{"fragment-reply", 7, Envelope{From: "host-b", To: "host-a", ReqID: 42, Workflow: "wf-1", Body: FragmentReply{
@@ -107,8 +114,9 @@ func TestDecodeAllocBounds(t *testing.T) {
 				ID: "cook omelets", Inputs: []model.LabelID{"eggs"}, Outputs: []model.LabelID{"omelets"},
 			}}}},
 		}}},
-		{"award-ack", 3, Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{
-			Verdicts: []Verdict{{Task: "cook omelets", OK: true}},
+		{"award-ack", 1, Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{}}},
+		{"award-ack-refusing-one", 3, Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{
+			Refused: []Verdict{{Task: "cook omelets", Reason: "hold gone"}},
 		}}},
 		{"plan", 4, Envelope{From: "host-a", To: "host-b", ReqID: 45, Workflow: "wf-1", Body: Plan{Segments: []PlanSegment{{
 			Task: "cook omelets", Initiator: "host-a", Routes: []Route{{Label: "omelets", To: "host-a"}},

@@ -96,9 +96,29 @@ func BenchmarkDecodeLabelTransfer4K(b *testing.B) {
 	}
 }
 
+// benchAwardEnvelope is a held award of three tasks carrying their
+// routes, the shape of one sim_serial round trip's request, and
+// benchAwardAckEnvelope its reply when every task is confirmed.
+func benchAwardEnvelope() Envelope {
+	at := time.Unix(1700000000, 0)
+	metas := make([]TaskMeta, 3)
+	for i, task := range []model.TaskID{"chop", "cook", "serve"} {
+		start := at.Add(time.Duration(i) * time.Second)
+		metas[i] = TaskMeta{Task: task, Mode: model.Conjunctive, Inputs: []model.LabelID{"in"}, Outputs: []model.LabelID{"out"}, Start: start, End: start.Add(time.Second)}
+	}
+	return Envelope{
+		From: "host-a", To: "host-b", ReqID: 44, Workflow: "wf-1",
+		Body: Award{Meta: metas[0], More: metas[1:], Hold: true, Routes: []Route{{Label: "out", To: "host-a"}}},
+	}
+}
+
+func benchAwardAckEnvelope() Envelope {
+	return Envelope{From: "host-b", To: "host-a", ReqID: 44, Workflow: "wf-1", Body: AwardAck{}}
+}
+
 // BenchmarkRoundTrip encodes and decodes through a pooled buffer — the
 // full per-message codec cost on the simulated network — for the two hot
-// message shapes.
+// message shapes and the held-award round trip.
 func BenchmarkRoundTrip(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -106,6 +126,8 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}{
 		{"fragment-query", benchEnvelope()},
 		{"bid-batch", benchBidEnvelope()},
+		{"award", benchAwardEnvelope()},
+		{"award-ack", benchAwardAckEnvelope()},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			pool := sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -19,8 +19,9 @@
 // wire, matching what the envelope consumers compare with time.Equal).
 // Slices are uvarint count + elements; no body carries a map. A pointer
 // field (FragmentReply.Capabilities) is a presence bool, then the fields
-// when present. Every field is always written: one layout per body, and a
-// layout change bumps wireVersion.
+// when present; TaskMeta.Location is the point, (0, 0) when absent, then
+// its presence bool. Every field is always written: one layout per body,
+// and a layout change bumps wireVersion.
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
@@ -50,7 +51,7 @@ import (
 
 // wireVersion is the first byte of every binary frame. Bump it when the
 // layout changes; decoders reject versions they do not understand.
-const wireVersion byte = 6
+const wireVersion byte = 7
 
 // Body kind tags. The zero tag is invalid so an all-zero frame cannot
 // decode. Tags are wire contract: never renumber, only append. Tags 5–7
@@ -159,8 +160,12 @@ func (e encoder) meta(m TaskMeta) {
 	e.labels(m.Outputs)
 	e.time(m.Start)
 	e.time(m.End)
-	e.point(m.Location)
-	e.bool(m.HasLocation)
+	if m.Location != nil {
+		e.point(*m.Location)
+	} else {
+		e.point(space.Point{})
+	}
+	e.bool(m.Location != nil)
 }
 
 func (e encoder) metas(ms []TaskMeta) {
@@ -231,10 +236,9 @@ func (a Award) encode(e encoder) {
 
 func (AwardAck) kind() byte { return kindAwardAck }
 func (a AwardAck) encode(e encoder) {
-	e.uint(uint64(len(a.Verdicts)))
-	for _, v := range a.Verdicts {
+	e.uint(uint64(len(a.Refused)))
+	for _, v := range a.Refused {
 		e.str(string(v.Task))
-		e.bool(v.OK)
 		e.str(v.Reason)
 	}
 }
@@ -539,17 +543,22 @@ func (d *decoder) fragments() []*model.Fragment {
 	return out
 }
 
+// meta allocates a point only for a located meta; the point of one that
+// is not located is read and dropped.
 func (d *decoder) meta() TaskMeta {
-	return TaskMeta{
-		Task:        model.TaskID(d.str()),
-		Mode:        model.Mode(d.uint()),
-		Inputs:      d.labels(),
-		Outputs:     d.labels(),
-		Start:       d.time(),
-		End:         d.time(),
-		Location:    space.Point{X: d.f64(), Y: d.f64()},
-		HasLocation: d.bool(),
+	m := TaskMeta{
+		Task:    model.TaskID(d.str()),
+		Mode:    model.Mode(d.uint()),
+		Inputs:  d.labels(),
+		Outputs: d.labels(),
+		Start:   d.time(),
+		End:     d.time(),
 	}
+	x, y := d.f64(), d.f64()
+	if d.bool() {
+		m.Location = &space.Point{X: x, Y: y}
+	}
+	return m
 }
 
 // metas reserves two labels per meta, an input and an output, so a call
@@ -567,14 +576,15 @@ func (d *decoder) metas() []TaskMeta {
 	return out
 }
 
-func (d *decoder) verdicts() []Verdict {
+// refusals reads an ack's refused tasks; none is a nil list.
+func (d *decoder) refusals() []Verdict {
 	n := d.count()
 	if n == 0 {
 		return nil
 	}
 	out := make([]Verdict, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = Verdict{Task: model.TaskID(d.str()), OK: d.bool(), Reason: d.str()}
+		out[i] = Verdict{Task: model.TaskID(d.str()), Reason: d.str()}
 	}
 	return out
 }
@@ -666,7 +676,7 @@ func (d *decoder) body(kind byte) Body {
 		d.reserve(2)
 		return Award{Meta: d.meta(), More: d.metas(), Hold: d.bool(), Routes: d.routes()}
 	case kindAwardAck:
-		return AwardAck{Verdicts: d.verdicts()}
+		return AwardAck{Refused: d.refusals()}
 	case kindCancel:
 		return Cancel{Tasks: d.taskIDs()}
 	case kindPlan:

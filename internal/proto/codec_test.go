@@ -77,7 +77,7 @@ func bodyEqual(a, b Body) bool {
 		return ok && metaEq(av.Meta, bv.Meta) && slices.EqualFunc(av.More, bv.More, metaEq) && routesEq(av.Routes, bv.Routes) && av.Hold == bv.Hold
 	case AwardAck:
 		bv, ok := b.(AwardAck)
-		return ok && slices.Equal(av.Verdicts, bv.Verdicts)
+		return ok && slices.Equal(av.Refused, bv.Refused)
 	case Cancel:
 		bv, ok := b.(Cancel)
 		return ok && taskIDsEq(av.Tasks, bv.Tasks)
@@ -193,8 +193,8 @@ func metaEq(a, b TaskMeta) bool {
 	return a.Task == b.Task && a.Mode == b.Mode &&
 		labelsEq(a.Inputs, b.Inputs) && labelsEq(a.Outputs, b.Outputs) &&
 		a.Start.Equal(b.Start) && a.End.Equal(b.End) &&
-		f64Eq(a.Location.X, b.Location.X) && f64Eq(a.Location.Y, b.Location.Y) &&
-		a.HasLocation == b.HasLocation
+		(a.Location == nil) == (b.Location == nil) &&
+		(a.Location == nil || f64Eq(a.Location.X, b.Location.X) && f64Eq(a.Location.Y, b.Location.Y))
 }
 
 // --- randomized envelope generation ---
@@ -272,16 +272,18 @@ func randFragment(rng *rand.Rand) *model.Fragment {
 }
 
 func randMeta(rng *rand.Rand) TaskMeta {
-	return TaskMeta{
-		Task:        model.TaskID(randString(rng, 16)),
-		Mode:        model.Mode(rng.Intn(4)),
-		Inputs:      randLabels(rng),
-		Outputs:     randLabels(rng),
-		Start:       randTime(rng),
-		End:         randTime(rng),
-		Location:    space.Point{X: randFloat(rng), Y: randFloat(rng)},
-		HasLocation: rng.Intn(2) == 1,
+	m := TaskMeta{
+		Task:    model.TaskID(randString(rng, 16)),
+		Mode:    model.Mode(rng.Intn(4)),
+		Inputs:  randLabels(rng),
+		Outputs: randLabels(rng),
+		Start:   randTime(rng),
+		End:     randTime(rng),
 	}
+	if at := (space.Point{X: randFloat(rng), Y: randFloat(rng)}); rng.Intn(2) == 1 {
+		m.Location = &at
+	}
+	return m
 }
 
 // randMetas draws fewer than limit metas, nil for none.
@@ -342,9 +344,8 @@ var randArms = []func(rng *rand.Rand) Body{
 	func(rng *rand.Rand) Body {
 		var ack AwardAck
 		for i, n := 0, rng.Intn(4); i < n; i++ {
-			ack.Verdicts = append(ack.Verdicts, Verdict{
+			ack.Refused = append(ack.Refused, Verdict{
 				Task:   model.TaskID(randString(rng, 16)),
-				OK:     rng.Intn(2) == 1,
 				Reason: randString(rng, 32),
 			})
 		}
@@ -789,7 +790,7 @@ func TestWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "06" + // version
+	const want = "07" + // version
 		"01" + // kind: fragment-query
 		"026131" + // From "a1"
 		"026232" + // To "b2"
@@ -818,7 +819,7 @@ func TestWireFormatGoldenBatches(t *testing.T) {
 			name: "call-for-bids-batch",
 			env: Envelope{From: "a", To: "b", ReqID: 7, Workflow: "wf",
 				Body: CallForBidsBatch{Metas: []TaskMeta{meta}}},
-			want: "06" + // version
+			want: "07" + // version
 				"0f" + // kind: call-for-bids-batch
 				"0161" + "0162" + "07" + "027766" + // header a, b, 7, wf
 				"01" + // 1 meta
@@ -870,7 +871,7 @@ func TestWireFormatGoldenLease(t *testing.T) {
 			name: "lease-refresh-ack",
 			env: Envelope{From: "b", To: "a", ReqID: 5, Workflow: "wf",
 				Body: LeaseRefreshAck{Missing: []model.TaskID{"t1"}, Finished: []model.TaskID{"t2", "t3"}}},
-			want: "06" + // version
+			want: "07" + // version
 				"13" + // kind: lease-refresh-ack
 				"0162" + "0161" + "05" + "027766" + // header b, a, 5, wf
 				"01" + "027431" + // missing ["t1"]
@@ -881,7 +882,7 @@ func TestWireFormatGoldenLease(t *testing.T) {
 			name: "cancel",
 			env: Envelope{From: "a", To: "b", Workflow: "wf",
 				Body: Cancel{Tasks: []model.TaskID{"t1", "t2"}}},
-			want: "06" + // version
+			want: "07" + // version
 				"0a" + // kind: cancel
 				"0161" + "0162" + "00" + "027766" + // header a, b, 0 (one-way), wf
 				"02" + "027431" + "027432", // tasks ["t1","t2"]
@@ -941,9 +942,9 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 	})
 	const (
-		query = "06" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
+		query = "07" + "01" + "026131" + "026232" + "ac02" + "027766" + // TestWireFormatGolden's header
 			"02" + "0178" + "02797a" // labels ["x", "yz"]
-		reply = "06" + // version
+		reply = "07" + // version
 			"02" + // kind: fragment-reply
 			"0162" + "0161" + "07" + "027766" + // header b, a, 7, wf
 			"01" + // 1 fragment
@@ -979,7 +980,7 @@ func TestWireFormatGoldenDescribe(t *testing.T) {
 			name: "fragment-reply-described-empty",
 			env: Envelope{From: "b", To: "a", ReqID: 7, Workflow: "wf",
 				Body: FragmentReply{Capabilities: &Advertise{}}},
-			want: "06" + "02" + "0162" + "0161" + "07" + "027766" +
+			want: "07" + "02" + "0162" + "0161" + "07" + "027766" +
 				"00" + // no fragments
 				"01" + "00" + "00", // a capability set: nothing consumed, nothing offered
 		},

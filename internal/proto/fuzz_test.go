@@ -27,7 +27,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		Task: "t", Mode: model.Disjunctive,
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 		Start: time.Unix(100, 5), End: time.Unix(200, 0),
-		Location: space.Point{X: 1, Y: 2}, HasLocation: true,
+		Location: &space.Point{X: 1, Y: 2},
 	}
 	seeds := []Body{
 		FragmentQuery{Labels: []model.LabelID{"a", "b"}},
@@ -40,7 +40,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		FeasibilityReply{Capable: []model.TaskID{"t"}},
 		Award{Meta: meta},
 		Award{Meta: meta, More: []TaskMeta{meta}, Routes: []Route{{Label: "b", To: "h2"}, {Label: "b", To: "h3"}}},
-		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true, Reason: "r"}}},
+		AwardAck{Refused: []Verdict{{Task: "t", Reason: "r"}}},
 		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h0"}}, Hold: true},
 		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
@@ -66,7 +66,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A winner's held three-task award, its three verdicts, an executor's
+	// A winner's held three-task award, its ack refusing one, an executor's
 	// three-segment plan and a call for bids on two tasks: the lists of the
 	// one-message-per-peer bodies (TestWireFormatGoldenGroups pins the same
 	// four frames).

@@ -102,7 +102,9 @@ func (FeasibilityReply) Kind() string { return "feasibility-reply" }
 
 // TaskMeta is the per-task metadata the auction manager computes for
 // allocating and executing a workflow task (§3.2): identity, data flow,
-// execution window, and required location.
+// execution window, and required location. It is 128 bytes, the most a Go
+// map keeps inline, so a plan's metas (engine.Plan.Metas) cost no
+// allocation per task.
 type TaskMeta struct {
 	Task    model.TaskID
 	Mode    model.Mode
@@ -110,9 +112,10 @@ type TaskMeta struct {
 	Outputs []model.LabelID
 	// Start and End bound the execution window.
 	Start, End time.Time
-	// Location is the place the service must be performed, if any.
-	Location    space.Point
-	HasLocation bool
+	// Location is the place the service must be performed, nil for
+	// anywhere. The point is shared by every copy of the meta: replace
+	// it, never write through it.
+	Location *space.Point
 }
 
 // Bid is a firm commitment offer for a task, carried in a BidBatch. Firm
@@ -163,7 +166,7 @@ func (BidBatch) Kind() string { return "bid-batch" }
 
 // Award allocates to the winning bidder, who converts its reservations
 // into commitments, every task it won in one round of decisions: one
-// message per winner, answered by one AwardAck carrying a verdict per task
+// message per winner, answered by one AwardAck naming the tasks it refused
 // (DESIGN.md §9). The tasks are Meta followed by More: the one body left
 // with a head and a rest, because the frozen benchmark module builds
 // Award{Meta: m}. It becomes one list when that module is re-baselined.
@@ -188,16 +191,21 @@ func (Award) Kind() string { return "award" }
 // Verdict confirms (OK) or refuses one awarded task. A task is refused
 // when its hold is gone — the bid's deadline passed before the award
 // arrived — or the service was withdrawn meanwhile, and Reason says which.
+// Only refusals travel (AwardAck.Refused), as task and reason: a decoded
+// verdict is never OK.
 type Verdict struct {
 	Task   model.TaskID
 	OK     bool
 	Reason string
 }
 
-// AwardAck answers an Award with one verdict per task, in the award's
-// order; a refusal binds only its own task.
+// AwardAck answers an Award by naming the tasks the winner refused, each
+// at most once, in the award's order; every task of the award it does not
+// name is confirmed, and a refusal binds only its own task. An ack that
+// confirms everything carries a nil list, which boxes into a Body without
+// an allocation.
 type AwardAck struct {
-	Verdicts []Verdict
+	Refused []Verdict
 }
 
 // Kind implements Body.

@@ -21,7 +21,7 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 		Task: "t", Mode: model.Disjunctive,
 		Inputs: []model.LabelID{"a"}, Outputs: []model.LabelID{"b"},
 		Start: time.Unix(100, 0), End: time.Unix(200, 0),
-		Location: space.Point{X: 1, Y: 2}, HasLocation: true,
+		Location: &space.Point{X: 1, Y: 2},
 	}
 	cases := []Body{
 		FragmentQuery{Labels: []model.LabelID{"a", "b"}},
@@ -34,7 +34,8 @@ func TestEncodeDecodeRoundTripAllBodies(t *testing.T) {
 			Declines: []model.TaskID{"u"},
 		},
 		Award{Meta: meta, Routes: []Route{{Label: "b", To: "h2"}}},
-		AwardAck{Verdicts: []Verdict{{Task: "t", OK: true}}},
+		AwardAck{},
+		AwardAck{Refused: []Verdict{{Task: "t", Reason: "hold gone"}}},
 		Cancel{Tasks: []model.TaskID{"t"}},
 		Plan{Segments: []PlanSegment{{
 			Task:   "t",
@@ -99,7 +100,7 @@ func TestRoundTripTaskMeta(t *testing.T) {
 		Task: "cook", Mode: model.Conjunctive,
 		Inputs: []model.LabelID{"a", "b"}, Outputs: []model.LabelID{"c"},
 		Start: time.Unix(1000, 0).UTC(), End: time.Unix(2000, 0).UTC(),
-		Location: space.Point{X: 3.5, Y: -1}, HasLocation: true,
+		Location: &space.Point{X: 3.5, Y: -1},
 	}
 	data, err := binEncode(Envelope{From: "a", To: "b", Body: Award{Meta: meta}})
 	if err != nil {
@@ -111,7 +112,7 @@ func TestRoundTripTaskMeta(t *testing.T) {
 	}
 	award := got.Body.(Award)
 	if award.Meta.Task != "cook" || !award.Meta.Start.Equal(meta.Start) ||
-		award.Meta.Location != meta.Location || !award.Meta.HasLocation {
+		award.Meta.Location == nil || *award.Meta.Location != *meta.Location {
 		t.Errorf("meta mangled: %+v", award.Meta)
 	}
 	if len(award.Meta.Inputs) != 2 || award.Meta.Inputs[0] != "a" {

@@ -37,16 +37,15 @@ func (r *refCalendar) plan(md proto.TaskMeta) (Commitment, string) {
 	if len(r.busy) >= r.max {
 		return Commitment{}, "capacity"
 	}
-	c := Commitment{Task: md.Task, Start: md.Start, End: md.End, TravelStart: md.Start,
-		Location: md.Location, HasLocation: md.HasLocation, Meta: md}
-	if md.HasLocation {
+	c := Commitment{Task: md.Task, Start: md.Start, End: md.End, TravelStart: md.Start, Meta: md}
+	if md.Location != nil {
 		from, free := space.Point{}, t0
 		for _, e := range r.busy {
-			if e.c.HasLocation && !e.c.End.After(md.Start) && e.c.End.After(free) {
-				from, free = e.c.Location, e.c.End
+			if e.c.Meta.Location != nil && !e.c.End.After(md.Start) && e.c.End.After(free) {
+				from, free = *e.c.Meta.Location, e.c.End
 			}
 		}
-		c.TravelStart = md.Start.Add(-space.TravelTime(from, md.Location, 1))
+		c.TravelStart = md.Start.Add(-space.TravelTime(from, *md.Location, 1))
 		if c.TravelStart.Before(free) {
 			return Commitment{}, "unreachable"
 		}

@@ -57,13 +57,11 @@ type Commitment struct {
 	Task     model.TaskID
 	// Start and End bound the service execution window.
 	Start, End time.Time
-	// Location is where the service must be performed.
-	Location    space.Point
-	HasLocation bool
 	// TravelStart is when the host must begin traveling to reach
-	// Location by Start (equal to Start when no travel is needed).
+	// Meta.Location by Start (equal to Start when no travel is needed).
 	TravelStart time.Time
-	// Meta retains the full task metadata from the award.
+	// Meta retains the full task metadata from the award, the location
+	// where the service must be performed among it.
 	Meta proto.TaskMeta
 }
 
@@ -169,18 +167,16 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 		Task:        meta.Task,
 		Start:       meta.Start,
 		End:         meta.End,
-		Location:    meta.Location,
-		HasLocation: meta.HasLocation,
 		TravelStart: meta.Start,
 		Meta:        meta,
 	}
 
-	if meta.HasLocation {
+	if at := meta.Location; at != nil {
 		from, depart := m.origin(meta.Start)
-		travel := space.TravelTime(from, meta.Location, m.mobility.Speed())
+		travel := space.TravelTime(from, *at, m.mobility.Speed())
 		if travel == time.Duration(1<<63-1) { // immobile and not already there
-			if !space.Near(from, meta.Location, 1e-9) {
-				return Commitment{}, fmt.Errorf("cannot travel to %v for %q", meta.Location, meta.Task)
+			if !space.Near(from, *at, 1e-9) {
+				return Commitment{}, fmt.Errorf("cannot travel to %v for %q", *at, meta.Task)
 			}
 			travel = 0
 		}
@@ -188,7 +184,7 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 		if c.TravelStart.Before(depart) {
 			return Commitment{}, fmt.Errorf(
 				"cannot reach %v by %v for %q (need to leave at %v, free at %v)",
-				meta.Location, meta.Start, meta.Task, c.TravelStart, depart)
+				*at, meta.Start, meta.Task, c.TravelStart, depart)
 		}
 		if c.TravelStart.Before(m.clk.Now()) {
 			return Commitment{}, fmt.Errorf("too late to travel for %q", meta.Task)
@@ -245,8 +241,8 @@ func (m *Manager) origin(t time.Time) (space.Point, time.Time) {
 	free := m.clk.Now()
 	for _, recs := range [2]map[key]*record{m.holds, m.commits} {
 		for _, r := range recs {
-			if c := &r.c; !c.End.After(t) && c.End.After(free) && c.HasLocation {
-				from = c.Location
+			if c := &r.c; !c.End.After(t) && c.End.After(free) && c.Meta.Location != nil {
+				from = *c.Meta.Location
 				free = c.End
 			}
 		}

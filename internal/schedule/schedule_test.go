@@ -28,8 +28,7 @@ func meta(task string, start, end time.Time) proto.TaskMeta {
 
 func locMeta(task string, start, end time.Time, at space.Point) proto.TaskMeta {
 	m := meta(task, start, end)
-	m.Location = at
-	m.HasLocation = true
+	m.Location = &at
 	return m
 }
 

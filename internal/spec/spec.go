@@ -123,9 +123,25 @@ func (s Spec) Evaluate(in, out []model.LabelID) bool {
 	return true
 }
 
-// Satisfies reports whether workflow w satisfies the specification.
+// Satisfies reports whether workflow w satisfies the specification: it
+// is Evaluate on w's inset and outset, read in place. The loops range over
+// the sequences here, where they inline; a helper taking them as
+// arguments would allocate every loop body.
 func (s Spec) Satisfies(w *model.Workflow) bool {
-	return s.Evaluate(w.In(), w.Out())
+	triggers := s.TriggerSet()
+	for l := range w.InSeq() {
+		if _, ok := triggers[l]; !ok {
+			return false
+		}
+	}
+	goals, n := s.GoalSet(), 0
+	for l := range w.OutSeq() {
+		if _, ok := goals[l]; !ok {
+			return false
+		}
+		n++
+	}
+	return n == len(s.Goals)
 }
 
 // String renders the spec as "ι={a,b} ω={c}".

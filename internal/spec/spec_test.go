@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"openwf/internal/model"
+	"openwf/internal/testutil"
 )
 
 func lbl(ls ...string) []model.LabelID {
@@ -99,6 +100,48 @@ func TestSatisfies(t *testing.T) {
 	if Must(lbl("x"), lbl("g")).Satisfies(w) {
 		t.Error("workflow input not in ι should not satisfy")
 	}
+}
+
+// TestSatisfiesIsEvaluate: Satisfies reads the inset and outset in place
+// and answers as Evaluate does on their copies — an outset must be ω
+// exactly, no label short and none over.
+func TestSatisfiesIsEvaluate(t *testing.T) {
+	w, err := model.NewWorkflowOfTasks([]model.Task{
+		{ID: "t", Mode: model.Conjunctive, Inputs: lbl("a", "b"), Outputs: lbl("g")},
+		{ID: "u", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("h")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Spec{
+		Must(lbl("a", "b"), lbl("g", "h")),
+		Must(lbl("a", "b", "c"), lbl("h", "g")),
+		Must(lbl("a"), lbl("g", "h")),
+		Must(lbl("a", "b"), lbl("g")),
+		Must(lbl("a", "b"), lbl("g", "h", "i")),
+	} {
+		if got, want := s.Satisfies(w), s.Evaluate(w.In(), w.Out()); got != want {
+			t.Errorf("%v: Satisfies = %v, Evaluate = %v", s, got, want)
+		}
+	}
+}
+
+// TestSatisfiesAllocFree: construction checks every workflow it builds
+// with Satisfies, so it must not copy the workflow's inset and outset (2
+// allocations when it did).
+func TestSatisfiesAllocFree(t *testing.T) {
+	w, err := model.NewWorkflowOfTasks([]model.Task{{
+		ID: "t", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("g"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Must(lbl("a", "b"), lbl("g"))
+	testutil.AllocBound(t, 0, func() {
+		if !s.Satisfies(w) {
+			t.Fatal("workflow should satisfy")
+		}
+	})
 }
 
 func TestSets(t *testing.T) {
