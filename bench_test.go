@@ -17,11 +17,14 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"openwf/internal/community"
 	"openwf/internal/core"
+	"openwf/internal/engine"
 	"openwf/internal/evalgen"
 	"openwf/internal/spec"
+	"openwf/internal/testutil"
 )
 
 // benchPoint measures one (tasks, hosts, path length) grid point. Each op is
@@ -369,7 +372,7 @@ func BenchmarkDiscoveryInitiate(b *testing.B) {
 	for _, hosts := range []int{10, 100} {
 		for _, mode := range []string{"cold", "memory", "advertiser"} {
 			b.Run(fmt.Sprintf("hosts=%d/mode=%s", hosts, mode), func(b *testing.B) {
-				comm, reset, initiate := discoveryRow(b, hosts, mode)
+				comm, reset, initiate := discoveryRow(b, hosts, mode, engine.Observer{})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -389,26 +392,65 @@ func BenchmarkDiscoveryInitiate(b *testing.B) {
 // for one Initiate, what -benchtime=1x reads, exactly: the virtual clock
 // is frozen and the in-memory network instantaneous, so every run counts
 // the same. Moving a row is a change to say why.
+//
+// The cold rows price their allocations too, as internal/community's
+// TestCostTable prices its rows' phases: after the pinned session, ten
+// more cold sessions, each costing the same calls, must average at most
+// the row's allocations in construction (up to the constructed workflow)
+// and in allocation (the rest of Initiate, until the losers have dropped
+// their holds), with the collector off and one P.
 func TestDiscoveryInitiateCalls(t *testing.T) {
+	const sessions = 10
+	const construct, allocate = 0, 1
 	for _, row := range []struct {
 		hosts int
 		mode  string
 		want  int64
+		// allocs bounds a session's construct and allocate phases; nil
+		// prices calls only. Thirty runs read construct 342.6 – 343.5 and
+		// allocate 103.3 – 103.6 at 10 hosts, construct 1713.6 and
+		// allocate 103.4 – 103.5 at 100; each bound sits 2 above, a third
+		// of the 6 that one more allocation per task adds. Allocate read
+		// 153.3 – 153.6 while each of the five replicas' six holds
+		// allocated its record, each call for bids its results and the
+		// losers' cancel lists grew by append.
+		allocs []float64
 	}{
-		{10, "cold", 21},
-		{100, "cold", 111},
-		{10, "memory", 6},
-		{100, "memory", 6},
-		{10, "advertiser", 12},
-		{100, "advertiser", 12},
+		{10, "cold", 21, []float64{construct: 346, allocate: 106}},
+		{100, "cold", 111, []float64{construct: 1716, allocate: 106}},
+		{10, "memory", 6, nil},
+		{100, "memory", 6, nil},
+		{10, "advertiser", 12, nil},
+		{100, "advertiser", 12, nil},
 	} {
 		t.Run(fmt.Sprintf("hosts=%d/mode=%s", row.hosts, row.mode), func(t *testing.T) {
-			comm, reset, initiate := discoveryRow(t, row.hosts, row.mode)
+			testutil.Quiet(t)
+			m := testutil.NewMeter(2)
+			obs := engine.Observer{ConstructionDone: func(string, core.Result) { m.Mark(construct) }}
+			comm, reset, initiate := discoveryRow(t, row.hosts, row.mode, obs)
 			reset()
 			initiate()
 			if got := comm.Network().Stats().Calls; got != row.want {
 				t.Errorf("%d round trips, want %d", got, row.want)
 			}
+			if row.allocs == nil {
+				return
+			}
+			m.Reset()
+			for i := 0; i < sessions; i++ {
+				reset()
+				c0 := comm.Network().Stats().Calls
+				m.Start()
+				initiate()
+				for comm.TotalHolds() != 0 {
+					time.Sleep(time.Millisecond)
+				}
+				m.Mark(allocate)
+				if got := comm.Network().Stats().Calls - c0; got != row.want {
+					t.Errorf("session %d: %d round trips, want %d", i, got, row.want)
+				}
+			}
+			m.Check(t, sessions, []string{"construct", "allocate"}, row.allocs)
 		})
 	}
 }
@@ -418,11 +460,11 @@ func TestDiscoveryInitiateCalls(t *testing.T) {
 // the two halves of one measured Initiate: reset clears the calendars and,
 // in "cold" mode, the initiator's memory of its community; initiate runs
 // the session. In "memory" mode one session has run before the counters
-// are zeroed.
-func discoveryRow(tb testing.TB, hosts int, mode string) (comm *community.Community, reset, initiate func()) {
+// are zeroed. Every host's engine reports to obs.
+func discoveryRow(tb testing.TB, hosts int, mode string, obs engine.Observer) (comm *community.Community, reset, initiate func()) {
 	tb.Helper()
 	ctx := context.Background()
-	comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "advertiser", 1)
+	comm, initiator, s, err := evalgen.DiscoverySetup(ctx, hosts, 5, 6, mode == "advertiser", 1, obs)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -126,17 +126,20 @@ func main() {
 		log.Fatalf("constructing response: %v", err)
 	}
 
+	// A located service imposes its location on the winner's commitment,
+	// not on the plan's metas, so the place is read from the winner's
+	// calendar.
 	fmt.Println("coordinated response (instead of frantic phone calls):")
 	for _, id := range plan.Workflow.TopoOrder() {
 		t, _ := plan.Workflow.Task(id)
-		meta := plan.Metas[id]
+		winner := plan.Allocations[id]
 		where := "anywhere"
-		if meta.Location != nil {
-			where = meta.Location.String()
+		h, _ := com.Host(winner)
+		if c, ok := h.Schedule.Get(plan.WorkflowID, id); ok && c.Meta.Location != nil {
+			where = c.Meta.Location.String()
 		}
 		fmt.Printf("  %-30s → %-15s window %s  at %s\n",
-			t.ID, plan.Allocations[id],
-			meta.Start.Format("15:04:05.000"), where)
+			t.ID, winner, plan.Metas[id].Start.Format("15:04:05.000"), where)
 	}
 
 	// Show the committed travel plans before execution.

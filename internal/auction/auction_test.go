@@ -737,11 +737,12 @@ func TestParticipantBatchedRebidRefreshes(t *testing.T) {
 }
 
 // TestAllBusyBatchAllocBound pins what a participant's answer costs when
-// a rival session holds every slot it is asked for: the calendar's results
-// and the reply's declines once each, and one small value per busy
-// decline. The batch goes to the calendar as it came. 10 while the
-// participant copied every batch into working lists of capable tasks and
-// their services.
+// a rival session holds every slot it is asked for: the reply's declines,
+// once. The batch goes to the calendar as it came, the calendar's results
+// sit in an array on the participant's stack, and each busy decline stays
+// a value there. 8 while the calendar made the results slice and boxed
+// every busy decline; 10 while the participant copied every batch into
+// working lists of capable tasks and their services.
 func TestAllBusyBatchAllocBound(t *testing.T) {
 	var regs []service.Registration
 	var metas []proto.TaskMeta
@@ -755,7 +756,7 @@ func TestAllBusyBatchAllocBound(t *testing.T) {
 		t.Fatalf("rival bids = %+v, want all six", reply.Bids)
 	}
 	batch := proto.CallForBidsBatch{Metas: metas}
-	testutil.AllocBound(t, 8, func() {
+	testutil.AllocBound(t, 1, func() {
 		if reply := p.HandleCallForBidsBatch("wf", batch); len(reply.Declines) != len(metas) {
 			t.Fatalf("reply = %+v, want six declines", reply)
 		}

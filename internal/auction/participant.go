@@ -68,8 +68,9 @@ func NewParticipant(clk clock.Clock, services *service.Manager, sched *schedule.
 // task declined for want of its service drops the hold an earlier call of
 // the same workflow took on it, as a refused award does: the auctioneer
 // sends no Cancel after a decline. A decline reads only whether the
-// calendar refused, never why, and the reply's lists are sized from the
-// batch once.
+// calendar refused (HoldResult.Held), never why, so the calendar's verdicts
+// stay values, in an array on this stack for a batch of up to 8 tasks; the
+// reply's lists are sized from the batch once.
 //
 // The batch goes to the calendar as it came while every task is capable
 // and none takes its service's location; the first that does not starts a
@@ -96,10 +97,11 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 		return reply
 	}
 	deadline := p.clk.Now().Add(p.bidWindow)
-	results := p.sched.HoldBatch(workflow, capable, deadline)
+	var buf [8]schedule.HoldResult
+	results := p.sched.HoldBatch(buf[:0], workflow, capable, deadline)
 	count := p.services.Count()
-	for i, res := range results {
-		if res.Err != nil {
+	for i := range results {
+		if !results[i].Held() {
 			// The slot belongs to an earlier session (schedule.ErrSlotBusy)
 			// or is otherwise uncommittable: a clean decline, never a stale
 			// reservation.

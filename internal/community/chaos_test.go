@@ -351,11 +351,12 @@ func assertNoSolicitationPastTTL(t *testing.T, buf *trace.Buffer, faults []inmem
 			delete(crashedAt, f.Host)
 		}
 	}
-	stale := 0
+	stale, scanned := 0, 0
 	for _, ev := range buf.Events() {
 		if ev.Dir != trace.Send || ev.Host != "host00" || !solicitationKinds[ev.Kind] {
 			continue
 		}
+		scanned++
 		at, dead := crashedAt[ev.Peer]
 		if !dead {
 			continue
@@ -366,8 +367,10 @@ func assertNoSolicitationPastTTL(t *testing.T, buf *trace.Buffer, faults []inmem
 				ev.Kind, ev.Peer, ev.At.Sub(chaosT0), ev.At.Sub(horizon))
 		}
 	}
-	if stale == 0 {
-		t.Logf("no solicitation reached a lapsed host (%d events scanned)", buf.Total())
+	if scanned == 0 {
+		t.Errorf("no solicitation from host00 in %d traced events: the check saw nothing", buf.Total())
+	} else if stale == 0 {
+		t.Logf("no solicitation reached a lapsed host (%d of %d events were solicitations)", scanned, buf.Total())
 	}
 }
 

@@ -207,12 +207,30 @@ func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds 
 	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
 	// Release the losing bidders' reservations promptly, one Cancel per
 	// loser: a Cancel for a task the host never committed drops exactly
-	// the hold.
-	lost := make(map[proto.Addr][]model.TaskID)
+	// the hold. Every loser's list is carved from one slab: a first pass
+	// counts each loser's tasks as the length of a prefix of the slab, a
+	// second gives each its own stretch, and the tasks go in in decision
+	// order.
+	nlost := 0
 	for _, d := range ds {
 		if d.Failed() {
 			m.cfg.Observer.taskDecided(wfID, d.Task, "")
 		}
+		nlost += len(d.Losers)
+	}
+	slab := make([]model.TaskID, nlost)
+	lost := make(map[proto.Addr][]model.TaskID)
+	for _, d := range ds {
+		for _, loser := range d.Losers {
+			lost[loser] = slab[:len(lost[loser])+1]
+		}
+	}
+	at := 0
+	for loser, ts := range lost {
+		lost[loser] = slab[at : at : at+len(ts)]
+		at += len(ts)
+	}
+	for _, d := range ds {
 		for _, loser := range d.Losers {
 			lost[loser] = append(lost[loser], d.Task)
 		}

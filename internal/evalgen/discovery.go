@@ -7,6 +7,7 @@ import (
 
 	"openwf/internal/clock"
 	"openwf/internal/community"
+	"openwf/internal/engine"
 	"openwf/internal/host"
 	"openwf/internal/model"
 	"openwf/internal/proto"
@@ -33,9 +34,9 @@ var discoveryT0 = time.Date(2009, 11, 30, 12, 0, 0, 0, time.UTC)
 // what the first was told and stays flat as `hosts` grows. With
 // advertiser=true the community runs the advertiser and the initiator's
 // index is warmed (one pull sweep) before return, so the first session is
-// flat too. The returned specification poses the chain problem; schedules
-// should be reset between measurements.
-func DiscoverySetup(ctx context.Context, hosts, providers, chain int, advertiser bool, seed int64) (*community.Community, proto.Addr, spec.Spec, error) {
+// flat too. Every host's engine reports to obs. The returned specification
+// poses the chain problem; schedules should be reset between measurements.
+func DiscoverySetup(ctx context.Context, hosts, providers, chain int, advertiser bool, seed int64, obs engine.Observer) (*community.Community, proto.Addr, spec.Spec, error) {
 	if hosts < providers+1 || providers < 1 || chain < 1 {
 		return nil, "", spec.Spec{}, fmt.Errorf("evalgen: invalid discovery grid hosts=%d providers=%d chain=%d", hosts, providers, chain)
 	}
@@ -87,6 +88,7 @@ func DiscoverySetup(ctx context.Context, hosts, providers, chain int, advertiser
 
 	engCfg := EvalEngineConfig()
 	engCfg.ParallelQuery = true
+	engCfg.Observer = obs
 	opts := community.Options{
 		Clock:  clock.NewSim(discoveryT0),
 		Seed:   seed,

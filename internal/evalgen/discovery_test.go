@@ -3,6 +3,8 @@ package evalgen
 import (
 	"context"
 	"testing"
+
+	"openwf/internal/engine"
 )
 
 // TestDiscoverySmoke is the CI smoke row for the Discovery grid, on a
@@ -22,7 +24,7 @@ func TestDiscoverySmoke(t *testing.T) {
 	ctx := context.Background()
 	run := func(advertiser bool) (first, second int64) {
 		t.Helper()
-		comm, initiator, s, err := DiscoverySetup(ctx, hosts, 5, 6, advertiser, 1)
+		comm, initiator, s, err := DiscoverySetup(ctx, hosts, 5, 6, advertiser, 1, engine.Observer{})
 		if err != nil {
 			t.Fatal(err)
 		}

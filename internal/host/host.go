@@ -334,6 +334,7 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 	h.mu.Unlock()
 
 	env := proto.Envelope{ReqID: c.id, Workflow: workflow, Body: body}
+	h.record(trace.Send, to, env)
 	if err := ep.Send(ctx, to, env); err != nil {
 		h.forget(c)
 		return nil, err

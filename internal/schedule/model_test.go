@@ -215,7 +215,7 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 			}
 			holdBatch := func(wf string, metas []proto.TaskMeta, deadline time.Time) {
 				t.Helper()
-				for i, res := range m.HoldBatch(wf, metas, deadline) {
+				for i, res := range m.HoldBatch(nil, wf, metas, deadline) {
 					var want Commitment
 					var class string
 					if j := ref.find(wf, metas[i].Task, true); j >= 0 {
@@ -224,7 +224,7 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 					} else {
 						want, class = ref.hold(wf, metas[i], deadline)
 					}
-					check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, res.Err, want, class)
+					check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, res.Err(), want, class)
 				}
 			}
 			commitHeld := func(wf string, task model.TaskID, lease time.Time) {

@@ -22,7 +22,9 @@
 //     with the lowest hold sequence (the first winner), so identical
 //     interleavings produce identical errors.
 //   - A busy or already-started decline is a typed value copying what it
-//     names, formatted only when read: never under the lock.
+//     names, formatted only when read: never under the lock. A busy
+//     decline stays a value until then: HoldBatch keeps it inline in its
+//     HoldResult, and only Hold, CanCommit and HoldResult.Err box it.
 //
 // # Concurrency
 //
@@ -30,8 +32,9 @@
 // of it sits behind one sync.RWMutex: two maps keyed by (workflow, task),
 // one of holds and one of commitments, and a conflict check that scans
 // both. Every operation is atomic against every other, and a record is
-// either in a map or gone. MEASUREMENTS.md §14 records the sharded calendar
-// that was tried in its place, measured, and removed.
+// either in a map or, zeroed, back in a pool the next hold takes it from.
+// MEASUREMENTS.md §14 records the sharded calendar that was tried in its
+// place, measured, and removed.
 package schedule
 
 import (
@@ -140,7 +143,11 @@ func (m *Manager) Position() space.Point { return m.mobility.Position(m.clk.Now(
 func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.plan(meta)
+	c, busy, err := m.plan(meta)
+	if err == ErrSlotBusy {
+		return Commitment{}, busy.boxed()
+	}
+	return c, err
 }
 
 // ErrSlotBusy is wrapped in errors returned when a requested slot
@@ -149,20 +156,22 @@ func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
 // later session must bid elsewhere or retry with a different window.
 var ErrSlotBusy = errors.New("schedule: slot busy")
 
-// plan evaluates §3.2 for one meta against the calendar as it stands.
-// Callers hold m.mu (read or write).
-func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
+// plan evaluates §3.2 for one meta against the calendar as it stands. A
+// slot taken by an earlier reservation returns the bare ErrSlotBusy with
+// the decline in busy, a value: boxing it is the caller's choice. Callers
+// hold m.mu (read or write).
+func (m *Manager) plan(meta proto.TaskMeta) (c Commitment, busy busyError, err error) {
 	if m.prefs.Willing != nil && !m.prefs.Willing(meta) {
-		return Commitment{}, fmt.Errorf("unwilling to perform %q", meta.Task)
+		return Commitment{}, busyError{}, fmt.Errorf("unwilling to perform %q", meta.Task)
 	}
 	if max := m.prefs.MaxCommitments; max > 0 && len(m.holds)+len(m.commits) >= max {
-		return Commitment{}, fmt.Errorf("at commitment capacity (%d)", max)
+		return Commitment{}, busyError{}, fmt.Errorf("at commitment capacity (%d)", max)
 	}
 	if !meta.End.After(meta.Start) {
-		return Commitment{}, fmt.Errorf("task %q has an empty execution window", meta.Task)
+		return Commitment{}, busyError{}, fmt.Errorf("task %q has an empty execution window", meta.Task)
 	}
 
-	c := Commitment{
+	c = Commitment{
 		Workflow:    "", // set by caller wrappers
 		Task:        meta.Task,
 		Start:       meta.Start,
@@ -176,21 +185,21 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 		travel := space.TravelTime(from, *at, m.mobility.Speed())
 		if travel == time.Duration(1<<63-1) { // immobile and not already there
 			if !space.Near(from, *at, 1e-9) {
-				return Commitment{}, fmt.Errorf("cannot travel to %v for %q", *at, meta.Task)
+				return Commitment{}, busyError{}, fmt.Errorf("cannot travel to %v for %q", *at, meta.Task)
 			}
 			travel = 0
 		}
 		c.TravelStart = meta.Start.Add(-travel)
 		if c.TravelStart.Before(depart) {
-			return Commitment{}, fmt.Errorf(
+			return Commitment{}, busyError{}, fmt.Errorf(
 				"cannot reach %v by %v for %q (need to leave at %v, free at %v)",
 				*at, meta.Start, meta.Task, c.TravelStart, depart)
 		}
 		if c.TravelStart.Before(m.clk.Now()) {
-			return Commitment{}, fmt.Errorf("too late to travel for %q", meta.Task)
+			return Commitment{}, busyError{}, fmt.Errorf("too late to travel for %q", meta.Task)
 		}
 	} else if meta.Start.Before(m.clk.Now()) {
-		return Commitment{}, startedError(meta.Task)
+		return Commitment{}, busyError{}, startedError(meta.Task)
 	}
 
 	// The busy interval is [TravelStart, End); it must not overlap any
@@ -206,18 +215,23 @@ func (m *Manager) plan(meta proto.TaskMeta) (Commitment, error) {
 		}
 	}
 	if blocker != nil {
-		return Commitment{}, &busyError{meta.Task, blocker.c.Task, blocker.c.Workflow, blocker.c.TravelStart, blocker.c.End}
+		return Commitment{}, busyError{meta.Task, blocker.c.Task, blocker.c.Workflow, blocker.c.TravelStart, blocker.c.End}, ErrSlotBusy
 	}
-	return c, nil
+	return c, busyError{}, nil
 }
 
 // busyError is the ErrSlotBusy decline. It copies the blocker, not its
-// record, which may be committed or removed by the time the error is read.
+// record, which may be committed, removed or recycled for another
+// reservation by the time the error is read.
 type busyError struct {
 	task, blocker model.TaskID
 	workflow      string
 	start, end    time.Time
 }
+
+// boxed returns the decline as an error: a copy of its own, so the value
+// it came from stays on its caller's stack.
+func (e busyError) boxed() error { return &e }
 
 func (e *busyError) Error() string {
 	return fmt.Sprintf("%v: task %q conflicts with %q of workflow %q (%v–%v)", ErrSlotBusy, e.task, e.blocker, e.workflow, e.start, e.end)
@@ -268,33 +282,63 @@ func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time)
 	k := key{workflow, meta.Task}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hold(k, meta, deadline)
+	c, busy, err := m.hold(k, meta, deadline)
+	if err == ErrSlotBusy {
+		return Commitment{}, busy.boxed()
+	}
+	return c, err
 }
 
-// hold is the single reservation body shared by Hold and HoldBatch.
-// Callers hold m.mu.
-func (m *Manager) hold(k key, meta proto.TaskMeta, deadline time.Time) (Commitment, error) {
+// hold is the single reservation body shared by Hold and HoldBatch; a busy
+// slot comes back as plan returns it. Callers hold m.mu.
+func (m *Manager) hold(k key, meta proto.TaskMeta, deadline time.Time) (Commitment, busyError, error) {
 	if _, dup := m.holds[k]; dup {
-		return Commitment{}, fmt.Errorf("%w: %q in workflow %q", ErrAlreadyHeld, meta.Task, k.workflow)
+		return Commitment{}, busyError{}, fmt.Errorf("%w: %q in workflow %q", ErrAlreadyHeld, meta.Task, k.workflow)
 	}
 	if _, dup := m.commits[k]; dup {
-		return Commitment{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, k.workflow)
+		return Commitment{}, busyError{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, k.workflow)
 	}
-	c, err := m.plan(meta)
+	c, busy, err := m.plan(meta)
 	if err != nil {
-		return Commitment{}, err
+		return Commitment{}, busy, err
 	}
 	c.Workflow = k.workflow
 	m.seq++
-	m.holds[k] = &record{c: c, seq: m.seq, expiry: deadline}
-	return c, nil
+	r := records.Get().(*record)
+	*r = record{c: c, seq: m.seq, expiry: deadline}
+	m.holds[k] = r
+	return c, busyError{}, nil
+}
+
+// records recycles the calendar's records. A record goes back zeroed once
+// it has left both maps; nothing outside m.mu keeps a pointer to one (a
+// busy decline copies its blocker).
+var records = sync.Pool{New: func() any { return new(record) }}
+
+// recycle returns a record that has left both maps to records.
+func recycle(r *record) {
+	*r = record{}
+	records.Put(r)
 }
 
 // HoldResult is one task's outcome of a HoldBatch: the reserved (or
-// refreshed) commitment, or the error that declined it.
+// refreshed) commitment, or what declined it. A busy slot's decline is
+// kept as a value, formatted only when Err is read.
 type HoldResult struct {
 	Commitment Commitment
-	Err        error
+	busy       busyError
+	err        error // ErrSlotBusy stands for busy
+}
+
+// Held reports whether the task's slot is reserved.
+func (r HoldResult) Held() bool { return r.err == nil }
+
+// Err returns the error that declined the task, nil when it is held.
+func (r HoldResult) Err() error {
+	if r.err == ErrSlotBusy {
+		return r.busy.boxed()
+	}
+	return r.err
 }
 
 // HoldBatch reserves schedule slots for a whole batched call for bids
@@ -312,21 +356,23 @@ type HoldResult struct {
 // Taking the lock once for the whole batch is what makes a participant's
 // answer to a CallForBidsBatch atomic: no competing session can
 // interleave a reservation between two tasks of the same batch.
-func (m *Manager) HoldBatch(workflow string, metas []proto.TaskMeta, deadline time.Time) []HoldResult {
+//
+// The results are appended to dst, one per meta in order, so a caller
+// that passes room for them allocates nothing here.
+func (m *Manager) HoldBatch(dst []HoldResult, workflow string, metas []proto.TaskMeta, deadline time.Time) []HoldResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]HoldResult, len(metas))
-	for i, meta := range metas {
+	for _, meta := range metas {
 		k := key{workflow, meta.Task}
 		if r, dup := m.holds[k]; dup {
 			r.expiry = deadline
-			out[i] = HoldResult{Commitment: r.c}
+			dst = append(dst, HoldResult{Commitment: r.c})
 			continue
 		}
-		c, err := m.hold(k, meta, deadline)
-		out[i] = HoldResult{Commitment: c, Err: err}
+		c, busy, err := m.hold(k, meta, deadline)
+		dst = append(dst, HoldResult{Commitment: c, busy: busy, err: err})
 	}
-	return out
+	return dst
 }
 
 // ErrNoHold is returned by CommitHeld when no live hold backs the
@@ -396,12 +442,14 @@ func (m *Manager) Expire(now time.Time) (lapsed []Commitment, next time.Time) {
 	for k, r := range m.holds {
 		if due(r.expiry) {
 			delete(m.holds, k)
+			recycle(r)
 		}
 	}
 	for k, r := range m.commits {
 		if !r.lease.IsZero() && due(r.lease) {
 			lapsed = append(lapsed, r.c)
 			delete(m.commits, k)
+			recycle(r)
 		}
 	}
 	sortByStart(lapsed)
@@ -422,7 +470,18 @@ func sortByStart(cs []Commitment) {
 func (m *Manager) Release(workflow string, task model.TaskID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.holds, key{workflow, task})
+	drop(m.holds, key{workflow, task})
+}
+
+// drop deletes k's record from recs and recycles it, reporting whether
+// there was one.
+func drop(recs map[key]*record, k key) bool {
+	r, ok := recs[k]
+	if ok {
+		delete(recs, k)
+		recycle(r)
+	}
+	return ok
 }
 
 // DropWorkflow removes everything the calendar holds for one workflow —
@@ -443,11 +502,13 @@ func (m *Manager) ReleaseWorkflow(workflow string) int {
 	return dropWorkflow(m.holds, workflow)
 }
 
-// dropWorkflow deletes a workflow's records from recs and counts them.
+// dropWorkflow deletes a workflow's records from recs, recycling them, and
+// counts them.
 func dropWorkflow(recs map[key]*record, workflow string) (n int) {
-	for k := range recs {
+	for k, r := range recs {
 		if k.workflow == workflow {
 			delete(recs, k)
+			recycle(r)
 			n++
 		}
 	}
@@ -459,10 +520,7 @@ func dropWorkflow(recs map[key]*record, workflow string) (n int) {
 func (m *Manager) Remove(workflow string, task model.TaskID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := key{workflow, task}
-	_, ok := m.commits[k]
-	delete(m.commits, k)
-	return ok
+	return drop(m.commits, key{workflow, task})
 }
 
 // Get returns the commitment for a task, if any.
@@ -516,6 +574,10 @@ func (m *Manager) HeldTasks() []Commitment {
 func (m *Manager) Clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	clear(m.holds)
-	clear(m.commits)
+	for _, recs := range [2]map[key]*record{m.holds, m.commits} {
+		for _, r := range recs {
+			recycle(r)
+		}
+		clear(recs)
+	}
 }

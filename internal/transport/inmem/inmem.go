@@ -398,10 +398,18 @@ func (n *Network) reachableLocked(from, to proto.Addr) bool {
 // per-link ordering while letting latencies overlap (propagation is
 // concurrent; ordering is not violated because every message on a link
 // has the same base model).
+//
+// The pump waits on one timer for the link's life: made on the first
+// delayed frame and re-armed for each later one, it signals wake, so a
+// frame's wait allocates nothing.
 type link struct {
 	net    *Network
 	target *endpoint
 	box    *mailbox
+	// timer and wake are the pump's own; wake holds at most the one
+	// signal of the wait in progress.
+	timer clock.Timer
+	wake  chan struct{}
 }
 
 func (l *link) pump() {
@@ -411,9 +419,16 @@ func (l *link) pump() {
 			return
 		}
 		if wait := d.due.Sub(l.net.clock.Now()); wait > 0 {
+			if l.timer == nil {
+				l.wake = make(chan struct{}, 1)
+				l.timer = l.net.clock.AfterFunc(wait, l.signal)
+			} else {
+				l.timer.Reset(wait)
+			}
 			select {
-			case <-l.net.clock.After(wait):
+			case <-l.wake:
 			case <-l.net.done:
+				l.timer.Stop()
 				return // network closed: drop in-flight latency waits
 			}
 		}
@@ -429,6 +444,9 @@ func (l *link) pump() {
 		}
 	}
 }
+
+// signal is the timer's call: the wait in progress is over.
+func (l *link) signal() { l.wake <- struct{}{} }
 
 // delivery is one frame on its way: the encoded bytes (a framePool buffer).
 type delivery struct {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"openwf/internal/clock"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/testutil"
@@ -314,6 +316,35 @@ func TestSendToHandlerAllocBound(t *testing.T) {
 		if err := a.Send(context.Background(), "b", env); err != nil {
 			t.Fatal(err)
 		}
+		<-got
+	})
+}
+
+// TestDelayedFrameAllocBound pins the same trip over a link whose model
+// charges latency: the link's delay line waits on one timer it re-arms for
+// every frame, so the wait adds nothing to TestSendToHandlerAllocBound's 2.
+// At the parent of this bound each wait made a timer and its channel.
+func TestDelayedFrameAllocBound(t *testing.T) {
+	sim := clock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	n := NewNetwork(WithClock(sim), WithLinkModel(FixedLatency(time.Millisecond)))
+	defer n.Close()
+	got := make(chan struct{})
+	if _, err := n.Endpoint("b", func(proto.Envelope) { got <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	a, err := n.Endpoint("a", func(proto.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := ping(1)
+	testutil.AllocBound(t, 2, func() {
+		if err := a.Send(context.Background(), "b", env); err != nil {
+			t.Fatal(err)
+		}
+		for sim.PendingWaiters() == 0 {
+			runtime.Gosched() // the delay line has not started its wait yet
+		}
+		sim.Advance(time.Millisecond)
 		<-got
 	})
 }
