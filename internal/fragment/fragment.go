@@ -7,6 +7,7 @@ package fragment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,6 +21,10 @@ type Manager struct {
 	// consumerIdx maps each label to the names of fragments with a task
 	// consuming it, for efficient frontier queries.
 	consumerIdx map[model.LabelID]map[string]struct{}
+	// labels lists consumerIdx's keys, sorted, once ConsumedLabels has
+	// built it; a change drops it, never edits it, so ConsumedLabels can
+	// share it.
+	labels []model.LabelID
 }
 
 // NewManager returns an empty fragment manager.
@@ -67,6 +72,7 @@ func (m *Manager) indexLocked(f *model.Fragment) {
 			if !ok {
 				set = make(map[string]struct{})
 				m.consumerIdx[in] = set
+				m.labels = nil
 			}
 			set[f.Name] = struct{}{}
 		}
@@ -80,6 +86,7 @@ func (m *Manager) unindexLocked(f *model.Fragment) {
 				delete(set, f.Name)
 				if len(set) == 0 {
 					delete(m.consumerIdx, in)
+					m.labels = nil
 				}
 			}
 		}
@@ -129,16 +136,20 @@ func (m *Manager) All() []*model.Fragment {
 // ConsumedLabels returns every label consumed by any stored fragment,
 // sorted — the knowhow half of the host's capability advertisement
 // (internal/discovery): a frontier FragmentQuery for a label outside
-// this set would come back empty.
+// this set would come back empty. The list is built on the first call
+// after the set changes and shared by every caller until the next change,
+// so the caller must not modify it.
 func (m *Manager) ConsumedLabels() []model.LabelID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]model.LabelID, 0, len(m.consumerIdx))
-	for l := range m.consumerIdx {
-		out = append(out, l)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.labels == nil {
+		m.labels = make([]model.LabelID, 0, len(m.consumerIdx))
+		for l := range m.consumerIdx {
+			m.labels = append(m.labels, l)
+		}
+		slices.Sort(m.labels)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.labels
 }
 
 // Len returns the number of stored fragments.

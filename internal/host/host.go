@@ -13,7 +13,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"openwf/internal/auction"
@@ -103,6 +105,9 @@ type Host struct {
 	// when the host runs none.
 	index        *discovery.Index
 	refreshEvery time.Duration
+	// ad is the advertisement capabilities last built, served again while
+	// the managers serve the same snapshots.
+	ad atomic.Pointer[proto.Advertise]
 
 	mu       sync.Mutex
 	endpoint transport.Endpoint
@@ -434,8 +439,7 @@ func (h *Host) process(env proto.Envelope) {
 		}
 		reply := proto.FragmentReply{Fragments: frags}
 		if b.Describe {
-			labels, tasks := h.capabilities()
-			reply.Capabilities = &proto.Advertise{Labels: labels, Tasks: tasks}
+			reply.Capabilities = h.capabilities()
 		}
 		h.reply(env, reply)
 
@@ -500,8 +504,8 @@ func (h *Host) process(env proto.Envelope) {
 		// trip refreshes both directions. One-way refreshes get no
 		// reply.
 		if env.ReqID != 0 {
-			labels, tasks := h.capabilities()
-			h.reply(env, proto.AdvertiseAck{Labels: labels, Tasks: tasks})
+			ad := h.capabilities()
+			h.reply(env, proto.AdvertiseAck{Labels: ad.Labels, Tasks: ad.Tasks})
 		}
 	}
 }
@@ -587,10 +591,18 @@ func (h *Host) reply(req proto.Envelope, body proto.Body) {
 // finds it here (engine.NewManager).
 func (h *Host) Discovery() *discovery.Index { return h.index }
 
-// capabilities snapshots what this host would advertise: the labels its
-// fragments consume and the tasks it offers services for.
-func (h *Host) capabilities() ([]model.LabelID, []model.TaskID) {
-	return h.Fragments.ConsumedLabels(), h.Services.Tasks()
+// capabilities returns what this host would advertise: the labels its
+// fragments consume and the tasks it offers services for. Both managers
+// share lists that a change replaces, never edits, so the advertisement
+// built from them is served again, shared read-only, until either moves.
+func (h *Host) capabilities() *proto.Advertise {
+	labels, tasks := h.Fragments.ConsumedLabels(), h.Services.Tasks()
+	if ad := h.ad.Load(); ad != nil && slices.Equal(ad.Labels, labels) && slices.Equal(ad.Tasks, tasks) {
+		return ad
+	}
+	ad := &proto.Advertise{Labels: labels, Tasks: tasks}
+	h.ad.Store(ad)
+	return ad
 }
 
 // scheduleAdvertise arms the next periodic refresh tick, jittered ±10%
@@ -623,9 +635,8 @@ func (h *Host) advertiseTick() {
 // refresh costs nothing until a full TTL of them are lost, at which
 // point the receiver correctly presumes this host dead.
 func (h *Host) advertiseOnce(ctx context.Context) {
-	labels, tasks := h.capabilities()
-	h.index.ObserveAdvertise(h.addr, labels, tasks)
-	ad := proto.Advertise{Labels: labels, Tasks: tasks}
+	ad := h.capabilities()
+	h.index.ObserveAdvertise(h.addr, ad.Labels, ad.Tasks)
 	for _, m := range h.Members() {
 		if m == h.addr {
 			continue
@@ -633,7 +644,7 @@ func (h *Host) advertiseOnce(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		_ = h.Send(ctx, m, "", ad)
+		_ = h.Send(ctx, m, "", *ad)
 	}
 }
 
@@ -662,14 +673,13 @@ func (h *Host) AdvertiseNow(ctx context.Context) error {
 	if h.refreshEvery == 0 {
 		return fmt.Errorf("host %q: discovery disabled", h.addr)
 	}
-	labels, tasks := h.capabilities()
-	h.index.ObserveAdvertise(h.addr, labels, tasks)
-	ad := proto.Advertise{Labels: labels, Tasks: tasks}
+	ad := h.capabilities()
+	h.index.ObserveAdvertise(h.addr, ad.Labels, ad.Tasks)
 	for _, m := range h.Members() {
 		if m == h.addr {
 			continue
 		}
-		reply, err := h.Call(ctx, m, "", ad, advertiseCallTimeout)
+		reply, err := h.Call(ctx, m, "", *ad, advertiseCallTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

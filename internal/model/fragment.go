@@ -48,8 +48,10 @@ func (f *Fragment) Validate() error {
 	if f.Name == "" {
 		return fmt.Errorf("fragment has empty name")
 	}
-	// The workflow only reads the tasks, so they need no copy.
-	if _, err := NewWorkflowOfTasks(f.Tasks); err != nil {
+	// The workflow sorts the tasks it is given, so it gets its own list,
+	// which leaves the fragment's order — and its wire bytes — as they
+	// are; it only reads the tasks' labels, so those are shared.
+	if _, err := NewWorkflowOfTasks(slices.Clone(f.Tasks)); err != nil {
 		return fmt.Errorf("fragment %q: %w", f.Name, err)
 	}
 	return nil

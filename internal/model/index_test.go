@@ -250,7 +250,8 @@ func randomGraph(rng *rand.Rand, shape int) graph {
 // TestIndexMatchesOracle: the one pass that validates and indexes a
 // workflow accepts and rejects exactly the graphs the old separate passes
 // did, and on every accepted graph serves the same producer, consumers,
-// topological order, task IDs, sources and sinks.
+// topological order, sources and sinks, and the tasks — listed, found by
+// ID, rendered — in ID order.
 func TestIndexMatchesOracle(t *testing.T) {
 	counts := make(map[string]int)
 	for seed := int64(0); seed < 600; seed++ {
@@ -282,6 +283,25 @@ func TestIndexMatchesOracle(t *testing.T) {
 		}
 		if got, want := w.TaskIDs(), slices.Sorted(maps.Keys(g)); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: TaskIDs = %v; want %v", seed, got, want)
+		}
+		ts := g.tasks()
+		if got := w.Tasks(); !reflect.DeepEqual(got, ts) {
+			t.Fatalf("seed %d: Tasks = %v; want %v", seed, got, ts)
+		}
+		lines := make([]string, len(ts))
+		for i, tk := range ts {
+			lines[i] = tk.String()
+			for _, get := range []func(TaskID) (Task, bool){w.Task, w.TaskView} {
+				if got, ok := get(tk.ID); !ok || !reflect.DeepEqual(got, tk) {
+					t.Fatalf("seed %d: Task(%s) = %v, %v; want %v", seed, tk.ID, got, ok, tk)
+				}
+				if got, ok := get(tk.ID + "~"); ok {
+					t.Fatalf("seed %d: Task(%s~) = %v, found", seed, tk.ID, got)
+				}
+			}
+		}
+		if got, want := w.String(), strings.Join(lines, "\n"); got != want {
+			t.Fatalf("seed %d: String = %q; want %q", seed, got, want)
 		}
 		if got, want := w.In(), oracleSources(g); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: In = %v; oracle %v", seed, got, want)
@@ -330,17 +350,18 @@ func TestNewWorkflowOfTasks(t *testing.T) {
 }
 
 // TestNewWorkflowOfTasksAllocBound pins what wrapping an 8-task chain
-// costs, at most 16 allocations (14 read): the Workflow, the task, producer
-// and consumer maps with their buckets, the edge array, the consumer slab,
-// the one slab of sources and sinks and the order — and no copy of a task.
-// The depth map, local to the pass, does not escape.
+// costs, at most 6 allocations (4 read): the Workflow, the edge slab, the
+// one slab of sources and sinks, and the order. The tasks are the caller's,
+// sorted in place and not copied; the depths and the positions being
+// ordered sit in a stack array. It read 14 while the tasks, producers and
+// consumers sat in maps, with a map of depths.
 func TestNewWorkflowOfTasksAllocBound(t *testing.T) {
 	chain := make([]Task, 8)
 	for i := range chain {
 		chain[i] = task(TaskID(fmt.Sprintf("t%d", i)), Conjunctive,
 			[]LabelID{LabelID(fmt.Sprintf("l%d", i))}, []LabelID{LabelID(fmt.Sprintf("l%d", i+1))})
 	}
-	testutil.AllocBound(t, 16, func() {
+	testutil.AllocBound(t, 6, func() {
 		if _, err := NewWorkflowOfTasks(chain); err != nil {
 			t.Fatal(err)
 		}

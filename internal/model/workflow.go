@@ -14,20 +14,22 @@ import (
 // NewWorkflowOfTasks; the zero value is not valid.
 //
 // A Workflow is immutable through its public API: accessors return copies.
-// Because the tasks can never change, the producer/consumer indexes, the
-// topological order and the inset and outset are computed once at
-// construction and served from cache — Producer is O(1), Consumers,
-// TopoOrder, In and Out are a copy of a precomputed slice, ConsumersSeq,
-// InSeq and OutSeq iterate one — instead of rescanning every task per
-// call.
+// Because the tasks can never change, the workflow indexes itself once, at
+// construction, in sorted slices rather than maps, which cost more to
+// build for a handful of tasks than their lookups save: its tasks by ID,
+// one slab of label–task edges, the topological order and the inset and
+// outset. Task, TaskView, Producer, Consumers and ConsumersSeq
+// binary-search them in O(log n); TopoOrder, In and Out are a copy of a
+// precomputed slice, and ConsumersSeq, InSeq and OutSeq iterate one — no
+// call rescans every task.
 type Workflow struct {
-	tasks map[TaskID]Task
-
-	// producerOf maps each label to its single producing task (workflow
-	// validity guarantees at most one producer per label).
-	producerOf map[LabelID]TaskID
-	// consumersOf maps each label to its consuming tasks, sorted.
-	consumersOf map[LabelID][]TaskID
+	// tasks are the workflow's tasks, sorted by ID.
+	tasks []Task
+	// producers holds one (label, producer) edge per produced label,
+	// sorted by label (workflow validity allows one producer per label);
+	// consumers one (label, consumer) edge per task input, sorted by
+	// (label, task). Both are windows of one slab.
+	producers, consumers []edge
 	// topo caches the task IDs sorted by (DAG depth, ID) — a valid
 	// topological order.
 	topo []TaskID
@@ -36,21 +38,31 @@ type Workflow struct {
 	in, out []LabelID
 }
 
+// edge joins a label to a task producing or consuming it.
+type edge struct {
+	l LabelID
+	t TaskID
+}
+
+// compare orders edges by label, then by task.
+func (e edge) compare(o edge) int { return cmp.Or(cmp.Compare(e.l, o.l), cmp.Compare(e.t, o.t)) }
+
+// edgeLabel compares an edge's label with l, for binary searches.
+func edgeLabel(e edge, l LabelID) int { return cmp.Compare(e.l, l) }
+
 // NewWorkflowOfTasks validates ts and wraps them as a workflow, taking
-// ownership of the tasks and their label slices: the caller must not
-// retain or mutate them afterwards. Workflow extraction builds its tasks
-// solely to become the workflow, so nothing is cloned.
+// ownership of the tasks and their label slices: it sorts ts by ID in
+// place, and the caller must not retain or mutate them afterwards.
+// Workflow extraction builds its tasks solely to become the workflow, so
+// nothing is cloned.
 func NewWorkflowOfTasks(ts []Task) (*Workflow, error) {
-	w := &Workflow{tasks: make(map[TaskID]Task, len(ts))}
 	for _, t := range ts {
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("invalid workflow: %w", err)
 		}
-		if _, dup := w.tasks[t.ID]; dup {
-			return nil, fmt.Errorf("invalid workflow: task %q appears twice", t.ID)
-		}
-		w.tasks[t.ID] = t
 	}
+	slices.SortFunc(ts, func(a, b Task) int { return cmp.Compare(a.ID, b.ID) })
+	w := &Workflow{tasks: ts}
 	if err := w.index(); err != nil {
 		return nil, fmt.Errorf("invalid workflow: %w", err)
 	}
@@ -58,113 +70,126 @@ func NewWorkflowOfTasks(ts []Task) (*Workflow, error) {
 }
 
 // index checks the validity conditions of §2.2 that span tasks and, in the
-// same pass, fills the caches: the producer map, which also finds a label
-// with a second producer; the consumer lists, carved from one sorted
-// (label, task) edge array; the sources and sinks; and the topological
-// order, by depths from a memoised walk over producers that finds a cycle
+// same pass, builds the indexes. A repeated task shows as two adjacent
+// equal IDs in the sorted tasks, and a label with a second producer as two
+// adjacent equal labels in the producer window. The topological order
+// comes from depths by a memoised walk over producers that finds a cycle
 // as a task met while its own depth is being computed. Task-level validity
 // is the caller's.
 func (w *Workflow) index() error {
-	tasks := w.tasks
-	if len(tasks) == 0 {
+	ts := w.tasks
+	if len(ts) == 0 {
 		return fmt.Errorf("empty graph is not a workflow")
 	}
-	nin, nout := 0, 0
-	for _, t := range tasks {
-		nin += len(t.Inputs)
-		nout += len(t.Outputs)
+	np, nc := 0, 0
+	for i, t := range ts {
+		if i > 0 && t.ID == ts[i-1].ID {
+			return fmt.Errorf("task %q appears twice", t.ID)
+		}
+		np += len(t.Outputs)
+		nc += len(t.Inputs)
 	}
-	w.producerOf = make(map[LabelID]TaskID, nout)
-	for id, t := range tasks {
-		for _, out := range t.Outputs {
-			if p, dup := w.producerOf[out]; dup {
-				return fmt.Errorf("label %q has two producers, %q and %q; a label may have at most one incoming edge",
-					out, min(p, id), max(p, id))
-			}
-			w.producerOf[out] = id
+	es := make([]edge, np+nc)
+	w.producers, w.consumers = es[:0:np], es[np:np]
+	for _, t := range ts {
+		for _, l := range t.Outputs {
+			w.producers = append(w.producers, edge{l, t.ID})
+		}
+		for _, l := range t.Inputs {
+			w.consumers = append(w.consumers, edge{l, t.ID})
+		}
+	}
+	slices.SortFunc(w.producers, edge.compare)
+	slices.SortFunc(w.consumers, edge.compare)
+	for i := 1; i < np; i++ {
+		if a, b := w.producers[i-1], w.producers[i]; a.l == b.l {
+			return fmt.Errorf("label %q has two producers, %q and %q; a label may have at most one incoming edge",
+				a.l, a.t, b.t)
 		}
 	}
 
-	type edge struct {
-		l LabelID
-		t TaskID
-	}
-	edges := make([]edge, 0, nin)
-	for id, t := range tasks {
-		for _, in := range t.Inputs {
-			edges = append(edges, edge{in, id})
+	// The sources are the consumed labels nobody produces, and the sinks
+	// the produced labels nobody consumes, each in label order. They are
+	// staged on the stack and carved from one slab.
+	var sbuf, kbuf [8]LabelID
+	src, snk := sbuf[:0], kbuf[:0]
+	for i, e := range w.consumers {
+		if _, ok := w.Producer(e.l); !ok && (i == 0 || e.l != w.consumers[i-1].l) {
+			src = append(src, e.l)
 		}
 	}
-	slices.SortFunc(edges, func(a, b edge) int {
-		return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.t, b.t))
-	})
-	consumers := make([]TaskID, len(edges))
-	w.consumersOf = make(map[LabelID][]TaskID)
-	nsrc := 0
-	for i := 0; i < len(edges); {
-		j := i
-		for ; j < len(edges) && edges[j].l == edges[i].l; j++ {
-			consumers[j] = edges[j].t
+	for _, e := range w.producers {
+		if len(w.consumersOf(e.l)) == 0 {
+			snk = append(snk, e.l)
 		}
-		w.consumersOf[edges[i].l] = consumers[i:j:j]
-		if _, ok := w.producerOf[edges[i].l]; !ok {
-			nsrc++
-		}
-		i = j
 	}
+	ls := append(append(make([]LabelID, 0, len(src)+len(snk)), src...), snk...)
+	w.in, w.out = ls[:len(src):len(src)], ls[len(src):]
 
-	// A source is a consumed label nobody produces, a sink a produced
-	// label nobody consumes; the edges give the sources in order.
-	nsink := len(w.producerOf) - (len(w.consumersOf) - nsrc)
-	ls := make([]LabelID, 0, nsrc+nsink)
-	for i, e := range edges {
-		if _, ok := w.producerOf[e.l]; !ok && (i == 0 || e.l != edges[i-1].l) {
-			ls = append(ls, e.l)
-		}
+	// Depths and the order are indexed by task position; a stable sort of
+	// the positions by depth keeps ties in ID order.
+	var buf [32]int
+	s := buf[:]
+	if n := 2 * len(ts); n > len(buf) {
+		s = make([]int, n)
 	}
-	for l := range w.producerOf {
-		if _, ok := w.consumersOf[l]; !ok {
-			ls = append(ls, l)
-		}
-	}
-	w.in, w.out = ls[:nsrc:nsrc], ls[nsrc:]
-	slices.Sort(w.out)
-
-	depths := make(map[TaskID]int, len(tasks))
-	w.topo = make([]TaskID, 0, len(tasks))
-	for id := range tasks {
-		if w.depth(id, depths) < 0 {
+	ds, order := s[:len(ts)], s[len(ts):2*len(ts)]
+	for i := range ts {
+		if w.depth(i, ds) < 0 {
 			return fmt.Errorf("graph contains a cycle")
 		}
-		w.topo = append(w.topo, id)
+		order[i] = i
 	}
-	slices.SortFunc(w.topo, func(a, b TaskID) int {
-		return cmp.Or(cmp.Compare(depths[a], depths[b]), cmp.Compare(a, b))
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds[a], ds[b]) })
+	w.topo = make([]TaskID, len(ts))
+	for k, i := range order {
+		w.topo[k] = ts[i].ID
+	}
 	return nil
 }
 
-// depth returns the task's DAG depth — 0 when all its inputs are workflow
-// sources, else one more than the deepest producer of an input — memoised
-// in depths, or -1 when the walk meets a task whose depth is still being
-// computed: the producers lead back to it, a cycle.
-func (w *Workflow) depth(id TaskID, depths map[TaskID]int) int {
-	if d, ok := depths[id]; ok {
-		return d
+// depth returns the DAG depth of the task at position i — 0 when all its
+// inputs are workflow sources, else one more than the deepest producer of
+// an input — or -1 when the walk meets a task whose depth is still being
+// computed: the producers lead back to it, a cycle. ds memoises the walk:
+// ds[i] is 0 until the walk reaches task i, -1 while it walks the task's
+// producers, and its depth plus one after.
+func (w *Workflow) depth(i int, ds []int) int {
+	switch {
+	case ds[i] < 0:
+		return -1
+	case ds[i] > 0:
+		return ds[i] - 1
 	}
-	depths[id] = -1
+	ds[i] = -1
 	d := 0
-	for _, in := range w.tasks[id].Inputs {
-		if p, ok := w.producerOf[in]; ok {
-			pd := w.depth(p, depths)
+	for _, in := range w.tasks[i].Inputs {
+		if p, ok := w.Producer(in); ok {
+			j, _ := w.find(p)
+			pd := w.depth(j, ds)
 			if pd < 0 {
 				return -1
 			}
 			d = max(d, pd+1)
 		}
 	}
-	depths[id] = d
+	ds[i] = d + 1
 	return d
+}
+
+// find returns the position of task id among the sorted tasks.
+func (w *Workflow) find(id TaskID) (int, bool) {
+	return slices.BinarySearchFunc(w.tasks, id, func(t Task, id TaskID) int { return cmp.Compare(t.ID, id) })
+}
+
+// consumersOf returns the consumer window's edges of label l.
+func (w *Workflow) consumersOf(l LabelID) []edge {
+	i, _ := slices.BinarySearchFunc(w.consumers, l, edgeLabel)
+	j := i
+	for j < len(w.consumers) && w.consumers[j].l == l {
+		j++
+	}
+	return w.consumers[i:j]
 }
 
 // In returns the workflow's inset W.in: its source labels, sorted.
@@ -183,27 +208,25 @@ func (w *Workflow) OutSeq() iter.Seq[LabelID] { return slices.Values(w.out) }
 
 // Tasks returns copies of all tasks in lexicographic ID order.
 func (w *Workflow) Tasks() []Task {
-	ids := w.TaskIDs()
-	out := make([]Task, len(ids))
-	for i, id := range ids {
-		out[i] = w.tasks[id].clone()
+	out := make([]Task, len(w.tasks))
+	for i, t := range w.tasks {
+		out[i] = t.clone()
 	}
 	return out
 }
 
 // TaskIDs returns all task identifiers in lexicographic order.
 func (w *Workflow) TaskIDs() []TaskID {
-	ids := make([]TaskID, 0, len(w.tasks))
-	for id := range w.tasks {
-		ids = append(ids, id)
+	ids := make([]TaskID, len(w.tasks))
+	for i, t := range w.tasks {
+		ids[i] = t.ID
 	}
-	slices.Sort(ids)
 	return ids
 }
 
 // Task returns a copy of the task with the given ID.
 func (w *Workflow) Task(id TaskID) (Task, bool) {
-	t, ok := w.tasks[id]
+	t, ok := w.TaskView(id)
 	if !ok {
 		return Task{}, false
 	}
@@ -213,30 +236,41 @@ func (w *Workflow) Task(id TaskID) (Task, bool) {
 // TaskView is Task without the copy: the task's label slices are the
 // workflow's own, which the caller must not modify.
 func (w *Workflow) TaskView(id TaskID) (Task, bool) {
-	t, ok := w.tasks[id]
-	return t, ok
+	i, ok := w.find(id)
+	if !ok {
+		return Task{}, false
+	}
+	return w.tasks[i], true
 }
 
 // NumTasks returns the number of tasks in the workflow.
 func (w *Workflow) NumTasks() int { return len(w.tasks) }
 
 // Producer returns the task producing label l, if any. Workflow validity
-// guarantees there is at most one. Served from the cached index in O(1).
+// guarantees there is at most one. Served from the producer window by a
+// binary search, O(log n).
 func (w *Workflow) Producer(l LabelID) (TaskID, bool) {
-	p, ok := w.producerOf[l]
-	return p, ok
+	i, ok := slices.BinarySearchFunc(w.producers, l, edgeLabel)
+	if !ok {
+		return "", false
+	}
+	return w.producers[i].t, true
 }
 
-// Consumers returns the tasks consuming label l, sorted. The result is a
-// copy of the cached index entry.
-func (w *Workflow) Consumers(l LabelID) []TaskID {
-	return append([]TaskID(nil), w.consumersOf[l]...)
-}
+// Consumers returns the tasks consuming label l, sorted, as a new slice;
+// nil when there are none.
+func (w *Workflow) Consumers(l LabelID) []TaskID { return slices.Collect(w.ConsumersSeq(l)) }
 
-// ConsumersSeq yields the tasks consuming label l, sorted, from the cached
-// index entry itself: Consumers without the copy.
+// ConsumersSeq yields the tasks consuming label l, sorted, from the
+// consumer window itself: Consumers without the copy.
 func (w *Workflow) ConsumersSeq(l LabelID) iter.Seq[TaskID] {
-	return slices.Values(w.consumersOf[l])
+	return func(yield func(TaskID) bool) {
+		for _, e := range w.consumersOf(l) {
+			if !yield(e.t) {
+				return
+			}
+		}
+	}
 }
 
 // TopoOrder returns the task IDs sorted by depth, ties broken by ID. The
@@ -249,36 +283,18 @@ func (w *Workflow) TopoOrder() []TaskID {
 // String renders the workflow one task per line, in ID order.
 func (w *Workflow) String() string {
 	var b strings.Builder
-	for i, id := range w.TaskIDs() {
+	for i, t := range w.tasks {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		b.WriteString(w.tasks[id].String())
+		b.WriteString(t.String())
 	}
 	return b.String()
 }
 
 // Equal reports whether two workflows have identical task sets. Input and
-// output order is not significant.
+// output order is not significant: the edge windows are sorted.
 func (w *Workflow) Equal(o *Workflow) bool {
-	if len(w.tasks) != len(o.tasks) {
-		return false
-	}
-	for id, t := range w.tasks {
-		ot, ok := o.tasks[id]
-		if !ok || t.Mode != ot.Mode || len(t.Inputs) != len(ot.Inputs) || len(t.Outputs) != len(ot.Outputs) {
-			return false
-		}
-		for _, in := range t.Inputs {
-			if !ot.HasInput(in) {
-				return false
-			}
-		}
-		for _, out := range t.Outputs {
-			if !ot.HasOutput(out) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(w.tasks, o.tasks, func(t, ot Task) bool { return t.ID == ot.ID && t.Mode == ot.Mode }) &&
+		slices.Equal(w.producers, o.producers) && slices.Equal(w.consumers, o.consumers)
 }

@@ -44,9 +44,12 @@ func BenchmarkTopoOrder(b *testing.B) {
 }
 
 // BenchmarkProducerConsumers measures the label-routing lookups that
-// plan-segment derivation performs for every task input and output.
-// Cached: O(1) map hit plus a copy of the consumer slice. Before PR 2
-// each call scanned every task in the workflow.
+// plan-segment derivation performs for every task input and output: two
+// O(log n) binary searches, one in the producer window and one in the
+// consumer window, plus a copy of the consumers — ≈ 200 – 250 ns on a
+// 500-task chain (2-vCPU amd64). While the indexes were maps each lookup
+// was an O(1) hit, ≈ 86 – 95 ns; while nothing was indexed each call
+// scanned every task in the workflow.
 func BenchmarkProducerConsumers(b *testing.B) {
 	const n = 500
 	w := benchChainWorkflow(b, n)

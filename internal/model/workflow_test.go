@@ -127,6 +127,21 @@ func TestFragmentValidate(t *testing.T) {
 	}
 }
 
+// TestFragmentValidateKeepsOrder: validating a fragment leaves its tasks
+// in the order they were listed, the order they are encoded in.
+func TestFragmentValidateKeepsOrder(t *testing.T) {
+	f := &Fragment{Name: "f", Tasks: []Task{
+		task("t2", Conjunctive, labels("b"), labels("c")),
+		task("t1", Conjunctive, labels("a"), labels("b")),
+	}}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := []TaskID{f.Tasks[0].ID, f.Tasks[1].ID}; !slices.Equal(got, []TaskID{"t2", "t1"}) {
+		t.Errorf("Validate reordered the fragment's tasks to %v", got)
+	}
+}
+
 func TestMustFragmentPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -13,7 +13,7 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,6 +104,9 @@ type Manager struct {
 
 	mu       sync.RWMutex
 	services map[model.TaskID]Registration
+	// tasks lists the services' tasks, sorted, once Tasks has built it;
+	// a change drops it, never edits it, so Tasks can share it.
+	tasks []model.TaskID
 }
 
 // NewManager returns an empty service manager. The clock paces simulated
@@ -124,6 +127,7 @@ func (m *Manager) Register(reg Registration) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.services[reg.Descriptor.Task] = reg
+	m.tasks = nil
 	return nil
 }
 
@@ -132,6 +136,7 @@ func (m *Manager) Unregister(task model.TaskID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.services, task)
+	m.tasks = nil
 }
 
 // CanPerform reports whether the host offers a service for the task, and
@@ -165,16 +170,21 @@ func (m *Manager) Count() int {
 	return len(m.services)
 }
 
-// Tasks returns the tasks this host offers services for, sorted.
+// Tasks returns the tasks this host offers services for, sorted. The
+// list is built on the first call after a change and shared by every
+// caller until the next Register or Unregister, so the caller must not
+// modify it.
 func (m *Manager) Tasks() []model.TaskID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]model.TaskID, 0, len(m.services))
-	for t := range m.services {
-		out = append(out, t)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tasks == nil {
+		m.tasks = make([]model.TaskID, 0, len(m.services))
+		for t := range m.services {
+			m.tasks = append(m.tasks, t)
+		}
+		slices.Sort(m.tasks)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.tasks
 }
 
 // Invoke performs the service for a task: it blocks for the service's
