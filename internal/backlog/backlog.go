@@ -73,10 +73,10 @@ var ErrClosed = errors.New("backlog: closed")
 // Queue is a bounded multi-class FIFO. The zero value is not usable;
 // construct with New.
 type Queue[T any] struct {
-	mu     sync.Mutex
-	items  [numClasses][]T
-	caps   [numClasses]int
-	closed bool
+	mu       sync.Mutex
+	items    [numClasses][]T
+	capacity int // of each class
+	closed   bool
 	// notify wakes one blocked Next per send; a waiter that pops while
 	// more items remain re-notifies, chaining wakeups to its peers.
 	notify chan struct{}
@@ -87,25 +87,14 @@ type Queue[T any] struct {
 // New builds a queue whose classes each hold at most capPerClass items
 // (capPerClass must be positive).
 func New[T any](capPerClass int) *Queue[T] {
-	caps := [numClasses]int{}
-	for i := range caps {
-		caps[i] = capPerClass
+	if capPerClass <= 0 {
+		panic(fmt.Sprintf("backlog: non-positive capacity %d", capPerClass))
 	}
-	return NewWithCaps[T](caps[Low], caps[Normal], caps[High])
-}
-
-// NewWithCaps builds a queue with per-class capacities (each must be
-// positive).
-func NewWithCaps[T any](low, normal, high int) *Queue[T] {
-	if low <= 0 || normal <= 0 || high <= 0 {
-		panic(fmt.Sprintf("backlog: non-positive capacity (%d/%d/%d)", low, normal, high))
-	}
-	q := &Queue[T]{
+	return &Queue[T]{
+		capacity: capPerClass,
 		notify:   make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 	}
-	q.caps[Low], q.caps[Normal], q.caps[High] = low, normal, high
-	return q
 }
 
 // Submit offers an item for admission. It never blocks: the item is
@@ -120,10 +109,10 @@ func (q *Queue[T]) Submit(class Class, item T) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	if len(q.items[class]) >= q.caps[class] {
+	if len(q.items[class]) >= q.capacity {
 		depth := len(q.items[class])
 		q.mu.Unlock()
-		return &RejectedError{Class: class, Depth: depth, Capacity: q.caps[class]}
+		return &RejectedError{Class: class, Depth: depth, Capacity: q.capacity}
 	}
 	q.items[class] = append(q.items[class], item)
 	q.mu.Unlock()

@@ -14,8 +14,6 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// Sleep blocks for at least d.
-	Sleep(d time.Duration)
 	// After returns a channel that delivers the time after duration d.
 	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run in its own goroutine after duration
@@ -48,9 +46,6 @@ func New() Clock { return Real{} }
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
@@ -67,8 +62,8 @@ func (t realTimer) Stop() bool { return t.t.Stop() }
 func (t realTimer) Reset(d time.Duration) bool { return t.t.Reset(d) }
 
 // Sim is a deterministic simulated clock. Time advances only through
-// Advance/AdvanceTo; Sleep and After block until the clock passes their
-// deadline. Sim is safe for concurrent use.
+// Advance/AdvanceTo; a receive from After blocks until the clock passes
+// its deadline. Sim is safe for concurrent use.
 type Sim struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -107,15 +102,6 @@ func (s *Sim) Now() time.Time {
 
 // Since implements Clock.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
-
-// Sleep implements Clock. It returns immediately for non-positive d;
-// otherwise it blocks until the simulated time passes now+d.
-func (s *Sim) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	<-s.After(d)
-}
 
 // After implements Clock.
 func (s *Sim) After(d time.Duration) <-chan time.Time {

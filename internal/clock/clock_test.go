@@ -10,14 +10,13 @@ import (
 func TestRealClockBasics(t *testing.T) {
 	c := New()
 	start := c.Now()
-	c.Sleep(time.Millisecond)
-	if c.Since(start) < time.Millisecond {
-		t.Error("Sleep returned early")
-	}
 	select {
 	case <-c.After(time.Millisecond):
 	case <-time.After(time.Second):
 		t.Error("After never fired")
+	}
+	if c.Since(start) < time.Millisecond {
+		t.Error("After fired early")
 	}
 	var fired atomic.Bool
 	timer := c.AfterFunc(time.Millisecond, func() { fired.Store(true) })
@@ -86,7 +85,7 @@ func TestSimClockSleepBlocksUntilAdvance(t *testing.T) {
 	c := NewSim(time.Unix(0, 0))
 	done := make(chan struct{})
 	go func() {
-		c.Sleep(5 * time.Second)
+		<-c.After(5 * time.Second)
 		close(done)
 	}()
 	// Wait until the sleeper has registered.
@@ -95,17 +94,15 @@ func TestSimClockSleepBlocksUntilAdvance(t *testing.T) {
 	}
 	select {
 	case <-done:
-		t.Fatal("Sleep returned before Advance")
+		t.Fatal("the sleeper woke before Advance")
 	default:
 	}
 	c.Advance(5 * time.Second)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("Sleep did not return after Advance")
+		t.Fatal("the sleeper did not wake after Advance")
 	}
-	// Sleep(0) returns immediately.
-	c.Sleep(0)
 }
 
 func TestSimClockAfterFuncOrdering(t *testing.T) {

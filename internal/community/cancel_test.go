@@ -3,13 +3,14 @@ package community
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
 	"openwf/internal/model"
+	"openwf/internal/proto"
 	"openwf/internal/service"
 	"openwf/internal/spec"
-	"openwf/internal/transport/inmem"
 )
 
 // The goroutine-leak and hold-leak checks these tests pioneered now live
@@ -23,7 +24,7 @@ import (
 func TestInitiateCanceledPromptly(t *testing.T) {
 	c := newTestCommunity(t, Options{
 		Engine:    testEngineConfig(),
-		LinkModel: inmem.FixedLatency(2 * time.Second),
+		LinkModel: func(_, _ proto.Addr, _ int, _ *rand.Rand) (time.Duration, bool) { return 2 * time.Second, false },
 	}, cateringSpecs(t, true, true)...)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -156,7 +156,7 @@ func TestChaosDirectoryPartitionedMember(t *testing.T) {
 	// Everything the network dropped was addressed to x (nobody else is
 	// unreachable, and x itself sends nothing): one request per sweep.
 	rounds := plan.Construction.CollectionRounds
-	if got, want := c.Network().Dropped(), int64(rounds+1); got != want {
+	if got, want := c.Network().Stats().FramesDropped, int64(rounds+1); got != want {
 		t.Errorf("%d requests were lost on the way to %s, want %d: one per collection round (%d) and the feasibility query",
 			got, x, want, rounds)
 	}
@@ -228,7 +228,7 @@ func TestChaosDirectoryLearnsAfterHeal(t *testing.T) {
 	if len(plan.Allocations) != dirChain {
 		t.Fatalf("plan allocated %d of %d tasks", len(plan.Allocations), dirChain)
 	}
-	if got := c.Network().Dropped(); got != 1 {
+	if got := c.Network().Stats().FramesDropped; got != 1 {
 		t.Errorf("%d requests lost, want only round 1's query to %s", got, x)
 	}
 	if got := received(rec.Buffer, "fragment-query")[x]; got != 1 {
@@ -309,7 +309,7 @@ func TestChaosDirectoryCrashAfterDescribing(t *testing.T) {
 			if sweeps[x] != 0 {
 				t.Errorf("the crashed %s received %d %s requests", x, sweeps[x], kind)
 			}
-			if got := c.Network().Dropped(); sweeps[witness] == 0 || got != int64(perSweep*sweeps[witness]) {
+			if got := c.Network().Stats().FramesDropped; sweeps[witness] == 0 || got != int64(perSweep*sweeps[witness]) {
 				t.Errorf("%d envelopes lost over %d solicitation sweeps, want %d per sweep", got, sweeps[witness], perSweep)
 			}
 			settleDirectoryChaos(t, c, sim)

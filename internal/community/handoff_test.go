@@ -64,7 +64,7 @@ func TestSameHostLabelNeverCrossesTheLink(t *testing.T) {
 	}
 	c.Network().SetLinkLoss("host01", "host01", 1)
 	executeChain(t, sim, c, plan)
-	if n := c.Network().Dropped(); n != 0 {
+	if n := c.Network().Stats().FramesDropped; n != 0 {
 		t.Errorf("%d frames lost on host01's self-link, want none sent on it", n)
 	}
 	if sent, recv := selfTransfers(buf, "host01"); sent != 1 || recv != 1 {

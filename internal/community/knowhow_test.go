@@ -223,7 +223,7 @@ func TestChaosDirectoryUnreachableMemberStillKnows(t *testing.T) {
 	lost := make(chan struct{})
 	go func() {
 		defer close(lost)
-		for deadline := time.Now().Add(30 * time.Second); k.Network().Dropped() == 0 && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(30 * time.Second); k.Network().Stats().FramesDropped == 0 && time.Now().Before(deadline); {
 			time.Sleep(100 * time.Microsecond)
 		}
 		k.sim.Advance(auction.DefaultBidWindow)
@@ -236,7 +236,7 @@ func TestChaosDirectoryUnreachableMemberStillKnows(t *testing.T) {
 	if _, ok := plan.Workflow.Task("t1"); !ok || plan.Allocations["t1"] != "host03" {
 		t.Errorf("t1 → %q in\n%v\nwant x's knowhow used and its task on host03", plan.Allocations["t1"], plan.Workflow)
 	}
-	if got := k.Network().Dropped(); got != 1 {
+	if got := k.Network().Stats().FramesDropped; got != 1 {
 		t.Errorf("%d requests lost, want only the call for bids to %s", got, x)
 	}
 	if got := received(k.buf, "call-for-bids-batch"); got[x] != 1 || got["host03"] != 2 {

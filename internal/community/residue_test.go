@@ -155,9 +155,9 @@ func TestLeaseBackstopClearsFinishedRuns(t *testing.T) {
 	// The participants never heard; the initiator, which runs no task,
 	// holds nothing.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Network().Dropped() < 2 {
+	for c.Network().Stats().FramesDropped < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d release frames lost, want both participants'", c.Network().Dropped())
+			t.Fatalf("%d release frames lost, want both participants'", c.Network().Stats().FramesDropped)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -285,7 +286,7 @@ func TestConstructPrunesUndesiredOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi, _ := res.Workflow.Task("multi")
-	if multi.HasOutput("waste") {
+	if slices.Contains(multi.Outputs, "waste") {
 		t.Errorf("undesired output not pruned: %v", multi)
 	}
 }
@@ -377,8 +378,8 @@ func TestSupergraphAccessors(t *testing.T) {
 	if g.NumTasks() != 11 {
 		t.Errorf("NumTasks = %d, want 11", g.NumTasks())
 	}
-	if g.NumLabels() != 11 {
-		t.Errorf("NumLabels = %d, want 11", g.NumLabels())
+	if len(g.labels) != 11 {
+		t.Errorf("%d labels, want 11", len(g.labels))
 	}
 	// Re-adding a fragment is a no-op.
 	n, err := g.AddFragment(cateringFragments(t)[0])
@@ -389,23 +390,17 @@ func TestSupergraphAccessors(t *testing.T) {
 	if _, err := Construct(g, s); err != nil {
 		t.Fatal(err)
 	}
-	if c := g.TaskColor("cook omelets"); c != Blue {
-		t.Errorf("TaskColor(cook omelets) = %v", c)
+	if c := g.tasks["cook omelets"].color; c != Blue {
+		t.Errorf("cook omelets is %v", c)
 	}
-	if c := g.LabelColor("breakfast served"); c != Blue {
-		t.Errorf("LabelColor(breakfast served) = %v", c)
+	if c := g.labels["breakfast served"].color; c != Blue {
+		t.Errorf("breakfast served is %v", c)
 	}
-	if c := g.TaskColor("no such task"); c != Uncolored {
-		t.Errorf("TaskColor(missing) = %v", c)
+	if d := g.labels["breakfast ingredients"].distance; d != 0 {
+		t.Errorf("trigger at distance %d", d)
 	}
-	if c := g.LabelColor("no such label"); c != Uncolored {
-		t.Errorf("LabelColor(missing) = %v", c)
-	}
-	if d, ok := g.LabelDistance("breakfast ingredients"); !ok || d != 0 {
-		t.Errorf("LabelDistance(trigger) = %d, %v", d, ok)
-	}
-	if _, ok := g.LabelDistance("box lunches available"); ok {
-		t.Error("unreached label has a distance")
+	if d := g.labels["box lunches available"].distance; d != infinity {
+		t.Errorf("unreached label at distance %d", d)
 	}
 	if g.GreenCount() == 0 {
 		t.Error("GreenCount = 0 after construction")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -178,12 +179,12 @@ func TestPropWorkflowTasksComeFromKnowledge(t *testing.T) {
 				return false
 			}
 			for _, in := range tk.Inputs {
-				if !orig.HasInput(in) {
+				if !slices.Contains(orig.Inputs, in) {
 					return false
 				}
 			}
 			for _, out := range tk.Outputs {
-				if !orig.HasOutput(out) {
+				if !slices.Contains(orig.Outputs, out) {
 					return false
 				}
 			}
@@ -251,7 +252,7 @@ func TestPropExploredBoundsSelection(t *testing.T) {
 		if res.Workflow.NumTasks() > res.Explored {
 			return false
 		}
-		if d, ok := g.LabelDistance(goal); !ok || d > 2*g.NumTasks() {
+		if n := g.labels[goal]; n == nil || n.distance > 2*g.NumTasks() {
 			return false
 		}
 		return true

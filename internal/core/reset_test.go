@@ -95,15 +95,16 @@ func TestResetColoringClears(t *testing.T) {
 	if _, err := Construct(g, s); err != nil {
 		t.Fatal(err)
 	}
-	if c := g.LabelColor("breakfast served"); c != Blue {
-		t.Fatalf("goal color = %v before reset", c)
+	goal := g.labels["breakfast served"]
+	if goal.color != Blue {
+		t.Fatalf("goal color = %v before reset", goal.color)
 	}
 	g.ResetColoring()
-	if c := g.LabelColor("breakfast served"); c != Uncolored {
-		t.Errorf("LabelColor after reset = %v, want uncolored", c)
+	if goal.color != Uncolored {
+		t.Errorf("goal color after reset = %v, want uncolored", goal.color)
 	}
-	if _, ok := g.LabelDistance("breakfast served"); ok {
-		t.Error("LabelDistance after reset still reports a distance")
+	if goal.distance != infinity {
+		t.Errorf("goal still at distance %d after reset", goal.distance)
 	}
 	if g.GreenCount() != 0 {
 		t.Errorf("GreenCount after reset = %d", g.GreenCount())

@@ -50,9 +50,6 @@ func NewStore(frags ...*model.Fragment) (*Store, error) {
 	return s, nil
 }
 
-// NumFragments returns how many distinct fragments the snapshot holds.
-func (s *Store) NumFragments() int { return len(s.frags) }
-
 var _ KnowledgeSource = (*Store)(nil)
 
 // FragmentsConsuming implements KnowledgeSource over the snapshot's
@@ -87,10 +84,10 @@ type Workspace struct {
 	marks []model.TaskID
 }
 
-// NewWorkspace merges the snapshot into a fresh supergraph. The merge is
+// newWorkspace merges the snapshot into a fresh supergraph. The merge is
 // paid once per workspace; afterwards every construction, its reset
 // included, walks only the explored region.
-func (s *Store) NewWorkspace() (*Workspace, error) {
+func (s *Store) newWorkspace() (*Workspace, error) {
 	g, err := CollectAll(s.frags)
 	if err != nil {
 		return nil, fmt.Errorf("core: merging store fragment: %w", err)
@@ -98,11 +95,11 @@ func (s *Store) NewWorkspace() (*Workspace, error) {
 	return &Workspace{graph: g}, nil
 }
 
-// Construct runs Algorithm 1 in this workspace: exclude marks the given
+// construct runs Algorithm 1 in this workspace: exclude marks the given
 // tasks infeasible for this construction only (specification-level
 // exclusions, §5.1); the marks are undone before returning so the next
 // checkout sees the full knowledge again.
-func (w *Workspace) Construct(sp spec.Spec, exclude ...model.TaskID) (*Result, error) {
+func (w *Workspace) construct(sp spec.Spec, exclude ...model.TaskID) (*Result, error) {
 	for _, t := range exclude {
 		if !w.graph.Infeasible(t) {
 			w.graph.MarkInfeasible(t)
@@ -146,11 +143,11 @@ func (p *WorkspacePool) Construct(ctx context.Context, sp spec.Spec, exclude ...
 	ws, ok := p.pool.Get().(*Workspace)
 	if !ok {
 		var err error
-		if ws, err = p.store.NewWorkspace(); err != nil {
+		if ws, err = p.store.newWorkspace(); err != nil {
 			return nil, err
 		}
 	}
-	res, err := ws.Construct(sp, exclude...)
+	res, err := ws.construct(sp, exclude...)
 	p.pool.Put(ws)
 	return res, err
 }

@@ -20,8 +20,8 @@ func TestStoreDedupAndCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumFragments() != len(frags) {
-		t.Fatalf("NumFragments = %d, want %d", st.NumFragments(), len(frags))
+	if len(st.frags) != len(frags) {
+		t.Fatalf("%d fragments, want %d", len(st.frags), len(frags))
 	}
 	if _, err := NewStore(nil); err == nil {
 		t.Error("nil fragment accepted")
@@ -84,15 +84,15 @@ func TestWorkspaceMatchesCollectAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := st.NewWorkspace()
+	ws, err := st.newWorkspace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ws.Construct(s)
+	got, err := ws.construct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Workflow.Equal(want.Workflow) {
+	if got.Workflow.String() != want.Workflow.String() {
 		t.Fatalf("workspace workflow differs:\n%v\nvs\n%v", got.Workflow, want.Workflow)
 	}
 }
@@ -104,13 +104,13 @@ func TestWorkspaceExcludeIsUndone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := st.NewWorkspace()
+	ws, err := st.newWorkspace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := spec.Must(lbl("lunch ingredients"), lbl("lunch served"))
 
-	res, err := ws.Construct(s, "serve buffet")
+	res, err := ws.construct(s, "serve buffet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWorkspaceExcludeIsUndone(t *testing.T) {
 	}
 	// The exclusion is gone: excluding the alternative now selects the
 	// previously excluded buffet path.
-	res2, err := ws.Construct(s, "serve tables")
+	res2, err := ws.construct(s, "serve tables")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWorkspaceExcludeIsUndone(t *testing.T) {
 		t.Fatalf("exclusion leaked across constructions:\n%v", res2.Workflow)
 	}
 	// And with no exclusions at all, construction still succeeds.
-	if _, err := ws.Construct(s); err != nil {
+	if _, err := ws.construct(s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,13 +143,13 @@ func TestWorkspacePlaceholderIsNoTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := st.NewWorkspace()
+	ws, err := st.newWorkspace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := spec.Must(lbl("a"), lbl("b"))
 	for i, exclude := range [][]model.TaskID{nil, {"nobody-defines-me"}, nil} {
-		res, err := ws.Construct(s, exclude...)
+		res, err := ws.construct(s, exclude...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestConcurrentConstructSharedStore(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d spec %d: %w", gi, i, err)
 					return
 				}
-				if !res.Workflow.Equal(want[i].Workflow) {
+				if res.Workflow.String() != want[i].Workflow.String() {
 					errs <- fmt.Errorf("goroutine %d spec %d: workflow differs under concurrency", gi, i)
 					return
 				}

@@ -376,41 +376,9 @@ func (g *Supergraph) ResetColoring() {
 // task no fragment has defined).
 func (g *Supergraph) NumTasks() int { return len(g.tasks) - g.placeholders }
 
-// NumLabels returns the number of label nodes.
-func (g *Supergraph) NumLabels() int { return len(g.labels) }
-
 // NumFragments returns the number of distinct fragments merged so far.
 func (g *Supergraph) NumFragments() int { return len(g.fragments) }
 
 // GreenCount returns the number of currently green nodes — the size of the
 // region explored by the last construction, an evaluation metric.
 func (g *Supergraph) GreenCount() int { return len(g.green) }
-
-// TaskColor returns the color of a task node.
-func (g *Supergraph) TaskColor(t model.TaskID) Color {
-	if n, ok := g.tasks[t]; ok {
-		return n.color
-	}
-	return Uncolored
-}
-
-// LabelColor returns the color of a label node.
-func (g *Supergraph) LabelColor(l model.LabelID) Color {
-	if n, ok := g.labels[l]; ok {
-		return n.color
-	}
-	return Uncolored
-}
-
-// LabelDistance returns the distance annotation of a label node and
-// whether the label exists and has been reached.
-func (g *Supergraph) LabelDistance(l model.LabelID) (int, bool) {
-	n, ok := g.labels[l]
-	if !ok {
-		return 0, false
-	}
-	if n.distance == infinity {
-		return 0, false
-	}
-	return n.distance, true
-}

@@ -36,7 +36,7 @@ import (
 	"openwf/internal/spec"
 )
 
-// ErrDraining is returned by Submit and Do once Drain or Close has begun:
+// ErrDraining is returned by Do once Drain or Close has begun:
 // the server no longer admits work, existing work is being finished (or
 // aborted). Submitters should treat it as a permanent condition and fail
 // over, unlike a *backlog.RejectedError which is transient backpressure.
@@ -256,12 +256,12 @@ func (s *Server) Community() *community.Community { return s.comm }
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Submit offers a request for admission; done (optional) is invoked from
+// submit offers a request for admission; done (optional) is invoked from
 // a worker goroutine when the request finishes and must be fast and
-// non-blocking. Submit never blocks: it returns nil (admitted),
+// non-blocking. It never blocks: it returns nil (admitted),
 // *backlog.RejectedError (class at capacity — transient backpressure),
 // or ErrDraining (shutdown has begun — permanent).
-func (s *Server) Submit(req Request, done func(*Result)) error {
+func (s *Server) submit(req Request, done func(*Result)) error {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -290,7 +290,7 @@ func (s *Server) Submit(req Request, done func(*Result)) error {
 // a canceled wait.
 func (s *Server) Do(ctx context.Context, req Request) (*Result, error) {
 	ch := make(chan *Result, 1)
-	if err := s.Submit(req, func(r *Result) { ch <- r }); err != nil {
+	if err := s.submit(req, func(r *Result) { ch <- r }); err != nil {
 		return nil, err
 	}
 	select {

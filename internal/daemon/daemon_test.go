@@ -409,7 +409,7 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 	quiet := func() bool {
 		net := comm.Network()
 		return initiator.Engine.InFlight() == 0 &&
-			net.Messages() == net.Delivered()+net.Dropped() &&
+			net.Messages() == net.Delivered()+net.Stats().FramesDropped &&
 			initiator.ActiveSessions() == 0 && peer.ActiveSessions() == 0
 	}
 	stop := make(chan struct{})

@@ -63,10 +63,8 @@ func retrySlot(wfID string) int {
 // keep or cancel. On error the try's wins are cancelled.
 func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
 	slot := retrySlot(wfID)
-	ids := slices.DeleteFunc(w.TopoOrder(), func(t model.TaskID) bool {
-		_, ok := placed[t]
-		return ok
-	})
+	var buf [16]model.TaskID
+	ids := unplaced(buf[:0], w, placed)
 	if len(ids) == 0 {
 		return nil, nil, nil, nil
 	}
@@ -90,6 +88,19 @@ func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, 
 		}
 		m.cancelAwards(wfID, won)
 	}
+}
+
+// unplaced appends to ids the tasks of w that placed has no executor for,
+// in topological order, read from the workflow's cached order without a
+// copy. allocate hands it a 16-task stack array, so ordering an Initiate
+// of up to 16 tasks allocates nothing.
+func unplaced(ids []model.TaskID, w *model.Workflow, placed map[model.TaskID]proto.Addr) []model.TaskID {
+	for t := range w.TopoSeq() {
+		if _, ok := placed[t]; !ok {
+			ids = append(ids, t)
+		}
+	}
+	return ids
 }
 
 // runAuction decides who executes metas, the tasks of w that placed has no

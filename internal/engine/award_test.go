@@ -516,6 +516,27 @@ func TestTaskMetasAllocBound(t *testing.T) {
 	}
 }
 
+// TestUnplacedAllocFree: allocate's order step reads the workflow's
+// cached order into its 16-task stack array, so a 16-task Initiate orders
+// its tasks without allocating. 1 while the step copied TopoOrder to
+// delete the placed tasks from the copy. A repair keeps only the tasks
+// its placed map lacks, in order.
+func TestUnplacedAllocFree(t *testing.T) {
+	w := chainWorkflow(t, 16)
+	n := 0
+	testutil.AllocBound(t, 0, func() {
+		var buf [16]model.TaskID
+		n = len(unplaced(buf[:0], w, nil))
+	})
+	if n != 16 {
+		t.Fatalf("ordered %d tasks, want 16", n)
+	}
+	placed := map[model.TaskID]proto.Addr{"t0": "p", "t2": "p"}
+	if got := unplaced(nil, chainWorkflow(t, 4), placed); !slices.Equal(got, []model.TaskID{"t1", "t3"}) {
+		t.Fatalf("unplaced = %v, want [t1 t3]", got)
+	}
+}
+
 // TestTaskMetasDoNotShareTails: every label list of a session's metas is a
 // window of one slab, capped at its own end, so appending to one task's
 // inputs or outputs copies it and leaves the next list intact.

@@ -3,6 +3,7 @@ package evalgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"openwf/internal/core"
@@ -97,14 +98,13 @@ func TestGoalsImplyEveryTaskRan(t *testing.T) {
 
 // completionRuleBroken says how w breaks the rule, or "" if it keeps it.
 func completionRuleBroken(w *model.Workflow, sp spec.Spec) string {
-	triggers := sp.TriggerSet()
 	for _, task := range w.Tasks() {
 		if task.Mode == model.Disjunctive && len(task.Inputs) != 1 {
 			return fmt.Sprintf("disjunctive task %s keeps %d inputs", task.ID, len(task.Inputs))
 		}
 		for _, in := range task.Inputs {
 			_, produced := w.Producer(in)
-			if _, trigger := triggers[in]; produced == trigger {
+			if trigger := slices.Contains(sp.Triggers, in); produced == trigger {
 				return fmt.Sprintf("input %s of %s: produced %t, trigger %t", in, task.ID, produced, trigger)
 			}
 		}

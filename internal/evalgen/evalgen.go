@@ -138,15 +138,6 @@ func sampleDisconnected(n int, rng *rand.Rand, reachable func(u, v int) bool) (i
 // NumTasks returns the number of task nodes.
 func (sc *Scenario) NumTasks() int { return sc.n }
 
-// NumEdges returns the number of task-to-task edges.
-func (sc *Scenario) NumEdges() int {
-	total := 0
-	for _, s := range sc.succ {
-		total += len(s)
-	}
-	return total
-}
-
 // Task materializes task i of the supergraph: a disjunctive task consuming
 // the output labels of its predecessors and producing its own output.
 func (sc *Scenario) Task(i int) model.Task {

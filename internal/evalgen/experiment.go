@@ -153,7 +153,7 @@ func BuildCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*commun
 	return build(cfg, frags, svcs)
 }
 
-// BuildReplicatedCommunity materializes a scenario like BuildCommunity,
+// buildReplicatedCommunity materializes a scenario like BuildCommunity,
 // but with every service replicated on every host except the first (the
 // initiator stays service-free so each allocation crosses the network).
 // Knowhow is still spread randomly. With per-task sole providers
@@ -161,7 +161,7 @@ func BuildCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*commun
 // window can only resolve by postponing in lockstep; replication makes
 // capacity scale with the community, which is the configuration the
 // concurrent-allocation benchmarks measure.
-func BuildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*community.Community, []proto.Addr, error) {
+func buildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand) (*community.Community, []proto.Addr, error) {
 	frags, err := sc.DistributeFragments(cfg.Hosts, rng)
 	if err != nil {
 		return nil, nil, err
@@ -223,7 +223,7 @@ func ConcurrentInitiateSetup(hosts, poolSize int) (*community.Community, []proto
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	comm, addrs, err := BuildReplicatedCommunity(sc, ExperimentConfig{
+	comm, addrs, err := buildReplicatedCommunity(sc, ExperimentConfig{
 		Tasks: 100, Hosts: hosts, Seed: 1,
 		LinkModel: Wireless80211g(),
 		Engine:    &engCfg,

@@ -151,10 +151,3 @@ func (m *Manager) ConsumedLabels() []model.LabelID {
 	}
 	return m.labels
 }
-
-// Len returns the number of stored fragments.
-func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.frags)
-}

@@ -37,8 +37,8 @@ func TestAddAndQuery(t *testing.T) {
 	if err := m.Add(frag(t, "f2", "b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d", m.Len())
+	if len(m.frags) != 2 {
+		t.Errorf("%d fragments", len(m.frags))
 	}
 	got := m.Consuming(lbl("a"))
 	if len(got) != 1 || got[0].Name != "f1" {
@@ -74,8 +74,8 @@ func TestAddReplacesByName(t *testing.T) {
 	if err := m.Add(frag(t, "f", "c", "d")); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d after replacement", m.Len())
+	if len(m.frags) != 1 {
+		t.Errorf("%d fragments after replacement", len(m.frags))
 	}
 	if got := m.Consuming(lbl("a")); len(got) != 0 {
 		t.Errorf("stale index entry: %v", got)

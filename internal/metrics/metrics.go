@@ -32,9 +32,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; counters never decrease).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -56,8 +53,8 @@ type Histogram struct {
 	sum   float64
 }
 
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
+// observe records one observation.
+func (h *Histogram) observe(v float64) {
 	h.mu.Lock()
 	if len(h.ring) < histWindow {
 		h.ring = append(h.ring, v)
@@ -72,14 +69,7 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration in seconds, the Prometheus
 // convention for latency summaries.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the lifetime observation count.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
 // Quantiles returns the requested quantiles (0 ≤ q ≤ 1) over the sliding
 // window, in argument order.

@@ -13,8 +13,9 @@ func TestCounterGauge(t *testing.T) {
 	c := r.Counter("reqs_total", "requests")
 	depth := 7.0
 	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	depth -= 2
 	if c.Value() != 5 {
 		t.Errorf("counter = %d", c.Value())
@@ -32,7 +33,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "latency")
 	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+		h.observe(float64(i))
 	}
 	qs := h.Quantiles(0.5, 0.99)
 	if math.Abs(qs[0]-50.5) > 1e-9 {
@@ -41,12 +42,12 @@ func TestHistogramQuantiles(t *testing.T) {
 	if math.Abs(qs[1]-99.01) > 1e-9 {
 		t.Errorf("p99 = %v, want 99.01", qs[1])
 	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d", h.Count())
+	if h.count != 100 {
+		t.Errorf("count = %d", h.count)
 	}
 	h.ObserveDuration(1500 * time.Millisecond)
-	if h.Count() != 101 {
-		t.Errorf("count = %d after ObserveDuration", h.Count())
+	if h.count != 101 {
+		t.Errorf("count = %d after ObserveDuration", h.count)
 	}
 }
 
@@ -57,13 +58,13 @@ func TestHistogramWindowBounded(t *testing.T) {
 	var h Histogram
 	const n = histWindow * 3
 	for i := 0; i < n; i++ {
-		h.Observe(1) // old regime
+		h.observe(1) // old regime
 	}
 	for i := 0; i < histWindow; i++ {
-		h.Observe(1000) // new regime fills the whole window
+		h.observe(1000) // new regime fills the whole window
 	}
-	if h.Count() != n+histWindow {
-		t.Errorf("count = %d", h.Count())
+	if h.count != n+histWindow {
+		t.Errorf("count = %d", h.count)
 	}
 	if got := h.Quantiles(0.5)[0]; got != 1000 {
 		t.Errorf("windowed p50 = %v, want 1000 (old regime must have aged out)", got)
@@ -79,9 +80,11 @@ func TestWritePrometheus(t *testing.T) {
 	r.GaugeFunc("wf_backlog_depth", "depth", func() float64 { return 2 })
 	r.GaugeFunc("wf_transport_frames", "frames", func() float64 { return 42 })
 	h := r.Histogram("wf_initiate_seconds", "latency")
-	c.Add(3)
-	h.Observe(0.25)
-	h.Observe(0.75)
+	for range 3 {
+		c.Inc()
+	}
+	h.observe(0.25)
+	h.observe(0.75)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -129,7 +132,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				h.Observe(float64(j))
+				h.observe(float64(j))
 			}
 		}()
 	}
@@ -137,7 +140,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d", h.Count())
+	if h.count != 8000 {
+		t.Errorf("histogram count = %d", h.count)
 	}
 }

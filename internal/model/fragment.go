@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -55,16 +54,6 @@ func (f *Fragment) Validate() error {
 		return fmt.Errorf("fragment %q: %w", f.Name, err)
 	}
 	return nil
-}
-
-// TaskIDs returns the fragment's task identifiers, sorted.
-func (f *Fragment) TaskIDs() []TaskID {
-	ids := make([]TaskID, 0, len(f.Tasks))
-	for _, t := range f.Tasks {
-		ids = append(ids, t.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // ConsumesAny reports whether any task of the fragment consumes any of

@@ -21,6 +21,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -55,8 +56,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Valid reports whether m is one of the defined modes.
-func (m Mode) Valid() bool { return m == Conjunctive || m == Disjunctive }
+// valid reports whether m is one of the defined modes.
+func (m Mode) valid() bool { return m == Conjunctive || m == Disjunctive }
 
 // Task is a single abstract behavior or accomplishment. It does not specify
 // how the behavior is performed; a service (internal/service) is a concrete
@@ -84,26 +85,6 @@ func (t Task) clone() Task {
 	return c
 }
 
-// HasInput reports whether l is one of the task's inputs.
-func (t Task) HasInput(l LabelID) bool {
-	for _, in := range t.Inputs {
-		if in == l {
-			return true
-		}
-	}
-	return false
-}
-
-// HasOutput reports whether l is one of the task's outputs.
-func (t Task) HasOutput(l LabelID) bool {
-	for _, out := range t.Outputs {
-		if out == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks the task in isolation: a defined mode, at least one input
 // and one output (so that the task is never a source or a sink of a
 // workflow), and no duplicate labels within the input or output list.
@@ -111,7 +92,7 @@ func (t Task) Validate() error {
 	if t.ID == "" {
 		return fmt.Errorf("task has empty ID")
 	}
-	if !t.Mode.Valid() {
+	if !t.Mode.valid() {
 		return fmt.Errorf("task %q: invalid mode %d", t.ID, int(t.Mode))
 	}
 	if len(t.Inputs) == 0 {
@@ -127,7 +108,7 @@ func (t Task) Validate() error {
 		return fmt.Errorf("task %q: duplicate output label %q", t.ID, d)
 	}
 	for _, in := range t.Inputs {
-		if t.HasOutput(in) {
+		if slices.Contains(t.Outputs, in) {
 			return fmt.Errorf("task %q: label %q is both input and output (self-cycle)", t.ID, in)
 		}
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,10 +31,10 @@ func TestModeString(t *testing.T) {
 }
 
 func TestModeValid(t *testing.T) {
-	if !Conjunctive.Valid() || !Disjunctive.Valid() {
+	if !Conjunctive.valid() || !Disjunctive.valid() {
 		t.Error("defined modes must be valid")
 	}
-	if Mode(0).Valid() || Mode(3).Valid() {
+	if Mode(0).valid() || Mode(3).valid() {
 		t.Error("undefined modes must be invalid")
 	}
 }
@@ -66,16 +67,6 @@ func TestTaskValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestTaskHasInputOutput(t *testing.T) {
-	tk := task("t", Conjunctive, labels("a", "b"), labels("c"))
-	if !tk.HasInput("a") || !tk.HasInput("b") || tk.HasInput("c") {
-		t.Error("HasInput misreports")
-	}
-	if !tk.HasOutput("c") || tk.HasOutput("a") {
-		t.Error("HasOutput misreports")
 	}
 }
 
@@ -140,7 +131,7 @@ func TestGraphAddTask(t *testing.T) {
 func TestGraphAddTaskOrderInsensitiveMerge(t *testing.T) {
 	w1 := workflowOf(t, task("t", Conjunctive, labels("a", "b"), labels("c", "d")))
 	w2 := workflowOf(t, task("t", Conjunctive, labels("b", "a"), labels("d", "c")))
-	if !w1.Equal(w2) || !w2.Equal(w1) {
+	if !equal(w1, w2) || !equal(w2, w1) {
 		t.Error("workflows differing only in label order are not Equal")
 	}
 }
@@ -156,10 +147,10 @@ func TestGraphAccessors(t *testing.T) {
 	if p, ok := w.Producer("b"); !ok || p != "t1" {
 		t.Errorf("Producer(b) = %v, %v", p, ok)
 	}
-	if cs := w.Consumers("b"); len(cs) != 1 || cs[0] != "t2" {
-		t.Errorf("Consumers(b) = %v", cs)
+	if cs := slices.Collect(w.ConsumersSeq("b")); len(cs) != 1 || cs[0] != "t2" {
+		t.Errorf("ConsumersSeq(b) = %v", cs)
 	}
-	if src := w.In(); len(src) != 1 || src[0] != "a" {
+	if src := w.in; len(src) != 1 || src[0] != "a" {
 		t.Errorf("In = %v", src)
 	}
 	if snk := w.Out(); len(snk) != 1 || snk[0] != "c" {

@@ -74,8 +74,8 @@ func TestPropCloneEqualsOriginal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return w.Equal(c) && c.Equal(w) &&
-			slices.Equal(w.In(), c.In()) && slices.Equal(w.Out(), c.Out())
+		return equal(w, c) && equal(c, w) &&
+			slices.Equal(w.in, c.in) && slices.Equal(w.Out(), c.Out())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -97,7 +97,7 @@ func TestPropTopoOrderRespectsEdges(t *testing.T) {
 		}
 		for _, tk := range w.Tasks() {
 			for _, out := range tk.Outputs {
-				for _, c := range w.Consumers(out) {
+				for c := range w.ConsumersSeq(out) {
 					if pos[c] <= pos[tk.ID] {
 						return false
 					}
@@ -148,7 +148,7 @@ func TestPropComposeAssociativeOnChains(t *testing.T) {
 				return false
 			}
 		}
-		return left.Equal(right)
+		return equal(left, right)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

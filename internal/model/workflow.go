@@ -18,10 +18,10 @@ import (
 // construction, in sorted slices rather than maps, which cost more to
 // build for a handful of tasks than their lookups save: its tasks by ID,
 // one slab of label–task edges, the topological order and the inset and
-// outset. Task, TaskView, Producer, Consumers and ConsumersSeq
-// binary-search them in O(log n); TopoOrder, In and Out are a copy of a
-// precomputed slice, and ConsumersSeq, InSeq and OutSeq iterate one — no
-// call rescans every task.
+// outset. Task, TaskView, Producer and ConsumersSeq binary-search them in
+// O(log n); TopoOrder and Out are a copy of a precomputed slice, and
+// ConsumersSeq, InSeq, OutSeq and TopoSeq iterate one — no call rescans
+// every task.
 type Workflow struct {
 	// tasks are the workflow's tasks, sorted by ID.
 	tasks []Task
@@ -192,14 +192,11 @@ func (w *Workflow) consumersOf(l LabelID) []edge {
 	return w.consumers[i:j]
 }
 
-// In returns the workflow's inset W.in: its source labels, sorted.
-func (w *Workflow) In() []LabelID { return slices.Clone(w.in) }
-
 // Out returns the workflow's outset W.out: its sink labels, sorted.
 func (w *Workflow) Out() []LabelID { return slices.Clone(w.out) }
 
-// InSeq yields the inset's labels, sorted, from the cached slice itself:
-// In without the copy.
+// InSeq yields the workflow's inset W.in, its source labels, sorted, from
+// the cached slice itself.
 func (w *Workflow) InSeq() iter.Seq[LabelID] { return slices.Values(w.in) }
 
 // OutSeq yields the outset's labels, sorted, from the cached slice itself:
@@ -257,12 +254,8 @@ func (w *Workflow) Producer(l LabelID) (TaskID, bool) {
 	return w.producers[i].t, true
 }
 
-// Consumers returns the tasks consuming label l, sorted, as a new slice;
-// nil when there are none.
-func (w *Workflow) Consumers(l LabelID) []TaskID { return slices.Collect(w.ConsumersSeq(l)) }
-
 // ConsumersSeq yields the tasks consuming label l, sorted, from the
-// consumer window itself: Consumers without the copy.
+// consumer window itself.
 func (w *Workflow) ConsumersSeq(l LabelID) iter.Seq[TaskID] {
 	return func(yield func(TaskID) bool) {
 		for _, e := range w.consumersOf(l) {
@@ -280,6 +273,10 @@ func (w *Workflow) TopoOrder() []TaskID {
 	return append([]TaskID(nil), w.topo...)
 }
 
+// TopoSeq yields the task IDs in TopoOrder's order from the cached order
+// itself: TopoOrder without the copy.
+func (w *Workflow) TopoSeq() iter.Seq[TaskID] { return slices.Values(w.topo) }
+
 // String renders the workflow one task per line, in ID order.
 func (w *Workflow) String() string {
 	var b strings.Builder
@@ -290,11 +287,4 @@ func (w *Workflow) String() string {
 		b.WriteString(t.String())
 	}
 	return b.String()
-}
-
-// Equal reports whether two workflows have identical task sets. Input and
-// output order is not significant: the edge windows are sorted.
-func (w *Workflow) Equal(o *Workflow) bool {
-	return slices.EqualFunc(w.tasks, o.tasks, func(t, ot Task) bool { return t.ID == ot.ID && t.Mode == ot.Mode }) &&
-		slices.Equal(w.producers, o.producers) && slices.Equal(w.consumers, o.consumers)
 }

@@ -25,8 +25,8 @@ func TestNewWorkflowRejectsInvalid(t *testing.T) {
 
 func TestWorkflowInOut(t *testing.T) {
 	w := chainWorkflow(t)
-	if in := w.In(); len(in) != 1 || in[0] != "a" {
-		t.Errorf("In = %v", in)
+	if in := w.in; len(in) != 1 || in[0] != "a" {
+		t.Errorf("inset = %v", in)
 	}
 	if out := w.Out(); len(out) != 1 || out[0] != "c" {
 		t.Errorf("Out = %v", out)
@@ -37,13 +37,10 @@ func TestWorkflowInOut(t *testing.T) {
 // caller's.
 func TestWorkflowImmutability(t *testing.T) {
 	w := chainWorkflow(t)
-	w.In()[0] = "zzz"
 	w.Out()[0] = "zzz"
 	w.TaskIDs()[0] = "zzz"
-	w.Consumers("b")[0] = "zzz"
 	w.TopoOrder()[0] = "zzz"
-	if w.In()[0] != "a" || w.Out()[0] != "c" || w.TaskIDs()[0] != "t1" ||
-		w.Consumers("b")[0] != "t2" || w.TopoOrder()[0] != "t1" {
+	if w.Out()[0] != "c" || w.TaskIDs()[0] != "t1" || w.TopoOrder()[0] != "t1" {
 		t.Error("an accessor exposed an internal slice")
 	}
 }
@@ -55,9 +52,6 @@ func TestWorkflowProducerConsumers(t *testing.T) {
 	}
 	if _, ok := w.Producer("a"); ok {
 		t.Error("Producer(a) should not exist")
-	}
-	if cs := w.Consumers("b"); len(cs) != 1 || cs[0] != "t2" {
-		t.Errorf("Consumers(b) = %v", cs)
 	}
 	if cs := slices.Collect(w.ConsumersSeq("b")); len(cs) != 1 || cs[0] != "t2" {
 		t.Errorf("ConsumersSeq(b) = %v", cs)
@@ -85,14 +79,22 @@ func TestWorkflowDepthsAndTopoOrder(t *testing.T) {
 	}
 }
 
+// equal reports whether two workflows have identical task sets: the
+// property tests' oracle of sameness. Input and output order is not
+// significant: the edge windows are sorted.
+func equal(w, o *Workflow) bool {
+	return slices.EqualFunc(w.tasks, o.tasks, func(t, ot Task) bool { return t.ID == ot.ID && t.Mode == ot.Mode }) &&
+		slices.Equal(w.producers, o.producers) && slices.Equal(w.consumers, o.consumers)
+}
+
 func TestWorkflowEqual(t *testing.T) {
 	w1 := chainWorkflow(t)
 	w2 := chainWorkflow(t)
-	if !w1.Equal(w2) {
+	if !equal(w1, w2) {
 		t.Error("identical workflows not Equal")
 	}
 	w3 := workflowOf(t, task("t1", Conjunctive, labels("a"), labels("b")))
-	if w1.Equal(w3) {
+	if equal(w1, w3) {
 		t.Error("different workflows Equal")
 	}
 }
@@ -171,9 +173,6 @@ func TestFragmentCloneAndString(t *testing.T) {
 	if s := f.String(); !strings.Contains(s, "f{") {
 		t.Errorf("String = %q", s)
 	}
-	if ids := f.TaskIDs(); len(ids) != 1 || ids[0] != "t" {
-		t.Errorf("TaskIDs = %v", ids)
-	}
 }
 
 func TestSingleTaskFragment(t *testing.T) {
@@ -199,8 +198,8 @@ func TestCompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
-	if in := w.In(); len(in) != 1 || in[0] != "a" {
-		t.Errorf("composed In = %v", in)
+	if in := w.in; len(in) != 1 || in[0] != "a" {
+		t.Errorf("composed inset = %v", in)
 	}
 	if out := w.Out(); len(out) != 1 || out[0] != "c" {
 		t.Errorf("composed Out = %v", out)
@@ -217,8 +216,8 @@ func TestComposePaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
-	if got, want := w.In(), labels("a", "b", "c"); !slices.Equal(got, want) {
-		t.Errorf("In = %v, want %v", got, want)
+	if got, want := w.in, labels("a", "b", "c"); !slices.Equal(got, want) {
+		t.Errorf("inset = %v, want %v", got, want)
 	}
 	if got, want := w.Out(), labels("f", "g", "h"); !slices.Equal(got, want) {
 		t.Errorf("Out = %v, want %v", got, want)

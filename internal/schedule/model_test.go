@@ -224,7 +224,7 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 					} else {
 						want, class = ref.hold(wf, metas[i], deadline)
 					}
-					check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, res.Err(), want, class)
+					check(fmt.Sprintf("HoldBatch[%d]", i), res.Commitment, resultErr(res), want, class)
 				}
 			}
 			commitHeld := func(wf string, task model.TaskID, lease time.Time) {

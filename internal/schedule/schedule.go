@@ -24,7 +24,7 @@
 //   - A busy or already-started decline is a typed value copying what it
 //     names, formatted only when read: never under the lock. A busy
 //     decline stays a value until then: HoldBatch keeps it inline in its
-//     HoldResult, and only Hold, CanCommit and HoldResult.Err box it.
+//     HoldResult, and only Hold and CanCommit box it.
 //
 // # Concurrency
 //
@@ -132,9 +132,6 @@ func NewManager(clk clock.Clock, mobility space.Mobility, prefs Preferences) *Ma
 
 // Mobility returns the host's mobility model.
 func (m *Manager) Mobility() space.Mobility { return m.mobility }
-
-// Position returns the host's current position.
-func (m *Manager) Position() space.Point { return m.mobility.Position(m.clk.Now()) }
 
 // CanCommit evaluates whether the host could commit to the task described
 // by meta (§3.2 conditions 2–5: time available, travel feasible, inputs/
@@ -323,7 +320,7 @@ func recycle(r *record) {
 
 // HoldResult is one task's outcome of a HoldBatch: the reserved (or
 // refreshed) commitment, or what declined it. A busy slot's decline is
-// kept as a value, formatted only when Err is read.
+// kept as a value and never formatted: a participant asks only Held.
 type HoldResult struct {
 	Commitment Commitment
 	busy       busyError
@@ -332,14 +329,6 @@ type HoldResult struct {
 
 // Held reports whether the task's slot is reserved.
 func (r HoldResult) Held() bool { return r.err == nil }
-
-// Err returns the error that declined the task, nil when it is held.
-func (r HoldResult) Err() error {
-	if r.err == ErrSlotBusy {
-		return r.busy.boxed()
-	}
-	return r.err
-}
 
 // HoldBatch reserves schedule slots for a whole batched call for bids
 // under one lock acquisition: each meta is evaluated in order with

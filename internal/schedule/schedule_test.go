@@ -40,6 +40,15 @@ func commit(m *Manager, wf string, md proto.TaskMeta, lease time.Time) (Commitme
 	return m.CommitHeld(wf, md.Task, lease)
 }
 
+// resultErr is the error that declined a HoldBatch result, nil when it is
+// held: the decline the participant never formats, boxed for a test.
+func resultErr(r HoldResult) error {
+	if r.err == ErrSlotBusy {
+		return r.busy.boxed()
+	}
+	return r.err
+}
+
 func newManager(prefs Preferences, mobility space.Mobility) (*Manager, *clock.Sim) {
 	sim := clock.NewSim(t0)
 	return NewManager(sim, mobility, prefs), sim
@@ -184,8 +193,8 @@ func TestHoldLifecycle(t *testing.T) {
 		t.Error("hold did not reserve the slot")
 	}
 	// Re-soliciting the held task extends the deadline.
-	if res := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); res[0].Err() != nil {
-		t.Fatal(res[0].Err())
+	if res := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); resultErr(res[0]) != nil {
+		t.Fatal(resultErr(res[0]))
 	}
 	// Expiry after the refreshed deadline, which Expire reports as the
 	// next thing to lapse until then.
@@ -273,18 +282,6 @@ func TestClear(t *testing.T) {
 	m.Clear()
 	if len(m.Commitments()) != 0 || m.Holds() != 0 {
 		t.Error("Clear left state behind")
-	}
-}
-
-func TestPosition(t *testing.T) {
-	m, sim := newManager(Preferences{}, space.NewMover(space.Point{X: 1}, 2))
-	if p := m.Position(); p != (space.Point{X: 1}) {
-		t.Errorf("Position = %v", p)
-	}
-	m.Mobility().Travel(sim.Now(), space.Point{X: 5})
-	sim.Advance(2 * time.Second)
-	if p := m.Position(); p != (space.Point{X: 5}) {
-		t.Errorf("Position after travel = %v", p)
 	}
 }
 
@@ -616,13 +613,13 @@ func TestHoldBatchPartialFailureLeaksNoHolds(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	if results[0].Err() != nil || results[2].Err() != nil {
-		t.Fatalf("feasible metas failed: %v, %v", results[0].Err(), results[2].Err())
+	if resultErr(results[0]) != nil || resultErr(results[2]) != nil {
+		t.Fatalf("feasible metas failed: %v, %v", resultErr(results[0]), resultErr(results[2]))
 	}
-	if !errors.Is(results[1].Err(), ErrSlotBusy) {
-		t.Fatalf("overlapping meta err = %v, want ErrSlotBusy", results[1].Err())
+	if !errors.Is(resultErr(results[1]), ErrSlotBusy) {
+		t.Fatalf("overlapping meta err = %v, want ErrSlotBusy", resultErr(results[1]))
 	}
-	if results[3].Err() == nil {
+	if resultErr(results[3]) == nil {
 		t.Fatal("past window accepted")
 	}
 	if got := m.Holds(); got != 3 { // blocker + a + c
@@ -642,11 +639,11 @@ func TestHoldBatchIntraBatchConflict(t *testing.T) {
 		meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)),
 		meta("b", t0.Add(90*time.Minute), t0.Add(3*time.Hour)),
 	}, t0.Add(time.Minute))
-	if results[0].Err() != nil {
-		t.Fatalf("first meta failed: %v", results[0].Err())
+	if resultErr(results[0]) != nil {
+		t.Fatalf("first meta failed: %v", resultErr(results[0]))
 	}
-	if !errors.Is(results[1].Err(), ErrSlotBusy) {
-		t.Fatalf("second overlapping meta err = %v, want ErrSlotBusy", results[1].Err())
+	if !errors.Is(resultErr(results[1]), ErrSlotBusy) {
+		t.Fatalf("second overlapping meta err = %v, want ErrSlotBusy", resultErr(results[1]))
 	}
 	if m.Holds() != 1 {
 		t.Fatalf("holds = %d, want 1", m.Holds())
@@ -664,8 +661,8 @@ func TestHoldBatchRefreshesExistingHold(t *testing.T) {
 	}
 	sim.Advance(30 * time.Second)
 	results := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, sim.Now().Add(time.Minute))
-	if results[0].Err() != nil {
-		t.Fatalf("refresh via batch failed: %v", results[0].Err())
+	if resultErr(results[0]) != nil {
+		t.Fatalf("refresh via batch failed: %v", resultErr(results[0]))
 	}
 	if m.Holds() != 1 {
 		t.Fatalf("holds = %d, want 1", m.Holds())
@@ -694,8 +691,8 @@ func TestHoldBatchMatchesSequentialHolds(t *testing.T) {
 	sequential, _ := newManager(Preferences{}, nil)
 	for i, md := range metas {
 		c, err := sequential.Hold("wf", md, deadline)
-		if err != nil || results[i].Err() != nil {
-			t.Fatalf("meta %d: sequential err=%v batch err=%v", i, err, results[i].Err())
+		if err != nil || resultErr(results[i]) != nil {
+			t.Fatalf("meta %d: sequential err=%v batch err=%v", i, err, resultErr(results[i]))
 		}
 		if got := results[i].Commitment; got.Task != c.Task || !got.Start.Equal(c.Start) ||
 			!got.End.Equal(c.End) || !got.TravelStart.Equal(c.TravelStart) {
@@ -765,8 +762,8 @@ func busyBatch() (*Manager, []proto.TaskMeta) {
 func TestBusyDeclineAllocBound(t *testing.T) {
 	m, metas := busyBatch()
 	for _, res := range m.HoldBatch(nil, "wf", metas, t0.Add(time.Hour)) {
-		if !errors.Is(res.Err(), ErrSlotBusy) {
-			t.Fatalf("err = %v, want ErrSlotBusy", res.Err())
+		if !errors.Is(resultErr(res), ErrSlotBusy) {
+			t.Fatalf("err = %v, want ErrSlotBusy", resultErr(res))
 		}
 	}
 	testutil.AllocBound(t, 0, func() {
@@ -792,7 +789,7 @@ func TestBusyErrorText(t *testing.T) {
 	}
 	second := meta("t-second", t0.Add(90*time.Minute), t0.Add(3*time.Hour))
 	_, holdErr := m.Hold("wf-b", second, t0.Add(time.Minute))
-	batchErr := m.HoldBatch(nil, "wf-b", []proto.TaskMeta{second}, t0.Add(time.Minute))[0].Err()
+	batchErr := resultErr(m.HoldBatch(nil, "wf-b", []proto.TaskMeta{second}, t0.Add(time.Minute))[0])
 	for _, err := range []error{holdErr, batchErr} {
 		if !errors.Is(err, ErrSlotBusy) {
 			t.Fatalf("err = %v, want ErrSlotBusy", err)

@@ -76,8 +76,8 @@ type Descriptor struct {
 	UserAction bool
 }
 
-// Validate checks the descriptor.
-func (d Descriptor) Validate() error {
+// validate checks the descriptor.
+func (d Descriptor) validate() error {
 	if d.Task == "" {
 		return fmt.Errorf("service has empty task ID")
 	}
@@ -121,7 +121,7 @@ func NewManager(clk clock.Clock) *Manager {
 // Register adds a service. Registering a second service for the same task
 // replaces the first (a device exposes one implementation per task).
 func (m *Manager) Register(reg Registration) error {
-	if err := reg.Descriptor.Validate(); err != nil {
+	if err := reg.Descriptor.validate(); err != nil {
 		return err
 	}
 	m.mu.Lock()

@@ -33,7 +33,7 @@ func TestDescriptorValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.desc.Validate()
+			err := tc.desc.validate()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Validate: %v", err)
@@ -229,7 +229,7 @@ func TestLocatedDescriptor(t *testing.T) {
 		Task: "onsite", Specialization: 0.5,
 		Location: space.Point{X: 1, Y: 2}, HasLocation: true,
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	m := NewManager(nil)

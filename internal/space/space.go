@@ -17,8 +17,8 @@ type Point struct {
 	X, Y float64
 }
 
-// Dist returns the Euclidean distance between two points, in meters.
-func Dist(a, b Point) float64 {
+// dist returns the Euclidean distance between two points, in meters.
+func dist(a, b Point) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
 	return math.Hypot(dx, dy)
 }
@@ -27,14 +27,14 @@ func Dist(a, b Point) float64 {
 func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
 // Near reports whether two points are within eps meters of each other.
-func Near(a, b Point, eps float64) bool { return Dist(a, b) <= eps }
+func Near(a, b Point, eps float64) bool { return dist(a, b) <= eps }
 
 // TravelTime returns the time needed to move between two points at the
 // given speed (meters/second). A non-positive speed means the traveler
 // cannot move: the result is 0 for identical points and a very large
 // duration otherwise.
 func TravelTime(from, to Point, speed float64) time.Duration {
-	d := Dist(from, to)
+	d := dist(from, to)
 	if d == 0 {
 		return 0
 	}
@@ -108,7 +108,7 @@ func (m *Mover) positionLocked(now time.Time) Point {
 	if m.origin == m.dest || !now.After(m.departure) {
 		return m.origin
 	}
-	total := Dist(m.origin, m.dest)
+	total := dist(m.origin, m.dest)
 	travelled := m.speed * now.Sub(m.departure).Seconds()
 	if travelled >= total {
 		return m.dest

@@ -8,11 +8,11 @@ import (
 )
 
 func TestDist(t *testing.T) {
-	if d := Dist(Point{0, 0}, Point{3, 4}); d != 5 {
-		t.Errorf("Dist = %v, want 5", d)
+	if d := dist(Point{0, 0}, Point{3, 4}); d != 5 {
+		t.Errorf("dist = %v, want 5", d)
 	}
-	if d := Dist(Point{1, 1}, Point{1, 1}); d != 0 {
-		t.Errorf("Dist same point = %v", d)
+	if d := dist(Point{1, 1}, Point{1, 1}); d != 0 {
+		t.Errorf("dist same point = %v", d)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestPropMoverNeverOvershoots(t *testing.T) {
 		m := NewMover(Point{0, 0}, 3)
 		m.Travel(start, dest)
 		p := m.Position(start.Add(time.Duration(secs) * time.Second))
-		return Dist(Point{0, 0}, p) <= Dist(Point{0, 0}, dest)+1e-6
+		return dist(Point{0, 0}, p) <= dist(Point{0, 0}, dest)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

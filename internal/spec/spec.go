@@ -84,8 +84,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// TriggerSet returns ι as a set.
-func (s Spec) TriggerSet() map[model.LabelID]struct{} {
+// triggerSet returns ι as a set.
+func (s Spec) triggerSet() map[model.LabelID]struct{} {
 	set := make(map[model.LabelID]struct{}, len(s.Triggers))
 	for _, t := range s.Triggers {
 		set[t] = struct{}{}
@@ -102,33 +102,13 @@ func (s Spec) GoalSet() map[model.LabelID]struct{} {
 	return set
 }
 
-// Evaluate applies the predicate S(in, out) = in ⊆ ι ∧ out = ω to an
-// inset/outset pair.
-func (s Spec) Evaluate(in, out []model.LabelID) bool {
-	triggers := s.TriggerSet()
-	for _, l := range in {
-		if _, ok := triggers[l]; !ok {
-			return false
-		}
-	}
-	if len(out) != len(s.Goals) {
-		return false
-	}
-	goals := s.GoalSet()
-	for _, l := range out {
-		if _, ok := goals[l]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Satisfies reports whether workflow w satisfies the specification: it
-// is Evaluate on w's inset and outset, read in place. The loops range over
+// Satisfies reports whether workflow w satisfies the specification: the
+// predicate S(in, out) = in ⊆ ι ∧ out = ω on w's inset and outset, read in
+// place. The loops range over
 // the sequences here, where they inline; a helper taking them as
 // arguments would allocate every loop body.
 func (s Spec) Satisfies(w *model.Workflow) bool {
-	triggers := s.TriggerSet()
+	triggers := s.triggerSet()
 	for l := range w.InSeq() {
 		if _, ok := triggers[l]; !ok {
 			return false

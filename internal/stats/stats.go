@@ -42,22 +42,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator), or 0
-// for samples with fewer than two observations.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
 	if len(s.xs) == 0 {
@@ -113,16 +97,6 @@ func (s *Sample) Percentiles(ps ...float64) []float64 {
 	return out
 }
 
-// P50 returns the median.
-func (s *Sample) P50() float64 { return s.Percentile(50) }
-
-// P99 returns the 99th percentile.
-func (s *Sample) P99() float64 { return s.Percentile(99) }
-
-// P999 returns the 99.9th percentile — the deep-tail quantile the
-// daemon's latency histograms report.
-func (s *Sample) P999() float64 { return s.Percentile(99.9) }
-
 // percentileSorted interpolates the p-th percentile of an ascending
 // slice (closest-ranks linear interpolation; callers guarantee
 // len(sorted) > 0).
@@ -166,16 +140,6 @@ func (s *Series) At(x int) *Sample {
 	return sm
 }
 
-// Xs returns the x values in increasing order.
-func (s *Series) Xs() []int {
-	xs := make([]int, 0, len(s.Points))
-	for x := range s.Points {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-	return xs
-}
-
 // Figure is a set of series sharing an x axis, like one of the paper's
 // result figures.
 type Figure struct {
@@ -190,13 +154,6 @@ type Figure struct {
 // NewFigure returns an empty figure with the paper's axis labels.
 func NewFigure(title string) *Figure {
 	return &Figure{Title: title, XLabel: "Path length", YLabel: "Seconds"}
-}
-
-// AddSeries appends a new named series and returns it.
-func (f *Figure) AddSeries(name string) *Series {
-	s := NewSeries(name)
-	f.Series = append(f.Series, s)
-	return s
 }
 
 // allXs returns the union of x values over all series, sorted.

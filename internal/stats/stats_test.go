@@ -11,7 +11,7 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sample should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -22,10 +22,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if m := s.Mean(); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
-	}
-	// Sample stddev of that classic set is sqrt(32/7).
-	if sd := s.StdDev(); math.Abs(sd-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("StdDev = %v", sd)
 	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
@@ -43,8 +39,8 @@ func TestSampleAddDuration(t *testing.T) {
 func TestSampleSingleObservation(t *testing.T) {
 	var s Sample
 	s.Add(3)
-	if s.StdDev() != 0 {
-		t.Errorf("StdDev of single obs = %v", s.StdDev())
+	if s.Mean() != 3 || s.Min() != 3 || s.Max() != 3 || s.Percentile(99.9) != 3 {
+		t.Errorf("single obs: mean %v, min %v, max %v, p99.9 %v", s.Mean(), s.Min(), s.Max(), s.Percentile(99.9))
 	}
 }
 
@@ -73,7 +69,7 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// TestPercentileHelpers pins the p50/p99/p999 helpers against known
+// TestPercentileHelpers pins p50, p99 and p999 against known
 // distributions: the uniform 1..100 grid (closest-rank interpolation has
 // closed-form answers), the uniform 0..999 grid (large enough that p999
 // falls strictly inside the tail), a constant sample, and insertion order
@@ -89,9 +85,9 @@ func TestPercentileHelpers(t *testing.T) {
 		got  float64
 		want float64
 	}{
-		{"P50", u.P50(), 0.50*99 + 1},    // 50.5
-		{"P99", u.P99(), 0.99*99 + 1},    // 99.01
-		{"P999", u.P999(), 0.999*99 + 1}, // 99.901
+		{"P50", u.Percentile(50), 0.50*99 + 1},     // 50.5
+		{"P99", u.Percentile(99), 0.99*99 + 1},     // 99.01
+		{"P999", u.Percentile(99.9), 0.999*99 + 1}, // 99.901
 	}
 	for _, c := range checks {
 		if math.Abs(c.got-c.want) > 1e-9 {
@@ -103,10 +99,10 @@ func TestPercentileHelpers(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		big.Add(float64(i))
 	}
-	if got, want := big.P999(), 0.999*999; math.Abs(got-want) > 1e-9 {
+	if got, want := big.Percentile(99.9), 0.999*999; math.Abs(got-want) > 1e-9 {
 		t.Errorf("uniform[0,999] P999 = %v, want %v", got, want)
 	}
-	if got, want := big.P50(), 0.5*999; math.Abs(got-want) > 1e-9 {
+	if got, want := big.Percentile(50), 0.5*999; math.Abs(got-want) > 1e-9 {
 		t.Errorf("uniform[0,999] P50 = %v, want %v", got, want)
 	}
 
@@ -114,7 +110,7 @@ func TestPercentileHelpers(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		flat.Add(42)
 	}
-	for _, p := range []float64{flat.P50(), flat.P99(), flat.P999()} {
+	for _, p := range flat.Percentiles(50, 99, 99.9) {
 		if p != 42 {
 			t.Errorf("constant sample percentile = %v, want 42", p)
 		}
@@ -122,14 +118,14 @@ func TestPercentileHelpers(t *testing.T) {
 }
 
 // TestPercentilesSingleSort pins the batch form against the one-at-a-time
-// helpers and checks argument-order preservation.
+// Percentile and checks argument-order preservation.
 func TestPercentilesSingleSort(t *testing.T) {
 	var s Sample
 	for _, x := range []float64{9, 1, 5, 3, 7, 2, 8, 4, 6, 10} {
 		s.Add(x)
 	}
 	got := s.Percentiles(99.9, 50, 99)
-	want := []float64{s.P999(), s.P50(), s.P99()}
+	want := []float64{s.Percentile(99.9), s.Percentile(50), s.Percentile(99)}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Errorf("Percentiles[%d] = %v, want %v", i, got[i], want[i])
@@ -148,9 +144,8 @@ func TestSeries(t *testing.T) {
 	s.At(4).Add(0.01)
 	s.At(2).Add(0.02)
 	s.At(4).Add(0.03)
-	xs := s.Xs()
-	if len(xs) != 2 || xs[0] != 2 || xs[1] != 4 {
-		t.Errorf("Xs = %v", xs)
+	if len(s.Points) != 2 || s.Points[2] == nil {
+		t.Errorf("points = %v", s.Points)
 	}
 	if n := s.At(4).N(); n != 2 {
 		t.Errorf("At(4).N = %d", n)
@@ -159,8 +154,8 @@ func TestSeries(t *testing.T) {
 
 func TestFigureTable(t *testing.T) {
 	f := NewFigure("Figure 4")
-	a := f.AddSeries("2 host")
-	b := f.AddSeries("15 host")
+	a, b := NewSeries("2 host"), NewSeries("15 host")
+	f.Series = append(f.Series, a, b)
 	a.At(2).Add(0.001)
 	a.At(4).Add(0.002)
 	b.At(2).Add(0.005)
@@ -179,7 +174,8 @@ func TestFigureTable(t *testing.T) {
 
 func TestFigureCSV(t *testing.T) {
 	f := NewFigure("Figure 5")
-	s := f.AddSeries("25 task")
+	s := NewSeries("25 task")
+	f.Series = append(f.Series, s)
 	s.At(2).Add(0.5)
 	s.At(3).Add(1.5)
 	var sb strings.Builder
@@ -210,8 +206,7 @@ func TestCSVEscape(t *testing.T) {
 	}
 }
 
-// TestPropMeanWithinBounds: the mean of any sample lies in [min, max], and
-// stddev is non-negative.
+// TestPropMeanWithinBounds: the mean of any sample lies in [min, max].
 func TestPropMeanWithinBounds(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -221,7 +216,7 @@ func TestPropMeanWithinBounds(t *testing.T) {
 			s.Add(rng.NormFloat64() * 100)
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9 && s.StdDev() >= 0
+		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

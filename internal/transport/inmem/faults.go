@@ -9,14 +9,14 @@ import (
 
 // Fault injection: the chaos side of the simulated medium. A crashed host
 // goes dark — frames to it drop, frames from it fail, and anything queued
-// for it is purged — until Restart clears the flag. What a crash does NOT
+// for it is purged — until a restart clears the flag. What a crash does NOT
 // do is preserve state: restoring schedule, bid, and execution state is
 // the community layer's concern (it has none to restore; that is the
 // point). Partitions and per-link loss stay available alongside, so a
 // fault schedule can mix all three against the virtual clock.
 
 // Crash marks a host dark. In-flight frames to it (its inbox, its delay
-// lines) are dropped, as is everything sent to or from it until Restart.
+// lines) are dropped, as is everything sent to or from it until a restart.
 // Crashing an unknown or already-crashed host is a no-op.
 func (n *Network) Crash(addr proto.Addr) {
 	n.mu.Lock()
@@ -41,11 +41,11 @@ func (n *Network) Crash(addr proto.Addr) {
 	}
 }
 
-// Restart brings a crashed host back. The endpoint keeps its address and
+// restart brings a crashed host back. The endpoint keeps its address and
 // handler; no lost frames are replayed (a crash is loss, not a
 // partition), but store-and-forward traffic buffered for partition
 // reasons flushes again once the host is both reachable and alive.
-func (n *Network) Restart(addr proto.Addr) {
+func (n *Network) restart(addr proto.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.crashed, addr)
@@ -55,13 +55,6 @@ func (n *Network) Restart(addr proto.Addr) {
 		ep.box.setDark(false)
 	}
 	n.flushStoredLocked()
-}
-
-// Crashed reports whether a host is currently dark.
-func (n *Network) Crashed(addr proto.Addr) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[addr]
 }
 
 // SetLinkLoss sets a uniform loss probability for one directed link,
@@ -81,7 +74,7 @@ type FaultKind string
 const (
 	// FaultCrash kills Host (Network.Crash).
 	FaultCrash FaultKind = "crash"
-	// FaultRestart revives Host (Network.Restart).
+	// FaultRestart revives Host.
 	FaultRestart FaultKind = "restart"
 	// FaultPartition splits the community into Groups (SetPartition).
 	FaultPartition FaultKind = "partition"
@@ -130,7 +123,7 @@ func (n *Network) applyFault(f Fault) {
 	case FaultCrash:
 		n.Crash(f.Host)
 	case FaultRestart:
-		n.Restart(f.Host)
+		n.restart(f.Host)
 	case FaultPartition:
 		n.SetPartition(f.Groups...)
 	case FaultHeal:

@@ -16,6 +16,13 @@ import (
 
 // --- crash/restart fault model (PR 6) ---
 
+// crashed reports whether a host is currently dark.
+func crashed(n *Network, addr proto.Addr) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.crashed[addr]
+}
+
 // TestCrashGoesDarkAndRestartHeals: frames to a crashed host drop (never
 // stored), its own sends fail loudly, and Restart restores plain delivery
 // without replaying anything.
@@ -32,7 +39,7 @@ func TestCrashGoesDarkAndRestartHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Crash("b")
-	if !n.Crashed("b") || n.Crashed("a") {
+	if !crashed(n, "b") || crashed(n, "a") {
 		t.Fatal("crash flag wrong")
 	}
 	if err := a.Send(context.Background(), "b", ping(1)); err != nil {
@@ -41,14 +48,14 @@ func TestCrashGoesDarkAndRestartHeals(t *testing.T) {
 	if err := b.Send(context.Background(), "a", ping(2)); err == nil {
 		t.Fatal("send from crashed host succeeded")
 	}
-	if got := n.Dropped(); got != 1 {
-		t.Fatalf("Dropped = %d, want 1 (the frame to the dark host)", got)
+	if got := n.Stats().FramesDropped; got != 1 {
+		t.Fatalf("FramesDropped = %d, want 1 (the frame to the dark host)", got)
 	}
 	if st := n.Stats(); st.FramesDropped != 1 {
 		t.Fatalf("FramesDropped = %d, want 1", st.FramesDropped)
 	}
-	n.Restart("b")
-	if n.Crashed("b") {
+	n.restart("b")
+	if crashed(n, "b") {
 		t.Fatal("restart did not clear the crash flag")
 	}
 	if err := a.Send(context.Background(), "b", ping(3)); err != nil {
@@ -97,7 +104,7 @@ func TestCrashPurgesQueuedInbox(t *testing.T) {
 	}
 	n.Crash("b")
 	close(release)
-	n.Restart("b")
+	n.restart("b")
 	if err := a.Send(context.Background(), "b", ping(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +112,8 @@ func TestCrashPurgesQueuedInbox(t *testing.T) {
 	if got[0].ReqID != 1 || got[1].ReqID != 5 {
 		t.Fatalf("delivered = %+v, want [1 5] (queued 2–4 purged by the crash)", got)
 	}
-	if n.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want the 3 purged envelopes", n.Dropped())
+	if n.Stats().FramesDropped != 3 {
+		t.Fatalf("FramesDropped = %d, want the 3 purged envelopes", n.Stats().FramesDropped)
 	}
 }
 
@@ -115,7 +122,7 @@ func TestCrashPurgesQueuedInbox(t *testing.T) {
 // the restarted host.
 func TestCrashDropsInFlightLatencyFrames(t *testing.T) {
 	sim := clock.NewSim(time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC))
-	n := NewNetwork(WithClock(sim), WithLinkModel(FixedLatency(time.Second)))
+	n := NewNetwork(WithClock(sim), WithLinkModel(fixedLatency(time.Second)))
 	defer n.Close()
 	col := newCollector()
 	if _, err := n.Endpoint("b", col.handler); err != nil {
@@ -129,7 +136,7 @@ func TestCrashDropsInFlightLatencyFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Crash("b")
-	n.Restart("b") // revived before the frame's due time — still lost (epoch moved)
+	n.restart("b") // revived before the frame's due time — still lost (epoch moved)
 	sim.Advance(2 * time.Second)
 	if err := a.Send(context.Background(), "b", ping(2)); err != nil {
 		t.Fatal(err)
@@ -139,8 +146,8 @@ func TestCrashDropsInFlightLatencyFrames(t *testing.T) {
 	if got[0].ReqID != 2 {
 		t.Fatalf("delivered = %+v, want only the post-restart frame", got)
 	}
-	if n.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want the in-flight frame", n.Dropped())
+	if n.Stats().FramesDropped != 1 {
+		t.Fatalf("FramesDropped = %d, want the in-flight frame", n.Stats().FramesDropped)
 	}
 }
 
@@ -297,14 +304,14 @@ func TestCrashRacingSenders(t *testing.T) {
 			break // the senders must be stopped before the test may end
 		}
 		flip()
-		n.Restart("b")
+		n.restart("b")
 	}
 	close(stop)
 	wg.Wait()
-	n.Restart("b")
-	for deadline := time.Now().Add(time.Second); n.Delivered()+n.Dropped() != n.Messages(); {
+	n.restart("b")
+	for deadline := time.Now().Add(time.Second); n.Delivered()+n.Stats().FramesDropped != n.Messages(); {
 		if time.Now().After(deadline) {
-			t.Fatalf("Messages = %d, Delivered + Dropped = %d + %d", n.Messages(), n.Delivered(), n.Dropped())
+			t.Fatalf("Messages = %d, Delivered + Dropped = %d + %d", n.Messages(), n.Delivered(), n.Stats().FramesDropped)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -340,7 +347,7 @@ func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 		{
 			name:   "crashed-recipient",
 			inject: func(n *Network) { n.Crash("b") },
-			heal:   func(n *Network) { n.Restart("b") },
+			heal:   func(n *Network) { n.restart("b") },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,8 +371,8 @@ func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 			if st := n.Stats(); st != want {
 				t.Fatalf("Stats = %+v, want %+v", st, want)
 			}
-			if n.Dropped() != 3 {
-				t.Fatalf("Dropped = %d, want 3, one per lost frame", n.Dropped())
+			if n.Stats().FramesDropped != 3 {
+				t.Fatalf("FramesDropped = %d, want 3, one per lost frame", n.Stats().FramesDropped)
 			}
 			// After healing, fresh frames arrive whole and in order.
 			tc.heal(n)
@@ -376,8 +383,8 @@ func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 					t.Fatalf("post-heal delivery = %+v, want [4 5 6]", got)
 				}
 			}
-			if st := n.Stats(); st.FramesDropped != 3 || n.Dropped() != 3 {
-				t.Fatalf("post-heal loss accounting moved: %+v dropped=%d", st, n.Dropped())
+			if st := n.Stats(); st.FramesDropped != 3 {
+				t.Fatalf("post-heal loss accounting moved: %+v", st)
 			}
 		})
 	}
@@ -406,7 +413,7 @@ func TestSeededLinkLossIsDeterministic(t *testing.T) {
 		}
 		// Drops are counted synchronously in the send path; the survivors
 		// are whatever was not dropped.
-		want := total - int(n.Dropped())
+		want := total - int(n.Stats().FramesDropped)
 		got := col.waitN(t, want, time.Second)
 		for _, env := range got {
 			delivered = append(delivered, env.ReqID)

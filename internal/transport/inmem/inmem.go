@@ -39,13 +39,6 @@ import (
 // network's lock held and its link's own random source; it must not block.
 type LinkModel func(from, to proto.Addr, size int, rng *rand.Rand) (latency time.Duration, drop bool)
 
-// FixedLatency returns a LinkModel with constant latency and no loss.
-func FixedLatency(d time.Duration) LinkModel {
-	return func(_, _ proto.Addr, _ int, _ *rand.Rand) (time.Duration, bool) {
-		return d, false
-	}
-}
-
 // Wireless models an 802.11-style shared medium: each message takes
 // base latency (MAC + propagation) plus its serialization time at the
 // given bandwidth, plus uniform jitter in [0, jitter).
@@ -119,7 +112,7 @@ type Network struct {
 	// links holds the per-directed-link state, created on first use.
 	links     map[linkKey]*linkState
 	partition map[proto.Addr]int
-	// crashed marks hosts that are dark (see Crash/Restart in faults.go);
+	// crashed marks hosts that are dark (see Crash and restart in faults.go);
 	// crashEpoch counts each host's crashes so frames in flight across a
 	// crash are severed even when the host restarts before their due time.
 	// Both are nil until first used.
@@ -136,10 +129,9 @@ type Network struct {
 
 	// wire is the accounting of every endpoint's sender, the frames the
 	// medium lost included; the medium adds what only it knows: envelopes
-	// handed to handlers and payload bytes carried.
+	// handed to handlers.
 	wire      transport.Counters
 	delivered atomic.Int64
-	bytes     atomic.Int64
 }
 
 // Stats is the network's round-trip and framing accounting — the shared
@@ -263,19 +255,10 @@ func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 // Delivered returns the number of envelopes handed to handlers.
 func (n *Network) Delivered() int64 { return n.delivered.Load() }
 
-// Dropped returns the number of envelopes lost (partition, loss model,
-// crash, missing/closed recipient, corrupt frame): Stats.FramesDropped, as
-// every frame carries one envelope.
-func (n *Network) Dropped() int64 { return n.wire.Stats().FramesDropped }
-
-// Bytes returns the total encoded payload bytes transmitted.
-func (n *Network) Bytes() int64 { return n.bytes.Load() }
-
 // ResetCounters zeroes the traffic counters (between evaluation runs).
 func (n *Network) ResetCounters() {
 	n.wire.Reset()
 	n.delivered.Store(0)
-	n.bytes.Store(0)
 }
 
 // Close tears down the network and all endpoints.
@@ -333,7 +316,6 @@ func (e *endpoint) put(_ context.Context, to proto.Addr, frame []byte) error {
 	box, held := n.routeLocked(e.addr, to, &d)
 	n.mu.Unlock()
 
-	n.bytes.Add(int64(len(*d.frame)))
 	if !held && (box == nil || !box.push(d)) {
 		n.wire.FrameDropped()
 	}
@@ -469,9 +451,6 @@ type endpoint struct {
 
 var _ transport.Endpoint = (*endpoint)(nil)
 
-// Addr implements transport.Endpoint.
-func (e *endpoint) Addr() proto.Addr { return e.addr }
-
 // Close implements transport.Endpoint.
 func (e *endpoint) Close() error {
 	e.net.mu.Lock()
@@ -498,7 +477,7 @@ func (e *endpoint) pump() {
 
 // mailbox is an unbounded FIFO queue; push never blocks, pop blocks until
 // an item arrives or the mailbox closes. A dark mailbox (its host has
-// crashed) refuses pushes until Restart lifts the flag: a sender decides
+// crashed) refuses pushes until a restart lifts the flag: a sender decides
 // under Network.mu but pushes after releasing it, and push and crash purge
 // serialize on the mailbox's own lock, so a frame routed just before a
 // Crash cannot slip into the crashed host's inbox after it.

@@ -60,6 +60,13 @@ func (c *collector) count() int {
 }
 
 // ping is a one-way envelope whose body decodes to no slice: a release.
+// fixedLatency is a LinkModel with constant latency and no loss.
+func fixedLatency(d time.Duration) LinkModel {
+	return func(_, _ proto.Addr, _ int, _ *rand.Rand) (time.Duration, bool) {
+		return d, false
+	}
+}
+
 func ping(n int) proto.Envelope {
 	return proto.Envelope{ReqID: uint64(n), Body: proto.Cancel{}}
 }
@@ -75,9 +82,6 @@ func TestBasicDelivery(t *testing.T) {
 	if _, err := net.Endpoint("b", col.handler); err != nil {
 		t.Fatal(err)
 	}
-	if a.Addr() != "a" {
-		t.Errorf("Addr = %q", a.Addr())
-	}
 	if err := a.Send(context.Background(), "b", ping(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +92,8 @@ func TestBasicDelivery(t *testing.T) {
 	if got[0].Body.Kind() != "cancel" {
 		t.Errorf("body kind = %q", got[0].Body.Kind())
 	}
-	if net.Messages() != 1 || net.Delivered() != 1 || net.Dropped() != 0 {
-		t.Errorf("counters = %d/%d/%d", net.Messages(), net.Delivered(), net.Dropped())
+	if net.Messages() != 1 || net.Delivered() != 1 || net.Stats().FramesDropped != 0 {
+		t.Errorf("counters = %d/%d/%d", net.Messages(), net.Delivered(), net.Stats().FramesDropped)
 	}
 }
 
@@ -116,7 +120,7 @@ func TestFIFOOrderPerLink(t *testing.T) {
 }
 
 func TestFIFOOrderWithLatency(t *testing.T) {
-	net := NewNetwork(WithLinkModel(FixedLatency(2 * time.Millisecond)))
+	net := NewNetwork(WithLinkModel(fixedLatency(2 * time.Millisecond)))
 	defer net.Close()
 	col := newCollector()
 	a, _ := net.Endpoint("a", func(proto.Envelope) {})
@@ -148,8 +152,8 @@ func TestUnknownRecipientSilentDrop(t *testing.T) {
 	if err := a.Send(context.Background(), "ghost", ping(1)); err != nil {
 		t.Fatalf("Send to unknown host errored: %v", err)
 	}
-	if net.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", net.Dropped())
+	if net.Stats().FramesDropped != 1 {
+		t.Errorf("FramesDropped = %d, want 1", net.Stats().FramesDropped)
 	}
 }
 
@@ -222,8 +226,8 @@ func TestLossyModel(t *testing.T) {
 	if col.count() != 0 {
 		t.Errorf("lossy model delivered %d messages", col.count())
 	}
-	if net.Dropped() != 10 {
-		t.Errorf("Dropped = %d, want 10", net.Dropped())
+	if net.Stats().FramesDropped != 10 {
+		t.Errorf("FramesDropped = %d, want 10", net.Stats().FramesDropped)
 	}
 }
 
@@ -326,7 +330,7 @@ func TestSendToHandlerAllocBound(t *testing.T) {
 // At the parent of this bound each wait made a timer and its channel.
 func TestDelayedFrameAllocBound(t *testing.T) {
 	sim := clock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	n := NewNetwork(WithClock(sim), WithLinkModel(FixedLatency(time.Millisecond)))
+	n := NewNetwork(WithClock(sim), WithLinkModel(fixedLatency(time.Millisecond)))
 	defer n.Close()
 	got := make(chan struct{})
 	if _, err := n.Endpoint("b", func(proto.Envelope) { got <- struct{}{} }); err != nil {
@@ -397,7 +401,7 @@ func TestEndpointClose(t *testing.T) {
 	if col.count() != 0 {
 		t.Error("closed endpoint received message")
 	}
-	if net.Dropped() == 0 {
+	if net.Stats().FramesDropped == 0 {
 		t.Error("drop not counted for closed endpoint")
 	}
 }
@@ -415,7 +419,7 @@ func TestResetCounters(t *testing.T) {
 	}
 	col.waitN(t, 1, time.Second)
 	net.ResetCounters()
-	if net.Messages() != 0 || net.Delivered() != 0 || net.Bytes() != 0 {
+	if net.Messages() != 0 || net.Delivered() != 0 {
 		t.Error("counters not reset")
 	}
 }
@@ -492,8 +496,8 @@ func TestStoreAndForwardAcrossPartition(t *testing.T) {
 	if col.count() != 0 {
 		t.Fatal("messages crossed an active partition")
 	}
-	if net.Dropped() != 0 {
-		t.Fatalf("Dropped = %d with store-and-forward", net.Dropped())
+	if net.Stats().FramesDropped != 0 {
+		t.Fatalf("FramesDropped = %d with store-and-forward", net.Stats().FramesDropped)
 	}
 	// Heal: buffered messages arrive, in order.
 	net.SetPartition()
@@ -513,8 +517,8 @@ func TestStoreAndForwardLateJoiner(t *testing.T) {
 	if err := a.Send(context.Background(), "b", ping(7)); err != nil {
 		t.Fatal(err)
 	}
-	if net.Dropped() != 0 {
-		t.Fatalf("Dropped = %d with store-and-forward", net.Dropped())
+	if net.Stats().FramesDropped != 0 {
+		t.Fatalf("FramesDropped = %d with store-and-forward", net.Stats().FramesDropped)
 	}
 	col := newCollector()
 	if _, err := net.Endpoint("b", col.handler); err != nil {
@@ -533,8 +537,8 @@ func TestStoreAndForwardDisabledByDefault(t *testing.T) {
 	if err := a.Send(context.Background(), "ghost", ping(1)); err != nil {
 		t.Fatal(err)
 	}
-	if net.Dropped() != 1 {
-		t.Errorf("Dropped = %d", net.Dropped())
+	if net.Stats().FramesDropped != 1 {
+		t.Errorf("FramesDropped = %d", net.Stats().FramesDropped)
 	}
 }
 

@@ -105,9 +105,6 @@ func (t *Transport) SetRegistry(reg map[proto.Addr]string) {
 	}
 }
 
-// Addr implements transport.Endpoint.
-func (t *Transport) Addr() proto.Addr { return t.addr }
-
 // write is the transport.Link: it fills in the length prefix and writes
 // the frame to the peer's connection in one call, by the deadline.
 // Concurrent senders share the connection's one deadline, so a Write waits

@@ -77,9 +77,6 @@ func pair(t *testing.T) (*Transport, *Transport, *collector, *collector) {
 
 func TestRoundTrip(t *testing.T) {
 	ta, tb, colA, colB := pair(t)
-	if ta.Addr() != "a" || tb.Addr() != "b" {
-		t.Fatal("bad addrs")
-	}
 	if err := ta.Send(context.Background(), "b", ping(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,6 @@ func (s *Stats) Add(o Stats) {
 
 // Endpoint is one host's attachment to the network.
 type Endpoint interface {
-	// Addr returns this endpoint's address.
-	Addr() proto.Addr
 	// Send transmits an envelope to another host. Delivery is
 	// asynchronous; like a wireless medium, Send does not report
 	// whether the recipient received the message (a partitioned or

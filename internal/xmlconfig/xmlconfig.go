@@ -105,15 +105,15 @@ func LoadFile(path string) (*Deployment, error) {
 		return nil, fmt.Errorf("xmlconfig: %w", err)
 	}
 	defer f.Close()
-	d, err := Load(f)
+	d, err := load(f)
 	if err != nil {
 		return nil, fmt.Errorf("xmlconfig: %s: %w", path, err)
 	}
 	return d, nil
 }
 
-// Load parses a deployment from a reader.
-func Load(r io.Reader) (*Deployment, error) {
+// load parses a deployment from a reader.
+func load(r io.Reader) (*Deployment, error) {
 	var doc xmlCommunity
 	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("parsing: %w", err)

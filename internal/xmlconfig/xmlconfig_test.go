@@ -41,7 +41,7 @@ const sample = `<?xml version="1.0"?>
 </community>`
 
 func TestLoadSample(t *testing.T) {
-	dep, err := Load(strings.NewReader(sample))
+	dep, err := load(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLoadErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Load(strings.NewReader(tc.xml))
+			_, err := load(strings.NewReader(tc.xml))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want %q", err, tc.wantErr)
 			}

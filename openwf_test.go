@@ -285,7 +285,7 @@ func TestFacadeOptions(t *testing.T) {
 				cutOff(t, com)
 				for deadline := time.Now().Add(5 * time.Second); com.Network().Delivered() != 1; {
 					if time.Now().After(deadline) {
-						t.Fatalf("message sent across the partition not delivered after it healed (dropped %d)", com.Network().Dropped())
+						t.Fatalf("message sent across the partition not delivered after it healed (dropped %d)", com.Network().Stats().FramesDropped)
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -295,8 +295,8 @@ func TestFacadeOptions(t *testing.T) {
 				}
 				defer plain.Close()
 				cutOff(t, plain)
-				if plain.Network().Dropped() != 1 {
-					t.Errorf("without the option the partition dropped %d messages, want 1", plain.Network().Dropped())
+				if plain.Network().Stats().FramesDropped != 1 {
+					t.Errorf("without the option the partition dropped %d messages, want 1", plain.Network().Stats().FramesDropped)
 				}
 			}},
 	} {
