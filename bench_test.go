@@ -33,7 +33,7 @@ import (
 // knowhow (evalgen.RunExperiment does the same between measurements).
 func benchPoint(b *testing.B, cfg evalgen.ExperimentConfig, length int) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Community.Seed))
 	sc, err := evalgen.Generate(cfg.Tasks, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -75,7 +75,7 @@ func BenchmarkFigure4(b *testing.B) {
 		for _, length := range []int{4, 8, 12} {
 			b.Run(fmt.Sprintf("hosts=%d/pathlen=%d", hosts, length), func(b *testing.B) {
 				benchPoint(b, evalgen.ExperimentConfig{
-					Tasks: 100, Hosts: hosts, Seed: 1,
+					Tasks: 100, Hosts: hosts, Community: community.Options{Seed: 1},
 				}, length)
 			})
 		}
@@ -89,7 +89,7 @@ func BenchmarkFigure5(b *testing.B) {
 		for _, length := range []int{4, 8} {
 			b.Run(fmt.Sprintf("tasks=%d/pathlen=%d", tasks, length), func(b *testing.B) {
 				benchPoint(b, evalgen.ExperimentConfig{
-					Tasks: tasks, Hosts: 2, Seed: 1,
+					Tasks: tasks, Hosts: 2, Community: community.Options{Seed: 1},
 				}, length)
 			})
 		}
@@ -105,8 +105,8 @@ func BenchmarkFigure6(b *testing.B) {
 		for _, length := range []int{4, 8} {
 			b.Run(fmt.Sprintf("tasks=%d/pathlen=%d", tasks, length), func(b *testing.B) {
 				benchPoint(b, evalgen.ExperimentConfig{
-					Tasks: tasks, Hosts: 4, Seed: 1,
-					LinkModel: evalgen.Wireless80211g(),
+					Tasks: tasks, Hosts: 4,
+					Community: community.Options{Seed: 1, LinkModel: evalgen.Wireless80211g()},
 				}, length)
 			})
 		}
@@ -119,8 +119,8 @@ func BenchmarkFigure6TCP(b *testing.B) {
 	for _, tasks := range []int{25, 100} {
 		b.Run(fmt.Sprintf("tasks=%d/pathlen=4", tasks), func(b *testing.B) {
 			benchPoint(b, evalgen.ExperimentConfig{
-				Tasks: tasks, Hosts: 4, Seed: 1,
-				Transport: community.TCP,
+				Tasks: tasks, Hosts: 4,
+				Community: community.Options{Seed: 1, Transport: community.TCP},
 			}, 4)
 		})
 	}
@@ -141,7 +141,7 @@ func BenchmarkAblationCollection(b *testing.B) {
 			engCfg := evalgen.EvalEngineConfig()
 			engCfg.Incremental = incremental
 			benchPoint(b, evalgen.ExperimentConfig{
-				Tasks: 250, Hosts: 5, Seed: 1, Engine: &engCfg,
+				Tasks: 250, Hosts: 5, Community: community.Options{Seed: 1, Engine: &engCfg},
 			}, 8)
 		})
 	}
@@ -159,7 +159,7 @@ func BenchmarkAblationFeasibility(b *testing.B) {
 			engCfg := evalgen.EvalEngineConfig()
 			engCfg.Feasibility = feasibility
 			benchPoint(b, evalgen.ExperimentConfig{
-				Tasks: 100, Hosts: 5, Seed: 1, Engine: &engCfg,
+				Tasks: 100, Hosts: 5, Community: community.Options{Seed: 1, Engine: &engCfg},
 			}, 8)
 		})
 	}
@@ -179,8 +179,8 @@ func BenchmarkAblationQueryPattern(b *testing.B) {
 			engCfg := evalgen.EvalEngineConfig()
 			engCfg.ParallelQuery = parallel
 			benchPoint(b, evalgen.ExperimentConfig{
-				Tasks: 100, Hosts: 10, Seed: 1, Engine: &engCfg,
-				LinkModel: evalgen.Wireless80211g(),
+				Tasks: 100, Hosts: 10,
+				Community: community.Options{Seed: 1, LinkModel: evalgen.Wireless80211g(), Engine: &engCfg},
 			}, 8)
 		})
 	}
@@ -193,8 +193,8 @@ func BenchmarkAblationQueryPattern(b *testing.B) {
 func BenchmarkBaselineStaticWorkflow(b *testing.B) {
 	for _, hosts := range []int{2, 5, 15} {
 		b.Run(fmt.Sprintf("hosts=%d/pathlen=8", hosts), func(b *testing.B) {
-			cfg := evalgen.ExperimentConfig{Tasks: 100, Hosts: hosts, Seed: 1}
-			rng := rand.New(rand.NewSource(cfg.Seed))
+			cfg := evalgen.ExperimentConfig{Tasks: 100, Hosts: hosts, Community: community.Options{Seed: 1}}
+			rng := rand.New(rand.NewSource(cfg.Community.Seed))
 			sc, err := evalgen.Generate(cfg.Tasks, rng)
 			if err != nil {
 				b.Fatal(err)

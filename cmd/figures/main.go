@@ -79,7 +79,7 @@ func figure4(cfg sweepConfig) error {
 			Hosts:       hosts,
 			PathLengths: lengths(2, 22, 2),
 			Runs:        cfg.runs,
-			Seed:        cfg.seed,
+			Community:   community.Options{Seed: cfg.seed},
 		}, name)
 		if err != nil {
 			return err
@@ -102,7 +102,7 @@ func figure5(cfg sweepConfig) error {
 			Hosts:       2,
 			PathLengths: lengths(2, 14, 2),
 			Runs:        cfg.runs,
-			Seed:        cfg.seed,
+			Community:   community.Options{Seed: cfg.seed},
 		}, name)
 		if err != nil {
 			return err
@@ -126,13 +126,13 @@ func figure6(cfg sweepConfig, transport string) error {
 			Hosts:       4,
 			PathLengths: lengths(2, 20, 2),
 			Runs:        cfg.runs,
-			Seed:        cfg.seed,
+			Community:   community.Options{Seed: cfg.seed},
 		}
 		switch transport {
 		case "inmem":
-			expCfg.LinkModel = evalgen.Wireless80211g()
+			expCfg.Community.LinkModel = evalgen.Wireless80211g()
 		case "tcp":
-			expCfg.Transport = community.TCP
+			expCfg.Community.Transport = community.TCP
 		default:
 			return fmt.Errorf("unknown transport %q", transport)
 		}

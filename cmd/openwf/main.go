@@ -23,7 +23,6 @@ import (
 	"openwf/internal/engine"
 	"openwf/internal/model"
 	"openwf/internal/proto"
-	"openwf/internal/spec"
 	"openwf/internal/trace"
 	"openwf/internal/xmlconfig"
 )
@@ -60,7 +59,7 @@ func run() error {
 		return err
 	}
 
-	s, err := resolveSpec(dep, *problem, *triggers, *goals)
+	s, err := dep.Spec(*problem, splitList(*triggers), splitList(*goals))
 	if err != nil {
 		return err
 	}
@@ -134,33 +133,17 @@ func run() error {
 	if len(report.Failures) > 0 {
 		return fmt.Errorf("task failures: %s", strings.Join(report.Failures, "; "))
 	}
+	if !report.Completed {
+		return fmt.Errorf("workflow did not complete within %v", *timeout)
+	}
 	return nil
 }
 
-func resolveSpec(dep *xmlconfig.Deployment, problem, triggers, goals string) (spec.Spec, error) {
-	if problem != "" {
-		for _, p := range dep.Problems {
-			if p.Name == problem {
-				return p.Spec, nil
-			}
-		}
-		return spec.Spec{}, fmt.Errorf("no problem %q in configuration", problem)
-	}
-	if triggers == "" || goals == "" {
-		if len(dep.Problems) == 1 {
-			return dep.Problems[0].Spec, nil
-		}
-		return spec.Spec{}, fmt.Errorf("specify -problem or both -triggers and -goals")
-	}
-	return spec.New(splitLabels(triggers), splitLabels(goals))
-}
-
-func splitLabels(s string) []model.LabelID {
-	parts := strings.Split(s, ",")
-	out := make([]model.LabelID, 0, len(parts))
-	for _, p := range parts {
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
 		if trimmed := strings.TrimSpace(p); trimmed != "" {
-			out = append(out, model.LabelID(trimmed))
+			out = append(out, trimmed)
 		}
 	}
 	return out

@@ -40,7 +40,6 @@ import (
 	"openwf/internal/engine"
 	"openwf/internal/model"
 	"openwf/internal/proto"
-	"openwf/internal/spec"
 	"openwf/internal/xmlconfig"
 )
 
@@ -169,7 +168,8 @@ func run() error {
 }
 
 // submitRequest is the POST /submit body. Either name a configured
-// <problem>, or give triggers and goals directly.
+// <problem>, or give triggers and goals directly; a body with neither poses
+// the deployment's only problem (xmlconfig.Deployment.Spec).
 type submitRequest struct {
 	Problem  string   `json:"problem,omitempty"`
 	Triggers []string `json:"triggers,omitempty"`
@@ -193,7 +193,7 @@ func handleSubmit(srv *daemon.Server, dep *xmlconfig.Deployment, w http.Response
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	s, err := resolveSpec(dep, body)
+	s, err := dep.Spec(body.Problem, body.Triggers, body.Goals)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -237,29 +237,6 @@ func handleSubmit(srv *daemon.Server, dep *xmlconfig.Deployment, w http.Response
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func resolveSpec(dep *xmlconfig.Deployment, body submitRequest) (spec.Spec, error) {
-	if body.Problem != "" {
-		for _, p := range dep.Problems {
-			if p.Name == body.Problem {
-				return p.Spec, nil
-			}
-		}
-		return spec.Spec{}, fmt.Errorf("no problem %q in configuration", body.Problem)
-	}
-	if len(body.Triggers) == 0 || len(body.Goals) == 0 {
-		return spec.Spec{}, fmt.Errorf("need problem, or triggers and goals")
-	}
-	return spec.New(toLabels(body.Triggers), toLabels(body.Goals))
-}
-
-func toLabels(ss []string) []model.LabelID {
-	out := make([]model.LabelID, len(ss))
-	for i, s := range ss {
-		out[i] = model.LabelID(s)
-	}
-	return out
 }
 
 func parseClass(s string) (backlog.Class, error) {

@@ -131,7 +131,7 @@ func runScenario(title string, chefPresent, waitersPresent bool, execute bool) {
 	cfg := openwf.DefaultEngineConfig()
 	cfg.StartDelay = 200 * time.Millisecond
 	cfg.TaskWindow = 50 * time.Millisecond
-	com, err := openwf.NewCommunity(hosts, openwf.WithEngineConfig(cfg))
+	com, err := openwf.NewCommunity(hosts, openwf.Options{Engine: &cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -165,6 +165,9 @@ func runScenario(title string, chefPresent, waitersPresent bool, execute bool) {
 	}
 	fmt.Printf("meals ready: %v (%d activities performed in %v)\n",
 		report.Completed, report.TasksDone, report.Elapsed.Round(time.Millisecond))
+	if !report.Completed {
+		log.Fatalf("meals not ready: %v", report.Failures)
+	}
 }
 
 func main() {

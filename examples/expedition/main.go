@@ -99,8 +99,8 @@ func main() {
 	cfg.TaskWindow = 40 * time.Millisecond
 	com, err := openwf.NewCommunity(
 		[]openwf.HostSpec{leader, geologist, technician, radio},
-		openwf.WithEngineConfig(cfg),
-		openwf.WithStoreAndForward(), // the camp's radios buffer across outages
+		// The camp's radios buffer across outages.
+		openwf.Options{Engine: &cfg, StoreAndForward: true},
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -146,6 +146,9 @@ func main() {
 	}
 	fmt.Printf("  completed: %v in %v (%d tasks)\n\n",
 		report1.Completed, report1.Elapsed.Round(time.Millisecond), report1.TasksDone)
+	if !report1.Completed {
+		log.Fatalf("survey not completed: %v", report1.Failures)
+	}
 
 	// Problem 2: while the science plan wraps up, the antenna breaks.
 	// Only the technician can fix it; the engine finds a window that
@@ -163,4 +166,7 @@ func main() {
 	fmt.Printf("  completed: %v in %v — %q repaired by %s\n",
 		report2.Completed, report2.Elapsed.Round(time.Millisecond),
 		"antenna", plan2.Allocations["repair antenna"])
+	if !report2.Completed {
+		log.Fatalf("repair not completed: %v", report2.Failures)
+	}
 }

@@ -58,7 +58,7 @@ func main() {
 					}),
 			},
 		},
-	}, openwf.WithEngineConfig(engineConfig()))
+	}, openwf.Options{Engine: engineConfig()})
 	if err != nil {
 		log.Fatalf("building community: %v", err)
 	}
@@ -93,12 +93,15 @@ func main() {
 	}
 	fmt.Printf("completed: %v (%d tasks, %v)\n",
 		report.Completed, report.TasksDone, report.Elapsed.Round(time.Millisecond))
+	if !report.Completed {
+		log.Fatalf("workflow not completed: %v", report.Failures)
+	}
 	fmt.Printf("goal %q = %s\n", "report filed", report.Goals["report filed"])
 }
 
-func engineConfig() openwf.EngineConfig {
+func engineConfig() *openwf.EngineConfig {
 	cfg := openwf.DefaultEngineConfig()
 	cfg.StartDelay = 200 * time.Millisecond
 	cfg.TaskWindow = 50 * time.Millisecond
-	return cfg
+	return &cfg
 }

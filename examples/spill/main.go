@@ -110,7 +110,7 @@ func main() {
 	cfg.TaskWindow = 3 * time.Second
 	com, err := openwf.NewCommunity(
 		[]openwf.HostSpec{worker, supervisor, chiefEngineer, hazmatCrew},
-		openwf.WithEngineConfig(cfg))
+		openwf.Options{Engine: &cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,4 +161,7 @@ func main() {
 	}
 	fmt.Printf("spill contained: %v (%d tasks in %v)\n",
 		report.Completed, report.TasksDone, report.Elapsed.Round(time.Millisecond))
+	if !report.Completed {
+		log.Fatalf("spill not contained: %v", report.Failures)
+	}
 }

@@ -516,7 +516,7 @@ func TestParticipantLocatedServiceImposesLocation(t *testing.T) {
 	p, _, _ := participant(schedule.Preferences{}, service.Registration{
 		Descriptor: service.Descriptor{
 			Task: "t", Specialization: 0.5,
-			Location: space.Point{X: 3, Y: 4}, HasLocation: true,
+			Location: &space.Point{X: 3, Y: 4},
 		},
 	})
 	// Static host at origin cannot travel: the located service makes

@@ -153,18 +153,15 @@ func (p *Participant) hold(workflow string, meta proto.TaskMeta, deadline time.T
 // locate checks meta against the host's services: a task it offers none
 // for drops the hold an earlier call of the workflow took on it and is
 // not ok; a service pinned to a location imposes it on the commitment when
-// the task itself does not require one. Only that imposed location is
-// allocated: the point is a copy made in its branch, so desc does not
-// escape for a task that takes none.
+// the task itself does not require one, sharing the descriptor's point.
 func (p *Participant) locate(workflow string, meta proto.TaskMeta) (proto.TaskMeta, bool) {
 	desc, ok := p.services.CanPerform(meta.Task)
 	if !ok {
 		p.sched.Release(workflow, meta.Task)
 		return meta, false
 	}
-	if meta.Location == nil && desc.HasLocation {
-		at := desc.Location
-		meta.Location = &at
+	if meta.Location == nil {
+		meta.Location = desc.Location
 	}
 	return meta, true
 }

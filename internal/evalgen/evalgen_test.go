@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"openwf/internal/community"
 	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/testutil"
@@ -250,7 +251,7 @@ func TestRunExperimentSmoke(t *testing.T) {
 		Hosts:       3,
 		PathLengths: []int{2, 4},
 		Runs:        3,
-		Seed:        99,
+		Community:   community.Options{Seed: 99},
 	}, "3 host")
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +281,8 @@ func TestRunExperimentSmoke(t *testing.T) {
 // cost 83 round trips on this community, the second 30, later ones 14.)
 func TestMeasurementsAreIndependent(t *testing.T) {
 	const length = 8
-	cfg := ExperimentConfig{Tasks: 100, Hosts: 10, Seed: 1}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	cfg := ExperimentConfig{Tasks: 100, Hosts: 10, Community: community.Options{Seed: 1}}
+	rng := rand.New(rand.NewSource(cfg.Community.Seed))
 	sc, err := Generate(cfg.Tasks, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +323,7 @@ func TestRunExperimentSkipsImpossibleLengths(t *testing.T) {
 		Hosts:       2,
 		PathLengths: []int{2, 40}, // 40 exceeds any 10-node graph's diameter
 		Runs:        2,
-		Seed:        7,
+		Community:   community.Options{Seed: 7},
 	}, "2 host")
 	if err != nil {
 		t.Fatal(err)

@@ -28,15 +28,11 @@ type ExperimentConfig struct {
 	PathLengths []int
 	// Runs is the number of measurements per path length.
 	Runs int
-	// Seed makes the experiment reproducible.
-	Seed int64
-	// Transport selects the substrate (default in-memory).
-	Transport community.Transport
-	// LinkModel adds a latency model to the in-memory network (e.g. the
-	// 802.11g model for the empirical configuration).
-	LinkModel inmem.LinkModel
-	// Engine overrides the per-host engine configuration.
-	Engine *engine.Config
+	// Community configures the community as community.New takes it. Its
+	// Seed also seeds the scenario and the specification draws, so it
+	// makes the experiment reproducible; a nil Engine selects
+	// EvalEngineConfig.
+	Community community.Options
 }
 
 // EvalEngineConfig is the engine configuration used by the evaluation
@@ -73,7 +69,7 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string)
 	if cfg.Tasks < 2 || cfg.Hosts < 1 || cfg.Runs < 1 {
 		return nil, fmt.Errorf("evalgen: invalid experiment config %+v", cfg)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Community.Seed))
 	sc, err := Generate(cfg.Tasks, rng)
 	if err != nil {
 		return nil, err
@@ -184,9 +180,10 @@ func buildReplicatedCommunity(sc *Scenario, cfg ExperimentConfig, rng *rand.Rand
 // build starts the community of cfg in which host i holds frags[i] and
 // offers svcs[i].
 func build(cfg ExperimentConfig, frags [][]*model.Fragment, svcs [][]service.Registration) (*community.Community, []proto.Addr, error) {
-	engCfg := EvalEngineConfig()
-	if cfg.Engine != nil {
-		engCfg = *cfg.Engine
+	opts := cfg.Community
+	if opts.Engine == nil {
+		engCfg := EvalEngineConfig()
+		opts.Engine = &engCfg
 	}
 	specs := make([]community.HostSpec, cfg.Hosts)
 	addrs := make([]proto.Addr, cfg.Hosts)
@@ -194,12 +191,7 @@ func build(cfg ExperimentConfig, frags [][]*model.Fragment, svcs [][]service.Reg
 		addrs[i] = proto.Addr(fmt.Sprintf("host%02d", i))
 		specs[i] = community.HostSpec{ID: addrs[i], Fragments: frags[i], Services: svcs[i]}
 	}
-	comm, err := community.New(community.Options{
-		Transport: cfg.Transport,
-		LinkModel: cfg.LinkModel,
-		Seed:      cfg.Seed,
-		Engine:    &engCfg,
-	}, specs...)
+	comm, err := community.New(opts, specs...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,9 +216,8 @@ func ConcurrentInitiateSetup(hosts, poolSize int) (*community.Community, []proto
 		return nil, nil, nil, err
 	}
 	comm, addrs, err := buildReplicatedCommunity(sc, ExperimentConfig{
-		Tasks: 100, Hosts: hosts, Seed: 1,
-		LinkModel: Wireless80211g(),
-		Engine:    &engCfg,
+		Tasks: 100, Hosts: hosts,
+		Community: community.Options{Seed: 1, LinkModel: Wireless80211g(), Engine: &engCfg},
 	}, rng)
 	if err != nil {
 		return nil, nil, nil, err

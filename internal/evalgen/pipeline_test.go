@@ -34,7 +34,7 @@ func TestPropPipelineOnRandomScenarios(t *testing.T) {
 		}
 		engCfg := EvalEngineConfig()
 		comm, addrs, err := BuildCommunity(sc, ExperimentConfig{
-			Tasks: tasks, Hosts: hosts, Seed: seed, Engine: &engCfg,
+			Tasks: tasks, Hosts: hosts, Community: community.Options{Seed: seed, Engine: &engCfg},
 		}, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -66,10 +66,10 @@ type Descriptor struct {
 	Specialization float64
 	// Duration is how long the service takes to perform.
 	Duration time.Duration
-	// Location, when HasLocation, is where the service must be
-	// performed (a kitchen, a spill site).
-	Location    space.Point
-	HasLocation bool
+	// Location is where the service must be performed (a kitchen, a
+	// spill site), nil for anywhere. Like proto.TaskMeta.Location it is
+	// shared, not copied: replace the point, never write through it.
+	Location *space.Point
 	// UserAction marks a service performed by the human participant
 	// (the paper's form/button services); the simulator completes it
 	// after Duration without a Func.

@@ -227,7 +227,7 @@ func TestInvokeDurationUsesClock(t *testing.T) {
 func TestLocatedDescriptor(t *testing.T) {
 	d := Descriptor{
 		Task: "onsite", Specialization: 0.5,
-		Location: space.Point{X: 1, Y: 2}, HasLocation: true,
+		Location: &space.Point{X: 1, Y: 2},
 	}
 	if err := d.validate(); err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestLocatedDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := m.CanPerform("onsite")
-	if !ok || !got.HasLocation || got.Location != (space.Point{X: 1, Y: 2}) {
+	if !ok || got.Location == nil || *got.Location != (space.Point{X: 1, Y: 2}) {
 		t.Errorf("CanPerform = %+v", got)
 	}
 }

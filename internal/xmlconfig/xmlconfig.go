@@ -98,6 +98,27 @@ type Problem struct {
 	Spec spec.Spec
 }
 
+// Spec resolves the problem a request poses: the named <problem> when
+// problem is set, else the specification of triggers and goals, else the
+// deployment's only problem when it has exactly one.
+func (d *Deployment) Spec(problem string, triggers, goals []string) (spec.Spec, error) {
+	if problem != "" {
+		for _, p := range d.Problems {
+			if p.Name == problem {
+				return p.Spec, nil
+			}
+		}
+		return spec.Spec{}, fmt.Errorf("no problem %q in configuration", problem)
+	}
+	if len(triggers) > 0 && len(goals) > 0 {
+		return spec.New(toLabels(triggers), toLabels(goals))
+	}
+	if len(d.Problems) == 1 {
+		return d.Problems[0].Spec, nil
+	}
+	return spec.Spec{}, fmt.Errorf("name a problem, or give both triggers and goals")
+}
+
 // LoadFile parses a deployment from an XML file.
 func LoadFile(path string) (*Deployment, error) {
 	f, err := os.Open(path)
@@ -187,8 +208,7 @@ func convertHost(xh xmlHost) (community.HostSpec, error) {
 			desc.Duration = d
 		}
 		if xs.Located {
-			desc.Location = space.Point{X: xs.X, Y: xs.Y}
-			desc.HasLocation = true
+			desc.Location = &space.Point{X: xs.X, Y: xs.Y}
 		}
 		hs.Services = append(hs.Services, service.Registration{Descriptor: desc})
 	}

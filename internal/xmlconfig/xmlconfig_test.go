@@ -77,7 +77,7 @@ func TestLoadSample(t *testing.T) {
 		t.Errorf("cook service = %+v", cook)
 	}
 	s1 := chef.Services[1].Descriptor
-	if !s1.HasLocation || s1.Location.X != 3 || s1.Location.Y != 4 {
+	if s1.Location == nil || s1.Location.X != 3 || s1.Location.Y != 4 {
 		t.Errorf("s1 service = %+v", s1)
 	}
 	if len(dep.Problems) != 1 || dep.Problems[0].Name != "meals" {
@@ -148,5 +148,48 @@ func TestShippedCateringConfig(t *testing.T) {
 	}
 	if len(dep.Problems) != 2 {
 		t.Errorf("problems = %d", len(dep.Problems))
+	}
+}
+
+func TestDeploymentSpec(t *testing.T) {
+	one, err := load(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := &Deployment{Problems: append(one.Problems, Problem{Name: "other", Spec: one.Problems[0].Spec})}
+	none := &Deployment{}
+	cases := []struct {
+		name            string
+		dep             *Deployment
+		problem         string
+		triggers, goals []string
+		want, wantErr   string
+	}{
+		{"named", two, "meals", nil, nil, "breakfast served", ""},
+		{"named wins over labels", one, "meals", []string{"x"}, []string{"y"}, "breakfast served", ""},
+		{"unknown name", one, "nope", nil, nil, "", `no problem "nope"`},
+		{"labels", two, "", []string{"a", "b"}, []string{"posed goal"}, "posed goal", ""},
+		{"only problem", one, "", nil, nil, "breakfast served", ""},
+		{"only problem, goals missing", one, "", []string{"a"}, nil, "breakfast served", ""},
+		{"no problems", none, "", nil, nil, "", "name a problem"},
+		{"several problems", two, "", []string{"a"}, nil, "", "name a problem"},
+		{"invalid labels", none, "", []string{"a"}, []string{"a"}, "", "both trigger and goal"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.dep.Spec(tc.problem, tc.triggers, tc.goals)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.String(); !strings.Contains(got, tc.want) {
+				t.Errorf("spec = %s, want it to name %q", got, tc.want)
+			}
+		})
 	}
 }

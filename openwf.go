@@ -35,7 +35,7 @@
 //	                Outputs: []openwf.LabelID{"done"}})},
 //	        Services: []openwf.ServiceRegistration{openwf.SimpleService("do it")},
 //	    },
-//	})
+//	}, openwf.Options{})
 //	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 //	defer cancel()
 //	plan, err := com.Initiate(ctx, "requester", openwf.MustSpec(
@@ -113,14 +113,20 @@ type (
 	Addr = proto.Addr
 	// Community is a running set of participant hosts.
 	Community = community.Community
+	// Options configure NewCommunity: the transport, the link model and
+	// its seed, store-and-forward delivery and the engine configuration
+	// (nil selects DefaultEngineConfig). Clock, Trace and Discovery have
+	// internal types, so only code inside this module can set them.
+	Options = community.Options
 	// HostSpec describes one participant device.
 	HostSpec = community.HostSpec
 	// Transport selects the communications substrate.
 	Transport = community.Transport
 	// EngineConfig tunes the workflow engine.
 	EngineConfig = engine.Config
-	// Observer receives construction and auction events (see
-	// WithObserver). All fields are optional.
+	// Observer receives construction and auction events when set as an
+	// EngineConfig's Observer. All fields are optional; callbacks must be
+	// fast, non-blocking, and safe for concurrent use.
 	Observer = engine.Observer
 	// Plan is a constructed and fully allocated workflow.
 	Plan = engine.Plan
@@ -185,78 +191,9 @@ func MustSpec(triggers, goals []LabelID) Spec {
 	return spec.Must(triggers, goals)
 }
 
-// Option configures NewCommunity.
-type Option func(*settings)
-
-// settings accumulates the facade's functional options.
-type settings struct {
-	comm        community.Options
-	engine      engine.Config
-	engineSet   bool
-	observer    Observer
-	observerSet bool
-}
-
-// engineConfig resolves the effective engine configuration: the
-// configured one (or the default), with the observer wired in.
-func (s *settings) engineConfig() engine.Config {
-	cfg := s.engine
-	if !s.engineSet {
-		cfg = engine.DefaultConfig()
-	}
-	if s.observerSet {
-		cfg.Observer = s.observer
-	}
-	return cfg
-}
-
-func apply(opts []Option) *settings {
-	s := &settings{}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
-}
-
-// WithTransport selects the communications substrate (default InMem).
-func WithTransport(t Transport) Option {
-	return func(s *settings) { s.comm.Transport = t }
-}
-
-// WithEngineConfig sets every host's workflow-engine configuration.
-func WithEngineConfig(cfg EngineConfig) Option {
-	return func(s *settings) { s.engine, s.engineSet = cfg, true }
-}
-
-// WithLinkModel shapes the simulated network's latency and loss
-// (in-memory transport only).
-func WithLinkModel(m LinkModel) Option {
-	return func(s *settings) { s.comm.LinkModel = m }
-}
-
-// WithObserver registers callbacks for construction and auction events.
-// Callbacks must be fast, non-blocking, and safe for concurrent use.
-func WithObserver(o Observer) Option {
-	return func(s *settings) { s.observer, s.observerSet = o, true }
-}
-
-// WithSeed seeds the simulated network's randomness (jitter, loss).
-func WithSeed(seed int64) Option {
-	return func(s *settings) { s.comm.Seed = seed }
-}
-
-// WithStoreAndForward buffers messages across partitions on the
-// in-memory network (delay-tolerant delivery) instead of losing them.
-func WithStoreAndForward() Option {
-	return func(s *settings) { s.comm.StoreAndForward = true }
-}
-
 // NewCommunity builds and starts a community of hosts.
-func NewCommunity(hosts []HostSpec, opts ...Option) (*Community, error) {
-	s := apply(opts)
-	cfg := s.engineConfig()
-	s.comm.Engine = &cfg
-	return community.New(s.comm, hosts...)
+func NewCommunity(hosts []HostSpec, opts Options) (*Community, error) {
+	return community.New(opts, hosts...)
 }
 
 // DefaultEngineConfig returns the engine configuration the evaluation
@@ -286,7 +223,7 @@ func LocatedService(task TaskID, at Point, duration time.Duration, fn ServiceFun
 	return ServiceRegistration{
 		Descriptor: ServiceDescriptor{
 			Task: task, Specialization: 0.5, Duration: duration,
-			Location: at, HasLocation: true,
+			Location: &at,
 		},
 		Fn: fn,
 	}

@@ -35,7 +35,7 @@ func TestConstructWorkflowLocal(t *testing.T) {
 			}),
 		},
 		Services: []openwf.ServiceRegistration{openwf.SimpleService("t1"), openwf.SimpleService("t2")},
-	}})
+	}}, openwf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestServiceHelpers(t *testing.T) {
 		t.Errorf("TimedService = %+v", ts.Descriptor)
 	}
 	ls := openwf.LocatedService("t", openwf.Point{X: 1, Y: 2}, time.Second, nil)
-	if !ls.Descriptor.HasLocation || ls.Descriptor.Location.X != 1 {
+	if ls.Descriptor.Location == nil || ls.Descriptor.Location.X != 1 {
 		t.Errorf("LocatedService = %+v", ls.Descriptor)
 	}
 }
@@ -101,7 +101,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 					}),
 			},
 		},
-	}, openwf.WithEngineConfig(cfg))
+	}, openwf.Options{Engine: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFacadeInitiateAll(t *testing.T) {
 			Fragments: []*openwf.Fragment{frag("k3", "job3", "in3", "out3")},
 			Services:  []openwf.ServiceRegistration{openwf.SimpleService("job3")},
 		},
-	}, openwf.WithEngineConfig(cfg))
+	}, openwf.Options{Engine: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,9 @@ func TestFacadeInitiateAll(t *testing.T) {
 	}
 }
 
-// TestFacadeOptions builds a two-host community through each functional
-// option in turn and checks the one thing that option changes
-// (WithEngineConfig is what the tests above run on).
+// TestFacadeOptions builds a two-host community with each Options field
+// set in turn and checks the one thing that field changes (Engine is what
+// the tests above run on; the observer rides on it).
 func TestFacadeOptions(t *testing.T) {
 	hosts := func() []openwf.HostSpec {
 		return []openwf.HostSpec{
@@ -225,11 +225,11 @@ func TestFacadeOptions(t *testing.T) {
 	firstDraw := func(t *testing.T, seed int64) int64 {
 		var once sync.Once
 		var draw int64
-		com, err := openwf.NewCommunity(hosts(), openwf.WithSeed(seed),
-			openwf.WithLinkModel(func(_, _ openwf.Addr, _ int, rng *rand.Rand) (time.Duration, bool) {
+		com, err := openwf.NewCommunity(hosts(), openwf.Options{Seed: seed,
+			LinkModel: func(_, _ openwf.Addr, _ int, rng *rand.Rand) (time.Duration, bool) {
 				once.Do(func() { draw = rng.Int63() })
 				return 0, false
-			}))
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,12 +249,16 @@ func TestFacadeOptions(t *testing.T) {
 	}
 
 	var constructions atomic.Int64
+	observed := openwf.DefaultEngineConfig()
+	observed.Observer = openwf.Observer{
+		ConstructionDone: func(string, openwf.ConstructionResult) { constructions.Add(1) },
+	}
 	for _, row := range []struct {
 		name  string
-		opts  []openwf.Option
+		opts  openwf.Options
 		check func(t *testing.T, com *openwf.Community)
 	}{
-		{"WithTransport", []openwf.Option{openwf.WithTransport(openwf.TCP)},
+		{"Transport", openwf.Options{Transport: openwf.TCP},
 			func(t *testing.T, com *openwf.Community) {
 				if com.Network() != nil {
 					t.Error("TCP community runs on the simulated network")
@@ -264,23 +268,21 @@ func TestFacadeOptions(t *testing.T) {
 					t.Error("no request crossed a socket")
 				}
 			}},
-		{"WithObserver", []openwf.Option{openwf.WithObserver(openwf.Observer{
-			ConstructionDone: func(string, openwf.ConstructionResult) { constructions.Add(1) },
-		})},
+		{"Engine.Observer", openwf.Options{Engine: &observed},
 			func(t *testing.T, com *openwf.Community) {
 				initiate(t, com)
 				if got := constructions.Load(); got != 1 {
 					t.Errorf("ConstructionDone fired %d times, want 1", got)
 				}
 			}},
-		{"WithLinkModel+WithSeed", nil,
+		{"LinkModel+Seed", openwf.Options{},
 			func(t *testing.T, _ *openwf.Community) {
 				a, again, b := firstDraw(t, 7), firstDraw(t, 7), firstDraw(t, 8)
 				if a == 0 || a != again || a == b {
 					t.Errorf("first link draw: seed 7 → %d then %d, seed 8 → %d; want equal, then different", a, again, b)
 				}
 			}},
-		{"WithStoreAndForward", []openwf.Option{openwf.WithStoreAndForward()},
+		{"StoreAndForward", openwf.Options{StoreAndForward: true},
 			func(t *testing.T, com *openwf.Community) {
 				cutOff(t, com)
 				for deadline := time.Now().Add(5 * time.Second); com.Network().Delivered() != 1; {
@@ -289,19 +291,19 @@ func TestFacadeOptions(t *testing.T) {
 					}
 					time.Sleep(time.Millisecond)
 				}
-				plain, err := openwf.NewCommunity(hosts())
+				plain, err := openwf.NewCommunity(hosts(), openwf.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer plain.Close()
 				cutOff(t, plain)
 				if plain.Network().Stats().FramesDropped != 1 {
-					t.Errorf("without the option the partition dropped %d messages, want 1", plain.Network().Stats().FramesDropped)
+					t.Errorf("without StoreAndForward the partition dropped %d messages, want 1", plain.Network().Stats().FramesDropped)
 				}
 			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			com, err := openwf.NewCommunity(hosts(), row.opts...)
+			com, err := openwf.NewCommunity(hosts(), row.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
