@@ -407,11 +407,16 @@ func TestDiscoveryInitiateCalls(t *testing.T) {
 		mode  string
 		want  int64
 		// allocs bounds a session's construct and allocate phases; nil
-		// prices calls only. Thirty runs read construct 285.8 – 286.5 at 10
-		// hosts and 1206.6 – 1207.0 at 100, allocate 102.4 – 102.6 at both;
-		// each bound sits 2 above, a third of the 6 that one more
-		// allocation per task adds. Allocate read 103.4 – 103.6 while it
-		// copied the workflow's order to drop the placed tasks.
+		// prices calls only. Ten runs read construct 279.5 at 10 hosts and
+		// 1199.6 – 1200.0 at 100, allocate 94.5 – 94.6 at both; each bound
+		// sits 2 above, a third of the 6 that one more allocation per task
+		// adds. Construct read 285.8 – 286.5 and 1206.6 – 1207.0, allocate
+		// 102.4 – 102.6, while a frame's lists were each a slice of their
+		// own and a large frame's strings each a copy of its own; a further
+		// member still costs ≈ 10.2 ((1200.0 − 279.5) / 90): its describing
+		// reply carries no fragment, only its capability set. Allocate
+		// read 103.4 – 103.6 while it copied the workflow's order to drop
+		// the placed tasks.
 		// Construct read 342.6 – 343.5 and 1713.6, ≈ 15.2 allocations per
 		// further member where it is ≈ 10.2 now, while every describing
 		// member sorted two new lists and boxed a new description per
@@ -421,8 +426,8 @@ func TestDiscoveryInitiateCalls(t *testing.T) {
 		// losers' cancel lists grew by append.
 		allocs []float64
 	}{
-		{10, "cold", 21, []float64{construct: 288, allocate: 105}},
-		{100, "cold", 111, []float64{construct: 1209, allocate: 105}},
+		{10, "cold", 21, []float64{construct: 282, allocate: 97}},
+		{100, "cold", 111, []float64{construct: 1202, allocate: 97}},
 		{10, "memory", 6, nil},
 		{100, "memory", 6, nil},
 		{10, "advertiser", 12, nil},

@@ -81,11 +81,15 @@ func TestCostTable(t *testing.T) {
 		// wins every tie, runs the whole chain: 3 calls for bids + 1 award;
 		// 7 label transfers, 5 of them host01 to itself; and 3 cancels, one
 		// to each loser's bids and the release of host01's runs. The
-		// services are the benchmark's XOR, 3 allocations a task. Thirty
-		// runs of the test read construct 13.0 – 13.3, allocate 81.0 – 81.1
-		// and execute 83.0 – 83.3; each bound sits 2 above, a third of the
-		// 6 that one more allocation per task run adds. Allocate read
-		// 82.0 – 82.1 while it copied the workflow's order to drop the
+		// services are the benchmark's XOR, 3 allocations a task. Ten runs
+		// of the test read construct 13.3, allocate 75.1 and execute 75.3;
+		// each bound sits 2 above, a third of the 6 that one more
+		// allocation per task run adds. Allocate read 81.0 – 81.1 and
+		// execute 83.0 – 83.3 while a call for bids decoded into 4
+		// allocations, the 6-task award into 6 and each of the 2 label
+		// transfers that cross the wire into 7, where each is 3 now (a
+		// frame's lists come from one block, its strings from one copy).
+		// Allocate read 82.0 – 82.1 while it copied the workflow's order to drop the
 		// placed tasks, 110.0 – 110.1 while every hold allocated its
 		// record, every call for bids its results and the losers' cancel
 		// lists grew by append, and 120.0 – 120.1 while a plan's metas sat
@@ -100,14 +104,17 @@ func TestCostTable(t *testing.T) {
 			setup:     chainSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "label-transfer": 7, "cancel": 3},
-			allocs:    [numPhases]float64{construct: 15, allocate: 83, execute: 85},
+			allocs:    [numPhases]float64{construct: 15, allocate: 77, execute: 77},
 		},
 		// sim_serial's session: a 6-task chain whose every task one host
 		// offers, 3 providers of 2 tasks each. Memory knows each task's one
 		// offerer, so no call for bids goes out: 3 held awards, each
-		// answered by its ack, and nothing else. Thirty runs read construct
-		// 13.0 and allocate 45.8; each bound sits 2 above, a third of the
-		// 6 that one more allocation per task adds. Allocate read 46.8
+		// answered by its ack, and nothing else. Ten runs read construct
+		// 13.0 and allocate 36.8; each bound sits 2 above, a third of the
+		// 6 that one more allocation per task adds. Allocate read 45.8
+		// while an award of one or two tasks decoded into 4 or 6
+		// allocations, where it is 3 now — 9 for the session's 3 awards —
+		// 46.8
 		// while it copied the workflow's order to drop the placed tasks,
 		// 52.8 while every hold allocated its record. It read construct
 		// 20.0 – 20.3 while the workflow indexed itself in maps, 22.0 while
@@ -121,17 +128,19 @@ func TestCostTable(t *testing.T) {
 			setup:     soleSession,
 			calls:     3,
 			envelopes: map[string]int{"award": 3, "award-ack": 3},
-			allocs:    [numPhases]float64{construct: 15, allocate: 48},
+			allocs:    [numPhases]float64{construct: 15, allocate: 39},
 		},
 		// sim_contended's collision: the sole-provider layout with every
 		// task offered by all 3 providers, and before each session a rival
 		// workflow's commitment takes every window on host01, which would
 		// win every tie. The session sweeps: 3 calls for bids, host01
 		// declines all 6 tasks, host02 wins them in 1 award, and host03,
-		// the loser, gets 1 cancel. Thirty runs read construct 13.0 and
-		// allocate 70.8; each bound sits 2 above, a third of the 6 that one
+		// the loser, gets 1 cancel. Ten runs read construct 13.0 and
+		// allocate 64.8; each bound sits 2 above, a third of the 6 that one
 		// more allocation per decline adds. Construct read 20.0 while the
-		// workflow indexed itself in maps. Allocate read 71.8 while it
+		// workflow indexed itself in maps. Allocate read 70.8 while a call
+		// for bids decoded into 4 allocations and the 6-task award into 6,
+		// where each is 3 now, 71.8 while it
 		// copied the workflow's order to drop the placed tasks, 95.8 while
 		// every busy decline was boxed, every hold allocated its record,
 		// every call for bids its results and the loser's cancel list grew
@@ -141,7 +150,7 @@ func TestCostTable(t *testing.T) {
 			setup:     contendedSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "cancel": 1},
-			allocs:    [numPhases]float64{construct: 15, allocate: 73},
+			allocs:    [numPhases]float64{construct: 15, allocate: 67},
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {

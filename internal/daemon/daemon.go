@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,8 +82,10 @@ type Request struct {
 // completion, so queue wait is included — the figure tail-latency
 // reporting wants.
 type Result struct {
-	Plan    *engine.Plan
-	Report  *engine.Report
+	Plan   *engine.Plan
+	Report *engine.Report
+	// Err is the serving error. An executed workflow that did not complete
+	// is one too, naming its task failures, and is counted as aborted.
 	Err     error
 	Class   backlog.Class
 	Wait    time.Duration
@@ -323,6 +326,11 @@ func (s *Server) serve(j *job, class backlog.Class) {
 	var rep *engine.Report
 	if err == nil && s.cfg.Execute {
 		rep, err = s.comm.Execute(s.ctx, s.initiator, plan, s.cfg.Triggers)
+		// A task that failed ends the run with a nil error and a report
+		// that is not Completed: the workflow did not complete.
+		if err == nil && !rep.Completed {
+			err = fmt.Errorf("workflow did not complete: %s", strings.Join(rep.Failures, "; "))
+		}
 	}
 	latency := s.clk.Now().Sub(j.submitted)
 	s.hLatency.ObserveDuration(latency)

@@ -504,3 +504,36 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 		t.Errorf("live heap grew from %d KiB after the first quarter to %d KiB after the last", heap[0]>>10, heap[quarters-1]>>10)
 	}
 }
+
+// TestExecutedFailureCountsAsAborted: an executed workflow whose task
+// fails is not a completed request. Execute reports the failure with a
+// nil error; the server must turn it into the result's error and count the
+// request as aborted, so /submit and the metrics tell it from a success.
+func TestExecutedFailureCountsAsAborted(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	specs := chainSpecs(t)
+	specs[1].Services[1].Fn = func(service.Invocation) (service.Outputs, error) {
+		return nil, errors.New("boom")
+	}
+	srv, err := daemon.Start(community.Options{Engine: testEngineConfig()}, "init", daemon.Config{
+		Workers: 1, Execute: true,
+		Triggers: map[model.LabelID][]byte{"a": []byte("go")},
+	}, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	res, err := srv.Do(context.Background(), chainRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report == nil || res.Report.Completed {
+		t.Fatalf("report = %+v, want one that did not complete", res.Report)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "boom") {
+		t.Errorf("result error = %v, want the task's failure", res.Err)
+	}
+	if snap := srv.Snapshot(); snap.Completed != 0 || snap.Aborted != 1 {
+		t.Errorf("snapshot = %+v, want Completed:0 Aborted:1", snap)
+	}
+}

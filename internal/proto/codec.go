@@ -25,10 +25,11 @@
 //
 // Unlike gob, no type descriptors are transmitted and no reflection runs:
 // encoding a hot broadcast message (FragmentQuery, BidBatch) into a pooled
-// buffer performs zero allocations, and decoding a small frame performs a
-// small constant number (one copy of the frame as a string whose
-// substrings back every decoded string field, plus the envelope's
-// slices); a large frame is read in place, one copy per field.
+// buffer performs zero allocations, and decoding a frame performs a small
+// constant number: one copy of its strings, whose substrings back every
+// decoded string field, the body's box, and its lists, which a first pass
+// over the frame counts so that they come from one allocation per element
+// type, or from one block for an auction message (Decode).
 //
 // Decoding is defensive: every length and count is bounded by the bytes
 // remaining in the frame, unknown version/kind bytes and trailing garbage
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"openwf/internal/model"
@@ -315,58 +317,186 @@ var (
 	errCorrupt   = errors.New("corrupt frame")
 )
 
-// cloneThreshold bounds the substring-sharing optimization below: above
-// it, decoded strings are copied out one by one so a small retained field
-// (a label used as a map key, say) cannot pin a frame-sized backing array
-// — a LabelTransfer frame may approach transport.MaxFrame, while its Label
-// is bytes.
+// cloneThreshold bounds the string sharing below: when a frame's strings
+// add up to more, each is copied out on its own, so a small retained field
+// (a label used as a map key, say) cannot pin a large backing array. A
+// LabelTransfer's payload is a []byte, never part of its frame's strings.
 const cloneThreshold = 4 << 10
 
 // Decode decodes a frame produced by EncodeTo. It fully copies: nothing
 // in the returned envelope aliases data, so callers may recycle the input
 // buffer immediately (the transports' read paths rely on this;
 // TestDecodeCopiesInput and TestDecodeLargeFrameCopiesInput assert it).
+//
+// It reads the frame twice. The first pass sizes it: it checks every byte,
+// adds up the counts of the lists of each element type and the lengths of
+// the strings, and allocates nothing. Then allocate makes what was
+// counted, and the second pass, which reads the same bytes and cannot fail,
+// cuts every list and string from it. A frame costs its strings' one copy,
+// its body's box into Body, and one list per element type it carries — or
+// one block for an auction message's metas, routes and labels (carveBlock).
 func Decode(data []byte) (Envelope, error) {
-	// A small frame is copied once, whole, into an immutable string whose
-	// substrings back every decoded string field: a small constant number
-	// of allocations. A large frame is read in place, and each field is
-	// copied out on its own (cloneThreshold).
-	d := decoder{b: data}
-	if len(data) <= cloneThreshold {
-		d.s = string(data)
+	d := decoder{b: data, sizing: true}
+	d.envelope()
+	if d.err != nil {
+		return Envelope{}, fmt.Errorf("decoding envelope: %w", d.err)
 	}
-	env, err := d.envelope()
-	if err != nil {
-		return Envelope{}, fmt.Errorf("decoding envelope: %w", err)
-	}
-	return env, nil
+	d.allocate()
+	d.pos, d.sizing = 0, false
+	return d.envelope(), nil
 }
 
 // decoder reads one frame. It keeps the first error it meets: every read
 // after that returns the zero value and consumes nothing, and a counted
 // loop stops, so a body is decoded as one composite literal and the error
-// is looked at once, in envelope. Element decoders are written out per
-// type rather than passed as func values — a func argument makes the
-// decoder escape, one allocation on every frame (TestDecodeAllocBounds).
+// is looked at once, in Decode. Element decoders are written out per type
+// rather than passed as func values — a func argument makes the decoder
+// escape, one allocation on every frame (TestDecodeAllocBounds).
 type decoder struct {
 	b   []byte
 	pos int
-	// s is a small frame's one copy (Decode); empty for a large one.
-	s string
-	// labs is the frame's label slab: every label list is a window of it,
-	// its capacity capped, so appending to one list copies it instead of
-	// overwriting the next (reserve).
-	labs []model.LabelID
-	err  error
+	err error
+	// sizing is set for the first pass: lists and strings are counted, not
+	// made, and every list, string and body read is nil or empty.
+	sizing bool
+	// strLen is the total length of the frame's strings. When it is at most
+	// cloneThreshold, strs holds them back to back and every decoded string
+	// is a substring of it; otherwise strs stays empty and each string is a
+	// copy of its own.
+	strLen int
+	strs   strings.Builder
+	p      pools
 }
 
-// reserve makes room for n more labels in the slab. A full slab is
-// replaced by one of twice its capacity, or of n if that is more; the
-// windows already handed out keep the old one.
-func (d *decoder) reserve(n int) {
-	if cap(d.labs)-len(d.labs) < n {
-		d.labs = make([]model.LabelID, 0, max(n, 2*cap(d.labs)))
+// pools holds a pool per element type that a list holds.
+type pools struct {
+	labs     pool[model.LabelID]
+	ids      pool[model.TaskID]
+	metas    pool[TaskMeta]
+	points   pool[space.Point]
+	routes   pool[Route]
+	tasks    pool[model.Task]
+	frags    pool[model.Fragment]
+	fragPtrs pool[*model.Fragment]
+	verdicts pool[Verdict]
+	segments pool[PlanSegment]
+	bids     pool[Bid]
+}
+
+// pool is a frame's elements of one type. The sizing pass adds each list's
+// count to n; allocate makes free exactly n long, or cuts it from a block;
+// the decoding pass takes each list's window from it in wire order.
+type pool[T any] struct {
+	n    int
+	free []T
+}
+
+// take returns the next n elements, the window's capacity capped at its
+// length so that appending to one list copies it instead of overwriting
+// the next (TestDecodedListsDoNotShareTails). While sizing it counts them
+// and returns nil.
+func (p *pool[T]) take(sizing bool, n int) []T {
+	if sizing {
+		p.n += n
+		return nil
 	}
+	s := p.free[:n:n]
+	p.free = p.free[n:]
+	return s
+}
+
+// alloc makes the pool's one list, unless a block already holds it.
+func (p *pool[T]) alloc() {
+	if p.n > 0 && p.free == nil {
+		p.free = make([]T, p.n)
+	}
+}
+
+// list reads a count and takes a window of that many elements from p;
+// none is a nil list, like gob leaving a slice field untouched.
+func list[T any](d *decoder, p *pool[T]) (int, []T) {
+	n := d.count()
+	if n == 0 {
+		return 0, nil
+	}
+	return n, p.take(d.sizing, n)
+}
+
+// block is an auction message's lists in one allocation: the metas of a
+// call for bids or an award's More, the award's routes, and every label
+// list of those metas and of the award's Meta. An array of length zero,
+// placed before the last field, costs nothing.
+type block[M, R, L any] struct {
+	metas  M
+	routes R
+	labs   L
+}
+
+// shape is what a frame holds of a block's element types.
+type shape struct{ metas, routes, labs int }
+
+// carveBlock gives the metas, routes and labels one allocation when the
+// frame has the shape of an award of a chain of one to six tasks, each with
+// an input, an output and a route for it, or of a call for bids of six
+// tasks — all but a few of the awards and calls for bids the benchmark's
+// workloads decode — or of a six-task award without routes or a call for
+// bids of one task.
+// Each array is exactly its count, so the block holds what the pools
+// would, and a frame of any other shape takes the pools.
+func (d *decoder) carveBlock() {
+	switch (shape{d.p.metas.n, d.p.routes.n, d.p.labs.n}) {
+	case shape{0, 1, 2}:
+		b := new(block[[0]TaskMeta, [1]Route, [2]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{1, 2, 4}:
+		b := new(block[[1]TaskMeta, [2]Route, [4]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{2, 3, 6}:
+		b := new(block[[2]TaskMeta, [3]Route, [6]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{3, 4, 8}:
+		b := new(block[[3]TaskMeta, [4]Route, [8]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{4, 5, 10}:
+		b := new(block[[4]TaskMeta, [5]Route, [10]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{5, 6, 12}:
+		b := new(block[[5]TaskMeta, [6]Route, [12]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{5, 0, 12}:
+		b := new(block[[5]TaskMeta, [0]Route, [12]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{1, 0, 2}:
+		b := new(block[[1]TaskMeta, [0]Route, [2]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	case shape{6, 0, 12}:
+		b := new(block[[6]TaskMeta, [0]Route, [12]model.LabelID])
+		d.carve(b.metas[:], b.routes[:], b.labs[:])
+	}
+}
+
+func (d *decoder) carve(metas []TaskMeta, routes []Route, labs []model.LabelID) {
+	d.p.metas.free, d.p.routes.free, d.p.labs.free = metas, routes, labs
+}
+
+// allocate makes what the sizing pass counted: the strings' one copy, the
+// block if the frame has its shape, and one list per other element type.
+func (d *decoder) allocate() {
+	if d.strLen <= cloneThreshold {
+		d.strs.Grow(d.strLen)
+	}
+	d.carveBlock()
+	d.p.labs.alloc()
+	d.p.ids.alloc()
+	d.p.metas.alloc()
+	d.p.points.alloc()
+	d.p.routes.alloc()
+	d.p.tasks.alloc()
+	d.p.frags.alloc()
+	d.p.fragPtrs.alloc()
+	d.p.verdicts.alloc()
+	d.p.segments.alloc()
+	d.p.bids.alloc()
 }
 
 // fail keeps err unless an earlier error is already kept.
@@ -394,22 +524,27 @@ func (d *decoder) byte() byte {
 }
 
 func (d *decoder) uint() uint64 {
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b := d.byte()
-		if d.err != nil {
-			return 0
-		}
-		if b < 0x80 {
-			if shift == 63 && b > 1 {
-				d.err = fmt.Errorf("%w: uvarint overflow", errCorrupt)
-				return 0
-			}
-			return v | uint64(b)<<shift
-		}
-		v |= uint64(b&0x7f) << shift
+	if d.err != nil {
+		return 0
 	}
-	d.err = fmt.Errorf("%w: uvarint too long", errCorrupt)
+	// Most varints on the wire are one byte: lengths, counts, modes.
+	if d.pos < len(d.b) && d.b[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.b[d.pos-1])
+	}
+	rest := d.b[d.pos:]
+	v, n := binary.Uvarint(rest)
+	switch {
+	case n > 0:
+		d.pos += n
+		return v
+	case n == 0 && len(rest) < binary.MaxVarintLen64:
+		d.err = errTruncated
+	case n == -binary.MaxVarintLen64: // the tenth byte carries past 64 bits
+		d.err = fmt.Errorf("%w: uvarint overflow", errCorrupt)
+	default:
+		d.err = fmt.Errorf("%w: uvarint too long", errCorrupt)
+	}
 	return 0
 }
 
@@ -433,27 +568,35 @@ func (d *decoder) count() int {
 	return int(n)
 }
 
-// str shares a small frame's string and copies out of a large one.
+// str appends the string to the frame's strings and returns it as their
+// substring, or copies it on its own when they are too long to share.
 func (d *decoder) str() string {
 	n := d.count()
 	i := d.pos
 	d.pos += n
-	if d.s != "" {
-		return d.s[i:d.pos]
+	switch {
+	case n == 0:
+		return ""
+	case d.sizing:
+		d.strLen += n
+		return ""
+	case d.strs.Cap() == 0: // over cloneThreshold: allocate did not grow it
+		return string(d.b[i:d.pos])
 	}
-	return string(d.b[i:d.pos])
+	from := d.strs.Len()
+	d.strs.Write(d.b[i:d.pos])
+	return d.strs.String()[from:]
 }
 
 // bytes returns a fresh copy (a []byte must not alias the frame), read
-// straight from b: that one copy is all a payload costs, small frame or
-// large.
+// straight from b: that one copy is all a payload costs.
 func (d *decoder) bytes() []byte {
 	n := d.count()
-	if n == 0 {
-		return nil
-	}
 	i := d.pos
 	d.pos += n
+	if n == 0 || d.sizing {
+		return nil
+	}
 	return bytes.Clone(d.b[i:d.pos])
 }
 
@@ -482,69 +625,68 @@ func (d *decoder) time() time.Time {
 	if nsec > 999_999_999 {
 		d.fail(fmt.Errorf("%w: %d nanoseconds", errCorrupt, nsec))
 	}
-	if d.err != nil {
+	if d.err != nil || d.sizing {
 		return time.Time{}
 	}
 	return time.Unix(sec, int64(nsec))
 }
 
-// labels decodes a label list into a window of the slab; zero count
-// yields nil, like gob leaving a slice field untouched.
+// The list decoders below read every element on both passes, so the sizing
+// pass counts the lists nested in them; only the decoding pass, whose
+// window is not nil, stores an element.
+
 func (d *decoder) labels() []model.LabelID {
-	n := d.count()
-	if n == 0 {
-		return nil
+	n, out := list(d, &d.p.labs)
+	for i := 0; i < n && d.err == nil; i++ {
+		if l := model.LabelID(d.str()); out != nil {
+			out[i] = l
+		}
 	}
-	d.reserve(n)
-	i := len(d.labs)
-	for j := 0; j < n && d.err == nil; j++ {
-		d.labs = append(d.labs, model.LabelID(d.str()))
-	}
-	return d.labs[i:len(d.labs):len(d.labs)]
+	return out
 }
 
 func (d *decoder) taskIDs() []model.TaskID {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]model.TaskID, n)
+	n, out := list(d, &d.p.ids)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = model.TaskID(d.str())
-	}
-	return out
-}
-
-func (d *decoder) task() model.Task {
-	return model.Task{
-		ID:      model.TaskID(d.str()),
-		Mode:    model.Mode(d.uint()),
-		Inputs:  d.labels(),
-		Outputs: d.labels(),
-	}
-}
-
-func (d *decoder) fragments() []*model.Fragment {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]*model.Fragment, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		f := &model.Fragment{Name: d.str()}
-		if m := d.count(); m > 0 {
-			f.Tasks = make([]model.Task, m)
-			for j := 0; j < m && d.err == nil; j++ {
-				f.Tasks[j] = d.task()
-			}
+		if t := model.TaskID(d.str()); out != nil {
+			out[i] = t
 		}
-		out[i] = f
 	}
 	return out
 }
 
-// meta allocates a point only for a located meta; the point of one that
-// is not located is read and dropped.
+func (d *decoder) tasks() []model.Task {
+	n, out := list(d, &d.p.tasks)
+	for i := 0; i < n && d.err == nil; i++ {
+		t := model.Task{
+			ID:      model.TaskID(d.str()),
+			Mode:    model.Mode(d.uint()),
+			Inputs:  d.labels(),
+			Outputs: d.labels(),
+		}
+		if out != nil {
+			out[i] = t
+		}
+	}
+	return out
+}
+
+// fragments points each fragment into one list of fragments, and their
+// tasks are windows of one list of tasks.
+func (d *decoder) fragments() []*model.Fragment {
+	n, out := list(d, &d.p.fragPtrs)
+	fs := d.p.frags.take(d.sizing, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		if f := (model.Fragment{Name: d.str(), Tasks: d.tasks()}); out != nil {
+			fs[i] = f
+			out[i] = &fs[i]
+		}
+	}
+	return out
+}
+
+// meta takes a point only for a located meta; the point of one that is
+// not located is read and dropped.
 func (d *decoder) meta() TaskMeta {
 	m := TaskMeta{
 		Task:    model.TaskID(d.str()),
@@ -556,63 +698,56 @@ func (d *decoder) meta() TaskMeta {
 	}
 	x, y := d.f64(), d.f64()
 	if d.bool() {
-		m.Location = &space.Point{X: x, Y: y}
+		if p := d.p.points.take(d.sizing, 1); p != nil {
+			p[0] = space.Point{X: x, Y: y}
+			m.Location = &p[0]
+		}
 	}
 	return m
 }
 
-// metas reserves two labels per meta, an input and an output, so a call
-// for bids or an award costs one slab, not two lists per task.
 func (d *decoder) metas() []TaskMeta {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	d.reserve(2 * n)
-	out := make([]TaskMeta, n)
+	n, out := list(d, &d.p.metas)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = d.meta()
+		if m := d.meta(); out != nil {
+			out[i] = m
+		}
 	}
 	return out
 }
 
 // refusals reads an ack's refused tasks; none is a nil list.
 func (d *decoder) refusals() []Verdict {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Verdict, n)
+	n, out := list(d, &d.p.verdicts)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = Verdict{Task: model.TaskID(d.str()), Reason: d.str()}
+		if v := (Verdict{Task: model.TaskID(d.str()), Reason: d.str()}); out != nil {
+			out[i] = v
+		}
 	}
 	return out
 }
 
 func (d *decoder) segments() []PlanSegment {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]PlanSegment, n)
+	n, out := list(d, &d.p.segments)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = PlanSegment{
+		s := PlanSegment{
 			Task:      model.TaskID(d.str()),
 			Initiator: Addr(d.str()),
 			Routes:    d.routes(),
+		}
+		if out != nil {
+			out[i] = s
 		}
 	}
 	return out
 }
 
 func (d *decoder) routes() []Route {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Route, n)
+	n, out := list(d, &d.p.routes)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = Route{Label: model.LabelID(d.str()), To: Addr(d.str())}
+		if r := (Route{Label: model.LabelID(d.str()), To: Addr(d.str())}); out != nil {
+			out[i] = r
+		}
 	}
 	return out
 }
@@ -622,29 +757,32 @@ func (d *decoder) capabilities() *Advertise {
 	if !d.bool() {
 		return nil
 	}
-	return &Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
+	labels, tasks := d.labels(), d.taskIDs()
+	if d.sizing {
+		return nil
+	}
+	return &Advertise{Labels: labels, Tasks: tasks}
 }
 
 func (d *decoder) bids() []Bid {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Bid, n)
+	n, out := list(d, &d.p.bids)
 	for i := 0; i < n && d.err == nil; i++ {
-		out[i] = Bid{
+		b := Bid{
 			Task:            model.TaskID(d.str()),
 			ServicesOffered: int(d.int()),
 			Specialization:  d.f64(),
 			Deadline:        d.time(),
 		}
+		if out != nil {
+			out[i] = b
+		}
 	}
 	return out
 }
 
-// envelope decodes the whole frame: version byte, one kind-tagged
-// envelope, nothing after it.
-func (d *decoder) envelope() (Envelope, error) {
+// envelope reads the whole frame: version byte, one kind-tagged envelope,
+// nothing after it.
+func (d *decoder) envelope() Envelope {
 	if version := d.byte(); version != wireVersion {
 		d.fail(fmt.Errorf("%w: wire version %d (want %d)", errCorrupt, version, wireVersion))
 	}
@@ -659,46 +797,54 @@ func (d *decoder) envelope() (Envelope, error) {
 	if d.pos != len(d.b) {
 		d.fail(fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(d.b)-d.pos))
 	}
-	return env, d.err
+	return env
+}
+
+// box puts b into a Body on the decoding pass; the sizing pass boxes
+// nothing, as a box is an allocation.
+func box[B Body](d *decoder, b B) Body {
+	if d.sizing {
+		return nil
+	}
+	return b
 }
 
 func (d *decoder) body(kind byte) Body {
 	switch kind {
 	case kindFragmentQuery:
-		return FragmentQuery{Labels: d.labels(), Describe: d.bool()}
+		return box(d, FragmentQuery{Labels: d.labels(), Describe: d.bool()})
 	case kindFragmentReply:
-		return FragmentReply{Fragments: d.fragments(), Capabilities: d.capabilities()}
+		return box(d, FragmentReply{Fragments: d.fragments(), Capabilities: d.capabilities()})
 	case kindFeasibilityQuery:
-		return FeasibilityQuery{Tasks: d.taskIDs()}
+		return box(d, FeasibilityQuery{Tasks: d.taskIDs()})
 	case kindFeasibilityReply:
-		return FeasibilityReply{Capable: d.taskIDs()}
+		return box(d, FeasibilityReply{Capable: d.taskIDs()})
 	case kindAward:
-		d.reserve(2)
-		return Award{Meta: d.meta(), More: d.metas(), Hold: d.bool(), Routes: d.routes()}
+		return box(d, Award{Meta: d.meta(), More: d.metas(), Hold: d.bool(), Routes: d.routes()})
 	case kindAwardAck:
-		return AwardAck{Refused: d.refusals()}
+		return box(d, AwardAck{Refused: d.refusals()})
 	case kindCancel:
-		return Cancel{Tasks: d.taskIDs()}
+		return box(d, Cancel{Tasks: d.taskIDs()})
 	case kindPlan:
-		return Plan{Segments: d.segments()}
+		return box(d, Plan{Segments: d.segments()})
 	case kindLabelTransfer:
-		return LabelTransfer{Label: model.LabelID(d.str()), Data: d.bytes(), Producer: Addr(d.str())}
+		return box(d, LabelTransfer{Label: model.LabelID(d.str()), Data: d.bytes(), Producer: Addr(d.str())})
 	case kindTaskDone:
-		return TaskDone{Task: model.TaskID(d.str()), Err: d.str()}
+		return box(d, TaskDone{Task: model.TaskID(d.str()), Err: d.str()})
 	case kindAck:
-		return Ack{}
+		return box(d, Ack{})
 	case kindCallForBidsBatch:
-		return CallForBidsBatch{Metas: d.metas()}
+		return box(d, CallForBidsBatch{Metas: d.metas()})
 	case kindBidBatch:
-		return BidBatch{Bids: d.bids(), Declines: d.taskIDs()}
+		return box(d, BidBatch{Bids: d.bids(), Declines: d.taskIDs()})
 	case kindLeaseRefresh:
-		return LeaseRefresh{Tasks: d.taskIDs()}
+		return box(d, LeaseRefresh{Tasks: d.taskIDs()})
 	case kindLeaseRefreshAck:
-		return LeaseRefreshAck{Missing: d.taskIDs(), Finished: d.taskIDs()}
+		return box(d, LeaseRefreshAck{Missing: d.taskIDs(), Finished: d.taskIDs()})
 	case kindAdvertise:
-		return Advertise{Labels: d.labels(), Tasks: d.taskIDs()}
+		return box(d, Advertise{Labels: d.labels(), Tasks: d.taskIDs()})
 	case kindAdvertiseAck:
-		return AdvertiseAck{Labels: d.labels(), Tasks: d.taskIDs()}
+		return box(d, AdvertiseAck{Labels: d.labels(), Tasks: d.taskIDs()})
 	default:
 		d.fail(fmt.Errorf("%w: unknown body kind %d", errCorrupt, kind))
 		return nil

@@ -492,9 +492,10 @@ func TestDecodeCopiesInput(t *testing.T) {
 }
 
 // largeEnvelopes are one frame of each large shape a session sends, each
-// over cloneThreshold, so the decoder reads them in place: a label's 4 KiB
-// payload, an executor's plan of many segments, an award of many tasks
-// with their routes, and a reply of many fragments.
+// over cloneThreshold: a label's 4 KiB payload, whose few strings still
+// share one copy, and an executor's plan of many segments, an award of
+// many tasks with their routes and a reply of many fragments, whose
+// strings add up to more, so each is copied out on its own.
 func largeEnvelopes() []Envelope {
 	pad := strings.Repeat("-", 48)
 	var segments []PlanSegment
@@ -527,8 +528,8 @@ func largeEnvelopes() []Envelope {
 }
 
 // TestDecodeLargeFrameCopiesInput asserts TestDecodeCopiesInput's property
-// on frames over cloneThreshold, which the decoder reads in place: nothing
-// it returns may alias the frame.
+// on frames over cloneThreshold: nothing the decoder returns may alias the
+// frame.
 func TestDecodeLargeFrameCopiesInput(t *testing.T) {
 	for _, env := range largeEnvelopes() {
 		t.Run(env.Body.Kind(), func(t *testing.T) {
@@ -553,11 +554,10 @@ func TestDecodeLargeFrameCopiesInput(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeFrameClonesStrings exercises the decoder's large-frame
-// mode: above cloneThreshold there is no frame string, and each string
-// field is copied out of the input bytes on its own, so a retained
-// few-byte label cannot pin a frame-sized backing array. The round trip must be lossless either way,
-// and the small label must not carry frame-sized memory.
+// TestDecodeLargeFrameClonesStrings: a large frame's strings are copied
+// out of it, never the frame, so a retained few-byte label cannot pin a
+// frame-sized backing array. The round trip must be lossless, and the
+// small label must not carry frame-sized memory.
 func TestDecodeLargeFrameClonesStrings(t *testing.T) {
 	data := make([]byte, cloneThreshold*4)
 	for i := range data {

@@ -43,7 +43,7 @@ func TestMovedKeyFreesOldInterval(t *testing.T) {
 		{"HoldBatch refresh of a held key", func(t *testing.T, m *Manager) {
 			hold(t, m, oldWin)
 			res := m.HoldBatch(nil, "wf", []proto.TaskMeta{newWin}, deadline.Add(time.Minute))
-			if resultErr(res[0]) != nil || !res[0].Commitment.Start.Equal(oldWin.Start) {
+			if res[0].err != nil || !res[0].Commitment.Start.Equal(oldWin.Start) {
 				t.Fatalf("refresh = %+v, want the original hold", res[0])
 			}
 			m.Release("wf", "a")

@@ -22,9 +22,9 @@
 //     with the lowest hold sequence (the first winner), so identical
 //     interleavings produce identical errors.
 //   - A busy or already-started decline is a typed value copying what it
-//     names, formatted only when read: never under the lock. A busy
-//     decline stays a value until then: HoldBatch keeps it inline in its
-//     HoldResult, and only Hold and CanCommit box it.
+//     names, formatted only when read: never under the lock. Only Hold and
+//     CanCommit describe a busy decline; HoldBatch's result keeps the bare
+//     ErrSlotBusy, as a participant asks only whether the task is held.
 //
 // # Concurrency
 //
@@ -319,12 +319,12 @@ func recycle(r *record) {
 }
 
 // HoldResult is one task's outcome of a HoldBatch: the reserved (or
-// refreshed) commitment, or what declined it. A busy slot's decline is
-// kept as a value and never formatted: a participant asks only Held.
+// refreshed) commitment, or what declined it. A busy slot is the bare
+// ErrSlotBusy, with no description of its blocker: a participant asks
+// only Held, and Hold names the blocker to a caller that wants it.
 type HoldResult struct {
 	Commitment Commitment
-	busy       busyError
-	err        error // ErrSlotBusy stands for busy
+	err        error
 }
 
 // Held reports whether the task's slot is reserved.
@@ -358,8 +358,8 @@ func (m *Manager) HoldBatch(dst []HoldResult, workflow string, metas []proto.Tas
 			dst = append(dst, HoldResult{Commitment: r.c})
 			continue
 		}
-		c, busy, err := m.hold(k, meta, deadline)
-		dst = append(dst, HoldResult{Commitment: c, busy: busy, err: err})
+		c, _, err := m.hold(k, meta, deadline)
+		dst = append(dst, HoldResult{Commitment: c, err: err})
 	}
 	return dst
 }

@@ -40,15 +40,6 @@ func commit(m *Manager, wf string, md proto.TaskMeta, lease time.Time) (Commitme
 	return m.CommitHeld(wf, md.Task, lease)
 }
 
-// resultErr is the error that declined a HoldBatch result, nil when it is
-// held: the decline the participant never formats, boxed for a test.
-func resultErr(r HoldResult) error {
-	if r.err == ErrSlotBusy {
-		return r.busy.boxed()
-	}
-	return r.err
-}
-
 func newManager(prefs Preferences, mobility space.Mobility) (*Manager, *clock.Sim) {
 	sim := clock.NewSim(t0)
 	return NewManager(sim, mobility, prefs), sim
@@ -193,8 +184,8 @@ func TestHoldLifecycle(t *testing.T) {
 		t.Error("hold did not reserve the slot")
 	}
 	// Re-soliciting the held task extends the deadline.
-	if res := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); resultErr(res[0]) != nil {
-		t.Fatal(resultErr(res[0]))
+	if res := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, t0.Add(2*time.Minute)); res[0].err != nil {
+		t.Fatal(res[0].err)
 	}
 	// Expiry after the refreshed deadline, which Expire reports as the
 	// next thing to lapse until then.
@@ -613,13 +604,13 @@ func TestHoldBatchPartialFailureLeaksNoHolds(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	if resultErr(results[0]) != nil || resultErr(results[2]) != nil {
-		t.Fatalf("feasible metas failed: %v, %v", resultErr(results[0]), resultErr(results[2]))
+	if results[0].err != nil || results[2].err != nil {
+		t.Fatalf("feasible metas failed: %v, %v", results[0].err, results[2].err)
 	}
-	if !errors.Is(resultErr(results[1]), ErrSlotBusy) {
-		t.Fatalf("overlapping meta err = %v, want ErrSlotBusy", resultErr(results[1]))
+	if !errors.Is(results[1].err, ErrSlotBusy) {
+		t.Fatalf("overlapping meta err = %v, want ErrSlotBusy", results[1].err)
 	}
-	if resultErr(results[3]) == nil {
+	if results[3].err == nil {
 		t.Fatal("past window accepted")
 	}
 	if got := m.Holds(); got != 3 { // blocker + a + c
@@ -639,11 +630,11 @@ func TestHoldBatchIntraBatchConflict(t *testing.T) {
 		meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)),
 		meta("b", t0.Add(90*time.Minute), t0.Add(3*time.Hour)),
 	}, t0.Add(time.Minute))
-	if resultErr(results[0]) != nil {
-		t.Fatalf("first meta failed: %v", resultErr(results[0]))
+	if results[0].err != nil {
+		t.Fatalf("first meta failed: %v", results[0].err)
 	}
-	if !errors.Is(resultErr(results[1]), ErrSlotBusy) {
-		t.Fatalf("second overlapping meta err = %v, want ErrSlotBusy", resultErr(results[1]))
+	if !errors.Is(results[1].err, ErrSlotBusy) {
+		t.Fatalf("second overlapping meta err = %v, want ErrSlotBusy", results[1].err)
 	}
 	if m.Holds() != 1 {
 		t.Fatalf("holds = %d, want 1", m.Holds())
@@ -661,8 +652,8 @@ func TestHoldBatchRefreshesExistingHold(t *testing.T) {
 	}
 	sim.Advance(30 * time.Second)
 	results := m.HoldBatch(nil, "wf", []proto.TaskMeta{md}, sim.Now().Add(time.Minute))
-	if resultErr(results[0]) != nil {
-		t.Fatalf("refresh via batch failed: %v", resultErr(results[0]))
+	if results[0].err != nil {
+		t.Fatalf("refresh via batch failed: %v", results[0].err)
 	}
 	if m.Holds() != 1 {
 		t.Fatalf("holds = %d, want 1", m.Holds())
@@ -691,8 +682,8 @@ func TestHoldBatchMatchesSequentialHolds(t *testing.T) {
 	sequential, _ := newManager(Preferences{}, nil)
 	for i, md := range metas {
 		c, err := sequential.Hold("wf", md, deadline)
-		if err != nil || resultErr(results[i]) != nil {
-			t.Fatalf("meta %d: sequential err=%v batch err=%v", i, err, resultErr(results[i]))
+		if err != nil || results[i].err != nil {
+			t.Fatalf("meta %d: sequential err=%v batch err=%v", i, err, results[i].err)
 		}
 		if got := results[i].Commitment; got.Task != c.Task || !got.Start.Equal(c.Start) ||
 			!got.End.Equal(c.End) || !got.TravelStart.Equal(c.TravelStart) {
@@ -762,8 +753,8 @@ func busyBatch() (*Manager, []proto.TaskMeta) {
 func TestBusyDeclineAllocBound(t *testing.T) {
 	m, metas := busyBatch()
 	for _, res := range m.HoldBatch(nil, "wf", metas, t0.Add(time.Hour)) {
-		if !errors.Is(resultErr(res), ErrSlotBusy) {
-			t.Fatalf("err = %v, want ErrSlotBusy", resultErr(res))
+		if !errors.Is(res.err, ErrSlotBusy) {
+			t.Fatalf("err = %v, want ErrSlotBusy", res.err)
 		}
 	}
 	testutil.AllocBound(t, 0, func() {
@@ -777,8 +768,9 @@ func TestBusyDeclineAllocBound(t *testing.T) {
 }
 
 // TestBusyErrorText pins a busy decline's text and what it captures: the
-// same text from Hold and HoldBatch, and the blocker as it was when the
-// slot was refused, after that blocker is committed and removed.
+// same text from Hold and CanCommit, and the blocker as it was when the
+// slot was refused, after that blocker is committed and removed. A
+// HoldBatch result names no blocker: it is the bare ErrSlotBusy.
 func TestBusyErrorText(t *testing.T) {
 	const want = `schedule: slot busy: task "t-second" conflicts with "t-first" of workflow "wf-a" ` +
 		`(2026-06-11 10:00:00 +0000 UTC–2026-06-11 11:00:00 +0000 UTC)`
@@ -789,8 +781,11 @@ func TestBusyErrorText(t *testing.T) {
 	}
 	second := meta("t-second", t0.Add(90*time.Minute), t0.Add(3*time.Hour))
 	_, holdErr := m.Hold("wf-b", second, t0.Add(time.Minute))
-	batchErr := resultErr(m.HoldBatch(nil, "wf-b", []proto.TaskMeta{second}, t0.Add(time.Minute))[0])
-	for _, err := range []error{holdErr, batchErr} {
+	_, canErr := m.CanCommit(second)
+	if res := m.HoldBatch(nil, "wf-b", []proto.TaskMeta{second}, t0.Add(time.Minute))[0]; res.err != ErrSlotBusy {
+		t.Fatalf("HoldBatch err = %v, want the bare ErrSlotBusy", res.err)
+	}
+	for _, err := range []error{holdErr, canErr} {
 		if !errors.Is(err, ErrSlotBusy) {
 			t.Fatalf("err = %v, want ErrSlotBusy", err)
 		}
@@ -805,7 +800,7 @@ func TestBusyErrorText(t *testing.T) {
 	if _, err := m.Hold("wf-c", meta("t-third", t0.Add(time.Hour), t0.Add(4*time.Hour)), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	for _, err := range []error{holdErr, batchErr} {
+	for _, err := range []error{holdErr, canErr} {
 		if got := err.Error(); got != want {
 			t.Fatalf("Error() =\n %s\nwant\n %s", got, want)
 		}
