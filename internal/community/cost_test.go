@@ -152,6 +152,23 @@ func TestCostTable(t *testing.T) {
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "cancel": 1},
 			allocs:    [numPhases]float64{construct: 15, allocate: 67},
 		},
+		// The serial auction over replicated providers, split: every task
+		// offered by all 3 providers, host01 the specialist of t1 – t3,
+		// host02 of t4 – t6 and host03 middling at all six. The sweep's 3
+		// calls for bids decide host01 the winner of t1 – t3 and host02 of
+		// t4 – t6; every loser is released before the first winner is told —
+		// host01 and host02 lose each other's tasks and host03 all six, 1
+		// cancel each — then 2 awards, one per winner. Its rounds reach
+		// several peers with several tasks each, and one host is both a
+		// loser and a winner. Ten runs read construct 13.3 and allocate
+		// 78.1; each bound sits 2 above.
+		{
+			name:      "initiate/split/chain=6",
+			setup:     splitSession,
+			calls:     5,
+			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 2, "award-ack": 2, "cancel": 3},
+			allocs:    [numPhases]float64{construct: 15.3, allocate: 80.1},
+		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			testutil.Quiet(t)
@@ -250,6 +267,27 @@ func soleSession(t *testing.T, rec *kinds, m *testutil.Meter) (*Community, func(
 func contendedSession(t *testing.T, rec *kinds, m *testutil.Meter) (*Community, func(*testing.T)) {
 	c, session := initiateSession(t, rec, m, func(int) []int { return []int{1, 2, 3} }, occupy)
 	occupy(t, c)
+	return c, session
+}
+
+// splitSession builds the row's community, every task offered by hosts 1
+// to 3: host01 specialized in the first half of the chain, host02 in the
+// second, host03 in neither.
+func splitSession(t *testing.T, rec *kinds, m *testutil.Meter) (*Community, func(*testing.T)) {
+	c, session := initiateSession(t, rec, m, func(int) []int { return []int{1, 2, 3} }, nil)
+	for i := 0; i < 6; i++ {
+		task := model.TaskID(fmt.Sprintf("t%d", i+1))
+		one, two := 0.9, 0.1
+		if i >= 3 {
+			one, two = two, one
+		}
+		for id, s := range map[proto.Addr]float64{"host01": one, "host02": two, "host03": 0.5} {
+			h, _ := c.Host(id)
+			if err := h.Services.Register(service.Registration{Descriptor: service.Descriptor{Task: task, Specialization: s}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	return c, session
 }
 
