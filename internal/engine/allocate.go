@@ -213,74 +213,81 @@ func (m *Manager) sweep(ctx context.Context, wfID string, members []proto.Addr, 
 // end; the routes' is sized for one route per output and grows only for an
 // output whose consumers run on several hosts.
 func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds []auction.Decision, placed map[model.TaskID]proto.Addr, hold bool, alloc map[model.TaskID]proto.Addr) error {
-	// Failed decisions have no winner and sort first; a winner's decisions
-	// stay in the auctioneer's order.
-	slices.SortStableFunc(ds, func(a, b auction.Decision) int { return cmp.Compare(a.Winner, b.Winner) })
 	// Release the losing bidders' reservations promptly, one Cancel per
 	// loser: a Cancel for a task the host never committed drops exactly
-	// the hold. Every loser's list is carved from one slab: a first pass
-	// counts each loser's tasks as the length of a prefix of the slab, a
-	// second gives each its own stretch, and the tasks go in in decision
-	// order.
-	nlost := 0
+	// the hold. The (loser, task) pairs come from one slab and the losers'
+	// lists from another, both sized by a first pass over the losses; each
+	// list is its own stretch of it, since Send may keep the body.
+	type loss struct {
+		loser proto.Addr
+		task  model.TaskID
+	}
+	nlost, won, outputs := 0, 0, 0
 	for _, d := range ds {
 		if d.Failed() {
 			m.cfg.Observer.taskDecided(wfID, d.Task, "")
+		} else {
+			won++
+			outputs += len(d.Meta.Outputs)
 		}
 		nlost += len(d.Losers)
 	}
-	slab := make([]model.TaskID, nlost)
-	lost := make(map[proto.Addr][]model.TaskID)
+	losses := make([]loss, 0, nlost)
 	for _, d := range ds {
 		for _, loser := range d.Losers {
-			lost[loser] = slab[:len(lost[loser])+1]
+			losses = append(losses, loss{loser, d.Task})
 		}
 	}
-	at := 0
-	for loser, ts := range lost {
-		lost[loser] = slab[at : at : at+len(ts)]
-		at += len(ts)
-	}
-	for _, d := range ds {
-		for _, loser := range d.Losers {
-			lost[loser] = append(lost[loser], d.Task)
+	tasks := make([]model.TaskID, 0, nlost)
+	byPeer(losses, func(l loss) proto.Addr { return l.loser }, func(loser proto.Addr, run []loss) error {
+		from := len(tasks)
+		for _, l := range run {
+			tasks = append(tasks, l.task)
 		}
-	}
-	m.cancel(ctx, wfID, lost)
-	decided := ds
+		_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Tasks: tasks[from:len(tasks):len(tasks)]})
+		return nil
+	})
 	executor := func(t model.TaskID) proto.Addr {
-		for _, d := range decided {
+		for _, d := range ds {
 			if d.Task == t {
 				return d.Winner
 			}
 		}
 		return placed[t]
 	}
-	won, outputs := 0, 0
-	for _, d := range ds {
-		if !d.Failed() {
-			won++
-			outputs += len(d.Meta.Outputs)
-		}
-	}
 	metas := make([]proto.TaskMeta, 0, won)
 	routes := make([]proto.Route, 0, outputs)
-	for len(ds) > 0 {
-		n := 1
-		for n < len(ds) && ds[n].Winner == ds[0].Winner {
+	// Failed decisions have no winner and come first; a winner's decisions
+	// stay in the auctioneer's order.
+	return byPeer(ds, func(d auction.Decision) proto.Addr { return d.Winner }, func(winner proto.Addr, run []auction.Decision) error {
+		if winner == "" {
+			return nil
+		}
+		mfrom, rfrom := len(metas), len(routes)
+		for _, d := range run {
+			metas = append(metas, d.Meta)
+			routes = m.routes(routes, d.Meta.Outputs, w, executor)
+		}
+		return m.awardWinner(ctx, wfID, run, metas[mfrom:len(metas):len(metas)], routes[rfrom:len(routes):len(routes)], hold, alloc)
+	})
+}
+
+// byPeer is where DESIGN.md §9's rule is written: every phase of a session
+// speaks to each peer once, in host order. It sorts xs stably by peer and
+// calls each once per peer, in address order, with that peer's run of xs,
+// capped at its own end, so appending to one run leaves the next intact.
+// It stops at the first error each returns.
+func byPeer[T any](xs []T, peer func(T) proto.Addr, each func(proto.Addr, []T) error) error {
+	slices.SortStableFunc(xs, func(a, b T) int { return cmp.Compare(peer(a), peer(b)) })
+	for len(xs) > 0 {
+		p, n := peer(xs[0]), 1
+		for n < len(xs) && peer(xs[n]) == p {
 			n++
 		}
-		if !ds[0].Failed() {
-			mfrom, rfrom := len(metas), len(routes)
-			for _, d := range ds[:n] {
-				metas = append(metas, d.Meta)
-				routes = m.routes(routes, d.Meta.Outputs, w, executor)
-			}
-			if err := m.awardWinner(ctx, wfID, ds[:n], metas[mfrom:len(metas):len(metas)], routes[rfrom:len(routes):len(routes)], hold, alloc); err != nil {
-				return err
-			}
+		if err := each(p, xs[:n:n]); err != nil {
+			return err
 		}
-		ds = ds[n:]
+		xs = xs[n:]
 	}
 	return nil
 }
@@ -426,34 +433,20 @@ func (m *Manager) taskMetas(w *model.Workflow, ids []model.TaskID, postpone time
 // cancelAwards compensates auction wins that will not be used — a failed
 // allocation attempt about to be retried or replanned, a repair that did
 // not hold together, tasks a repair's reconstruction dropped — so the
-// winners release their commitments: one Cancel per winner. It runs under a
-// fresh context (compensation must go out even when the initiating request
-// was canceled), hosts and tasks in sorted order for reproducibility. A
-// Cancel names only wfID, so it can never revoke another session's
-// commitments.
+// winners release their commitments: one Cancel per winner, naming its
+// tasks in order. It runs under a fresh context (compensation must go out
+// even when the initiating request was canceled). A Cancel names only
+// wfID, so it can never revoke another session's commitments. The tasks
+// are collected by hand: an iterator over an empty map still allocates.
 func (m *Manager) cancelAwards(wfID string, alloc map[model.TaskID]proto.Addr) {
+	ctx := context.Background() //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
 	ids := make([]model.TaskID, 0, len(alloc))
 	for t := range alloc {
 		ids = append(ids, t)
 	}
 	slices.Sort(ids)
-	won := make(map[proto.Addr][]model.TaskID)
-	for _, t := range ids {
-		won[alloc[t]] = append(won[alloc[t]], t)
-	}
-	m.cancel(context.Background(), wfID, won) //openwf:allow-background compensation must out-live the canceled request ctx or winners keep dead commitments
-}
-
-// cancel sends each host of tasks one Cancel naming its tasks, in host
-// order. An auction with no loser costs it nothing: the hosts are
-// collected by hand, since an iterator over an empty map still allocates.
-func (m *Manager) cancel(ctx context.Context, wfID string, tasks map[proto.Addr][]model.TaskID) {
-	hosts := make([]proto.Addr, 0, len(tasks))
-	for h := range tasks {
-		hosts = append(hosts, h)
-	}
-	slices.Sort(hosts)
-	for _, h := range hosts {
-		_ = m.net.Send(ctx, h, wfID, proto.Cancel{Tasks: tasks[h]})
-	}
+	byPeer(ids, func(t model.TaskID) proto.Addr { return alloc[t] }, func(h proto.Addr, tasks []model.TaskID) error {
+		_ = m.net.Send(ctx, h, wfID, proto.Cancel{Tasks: tasks})
+		return nil
+	})
 }

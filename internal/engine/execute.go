@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -135,27 +134,24 @@ func (m *Manager) release(ex *execution) {
 // re-publishes its retained outputs to the new consumers.
 // segs is the caller's to give away: it is reordered by executor.
 func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow, alloc map[model.TaskID]proto.Addr, segs []proto.PlanSegment, triggers map[model.LabelID][]byte) error {
-	slices.SortStableFunc(segs, func(a, b proto.PlanSegment) int { return cmp.Compare(alloc[a.Task], alloc[b.Task]) })
-	for len(segs) > 0 {
-		to := alloc[segs[0].Task]
-		n := 1
-		for n < len(segs) && alloc[segs[n].Task] == to {
-			n++
-		}
-		reply, err := m.net.Call(ctx, to, wfID, proto.Plan{Segments: segs[:n]}, m.cfg.CallTimeout)
+	err := byPeer(segs, func(s proto.PlanSegment) proto.Addr { return alloc[s.Task] }, func(to proto.Addr, run []proto.PlanSegment) error {
+		reply, err := m.net.Call(ctx, to, wfID, proto.Plan{Segments: run}, m.cfg.CallTimeout)
 		if err == nil {
 			if _, ok := reply.(proto.Ack); !ok {
 				err = fmt.Errorf("unexpected reply %T", reply)
 			}
 		}
 		if err != nil {
-			tasks := make([]model.TaskID, n)
-			for i, seg := range segs[:n] {
+			tasks := make([]model.TaskID, len(run))
+			for i, seg := range run {
 				tasks[i] = seg.Task
 			}
 			return fmt.Errorf("distributing plan segments for %q to %q: %w", tasks, to, err)
 		}
-		segs = segs[n:]
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	var buf [4]proto.Addr
 	sent := buf[:0] // the hosts a label went to; reused across labels

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"openwf/internal/core"
 	"openwf/internal/model"
@@ -57,38 +56,36 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 		return
 	}
 	wfID := ex.plan.WorkflowID
-	byHost := make(map[proto.Addr][]model.TaskID)
-	for t, host := range ex.plan.Allocations {
-		byHost[host] = append(byHost[host], t)
-	}
+	alloc := maps.Clone(ex.plan.Allocations)
 	m.mu.Unlock()
 
-	hosts := make([]proto.Addr, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
+	ids := make([]model.TaskID, 0, len(alloc))
+	for t := range alloc {
+		ids = append(ids, t)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-
+	slices.Sort(ids)
 	var dead []proto.Addr
 	var lost, finished []model.TaskID
-	for _, h := range hosts {
-		tasks := byHost[h]
-		sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
+	err := byPeer(ids, func(t model.TaskID) proto.Addr { return alloc[t] }, func(h proto.Addr, tasks []model.TaskID) error {
 		reply, err := m.net.Call(ctx, h, wfID, proto.LeaseRefresh{Tasks: tasks}, m.cfg.CallTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
-				return
+				return ctx.Err()
 			}
 			dead = append(dead, h)
-			continue
+			return nil
 		}
 		ack, ok := reply.(proto.LeaseRefreshAck)
 		if !ok {
 			dead = append(dead, h)
-			continue
+			return nil
 		}
 		lost = append(lost, ack.Missing...)
 		finished = append(finished, ack.Finished...)
+		return nil
+	})
+	if err != nil {
+		return
 	}
 	m.mu.Lock()
 	ex.markFinishedLocked(finished)
@@ -238,9 +235,8 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 			return err
 		}
 	}
-	deadSorted := append([]proto.Addr(nil), dead...)
-	sort.Slice(deadSorted, func(i, j int) bool { return deadSorted[i] < deadSorted[j] })
-	m.cfg.Observer.repaired(wfID, deadSorted, slices.Sorted(maps.Keys(won)))
+	slices.Sort(dead)
+	m.cfg.Observer.repaired(wfID, dead, slices.Sorted(maps.Keys(won)))
 	return nil
 }
 

@@ -30,13 +30,12 @@ import (
 // location to execute it.
 const locationEps = 0.5
 
-// SendFunc transmits a one-way envelope, a LabelTransfer or a failure's
-// TaskDone.
+// SendFunc transmits an envelope, a LabelTransfer or a failure's TaskDone.
 // The host injects it: one addressed to another host crosses the
-// endpoint, and one addressed to the host itself is handed to its own
-// handler as it is. A LabelTransfer to this host already carries its own
-// copy of the data (publish), so a run's inputs are never the producer's
-// retained outputs.
+// endpoint — a TaskDone as a request, nil only once it is acked — and one
+// addressed to the host itself is handed to its own handler as it is. A
+// LabelTransfer to this host already carries its own copy of the data
+// (publish), so a run's inputs are never the producer's retained outputs.
 type SendFunc func(ctx context.Context, to proto.Addr, env proto.Envelope) error
 
 // Manager drives the execution of this host's commitments: one run per
@@ -162,7 +161,7 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	r.seg = seg
 	if r.finished {
 		outputs := r.outputs
-		go func() { m.reportFailure(workflow, seg, m.publish(workflow, &r.commitment, seg, outputs)) }()
+		go func() { m.reportFailure(workflow, r, seg, m.publish(workflow, &r.commitment, seg, outputs)) }()
 	}
 }
 
@@ -363,11 +362,11 @@ func (m *Manager) invoke(workflow string, r *run) {
 		if m.ctx.Err() != nil {
 			return // host shutting down: nobody to notify
 		}
-		m.reportFailure(workflow, seg, fmt.Errorf("executing %q: %w", c.Task, err))
+		m.reportFailure(workflow, r, seg, fmt.Errorf("executing %q: %w", c.Task, err))
 		return
 	}
 	if live {
-		m.reportFailure(workflow, seg, m.publish(workflow, c, seg, outputs))
+		m.reportFailure(workflow, r, seg, m.publish(workflow, c, seg, outputs))
 	}
 }
 
@@ -403,13 +402,25 @@ func (m *Manager) publish(workflow string, c *schedule.Commitment, seg proto.Pla
 	return nil
 }
 
-// reportFailure tells the initiator that a task failed. A success is not
-// reported: the goals arriving complete the workflow, and a lease refresh
-// asks which runs finished (Finished).
-func (m *Manager) reportFailure(workflow string, seg proto.PlanSegment, err error) {
+// reportFailure tells the initiator that r's task failed, and tells it
+// again after every try that gets no answer, until one is acked or the run
+// is dropped: by the initiator's release, or by the lease sweep once the
+// initiator is gone. A success is not reported: the goals arriving
+// complete the workflow, and a lease refresh asks which runs finished
+// (Finished).
+func (m *Manager) reportFailure(workflow string, r *run, seg proto.PlanSegment, err error) {
 	if err == nil {
 		return
 	}
-	body := proto.TaskDone{Task: seg.Task, Err: err.Error()}
-	_ = m.send(m.ctx, seg.Initiator, proto.Envelope{Workflow: workflow, Body: body})
+	env := proto.Envelope{Workflow: workflow, Body: proto.TaskDone{Task: seg.Task, Err: err.Error()}}
+	for m.send(m.ctx, seg.Initiator, env) != nil && m.ctx.Err() == nil && m.registered(workflow, r) {
+		// No answer: the initiator may be alive and the report lost.
+	}
+}
+
+// registered reports whether r is still the run of its task in workflow.
+func (m *Manager) registered(workflow string, r *run) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.runs[runKey{workflow, r.commitment.Task}] == r
 }

@@ -100,6 +100,9 @@ type Host struct {
 	// so concurrent allocation sessions multiplex over one host.
 	dispatch *dispatcher
 
+	// callTimeout bounds each call exec makes: its engine's CallTimeout.
+	callTimeout time.Duration
+
 	// index is the host's memory of its community, which its engine
 	// routes by and fills; refreshEvery is the advertiser's cadence, zero
 	// when the host runs none.
@@ -161,6 +164,10 @@ func New(cfg Config) (*Host, error) {
 	}
 	h.index = discovery.New(clk, ttl)
 	h.Engine = engine.NewManager(h, cfg.Engine)
+	h.callTimeout = cfg.Engine.CallTimeout
+	if h.callTimeout <= 0 {
+		h.callTimeout = engine.DefaultConfig().CallTimeout
+	}
 	h.dispatch = newDispatcher(h.process, engine.Workers)
 
 	for _, f := range cfg.Fragments {
@@ -267,19 +274,36 @@ func (h *Host) sendEnvelope(ctx context.Context, to proto.Addr, env proto.Envelo
 	return ep.Send(ctx, to, env)
 }
 
-// sendExec is the execution manager's SendFunc. A one-way envelope for
-// this host — a label for a run here, a failure for its own initiator —
-// never crosses the link: it is re-addressed and handed to Handle, where it
+// sendExec is the execution manager's SendFunc. An envelope for this host
+// — a label for a run here, a failure for its own initiator — never
+// crosses the link: it is re-addressed and handed to Handle, where it
 // takes the path of one that arrived. A label's Data is already its own
-// copy (exec's publish makes it).
+// copy (exec's publish makes it). A failure for another host is a request:
+// it returns nil once the initiator acks it, and otherwise not before the
+// call's timeout, so exec's next try waits out a peer that refuses at once.
 func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) error {
-	if to != h.addr {
+	if to == h.addr {
+		env.From, env.To = h.addr, h.addr
+		h.record(trace.Send, to, env)
+		h.Handle(env)
+		return nil
+	}
+	if _, ok := env.Body.(proto.TaskDone); !ok {
 		return h.sendEnvelope(ctx, to, env)
 	}
-	env.From, env.To = h.addr, h.addr
-	h.record(trace.Send, to, env)
-	h.Handle(env)
-	return nil
+	due := h.clk.Now().Add(h.callTimeout)
+	reply, err := h.Call(ctx, to, env.Workflow, env.Body, h.callTimeout)
+	if _, ok := reply.(proto.Ack); ok {
+		return nil
+	}
+	if err == nil {
+		err = fmt.Errorf("task-done to %q: unexpected reply %T", to, reply)
+	}
+	select {
+	case <-h.clk.After(due.Sub(h.clk.Now())):
+	case <-ctx.Done():
+	}
+	return err
 }
 
 // record emits a trace event if tracing is enabled.
@@ -413,11 +437,9 @@ func (h *Host) recycle(c *call, mine bool) {
 // concurrency.
 func (h *Host) Handle(env proto.Envelope) {
 	h.record(trace.Recv, env.From, env)
-	switch env.Body.(type) {
-	case proto.FragmentReply, proto.FeasibilityReply, proto.BidBatch,
-		proto.AwardAck, proto.LeaseRefreshAck, proto.AdvertiseAck, proto.Ack:
+	if proto.IsReply(env.Body) {
 		h.routeReply(env)
-	default:
+	} else {
 		h.dispatch.enqueue(env)
 	}
 }
@@ -495,7 +517,11 @@ func (h *Host) process(env proto.Envelope) {
 		h.Engine.OnLabelTransfer(env.Workflow, b)
 
 	case proto.TaskDone:
+		// One handed over in place (sendExec) has no call to answer.
 		h.Engine.OnTaskDone(env.Workflow, b)
+		if env.ReqID != 0 {
+			h.reply(env, proto.Ack{})
+		}
 
 	case proto.Advertise:
 		h.index.ObserveAdvertise(env.From, b.Labels, b.Tasks)

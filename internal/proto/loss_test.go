@@ -40,7 +40,7 @@ var lossContract = map[string]lossRule{
 	"cancel":              leaseBounded,
 	"advertise":           refreshed,
 	"label-transfer":      openSeam1,
-	"task-done":           openSeam1, // failure only: a success sends none
+	"task-done":           replyOrTimeout, // failure only: a success sends none
 }
 
 // decodedBodies returns a body of every kind the decoder knows, by tag:
@@ -71,15 +71,21 @@ func codecBodies() map[string]Body {
 }
 
 // TestLossContract checks the table against the codec's kind tags in both
-// directions: every kind has a rule, and every rule names a kind. A request
-// (IsRequest) is bounded by its reply or timeout, whatever else holds.
+// directions: every kind has a rule, and every rule names a kind. Every
+// kind is exactly one of request (IsRequest), reply (IsReply) or one-way,
+// and a kind is bounded by its reply or timeout exactly when it is a
+// request or a reply.
 func TestLossContract(t *testing.T) {
 	bodies := codecBodies()
 	for kind, body := range bodies {
+		req, rep := IsRequest(body), IsReply(body)
+		if req && rep {
+			t.Errorf("kind %q is both a request and a reply", kind)
+		}
 		if rule, ok := lossContract[kind]; !ok {
 			t.Errorf("body kind %q has no loss rule", kind)
-		} else if IsRequest(body) && rule != replyOrTimeout {
-			t.Errorf("request kind %q has loss rule %q, want %q", kind, rule, replyOrTimeout)
+		} else if (req || rep) != (rule == replyOrTimeout) {
+			t.Errorf("kind %q (request %v, reply %v) has loss rule %q", kind, req, rep, rule)
 		}
 	}
 	for kind := range lossContract {

@@ -272,9 +272,10 @@ type LabelTransfer struct {
 func (LabelTransfer) Kind() string { return "label-transfer" }
 
 // TaskDone notifies the initiator that a committed task failed, with Err
-// saying why. A success is not reported: the workflow is complete when its
-// goals arrive, and the refresh learns which tasks finished
-// (LeaseRefreshAck.Finished).
+// saying why. It is a request, answered by an Ack: the executor asks again
+// until one comes or the run is dropped. A success is not reported: the
+// workflow is complete when its goals arrive, and the refresh learns which
+// tasks finished (LeaseRefreshAck.Finished).
 type TaskDone struct {
 	Task model.TaskID
 	Err  string
@@ -284,7 +285,7 @@ type TaskDone struct {
 func (TaskDone) Kind() string { return "task-done" }
 
 // Ack is the generic acknowledgment for requests with no richer reply
-// (plans).
+// (plans, failures).
 type Ack struct{}
 
 // Kind implements Body.
@@ -359,7 +360,18 @@ func (AdvertiseAck) Kind() string { return "advertise-ack" }
 // is accounted separately (community.DiscoveryStats).
 func IsRequest(b Body) bool {
 	switch b.(type) {
-	case FragmentQuery, FeasibilityQuery, CallForBidsBatch, Award, Plan, LeaseRefresh:
+	case FragmentQuery, FeasibilityQuery, CallForBidsBatch, Award, Plan, LeaseRefresh, TaskDone:
+		return true
+	}
+	return false
+}
+
+// IsReply reports whether the body answers a request: a host routes it,
+// by its correlation ID, to the Call waiting for it. A body that is
+// neither a request nor a reply is one-way.
+func IsReply(b Body) bool {
+	switch b.(type) {
+	case FragmentReply, FeasibilityReply, BidBatch, AwardAck, LeaseRefreshAck, AdvertiseAck, Ack:
 		return true
 	}
 	return false
