@@ -86,21 +86,25 @@ func TestCostTable(t *testing.T) {
 		// 7 label transfers, 5 of them host01 to itself; and 3 cancels, one
 		// to each loser's bids and the release of host01's runs. The
 		// services are the benchmark's XOR, 3 allocations a task. Ten runs
-		// of the test read construct 13.0, allocate 74.8 and execute 74.0;
+		// of the test read construct 12.0, allocate 74.8 and execute 71.0;
 		// each bound sits 2 above, a third of the 6 that one more
-		// allocation per task run adds. They read 13.3, 75.1 and 75.3 while
-		// one session warmed the row — the first measured one still grew
-		// the pooled supergraph, 3 allocations — and the goal's label was
-		// formatted inside the execute phase. Allocate read 81.0 – 81.1 and
+		// allocation per task run adds. Construct read 13.0 while each
+		// session was a heap object, and execute 74.0 while the execution
+		// kept the tasks still to run beside the finished ones. They read
+		// 13.3, 75.1 and 75.3 while one session warmed the row — the first
+		// measured one still grew the pooled supergraph, 3 allocations —
+		// and the goal's label was formatted inside the execute phase.
+		// Allocate read 81.0 – 81.1 and
 		// execute 83.0 – 83.3 while a call for bids decoded into 4
 		// allocations, the 6-task award into 6 and each of the 2 label
 		// transfers that cross the wire into 7, where each is 3 now (a
 		// frame's lists come from one block, its strings from one copy).
-		// Allocate read 82.0 – 82.1 while it copied the workflow's order to drop the
-		// placed tasks, 110.0 – 110.1 while every hold allocated its
-		// record, every call for bids its results and the losers' cancel
-		// lists grew by append, and 120.0 – 120.1 while a plan's metas sat
-		// out of line and the ack carried a verdict per task. Construct read 20.0 –
+		// Allocate read 82.0 – 82.1 while it copied the workflow's order to
+		// drop the placed tasks, 110.0 – 110.1 while every hold allocated
+		// its record, every call for bids its results and the losers'
+		// cancel lists grew by append, and 120.0 – 120.1 while a plan's
+		// metas sat out of line and the ack carried a verdict per task.
+		// Construct read 20.0 –
 		// 20.3 while the workflow indexed itself in maps, 22.0 – 22.3
 		// while Satisfies copied the workflow's inset and outset, and
 		// execute 84.0 – 84.1 while distribute copied the inset (116.0 –
@@ -111,15 +115,16 @@ func TestCostTable(t *testing.T) {
 			setup:     chainSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "label-transfer": 7, "cancel": 3},
-			allocs:    [numPhases]float64{construct: 15, allocate: 77, execute: 77},
+			allocs:    [numPhases]float64{construct: 14, allocate: 77, execute: 73},
 		},
 		// sim_serial's session: a 6-task chain whose every task one host
 		// offers, 3 providers of 2 tasks each. Memory knows each task's one
 		// offerer, so no call for bids goes out: 3 held awards, each
 		// answered by its ack, and nothing else. Ten runs read construct
-		// 13.0 and allocate 36.7 (13.3 and 36.8 alone while one session
-		// warmed the row); each bound sits 2 above, a third of the
-		// 6 that one more allocation per task adds. Allocate read 45.8
+		// 12.0 and allocate 36.7 (13.0 while each session was a heap
+		// object; 13.3 and 36.8 alone while one session warmed the row);
+		// each bound sits 2 above, a third of the 6 that one more
+		// allocation per task adds. Allocate read 45.8
 		// while an award of one or two tasks decoded into 4 or 6
 		// allocations, where it is 3 now — 9 for the session's 3 awards —
 		// 46.8
@@ -136,17 +141,18 @@ func TestCostTable(t *testing.T) {
 			setup:     soleSession,
 			calls:     3,
 			envelopes: map[string]int{"award": 3, "award-ack": 3},
-			allocs:    [numPhases]float64{construct: 15, allocate: 39},
+			allocs:    [numPhases]float64{construct: 14, allocate: 39},
 		},
 		// sim_contended's collision: the sole-provider layout with every
 		// task offered by all 3 providers, and before each session a rival
 		// workflow's commitment takes every window on host01, which would
 		// win every tie. The session sweeps: 3 calls for bids, host01
 		// declines all 6 tasks, host02 wins them in 1 award, and host03,
-		// the loser, gets 1 cancel. Ten runs read construct 13.0 and
-		// allocate 64.7 (13.3 and 64.9 alone while one session warmed the
-		// row); each bound sits 2 above, a third of the 6 that one
-		// more allocation per decline adds. Construct read 20.0 while the
+		// the loser, gets 1 cancel. Ten runs read construct 12.0 and
+		// allocate 64.7 (13.0 while each session was a heap object; 13.3
+		// and 64.9 alone while one session warmed the row); each bound
+		// sits 2 above, a third of the 6 that one more allocation per
+		// decline adds. Construct read 20.0 while the
 		// workflow indexed itself in maps. Allocate read 70.8 while a call
 		// for bids decoded into 4 allocations and the 6-task award into 6,
 		// where each is 3 now, 71.8 while it
@@ -159,7 +165,7 @@ func TestCostTable(t *testing.T) {
 			setup:     contendedSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "cancel": 1},
-			allocs:    [numPhases]float64{construct: 15, allocate: 67},
+			allocs:    [numPhases]float64{construct: 14, allocate: 67},
 		},
 		// The serial auction over replicated providers, split: every task
 		// offered by all 3 providers, host01 the specialist of t1 – t3,
@@ -169,39 +175,42 @@ func TestCostTable(t *testing.T) {
 		// host01 and host02 lose each other's tasks and host03 all six, 1
 		// cancel each — then 2 awards, one per winner. Its rounds reach
 		// several peers with several tasks each, and one host is both a
-		// loser and a winner. Ten runs read construct 13.0 and allocate
-		// 77.9 (77.8 after the rows above; 13.3 and 78.1 alone while one
-		// session warmed the row); each bound sits 2 above, as the other
-		// rows' do.
+		// loser and a winner. Ten runs read construct 12.0 and allocate
+		// 77.9 (77.8 after the rows above; 13.0 while each session was a
+		// heap object; 13.3 and 78.1 alone while one session warmed the
+		// row); each bound sits 2 above, as the other rows' do.
 		{
 			name:      "initiate/split/chain=6",
 			setup:     splitSession,
 			calls:     5,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 2, "award-ack": 2, "cancel": 3},
-			allocs:    [numPhases]float64{construct: 15, allocate: 80},
+			allocs:    [numPhases]float64{construct: 14, allocate: 80},
 		},
 		// The chain row with its winner crashed: host01 dies after
 		// Initiate, before its first window. Execute's trigger and the
 		// refresher's lease refresh go to a dark host, so neither counts
 		// as received, and the refresh's call times out. Repair starts from
 		// doubt (DESIGN.md §10), so its sweep asks host00, host02 and
-		// host03, and host02 wins all six tasks, in 1 award; host03 loses them in 1 cancel.
-		// No kept task feeds a re-homed one, so no plan request goes out:
-		// the trigger is re-injected, and host02 runs the chain. The doubt,
+		// host03; host02 wins all six tasks in 1 award, and host03 loses
+		// them in 1 cancel. No kept task feeds a re-homed one, so no plan
+		// request goes out: the trigger is re-injected, and host02 runs
+		// the chain. The doubt,
 		// and the hours on the clock, leave the next session cold: its
 		// construction asks every member, 9 fragment queries over its
 		// rounds, and its Initiate sweeps as the chain row's does. That
 		// makes 18 calls: 9 fragment queries, 6 calls for bids, 2 awards
 		// and the lost refresh; and 4 cancels: the Initiate's 2 losers,
 		// the repair's loser and the release of host02's runs. Ten runs
-		// read construct 213.0, allocate 76.7 and execute 192.0; each bound
-		// sits 2 above.
+		// read construct 212.0, allocate 76.7 and execute 189.0; each bound
+		// sits 2 above. Construct read 213.0 while each session was a heap
+		// object, and execute 192.0 while the execution kept the tasks
+		// still to run beside the finished ones.
 		{
 			name:      "initiate+repair/chain=6/label=4KiB",
 			setup:     repairSession,
 			calls:     18,
 			envelopes: map[string]int{"fragment-query": 9, "fragment-reply": 9, "call-for-bids-batch": 6, "bid-batch": 6, "award": 2, "award-ack": 2, "label-transfer": 7, "cancel": 4},
-			allocs:    [numPhases]float64{construct: 215, allocate: 79, execute: 194},
+			allocs:    [numPhases]float64{construct: 214, allocate: 79, execute: 191},
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {

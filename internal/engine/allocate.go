@@ -45,54 +45,83 @@ func retrySlot(wfID string) int {
 	return ordinal + int(h%retryBandPeriod)
 }
 
-// allocate auctions every task of w that placed has no executor for —
-// every task on an Initiate (placed nil), the re-homed ones on a repair
-// (placed is the allocation it keeps) — in topological order, windows
-// staggered in that order, among candidates (nil = the whole community;
-// repair passes the survivors), rotated by rot (see route). The plan rides
-// on the awards: every task is decided before the first award goes out,
-// so each award carries where its tasks' outputs go (award). With nothing
-// to place it sends nothing.
+// rebuild reconstructs a workflow that uses none of the exclude tasks and
+// returns it with the allocation of it that is kept (nil: none).
+type rebuild func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error)
+
+// settle is the failure feedback of §5.1, written once: it allocates w —
+// first built by rebuild when nil — and when tasks of it stay
+// unallocatable, excludes them and allocates what rebuild makes of the
+// remaining knowledge instead (Observer.Replanned), up to MaxReplans times;
+// a nil rebuild never replans. Initiate, AllocateWorkflow and plan repair
+// differ only in what they pass it.
+//
+// Each try auctions every task of w that placed has no executor for —
+// every task on an Initiate, the re-homed ones on a repair (placed is the
+// allocation it keeps) — in topological order, windows staggered in that
+// order, among candidates (nil = the whole community; repair passes the
+// survivors), rotated by rot (see route). The plan rides on the awards:
+// every task is decided before the first award goes out, so each award
+// carries where its tasks' outputs go (award). With nothing to place it
+// sends nothing.
 //
 // A try that leaves tasks unallocated — their providers may only be busy
 // with another session's commitments now — cancels its own wins, and with
 // them any routes they carried, and solicits the whole set again,
-// postponed into the try's retry band (retryPostpone, retrySlot). It
-// returns the last try's wins with their metas and the tasks it left
-// unallocated; once the retries are spent those wins are the caller's to
-// keep or cancel. On error the try's wins are cancelled.
-func (m *Manager) allocate(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int) (won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, failed []model.TaskID, err error) {
+// postponed into the try's retry band (retryPostpone, retrySlot), up to
+// WindowRetries times before it replans; a rebuilt workflow's first try is
+// not postponed. settle returns the workflow it settled on, its wins with
+// their metas, and how often it replanned. On error the try's wins are
+// cancelled.
+func (m *Manager) settle(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int, rebuild rebuild) (settled *model.Workflow, won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, replans int, err error) {
+	exclude := append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...)
+	if w == nil {
+		if w, placed, err = rebuild(ctx, exclude); err != nil {
+			return nil, nil, nil, 0, err
+		}
+	}
 	slot := retrySlot(wfID)
 	var buf [16]model.TaskID
-	ids := unplaced(buf[:0], w, placed)
-	if len(ids) == 0 {
-		return nil, nil, nil, nil
-	}
 	for try := 0; ; try++ {
+		ids := unplaced(buf[:0], w, placed)
+		if len(ids) == 0 {
+			return w, nil, nil, replans, nil
+		}
 		solicited := m.taskMetas(w, ids, m.retryPostpone(try, slot))
 		won = make(map[model.TaskID]proto.Addr, len(solicited))
-		if failed, err = m.runAuction(ctx, wfID, candidates, rot, solicited, w, placed, won); err != nil {
-			// Awards confirmed before the error, or canceled mid-call
-			// (settleLost), are wins to release.
-			m.cancelAwards(wfID, won)
-			return nil, nil, nil, err
-		}
-		if len(failed) == 0 || try >= m.cfg.WindowRetries {
-			metas = make(map[model.TaskID]proto.TaskMeta, len(won))
+		failed, err := m.runAuction(ctx, wfID, candidates, rot, solicited, w, placed, won)
+		if err == nil && len(failed) == 0 {
+			metas = make(map[model.TaskID]proto.TaskMeta, len(solicited))
 			for _, meta := range solicited {
-				if _, ok := won[meta.Task]; ok {
-					metas[meta.Task] = meta
-				}
+				metas[meta.Task] = meta
 			}
-			return won, metas, failed, nil
+			return w, won, metas, replans, nil
 		}
+		// Awards confirmed before an error, or canceled mid-call
+		// (settleLost), are wins to release, as are a failed try's.
 		m.cancelAwards(wfID, won)
+		switch {
+		case err != nil:
+			return nil, nil, nil, replans, err
+		case try < m.cfg.WindowRetries:
+			continue
+		case rebuild == nil || replans >= m.cfg.MaxReplans:
+			return nil, nil, nil, replans, fmt.Errorf("%w: tasks %v unallocatable after %d replans",
+				ErrAllocationFailed, failed, replans)
+		}
+		replans++
+		m.cfg.Observer.replanned(wfID, replans, failed)
+		exclude = append(exclude, failed...)
+		if w, placed, err = rebuild(ctx, exclude); err != nil {
+			return nil, nil, nil, replans, err
+		}
+		try = -1
 	}
 }
 
 // unplaced appends to ids the tasks of w that placed has no executor for,
 // in topological order, read from the workflow's cached order without a
-// copy. allocate hands it a 16-task stack array, so ordering an Initiate
+// copy. settle hands it a 16-task stack array, so ordering an Initiate
 // of up to 16 tasks allocates nothing.
 func unplaced(ids []model.TaskID, w *model.Workflow, placed map[model.TaskID]proto.Addr) []model.TaskID {
 	for t := range w.TopoSeq() {
@@ -127,7 +156,7 @@ func unplaced(ids []model.TaskID, w *model.Workflow, placed map[model.TaskID]pro
 // award releases every loser before the first winner is told.
 //
 // On error the awards already recorded in alloc are NOT compensated —
-// the caller owns cleanup (allocate cancels them).
+// the caller owns cleanup (settle cancels them).
 func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []proto.Addr, rot int, metas []proto.TaskMeta, w *model.Workflow, placed, alloc map[model.TaskID]proto.Addr) (failed []model.TaskID, err error) {
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
@@ -431,8 +460,8 @@ func (m *Manager) taskMetas(w *model.Workflow, ids []model.TaskID, postpone time
 }
 
 // cancelAwards compensates auction wins that will not be used — a failed
-// allocation attempt about to be retried or replanned, a repair that did
-// not hold together, tasks a repair's reconstruction dropped — so the
+// try about to be retried or replanned, a repair that ended with the
+// execution, tasks a repair's reconstruction dropped — so the
 // winners release their commitments: one Cancel per winner, naming its
 // tasks in order. It runs under a fresh context (compensation must go out
 // even when the initiating request was canceled). A Cancel names only

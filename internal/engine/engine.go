@@ -148,7 +148,9 @@ type Config struct {
 	// are staggered by topological order so one host can serve several
 	// tasks of the same workflow.
 	TaskWindow time.Duration
-	// MaxReplans bounds the failure-feedback loop.
+	// MaxReplans bounds the failure-feedback loop: how many times one
+	// session, or one plan repair, reconstructs without the tasks that
+	// stayed unallocatable.
 	MaxReplans int
 	// WindowRetries is how many times a failed allocation is retried
 	// with postponed execution windows before the engine gives up on
@@ -228,8 +230,7 @@ type Manager struct {
 
 // execution tracks an in-flight Execute call on the initiator.
 type execution struct {
-	plan      *Plan
-	remaining map[model.TaskID]struct{}
+	plan *Plan
 	// outs are the plan workflow's goal labels (Workflow.Out), kept so a
 	// label's arrival copies nothing; a repair re-homing tasks resets them.
 	outs      []model.LabelID
@@ -238,10 +239,9 @@ type execution struct {
 	done      chan struct{}
 	finished  bool
 	completed bool
-	// finishedTasks records the tasks known to have finished, from lease
-	// refreshes — the complement of remaining, kept explicitly so plan
-	// repair can tell "finished" from "never part of the workflow" after
-	// the workflow itself changes.
+	// finishedTasks records the tasks of the plan's workflow known to have
+	// finished, from lease refreshes; every other task of it is still to
+	// run.
 	finishedTasks map[model.TaskID]struct{}
 	// triggers retains the initiator-supplied trigger data so a repair
 	// can re-inject the workflow sources to re-allocated consumers.
@@ -287,7 +287,7 @@ func (m *Manager) Initiate(ctx context.Context, s spec.Spec) (*Plan, error) {
 	}
 	sess := m.newSession(s)
 	defer m.endSession()
-	return sess.run(ctx)
+	return m.run(ctx, sess, nil)
 }
 
 // AllocateWorkflow allocates a pre-specified workflow without any
@@ -302,20 +302,7 @@ func (m *Manager) AllocateWorkflow(ctx context.Context, w *model.Workflow, s spe
 	}
 	sess := m.newSession(s)
 	defer m.endSession()
-	return m.notFromMemory(func() (*Plan, error) {
-		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
-		if err == nil && len(failed) > 0 {
-			m.cancelAwards(sess.wfID, alloc)
-			err = fmt.Errorf("%w: tasks %v unallocatable", ErrAllocationFailed, failed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{
-			WorkflowID: sess.wfID, Spec: s, Workflow: w, Initiator: m.net.Self(),
-			Allocations: alloc, Metas: metas, Construction: core.Result{Workflow: w},
-		}, nil
-	})
+	return m.run(ctx, sess, w)
 }
 
 // communityView is one construction's window on the community's knowhow
@@ -406,7 +393,7 @@ type memberReply struct {
 // for tasks, and reports whether the sweep should ask them to describe
 // themselves. The index decides member by member (see internal/discovery).
 //
-// rot rotates the visiting order; allocate passes the session ordinal so
+// rot rotates the visiting order; a session's auctions pass its ordinal so
 // concurrent sessions start their solicitation at different members. The
 // full view is rotated first and the index rules members out second, so
 // the members that are solicited keep the order a broadcast would have

@@ -60,15 +60,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 	outs := w.Out()
 	ex := &execution{
 		plan:          plan,
-		remaining:     make(map[model.TaskID]struct{}, w.NumTasks()),
 		outs:          outs,
 		goals:         make(map[model.LabelID][]byte, len(outs)),
 		done:          make(chan struct{}),
 		finishedTasks: make(map[model.TaskID]struct{}, w.NumTasks()),
 		triggers:      triggers,
-	}
-	for _, id := range w.TaskIDs() {
-		ex.remaining[id] = struct{}{}
 	}
 	m.mu.Lock()
 	if _, dup := m.executions[plan.WorkflowID]; dup {
@@ -183,10 +179,14 @@ func (m *Manager) executionReport(ex *execution, plan *Plan, start time.Time, ct
 	for l, data := range ex.goals {
 		goals[l] = data
 	}
+	done := len(ex.finishedTasks)
+	if ex.completed {
+		done = plan.Workflow.NumTasks()
+	}
 	return &Report{
 		Completed: ex.completed && ctxErr == nil,
 		Goals:     goals,
-		TasksDone: plan.Workflow.NumTasks() - len(ex.remaining),
+		TasksDone: done,
 		Failures:  append([]string(nil), ex.failures...),
 		Elapsed:   m.net.Clock().Since(start),
 	}
@@ -244,7 +244,6 @@ func (m *Manager) OnLabelTransfer(workflow string, lt proto.LabelTransfer) {
 // (Execute).
 func (ex *execution) maybeCompleteLocked() {
 	if len(ex.goals) == len(ex.outs) {
-		clear(ex.remaining)
 		ex.finishLocked(true)
 	}
 }

@@ -20,7 +20,9 @@ import (
 // the running execution: dropped tasks are canceled, new ones auctioned
 // with their routes, kept producers of re-homed tasks re-routed, triggers
 // re-injected. Repair has no steps of its own: it is the session's
-// construct, allocate and distribute, run over the survivors.
+// failure feedback (settle), with its budget, constraints and events, run
+// over the survivors from the current workflow, and the session's
+// distribute.
 // Executors retain the outputs of finished runs, so a repaired route
 // re-publishes data instead of re-executing services wherever possible.
 
@@ -100,19 +102,18 @@ func (m *Manager) refreshLeases(ctx context.Context, ex *execution) {
 
 // markFinishedLocked records tasks a refresh reported finished, and every
 // producer upstream of them: a run starts only once all of its inputs are
-// in. A task no longer in remaining — already known, or gone from the
-// workflow — is skipped with its upstream.
+// in. A task already known finished, or gone from the workflow, is skipped
+// with its upstream.
 func (ex *execution) markFinishedLocked(tasks []model.TaskID) {
 	w := ex.plan.Workflow
 	for len(tasks) > 0 {
 		t := tasks[len(tasks)-1]
 		tasks = tasks[:len(tasks)-1]
-		if _, open := ex.remaining[t]; !open {
+		task, in := w.Task(t)
+		if _, known := ex.finishedTasks[t]; known || !in {
 			continue
 		}
-		delete(ex.remaining, t)
 		ex.finishedTasks[t] = struct{}{}
-		task, _ := w.Task(t)
 		for _, in := range task.Inputs {
 			if p, ok := w.Producer(in); ok {
 				tasks = append(tasks, p)
@@ -142,12 +143,13 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 
 	affected := make(map[model.TaskID]struct{})
 	for _, t := range lost {
-		if _, unfinished := ex.remaining[t]; unfinished {
+		if _, fin := ex.finishedTasks[t]; !fin {
 			affected[t] = struct{}{}
 		}
 	}
-	for t := range ex.remaining {
-		if _, gone := deadSet[plan.Allocations[t]]; gone {
+	for t, h := range plan.Allocations {
+		_, fin := ex.finishedTasks[t]
+		if _, gone := deadSet[h]; gone && !fin {
 			affected[t] = struct{}{}
 		}
 	}
@@ -161,54 +163,42 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	for t := range affected {
 		delete(plan.Allocations, t)
 		delete(ex.finishedTasks, t)
-		ex.remaining[t] = struct{}{}
 	}
 	survivors := survivorsOf(m.net.Members(), deadSet)
 	placed := maps.Clone(plan.Allocations)
 	m.mu.Unlock()
 
 	// Re-auction the affected tasks among the survivors, routed like any
-	// other sweep, with fresh execution windows starting now and
-	// allocation's window retries: concurrent executions repairing after
-	// the same fault all re-auction at the same instant, and the retry
-	// bands keep them from colliding on the survivors' schedules round
-	// after round. Each award carries its task's routes, to kept and
-	// re-homed consumers alike. The wins are merged into the plan only once
-	// the whole repair holds together.
+	// other sweep, with fresh execution windows starting now and the
+	// session's window retries: concurrent executions repairing after the
+	// same fault all re-auction at the same instant, and the retry bands
+	// keep them from colliding on the survivors' schedules round after
+	// round. Each award carries its task's routes, to kept and re-homed
+	// consumers alike. Tasks nobody among the survivors can take are
+	// excluded, and the workflow is reconstructed from the surviving
+	// community's knowledge (a dead provider's unique fragments are simply
+	// not offered) — a repair, not a full replan: finished work and live
+	// allocations are kept wherever the new workflow still uses them, and
+	// what it dropped is cancelled. The wins are merged into the plan only
+	// once the whole repair holds together.
 	//
 	// Repair starts from doubt: a member just died under a running
 	// workflow, and what the survivors said before that says nothing about
 	// what they can take over now. Everyone is solicited until a
 	// reconstruction has asked them again (see internal/discovery).
 	m.idx.Doubt(m.idx.Mark())
-	won, wonMetas, failed, err := m.allocate(ctx, wfID, w, placed, survivors, 0)
+	reconstruct := func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error) {
+		res, err := m.build(ctx, wfID, plan.Spec, survivors, exclude)
+		if err != nil {
+			return nil, nil, fmt.Errorf("reconstructing without %v: %w", exclude, err)
+		}
+		kept, dropped := m.swapWorkflow(ex, res, deadSet)
+		m.cancelAwards(wfID, dropped)
+		return res.Workflow, kept, nil
+	}
+	_, won, wonMetas, _, err := m.settle(ctx, wfID, w, placed, survivors, 0, reconstruct)
 	if err != nil {
 		return err
-	}
-	if len(failed) > 0 {
-		// Nobody among the survivors can take some of the tasks: cancel the
-		// partial re-auction, whose routes name a task that may not
-		// survive, and reconstruct from the surviving community's knowledge
-		// (a dead provider's unique fragments are simply not offered) with
-		// the unplaceable tasks excluded — a repair, not a full replan:
-		// finished work and live allocations are kept wherever the new
-		// workflow still uses them.
-		m.cancelAwards(wfID, won)
-		exclude := append(append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...), failed...)
-		res, err := m.construct(ctx, wfID, plan.Spec, survivors, exclude)
-		if err != nil {
-			return fmt.Errorf("reconstructing around unallocatable tasks %v: %w", failed, err)
-		}
-		placed, dropped := m.swapWorkflow(ex, res, deadSet)
-		m.cancelAwards(wfID, dropped)
-		won, wonMetas, failed, err = m.allocate(ctx, wfID, res.Workflow, placed, survivors, 0)
-		if err == nil && len(failed) > 0 {
-			m.cancelAwards(wfID, won)
-			err = fmt.Errorf("%w: tasks %v unallocatable on the surviving community", ErrAllocationFailed, failed)
-		}
-		if err != nil {
-			return err
-		}
 	}
 
 	// Commit the repaired allocation and snapshot what must be re-sent.
@@ -265,20 +255,14 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 		}
 		delete(plan.Allocations, t)
 		delete(plan.Metas, t)
-		delete(ex.remaining, t)
 		delete(ex.finishedTasks, t)
 	}
 	plan.Workflow = newW
 	plan.Construction = *res
-	// New-workflow tasks without a live executor need an auction;
-	// anything unfinished re-enters remaining.
+	// New-workflow tasks without a live executor need an auction.
 	moved := make(map[model.TaskID]struct{})
 	for _, t := range newW.TaskIDs() {
-		_, allocated := plan.Allocations[t]
-		if _, fin := ex.finishedTasks[t]; !allocated || !fin {
-			ex.remaining[t] = struct{}{}
-		}
-		if !allocated {
+		if _, allocated := plan.Allocations[t]; !allocated {
 			moved[t] = struct{}{}
 		}
 	}
@@ -287,7 +271,6 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 		delete(ex.finishedTasks, t)
 		delete(plan.Allocations, t)
 		delete(plan.Metas, t)
-		ex.remaining[t] = struct{}{}
 	}
 	// Goals follow the new workflow (the spec is unchanged, so in
 	// practice the goal set is too; pruning keeps the count honest).

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/spec"
@@ -33,6 +35,40 @@ func repairObserver(cfg *Config) <-chan repairEvent {
 		events <- repairEvent{dead: dead, tasks: tasks}
 	}
 	return events
+}
+
+// feedback records the failure feedback a Manager reports: how many
+// constructions it finished, and each replan's attempt and excluded tasks.
+type feedback struct {
+	mu            sync.Mutex
+	constructions int
+	replans       []string
+}
+
+func feedbackObserver(cfg *Config) *feedback {
+	fb := &feedback{}
+	cfg.Observer.ConstructionDone = func(string, core.Result) {
+		fb.mu.Lock()
+		fb.constructions++
+		fb.mu.Unlock()
+	}
+	cfg.Observer.Replanned = func(_ string, attempt int, excluded []model.TaskID) {
+		fb.mu.Lock()
+		fb.replans = append(fb.replans, fmt.Sprintf("%d:%v", attempt, excluded))
+		fb.mu.Unlock()
+	}
+	return fb
+}
+
+// check fails t unless constructions constructions and the replans want
+// (attempt:excluded, in order) were reported.
+func (fb *feedback) check(t *testing.T, constructions int, want ...string) {
+	t.Helper()
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if fb.constructions != constructions || fmt.Sprint(fb.replans) != fmt.Sprint(want) {
+		t.Errorf("%d constructions and replans %v, want %d and %v", fb.constructions, fb.replans, constructions, want)
+	}
 }
 
 func waitRepair(t *testing.T, events <-chan repairEvent) repairEvent {
@@ -301,6 +337,59 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestRepairHonoursMaxTasks: the first plan is the one-task alt on p1; p2
+// knows the chain t1 → t2 and becomes capable of it only once p1 is dead.
+// A repair's reconstruction is checked against the constraints as a
+// session's is, so with MaxTasks 1 it must abort, not repair onto two.
+func TestRepairHonoursMaxTasks(t *testing.T) {
+	net := newFakeNet("init")
+	net.add("init", &fakeMember{})
+	net.add("p1", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "alt", "a", "g")},
+		capable:   map[model.TaskID]bool{"alt": true},
+		services:  1,
+	})
+	net.add("p2", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "g")},
+		capable:   map[model.TaskID]bool{"t1": false, "t2": false},
+		services:  2,
+	})
+	cfg := repairConfig()
+	cfg.Constraints = spec.Constraints{MaxTasks: 1}
+	events := repairObserver(&cfg)
+	m := NewManager(net, cfg)
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plan.Workflow.Task("alt"); !ok || plan.Workflow.NumTasks() != 1 {
+		t.Fatalf("initial workflow:\n%v", plan.Workflow)
+	}
+	done, join := startExecution(m, plan)
+	waitTrigger(t, net)
+	net.setCapable("p2", "t1", true)
+	net.setCapable("p2", "t2", true)
+	net.setDown("p1")
+
+	select {
+	case <-done:
+	case ev := <-events:
+		m.mu.Lock()
+		n := plan.Workflow.NumTasks()
+		m.mu.Unlock()
+		t.Fatalf("repaired %+v onto a workflow of %d tasks, over MaxTasks 1", ev, n)
+	case <-time.After(5 * time.Second):
+		t.Fatal("execution did not abort")
+	}
+	report, err := join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Completed || len(report.Failures) == 0 || !strings.Contains(report.Failures[0], "limit 1") {
+		t.Errorf("report = %+v, want a plan-repair abort on the task limit", report)
+	}
+}
+
 // TestRepairReconstructsAroundDeadProvider runs against a community that
 // ignores Describe (repair then broadcasts, as it always did) and against
 // one that describes itself. There repair starts from doubt — p2 gained
@@ -309,11 +398,71 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 // workflow — so the first re-auction solicits every survivor, the
 // reconstruction's first sweep asks them all again, and the re-auction
 // that follows solicits only the member offering the replacement task.
+//
+// A repair's reconstruction is the session's: it is reported as a
+// construction and a replan, and it may run as often as a session may
+// replan. In the last case the first alternative's only provider declines
+// every bid on it, and a second reconstruction finds another.
 func TestRepairReconstructsAroundDeadProvider(t *testing.T) {
 	for _, describes := range []bool{false, true} {
 		t.Run(fmt.Sprintf("describes=%v", describes), func(t *testing.T) {
 			testRepairReconstructsAroundDeadProvider(t, describes)
 		})
+	}
+	t.Run("second reconstruction", testRepairReconstructsTwice)
+}
+
+func testRepairReconstructsTwice(t *testing.T) {
+	net := newFakeNet("init")
+	net.add("init", &fakeMember{})
+	net.add("p1", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "g")},
+		capable:   map[model.TaskID]bool{"t1": true, "t2": true},
+		services:  2,
+	})
+	// Neither alternative is feasible before the fault, and alt's provider
+	// then bids for nothing.
+	net.add("p2", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "alt", "a", "g")},
+		capable:   map[model.TaskID]bool{"alt": false},
+		services:  1,
+	})
+	net.add("p3", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "b1", "a", "n"), mkFrag(t, "b2", "n", "g")},
+		capable:   map[model.TaskID]bool{"b1": false, "b2": false},
+		services:  2,
+	})
+	cfg := repairConfig()
+	events := repairObserver(&cfg)
+	fb := feedbackObserver(&cfg)
+	m := NewManager(net, cfg)
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, join := startExecution(m, plan)
+	waitTrigger(t, net)
+	net.setCapable("p2", "alt", true)
+	net.setDeclineAll("p2", true)
+	net.setCapable("p3", "b1", true)
+	net.setCapable("p3", "b2", true)
+	net.setDown("p1")
+
+	ev := waitRepair(t, events)
+	if fmt.Sprint(ev.tasks) != "[b1 b2]" {
+		t.Errorf("repaired tasks %v, want [b1 b2]", ev.tasks)
+	}
+	fb.check(t, 3, "1:[t1 t2]", "2:[alt]")
+	m.mu.Lock()
+	alloc := fmt.Sprint(plan.Allocations)
+	m.mu.Unlock()
+	if alloc != "map[b1:p3 b2:p3]" {
+		t.Errorf("post-repair Allocations = %s, want b1 and b2 on p3", alloc)
+	}
+	m.OnLabelTransfer(plan.WorkflowID, proto.LabelTransfer{Label: "g"})
+	<-done
+	if report, err := join(); err != nil || !report.Completed {
+		t.Fatalf("report = %+v, err = %v", report, err)
 	}
 }
 
@@ -341,6 +490,7 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 
 	cfg := repairConfig()
 	events := repairObserver(&cfg)
+	fb := feedbackObserver(&cfg)
 	m := NewManager(net, cfg)
 	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 	if err != nil {
@@ -349,6 +499,7 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	if plan.Workflow.NumTasks() != 2 {
 		t.Fatalf("initial workflow:\n%v", plan.Workflow)
 	}
+	fb.check(t, 1)
 
 	done, join := startExecution(m, plan)
 	waitTrigger(t, net)
@@ -364,6 +515,8 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	if len(ev.tasks) != 1 || ev.tasks[0] != "alt" {
 		t.Errorf("repaired tasks = %v, want [alt]", ev.tasks)
 	}
+	// The reconstruction is reported as the session's are.
+	fb.check(t, 2, "1:[t1 t2]")
 	m.mu.Lock()
 	nTasks := plan.Workflow.NumTasks()
 	_, hasAlt := plan.Workflow.Task("alt")

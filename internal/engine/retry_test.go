@@ -93,7 +93,6 @@ func TestRepairRetriesInItsAllocationBand(t *testing.T) {
 	net.mu.Unlock()
 	ex := &execution{
 		plan:          plan,
-		remaining:     map[model.TaskID]struct{}{"t1": {}, "t2": {}},
 		outs:          plan.Workflow.Out(),
 		finishedTasks: make(map[model.TaskID]struct{}),
 		done:          make(chan struct{}),

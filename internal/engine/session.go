@@ -13,17 +13,16 @@ import (
 	"openwf/internal/spec"
 )
 
-// allocSession is the isolated state of one allocation session: one open
-// workflow working its way through construct → auction → award →
-// (replan). A host carries any number of sessions at once; each owns its
-// workflow ID, its exclusion set, its replan counter, and — per attempt —
-// its auctioneer. Nothing here is shared between sessions, so a replan in
-// one session can never disturb another; the only cross-session contact
-// points are the participants' schedule managers, which arbitrate slot
-// conflicts first-hold-wins (see internal/schedule), and the host's index,
-// where sessions share who is worth asking and nothing else.
+// allocSession is one allocation session's identity: its workflow ID, its
+// mint sequence number and its specification. A host carries any number of
+// sessions at once; each works its way through construct → auction → award
+// → (replan) in its own call of settle, whose exclusions, replan counter
+// and auctions nobody else sees, so a replan in one session can never
+// disturb another; the only cross-session contact points are the
+// participants' schedule managers, which arbitrate slot conflicts
+// first-hold-wins (see internal/schedule), and the host's index, where
+// sessions share who is worth asking and nothing else.
 type allocSession struct {
-	m    *Manager
 	wfID string
 	// ordinal is the session's mint sequence number; concurrent
 	// sessions use it to desynchronize their pairwise bid solicitation
@@ -32,21 +31,15 @@ type allocSession struct {
 	// same schedule windows.
 	ordinal int
 	spec    spec.Spec
-	// excluded accumulates the failure feedback (§5.1): tasks proven
-	// unallocatable in earlier attempts of this session.
-	excluded []model.TaskID
-	// attempt counts reconstructions (replans) of this session.
-	attempt int
 }
 
 // newSession mints a workflow ID and counts the session in flight. IDs are
 // assigned in call order, so callers that pre-create sessions before
 // launching goroutines (InitiateBatch) get reproducible IDs.
-func (m *Manager) newSession(s spec.Spec) *allocSession {
-	sess := &allocSession{m: m, spec: s}
+func (m *Manager) newSession(s spec.Spec) allocSession {
 	m.mu.Lock()
 	m.seq++
-	sess.ordinal, sess.wfID = m.seq, string(m.net.Self())+"/"+strconv.Itoa(m.seq)
+	sess := allocSession{wfID: string(m.net.Self()) + "/" + strconv.Itoa(m.seq), ordinal: m.seq, spec: s}
 	m.mu.Unlock()
 	m.inFlight.Add(1)
 	return sess
@@ -73,60 +66,44 @@ func (m *Manager) notFromMemory(work func() (*Plan, error)) (*Plan, error) {
 	return plan, err
 }
 
-// run drives the session to a fully allocated plan: construct, allocate
-// with window retries (Manager.allocate), and on persistent failure
-// exclude the offending tasks and reconstruct (§5.1), up to MaxReplans.
-func (sess *allocSession) run(ctx context.Context) (*Plan, error) {
-	return sess.m.notFromMemory(func() (*Plan, error) { return sess.runOnce(ctx) })
-}
-
-// runOnce is one pass of run, starting from the configured exclusions
-// alone: what an earlier pass excluded, it excluded on doubted memory.
-func (sess *allocSession) runOnce(ctx context.Context) (*Plan, error) {
-	m := sess.m
-	sess.excluded = append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...)
-	sess.attempt = 0
-	for {
-		res, err := m.construct(ctx, sess.wfID, sess.spec, nil, sess.excluded)
-		if err != nil {
-			return nil, err
-		}
-		if m.cfg.Constraints.MaxTasks > 0 {
-			if err := m.cfg.Constraints.Check(res.Workflow); err != nil {
-				return nil, fmt.Errorf("%w: %v", core.ErrNoSolution, err)
+// run drives sess to a fully allocated plan of w through settle, over the
+// whole community and rotated by the session's ordinal. With w nil it
+// constructs the workflow, and reconstructs without the tasks that stay
+// unallocatable (§5.1); a given w is allocated as it is. Each pass of
+// notFromMemory starts from the configured exclusions alone: what an
+// earlier pass excluded, it excluded on doubted memory.
+func (m *Manager) run(ctx context.Context, sess allocSession, w *model.Workflow) (*Plan, error) {
+	res := core.Result{Workflow: w}
+	var construct rebuild
+	if w == nil {
+		construct = func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error) {
+			r, err := m.build(ctx, sess.wfID, sess.spec, nil, exclude)
+			if err != nil {
+				return nil, nil, err
 			}
+			res = *r
+			return r.Workflow, nil, nil
 		}
-		m.cfg.Observer.constructionDone(sess.wfID, *res)
-		w := res.Workflow
-		alloc, metas, failed, err := m.allocate(ctx, sess.wfID, w, nil, nil, sess.ordinal)
+	}
+	return m.notFromMemory(func() (*Plan, error) {
+		w, alloc, metas, replans, err := m.settle(ctx, sess.wfID, w, nil, nil, sess.ordinal, construct)
 		if err != nil {
 			return nil, err
 		}
-		if len(failed) == 0 {
-			return &Plan{
-				WorkflowID: sess.wfID, Spec: sess.spec, Workflow: w, Initiator: m.net.Self(),
-				Allocations: alloc, Metas: metas, Construction: *res, Replans: sess.attempt,
-			}, nil
-		}
-		// Failure feedback (§5.1): the tasks stayed unallocatable; release
-		// what was won, exclude them and reconstruct from the remaining
-		// knowledge.
-		m.cancelAwards(sess.wfID, alloc)
-		sess.excluded = append(sess.excluded, failed...)
-		if sess.attempt >= m.cfg.MaxReplans {
-			return nil, fmt.Errorf("%w: tasks %v unallocatable after %d replans",
-				ErrAllocationFailed, failed, sess.attempt)
-		}
-		sess.attempt++
-		m.cfg.Observer.replanned(sess.wfID, sess.attempt, failed)
-	}
+		return &Plan{
+			WorkflowID: sess.wfID, Spec: sess.spec, Workflow: w, Initiator: m.net.Self(),
+			Allocations: alloc, Metas: metas, Construction: res, Replans: replans,
+		}, nil
+	})
 }
 
-// construct builds the workflow for s from the knowledge of members (nil
+// build constructs the workflow for s from the knowledge of members (nil
 // means the whole community; plan repair passes the survivors), never
-// using the exclude tasks. It is core's construction loop over the
-// community; Incremental only chooses what a collection round asks for.
-func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
+// using the exclude tasks, checks it against the constraints and reports
+// it (Observer.ConstructionDone): the one construction step of a session
+// and of a repair. It is core's construction loop over the community;
+// Incremental only chooses what a collection round asks for.
+func (m *Manager) build(ctx context.Context, wfID string, s spec.Spec, members []proto.Addr, exclude []model.TaskID) (*core.Result, error) {
 	view := &communityView{m: m, wfID: wfID, members: members}
 	var src core.KnowledgeSource = view
 	if !m.cfg.Incremental {
@@ -136,7 +113,17 @@ func (m *Manager) construct(ctx context.Context, wfID string, s spec.Spec, membe
 	if m.cfg.Feasibility {
 		opts.Feasibility = view
 	}
-	return core.ConstructIncremental(ctx, src, s, opts)
+	res, err := core.ConstructIncremental(ctx, src, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	if m.cfg.Constraints.MaxTasks > 0 {
+		if err := m.cfg.Constraints.Check(res.Workflow); err != nil {
+			return nil, fmt.Errorf("%w: %v", core.ErrNoSolution, err)
+		}
+	}
+	m.cfg.Observer.constructionDone(wfID, *res)
+	return res, nil
 }
 
 // InitiateBatch runs one allocation session per specification,
@@ -154,7 +141,7 @@ func (m *Manager) InitiateBatch(ctx context.Context, specs []spec.Spec) ([]*Plan
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
 	}
-	sessions := make([]*allocSession, len(specs))
+	sessions := make([]allocSession, len(specs))
 	for i, s := range specs {
 		sessions[i] = m.newSession(s)
 	}
@@ -166,7 +153,7 @@ func (m *Manager) InitiateBatch(ctx context.Context, specs []spec.Spec) ([]*Plan
 		go func(i int) {
 			defer wg.Done()
 			defer m.endSession()
-			plans[i], errs[i] = sessions[i].run(ctx)
+			plans[i], errs[i] = m.run(ctx, sessions[i], nil)
 		}(i)
 	}
 	wg.Wait()
