@@ -135,7 +135,7 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	repairs := reg.Counter("openwf_repairs_total",
 		"Mid-execution plan repairs completed (engine Observer.Repaired).")
 	replans := reg.Counter("openwf_replans_total",
-		"Allocation failure-feedback reconstructions (engine Observer.Replanned).")
+		"Failure-feedback reconstructions of allocation sessions and plan repairs (engine Observer.Replanned).")
 	ecfg := engine.DefaultConfig()
 	if opts.Engine != nil {
 		ecfg = *opts.Engine

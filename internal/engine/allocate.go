@@ -45,9 +45,9 @@ func retrySlot(wfID string) int {
 	return ordinal + int(h%retryBandPeriod)
 }
 
-// rebuild reconstructs a workflow that uses none of the exclude tasks and
+// rebuildFunc reconstructs a workflow that uses none of the exclude tasks and
 // returns it with the allocation of it that is kept (nil: none).
-type rebuild func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error)
+type rebuildFunc func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error)
 
 // settle is the failure feedback of §5.1, written once: it allocates w —
 // first built by rebuild when nil — and when tasks of it stay
@@ -73,7 +73,7 @@ type rebuild func(ctx context.Context, exclude []model.TaskID) (*model.Workflow,
 // not postponed. settle returns the workflow it settled on, its wins with
 // their metas, and how often it replanned. On error the try's wins are
 // cancelled.
-func (m *Manager) settle(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int, rebuild rebuild) (settled *model.Workflow, won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, replans int, err error) {
+func (m *Manager) settle(ctx context.Context, wfID string, w *model.Workflow, placed map[model.TaskID]proto.Addr, candidates []proto.Addr, rot int, rebuild rebuildFunc) (settled *model.Workflow, won map[model.TaskID]proto.Addr, metas map[model.TaskID]proto.TaskMeta, replans int, err error) {
 	exclude := append([]model.TaskID(nil), m.cfg.Constraints.ExcludeTasks...)
 	if w == nil {
 		if w, placed, err = rebuild(ctx, exclude); err != nil {

@@ -70,14 +70,16 @@ type Messenger interface {
 // non-blocking; they may be invoked from several construction goroutines
 // at once and must be safe for concurrent use.
 type Observer struct {
-	// ConstructionDone fires after each successful construction with the
-	// construction metrics (explored region, collection rounds, …).
+	// ConstructionDone fires after each successful construction — a
+	// session's or a plan repair's — with the construction metrics
+	// (explored region, collection rounds, …).
 	ConstructionDone func(workflowID string, result core.Result)
 	// TaskDecided fires when a task's auction concludes. An empty winner
 	// means the auction failed (nobody could take the task).
 	TaskDecided func(workflowID string, task model.TaskID, winner proto.Addr)
-	// Replanned fires when allocation failure feedback (§5.1) excludes
-	// tasks and reconstructs; attempt counts from 1.
+	// Replanned fires when failure feedback (§5.1) — a session's or a
+	// plan repair's — excludes tasks and reconstructs; attempt counts
+	// from 1 in each.
 	Replanned func(workflowID string, attempt int, excluded []model.TaskID)
 	// Repaired fires when a mid-execution plan repair completes: dead
 	// lists the executors declared failed, reallocated the tasks that

@@ -74,7 +74,7 @@ func (m *Manager) notFromMemory(work func() (*Plan, error)) (*Plan, error) {
 // earlier pass excluded, it excluded on doubted memory.
 func (m *Manager) run(ctx context.Context, sess allocSession, w *model.Workflow) (*Plan, error) {
 	res := core.Result{Workflow: w}
-	var construct rebuild
+	var construct rebuildFunc
 	if w == nil {
 		construct = func(ctx context.Context, exclude []model.TaskID) (*model.Workflow, map[model.TaskID]proto.Addr, error) {
 			r, err := m.build(ctx, sess.wfID, sess.spec, nil, exclude)
