@@ -110,7 +110,9 @@ func (m *Manager) settle(ctx context.Context, wfID string, w *model.Workflow, pl
 				ErrAllocationFailed, failed, replans)
 		}
 		replans++
-		m.cfg.Observer.replanned(wfID, replans, failed)
+		if f := m.cfg.Observer.Replanned; f != nil {
+			f(wfID, replans, failed)
+		}
 		exclude = append(exclude, failed...)
 		if w, placed, err = rebuild(ctx, exclude); err != nil {
 			return nil, nil, nil, replans, err
@@ -134,8 +136,10 @@ func unplaced(ids []model.TaskID, w *model.Workflow, placed map[model.TaskID]pro
 
 // runAuction decides who executes metas, the tasks of w that placed has no
 // executor for, awards the decisions (one Award per winner, see award), and
-// records confirmed winners in alloc. It returns the tasks that ended
-// unallocated — decided failed, award refused or undeliverable.
+// records confirmed winners in alloc. It reports each task's verdict
+// (Observer.TaskDecided) once the try is over, and returns the tasks that
+// ended unallocated — decided failed, award refused or undeliverable —
+// sorted. A try that ends in an error reports no verdict.
 //
 // Bids are solicited only from the members of candidates (nil = the whole
 // community) that can offer one of the tasks, starting at the member rot
@@ -162,27 +166,33 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 	for i, meta := range metas {
 		tasks[i] = meta.Task
 	}
-	members, _ := m.route(nil, candidates, nil, tasks, rot)
-	if len(members) == 0 {
-		// Every member is known and none offers any of these tasks: what
-		// a broadcast would learn from a round of declines is already
-		// known.
-		for _, meta := range metas {
-			m.cfg.Observer.taskDecided(wfID, meta.Task, "")
+	// With no routed member, every member is known and none offers any of
+	// these tasks: what a broadcast would learn from a round of declines is
+	// already known.
+	if members, _ := m.route(nil, candidates, nil, tasks, rot); len(members) > 0 {
+		ds := m.remembered(members, tasks, metas)
+		hold := ds != nil
+		if !hold {
+			if ds, err = m.sweep(ctx, wfID, members, tasks, metas); err != nil {
+				return nil, err
+			}
 		}
-		return unallocated(metas, alloc), nil
-	}
-	ds := m.remembered(members, tasks, metas)
-	hold := ds != nil
-	if !hold {
-		if ds, err = m.sweep(ctx, wfID, members, tasks, metas); err != nil {
+		if err := m.award(ctx, wfID, w, ds, placed, hold, alloc); err != nil {
 			return nil, err
 		}
 	}
-	if err := m.award(ctx, wfID, w, ds, placed, hold, alloc); err != nil {
-		return nil, err
+	failed = make([]model.TaskID, 0, len(tasks))
+	for _, t := range tasks {
+		winner, ok := alloc[t]
+		if f := m.cfg.Observer.TaskDecided; f != nil {
+			f(wfID, t, winner)
+		}
+		if !ok {
+			failed = append(failed, t)
+		}
 	}
-	return unallocated(metas, alloc), nil
+	slices.Sort(failed)
+	return failed, nil
 }
 
 // remembered decides metas from what the host's memory says of members,
@@ -230,11 +240,11 @@ func (m *Manager) sweep(ctx context.Context, wfID string, members []proto.Addr, 
 	return ds, nil
 }
 
-// award settles an auction's decisions: failed ones are reported, every
-// loser is released before the first winner is told, and each winner is
-// told once, of everything it won (awardWinner), holding first when hold
-// says the decisions came from memory. A refused or undeliverable award
-// re-enters the failure set for replanning.
+// award settles an auction's decisions: every loser is released before the
+// first winner is told, and each winner is told once, of everything it won
+// (awardWinner), holding first when hold says the decisions came from
+// memory. A failed decision, or a refused or undeliverable award, leaves
+// its task out of alloc, in the failure set for replanning.
 //
 // Each award carries the routes of its tasks' outputs in w: every executor
 // is decided by now, or kept in placed. The awards' metas and routes are
@@ -253,9 +263,7 @@ func (m *Manager) award(ctx context.Context, wfID string, w *model.Workflow, ds 
 	}
 	nlost, won, outputs := 0, 0, 0
 	for _, d := range ds {
-		if d.Failed() {
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-		} else {
+		if !d.Failed() {
 			won++
 			outputs += len(d.Meta.Outputs)
 		}
@@ -346,7 +354,7 @@ func (m *Manager) routes(rs []proto.Route, outputs []model.LabelID, w *model.Wor
 
 // awardWinner sends ds, all won by ds[0].Winner, in one Award of their
 // metas carrying routes and hold, and settles each task alone: one the ack
-// names as refused re-enters the failure set (the winner freed its slot,
+// names as refused stays out of alloc (the winner freed its slot,
 // HandleAward's rule), and every other is confirmed and recorded in alloc.
 // An ack that refuses a task the award did not carry, or one task twice,
 // is a protocol error, and nothing of it is recorded.
@@ -370,12 +378,9 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 		}
 	}
 	for _, d := range ds {
-		if slices.ContainsFunc(ack.Refused, func(r proto.Verdict) bool { return r.Task == d.Task }) {
-			m.cfg.Observer.taskDecided(wfID, d.Task, "")
-			continue
+		if !slices.ContainsFunc(ack.Refused, func(r proto.Verdict) bool { return r.Task == d.Task }) {
+			alloc[d.Task] = winner
 		}
-		alloc[d.Task] = winner
-		m.cfg.Observer.taskDecided(wfID, d.Task, winner)
 	}
 	return nil
 }
@@ -386,8 +391,8 @@ func (m *Manager) awardWinner(ctx context.Context, wfID string, ds []auction.Dec
 // cleanup to cancel along with everything already won, and ctx.Err() is
 // returned. Otherwise (a timeout, a lost reply) the member gets one
 // best-effort Cancel naming them all, still cancelable on the live ctx so
-// it cannot hang on the very peer that just failed to answer, and each is
-// decided failed.
+// it cannot hang on the very peer that just failed to answer, and none is
+// recorded.
 func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr, metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) error {
 	if err := ctx.Err(); err != nil {
 		for _, meta := range metas {
@@ -398,23 +403,9 @@ func (m *Manager) settleLost(ctx context.Context, wfID string, member proto.Addr
 	tasks := make([]model.TaskID, len(metas))
 	for i, meta := range metas {
 		tasks[i] = meta.Task
-		m.cfg.Observer.taskDecided(wfID, meta.Task, "")
 	}
 	_ = m.net.Send(ctx, member, wfID, proto.Cancel{Tasks: tasks})
 	return nil
-}
-
-// unallocated returns the tasks of metas that alloc has no winner for,
-// sorted.
-func unallocated(metas []proto.TaskMeta, alloc map[model.TaskID]proto.Addr) []model.TaskID {
-	failed := make([]model.TaskID, 0, len(metas))
-	for _, meta := range metas {
-		if _, ok := alloc[meta.Task]; !ok {
-			failed = append(failed, meta.Task)
-		}
-	}
-	slices.Sort(failed)
-	return failed
 }
 
 // taskMetas computes the auction metadata for the tasks ids of w (§3.2:

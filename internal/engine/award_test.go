@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -267,6 +268,79 @@ func TestAckRefusingUnawardedTaskIsProtocolViolation(t *testing.T) {
 				if got := seen.by[task]; len(got) != 0 {
 					t.Errorf("%s decided %q on a malformed ack, want undecided", task, got)
 				}
+			}
+		})
+	}
+}
+
+// malformedAckNet answers the Award to at with an ack refusing t1, which
+// that award never carries; every other award goes through.
+type malformedAckNet struct {
+	*fakeNet
+	at proto.Addr
+}
+
+func (n malformedAckNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
+	if _, ok := body.(proto.Award); ok && to == n.at {
+		return proto.AwardAck{Refused: []proto.Verdict{{Task: "t1"}}}, nil
+	}
+	return n.fakeNet.Call(ctx, to, workflow, body, timeout)
+}
+
+// TestOneVerdictPerTaskPerTry: Observer.TaskDecided reports every task of a
+// try once, when the try is over, whatever decided it — no offer, a lost
+// award, a refusal — and a try that ends in an error reports none, not even
+// the wins confirmed before it. groupNet awards t1 and t3 to p1, then t2 to
+// p2.
+func TestOneVerdictPerTaskPerTry(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		script  func(*fakeNet) Messenger
+		retries int
+		want    map[model.TaskID][]proto.Addr
+		wantErr string
+	}{
+		{"no-offer", func(net *fakeNet) Messenger {
+			// Every member describes itself and none offers a task, so no
+			// call for bids goes out.
+			net.describes = true
+			clear(net.members["p1"].capable)
+			clear(net.members["p2"].capable)
+			return net
+		}, 0, map[model.TaskID][]proto.Addr{"t1": {""}, "t2": {""}, "t3": {""}}, "[t1 t2 t3]"},
+		{"lost-award", func(net *fakeNet) Messenger {
+			net.members["p1"].dropAwardAck = true
+			return net
+		}, 0, map[model.TaskID][]proto.Addr{"t1": {""}, "t2": {"p2"}, "t3": {""}}, "[t1 t3]"},
+		{"refused", func(net *fakeNet) Messenger {
+			net.members["p1"].refuseTask = map[model.TaskID]bool{"t3": true}
+			return net
+		}, 0, map[model.TaskID][]proto.Addr{"t1": {"p1"}, "t2": {"p2"}, "t3": {""}}, "[t3]"},
+		{"retried", func(net *fakeNet) Messenger {
+			net.members["p1"].refuseTask = map[model.TaskID]bool{"t3": true}
+			return net
+		}, 1, map[model.TaskID][]proto.Addr{"t1": {"p1", "p1"}, "t2": {"p2", "p2"}, "t3": {"", ""}}, "[t3]"},
+		{"protocol-error", func(net *fakeNet) Messenger {
+			return malformedAckNet{net, "p2"}
+		}, 0, map[model.TaskID][]proto.Addr{}, `award to "p2": refuses "t1", which it was not awarded`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := groupNet(t)
+			cfg := oneAttempt()
+			cfg.Feasibility = false // a task nobody offers stays in the workflow
+			cfg.WindowRetries = c.retries
+			seen := observeDecisions(&cfg)
+			_, err := NewManager(c.script(net), cfg).Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
+			}
+			seen.mu.Lock()
+			defer seen.mu.Unlock()
+			if !reflect.DeepEqual(seen.by, c.want) {
+				t.Errorf("verdicts = %v, want %v", seen.by, c.want)
+			}
+			if c.name == "no-offer" && len(conversation(net, "call-for-bids-batch")) != 0 {
+				t.Errorf("calls for bids went out: %v", conversation(net, "call-for-bids-batch"))
 			}
 		})
 	}

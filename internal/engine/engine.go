@@ -74,8 +74,10 @@ type Observer struct {
 	// session's or a plan repair's — with the construction metrics
 	// (explored region, collection rounds, …).
 	ConstructionDone func(workflowID string, result core.Result)
-	// TaskDecided fires when a task's auction concludes. An empty winner
-	// means the auction failed (nobody could take the task).
+	// TaskDecided fires once per task at the end of each try of an
+	// allocation, with the task's verdict: its confirmed winner, or empty
+	// when nobody took it (no offer, a refused or lost award). A try that
+	// ends in an error reports no verdict.
 	TaskDecided func(workflowID string, task model.TaskID, winner proto.Addr)
 	// Replanned fires when failure feedback (§5.1) — a session's or a
 	// plan repair's — excludes tasks and reconstructs; attempt counts
@@ -85,34 +87,6 @@ type Observer struct {
 	// lists the executors declared failed, reallocated the tasks that
 	// were re-auctioned onto surviving hosts.
 	Repaired func(workflowID string, dead []proto.Addr, reallocated []model.TaskID)
-}
-
-// constructionDone invokes the callback when set.
-func (o Observer) constructionDone(wfID string, res core.Result) {
-	if o.ConstructionDone != nil {
-		o.ConstructionDone(wfID, res)
-	}
-}
-
-// taskDecided invokes the callback when set.
-func (o Observer) taskDecided(wfID string, task model.TaskID, winner proto.Addr) {
-	if o.TaskDecided != nil {
-		o.TaskDecided(wfID, task, winner)
-	}
-}
-
-// replanned invokes the callback when set.
-func (o Observer) replanned(wfID string, attempt int, excluded []model.TaskID) {
-	if o.Replanned != nil {
-		o.Replanned(wfID, attempt, excluded)
-	}
-}
-
-// repaired invokes the callback when set.
-func (o Observer) repaired(wfID string, dead []proto.Addr, reallocated []model.TaskID) {
-	if o.Repaired != nil {
-		o.Repaired(wfID, dead, reallocated)
-	}
 }
 
 // Config tunes the engine.

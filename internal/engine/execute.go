@@ -209,16 +209,14 @@ func (m *Manager) planSegments(plan *Plan, rehomed map[model.TaskID]proto.Addr) 
 
 // OnTaskDone records a task failure; the host dispatches inbound TaskDone
 // messages here. A failed task means the goals can never be produced, so
-// the wait ends at once, reporting the failure.
+// the execution is aborted at once, reporting the failure.
 func (m *Manager) OnTaskDone(workflow string, td proto.TaskDone) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	ex, ok := m.executions[workflow]
-	if !ok || ex.finished || td.Err == "" {
-		return
+	m.mu.Unlock()
+	if ok && td.Err != "" {
+		m.abortExecution(ex, fmt.Sprintf("%s: %s", td.Task, td.Err))
 	}
-	ex.failures = append(ex.failures, fmt.Sprintf("%s: %s", td.Task, td.Err))
-	ex.finishLocked(false)
 }
 
 // OnLabelTransfer records goal labels arriving at the initiator; the host

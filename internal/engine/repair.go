@@ -140,29 +140,11 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 	plan := ex.plan
 	wfID := plan.WorkflowID
 	w := plan.Workflow
-
-	affected := make(map[model.TaskID]struct{})
-	for _, t := range lost {
-		if _, fin := ex.finishedTasks[t]; !fin {
-			affected[t] = struct{}{}
-		}
-	}
-	for t, h := range plan.Allocations {
-		_, fin := ex.finishedTasks[t]
-		if _, gone := deadSet[h]; gone && !fin {
-			affected[t] = struct{}{}
-		}
-	}
-	rerunDeadProducers(ex, w, deadSet, affected)
-	if len(affected) == 0 {
+	// Dead executors are gone, and a lost lease means the executor already
+	// returned the slot to its pool.
+	if !ex.rehomeLocked(deadSet, lost) {
 		m.mu.Unlock()
 		return nil
-	}
-	// Invalidate the affected allocations: dead executors are gone, and a
-	// lost lease means the executor already returned the slot to its pool.
-	for t := range affected {
-		delete(plan.Allocations, t)
-		delete(ex.finishedTasks, t)
 	}
 	survivors := survivorsOf(m.net.Members(), deadSet)
 	placed := maps.Clone(plan.Allocations)
@@ -226,7 +208,9 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		}
 	}
 	slices.Sort(dead)
-	m.cfg.Observer.repaired(wfID, dead, slices.Sorted(maps.Keys(won)))
+	if f := m.cfg.Observer.Repaired; f != nil {
+		f(wfID, dead, slices.Sorted(maps.Keys(won)))
+	}
 	return nil
 }
 
@@ -259,19 +243,9 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 	}
 	plan.Workflow = newW
 	plan.Construction = *res
-	// New-workflow tasks without a live executor need an auction.
-	moved := make(map[model.TaskID]struct{})
-	for _, t := range newW.TaskIDs() {
-		if _, allocated := plan.Allocations[t]; !allocated {
-			moved[t] = struct{}{}
-		}
-	}
-	// The dead-producer closure again, against the new topology.
-	for _, t := range rerunDeadProducers(ex, newW, deadSet, moved) {
-		delete(ex.finishedTasks, t)
-		delete(plan.Allocations, t)
-		delete(plan.Metas, t)
-	}
+	// The new workflow's own tasks, and the dead producers feeding them in
+	// its topology, are auctioned too.
+	ex.rehomeLocked(deadSet, nil)
 	// Goals follow the new workflow (the spec is unchanged, so in
 	// practice the goal set is too; pruning keeps the count honest).
 	ex.outs = newW.Out()
@@ -294,26 +268,43 @@ func (m *Manager) abortExecution(ex *execution, reason string) {
 	}
 }
 
-// rerunDeadProducers extends set, to a fixed point, with every finished
-// task of ex on a dead executor that feeds a task of set in w: its
+// rehomeLocked takes out of the plan — Allocations, Metas and
+// finishedTasks — every task of its workflow that needs a new executor, and
+// reports whether there was any: each unfinished task without a live one
+// (unallocated, on a dead host, or in lost, its lease gone) and, to a fixed
+// point, each finished task on a dead host that feeds one of them: its
 // retained outputs died with the host (surviving consumers hold their
-// copies, but a fresh executor holds nothing), so it must run again. It
-// returns the tasks it added.
-func rerunDeadProducers(ex *execution, w *model.Workflow, dead map[proto.Addr]struct{}, set map[model.TaskID]struct{}) (added []model.TaskID) {
+// copies, but a fresh executor holds nothing), so it must run again. It is
+// repair's one re-homing rule, applied to the plan and again to each
+// workflow a reconstruction puts in its place (swapWorkflow).
+func (ex *execution) rehomeLocked(dead map[proto.Addr]struct{}, lost []model.TaskID) bool {
+	plan, w := ex.plan, ex.plan.Workflow
+	set := make(map[model.TaskID]struct{})
+	for t := range w.TopoSeq() {
+		h, ok := plan.Allocations[t]
+		_, gone := dead[h]
+		if _, fin := ex.finishedTasks[t]; !fin && (!ok || gone || slices.Contains(lost, t)) {
+			set[t] = struct{}{}
+		}
+	}
 	for changed := true; changed; {
 		changed = false
 		for t := range ex.finishedTasks {
 			if _, in := set[t]; in {
 				continue
 			}
-			if _, gone := dead[ex.plan.Allocations[t]]; gone && feedsAny(w, t, set) {
+			if _, gone := dead[plan.Allocations[t]]; gone && feedsAny(w, t, set) {
 				set[t] = struct{}{}
-				added = append(added, t)
 				changed = true
 			}
 		}
 	}
-	return added
+	for t := range set {
+		delete(plan.Allocations, t)
+		delete(plan.Metas, t)
+		delete(ex.finishedTasks, t)
+	}
+	return len(set) > 0
 }
 
 // feedsAny reports whether any output of task t is consumed by a task in

@@ -122,7 +122,9 @@ func (m *Manager) build(ctx context.Context, wfID string, s spec.Spec, members [
 			return nil, fmt.Errorf("%w: %v", core.ErrNoSolution, err)
 		}
 	}
-	m.cfg.Observer.constructionDone(wfID, *res)
+	if f := m.cfg.Observer.ConstructionDone; f != nil {
+		f(wfID, *res)
+	}
 	return res, nil
 }
 
