@@ -28,7 +28,6 @@ var callerAllowlist = map[string]string{
 	"community.Community.CrashHost":       "directory_chaos_test crashes a member between sweeps",
 	"community.Community.ScheduleFaults":  "the chaos matrix, residue_test and seam_test script crashes and partitions on the simulated clock",
 	"transport/inmem.Network.SetLinkLoss": "residue_test, seam_test, handoff_test and faults_test lose the frames of one link",
-	"transport/inmem.Network.Delivered":   "faults_test, daemon_test and the facade's store-and-forward test check that every envelope sent was delivered or dropped",
 
 	// Simulated time, which the tests drive.
 	"clock.Sim.Advance":        "the community, host, engine, auction, schedule, service, discovery, daemon and inmem tests move simulated time forward",

@@ -19,6 +19,7 @@ import (
 	"openwf/internal/service"
 	"openwf/internal/spec"
 	"openwf/internal/testutil"
+	"openwf/internal/trace"
 )
 
 // mkFrag builds a one-task fragment in → out.
@@ -362,6 +363,21 @@ func TestPriorityClassesServedHighFirst(t *testing.T) {
 	}
 }
 
+// inFlight is a trace.Recorder counting the envelopes sent and not yet
+// handed to a handler: a host records each send before it goes on the link
+// (or, to itself, straight to its own handler) and each receipt as its
+// handler takes it. With the frames the medium dropped it accounts for
+// every envelope sent once nothing is on a link.
+type inFlight struct{ n atomic.Int64 }
+
+func (f *inFlight) Record(e trace.Event) {
+	if e.Dir == trace.Send {
+		f.n.Add(1)
+	} else {
+		f.n.Add(-1)
+	}
+}
+
 // soakT0 anchors the soak test's simulated clock.
 var soakT0 = time.Date(2026, 6, 13, 9, 0, 0, 0, time.UTC)
 
@@ -386,7 +402,8 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 	// Four sessions at a time want the one provider's calendar: give a
 	// session that lost its windows more later bands to retry into.
 	cfg.WindowRetries = 8
-	srv, err := daemon.Start(community.Options{Clock: sim, Engine: cfg},
+	var flight inFlight
+	srv, err := daemon.Start(community.Options{Clock: sim, Engine: cfg, Trace: &flight},
 		"init", daemon.Config{
 			Workers: clients, Execute: true,
 			Triggers: map[model.LabelID][]byte{"a": []byte("go")},
@@ -407,9 +424,8 @@ func TestSoakLeavesNoResidue(t *testing.T) {
 	initiator, _ := comm.Host("init")
 	peer, _ := comm.Host("peer")
 	quiet := func() bool {
-		net := comm.Network()
 		return initiator.Engine.InFlight() == 0 &&
-			net.Messages() == net.Delivered()+net.Stats().FramesDropped &&
+			flight.n.Load() == comm.Network().Stats().FramesDropped &&
 			initiator.ActiveSessions() == 0 && peer.ActiveSessions() == 0
 	}
 	stop := make(chan struct{})

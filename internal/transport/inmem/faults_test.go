@@ -222,9 +222,10 @@ func TestScheduleFaultsFiresOnVirtualClock(t *testing.T) {
 // Restart being called and must never reach the handler. Each round stalls
 // the recipient's pump in its handler before the crash, so a frame that
 // slipped past the purge would still be sitting in the inbox when the
-// round looks: the inbox must stay empty while the host is dark, Delivered
-// may move only by the one frame the pump had already popped, and at
-// quiescence every accepted envelope is accounted for.
+// round looks: the inbox must stay empty while the host is dark, the
+// handler's count of deliveries may move only by the one frame the pump had
+// already popped, and at quiescence every accepted envelope is accounted
+// for.
 func TestCrashRacingSenders(t *testing.T) {
 	n := NewNetwork()
 	defer n.Close()
@@ -232,6 +233,9 @@ func TestCrashRacingSenders(t *testing.T) {
 		phase   atomic.Uint64
 		sending sync.RWMutex // held shared across each stamp-and-Send
 		gate    sync.RWMutex // held exclusively to stall b's pump in its handler
+		// delivered counts the envelopes handed to b's handler, before the
+		// gate stalls it.
+		delivered atomic.Int64
 	)
 	flip := func() {
 		sending.Lock()
@@ -239,6 +243,7 @@ func TestCrashRacingSenders(t *testing.T) {
 		sending.Unlock()
 	}
 	b, err := n.Endpoint("b", func(env proto.Envelope) {
+		delivered.Add(1)
 		gate.RLock()
 		defer gate.RUnlock()
 		if env.ReqID%2 == 1 {
@@ -295,12 +300,12 @@ func TestCrashRacingSenders(t *testing.T) {
 		progress() // the inbox fills behind the stalled pump
 		n.Crash("b")
 		flip()
-		before := n.Delivered()
+		before := delivered.Load()
 		progress()
-		stray, late := queued(), n.Delivered()-before
+		stray, late := queued(), delivered.Load()-before
 		gate.Unlock()
 		if stray != 0 || late > 1 {
-			t.Errorf("round %d: while b was crashed its inbox held %d frames and Delivered moved by %d", round, stray, late)
+			t.Errorf("round %d: while b was crashed its inbox held %d frames and deliveries moved by %d", round, stray, late)
 			break // the senders must be stopped before the test may end
 		}
 		flip()
@@ -309,9 +314,9 @@ func TestCrashRacingSenders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	n.restart("b")
-	for deadline := time.Now().Add(time.Second); n.Delivered()+n.Stats().FramesDropped != n.Messages(); {
+	for deadline := time.Now().Add(time.Second); delivered.Load()+n.Stats().FramesDropped != n.Messages(); {
 		if time.Now().After(deadline) {
-			t.Fatalf("Messages = %d, Delivered + Dropped = %d + %d", n.Messages(), n.Delivered(), n.Stats().FramesDropped)
+			t.Fatalf("Messages = %d, delivered + dropped = %d + %d", n.Messages(), delivered.Load(), n.Stats().FramesDropped)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -25,7 +25,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openwf/internal/clock"
@@ -128,10 +127,8 @@ type Network struct {
 	done chan struct{}
 
 	// wire is the accounting of every endpoint's sender, the frames the
-	// medium lost included; the medium adds what only it knows: envelopes
-	// handed to handlers.
-	wire      transport.Counters
-	delivered atomic.Int64
+	// medium lost included.
+	wire transport.Counters
 }
 
 // Stats is the network's round-trip and framing accounting — the shared
@@ -198,11 +195,7 @@ func (n *Network) Endpoint(addr proto.Addr, handler transport.Handler) (transpor
 	if _, dup := n.endpoints[addr]; dup {
 		return nil, fmt.Errorf("inmem: address %q already in use", addr)
 	}
-	ep := &endpoint{net: n, addr: addr, box: newMailbox()}
-	ep.handler = func(env proto.Envelope) {
-		n.delivered.Add(1)
-		handler(env)
-	}
+	ep := &endpoint{net: n, addr: addr, handler: handler, box: newMailbox()}
 	ep.Sender = transport.NewSender(addr, 0, &n.wire, ep.put)
 	n.endpoints[addr] = ep
 	go ep.pump()
@@ -252,14 +245,8 @@ func (n *Network) flushStoredLocked() {
 // Messages returns the number of envelopes accepted for transmission.
 func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 
-// Delivered returns the number of envelopes handed to handlers.
-func (n *Network) Delivered() int64 { return n.delivered.Load() }
-
 // ResetCounters zeroes the traffic counters (between evaluation runs).
-func (n *Network) ResetCounters() {
-	n.wire.Reset()
-	n.delivered.Store(0)
-}
+func (n *Network) ResetCounters() { n.wire.Reset() }
 
 // Close tears down the network and all endpoints.
 func (n *Network) Close() error {
@@ -442,9 +429,8 @@ type delivery struct {
 // endpoint implements transport.Endpoint; Send is its Sender's.
 type endpoint struct {
 	*transport.Sender
-	net  *Network
-	addr proto.Addr
-	// handler counts an envelope delivered, then runs the host's handler.
+	net     *Network
+	addr    proto.Addr
 	handler transport.Handler
 	box     *mailbox
 }

@@ -92,8 +92,8 @@ func TestBasicDelivery(t *testing.T) {
 	if got[0].Body.Kind() != "cancel" {
 		t.Errorf("body kind = %q", got[0].Body.Kind())
 	}
-	if net.Messages() != 1 || net.Delivered() != 1 || net.Stats().FramesDropped != 0 {
-		t.Errorf("counters = %d/%d/%d", net.Messages(), net.Delivered(), net.Stats().FramesDropped)
+	if net.Messages() != 1 || col.count() != 1 || net.Stats().FramesDropped != 0 {
+		t.Errorf("counters = %d/%d/%d", net.Messages(), col.count(), net.Stats().FramesDropped)
 	}
 }
 
@@ -419,7 +419,7 @@ func TestResetCounters(t *testing.T) {
 	}
 	col.waitN(t, 1, time.Second)
 	net.ResetCounters()
-	if net.Messages() != 0 || net.Delivered() != 0 {
+	if net.Messages() != 0 {
 		t.Error("counters not reset")
 	}
 }

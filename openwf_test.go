@@ -11,6 +11,7 @@ import (
 	"openwf"
 	"openwf/internal/model"
 	"openwf/internal/proto"
+	"openwf/internal/trace"
 )
 
 func lbl(ls ...string) []openwf.LabelID {
@@ -185,6 +186,16 @@ func TestFacadeInitiateAll(t *testing.T) {
 	}
 }
 
+// receipts is a trace.Recorder counting the envelopes handed to a host's
+// handler.
+type receipts struct{ n atomic.Int64 }
+
+func (r *receipts) Record(e trace.Event) {
+	if e.Dir == trace.Recv {
+		r.n.Add(1)
+	}
+}
+
 // TestFacadeOptions builds a two-host community with each Options field
 // set in turn and checks the one thing that field changes (Engine is what
 // the tests above run on; the observer rides on it).
@@ -249,6 +260,7 @@ func TestFacadeOptions(t *testing.T) {
 	}
 
 	var constructions atomic.Int64
+	var received receipts
 	observed := openwf.DefaultEngineConfig()
 	observed.Observer = openwf.Observer{
 		ConstructionDone: func(string, openwf.ConstructionResult) { constructions.Add(1) },
@@ -282,10 +294,10 @@ func TestFacadeOptions(t *testing.T) {
 					t.Errorf("first link draw: seed 7 → %d then %d, seed 8 → %d; want equal, then different", a, again, b)
 				}
 			}},
-		{"StoreAndForward", openwf.Options{StoreAndForward: true},
+		{"StoreAndForward", openwf.Options{StoreAndForward: true, Trace: &received},
 			func(t *testing.T, com *openwf.Community) {
 				cutOff(t, com)
-				for deadline := time.Now().Add(5 * time.Second); com.Network().Delivered() != 1; {
+				for deadline := time.Now().Add(5 * time.Second); received.n.Load() != 1; {
 					if time.Now().After(deadline) {
 						t.Fatalf("message sent across the partition not delivered after it healed (dropped %d)", com.Network().Stats().FramesDropped)
 					}
