@@ -273,25 +273,12 @@ func TestAckRefusingUnawardedTaskIsProtocolViolation(t *testing.T) {
 	}
 }
 
-// malformedAckNet answers the Award to at with an ack refusing t1, which
-// that award never carries; every other award goes through.
-type malformedAckNet struct {
-	*fakeNet
-	at proto.Addr
-}
-
-func (n malformedAckNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
-	if _, ok := body.(proto.Award); ok && to == n.at {
-		return proto.AwardAck{Refused: []proto.Verdict{{Task: "t1"}}}, nil
-	}
-	return n.fakeNet.Call(ctx, to, workflow, body, timeout)
-}
-
 // TestOneVerdictPerTaskPerTry: Observer.TaskDecided reports every task of a
-// try once, when the try is over, whatever decided it — no offer, a lost
-// award, a refusal — and a try that ends in an error reports none, not even
-// the wins confirmed before it. groupNet awards t1 and t3 to p1, then t2 to
-// p2.
+// try once, when the try is over, however it was decided, and a try that
+// ends in an error reports none, not even the wins confirmed before it.
+// groupNet awards t1 and t3 to p1, then t2 to p2. A lost award and a
+// refusal decided in a try that fails are pinned by
+// TestLostAckCancelsEveryTaskOfGroup and TestRefusedTaskInGroupFailsAlone.
 func TestOneVerdictPerTaskPerTry(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -308,20 +295,14 @@ func TestOneVerdictPerTaskPerTry(t *testing.T) {
 			clear(net.members["p2"].capable)
 			return net
 		}, 0, map[model.TaskID][]proto.Addr{"t1": {""}, "t2": {""}, "t3": {""}}, "[t1 t2 t3]"},
-		{"lost-award", func(net *fakeNet) Messenger {
-			net.members["p1"].dropAwardAck = true
-			return net
-		}, 0, map[model.TaskID][]proto.Addr{"t1": {""}, "t2": {"p2"}, "t3": {""}}, "[t1 t3]"},
-		{"refused", func(net *fakeNet) Messenger {
-			net.members["p1"].refuseTask = map[model.TaskID]bool{"t3": true}
-			return net
-		}, 0, map[model.TaskID][]proto.Addr{"t1": {"p1"}, "t2": {"p2"}, "t3": {""}}, "[t3]"},
 		{"retried", func(net *fakeNet) Messenger {
 			net.members["p1"].refuseTask = map[model.TaskID]bool{"t3": true}
 			return net
 		}, 1, map[model.TaskID][]proto.Addr{"t1": {"p1", "p1"}, "t2": {"p2", "p2"}, "t3": {"", ""}}, "[t3]"},
 		{"protocol-error", func(net *fakeNet) Messenger {
-			return malformedAckNet{net, "p2"}
+			// p1 refuses t1 and confirms t3; p2's ack refuses t1 too, which
+			// its award never carried.
+			return scriptedAckNet{net, []proto.Verdict{{Task: "t1"}}}
 		}, 0, map[model.TaskID][]proto.Addr{}, `award to "p2": refuses "t1", which it was not awarded`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
