@@ -407,12 +407,14 @@ func TestDiscoveryInitiateCalls(t *testing.T) {
 		mode  string
 		want  int64
 		// allocs bounds a session's construct and allocate phases; nil
-		// prices calls only. Ten runs read construct 279.5 at 10 hosts and
-		// 1199.6 – 1200.0 at 100, allocate 94.5 – 94.6 at both; each bound
+		// prices calls only. Ten runs read construct 278.5 at 10 hosts and
+		// 1198.6 – 1200.0 at 100, allocate 93.5 – 93.6 at both; each bound
 		// sits 2 above, a third of the 6 that one more allocation per task
-		// adds. Construct read 285.8 – 286.5 and 1206.6 – 1207.0, allocate
-		// 102.4 – 102.6, while a frame's lists were each a slice of their
-		// own and a large frame's strings each a copy of its own; a further
+		// adds. Allocate read 94.5 – 94.6 while a try's failed tasks were a
+		// list of their own. Construct read 285.8 – 286.5 and 1206.6 –
+		// 1207.0, allocate 102.4 – 102.6, while a frame's lists were each a
+		// slice of their own and a large frame's strings each a copy of its
+		// own; a further
 		// member still costs ≈ 10.2 ((1200.0 − 279.5) / 90): its describing
 		// reply carries no fragment, only its capability set. Allocate
 		// read 103.4 – 103.6 while it copied the workflow's order to drop
@@ -426,8 +428,8 @@ func TestDiscoveryInitiateCalls(t *testing.T) {
 		// losers' cancel lists grew by append.
 		allocs []float64
 	}{
-		{10, "cold", 21, []float64{construct: 282, allocate: 97}},
-		{100, "cold", 111, []float64{construct: 1202, allocate: 97}},
+		{10, "cold", 21, []float64{construct: 282, allocate: 96}},
+		{100, "cold", 111, []float64{construct: 1202, allocate: 96}},
 		{10, "memory", 6, nil},
 		{100, "memory", 6, nil},
 		{10, "advertiser", 12, nil},

@@ -63,9 +63,9 @@ var callerAllowlist = map[string]string{
 // The test type-checks every package from source, so a call counts for the
 // function it resolves to, not for every function of that name, and a call
 // through an interface for the method of each of the repository's types
-// that implements it. Outside the check: internal/testutil and internal/analysis/analyzertest, which are
-// test support, and the methods of the standard interfaces Error, String
-// and Unwrap.
+// that implements it. Outside the check: internal/testutil, which is test
+// support, and the methods of the standard interfaces Error, String and
+// Unwrap.
 func TestExportsHaveCallers(t *testing.T) {
 	uncalled := exportsWithoutCallers(t, ".")
 	for _, k := range slices.Sorted(maps.Keys(uncalled)) {
@@ -228,7 +228,7 @@ func exportsWithoutCallers(t *testing.T, root string) map[string]string {
 	uncalled := map[string]string{}
 	for ip, p := range pkgs {
 		rel, ok := strings.CutPrefix(ip, "openwf/internal/")
-		if !ok || rel == "testutil" || rel == "analysis/analyzertest" {
+		if !ok || rel == "testutil" {
 			continue
 		}
 		for _, f := range p.files {
@@ -265,7 +265,7 @@ func isOwn(ip string) bool { return ip == "openwf" || strings.HasPrefix(ip, "ope
 // test support, and the root bench_test.go.
 func isCaller(t *testing.T, root, file string) bool {
 	rel := filepath.ToSlash(mustRel(t, root, file))
-	if strings.HasPrefix(rel, "internal/testutil/") || strings.HasPrefix(rel, "internal/analysis/analyzertest/") {
+	if strings.HasPrefix(rel, "internal/testutil/") {
 		return false
 	}
 	return !strings.HasSuffix(rel, "_test.go") || rel == "bench_test.go"

@@ -29,14 +29,14 @@ var wallClockFuncs = map[string]bool{
 // packages, and tests.
 var Clockcheck = &analysis.Analyzer{
 	Name: "clockcheck",
-	Doc: "forbid direct time.Now/Sleep/After/… outside internal/clock, cmd/, examples/, and tests; " +
+	Doc: "forbid direct time.Now/Sleep/After/… outside internal/clock, main packages, and tests; " +
 		"inject clock.Clock instead, or annotate a genuine wall-time read with //openwf:allow-wallclock <reason>",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runClockcheck,
 }
 
 func runClockcheck(pass *analysis.Pass) (interface{}, error) {
-	if pass.Pkg.Path() == "openwf/internal/clock" || mainOrTooling(pass) {
+	if pass.Pkg.Path() == "openwf/internal/clock" || isMain(pass) {
 		return nil, nil
 	}
 	dirs := parseDirectives(pass, AllowWallclock)

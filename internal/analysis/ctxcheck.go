@@ -19,7 +19,7 @@ import (
 var Ctxcheck = &analysis.Analyzer{
 	Name: "ctxcheck",
 	Doc: "require context.Context to be the first parameter and forbid context.Background/TODO " +
-		"outside cmd/, examples/, main, and tests (escape hatch: //openwf:allow-background <reason>)",
+		"outside main packages and tests (escape hatch: //openwf:allow-background <reason>)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runCtxcheck,
 }
@@ -42,7 +42,7 @@ func runCtxcheck(pass *analysis.Pass) (interface{}, error) {
 			if name := fn.Name(); name != "Background" && name != "TODO" {
 				return
 			}
-			if mainOrTooling(pass) || isTestFile(pass, n.Pos()) ||
+			if isMain(pass) || isTestFile(pass, n.Pos()) ||
 				dirs.allows(pass, n.Pos(), AllowBackground) {
 				return
 			}

@@ -91,14 +91,9 @@ func isTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
-// mainOrTooling reports whether the package under analysis is a main
-// package or lives under cmd/ or examples/ — entry points own their
-// roots (wall clock, context.Background), so the injection rules stop
-// there.
-func mainOrTooling(pass *analysis.Pass) bool {
-	if pass.Pkg.Name() == "main" {
-		return true
-	}
-	path := pass.Pkg.Path()
-	return strings.HasPrefix(path, "openwf/cmd/") || strings.HasPrefix(path, "openwf/examples/")
+// isMain reports whether the package under analysis is a main package:
+// entry points own their roots (wall clock, context.Background), so the
+// injection rules stop there.
+func isMain(pass *analysis.Pass) bool {
+	return pass.Pkg.Name() == "main"
 }

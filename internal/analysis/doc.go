@@ -1,15 +1,16 @@
 // Package analysis is the openwfvet suite: go/analysis analyzers that
 // encode this repository's project invariants, runnable via
 // `go vet -vettool=$(go env GOPATH)/bin/openwfvet ./...` (or any built
-// cmd/openwfvet binary) and exercised by fixture tests under
-// testdata/src.
+// cmd/openwfvet binary). The tests build cmd/openwfvet and run it the same
+// way, over the fixtures under testdata/src, internal/clock and the whole
+// tree.
 //
 // The invariants, and the analyzer that pins each one:
 //
 //   - clockcheck: determinism requires every clock read to flow through
 //     the injected clock.Clock. Direct time.Now/Sleep/After/AfterFunc/
 //     NewTimer/NewTicker/Tick/Since calls are forbidden outside
-//     internal/clock, main packages (cmd/, examples/), and test files.
+//     internal/clock, main packages, and test files.
 //     Genuine wall-time measurement is granted case by case with an
 //     `//openwf:allow-wallclock <reason>` line directive.
 //
@@ -26,13 +27,9 @@
 //     `//openwf:allow-background <reason>` (lifecycle roots and
 //     detached best-effort sends are the legitimate uses).
 //
-//   - depcheck: the golang.org/x/tools dependency is tool/test-scoped.
-//     No non-test file of a package under internal/ outside
-//     internal/analysis may import it, keeping the runtime import
-//     graph dependency-free.
-//
 // Adding a new analyzer: write the run function in its own file here,
-// append it to Analyzers(), give it fixtures under testdata/src/<name>
-// with `// want "regexp"` expectations, and add a test calling
-// analyzertest.Run. DESIGN.md §12 documents the suite.
+// append it to Analyzers(), give it a fixture package under
+// testdata/src/<name> with `// want "regexp"` expectations, add a test
+// calling vet on that directory and the name to TestAnalyzersRegistered's
+// list (suite_test.go). DESIGN.md §12 documents the suite.
 package analysis

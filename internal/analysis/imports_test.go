@@ -11,11 +11,8 @@ import (
 
 // TestToolsDependencyStaysToolScoped asserts the x/tools scoping rule
 // directly from source: no non-test file outside internal/analysis and
-// cmd/openwfvet imports golang.org/x/tools. The Depcheck analyzer
-// enforces the internal/ half of this when the vettool runs, but the
-// vettool is opt-in (CI's lint job); this test makes the rule part of
-// the default `go test ./...` tier and also covers packages Depcheck
-// exempts (cmd/, examples/) except the vettool itself.
+// cmd/openwfvet imports golang.org/x/tools, whether under internal/,
+// cmd/, examples/ or the module root.
 func TestToolsDependencyStaysToolScoped(t *testing.T) {
 	root := repoRoot(t)
 	fset := token.NewFileSet()

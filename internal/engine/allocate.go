@@ -181,7 +181,9 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, candidates []prot
 			return nil, err
 		}
 	}
-	failed = make([]model.TaskID, 0, len(tasks))
+	// Nothing above keeps tasks past its call, so the failed ones are
+	// compacted into it.
+	failed = tasks[:0]
 	for _, t := range tasks {
 		winner, ok := alloc[t]
 		if f := m.cfg.Observer.TaskDecided; f != nil {
