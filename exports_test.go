@@ -19,15 +19,17 @@ import (
 	"testing"
 )
 
-// callerAllowlist names the exported functions under internal/ that no
-// product file calls and that stay anyway, each with the tests that need
-// it. A key is the package's path below internal/, then the receiver's
-// type for a method, then the name.
+// callerAllowlist names the exported functions, vars and consts under
+// internal/ that no product file uses and that stay anyway, each with the
+// tests that need it. A key is the package's path below internal/, then
+// the receiver's type for a method, then the name.
 var callerAllowlist = map[string]string{
 	// Faults, injected by the chaos and robustness tests.
 	"community.Community.CrashHost":       "directory_chaos_test crashes a member between sweeps",
 	"community.Community.ScheduleFaults":  "the chaos matrix, residue_test and seam_test script crashes and partitions on the simulated clock",
 	"transport/inmem.Network.SetLinkLoss": "residue_test, seam_test, handoff_test and faults_test lose the frames of one link",
+	"transport/inmem.FaultPartition":      "the chaos matrix and faults_test script a partition",
+	"transport/inmem.FaultHeal":           "the chaos matrix and faults_test script the partition's heal",
 
 	// Simulated time, which the tests drive.
 	"clock.Sim.Advance":        "the community, host, engine, auction, schedule, service, discovery, daemon and inmem tests move simulated time forward",
@@ -35,6 +37,7 @@ var callerAllowlist = map[string]string{
 	"clock.Sim.PendingWaiters": "exec, host, service, daemon, inmem and community routes tests wait for a goroutine to park on the clock before advancing it",
 
 	// Residue: what a finished or failed session leaves behind.
+	"auction.DefaultCommitLease": "residue_test, handoff_test, seam_test, host_test and schedule's interleave_test move the clock past a commitment's lease",
 	"schedule.Manager.HeldTasks": "chaos_test, stress_test, auction_test and the schedule model tests check that no hold outlives its session",
 	"exec.Manager.Pending":       "exec_test, host_test and residue_test check that no run is left registered",
 
@@ -42,23 +45,22 @@ var callerAllowlist = map[string]string{
 	"service.Manager.Unregister": "directory_chaos_test, routes_test, auction_test, host_test and service_test withdraw a service",
 	"fragment.Manager.Remove":    "TestRemove withdraws a fragment, the knowhow half of churn",
 
-	// The bounded event ring, until the per-workflow recorder (ROADMAP)
-	// takes it over.
-	"trace.NewBuffer":        "the community and host tests record a run's messages into a ring",
+	// The event buffer, until the per-workflow recorder (ROADMAP) takes it
+	// over.
 	"trace.Buffer.Events":    "the community and host tests read the messages a run recorded",
-	"trace.Buffer.Total":     "chaos_test and trace_test count what the ring saw, overwritten events included",
 	"trace.Buffer.CountKind": "roundtrip_test, community_test and routes_test count the messages of one kind",
-	"trace.Buffer.WriteTo":   "trace_test dumps the ring as text",
 }
 
-// TestExportsHaveCallers: every exported function or method declared in a
-// non-test file under internal/ is used by another non-test Go file of the
-// repository — cmd/ (the benchmark module in cmd/openwfbench/ included),
-// examples/, the facade, another internal/ file — or by the root
-// bench_test.go figures (DESIGN.md §21: a caller or gone). A function only
-// tests call is a block no product composes, so it goes, or it is in
-// callerAllowlist with the tests that need it. An allowlist entry that a
-// product file calls, or that is gone, fails too.
+// TestExportsHaveCallers: every exported function, method, package-level
+// var or const declared in a non-test file under internal/ is used by
+// another non-test Go file of the repository — cmd/ (the benchmark module
+// in cmd/openwfbench/ included), examples/, the facade, another internal/
+// file — or by the root bench_test.go figures (DESIGN.md §21: a caller or
+// gone). A function only tests call is a block no product composes, so it
+// goes, or it is in callerAllowlist with the tests that need it; so is a
+// var or const. An allowlist entry that a product file uses, or that is
+// gone, fails too. Types are outside the check: a type is used
+// implicitly, through the values and functions that carry it.
 //
 // The test type-checks every package from source, so a call counts for the
 // function it resolves to, not for every function of that name, and a call
@@ -87,9 +89,9 @@ type srcPkg struct {
 	info  *types.Info
 }
 
-// exportsWithoutCallers returns each exported function under root's
-// internal/ that no other caller file uses, keyed as callerAllowlist is,
-// with its position.
+// exportsWithoutCallers returns each exported function, var and const
+// under root's internal/ that no other caller file uses, keyed as
+// callerAllowlist is, with its position.
 func exportsWithoutCallers(t *testing.T, root string) map[string]string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -190,18 +192,25 @@ func exportsWithoutCallers(t *testing.T, root string) map[string]string {
 	// A use counts from a caller file other than the one that declares
 	// what it uses; a call through an interface, for the method that each
 	// of the repository's types implementing the interface would run.
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	viaInterface := map[*types.Func]bool{}
 	for _, p := range pkgs {
 		for id, obj := range p.info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok || !isCaller(t, root, fset.Position(id.Pos()).Filename) {
+			if !isCaller(t, root, fset.Position(id.Pos()).Filename) {
 				continue
 			}
-			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				viaInterface[fn] = true
-			} else if fset.Position(fn.Pos()).Filename != fset.Position(id.Pos()).Filename {
-				used[fn.Origin()] = true
+			elsewhere := fset.Position(obj.Pos()).Filename != fset.Position(id.Pos()).Filename
+			switch obj := obj.(type) {
+			case *types.Func:
+				if recv := obj.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					viaInterface[obj] = true
+				} else if elsewhere {
+					used[obj.Origin()] = true
+				}
+			case *types.Var, *types.Const:
+				if elsewhere {
+					used[obj] = true
+				}
 			}
 		}
 	}
@@ -233,21 +242,34 @@ func exportsWithoutCallers(t *testing.T, root string) map[string]string {
 		}
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				switch fd.Name.Name {
-				case "Error", "String", "Unwrap":
-					continue
-				}
-				fn := p.info.Defs[fd.Name].(*types.Func)
-				key := rel + "."
-				if recv := fn.Signature().Recv(); recv != nil {
-					key += recvName(recv.Type()) + "."
-				}
-				if !used[fn] {
-					uncalled[key+fn.Name()] = fset.Position(fd.Pos()).String()
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if !decl.Name.IsExported() {
+						continue
+					}
+					switch decl.Name.Name {
+					case "Error", "String", "Unwrap":
+						continue
+					}
+					fn := p.info.Defs[decl.Name].(*types.Func)
+					key := rel + "."
+					if recv := fn.Signature().Recv(); recv != nil {
+						key += recvName(recv.Type()) + "."
+					}
+					if !used[fn] {
+						uncalled[key+fn.Name()] = fset.Position(decl.Pos()).String()
+					}
+				case *ast.GenDecl:
+					if decl.Tok != token.VAR && decl.Tok != token.CONST {
+						continue
+					}
+					for _, spec := range decl.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.IsExported() && !used[p.info.Defs[id]] {
+								uncalled[rel+"."+id.Name] = fset.Position(id.Pos()).String()
+							}
+						}
+					}
 				}
 			}
 		}

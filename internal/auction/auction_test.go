@@ -453,7 +453,7 @@ func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 	if ack.OK {
 		t.Fatal("stale award accepted after the hold expired")
 	}
-	if !strings.Contains(ack.Reason, schedule.ErrNoHold.Error()) {
+	if !strings.Contains(ack.Reason, "no live hold") {
 		t.Fatalf("refusal reason = %q, want it to name the dead hold", ack.Reason)
 	}
 	if _, ok := sched.Get("wf", "t"); ok {

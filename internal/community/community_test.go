@@ -585,7 +585,7 @@ func TestConjunctiveFanInAcrossHosts(t *testing.T) {
 // of the workflow are contacted — each the only one offering its task, so
 // no bids are solicited: each gets one award, decided from memory.
 func TestTraceRecordsConversation(t *testing.T) {
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	opts := Options{Engine: testEngineConfig(), Trace: rec}
 	specs := cateringSpecs(t, true, true)
 	c := newTestCommunity(t, opts, specs...)

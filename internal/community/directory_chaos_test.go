@@ -133,7 +133,7 @@ func partitionOff(c *Community, x proto.Addr) {
 func TestChaosDirectoryPartitionedMember(t *testing.T) {
 	const x = proto.Addr("host03")
 	sim := clock.NewSim(chaosT0)
-	buf := trace.NewBuffer(0)
+	buf := &trace.Buffer{}
 	var c *Community
 	var stop func()
 	cfg := engine.DefaultConfig()
@@ -211,7 +211,7 @@ func TestChaosDirectoryLearnsAfterHeal(t *testing.T) {
 	sim := clock.NewSim(chaosT0)
 	// Five replies in round 1 (x's never comes), then host00's own in
 	// round 2 — at which point the round's query to x has not gone out.
-	rec := &healOnReply{Buffer: trace.NewBuffer(0), n: 6}
+	rec := &healOnReply{Buffer: &trace.Buffer{}, n: 6}
 	c := buildDirectoryChaos(t, sim, engine.DefaultConfig(), rec, false)
 	stop := driveClock(sim)
 	rec.heal = func() {
@@ -258,7 +258,7 @@ func TestChaosDirectoryCrashAfterDescribing(t *testing.T) {
 	for _, sole := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sole=%v", sole), func(t *testing.T) {
 			sim := clock.NewSim(chaosT0)
-			buf := trace.NewBuffer(0)
+			buf := &trace.Buffer{}
 			var c *Community
 			var once sync.Once
 			cfg := engine.DefaultConfig()
@@ -378,7 +378,7 @@ func TestChaosDirectoryWithdrawnService(t *testing.T) {
 // are contacted: each provider sole, each gets one award from memory.
 func TestChaosDirectoryFullCollection(t *testing.T) {
 	sim := clock.NewSim(chaosT0)
-	buf := trace.NewBuffer(0)
+	buf := &trace.Buffer{}
 	cfg := engine.DefaultConfig()
 	cfg.Incremental = false
 	c := buildDirectoryChaos(t, sim, cfg, buf, true)

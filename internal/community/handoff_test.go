@@ -47,7 +47,7 @@ func TestSameHostLabelNeverCrossesTheLink(t *testing.T) {
 	sim := clock.NewSim(chaosT0)
 	cfg := engine.DefaultConfig()
 	cfg.StartDelay, cfg.TaskWindow = 2*time.Second, time.Second
-	buf := trace.NewBuffer(0)
+	buf := &trace.Buffer{}
 	c := newTestCommunity(t, Options{Clock: sim, Engine: &cfg, Trace: buf}, []HostSpec{
 		{ID: "host00", Fragments: []*model.Fragment{
 			frag(t, "know-t1", ctask("t1", []model.LabelID{"a"}, []model.LabelID{"m"})),

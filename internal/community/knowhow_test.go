@@ -41,7 +41,7 @@ type knowhowCommunity struct {
 
 func newKnowhowCommunity(t *testing.T, advertiser bool) *knowhowCommunity {
 	t.Helper()
-	k := &knowhowCommunity{t: t, sim: clock.NewSim(chaosT0), buf: trace.NewBuffer(0)}
+	k := &knowhowCommunity{t: t, sim: clock.NewSim(chaosT0), buf: &trace.Buffer{}}
 	cfg := engine.DefaultConfig()
 	cfg.TaskWindow = time.Second
 	cfg.StartDelay = 4 * time.Second

@@ -152,7 +152,7 @@ func TestSoleProvidersCostOneCallEach(t *testing.T) {
 			frag(t, "know-"+task, ctask(task, []model.LabelID{label(i)}, []model.LabelID{label(i + 1)})))
 		specs[1+i%3].Services = append(specs[1+i%3].Services, svc(task, 0))
 	}
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	c := newTestCommunity(t, Options{Clock: sim, Engine: &cfg, Trace: rec}, specs...)
 	problem := spec.Must([]model.LabelID{label(0)}, []model.LabelID{label(chain)})
 	ctx := ctxTimeout(t, 60*time.Second)
@@ -208,7 +208,7 @@ func TestSoleProvidersCostOneCallEach(t *testing.T) {
 // its tasks' routes, t6's included, and Execute sends no plan request.
 func TestMixedPlanNoPlanRequest(t *testing.T) {
 	sim := clock.NewSim(stressT0)
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	replicated := []int{1, 2, 3}
 	c, problem := routedChain(t, sim, rec, 4, [][]int{replicated, replicated, replicated, replicated, replicated, {3}})
 	ctx := ctxTimeout(t, 60*time.Second)

@@ -93,7 +93,7 @@ func (w *withdrawOnAward) Record(e trace.Event) {
 // and leaves no run and no label on any host.
 func TestRefusedAwardExecutesOnLastTryRoutes(t *testing.T) {
 	sim := clock.NewSim(stressT0)
-	rec := &withdrawOnAward{Buffer: trace.NewBuffer(0), host: "host01", task: "t2"}
+	rec := &withdrawOnAward{Buffer: &trace.Buffer{}, host: "host01", task: "t2"}
 	c, problem := routedChain(t, sim, rec, 3, [][]int{{1, 2}, {1, 2}, {1, 2}})
 	rec.c = c
 
@@ -133,7 +133,7 @@ func TestRefusedAwardExecutesOnLastTryRoutes(t *testing.T) {
 // timer at all — and no service ran.
 func TestUnexecutedPlanArmsNoTimer(t *testing.T) {
 	sim := clock.NewSim(stressT0)
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	c, problem := routedChain(t, sim, rec, 4, [][]int{{1, 2}, {1, 2}, {1, 2}, {2, 3}, {2, 3}, {2, 3}})
 	ctx := ctxTimeout(t, 60*time.Second)
 
@@ -176,7 +176,7 @@ func TestUnexecutedPlanArmsNoTimer(t *testing.T) {
 // initiator with no plan request.
 func TestExecuteElsewhereRefused(t *testing.T) {
 	sim := clock.NewSim(stressT0)
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	c, problem := routedChain(t, sim, rec, 4, [][]int{{1}, {1, 2}, {2}, {2}})
 
 	plan, err := c.Initiate(ctxTimeout(t, 60*time.Second), "host00", problem)

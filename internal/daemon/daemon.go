@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"openwf/internal/backlog"
@@ -115,61 +116,22 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 
-	mAccepted  *metrics.Counter
-	mRejected  *metrics.Counter
-	mCompleted *metrics.Counter
-	mAborted   *metrics.Counter
-	mRepairs   *metrics.Counter
-	mReplans   *metrics.Counter
-	hLatency   *metrics.Histogram
-	hWait      *metrics.Histogram
+	// The admission counts, which the registry and Snapshot read.
+	accepted, rejected, completed, aborted atomic.Int64
+	hLatency, hWait                        *metrics.Histogram
 }
 
 // Start builds a community from opts and specs and serves it; Close tears
-// the community down. The engine observers are fixed at host creation, so
-// Start chains the repair/replan hooks into the engine configuration
-// before any host exists: openwf_repairs_total and openwf_replans_total
-// count from the first workflow.
+// the community down. opts.Engine reaches the hosts as the caller set it:
+// the repair and replan counts are the initiator engine's own.
 func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...community.HostSpec) (*Server, error) {
-	reg := metrics.NewRegistry()
-	repairs := reg.Counter("openwf_repairs_total",
-		"Mid-execution plan repairs completed (engine Observer.Repaired).")
-	replans := reg.Counter("openwf_replans_total",
-		"Failure-feedback reconstructions of allocation sessions and plan repairs (engine Observer.Replanned).")
-	ecfg := engine.DefaultConfig()
-	if opts.Engine != nil {
-		ecfg = *opts.Engine
-	}
-	prevRepaired := ecfg.Observer.Repaired
-	ecfg.Observer.Repaired = func(wf string, dead []proto.Addr, re []model.TaskID) {
-		repairs.Inc()
-		if prevRepaired != nil {
-			prevRepaired(wf, dead, re)
-		}
-	}
-	prevReplanned := ecfg.Observer.Replanned
-	ecfg.Observer.Replanned = func(wf string, attempt int, excluded []model.TaskID) {
-		replans.Inc()
-		if prevReplanned != nil {
-			prevReplanned(wf, attempt, excluded)
-		}
-	}
-	opts.Engine = &ecfg
 	comm, err := community.New(opts, specs...)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := newServer(comm, initiator, cfg, reg, repairs, replans)
-	if err != nil {
-		_ = comm.Close()
-		return nil, err
-	}
-	return srv, nil
-}
-
-func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg *metrics.Registry, repairs, replans *metrics.Counter) (*Server, error) {
 	h, ok := comm.Host(initiator)
 	if !ok {
+		_ = comm.Close()
 		return nil, fmt.Errorf("daemon: no host %q in community", initiator)
 	}
 	if cfg.Workers <= 0 {
@@ -179,6 +141,7 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg 
 		cfg.Backlog = DefaultBacklog
 	}
 	ctx, cancel := context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the worker pool, canceled by Close
+	reg := metrics.NewRegistry()
 	s := &Server{
 		comm:      comm,
 		initiator: initiator,
@@ -188,17 +151,19 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg 
 		q:         backlog.New[*job](cfg.Backlog),
 		ctx:       ctx,
 		cancel:    cancel,
-		mRepairs:  repairs,
-		mReplans:  replans,
 	}
-	s.mAccepted = reg.Counter("openwf_initiates_accepted_total",
-		"Requests admitted to the backlog.")
-	s.mRejected = reg.Counter("openwf_initiates_rejected_total",
-		"Requests refused at admission (class at capacity or draining).")
-	s.mCompleted = reg.Counter("openwf_initiates_completed_total",
-		"Requests served to a successful result.")
-	s.mAborted = reg.Counter("openwf_initiates_aborted_total",
-		"Requests that ended in an error (allocation failure, abort, shutdown).")
+	reg.CounterFunc("openwf_initiates_accepted_total",
+		"Requests admitted to the backlog.", s.accepted.Load)
+	reg.CounterFunc("openwf_initiates_rejected_total",
+		"Requests refused at admission (class at capacity or draining).", s.rejected.Load)
+	reg.CounterFunc("openwf_initiates_completed_total",
+		"Requests served to a successful result.", s.completed.Load)
+	reg.CounterFunc("openwf_initiates_aborted_total",
+		"Requests that ended in an error (allocation failure, abort, shutdown).", s.aborted.Load)
+	reg.CounterFunc("openwf_repairs_total",
+		"Mid-execution plan repairs completed on the initiator engine (Observer.Repaired).", h.Engine.Repairs)
+	reg.CounterFunc("openwf_replans_total",
+		"Failure-feedback reconstructions of allocation sessions and plan repairs on the initiator engine (Observer.Replanned).", h.Engine.Replans)
 	s.hLatency = reg.Histogram("openwf_initiate_latency_seconds",
 		"Admission-to-completion latency on the community clock.")
 	s.hWait = reg.Histogram("openwf_backlog_wait_seconds",
@@ -224,27 +189,27 @@ func newServer(comm *community.Community, initiator proto.Addr, cfg Config, reg 
 	reg.GaugeFunc("openwf_exec_runs",
 		"Execution runs the hosts track; ended workflows leave none.",
 		func() float64 { return float64(comm.TotalRuns()) })
-	reg.GaugeFunc("openwf_transport_envelopes_total",
+	reg.CounterFunc("openwf_transport_envelopes_total",
 		"Logical envelopes accepted for transmission (community-wide).",
-		func() float64 { return float64(comm.TransportStats().Envelopes) })
-	reg.GaugeFunc("openwf_transport_frames_total",
+		func() int64 { return comm.TransportStats().Envelopes })
+	reg.CounterFunc("openwf_transport_frames_total",
 		"Wire frames transmitted (one per envelope).",
-		func() float64 { return float64(comm.TransportStats().Frames) })
-	reg.GaugeFunc("openwf_transport_calls_total",
+		func() int64 { return comm.TransportStats().Frames })
+	reg.CounterFunc("openwf_transport_calls_total",
 		"Request envelopes (each opens a Call round trip).",
-		func() float64 { return float64(comm.TransportStats().Calls) })
-	reg.GaugeFunc("openwf_transport_frames_dropped_total",
+		func() int64 { return comm.TransportStats().Calls })
+	reg.CounterFunc("openwf_transport_frames_dropped_total",
 		"Wire frames lost after framing (loss, crash, unreachable peer).",
-		func() float64 { return float64(comm.TransportStats().FramesDropped) })
-	reg.GaugeFunc("openwf_discovery_hits_total",
+		func() int64 { return comm.TransportStats().FramesDropped })
+	reg.CounterFunc("openwf_discovery_hits_total",
 		"Sweeps the hosts routed from what members had told them, asking nobody to describe itself.",
-		func() float64 { return float64(comm.DiscoveryStats().Hits) })
-	reg.GaugeFunc("openwf_discovery_misses_total",
+		func() int64 { return comm.DiscoveryStats().Hits })
+	reg.CounterFunc("openwf_discovery_misses_total",
 		"Sweeps that also asked unknown members to describe themselves.",
-		func() float64 { return float64(comm.DiscoveryStats().Misses) })
-	reg.GaugeFunc("openwf_discovery_excluded_total",
+		func() int64 { return comm.DiscoveryStats().Misses })
+	reg.CounterFunc("openwf_discovery_excluded_total",
 		"Members skipped as presumed dead: their advertiser was silent for a full TTL.",
-		func() float64 { return float64(comm.DiscoveryStats().Excluded) })
+		func() int64 { return comm.DiscoveryStats().Excluded })
 
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -269,19 +234,19 @@ func (s *Server) submit(req Request, done func(*Result)) error {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		s.mRejected.Inc()
+		s.rejected.Add(1)
 		return ErrDraining
 	}
 	err := s.q.Submit(req.Class, &job{req: req, submitted: s.clk.Now(), done: done})
 	switch {
 	case err == nil:
-		s.mAccepted.Inc()
+		s.accepted.Add(1)
 		return nil
 	case errors.Is(err, backlog.ErrClosed):
-		s.mRejected.Inc()
+		s.rejected.Add(1)
 		return ErrDraining
 	default:
-		s.mRejected.Inc()
+		s.rejected.Add(1)
 		return err
 	}
 }
@@ -335,9 +300,9 @@ func (s *Server) serve(j *job, class backlog.Class) {
 	latency := s.clk.Now().Sub(j.submitted)
 	s.hLatency.ObserveDuration(latency)
 	if err == nil {
-		s.mCompleted.Inc()
+		s.completed.Add(1)
 	} else {
-		s.mAborted.Inc()
+		s.aborted.Add(1)
 	}
 	if j.done != nil {
 		j.done(&Result{
@@ -394,7 +359,7 @@ func (s *Server) Close() error {
 		if err != nil {
 			break
 		}
-		s.mAborted.Inc()
+		s.aborted.Add(1)
 		if j.done != nil {
 			j.done(&Result{Err: context.Canceled, Class: class})
 		}
@@ -423,10 +388,10 @@ type Snapshot struct {
 func (s *Server) Snapshot() Snapshot {
 	qs := s.hLatency.Quantiles(0.5, 0.99, 0.999)
 	return Snapshot{
-		Accepted:    s.mAccepted.Value(),
-		Rejected:    s.mRejected.Value(),
-		Completed:   s.mCompleted.Value(),
-		Aborted:     s.mAborted.Value(),
+		Accepted:    s.accepted.Load(),
+		Rejected:    s.rejected.Load(),
+		Completed:   s.completed.Load(),
+		Aborted:     s.aborted.Load(),
 		Backlog:     s.q.TotalDepth(),
 		LatencyP50:  qs[0],
 		LatencyP99:  qs[1],

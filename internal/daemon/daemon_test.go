@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,8 @@ import (
 	"openwf/internal/daemon"
 	"openwf/internal/engine"
 	"openwf/internal/model"
+	"openwf/internal/proto"
+	"openwf/internal/schedule"
 	"openwf/internal/service"
 	"openwf/internal/spec"
 	"openwf/internal/testutil"
@@ -304,6 +307,65 @@ func TestMetricsExposition(t *testing.T) {
 	// One Initiate must have moved the transport counters.
 	if strings.Contains(out, "openwf_transport_envelopes_total 0\n") {
 		t.Error("transport envelope scrape stuck at zero after an Initiate")
+	}
+	// The _total suffix is reserved for counters.
+	for _, line := range strings.Split(out, "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if strings.HasSuffix(name, "_total") && !strings.Contains(out, "# TYPE "+name+" counter\n") {
+			t.Errorf("%s is not exposed as a counter", name)
+		}
+	}
+}
+
+// TestReplansReadFromEngine: the daemon reads openwf_replans_total from
+// the initiator's engine and passes the caller's own Observer.Replanned
+// through untouched. Every member is unwilling and feasibility filtering
+// is off (capability exists; unwillingness only shows at auction), so the
+// session replans onto each of the three alternatives in turn until
+// MaxReplans is spent, and fails.
+func TestReplansReadFromEngine(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	peer := community.HostSpec{ID: "peer", Prefs: schedule.Preferences{
+		Willing: func(proto.TaskMeta) bool { return false },
+	}}
+	for _, name := range []string{"t1", "t2", "t3"} {
+		peer.Fragments = append(peer.Fragments, mkFrag(t, name, "a", "g"))
+		peer.Services = append(peer.Services, service.Registration{
+			Descriptor: service.Descriptor{Task: model.TaskID(name), Specialization: 0.5},
+		})
+	}
+	cfg := testEngineConfig()
+	cfg.Feasibility = false
+	cfg.MaxReplans = 2
+	var seen atomic.Int64
+	cfg.Observer.Replanned = func(string, int, []model.TaskID) { seen.Add(1) }
+	srv, err := daemon.Start(community.Options{Engine: cfg}, "init", daemon.Config{Workers: 1},
+		community.HostSpec{ID: "init"}, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	res, err := srv.Do(context.Background(), chainRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.Err, engine.ErrAllocationFailed) {
+		t.Fatalf("serving error = %v, want an allocation failure", res.Err)
+	}
+	if got := seen.Load(); got != int64(cfg.MaxReplans) {
+		t.Errorf("caller's Observer.Replanned saw %d replans, want MaxReplans = %d", got, cfg.MaxReplans)
+	}
+	var sb strings.Builder
+	if err := srv.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("openwf_replans_total %d\n", seen.Load()),
+		"openwf_initiates_aborted_total 1\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 

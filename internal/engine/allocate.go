@@ -110,6 +110,7 @@ func (m *Manager) settle(ctx context.Context, wfID string, w *model.Workflow, pl
 				ErrAllocationFailed, failed, replans)
 		}
 		replans++
+		m.replans.Add(1)
 		if f := m.cfg.Observer.Replanned; f != nil {
 			f(wfID, replans, failed)
 		}

@@ -202,6 +202,9 @@ type Manager struct {
 	// inFlight counts the allocation sessions between newSession and
 	// endSession (see InFlight).
 	inFlight atomic.Int64
+	// replans and repairs count the events Observer.Replanned and
+	// Observer.Repaired report (see Replans and Repairs).
+	replans, repairs atomic.Int64
 }
 
 // execution tracks an in-flight Execute call on the initiator.

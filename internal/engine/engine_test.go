@@ -497,6 +497,7 @@ func TestInitiateReplansWhenBidsFail(t *testing.T) {
 	cfg := testConfig()
 	cfg.Feasibility = false
 	cfg.WindowRetries = 0
+	fb := feedbackObserver(&cfg)
 	m := NewManager(net, cfg)
 	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
 	if err != nil {
@@ -508,6 +509,7 @@ func TestInitiateReplansWhenBidsFail(t *testing.T) {
 	if plan.Replans == 0 {
 		t.Error("Replans = 0, expected at least one replan")
 	}
+	fb.check(t, m, 2, "1:[short]")
 }
 
 func TestInitiateReplansOnRefusedAward(t *testing.T) {

@@ -208,6 +208,7 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		}
 	}
 	slices.Sort(dead)
+	m.repairs.Add(1)
 	if f := m.cfg.Observer.Repaired; f != nil {
 		f(wfID, dead, slices.Sorted(maps.Keys(won)))
 	}

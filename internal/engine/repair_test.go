@@ -61,13 +61,17 @@ func feedbackObserver(cfg *Config) *feedback {
 }
 
 // check fails t unless constructions constructions and the replans want
-// (attempt:excluded, in order) were reported.
-func (fb *feedback) check(t *testing.T, constructions int, want ...string) {
+// (attempt:excluded, in order) were reported, and m counted as many
+// replans as were reported.
+func (fb *feedback) check(t *testing.T, m *Manager, constructions int, want ...string) {
 	t.Helper()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	if fb.constructions != constructions || fmt.Sprint(fb.replans) != fmt.Sprint(want) {
 		t.Errorf("%d constructions and replans %v, want %d and %v", fb.constructions, fb.replans, constructions, want)
+	}
+	if got := m.Replans(); got != int64(len(fb.replans)) {
+		t.Errorf("Replans() = %d, want the %d the observer saw", got, len(fb.replans))
 	}
 }
 
@@ -225,6 +229,9 @@ func TestRepairReallocatesAfterExecutorDeath(t *testing.T) {
 	}
 	if len(ev.tasks) != 2 || ev.tasks[0] != "t1" || ev.tasks[1] != "t2" {
 		t.Errorf("repaired tasks = %v, want [t1 t2]", ev.tasks)
+	}
+	if got := m.Repairs(); got != 1 {
+		t.Errorf("Repairs() = %d, want 1", got)
 	}
 	m.mu.Lock()
 	a1, a2 := plan.Allocations["t1"], plan.Allocations["t2"]
@@ -452,7 +459,7 @@ func testRepairReconstructsTwice(t *testing.T) {
 	if fmt.Sprint(ev.tasks) != "[b1 b2]" {
 		t.Errorf("repaired tasks %v, want [b1 b2]", ev.tasks)
 	}
-	fb.check(t, 3, "1:[t1 t2]", "2:[alt]")
+	fb.check(t, m, 3, "1:[t1 t2]", "2:[alt]")
 	m.mu.Lock()
 	alloc := fmt.Sprint(plan.Allocations)
 	m.mu.Unlock()
@@ -499,7 +506,7 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 	if plan.Workflow.NumTasks() != 2 {
 		t.Fatalf("initial workflow:\n%v", plan.Workflow)
 	}
-	fb.check(t, 1)
+	fb.check(t, m, 1)
 
 	done, join := startExecution(m, plan)
 	waitTrigger(t, net)
@@ -516,7 +523,7 @@ func testRepairReconstructsAroundDeadProvider(t *testing.T, describes bool) {
 		t.Errorf("repaired tasks = %v, want [alt]", ev.tasks)
 	}
 	// The reconstruction is reported as the session's are.
-	fb.check(t, 2, "1:[t1 t2]")
+	fb.check(t, m, 2, "1:[t1 t2]")
 	m.mu.Lock()
 	nTasks := plan.Workflow.NumTasks()
 	_, hasAlt := plan.Workflow.Task("alt")

@@ -52,6 +52,14 @@ func (m *Manager) endSession() { m.inFlight.Add(-1) }
 // AllocateWorkflow) are running on this engine right now.
 func (m *Manager) InFlight() int { return int(m.inFlight.Load()) }
 
+// Replans returns how many failure-feedback reconstructions this engine
+// has made, a session's or a plan repair's (Observer.Replanned).
+func (m *Manager) Replans() int64 { return m.replans.Load() }
+
+// Repairs returns how many mid-execution plan repairs this engine has
+// completed (Observer.Repaired).
+func (m *Manager) Repairs() int64 { return m.repairs.Load() }
+
 // notFromMemory runs a session's work and, should it fail for want of a
 // solution or of providers after routing on what members said before it
 // began, once more with those memories dropped — asking everyone, as the

@@ -53,8 +53,8 @@ type ExperimentResult struct {
 	Series *stats.Series
 	// MaxPathLength is the supergraph's longest shortest-path.
 	MaxPathLength int
-	// Messages is the total network message count across all runs
-	// (in-memory transport only).
+	// Messages is the total count of envelopes sent across all runs, on
+	// either transport.
 	Messages int64
 	// Skipped counts (length, run) pairs skipped because the supergraph
 	// has no path of the requested length.
@@ -103,9 +103,7 @@ func RunExperiment(ctx context.Context, cfg ExperimentConfig, seriesName string)
 			delete(series.Points, length)
 		}
 	}
-	if net := comm.Network(); net != nil {
-		result.Messages = net.Messages()
-	}
+	result.Messages = comm.TransportStats().Envelopes
 	return result, nil
 }
 

@@ -303,7 +303,7 @@ func TestAwardGroupSettlesEachTaskAlone(t *testing.T) {
 // executes in its window and publishes its output to the award's sender
 // with no plan request; a lease refresh reports it finished.
 func TestAwardRoutesRunWithoutPlan(t *testing.T) {
-	rec := trace.NewBuffer(0)
+	rec := &trace.Buffer{}
 	a, _ := pair(t, Config{Addr: "a", Trace: rec}, Config{Addr: "b", Services: []service.Registration{
 		{Descriptor: service.Descriptor{Task: "cook", Specialization: 0.5}},
 	}})

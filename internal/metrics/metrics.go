@@ -7,33 +7,21 @@
 // repo's rule is stdlib only, and the scrape format is simple enough to
 // emit directly.
 //
-// Concurrency: every instrument is safe for concurrent use. Counters are
-// single atomics; histograms take a short mutex per observation. A gauge
-// is a GaugeFunc over state that has its own accounting; the callbacks run
-// at scrape time on the scraper's goroutine and must be fast and
-// non-blocking.
+// The registry keeps no count of its own: a count lives where its event
+// happens, and a CounterFunc or GaugeFunc reads it at scrape time. The
+// callbacks run on the scraper's goroutine and must be fast,
+// non-blocking and safe for concurrent use. Histograms are the registry's
+// own state, and take a short mutex per observation.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openwf/internal/stats"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // histWindow bounds how many recent observations a histogram keeps for
 // quantile estimation. Count and Sum stay exact over the histogram's
@@ -109,9 +97,9 @@ type instrument struct {
 	help string
 	kind kind
 
-	counter *Counter
-	gaugeFn func() float64
-	hist    *Histogram
+	counterFn func() int64
+	gaugeFn   func() float64
+	hist      *Histogram
 }
 
 // Registry holds named instruments and renders them in the Prometheus
@@ -139,16 +127,15 @@ func (r *Registry) register(inst *instrument) {
 	r.insts = append(r.insts, inst)
 }
 
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&instrument{name: name, help: help, kind: kindCounter, counter: c})
-	return c
+// CounterFunc registers a counter whose value fn reads at scrape time
+// from the count its owner keeps; fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.register(&instrument{name: name, help: help, kind: kindCounter, counterFn: fn})
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — the bridge to state that already has its own accounting
-// (transport counters, backlog depth, engine session stats).
+// (backlog depth, engine sessions in flight, calendar residue).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&instrument{name: name, help: help, kind: kindGauge, gaugeFn: fn})
 }
@@ -180,7 +167,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch inst.kind {
 		case kindCounter:
 			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n",
-				inst.name, inst.name, inst.counter.Value()); err != nil {
+				inst.name, inst.name, inst.counterFn()); err != nil {
 				return err
 			}
 		case kindGauge:

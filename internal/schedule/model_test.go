@@ -131,9 +131,9 @@ func classOf(err error) string {
 		return ""
 	case errors.Is(err, ErrSlotBusy):
 		return "busy"
-	case errors.Is(err, ErrAlreadyHeld):
+	case errors.Is(err, errAlreadyHeld):
 		return "held"
-	case errors.Is(err, ErrNoHold):
+	case errors.Is(err, errNoHold):
 		return "nohold"
 	case strings.Contains(err.Error(), "at commitment capacity"):
 		return "capacity"

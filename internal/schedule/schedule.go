@@ -265,10 +265,10 @@ func overlaps(aStart, aEnd, bStart, bEnd time.Time) bool {
 	return aStart.Before(bEnd) && bStart.Before(aEnd)
 }
 
-// ErrAlreadyHeld is returned by Hold when the slot for the same
+// errAlreadyHeld is returned by Hold when the slot for the same
 // (workflow, task) is already reserved; HoldBatch refreshes such a
 // reservation's deadline in place instead.
-var ErrAlreadyHeld = errors.New("schedule: already holding this task")
+var errAlreadyHeld = errors.New("schedule: already holding this task")
 
 // Hold reserves the schedule slot for a firm bid until deadline: the
 // bidder must be able to honor an award that arrives before then. The
@@ -290,7 +290,7 @@ func (m *Manager) Hold(workflow string, meta proto.TaskMeta, deadline time.Time)
 // slot comes back as plan returns it. Callers hold m.mu.
 func (m *Manager) hold(k key, meta proto.TaskMeta, deadline time.Time) (Commitment, busyError, error) {
 	if _, dup := m.holds[k]; dup {
-		return Commitment{}, busyError{}, fmt.Errorf("%w: %q in workflow %q", ErrAlreadyHeld, meta.Task, k.workflow)
+		return Commitment{}, busyError{}, fmt.Errorf("%w: %q in workflow %q", errAlreadyHeld, meta.Task, k.workflow)
 	}
 	if _, dup := m.commits[k]; dup {
 		return Commitment{}, busyError{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, k.workflow)
@@ -364,13 +364,13 @@ func (m *Manager) HoldBatch(dst []HoldResult, workflow string, metas []proto.Tas
 	return dst
 }
 
-// ErrNoHold is returned by CommitHeld when no live hold backs the
+// errNoHold is returned by CommitHeld when no live hold backs the
 // commitment: the firm bid's reservation expired (or was released)
 // before the award arrived.
-var ErrNoHold = errors.New("schedule: no live hold")
+var errNoHold = errors.New("schedule: no live hold")
 
 // CommitHeld converts a live hold into a commitment leased until lease
-// (the zero time means it never expires) and fails with ErrNoHold when
+// (the zero time means it never expires) and fails with errNoHold when
 // the hold is gone — the award arrived after the firm bid's reservation
 // expired, so under lease semantics it must be refused (the slot may
 // meanwhile back a rival's fresh hold, and even a still-free slot belongs
@@ -381,7 +381,7 @@ func (m *Manager) CommitHeld(workflow string, task model.TaskID, lease time.Time
 	defer m.mu.Unlock()
 	r, ok := m.holds[k]
 	if !ok {
-		return Commitment{}, fmt.Errorf("%w for %q in workflow %q (bid window expired before the award)", ErrNoHold, task, workflow)
+		return Commitment{}, fmt.Errorf("%w for %q in workflow %q (bid window expired before the award)", errNoHold, task, workflow)
 	}
 	// The record keeps its busy interval and its arbitration sequence.
 	delete(m.holds, k)

@@ -175,9 +175,9 @@ func TestHoldLifecycle(t *testing.T) {
 	if m.Holds() != 1 {
 		t.Errorf("Holds = %d", m.Holds())
 	}
-	// Duplicate hold: ErrAlreadyHeld.
-	if _, err := m.Hold("wf", md, deadline); !errors.Is(err, ErrAlreadyHeld) {
-		t.Errorf("duplicate Hold = %v, want ErrAlreadyHeld", err)
+	// Duplicate hold: errAlreadyHeld.
+	if _, err := m.Hold("wf", md, deadline); !errors.Is(err, errAlreadyHeld) {
+		t.Errorf("duplicate Hold = %v, want errAlreadyHeld", err)
 	}
 	// The hold blocks conflicting work.
 	if _, err := m.CanCommit(meta("other", t0.Add(90*time.Minute), t0.Add(3*time.Hour))); err == nil {
@@ -438,8 +438,8 @@ func TestCommitHeldRequiresLiveHold(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
 	md := meta("t", t0.Add(time.Hour), t0.Add(2*time.Hour))
 	// No hold at all: refused even though the slot is free.
-	if _, err := m.CommitHeld("wf", "t", time.Time{}); !errors.Is(err, ErrNoHold) {
-		t.Fatalf("CommitHeld without hold err = %v, want ErrNoHold", err)
+	if _, err := m.CommitHeld("wf", "t", time.Time{}); !errors.Is(err, errNoHold) {
+		t.Fatalf("CommitHeld without hold err = %v, want errNoHold", err)
 	}
 	if _, err := m.Hold("wf", md, t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
@@ -456,8 +456,8 @@ func TestCommitHeldRequiresLiveHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Expire(t0.Add(2 * time.Minute))
-	if _, err := m.CommitHeld("wf2", "u", time.Time{}); !errors.Is(err, ErrNoHold) {
-		t.Fatalf("CommitHeld after expiry err = %v, want ErrNoHold", err)
+	if _, err := m.CommitHeld("wf2", "u", time.Time{}); !errors.Is(err, errNoHold) {
+		t.Fatalf("CommitHeld after expiry err = %v, want errNoHold", err)
 	}
 }
 

@@ -2,7 +2,8 @@
 // management system: every message a host sends or receives can be
 // recorded as an event, giving a per-host view of the distributed
 // construction, allocation, and execution conversation. The CLI's -trace
-// flag streams events; tests use the buffer to assert protocol behavior.
+// flag streams events; tests record into a Buffer, which keeps every event,
+// to assert protocol behavior.
 package trace
 
 import (
@@ -60,52 +61,30 @@ type Recorder interface {
 	Record(e Event)
 }
 
-// Buffer is a bounded in-memory Recorder retaining the most recent events.
+// Buffer is an in-memory Recorder keeping every event it records. The
+// zero Buffer is ready to use.
 type Buffer struct {
 	mu     sync.Mutex
 	events []Event
-	limit  int
-	total  int
 }
 
 var _ Recorder = (*Buffer)(nil)
-
-// NewBuffer returns a buffer retaining up to limit events (0 means an
-// unbounded buffer).
-func NewBuffer(limit int) *Buffer {
-	return &Buffer{limit: limit}
-}
 
 // Record implements Recorder.
 func (b *Buffer) Record(e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.total++
 	b.events = append(b.events, e)
-	if b.limit > 0 && len(b.events) > b.limit {
-		// Drop the oldest half rather than one at a time to keep
-		// Record amortized O(1).
-		keep := b.limit / 2
-		copy(b.events, b.events[len(b.events)-keep:])
-		b.events = b.events[:keep]
-	}
 }
 
-// Events returns a copy of the retained events, oldest first.
+// Events returns a copy of the recorded events, oldest first.
 func (b *Buffer) Events() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]Event(nil), b.events...)
 }
 
-// Total returns how many events were recorded overall (including dropped).
-func (b *Buffer) Total() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
-// CountKind returns how many retained events have the given kind.
+// CountKind returns how many recorded events have the given kind.
 func (b *Buffer) CountKind(kind string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -116,19 +95,6 @@ func (b *Buffer) CountKind(kind string) int {
 		}
 	}
 	return n
-}
-
-// WriteTo dumps the retained events, one per line.
-func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	for _, e := range b.Events() {
-		n, err := fmt.Fprintln(w, e)
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // Writer is a Recorder streaming events straight to an io.Writer (for the

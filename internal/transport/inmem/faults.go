@@ -80,8 +80,6 @@ const (
 	FaultPartition FaultKind = "partition"
 	// FaultHeal removes the partition (SetPartition with no groups).
 	FaultHeal FaultKind = "heal"
-	// FaultLinkLoss sets loss probability Loss on the From→To link.
-	FaultLinkLoss FaultKind = "link-loss"
 )
 
 // Fault is one scripted event of a fault schedule, fired At (an offset
@@ -93,9 +91,6 @@ type Fault struct {
 	Host proto.Addr
 	// Groups are the partition groups of a FaultPartition.
 	Groups [][]proto.Addr
-	// From, To, Loss parameterize a FaultLinkLoss.
-	From, To proto.Addr
-	Loss     float64
 }
 
 // ScheduleFaults arms a timed fault schedule against the network's clock
@@ -128,8 +123,6 @@ func (n *Network) applyFault(f Fault) {
 		n.SetPartition(f.Groups...)
 	case FaultHeal:
 		n.SetPartition()
-	case FaultLinkLoss:
-		n.SetLinkLoss(f.From, f.To, f.Loss)
 	default:
 		panic(fmt.Sprintf("inmem: unknown fault kind %q", f.Kind))
 	}

@@ -12,6 +12,7 @@ import (
 	"openwf/internal/clock"
 	"openwf/internal/model"
 	"openwf/internal/proto"
+	"openwf/internal/transport"
 )
 
 // --- crash/restart fault model (PR 6) ---
@@ -290,7 +291,7 @@ func TestCrashRacingSenders(t *testing.T) {
 	}
 	// progress returns once the senders have pushed 100 more envelopes.
 	progress := func() {
-		for m := n.Messages() + 100; n.Messages() < m; {
+		for m := n.Stats().Envelopes + 100; n.Stats().Envelopes < m; {
 			runtime.Gosched()
 		}
 	}
@@ -314,9 +315,9 @@ func TestCrashRacingSenders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	n.restart("b")
-	for deadline := time.Now().Add(time.Second); delivered.Load()+n.Stats().FramesDropped != n.Messages(); {
+	for deadline := time.Now().Add(time.Second); delivered.Load()+n.Stats().FramesDropped != n.Stats().Envelopes; {
 		if time.Now().After(deadline) {
-			t.Fatalf("Messages = %d, delivered + dropped = %d + %d", n.Messages(), delivered.Load(), n.Stats().FramesDropped)
+			t.Fatalf("envelopes = %d, delivered + dropped = %d + %d", n.Stats().Envelopes, delivered.Load(), n.Stats().FramesDropped)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -372,7 +373,7 @@ func TestBatchFrameLossIsAllOrNothing(t *testing.T) {
 			if got := col.count(); got != 0 {
 				t.Fatalf("%d envelopes of dropped frames delivered", got)
 			}
-			want := Stats{Envelopes: 3, Frames: 3, FramesDropped: 3}
+			want := transport.Stats{Envelopes: 3, Frames: 3, FramesDropped: 3}
 			if st := n.Stats(); st != want {
 				t.Fatalf("Stats = %+v, want %+v", st, want)
 			}

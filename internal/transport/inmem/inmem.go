@@ -131,15 +131,9 @@ type Network struct {
 	wire transport.Counters
 }
 
-// Stats is the network's round-trip and framing accounting — the shared
-// transport.Stats shape (see its field documentation), kept as an alias
-// so existing callers and the daemon's metrics scrape read the same
-// counters from either substrate. The Calls column is where PR 5's ≥3x
-// round-trip acceptance bar reads directly.
-type Stats = transport.Stats
-
-// Stats returns the current counters.
-func (n *Network) Stats() Stats { return n.wire.Stats() }
+// Stats returns the network's round-trip and framing counters, the shape
+// tcpnet's transports report too (see transport.Stats).
+func (n *Network) Stats() transport.Stats { return n.wire.Stats() }
 
 type linkKey struct{ from, to proto.Addr }
 
@@ -241,9 +235,6 @@ func (n *Network) flushStoredLocked() {
 		delete(n.stored, k)
 	}
 }
-
-// Messages returns the number of envelopes accepted for transmission.
-func (n *Network) Messages() int64 { return n.wire.Stats().Envelopes }
 
 // ResetCounters zeroes the traffic counters (between evaluation runs).
 func (n *Network) ResetCounters() { n.wire.Reset() }

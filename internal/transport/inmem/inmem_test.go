@@ -92,8 +92,8 @@ func TestBasicDelivery(t *testing.T) {
 	if got[0].Body.Kind() != "cancel" {
 		t.Errorf("body kind = %q", got[0].Body.Kind())
 	}
-	if net.Messages() != 1 || col.count() != 1 || net.Stats().FramesDropped != 0 {
-		t.Errorf("counters = %d/%d/%d", net.Messages(), col.count(), net.Stats().FramesDropped)
+	if net.Stats().Envelopes != 1 || col.count() != 1 || net.Stats().FramesDropped != 0 {
+		t.Errorf("counters = %d/%d/%d", net.Stats().Envelopes, col.count(), net.Stats().FramesDropped)
 	}
 }
 
@@ -419,7 +419,7 @@ func TestResetCounters(t *testing.T) {
 	}
 	col.waitN(t, 1, time.Second)
 	net.ResetCounters()
-	if net.Messages() != 0 {
+	if net.Stats().Envelopes != 0 {
 		t.Error("counters not reset")
 	}
 }
@@ -596,7 +596,7 @@ func TestStatsCountsCallRoundTrips(t *testing.T) {
 		t.Fatalf("Stats.Calls = %d, want 2 (requests only); full stats %+v", st.Calls, st)
 	}
 	n.ResetCounters()
-	if st := n.Stats(); st != (Stats{}) {
+	if st := n.Stats(); st != (transport.Stats{}) {
 		t.Fatalf("Stats after reset = %+v", st)
 	}
 }
@@ -635,7 +635,7 @@ func TestCoalescerConcurrentSendersDeliverAll(t *testing.T) {
 		}
 		next[s]++
 	}
-	want := Stats{Envelopes: senders * each, Frames: senders * each}
+	want := transport.Stats{Envelopes: senders * each, Frames: senders * each}
 	if st := n.Stats(); st != want {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
