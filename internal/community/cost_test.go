@@ -83,40 +83,20 @@ func TestCostTable(t *testing.T) {
 		// chain, 3 providers of every task, 4 KiB labels. From memory the
 		// sweep decides every task before a window opens, so host01, which
 		// wins every tie, runs the whole chain: 3 calls for bids + 1 award;
-		// 7 label transfers, 5 of them host01 to itself; and 3 cancels, one
-		// to each loser's bids and the release of host01's runs. The
-		// services are the benchmark's XOR, 3 allocations a task. Ten runs
-		// of the test read construct 12.0, allocate 73.8 and execute 71.0;
-		// each bound sits 2 above, a third of the 6 that one more
-		// allocation per task run adds. Allocate read 74.8 while a try's
-		// failed tasks were a list of their own. Construct read 13.0 while each
-		// session was a heap object, and execute 74.0 while the execution
-		// kept the tasks still to run beside the finished ones. They read
-		// 13.3, 75.1 and 75.3 while one session warmed the row — the first
-		// measured one still grew the pooled supergraph, 3 allocations —
-		// and the goal's label was formatted inside the execute phase.
-		// Allocate read 81.0 – 81.1 and
-		// execute 83.0 – 83.3 while a call for bids decoded into 4
-		// allocations, the 6-task award into 6 and each of the 2 label
-		// transfers that cross the wire into 7, where each is 3 now (a
-		// frame's lists come from one block, its strings from one copy).
-		// Allocate read 82.0 – 82.1 while it copied the workflow's order to
-		// drop the placed tasks, 110.0 – 110.1 while every hold allocated
-		// its record, every call for bids its results and the losers'
-		// cancel lists grew by append, and 120.0 – 120.1 while a plan's
-		// metas sat out of line and the ack carried a verdict per task.
-		// Construct read 20.0 –
-		// 20.3 while the workflow indexed itself in maps, 22.0 – 22.3
-		// while Satisfies copied the workflow's inset and outset, and
-		// execute 84.0 – 84.1 while distribute copied the inset (116.0 –
-		// 116.1 while the service copied every body's outputs and sendExec
-		// copied a same-host label's body).
+		// 7 label transfers, 5 of them host01 to itself, handed over in
+		// place and counted through the trace; and 3 cancels, one to each
+		// loser's bids and the release of host01's runs. Each run on host01
+		// after the first starts on its producer's goroutine. The services
+		// are the benchmark's XOR, 3 allocations a task. Ten runs of the
+		// test read construct 12.0, allocate 73.8 and execute 55.0; each
+		// bound sits 2 above, a third of the 6 that one more allocation per
+		// task run adds. Earlier readings are in CHANGES.md.
 		{
 			name:      "initiate+execute/chain=6/label=4KiB",
 			setup:     chainSession,
 			calls:     4,
 			envelopes: map[string]int{"call-for-bids-batch": 3, "bid-batch": 3, "award": 1, "award-ack": 1, "label-transfer": 7, "cancel": 3},
-			allocs:    [numPhases]float64{construct: 14, allocate: 76, execute: 73},
+			allocs:    [numPhases]float64{construct: 14, allocate: 76, execute: 57},
 		},
 		// sim_serial's session: a 6-task chain whose every task one host
 		// offers, 3 providers of 2 tasks each. Memory knows each task's one
@@ -198,25 +178,21 @@ func TestCostTable(t *testing.T) {
 		// host03; host02 wins all six tasks in 1 award, and host03 loses
 		// them in 1 cancel. No kept task feeds a re-homed one, so no plan
 		// request goes out: the trigger is re-injected, and host02 runs
-		// the chain. The doubt,
-		// and the hours on the clock, leave the next session cold: its
-		// construction asks every member, 9 fragment queries over its
-		// rounds, and its Initiate sweeps as the chain row's does. That
-		// makes 18 calls: 9 fragment queries, 6 calls for bids, 2 awards
-		// and the lost refresh; and 4 cancels: the Initiate's 2 losers,
-		// the repair's loser and the release of host02's runs. Ten runs
-		// read construct 212.0, allocate 75.7 and execute 188.0; each bound
-		// sits 2 above. Allocate read 76.7 and execute 189.0, the repair's
-		// own auction, while a try's failed tasks were a list of their
-		// own. Construct read 213.0 while each session was a heap
-		// object, and execute 192.0 while the execution kept the tasks
-		// still to run beside the finished ones.
+		// the chain. The doubt, and the hours on the clock, leave the next
+		// session cold: its construction asks every member, 9 fragment
+		// queries over its rounds, and its Initiate sweeps as the chain
+		// row's does. That makes 18 calls: 9 fragment queries, 6 calls for
+		// bids, 2 awards and the lost refresh; and 4 cancels: the
+		// Initiate's 2 losers, the repair's loser and the release of
+		// host02's runs. Ten runs read construct 212.0, allocate 75.7 and
+		// execute 173.0; each bound sits 2 above. Earlier readings are in
+		// CHANGES.md.
 		{
 			name:      "initiate+repair/chain=6/label=4KiB",
 			setup:     repairSession,
 			calls:     18,
 			envelopes: map[string]int{"fragment-query": 9, "fragment-reply": 9, "call-for-bids-batch": 6, "bid-batch": 6, "award": 2, "award-ack": 2, "label-transfer": 7, "cancel": 4},
-			allocs:    [numPhases]float64{construct: 214, allocate: 78, execute: 190},
+			allocs:    [numPhases]float64{construct: 214, allocate: 78, execute: 175},
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {

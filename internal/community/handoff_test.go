@@ -1,10 +1,12 @@
 package community
 
 // A label for a run on the same host never crosses the link: the host's
-// execution manager hands a LabelTransfer or TaskDone addressed to itself
-// straight to its own handler, with the data copied as the codec would
-// copy it. A lossy self-link therefore loses none of them, and a consumer
-// that overwrites its input leaves its producer's retained output intact.
+// execution manager gives a LabelTransfer addressed to itself straight to
+// its own runs and then to the host's engine, and a failure's TaskDone for
+// its own initiator straight to the engine, with a label's data copied as
+// the codec would copy it. A lossy self-link therefore loses none of them,
+// and a consumer that overwrites its input leaves its producer's retained
+// output intact.
 
 import (
 	"sync"

@@ -220,8 +220,11 @@ type execution struct {
 	completed bool
 	// finishedTasks records the tasks of the plan's workflow known to have
 	// finished, from lease refreshes; every other task of it is still to
-	// run.
+	// run. It is made with the first.
 	finishedTasks map[model.TaskID]struct{}
+	// refresher is the lease refresher's timer, nil when refreshing is
+	// off (Execute).
+	refresher clock.Timer
 	// triggers retains the initiator-supplied trigger data so a repair
 	// can re-inject the workflow sources to re-allocated consumers.
 	triggers map[model.LabelID][]byte

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -59,12 +58,11 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	outs := w.Out()
 	ex := &execution{
-		plan:          plan,
-		outs:          outs,
-		goals:         make(map[model.LabelID][]byte, len(outs)),
-		done:          make(chan struct{}),
-		finishedTasks: make(map[model.TaskID]struct{}, w.NumTasks()),
-		triggers:      triggers,
+		plan:     plan,
+		outs:     outs,
+		goals:    make(map[model.LabelID][]byte, len(outs)),
+		done:     make(chan struct{}),
+		triggers: triggers,
 	}
 	m.mu.Lock()
 	if _, dup := m.executions[plan.WorkflowID]; dup {
@@ -86,9 +84,13 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 
 	// Keep the executors' commitment leases alive while the workflow
 	// runs; the refresher is also the failure detector behind plan
-	// repair. It exits on its own when the execution finishes.
+	// repair. Its timer starts the loop at the first tick, so an execution
+	// that ends sooner starts no goroutine for it (release stops the
+	// timer); the loop exits on its own when the execution finishes. The
+	// tick cannot refresh in the timer's callback: clock.Sim runs that
+	// inside Advance, and a refresh makes calls.
 	if m.cfg.LeaseRefreshInterval > 0 {
-		go m.refreshLoop(ctx, ex)
+		ex.refresher = m.net.Clock().AfterFunc(m.cfg.LeaseRefreshInterval, func() { go m.refreshLoop(ctx, ex) })
 	}
 
 	// Wait for completion (every goal delivered), a failure or
@@ -103,20 +105,30 @@ func (m *Manager) Execute(ctx context.Context, plan *Plan, triggers map[model.La
 }
 
 // release ends an execution however it ended: it closes the execution to
-// late notifications and to a repair still in flight, and tells each
-// participant of the plan once that the workflow is over (a Cancel naming
-// no task) — drop it now, not one lease later. One-way and best effort:
-// the lease is the backstop. This host is told only if it is a
-// participant: its goal labels live in the execution and end with it.
+// late notifications and to a repair still in flight, stops its
+// refresher, and tells each participant of the plan once that the
+// workflow is over (a Cancel naming no task) — drop it now, not one lease
+// later. One-way and best effort: the lease is the backstop. This host is
+// told only if it is a participant: its goal labels live in the execution
+// and end with it.
 func (m *Manager) release(ex *execution) {
 	wfID := ex.plan.WorkflowID
+	var buf [8]proto.Addr
+	hosts := buf[:0]
 	m.mu.Lock()
 	ex.finishLocked(false)
 	delete(m.executions, wfID)
-	hosts := slices.AppendSeq(make([]proto.Addr, 0, len(ex.plan.Allocations)), maps.Values(ex.plan.Allocations))
+	for _, h := range ex.plan.Allocations {
+		if !slices.Contains(hosts, h) {
+			hosts = append(hosts, h)
+		}
+	}
 	m.mu.Unlock()
+	if ex.refresher != nil {
+		ex.refresher.Stop()
+	}
 	slices.Sort(hosts)
-	for _, h := range slices.Compact(hosts) {
+	for _, h := range hosts {
 		_ = m.net.Send(context.Background(), h, wfID, proto.Cancel{}) //openwf:allow-background the release must out-live a canceled Execute ctx or participants keep a finished workflow for a whole lease
 	}
 }
@@ -168,26 +180,24 @@ func (m *Manager) distribute(ctx context.Context, wfID string, w *model.Workflow
 	return nil
 }
 
-// executionReport snapshots an execution's progress. The goals map is
-// copied under the lock: on cancellation the execution is still live and
-// a straggling goal label could otherwise mutate the map the caller is
-// reading.
+// executionReport ends an execution's progress and reports it. It marks
+// the execution finished under the lock, if it was not — on cancellation
+// it is still live — so nothing writes its goals or failures after: no
+// straggling goal label (OnLabelTransfer), no abort and no repair in
+// flight (swapWorkflow). The report therefore takes both over as they are.
 func (m *Manager) executionReport(ex *execution, plan *Plan, start time.Time, ctxErr error) *Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	goals := make(map[model.LabelID][]byte, len(ex.goals))
-	for l, data := range ex.goals {
-		goals[l] = data
-	}
+	ex.finishLocked(false)
 	done := len(ex.finishedTasks)
 	if ex.completed {
 		done = plan.Workflow.NumTasks()
 	}
 	return &Report{
 		Completed: ex.completed && ctxErr == nil,
-		Goals:     goals,
+		Goals:     ex.goals,
 		TasksDone: done,
-		Failures:  append([]string(nil), ex.failures...),
+		Failures:  ex.failures,
 		Elapsed:   m.net.Clock().Since(start),
 	}
 }

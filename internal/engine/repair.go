@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -26,12 +27,14 @@ import (
 // Executors retain the outputs of finished runs, so a repaired route
 // re-publishes data instead of re-executing services wherever possible.
 
-// refreshLoop keeps the commitment leases behind an execution alive,
-// ticking every LeaseRefreshInterval until the execution finishes or the
-// initiating context is canceled.
+// refreshLoop keeps the commitment leases behind an execution alive. The
+// execution's refresher timer starts it at the first tick; it refreshes
+// then and every LeaseRefreshInterval after, until the execution finishes
+// or the initiating context is canceled.
 func (m *Manager) refreshLoop(ctx context.Context, ex *execution) {
 	clk := m.net.Clock()
 	for {
+		m.refreshLeases(ctx, ex)
 		select {
 		case <-ex.done:
 			return
@@ -39,7 +42,6 @@ func (m *Manager) refreshLoop(ctx context.Context, ex *execution) {
 			return
 		case <-clk.After(m.cfg.LeaseRefreshInterval):
 		}
-		m.refreshLeases(ctx, ex)
 	}
 }
 
@@ -113,6 +115,9 @@ func (ex *execution) markFinishedLocked(tasks []model.TaskID) {
 		if _, known := ex.finishedTasks[t]; known || !in {
 			continue
 		}
+		if ex.finishedTasks == nil {
+			ex.finishedTasks = make(map[model.TaskID]struct{}, w.NumTasks())
+		}
 		ex.finishedTasks[t] = struct{}{}
 		for _, in := range task.Inputs {
 			if p, ok := w.Producer(in); ok {
@@ -174,7 +179,10 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 		if err != nil {
 			return nil, nil, fmt.Errorf("reconstructing without %v: %w", exclude, err)
 		}
-		kept, dropped := m.swapWorkflow(ex, res, deadSet)
+		kept, dropped, err := m.swapWorkflow(ex, res, deadSet)
+		if err != nil {
+			return nil, nil, err
+		}
 		m.cancelAwards(wfID, dropped)
 		return res.Workflow, kept, nil
 	}
@@ -218,10 +226,15 @@ func (m *Manager) repairPlan(ctx context.Context, ex *execution, dead []proto.Ad
 // swapWorkflow applies a reconstructed workflow to a running execution:
 // state is re-pointed at the new workflow, and it returns the allocation
 // it keeps and the one the new workflow dropped, for the caller to cancel
-// outside the lock.
-func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}) (kept, dropped map[model.TaskID]proto.Addr) {
+// outside the lock. An execution that finished while the reconstruction
+// ran is left as it is, and the repair stops: its plan is its caller's
+// again and its goals are the report's (executionReport).
+func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[proto.Addr]struct{}) (kept, dropped map[model.TaskID]proto.Addr, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if ex.finished {
+		return nil, nil, errors.New("the execution finished while its repair reconstructed the workflow")
+	}
 	plan := ex.plan
 	newW := res.Workflow
 	dropped = make(map[model.TaskID]proto.Addr)
@@ -255,7 +268,7 @@ func (m *Manager) swapWorkflow(ex *execution, res *core.Result, deadSet map[prot
 			delete(ex.goals, l)
 		}
 	}
-	return maps.Clone(plan.Allocations), dropped
+	return maps.Clone(plan.Allocations), dropped, nil
 }
 
 // abortExecution fails an execution cleanly: it records why and wakes the

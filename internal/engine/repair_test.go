@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"openwf/internal/clock"
 	"openwf/internal/core"
 	"openwf/internal/model"
 	"openwf/internal/proto"
@@ -341,6 +343,106 @@ func TestRepairAbortsWhenUnrecoverable(t *testing.T) {
 	case ev := <-events:
 		t.Errorf("unexpected repair event %+v", ev)
 	default:
+	}
+}
+
+// holdNet is a fakeNet whose fragment queries, once hold is set, signal
+// held and wait for release, and whose clock signals waits each time a
+// loop asks it to wait (After), which the refresher does each time a
+// refresh, repair included, is over.
+type holdNet struct {
+	*fakeNet
+	hold    atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdNet) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
+	if _, ok := body.(proto.FragmentQuery); ok && h.hold.Load() {
+		select {
+		case h.held <- struct{}{}:
+		default:
+		}
+		<-h.release
+	}
+	return h.fakeNet.Call(ctx, to, workflow, body, timeout)
+}
+
+type waitingClock struct {
+	clock.Clock
+	waits chan struct{}
+}
+
+func (c waitingClock) After(d time.Duration) <-chan time.Time {
+	select {
+	case c.waits <- struct{}{}:
+	default:
+	}
+	return c.Clock.After(d)
+}
+
+// TestRepairLeavesAFinishedExecutionAlone: p1 runs the chain t1 → t2 and
+// dies, nobody else offers t1 or t2, and the repair reconstructs the
+// workflow around p2's alt. While its fragment queries are held, a task
+// failure aborts the execution and Execute returns. Once the queries are
+// answered the reconstruction has nothing to apply it to: the plan
+// Execute's caller holds again keeps the workflow and allocation it had
+// when Execute returned.
+func TestRepairLeavesAFinishedExecutionAlone(t *testing.T) {
+	fake := newFakeNet("init")
+	waits := make(chan struct{}, 1)
+	fake.clk = waitingClock{Clock: fake.clk, waits: waits}
+	fake.add("init", &fakeMember{})
+	fake.add("p1", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "t1", "a", "m"), mkFrag(t, "t2", "m", "g")},
+		capable:   map[model.TaskID]bool{"t1": true, "t2": true},
+		services:  2,
+	})
+	fake.add("p2", &fakeMember{
+		fragments: []*model.Fragment{mkFrag(t, "alt", "a", "g")},
+		capable:   map[model.TaskID]bool{"alt": false},
+		services:  1,
+	})
+	net := &holdNet{fakeNet: fake, held: make(chan struct{}, 1), release: make(chan struct{})}
+	m := NewManager(net, repairConfig())
+	plan, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, join := startExecution(m, plan)
+	waitTrigger(t, fake)
+	net.hold.Store(true)
+	fake.setCapable("p2", "alt", true)
+	fake.setDown("p1")
+	select {
+	case <-net.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the repair never reconstructed")
+	}
+	m.OnTaskDone(plan.WorkflowID, proto.TaskDone{Task: "t1", Err: "exploded"})
+	<-done
+	if report, err := join(); err != nil || report.Completed {
+		t.Fatalf("report = %+v, err = %v, want the abort", report, err)
+	}
+	w, alloc := plan.Workflow, fmt.Sprint(plan.Allocations)
+
+	// The refresher is held in the repair, so it has not asked the clock
+	// to wait since; the next time it does, the repair is over.
+	select {
+	case <-waits:
+	default:
+	}
+	close(net.release)
+	select {
+	case <-waits:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the repair never ended")
+	}
+	if plan.Workflow != w {
+		t.Errorf("the repair swapped the plan's workflow after Execute returned:\n%v", plan.Workflow)
+	}
+	if got := fmt.Sprint(plan.Allocations); got != alloc {
+		t.Errorf("the repair changed the plan's allocation after Execute returned: %s, was %s", got, alloc)
 	}
 }
 

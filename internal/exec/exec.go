@@ -8,7 +8,9 @@
 // required location, and (3) executes the service at the required time.
 // A label therefore lives in the run that consumes it: a run registered
 // here and not yet started keeps it, and it leaves with that run; a label
-// no such run consumes is dropped.
+// no such run consumes is dropped. A label a run publishes to its own host
+// never leaves it: the runs here take it in place, and the one it readies
+// first runs next on the producer's goroutine.
 package exec
 
 import (
@@ -30,13 +32,19 @@ import (
 // location to execute it.
 const locationEps = 0.5
 
-// SendFunc transmits an envelope, a LabelTransfer or a failure's TaskDone.
-// The host injects it: one addressed to another host crosses the
-// endpoint — a TaskDone as a request, nil only once it is acked — and one
-// addressed to the host itself is handed to its own handler as it is. A
-// LabelTransfer to this host already carries its own copy of the data
-// (publish), so a run's inputs are never the producer's retained outputs.
+// SendFunc transmits an envelope, a LabelTransfer or a failure's TaskDone,
+// to another host. The host injects it: the envelope crosses the endpoint,
+// a TaskDone as a request, nil only once it is acked. Nothing addressed to
+// the host itself goes through it (LocalFunc).
 type SendFunc func(ctx context.Context, to proto.Addr, env proto.Envelope) error
+
+// LocalFunc takes what a run here sends its own host, which never crosses
+// the link: a label published to it, once the runs here have taken theirs,
+// or, when failure names a task, that failure for the host's own
+// initiator. The host injects it, and hands either to its engine. A
+// label's Data is its own copy (publish), so neither a run's inputs nor a
+// goal is ever the producer's retained outputs.
+type LocalFunc func(workflow string, lt proto.LabelTransfer, failure proto.TaskDone)
 
 // Manager drives the execution of this host's commitments: one run per
 // commitment, each holding the inputs it consumes. It is safe for
@@ -47,6 +55,12 @@ type Manager struct {
 	services *service.Manager
 	mobility space.Mobility
 	send     SendFunc
+	local    LocalFunc
+	// recheck is m.tryStart, bound once, which the start timers call: a
+	// direct call from them would put the whole start path in one
+	// recursive cycle, where the compiler moves the ready buffers of
+	// OnLabel and handOn to the heap.
+	recheck func(workflow string, task model.TaskID)
 	// ctx is the manager's root context, canceled by Close: in-flight
 	// service invocations and output publishing stop promptly when the
 	// host shuts down.
@@ -84,8 +98,9 @@ type run struct {
 }
 
 // NewManager returns an execution manager for one host that moves as
-// mobility says.
-func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, mobility space.Mobility, send SendFunc) *Manager {
+// mobility says, sends to other hosts through send and hands what it sends
+// its own host to local.
+func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, mobility space.Mobility, send SendFunc, local LocalFunc) *Manager {
 	if clk == nil {
 		clk = clock.New()
 	}
@@ -95,8 +110,10 @@ func NewManager(self proto.Addr, clk clock.Clock, services *service.Manager, mob
 		services: services,
 		mobility: mobility,
 		send:     send,
+		local:    local,
 		runs:     make(map[runKey]*run),
 	}
+	m.recheck = m.tryStart
 	m.ctx, m.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root spanning every execution on this host, canceled by Close
 	return m
 }
@@ -161,7 +178,7 @@ func (m *Manager) SetPlan(workflow string, seg proto.PlanSegment) {
 	r.seg = seg
 	if r.finished {
 		outputs := r.outputs
-		go func() { m.reportFailure(workflow, r, seg, m.publish(workflow, &r.commitment, seg, outputs)) }()
+		go func() { m.invoke(workflow, m.handOn(workflow, r, seg, outputs)) }()
 	}
 }
 
@@ -184,14 +201,24 @@ func (m *Manager) beginTravelLocked(r *run) {
 	m.mobility.Travel(m.clk.Now(), *r.commitment.Meta.Location)
 }
 
-// OnLabel receives a label transfer (an inter-service message). Each run
-// of the workflow that consumes the label and has not started keeps the
-// data, and a run whose inputs are now complete is re-checked. A label no
-// run here consumes is dropped: it is the initiator's goal, or late.
+// OnLabel receives a label transfer (an inter-service message) from
+// another host, and starts each run it readies (deliver) on its own
+// goroutine.
 func (m *Manager) OnLabel(workflow string, lt proto.LabelTransfer) {
+	var buf [4]*run
+	for _, r := range m.deliver(workflow, lt, buf[:0]) {
+		go m.invoke(workflow, r)
+	}
+}
+
+// deliver gives a label to the runs here: each run of the workflow that
+// consumes the label and has not started keeps the data, and one whose
+// inputs are now complete is checked (startLocked). It appends to ready
+// each run that starts now, for the caller to invoke. A label no run here
+// consumes is dropped: it is the initiator's goal, or late.
+func (m *Manager) deliver(workflow string, lt proto.LabelTransfer, ready []*run) []*run {
 	m.mu.Lock()
-	var buf [4]model.TaskID
-	ready := buf[:0]
+	defer m.mu.Unlock()
 	for k, r := range m.runs {
 		if k.workflow != workflow || r.started || !slices.Contains(r.commitment.Meta.Inputs, lt.Label) {
 			continue
@@ -203,14 +230,11 @@ func (m *Manager) OnLabel(workflow string, lt proto.LabelTransfer) {
 			r.inputs = make(service.Inputs, len(r.commitment.Meta.Inputs))
 		}
 		r.inputs[lt.Label] = lt.Data
-		if len(r.inputs) == len(r.commitment.Meta.Inputs) {
-			ready = append(ready, k.task)
+		if m.startLocked(workflow, r) {
+			ready = append(ready, r)
 		}
 	}
-	m.mu.Unlock()
-	for _, task := range ready {
-		m.tryStart(workflow, task)
-	}
+	return ready
 }
 
 // forget stops a run's timers and drops it. Callers hold m.mu.
@@ -287,31 +311,35 @@ func (m *Manager) Pending() int {
 	return n
 }
 
-// tryStart checks a run's conditions — all inputs received, window open,
-// location reached — and launches the service invocation in its own
-// goroutine when they all hold. A run lacking only its window arms the
-// start timer that re-checks it then.
+// tryStart starts a run whose conditions hold (startLocked) on its own
+// goroutine.
 func (m *Manager) tryStart(workflow string, task model.TaskID) {
 	m.mu.Lock()
-	k := runKey{workflow, task}
-	r, ok := m.runs[k]
-	if !ok || r.started {
-		m.mu.Unlock()
-		return
+	r, ok := m.runs[runKey{workflow, task}]
+	start := ok && m.startLocked(workflow, r)
+	m.mu.Unlock()
+	if start {
+		go m.invoke(workflow, r)
+	}
+}
+
+// startLocked checks a run's conditions — all inputs received, window
+// open, location reached — and reports whether they all hold: the run is
+// then marked started, and the caller invokes it. A run lacking only its
+// window arms the start timer that re-checks it then. Callers hold m.mu.
+func (m *Manager) startLocked(workflow string, r *run) bool {
+	c := &r.commitment
+	if r.started || len(r.inputs) < len(c.Meta.Inputs) {
+		return false
 	}
 	now := m.clk.Now()
-	c := &r.commitment
-	if len(r.inputs) < len(c.Meta.Inputs) {
-		m.mu.Unlock()
-		return
-	}
+	task := c.Task
 	if now.Before(c.Start) {
 		if !r.armed {
 			r.armed = true
-			r.timers = append(r.timers, m.clk.AfterFunc(c.Start.Sub(now), func() { m.tryStart(workflow, task) }))
+			r.timers = append(r.timers, m.clk.AfterFunc(c.Start.Sub(now), func() { m.recheck(workflow, task) }))
 		}
-		m.mu.Unlock()
-		return
+		return false
 	}
 	if at := c.Meta.Location; at != nil {
 		pos := m.mobility.Position(now)
@@ -319,23 +347,29 @@ func (m *Manager) tryStart(workflow string, task model.TaskID) {
 			// Still under way: re-check on arrival.
 			eta := space.TravelTime(pos, *at, m.mobility.Speed())
 			if eta > 0 && eta < 1<<62 {
-				t := m.clk.AfterFunc(eta, func() { m.tryStart(workflow, task) })
-				r.timers = append(r.timers, t)
+				r.timers = append(r.timers, m.clk.AfterFunc(eta, func() { m.recheck(workflow, task) }))
 			}
-			m.mu.Unlock()
-			return
+			return false
 		}
 	}
 	r.started = true
-	m.mu.Unlock()
-
-	go m.invoke(workflow, r)
+	return true
 }
 
-// invoke performs the service of a started run and publishes its results.
-// A started run's commitment and inputs no longer change; its routes may,
-// so they are read under m.mu once the service returns.
+// invoke performs the service of a started run and publishes its results,
+// then does the same for the run that publishing started next (handOn),
+// until there is none: a chain of runs on this host runs on one goroutine.
 func (m *Manager) invoke(workflow string, r *run) {
+	for r != nil {
+		r = m.perform(workflow, r)
+	}
+}
+
+// perform performs the service of a started run and hands its results on,
+// returning the run to perform next, or nil. A started run's commitment and
+// inputs no longer change; its routes may, so they are read under m.mu once
+// the service returns.
+func (m *Manager) perform(workflow string, r *run) *run {
 	c := &r.commitment
 	inv := service.Invocation{
 		Ctx:      m.ctx,
@@ -359,15 +393,40 @@ func (m *Manager) invoke(workflow string, r *run) {
 	}
 	m.mu.Unlock()
 	if err != nil {
-		if m.ctx.Err() != nil {
-			return // host shutting down: nobody to notify
+		if m.ctx.Err() == nil { // else the host is shutting down: nobody to notify
+			m.reportFailure(workflow, r, seg, fmt.Errorf("executing %q: %w", c.Task, err))
 		}
-		m.reportFailure(workflow, r, seg, fmt.Errorf("executing %q: %w", c.Task, err))
-		return
+		return nil
 	}
-	if live {
-		m.reportFailure(workflow, r, seg, m.publish(workflow, c, seg, outputs))
+	if !live {
+		return nil
 	}
+	return m.handOn(workflow, r, seg, outputs)
+}
+
+// handOn publishes r's outputs along seg and returns the first run here
+// that publishing started, for the caller's goroutine to perform next;
+// every other run it started gets a goroutine of its own. A publish that
+// failed starts each of them on its own goroutine before the failure is
+// reported: a report the initiator does not answer is retried, and must
+// not hold back a consumer here.
+func (m *Manager) handOn(workflow string, r *run, seg proto.PlanSegment, outputs service.Outputs) *run {
+	var buf [4]*run
+	ready, err := m.publish(workflow, &r.commitment, seg, outputs, buf[:0])
+	if err != nil {
+		for _, next := range ready {
+			go m.invoke(workflow, next)
+		}
+		m.reportFailure(workflow, r, seg, err)
+		return nil
+	}
+	if len(ready) == 0 {
+		return nil
+	}
+	for _, next := range ready[1:] {
+		go m.invoke(workflow, next)
+	}
+	return ready[0]
 }
 
 // publish communicates the outputs to every participant that requires
@@ -375,31 +434,28 @@ func (m *Manager) invoke(workflow string, r *run) {
 // an award's, shared by all its tasks: each run follows those of its own
 // outputs. The outputs stay the run's: every receiver gets a copy — the
 // codec's for another host, and one made here for this host — so a
-// repair re-publishes them intact.
-func (m *Manager) publish(workflow string, c *schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs) error {
+// repair re-publishes them intact. A label for this host is delivered to
+// its runs in place, and then handed to the host (LocalFunc); publish
+// appends to ready the runs it started, and returns them.
+func (m *Manager) publish(workflow string, c *schedule.Commitment, seg proto.PlanSegment, outputs service.Outputs, ready []*run) ([]*run, error) {
 	for _, out := range c.Meta.Outputs {
-		for _, r := range seg.Routes {
-			if r.Label != out {
+		for _, rt := range seg.Routes {
+			if rt.Label != out {
 				continue
 			}
-			data := outputs[out]
-			if r.To == m.self {
-				data = bytes.Clone(data)
+			lt := proto.LabelTransfer{Label: out, Data: outputs[out], Producer: m.self}
+			if rt.To == m.self {
+				lt.Data = bytes.Clone(lt.Data)
+				ready = m.deliver(workflow, lt, ready)
+				m.local(workflow, lt, proto.TaskDone{})
+				continue
 			}
-			env := proto.Envelope{
-				Workflow: workflow,
-				Body: proto.LabelTransfer{
-					Label:    out,
-					Data:     data,
-					Producer: m.self,
-				},
-			}
-			if sendErr := m.send(m.ctx, r.To, env); sendErr != nil {
-				return fmt.Errorf("publishing %q: %w", out, sendErr)
+			if err := m.send(m.ctx, rt.To, proto.Envelope{Workflow: workflow, Body: lt}); err != nil {
+				return ready, fmt.Errorf("publishing %q: %w", out, err)
 			}
 		}
 	}
-	return nil
+	return ready, nil
 }
 
 // reportFailure tells the initiator that r's task failed, and tells it
@@ -407,12 +463,15 @@ func (m *Manager) publish(workflow string, c *schedule.Commitment, seg proto.Pla
 // is dropped: by the initiator's release, or by the lease sweep once the
 // initiator is gone. A success is not reported: the goals arriving
 // complete the workflow, and a lease refresh asks which runs finished
-// (Finished).
+// (Finished). A failure for this host's own initiator is handed over in
+// place, once.
 func (m *Manager) reportFailure(workflow string, r *run, seg proto.PlanSegment, err error) {
-	if err == nil {
+	td := proto.TaskDone{Task: seg.Task, Err: err.Error()}
+	if seg.Initiator == m.self {
+		m.local(workflow, proto.LabelTransfer{}, td)
 		return
 	}
-	env := proto.Envelope{Workflow: workflow, Body: proto.TaskDone{Task: seg.Task, Err: err.Error()}}
+	env := proto.Envelope{Workflow: workflow, Body: td}
 	for m.send(m.ctx, seg.Initiator, env) != nil && m.ctx.Err() == nil && m.registered(workflow, r) {
 		// No answer: the initiator may be alive and the report lost.
 	}

@@ -3,9 +3,11 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,6 +38,17 @@ func (r *sentRecorder) send(_ context.Context, to proto.Addr, env proto.Envelope
 	defer r.mu.Unlock()
 	r.msgs = append(r.msgs, sent{to, env})
 	return nil
+}
+
+// local records what the manager hands its own host as sent to "self".
+func (r *sentRecorder) local(workflow string, lt proto.LabelTransfer, failure proto.TaskDone) {
+	var body proto.Body = lt
+	if failure.Task != "" {
+		body = failure
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.msgs = append(r.msgs, sent{"self", proto.Envelope{Workflow: workflow, Body: body}})
 }
 
 func (r *sentRecorder) waitFor(t *testing.T, pred func(sent) bool, timeout time.Duration) sent {
@@ -115,7 +128,7 @@ func newRig(t *testing.T, mobility space.Mobility, regs ...service.Registration)
 	}
 	rec := &sentRecorder{}
 	return &rig{
-		mgr:      NewManager("self", clk, services, mobility, rec.send),
+		mgr:      NewManager("self", clk, services, mobility, rec.send, rec.local),
 		services: services,
 		rec:      rec,
 		clk:      clk,
@@ -208,7 +221,7 @@ func TestRoutedRunArmsItsWindowWithItsInputs(t *testing.T) {
 		}
 	}
 	rec := &sentRecorder{}
-	mgr := NewManager("self", sim, services, space.Static{}, rec.send)
+	mgr := NewManager("self", sim, services, space.Static{}, rec.send, rec.local)
 	defer mgr.Close()
 	start := t0.Add(time.Minute)
 	routed := func(task string) proto.PlanSegment {
@@ -516,48 +529,75 @@ func TestReplacedRunKeepsItsOwnState(t *testing.T) {
 
 // TestTaskRunAllocBound: one 1-in / 1-out run — Register, its input label,
 // the invocation and the publish of an output the body returns exactly —
-// costs the run, its inputs map (2: map and insert), the invocation's
-// goroutine closure and the boxed LabelTransfer: 5 allocations to another
-// host, and a 6th, the copy of the data, to this host. The body returns a
-// map built once, so the bound prices exec and service alone. Before a run
-// was priced per label it read 9 on both routes: a second closure
-// allocation for the commitment and segment the go statement copied, the
-// service's new Outputs map and its insert, and OnLabel's ready slice.
+// costs the run, its inputs map (2: map and insert) and the invocation's
+// goroutine closure, and then 1 for its output: the boxed LabelTransfer to
+// another host, or the copy of the data to this host, which the run there
+// takes in place with no box. The chain row's second run consumes the
+// first's output on this host and publishes to another: 2 runs, 2 inputs
+// maps, 1 closure — the second run starts on the first's goroutine — and
+// the copy and the box, 9. The bodies return maps built once, so the bound
+// prices exec and service alone. Before a run was priced per label it
+// read 9 on both one-run routes: a second closure allocation for the
+// commitment and segment the go statement copied, the service's new
+// Outputs map and its insert, and OnLabel's ready slice; the route to this
+// host read 6 while its label was boxed for the host's dispatcher.
 func TestTaskRunAllocBound(t *testing.T) {
 	for _, tc := range []struct {
+		name string
+		// runs are the chain's tasks, each consuming the label before its
+		// output; the last publishes to "peer", every other to "self".
+		runs []model.TaskID
 		to   proto.Addr
 		want float64
 	}{
-		{"peer", 5},
-		{"self", 6},
+		{"peer", []model.TaskID{"t"}, "peer", 5},
+		{"self", []model.TaskID{"t"}, "self", 5},
+		{"chain", []model.TaskID{"t", "u"}, "peer", 9},
 	} {
-		t.Run(string(tc.to), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			data := make([]byte, 4096)
-			outputs := service.Outputs{"out": data}
 			sim := clock.NewSim(t0)
 			services := service.NewManager(sim)
-			if err := services.Register(service.Registration{
-				Descriptor: service.Descriptor{Task: "t", Specialization: 0.5},
-				Fn:         func(service.Invocation) (service.Outputs, error) { return outputs, nil },
-			}); err != nil {
-				t.Fatal(err)
+			label := func(i int) model.LabelID { return model.LabelID(fmt.Sprintf("l%d", i)) }
+			var cs []schedule.Commitment
+			var segs []proto.PlanSegment
+			for i, task := range tc.runs {
+				outputs := service.Outputs{label(i + 1): data}
+				if err := services.Register(service.Registration{
+					Descriptor: service.Descriptor{Task: task, Specialization: 0.5},
+					Fn:         func(service.Invocation) (service.Outputs, error) { return outputs, nil },
+				}); err != nil {
+					t.Fatal(err)
+				}
+				to := proto.Addr("self")
+				if i == len(tc.runs)-1 {
+					to = tc.to
+				}
+				cs = append(cs, commitment(string(task), t0, []model.LabelID{label(i)}, []model.LabelID{label(i + 1)}))
+				segs = append(segs, seg(string(task), "boss", map[model.LabelID][]proto.Addr{label(i + 1): {to}}))
 			}
+			last := label(len(tc.runs))
 			published := make(chan proto.LabelTransfer, 1)
 			send := func(_ context.Context, _ proto.Addr, env proto.Envelope) error {
 				published <- env.Body.(proto.LabelTransfer)
 				return nil
 			}
-			mgr := NewManager("self", sim, services, space.Static{}, send)
+			local := func(_ string, lt proto.LabelTransfer, _ proto.TaskDone) {
+				if lt.Label == last {
+					published <- lt
+				}
+			}
+			mgr := NewManager("self", sim, services, space.Static{}, send, local)
 			defer mgr.Close()
-			c := commitment("t", t0, []model.LabelID{"in"}, []model.LabelID{"out"})
-			s := seg("t", "boss", map[model.LabelID][]proto.Addr{"out": {tc.to}})
-			in := proto.LabelTransfer{Label: "in", Data: data, Producer: "boss"}
+			in := proto.LabelTransfer{Label: label(0), Data: data, Producer: "boss"}
 			var got proto.LabelTransfer
 			testutil.AllocBound(t, tc.want, func() {
-				mgr.Register("wf", c, s)
+				for i, c := range cs {
+					mgr.Register("wf", c, segs[i])
+				}
 				mgr.OnLabel("wf", in)
 				got = <-published
-				mgr.Cancel("wf", "t")
+				mgr.Cancel("wf")
 			})
 			// Another host gets the codec's copy; this host gets publish's.
 			if aliased, want := &got.Data[0] == &data[0], tc.to != "self"; aliased != want {
@@ -565,4 +605,45 @@ func TestTaskRunAllocBound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFailedPublishStartsTheLocalConsumer: t publishes m to u on this host
+// and then to a peer whose send fails, and its failure report gets no
+// answer, so it is retried until the run is dropped. u still starts: a run
+// that publishing readied is set going before the failure is reported.
+func TestFailedPublishStartsTheLocalConsumer(t *testing.T) {
+	clk := clock.New()
+	services := service.NewManager(clk)
+	ran := make(chan struct{})
+	for _, reg := range []service.Registration{
+		{Descriptor: service.Descriptor{Task: "t", Specialization: 0.5}},
+		{Descriptor: service.Descriptor{Task: "u", Specialization: 0.5}, Fn: func(service.Invocation) (service.Outputs, error) {
+			close(ran)
+			return nil, nil
+		}},
+	} {
+		if err := services.Register(reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reports atomic.Int32
+	send := func(_ context.Context, _ proto.Addr, env proto.Envelope) error {
+		if _, ok := env.Body.(proto.TaskDone); ok {
+			reports.Add(1)
+			time.Sleep(time.Millisecond) // a call that times out
+		}
+		return errors.New("unreachable")
+	}
+	mgr := NewManager("self", clk, services, space.Static{}, send, func(string, proto.LabelTransfer, proto.TaskDone) {})
+	defer mgr.Close()
+	now := time.Now()
+	mgr.Register("wf", commitment("u", now, []model.LabelID{"m"}, nil), seg("u", "boss", nil))
+	mgr.Register("wf", commitment("t", now, []model.LabelID{"in"}, []model.LabelID{"m"}), seg("t", "boss", map[model.LabelID][]proto.Addr{"m": {"self", "peer"}}))
+	mgr.OnLabel("wf", proto.LabelTransfer{Label: "in", Producer: "boss"})
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("u never started; t's failure was reported %d times meanwhile", reports.Load())
+	}
+	mgr.Cancel("wf") // t's reports stop with its run
 }

@@ -150,7 +150,7 @@ func New(cfg Config) (*Host, error) {
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManager(clk, cfg.Mobility, cfg.Prefs)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, 0)
-	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule.Mobility(), h.sendExec)
+	h.Exec = exec.NewManager(cfg.Addr, clk, h.Services, h.Schedule.Mobility(), h.sendExec, h.handOver)
 	ttl := discovery.DefaultTTL
 	if dc := cfg.Discovery; dc != nil {
 		if dc.TTL > 0 {
@@ -274,20 +274,11 @@ func (h *Host) sendEnvelope(ctx context.Context, to proto.Addr, env proto.Envelo
 	return ep.Send(ctx, to, env)
 }
 
-// sendExec is the execution manager's SendFunc. An envelope for this host
-// — a label for a run here, a failure for its own initiator — never
-// crosses the link: it is re-addressed and handed to Handle, where it
-// takes the path of one that arrived. A label's Data is already its own
-// copy (exec's publish makes it). A failure for another host is a request:
-// it returns nil once the initiator acks it, and otherwise not before the
-// call's timeout, so exec's next try waits out a peer that refuses at once.
+// sendExec is the execution manager's SendFunc, for envelopes to other
+// hosts. A failure is a request: it returns nil once the initiator acks
+// it, and otherwise not before the call's timeout, so exec's next try
+// waits out a peer that refuses at once.
 func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) error {
-	if to == h.addr {
-		env.From, env.To = h.addr, h.addr
-		h.record(trace.Send, to, env)
-		h.Handle(env)
-		return nil
-	}
 	if _, ok := env.Body.(proto.TaskDone); !ok {
 		return h.sendEnvelope(ctx, to, env)
 	}
@@ -306,8 +297,33 @@ func (h *Host) sendExec(ctx context.Context, to proto.Addr, env proto.Envelope) 
 	return err
 }
 
-// record emits a trace event if tracing is enabled.
+// handOver is the execution manager's LocalFunc: a label a run here
+// published to this host, which the runs here have already taken, or a
+// failure for this host's own initiator, goes to the engine without
+// crossing the link. The trace records it sent and received, as it would
+// one that crossed.
+func (h *Host) handOver(workflow string, lt proto.LabelTransfer, failure proto.TaskDone) {
+	if failure.Task != "" {
+		h.recordKind(trace.Send, h.addr, workflow, failure.Kind())
+		h.recordKind(trace.Recv, h.addr, workflow, failure.Kind())
+		h.Engine.OnTaskDone(workflow, failure)
+		return
+	}
+	h.recordKind(trace.Send, h.addr, workflow, lt.Kind())
+	h.recordKind(trace.Recv, h.addr, workflow, lt.Kind())
+	h.Engine.OnLabelTransfer(workflow, lt)
+}
+
+// record emits a trace event for env if tracing is enabled.
 func (h *Host) record(dir trace.Dir, peer proto.Addr, env proto.Envelope) {
+	if h.trace != nil {
+		h.recordKind(dir, peer, env.Workflow, env.Body.Kind())
+	}
+}
+
+// recordKind emits a trace event for a message of kind if tracing is
+// enabled.
+func (h *Host) recordKind(dir trace.Dir, peer proto.Addr, workflow, kind string) {
 	if h.trace == nil {
 		return
 	}
@@ -316,8 +332,8 @@ func (h *Host) record(dir trace.Dir, peer proto.Addr, env proto.Envelope) {
 		Host:     h.addr,
 		Dir:      dir,
 		Peer:     peer,
-		Kind:     env.Body.Kind(),
-		Workflow: env.Workflow,
+		Kind:     kind,
+		Workflow: workflow,
 	})
 }
 
@@ -517,7 +533,7 @@ func (h *Host) process(env proto.Envelope) {
 		h.Engine.OnLabelTransfer(env.Workflow, b)
 
 	case proto.TaskDone:
-		// One handed over in place (sendExec) has no call to answer.
+		// exec sends it as a request; a one-way one has no call to answer.
 		h.Engine.OnTaskDone(env.Workflow, b)
 		if env.ReqID != 0 {
 			h.reply(env, proto.Ack{})
