@@ -184,7 +184,7 @@ func TestCostTable(t *testing.T) {
 		// row's does. That makes 18 calls: 9 fragment queries, 6 calls for
 		// bids, 2 awards and the lost refresh; and 4 cancels: the
 		// Initiate's 2 losers, the repair's loser and the release of
-		// host02's runs. Ten runs read construct 212.0, allocate 75.7 and
+		// host02's runs. Ten runs read construct 182.0, allocate 75.7 and
 		// execute 173.0; each bound sits 2 above. Earlier readings are in
 		// CHANGES.md.
 		{
@@ -192,7 +192,7 @@ func TestCostTable(t *testing.T) {
 			setup:     repairSession,
 			calls:     18,
 			envelopes: map[string]int{"fragment-query": 9, "fragment-reply": 9, "call-for-bids-batch": 6, "bid-batch": 6, "award": 2, "award-ack": 2, "label-transfer": 7, "cancel": 4},
-			allocs:    [numPhases]float64{construct: 214, allocate: 78, execute: 175},
+			allocs:    [numPhases]float64{construct: 184, allocate: 78, execute: 175},
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {

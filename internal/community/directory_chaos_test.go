@@ -5,7 +5,7 @@ package community
 // breaks that knowledge a different way — the member never got to
 // describe itself (partition), described itself and then died (crash),
 // or described a service it then withdrew — on the virtual clock, with
-// inmem faults, under the chaos job's race detector. The invariant is the
+// inmem faults, under CI's race detector. The invariant is the
 // chaos harness's: a session ends allocated or cleanly aborted, and no
 // hold outlives its bid window.
 //

@@ -131,13 +131,7 @@ var _ KnowledgeSource = SliceSource(nil)
 
 // FragmentsConsuming implements KnowledgeSource.
 func (s SliceSource) FragmentsConsuming(_ context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	var out []*model.Fragment
-	for _, f := range s {
-		if f.ConsumesAny(labels) {
-			out = append(out, f)
-		}
-	}
-	return out, nil
+	return model.AppendConsuming(nil, s, labels), nil
 }
 
 // CollectAll merges every fragment of the list into a fresh supergraph —

@@ -10,22 +10,18 @@ import (
 )
 
 // Store is an immutable, shareable snapshot of collected knowhow: a set
-// of workflow fragments plus a consumer index for frontier queries. Once
+// of workflow fragments, merged into each workspace's supergraph. Once
 // built, a Store never changes — any number of goroutines may construct
 // workflows against it concurrently through Workspaces.
 type Store struct {
 	frags []*model.Fragment
-	// consumers indexes fragments by consumed label, the store-local
-	// equivalent of the community's Fragment Managers answering a
-	// FragmentsConsuming query.
-	consumers map[model.LabelID][]*model.Fragment
 }
 
 // NewStore builds a store snapshot from the given fragments. Fragments
 // are deduplicated by name (the same rule the supergraph merge applies);
 // the fragments are retained by reference and must not be mutated.
 func NewStore(frags ...*model.Fragment) (*Store, error) {
-	s := &Store{consumers: make(map[model.LabelID][]*model.Fragment)}
+	s := &Store{}
 	names := make(map[string]struct{}, len(frags))
 	for _, f := range frags {
 		if f == nil {
@@ -36,38 +32,8 @@ func NewStore(frags ...*model.Fragment) (*Store, error) {
 		}
 		names[f.Name] = struct{}{}
 		s.frags = append(s.frags, f)
-		seen := make(map[model.LabelID]struct{})
-		for _, t := range f.Tasks {
-			for _, in := range t.Inputs {
-				if _, done := seen[in]; done {
-					continue
-				}
-				seen[in] = struct{}{}
-				s.consumers[in] = append(s.consumers[in], f)
-			}
-		}
 	}
 	return s, nil
-}
-
-var _ KnowledgeSource = (*Store)(nil)
-
-// FragmentsConsuming implements KnowledgeSource over the snapshot's
-// consumer index, so a Store can stand in for the community during
-// incremental construction.
-func (s *Store) FragmentsConsuming(_ context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	var out []*model.Fragment
-	seen := make(map[string]struct{})
-	for _, l := range labels {
-		for _, f := range s.consumers[l] {
-			if _, dup := seen[f.Name]; dup {
-				continue
-			}
-			seen[f.Name] = struct{}{}
-			out = append(out, f)
-		}
-	}
-	return out, nil
 }
 
 // Workspace is one construction session's private scratch: a supergraph

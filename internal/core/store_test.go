@@ -28,41 +28,6 @@ func TestStoreDedupAndCopyOnWrite(t *testing.T) {
 	}
 }
 
-func TestStoreFragmentsConsuming(t *testing.T) {
-	st, err := NewStore(cateringFragments(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.FragmentsConsuming(context.Background(), lbl("lunch prepared"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, f := range got {
-		names[f.Name] = true
-	}
-	if !names["lunch-tables"] || !names["lunch-buffet"] || len(names) != 2 {
-		t.Errorf("FragmentsConsuming(lunch prepared) = %v", names)
-	}
-}
-
-// TestStoreAsKnowledgeSource: incremental construction can pull straight
-// from a store snapshot.
-func TestStoreAsKnowledgeSource(t *testing.T) {
-	st, err := NewStore(cateringFragments(t)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := spec.Must(lbl("breakfast ingredients"), lbl("breakfast served"))
-	res, err := ConstructIncremental(context.Background(), st, s, IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Satisfies(res.Workflow) {
-		t.Fatalf("spec unsatisfied:\n%v", res.Workflow)
-	}
-}
-
 // TestWorkspaceMatchesCollectAll: a workspace construction is
 // byte-identical to the classic CollectAll+Construct path over the same
 // fragments.

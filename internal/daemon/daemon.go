@@ -192,9 +192,6 @@ func Start(opts community.Options, initiator proto.Addr, cfg Config, specs ...co
 	reg.CounterFunc("openwf_transport_envelopes_total",
 		"Logical envelopes accepted for transmission (community-wide).",
 		func() int64 { return comm.TransportStats().Envelopes })
-	reg.CounterFunc("openwf_transport_frames_total",
-		"Wire frames transmitted (one per envelope).",
-		func() int64 { return comm.TransportStats().Frames })
 	reg.CounterFunc("openwf_transport_calls_total",
 		"Request envelopes (each opens a Call round trip).",
 		func() int64 { return comm.TransportStats().Calls })

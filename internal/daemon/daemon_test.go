@@ -295,7 +295,7 @@ func TestMetricsExposition(t *testing.T) {
 		"openwf_initiate_latency_seconds_count 1",
 		"openwf_backlog_wait_seconds_count 1",
 		"openwf_transport_calls_total",
-		"openwf_transport_frames_total",
+		"openwf_transport_envelopes_total",
 		"openwf_holds 0",
 		"openwf_commitments 2", // the plan was not executed: its two awards stand
 		"openwf_exec_runs 2",

@@ -339,11 +339,7 @@ func (x *Index) Recall(dst []*model.Fragment, members []proto.Addr, labels []mod
 			ask, at = append(ask, c), append(at, len(frags))
 			continue
 		}
-		for _, f := range e.frags {
-			if f.ConsumesAny(labels) {
-				frags = append(frags, f)
-			}
-		}
+		frags = model.AppendConsuming(frags, e.frags, labels)
 	}
 	return frags, ask, at
 }

@@ -299,17 +299,7 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 		}
 		return reply, nil
 	case proto.FragmentQuery:
-		var out []*model.Fragment
-		if b.Labels == nil {
-			out = m.fragments
-		} else {
-			for _, fr := range m.fragments {
-				if fr.ConsumesAny(b.Labels) {
-					out = append(out, fr)
-				}
-			}
-		}
-		reply := proto.FragmentReply{Fragments: out}
+		reply := proto.FragmentReply{Fragments: model.AppendConsuming(nil, m.fragments, b.Labels)}
 		if b.Describe && f.describes && !f.mute[to] {
 			reply.Capabilities = f.description(m)
 		}

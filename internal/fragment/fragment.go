@@ -8,7 +8,7 @@ package fragment
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"openwf/internal/model"
@@ -16,27 +16,22 @@ import (
 
 // Manager is a host's fragment store. It is safe for concurrent use.
 type Manager struct {
-	mu    sync.RWMutex
-	frags map[string]*model.Fragment
-	// consumerIdx maps each label to the names of fragments with a task
-	// consuming it, for efficient frontier queries.
-	consumerIdx map[model.LabelID]map[string]struct{}
-	// labels lists consumerIdx's keys, sorted, once ConsumedLabels has
-	// built it; a change drops it, never edits it, so ConsumedLabels can
-	// share it.
+	mu sync.RWMutex
+	// frags are the stored fragments, sorted by name. Each is the
+	// manager's own copy, and a change replaces it, never edits it, so
+	// Consuming shares them.
+	frags []*model.Fragment
+	// labels lists the labels frags consume, sorted, once ConsumedLabels
+	// has built it; a change drops it, never edits it, so ConsumedLabels
+	// can share it.
 	labels []model.LabelID
 }
 
 // NewManager returns an empty fragment manager.
-func NewManager() *Manager {
-	return &Manager{
-		frags:       make(map[string]*model.Fragment),
-		consumerIdx: make(map[model.LabelID]map[string]struct{}),
-	}
-}
+func NewManager() *Manager { return &Manager{} }
 
-// Add stores a fragment (validated). Adding a fragment with a name already
-// present replaces it.
+// Add stores a copy of a fragment (validated). Adding a fragment with a
+// name already present replaces it.
 func (m *Manager) Add(f *model.Fragment) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("adding fragment: %w", err)
@@ -44,11 +39,12 @@ func (m *Manager) Add(f *model.Fragment) error {
 	c := f.Clone()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.frags[c.Name]; ok {
-		m.unindexLocked(old)
+	if i, ok := slices.BinarySearchFunc(m.frags, c.Name, byName); ok {
+		m.frags[i] = c
+	} else {
+		m.frags = slices.Insert(m.frags, i, c)
 	}
-	m.frags[c.Name] = c
-	m.indexLocked(c)
+	m.labels = nil
 	return nil
 }
 
@@ -56,81 +52,24 @@ func (m *Manager) Add(f *model.Fragment) error {
 func (m *Manager) Remove(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, ok := m.frags[name]
-	if !ok {
-		return false
+	i, ok := slices.BinarySearchFunc(m.frags, name, byName)
+	if ok {
+		m.frags = slices.Delete(m.frags, i, i+1)
+		m.labels = nil
 	}
-	m.unindexLocked(f)
-	delete(m.frags, name)
-	return true
+	return ok
 }
 
-func (m *Manager) indexLocked(f *model.Fragment) {
-	for _, t := range f.Tasks {
-		for _, in := range t.Inputs {
-			set, ok := m.consumerIdx[in]
-			if !ok {
-				set = make(map[string]struct{})
-				m.consumerIdx[in] = set
-				m.labels = nil
-			}
-			set[f.Name] = struct{}{}
-		}
-	}
-}
+func byName(f *model.Fragment, name string) int { return strings.Compare(f.Name, name) }
 
-func (m *Manager) unindexLocked(f *model.Fragment) {
-	for _, t := range f.Tasks {
-		for _, in := range t.Inputs {
-			if set, ok := m.consumerIdx[in]; ok {
-				delete(set, f.Name)
-				if len(set) == 0 {
-					delete(m.consumerIdx, in)
-					m.labels = nil
-				}
-			}
-		}
-	}
-}
-
-// Consuming returns clones of every fragment containing a task that
-// consumes any of the given labels — the reply to a Fragment Message
-// query. Results are ordered by fragment name.
+// Consuming returns every fragment containing a task that consumes any of
+// the given labels, ordered by name — the reply to a Fragment Message
+// query; nil labels, the full-collection baseline's query, return every
+// fragment. The fragments are shared, so the caller must not modify them.
 func (m *Manager) Consuming(labels []model.LabelID) []*model.Fragment {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	names := make(map[string]struct{})
-	for _, l := range labels {
-		for name := range m.consumerIdx[l] {
-			names[name] = struct{}{}
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-	out := make([]*model.Fragment, 0, len(sorted))
-	for _, name := range sorted {
-		out = append(out, m.frags[name].Clone())
-	}
-	return out
-}
-
-// All returns clones of every stored fragment, ordered by name.
-func (m *Manager) All() []*model.Fragment {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.frags))
-	for name := range m.frags {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*model.Fragment, 0, len(names))
-	for _, name := range names {
-		out = append(out, m.frags[name].Clone())
-	}
-	return out
+	return model.AppendConsuming(nil, m.frags, labels)
 }
 
 // ConsumedLabels returns every label consumed by any stored fragment,
@@ -143,11 +82,13 @@ func (m *Manager) ConsumedLabels() []model.LabelID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.labels == nil {
-		m.labels = make([]model.LabelID, 0, len(m.consumerIdx))
-		for l := range m.consumerIdx {
-			m.labels = append(m.labels, l)
+		for _, f := range m.frags {
+			for _, t := range f.Tasks {
+				m.labels = append(m.labels, t.Inputs...)
+			}
 		}
 		slices.Sort(m.labels)
+		m.labels = slices.Compact(m.labels)
 	}
 	return m.labels
 }

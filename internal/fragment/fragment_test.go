@@ -3,6 +3,7 @@ package fragment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,9 +52,9 @@ func TestAddAndQuery(t *testing.T) {
 	if got := m.Consuming(lbl("zzz")); len(got) != 0 {
 		t.Errorf("Consuming(zzz) = %v", got)
 	}
-	all := m.All()
+	all := m.Consuming(nil)
 	if len(all) != 2 || all[0].Name != "f1" || all[1].Name != "f2" {
-		t.Errorf("All = %v", all)
+		t.Errorf("Consuming(nil) = %v", all)
 	}
 }
 
@@ -78,10 +79,10 @@ func TestAddReplacesByName(t *testing.T) {
 		t.Errorf("%d fragments after replacement", len(m.frags))
 	}
 	if got := m.Consuming(lbl("a")); len(got) != 0 {
-		t.Errorf("stale index entry: %v", got)
+		t.Errorf("replaced fragment still answers: %v", got)
 	}
 	if got := m.Consuming(lbl("c")); len(got) != 1 {
-		t.Errorf("replacement not indexed: %v", got)
+		t.Errorf("replacement does not answer: %v", got)
 	}
 }
 
@@ -97,20 +98,27 @@ func TestRemove(t *testing.T) {
 		t.Error("second Remove returned true")
 	}
 	if got := m.Consuming(lbl("a")); len(got) != 0 {
-		t.Errorf("index kept removed fragment: %v", got)
+		t.Errorf("removed fragment still answers: %v", got)
 	}
 }
 
-func TestConsumingReturnsClones(t *testing.T) {
+// TestAddKeepsItsOwnCopy: Consuming shares the stored fragments, so Add
+// stores a copy — a fragment its caller changes afterwards leaves the
+// answer as it was.
+func TestAddKeepsItsOwnCopy(t *testing.T) {
 	m := NewManager()
-	if err := m.Add(frag(t, "f", "a", "b")); err != nil {
+	f := frag(t, "f", "a", "b")
+	if err := m.Add(f); err != nil {
 		t.Fatal(err)
 	}
+	f.Tasks[0].Inputs[0] = "mutated"
+	f.Tasks = append(f.Tasks, f.Tasks[0])
 	got := m.Consuming(lbl("a"))
-	got[0].Tasks[0].Inputs[0] = "mutated"
-	again := m.Consuming(lbl("a"))
-	if again[0].Tasks[0].Inputs[0] != "a" {
-		t.Error("Consuming exposed internal state")
+	if len(got) != 1 || len(got[0].Tasks) != 1 || got[0].Tasks[0].Inputs[0] != "a" {
+		t.Errorf("Consuming(a) = %v after the caller changed what it added", got)
+	}
+	if got := m.Consuming(lbl("mutated")); len(got) != 0 {
+		t.Errorf("Consuming(mutated) = %v", got)
 	}
 }
 
@@ -139,13 +147,14 @@ func TestMultiTaskFragmentIndexing(t *testing.T) {
 	}
 }
 
-// TestPropConsumingMatchesLinearScan: the index answers queries exactly
-// like a naive scan over all fragments.
+// TestPropConsumingMatchesLinearScan: Consuming answers queries exactly
+// like a naive scan over the fragments stored last under each name, in
+// name order, nil labels included.
 func TestPropConsumingMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewManager()
-		var frags []*model.Fragment
+		stored := make(map[string]*model.Fragment)
 		labelU := []string{"a", "b", "c", "d", "e", "f"}
 		for i := 0; i < 10; i++ {
 			in := labelU[rng.Intn(len(labelU))]
@@ -153,7 +162,9 @@ func TestPropConsumingMatchesLinearScan(t *testing.T) {
 			if in == out {
 				continue
 			}
-			fr, err := model.NewFragment(fmt.Sprintf("f%d", i), model.Task{
+			// Names repeat, so some Adds replace a fragment.
+			name := fmt.Sprintf("f%d", rng.Intn(7))
+			fr, err := model.NewFragment(name, model.Task{
 				ID: model.TaskID(fmt.Sprintf("t%d", i)), Mode: model.Conjunctive,
 				Inputs: lbl(in), Outputs: lbl(out),
 			})
@@ -163,25 +174,30 @@ func TestPropConsumingMatchesLinearScan(t *testing.T) {
 			if err := m.Add(fr); err != nil {
 				return false
 			}
-			frags = append(frags, fr)
+			stored[name] = fr
 		}
 		query := lbl(labelU[rng.Intn(len(labelU))], labelU[rng.Intn(len(labelU))])
-		want := make(map[string]bool)
-		for _, fr := range frags {
-			if fr.ConsumesAny(query) {
-				want[fr.Name] = true
+		if rng.Intn(4) == 0 {
+			query = nil
+		}
+		var want []string
+		for name, fr := range stored {
+			for _, tk := range fr.Tasks {
+				if query == nil || slices.ContainsFunc(tk.Inputs, func(l model.LabelID) bool { return slices.Contains(query, l) }) {
+					want = append(want, name)
+					break
+				}
 			}
 		}
-		got := m.Consuming(query)
-		if len(got) != len(want) {
-			return false
-		}
-		for _, fr := range got {
-			if !want[fr.Name] {
-				return false
+		slices.Sort(want)
+		var got []string
+		for _, fr := range m.Consuming(query) {
+			if fr.Tasks[0].ID != stored[fr.Name].Tasks[0].ID {
+				return false // an older fragment of the name
 			}
+			got = append(got, fr.Name)
 		}
-		return true
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -469,13 +469,7 @@ func (h *Host) ActiveSessions() int { return h.dispatch.ActiveSessions() }
 func (h *Host) process(env proto.Envelope) {
 	switch b := env.Body.(type) {
 	case proto.FragmentQuery:
-		var frags []*model.Fragment
-		if b.Labels == nil {
-			frags = h.Fragments.All() // full-collection baseline
-		} else {
-			frags = h.Fragments.Consuming(b.Labels)
-		}
-		reply := proto.FragmentReply{Fragments: frags}
+		reply := proto.FragmentReply{Fragments: h.Fragments.Consuming(b.Labels)}
 		if b.Describe {
 			reply.Capabilities = h.capabilities()
 		}

@@ -56,11 +56,26 @@ func (f *Fragment) Validate() error {
 	return nil
 }
 
-// ConsumesAny reports whether any task of the fragment consumes any of
-// labels. Fragment managers use this to answer knowhow queries for the
-// exploration frontier; a frontier is a handful of labels, so a list scan
-// beats building a set per query.
-func (f *Fragment) ConsumesAny(labels []LabelID) bool {
+// AppendConsuming appends to dst each of frags with a task that consumes
+// any of labels, in the order of frags — the answer to a knowhow query for
+// the exploration frontier (§4.2); a host keeps its fragments sorted by
+// name, and its memory of a member keeps what the member returned so, so
+// either answer is name-ordered. Nil labels, a full collection's query,
+// select every fragment.
+// The fragments are shared, not copied. A frontier is a handful of labels,
+// so a list scan beats building a set per query.
+func AppendConsuming(dst, frags []*Fragment, labels []LabelID) []*Fragment {
+	for _, f := range frags {
+		if labels == nil || f.consumesAny(labels) {
+			dst = append(dst, f)
+		}
+	}
+	return dst
+}
+
+// consumesAny reports whether any task of the fragment consumes any of
+// labels.
+func (f *Fragment) consumesAny(labels []LabelID) bool {
 	for _, t := range f.Tasks {
 		for _, in := range t.Inputs {
 			if slices.Contains(labels, in) {

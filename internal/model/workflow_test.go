@@ -153,13 +153,35 @@ func TestMustFragmentPanics(t *testing.T) {
 	MustFragment("")
 }
 
+// TestFragmentConsumesAny: the knowhow scan keeps its input's order,
+// appends the fragments it selects themselves, and selects them all for
+// nil labels.
 func TestFragmentConsumesAny(t *testing.T) {
 	f := MustFragment("f", task("t", Conjunctive, labels("a", "b"), labels("c")))
-	if !f.ConsumesAny(labels("b")) {
-		t.Error("ConsumesAny(b) = false")
+	if !f.consumesAny(labels("b")) {
+		t.Error("consumesAny(b) = false")
 	}
-	if f.ConsumesAny(labels("c")) {
-		t.Error("ConsumesAny(c) = true; c is an output")
+	if f.consumesAny(labels("c")) {
+		t.Error("consumesAny(c) = true; c is an output")
+	}
+	g := MustFragment("g", task("u", Conjunctive, labels("c"), labels("d")))
+	frags := []*Fragment{f, g}
+	for _, tc := range []struct {
+		labels []LabelID
+		want   []*Fragment
+	}{
+		{labels("d", "a"), []*Fragment{f}},
+		{labels("c", "b"), frags},
+		{labels("d"), nil},
+		{[]LabelID{}, nil},
+		{nil, frags},
+	} {
+		if got := AppendConsuming(nil, frags, tc.labels); !slices.Equal(got, tc.want) {
+			t.Errorf("AppendConsuming(%v) = %v, want %v", tc.labels, got, tc.want)
+		}
+	}
+	if got := AppendConsuming([]*Fragment{g}, frags, labels("a")); !slices.Equal(got, []*Fragment{g, f}) {
+		t.Errorf("AppendConsuming onto [g] = %v", got)
 	}
 }
 
